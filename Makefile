@@ -27,7 +27,7 @@ BENCH_COUNT ?= 1
 OLD ?= bench-baseline.txt
 NEW ?= bench-smoke.txt
 
-.PHONY: all build test vet fmt-check bench bench-diff bench-baseline smoke loadgen-smoke chaos-smoke fuzz-smoke example-smoke ci
+.PHONY: all build test vet fmt-check loc bench bench-diff bench-baseline smoke loadgen-smoke chaos-smoke fuzz-smoke example-smoke ci
 
 all: build
 
@@ -47,6 +47,26 @@ fmt-check:
 		echo "$$out" >&2; \
 		exit 1; \
 	fi
+
+# Line budget: print the non-test Go lines of every package as the
+# markdown table docs/architecture.md records, and fail when a package
+# has outgrown its recorded figure (or has none) — growth is a decision
+# made by editing that table, not a side effect. The benchmark program
+# under bench/ is outside the budget.
+LOC_DOC = docs/architecture.md
+
+loc:
+	@fail=0; total=0; \
+	echo "| package | non-test lines |"; echo "|---|---:|"; \
+	for d in $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs -n1 dirname | sort -u); do \
+		pkg=$${d#./}; n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); total=$$((total + n)); \
+		echo "| \`$$pkg\` | $$n |"; \
+		max=$$(awk -F'|' -v p="\`$$pkg\`" '{gsub(/ /, "", $$2)} $$2 == p {gsub(/ /, "", $$3); print $$3}' $(LOC_DOC)); \
+		if [ -z "$$max" ] || [ "$$n" -gt "$$max" ]; then \
+			echo "loc: $$pkg has $$n non-test lines, $(LOC_DOC) records $${max:-none}" >&2; fail=1; \
+		fi; \
+	done; \
+	echo "| **total** | $$total |"; exit $$fail
 
 # Benchmark smoke: compile and run each perf-critical query path once
 # (BenchmarkQueryStable matches the cached variant too). Capture-then-cat
@@ -119,4 +139,4 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotReadJSON$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotV2Decode$$' -fuzztime=10s
 
-ci: build fmt-check vet test smoke loadgen-smoke chaos-smoke example-smoke fuzz-smoke bench
+ci: build fmt-check vet loc test smoke loadgen-smoke chaos-smoke example-smoke fuzz-smoke bench

@@ -1110,8 +1110,8 @@ func BenchmarkGenerationOfScope(b *testing.B) {
 // Windowed-read benchmarks --------------------------------------------
 //
 // The columnar shard layout exists so windowed folds are linear scans
-// over per-field slices. PriceStatsIn and SpikesInWindowAppend (with a
-// warm buffer) are the allocation-free contracts: 0 allocs/op each.
+// over per-field slices. PriceStatsIn is the allocation-free contract
+// (0 allocs/op); SpikesInWindow pays only its result slice's growth.
 
 // BenchmarkPriceStatsIn folds min/mean/max over a 5000-price window
 // in-shard: a binary search plus a linear pass over the price column,
@@ -1135,21 +1135,15 @@ func BenchmarkPriceStatsIn(b *testing.B) {
 	}
 }
 
-// BenchmarkSpikesInWindow scans the spike windows of 1000 markets through
-// SpikesInWindowAppend with a reused buffer: once the buffer's capacity
-// is warm, the steady state allocates nothing.
+// BenchmarkSpikesInWindow scans the spike windows of 1000 markets — the
+// read behind /v1/predict and the threshold sweep.
 func BenchmarkSpikesInWindow(b *testing.B) {
 	db, base := benchWideStore(1000)
 	from, to := base, base.Add(24*time.Hour)
-	buf := db.SpikesInWindow(from, to, nil) // warm the reuse buffer
-	if len(buf) == 0 {
-		b.Fatal("empty window")
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = db.SpikesInWindowAppend(buf[:0], from, to, nil)
-		if len(buf) == 0 {
+		if len(db.SpikesInWindow(from, to, nil)) == 0 {
 			b.Fatal("empty window")
 		}
 	}

@@ -51,8 +51,6 @@ const (
 	// defaultVirtualNodes is the ring points per node; 64 keeps the
 	// keyspace split within a few percent of even for small fleets.
 	defaultVirtualNodes = 64
-	// maxBatchBody mirrors the store nodes' envelope bound.
-	maxBatchBody = 1 << 20
 	// defaultRankN mirrors the store nodes' default ranking size, so a
 	// merged fan-out truncates where a single node would have.
 	defaultRankN = 10
@@ -213,7 +211,7 @@ func (g *Gateway) route(q api.Query) (node int, fan bool) {
 // order, merge the fanned-out aggregations.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxBatchBody)).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "bad batch body: %v", err))
 		return
 	}
@@ -230,7 +228,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	results, now, etag := g.scatter(r.Context(), req.Queries)
 	if etag != "" {
-		if etagMatches(r.Header.Get(api.HeaderIfNoneMatch), etag) {
+		if api.ETagMatches(r.Header.Get(api.HeaderIfNoneMatch), etag) {
 			w.Header().Set(api.HeaderETag, etag)
 			w.WriteHeader(http.StatusNotModified)
 			return
@@ -238,23 +236,6 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(api.HeaderETag, etag)
 	}
 	writeJSON(w, api.BatchResponse{Now: now, Results: results})
-}
-
-// etagMatches implements the If-None-Match comparison the store nodes
-// use: "*" matches anything, otherwise any listed tag must equal ours.
-func etagMatches(header, etag string) bool {
-	if header == "" {
-		return false
-	}
-	if strings.TrimSpace(header) == "*" {
-		return true
-	}
-	for _, part := range strings.Split(header, ",") {
-		if strings.TrimSpace(part) == etag {
-			return true
-		}
-	}
-	return false
 }
 
 // nodeCall is one upstream sub-batch: which original indexes it answers
@@ -619,7 +600,7 @@ func mergeAdvise(lists []*api.AdviseResult, n int) *api.AdviseResult {
 // (named in "partial") instead of failing it, and a full fan-out mints
 // a merged gateway ETag honored against If-None-Match.
 func (g *Gateway) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxBatchBody))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "read advise body: %v", err))
 		return
@@ -651,7 +632,7 @@ func (g *Gateway) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if etag != "" && len(res.Partial) == 0 {
-		if etagMatches(r.Header.Get(api.HeaderIfNoneMatch), etag) {
+		if api.ETagMatches(r.Header.Get(api.HeaderIfNoneMatch), etag) {
 			w.Header().Set(api.HeaderETag, etag)
 			w.WriteHeader(http.StatusNotModified)
 			return
@@ -767,7 +748,7 @@ func (g *Gateway) v1Fanout(w http.ResponseWriter, r *http.Request, kind api.Kind
 		// so the degradation detail rides a response header.
 		w.Header().Set(api.HeaderPartial, strings.Join(res.Partial, ","))
 	} else if etag != "" {
-		if etagMatches(r.Header.Get(api.HeaderIfNoneMatch), etag) {
+		if api.ETagMatches(r.Header.Get(api.HeaderIfNoneMatch), etag) {
 			w.Header().Set(api.HeaderETag, etag)
 			w.WriteHeader(http.StatusNotModified)
 			return

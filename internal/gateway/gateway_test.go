@@ -428,6 +428,38 @@ func TestReplicaFleetMatchesDirect(t *testing.T) {
 		t.Errorf("gateway Now = %v, direct %v", viaGW.Now, direct.Now)
 	}
 
+	// The gateway's merged batch tag revalidates under the same
+	// If-None-Match rules as a node's — a weak-prefixed validator (what
+	// caching intermediaries forward) included.
+	batchBody, _ := json.Marshal(api.BatchRequest{Queries: queries})
+	var batchTag string
+	for _, tc := range []struct {
+		validator func() string
+		want      int
+	}{
+		{func() string { return "" }, http.StatusOK},
+		{func() string { return batchTag }, http.StatusNotModified},
+		{func() string { return "W/" + batchTag }, http.StatusNotModified},
+		{func() string { return `"stale", W/` + batchTag }, http.StatusNotModified},
+	} {
+		req, _ := http.NewRequest(http.MethodPost, gsrv.URL+"/v2/query", bytes.NewReader(batchBody))
+		if v := tc.validator(); v != "" {
+			req.Header.Set(api.HeaderIfNoneMatch, v)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("gateway batch with If-None-Match %q answered %d, want %d", tc.validator(), resp.StatusCode, tc.want)
+		}
+		if batchTag = resp.Header.Get(api.HeaderETag); batchTag == "" {
+			t.Fatal("gateway batch response carries no ETag")
+		}
+	}
+
 	// Proxied /v1 keeps the upstream ETag and honors validators through
 	// the gateway.
 	path := "/v1/summary"

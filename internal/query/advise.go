@@ -27,28 +27,20 @@ const maxAdviseBody = 1 << 16
 // (send {} for "any market, trailing 24h"); the response is an
 // api.AdviseResponse, or the usual error envelope on bad constraints.
 func (a *API) handleAdvise(w http.ResponseWriter, r *http.Request) {
+	tr := a.newTrace()
 	var req api.AdviseRequest
+	var aerr *api.Error
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAdviseBody)).Decode(&req); err != nil {
-		writeAPIErr(w, api.Errorf(api.CodeBadRequest, "bad advise body: %v", err))
-		return
+		aerr = api.Errorf(api.CodeBadRequest, "bad advise body: %v", err)
 	}
 	q := api.Query{Kind: api.KindAdvise, Window: req.Window, Advise: &req.AdviseConstraints}
-	now := a.Now()
-	etag := a.etagFor([]api.Query{q}, now)
-	if etagMatches(r.Header.Get(api.HeaderIfNoneMatch), etag) {
-		w.Header().Set(api.HeaderETag, etag)
-		a.setCacheControl(w)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	res := a.exec(q, now)
-	if res.Error != nil {
-		writeAPIErr(w, res.Error)
-		return
-	}
-	w.Header().Set(api.HeaderETag, etag)
-	a.setCacheControl(w)
-	writeJSON(w, api.AdviseResponse{Now: now, AdviseResult: *res.Advise})
+	a.conditional(w, r, &tr, string(api.KindAdvise), []api.Query{q}, aerr, func(now time.Time) (any, *api.Error) {
+		res := a.exec(q, now)
+		if res.Error != nil {
+			return nil, res.Error
+		}
+		return api.AdviseResponse{Now: now, AdviseResult: *res.Advise}, nil
+	})
 }
 
 // execAdvise evaluates one KindAdvise spec: validate the constraints

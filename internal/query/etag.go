@@ -107,20 +107,3 @@ func (a *API) etagFor(qs []api.Query, now time.Time) string {
 	}
 	return fmt.Sprintf("%q", fmt.Sprintf("%016x", h.Sum64()))
 }
-
-// etagMatches implements If-None-Match against one strong ETag: a
-// comma-separated candidate list, each compared after trimming and
-// ignoring a weak-validator prefix, with "*" matching anything.
-func etagMatches(header, etag string) bool {
-	if header == "" {
-		return false
-	}
-	for _, cand := range strings.Split(header, ",") {
-		cand = strings.TrimSpace(cand)
-		cand = strings.TrimPrefix(cand, "W/")
-		if cand == "*" || cand == etag {
-			return true
-		}
-	}
-	return false
-}

@@ -286,23 +286,3 @@ func TestConditionalV2Batch(t *testing.T) {
 		t.Fatalf("got %d results, want 2", len(decoded.Results))
 	}
 }
-
-// TestETagMatches covers the If-None-Match list syntax.
-func TestETagMatches(t *testing.T) {
-	cases := []struct {
-		header, etag string
-		want         bool
-	}{
-		{``, `"abc"`, false},
-		{`"abc"`, `"abc"`, true},
-		{`"xyz"`, `"abc"`, false},
-		{`"xyz", "abc"`, `"abc"`, true},
-		{`W/"abc"`, `"abc"`, true},
-		{`*`, `"abc"`, true},
-	}
-	for _, tc := range cases {
-		if got := etagMatches(tc.header, tc.etag); got != tc.want {
-			t.Errorf("etagMatches(%q, %q) = %v, want %v", tc.header, tc.etag, got, tc.want)
-		}
-	}
-}

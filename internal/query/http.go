@@ -222,42 +222,62 @@ func (a *API) Handler() http.Handler {
 }
 
 // v1 adapts one query kind to a GET endpoint: parse the URL into the
-// typed spec, revalidate against If-None-Match (the ETag is the query's
-// scope generation — a 304 costs no query execution at all), evaluate it
-// on the shared exec path, and answer with the kind's bare payload (v1
-// responses carry the result directly, without the batch Result wrapper).
+// typed spec, evaluate it on the shared conditional path, and answer with
+// the kind's bare payload (v1 responses carry the result directly,
+// without the batch Result wrapper).
 func (a *API) v1(kind api.Kind, pick func(api.Result) any) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := a.newTrace()
 		q, aerr := queryFromURL(r, kind)
-		tr.step(&tr.parse)
-		if aerr == nil {
-			now := a.Now()
-			etag := a.etagFor([]api.Query{q}, now)
-			if etagMatches(r.Header.Get(api.HeaderIfNoneMatch), etag) {
-				tr.step(&tr.probe)
-				w.Header().Set(api.HeaderETag, etag)
-				a.setCacheControl(w)
-				w.WriteHeader(http.StatusNotModified)
-				a.finish(&tr, string(kind), http.StatusNotModified)
-				return
-			}
-			tr.step(&tr.probe)
+		a.conditional(w, r, &tr, string(kind), []api.Query{q}, aerr, func(now time.Time) (any, *api.Error) {
 			res := a.exec(q, now)
-			tr.step(&tr.exec)
-			if res.Error == nil {
-				w.Header().Set(api.HeaderETag, etag)
-				a.setCacheControl(w)
-				writeJSON(w, pick(res))
-				tr.step(&tr.encode)
-				a.finish(&tr, string(kind), http.StatusOK)
-				return
+			if res.Error != nil {
+				return nil, res.Error
 			}
-			aerr = res.Error
-		}
-		writeAPIErr(w, aerr)
-		a.finish(&tr, string(kind), http.StatusBadRequest)
+			return pick(res), nil
+		})
 	}
+}
+
+// conditional is the request flow every query endpoint (/v1/*, /v2/query,
+// /v2/advise) shares once its URL or body is parsed into specs: compute
+// the specs' ETag, revalidate against If-None-Match (the tag is the
+// queries' scope generation, so a 304 costs no query execution at all),
+// otherwise run the queries and answer 200 with the tag. It closes the
+// parse/cache_probe/exec/encode stages of tr, so every endpoint routed
+// through here is in the slow-query log by construction. aerr is the
+// caller's parse failure, if any; error responses never carry an ETag.
+func (a *API) conditional(w http.ResponseWriter, r *http.Request, tr *stageTrace, kind string,
+	qs []api.Query, aerr *api.Error, run func(now time.Time) (any, *api.Error)) {
+	tr.step(&tr.parse)
+	if aerr == nil {
+		// One clock reading per request: every relative window resolves
+		// against the same instant the tag was computed at.
+		now := a.Now()
+		etag := a.etagFor(qs, now)
+		notModified := api.ETagMatches(r.Header.Get(api.HeaderIfNoneMatch), etag)
+		tr.step(&tr.probe)
+		var body any
+		if !notModified {
+			body, aerr = run(now)
+			tr.step(&tr.exec)
+		}
+		if aerr == nil {
+			w.Header().Set(api.HeaderETag, etag)
+			a.setCacheControl(w)
+			status := http.StatusNotModified
+			if notModified {
+				w.WriteHeader(status)
+			} else {
+				status = http.StatusOK
+				writeJSON(w, body)
+				tr.step(&tr.encode)
+			}
+			a.finish(tr, kind, status)
+			return
+		}
+	}
+	a.finish(tr, kind, writeAPIErr(w, aerr))
 }
 
 // queryFromURL parses a v1 GET URL into the typed query spec. Malformed
@@ -326,8 +346,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // writeAPIErr writes the machine-readable error envelope with the status
-// its code implies.
-func writeAPIErr(w http.ResponseWriter, e *api.Error) {
+// its code implies, and returns that status.
+func writeAPIErr(w http.ResponseWriter, e *api.Error) int {
 	status := http.StatusBadRequest
 	if e.Code == api.CodeInternal {
 		status = http.StatusInternalServerError
@@ -335,4 +355,5 @@ func writeAPIErr(w http.ResponseWriter, e *api.Error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(e)
+	return status
 }

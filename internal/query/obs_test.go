@@ -107,21 +107,37 @@ func TestSlowQueryLog(t *testing.T) {
 
 	q := window()
 	q.Set("market", mktA.String())
-	resp, err := http.Get(srv.URL + "/v1/unavailability?" + q.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	line := logBuf.String()
-	for _, want := range []string{"slow query", "kind=unavailability", "status=200", "exec=", "cache_probe=", "encode="} {
-		if !strings.Contains(line, want) {
-			t.Fatalf("slow-query log missing %q:\n%s", want, line)
+	// Every endpoint on the shared conditional path is traced — advise,
+	// the slowest op on the board, included.
+	for _, tc := range []struct {
+		kind string
+		do   func() (*http.Response, error)
+	}{
+		{"unavailability", func() (*http.Response, error) {
+			return http.Get(srv.URL + "/v1/unavailability?" + q.Encode())
+		}},
+		{"advise", func() (*http.Response, error) {
+			return http.Post(srv.URL+"/v2/advise", "application/json", strings.NewReader("{}"))
+		}},
+	} {
+		logBuf.Reset()
+		before := reg.Counter("spotlight_slow_queries_total", "").Value()
+		resp, err := tc.do()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got := reg.Counter("spotlight_slow_queries_total", "").Value(); got == 0 {
-		t.Fatal("slow_queries_total = 0, want > 0")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d", tc.kind, resp.StatusCode)
+		}
+		line := logBuf.String()
+		for _, want := range []string{"slow query", "kind=" + tc.kind, "status=200", "parse=", "exec=", "cache_probe=", "encode="} {
+			if !strings.Contains(line, want) {
+				t.Fatalf("%s: slow-query log missing %q:\n%s", tc.kind, want, line)
+			}
+		}
+		if got := reg.Counter("spotlight_slow_queries_total", "").Value(); got != before+1 {
+			t.Fatalf("%s: slow_queries_total = %v, want %v", tc.kind, got, before+1)
+		}
 	}
 }

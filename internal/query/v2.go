@@ -31,74 +31,47 @@ const (
 func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 	tr := a.newTrace()
 	var req api.BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&req); err != nil {
-		writeAPIErr(w, api.Errorf(api.CodeBadRequest, "bad batch body: %v", err))
-		return
-	}
-	tr.step(&tr.parse)
-	if len(req.Queries) == 0 {
-		writeAPIErr(w, api.Errorf(api.CodeBadRequest, "empty batch: supply at least one query"))
-		return
-	}
-	if len(req.Queries) > api.MaxBatchQueries {
-		writeAPIErr(w, api.Errorf(api.CodeTooManyQueries, "batch exceeds the per-request limit").
+	var aerr *api.Error
+	switch err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxBatchBody)).Decode(&req); {
+	case err != nil:
+		aerr = api.Errorf(api.CodeBadRequest, "bad batch body: %v", err)
+	case len(req.Queries) == 0:
+		aerr = api.Errorf(api.CodeBadRequest, "empty batch: supply at least one query")
+	case len(req.Queries) > api.MaxBatchQueries:
+		aerr = api.Errorf(api.CodeTooManyQueries, "batch exceeds the per-request limit").
 			WithDetail("limit", strconv.Itoa(api.MaxBatchQueries)).
-			WithDetail("got", strconv.Itoa(len(req.Queries))))
-		return
+			WithDetail("got", strconv.Itoa(len(req.Queries)))
 	}
+	// The envelope's ETag covers every spec's scope generation (plus the
+	// clock when any spec resolves against it), so an unchanged batch
+	// answers 304 without fanning out a single query. The echoed Now field
+	// is evaluation metadata and intentionally outside the tag: a 304
+	// asserts the results are unchanged, not the clock.
+	a.conditional(w, r, &tr, batchKind(len(req.Queries)), req.Queries, aerr, func(now time.Time) (any, *api.Error) {
+		resp := api.BatchResponse{Now: now, Results: make([]api.Result, len(req.Queries))}
 
-	// One clock reading for the whole batch: every relative window in the
-	// request resolves against the same instant, and the response echoes
-	// it so clients can reproduce the absolute bounds.
-	now := a.Now()
-
-	// Batch revalidation: the envelope's ETag covers every spec's scope
-	// generation (plus the clock when any spec resolves against it), so an
-	// unchanged batch answers 304 without fanning out a single query. The
-	// echoed Now field is evaluation metadata and intentionally outside
-	// the tag: a 304 asserts the results are unchanged, not the clock.
-	etag := a.etagFor(req.Queries, now)
-	if etagMatches(r.Header.Get(api.HeaderIfNoneMatch), etag) {
-		tr.step(&tr.probe)
-		w.Header().Set(api.HeaderETag, etag)
-		a.setCacheControl(w)
-		w.WriteHeader(http.StatusNotModified)
-		a.finish(&tr, batchKind(len(req.Queries)), http.StatusNotModified)
-		return
-	}
-	tr.step(&tr.probe)
-	resp := api.BatchResponse{Now: now, Results: make([]api.Result, len(req.Queries))}
-
-	// Fan out across the engine. Queries are read-only and the store is
-	// concurrency-safe, so the only bound needed is CPU parallelism.
-	sem := make(chan struct{}, batchParallelism())
-	var wg sync.WaitGroup
-	for i, q := range req.Queries {
-		wg.Add(1)
-		go func(i int, q api.Query) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			resp.Results[i] = a.exec(q, now)
-		}(i, q)
-	}
-	wg.Wait()
-	tr.step(&tr.exec)
-	w.Header().Set(api.HeaderETag, etag)
-	a.setCacheControl(w)
-	writeJSON(w, resp)
-	tr.step(&tr.encode)
-	a.finish(&tr, batchKind(len(req.Queries)), http.StatusOK)
+		// Fan out across the engine. Queries are read-only and the store is
+		// concurrency-safe, so the only bound needed is CPU parallelism.
+		sem := make(chan struct{}, batchParallelism())
+		var wg sync.WaitGroup
+		for i, q := range req.Queries {
+			wg.Add(1)
+			go func(i int, q api.Query) {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				resp.Results[i] = a.exec(q, now)
+			}(i, q)
+		}
+		wg.Wait()
+		return resp, nil
+	})
 }
 
 // batchKind labels a batch request in the slow-query log by its size.
 func batchKind(n int) string {
 	return "batch[" + strconv.Itoa(n) + "]"
 }
-
-// maxBatchBody bounds the decoded batch envelope; MaxBatchQueries fully
-// parameterized specs fit in a small fraction of this.
-const maxBatchBody = 1 << 20
 
 func batchParallelism() int {
 	if n := runtime.GOMAXPROCS(0); n > 1 {

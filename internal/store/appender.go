@@ -43,11 +43,10 @@ func (a *Appender) shard() *shard {
 }
 
 // AppendProbe logs one probe of the bound market.
-func (a *Appender) AppendProbe(r ProbeRecord) { a.shard().appendProbe(r) }
+func (a *Appender) AppendProbe(r ProbeRecord) { a.AppendProbes([]ProbeRecord{r}) }
 
-// AppendProbes logs a batch of probes of the bound market under a single
-// shard-lock acquisition, preserving input order. Use it on replay and
-// bulk-load paths where many records for one market arrive together.
+// AppendProbes logs a batch of probes of the bound market in one append
+// round, preserving input order (the monitor tick flush, bulk loads).
 func (a *Appender) AppendProbes(rs []ProbeRecord) {
 	if len(rs) == 0 {
 		return
@@ -56,13 +55,17 @@ func (a *Appender) AppendProbes(rs []ProbeRecord) {
 }
 
 // AppendSpike logs one threshold crossing of the bound market.
-func (a *Appender) AppendSpike(e SpikeEvent) { a.shard().appendSpike(e) }
+func (a *Appender) AppendSpike(e SpikeEvent) { a.shard().appendSpikes([]SpikeEvent{e}) }
 
 // AppendBidSpread logs one intrinsic-price search of the bound market.
-func (a *Appender) AppendBidSpread(r BidSpreadRecord) { a.shard().appendBidSpread(r) }
+func (a *Appender) AppendBidSpread(r BidSpreadRecord) {
+	a.shard().appendBidSpreads([]BidSpreadRecord{r})
+}
 
 // AppendRevocation logs one revocation watch of the bound market.
-func (a *Appender) AppendRevocation(r RevocationRecord) { a.shard().appendRevocation(r) }
+func (a *Appender) AppendRevocation(r RevocationRecord) {
+	a.shard().appendRevocations([]RevocationRecord{r})
+}
 
 // RecordPrice appends one price observation of the bound market.
-func (a *Appender) RecordPrice(p PricePoint) { a.shard().appendPrice(p) }
+func (a *Appender) RecordPrice(p PricePoint) { a.shard().appendPrices([]PricePoint{p}) }

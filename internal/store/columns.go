@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -44,16 +45,19 @@ func inWindow(t, from, to time.Time) bool {
 	return !t.Before(from) && !t.After(to)
 }
 
-// grown returns dst with room for n more elements, allocating exactly
-// once when dst is short (windowed reads know their result size from the
-// binary-searched bounds, so growth never doubles blindly).
+// grown returns dst with room for n more elements. An empty dst gets
+// exactly n (windowed reads know their result size from the
+// binary-searched bounds, column reservation from the frame pre-count); a
+// dst already holding other shards' results grows geometrically, so
+// accumulating one result across k shards copies O(N), not O(N·k).
 func grown[T any](dst []T, n int) []T {
-	if cap(dst)-len(dst) >= n {
+	switch {
+	case cap(dst)-len(dst) >= n:
 		return dst
+	case len(dst) == 0:
+		return make([]T, 0, n)
 	}
-	out := make([]T, len(dst), len(dst)+n)
-	copy(out, dst)
-	return out
+	return slices.Grow(dst, n)
 }
 
 // probeCols is the probe log in columnar form.

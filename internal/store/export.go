@@ -97,47 +97,30 @@ func mergeCaptured[T any](captures []shardCapture, collect func(*shardCapture) (
 	return mergeTimedRuns(runs, allOrdered, total, at)
 }
 
-// ReadJSON loads a snapshot previously produced by WriteJSON into a fresh
-// Store, rebuilding the derived outage intervals from the probe log. This
-// is the offline-analysis path: collect a study once, regenerate figures
-// from the dump as often as needed.
+// ReadJSON loads a dump previously produced by WriteJSON into a fresh
+// Store through the ordinary append paths, so aggregates, rollups, and
+// generation counters rebuild to the values the dumped store had. The
+// outage stream is ignored: outages are derived state, rebuilt from the
+// probe log. This is the offline-analysis path: collect a study once,
+// regenerate figures from the dump as often as needed.
+//
+// Replay order is a pure function of the dump — families in schema order,
+// markets by first appearance within a family, price series in market-ID
+// order — so two loads of the same dump produce bit-identical stores,
+// floating-point rollup sums included. (The fold order differs from the
+// live process's interleaved appends, so scope-level float sums may
+// differ from the pre-dump values in the last ulps; every count,
+// generation, and per-shard aggregate is exact.)
 func ReadJSON(r io.Reader) (*Store, error) {
 	var snap Snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("store: decode snapshot: %w", err)
 	}
 	s := New()
-	if err := s.loadSnapshot(snap); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// loadSnapshot replays a decoded snapshot's records into the store
-// through the ordinary append paths, so aggregates, rollups, and
-// generation counters rebuild to the values the captured store had. The
-// outage stream is ignored: outages are derived state, rebuilt from the
-// probe log.
-//
-// Replay order is deterministic — markets in ID order within each record
-// family — so two recoveries of the same snapshot produce bit-identical
-// stores, floating-point rollup sums included. (The fold order differs
-// from the live process's interleaved appends, so scope-level float sums
-// may differ from the pre-dump values in the last ulps; every count,
-// generation, and per-shard aggregate is exact.)
-func (s *Store) loadSnapshot(snap Snapshot) error {
-	// Each record family is grouped per market and batch-appended, so a
-	// shard's lock (and rollup publish) is paid once per market per
-	// family instead of once per record — per-family order, the only
-	// order derived state depends on, is preserved by the grouping.
-	applyGrouped(s, snap.Probes, func(r ProbeRecord) market.SpotID { return r.Market },
-		func(sh *shard, rs []ProbeRecord) { sh.appendProbes(rs) })
-	applyGrouped(s, snap.Spikes, func(e SpikeEvent) market.SpotID { return e.Market },
-		func(sh *shard, es []SpikeEvent) { sh.appendSpikes(es) })
-	applyGrouped(s, snap.BidSpreads, func(b BidSpreadRecord) market.SpotID { return b.Market },
-		func(sh *shard, bs []BidSpreadRecord) { sh.appendBidSpreads(bs) })
-	applyGrouped(s, snap.Revocations, func(r RevocationRecord) market.SpotID { return r.Market },
-		func(sh *shard, rs []RevocationRecord) { sh.appendRevocations(rs) })
+	s.AppendProbes(snap.Probes)
+	s.AppendSpikes(snap.Spikes)
+	s.AppendBidSpreads(snap.BidSpreads)
+	s.AppendRevocations(snap.Revocations)
 	priceKeys := make([]string, 0, len(snap.Prices))
 	for idStr := range snap.Prices {
 		priceKeys = append(priceKeys, idStr)
@@ -146,39 +129,11 @@ func (s *Store) loadSnapshot(snap Snapshot) error {
 	for _, idStr := range priceKeys {
 		id, err := market.ParseSpotID(idStr)
 		if err != nil {
-			return fmt.Errorf("store: snapshot price key: %w", err)
+			return nil, fmt.Errorf("store: snapshot price key: %w", err)
 		}
-		if series := snap.Prices[idStr]; len(series) > 0 {
-			s.shardFor(id).appendPrices(series)
-		}
+		s.RecordPrices(id, snap.Prices[idStr])
 	}
-	return nil
-}
-
-// applyGrouped groups one record family per market and batch-applies it
-// in market-ID order, keeping replay deterministic.
-func applyGrouped[T any](s *Store, recs []T, marketOf func(T) market.SpotID, apply func(*shard, []T)) {
-	if len(recs) == 0 {
-		return
-	}
-	groups := make(map[market.SpotID][]T)
-	for _, r := range recs {
-		id := marketOf(r)
-		groups[id] = append(groups[id], r)
-	}
-	for _, id := range sortedMarketKeys(groups) {
-		apply(s.shardFor(id), groups[id])
-	}
-}
-
-// sortedMarketKeys returns the map's market keys in ID order.
-func sortedMarketKeys[V any](m map[market.SpotID]V) []market.SpotID {
-	keys := make([]market.SpotID, 0, len(m))
-	for id := range m {
-		keys = append(keys, id)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	return keys
+	return s, nil
 }
 
 // WriteSpikesCSV writes the spike-event log as CSV with a header row.

@@ -1,7 +1,11 @@
 package store
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -57,50 +61,232 @@ func TestScopeGeneration(t *testing.T) {
 	}
 }
 
-// TestAppendProbesMatchesSingles: the batched append must be
-// observationally identical to record-at-a-time appends — same probes,
-// same derived outages, same aggregates — for an interleaved multi-market
-// input.
-func TestAppendProbesMatchesSingles(t *testing.T) {
-	var input []ProbeRecord
-	for i := 0; i < 40; i++ {
-		m := mktA
-		if i%3 == 0 {
-			m = mktB
-		}
+// mixedInput is one interleaved multi-market input per record family.
+// Costs and prices are dyadic, so every float sum is exact and rollup
+// aggregates must agree bit for bit however the appends were batched.
+type mixedInput struct {
+	probes  []ProbeRecord
+	spikes  []SpikeEvent
+	spreads []BidSpreadRecord
+	revs    []RevocationRecord
+	prices  []PricePoint // prices[i] belongs to markets[i%len(markets)]
+	markets []market.SpotID
+}
+
+func newMixedInput(markets []market.SpotID, n int) mixedInput {
+	in := mixedInput{markets: markets}
+	for i := 0; i < n; i++ {
+		m := markets[i%len(markets)]
+		at := t0.Add(time.Duration(i) * time.Minute)
 		// Rejection runs open and close outages as they would live.
-		rejected := i%8 < 3
-		input = append(input, probe(t0.Add(time.Duration(i)*time.Minute), m, ProbeOnDemand, rejected))
+		r := probe(at, m, ProbeOnDemand, i%8 < 3)
+		r.Cost = 0.25
+		in.probes = append(in.probes, r)
+		in.spikes = append(in.spikes, SpikeEvent{At: at, Market: m, Price: 0.5 + float64(i), Ratio: 0.5 + float64(i%3), Probed: i%4 == 0})
+		in.spreads = append(in.spreads, BidSpreadRecord{At: at, Market: m, Published: 0.5, Intrinsic: 0.25, Attempts: i%5 + 1})
+		in.revs = append(in.revs, RevocationRecord{At: at, Market: m, Bid: 1, Held: time.Duration(i+1) * time.Minute})
+		in.prices = append(in.prices, PricePoint{At: at, Price: 0.125 * float64(i+1)})
+	}
+	return in
+}
+
+// TestAppendProbesMatchesSingles: every record enters a shard through one
+// append round, so for each of the five families the three entry points —
+// Store single-record, Store batch, and a bound Appender — must be
+// observationally identical for an interleaved multi-market input: same
+// dump, aggregates, rollups and generations (assertStoresEqual), same
+// windowed reads, same WAL bytes on disk, and the same feed events.
+func TestAppendProbesMatchesSingles(t *testing.T) {
+	in := newMixedInput([]market.SpotID{mktA, mktB, mktA}, 40)
+	priceMarket := func(i int) market.SpotID { return in.markets[i%len(in.markets)] }
+	families := []struct {
+		name                    string
+		single, batch, appender func(*Store)
+	}{
+		{"probes",
+			func(s *Store) {
+				for _, r := range in.probes {
+					s.AppendProbe(r)
+				}
+			},
+			func(s *Store) { s.AppendProbes(in.probes) },
+			func(s *Store) {
+				appA, appB := s.Appender(mktA), s.Appender(mktB)
+				var toB []ProbeRecord
+				for _, r := range in.probes {
+					if r.Market == mktA {
+						appA.AppendProbe(r)
+					} else {
+						toB = append(toB, r)
+					}
+				}
+				appB.AppendProbes(toB)
+			}},
+		{"spikes",
+			func(s *Store) {
+				for _, e := range in.spikes {
+					s.AppendSpike(e)
+				}
+			},
+			func(s *Store) { s.AppendSpikes(in.spikes) },
+			func(s *Store) {
+				for _, e := range in.spikes {
+					s.Appender(e.Market).AppendSpike(e)
+				}
+			}},
+		{"bidSpreads",
+			func(s *Store) {
+				for _, r := range in.spreads {
+					s.AppendBidSpread(r)
+				}
+			},
+			func(s *Store) { s.AppendBidSpreads(in.spreads) },
+			func(s *Store) {
+				for _, r := range in.spreads {
+					s.Appender(r.Market).AppendBidSpread(r)
+				}
+			}},
+		{"revocations",
+			func(s *Store) {
+				for _, r := range in.revs {
+					s.AppendRevocation(r)
+				}
+			},
+			func(s *Store) { s.AppendRevocations(in.revs) },
+			func(s *Store) {
+				for _, r := range in.revs {
+					s.Appender(r.Market).AppendRevocation(r)
+				}
+			}},
+		{"prices",
+			func(s *Store) {
+				for i, p := range in.prices {
+					s.RecordPrice(priceMarket(i), p)
+				}
+			},
+			func(s *Store) {
+				series := make(map[market.SpotID][]PricePoint)
+				for i, p := range in.prices {
+					series[priceMarket(i)] = append(series[priceMarket(i)], p)
+				}
+				s.RecordPrices(mktA, series[mktA])
+				s.RecordPrices(mktB, series[mktB])
+			},
+			func(s *Store) {
+				for i, p := range in.prices {
+					s.Appender(priceMarket(i)).RecordPrice(p)
+				}
+			}},
 	}
 
-	single, batched := New(), New()
-	for _, r := range input {
-		single.AppendProbe(r)
+	// fed is what one way of appending left behind.
+	type fed struct {
+		s      *Store
+		wal    map[string][]byte
+		events map[string][]Event
 	}
-	batched.AppendProbes(input)
+	feed := func(t *testing.T, fill func(*Store)) fed {
+		dir := t.TempDir()
+		s, err := Open(dir, PersistOptions{})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		t.Cleanup(func() { s.Persister().Close() })
+		sub := s.Feed().Subscribe(SubscribeOptions{Buffer: 1024})
+		defer sub.Close()
+		fill(s)
+		if err := s.Persister().Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		out := fed{s: s, wal: make(map[string][]byte), events: make(map[string][]Event)}
+		segs, err := filepath.Glob(filepath.Join(dir, walDirName, "*", "*.wal"))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("WAL segments: %v %v", segs, err)
+		}
+		for _, seg := range segs {
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.wal[strings.TrimPrefix(seg, dir)] = data
+		}
+		// Cross-market publish order and a batch's probe-then-outage event
+		// order legitimately depend on the batching; the per-(market, kind)
+		// sequences must not. Seq and Gen are the feed's own stamps.
+		for _, ev := range drain(sub) {
+			key := ev.Market.String() + " " + ev.Kind.String()
+			ev.Seq, ev.Gen = 0, 0
+			out.events[key] = append(out.events[key], ev)
+		}
+		return out
+	}
 
-	if !reflect.DeepEqual(single.Probes(), batched.Probes()) {
-		t.Errorf("probe logs differ between single and batched appends")
+	from, to := t0.Add(5*time.Minute), t0.Add(25*time.Minute)
+	for _, fam := range families {
+		t.Run(fam.name, func(t *testing.T) {
+			want := feed(t, fam.single)
+			if len(want.events) == 0 {
+				t.Fatal("reference store published no events")
+			}
+			for name, fill := range map[string]func(*Store){"batch": fam.batch, "appender": fam.appender} {
+				got := feed(t, fill)
+				assertStoresEqual(t, got.s, want.s)
+				if !reflect.DeepEqual(got.s.ProbesInWindow(from, to, nil), want.s.ProbesInWindow(from, to, nil)) {
+					t.Errorf("%s: windowed probes differ from single appends", name)
+				}
+				if !reflect.DeepEqual(got.wal, want.wal) {
+					t.Errorf("%s: WAL bytes differ from single appends", name)
+				}
+				if !reflect.DeepEqual(got.events, want.events) {
+					t.Errorf("%s: feed events differ from single appends", name)
+				}
+			}
+		})
 	}
-	if !reflect.DeepEqual(single.Outages(), batched.Outages()) {
-		t.Errorf("derived outages differ between single and batched appends")
-	}
-	now := t0.Add(time.Hour)
-	if !reflect.DeepEqual(single.Aggregates(now), batched.Aggregates(now)) {
-		t.Errorf("aggregates differ between single and batched appends")
-	}
-	if single.ProbeCount() != batched.ProbeCount() {
-		t.Errorf("probe counts differ: %d vs %d", single.ProbeCount(), batched.ProbeCount())
-	}
-	for _, m := range []market.SpotID{mktA, mktB} {
-		if g1, g2 := single.Generation(m), batched.Generation(m); g1 != g2 {
-			t.Errorf("generation of %v differs: %d vs %d", m, g1, g2)
+}
+
+// TestBatchAppendOrderIsDeterministic: a multi-market batch is applied in
+// order of first appearance, so two stores fed the same batch publish the
+// same feed sequence (and fold their rollup float sums in the same order).
+// Grouping through a Go map's iteration order fails this with
+// overwhelming probability at 48 markets.
+func TestBatchAppendOrderIsDeterministic(t *testing.T) {
+	markets := make([]market.SpotID, 48)
+	for i := range markets {
+		markets[i] = market.SpotID{
+			Zone:    market.Zone(fmt.Sprintf("us-east-1%c", 'a'+i%6)),
+			Type:    market.InstanceType(fmt.Sprintf("m%d.large", i/6)),
+			Product: market.ProductLinux,
 		}
 	}
-	// Windowed reads (binary-search path) agree too.
-	from, to := t0.Add(5*time.Minute), t0.Add(25*time.Minute)
-	if !reflect.DeepEqual(single.ProbesInWindow(from, to, nil), batched.ProbesInWindow(from, to, nil)) {
-		t.Errorf("windowed probes differ between single and batched appends")
+	in := newMixedInput(markets, 3*len(markets))
+	run := func() []Event {
+		s := New()
+		sub := s.Feed().Subscribe(SubscribeOptions{Buffer: 4096})
+		defer sub.Close()
+		s.AppendProbes(in.probes)
+		s.AppendSpikes(in.spikes)
+		s.AppendBidSpreads(in.spreads)
+		s.AppendRevocations(in.revs)
+		return drain(sub)
+	}
+	first, second := run(), run()
+	if len(first) < 4*len(in.probes) {
+		t.Fatalf("got %d events, want at least %d", len(first), 4*len(in.probes))
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("two stores fed the same batch published different event sequences")
+	}
+	// First appearance, concretely: the probe family's rounds walk the
+	// markets in input order.
+	var order []market.SpotID
+	for _, ev := range first {
+		if ev.Kind == EventProbe && (len(order) == 0 || order[len(order)-1] != ev.Market) {
+			order = append(order, ev.Market)
+		}
+	}
+	if !reflect.DeepEqual(order, markets) {
+		t.Errorf("probe rounds visited markets in order %v, want input order", order)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 	"spotlight/internal/market"
 )
 
-// The golden fixture pins the on-disk format — snapshot JSON schema, WAL
-// segment framing, and the binary record encoding — against accidental
+// The golden fixture pins the on-disk format — snapshot directory layout,
+// WAL segment framing, and the binary record encoding — against accidental
 // change: testdata/golden/store holds a committed data directory
 // (snapshot + live WAL segments + meta) and expected-state.json the exact
 // WriteJSON dump recovery must reproduce from it. If either file stops
@@ -35,7 +35,7 @@ func goldenDir(t testing.TB) string {
 }
 
 // goldenWorkload builds the fixture's store contents: a pre-snapshot part
-// (covered by snapshot-*.json after compaction) and a post-snapshot part
+// (covered by the snapshot directory after compaction) and a post-snapshot part
 // that lives only in WAL segments.
 func goldenWorkload(s *Store, p *Persister) error {
 	base := time.Date(2015, 9, 1, 12, 0, 0, 0, time.UTC)
@@ -73,26 +73,11 @@ func goldenWorkload(s *Store, p *Persister) error {
 
 func TestGoldenFixture(t *testing.T) {
 	root := goldenDir(t)
-	if os.Getenv("STORE_GOLDEN_REGEN") != "" {
-		regenGolden(t, filepath.Join(root, "store"), filepath.Join(root, "expected-state.json"))
-	}
-	assertGoldenState(t, root)
-}
-
-// TestGoldenV1Fixture opens the frozen pre-v2 fixture — a data directory
-// whose snapshot is the legacy whole-store snapshot-<SEQ>.json — and
-// holds it to the exact same recovered state as the live-format fixture.
-// This is the migration contract: v1 directories keep opening, byte for
-// byte, with no regeneration path (the fixture is a historical artifact;
-// it must never be rewritten).
-func TestGoldenV1Fixture(t *testing.T) {
-	assertGoldenState(t, filepath.Join("testdata", "golden-v1"))
-}
-
-func assertGoldenState(t *testing.T, root string) {
-	t.Helper()
 	storeFixture := filepath.Join(root, "store")
 	expectedPath := filepath.Join(root, "expected-state.json")
+	if os.Getenv("STORE_GOLDEN_REGEN") != "" {
+		regenGolden(t, storeFixture, expectedPath)
+	}
 
 	// Recover from a copy: Open repairs torn tails in place and the
 	// committed fixture must stay pristine.

@@ -28,9 +28,7 @@ import (
 //	    <market>.snap            per-shard binary record stream
 //	  wal/<market>/seg-<EPOCH>-<IDX>.wal
 //
-// where <market> is the URL-path-escaped market ID. (Directories written
-// by older versions hold a single snapshot-<SEQ>.json instead — still
-// read, superseded by the first new snapshot.) Every append frames
+// where <market> is the URL-path-escaped market ID. Every append frames
 // its records into the owning shard's pending WAL buffer inside the same
 // shard lock round as the in-memory append; Flush moves pending bytes to
 // the active segment files (the durability boundary — a record is
@@ -65,7 +63,6 @@ const (
 	cursorFileName     = "cursor.json"
 	walDirName         = "wal"
 	snapshotPrefix     = "snapshot-"
-	snapshotSuffix     = ".json"
 
 	// walAutoFlushBytes bounds a shard's pending buffer: if the owner
 	// never calls Flush (no service tick), the shard flushes itself
@@ -124,7 +121,7 @@ type Persister struct {
 
 	// snapMu serializes Snapshot, Flush, and Close against each other.
 	// It also guards lastSnap, the incremental-encoding state of the
-	// newest published v2 snapshot (nil before the first one).
+	// newest published snapshot (nil before the first one).
 	snapMu   sync.Mutex
 	closed   bool
 	lastSnap *snapDirState
@@ -215,34 +212,15 @@ func Open(dir string, opts PersistOptions) (*Store, error) {
 
 	s := New()
 	replayStart := time.Now()
-	info, err := findLatestSnapshot(dir)
+	snap, err := findLatestSnapshot(dir)
 	if err != nil {
 		lock.Close()
 		return nil, err
 	}
-	var snapAt time.Time
-	if info.seq > 0 && !info.v2 {
-		// Legacy single-file JSON snapshot: replay it serially through the
-		// export.go reader before the parallel WAL phase. The first
-		// snapshot this process takes writes the v2 layout and compaction
-		// removes the v1 file — migration is one snapshot cycle.
-		snapAt, err = loadSnapshotV1(dir, info.seq, s)
-		if err != nil {
-			lock.Close()
-			return nil, err
-		}
-	}
-
-	positions, maxEpoch, walAt, err := replayParallel(walRoot, info, s)
+	positions, maxEpoch, recoveredAt, err := replayParallel(walRoot, snap, s)
 	if err != nil {
 		lock.Close()
 		return nil, err
-	}
-	if maxEpoch < info.seq {
-		maxEpoch = info.seq
-	}
-	if maxEpoch == 0 {
-		maxEpoch = 1
 	}
 
 	p := &Persister{
@@ -252,15 +230,15 @@ func Open(dir string, opts PersistOptions) (*Store, error) {
 		salt:             meta.Salt,
 		recoveries:       meta.Recoveries,
 		lock:             lock,
-		epoch:            maxEpoch,
+		epoch:            max(maxEpoch, snap.seq, 1),
 		replayDur:        time.Since(replayStart),
 		recoveredRecords: s.gen.Load(),
 	}
-	if info.v2 {
+	if snap.seq > 0 {
 		// Prime incremental snapshots: shards unchanged since this
 		// snapshot hard-link its files instead of re-encoding.
-		p.lastSnap = &snapDirState{seq: info.seq, dir: info.dirPath, records: make(map[string]uint64, len(info.manifest.Shards))}
-		for _, msh := range info.manifest.Shards {
+		p.lastSnap = &snapDirState{seq: snap.seq, dir: snap.dirPath, records: make(map[string]uint64, len(snap.manifest.Shards))}
+		for _, msh := range snap.manifest.Shards {
 			p.lastSnap.records[msh.File] = msh.Records
 		}
 	}
@@ -271,10 +249,8 @@ func Open(dir string, opts PersistOptions) (*Store, error) {
 	// resuming behind them would make the owner re-live (and re-record)
 	// a window the store already covers.
 	clock := meta.Clock
-	for _, t := range [...]time.Time{snapAt, walAt} {
-		if t.After(clock) {
-			clock = t
-		}
+	if recoveredAt.After(clock) {
+		clock = recoveredAt
 	}
 	if !clock.IsZero() {
 		p.clock.Store(clock.UnixNano())
@@ -373,78 +349,6 @@ func writeFileAtomic(path string, data []byte) error {
 		}
 	}
 	return nil
-}
-
-// snapshotSeq extracts N from "snapshot-N.json"; ok is false for other
-// names (including temp files).
-func snapshotSeq(name string) (uint64, bool) {
-	var seq uint64
-	n, err := fmt.Sscanf(name, snapshotPrefix+"%d"+snapshotSuffix, &seq)
-	if err != nil || n != 1 {
-		return 0, false
-	}
-	if name != snapshotName(seq) {
-		return 0, false
-	}
-	return seq, true
-}
-
-func snapshotName(seq uint64) string {
-	return fmt.Sprintf("%s%08d%s", snapshotPrefix, seq, snapshotSuffix)
-}
-
-// loadSnapshotV1 loads a legacy single-file JSON snapshot into s. The
-// newest snapshot is the only acceptable one: compaction deleted the WAL
-// epochs it covers, so silently falling back to an older snapshot would
-// present large data loss as a successful recovery. A damaged newest
-// snapshot (snapshots are rename-published, so only external corruption
-// gets here) therefore fails Open loudly; the operator can remove the
-// file to explicitly accept recovering from an older snapshot plus
-// whatever WAL survives.
-func loadSnapshotV1(dir string, seq uint64, s *Store) (time.Time, error) {
-	name := snapshotName(seq)
-	f, err := os.Open(filepath.Join(dir, name))
-	if err != nil {
-		return time.Time{}, fmt.Errorf("store: open %s: %w", name, err)
-	}
-	var snap Snapshot
-	derr := json.NewDecoder(f).Decode(&snap)
-	f.Close()
-	if derr != nil {
-		return time.Time{}, fmt.Errorf("store: snapshot %s is damaged (remove it to recover from an older snapshot + WAL, accepting the loss of the records only it covered): %w", name, derr)
-	}
-	if err := s.loadSnapshot(snap); err != nil {
-		return time.Time{}, fmt.Errorf("store: replay %s: %w", name, err)
-	}
-	return snapshotMaxTime(snap), nil
-}
-
-// snapshotMaxTime returns the newest record timestamp in the snapshot.
-func snapshotMaxTime(snap Snapshot) time.Time {
-	var maxAt time.Time
-	bump := func(t time.Time) {
-		if t.After(maxAt) {
-			maxAt = t
-		}
-	}
-	for _, r := range snap.Probes {
-		bump(r.At)
-	}
-	for _, e := range snap.Spikes {
-		bump(e.At)
-	}
-	for _, b := range snap.BidSpreads {
-		bump(b.At)
-	}
-	for _, rv := range snap.Revocations {
-		bump(rv.At)
-	}
-	for _, series := range snap.Prices {
-		for _, pt := range series {
-			bump(pt.At)
-		}
-	}
-	return maxAt
 }
 
 // segPos records where a shard's recovered log ended, so fresh appends
@@ -837,26 +741,22 @@ func (p *Persister) writeMeta(clean bool) error {
 	return writeFileAtomic(filepath.Join(p.dir, metaFileName), mustJSON(m))
 }
 
-// compact removes snapshots older than seq — v2 directories, legacy v1
-// files, and in-progress .tmp directories a crashed snapshot left — and
-// WAL segments with epochs seq covers. Best-effort: leftovers are
-// ignored by recovery and retried by the next compaction.
+// compact removes snapshot directories older than seq, in-progress .tmp
+// directories a crashed snapshot left, and WAL segments with epochs seq
+// covers. Best-effort: leftovers are ignored by recovery and retried by
+// the next compaction.
 func (p *Persister) compact(seq uint64) {
 	if ents, err := os.ReadDir(p.dir); err == nil {
 		for _, ent := range ents {
 			name := ent.Name()
-			if ent.IsDir() {
-				if s, ok := snapshotDirSeq(name); ok && s < seq {
-					os.RemoveAll(filepath.Join(p.dir, name))
-				} else if strings.HasPrefix(name, snapshotPrefix) && strings.HasSuffix(name, snapTmpSuffix) {
-					// snapMu serializes snapshots, so any .tmp directory
-					// is the debris of a crashed snapshot attempt.
-					os.RemoveAll(filepath.Join(p.dir, name))
-				}
+			if !ent.IsDir() {
 				continue
 			}
-			if s, ok := snapshotSeq(name); ok && s < seq {
-				os.Remove(filepath.Join(p.dir, name))
+			// snapMu serializes snapshots, so any .tmp directory is the
+			// debris of a crashed snapshot attempt.
+			tmp := strings.HasPrefix(name, snapshotPrefix) && strings.HasSuffix(name, snapTmpSuffix)
+			if s, ok := snapshotDirSeq(name); (ok && s < seq) || tmp {
+				os.RemoveAll(filepath.Join(p.dir, name))
 			}
 		}
 	}
@@ -895,8 +795,8 @@ func (p *Persister) compact(seq uint64) {
 	}
 }
 
-// Close flushes outstanding WAL bytes, takes a final snapshot (making the
-// next Open a single-file load), persists the clock, and stops the
+// Close flushes outstanding WAL bytes, takes a final snapshot (so the
+// next Open replays no WAL), persists the clock, and stops the
 // durability layer. It returns the first durability error of the whole
 // session, so owners that ignore per-tick Flush errors still surface
 // them at shutdown.

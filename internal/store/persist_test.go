@@ -669,6 +669,46 @@ func TestOpenFailsOnDamagedNewestSnapshot(t *testing.T) {
 	re.Persister().Close()
 }
 
+func TestOpenRejectsV1Snapshot(t *testing.T) {
+	// A version-1 snapshot-<SEQ>.json covers records whose WAL epochs were
+	// compacted away; ignoring it and recovering WAL-only would present
+	// their loss as a successful Open.
+	dir := t.TempDir()
+	s, err := Open(dir, PersistOptions{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	appendWorkload(s, 2, 5)
+	if err := s.Persister().Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	s.Persister().crash()
+	v1 := filepath.Join(dir, "snapshot-00000001.json")
+	if err := os.WriteFile(v1, []byte(`{"probes":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := Open(dir, PersistOptions{})
+	if err == nil || got != nil {
+		t.Fatalf("Open = (%v, %v), want no store and an error", got, err)
+	}
+	if !strings.Contains(err.Error(), v1) || !strings.Contains(err.Error(), "remove the file") {
+		t.Errorf("error %q does not name %s and the remedy", err, v1)
+	}
+	// The failed Open released the directory; following the remedy opens.
+	if err := os.Remove(v1); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, PersistOptions{})
+	if err != nil {
+		t.Fatalf("Open after removing the v1 snapshot: %v", err)
+	}
+	if g := re.GlobalGeneration(); g != s.GlobalGeneration() {
+		t.Errorf("recovered generation = %d, want %d", g, s.GlobalGeneration())
+	}
+	re.Persister().Close()
+}
+
 func TestOpenRejectsBadWALDir(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, "wal", "not-a-market"), 0o755); err != nil {

@@ -36,21 +36,15 @@ import (
 // summed.
 
 // replayTask is one market's unit of recovery work: its snapshot shard
-// file (v2 only) plus its WAL segments.
+// file plus its WAL segments.
 type replayTask struct {
-	id  market.SpotID
-	key string // id.String(), the finalize sort key
+	// sh is the shard the task rebuilds; finalize adopts it into the
+	// store.
+	sh *shard
 
-	// sh is the shard the task rebuilds. fresh marks a worker-built
-	// shard that finalize must adopt into the store; !fresh means the
-	// shard already exists (the legacy v1 snapshot was replayed into
-	// the store before the parallel phase).
-	sh    *shard
-	fresh bool
-
-	// snapPath/snapRecords name the market's v2 snapshot shard file and
-	// the record count its manifest pins; empty when the snapshot does
-	// not cover this market.
+	// snapPath/snapRecords name the market's snapshot shard file and the
+	// record count its manifest pins; empty when the snapshot does not
+	// cover this market.
 	snapPath    string
 	snapRecords uint64
 
@@ -65,34 +59,29 @@ type replayTask struct {
 }
 
 // buildReplayTasks enumerates the markets recovery must rebuild: the
-// union of the snapshot manifest's shards (v2) and the WAL's segment
+// union of the snapshot manifest's shards and the WAL's segment
 // directories. Segment names are parsed here (serially — it is cheap
 // directory metadata) so maxEpoch accounts for every segment, including
 // ones the snapshot covers and ones a worker later removes.
-func buildReplayTasks(walRoot string, info snapInfo, s *Store) (tasks []*replayTask, maxEpoch uint64, err error) {
+func buildReplayTasks(walRoot string, info snapInfo) (tasks []*replayTask, maxEpoch uint64, err error) {
 	byID := make(map[market.SpotID]*replayTask)
 	task := func(id market.SpotID) *replayTask {
 		t := byID[id]
 		if t == nil {
-			t = &replayTask{id: id, key: id.String(), sh: s.lookup(id)}
-			if t.sh == nil {
-				t.sh, t.fresh = newShard(id), true
-			}
+			t = &replayTask{sh: newShard(id)}
 			byID[id] = t
 		}
 		return t
 	}
 
-	if info.v2 {
-		for _, msh := range info.manifest.Shards {
-			id, perr := market.ParseSpotID(msh.Market)
-			if perr != nil {
-				return nil, 0, fmt.Errorf("store: snapshot manifest market %q: %w", msh.Market, perr)
-			}
-			t := task(id)
-			t.snapPath = filepath.Join(info.dirPath, msh.File)
-			t.snapRecords = msh.Records
+	for _, msh := range info.manifest.Shards {
+		id, perr := market.ParseSpotID(msh.Market)
+		if perr != nil {
+			return nil, 0, fmt.Errorf("store: snapshot manifest market %q: %w", msh.Market, perr)
 		}
+		t := task(id)
+		t.snapPath = filepath.Join(info.dirPath, msh.File)
+		t.snapRecords = msh.Records
 	}
 
 	ents, err := os.ReadDir(walRoot)
@@ -142,16 +131,17 @@ func buildReplayTasks(walRoot string, info snapInfo, s *Store) (tasks []*replayT
 	for _, t := range byID {
 		tasks = append(tasks, t)
 	}
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].key < tasks[j].key })
+	sort.Slice(tasks, func(i, j int) bool { return tasks[i].sh.key < tasks[j].sh.key })
 	return tasks, maxEpoch, nil
 }
 
-// replayParallel rebuilds the store from the snapshot (v2) and the WAL:
+// replayParallel is the one recovery loader: it rebuilds the store from
+// the newest snapshot (info.seq 0: none) and the WAL segments past it —
 // fan out one task per market, then finalize sequentially in market-ID
 // order. Returns each shard's last segment position (for attachPersister)
 // and the newest recovered record timestamp.
 func replayParallel(walRoot string, info snapInfo, s *Store) (map[market.SpotID]segPos, uint64, time.Time, error) {
-	tasks, maxEpoch, err := buildReplayTasks(walRoot, info, s)
+	tasks, maxEpoch, err := buildReplayTasks(walRoot, info)
 	if err != nil {
 		return nil, 0, time.Time{}, err
 	}
@@ -166,36 +156,26 @@ func replayParallel(walRoot string, info snapInfo, s *Store) (map[market.SpotID]
 	gcWas := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(gcWas)
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(tasks) {
-		workers = len(tasks)
+	workers := min(runtime.GOMAXPROCS(0), len(tasks))
+	var wg sync.WaitGroup
+	next := make(chan *replayTask)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// One intern table per worker: shared decoded strings
+			// without shared writes.
+			intern := make(map[string]string)
+			for t := range next {
+				t.run(intern)
+			}
+		}()
 	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		next := make(chan *replayTask)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// One intern table per worker: shared decoded strings
-				// without shared writes.
-				intern := make(map[string]string)
-				for t := range next {
-					t.run(intern)
-				}
-			}()
-		}
-		for _, t := range tasks {
-			next <- t
-		}
-		close(next)
-		wg.Wait()
-	} else {
-		intern := make(map[string]string)
-		for _, t := range tasks {
-			t.run(intern)
-		}
+	for _, t := range tasks {
+		next <- t
 	}
+	close(next)
+	wg.Wait()
 
 	// Finalize in market-ID order (tasks are already sorted): adopt the
 	// worker-built shards and fold each task's delta into the rollup
@@ -212,12 +192,10 @@ func replayParallel(walRoot string, info snapInfo, s *Store) (map[market.SpotID]
 			// so nothing to adopt and no position to remember.
 			continue
 		}
-		if t.fresh {
-			s.adoptShard(t.sh)
-		}
+		s.adoptShard(t.sh)
 		t.sh.publish(&t.delta)
 		if t.last != (segPos{}) {
-			positions[t.id] = t.last
+			positions[t.sh.id] = t.last
 		}
 		if t.maxAt.After(maxAt) {
 			maxAt = t.maxAt
@@ -301,14 +279,13 @@ func (t *replayTask) run(intern map[string]string) {
 	t.sh.reserveFor(counts)
 
 	if snapData != nil {
-		n, derr := decodeShardSnapshot(snapData, t.id, intern, t.applyEntry)
+		n, derr := decodeShardSnapshot(snapData, t.sh.id, intern, t.applyEntry)
 		if derr == nil && n != t.snapRecords {
 			derr = fmt.Errorf("store: %d records, manifest claims %d", n, t.snapRecords)
 		}
 		if derr != nil {
-			// Same contract as a damaged v1 snapshot file: snapshots are
-			// rename-published, so damage is external — fail Open loudly
-			// instead of silently serving a partial recovery.
+			// Snapshots are rename-published, so damage is external — fail
+			// Open loudly instead of silently serving a partial recovery.
 			t.err = fmt.Errorf("store: snapshot shard %s is damaged (remove the snapshot directory to recover from an older snapshot + WAL, accepting the loss of the records only it covered): %w", t.snapPath, derr)
 			return
 		}
@@ -317,7 +294,7 @@ func (t *replayTask) run(intern map[string]string) {
 	for i, seg := range t.segs {
 		path := filepath.Join(t.dirPath, segmentName(seg.epoch, seg.idx))
 		segRecords := 0
-		validLen, derr := decodeSegmentStream(segData[i], t.id, intern, func(e *walEntry) {
+		validLen, derr := decodeSegmentStream(segData[i], t.sh.id, intern, func(e *walEntry) {
 			segRecords++
 			t.applyEntry(e)
 		})

@@ -131,44 +131,54 @@ type shard struct {
 	metrics *storeMetrics
 }
 
-// walBufPool recycles the scratch buffers append paths encode WAL frames
+// walBufPool recycles the scratch buffers append rounds encode WAL frames
 // into before taking the shard lock.
 var walBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// encodeForWAL pre-encodes one or more frames outside the shard lock so
-// the lock-held portion of a durable append is a single buffer copy. It
-// returns nil when the store is in-memory.
-func (sh *shard) encodeForWAL(enc func([]byte) []byte) *[]byte {
-	if sh.wal == nil {
-		return nil
-	}
-	bp := walBufPool.Get().(*[]byte)
-	*bp = enc((*bp)[:0])
-	return bp
-}
-
-// walAppendLocked hands pre-encoded frames to the shard's log. Must run
-// under sh.mu so the WAL byte order agrees exactly with the in-memory
-// append order. The returned flag asks the caller to drain the buffer
-// once the shard lock is released (see walFinish).
-func (sh *shard) walAppendLocked(bp *[]byte) bool {
-	if bp == nil {
-		return false
-	}
-	return sh.wal.append(*bp)
-}
-
-// walFinish runs after the shard lock is released: it recycles the
-// encode buffer and, when the append left the log's pending buffer over
-// its threshold, flushes it to disk without blocking the shard.
-func (sh *shard) walFinish(bp *[]byte, oversized bool) {
-	if bp == nil {
+// appendRound is the one way records enter a shard. Every family's append
+// supplies the round's delta (declared in the family's frame and captured
+// by its closures, so it stays on the stack) and three batch-level
+// closures over its n records; the round owns the ordering:
+//
+//  1. events copies the batch into feed events before the lock, only when
+//     somebody subscribes (one atomic load otherwise) — callers reuse
+//     their record buffers across rounds, so events must not alias them;
+//  2. frames pre-encodes the WAL frames outside the lock, so the lock-held
+//     part of a durable append is a single buffer copy;
+//  3. apply lands the records under the shard lock and the frames join the
+//     log inside the same hold, so WAL byte order is append order;
+//  4. after the unlock an oversized log buffer drains without blocking the
+//     shard, and publish folds the round into rollups, generation, feed.
+func (sh *shard) appendRound(n int, d *rollupDelta, events func(), frames func([]byte) []byte, apply func()) {
+	if n == 0 {
 		return
 	}
-	walBufPool.Put(bp)
-	if oversized {
-		sh.wal.flushOversized()
+	if d.emit = sh.feed.enabled(); d.emit {
+		events()
 	}
+	var enc *[]byte
+	if sh.wal != nil {
+		enc = walBufPool.Get().(*[]byte)
+		*enc = frames((*enc)[:0])
+	}
+	sh.mu.Lock()
+	apply()
+	oversized := sh.walAppendLocked(enc)
+	sh.mu.Unlock()
+	if enc != nil {
+		walBufPool.Put(enc)
+		if oversized {
+			sh.wal.flushOversized()
+		}
+	}
+	sh.publish(d)
+}
+
+// walAppendLocked hands pre-encoded frames to the shard's log (a no-op
+// for in-memory stores). Must run under sh.mu. The returned flag asks the
+// round to drain the log's pending buffer once the lock is released.
+func (sh *shard) walAppendLocked(enc *[]byte) bool {
+	return enc != nil && sh.wal.append(*enc)
 }
 
 // publish folds an append batch's delta into the shard's rollup hierarchy
@@ -194,12 +204,6 @@ func (sh *shard) publish(d *rollupDelta) {
 	}
 }
 
-// armEvents decides once per append round whether the round should
-// construct feed events: one atomic load when nobody subscribes.
-func (sh *shard) armEvents(d *rollupDelta) {
-	d.emit = sh.feed.enabled()
-}
-
 func newShard(id market.SpotID) *shard {
 	return &shard{
 		id:                 id,
@@ -214,56 +218,31 @@ func newShard(id market.SpotID) *shard {
 	}
 }
 
-func (sh *shard) appendProbe(r ProbeRecord) {
-	var d rollupDelta
-	sh.armEvents(&d)
-	if d.emit {
-		cp := r
-		d.events = append(d.events, Event{Kind: EventProbe, Market: sh.id, At: cp.At, Probe: &cp})
-	}
-	enc := sh.encodeForWAL(func(b []byte) []byte { return appendProbeFrame(b, r) })
-	sh.mu.Lock()
-	sh.appendProbeLocked(&r, &d)
-	oversized := sh.walAppendLocked(enc)
-	sh.mu.Unlock()
-	sh.walFinish(enc, oversized)
-	sh.publish(&d)
-}
-
-// appendProbes logs a batch of probes under one lock acquisition,
-// amortizing the lock, the cache-line traffic of the aggregate updates,
-// and the rollup fold (one publish per batch) across the batch (bulk
-// loads, simulator replay, the monitor tick flush). The WAL frames of the
-// whole batch are encoded before the lock and land in the same round.
+// appendProbes logs a batch of probes in one append round: one lock
+// acquisition, one rollup fold and one feed publish amortized across the
+// batch (bulk loads, the monitor tick flush; a single probe is a
+// one-element batch).
 func (sh *shard) appendProbes(rs []ProbeRecord) {
-	if len(rs) == 0 {
-		return
-	}
 	var d rollupDelta
-	sh.armEvents(&d)
-	if d.emit {
-		// Copy the batch before eventing it: callers (the monitor tick
-		// flush) reuse their record buffers across rounds.
-		cp := append([]ProbeRecord(nil), rs...)
-		d.events = make([]Event, 0, len(cp))
-		for i := range cp {
-			d.events = append(d.events, Event{Kind: EventProbe, Market: sh.id, At: cp[i].At, Probe: &cp[i]})
-		}
-	}
-	enc := sh.encodeForWAL(func(b []byte) []byte {
-		for _, r := range rs {
-			b = appendProbeFrame(b, r)
-		}
-		return b
-	})
-	sh.mu.Lock()
-	for i := range rs {
-		sh.appendProbeLocked(&rs[i], &d)
-	}
-	oversized := sh.walAppendLocked(enc)
-	sh.mu.Unlock()
-	sh.walFinish(enc, oversized)
-	sh.publish(&d)
+	sh.appendRound(len(rs), &d,
+		func() {
+			cp := append([]ProbeRecord(nil), rs...)
+			d.events = make([]Event, 0, len(cp))
+			for i := range cp {
+				d.events = append(d.events, Event{Kind: EventProbe, Market: sh.id, At: cp[i].At, Probe: &cp[i]})
+			}
+		},
+		func(b []byte) []byte {
+			for i := range rs {
+				b = appendProbeFrame(b, rs[i])
+			}
+			return b
+		},
+		func() {
+			for i := range rs {
+				sh.appendProbeLocked(&rs[i], &d)
+			}
+		})
 }
 
 func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
@@ -321,51 +300,28 @@ func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
 	}
 }
 
-func (sh *shard) appendSpike(e SpikeEvent) {
-	var d rollupDelta
-	sh.armEvents(&d)
-	if d.emit {
-		cp := e
-		d.events = append(d.events, Event{Kind: EventSpike, Market: sh.id, At: cp.At, Spike: &cp})
-	}
-	enc := sh.encodeForWAL(func(b []byte) []byte { return appendSpikeFrame(b, e) })
-	sh.mu.Lock()
-	sh.appendSpikeLocked(&e, &d)
-	oversized := sh.walAppendLocked(enc)
-	sh.mu.Unlock()
-	sh.walFinish(enc, oversized)
-	sh.publish(&d)
-}
-
-// appendSpikes logs a batch of spike events under one lock round and one
-// rollup publish (the replay bulk-load path).
+// appendSpikes logs a batch of spike events in one append round.
 func (sh *shard) appendSpikes(es []SpikeEvent) {
-	if len(es) == 0 {
-		return
-	}
 	var d rollupDelta
-	sh.armEvents(&d)
-	if d.emit {
-		cp := append([]SpikeEvent(nil), es...)
-		d.events = make([]Event, 0, len(cp))
-		for i := range cp {
-			d.events = append(d.events, Event{Kind: EventSpike, Market: sh.id, At: cp[i].At, Spike: &cp[i]})
-		}
-	}
-	enc := sh.encodeForWAL(func(b []byte) []byte {
-		for _, e := range es {
-			b = appendSpikeFrame(b, e)
-		}
-		return b
-	})
-	sh.mu.Lock()
-	for i := range es {
-		sh.appendSpikeLocked(&es[i], &d)
-	}
-	oversized := sh.walAppendLocked(enc)
-	sh.mu.Unlock()
-	sh.walFinish(enc, oversized)
-	sh.publish(&d)
+	sh.appendRound(len(es), &d,
+		func() {
+			cp := append([]SpikeEvent(nil), es...)
+			d.events = make([]Event, 0, len(cp))
+			for i := range cp {
+				d.events = append(d.events, Event{Kind: EventSpike, Market: sh.id, At: cp[i].At, Spike: &cp[i]})
+			}
+		},
+		func(b []byte) []byte {
+			for i := range es {
+				b = appendSpikeFrame(b, es[i])
+			}
+			return b
+		},
+		func() {
+			for i := range es {
+				sh.appendSpikeLocked(&es[i], &d)
+			}
+		})
 }
 
 func (sh *shard) appendSpikeLocked(e *SpikeEvent, d *rollupDelta) {
@@ -396,39 +352,29 @@ type crossing struct {
 	ratio float64
 }
 
-func (sh *shard) appendBidSpread(r BidSpreadRecord) {
-	sh.appendBidSpreads([]BidSpreadRecord{r})
-}
-
-// appendBidSpreads logs a batch of intrinsic-price search results under
-// one lock round and one rollup publish.
+// appendBidSpreads logs a batch of intrinsic-price search results in one
+// append round.
 func (sh *shard) appendBidSpreads(rs []BidSpreadRecord) {
-	if len(rs) == 0 {
-		return
-	}
 	var d rollupDelta
-	sh.armEvents(&d)
-	if d.emit {
-		cp := append([]BidSpreadRecord(nil), rs...)
-		d.events = make([]Event, 0, len(cp))
-		for i := range cp {
-			d.events = append(d.events, Event{Kind: EventBidSpread, Market: sh.id, At: cp[i].At, BidSpread: &cp[i]})
-		}
-	}
-	enc := sh.encodeForWAL(func(b []byte) []byte {
-		for _, r := range rs {
-			b = appendBidSpreadFrame(b, r)
-		}
-		return b
-	})
-	sh.mu.Lock()
-	for i := range rs {
-		sh.appendBidSpreadLocked(&rs[i], &d)
-	}
-	oversized := sh.walAppendLocked(enc)
-	sh.mu.Unlock()
-	sh.walFinish(enc, oversized)
-	sh.publish(&d)
+	sh.appendRound(len(rs), &d,
+		func() {
+			cp := append([]BidSpreadRecord(nil), rs...)
+			d.events = make([]Event, 0, len(cp))
+			for i := range cp {
+				d.events = append(d.events, Event{Kind: EventBidSpread, Market: sh.id, At: cp[i].At, BidSpread: &cp[i]})
+			}
+		},
+		func(b []byte) []byte {
+			for i := range rs {
+				b = appendBidSpreadFrame(b, rs[i])
+			}
+			return b
+		},
+		func() {
+			for i := range rs {
+				sh.appendBidSpreadLocked(&rs[i], &d)
+			}
+		})
 }
 
 func (sh *shard) appendBidSpreadLocked(r *BidSpreadRecord, d *rollupDelta) {
@@ -440,39 +386,29 @@ func (sh *shard) appendBidSpreadLocked(r *BidSpreadRecord, d *rollupDelta) {
 	sh.bidSpreads.push(r)
 }
 
-func (sh *shard) appendRevocation(r RevocationRecord) {
-	sh.appendRevocations([]RevocationRecord{r})
-}
-
-// appendRevocations logs a batch of revocation watches under one lock
-// round and one rollup publish.
+// appendRevocations logs a batch of revocation watches in one append
+// round.
 func (sh *shard) appendRevocations(rs []RevocationRecord) {
-	if len(rs) == 0 {
-		return
-	}
 	var d rollupDelta
-	sh.armEvents(&d)
-	if d.emit {
-		cp := append([]RevocationRecord(nil), rs...)
-		d.events = make([]Event, 0, len(cp))
-		for i := range cp {
-			d.events = append(d.events, Event{Kind: EventRevocation, Market: sh.id, At: cp[i].At, Revocation: &cp[i]})
-		}
-	}
-	enc := sh.encodeForWAL(func(b []byte) []byte {
-		for _, r := range rs {
-			b = appendRevocationFrame(b, r)
-		}
-		return b
-	})
-	sh.mu.Lock()
-	for i := range rs {
-		sh.appendRevocationLocked(&rs[i], &d)
-	}
-	oversized := sh.walAppendLocked(enc)
-	sh.mu.Unlock()
-	sh.walFinish(enc, oversized)
-	sh.publish(&d)
+	sh.appendRound(len(rs), &d,
+		func() {
+			cp := append([]RevocationRecord(nil), rs...)
+			d.events = make([]Event, 0, len(cp))
+			for i := range cp {
+				d.events = append(d.events, Event{Kind: EventRevocation, Market: sh.id, At: cp[i].At, Revocation: &cp[i]})
+			}
+		},
+		func(b []byte) []byte {
+			for i := range rs {
+				b = appendRevocationFrame(b, rs[i])
+			}
+			return b
+		},
+		func() {
+			for i := range rs {
+				sh.appendRevocationLocked(&rs[i], &d)
+			}
+		})
 }
 
 func (sh *shard) appendRevocationLocked(r *RevocationRecord, d *rollupDelta) {
@@ -484,52 +420,29 @@ func (sh *shard) appendRevocationLocked(r *RevocationRecord, d *rollupDelta) {
 	sh.revocations.push(r)
 }
 
-func (sh *shard) appendPrice(p PricePoint) {
-	var d rollupDelta
-	sh.armEvents(&d)
-	if d.emit {
-		cp := p
-		d.events = append(d.events, Event{Kind: EventPrice, Market: sh.id, At: cp.At, Price: &cp})
-	}
-	enc := sh.encodeForWAL(func(b []byte) []byte { return appendPriceFrame(b, p) })
-	sh.mu.Lock()
-	sh.appendPriceLocked(&p, &d)
-	oversized := sh.walAppendLocked(enc)
-	sh.mu.Unlock()
-	sh.walFinish(enc, oversized)
-	sh.publish(&d)
-}
-
-// appendPrices logs a whole price series under one lock round and one
-// rollup publish (the replay bulk-load path: watched markets carry the
-// densest series in a study).
+// appendPrices logs a price series in one append round (watched markets
+// carry the densest series in a study).
 func (sh *shard) appendPrices(ps []PricePoint) {
-	if len(ps) == 0 {
-		return
-	}
 	var d rollupDelta
-	sh.armEvents(&d)
-	if d.emit {
-		cp := append([]PricePoint(nil), ps...)
-		d.events = make([]Event, 0, len(cp))
-		for i := range cp {
-			d.events = append(d.events, Event{Kind: EventPrice, Market: sh.id, At: cp[i].At, Price: &cp[i]})
-		}
-	}
-	enc := sh.encodeForWAL(func(b []byte) []byte {
-		for _, p := range ps {
-			b = appendPriceFrame(b, p)
-		}
-		return b
-	})
-	sh.mu.Lock()
-	for i := range ps {
-		sh.appendPriceLocked(&ps[i], &d)
-	}
-	oversized := sh.walAppendLocked(enc)
-	sh.mu.Unlock()
-	sh.walFinish(enc, oversized)
-	sh.publish(&d)
+	sh.appendRound(len(ps), &d,
+		func() {
+			cp := append([]PricePoint(nil), ps...)
+			d.events = make([]Event, 0, len(cp))
+			for i := range cp {
+				d.events = append(d.events, Event{Kind: EventPrice, Market: sh.id, At: cp[i].At, Price: &cp[i]})
+			}
+		},
+		func(b []byte) []byte {
+			for i := range ps {
+				b = appendPriceFrame(b, ps[i])
+			}
+			return b
+		},
+		func() {
+			for i := range ps {
+				sh.appendPriceLocked(&ps[i], &d)
+			}
+		})
 }
 
 func (sh *shard) appendPriceLocked(p *PricePoint, d *rollupDelta) {

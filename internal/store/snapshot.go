@@ -12,8 +12,7 @@ import (
 	"spotlight/internal/market"
 )
 
-// Snapshot format v2: a directory per snapshot instead of one
-// whole-store JSON file.
+// Snapshot format (version 2): a directory per snapshot.
 //
 //	snapshot-<SEQ>/
 //	  manifest.json            {"version":2,"seq":N,"shards":[...]}
@@ -22,8 +21,8 @@ import (
 // A shard file is the 8-byte magic "SPOTSNP2" followed by the WAL's
 // CRC-framed record encoding (wal.go) — one frame per record, families
 // in append order within each family (probes, spikes, bid spreads,
-// revocations, prices; derived outages are not stored, exactly as in
-// v1). Reusing the WAL codec means one binary format, one fuzz surface,
+// revocations, prices; derived outages are not stored). Reusing the WAL
+// codec means one binary format, one fuzz surface,
 // and one streaming decoder for both halves of recovery.
 //
 // Encode and decode both stream record-at-a-time: the encoder walks a
@@ -40,14 +39,18 @@ import (
 // periodic snapshot of a mostly-idle fleet costs I/O proportional to
 // what changed.
 //
-// Publication is atomic like v1: the directory is assembled as
+// Publication is atomic: the directory is assembled as
 // snapshot-<SEQ>.tmp (files fsynced, then the directory), renamed to its
 // final name, and the parent fsynced — a crash mid-snapshot leaves only
-// a .tmp directory, which recovery ignores and compaction removes. The
-// v1 single-file format stays readable (see persist.go): recovery
-// accepts whichever complete snapshot — either format — is newest.
+// a .tmp directory, which recovery ignores and compaction removes.
+//
+// This is the only snapshot format recovery reads. The version-1 layout —
+// one whole-store snapshot-<SEQ>.json, which no release since the
+// directory format can write — is refused by name (findLatestSnapshot):
+// recovering WAL-only past it would present the loss of every record it
+// covers as a successful Open.
 
-// snapMagic opens every v2 shard snapshot file.
+// snapMagic opens every shard snapshot file.
 const snapMagic = "SPOTSNP2"
 
 const (
@@ -74,9 +77,8 @@ type snapManifestShard struct {
 	Records uint64 `json:"records"`
 }
 
-// snapshotDirName renders a v2 snapshot directory name;
-// snapshotDirSeq inverts it (with the same canonical round-trip check as
-// segment and v1 snapshot names).
+// snapshotDirName renders a snapshot directory name; snapshotDirSeq
+// inverts it (with the same canonical round-trip check as segment names).
 func snapshotDirName(seq uint64) string {
 	return fmt.Sprintf("%s%08d", snapshotPrefix, seq)
 }
@@ -189,8 +191,8 @@ type snapDirState struct {
 
 // writeSnapshotV2 assembles and atomically publishes snapshot seq from
 // the captures, hard-linking any shard file whose record count is
-// unchanged since prev (nil when there is no previous v2 snapshot, or
-// its directory is gone). Returns the state of the published snapshot
+// unchanged since prev (nil when there is no previous snapshot, or its
+// directory is gone). Returns the state of the published snapshot
 // for the next round's linking.
 func writeSnapshotV2(dir string, seq uint64, captures []shardCapture, prev *snapDirState) (*snapDirState, error) {
 	tmp := filepath.Join(dir, snapshotDirName(seq)+snapTmpSuffix)
@@ -322,17 +324,15 @@ func loadSnapManifest(dirPath string) (snapManifest, error) {
 
 // snapInfo locates the newest complete snapshot in a data directory.
 type snapInfo struct {
-	seq uint64 // 0 when no snapshot exists
-	v2  bool
-	// manifest is loaded for v2 snapshots.
+	seq      uint64 // 0 when no snapshot exists
+	dirPath  string
 	manifest snapManifest
-	dirPath  string // v2 snapshot directory path
 }
 
-// findLatestSnapshot scans dir for the newest complete snapshot of
-// either format: v2 directories (rename-published, so presence implies
-// completeness) and v1 single JSON files. In-progress .tmp directories
-// are ignored.
+// findLatestSnapshot scans dir for the newest snapshot directory
+// (rename-published, so presence implies completeness); in-progress .tmp
+// directories are ignored. A leftover version-1 snapshot file fails the
+// scan: see the format note above.
 func findLatestSnapshot(dir string) (snapInfo, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -340,28 +340,31 @@ func findLatestSnapshot(dir string) (snapInfo, error) {
 	}
 	var info snapInfo
 	for _, ent := range ents {
-		if ent.IsDir() {
-			if seq, ok := snapshotDirSeq(ent.Name()); ok && seq > info.seq {
-				info = snapInfo{seq: seq, v2: true, dirPath: filepath.Join(dir, ent.Name())}
+		name := ent.Name()
+		if !ent.IsDir() {
+			if strings.HasPrefix(name, snapshotPrefix) && strings.HasSuffix(name, ".json") {
+				return snapInfo{}, fmt.Errorf("store: %s is a version-1 snapshot file, which this version cannot read (open the directory once with a release that reads it, whose next snapshot rewrites it in the directory format; or remove the file to recover from newer snapshots + WAL alone, accepting the loss of the records only it covered)", filepath.Join(dir, name))
 			}
 			continue
 		}
-		if seq, ok := snapshotSeq(ent.Name()); ok && seq > info.seq {
-			info = snapInfo{seq: seq}
+		if seq, ok := snapshotDirSeq(name); ok && seq > info.seq {
+			info = snapInfo{seq: seq, dirPath: filepath.Join(dir, name)}
 		}
 	}
-	if info.v2 {
-		man, err := loadSnapManifest(info.dirPath)
-		if err != nil {
-			// Same contract as a damaged v1 snapshot: fail loudly rather
-			// than silently recovering from an older snapshot whose WAL
-			// epochs compaction already deleted.
-			return snapInfo{}, fmt.Errorf("store: snapshot %s is damaged (remove the directory to recover from an older snapshot + WAL, accepting the loss of the records only it covered): %w", filepath.Base(info.dirPath), err)
-		}
-		if man.Seq != info.seq {
-			return snapInfo{}, fmt.Errorf("store: snapshot %s manifest claims seq %d", filepath.Base(info.dirPath), man.Seq)
-		}
-		info.manifest = man
+	if info.seq == 0 {
+		return info, nil
+	}
+	// The newest snapshot is the only acceptable one: compaction deleted
+	// the WAL epochs it covers, so silently falling back to an older
+	// snapshot would present large data loss as a successful recovery.
+	// Snapshots are rename-published, so only external corruption gets
+	// here; fail loudly and let the operator accept the loss explicitly.
+	info.manifest, err = loadSnapManifest(info.dirPath)
+	if err != nil {
+		return snapInfo{}, fmt.Errorf("store: snapshot %s is damaged (remove the directory to recover from an older snapshot + WAL, accepting the loss of the records only it covered): %w", filepath.Base(info.dirPath), err)
+	}
+	if info.manifest.Seq != info.seq {
+		return snapInfo{}, fmt.Errorf("store: snapshot %s manifest claims seq %d", filepath.Base(info.dirPath), info.manifest.Seq)
 	}
 	return info, nil
 }

@@ -24,11 +24,11 @@
 //   - time-ordered flags per slice, so window queries binary-search the
 //     affected range instead of scanning whole histories.
 //
-// Aggregate queries (Aggregates, SpikeCrossings, ProbeCount,
-// TotalProbeCost) read those summaries in O(markets) instead of
-// O(records). Global iteration methods (Probes, Spikes, Outages, ...)
-// remain available for export and offline analysis: they merge across
-// shards in timestamp order, resolving ties by market-ID order.
+// Aggregate queries (Aggregates, SpikeCrossingsWhere, ProbeCount) read
+// those summaries in O(markets) instead of O(records). Global iteration
+// methods (Probes, Spikes, Outages, ...) remain available for export and
+// offline analysis: they merge across shards in timestamp order,
+// resolving ties by market-ID order.
 //
 // # Rollup hierarchy
 //
@@ -311,68 +311,50 @@ func New() *Store {
 	return s
 }
 
-// shardFor returns the shard of id, creating it on first write. A new
-// shard is bound to its region-level and (region, product) rollups, which
-// every subsequent append updates in the same lock round.
+// shardFor returns the shard of id, creating it on first write.
 func (s *Store) shardFor(id market.SpotID) *shard {
-	s.mu.RLock()
-	sh := s.shards[id]
-	s.mu.RUnlock()
-	if sh != nil {
+	if sh := s.lookup(id); sh != nil {
 		return sh
 	}
-	// Resolve the rollups outside the store lock (rollupFor takes it).
-	region := id.Region()
-	rp := s.rollupFor(rollupScope{region: region, product: id.Product})
-	rg := s.rollupFor(rollupScope{region: region})
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sh = s.shards[id]; sh == nil {
-		sh = newShard(id)
-		sh.rp, sh.rg, sh.storeGen = rp, rg, &s.gen
-		sh.feed = s.feed
-		sh.metrics = s.metrics
-		if s.persist != nil {
-			// Minting the WAL handle under the store lock orders it
-			// against snapshot epoch bumps (Store.snapshotCut), so a new
-			// shard can never log into an epoch a concurrent snapshot
-			// claims to cover.
-			sh.wal = s.persist.newShardWAL(id)
-		}
-		s.shards[id] = sh
-		s.sorted = nil
-		// Shards exist iff they hold at least one record, so creation is
-		// the scope's market count ticking up.
-		for _, r := range [...]*rollup{rp, rg} {
-			r.mu.Lock()
-			r.agg.markets++
-			r.mu.Unlock()
-		}
-	}
-	return sh
+	return s.adoptShard(newShard(id))
 }
 
-// adoptShard publishes a shard that parallel recovery built outside the
-// store (replay.go): the shardFor wiring, minus creation — the recovered
-// records are already in the shard's columns. The caller publishes the
-// accumulated rollup delta afterwards; WAL handles are attached later by
-// attachPersister, exactly as for shards the v1 snapshot path creates.
-func (s *Store) adoptShard(sh *shard) {
+// adoptShard wires sh to its region-level and (region, product) rollups —
+// which every subsequent append folds into — and publishes it; if the
+// market already has a shard (a racing first write) that one is returned
+// instead. Live first writes adopt an empty shard, parallel recovery
+// (replay.go) one whose columns already hold the recovered records; it
+// publishes their accumulated rollup delta afterwards and attachPersister
+// attaches the WAL handles.
+func (s *Store) adoptShard(sh *shard) *shard {
+	// Resolve the rollups outside the store lock (rollupFor takes it).
 	region := sh.id.Region()
 	rp := s.rollupFor(rollupScope{region: region, product: sh.id.Product})
 	rg := s.rollupFor(rollupScope{region: region})
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if cur := s.shards[sh.id]; cur != nil {
+		return cur
+	}
 	sh.rp, sh.rg, sh.storeGen = rp, rg, &s.gen
 	sh.feed = s.feed
 	sh.metrics = s.metrics
+	if s.persist != nil {
+		// Minting the WAL handle under the store lock orders it against
+		// snapshot epoch bumps (Store.snapshotCut), so a new shard can
+		// never log into an epoch a concurrent snapshot claims to cover.
+		sh.wal = s.persist.newShardWAL(sh.id)
+	}
 	s.shards[sh.id] = sh
 	s.sorted = nil
+	// Shards exist iff they hold at least one record, so adoption is the
+	// scope's market count ticking up.
 	for _, r := range [...]*rollup{rp, rg} {
 		r.mu.Lock()
 		r.agg.markets++
 		r.mu.Unlock()
 	}
+	return sh
 }
 
 // lookup returns the shard of id without creating it.
@@ -498,119 +480,102 @@ func mergeOrderedRuns[T any](runs [][]T, at func(T) time.Time, total int) []T {
 	return out
 }
 
+// groupByMarket splits one record family into per-market batches and
+// hands each to apply, markets in order of first appearance. Within one
+// market the input order is preserved (the outage derivation depends on
+// it); across markets the order is a pure function of the input, so two
+// stores fed the same batch publish the same feed sequence and fold their
+// rollup float sums in the same order. Bulk loads are usually a
+// timestamp-ordered interleaving of many markets; grouping pays one
+// append round per market instead of one per record.
+func groupByMarket[T any](s *Store, recs []T, marketOf func(*T) market.SpotID, apply func(*shard, []T)) {
+	if len(recs) == 0 {
+		return
+	}
+	// One market throughout (single records, a follower's per-market
+	// frames): the input is the batch, nothing to regroup.
+	first, same := marketOf(&recs[0]), 1
+	for same < len(recs) && marketOf(&recs[same]) == first {
+		same++
+	}
+	if same == len(recs) {
+		apply(s.shardFor(first), recs)
+		return
+	}
+	groups := make(map[market.SpotID][]T)
+	var order []market.SpotID
+	for i := range recs {
+		id := marketOf(&recs[i])
+		group, seen := groups[id]
+		if !seen {
+			order = append(order, id)
+		}
+		groups[id] = append(group, recs[i])
+	}
+	for _, id := range order {
+		apply(s.shardFor(id), groups[id])
+	}
+}
+
+func probeMarket(r *ProbeRecord) market.SpotID           { return r.Market }
+func spikeMarket(e *SpikeEvent) market.SpotID            { return e.Market }
+func bidSpreadMarket(r *BidSpreadRecord) market.SpotID   { return r.Market }
+func revocationMarket(r *RevocationRecord) market.SpotID { return r.Market }
+
 // AppendProbe logs one probe and folds it into the market's derived outage
 // intervals and running aggregates.
 func (s *Store) AppendProbe(r ProbeRecord) {
-	s.shardFor(r.Market).appendProbe(r)
+	s.shardFor(r.Market).appendProbes([]ProbeRecord{r})
 }
 
-// AppendProbes logs a batch of probes, grouping records by market so each
-// affected shard's lock is acquired once per group instead of once per
-// record. Within one market the input order is preserved (the outage
-// derivation depends on it); ordering across markets is irrelevant because
-// every derived structure is shard-local.
+// AppendProbes logs a batch of probes, one append round per affected
+// market (see groupByMarket for the ordering contract).
 func (s *Store) AppendProbes(rs []ProbeRecord) {
-	switch len(rs) {
-	case 0:
-		return
-	case 1:
-		s.AppendProbe(rs[0])
-		return
-	}
-	// Bulk loads are usually a timestamp-ordered interleaving of many
-	// markets; group index runs per market first so the per-shard batch
-	// append pays one lock round per market, not per record.
-	groups := make(map[market.SpotID][]ProbeRecord)
-	for _, r := range rs {
-		groups[r.Market] = append(groups[r.Market], r)
-	}
-	for id, group := range groups {
-		s.shardFor(id).appendProbes(group)
-	}
+	groupByMarket(s, rs, probeMarket, (*shard).appendProbes)
 }
 
 // AppendSpike logs one threshold-crossing event and indexes on-demand
 // price crossings (Ratio >= 1) incrementally.
 func (s *Store) AppendSpike(e SpikeEvent) {
-	s.shardFor(e.Market).appendSpike(e)
+	s.shardFor(e.Market).appendSpikes([]SpikeEvent{e})
 }
 
-// AppendSpikes logs a batch of spike events grouped per market, one shard
-// lock round per affected market. Within one market the input order is
-// preserved.
+// AppendSpikes logs a batch of spike events, one append round per
+// affected market.
 func (s *Store) AppendSpikes(es []SpikeEvent) {
-	switch len(es) {
-	case 0:
-		return
-	case 1:
-		s.AppendSpike(es[0])
-		return
-	}
-	groups := make(map[market.SpotID][]SpikeEvent)
-	for _, e := range es {
-		groups[e.Market] = append(groups[e.Market], e)
-	}
-	for id, group := range groups {
-		s.shardFor(id).appendSpikes(group)
-	}
+	groupByMarket(s, es, spikeMarket, (*shard).appendSpikes)
 }
 
 // AppendBidSpread logs one intrinsic-price search result.
 func (s *Store) AppendBidSpread(r BidSpreadRecord) {
-	s.shardFor(r.Market).appendBidSpread(r)
+	s.shardFor(r.Market).appendBidSpreads([]BidSpreadRecord{r})
 }
 
-// AppendBidSpreads logs a batch of intrinsic-price search results grouped
-// per market; within one market the input order is preserved.
+// AppendBidSpreads logs a batch of intrinsic-price search results, one
+// append round per affected market.
 func (s *Store) AppendBidSpreads(rs []BidSpreadRecord) {
-	switch len(rs) {
-	case 0:
-		return
-	case 1:
-		s.AppendBidSpread(rs[0])
-		return
-	}
-	groups := make(map[market.SpotID][]BidSpreadRecord)
-	for _, r := range rs {
-		groups[r.Market] = append(groups[r.Market], r)
-	}
-	for id, group := range groups {
-		s.shardFor(id).appendBidSpreads(group)
-	}
+	groupByMarket(s, rs, bidSpreadMarket, (*shard).appendBidSpreads)
 }
 
 // AppendRevocation logs one completed revocation watch.
 func (s *Store) AppendRevocation(r RevocationRecord) {
-	s.shardFor(r.Market).appendRevocation(r)
+	s.shardFor(r.Market).appendRevocations([]RevocationRecord{r})
 }
 
-// AppendRevocations logs a batch of completed revocation watches grouped
-// per market; within one market the input order is preserved.
+// AppendRevocations logs a batch of completed revocation watches, one
+// append round per affected market.
 func (s *Store) AppendRevocations(rs []RevocationRecord) {
-	switch len(rs) {
-	case 0:
-		return
-	case 1:
-		s.AppendRevocation(rs[0])
-		return
-	}
-	groups := make(map[market.SpotID][]RevocationRecord)
-	for _, r := range rs {
-		groups[r.Market] = append(groups[r.Market], r)
-	}
-	for id, group := range groups {
-		s.shardFor(id).appendRevocations(group)
-	}
+	groupByMarket(s, rs, revocationMarket, (*shard).appendRevocations)
 }
 
 // RecordPrice appends one price observation for a market. Callers decide
 // which markets to track densely (watched markets) versus sample.
 func (s *Store) RecordPrice(id market.SpotID, p PricePoint) {
-	s.shardFor(id).appendPrice(p)
+	s.shardFor(id).appendPrices([]PricePoint{p})
 }
 
 // RecordPrices appends a batch of price observations for one market in
-// one shard lock round, preserving input order.
+// one append round, preserving input order.
 func (s *Store) RecordPrices(id market.SpotID, ps []PricePoint) {
 	if len(ps) == 0 {
 		return
@@ -677,14 +642,7 @@ func (s *Store) ProbesWhere(keep func(ProbeRecord) bool) []ProbeRecord {
 // filtered by keep, using each shard's time index. Results are grouped by
 // market in market-ID order.
 func (s *Store) ProbesInWindow(from, to time.Time, keep func(ProbeRecord) bool) []ProbeRecord {
-	return s.ProbesInWindowAppend(nil, from, to, keep)
-}
-
-// ProbesInWindowAppend is ProbesInWindow appending into dst, so steady
-// callers (pollers re-reading the same window shape) can reuse one buffer
-// and read allocation-free once its capacity is warm.
-func (s *Store) ProbesInWindowAppend(dst []ProbeRecord, from, to time.Time, keep func(ProbeRecord) bool) []ProbeRecord {
-	out := dst
+	var out []ProbeRecord
 	for _, sh := range s.shardList() {
 		start := len(out)
 		out = sh.probesIn(out, from, to)
@@ -735,14 +693,7 @@ func (s *Store) SpikesFor(id market.SpotID, from, to time.Time) []SpikeEvent {
 // every market accepted by keep (all markets when keep is nil), using each
 // shard's time index. Results are grouped by market in market-ID order.
 func (s *Store) SpikesInWindow(from, to time.Time, keep func(market.SpotID) bool) []SpikeEvent {
-	return s.SpikesInWindowAppend(nil, from, to, keep)
-}
-
-// SpikesInWindowAppend is SpikesInWindow appending into dst, so steady
-// callers can reuse one buffer and read allocation-free once its capacity
-// is warm.
-func (s *Store) SpikesInWindowAppend(dst []SpikeEvent, from, to time.Time, keep func(market.SpotID) bool) []SpikeEvent {
-	out := dst
+	var out []SpikeEvent
 	for _, sh := range s.shardList() {
 		if keep != nil && !keep(sh.id) {
 			continue
@@ -762,15 +713,10 @@ type CrossingStats struct {
 	MaxRatio float64
 }
 
-// SpikeCrossings returns per-market crossing statistics for [from, to],
-// computed from each shard's incremental crossings index. Markets with no
-// crossings in the window are absent.
-func (s *Store) SpikeCrossings(from, to time.Time) map[market.SpotID]CrossingStats {
-	return s.SpikeCrossingsWhere(from, to, nil)
-}
-
-// SpikeCrossingsWhere is SpikeCrossings restricted to the markets accepted
-// by keep (all markets when nil): shards outside the scope are skipped
+// SpikeCrossingsWhere returns per-market crossing statistics for
+// [from, to], computed from each shard's incremental crossings index, for
+// the markets accepted by keep (all markets when nil). Markets with no
+// crossings in the window are absent; shards outside the scope are skipped
 // entirely, so a region- or product-filtered ranking touches only the
 // matching shards' crossing indexes.
 func (s *Store) SpikeCrossingsWhere(from, to time.Time, keep func(market.SpotID) bool) map[market.SpotID]CrossingStats {
@@ -918,18 +864,6 @@ func (s *Store) PricedMarkets() []market.SpotID {
 		}
 	}
 	return out
-}
-
-// TotalProbeCost sums the dollars charged across all probes, from the
-// shard aggregates.
-func (s *Store) TotalProbeCost() float64 {
-	total := 0.0
-	for _, sh := range s.shardList() {
-		sh.mu.RLock()
-		total += sh.agg.probeCost
-		sh.mu.RUnlock()
-	}
-	return total
 }
 
 // MarketAggregates is the incrementally-maintained summary of one market's

@@ -43,9 +43,6 @@ func TestAppendAndQueryProbes(t *testing.T) {
 	if len(rejected) != 1 || rejected[0].Market != mktB {
 		t.Errorf("ProbesWhere(rejected) = %+v", rejected)
 	}
-	if got := s.TotalProbeCost(); got != 0.84 {
-		t.Errorf("TotalProbeCost = %v, want 0.84", got)
-	}
 }
 
 func TestProbesReturnsCopy(t *testing.T) {

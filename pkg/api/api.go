@@ -59,6 +59,11 @@ const (
 // request may carry.
 const MaxBatchQueries = 64
 
+// MaxBatchBody bounds the POST /v2/query request body every tier will
+// decode; MaxBatchQueries fully parameterized specs fit in a small
+// fraction of it.
+const MaxBatchBody = 1 << 20
+
 // Query is one typed query spec: a Kind plus the parameters that kind
 // consumes (others are ignored). The embedded Window marshals inline as
 // from/to/window.

@@ -85,3 +85,23 @@ func TestErrorEnvelope(t *testing.T) {
 		t.Errorf("Error() = %q", msg)
 	}
 }
+
+// TestETagMatches covers the If-None-Match list syntax.
+func TestETagMatches(t *testing.T) {
+	cases := []struct {
+		header, etag string
+		want         bool
+	}{
+		{``, `"abc"`, false},
+		{`"abc"`, `"abc"`, true},
+		{`"xyz"`, `"abc"`, false},
+		{`"xyz", "abc"`, `"abc"`, true},
+		{`W/"abc"`, `"abc"`, true},
+		{`*`, `"abc"`, true},
+	}
+	for _, tc := range cases {
+		if got := ETagMatches(tc.header, tc.etag); got != tc.want {
+			t.Errorf("ETagMatches(%q, %q) = %v, want %v", tc.header, tc.etag, got, tc.want)
+		}
+	}
+}

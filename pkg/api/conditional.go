@@ -1,5 +1,7 @@
 package api
 
+import "strings"
+
 // Conditional requests.
 //
 // Every successful query response — GET /v1/* and POST /v2/query alike —
@@ -33,3 +35,21 @@ const (
 	// comma-separated list of the unreachable upstream nodes.
 	HeaderPartial = "X-Spotlight-Partial"
 )
+
+// ETagMatches implements If-None-Match against one strong ETag — the
+// comparison every tier (node, gateway) answers 304 by: a comma-separated
+// candidate list, each compared after trimming and ignoring a
+// weak-validator prefix, with "*" matching anything.
+func ETagMatches(header, etag string) bool {
+	if header == "" {
+		return false
+	}
+	for _, cand := range strings.Split(header, ",") {
+		cand = strings.TrimSpace(cand)
+		cand = strings.TrimPrefix(cand, "W/")
+		if cand == "*" || cand == etag {
+			return true
+		}
+	}
+	return false
+}
