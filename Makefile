@@ -12,7 +12,7 @@ GO ?= go
 # generation-cached variant too), and the metrics overhead pair
 # (BenchmarkObsOverhead runs each instrumented hot path against its
 # nil-registry twin — the two must stay within noise of each other).
-BENCH_SMOKE = BenchmarkQueryStable|BenchmarkQuerySummary|BenchmarkStoreAggregates|BenchmarkStoreRegionAggregates|BenchmarkGenerationOfScope|BenchmarkStoreAppendMonitorTick|BenchmarkStoreAppendProbesBatchParallel|BenchmarkWALAppend|BenchmarkReplay|BenchmarkFeedPublish|BenchmarkFeedFanout|BenchmarkAdvise|BenchmarkPriceStatsIn|BenchmarkSpikesInWindow|BenchmarkEventsSince|BenchmarkObsOverhead
+BENCH_SMOKE = BenchmarkQueryStable|BenchmarkQueryFallback|BenchmarkQuerySummary|BenchmarkStoreAggregates|BenchmarkStoreRegionAggregates|BenchmarkGenerationOfScope|BenchmarkStoreAppendMonitorTick|BenchmarkStoreAppendProbesBatchParallel|BenchmarkWALAppend|BenchmarkReplay|BenchmarkFeedPublish|BenchmarkFeedFanout|BenchmarkAdvise|BenchmarkPriceStatsIn|BenchmarkSpikesInWindow|BenchmarkEventsSince|BenchmarkObsOverhead
 
 # Benchmark iteration control. The CI smoke keeps the 1x default (it only
 # proves the benchmarks run); any measurement that will be *compared* —
@@ -27,7 +27,7 @@ BENCH_COUNT ?= 1
 OLD ?= bench-baseline.txt
 NEW ?= bench-smoke.txt
 
-.PHONY: all build test vet fmt-check loc bench bench-diff bench-baseline smoke loadgen-smoke chaos-smoke fuzz-smoke example-smoke ci
+.PHONY: all build test vet fmt-check loc bench bench-diff bench-baseline bench-e2e bench-gate smoke loadgen-smoke chaos-smoke fuzz-smoke example-smoke ci
 
 all: build
 
@@ -99,6 +99,30 @@ bench-baseline: BENCH_TIME = 100x
 bench-baseline: bench
 	cp bench-smoke.txt $(OLD)
 
+# End-to-end benchmark (BENCHMARK.json, bench/README.md): one measured
+# run of one workload exactly as the benchmark driver issues it —
+# `make bench-e2e W=read-cold SEED=42`. The last line printed is the
+# driver's one-object JSON report. To compare two commits, run the same
+# target in a checkout of each, alternating.
+W ?= read-cold
+SEED ?= 42
+
+bench-e2e:
+	bash bench/run.sh --workload $(W) --seed $(SEED) --seconds 10 --trace 0
+
+# Byte-identity gate: a short read-cold run — every request a cache miss,
+# so every ranking is computed — whose sampled responses the benchmark
+# compares byte for byte (bodies, and an ETag on every 200) against its
+# own uncached oracle built from the public per-market folds. Fails
+# unless the driver line reports correct:true and failed:0.
+bench-gate:
+	@line="$$(bash bench/run.sh --workload read-cold --seed 42 --seconds 2 --trace 0 | tail -n 1)"; \
+	echo "$$line"; \
+	case "$$line" in \
+		'{"correct":true,'*'"failed":0,'*) ;; \
+		*) echo "bench-gate: read-cold did not report correct:true and failed:0" >&2; exit 1 ;; \
+	esac
+
 # HTTP smoke: boot spotlightd on an ephemeral port, issue one v2 batch
 # query against it through the pkg/client SDK, and exit.
 smoke:
@@ -132,11 +156,14 @@ example-smoke:
 	$(GO) run ./examples/fleet-manager -days 1 -target 2
 
 # Fuzz smoke: a short native-fuzz burst over the WAL frame decoder and
-# the snapshot loader (malformed input must error, never panic). The
-# checked-in seed corpora live in internal/store/testdata/fuzz.
+# the snapshot loader (malformed input must error, never panic; the
+# checked-in seed corpora live in internal/store/testdata/fuzz), and over
+# the market-ID order the rankings tie-break on (must equal the order of
+# the rendered strings).
 fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotReadJSON$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotV2Decode$$' -fuzztime=10s
+	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSpotIDCompare$$' -fuzztime=10s
 
-ci: build fmt-check vet loc test smoke loadgen-smoke chaos-smoke example-smoke fuzz-smoke bench
+ci: build fmt-check vet loc test smoke loadgen-smoke chaos-smoke example-smoke fuzz-smoke bench bench-gate

@@ -608,9 +608,9 @@ func BenchmarkQueryStableCached(b *testing.B) {
 }
 
 // BenchmarkAdvise measures one cold decision-layer ranking: a fresh
-// advisor walks every priced market of the study, applies the workload
-// constraints, and scores/sorts the admissible set — the cost of a
-// /v2/advise that misses the memo.
+// advisor scans the constraint scope's shards, applies the workload
+// constraints, and scores the admissible set into a top-n selection —
+// the cost of a /v2/advise that misses the memo.
 func BenchmarkAdvise(b *testing.B) {
 	st := benchStudy(b)
 	from, to := st.Window()

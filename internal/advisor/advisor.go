@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"spotlight/internal/market"
+	"spotlight/internal/stats"
 	"spotlight/internal/store"
 	"spotlight/pkg/api"
 )
@@ -257,118 +258,154 @@ const (
 	outagePenalty   = 0.5
 )
 
+// scored is one admissible market's evidence and score: what the ranking
+// compares, kept free of anything only a winner needs (the string ID, the
+// catalog's capacity attributes).
+type scored struct {
+	id           market.SpotID
+	od           float64
+	prices       store.PriceWindowStats
+	crossings    int
+	interruption float64
+	spotUnav     float64
+	revocations  int
+	live         bool
+	score        float64
+}
+
+// rank scans the constraint scope once — each region x product pair
+// resolves through the store's scope index, each market's folds run under
+// one read lock — into a top-n selection, and renders only the winners.
 func (a *Advisor) rank(c Constraints, from, to time.Time) []api.AdviseCandidate {
 	window := to.Sub(from)
 	if window <= 0 {
 		return []api.AdviseCandidate{}
 	}
 
-	out := []api.AdviseCandidate{}
-	for _, id := range a.db.PricedMarkets() {
-		if !a.admissible(id, c) {
-			continue
-		}
-		ps := a.db.PriceStatsIn(id, from, to)
-		if ps.Samples == 0 {
-			continue
-		}
-		od, err := a.cat.SpotODPrice(id)
-		if err != nil || od <= 0 {
-			continue
-		}
-		if c.MaxPrice > 0 && ps.Mean > c.MaxPrice {
-			continue
-		}
-
-		cs := a.db.CrossingStatsFor(id, from, to)
-		interruption := float64(cs.Crossings) * float64(time.Hour) / float64(window)
-		if interruption > 1 {
-			interruption = 1
-		}
-		if c.MaxInterruption > 0 && interruption > c.MaxInterruption {
-			continue
-		}
-
-		spotUnav := float64(a.db.OutageOverlap(id, store.ProbeSpot, from, to)) / float64(window)
-		if spotUnav > 1 {
-			spotUnav = 1
-		}
-		live := a.db.OutageOverlap(id, store.ProbeSpot, to.Add(-time.Second), to) > 0 ||
-			a.db.OutageOverlap(id, store.ProbeOnDemand, to.Add(-time.Second), to) > 0
-
-		vcpu, _ := a.cat.VCPU(id.Type)
-		mem, _ := a.cat.MemoryGB(id.Type)
-
-		savings := 1 - ps.Mean/od
-		sav01 := clamp01(savings)
-		avail := clamp01(1 - spotUnav)
-		stability := 1 / (1 + float64(cs.Crossings))
-		score := 100 * (weightSavings*sav01 + weightAvail*avail + weightStability*stability)
-		if live {
-			score *= outagePenalty
-		}
-
-		out = append(out, api.AdviseCandidate{
-			Market:             id.String(),
-			VCPU:               vcpu,
-			MemoryGB:           mem,
-			OnDemandPrice:      od,
-			SpotPriceMin:       ps.Min,
-			SpotPriceMean:      ps.Mean,
-			SpotPriceMax:       ps.Max,
-			PriceSamples:       ps.Samples,
-			SavingsPcnt:        savings * 100,
-			Crossings:          cs.Crossings,
-			InterruptionRate:   interruption,
-			SpotUnavailability: spotUnav,
-			Revocations:        len(a.db.RevocationsFor(id, from, to)),
-			LiveOutage:         live,
-			Score:              score,
-		})
-	}
-
 	// Deterministic order: score descending, then fewest expected
 	// interruptions, then market ID — identical statistics always rank in
 	// market-ID order, so repeated evaluations (and every node of a
 	// replicated fleet) agree byte-for-byte.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	top := stats.NewTopN(c.N, func(x, y *scored) bool {
+		if x.score != y.score {
+			return x.score > y.score
 		}
-		if out[i].InterruptionRate != out[j].InterruptionRate {
-			return out[i].InterruptionRate < out[j].InterruptionRate
+		if x.interruption != y.interruption {
+			return x.interruption < y.interruption
 		}
-		return out[i].Market < out[j].Market
+		return x.id.Compare(y.id) < 0
 	})
-	if len(out) > c.N {
-		out = out[:c.N]
+	visit := func(v store.MarketView) {
+		if row, ok := a.score(v, c, from, to); ok {
+			top.Push(row)
+		}
 	}
-	for i := range out {
-		out[i].Rank = i + 1
+	regions, products := c.Regions, c.Products
+	if len(regions) == 0 {
+		regions = []market.Region{""}
+	}
+	if len(products) == 0 {
+		products = []market.Product{""}
+	}
+	for _, r := range regions {
+		for _, p := range products {
+			a.db.ScanScope(r, p, visit)
+		}
+	}
+
+	rows := top.Sorted()
+	out := make([]api.AdviseCandidate, len(rows))
+	for i, r := range rows {
+		vcpu, _ := a.cat.VCPU(r.id.Type)
+		mem, _ := a.cat.MemoryGB(r.id.Type)
+		out[i] = api.AdviseCandidate{
+			Rank:               i + 1,
+			Market:             r.id.String(),
+			VCPU:               vcpu,
+			MemoryGB:           mem,
+			OnDemandPrice:      r.od,
+			SpotPriceMin:       r.prices.Min,
+			SpotPriceMean:      r.prices.Mean,
+			SpotPriceMax:       r.prices.Max,
+			PriceSamples:       r.prices.Samples,
+			SavingsPcnt:        (1 - r.prices.Mean/r.od) * 100,
+			Crossings:          r.crossings,
+			InterruptionRate:   r.interruption,
+			SpotUnavailability: r.spotUnav,
+			Revocations:        r.revocations,
+			LiveOutage:         r.live,
+			Score:              r.score,
+		}
 	}
 	return out
 }
 
-// admissible applies the catalog-side filters: region set, product set,
-// type pattern, and capacity floors.
-func (a *Advisor) admissible(id market.SpotID, c Constraints) bool {
-	if len(c.Regions) > 0 && !containsRegion(c.Regions, id.Region()) {
-		return false
+// score applies the per-market filters (the region and product sets are
+// the scan's scope already) and scores one market from its shard's folds
+// over [from, to]; false when the market is not a candidate.
+func (a *Advisor) score(v store.MarketView, c Constraints, from, to time.Time) (scored, bool) {
+	id := v.Market()
+	if !a.admissible(id.Type, c) {
+		return scored{}, false
 	}
-	if len(c.Products) > 0 && !containsProduct(c.Products, id.Product) {
-		return false
+	ps := v.PriceStats(from, to)
+	if ps.Samples == 0 {
+		return scored{}, false
 	}
-	if !typeMatches(c.TypePattern, id.Type) {
+	od, err := a.cat.SpotODPrice(id)
+	if err != nil || od <= 0 {
+		return scored{}, false
+	}
+	if c.MaxPrice > 0 && ps.Mean > c.MaxPrice {
+		return scored{}, false
+	}
+
+	window := to.Sub(from)
+	crossings := v.CrossingStats(from, to).Crossings
+	interruption := float64(crossings) * float64(time.Hour) / float64(window)
+	if interruption > 1 {
+		interruption = 1
+	}
+	if c.MaxInterruption > 0 && interruption > c.MaxInterruption {
+		return scored{}, false
+	}
+
+	spotUnav := float64(v.OutageOverlap(store.ProbeSpot, from, to)) / float64(window)
+	if spotUnav > 1 {
+		spotUnav = 1
+	}
+	live := v.OutageOverlap(store.ProbeSpot, to.Add(-time.Second), to) > 0 ||
+		v.OutageOverlap(store.ProbeOnDemand, to.Add(-time.Second), to) > 0
+
+	sav01 := clamp01(1 - ps.Mean/od)
+	avail := clamp01(1 - spotUnav)
+	stability := 1 / (1 + float64(crossings))
+	score := 100 * (weightSavings*sav01 + weightAvail*avail + weightStability*stability)
+	if live {
+		score *= outagePenalty
+	}
+	revocations, _ := v.RevocationStats(from, to)
+	return scored{
+		id: id, od: od, prices: ps,
+		crossings: crossings, interruption: interruption, spotUnav: spotUnav,
+		revocations: revocations, live: live, score: score,
+	}, true
+}
+
+// admissible applies the catalog-side filters on the instance type: the
+// type pattern and the capacity floors.
+func (a *Advisor) admissible(t market.InstanceType, c Constraints) bool {
+	if !typeMatches(c.TypePattern, t) {
 		return false
 	}
 	if c.MinVCPU > 0 {
-		v, err := a.cat.VCPU(id.Type)
+		v, err := a.cat.VCPU(t)
 		if err != nil || v < c.MinVCPU {
 			return false
 		}
 	}
 	if c.MinMemoryGB > 0 {
-		m, err := a.cat.MemoryGB(id.Type)
+		m, err := a.cat.MemoryGB(t)
 		if err != nil || m < c.MinMemoryGB {
 			return false
 		}
@@ -387,24 +424,6 @@ func typeMatches(pattern string, t market.InstanceType) bool {
 		return err == nil && ok
 	}
 	return pattern == string(t)
-}
-
-func containsRegion(rs []market.Region, r market.Region) bool {
-	for _, have := range rs {
-		if have == r {
-			return true
-		}
-	}
-	return false
-}
-
-func containsProduct(ps []market.Product, p market.Product) bool {
-	for _, have := range ps {
-		if have == p {
-			return true
-		}
-	}
-	return false
 }
 
 func clamp01(v float64) float64 {

@@ -151,6 +151,8 @@ type Catalog struct {
 	zones       []Zone
 	zonesByReg  map[Region][]Zone
 	types       []InstanceType
+	zoneIndex   map[Zone]int
+	typeIndex   map[InstanceType]int
 	families    []Family
 	familyTypes map[Family][]InstanceType
 	spotMarkets []SpotID
@@ -162,6 +164,8 @@ type Catalog struct {
 func New() *Catalog {
 	c := &Catalog{
 		zonesByReg:  make(map[Region][]Zone, len(regionTable)),
+		zoneIndex:   make(map[Zone]int),
+		typeIndex:   make(map[InstanceType]int, len(typeTable)),
 		familyTypes: make(map[Family][]InstanceType),
 	}
 
@@ -173,6 +177,7 @@ func New() *Catalog {
 	for _, r := range c.regions {
 		for _, letter := range regionTable[r].zones {
 			z := Zone(string(r) + string(letter))
+			c.zoneIndex[z] = len(c.zones)
 			c.zones = append(c.zones, z)
 			c.zonesByReg[r] = append(c.zonesByReg[r], z)
 		}
@@ -183,7 +188,8 @@ func New() *Catalog {
 	}
 	sort.Slice(c.types, func(i, j int) bool { return c.types[i] < c.types[j] })
 
-	for _, t := range c.types {
+	for i, t := range c.types {
+		c.typeIndex[t] = i
 		f := t.Family()
 		c.familyTypes[f] = append(c.familyTypes[f], t)
 	}
@@ -224,8 +230,21 @@ func (c *Catalog) Zones() []Zone { return c.zones }
 // ZonesIn returns the availability zones of region r.
 func (c *Catalog) ZonesIn(r Region) []Zone { return c.zonesByReg[r] }
 
+// ZoneIndex returns z's position in Zones. A region's zones are
+// consecutive there, in ZonesIn order.
+func (c *Catalog) ZoneIndex(z Zone) (int, bool) {
+	i, ok := c.zoneIndex[z]
+	return i, ok
+}
+
 // Types returns all instance types in sorted order.
 func (c *Catalog) Types() []InstanceType { return c.types }
+
+// TypeIndex returns t's position in Types.
+func (c *Catalog) TypeIndex(t InstanceType) (int, bool) {
+	i, ok := c.typeIndex[t]
+	return i, ok
+}
 
 // Families returns all instance families in sorted order.
 func (c *Catalog) Families() []Family { return c.families }

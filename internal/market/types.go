@@ -80,6 +80,38 @@ func (id SpotID) String() string {
 	return string(id.Zone) + ":" + string(id.Type) + ":" + string(id.Product)
 }
 
+// Compare orders IDs exactly as their String forms order (negative when
+// id sorts first) without building either string: rankings break ties by
+// market ID once per surviving row, and most rows tie. Fields are walked as
+// the chunks "zone", ":", "type", ":", "product", so a field that is a
+// prefix of the other's is decided by its separator against the other's
+// next byte — "us-east-1:" sorts after "us-east-10:" but before
+// "us-east-1a:".
+func (id SpotID) Compare(o SpotID) int {
+	a := [...]string{string(id.Zone), ":", string(id.Type), ":", string(id.Product)}
+	b := [...]string{string(o.Zone), ":", string(o.Type), ":", string(o.Product)}
+	i, j := 0, 0
+	as, bs := a[0], b[0]
+	for {
+		for as == "" && i < len(a)-1 {
+			i++
+			as = a[i]
+		}
+		for bs == "" && j < len(b)-1 {
+			j++
+			bs = b[j]
+		}
+		n := min(len(as), len(bs))
+		if n == 0 { // one side is exhausted: the shorter string sorts first
+			return len(as) - len(bs)
+		}
+		if c := strings.Compare(as[:n], bs[:n]); c != 0 {
+			return c
+		}
+		as, bs = as[n:], bs[n:]
+	}
+}
+
 // Region returns the region containing the market's zone.
 func (id SpotID) Region() Region { return id.Zone.RegionOf() }
 

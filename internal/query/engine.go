@@ -9,7 +9,7 @@ package query
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -81,25 +81,10 @@ func (e *Engine) CacheStats() (hits, misses uint64) {
 	return e.cache.stats()
 }
 
-// scopeKeep returns the shard filter of a region/product-scoped query, or
-// nil when unfiltered (meaning: every shard).
-func scopeKeep(region market.Region, product market.Product) func(market.SpotID) bool {
-	if region == "" && product == "" {
-		return nil
-	}
-	return func(id market.SpotID) bool {
-		if region != "" && id.Region() != region {
-			return false
-		}
-		return product == "" || id.Product == product
-	}
-}
-
 // unavailability computes the fraction of [from, to] covered by detected
 // outages of the given contract kind. The window arithmetic runs inside
 // the market's shard (store.OutageOverlap): no interval list is copied.
-// This is the uncached path; the ranking loops use it directly so a
-// thousand per-market folds don't churn the response cache.
+// This is the uncached path.
 func (e *Engine) unavailability(m market.SpotID, kind store.ProbeKind, from, to time.Time) (float64, error) {
 	if !to.After(from) {
 		return 0, ErrBadWindow
@@ -178,46 +163,83 @@ func (e *Engine) TopStableMarkets(region market.Region, product market.Product, 
 	})
 }
 
-// computeStableMarkets is the uncached stability ranking. It is a named
-// method rather than a closure inside TopStableMarkets so the sort
-// comparator stays inlinable — the Market.String() tie-break would heap-
-// allocate on every comparison from inside a nested closure.
+// computeStableMarkets is the uncached stability ranking: one scan of the
+// scope's catalog markets into a top-n selection.
 func (e *Engine) computeStableMarkets(region market.Region, product market.Product, n int, from, to time.Time) ([]StableMarket, error) {
-	crossings := e.db.SpikeCrossingsWhere(from, to, scopeKeep(region, product))
+	if product != "" && !slices.Contains(market.Products, product) {
+		return nil, nil // no catalog market sells it
+	}
 	window := to.Sub(from)
-	var rows []StableMarket
-	for _, id := range e.cat.SpotMarkets() {
-		if region != "" && id.Region() != region {
-			continue
+	top := stats.NewTopN(n, func(a, b *StableMarket) bool {
+		if a.Crossings != b.Crossings {
+			return a.Crossings < b.Crossings
 		}
-		if product != "" && id.Product != product {
-			continue
+		if a.ODUnavailability != b.ODUnavailability {
+			return a.ODUnavailability < b.ODUnavailability
 		}
-		c := crossings[id].Crossings
-		unav, err := e.unavailability(id, store.ProbeOnDemand, from, to)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, StableMarket{
-			Market:           id,
-			Crossings:        c,
-			MTTR:             window / time.Duration(c+1),
-			ODUnavailability: unav,
-		})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Crossings != rows[j].Crossings {
-			return rows[i].Crossings < rows[j].Crossings
-		}
-		if rows[i].ODUnavailability != rows[j].ODUnavailability {
-			return rows[i].ODUnavailability < rows[j].ODUnavailability
-		}
-		return rows[i].Market.String() < rows[j].Market.String()
+		return a.Market.Compare(b.Market) < 0
 	})
-	if len(rows) > n {
-		rows = rows[:n]
+	e.scanCatalog(region, product, "", from, to, func(id market.SpotID, crossings int, odUnav float64) {
+		top.Push(StableMarket{
+			Market:           id,
+			Crossings:        crossings,
+			MTTR:             window / time.Duration(crossings+1),
+			ODUnavailability: odUnav,
+		})
+	})
+	return top.Sorted(), nil
+}
+
+// scanCatalog hands row every catalog market of region (all regions when
+// empty) and product (all platforms when empty), except those of family
+// skip, exactly once, with its on-demand-price crossings and on-demand
+// outage fraction over [from, to]. Markets with a shard come from one scan
+// of the store's scope index; a catalog market the store has never seen
+// still gets its row (no crossings, no outage), and a stored market
+// outside the catalog gets none.
+func (e *Engine) scanCatalog(region market.Region, product market.Product, skip market.Family, from, to time.Time, row func(id market.SpotID, crossings int, odUnav float64)) {
+	zones, types, products := e.cat.Zones(), e.cat.Types(), market.Products
+	if region != "" {
+		zones = e.cat.ZonesIn(region)
 	}
-	return rows, nil
+	if product != "" {
+		products = []market.Product{product}
+	}
+	if len(zones) == 0 {
+		return
+	}
+	firstZone, _ := e.cat.ZoneIndex(zones[0])
+	// seen marks the scope's catalog markets that have a shard, indexed in
+	// the order the loop below enumerates them.
+	seen := make([]uint64, (len(zones)*len(types)*len(products)+63)/64)
+	window := float64(to.Sub(from))
+	e.db.ScanScope(region, product, func(v store.MarketView) {
+		id := v.Market()
+		zi, okZone := e.cat.ZoneIndex(id.Zone)
+		ti, okType := e.cat.TypeIndex(id.Type)
+		pi := slices.Index(products, id.Product)
+		if !okZone || !okType || pi < 0 {
+			return
+		}
+		i := ((zi-firstZone)*len(types)+ti)*len(products) + pi
+		seen[i/64] |= 1 << (i % 64)
+		if id.Type.Family() == skip {
+			return
+		}
+		odUnav := float64(v.OutageOverlap(store.ProbeOnDemand, from, to)) / window
+		row(id, v.CrossingStats(from, to).Crossings, odUnav)
+	})
+	i := 0
+	for _, z := range zones {
+		for _, t := range types {
+			for _, p := range products {
+				if seen[i/64]&(1<<(i%64)) == 0 && t.Family() != skip {
+					row(market.SpotID{Zone: z, Type: t, Product: p}, 0, 0)
+				}
+				i++
+			}
+		}
+	}
 }
 
 // Fallback is one recommended fail-over market.
@@ -242,34 +264,25 @@ func (e *Engine) RecommendFallback(m market.SpotID, n int, from, to time.Time) (
 	if n <= 0 {
 		return nil, nil
 	}
-	var rows []Fallback
-	for _, cand := range e.cat.UncorrelatedCandidates(m) {
-		unav, err := e.unavailability(cand, store.ProbeOnDemand, from, to)
-		if err != nil {
-			return nil, err
-		}
-		// Per-candidate index lookups: the candidate set is a handful of
-		// markets, so touching only their shards beats a full
-		// SpikeCrossings walk over every shard in the store.
-		rows = append(rows, Fallback{
-			Market:           cand,
-			ODUnavailability: unav,
-			Crossings:        e.db.CrossingStatsFor(cand, from, to).Crossings,
-		})
+	// The uncorrelated candidates (market.Catalog.UncorrelatedCandidates)
+	// are m's region and platform minus m's family; an unknown region has
+	// none (an empty one must not read as "all regions").
+	if !e.cat.HasRegion(m.Region()) {
+		return nil, nil
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].ODUnavailability != rows[j].ODUnavailability {
-			return rows[i].ODUnavailability < rows[j].ODUnavailability
+	top := stats.NewTopN(n, func(a, b *Fallback) bool {
+		if a.ODUnavailability != b.ODUnavailability {
+			return a.ODUnavailability < b.ODUnavailability
 		}
-		if rows[i].Crossings != rows[j].Crossings {
-			return rows[i].Crossings < rows[j].Crossings
+		if a.Crossings != b.Crossings {
+			return a.Crossings < b.Crossings
 		}
-		return rows[i].Market.String() < rows[j].Market.String()
+		return a.Market.Compare(b.Market) < 0
 	})
-	if len(rows) > n {
-		rows = rows[:n]
-	}
-	return rows, nil
+	e.scanCatalog(m.Region(), m.Product, m.Type.Family(), from, to, func(id market.SpotID, crossings int, odUnav float64) {
+		top.Push(Fallback{Market: id, ODUnavailability: odUnav, Crossings: crossings})
+	})
+	return top.Sorted(), nil
 }
 
 // RegionSummary aggregates detected availability per region.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"spotlight/internal/market"
+	"spotlight/internal/stats"
 	"spotlight/internal/store"
 )
 
@@ -49,39 +50,32 @@ func (e *Engine) TopVolatileMarkets(region market.Region, product market.Product
 	})
 }
 
-// computeVolatileMarkets is the uncached volatility ranking (a named
-// method for the same comparator-inlining reason as
-// computeStableMarkets).
+// computeVolatileMarkets is the uncached volatility ranking: one scan of
+// the scope's shards — a market with no spike past the on-demand price in
+// the window is not volatile and gets no row — into a top-n selection.
 func (e *Engine) computeVolatileMarkets(region market.Region, product market.Product, n int, from, to time.Time) ([]VolatileMarket, error) {
-	// The per-shard crossings index answers "how many crossings, how big"
-	// per market without touching the raw spike logs; the scope filter
-	// skips shards outside the requested region/product entirely.
-	var rows []VolatileMarket
-	for id, cs := range e.db.SpikeCrossingsWhere(from, to, scopeKeep(region, product)) {
-		row := VolatileMarket{Market: id, Crossings: cs.Crossings, MaxRatio: cs.MaxRatio}
-		heldSum := time.Duration(0)
-		for _, rv := range e.db.RevocationsFor(id, from, to) {
-			row.Watches++
-			heldSum += rv.Held
+	top := stats.NewTopN(n, func(a, b *VolatileMarket) bool {
+		if a.Crossings != b.Crossings {
+			return a.Crossings > b.Crossings
 		}
-		if row.Watches > 0 {
-			row.MeanHeld = heldSum / time.Duration(row.Watches)
+		if a.MaxRatio != b.MaxRatio {
+			return a.MaxRatio > b.MaxRatio
 		}
-		rows = append(rows, row)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Crossings != rows[j].Crossings {
-			return rows[i].Crossings > rows[j].Crossings
-		}
-		if rows[i].MaxRatio != rows[j].MaxRatio {
-			return rows[i].MaxRatio > rows[j].MaxRatio
-		}
-		return rows[i].Market.String() < rows[j].Market.String()
+		return a.Market.Compare(b.Market) < 0
 	})
-	if len(rows) > n {
-		rows = rows[:n]
-	}
-	return rows, nil
+	e.db.ScanScope(region, product, func(v store.MarketView) {
+		cs := v.CrossingStats(from, to)
+		if cs.Crossings == 0 {
+			return
+		}
+		row := VolatileMarket{Market: v.Market(), Crossings: cs.Crossings, MaxRatio: cs.MaxRatio}
+		var held time.Duration
+		if row.Watches, held = v.RevocationStats(from, to); row.Watches > 0 {
+			row.MeanHeld = held / time.Duration(row.Watches)
+		}
+		top.Push(row)
+	})
+	return top.Sorted(), nil
 }
 
 // OutageView is one detected outage row returned by the outages query.

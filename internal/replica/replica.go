@@ -343,6 +343,10 @@ func (r *Replicator) apply(batch []api.StreamEvent) {
 		revs    []store.RevocationRecord
 		spreads []store.BidSpreadRecord
 		prices  map[market.SpotID][]store.PricePoint
+		// priced lists the batch's priced markets by first appearance, the
+		// order store.Append*s group the other families in: a follower's own
+		// feed sequence is then a pure function of the batch.
+		priced []market.SpotID
 	)
 	applied := uint64(0)
 	for _, ev := range batch {
@@ -389,6 +393,9 @@ func (r *Replicator) apply(batch []api.StreamEvent) {
 			if prices == nil {
 				prices = make(map[market.SpotID][]store.PricePoint)
 			}
+			if _, seen := prices[id]; !seen {
+				priced = append(priced, id)
+			}
 			prices[id] = append(prices[id], store.PricePoint{At: ev.Price.At, Price: ev.Price.Price})
 		case api.EventSpike:
 			if ev.Spike == nil || !r.takeRecord(key) {
@@ -425,8 +432,8 @@ func (r *Replicator) apply(batch []api.StreamEvent) {
 	r.cfg.DB.AppendSpikes(spikes)
 	r.cfg.DB.AppendRevocations(revs)
 	r.cfg.DB.AppendBidSpreads(spreads)
-	for id, ps := range prices {
-		r.cfg.DB.RecordPrices(id, ps)
+	for _, id := range priced {
+		r.cfg.DB.RecordPrices(id, prices[id])
 	}
 	if applied > 0 {
 		r.applied.Add(applied)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"spotlight/internal/market"
 	"spotlight/internal/query"
 	"spotlight/internal/store"
+	"spotlight/pkg/api"
 )
 
 var t0 = time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
@@ -268,4 +270,51 @@ func fetch(t *testing.T, u, body, ifNoneMatch string) (int, string, string) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, string(b), resp.Header.Get("ETag")
+}
+
+// TestApplyOrderIsDeterministic: two followers fed the same batch publish
+// identical local feed sequences, Seq and Gen included — the price series
+// of a batch are applied by first appearance, not in map order.
+func TestApplyOrderIsDeterministic(t *testing.T) {
+	var batch []api.StreamEvent
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 48; i++ {
+			id := market.SpotID{
+				Zone:    market.Zone(fmt.Sprintf("us-east-1%c", 'a'+i%6)),
+				Type:    market.InstanceType(fmt.Sprintf("m%d.large", i/6)),
+				Product: market.ProductLinux,
+			}
+			at := t0.Add(time.Duration(round*48+i) * time.Second)
+			batch = append(batch, api.StreamEvent{
+				Kind: api.EventPrice, Market: id.String(), At: at,
+				Price: &api.PricePoint{At: at, Price: float64(i)},
+			})
+		}
+	}
+	run := func() []store.Event {
+		db := store.New()
+		sub := db.Feed().Subscribe(store.SubscribeOptions{Buffer: 4096})
+		defer sub.Close()
+		r, err := New(Config{Leader: "http://leader.invalid", DB: db})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.apply(batch)
+		evs := make([]store.Event, 0, len(batch))
+		for len(evs) < len(batch) {
+			evs = append(evs, <-sub.Events())
+		}
+		return evs
+	}
+	first := run()
+	for i := 0; i < 48; i++ { // one round per market, markets in batch order
+		if got, want := first[2*i].Market.String(), batch[i].Market; got != want {
+			t.Fatalf("price round %d applied to %s, want %s", i, got, want)
+		}
+	}
+	for attempt := 0; attempt < 4; attempt++ {
+		if !reflect.DeepEqual(run(), first) {
+			t.Fatal("two followers fed the same batch published different local feed sequences")
+		}
+	}
 }

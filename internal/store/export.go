@@ -53,24 +53,24 @@ func (s *Store) captureAll() []shardCapture {
 // the captures' order) and the per-market price map.
 func assembleSnapshot(captures []shardCapture) Snapshot {
 	snap := Snapshot{Prices: make(map[string][]PricePoint)}
-	snap.Probes = mergeCaptured(captures,
-		func(c *shardCapture) ([]ProbeRecord, bool) {
+	snap.Probes = mergeByTime(captures,
+		func(c shardCapture) ([]ProbeRecord, bool) {
 			return c.probes.appendTo(nil, c.id, 0, c.probes.n()), c.probesOrdered
 		}, probeAt)
-	snap.Spikes = mergeCaptured(captures,
-		func(c *shardCapture) ([]SpikeEvent, bool) {
+	snap.Spikes = mergeByTime(captures,
+		func(c shardCapture) ([]SpikeEvent, bool) {
 			return c.spikes.appendTo(nil, c.id, 0, c.spikes.n()), c.spikesOrdered
 		}, spikeAt)
-	snap.BidSpreads = mergeCaptured(captures,
-		func(c *shardCapture) ([]BidSpreadRecord, bool) {
+	snap.BidSpreads = mergeByTime(captures,
+		func(c shardCapture) ([]BidSpreadRecord, bool) {
 			return c.bidSpreads.appendTo(nil, c.id, 0, c.bidSpreads.n()), c.bidSpreadsOrdered
 		}, bidSpreadAt)
-	snap.Revocations = mergeCaptured(captures,
-		func(c *shardCapture) ([]RevocationRecord, bool) {
+	snap.Revocations = mergeByTime(captures,
+		func(c shardCapture) ([]RevocationRecord, bool) {
 			return c.revocations.appendTo(nil, c.id, 0, c.revocations.n()), c.revocationsOrdered
 		}, revocationAt)
-	snap.Outages = mergeCaptured(captures,
-		func(c *shardCapture) ([]OutageRecord, bool) {
+	snap.Outages = mergeByTime(captures,
+		func(c shardCapture) ([]OutageRecord, bool) {
 			return c.outages.appendTo(nil, c.id, 0, c.outages.n()), c.outagesOrdered
 		}, outageAt)
 	for _, c := range captures {
@@ -79,22 +79,6 @@ func assembleSnapshot(captures []shardCapture) Snapshot {
 		}
 	}
 	return snap
-}
-
-// mergeCaptured is mergeByTime over captured runs instead of live shards.
-func mergeCaptured[T any](captures []shardCapture, collect func(*shardCapture) ([]T, bool), at func(T) time.Time) []T {
-	runs := make([][]T, 0, len(captures))
-	total, allOrdered := 0, true
-	for i := range captures {
-		run, ordered := collect(&captures[i])
-		if len(run) == 0 {
-			continue
-		}
-		runs = append(runs, run)
-		total += len(run)
-		allOrdered = allOrdered && ordered
-	}
-	return mergeTimedRuns(runs, allOrdered, total, at)
 }
 
 // ReadJSON loads a dump previously produced by WriteJSON into a fresh

@@ -316,39 +316,21 @@ func mustJSON(v any) []byte {
 	return append(data, '\n')
 }
 
-// writeFileAtomic writes data via a temp file, fsync, rename, and a
+// writeFileAtomic writes data via a synced temp file, rename, and a
 // directory fsync, so the target is always either the old or the new
 // complete contents — even across a power failure (the directory sync
 // persists the rename itself).
 func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: create %s: %w", tmp, err)
-	}
-	_, werr := f.Write(data)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
+	if err := writeSyncedFile(tmp, data); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("store: write %s: %w", tmp, werr)
+		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("store: publish %s: %w", path, err)
 	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		serr := d.Sync()
-		d.Close()
-		if serr != nil {
-			return fmt.Errorf("store: sync dir of %s: %w", path, serr)
-		}
-	}
-	return nil
+	return syncPath(filepath.Dir(path))
 }
 
 // segPos records where a shard's recovered log ended, so fresh appends

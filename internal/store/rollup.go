@@ -51,6 +51,9 @@ type rollup struct {
 
 	mu  sync.Mutex
 	agg rollupAgg
+	// members is the scope index: the scope's shards in adoption order,
+	// append-only, so a header copied under mu stays valid after unlock.
+	members []*shard
 }
 
 // rollupKindAgg aggregates one contract kind across a scope's shards.

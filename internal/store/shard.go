@@ -528,18 +528,6 @@ func (sh *shard) capture(cutEpoch uint64) shardCapture {
 	return c
 }
 
-// windowBounds returns the half-open index range [lo, hi) of the elements
-// whose timestamp falls inside [from, to], assuming at(i) is
-// non-decreasing in i.
-func windowBounds(n int, at func(int) time.Time, from, to time.Time) (int, int) {
-	lo := sort.Search(n, func(i int) bool { return !at(i).Before(from) })
-	hi := sort.Search(n, func(i int) bool { return at(i).After(to) })
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
-
 func (sh *shard) spikesIn(dst []SpikeEvent, from, to time.Time) []SpikeEvent {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -564,70 +552,87 @@ func (sh *shard) revocationsIn(dst []RevocationRecord, from, to time.Time) []Rev
 	return sh.revocations.window(dst, sh.id, sh.revocationsOrdered, from, to)
 }
 
-// priceStats folds min/sum/max over the price points inside [from, to]
-// without materializing anything: with the columnar layout the fold is a
-// linear scan of the bare price column over the binary-searched range.
-func (sh *shard) priceStats(from, to time.Time) (samples int, min, sum, max float64) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	fold := func(price float64) {
-		if samples == 0 || price < min {
-			min = price
+// The windowed folds below run under a shard lock the caller holds: the
+// public per-market reads take it for one fold, a scope scan (scan.go)
+// once for every fold its visitor asks of the market.
+
+// priceStatsLocked folds min/mean/max over the price points inside
+// [from, to] without materializing anything: a linear scan of the bare
+// price column, over the binary-searched range when the series is
+// time-ordered.
+func (sh *shard) priceStatsLocked(from, to time.Time) PriceWindowStats {
+	at, prices := sh.prices.at, sh.prices.price
+	if sh.pricesOrdered {
+		lo, hi := timeWindow(at, from, to)
+		at, prices = nil, prices[lo:hi] // every remaining point is in the window
+	}
+	var st PriceWindowStats
+	sum := 0.0
+	for i, price := range prices {
+		if at != nil && !inWindow(at[i], from, to) {
+			continue
 		}
-		if samples == 0 || price > max {
-			max = price
+		if st.Samples == 0 || price < st.Min {
+			st.Min = price
 		}
-		samples++
+		if st.Samples == 0 || price > st.Max {
+			st.Max = price
+		}
+		st.Samples++
 		sum += price
 	}
-	if sh.pricesOrdered {
-		lo, hi := timeWindow(sh.prices.at, from, to)
-		for _, price := range sh.prices.price[lo:hi] {
-			fold(price)
-		}
-		return samples, min, sum, max
+	if st.Samples > 0 {
+		st.Mean = sum / float64(st.Samples)
 	}
-	for i, t := range sh.prices.at {
-		if t.Before(from) || t.After(to) {
-			continue
-		}
-		fold(sh.prices.price[i])
-	}
-	return samples, min, sum, max
+	return st
 }
 
-// crossingStats counts the on-demand price crossings inside [from, to] and
-// their largest spike ratio, using the incremental crossings index.
-func (sh *shard) crossingStats(from, to time.Time) (count int, maxRatio float64) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if sh.crossingsOrdered {
-		lo, hi := windowBounds(len(sh.crossings), func(i int) time.Time { return sh.crossings[i].at }, from, to)
-		for _, e := range sh.crossings[lo:hi] {
-			count++
-			if e.ratio > maxRatio {
-				maxRatio = e.ratio
-			}
-		}
-		return count, maxRatio
+// crossingStatsLocked counts the on-demand price crossings inside
+// [from, to] and their largest spike ratio, using the incremental
+// crossings index.
+func (sh *shard) crossingStatsLocked(from, to time.Time) CrossingStats {
+	crossings, filter := sh.crossings, !sh.crossingsOrdered
+	if !filter {
+		// Searched inline: a bounds helper taking an accessor closure would
+		// move that closure to the heap on every call.
+		lo := sort.Search(len(crossings), func(i int) bool { return !crossings[i].at.Before(from) })
+		hi := sort.Search(len(crossings), func(i int) bool { return crossings[i].at.After(to) })
+		crossings = crossings[lo:max(lo, hi)]
 	}
-	for _, e := range sh.crossings {
-		if e.at.Before(from) || e.at.After(to) {
+	var st CrossingStats
+	for _, e := range crossings {
+		if filter && !inWindow(e.at, from, to) {
 			continue
 		}
-		count++
-		if e.ratio > maxRatio {
-			maxRatio = e.ratio
+		st.Crossings++
+		if e.ratio > st.MaxRatio {
+			st.MaxRatio = e.ratio
 		}
 	}
-	return count, maxRatio
+	return st
 }
 
-// outageOverlap sums how much of [from, to] the shard's detected outages of
-// one kind cover, without copying the interval list.
-func (sh *shard) outageOverlap(kind ProbeKind, from, to time.Time) time.Duration {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
+// revocationStatsLocked counts the revocation watches that landed inside
+// [from, to] and sums how long their instances were held.
+func (sh *shard) revocationStatsLocked(from, to time.Time) (watches int, held time.Duration) {
+	at, helds := sh.revocations.at, sh.revocations.held
+	if sh.revocationsOrdered {
+		lo, hi := timeWindow(at, from, to)
+		at, helds = nil, helds[lo:hi]
+	}
+	for i, h := range helds {
+		if at != nil && !inWindow(at[i], from, to) {
+			continue
+		}
+		watches++
+		held += h
+	}
+	return watches, held
+}
+
+// outageOverlapLocked sums how much of [from, to] the shard's detected
+// outages of one kind cover, without copying the interval list.
+func (sh *shard) outageOverlapLocked(kind ProbeKind, from, to time.Time) time.Duration {
 	total := time.Duration(0)
 	for i, k := range sh.outages.kind {
 		if k == kind {

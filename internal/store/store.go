@@ -37,7 +37,10 @@
 // the same append that updates the shard. Scope-wide reads — region
 // summaries (RegionAggregates, ScopeAggregatesFor) and cache-validity
 // probes (GenerationOfScope, GlobalGeneration) — cost O(regions) or O(1)
-// instead of walking every market shard.
+// instead of walking every market shard. Each rollup entry also lists its
+// member shards: that scope index is how a ranking over a region, a
+// product or both visits exactly its own shards, once each, with every
+// fold it needs under one read lock (ScanScope, scan.go).
 package store
 
 import (
@@ -348,10 +351,13 @@ func (s *Store) adoptShard(sh *shard) *shard {
 	s.shards[sh.id] = sh
 	s.sorted = nil
 	// Shards exist iff they hold at least one record, so adoption is the
-	// scope's market count ticking up.
+	// scope's market count ticking up — and the one place a shard joins the
+	// scope index, whether it came from a first write, recovery or a
+	// follower's apply.
 	for _, r := range [...]*rollup{rp, rg} {
 		r.mu.Lock()
 		r.agg.markets++
+		r.members = append(r.members, sh)
 		r.mu.Unlock()
 	}
 	return sh
@@ -387,17 +393,19 @@ func (s *Store) shardList() []*shard {
 	return s.sorted
 }
 
-// mergeByTime collects per-shard record slices and merges them into one
-// timestamp-ordered slice: records of one shard keep their append order
-// and ties across shards resolve by market-ID order. In the common case —
-// every shard appended in time order — this is an O(N log k) k-way merge
-// over k shards; only when some shard saw out-of-order appends does it
-// fall back to concatenating and stable-sorting.
-func mergeByTime[T any](shards []*shard, collect func(*shard) ([]T, bool), at func(T) time.Time) []T {
-	runs := make([][]T, 0, len(shards))
+// mergeByTime collects one record run per source — live shards, or the
+// shard captures of a consistent cut — and merges them into one
+// timestamp-ordered slice: records of one source keep their append order
+// and ties across sources resolve by source order, which callers build in
+// market-ID order. In the common case — every run appended in time order —
+// this is an O(N log k) k-way merge over k sources; only when some run saw
+// out-of-order appends does it fall back to concatenating and
+// stable-sorting.
+func mergeByTime[S, T any](sources []S, collect func(S) ([]T, bool), at func(T) time.Time) []T {
+	runs := make([][]T, 0, len(sources))
 	total, allOrdered := 0, true
-	for _, sh := range shards {
-		run, ordered := collect(sh)
+	for _, src := range sources {
+		run, ordered := collect(src)
 		if len(run) == 0 {
 			continue
 		}
@@ -405,13 +413,6 @@ func mergeByTime[T any](shards []*shard, collect func(*shard) ([]T, bool), at fu
 		total += len(run)
 		allOrdered = allOrdered && ordered
 	}
-	return mergeTimedRuns(runs, allOrdered, total, at)
-}
-
-// mergeTimedRuns merges per-shard runs into one timestamp-ordered slice;
-// see mergeByTime for the ordering contract. Factored out so snapshot
-// assembly can merge already-captured runs without re-locking shards.
-func mergeTimedRuns[T any](runs [][]T, allOrdered bool, total int, at func(T) time.Time) []T {
 	switch {
 	case len(runs) == 0:
 		return nil
@@ -725,9 +726,11 @@ func (s *Store) SpikeCrossingsWhere(from, to time.Time, keep func(market.SpotID)
 		if keep != nil && !keep(sh.id) {
 			continue
 		}
-		count, maxRatio := sh.crossingStats(from, to)
-		if count > 0 {
-			out[sh.id] = CrossingStats{Crossings: count, MaxRatio: maxRatio}
+		sh.mu.RLock()
+		st := sh.crossingStatsLocked(from, to)
+		sh.mu.RUnlock()
+		if st.Crossings > 0 {
+			out[sh.id] = st
 		}
 	}
 	return out
@@ -741,8 +744,9 @@ func (s *Store) CrossingStatsFor(id market.SpotID, from, to time.Time) CrossingS
 	if sh == nil {
 		return CrossingStats{}
 	}
-	count, maxRatio := sh.crossingStats(from, to)
-	return CrossingStats{Crossings: count, MaxRatio: maxRatio}
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.crossingStatsLocked(from, to)
 }
 
 // BidSpreads returns all intrinsic-price search results merged across
@@ -801,7 +805,9 @@ func (s *Store) OutageOverlap(id market.SpotID, kind ProbeKind, from, to time.Ti
 	if sh == nil {
 		return 0
 	}
-	return sh.outageOverlap(kind, from, to)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.outageOverlapLocked(kind, from, to)
 }
 
 // Prices returns a copy of the recorded price series of a market.
@@ -843,12 +849,9 @@ func (s *Store) PriceStatsIn(id market.SpotID, from, to time.Time) PriceWindowSt
 	if sh == nil {
 		return PriceWindowStats{}
 	}
-	samples, min, sum, max := sh.priceStats(from, to)
-	st := PriceWindowStats{Samples: samples, Min: min, Max: max}
-	if samples > 0 {
-		st.Mean = sum / float64(samples)
-	}
-	return st
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.priceStatsLocked(from, to)
 }
 
 // PricedMarkets returns the markets with at least one recorded price, in
