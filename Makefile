@@ -110,18 +110,25 @@ SEED ?= 42
 bench-e2e:
 	bash bench/run.sh --workload $(W) --seed $(SEED) --seconds 10 --trace 0
 
-# Byte-identity gate: a short read-cold run — every request a cache miss,
-# so every ranking is computed — whose sampled responses the benchmark
-# compares byte for byte (bodies, and an ETag on every 200) against its
-# own uncached oracle built from the public per-market folds. Fails
-# unless the driver line reports correct:true and failed:0.
+# End-to-end gate, two legs of the repo benchmark, each failing unless the
+# driver line reports correct:true and failed:0. read-cold: every request
+# a cache miss, so every ranking is computed, and the sampled responses
+# are compared byte for byte (bodies, and an ETag on every 200) against
+# the benchmark's own uncached oracle built from the public per-market
+# folds. ingest-recover: two rounds of durable ingest, close and reopen —
+# the reopened store must be at the pre-close generation and answer the
+# fixed query set as the pre-close store and the in-memory dataset do —
+# plus the crash variant (die after the last flush, lose nothing
+# acknowledged), so the write path's recovery identity runs on every PR.
 bench-gate:
-	@line="$$(bash bench/run.sh --workload read-cold --seed 42 --seconds 2 --trace 0 | tail -n 1)"; \
-	echo "$$line"; \
-	case "$$line" in \
-		'{"correct":true,'*'"failed":0,'*) ;; \
-		*) echo "bench-gate: read-cold did not report correct:true and failed:0" >&2; exit 1 ;; \
-	esac
+	@for w in read-cold ingest-recover; do \
+		line="$$(bash bench/run.sh --workload $$w --seed 42 --seconds 2 --trace 0 | tail -n 1)"; \
+		echo "$$line"; \
+		case "$$line" in \
+			'{"correct":true,'*'"failed":0,'*) ;; \
+			*) echo "bench-gate: $$w did not report correct:true and failed:0" >&2; exit 1 ;; \
+		esac; \
+	done
 
 # HTTP smoke: boot spotlightd on an ephemeral port, issue one v2 batch
 # query against it through the pkg/client SDK, and exit.
@@ -155,11 +162,13 @@ chaos-smoke:
 example-smoke:
 	$(GO) run ./examples/fleet-manager -days 1 -target 2
 
-# Fuzz smoke: a short native-fuzz burst over the WAL frame decoder and
-# the snapshot loader (malformed input must error, never panic; the
-# checked-in seed corpora live in internal/store/testdata/fuzz), and over
-# the market-ID order the rankings tie-break on (must equal the order of
-# the rendered strings).
+# Fuzz smoke: a short native-fuzz burst over log recovery's decoders
+# (FuzzWALDecode: whole log file images, run headers included, through
+# the serial scan and the record decoder — malformed input must error,
+# never panic, and the valid prefix must re-scan clean) and the snapshot
+# loaders (the checked-in seed corpora live in
+# internal/store/testdata/fuzz), and over the market-ID order the
+# rankings tie-break on (must equal the order of the rendered strings).
 fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotReadJSON$$' -fuzztime=10s

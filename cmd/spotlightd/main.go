@@ -15,7 +15,7 @@
 // With -speed 300, five simulated minutes (one tick) pass per wall-clock
 // second. By default the store is in-memory and a restart starts a fresh
 // study. With -data-dir the store is durable (see docs/persistence.md):
-// every tick's records are flushed to per-shard write-ahead-log segments,
+// every tick's records are flushed to the store's write-ahead log,
 // the whole store snapshots and compacts every -snapshot-interval of
 // simulated time, and on restart the daemon replays snapshot plus WAL,
 // resumes the recorded study clock, and serves byte-identical responses —
@@ -139,7 +139,7 @@ func parseFlags(args []string) (daemon.Options, cmdOptions, error) {
 	fs.DurationVar(&o.SlowQuery, "slow-query", 0,
 		"log any query slower than this with a per-stage breakdown (0 disables tracing)")
 	fs.StringVar(&o.DataDir, "data-dir", "",
-		"durable store directory (WAL segments + snapshots); empty keeps the store in memory")
+		"durable store directory (write-ahead log + snapshots); empty keeps the store in memory")
 	fs.DurationVar(&o.SnapInterval, "snapshot-interval", time.Hour,
 		"simulated time between store snapshots when -data-dir is set (0: snapshot only at shutdown)")
 	fs.IntVar(&o.MaxWatchers, "max-watchers", 256,

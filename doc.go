@@ -20,10 +20,10 @@
 //     Every append also publishes typed events to a change feed
 //     (store.Feed) with scope-filtered subscriptions, lagged-consumer
 //     overflow accounting, and ring-based resume (docs/streaming.md).
-//     Optionally durable (store.Open): per-shard CRC'd WAL segments
-//     written in the same batch round as each append, periodic
-//     snapshot + compaction, and crash recovery that replays
-//     snapshot-then-WAL (docs/persistence.md)
+//     Optionally durable (store.Open): one CRC-framed write-ahead log
+//     for the whole store, framed in the same batch round as each
+//     append, periodic snapshot + compaction, and crash recovery that
+//     replays snapshot-then-WAL (docs/persistence.md)
 //   - internal/query       — query engine (with a generation-keyed
 //     response cache) + the versioned HTTP API: GET /v1/* adapters, the
 //     POST /v2/query batch endpoint, POST /v2/advise, the GET /v2/watch

@@ -15,8 +15,8 @@ import (
 // epoch), the newest resume token, and — the part that makes resume
 // exactly-once — the per-market record counts at that position.
 //
-// Why per-market counts and not just the token: per-shard WAL recovery
-// is always an exact prefix of that shard's append history, but a crash
+// Why per-market counts and not just the token: WAL recovery is always
+// an exact prefix of the store's append history, but a crash
 // between a Flush and the cursor write (or a torn cursor write, which
 // writeFileAtomic turns into "the previous cursor") leaves the recovered
 // store *ahead* of the cursor. Resuming the stream from the cursor token
@@ -29,7 +29,7 @@ import (
 //
 // The inverse gap (cursor ahead of the recovered store) can only happen
 // outside the WAL's process-crash contract (a machine crash losing
-// kernel-buffered segment bytes); the skip arithmetic clamps at zero and
+// kernel-buffered log bytes); the skip arithmetic clamps at zero and
 // the lost records stay lost, same as they would on the leader.
 const cursorVersion = 1
 

@@ -37,13 +37,13 @@ func (s *Store) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// captureAll captures every shard (each under its own lock, without
-// touching the WAL) in market-ID order.
+// captureAll captures every shard (each under its own lock) in market-ID
+// order.
 func (s *Store) captureAll() []shardCapture {
 	shards := s.shardList()
 	captures := make([]shardCapture, len(shards))
 	for i, sh := range shards {
-		captures[i] = sh.capture(0)
+		captures[i] = sh.capture()
 	}
 	return captures
 }

@@ -91,9 +91,9 @@ type Event struct {
 	// primary resume key. Replayed events built by EventsSince carry 0.
 	Seq uint64
 	// Gen is the store's global append generation after the publish round
-	// that produced this event. Rounds on different shards may publish out
-	// of generation order, so Gen is not strictly monotone in Seq; equality
-	// with the store's current generation still proves "nothing missed".
+	// that produced this event, assigned in the same feed-lock hold as Seq
+	// (so it never decreases along Seq); equality with the store's current
+	// generation proves "nothing missed".
 	Gen uint64
 
 	Kind   EventKind
@@ -265,9 +265,10 @@ type Feed struct {
 	// construction with one atomic load when nobody listens.
 	active atomic.Int32
 
-	// curGen reads the owning store's global append generation, used to
-	// prove generation continuity for exact resume.
-	curGen func() uint64
+	// gen is the owning store's global append generation. Evented rounds
+	// bump it here, inside publish's lock hold; comparing it with lastGen
+	// proves generation continuity for exact resume.
+	gen *atomic.Uint64
 
 	mu   sync.Mutex
 	subs map[*Subscription]struct{}
@@ -303,12 +304,12 @@ type Feed struct {
 	laggedCount uint64
 }
 
-func newFeed(curGen func() uint64, ringCap int) *Feed {
+func newFeed(gen *atomic.Uint64, ringCap int) *Feed {
 	if ringCap <= 0 {
 		ringCap = defaultRingCapacity
 	}
 	return &Feed{
-		curGen:  curGen,
+		gen:     gen,
 		subs:    make(map[*Subscription]struct{}),
 		ringCap: ringCap,
 	}
@@ -387,10 +388,13 @@ func (f *Feed) SubscribeFrom(opts SubscribeOptions, seq, gen uint64) (*Subscript
 
 	// Generation continuity: if records were appended without events
 	// (zero-subscriber quiet period, or a restart), the ring does not
-	// connect to the present and exact replay is impossible. curGen may
-	// race in-flight publishes; the error direction is conservative (a
-	// spurious window fallback, never a false exactness claim).
-	if f.lastGen != f.curGen() {
+	// connect to the present and exact replay is impossible. An evented
+	// round bumps the generation and lastGen in one hold of this lock, so
+	// a reconnect landing mid-round still compares equal; only a round
+	// that started while the feed was cold can bump the generation alone,
+	// and that errs conservatively (a spurious window fallback, never a
+	// false exactness claim).
+	if f.lastGen != f.gen.Load() {
 		return sub, nil, ResumeWindow
 	}
 	switch {
@@ -444,31 +448,31 @@ func (f *Feed) subscribeLocked(opts SubscribeOptions) *Subscription {
 	// are terminal and stopped keeping construction alive, so they don't
 	// count.
 	cold := len(f.subs)-f.laggedSubs == 0 && f.armed == 0
-	if cold && f.lastGen != f.curGen() {
+	if cold && f.lastGen != f.gen.Load() {
 		// Records landed while the feed was cold: the ring's tail no
 		// longer connects to the present, so drop it rather than let a
 		// later resume replay across the gap and claim exactness (the
 		// next publish would otherwise heal the generation continuity
 		// check over a ring with an invisible hole).
 		f.ringStart, f.ringLen = 0, 0
-		f.lastGen = f.curGen()
+		f.lastGen = f.gen.Load()
 	}
 	f.subs[sub] = struct{}{}
 	f.refreshActive()
 	return sub
 }
 
-// publish assigns sequence numbers to one append round's events, records
-// them in the replay ring, and fans them out to matching subscribers with
-// non-blocking sends. gen is the store's global generation after the
-// round's records landed. Called by shard.publish after the shard lock is
-// released; rounds from different shards serialize here.
-func (f *Feed) publish(evs []Event, gen uint64) {
+// publish counts one append round's records into the store's global
+// generation, assigns sequence numbers to its events, records them in the
+// replay ring, and fans them out to matching subscribers with non-blocking
+// sends. Called by shard.publish after the shard lock is released and the
+// rollups are folded; rounds from different shards serialize here, which
+// is what keeps lastGen equal to the generation between evented rounds.
+func (f *Feed) publish(evs []Event, records uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if gen > f.lastGen {
-		f.lastGen = gen
-	}
+	gen := f.gen.Add(records)
+	f.lastGen = gen
 	for i := range evs {
 		f.seq++
 		evs[i].Seq = f.seq

@@ -413,7 +413,7 @@ func TestFeedColdGapWithLaggedSubscriberResetsRing(t *testing.T) {
 
 func TestFeedRingEvictionForcesWindowFallback(t *testing.T) {
 	s := New()
-	f := newFeed(s.gen.Load, 8) // tiny ring
+	f := newFeed(&s.gen, 8) // tiny ring
 	s.feed = f
 	sub := f.Subscribe(SubscribeOptions{Buffer: 1024})
 	defer sub.Close()

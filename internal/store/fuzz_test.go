@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -9,49 +11,125 @@ import (
 	"spotlight/internal/market"
 )
 
-var fuzzMarket = market.SpotID{Zone: "us-east-1a", Type: "m3.large", Product: market.ProductLinux}
+var (
+	fuzzMarket      = market.SpotID{Zone: "us-east-1a", Type: "m3.large", Product: market.ProductLinux}
+	fuzzOtherMarket = market.SpotID{Zone: "eu-west-1b", Type: "c3.xlarge", Product: market.ProductWindows}
+)
 
-// fuzzSegment builds a small valid segment image for the seed corpus.
+// fuzzSegment builds a small valid log file image for the seed corpus:
+// two markets in three runs, every record family.
 func fuzzSegment() []byte {
 	at := time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
 	buf := []byte(walMagic)
+	buf = appendRunHeader(buf, fuzzMarket, 0)
 	buf = appendProbeFrame(buf, ProbeRecord{
 		At: at, Market: fuzzMarket, Kind: ProbeOnDemand, Trigger: TriggerSpike,
 		TriggerMarket: fuzzMarket, SourceKind: ProbeSpot,
 		SpikeRatio: 1.5, PriceRatio: 1.2, Rejected: true, Code: "ICE", Bid: 0.3, Cost: 0.02,
 	})
 	buf = appendSpikeFrame(buf, SpikeEvent{At: at.Add(time.Minute), Market: fuzzMarket, Price: 0.9, Ratio: 1.8, Probed: true})
-	buf = appendBidSpreadFrame(buf, BidSpreadRecord{At: at.Add(2 * time.Minute), Market: fuzzMarket, Published: 0.5, Intrinsic: 0.31, Attempts: 6})
+	buf = appendRunHeader(buf, fuzzOtherMarket, 0)
+	buf = appendBidSpreadFrame(buf, BidSpreadRecord{At: at.Add(2 * time.Minute), Market: fuzzOtherMarket, Published: 0.5, Intrinsic: 0.31, Attempts: 6})
+	buf = appendRunHeader(buf, fuzzMarket, 2)
 	buf = appendRevocationFrame(buf, RevocationRecord{At: at.Add(3 * time.Minute), Market: fuzzMarket, Bid: 1.1, Held: time.Hour})
 	buf = appendPriceFrame(buf, PricePoint{At: at.Add(4 * time.Minute), Price: 0.27})
 	return buf
 }
 
-// FuzzWALDecode feeds arbitrary bytes to the WAL segment decoder: it must
-// return records plus an error position, never panic, and its reported
-// valid prefix must actually be a prefix of the input.
+// fuzzMiscountedSegment is fuzzSegment with one more run whose header
+// skips a record of its shard; the returned offset is where that header
+// starts, which is where the valid prefix must end.
+func fuzzMiscountedSegment() ([]byte, int) {
+	buf := fuzzSegment()
+	valid := len(buf)
+	buf = appendRunHeader(buf, fuzzOtherMarket, 2) // the shard holds 1
+	buf = appendPriceFrame(buf, PricePoint{At: time.Date(2015, 9, 1, 0, 5, 0, 0, time.UTC), Price: 0.4})
+	return buf, valid
+}
+
+// decodeLog runs both halves of log recovery over one file image, against
+// no snapshot: the serial scan, then every market's runs through the
+// record decoder (markets in ID order). validLen is the scan's.
+func decodeLog(data []byte) (entries []walEntry, validLen int, err error) {
+	r := newRecovery()
+	validLen, err = r.scanLog(data)
+	tasks := make([]*replayTask, 0, len(r.tasks))
+	for _, t := range r.tasks {
+		tasks = append(tasks, t)
+	}
+	sort.Slice(tasks, func(i, j int) bool { return tasks[i].sh.key < tasks[j].sh.key })
+	for _, t := range tasks {
+		for _, run := range t.runs {
+			if _, derr := decodeFrames(run, t.sh.id, nil, func(e *walEntry) { entries = append(entries, *e) }); derr != nil {
+				return entries, validLen, derr
+			}
+		}
+	}
+	return entries, validLen, err
+}
+
+// TestLogRunsMustContinueTheirShard: the serial scan accepts a log whose
+// run headers count their shards' records exactly, and ends the valid
+// prefix at the first header that does not.
+func TestLogRunsMustContinueTheirShard(t *testing.T) {
+	entries, validLen, err := decodeLog(fuzzSegment())
+	if err != nil || validLen != len(fuzzSegment()) || len(entries) != 5 {
+		t.Fatalf("valid log: %d entries, valid prefix %d of %d, err %v", len(entries), validLen, len(fuzzSegment()), err)
+	}
+	bad, want := fuzzMiscountedSegment()
+	entries, validLen, err = decodeLog(bad)
+	if !errors.Is(err, ErrWALCorrupt) || validLen != want || len(entries) != 5 {
+		t.Fatalf("miscounted run: %d entries, valid prefix %d (want %d), err %v", len(entries), validLen, want, err)
+	}
+	// A record frame no run header introduces belongs to no shard.
+	orphan := appendPriceFrame([]byte(walMagic), PricePoint{At: time.Unix(0, 0), Price: 1})
+	if _, validLen, err = decodeLog(orphan); !errors.Is(err, ErrWALCorrupt) || validLen != len(walMagic) {
+		t.Fatalf("headerless frame: valid prefix %d, err %v", validLen, err)
+	}
+}
+
+// FuzzWALDecode feeds arbitrary bytes to log recovery's decoders: they
+// must return records plus an error position, never panic; the reported
+// valid prefix must actually be a prefix of the input that scans clean,
+// so it can never reach past the first bad frame.
 func FuzzWALDecode(f *testing.F) {
 	valid := fuzzSegment()
+	miscounted, _ := fuzzMiscountedSegment()
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])                                            // torn tail
-	f.Add([]byte(walMagic))                                                // empty segment
+	f.Add([]byte(walMagic))                                                // empty log file
 	f.Add([]byte{})                                                        // no header
-	f.Add([]byte("SPOTWAL1\x00\x00"))                                      // short frame header
-	f.Add(append([]byte(nil), valid[:len(walMagic)+walFrameHeader+40]...)) // mid-frame cut
+	f.Add([]byte("SPOTWAL2\x00\x00"))                                      // short frame header
+	f.Add(append([]byte(nil), valid[:len(walMagic)+walFrameHeader+60]...)) // mid-frame cut
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(walMagic)+10] ^= 0xff // checksum mismatch
 	f.Add(corrupt)
+	f.Add(miscounted)                                                                               // a run that skips a record
+	f.Add(appendPriceFrame([]byte(walMagic), PricePoint{Price: 1}))                                 // a frame before any run header
+	f.Add(appendRunHeader(append([]byte(nil), valid...), fuzzOtherMarket, 1))                       // a run header at the tail
+	f.Add(appendPriceFrame(appendRunHeader([]byte(walMagic), fuzzMarket, 0), PricePoint{}))         // decodes under its header
+	f.Add(appendSpikeFrame(appendRunHeader([]byte(walMagic), fuzzMarket, 0), SpikeEvent{Ratio: 2})) // another market's record under the header
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, validLen, err := decodeSegment(data, fuzzMarket)
+		entries, validLen, err := decodeLog(data)
 		if validLen < 0 || validLen > len(data) {
 			t.Fatalf("valid prefix %d outside input of %d bytes", validLen, len(data))
 		}
+		if err == nil && validLen != len(data) {
+			t.Fatalf("clean decode stopped at %d of %d bytes", validLen, len(data))
+		}
+		if validLen == 0 {
+			return // not a log file at all
+		}
+		// The valid prefix must scan clean on its own, to the same length.
+		r := newRecovery()
+		if againLen, err2 := r.scanLog(data[:validLen]); err2 != nil || againLen != validLen {
+			t.Fatalf("re-scan of the %d-byte valid prefix: %d, %v", validLen, againLen, err2)
+		}
 		if err == nil {
-			// A cleanly decoded segment must re-decode identically from
-			// its own valid prefix.
-			again, againLen, err2 := decodeSegment(data[:validLen], fuzzMarket)
-			if err2 != nil || againLen != validLen || len(again) != len(entries) {
+			// And a cleanly decoded log must re-decode identically.
+			again, _, err2 := decodeLog(data[:validLen])
+			if err2 != nil || len(again) != len(entries) {
 				t.Fatalf("re-decode of valid prefix diverged: %v, %d vs %d entries", err2, len(again), len(entries))
 			}
 		}
@@ -107,7 +185,7 @@ func fuzzSnapshotShard(f *testing.F) []byte {
 	s.AppendBidSpread(BidSpreadRecord{At: at.Add(2 * time.Minute), Market: fuzzMarket, Published: 0.5, Intrinsic: 0.31, Attempts: 6})
 	s.AppendRevocation(RevocationRecord{At: at.Add(3 * time.Minute), Market: fuzzMarket, Bid: 1.1, Held: time.Hour})
 	s.RecordPrice(fuzzMarket, PricePoint{At: at.Add(4 * time.Minute), Price: 0.27})
-	c := s.lookup(fuzzMarket).capture(0)
+	c := s.lookup(fuzzMarket).capture()
 	var buf bytes.Buffer
 	if err := encodeShardSnapshot(&buf, &c); err != nil {
 		f.Fatal(err)

@@ -12,9 +12,9 @@ import (
 )
 
 // The golden fixture pins the on-disk format — snapshot directory layout,
-// WAL segment framing, and the binary record encoding — against accidental
-// change: testdata/golden/store holds a committed data directory
-// (snapshot + live WAL segments + meta) and expected-state.json the exact
+// log framing and run headers, and the binary record encoding — against
+// accidental change: testdata/golden/store holds a committed data directory
+// (snapshot + a live log file + meta) and expected-state.json the exact
 // WriteJSON dump recovery must reproduce from it. If either file stops
 // matching, the format changed and needs a new magic/version plus a
 // migration story, not a silent break.
@@ -36,7 +36,7 @@ func goldenDir(t testing.TB) string {
 
 // goldenWorkload builds the fixture's store contents: a pre-snapshot part
 // (covered by the snapshot directory after compaction) and a post-snapshot part
-// that lives only in WAL segments.
+// that lives only in the log.
 func goldenWorkload(s *Store, p *Persister) error {
 	base := time.Date(2015, 9, 1, 12, 0, 0, 0, time.UTC)
 	appA := s.Appender(goldenA)
@@ -62,7 +62,7 @@ func goldenWorkload(s *Store, p *Persister) error {
 		return err
 	}
 
-	// Post-snapshot records: recovered from WAL segments only.
+	// Post-snapshot records: recovered from the log only.
 	appA.AppendProbe(ProbeRecord{At: base.Add(20 * time.Minute), Market: goldenA, Kind: ProbeSpot,
 		Trigger: TriggerCross, TriggerMarket: goldenA, SourceKind: ProbeOnDemand, Bid: 0.4, Cost: 0.01})
 	appA.RecordPrice(PricePoint{At: base.Add(20 * time.Minute), Price: 0.29})
@@ -148,15 +148,17 @@ func regenGolden(t *testing.T, storeFixture, expectedPath string) {
 	if err := os.WriteFile(expectedPath, dump.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Leave the fixture as a crashed process would: lock released, live
-	// WAL segments on disk, no lock file committed.
-	p.crash()
+	// Leave the fixture as a crashed process would: lock released, the
+	// live log file on disk, no lock file committed.
+	p.Abandon()
 	if err := os.Remove(filepath.Join(storeFixture, "LOCK")); err != nil {
 		t.Fatal(err)
 	}
 	// Seed corpora for the fuzz targets, in the go-fuzz corpus encoding.
 	writeFuzzSeed(t, "FuzzWALDecode", "seed-valid-segment", fuzzSegment())
-	writeFuzzSeed(t, "FuzzWALDecode", "seed-torn-tail", fuzzSegment()[:60])
+	writeFuzzSeed(t, "FuzzWALDecode", "seed-torn-tail", fuzzSegment()[:len(fuzzSegment())-30])
+	miscounted, _ := fuzzMiscountedSegment()
+	writeFuzzSeed(t, "FuzzWALDecode", "seed-miscounted-run", miscounted)
 	writeFuzzSeed(t, "FuzzSnapshotReadJSON", "seed-valid-snapshot", dump.Bytes())
 	writeFuzzSeed(t, "FuzzSnapshotReadJSON", "seed-truncated", dump.Bytes()[:dump.Len()/3])
 	// A real v2 snapshot shard from the fixture seeds the binary decoder.

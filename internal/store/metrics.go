@@ -43,11 +43,11 @@ func (s *Store) EnableMetrics(r *obs.Registry) {
 	m.appendRecords = r.Counter("spotlight_store_append_records_total",
 		"Records of any kind appended to the store.")
 	m.walFlushes = r.Counter("spotlight_store_wal_flushes_total",
-		"WAL pending-buffer flushes that reached segment files.")
+		"Store-log flushes that wrote bytes: one write of the pending buffer, every market's frames since the last one.")
 	m.walFlushSeconds = r.HistogramBuckets("spotlight_store_wal_flush_seconds",
-		"WAL flush latency (pending buffer to segment file).", obs.IOBuckets)
+		"Store-log flush latency (pending buffer to the active log file, rotation included).", obs.IOBuckets)
 	m.walFlushedBytes = r.Counter("spotlight_store_wal_flushed_bytes_total",
-		"Bytes moved from WAL pending buffers to segment files.")
+		"Bytes moved from the store log's pending buffer to its files.")
 	m.snapshots = r.Counter("spotlight_store_snapshots_total",
 		"Whole-store snapshots published.")
 	m.snapshotSeconds = r.Histogram("spotlight_store_snapshot_seconds",
@@ -99,9 +99,9 @@ func (s *Store) EnableMetrics(r *obs.Registry) {
 		})
 }
 
-// observeFlush records one WAL flush of n bytes taking d. Split out so
-// writeOutLocked stays readable; m is never nil (stores allocate it at
-// construction), its fields are nil until EnableMetrics.
+// observeFlush records one WAL flush of n bytes taking d. m is never nil
+// (stores allocate it at construction), its fields are nil until
+// EnableMetrics.
 func (m *storeMetrics) observeFlush(n int, d time.Duration) {
 	m.walFlushes.Inc()
 	m.walFlushSeconds.Observe(d)

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,8 +14,6 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
-
-	"spotlight/internal/market"
 )
 
 // The durability layer. A durable store owns a data directory laid out as
@@ -26,34 +23,39 @@ import (
 //	  snapshot-<SEQ>/            whole-store snapshot (snapshot.go)
 //	    manifest.json            shard file list + record counts
 //	    <market>.snap            per-shard binary record stream
-//	  wal/<market>/seg-<EPOCH>-<IDX>.wal
+//	  wal/log-<EPOCH>-<IDX>.wal  the store log, one series for every market
 //
-// where <market> is the URL-path-escaped market ID. Every append frames
-// its records into the owning shard's pending WAL buffer inside the same
-// shard lock round as the in-memory append; Flush moves pending bytes to
-// the active segment files (the durability boundary — a record is
-// "acknowledged" once Flush returns). Segments rotate at SegmentSize.
+// Every append round copies its pre-encoded frames into the log's one
+// pending buffer inside the same shard lock round as the in-memory append;
+// Flush hands the buffer to the active log file in one write (the
+// durability boundary — a record is "acknowledged" once Flush returns).
+// The file rotates at SegmentSize.
 //
-// Snapshots and the WAL share one monotonic counter: the segment epoch.
-// Snapshot N captures, per shard under its lock, everything appended so
-// far and simultaneously advances the shard's WAL to epoch N — so a
-// record lives either in snapshot N (appended before the shard's cut) or
-// in a segment with epoch >= N (appended after), never both and never
-// neither. Recovery loads the newest complete snapshot S and replays the
-// segments with epoch >= S in (epoch, idx) order per shard; compaction
-// deletes segments with epoch < S once snapshot S is durable. Snapshot
-// files become visible only via rename, so a crash mid-snapshot leaves
-// the previous snapshot plus an uncompacted WAL — exactly the state the
+// Snapshots and the log share one monotonic counter: the epoch. Snapshot N
+// first rotates the log to epoch N and then captures every shard under its
+// lock. A record framed before the rotation sits in a file of an older
+// epoch and in its shard's capture; one framed after its shard's capture
+// sits in a file of epoch >= N and not in the snapshot; one framed in
+// between sits in both, and recovery tells by ordinal: the manifest pins
+// each shard's record count at its capture and every log run says which
+// count it continues from (wal.go), so a frame the manifest already covers
+// is skipped. Recovery loads the newest complete snapshot S and replays
+// the log files with epoch >= S in (epoch, idx) order; compaction deletes
+// the files with epoch < S once snapshot S is durable. Snapshot files
+// become visible only via rename, so a crash mid-snapshot leaves the
+// previous snapshot plus an uncompacted log — exactly the state the
 // recovery rule handles.
 //
-// A damaged segment tail (the torn frames of a crash mid-flush) is
-// truncated to its valid prefix on open; per-shard recovery is therefore
-// always an exact prefix of that shard's append history.
+// A damaged log tail (the torn frames of a crash mid-flush) is truncated
+// to its valid prefix on open, and the log is one series in append order,
+// so recovery is always an exact prefix of the whole store's append
+// history: a record that survived implies every record framed before it,
+// in any market.
 
 // PersistOptions tunes a durable store opened with Open.
 type PersistOptions struct {
-	// SegmentSize rotates a shard's active WAL segment once it reaches
-	// this many bytes. Default 1 MiB.
+	// SegmentSize rotates the active log file once it reaches this many
+	// bytes. Default 1 MiB.
 	SegmentSize int64
 }
 
@@ -64,9 +66,9 @@ const (
 	walDirName         = "wal"
 	snapshotPrefix     = "snapshot-"
 
-	// walAutoFlushBytes bounds a shard's pending buffer: if the owner
-	// never calls Flush (no service tick), the shard flushes itself
-	// inline once this much is buffered, so memory stays bounded.
+	// walAutoFlushBytes bounds the log's pending buffer: if the owner
+	// never calls Flush (no service tick), the append round that fills it
+	// flushes inline, so memory stays bounded.
 	walAutoFlushBytes = 256 << 10
 )
 
@@ -96,7 +98,6 @@ type persistMeta struct {
 type Persister struct {
 	dir        string
 	store      *Store
-	opts       PersistOptions
 	salt       uint64
 	recoveries uint64
 	// lock holds the data directory's advisory flock for the life of the
@@ -107,21 +108,15 @@ type Persister struct {
 	// with every snapshot so a restarted owner can resume its clock.
 	clock atomic.Int64
 
-	// mu guards epoch and the error slot. Lock ordering: the store lock
-	// (Store.mu) is always taken before mu (shard creation reads the
-	// epoch while holding Store.mu; snapshotCut bumps it likewise).
-	mu    sync.Mutex
-	epoch uint64
-	err   error
+	// mu guards the sticky error slot and nests inside everything.
+	mu  sync.Mutex
+	err error
 
-	// dirtyMu guards the to-flush list. It nests inside everything and is
-	// never held across file I/O.
-	dirtyMu sync.Mutex
-	dirty   []*shardWAL
+	log storeLog
 
-	// snapMu serializes Snapshot, Flush, and Close against each other.
-	// It also guards lastSnap, the incremental-encoding state of the
-	// newest published snapshot (nil before the first one).
+	// snapMu serializes Snapshot, Flush, SaveCursor and Close against each
+	// other. It also guards closed and lastSnap, the incremental-encoding
+	// state of the newest published snapshot (nil before the first one).
 	snapMu   sync.Mutex
 	closed   bool
 	lastSnap *snapDirState
@@ -132,66 +127,112 @@ type Persister struct {
 	recoveredRecords uint64
 }
 
-// shardWAL is one shard's log state. Appends run while holding the
-// owning shard's lock and only touch pending (memory); Flush moves
-// pending to the active segment file.
+// errPersisterClosed is what every write returns once Close or Abandon has
+// released the data directory: another process may own it by then.
+var errPersisterClosed = errors.New("store: persister is closed")
+
+// storeLog is the write half of the store log: one pending buffer every
+// shard appends to, one open file, one rotation.
 //
-// Two locks split the hot path from the I/O: mu guards the pending
-// buffer and nests inside the shard lock (appends hold both, briefly);
-// flushMu serializes flushes and guards the file position, and is held
-// across file I/O. A flush swaps the pending buffer out under mu and
-// writes it under flushMu alone, so a slow disk never blocks an append —
-// or, transitively, the shard's readers. flushMu is always taken before
-// mu; neither is ever held while taking a shard lock.
-type shardWAL struct {
-	p       *Persister
-	id      market.SpotID
-	dirPath string
+// Two locks split the hot path from the I/O: mu guards the pending buffer
+// and nests inside every shard lock (appends hold both, briefly; the order
+// is always shard, then log); flushMu serializes flushes and rotations,
+// guards the file state, and is held across file I/O. A flush swaps the
+// pending buffer out under mu and writes it under flushMu alone, so a slow
+// disk never blocks an append — or, transitively, a shard's readers.
+// flushMu is always taken before mu and never while holding a shard lock.
+type storeLog struct {
+	dir         string // the wal/ directory
+	segmentSize int64
+	metrics     *storeMetrics
 
 	flushMu sync.Mutex
-	epoch   uint64 // epoch of the active (or next) segment
-	idx     uint64 // index of the active segment within epoch
-	size    int64  // bytes already on disk in the active segment
-	spare   []byte // recycled swap buffer, owned by flushMu
+	f       *os.File // the active file; nil until the first write into (epoch, idx)
+	epoch   uint64   // epoch of the active (or next) file
+	idx     uint64   // index of the active (or next) file within epoch
+	size    int64    // bytes already in the active file
+	spare   []byte   // recycled swap buffer
 
 	mu      sync.Mutex
 	pending []byte
-	dirty   bool // queued on p.dirty
+	last    *shard // shard of the newest pending round; nil at the start of a buffer
+	stopped bool   // closed or failed: frames are dropped, not buffered
 }
 
-// marketDirName returns the per-shard WAL directory name for id: the
-// URL-path-escaped canonical ID ("Linux/UNIX" contains a slash).
-func marketDirName(id market.SpotID) string {
-	return url.PathEscape(id.String())
+// logFile names one file of the log series; files replay in (epoch, idx)
+// order.
+type logFile struct{ epoch, idx uint64 }
+
+func (lf logFile) name() string {
+	return fmt.Sprintf("log-%08d-%08d.wal", lf.epoch, lf.idx)
 }
 
-// segmentName renders a segment file name; parseSegmentName inverts it.
-func segmentName(epoch, idx uint64) string {
-	return fmt.Sprintf("seg-%08d-%08d.wal", epoch, idx)
-}
-
-func parseSegmentName(name string) (epoch, idx uint64, ok bool) {
-	var e, i uint64
-	n, err := fmt.Sscanf(name, "seg-%d-%d.wal", &e, &i)
-	if err != nil || n != 2 {
-		return 0, 0, false
-	}
+func parseLogFileName(name string) (logFile, bool) {
+	var lf logFile
+	n, err := fmt.Sscanf(name, "log-%d-%d.wal", &lf.epoch, &lf.idx)
 	// Only the canonical rendering counts: Sscanf ignores zero-padding
 	// and trailing bytes, so without the round-trip check a stray
-	// "seg-1-1.wal.bak" would alias the real segment and replay its
-	// records twice.
-	if name != segmentName(e, i) {
-		return 0, 0, false
+	// "log-1-1.wal.bak" would alias the real file and replay its records
+	// twice.
+	if err != nil || n != 2 || name != lf.name() {
+		return logFile{}, false
 	}
-	return e, i, true
+	return lf, true
+}
+
+// listLog reads the wal/ directory: the log files recovery must replay
+// (epoch >= seq, in series order) and the file the series continues with,
+// past every name already taken. A per-market segment of the layout before
+// the single log that the snapshot does not cover is refused by full path:
+// this version cannot read it, and opening past it would present the loss
+// of its records as a successful Open. A cleanly closed directory has
+// none.
+func listLog(walRoot string, seq uint64) (files []logFile, next logFile, err error) {
+	ents, err := os.ReadDir(walRoot)
+	if err != nil {
+		return nil, logFile{}, fmt.Errorf("store: list %s: %w", walRoot, err)
+	}
+	next = logFile{epoch: max(seq, 1), idx: 1}
+	for _, ent := range ents {
+		if ent.IsDir() {
+			segs, err := os.ReadDir(filepath.Join(walRoot, ent.Name()))
+			if err != nil {
+				return nil, logFile{}, fmt.Errorf("store: list %s: %w", filepath.Join(walRoot, ent.Name()), err)
+			}
+			for _, seg := range segs {
+				var epoch, idx uint64
+				if n, _ := fmt.Sscanf(seg.Name(), "seg-%d-%d.wal", &epoch, &idx); n == 2 && epoch >= seq {
+					return nil, logFile{}, fmt.Errorf("store: %s is a per-market WAL segment the newest snapshot does not cover, which this version cannot read (open the directory once with the previous release and close it cleanly: its final snapshot covers every segment)", filepath.Join(walRoot, ent.Name(), seg.Name()))
+				}
+			}
+			continue
+		}
+		lf, ok := parseLogFileName(ent.Name())
+		if !ok {
+			continue
+		}
+		if lf.epoch > next.epoch || lf.epoch == next.epoch && lf.idx >= next.idx {
+			next = logFile{epoch: lf.epoch, idx: lf.idx + 1}
+		}
+		if lf.epoch >= seq {
+			files = append(files, lf)
+		}
+	}
+	sort.Slice(files, func(i, j int) bool {
+		if files[i].epoch != files[j].epoch {
+			return files[i].epoch < files[j].epoch
+		}
+		return files[i].idx < files[j].idx
+	})
+	return files, next, nil
 }
 
 // Open opens (creating if needed) a durable store rooted at dir: it
-// replays the newest complete snapshot and every WAL segment it does not
+// replays the newest complete snapshot and every log file it does not
 // cover into a fresh store, rebuilding all derived state — aggregates,
 // rollups, and generation counters — from the records themselves, then
 // arms the write-ahead path so subsequent appends are logged.
-func Open(dir string, opts PersistOptions) (*Store, error) {
+func Open(dir string, opts PersistOptions) (_ *Store, err error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = defaultSegmentSize
 	}
@@ -203,37 +244,48 @@ func Open(dir string, opts PersistOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			lock.Close()
+		}
+	}()
 
 	meta, err := loadOrInitMeta(dir)
 	if err != nil {
-		lock.Close()
 		return nil, err
 	}
 
 	s := New()
+	p := &Persister{
+		dir:        dir,
+		store:      s,
+		salt:       meta.Salt,
+		recoveries: meta.Recoveries,
+		lock:       lock,
+		log:        storeLog{dir: walRoot, segmentSize: opts.SegmentSize, metrics: s.metrics},
+	}
+	// Attached before recovery so every shard it adopts is wired to the
+	// log; nothing appends through it until Open returns.
+	s.persist = p
+
 	replayStart := time.Now()
 	snap, err := findLatestSnapshot(dir)
 	if err != nil {
-		lock.Close()
 		return nil, err
 	}
-	positions, maxEpoch, recoveredAt, err := replayParallel(walRoot, snap, s)
+	files, next, err := listLog(walRoot, snap.seq)
 	if err != nil {
-		lock.Close()
 		return nil, err
 	}
-
-	p := &Persister{
-		dir:              dir,
-		store:            s,
-		opts:             opts,
-		salt:             meta.Salt,
-		recoveries:       meta.Recoveries,
-		lock:             lock,
-		epoch:            max(maxEpoch, snap.seq, 1),
-		replayDur:        time.Since(replayStart),
-		recoveredRecords: s.gen.Load(),
+	recoveredAt, err := replayParallel(walRoot, files, snap, s)
+	if err != nil {
+		return nil, err
 	}
+	// Fresh appends open a new file past everything on disk: a recovered
+	// file is never appended to.
+	p.log.epoch, p.log.idx = next.epoch, next.idx
+	p.replayDur = time.Since(replayStart)
+	p.recoveredRecords = s.gen.Load()
 	if snap.seq > 0 {
 		// Prime incremental snapshots: shards unchanged since this
 		// snapshot hard-link its files instead of re-encoding.
@@ -255,7 +307,6 @@ func Open(dir string, opts PersistOptions) (*Store, error) {
 	if !clock.IsZero() {
 		p.clock.Store(clock.UnixNano())
 	}
-	s.attachPersister(p, positions)
 	return s, nil
 }
 
@@ -333,51 +384,9 @@ func writeFileAtomic(path string, data []byte) error {
 	return syncPath(filepath.Dir(path))
 }
 
-// segPos records where a shard's recovered log ended, so fresh appends
-// start a new segment after it.
-type segPos struct {
-	epoch uint64
-	idx   uint64
-}
-
 // Persister returns the store's durability engine, or nil for an
 // in-memory store built with New.
 func (s *Store) Persister() *Persister { return s.persist }
-
-// attachPersister arms the write-ahead path: existing shards (rebuilt by
-// replay) get their WAL handles, and shardFor wires new shards at
-// creation. positions tells each recovered shard where its on-disk log
-// ended so fresh appends open the following segment.
-func (s *Store) attachPersister(p *Persister, positions map[market.SpotID]segPos) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.persist = p
-	for id, sh := range s.shards {
-		w := p.newShardWAL(id)
-		if pos, ok := positions[id]; ok && pos.epoch == w.epoch {
-			w.idx = pos.idx + 1
-		}
-		sh.mu.Lock()
-		sh.wal = w
-		sh.mu.Unlock()
-	}
-}
-
-// newShardWAL builds the log handle of one shard at the current epoch.
-// Callers hold Store.mu, which orders handle creation against epoch bumps
-// (snapshotCut also runs under Store.mu).
-func (p *Persister) newShardWAL(id market.SpotID) *shardWAL {
-	p.mu.Lock()
-	epoch := p.epoch
-	p.mu.Unlock()
-	return &shardWAL{
-		p:       p,
-		id:      id,
-		dirPath: filepath.Join(p.dir, walDirName, marketDirName(id)),
-		epoch:   epoch,
-		idx:     1,
-	}
-}
 
 // Salt returns the directory's effective ETag salt: the stable value
 // minted when the data directory was created, folded with the
@@ -417,7 +426,9 @@ func (p *Persister) NoteClock(t time.Time) {
 // them. Fail-stop like every other write: once the durability layer has
 // a sticky error the cursor stops advancing too.
 func (p *Persister) SaveCursor(data []byte) error {
-	if err := p.Err(); err != nil {
+	p.snapMu.Lock()
+	defer p.snapMu.Unlock()
+	if err := p.writable(); err != nil {
 		return err
 	}
 	if err := p.fail(writeFileAtomic(filepath.Join(p.dir, cursorFileName), data)); err != nil {
@@ -459,9 +470,11 @@ func (p *Persister) Abandon() {
 	p.lock.Close()
 }
 
-// fail records the first durability error; later writes become no-ops
-// and the error surfaces from Flush, Snapshot, and Close. The in-memory
-// store keeps serving — durability is fail-stop, queries are not.
+// fail records the first durability error and stops the log: later writes
+// become no-ops, frames are dropped instead of buffered, and the error
+// surfaces from Flush, Snapshot, and Close. The in-memory store keeps
+// serving — durability is fail-stop, queries are not. Never called with
+// the log's flushMu held.
 func (p *Persister) fail(err error) error {
 	if err == nil {
 		return nil
@@ -471,6 +484,7 @@ func (p *Persister) fail(err error) error {
 		p.err = err
 	}
 	p.mu.Unlock()
+	p.log.stop()
 	return err
 }
 
@@ -481,228 +495,204 @@ func (p *Persister) Err() error {
 	return p.err
 }
 
-// markDirty queues w for the next Flush. Called with w.mu held; dirtyMu
-// nests innermost and is never held across I/O.
-func (p *Persister) markDirty(w *shardWAL) {
-	p.dirtyMu.Lock()
-	p.dirty = append(p.dirty, w)
-	p.dirtyMu.Unlock()
+// writable reports why the persister must not write: it was closed (the
+// directory may belong to another process by now) or it failed earlier.
+// Requires snapMu.
+func (p *Persister) writable() error {
+	if p.closed {
+		return errPersisterClosed
+	}
+	return p.Err()
 }
 
-// takeDirty claims the current to-flush list.
-func (p *Persister) takeDirty() []*shardWAL {
-	p.dirtyMu.Lock()
-	dirty := p.dirty
-	p.dirty = nil
-	p.dirtyMu.Unlock()
-	return dirty
-}
-
-// Flush moves every shard's pending WAL bytes to its active segment
-// file. Records are durable against process crashes once Flush returns;
-// this is the "acknowledged" boundary the recovery guarantees speak of.
+// Flush writes the log's pending bytes to its active file. Records are
+// durable against process crashes once Flush returns; this is the
+// "acknowledged" boundary the recovery guarantees speak of.
 func (p *Persister) Flush() error {
 	p.snapMu.Lock()
 	defer p.snapMu.Unlock()
-	return p.flushLocked()
-}
-
-func (p *Persister) flushLocked() error {
-	if err := p.Err(); err != nil {
+	if err := p.writable(); err != nil {
 		return err
 	}
-	var first error
-	for _, w := range p.takeDirty() {
-		if err := w.flushPending(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return p.fail(first)
+	return p.fail(p.log.flush())
 }
 
-// append frames pre-encoded bytes onto the shard's pending buffer. The
-// caller holds the owning shard's lock, making the buffered bytes agree
-// exactly with the in-memory append order. It reports whether the buffer
-// has outgrown walAutoFlushBytes; the caller then runs flushOversized
-// after releasing the shard lock, so file I/O never stalls the shard's
-// readers.
-func (w *shardWAL) append(encoded []byte) (oversized bool) {
-	if len(encoded) == 0 {
+// append copies one round's pre-encoded frames onto the pending buffer,
+// under a run header when the previous round was another shard's (before
+// is sh's record count ahead of the round). The caller holds sh's lock,
+// making the buffered bytes agree exactly with the in-memory append order.
+// It reports whether the buffer has outgrown walAutoFlushBytes; the caller
+// then flushes after releasing the shard lock, so file I/O never stalls
+// the shard's readers.
+func (l *storeLog) append(sh *shard, before uint64, frames []byte) (oversized bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.stopped {
 		return false
 	}
-	w.mu.Lock()
-	w.pending = append(w.pending, encoded...)
-	if !w.dirty {
-		w.dirty = true
-		w.p.markDirty(w)
+	if l.last != sh {
+		l.pending = appendRunHeader(l.pending, sh.id, before)
+		l.last = sh
 	}
-	oversized = len(w.pending) >= walAutoFlushBytes
-	w.mu.Unlock()
-	return oversized
+	l.pending = append(l.pending, frames...)
+	return len(l.pending) >= walAutoFlushBytes
 }
 
-// flushOversized drains an over-threshold pending buffer outside the
-// shard lock, bounding memory when the owner never calls Flush.
-func (w *shardWAL) flushOversized() {
-	if err := w.flushPending(); err != nil {
-		w.p.fail(err)
-	}
+// flush moves the pending buffer to the active log file. The buffer is
+// swapped out under mu and written under flushMu alone, so appends (and
+// the shard locks they hold) never wait on disk.
+func (l *storeLog) flush() error {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
+	return l.flushLocked()
 }
 
-// cutTo flushes the shard's pending bytes into its current epoch and
-// advances the log to newEpoch: the snapshot taken in the same shard-lock
-// round covers everything before the cut, and everything after lands in
-// segments the snapshot does not cover. Called with the shard lock held,
-// which excludes concurrent appends; taking flushMu waits out any
-// in-flight flush of pre-cut bytes.
-func (w *shardWAL) cutTo(newEpoch uint64) error {
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	if err := w.writeOutLocked(); err != nil {
+// flushLocked is flush under a flushMu the caller holds. A failed write
+// stops the log before flushMu is released: it may have put part of the
+// buffer on disk, and a frame written after that would be acknowledged
+// yet sit past the torn one the next recovery stops at.
+func (l *storeLog) flushLocked() error {
+	l.mu.Lock()
+	buf := l.pending
+	// The next buffer may open a file, so it starts with a run header.
+	l.pending, l.last = l.spare[:0], nil
+	l.mu.Unlock()
+	l.spare = buf[:0]
+	if len(buf) == 0 {
+		return nil
+	}
+	var start time.Time
+	if l.metrics.walFlushSeconds != nil {
+		start = time.Now()
+	}
+	if err := l.write(buf); err != nil {
+		l.stopLocked()
 		return err
 	}
-	if newEpoch > w.epoch {
-		w.epoch = newEpoch
-		w.idx = 1
-		w.size = 0
+	if !start.IsZero() {
+		l.metrics.observeFlush(len(buf), time.Since(start))
 	}
 	return nil
 }
 
-// flushPending moves the pending buffer to the active segment file. The
-// buffer is swapped out under mu and written under flushMu alone, so
-// appends (and the shard lock they hold) never wait on disk. The sticky-
-// error check keeps failure fail-stop: a failed flush may have written
-// part of a buffer to disk, so retrying it would append those frames a
-// second time and the next recovery would replay duplicates. Once the
-// persister is failed, nothing writes again.
-func (w *shardWAL) flushPending() error {
-	if err := w.p.Err(); err != nil {
-		return err
-	}
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	return w.writeOutLocked()
-}
-
-// writeOutLocked swaps out and writes the pending buffer. Requires
-// flushMu.
-func (w *shardWAL) writeOutLocked() error {
-	w.mu.Lock()
-	buf := w.pending
-	w.pending = w.spare[:0]
-	// Clearing dirty at swap time (not after the write) lets an append
-	// racing the disk I/O re-queue the shard for the next Flush.
-	w.dirty = false
-	w.mu.Unlock()
-	m := w.p.store.metrics
-	var start time.Time
-	if m.walFlushSeconds != nil && len(buf) > 0 {
-		start = time.Now()
-	}
-	err := w.writeSegmentLocked(buf)
-	if !start.IsZero() && err == nil {
-		m.observeFlush(len(buf), time.Since(start))
-	}
-	w.spare = buf[:0]
-	return err
-}
-
-// writeSegmentLocked appends buf to the active segment, opening (and
-// rotating) segment files as needed. Requires flushMu.
-func (w *shardWAL) writeSegmentLocked(buf []byte) error {
-	if len(buf) == 0 {
-		return nil
-	}
-	if w.size == 0 {
-		// Starting a new segment; compaction may have removed the whole
-		// shard directory when the last snapshot covered every segment.
-		if err := os.MkdirAll(w.dirPath, 0o755); err != nil {
-			return fmt.Errorf("store: create WAL dir: %w", err)
+// write appends buf to the active file, creating it first when this is the
+// first write into (epoch, idx) and rotating after when it has filled.
+// Requires flushMu.
+func (l *storeLog) write(buf []byte) error {
+	if l.f == nil {
+		// O_EXCL: listLog numbered this file past every name on disk, so
+		// an existing one is a second writer or a bug, and appending a
+		// second magic into it would cost its frames at the next recovery.
+		f, err := os.OpenFile(filepath.Join(l.dir, logFile{l.epoch, l.idx}.name()), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if err != nil {
+			return fmt.Errorf("store: create log file: %w", err)
 		}
-	}
-	path := filepath.Join(w.dirPath, segmentName(w.epoch, w.idx))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if errors.Is(err, os.ErrNotExist) {
-		// A concurrent compaction can remove the shard directory between
-		// our MkdirAll and the open (it prunes directories left empty by
-		// the snapshot cut). Recreate and retry once rather than letting
-		// a transient ENOENT become the sticky durability error.
-		if merr := os.MkdirAll(w.dirPath, 0o755); merr == nil {
-			f, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("store: open segment: %w", err)
-	}
-	if w.size == 0 {
+		l.f = f
 		if _, err := f.WriteString(walMagic); err != nil {
-			f.Close()
-			return fmt.Errorf("store: write segment header: %w", err)
+			return fmt.Errorf("store: write log header: %w", err)
 		}
-		w.size = int64(len(walMagic))
+		l.size = int64(len(walMagic))
 	}
 	// No fsync here: the WAL's contract is process-crash durability
 	// (bytes handed to the kernel survive the process dying), and an
 	// fsync per flush would pay machine-crash prices without delivering
 	// machine-crash guarantees anyway — that would also need directory
-	// fsyncs on every segment create. Machine-crash checkpoints are the
+	// fsyncs on every file create. Machine-crash checkpoints are the
 	// snapshots, which writeFileAtomic fsyncs file and directory both.
-	n, werr := f.Write(buf)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	n, err := l.f.Write(buf)
+	l.size += int64(n)
+	if err != nil {
+		return fmt.Errorf("store: write log: %w", err)
 	}
-	w.size += int64(n)
-	if werr != nil {
-		return fmt.Errorf("store: write segment: %w", werr)
-	}
-	if w.size >= w.p.opts.SegmentSize {
-		w.idx++
-		w.size = 0
+	if l.size >= l.segmentSize {
+		return l.advance(l.epoch, l.idx+1)
 	}
 	return nil
 }
 
-// Snapshot writes a whole-store snapshot and compacts the WAL segments
-// it covers. The capture is a per-shard consistent cut: each shard's
-// records, generation, and WAL epoch advance are taken under one shard
-// lock hold, so no shard's records can straddle the snapshot boundary.
-func (p *Persister) Snapshot() error {
-	p.snapMu.Lock()
-	defer p.snapMu.Unlock()
-	if p.closed {
-		return errors.New("store: snapshot of closed persister")
+// advance closes the active file and points the series at (epoch, idx).
+// Requires flushMu.
+func (l *storeLog) advance(epoch, idx uint64) error {
+	var err error
+	if l.f != nil {
+		if err = l.f.Close(); err != nil {
+			err = fmt.Errorf("store: close log file: %w", err)
+		}
+		l.f = nil
 	}
-	if err := p.Err(); err != nil {
-		return err
-	}
-	_, err := p.snapshotLocked()
+	l.epoch, l.idx, l.size = epoch, idx, 0
 	return err
 }
 
-func (p *Persister) snapshotLocked() (uint64, error) {
-	start := time.Now()
-	seq, captures := p.store.snapshotCut(p)
-	var cutErr error
-	for _, c := range captures {
-		if c.walErr != nil && cutErr == nil {
-			cutErr = c.walErr
-		}
+// rotate flushes the pending buffer into the current epoch and starts the
+// next one, which it returns: the cut a snapshot is taken behind.
+func (l *storeLog) rotate() (uint64, error) {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
+	if err := l.flushLocked(); err != nil {
+		return 0, err
 	}
-	if cutErr != nil {
-		// Some shard could not flush its pre-cut records; writing this
-		// snapshot could then orphan them, so abort. The previous
-		// snapshot + WAL remain the recovery source.
-		return 0, p.fail(cutErr)
-	}
+	err := l.advance(l.epoch+1, 1)
+	return l.epoch, err
+}
 
+// stop ends the log: buffered and future frames are dropped (the store
+// stays readable; nothing is acknowledged any more) and the file closes.
+func (l *storeLog) stop() {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
+	l.stopLocked()
+}
+
+func (l *storeLog) stopLocked() {
+	l.mu.Lock()
+	l.stopped, l.pending, l.last = true, nil, nil
+	l.mu.Unlock()
+	if l.f != nil {
+		l.f.Close() // the error that stopped the log, if any, is already reported
+		l.f = nil
+	}
+}
+
+// Snapshot writes a whole-store snapshot and compacts the log files it
+// covers. The capture is a per-shard consistent cut: each shard's records
+// and generation are taken under one shard lock hold, so a shard's record
+// streams never disagree about where the snapshot ends.
+func (p *Persister) Snapshot() error {
+	p.snapMu.Lock()
+	defer p.snapMu.Unlock()
+	if err := p.writable(); err != nil {
+		return err
+	}
+	return p.snapshotLocked()
+}
+
+func (p *Persister) snapshotLocked() error {
+	start := time.Now()
+	// Rotate before listing the shards: a shard created after the list is
+	// taken is not in the snapshot, and every frame of it is then framed
+	// after the rotation too, into a file the snapshot does not cover. If
+	// the pre-cut bytes cannot be flushed the snapshot could orphan them,
+	// so abort; the previous snapshot + log remain the recovery source.
+	seq, err := p.log.rotate()
+	if err != nil {
+		return p.fail(err)
+	}
+	captures := p.store.captureAll()
+	// Whatever appends raced the captures is in some of them; putting it
+	// on disk before the snapshot is visible keeps what a crash right
+	// after recovers a prefix of the whole append history, not of each
+	// shard's.
+	if err := p.log.flush(); err != nil {
+		return p.fail(err)
+	}
 	state, err := writeSnapshotV2(p.dir, seq, captures, p.lastSnap)
 	if err != nil {
-		return 0, p.fail(err)
+		return p.fail(err)
 	}
 	p.lastSnap = state
 	if err := p.writeMeta(p.closed); err != nil {
-		return 0, p.fail(err)
+		return p.fail(err)
 	}
 	p.compact(seq)
 	m := p.store.metrics
@@ -710,7 +700,7 @@ func (p *Persister) snapshotLocked() (uint64, error) {
 	m.snapshotLinked.Add(uint64(state.linked))
 	m.snapshotEncoded.Add(uint64(state.encoded))
 	m.snapshotSeconds.Observe(time.Since(start))
-	return seq, nil
+	return nil
 }
 
 // writeMeta rewrites meta.json; clean is true only for the final write
@@ -724,9 +714,9 @@ func (p *Persister) writeMeta(clean bool) error {
 }
 
 // compact removes snapshot directories older than seq, in-progress .tmp
-// directories a crashed snapshot left, and WAL segments with epochs seq
-// covers. Best-effort: leftovers are ignored by recovery and retried by
-// the next compaction.
+// directories a crashed snapshot left, and the log files seq covers.
+// Best-effort: leftovers are ignored by recovery and retried by the next
+// compaction.
 func (p *Persister) compact(seq uint64) {
 	if ents, err := os.ReadDir(p.dir); err == nil {
 		for _, ent := range ents {
@@ -743,45 +733,27 @@ func (p *Persister) compact(seq uint64) {
 		}
 	}
 	walRoot := filepath.Join(p.dir, walDirName)
-	dirs, err := os.ReadDir(walRoot)
+	ents, err := os.ReadDir(walRoot)
 	if err != nil {
 		return
 	}
-	for _, d := range dirs {
-		if !d.IsDir() {
-			continue
-		}
-		shardDir := filepath.Join(walRoot, d.Name())
-		segs, err := os.ReadDir(shardDir)
-		if err != nil {
-			continue
-		}
-		remaining := 0
-		for _, seg := range segs {
-			epoch, idx, ok := parseSegmentName(seg.Name())
-			if !ok {
-				remaining++
-				continue
-			}
-			if epoch < seq {
-				if os.Remove(filepath.Join(shardDir, segmentName(epoch, idx))) != nil {
-					remaining++
-				}
-			} else {
-				remaining++
-			}
-		}
-		if remaining == 0 {
-			os.Remove(shardDir) // now empty; recreated on next append
+	for _, ent := range ents {
+		if ent.IsDir() {
+			// A per-market directory of the layout before the single log;
+			// Open refused any segment in it that a snapshot did not cover.
+			os.RemoveAll(filepath.Join(walRoot, ent.Name()))
+		} else if lf, ok := parseLogFileName(ent.Name()); ok && lf.epoch < seq {
+			os.Remove(filepath.Join(walRoot, ent.Name()))
 		}
 	}
 }
 
 // Close flushes outstanding WAL bytes, takes a final snapshot (so the
 // next Open replays no WAL), persists the clock, and stops the
-// durability layer. It returns the first durability error of the whole
-// session, so owners that ignore per-tick Flush errors still surface
-// them at shutdown.
+// durability layer: afterwards Flush, Snapshot and SaveCursor write
+// nothing and return an error. It returns the first durability error of
+// the whole session, so owners that ignore per-tick Flush errors still
+// surface them at shutdown.
 func (p *Persister) Close() error {
 	p.snapMu.Lock()
 	defer p.snapMu.Unlock()
@@ -790,37 +762,9 @@ func (p *Persister) Close() error {
 	}
 	p.closed = true
 	defer p.lock.Close() // releases the directory flock
-	if err := p.flushLocked(); err != nil {
-		return err
-	}
+	defer p.log.stop()
 	if err := p.Err(); err != nil {
 		return err
 	}
-	_, err := p.snapshotLocked()
-	return err
-}
-
-// snapshotCut atomically advances the segment epoch and captures every
-// shard. Running under the store lock closes the race with shard
-// creation: a shard either exists here (captured, WAL advanced) or is
-// created afterwards and mints its WAL handle at the new epoch — either
-// way no record can hide in a segment the snapshot claims to cover.
-func (s *Store) snapshotCut(p *Persister) (uint64, []shardCapture) {
-	s.mu.Lock()
-	p.mu.Lock()
-	p.epoch++
-	seq := p.epoch
-	p.mu.Unlock()
-	shards := make([]*shard, 0, len(s.shards))
-	for _, sh := range s.shards {
-		shards = append(shards, sh)
-	}
-	s.mu.Unlock()
-
-	sort.Slice(shards, func(i, j int) bool { return shards[i].key < shards[j].key })
-	captures := make([]shardCapture, len(shards))
-	for i, sh := range shards {
-		captures[i] = sh.capture(seq)
-	}
-	return seq, captures
+	return p.snapshotLocked() // its rotation flushes the pending bytes
 }

@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand/v2"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,13 +19,6 @@ import (
 )
 
 var persistBase = time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
-
-// crash abandons the persister without flushing or closing, releasing
-// the directory flock exactly the way a process death would — the tests'
-// stand-in for kill -9.
-func (p *Persister) crash() {
-	p.lock.Close()
-}
 
 func persistMarket(i int) market.SpotID {
 	zones := []market.Zone{"us-east-1a", "us-east-1b", "eu-west-1a", "ap-southeast-2a"}
@@ -167,8 +163,8 @@ func TestDurableRoundTripAfterClose(t *testing.T) {
 }
 
 func TestDurableRoundTripWALOnly(t *testing.T) {
-	// Flush but never Close: recovery must come entirely from WAL
-	// segments, with no snapshot written.
+	// Flush but never Close: recovery must come entirely from the log,
+	// with no snapshot written.
 	dir := t.TempDir()
 	s, err := Open(dir, PersistOptions{})
 	if err != nil {
@@ -181,11 +177,15 @@ func TestDurableRoundTripWALOnly(t *testing.T) {
 	if snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*")); len(snaps) != 0 {
 		t.Fatalf("unexpected snapshots before any Snapshot call: %v", snaps)
 	}
+	// Four markets, one log: a flush is one write into one file.
+	if ents, err := os.ReadDir(filepath.Join(dir, "wal")); err != nil || len(ents) != 1 {
+		t.Fatalf("wal/ holds %d entries after one flush (err %v), want the one log file", len(ents), err)
+	}
 
 	oracle := New()
 	appendWorkload(oracle, 4, 9)
 
-	s.Persister().crash()
+	s.Persister().Abandon()
 	re, err := Open(dir, PersistOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -209,7 +209,7 @@ func TestUnflushedAppendsAreLostCleanly(t *testing.T) {
 	}
 	app.AppendProbe(ProbeRecord{At: persistBase.Add(time.Minute), Market: id, Kind: ProbeSpot})
 
-	s.Persister().crash()
+	s.Persister().Abandon()
 	re, err := Open(dir, PersistOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -221,25 +221,30 @@ func TestUnflushedAppendsAreLostCleanly(t *testing.T) {
 
 func TestSnapshotCompactsWAL(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny segments force rotation so compaction has files to delete.
+	// A tiny segment size rotates the log after every flush, so
+	// compaction has files to delete.
 	s, err := Open(dir, PersistOptions{SegmentSize: 512})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	p := s.Persister()
-	appendWorkload(s, 3, 20)
-	if err := p.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+	oracle := New()
+	for round := 0; round < 3; round++ {
+		appendWorkload(s, 3, 20)
+		appendWorkload(oracle, 3, 20)
+		if err := p.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
 	}
-	preSegs := countSegments(t, dir)
+	preSegs := len(logFiles(t, dir))
 	if preSegs < 3 {
-		t.Fatalf("expected rotated segments before snapshot, got %d", preSegs)
+		t.Fatalf("expected rotated log files before snapshot, got %d", preSegs)
 	}
 	if err := p.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	if postSegs := countSegments(t, dir); postSegs != 0 {
-		t.Errorf("snapshot left %d uncovered segments, want 0", postSegs)
+	if postSegs := len(logFiles(t, dir)); postSegs != 0 {
+		t.Errorf("snapshot left %d covered log files, want 0", postSegs)
 	}
 	snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*"))
 	if len(snaps) != 1 {
@@ -249,18 +254,15 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 		t.Fatalf("snapshot %s is not a v2 directory (err=%v)", snaps[0], err)
 	}
 
-	// Post-snapshot appends land in fresh segments and replay on top.
+	// Post-snapshot appends land in a fresh file and replay on top.
 	id := persistMarket(0)
 	s.Appender(id).AppendProbe(ProbeRecord{At: persistBase.Add(100 * time.Hour), Market: id, Kind: ProbeSpot, Cost: 0.5})
 	if err := p.Flush(); err != nil {
 		t.Fatalf("Flush after snapshot: %v", err)
 	}
-
-	oracle := New()
-	appendWorkload(oracle, 3, 20)
 	oracle.AppendProbe(ProbeRecord{At: persistBase.Add(100 * time.Hour), Market: id, Kind: ProbeSpot, Cost: 0.5})
 
-	p.crash()
+	p.Abandon()
 	re, err := Open(dir, PersistOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -268,28 +270,87 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 	assertStoresEqual(t, re, oracle)
 }
 
-func countSegments(t *testing.T, dir string) int {
+// logFiles lists the data directory's log files in series order.
+func logFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, "wal", "*", "seg-*.wal"))
+	files, err := filepath.Glob(filepath.Join(dir, "wal", "log-*.wal"))
 	if err != nil {
 		t.Fatalf("glob: %v", err)
 	}
-	return len(segs)
+	sort.Strings(files)
+	return files
 }
 
-// persistOp is one appended record of the crash-recovery oracle log.
+// persistOp is one append round of the crash-recovery oracle log: n
+// records of one family into one market. apply feeds the round's first k
+// records to a store (a torn log tail can end inside a round).
 type persistOp struct {
-	market market.SpotID
-	apply  func(*Store)
+	n     int
+	apply func(st *Store, k int)
+}
+
+// randomRound draws one append round of n records: a random family into
+// one of the first markets persistMarkets, timestamps ascending from at.
+func randomRound(rng *rand.Rand, markets, n int, at time.Time) persistOp {
+	id := persistMarket(rng.IntN(markets))
+	stamp := func(i int) time.Time { return at.Add(time.Duration(i) * time.Second) }
+	switch rng.IntN(5) {
+	case 0:
+		recs := make([]ProbeRecord, n)
+		for i := range recs {
+			recs[i] = ProbeRecord{At: stamp(i), Market: id, Kind: ProbeKind(1 + rng.IntN(2)),
+				Trigger: TriggerRecheck, TriggerMarket: id,
+				Rejected: rng.IntN(3) == 0, Code: "cap", Cost: 0.02}
+		}
+		return persistOp{n, func(st *Store, k int) { st.AppendProbes(recs[:k]) }}
+	case 1:
+		recs := make([]SpikeEvent, n)
+		for i := range recs {
+			recs[i] = SpikeEvent{At: stamp(i), Market: id, Price: rng.Float64() * 2, Ratio: rng.Float64() * 3, Probed: rng.IntN(2) == 0}
+		}
+		return persistOp{n, func(st *Store, k int) { st.AppendSpikes(recs[:k]) }}
+	case 2:
+		recs := make([]PricePoint, n)
+		for i := range recs {
+			recs[i] = PricePoint{At: stamp(i), Price: rng.Float64()}
+		}
+		return persistOp{n, func(st *Store, k int) { st.RecordPrices(id, recs[:k]) }}
+	case 3:
+		recs := make([]BidSpreadRecord, n)
+		for i := range recs {
+			recs[i] = BidSpreadRecord{At: stamp(i), Market: id, Published: 1, Intrinsic: rng.Float64(), Attempts: rng.IntN(9)}
+		}
+		return persistOp{n, func(st *Store, k int) { st.AppendBidSpreads(recs[:k]) }}
+	default:
+		recs := make([]RevocationRecord, n)
+		for i := range recs {
+			recs[i] = RevocationRecord{At: stamp(i), Market: id, Bid: 1.2, Held: time.Duration(rng.IntN(3600)) * time.Second}
+		}
+		return persistOp{n, func(st *Store, k int) { st.AppendRevocations(recs[:k]) }}
+	}
+}
+
+// prefixOracle returns an in-memory store fed exactly the first k records
+// of the op log.
+func prefixOracle(log []persistOp, k uint64) *Store {
+	oracle := New()
+	for _, op := range log {
+		n := min(uint64(op.n), k)
+		op.apply(oracle, int(n))
+		if k -= n; k == 0 {
+			break
+		}
+	}
+	return oracle
 }
 
 // TestCrashRecoveryTruncatedWAL is the randomized crash-recovery
 // property test: a random append workload runs against a durable store
-// (small segments, snapshots and flushes sprinkled in), the active WAL
-// segment of a random victim market is hard-truncated at an arbitrary
-// byte offset, and the reopened store must exactly match an in-memory
-// store replaying the surviving per-shard prefix — aggregates, rollups,
-// and generations included.
+// (small log files, snapshots and flushes sprinkled in), the newest log
+// file is hard-truncated at an arbitrary byte offset, and the reopened
+// store must exactly match an in-memory store replaying the surviving
+// prefix of the append history — aggregates, rollups, and generations
+// included.
 func TestCrashRecoveryTruncatedWAL(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		seed := seed
@@ -305,37 +366,12 @@ func TestCrashRecoveryTruncatedWAL(t *testing.T) {
 
 			const markets = 6
 			var log []persistOp
-			appendOne := func() {
-				id := persistMarket(rng.IntN(markets))
-				at := persistBase.Add(time.Duration(len(log)) * time.Minute)
-				var op persistOp
-				op.market = id
-				switch rng.IntN(5) {
-				case 0:
-					rec := ProbeRecord{At: at, Market: id, Kind: ProbeKind(1 + rng.IntN(2)),
-						Trigger: TriggerRecheck, TriggerMarket: id,
-						Rejected: rng.IntN(3) == 0, Code: "cap", Cost: 0.02}
-					op.apply = func(st *Store) { st.AppendProbe(rec) }
-				case 1:
-					e := SpikeEvent{At: at, Market: id, Price: rng.Float64() * 2, Ratio: rng.Float64() * 3, Probed: rng.IntN(2) == 0}
-					op.apply = func(st *Store) { st.AppendSpike(e) }
-				case 2:
-					pt := PricePoint{At: at, Price: rng.Float64()}
-					op.apply = func(st *Store) { st.RecordPrice(id, pt) }
-				case 3:
-					b := BidSpreadRecord{At: at, Market: id, Published: 1, Intrinsic: rng.Float64(), Attempts: rng.IntN(9)}
-					op.apply = func(st *Store) { st.AppendBidSpread(b) }
-				default:
-					rv := RevocationRecord{At: at, Market: id, Bid: 1.2, Held: time.Duration(rng.IntN(3600)) * time.Second}
-					op.apply = func(st *Store) { st.AppendRevocation(rv) }
-				}
-				op.apply(s)
-				log = append(log, op)
-			}
-
+			var snapshotted uint64
 			steps := 200 + rng.IntN(300)
 			for i := 0; i < steps; i++ {
-				appendOne()
+				op := randomRound(rng, markets, 1, persistBase.Add(time.Duration(i)*time.Minute))
+				op.apply(s, op.n)
+				log = append(log, op)
 				if rng.IntN(25) == 0 {
 					if err := p.Flush(); err != nil {
 						t.Fatalf("Flush: %v", err)
@@ -345,27 +381,23 @@ func TestCrashRecoveryTruncatedWAL(t *testing.T) {
 					if err := p.Snapshot(); err != nil {
 						t.Fatalf("Snapshot: %v", err)
 					}
+					snapshotted = s.GlobalGeneration()
 				}
 			}
 			if err := p.Flush(); err != nil {
 				t.Fatalf("final Flush: %v", err)
 			}
 
-			// Crash: truncate the victim's newest segment at a random
-			// offset, chopping off a suffix of its log (possibly
-			// mid-frame).
-			p.crash()
-			victim := persistMarket(rng.IntN(markets))
-			segs, _ := filepath.Glob(filepath.Join(dir, "wal", marketDirName(victim), "seg-*.wal"))
-			if len(segs) > 0 {
-				sort.Strings(segs)
-				target := segs[len(segs)-1]
+			// Crash: truncate the newest log file at a random offset,
+			// chopping off a suffix of the log (possibly mid-frame).
+			p.Abandon()
+			if files := logFiles(t, dir); len(files) > 0 {
+				target := files[len(files)-1]
 				info, err := os.Stat(target)
 				if err != nil {
 					t.Fatalf("stat: %v", err)
 				}
-				cut := rng.Int64N(info.Size() + 1)
-				if err := os.Truncate(target, cut); err != nil {
+				if err := os.Truncate(target, rng.Int64N(info.Size()+1)); err != nil {
 					t.Fatalf("truncate: %v", err)
 				}
 			}
@@ -375,39 +407,241 @@ func TestCrashRecoveryTruncatedWAL(t *testing.T) {
 				t.Fatalf("reopen after crash: %v", err)
 			}
 
-			// The recovered victim state must be an exact prefix of its
-			// append history; every other market must be complete. Use
-			// the recovered per-market generations (== records
-			// recovered) to find each prefix length, then replay those
-			// prefixes into a pristine in-memory store as the oracle.
-			oracle := New()
-			applied := make(map[market.SpotID]uint64)
-			for _, op := range log {
-				if applied[op.market] >= re.Generation(op.market) {
-					continue
-				}
-				op.apply(oracle)
-				applied[op.market]++
+			// The recovered state must be an exact prefix of the append
+			// history, no shorter than what the last snapshot holds. The
+			// recovered generation (== records recovered) is the prefix
+			// length; replay that prefix into a pristine in-memory store
+			// as the oracle.
+			k := re.GlobalGeneration()
+			if k < snapshotted || k > uint64(len(log)) {
+				t.Fatalf("recovered %d records; the last snapshot held %d and %d were appended", k, snapshotted, len(log))
 			}
-			for m := 0; m < markets; m++ {
-				id := persistMarket(m)
-				want := uint64(0)
-				for _, op := range log {
-					if op.market == id {
-						want++
-					}
-				}
-				got := re.Generation(id)
-				if got > want {
-					t.Fatalf("market %v recovered %d records, more than the %d appended", id, got, want)
-				}
-				if id != victim && got != want {
-					t.Fatalf("untruncated market %v recovered %d of %d records", id, got, want)
-				}
-			}
-			assertStoresEqual(t, re, oracle)
+			assertStoresEqual(t, re, prefixOracle(log, k))
 		})
 	}
+}
+
+// TestRecoveryIsAGlobalPrefix: whatever a crash leaves of the log,
+// recovery is a prefix of the store's whole append history — not of each
+// market's — that holds every acknowledged record, and it is the same
+// prefix, bit for bit, every time the directory is opened. Seeded random
+// interleavings of the five families over ten markets in rounds of one to
+// four records, flushes and snapshots at random points, log files of a
+// few rounds each; then a last flush is torn: the newest log file is cut
+// at a random byte at or past where the previous flush left it.
+func TestRecoveryIsAGlobalPrefix(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		seed := seed
+		t.Run("", func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewPCG(seed, 0x910ba1))
+			dir := t.TempDir()
+			s, err := Open(dir, PersistOptions{SegmentSize: 1 << 10})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			p := s.Persister()
+
+			const markets = 10
+			var log []persistOp
+			appendRounds := func(n int) {
+				for i := 0; i < n; i++ {
+					op := randomRound(rng, markets, 1+rng.IntN(4), persistBase.Add(time.Duration(len(log))*time.Minute))
+					op.apply(s, op.n)
+					log = append(log, op)
+				}
+			}
+			for i, steps := 0, 30+rng.IntN(60); i < steps; i++ {
+				appendRounds(1 + rng.IntN(8))
+				switch rng.IntN(12) {
+				case 0:
+					if err := p.Snapshot(); err != nil {
+						t.Fatalf("Snapshot: %v", err)
+					}
+				case 1, 2, 3, 4:
+					if err := p.Flush(); err != nil {
+						t.Fatalf("Flush: %v", err)
+					}
+				}
+			}
+			if err := p.Flush(); err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
+			acked := s.GlobalGeneration()
+			var ackedFile string
+			var ackedSize int64
+			if files := logFiles(t, dir); len(files) > 0 {
+				ackedFile = files[len(files)-1]
+				info, err := os.Stat(ackedFile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ackedSize = info.Size()
+			}
+
+			// The flush the crash tears: one write, into the newest file.
+			appendRounds(1 + rng.IntN(8))
+			if err := p.Flush(); err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
+			total := s.GlobalGeneration()
+			p.Abandon()
+			files := logFiles(t, dir)
+			target := files[len(files)-1]
+			info, err := os.Stat(target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			floor := int64(0) // the torn write opened the file, unless
+			if target == ackedFile {
+				floor = ackedSize
+			}
+			if err := os.Truncate(target, floor+rng.Int64N(info.Size()-floor+1)); err != nil {
+				t.Fatalf("truncate: %v", err)
+			}
+
+			re, err := Open(dir, PersistOptions{})
+			if err != nil {
+				t.Fatalf("reopen after crash: %v", err)
+			}
+			k := re.GlobalGeneration()
+			if k < acked || k > total {
+				t.Fatalf("recovered %d records, want between the %d acknowledged and the %d appended", k, acked, total)
+			}
+			assertStoresEqual(t, re, prefixOracle(log, k))
+
+			// The first recovery repaired the directory; a second one must
+			// find the same store in it, float sums included.
+			re.Persister().Abandon()
+			again, err := Open(dir, PersistOptions{})
+			if err != nil {
+				t.Fatalf("second reopen: %v", err)
+			}
+			defer again.Persister().Close()
+			assertStoresEqual(t, again, re)
+			now := persistBase.Add(30 * 24 * time.Hour)
+			if g, w := again.RegionAggregates(now), re.RegionAggregates(now); !reflect.DeepEqual(g, w) {
+				t.Errorf("second recovery folded different region sums:\n got: %+v\nwant: %+v", g, w)
+			}
+			if g, w := again.RegionProductAggregates(now), re.RegionProductAggregates(now); !reflect.DeepEqual(g, w) {
+				t.Errorf("second recovery folded different (region, product) sums:\n got: %+v\nwant: %+v", g, w)
+			}
+		})
+	}
+}
+
+// TestReplaySkipsFramesTheSnapshotCovers: a snapshot rotates the log
+// before it captures the shards, so a record appended in between is in
+// both the capture and the new epoch's log. Replay must apply it once —
+// the manifest's record count says which log frames the snapshot already
+// holds. The overlap is built by hand here (it needs an append racing a
+// snapshot): the last two snapshotted records of one market are framed
+// again ahead of a new one.
+func TestReplaySkipsFramesTheSnapshotCovers(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, PersistOptions{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	a, b := persistMarket(0), persistMarket(1)
+	var as []PricePoint
+	for i := 0; i < 5; i++ {
+		as = append(as, PricePoint{At: persistBase.Add(time.Duration(i) * time.Minute), Price: float64(i + 1)})
+	}
+	s.RecordPrices(a, as[:4])
+	s.AppendSpike(SpikeEvent{At: persistBase, Market: b, Ratio: 2})
+	if err := s.Persister().Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	s.Persister().Abandon()
+
+	log := appendRunHeader([]byte(walMagic), a, 2)
+	for _, p := range as[2:] { // records 3 and 4 are in the snapshot, 5 is new
+		log = appendPriceFrame(log, p)
+	}
+	log = appendRunHeader(log, b, 1)
+	log = appendSpikeFrame(log, SpikeEvent{At: persistBase.Add(time.Hour), Market: b, Ratio: 3})
+	snap, err := findLatestSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, next, err := listLog(filepath.Join(dir, "wal"), snap.seq)
+	if err != nil || len(files) != 0 {
+		t.Fatalf("log files after the snapshot: %v, %v", files, err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal", next.name()), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	oracle := New()
+	oracle.RecordPrices(a, as)
+	oracle.AppendSpike(SpikeEvent{At: persistBase, Market: b, Ratio: 2})
+	oracle.AppendSpike(SpikeEvent{At: persistBase.Add(time.Hour), Market: b, Ratio: 3})
+	re, err := Open(dir, PersistOptions{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Persister().Close()
+	assertStoresEqual(t, re, oracle)
+}
+
+// TestSnapshotUnderConcurrentAppends: snapshots cut while appenders run —
+// on shards that exist and on ones the appenders create mid-snapshot —
+// lose nothing and double nothing. Whatever the interleaving, every record
+// is in the snapshot, in a log file it does not cover, or in both and
+// skipped by ordinal; after a final flush a crash must recover exactly
+// the store that was running.
+func TestSnapshotUnderConcurrentAppends(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, PersistOptions{SegmentSize: 1 << 14})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	p := s.Persister()
+	const idle, writers, rounds = 400, 4, 400
+	// Idle shards that sort (and so are captured) ahead of the writers'
+	// keep every snapshot's cut open long enough for appends to land
+	// between its log rotation and their shard's capture.
+	for i := 0; i < idle; i++ {
+		s.RecordPrice(market.SpotID{Zone: "ap-south-1a", Type: market.InstanceType(fmt.Sprintf("m%d.large", i)), Product: market.ProductLinux},
+			PricePoint{At: persistBase, Price: 1})
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				// Each writer cycles through its own markets, opening a new
+				// shard every 50 rounds.
+				id := concMarket(w*100 + i/50)
+				at := persistBase.Add(time.Duration(i) * time.Minute)
+				s.AppendProbe(ProbeRecord{At: at, Market: id, Kind: ProbeOnDemand, Rejected: i%5 == 0, Cost: 0.01})
+				s.RecordPrices(id, []PricePoint{{At: at, Price: 0.1}, {At: at.Add(time.Second), Price: 0.2}})
+			}
+		}(w)
+	}
+	// Snapshot while the first half lands, so the newest snapshot's cut
+	// raced appends and the log past it is not empty.
+	for s.GlobalGeneration() < idle+writers*rounds*3/2 {
+		if err := p.Snapshot(); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+	}
+	wg.Wait()
+	if got, want := s.GlobalGeneration(), uint64(idle+writers*rounds*3); got != want {
+		t.Fatalf("appended %d records, want %d", got, want)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	p.Abandon()
+	re, err := Open(dir, PersistOptions{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Persister().Close()
+	assertStoresEqual(t, re, s)
 }
 
 // TestWriteJSONConsistentCut is the regression test for the documented
@@ -526,7 +760,7 @@ func TestClockResumesFromRecoveredRecordsAfterCrash(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	p.crash()
+	p.Abandon()
 
 	re, err := Open(dir, PersistOptions{})
 	if err != nil {
@@ -560,7 +794,7 @@ func TestSaltRotatesAfterCrashOnly(t *testing.T) {
 	if got := s2.Persister().Salt(); got != salt {
 		t.Errorf("salt rotated across a clean restart: %d -> %d", salt, got)
 	}
-	s2.Persister().crash()
+	s2.Persister().Abandon()
 
 	s3, err := Open(dir, PersistOptions{})
 	if err != nil {
@@ -592,18 +826,16 @@ func TestOpenLocksDataDir(t *testing.T) {
 }
 
 func TestOpenDropsHeaderOnlySegment(t *testing.T) {
-	// A crash between a segment's magic write and its first frame write
-	// leaves a header-only file for a market that may hold no records at
-	// all. Recovery must remove it, so a later append cannot reuse the
-	// name and stack a second magic into the same file (which the next
-	// recovery would read as corruption, discarding acknowledged frames).
+	// A crash between a log file's magic write and its first frame write
+	// leaves a header-only file. Recovery must remove it (it holds nothing)
+	// and must never append into it: a second magic stacked into the file
+	// would read as corruption at the next recovery, discarding
+	// acknowledged frames.
 	dir := t.TempDir()
-	id := persistMarket(0)
-	shardDir := filepath.Join(dir, "wal", marketDirName(id))
-	if err := os.MkdirAll(shardDir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	orphan := filepath.Join(shardDir, segmentName(1, 1))
+	orphan := filepath.Join(dir, "wal", logFile{1, 1}.name())
 	if err := os.WriteFile(orphan, []byte(walMagic), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -613,13 +845,14 @@ func TestOpenDropsHeaderOnlySegment(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatalf("header-only segment survived recovery: stat err = %v", err)
+		t.Fatalf("header-only log file survived recovery: stat err = %v", err)
 	}
+	id := persistMarket(0)
 	s.Appender(id).AppendProbe(ProbeRecord{At: persistBase, Market: id, Kind: ProbeSpot})
 	if err := s.Persister().Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	s.Persister().crash()
+	s.Persister().Abandon()
 
 	re, err := Open(dir, PersistOptions{})
 	if err != nil {
@@ -682,7 +915,7 @@ func TestOpenRejectsV1Snapshot(t *testing.T) {
 	if err := s.Persister().Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	s.Persister().crash()
+	s.Persister().Abandon()
 	v1 := filepath.Join(dir, "snapshot-00000001.json")
 	if err := os.WriteFile(v1, []byte(`{"probes":[]}`), 0o644); err != nil {
 		t.Fatal(err)
@@ -710,11 +943,133 @@ func TestOpenRejectsV1Snapshot(t *testing.T) {
 }
 
 func TestOpenRejectsBadWALDir(t *testing.T) {
+	// Before the single log every market had its own segment directory,
+	// wal/<market>/seg-<epoch>-<idx>.wal, which this version cannot read.
+	// A cleanly closed directory of that layout holds a snapshot and, at
+	// most, segments the snapshot covers: it opens unchanged. A segment
+	// the snapshot does not cover holds records only it has; Open must
+	// refuse it by path rather than present their loss as success.
 	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "wal", "not-a-market"), 0o755); err != nil {
+	s, err := Open(dir, PersistOptions{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	appendWorkload(s, 2, 5)
+	if err := s.Persister().Close(); err != nil { // snapshot-00000002, empty wal/
+		t.Fatalf("Close: %v", err)
+	}
+	oldSegment := func(epoch uint64) string {
+		t.Helper()
+		shardDir := filepath.Join(dir, "wal", url.PathEscape(persistMarket(0).String()))
+		if err := os.MkdirAll(shardDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		seg := filepath.Join(shardDir, fmt.Sprintf("seg-%08d-00000001.wal", epoch))
+		frame := appendPriceFrame([]byte("SPOTWAL1"), PricePoint{At: persistBase, Price: 1})
+		if err := os.WriteFile(seg, frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return seg
+	}
+
+	covered := oldSegment(1) // compaction's leftover: epoch 1 < snapshot 2
+	re, err := Open(dir, PersistOptions{})
+	if err != nil {
+		t.Fatalf("Open of a cleanly closed old-layout directory: %v", err)
+	}
+	assertStoresEqual(t, re, s)
+	if err := re.Persister().Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if _, err := os.Stat(filepath.Dir(covered)); !os.IsNotExist(err) {
+		t.Errorf("the covered old-layout directory survived a snapshot's compaction: stat err = %v", err)
+	}
+
+	uncovered := oldSegment(9)
+	got, err := Open(dir, PersistOptions{})
+	if err == nil || got != nil {
+		t.Fatalf("Open = (%v, %v), want no store and an error", got, err)
+	}
+	if !strings.Contains(err.Error(), uncovered) || !strings.Contains(err.Error(), "previous release") {
+		t.Errorf("error %q does not name %s and the remedy", err, uncovered)
+	}
+	// The failed Open released the directory.
+	if err := os.RemoveAll(filepath.Dir(uncovered)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, PersistOptions{}); err == nil {
-		t.Fatal("Open accepted a WAL directory that is not a market ID")
+	re, err = Open(dir, PersistOptions{})
+	if err != nil {
+		t.Fatalf("Open after removing the segment: %v", err)
+	}
+	re.Persister().Close()
+}
+
+// TestNoWritesAfterClose: Close releases the data directory — another
+// process may own it by the time a late caller flushes — so afterwards
+// Flush, Snapshot and SaveCursor all refuse with the same error, appends
+// are dropped from the log instead of buffered (the store itself stays
+// readable and writable in memory), and not a byte of the directory
+// changes.
+func TestNoWritesAfterClose(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, PersistOptions{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	p := s.Persister()
+	appendWorkload(s, 2, 5)
+	if err := p.SaveCursor([]byte(`{"x":1}`)); err != nil {
+		t.Fatalf("SaveCursor: %v", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	owner, err := Open(dir, PersistOptions{}) // the directory's next owner
+	if err != nil {
+		t.Fatalf("second Open: %v", err)
+	}
+	defer owner.Persister().Close()
+	listing := func() string {
+		var b strings.Builder
+		err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+			if err == nil && !info.IsDir() {
+				data, rerr := os.ReadFile(path)
+				fmt.Fprintf(&b, "%s %x\n", path, data)
+				err = rerr
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	want := listing()
+
+	// Enough late appends to cross the log's inline-flush threshold.
+	gen := s.GlobalGeneration()
+	for i := 0; i < 4; i++ {
+		appendWorkload(s, 2, 600)
+	}
+	if s.GlobalGeneration() == gen {
+		t.Fatal("the closed store stopped accepting in-memory appends")
+	}
+	if n := len(p.log.pending); n != 0 {
+		t.Errorf("the closed log buffered %d bytes it can never write", n)
+	}
+	for name, err := range map[string]error{
+		"Flush":      p.Flush(),
+		"Snapshot":   p.Snapshot(),
+		"SaveCursor": p.SaveCursor([]byte(`{"x":2}`)),
+	} {
+		if !errors.Is(err, errPersisterClosed) {
+			t.Errorf("%s after Close = %v, want %v", name, err, errPersisterClosed)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Errorf("second Close = %v, want the first one's nil", err)
+	}
+	if got := listing(); got != want {
+		t.Errorf("the data directory changed after Close:\n got: %.600s\nwant: %.600s", got, want)
 	}
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,136 +14,190 @@ import (
 	"spotlight/internal/market"
 )
 
-// Parallel recovery. The data directory is naturally partitioned by
-// market — one snapshot shard file and one WAL segment directory per
-// market — and the store's in-memory state is partitioned the same way,
-// so recovery decodes and rebuilds every market concurrently: one
-// replay task per market, a worker pool of up to GOMAXPROCS goroutines,
-// and no locks on the hot path (the store is not published until Open
-// returns, and exactly one worker ever touches a given shard).
+// Recovery. The snapshot is partitioned by market — one shard file each —
+// and so is the store's in-memory state, so recovery decodes and rebuilds
+// every market concurrently: one replay task per market, a worker pool of
+// up to GOMAXPROCS goroutines, and no locks on the hot path (the store is
+// not published until Open returns, and exactly one worker ever touches a
+// given shard). The log is one series for every market, so one serial
+// pass goes first (scanLog): it checks every frame's checksum, finds the
+// one place the log can end early, and splits the record frames into
+// per-market runs for the workers to decode.
 //
 // The only cross-shard state — the rollup hierarchy's scope aggregates,
 // float sums included, and the global generation counter — is NOT
 // touched by the workers. Each task accumulates one rollupDelta (the
-// same additive delta the live append path folds per batch) plus its
-// shard's torn-tail surgery results, and a sequential finalize pass
-// walks the tasks in market-ID order, adopting each recovered shard
-// into the store and publishing its delta. Every float therefore folds
-// in the same order on every recovery of the same directory, keeping
-// recovered stores bit-identical run to run — the workers only decide
-// *when* a shard's records are decoded, never the order anything is
-// summed.
+// same additive delta the live append path folds per batch), and a
+// sequential finalize pass walks the tasks in market-ID order, adopting
+// each recovered shard into the store and publishing its delta. Every
+// float therefore folds in the same order on every recovery of the same
+// directory, keeping recovered stores bit-identical run to run — the
+// workers only decide *when* a shard's records are decoded, never the
+// order anything is summed.
 
 // replayTask is one market's unit of recovery work: its snapshot shard
-// file plus its WAL segments.
+// file plus its runs of log frames.
 type replayTask struct {
 	// sh is the shard the task rebuilds; finalize adopts it into the
 	// store.
 	sh *shard
 
 	// snapPath/snapRecords name the market's snapshot shard file and the
-	// record count its manifest pins; empty when the snapshot does not
-	// cover this market.
+	// record count its manifest pins; empty and zero when the snapshot
+	// does not cover this market.
 	snapPath    string
 	snapRecords uint64
 
-	dirPath string // the market's WAL segment directory
-	segs    []segPos
+	// Filled by the serial log pass: next is the shard record count after
+	// the market's log frames seen so far, runs the record frames past
+	// snapRecords, in log order, aliasing the file images.
+	next uint64
+	runs [][]byte
 
 	// Worker results.
 	delta rollupDelta
-	last  segPos
 	maxAt time.Time
 	err   error
 }
 
-// buildReplayTasks enumerates the markets recovery must rebuild: the
-// union of the snapshot manifest's shards and the WAL's segment
-// directories. Segment names are parsed here (serially — it is cheap
-// directory metadata) so maxEpoch accounts for every segment, including
-// ones the snapshot covers and ones a worker later removes.
-func buildReplayTasks(walRoot string, info snapInfo) (tasks []*replayTask, maxEpoch uint64, err error) {
-	byID := make(map[market.SpotID]*replayTask)
-	task := func(id market.SpotID) *replayTask {
-		t := byID[id]
-		if t == nil {
-			t = &replayTask{sh: newShard(id)}
-			byID[id] = t
-		}
-		return t
-	}
+// recovery is the state of one Open's replay: the tasks by market, and the
+// string table the serial log pass decodes run headers with.
+type recovery struct {
+	tasks  map[market.SpotID]*replayTask
+	intern map[string]string
+}
 
+func newRecovery() *recovery {
+	return &recovery{tasks: make(map[market.SpotID]*replayTask), intern: make(map[string]string)}
+}
+
+func (r *recovery) task(id market.SpotID) *replayTask {
+	t := r.tasks[id]
+	if t == nil {
+		t = &replayTask{sh: newShard(id)}
+		r.tasks[id] = t
+	}
+	return t
+}
+
+// openRun decodes a run header and returns its market's task, provided the
+// run continues the shard's record count: from where the market's previous
+// run ended, or from anywhere further that the snapshot still covers.
+func (r *recovery) openRun(body []byte) (*replayTask, error) {
+	id, before, err := decodeRunHeader(body, r.intern)
+	if err != nil {
+		return nil, err
+	}
+	t := r.task(id)
+	if held := max(t.next, t.snapRecords); before < t.next || before > held {
+		return nil, fmt.Errorf("%w: run of %v continues from record %d, its shard holds %d", ErrWALCorrupt, id, before, held)
+	}
+	t.next = before
+	return t, nil
+}
+
+// scanLog is the serial pass over one log file image. It checks every
+// frame's checksum without decoding a record, follows the run headers, and
+// hands each run's frames to its market's task, minus the ones whose
+// ordinal the snapshot already covers (appended between a snapshot's log
+// rotation and that shard's capture, they are in both). It returns the
+// byte length of the valid prefix; err is nil only when the whole image is
+// valid, and whatever the prefix holds has been handed over either way.
+func (r *recovery) scanLog(data []byte) (validLen int, err error) {
+	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
+		return 0, fmt.Errorf("%w: bad log magic", ErrWALCorrupt)
+	}
+	var t *replayTask // the market of the current run
+	keep := -1        // offset of the run's first frame to replay; -1 while the snapshot covers them
+	endRun := func(end int) {
+		if keep >= 0 {
+			t.runs = append(t.runs, data[keep:end])
+		}
+		keep = -1
+	}
+	off := len(walMagic)
+	for off < len(data) {
+		typ, body, n, ferr := decodeWALFrame(data[off:])
+		switch {
+		case ferr != nil:
+		case typ == walRunHeader:
+			endRun(off)
+			t, ferr = r.openRun(body)
+		case t == nil:
+			ferr = fmt.Errorf("%w: record frame before any run header", ErrWALCorrupt)
+		case typ < walProbe || typ > walPrice:
+			ferr = fmt.Errorf("%w: unknown frame type %d", ErrWALCorrupt, typ)
+		default:
+			if keep < 0 && t.next >= t.snapRecords {
+				keep = off
+			}
+			t.next++
+		}
+		if ferr != nil {
+			endRun(off)
+			return off, ferr
+		}
+		off += n
+	}
+	endRun(off)
+	return off, nil
+}
+
+// replayParallel is the one recovery loader: it rebuilds the store from
+// the newest snapshot (info.seq 0: none) and the log files past it — one
+// serial pass over the log, one task per market fanned out to the workers,
+// then a sequential finalize in market-ID order. Returns the newest
+// recovered record timestamp.
+func replayParallel(walRoot string, files []logFile, info snapInfo, s *Store) (time.Time, error) {
+	r := newRecovery()
 	for _, msh := range info.manifest.Shards {
 		id, perr := market.ParseSpotID(msh.Market)
 		if perr != nil {
-			return nil, 0, fmt.Errorf("store: snapshot manifest market %q: %w", msh.Market, perr)
+			return time.Time{}, fmt.Errorf("store: snapshot manifest market %q: %w", msh.Market, perr)
 		}
-		t := task(id)
+		t := r.task(id)
 		t.snapPath = filepath.Join(info.dirPath, msh.File)
 		t.snapRecords = msh.Records
 	}
 
-	ents, err := os.ReadDir(walRoot)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: list %s: %w", walRoot, err)
-	}
-	for _, ent := range ents {
-		if !ent.IsDir() {
+	// The serial log pass. The first damaged frame — in practice the torn
+	// tail of a crash mid-flush, in the newest file — ends the log: the
+	// file is cut back to its valid prefix and every later file dropped,
+	// so this and every future recovery see the same prefix of the append
+	// history. A file with nothing past its magic (a crash between the
+	// header write and the first frame write) holds nothing to keep.
+	for i, lf := range files {
+		path := filepath.Join(walRoot, lf.name())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return time.Time{}, fmt.Errorf("store: read %s: %w", path, err)
+		}
+		validLen, serr := r.scanLog(data)
+		if validLen <= len(walMagic) {
+			err = os.Remove(path)
+		} else if serr != nil {
+			err = os.Truncate(path, int64(validLen))
+		}
+		if err != nil {
+			return time.Time{}, fmt.Errorf("store: trim damaged %s: %w", path, err)
+		}
+		if serr == nil {
 			continue
 		}
-		idStr, uerr := url.PathUnescape(ent.Name())
-		if uerr != nil {
-			return nil, 0, fmt.Errorf("store: WAL dir %q: %w", ent.Name(), uerr)
-		}
-		id, perr := market.ParseSpotID(idStr)
-		if perr != nil {
-			return nil, 0, fmt.Errorf("store: WAL dir %q: %w", ent.Name(), perr)
-		}
-		t := task(id)
-		t.dirPath = filepath.Join(walRoot, ent.Name())
-		segEnts, serr := os.ReadDir(t.dirPath)
-		if serr != nil {
-			return nil, 0, fmt.Errorf("store: list %s: %w", t.dirPath, serr)
-		}
-		for _, se := range segEnts {
-			epoch, idx, ok := parseSegmentName(se.Name())
-			if !ok {
-				continue
+		for _, later := range files[i+1:] {
+			lp := filepath.Join(walRoot, later.name())
+			if err := os.Remove(lp); err != nil {
+				return time.Time{}, fmt.Errorf("store: drop unreachable %s: %w", lp, err)
 			}
-			if epoch > maxEpoch {
-				maxEpoch = epoch
-			}
-			if epoch < info.seq {
-				continue // covered by the snapshot; compaction will remove it
-			}
-			t.segs = append(t.segs, segPos{epoch: epoch, idx: idx})
 		}
-		sort.Slice(t.segs, func(i, j int) bool {
-			if t.segs[i].epoch != t.segs[j].epoch {
-				return t.segs[i].epoch < t.segs[j].epoch
-			}
-			return t.segs[i].idx < t.segs[j].idx
-		})
+		break
 	}
 
-	tasks = make([]*replayTask, 0, len(byID))
-	for _, t := range byID {
+	tasks := make([]*replayTask, 0, len(r.tasks))
+	for _, t := range r.tasks {
 		tasks = append(tasks, t)
 	}
 	sort.Slice(tasks, func(i, j int) bool { return tasks[i].sh.key < tasks[j].sh.key })
-	return tasks, maxEpoch, nil
-}
-
-// replayParallel is the one recovery loader: it rebuilds the store from
-// the newest snapshot (info.seq 0: none) and the WAL segments past it —
-// fan out one task per market, then finalize sequentially in market-ID
-// order. Returns each shard's last segment position (for attachPersister)
-// and the newest recovered record timestamp.
-func replayParallel(walRoot string, info snapInfo, s *Store) (map[market.SpotID]segPos, uint64, time.Time, error) {
-	tasks, maxEpoch, err := buildReplayTasks(walRoot, info)
-	if err != nil {
-		return nil, 0, time.Time{}, err
-	}
 
 	// Replay is a bounded bulk load: the heap grows monotonically toward
 	// the store's steady-state size, and every column is reserved to its
@@ -180,28 +233,23 @@ func replayParallel(walRoot string, info snapInfo, s *Store) (map[market.SpotID]
 	// Finalize in market-ID order (tasks are already sorted): adopt the
 	// worker-built shards and fold each task's delta into the rollup
 	// hierarchy — the deterministic sum order every recovery repeats.
-	positions := make(map[market.SpotID]segPos)
 	var maxAt time.Time
 	for _, t := range tasks {
 		if t.err != nil {
-			return nil, 0, time.Time{}, t.err
+			return time.Time{}, t.err
 		}
 		if t.sh.gen.Load() == 0 {
-			// No records recovered for this market (e.g. only header-only
-			// segments, since removed): shards exist iff they hold records,
-			// so nothing to adopt and no position to remember.
+			// No records recovered for this market (a run header was its
+			// last valid frame): shards exist iff they hold records.
 			continue
 		}
 		s.adoptShard(t.sh)
 		t.sh.publish(&t.delta)
-		if t.last != (segPos{}) {
-			positions[t.sh.id] = t.last
-		}
 		if t.maxAt.After(maxAt) {
 			maxAt = t.maxAt
 		}
 	}
-	return positions, maxEpoch, maxAt, nil
+	return maxAt, nil
 }
 
 // frameCounts counts a byte stream's frames per record type — a cheap
@@ -249,13 +297,12 @@ func (sh *shard) reserveFor(c frameCounts) {
 	}
 }
 
-// run decodes one market's snapshot shard file and WAL segments into its
+// run decodes one market's snapshot shard file and log runs into its
 // shard. No locks: the shard is exclusively this worker's until finalize.
 func (t *replayTask) run(intern map[string]string) {
 	// Read everything first and pre-count frames, so the columns get
 	// exactly one allocation each before the decode loop starts.
 	var snapData []byte
-	segData := make([][]byte, len(t.segs))
 	var counts frameCounts
 	if t.snapPath != "" {
 		data, err := os.ReadFile(t.snapPath)
@@ -266,15 +313,8 @@ func (t *replayTask) run(intern map[string]string) {
 		snapData = data
 		countFrames(&counts, data, len(snapMagic))
 	}
-	for i, seg := range t.segs {
-		path := filepath.Join(t.dirPath, segmentName(seg.epoch, seg.idx))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.err = fmt.Errorf("store: read %s: %w", path, err)
-			return
-		}
-		segData[i] = data
-		countFrames(&counts, data, len(walMagic))
+	for _, run := range t.runs {
+		countFrames(&counts, run, 0)
 	}
 	t.sh.reserveFor(counts)
 
@@ -286,58 +326,18 @@ func (t *replayTask) run(intern map[string]string) {
 		if derr != nil {
 			// Snapshots are rename-published, so damage is external — fail
 			// Open loudly instead of silently serving a partial recovery.
-			t.err = fmt.Errorf("store: snapshot shard %s is damaged (remove the snapshot directory to recover from an older snapshot + WAL, accepting the loss of the records only it covered): %w", t.snapPath, derr)
+			t.err = fmt.Errorf("store: snapshot shard %s is damaged (remove the snapshot directory to recover from whatever older snapshot and log remain, accepting the loss of the records it covered and of the log records that continue from them): %w", t.snapPath, derr)
 			return
 		}
 	}
-
-	for i, seg := range t.segs {
-		path := filepath.Join(t.dirPath, segmentName(seg.epoch, seg.idx))
-		segRecords := 0
-		validLen, derr := decodeSegmentStream(segData[i], t.sh.id, intern, func(e *walEntry) {
-			segRecords++
-			t.applyEntry(e)
-		})
-		if derr == nil && segRecords == 0 {
-			// A header-only segment (a crash between the magic write and
-			// the first frame write) holds no records. Remove it rather
-			// than track it: if the market ends up with no records at
-			// all, no shard exists to remember the position, and a later
-			// append would otherwise reuse the name and append a second
-			// magic into the existing file — which the next recovery
-			// would read as corruption and discard along with every
-			// frame after it.
-			if err := os.Remove(path); err != nil {
-				t.err = fmt.Errorf("store: drop empty %s: %w", path, err)
-				return
-			}
-			continue
-		}
-		t.last = seg
-		if derr == nil {
-			continue
-		}
-		// Torn or damaged tail: cut the segment back to its valid prefix
-		// (or drop it entirely when even the header is gone) and discard
-		// any later segments, preserving the exact-prefix invariant. The
-		// valid-prefix records are already applied.
-		if validLen <= len(walMagic) {
-			if err := os.Remove(path); err != nil {
-				t.err = fmt.Errorf("store: drop damaged %s: %w", path, err)
-				return
-			}
-		} else if err := os.Truncate(path, int64(validLen)); err != nil {
-			t.err = fmt.Errorf("store: trim damaged %s: %w", path, err)
+	for _, run := range t.runs {
+		if _, derr := decodeFrames(run, t.sh.id, intern, t.applyEntry); derr != nil {
+			// The frame passed its checksum in the serial pass, so this is
+			// not a torn write, and cutting the log here would drop other
+			// markets' records the pass already accepted.
+			t.err = fmt.Errorf("store: a log frame of %v passes its checksum but does not decode: %w", t.sh.id, derr)
 			return
 		}
-		for _, later := range t.segs[i+1:] {
-			lp := filepath.Join(t.dirPath, segmentName(later.epoch, later.idx))
-			if err := os.Remove(lp); err != nil {
-				t.err = fmt.Errorf("store: drop unreachable %s: %w", lp, err)
-				return
-			}
-		}
-		break
 	}
 }
 

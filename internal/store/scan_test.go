@@ -120,7 +120,7 @@ func TestRecoveredScopeIndex(t *testing.T) {
 	if err := s.Persister().Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	s.Persister().crash()
+	s.Persister().Abandon()
 
 	re, err := Open(dir, PersistOptions{})
 	if err != nil {

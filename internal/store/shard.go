@@ -120,10 +120,10 @@ type shard struct {
 	// creation like rp/rg, immutable afterwards.
 	feed *Feed
 
-	// wal is the shard's write-ahead log handle, nil for in-memory
-	// stores. Like rp/rg it is wired before the shard is published (at
-	// creation, or during single-threaded recovery) and immutable after.
-	wal *shardWAL
+	// persist is the owning store's durability engine, whose log every
+	// append round frames into; nil for in-memory stores. Wired at
+	// creation like rp/rg, immutable afterwards.
+	persist *Persister
 
 	// metrics is the owning store's instrument block, wired at creation
 	// like rp/rg and immutable after; its instruments are nil no-ops
@@ -156,29 +156,24 @@ func (sh *shard) appendRound(n int, d *rollupDelta, events func(), frames func([
 	if d.emit = sh.feed.enabled(); d.emit {
 		events()
 	}
+	p := sh.persist
 	var enc *[]byte
-	if sh.wal != nil {
+	if p != nil {
 		enc = walBufPool.Get().(*[]byte)
 		*enc = frames((*enc)[:0])
 	}
 	sh.mu.Lock()
 	apply()
-	oversized := sh.walAppendLocked(enc)
+	// The round's n records are now the shard's newest.
+	oversized := p != nil && p.log.append(sh, sh.gen.Load()-uint64(n), *enc)
 	sh.mu.Unlock()
-	if enc != nil {
+	if p != nil {
 		walBufPool.Put(enc)
 		if oversized {
-			sh.wal.flushOversized()
+			p.fail(p.log.flush())
 		}
 	}
 	sh.publish(d)
-}
-
-// walAppendLocked hands pre-encoded frames to the shard's log (a no-op
-// for in-memory stores). Must run under sh.mu. The returned flag asks the
-// round to drain the log's pending buffer once the lock is released.
-func (sh *shard) walAppendLocked(enc *[]byte) bool {
-	return enc != nil && sh.wal.append(*enc)
 }
 
 // publish folds an append batch's delta into the shard's rollup hierarchy
@@ -189,18 +184,20 @@ func (sh *shard) walAppendLocked(enc *[]byte) bool {
 // a generation that claims to include it. So publish runs after the shard
 // lock is released (shard records land first), each rollup bumps its own
 // counter after folding its aggregates (rollup.apply), and the global
-// counter — which vouches for every level — bumps last. The feed publish
-// runs after that, stamped with the post-append generation, so every
-// event a subscriber receives describes state the query surface already
-// serves.
+// counter — which vouches for every level — bumps last. A round with
+// events bumps it inside the feed publish (one step with the feed's own
+// generation bookkeeping, so a subscriber resuming mid-round never sees
+// the two disagree), stamped on events that therefore describe state the
+// query surface already serves.
 func (sh *shard) publish(d *rollupDelta) {
 	sh.rp.apply(d)
 	sh.rg.apply(d)
-	gen := sh.storeGen.Add(d.records)
 	sh.metrics.appendBatches.Inc()
 	sh.metrics.appendRecords.Add(d.records)
 	if len(d.events) > 0 {
-		sh.feed.publish(d.events, gen)
+		sh.feed.publish(d.events, d.records)
+	} else {
+		sh.storeGen.Add(d.records)
 	}
 }
 
@@ -492,21 +489,13 @@ type shardCapture struct {
 	revocationsOrdered bool
 	pricesOrdered      bool
 	outagesOrdered     bool
-
-	// walErr reports a failed WAL cut when capture also advanced the
-	// shard's log epoch (snapshot path only).
-	walErr error
 }
 
-// capture cuts every record stream of the shard atomically. When
-// cutEpoch is nonzero the shard's WAL flushes its pre-cut bytes and
-// advances to that epoch inside the same lock hold, which is what makes
-// "in the snapshot" and "in a segment the snapshot does not cover"
-// mutually exclusive and exhaustive (see Persister.Snapshot).
-func (sh *shard) capture(cutEpoch uint64) shardCapture {
+// capture cuts every record stream of the shard atomically.
+func (sh *shard) capture() shardCapture {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	c := shardCapture{
+	return shardCapture{
 		id:                 sh.id,
 		gen:                sh.gen.Load(),
 		probes:             sh.probes,
@@ -522,10 +511,6 @@ func (sh *shard) capture(cutEpoch uint64) shardCapture {
 		pricesOrdered:      sh.pricesOrdered,
 		outagesOrdered:     sh.outagesOrdered,
 	}
-	if cutEpoch != 0 && sh.wal != nil {
-		c.walErr = sh.wal.cutTo(cutEpoch)
-	}
-	return c
 }
 
 func (sh *shard) spikesIn(dst []SpikeEvent, from, to time.Time) []SpikeEvent {

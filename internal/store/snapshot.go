@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,7 +79,7 @@ type snapManifestShard struct {
 }
 
 // snapshotDirName renders a snapshot directory name; snapshotDirSeq
-// inverts it (with the same canonical round-trip check as segment names).
+// inverts it (with the same canonical round-trip check as log file names).
 func snapshotDirName(seq uint64) string {
 	return fmt.Sprintf("%s%08d", snapshotPrefix, seq)
 }
@@ -95,10 +96,11 @@ func snapshotDirSeq(name string) (uint64, bool) {
 	return seq, true
 }
 
-// snapFileName returns the shard file name for a market: the escaped ID
-// (the WAL directory convention) plus the .snap suffix.
+// snapFileName returns the shard file name for a market: the
+// URL-path-escaped canonical ID ("Linux/UNIX" contains a slash) plus the
+// .snap suffix.
 func snapFileName(id market.SpotID) string {
-	return marketDirName(id) + snapFileSuffix
+	return url.PathEscape(id.String()) + snapFileSuffix
 }
 
 // encodeShardSnapshot streams one shard capture's records into w as
@@ -149,7 +151,7 @@ func encodeShardSnapshot(w io.Writer, c *shardCapture) error {
 }
 
 // decodeShardSnapshot streams a shard snapshot image through fn, one
-// decoded record at a time. Unlike WAL segments there are no valid-prefix
+// decoded record at a time. Unlike the log there are no valid-prefix
 // semantics: snapshots are rename-published, so any damage — bad magic, a
 // corrupt frame, a record of the wrong market — is an error, never a
 // truncation point. Returns the number of records decoded.
@@ -157,22 +159,7 @@ func decodeShardSnapshot(data []byte, id market.SpotID, intern map[string]string
 	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {
 		return 0, fmt.Errorf("%w: bad shard snapshot magic", ErrWALCorrupt)
 	}
-	var e walEntry
-	var count uint64
-	off := len(snapMagic)
-	for off < len(data) {
-		typ, body, n, ferr := decodeWALFrame(data[off:])
-		if ferr != nil {
-			return count, ferr
-		}
-		if derr := decodeWALEntry(&e, typ, body, id, intern); derr != nil {
-			return count, derr
-		}
-		fn(&e)
-		count++
-		off += n
-	}
-	return count, nil
+	return decodeFrames(data[len(snapMagic):], id, intern, fn)
 }
 
 // snapDirState remembers the published snapshot directory incremental
@@ -355,13 +342,13 @@ func findLatestSnapshot(dir string) (snapInfo, error) {
 		return info, nil
 	}
 	// The newest snapshot is the only acceptable one: compaction deleted
-	// the WAL epochs it covers, so silently falling back to an older
+	// the log epochs it covers, so silently falling back to an older
 	// snapshot would present large data loss as a successful recovery.
 	// Snapshots are rename-published, so only external corruption gets
 	// here; fail loudly and let the operator accept the loss explicitly.
 	info.manifest, err = loadSnapManifest(info.dirPath)
 	if err != nil {
-		return snapInfo{}, fmt.Errorf("store: snapshot %s is damaged (remove the directory to recover from an older snapshot + WAL, accepting the loss of the records only it covered): %w", filepath.Base(info.dirPath), err)
+		return snapInfo{}, fmt.Errorf("store: snapshot %s is damaged (remove the directory to recover from whatever older snapshot and log remain, accepting the loss of the records it covered and of the log records that continue from them): %w", filepath.Base(info.dirPath), err)
 	}
 	if info.manifest.Seq != info.seq {
 		return snapInfo{}, fmt.Errorf("store: snapshot %s manifest claims seq %d", filepath.Base(info.dirPath), info.manifest.Seq)

@@ -290,7 +290,7 @@ type Store struct {
 
 	// persist is the durability engine of a store opened with Open; nil
 	// for in-memory stores built with New. Set once before the store is
-	// shared (Open wires it after recovery), immutable afterwards.
+	// shared (Open wires it ahead of recovery), immutable afterwards.
 	persist *Persister
 
 	// feed is the store's change-feed hub (feed.go): every append round
@@ -310,7 +310,7 @@ func New() *Store {
 		rollups: make(map[rollupScope]*rollup),
 		metrics: &storeMetrics{},
 	}
-	s.feed = newFeed(s.gen.Load, defaultRingCapacity)
+	s.feed = newFeed(&s.gen, defaultRingCapacity)
 	return s
 }
 
@@ -327,8 +327,7 @@ func (s *Store) shardFor(id market.SpotID) *shard {
 // market already has a shard (a racing first write) that one is returned
 // instead. Live first writes adopt an empty shard, parallel recovery
 // (replay.go) one whose columns already hold the recovered records; it
-// publishes their accumulated rollup delta afterwards and attachPersister
-// attaches the WAL handles.
+// publishes their accumulated rollup delta afterwards.
 func (s *Store) adoptShard(sh *shard) *shard {
 	// Resolve the rollups outside the store lock (rollupFor takes it).
 	region := sh.id.Region()
@@ -342,12 +341,7 @@ func (s *Store) adoptShard(sh *shard) *shard {
 	sh.rp, sh.rg, sh.storeGen = rp, rg, &s.gen
 	sh.feed = s.feed
 	sh.metrics = s.metrics
-	if s.persist != nil {
-		// Minting the WAL handle under the store lock orders it against
-		// snapshot epoch bumps (Store.snapshotCut), so a new shard can
-		// never log into an epoch a concurrent snapshot claims to cover.
-		sh.wal = s.persist.newShardWAL(sh.id)
-	}
+	sh.persist = s.persist
 	s.shards[sh.id] = sh
 	s.sorted = nil
 	// Shards exist iff they hold at least one record, so adoption is the

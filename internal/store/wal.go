@@ -12,15 +12,15 @@ import (
 )
 
 // The write-ahead log is the store's durability primitive: every record
-// appended to a shard is also framed into that shard's active WAL segment
-// in the same batch round, so a crash loses at most the records that were
-// never flushed to disk. Segments are append-only files, one directory per
-// market shard, rotated by size and superseded by whole-store snapshots
-// (see persist.go for the file layout and the recovery procedure).
+// appended to a shard is also framed into the store log in the same batch
+// round, so a crash loses at most the records that were never flushed to
+// disk. The log is one series of append-only files shared by every
+// market, rotated by size and superseded by whole-store snapshots (see
+// persist.go for the file layout and the recovery procedure).
 //
 // # Frame format
 //
-// A segment is the 8-byte magic "SPOTWAL1" followed by frames:
+// A log file is the 8-byte magic "SPOTWAL2" followed by frames:
 //
 //	uint32 LE  payload length (including the type byte)
 //	uint32 LE  CRC-32C (Castagnoli) of the payload
@@ -30,6 +30,18 @@ import (
 // bit-flipped frames, and because frames are self-delimiting a reader
 // recovers every record up to the first damaged byte — the prefix
 // semantics crash recovery depends on.
+//
+// # Runs
+//
+// Record frames do not say which shard they belong to (a price frame
+// carries no market at all). A run header frame does: it names a market
+// and how many records that market's shard held before the run, and every
+// record frame up to the next run header is that shard's next record. The
+// writer emits one whenever consecutive rounds come from different shards
+// and at the start of every flushed buffer, so every file starts with one.
+// The counts make each frame's ordinal within its shard recoverable, which
+// is how replay skips the frames a snapshot already covers and how it
+// detects a log that does not continue the records before it.
 //
 // # Record encoding
 //
@@ -41,8 +53,8 @@ import (
 // blowing the ingestion budget. The format is pinned by the golden-file
 // tests in golden_test.go; changing it requires a new magic version.
 
-// walMagic opens every segment file.
-const walMagic = "SPOTWAL1"
+// walMagic opens every log file.
+const walMagic = "SPOTWAL2"
 
 // walFrameHeader is the fixed part of a frame: length + CRC.
 const walFrameHeader = 8
@@ -61,6 +73,9 @@ const (
 	walBidSpread
 	walRevocation
 	walPrice
+	// walRunHeader opens a run of one shard's record frames in the store
+	// log; it never appears in a snapshot shard file.
+	walRunHeader
 )
 
 // walCastagnoli is the CRC-32C table shared by encode and decode.
@@ -291,7 +306,8 @@ func (r *walReader) market() market.SpotID {
 }
 
 // marketExpect decodes a market field that is nearly always the given ID
-// (a shard's own log only holds its own market's records): when the raw
+// (a shard's snapshot file and log runs only hold its own market's
+// records): when the raw
 // bytes match, it returns the expected ID without any map lookups or
 // allocation. Mismatches fall back to the general decoder — the caller's
 // market check then rejects them where it matters.
@@ -380,6 +396,28 @@ func appendPriceFrame(buf []byte, p PricePoint) []byte {
 	})
 }
 
+// appendRunHeader frames a run header: the market whose shard the next
+// record frames belong to, and that shard's record count before them.
+func appendRunHeader(buf []byte, id market.SpotID, before uint64) []byte {
+	return appendWALFrame(buf, walRunHeader, func(b []byte) []byte {
+		b = appendMarket(b, id)
+		return appendUvarint(b, before)
+	})
+}
+
+// decodeRunHeader inverts appendRunHeader on one frame body.
+func decodeRunHeader(body []byte, intern map[string]string) (market.SpotID, uint64, error) {
+	r := walReader{data: body, intern: intern}
+	id, before := r.market(), r.uvarint()
+	if err := r.err(); err != nil {
+		return market.SpotID{}, 0, err
+	}
+	if len(r.data) != 0 {
+		return market.SpotID{}, 0, fmt.Errorf("%w: %d trailing run header bytes", ErrWALCorrupt, len(r.data))
+	}
+	return id, before, nil
+}
+
 // walEntry is one decoded WAL record; exactly one of the record fields is
 // meaningful, selected by typ.
 type walEntry struct {
@@ -442,7 +480,7 @@ func matchMarketBytes(body []byte, i int, id market.SpotID) (int, market.SpotID,
 // decodeProbeFast is the replay hot path: one cursor pass over a probe
 // frame body with every varint read inline and both market fields
 // compared in place against the shard's own ID (which they virtually
-// always are — per-shard logs only hold their own market's records, and
+// always are — a shard's frames only hold its own market's records, and
 // a probe's trigger market is either its own market or unset). It only
 // commits when the whole body parses as that common shape AND is fully
 // consumed; anything else — multi-byte component lengths, a foreign
@@ -542,9 +580,9 @@ func decodeProbeFast(e *ProbeRecord, body []byte, id market.SpotID, intern map[s
 // loops reuse one entry across millions of frames rather than copying
 // the ~400-byte union through every call (only the record of e.typ is
 // meaningful; stale bytes of the other arms are never read). The price
-// record carries no market of its own: segments are per-shard, so the
-// owning market is supplied by the caller from the segment's directory.
-// intern, when non-nil, deduplicates decoded strings across records (see
+// record carries no market of its own: the caller supplies the owning
+// market, from the snapshot manifest or the log's run header. intern,
+// when non-nil, deduplicates decoded strings across records (see
 // walReader.intern).
 func decodeWALEntry(e *walEntry, typ walRecordType, body []byte, id market.SpotID, intern map[string]string) error {
 	r := walReader{data: body, intern: intern}
@@ -604,7 +642,7 @@ func decodeWALEntry(e *walEntry, typ walRecordType, body []byte, id market.SpotI
 	if len(r.data) != 0 {
 		return fmt.Errorf("%w: %d trailing payload bytes", ErrWALCorrupt, len(r.data))
 	}
-	// Per-shard logs must only hold their own market's records; a framed
+	// A shard's frames must only hold their own market's records; a framed
 	// record claiming another market is corruption, not data.
 	switch typ {
 	case walProbe:
@@ -627,37 +665,25 @@ func decodeWALEntry(e *walEntry, typ walRecordType, body []byte, id market.SpotI
 	return nil
 }
 
-// decodeSegmentStream decodes a whole segment image (magic header
-// included) record-at-a-time, handing each entry to fn without ever
-// collecting a slice — the streaming half of replay: the only per-record
-// state is the stack-allocated walEntry. It returns the byte length of
-// the valid prefix; err is nil only when the segment decoded completely.
+// decodeFrames streams a sequence of record frames — a snapshot shard file
+// past its magic, or one run of a market's log frames — through fn, one
+// decoded record at a time and without ever collecting a slice: the only
+// per-record state is the stack-allocated walEntry. It returns how many
+// records it decoded; err is nil only when data decoded completely.
 // intern, when non-nil, deduplicates decoded strings across records.
-func decodeSegmentStream(data []byte, id market.SpotID, intern map[string]string, fn func(*walEntry)) (validLen int, err error) {
-	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
-		return 0, fmt.Errorf("%w: bad segment magic", ErrWALCorrupt)
-	}
+func decodeFrames(data []byte, id market.SpotID, intern map[string]string, fn func(*walEntry)) (count uint64, err error) {
 	var e walEntry
-	off := len(walMagic)
-	for off < len(data) {
+	for off := 0; off < len(data); {
 		typ, body, n, ferr := decodeWALFrame(data[off:])
 		if ferr != nil {
-			return off, ferr
+			return count, ferr
 		}
 		if derr := decodeWALEntry(&e, typ, body, id, intern); derr != nil {
-			return off, derr
+			return count, derr
 		}
 		fn(&e)
+		count++
 		off += n
 	}
-	return off, nil
-}
-
-// decodeSegment is decodeSegmentStream collecting the decoded entries —
-// the convenience form the property and fuzz tests exercise.
-func decodeSegment(data []byte, id market.SpotID) (entries []walEntry, validLen int, err error) {
-	validLen, err = decodeSegmentStream(data, id, nil, func(e *walEntry) {
-		entries = append(entries, *e)
-	})
-	return entries, validLen, err
+	return count, nil
 }
