@@ -165,10 +165,13 @@ example-smoke:
 # Fuzz smoke: a short native-fuzz burst over log recovery's decoders
 # (FuzzWALDecode: whole log file images, run headers included, through
 # the serial scan and the record decoder — malformed input must error,
-# never panic, and the valid prefix must re-scan clean) and the snapshot
-# loaders (the checked-in seed corpora live in
-# internal/store/testdata/fuzz), and over the market-ID order the
-# rankings tie-break on (must equal the order of the rendered strings).
+# never panic, and the valid prefix must re-scan clean), the snapshot
+# loader (FuzzSnapshotV2Decode: whole snapshot file images — footer, index
+# and every section — must error, never panic, and an image that loads
+# must load identically again) and the JSON export's reader (the
+# checked-in seed corpora live in internal/store/testdata/fuzz), and over
+# the market-ID order the rankings tie-break on (must equal the order of
+# the rendered strings).
 fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotReadJSON$$' -fuzztime=10s

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -170,9 +171,13 @@ func FuzzSnapshotReadJSON(f *testing.F) {
 	})
 }
 
-// fuzzSnapshotShard builds a small valid v2 snapshot shard image (magic
-// header plus one CRC-framed record per family) for the seed corpus.
-func fuzzSnapshotShard(f *testing.F) []byte {
+// fuzzSnapSeq is the SEQ every fuzzed image is read as: the golden
+// fixture's, so its snapshot file can seed the corpus.
+const fuzzSnapSeq = 2
+
+// fuzzSnapshot builds a small valid snapshot image for the seed corpus:
+// two sections, every record family.
+func fuzzSnapshot(f *testing.F) []byte {
 	f.Helper()
 	at := time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
 	s := New()
@@ -182,46 +187,64 @@ func fuzzSnapshotShard(f *testing.F) []byte {
 		SpikeRatio: 1.5, PriceRatio: 1.2, Rejected: true, Code: "ICE", Bid: 0.3, Cost: 0.02,
 	})
 	s.AppendSpike(SpikeEvent{At: at.Add(time.Minute), Market: fuzzMarket, Price: 0.9, Ratio: 1.8, Probed: true})
-	s.AppendBidSpread(BidSpreadRecord{At: at.Add(2 * time.Minute), Market: fuzzMarket, Published: 0.5, Intrinsic: 0.31, Attempts: 6})
+	s.AppendBidSpread(BidSpreadRecord{At: at.Add(2 * time.Minute), Market: fuzzOtherMarket, Published: 0.5, Intrinsic: 0.31, Attempts: 6})
 	s.AppendRevocation(RevocationRecord{At: at.Add(3 * time.Minute), Market: fuzzMarket, Bid: 1.1, Held: time.Hour})
-	s.RecordPrice(fuzzMarket, PricePoint{At: at.Add(4 * time.Minute), Price: 0.27})
-	c := s.lookup(fuzzMarket).capture()
+	s.RecordPrice(fuzzOtherMarket, PricePoint{At: at.Add(4 * time.Minute), Price: 0.27})
 	var buf bytes.Buffer
-	if err := encodeShardSnapshot(&buf, &c); err != nil {
+	if _, err := encodeSnapshot(&buf, fuzzSnapSeq, s.captureAll()); err != nil {
 		f.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// FuzzSnapshotV2Decode feeds arbitrary bytes to the binary snapshot shard
-// decoder: malformed input must produce an error, never a panic — a
-// snapshot is complete or damaged, there is no torn-tail salvage — and a
-// cleanly decoded image must re-decode identically, with the returned
-// record count matching what the callback saw.
+// decodeSnapshot loads a snapshot image the way Open does — footer and
+// index, then every section through the record decoder — serially.
+func decodeSnapshot(data []byte, intern map[string]string) ([]walEntry, error) {
+	sections, err := parseSnapshot(data, fuzzSnapSeq)
+	if err != nil {
+		return nil, err
+	}
+	var entries []walEntry
+	for _, sec := range sections {
+		if err := decodeSection(sec, intern, func(e *walEntry) { entries = append(entries, *e) }); err != nil {
+			return nil, err
+		}
+	}
+	return entries, nil
+}
+
+// FuzzSnapshotV2Decode feeds arbitrary bytes to the snapshot file loader:
+// malformed input must produce an error, never a panic or an allocation
+// sized by a count the input claims — a snapshot is complete or damaged,
+// there is no torn-tail salvage — and an image that loads must load
+// identically again.
 func FuzzSnapshotV2Decode(f *testing.F) {
-	valid := fuzzSnapshotShard(f)
+	valid := fuzzSnapshot(f)
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3]) // truncated tail
-	f.Add([]byte(snapMagic))    // header only
-	f.Add([]byte{})             // no header
-	f.Add(fuzzSegment())        // WAL magic where snapshot magic belongs
+	f.Add(valid[:len(valid)-3])              // cut inside the footer
+	f.Add(valid[:len(valid)-snapFooterSize]) // no footer
+	f.Add(valid[:len(snapMagic)+40])         // cut inside a section
+	f.Add([]byte(snapMagic))                 // header only
+	f.Add([]byte{})                          // nothing
+	f.Add(fuzzSegment())                     // a log file where a snapshot belongs
+	// Well-formed trailers: an empty store's snapshot, a section and a
+	// record count far past the file, an index offset far past the file.
+	empty := []byte(snapMagic)
+	f.Add(snapshotImage(empty, nil, uint64(len(empty)), fuzzSnapSeq))
+	f.Add(snapshotImage(empty, []snapIndexEntry{{fuzzMarket.String(), 8, 1 << 62, 1 << 62}}, 8, fuzzSnapSeq))
+	f.Add(snapshotImage(empty, nil, 1<<63, fuzzSnapSeq))
 	corrupt := append([]byte(nil), valid...)
-	corrupt[len(snapMagic)+6] ^= 0xff // checksum mismatch
+	corrupt[len(snapMagic)+6] ^= 0xff // a frame's checksum mismatch
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		seen := 0
-		n, err := decodeShardSnapshot(data, fuzzMarket, nil, func(e *walEntry) { seen++ })
+		entries, err := decodeSnapshot(data, nil)
 		if err != nil {
 			return
 		}
-		if n != uint64(seen) {
-			t.Fatalf("decode reported %d records, callback saw %d", n, seen)
-		}
-		again := 0
-		n2, err2 := decodeShardSnapshot(data, fuzzMarket, make(map[string]string), func(e *walEntry) { again++ })
-		if err2 != nil || n2 != n || again != seen {
-			t.Fatalf("re-decode diverged: %v, %d/%d vs %d/%d records", err2, n2, again, n, seen)
+		again, err := decodeSnapshot(data, make(map[string]string))
+		if err != nil || !reflect.DeepEqual(again, entries) {
+			t.Fatalf("re-load diverged: %v, %d vs %d records", err, len(again), len(entries))
 		}
 	})
 }

@@ -11,7 +11,7 @@ import (
 	"spotlight/internal/market"
 )
 
-// The golden fixture pins the on-disk format — snapshot directory layout,
+// The golden fixture pins the on-disk format — the snapshot file's layout,
 // log framing and run headers, and the binary record encoding — against
 // accidental change: testdata/golden/store holds a committed data directory
 // (snapshot + a live log file + meta) and expected-state.json the exact
@@ -35,8 +35,8 @@ func goldenDir(t testing.TB) string {
 }
 
 // goldenWorkload builds the fixture's store contents: a pre-snapshot part
-// (covered by the snapshot directory after compaction) and a post-snapshot part
-// that lives only in the log.
+// (covered by the snapshot after compaction) and a post-snapshot part that
+// lives only in the log.
 func goldenWorkload(s *Store, p *Persister) error {
 	base := time.Date(2015, 9, 1, 12, 0, 0, 0, time.UTC)
 	appA := s.Appender(goldenA)
@@ -145,6 +145,9 @@ func regenGolden(t *testing.T, storeFixture, expectedPath string) {
 	if err := s.WriteJSON(&dump); err != nil {
 		t.Fatalf("regen dump: %v", err)
 	}
+	if old, err := os.ReadFile(expectedPath); err == nil && !bytes.Equal(old, dump.Bytes()) {
+		t.Errorf("regenerating changed %s: the state a store recovers changed, not only the format it is kept in — commit the new file only if that was the point", expectedPath)
+	}
 	if err := os.WriteFile(expectedPath, dump.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -161,17 +164,13 @@ func regenGolden(t *testing.T, storeFixture, expectedPath string) {
 	writeFuzzSeed(t, "FuzzWALDecode", "seed-miscounted-run", miscounted)
 	writeFuzzSeed(t, "FuzzSnapshotReadJSON", "seed-valid-snapshot", dump.Bytes())
 	writeFuzzSeed(t, "FuzzSnapshotReadJSON", "seed-truncated", dump.Bytes()[:dump.Len()/3])
-	// A real v2 snapshot shard from the fixture seeds the binary decoder.
-	snapDirs, err := filepath.Glob(filepath.Join(storeFixture, snapshotPrefix+"*"))
-	if err != nil || len(snapDirs) != 1 {
-		t.Fatalf("fixture snapshot dirs: %v %v", snapDirs, err)
-	}
-	shardData, err := os.ReadFile(filepath.Join(snapDirs[0], snapFileName(goldenA)))
+	// The fixture's snapshot file seeds the snapshot loader.
+	image, err := os.ReadFile(filepath.Join(storeFixture, snapshotName(fuzzSnapSeq)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeFuzzSeed(t, "FuzzSnapshotV2Decode", "seed-valid-shard", shardData)
-	writeFuzzSeed(t, "FuzzSnapshotV2Decode", "seed-truncated", shardData[:len(shardData)*2/3])
+	writeFuzzSeed(t, "FuzzSnapshotV2Decode", "seed-valid-snapshot", image)
+	writeFuzzSeed(t, "FuzzSnapshotV2Decode", "seed-truncated", image[:len(image)*2/3])
 	t.Log("golden fixture regenerated; commit testdata/")
 }
 

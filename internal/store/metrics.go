@@ -21,7 +21,6 @@ type storeMetrics struct {
 	walFlushedBytes *obs.Counter
 	snapshots       *obs.Counter
 	snapshotSeconds *obs.Histogram
-	snapshotLinked  *obs.Counter
 	snapshotEncoded *obs.Counter
 	cursorSaves     *obs.Counter
 }
@@ -51,11 +50,9 @@ func (s *Store) EnableMetrics(r *obs.Registry) {
 	m.snapshots = r.Counter("spotlight_store_snapshots_total",
 		"Whole-store snapshots published.")
 	m.snapshotSeconds = r.Histogram("spotlight_store_snapshot_seconds",
-		"Snapshot duration: consistent cut, shard encode/link, publish, compaction.")
-	m.snapshotLinked = r.Counter("spotlight_store_snapshot_shards_linked_total",
-		"Snapshot shard files hard-linked unchanged from the previous snapshot.")
+		"Snapshot duration: consistent cut, encode, publish, compaction.")
 	m.snapshotEncoded = r.Counter("spotlight_store_snapshot_shards_encoded_total",
-		"Snapshot shard files freshly encoded.")
+		"Shard sections encoded into snapshot files.")
 	m.cursorSaves = r.Counter("spotlight_store_cursor_saves_total",
 		"Replication cursor blobs persisted via SaveCursor.")
 

@@ -84,12 +84,12 @@ func TestStoreMetricsDurablePath(t *testing.T) {
 	if got := reg.Counter("spotlight_store_snapshot_shards_encoded_total", "").Value(); got != 1 {
 		t.Fatalf("snapshot_shards_encoded_total = %d, want 1", got)
 	}
-	// An unchanged shard hard-links on the next snapshot.
+	// Every snapshot writes every shard's section, changed or not.
 	if err := p.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("spotlight_store_snapshot_shards_linked_total", "").Value(); got != 1 {
-		t.Fatalf("snapshot_shards_linked_total = %d, want 1", got)
+	if got := reg.Counter("spotlight_store_snapshot_shards_encoded_total", "").Value(); got != 2 {
+		t.Fatalf("snapshot_shards_encoded_total = %d after a second snapshot, want 2", got)
 	}
 	if got := reg.Histogram("spotlight_store_snapshot_seconds", "").Count(); got != 2 {
 		t.Fatalf("snapshot_seconds count = %d, want 2", got)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,9 +21,7 @@ import (
 //
 //	dir/
 //	  meta.json                  salt + last noted service clock
-//	  snapshot-<SEQ>/            whole-store snapshot (snapshot.go)
-//	    manifest.json            shard file list + record counts
-//	    <market>.snap            per-shard binary record stream
+//	  snapshot-<SEQ>.snap        whole-store snapshot (snapshot.go)
 //	  wal/log-<EPOCH>-<IDX>.wal  the store log, one series for every market
 //
 // Every append round copies its pre-encoded frames into the log's one
@@ -36,13 +35,13 @@ import (
 // lock. A record framed before the rotation sits in a file of an older
 // epoch and in its shard's capture; one framed after its shard's capture
 // sits in a file of epoch >= N and not in the snapshot; one framed in
-// between sits in both, and recovery tells by ordinal: the manifest pins
-// each shard's record count at its capture and every log run says which
-// count it continues from (wal.go), so a frame the manifest already covers
+// between sits in both, and recovery tells by ordinal: the snapshot's index
+// pins each shard's record count at its capture and every log run says which
+// count it continues from (wal.go), so a frame the snapshot already covers
 // is skipped. Recovery loads the newest complete snapshot S and replays
 // the log files with epoch >= S in (epoch, idx) order; compaction deletes
-// the files with epoch < S once snapshot S is durable. Snapshot files
-// become visible only via rename, so a crash mid-snapshot leaves the
+// the files with epoch < S once snapshot S is durable. A snapshot file
+// becomes visible only via rename, so a crash mid-snapshot leaves the
 // previous snapshot plus an uncompacted log — exactly the state the
 // recovery rule handles.
 //
@@ -65,6 +64,7 @@ const (
 	cursorFileName     = "cursor.json"
 	walDirName         = "wal"
 	snapshotPrefix     = "snapshot-"
+	tmpSuffix          = ".tmp" // publishFile's not-yet-renamed files
 
 	// walAutoFlushBytes bounds the log's pending buffer: if the owner
 	// never calls Flush (no service tick), the append round that fills it
@@ -115,11 +115,9 @@ type Persister struct {
 	log storeLog
 
 	// snapMu serializes Snapshot, Flush, SaveCursor and Close against each
-	// other. It also guards closed and lastSnap, the incremental-encoding
-	// state of the newest published snapshot (nil before the first one).
-	snapMu   sync.Mutex
-	closed   bool
-	lastSnap *snapDirState
+	// other. It also guards closed.
+	snapMu sync.Mutex
+	closed bool
 
 	// Recovery cost, set once in Open before the store is shared and
 	// read-only afterwards (scrape-time gauges in Store.EnableMetrics).
@@ -202,7 +200,7 @@ func listLog(walRoot string, seq uint64) (files []logFile, next logFile, err err
 			for _, seg := range segs {
 				var epoch, idx uint64
 				if n, _ := fmt.Sscanf(seg.Name(), "seg-%d-%d.wal", &epoch, &idx); n == 2 && epoch >= seq {
-					return nil, logFile{}, fmt.Errorf("store: %s is a per-market WAL segment the newest snapshot does not cover, which this version cannot read (open the directory once with the previous release and close it cleanly: its final snapshot covers every segment)", filepath.Join(walRoot, ent.Name(), seg.Name()))
+					return nil, logFile{}, fmt.Errorf("store: %s is a per-market WAL segment the newest snapshot does not cover, which this version cannot read (serve this directory with the release that wrote it, or remove the segment's directory to open without the records only it holds)", filepath.Join(walRoot, ent.Name(), seg.Name()))
 				}
 			}
 			continue
@@ -250,19 +248,12 @@ func Open(dir string, opts PersistOptions) (_ *Store, err error) {
 		}
 	}()
 
-	meta, err := loadOrInitMeta(dir)
-	if err != nil {
-		return nil, err
-	}
-
 	s := New()
 	p := &Persister{
-		dir:        dir,
-		store:      s,
-		salt:       meta.Salt,
-		recoveries: meta.Recoveries,
-		lock:       lock,
-		log:        storeLog{dir: walRoot, segmentSize: opts.SegmentSize, metrics: s.metrics},
+		dir:   dir,
+		store: s,
+		lock:  lock,
+		log:   storeLog{dir: walRoot, segmentSize: opts.SegmentSize, metrics: s.metrics},
 	}
 	// Attached before recovery so every shard it adopts is wired to the
 	// log; nothing appends through it until Open returns.
@@ -286,14 +277,13 @@ func Open(dir string, opts PersistOptions) (_ *Store, err error) {
 	p.log.epoch, p.log.idx = next.epoch, next.idx
 	p.replayDur = time.Since(replayStart)
 	p.recoveredRecords = s.gen.Load()
-	if snap.seq > 0 {
-		// Prime incremental snapshots: shards unchanged since this
-		// snapshot hard-link its files instead of re-encoding.
-		p.lastSnap = &snapDirState{seq: snap.seq, dir: snap.dirPath, records: make(map[string]uint64, len(snap.manifest.Shards))}
-		for _, msh := range snap.manifest.Shards {
-			p.lastSnap.records[msh.File] = msh.Records
-		}
+	// Only now does this process mark the directory as its own: an Open
+	// that refuses a snapshot or a log layout has written nothing.
+	meta, err := loadOrInitMeta(dir)
+	if err != nil {
+		return nil, err
 	}
+	p.salt, p.recoveries = meta.Salt, meta.Recoveries
 	// Resume the clock from whichever is newest: the clock noted at the
 	// last snapshot or clean shutdown, or the newest recovered record.
 	// A crash loses the meta clock written since the last snapshot, but
@@ -367,21 +357,49 @@ func mustJSON(v any) []byte {
 	return append(data, '\n')
 }
 
-// writeFileAtomic writes data via a synced temp file, rename, and a
-// directory fsync, so the target is always either the old or the new
-// complete contents — even across a power failure (the directory sync
-// persists the rename itself).
+// publishFile is how every file outside wal/ reaches the data directory:
+// write streams the contents into path.tmp, which is fsynced, renamed to
+// path, and made durable by an fsync of the directory, so path is always
+// either the old or the new complete contents — even across a power
+// failure — and a crash leaves at most a .tmp nobody reads.
+func publishFile(path string, write func(io.Writer) error) error {
+	tmp := path + tmpSuffix
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: create %s: %w", tmp, err)
+	}
+	werr := write(f)
+	if werr == nil {
+		werr = f.Sync()
+	}
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr == nil {
+		werr = os.Rename(tmp, path)
+	}
+	if werr != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("store: publish %s: %w", path, werr)
+	}
+	dir := filepath.Dir(path)
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("store: open for sync %s: %w", dir, err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("store: sync %s: %w", dir, err)
+	}
+	return nil
+}
+
+// writeFileAtomic publishes data as the complete contents of path.
 func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := writeSyncedFile(tmp, data); err != nil {
-		os.Remove(tmp)
+	return publishFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: publish %s: %w", path, err)
-	}
-	return syncPath(filepath.Dir(path))
+	})
 }
 
 // Persister returns the store's durability engine, or nil for an
@@ -598,7 +616,7 @@ func (l *storeLog) write(buf []byte) error {
 	// fsync per flush would pay machine-crash prices without delivering
 	// machine-crash guarantees anyway — that would also need directory
 	// fsyncs on every file create. Machine-crash checkpoints are the
-	// snapshots, which writeFileAtomic fsyncs file and directory both.
+	// snapshots, which publishFile fsyncs file and directory both.
 	n, err := l.f.Write(buf)
 	l.size += int64(n)
 	if err != nil {
@@ -686,19 +704,21 @@ func (p *Persister) snapshotLocked() error {
 	if err := p.log.flush(); err != nil {
 		return p.fail(err)
 	}
-	state, err := writeSnapshotV2(p.dir, seq, captures, p.lastSnap)
+	var sections int
+	err = publishFile(filepath.Join(p.dir, snapshotName(seq)), func(w io.Writer) (err error) {
+		sections, err = encodeSnapshot(w, seq, captures)
+		return err
+	})
 	if err != nil {
 		return p.fail(err)
 	}
-	p.lastSnap = state
 	if err := p.writeMeta(p.closed); err != nil {
 		return p.fail(err)
 	}
 	p.compact(seq)
 	m := p.store.metrics
 	m.snapshots.Inc()
-	m.snapshotLinked.Add(uint64(state.linked))
-	m.snapshotEncoded.Add(uint64(state.encoded))
+	m.snapshotEncoded.Add(uint64(sections))
 	m.snapshotSeconds.Observe(time.Since(start))
 	return nil
 }
@@ -713,22 +733,18 @@ func (p *Persister) writeMeta(clean bool) error {
 	return writeFileAtomic(filepath.Join(p.dir, metaFileName), mustJSON(m))
 }
 
-// compact removes snapshot directories older than seq, in-progress .tmp
-// directories a crashed snapshot left, and the log files seq covers.
-// Best-effort: leftovers are ignored by recovery and retried by the next
-// compaction.
+// compact removes the snapshots older than seq, the .tmp a crashed
+// snapshot left, and the log files seq covers. Best-effort: leftovers are
+// ignored by recovery and retried by the next compaction.
 func (p *Persister) compact(seq uint64) {
 	if ents, err := os.ReadDir(p.dir); err == nil {
 		for _, ent := range ents {
 			name := ent.Name()
-			if !ent.IsDir() {
-				continue
-			}
-			// snapMu serializes snapshots, so any .tmp directory is the
-			// debris of a crashed snapshot attempt.
-			tmp := strings.HasPrefix(name, snapshotPrefix) && strings.HasSuffix(name, snapTmpSuffix)
-			if s, ok := snapshotDirSeq(name); (ok && s < seq) || tmp {
-				os.RemoveAll(filepath.Join(p.dir, name))
+			// snapMu serializes snapshots, so any .tmp is the debris of a
+			// crashed snapshot attempt.
+			tmp := strings.HasPrefix(name, snapshotPrefix) && strings.HasSuffix(name, tmpSuffix)
+			if s, ok := snapshotSeq(name); (ok && s < seq) || tmp {
+				os.Remove(filepath.Join(p.dir, name))
 			}
 		}
 	}

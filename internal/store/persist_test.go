@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand/v2"
 	"net/url"
 	"os"
@@ -250,8 +252,8 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 	if len(snaps) != 1 {
 		t.Fatalf("snapshots on disk = %v, want exactly one", snaps)
 	}
-	if fi, err := os.Stat(snaps[0]); err != nil || !fi.IsDir() {
-		t.Fatalf("snapshot %s is not a v2 directory (err=%v)", snaps[0], err)
+	if fi, err := os.Stat(snaps[0]); err != nil || !fi.Mode().IsRegular() {
+		t.Fatalf("snapshot %s is not one file (err=%v)", snaps[0], err)
 	}
 
 	// Post-snapshot appends land in a fresh file and replay on top.
@@ -533,7 +535,7 @@ func TestRecoveryIsAGlobalPrefix(t *testing.T) {
 // TestReplaySkipsFramesTheSnapshotCovers: a snapshot rotates the log
 // before it captures the shards, so a record appended in between is in
 // both the capture and the new epoch's log. Replay must apply it once —
-// the manifest's record count says which log frames the snapshot already
+// the index's record count says which log frames the snapshot already
 // holds. The overlap is built by hand here (it needs an append racing a
 // snapshot): the last two snapshotted records of one market are framed
 // again ahead of a new one.
@@ -863,92 +865,293 @@ func TestOpenDropsHeaderOnlySegment(t *testing.T) {
 	}
 }
 
+// dirListing renders every file under dir with its bytes, for tests that
+// must find a directory exactly as they left it.
+func dirListing(t *testing.T, dir string) string {
+	t.Helper()
+	var b strings.Builder
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err == nil && !info.IsDir() {
+			data, rerr := os.ReadFile(path)
+			fmt.Fprintf(&b, "%s %x\n", path, data)
+			err = rerr
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// snapIndexEntry is one index entry as a test wants it written, true or
+// not.
+type snapIndexEntry struct {
+	market               string
+	off, length, records uint64
+}
+
+// snapshotImage assembles a snapshot image around body (the magic and the
+// sections) from explicit index entries and footer fields, with a correct
+// checksum: what it says is wrong only where the caller made it so.
+func snapshotImage(body []byte, index []snapIndexEntry, indexOff, seq uint64) []byte {
+	img := append([]byte(nil), body...)
+	start := len(img)
+	for _, e := range index {
+		img = appendString(img, e.market)
+		img = appendUvarint(img, e.off)
+		img = appendUvarint(img, e.length)
+		img = appendUvarint(img, e.records)
+	}
+	img = binary.LittleEndian.AppendUint64(img, indexOff)
+	img = binary.LittleEndian.AppendUint64(img, seq)
+	img = binary.LittleEndian.AppendUint32(img, crc32.Checksum(img[start:], walCastagnoli))
+	return append(img, snapEndMagic...)
+}
+
+// TestOpenFailsOnDamagedNewestSnapshot: compaction deletes the log epochs
+// a snapshot covers, so falling back past a damaged newest snapshot would
+// present data loss as a successful recovery. Whatever is wrong with the
+// file — and a published file can only be wrong through outside damage —
+// Open must refuse it by path, change nothing, and open once the operator
+// has removed it.
 func TestOpenFailsOnDamagedNewestSnapshot(t *testing.T) {
-	// Compaction deletes the WAL epochs a snapshot covers, so silently
-	// falling back past a damaged newest snapshot would present data
-	// loss as a successful recovery. Open must refuse instead.
-	dir := t.TempDir()
-	s, err := Open(dir, PersistOptions{})
+	pristine := t.TempDir()
+	s, err := Open(pristine, PersistOptions{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	appendWorkload(s, 2, 5)
+	appendWorkload(s, 3, 5)
 	if err := s.Persister().Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*"))
-	if len(snaps) != 1 {
-		t.Fatalf("snapshots = %v, want one", snaps)
+	snap, err := findLatestSnapshot(pristine)
+	if err != nil || snap.seq == 0 {
+		t.Fatalf("findLatestSnapshot = %+v, %v", snap, err)
 	}
-	shardFiles, _ := filepath.Glob(filepath.Join(snaps[0], "*.snap"))
-	if len(shardFiles) == 0 {
-		t.Fatalf("snapshot %s holds no shard files", snaps[0])
-	}
-	if err := os.WriteFile(shardFiles[0], []byte("SPOTSNP2garbage-frame"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, PersistOptions{}); err == nil {
-		t.Fatal("Open recovered past a damaged newest snapshot instead of failing")
-	}
-	// Removing the damaged snapshot is the explicit opt-in to recover
-	// from whatever remains.
-	if err := os.RemoveAll(snaps[0]); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir, PersistOptions{})
+	good, err := os.ReadFile(snap.path)
 	if err != nil {
-		t.Fatalf("Open after removing damaged snapshot: %v", err)
+		t.Fatal(err)
 	}
-	re.Persister().Close()
+	sections, err := parseSnapshot(good, snap.seq)
+	if err != nil || len(sections) != 3 {
+		t.Fatalf("parseSnapshot = %d sections, %v", len(sections), err)
+	}
+	var index []snapIndexEntry
+	indexOff := uint64(len(snapMagic))
+	for _, sec := range sections {
+		index = append(index, snapIndexEntry{sec.id.String(), indexOff, uint64(len(sec.frames)), sec.records})
+		indexOff += uint64(len(sec.frames))
+	}
+	body := good[:indexOff]
+	if !bytes.Equal(snapshotImage(body, index, indexOff, snap.seq), good) {
+		t.Fatal("snapshotImage does not reproduce the file the store wrote")
+	}
+	// reindexed is the image with one index entry rewritten.
+	reindexed := func(i int, edit func(*snapIndexEntry)) []byte {
+		bad := append([]snapIndexEntry(nil), index...)
+		edit(&bad[i])
+		return snapshotImage(body, bad, indexOff, snap.seq)
+	}
+	flipped := func(at int) []byte {
+		img := append([]byte(nil), good...)
+		img[at] ^= 0xff
+		return img
+	}
+
+	for _, tc := range []struct {
+		name string
+		img  []byte
+	}{
+		{"flipped byte in a section", flipped(len(snapMagic) + 12)},
+		{"flipped byte in the index", flipped(int(indexOff) + 2)},
+		{"bad opening magic", flipped(0)},
+		{"bad closing magic", flipped(len(good) - 1)},
+		{"truncated mid-section", good[:len(snapMagic)+20]},
+		{"truncated mid-index", good[:indexOff+5]},
+		{"truncated mid-footer", good[:len(good)-5]},
+		{"zero bytes", nil},
+		{"section past the end of the file", reindexed(2, func(e *snapIndexEntry) { e.length += uint64(len(good)) })},
+		{"section past the start of the index", reindexed(2, func(e *snapIndexEntry) { e.length++ })},
+		{"section overlapping its neighbour", reindexed(1, func(e *snapIndexEntry) { e.off-- })},
+		{"gap between sections", reindexed(1, func(e *snapIndexEntry) { e.off++ })},
+		{"gap before the index", snapshotImage(body, index[:2], indexOff, snap.seq)},
+		{"duplicate market", reindexed(1, func(e *snapIndexEntry) { e.market = index[0].market })},
+		{"unparsable market", reindexed(1, func(e *snapIndexEntry) { e.market = "not a market" })},
+		{"wrong record count", reindexed(0, func(e *snapIndexEntry) { e.records++ })},
+		{"index offset past the footer", snapshotImage(body, index, uint64(len(good)), snap.seq)},
+		{"another snapshot's footer", snapshotImage(body, index, indexOff, snap.seq+1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			copyTree(t, pristine, dir)
+			path := filepath.Join(dir, filepath.Base(snap.path))
+			if err := os.WriteFile(path, tc.img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirListing(t, dir)
+			got, err := Open(dir, PersistOptions{})
+			if err == nil || got != nil {
+				t.Fatalf("Open = (%v, %v), want no store and an error", got, err)
+			}
+			if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "remove the file") {
+				t.Errorf("error %q does not name %s and the remedy", err, path)
+			}
+			if after := dirListing(t, dir); after != before {
+				t.Errorf("the refused Open changed the directory:\n got: %.600s\nwant: %.600s", after, before)
+			}
+			// Removing the damaged snapshot is the explicit opt-in to
+			// recover from whatever remains.
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(dir, PersistOptions{})
+			if err != nil {
+				t.Fatalf("Open after removing the damaged snapshot: %v", err)
+			}
+			re.Persister().Close()
+		})
+	}
 }
 
+// TestOpenRejectsV1Snapshot: a snapshot in a format this version cannot
+// read — the version-1 snapshot-<SEQ>.json, the previous release's
+// snapshot-<SEQ>/ directory — covers records whose log epochs were
+// compacted away; ignoring it and recovering from what is readable would
+// present their loss as a successful Open. Only one a readable snapshot
+// supersedes is passed over.
 func TestOpenRejectsV1Snapshot(t *testing.T) {
-	// A version-1 snapshot-<SEQ>.json covers records whose WAL epochs were
-	// compacted away; ignoring it and recovering WAL-only would present
-	// their loss as a successful Open.
+	for _, tc := range []struct {
+		name      string
+		entry     string
+		dir       bool
+		closeOnce bool // the directory holds snapshot-00000002.snap
+		refused   bool
+	}{
+		{name: "version-1 file", entry: "snapshot-00000001.json", refused: true},
+		{name: "previous release's directory", entry: "snapshot-00000001", dir: true, refused: true},
+		{name: "directory newer than the readable snapshot", entry: "snapshot-00000003", dir: true, closeOnce: true, refused: true},
+		{name: "directory as new as the readable snapshot", entry: "snapshot-00000002", dir: true, closeOnce: true, refused: true},
+		{name: "directory a readable snapshot supersedes", entry: "snapshot-00000001", dir: true, closeOnce: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, PersistOptions{})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			appendWorkload(s, 2, 5)
+			if tc.closeOnce {
+				err = s.Persister().Close()
+			} else if err = s.Persister().Flush(); err == nil {
+				s.Persister().Abandon()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			foreign := filepath.Join(dir, tc.entry)
+			file := foreign
+			if tc.dir {
+				if err := os.Mkdir(foreign, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				file = filepath.Join(foreign, "manifest.json")
+			}
+			if err := os.WriteFile(file, []byte(`{"probes":[]}`), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			got, err := Open(dir, PersistOptions{})
+			if tc.refused {
+				if err == nil || got != nil {
+					t.Fatalf("Open = (%v, %v), want no store and an error", got, err)
+				}
+				if !strings.Contains(err.Error(), foreign) || !strings.Contains(err.Error(), "remove the entry") {
+					t.Errorf("error %q does not name %s and the remedy", err, foreign)
+				}
+				// The failed Open released the directory; following the
+				// remedy opens.
+				if err := os.RemoveAll(foreign); err != nil {
+					t.Fatal(err)
+				}
+				got, err = Open(dir, PersistOptions{})
+			}
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			if g := got.GlobalGeneration(); g != s.GlobalGeneration() {
+				t.Errorf("recovered generation = %d, want %d", g, s.GlobalGeneration())
+			}
+			got.Persister().Close()
+		})
+	}
+}
+
+// TestSnapshotIsOneFile: however many snapshots a directory has seen, it
+// holds one snapshot file and nothing else of them — no directory, no
+// older file, and not the .tmp a snapshot that crashed mid-write left,
+// which Open ignores whatever its SEQ and the next compaction removes.
+func TestSnapshotIsOneFile(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, PersistOptions{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	appendWorkload(s, 2, 5)
-	if err := s.Persister().Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+	oracle := New()
+	appendWorkload(s, 3, 4)
+	appendWorkload(oracle, 3, 4)
+	if err := s.Persister().Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	s.Persister().Abandon()
-	v1 := filepath.Join(dir, "snapshot-00000001.json")
-	if err := os.WriteFile(v1, []byte(`{"probes":[]}`), 0o644); err != nil {
+	debris := filepath.Join(dir, snapshotName(9)+tmpSuffix)
+	if err := os.WriteFile(debris, []byte(snapMagic+"half a snapsh"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	got, err := Open(dir, PersistOptions{})
-	if err == nil || got != nil {
-		t.Fatalf("Open = (%v, %v), want no store and an error", got, err)
+	s, err = Open(dir, PersistOptions{})
+	if err != nil {
+		t.Fatalf("Open beside a leftover .tmp: %v", err)
 	}
-	if !strings.Contains(err.Error(), v1) || !strings.Contains(err.Error(), "remove the file") {
-		t.Errorf("error %q does not name %s and the remedy", err, v1)
+	assertStoresEqual(t, s, oracle)
+	for i := 0; i < 3; i++ {
+		appendWorkload(s, 4, 3)
+		if err := s.Persister().Snapshot(); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		if _, err := os.Stat(debris); !os.IsNotExist(err) {
+			t.Fatalf("the leftover .tmp survived a compaction: stat err = %v", err)
+		}
 	}
-	// The failed Open released the directory; following the remedy opens.
-	if err := os.Remove(v1); err != nil {
+	if err := s.Persister().Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(dir, PersistOptions{})
+	var names []string
+	for _, ent := range ents {
+		names = append(names, ent.Name())
+		if ent.IsDir() != (ent.Name() == "wal") {
+			t.Errorf("%s: directory = %v", ent.Name(), ent.IsDir())
+		}
+	}
+	snap, err := findLatestSnapshot(dir)
 	if err != nil {
-		t.Fatalf("Open after removing the v1 snapshot: %v", err)
+		t.Fatal(err)
 	}
-	if g := re.GlobalGeneration(); g != s.GlobalGeneration() {
-		t.Errorf("recovered generation = %d, want %d", g, s.GlobalGeneration())
+	if want := []string{"LOCK", "meta.json", filepath.Base(snap.path), "wal"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("data directory holds %v, want %v", names, want)
 	}
-	re.Persister().Close()
 }
 
 func TestOpenRejectsBadWALDir(t *testing.T) {
 	// Before the single log every market had its own segment directory,
 	// wal/<market>/seg-<epoch>-<idx>.wal, which this version cannot read.
-	// A cleanly closed directory of that layout holds a snapshot and, at
-	// most, segments the snapshot covers: it opens unchanged. A segment
-	// the snapshot does not cover holds records only it has; Open must
-	// refuse it by path rather than present their loss as success.
+	// A segment the snapshot covers is a compaction leftover: the
+	// directory opens unchanged and the next compaction removes it. A
+	// segment the snapshot does not cover holds records only it has; Open
+	// must refuse it by path rather than present their loss as success.
 	dir := t.TempDir()
 	s, err := Open(dir, PersistOptions{})
 	if err != nil {
@@ -975,7 +1178,7 @@ func TestOpenRejectsBadWALDir(t *testing.T) {
 	covered := oldSegment(1) // compaction's leftover: epoch 1 < snapshot 2
 	re, err := Open(dir, PersistOptions{})
 	if err != nil {
-		t.Fatalf("Open of a cleanly closed old-layout directory: %v", err)
+		t.Fatalf("Open beside a covered old-layout segment: %v", err)
 	}
 	assertStoresEqual(t, re, s)
 	if err := re.Persister().Close(); err != nil {
@@ -990,7 +1193,7 @@ func TestOpenRejectsBadWALDir(t *testing.T) {
 	if err == nil || got != nil {
 		t.Fatalf("Open = (%v, %v), want no store and an error", got, err)
 	}
-	if !strings.Contains(err.Error(), uncovered) || !strings.Contains(err.Error(), "previous release") {
+	if !strings.Contains(err.Error(), uncovered) || !strings.Contains(err.Error(), "remove the segment's directory") {
 		t.Errorf("error %q does not name %s and the remedy", err, uncovered)
 	}
 	// The failed Open released the directory.
@@ -1029,22 +1232,7 @@ func TestNoWritesAfterClose(t *testing.T) {
 		t.Fatalf("second Open: %v", err)
 	}
 	defer owner.Persister().Close()
-	listing := func() string {
-		var b strings.Builder
-		err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-			if err == nil && !info.IsDir() {
-				data, rerr := os.ReadFile(path)
-				fmt.Fprintf(&b, "%s %x\n", path, data)
-				err = rerr
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	want := listing()
+	want := dirListing(t, dir)
 
 	// Enough late appends to cross the log's inline-flush threshold.
 	gen := s.GlobalGeneration()
@@ -1069,7 +1257,7 @@ func TestNoWritesAfterClose(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Errorf("second Close = %v, want the first one's nil", err)
 	}
-	if got := listing(); got != want {
+	if got := dirListing(t, dir); got != want {
 		t.Errorf("the data directory changed after Close:\n got: %.600s\nwant: %.600s", got, want)
 	}
 }

@@ -14,9 +14,9 @@ import (
 	"spotlight/internal/market"
 )
 
-// Recovery. The snapshot is partitioned by market — one shard file each —
-// and so is the store's in-memory state, so recovery decodes and rebuilds
-// every market concurrently: one replay task per market, a worker pool of
+// Recovery. The snapshot is partitioned by market — one section each — and
+// so is the store's in-memory state, so recovery decodes and rebuilds every
+// market concurrently: one replay task per market, a worker pool of
 // up to GOMAXPROCS goroutines, and no locks on the hot path (the store is
 // not published until Open returns, and exactly one worker ever touches a
 // given shard). The log is one series for every market, so one serial
@@ -35,22 +35,21 @@ import (
 // workers only decide *when* a shard's records are decoded, never the
 // order anything is summed.
 
-// replayTask is one market's unit of recovery work: its snapshot shard
-// file plus its runs of log frames.
+// replayTask is one market's unit of recovery work: its snapshot section
+// plus its runs of log frames.
 type replayTask struct {
 	// sh is the shard the task rebuilds; finalize adopts it into the
 	// store.
 	sh *shard
 
-	// snapPath/snapRecords name the market's snapshot shard file and the
-	// record count its manifest pins; empty and zero when the snapshot
-	// does not cover this market.
-	snapPath    string
-	snapRecords uint64
+	// snap is the market's section of the snapshot image, with the record
+	// count the index pins for it; zero when the snapshot does not cover
+	// this market.
+	snap snapSection
 
 	// Filled by the serial log pass: next is the shard record count after
 	// the market's log frames seen so far, runs the record frames past
-	// snapRecords, in log order, aliasing the file images.
+	// snap.records, in log order, aliasing the file images.
 	next uint64
 	runs [][]byte
 
@@ -89,7 +88,7 @@ func (r *recovery) openRun(body []byte) (*replayTask, error) {
 		return nil, err
 	}
 	t := r.task(id)
-	if held := max(t.next, t.snapRecords); before < t.next || before > held {
+	if held := max(t.next, t.snap.records); before < t.next || before > held {
 		return nil, fmt.Errorf("%w: run of %v continues from record %d, its shard holds %d", ErrWALCorrupt, id, before, held)
 	}
 	t.next = before
@@ -128,7 +127,7 @@ func (r *recovery) scanLog(data []byte) (validLen int, err error) {
 		case typ < walProbe || typ > walPrice:
 			ferr = fmt.Errorf("%w: unknown frame type %d", ErrWALCorrupt, typ)
 		default:
-			if keep < 0 && t.next >= t.snapRecords {
+			if keep < 0 && t.next >= t.snap.records {
 				keep = off
 			}
 			t.next++
@@ -150,14 +149,20 @@ func (r *recovery) scanLog(data []byte) (validLen int, err error) {
 // recovered record timestamp.
 func replayParallel(walRoot string, files []logFile, info snapInfo, s *Store) (time.Time, error) {
 	r := newRecovery()
-	for _, msh := range info.manifest.Shards {
-		id, perr := market.ParseSpotID(msh.Market)
-		if perr != nil {
-			return time.Time{}, fmt.Errorf("store: snapshot manifest market %q: %w", msh.Market, perr)
+	if info.seq > 0 {
+		// One read; every task's section is a slice of this image, which
+		// nothing references once the tasks are gone.
+		image, err := os.ReadFile(info.path)
+		if err != nil {
+			return time.Time{}, fmt.Errorf("store: read %s: %w", info.path, err)
 		}
-		t := r.task(id)
-		t.snapPath = filepath.Join(info.dirPath, msh.File)
-		t.snapRecords = msh.Records
+		sections, err := parseSnapshot(image, info.seq)
+		if err != nil {
+			return time.Time{}, snapshotDamaged(info.path, err)
+		}
+		for _, sec := range sections {
+			r.task(sec.id).snap = sec
+		}
 	}
 
 	// The serial log pass. The first damaged frame — in practice the torn
@@ -220,7 +225,7 @@ func replayParallel(walRoot string, files []logFile, info snapInfo, s *Store) (t
 			// without shared writes.
 			intern := make(map[string]string)
 			for t := range next {
-				t.run(intern)
+				t.run(info.path, intern)
 			}
 		}()
 	}
@@ -259,8 +264,8 @@ func replayParallel(walRoot string, files []logFile, info snapInfo, s *Store) (t
 // reserved capacity, never contents.
 type frameCounts [walPrice + 1]int
 
-func countFrames(c *frameCounts, data []byte, magicLen int) {
-	off := magicLen
+func countFrames(c *frameCounts, data []byte) {
+	off := 0
 	for off+walFrameHeader < len(data) {
 		length := binary.LittleEndian.Uint32(data[off:])
 		if length == 0 || length > maxWALPayload {
@@ -297,38 +302,22 @@ func (sh *shard) reserveFor(c frameCounts) {
 	}
 }
 
-// run decodes one market's snapshot shard file and log runs into its
-// shard. No locks: the shard is exclusively this worker's until finalize.
-func (t *replayTask) run(intern map[string]string) {
-	// Read everything first and pre-count frames, so the columns get
-	// exactly one allocation each before the decode loop starts.
-	var snapData []byte
+// run decodes one market's snapshot section and log runs into its shard;
+// snapPath names the snapshot file in errors. No locks: the shard is
+// exclusively this worker's until finalize.
+func (t *replayTask) run(snapPath string, intern map[string]string) {
+	// Pre-count frames first, so the columns get exactly one allocation
+	// each before the decode loop starts.
 	var counts frameCounts
-	if t.snapPath != "" {
-		data, err := os.ReadFile(t.snapPath)
-		if err != nil {
-			t.err = fmt.Errorf("store: read %s: %w", t.snapPath, err)
-			return
-		}
-		snapData = data
-		countFrames(&counts, data, len(snapMagic))
-	}
+	countFrames(&counts, t.snap.frames)
 	for _, run := range t.runs {
-		countFrames(&counts, run, 0)
+		countFrames(&counts, run)
 	}
 	t.sh.reserveFor(counts)
 
-	if snapData != nil {
-		n, derr := decodeShardSnapshot(snapData, t.sh.id, intern, t.applyEntry)
-		if derr == nil && n != t.snapRecords {
-			derr = fmt.Errorf("store: %d records, manifest claims %d", n, t.snapRecords)
-		}
-		if derr != nil {
-			// Snapshots are rename-published, so damage is external — fail
-			// Open loudly instead of silently serving a partial recovery.
-			t.err = fmt.Errorf("store: snapshot shard %s is damaged (remove the snapshot directory to recover from whatever older snapshot and log remain, accepting the loss of the records it covered and of the log records that continue from them): %w", t.snapPath, derr)
-			return
-		}
+	if err := decodeSection(t.snap, intern, t.applyEntry); err != nil {
+		t.err = snapshotDamaged(snapPath, err)
+		return
 	}
 	for _, run := range t.runs {
 		if _, derr := decodeFrames(run, t.sh.id, intern, t.applyEntry); derr != nil {

@@ -471,9 +471,8 @@ func (sh *shard) appendPriceLocked(p *PricePoint, d *rollupDelta) {
 type shardCapture struct {
 	id market.SpotID
 
-	// gen is the shard's record count at the cut; per-shard snapshot
-	// files use it to detect that a shard is unchanged since the last
-	// snapshot (record count never decreases).
+	// gen is the shard's record count at the cut; a snapshot's index pins
+	// it, and replay skips the log frames it already counts.
 	gen uint64
 
 	probes      probeCols

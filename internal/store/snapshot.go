@@ -2,10 +2,10 @@ package store
 
 import (
 	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
-	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,345 +13,223 @@ import (
 	"spotlight/internal/market"
 )
 
-// Snapshot format (version 2): a directory per snapshot.
+// Snapshot format: one file per snapshot, snapshot-<SEQ>.snap.
 //
-//	snapshot-<SEQ>/
-//	  manifest.json            {"version":2,"seq":N,"shards":[...]}
-//	  <escaped-market>.snap    per-shard binary record stream
+//	magic     "SPOTSNP3"
+//	sections  one per non-empty shard, back to back in market-ID order
+//	index     one entry per section: market, offset, length, records
+//	footer    index offset, SEQ, CRC-32C of index + both, "SPOTSNPE"
 //
-// A shard file is the 8-byte magic "SPOTSNP2" followed by the WAL's
-// CRC-framed record encoding (wal.go) — one frame per record, families
-// in append order within each family (probes, spikes, bid spreads,
-// revocations, prices; derived outages are not stored). Reusing the WAL
-// codec means one binary format, one fuzz surface,
-// and one streaming decoder for both halves of recovery.
+// A section is the WAL's CRC-framed record encoding (wal.go) — one frame
+// per record, families in append order within each family (probes, spikes,
+// bid spreads, revocations, prices; derived outages are not stored) — so
+// there is one binary record format and one streaming decoder for both
+// halves of recovery. An index entry is a uvarint-prefixed "zone:type:
+// product" string and three uvarints; its record count is the shard's
+// generation at the cut (every record bumps it by one), which gives
+// recovery an end-to-end check and the ordinal rule that skips log frames
+// the snapshot already holds. The footer is fixed-size, so a reader finds
+// the index from the end of the file.
 //
-// Encode and decode both stream record-at-a-time: the encoder walks a
-// shard capture's columns and frames one stack-allocated record per
-// iteration, the decoder hands each decoded frame straight to the shard
+// Encode and decode both stream record-at-a-time: the encoder walks each
+// capture's columns and frames one record per iteration into one buffered
+// writer, the decoder hands each decoded frame straight to the shard
 // replay — neither side ever materializes a []Record.
 //
-// The manifest pins each shard file's record count (the shard's
-// generation at the cut, since every record bumps it by one), which
-// gives recovery an end-to-end integrity check and makes snapshots
-// incremental: a shard whose generation is unchanged since the previous
-// snapshot must have byte-identical contents, so its file is hard-linked
-// from the previous snapshot directory instead of re-encoded — a
-// periodic snapshot of a mostly-idle fleet costs I/O proportional to
-// what changed.
-//
-// Publication is atomic: the directory is assembled as
-// snapshot-<SEQ>.tmp (files fsynced, then the directory), renamed to its
-// final name, and the parent fsynced — a crash mid-snapshot leaves only
-// a .tmp directory, which recovery ignores and compaction removes.
-//
-// This is the only snapshot format recovery reads. The version-1 layout —
-// one whole-store snapshot-<SEQ>.json, which no release since the
-// directory format can write — is refused by name (findLatestSnapshot):
-// recovering WAL-only past it would present the loss of every record it
-// covers as a successful Open.
-
-// snapMagic opens every shard snapshot file.
-const snapMagic = "SPOTSNP2"
+// Only a rename publishes: the image goes to snapshot-<SEQ>.snap.tmp, is
+// fsynced once, renamed, and the data directory fsynced (publishFile). A
+// crash mid-snapshot leaves a .tmp, which recovery ignores and compaction
+// removes; a published file is therefore complete, and any damage in it —
+// there are no valid-prefix semantics here — fails Open.
 
 const (
-	snapManifestName = "manifest.json"
-	snapFileSuffix   = ".snap"
-	snapTmpSuffix    = ".tmp"
+	snapMagic    = "SPOTSNP3"
+	snapEndMagic = "SPOTSNPE"
+
+	// snapFooterSize is the footer: index offset and SEQ (uint64 LE each),
+	// the CRC-32C of the index and those sixteen bytes, the closing magic.
+	snapFooterSize = 8 + 8 + 4 + len(snapEndMagic)
 )
 
-// snapManifest is the manifest.json schema.
-type snapManifest struct {
-	Version int                 `json:"version"`
-	Seq     uint64              `json:"seq"`
-	Shards  []snapManifestShard `json:"shards"`
+// snapshotName renders a snapshot file name. snapshotSeq scans the SEQ a
+// snapshot-* name leads with (0 when it has none) and reports whether the
+// name is that SEQ's canonical rendering — the same round-trip check as log
+// file names; anything else is not a file this version wrote.
+func snapshotName(seq uint64) string {
+	return fmt.Sprintf("%s%08d.snap", snapshotPrefix, seq)
 }
 
-// snapManifestShard describes one shard file of a snapshot.
-type snapManifestShard struct {
-	// Market is the canonical market ID the file belongs to.
-	Market string `json:"market"`
-	// File is the shard file's name within the snapshot directory.
-	File string `json:"file"`
-	// Records is the exact number of record frames in the file — the
-	// shard's generation at the cut.
-	Records uint64 `json:"records"`
+func snapshotSeq(name string) (seq uint64, canonical bool) {
+	_, _ = fmt.Sscanf(name, snapshotPrefix+"%d", &seq) // no digits: SEQ 0
+	return seq, name == snapshotName(seq)
 }
 
-// snapshotDirName renders a snapshot directory name; snapshotDirSeq
-// inverts it (with the same canonical round-trip check as log file names).
-func snapshotDirName(seq uint64) string {
-	return fmt.Sprintf("%s%08d", snapshotPrefix, seq)
-}
-
-func snapshotDirSeq(name string) (uint64, bool) {
-	var seq uint64
-	n, err := fmt.Sscanf(name, snapshotPrefix+"%d", &seq)
-	if err != nil || n != 1 {
-		return 0, false
-	}
-	if name != snapshotDirName(seq) {
-		return 0, false
-	}
-	return seq, true
-}
-
-// snapFileName returns the shard file name for a market: the
-// URL-path-escaped canonical ID ("Linux/UNIX" contains a slash) plus the
-// .snap suffix.
-func snapFileName(id market.SpotID) string {
-	return url.PathEscape(id.String()) + snapFileSuffix
-}
-
-// encodeShardSnapshot streams one shard capture's records into w as
-// magic + WAL frames. The per-record state is a single stack record and
-// a reused frame buffer; nothing is materialized.
-func encodeShardSnapshot(w io.Writer, c *shardCapture) error {
+// encodeSnapshot streams the captures into w as one snapshot image and
+// returns how many sections it wrote. Write errors are bufio's sticky one,
+// collected by the final Flush.
+func encodeSnapshot(w io.Writer, seq uint64, captures []shardCapture) (sections int, err error) {
 	bw := bufio.NewWriterSize(w, 64<<10)
-	if _, err := bw.WriteString(snapMagic); err != nil {
-		return err
+	off := uint64(len(snapMagic))
+	bw.WriteString(snapMagic)
+	var trailer, buf []byte // trailer: the index, then the footer
+	put := func(frame []byte) []byte {
+		bw.Write(frame)
+		off += uint64(len(frame))
+		return frame[:0]
 	}
-	var buf []byte
-	emit := func(enc func([]byte) []byte) error {
-		buf = enc(buf[:0])
-		_, err := bw.Write(buf)
-		return err
-	}
-	for i := 0; i < c.probes.n(); i++ {
-		r := c.probes.get(i, c.id)
-		if err := emit(func(b []byte) []byte { return appendProbeFrame(b, r) }); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < c.spikes.n(); i++ {
-		e := c.spikes.get(i, c.id)
-		if err := emit(func(b []byte) []byte { return appendSpikeFrame(b, e) }); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < c.bidSpreads.n(); i++ {
-		r := c.bidSpreads.get(i, c.id)
-		if err := emit(func(b []byte) []byte { return appendBidSpreadFrame(b, r) }); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < c.revocations.n(); i++ {
-		r := c.revocations.get(i, c.id)
-		if err := emit(func(b []byte) []byte { return appendRevocationFrame(b, r) }); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < c.prices.n(); i++ {
-		p := c.prices.get(i)
-		if err := emit(func(b []byte) []byte { return appendPriceFrame(b, p) }); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// decodeShardSnapshot streams a shard snapshot image through fn, one
-// decoded record at a time. Unlike the log there are no valid-prefix
-// semantics: snapshots are rename-published, so any damage — bad magic, a
-// corrupt frame, a record of the wrong market — is an error, never a
-// truncation point. Returns the number of records decoded.
-func decodeShardSnapshot(data []byte, id market.SpotID, intern map[string]string, fn func(*walEntry)) (uint64, error) {
-	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {
-		return 0, fmt.Errorf("%w: bad shard snapshot magic", ErrWALCorrupt)
-	}
-	return decodeFrames(data[len(snapMagic):], id, intern, fn)
-}
-
-// snapDirState remembers the published snapshot directory incremental
-// encoding links unchanged shard files from. Guarded by Persister.snapMu
-// (all snapshot writes serialize there).
-type snapDirState struct {
-	seq uint64
-	dir string
-	// records maps shard file name -> record count in that snapshot.
-	records map[string]uint64
-	// linked/encoded count how this snapshot's shard files were produced
-	// (hard-linked unchanged vs freshly encoded) — the incremental-
-	// snapshot efficiency signal the metrics layer reports.
-	linked, encoded int
-}
-
-// writeSnapshotV2 assembles and atomically publishes snapshot seq from
-// the captures, hard-linking any shard file whose record count is
-// unchanged since prev (nil when there is no previous snapshot, or its
-// directory is gone). Returns the state of the published snapshot
-// for the next round's linking.
-func writeSnapshotV2(dir string, seq uint64, captures []shardCapture, prev *snapDirState) (*snapDirState, error) {
-	tmp := filepath.Join(dir, snapshotDirName(seq)+snapTmpSuffix)
-	if err := os.RemoveAll(tmp); err != nil {
-		return nil, fmt.Errorf("store: clear %s: %w", tmp, err)
-	}
-	if err := os.MkdirAll(tmp, 0o755); err != nil {
-		return nil, fmt.Errorf("store: create %s: %w", tmp, err)
-	}
-	man := snapManifest{Version: 2, Seq: seq}
-	state := &snapDirState{seq: seq, records: make(map[string]uint64, len(captures))}
-	for i := range captures {
-		c := &captures[i]
+	for k := range captures {
+		c := &captures[k]
 		if c.gen == 0 {
 			continue // a shard exists iff it holds records; nothing to store
 		}
-		name := snapFileName(c.id)
-		path := filepath.Join(tmp, name)
-		if prev != nil && prev.records[name] == c.gen {
-			// Unchanged since the previous snapshot: same generation means
-			// the same record prefix, so the previous file is this file.
-			// Hard-link it (content already durable); fall through to a
-			// fresh encode if the filesystem refuses.
-			if err := os.Link(filepath.Join(prev.dir, name), path); err == nil {
-				man.Shards = append(man.Shards, snapManifestShard{Market: c.id.String(), File: name, Records: c.gen})
-				state.records[name] = c.gen
-				state.linked++
-				continue
-			}
+		start := off
+		for i := 0; i < c.probes.n(); i++ {
+			buf = put(appendProbeFrame(buf, c.probes.get(i, c.id)))
 		}
-		if err := encodeShardFile(path, c); err != nil {
-			return nil, err
+		for i := 0; i < c.spikes.n(); i++ {
+			buf = put(appendSpikeFrame(buf, c.spikes.get(i, c.id)))
 		}
-		man.Shards = append(man.Shards, snapManifestShard{Market: c.id.String(), File: name, Records: c.gen})
-		state.records[name] = c.gen
-		state.encoded++
+		for i := 0; i < c.bidSpreads.n(); i++ {
+			buf = put(appendBidSpreadFrame(buf, c.bidSpreads.get(i, c.id)))
+		}
+		for i := 0; i < c.revocations.n(); i++ {
+			buf = put(appendRevocationFrame(buf, c.revocations.get(i, c.id)))
+		}
+		for i := 0; i < c.prices.n(); i++ {
+			buf = put(appendPriceFrame(buf, c.prices.get(i)))
+		}
+		trailer = appendString(trailer, c.id.String())
+		trailer = appendUvarint(trailer, start)
+		trailer = appendUvarint(trailer, off-start)
+		trailer = appendUvarint(trailer, c.gen)
+		sections++
 	}
-	if err := writeSyncedFile(filepath.Join(tmp, snapManifestName), mustJSON(man)); err != nil {
-		return nil, err
-	}
-	if err := syncPath(tmp); err != nil {
-		return nil, err
-	}
-	final := filepath.Join(dir, snapshotDirName(seq))
-	if err := os.Rename(tmp, final); err != nil {
-		return nil, fmt.Errorf("store: publish %s: %w", final, err)
-	}
-	if err := syncPath(dir); err != nil {
-		return nil, err
-	}
-	state.dir = final
-	return state, nil
+	trailer = binary.LittleEndian.AppendUint64(trailer, off)
+	trailer = binary.LittleEndian.AppendUint64(trailer, seq)
+	trailer = binary.LittleEndian.AppendUint32(trailer, crc32.Checksum(trailer, walCastagnoli))
+	bw.Write(trailer)
+	bw.WriteString(snapEndMagic)
+	return sections, bw.Flush()
 }
 
-// encodeShardFile streams one capture into path and fsyncs it.
-func encodeShardFile(path string, c *shardCapture) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// snapSection is one index entry of a snapshot image.
+type snapSection struct {
+	id      market.SpotID
+	frames  []byte // the market's record frames, aliasing the image
+	records uint64 // how many the index says there are
+}
+
+// parseSnapshot validates the footer and index of snapshot seq's image and
+// returns its sections: they must tile the bytes between the magic and the
+// index exactly, in strictly ascending market order. Nothing is sized from
+// a count the image claims.
+func parseSnapshot(data []byte, seq uint64) ([]snapSection, error) {
+	if len(data) < len(snapMagic)+snapFooterSize || string(data[:len(snapMagic)]) != snapMagic {
+		return nil, fmt.Errorf("%w: bad snapshot magic", ErrWALCorrupt)
+	}
+	foot := data[len(data)-snapFooterSize:]
+	if string(foot[20:]) != snapEndMagic {
+		return nil, fmt.Errorf("%w: bad closing magic", ErrWALCorrupt)
+	}
+	indexOff, indexEnd := binary.LittleEndian.Uint64(foot), uint64(len(data)-snapFooterSize)
+	if indexOff < uint64(len(snapMagic)) || indexOff > indexEnd {
+		return nil, fmt.Errorf("%w: index offset %d outside the file", ErrWALCorrupt, indexOff)
+	}
+	if crc32.Checksum(data[indexOff:indexEnd+16], walCastagnoli) != binary.LittleEndian.Uint32(foot[16:]) {
+		return nil, fmt.Errorf("%w: index checksum mismatch", ErrWALCorrupt)
+	}
+	if got := binary.LittleEndian.Uint64(foot[8:]); got != seq {
+		return nil, fmt.Errorf("%w: footer claims seq %d", ErrWALCorrupt, got)
+	}
+	var sections []snapSection
+	r := walReader{data: data[indexOff:indexEnd]}
+	pos, prev := uint64(len(snapMagic)), ""
+	for len(r.data) > 0 {
+		name, off, length, records := string(r.bytes()), r.uvarint(), r.uvarint(), r.uvarint()
+		if err := r.err(); err != nil {
+			return nil, fmt.Errorf("index entry %d: %w", len(sections), err)
+		}
+		id, err := market.ParseSpotID(name)
+		if err != nil {
+			return nil, fmt.Errorf("%w: index entry %d: %v", ErrWALCorrupt, len(sections), err)
+		}
+		if name <= prev {
+			return nil, fmt.Errorf("%w: index names %q after %q", ErrWALCorrupt, name, prev)
+		}
+		if off != pos || length > indexOff-pos {
+			return nil, fmt.Errorf("%w: section of %q is %d bytes at %d, the sections before it end at %d and the index starts at %d", ErrWALCorrupt, name, length, off, pos, indexOff)
+		}
+		sections = append(sections, snapSection{id: id, frames: data[pos : pos+length], records: records})
+		pos, prev = pos+length, name
+	}
+	if pos != indexOff {
+		return nil, fmt.Errorf("%w: sections end at %d, the index starts at %d", ErrWALCorrupt, pos, indexOff)
+	}
+	return sections, nil
+}
+
+// decodeSection streams one section's records through fn, one at a time; a
+// frame that does not decode, a record of another market, or a record count
+// other than the index's is an error.
+func decodeSection(sec snapSection, intern map[string]string, fn func(*walEntry)) error {
+	n, err := decodeFrames(sec.frames, sec.id, intern, fn)
+	if err == nil && n != sec.records {
+		err = fmt.Errorf("%w: %d records, the index claims %d", ErrWALCorrupt, n, sec.records)
+	}
 	if err != nil {
-		return fmt.Errorf("store: create %s: %w", path, err)
-	}
-	werr := encodeShardSnapshot(f, c)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("store: write %s: %w", path, werr)
+		return fmt.Errorf("section of %v: %w", sec.id, err)
 	}
 	return nil
 }
 
-// writeSyncedFile writes data to path and fsyncs it. No rename dance:
-// callers write inside a not-yet-published .tmp snapshot directory,
-// whose rename is the atomic publication point.
-func writeSyncedFile(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: create %s: %w", path, err)
-	}
-	_, werr := f.Write(data)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("store: write %s: %w", path, werr)
-	}
-	return nil
+// snapshotDamaged is Open's refusal of a published snapshot file it
+// cannot load. Only the newest snapshot is acceptable: compaction deleted
+// the log epochs it covers, so falling back to an older one would present
+// large data loss as a successful recovery. Snapshots are rename-published,
+// so only external corruption gets here; the operator accepts the loss
+// explicitly.
+func snapshotDamaged(path string, err error) error {
+	return fmt.Errorf("store: snapshot %s is damaged (remove the file to recover from whatever older snapshot and log remain, accepting the loss of the records it covered and of the log records that continue from them): %w", path, err)
 }
 
-// syncPath fsyncs a file or directory by path.
-func syncPath(path string) error {
-	d, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("store: open for sync %s: %w", path, err)
-	}
-	serr := d.Sync()
-	d.Close()
-	if serr != nil {
-		return fmt.Errorf("store: sync %s: %w", path, serr)
-	}
-	return nil
-}
-
-// loadSnapManifest reads and validates a snapshot directory's manifest.
-func loadSnapManifest(dirPath string) (snapManifest, error) {
-	data, err := os.ReadFile(filepath.Join(dirPath, snapManifestName))
-	if err != nil {
-		return snapManifest{}, fmt.Errorf("store: read snapshot manifest: %w", err)
-	}
-	var man snapManifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return snapManifest{}, fmt.Errorf("store: decode snapshot manifest: %w", err)
-	}
-	if man.Version != 2 {
-		return snapManifest{}, fmt.Errorf("store: unsupported snapshot version %d", man.Version)
-	}
-	for _, sh := range man.Shards {
-		if sh.File != filepath.Base(sh.File) || !strings.HasSuffix(sh.File, snapFileSuffix) {
-			return snapManifest{}, fmt.Errorf("store: snapshot manifest names invalid file %q", sh.File)
-		}
-	}
-	return man, nil
-}
-
-// snapInfo locates the newest complete snapshot in a data directory.
+// snapInfo locates the newest snapshot in a data directory.
 type snapInfo struct {
-	seq      uint64 // 0 when no snapshot exists
-	dirPath  string
-	manifest snapManifest
+	seq  uint64 // 0 when no snapshot exists
+	path string
 }
 
-// findLatestSnapshot scans dir for the newest snapshot directory
-// (rename-published, so presence implies completeness); in-progress .tmp
-// directories are ignored. A leftover version-1 snapshot file fails the
-// scan: see the format note above.
+// findLatestSnapshot scans dir for the newest snapshot file (rename-
+// published, so presence implies completeness); .tmp debris is ignored.
+// Any other snapshot-* entry is another release's format — a
+// snapshot-<SEQ>/ directory, a snapshot-<SEQ>.json — that this version
+// cannot read: one at least as new as the newest readable snapshot covers
+// records nothing else here does, and opening past it would present their
+// loss as a successful Open, so it fails the scan.
 func findLatestSnapshot(dir string) (snapInfo, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return snapInfo{}, fmt.Errorf("store: list %s: %w", dir, err)
 	}
-	var info snapInfo
+	var info, foreign snapInfo
 	for _, ent := range ents {
 		name := ent.Name()
-		if !ent.IsDir() {
-			if strings.HasPrefix(name, snapshotPrefix) && strings.HasSuffix(name, ".json") {
-				return snapInfo{}, fmt.Errorf("store: %s is a version-1 snapshot file, which this version cannot read (open the directory once with a release that reads it, whose next snapshot rewrites it in the directory format; or remove the file to recover from newer snapshots + WAL alone, accepting the loss of the records only it covered)", filepath.Join(dir, name))
-			}
+		if !strings.HasPrefix(name, snapshotPrefix) || strings.HasSuffix(name, tmpSuffix) {
 			continue
 		}
-		if seq, ok := snapshotDirSeq(name); ok && seq > info.seq {
-			info = snapInfo{seq: seq, dirPath: filepath.Join(dir, name)}
+		path := filepath.Join(dir, name)
+		seq, canonical := snapshotSeq(name)
+		if canonical && !ent.IsDir() {
+			if seq > info.seq {
+				info = snapInfo{seq: seq, path: path}
+			}
+		} else if foreign.path == "" || seq > foreign.seq {
+			// A name without a SEQ scans as 0, and is refused only while
+			// nothing readable exists.
+			foreign = snapInfo{seq: seq, path: path}
 		}
 	}
-	if info.seq == 0 {
-		return info, nil
-	}
-	// The newest snapshot is the only acceptable one: compaction deleted
-	// the log epochs it covers, so silently falling back to an older
-	// snapshot would present large data loss as a successful recovery.
-	// Snapshots are rename-published, so only external corruption gets
-	// here; fail loudly and let the operator accept the loss explicitly.
-	info.manifest, err = loadSnapManifest(info.dirPath)
-	if err != nil {
-		return snapInfo{}, fmt.Errorf("store: snapshot %s is damaged (remove the directory to recover from whatever older snapshot and log remain, accepting the loss of the records it covered and of the log records that continue from them): %w", filepath.Base(info.dirPath), err)
-	}
-	if info.manifest.Seq != info.seq {
-		return snapInfo{}, fmt.Errorf("store: snapshot %s manifest claims seq %d", filepath.Base(info.dirPath), info.manifest.Seq)
+	if foreign.path != "" && foreign.seq >= info.seq {
+		return snapInfo{}, fmt.Errorf("store: %s is a snapshot in another release's format, which this version cannot read, and no snapshot it can read is newer (serve this directory with the release that wrote it, or remove the entry to recover from whatever readable snapshot and log remain, accepting the loss of the records only it covered)", foreign.path)
 	}
 	return info, nil
 }

@@ -74,7 +74,7 @@ const (
 	walRevocation
 	walPrice
 	// walRunHeader opens a run of one shard's record frames in the store
-	// log; it never appears in a snapshot shard file.
+	// log; it never appears in a snapshot section.
 	walRunHeader
 )
 
@@ -306,7 +306,7 @@ func (r *walReader) market() market.SpotID {
 }
 
 // marketExpect decodes a market field that is nearly always the given ID
-// (a shard's snapshot file and log runs only hold its own market's
+// (a shard's snapshot section and log runs only hold its own market's
 // records): when the raw
 // bytes match, it returns the expected ID without any map lookups or
 // allocation. Mismatches fall back to the general decoder — the caller's
@@ -581,7 +581,7 @@ func decodeProbeFast(e *ProbeRecord, body []byte, id market.SpotID, intern map[s
 // the ~400-byte union through every call (only the record of e.typ is
 // meaningful; stale bytes of the other arms are never read). The price
 // record carries no market of its own: the caller supplies the owning
-// market, from the snapshot manifest or the log's run header. intern,
+// market, from the snapshot index or the log's run header. intern,
 // when non-nil, deduplicates decoded strings across records (see
 // walReader.intern).
 func decodeWALEntry(e *walEntry, typ walRecordType, body []byte, id market.SpotID, intern map[string]string) error {
@@ -665,8 +665,8 @@ func decodeWALEntry(e *walEntry, typ walRecordType, body []byte, id market.SpotI
 	return nil
 }
 
-// decodeFrames streams a sequence of record frames — a snapshot shard file
-// past its magic, or one run of a market's log frames — through fn, one
+// decodeFrames streams a sequence of record frames — a snapshot section, or
+// one run of a market's log frames — through fn, one
 // decoded record at a time and without ever collecting a slice: the only
 // per-record state is the stack-allocated walEntry. It returns how many
 // records it decoded; err is nil only when data decoded completely.
