@@ -6,12 +6,12 @@ GO ?= go
 # ingest paths whose regressions matter (summary, scope generations,
 # monitor-shaped batched appends), the durability paths (WAL-enabled
 # batch ingest, WAL append+flush cycle, boot-time replay), and the
-# change-feed paths (publish round, 1/64/512-subscriber fan-out, and the
-# blocked-watcher ingest twin that proves slow consumers cannot stall
-# appends), the advisor ranking path (BenchmarkAdvise matches the
-# generation-cached variant too), and the metrics overhead pair
-# (BenchmarkObsOverhead runs each instrumented hot path against its
-# nil-registry twin — the two must stay within noise of each other).
+# change-feed paths (publish round with a draining and with a stalled
+# subscriber, 1/64/512-subscriber fan-out), the advisor ranking path
+# (BenchmarkAdvise matches the generation-cached variant too), and the
+# metrics overhead pair (BenchmarkObsOverhead runs each instrumented hot
+# path against its nil-registry twin — the two must stay within noise of
+# each other).
 BENCH_SMOKE = BenchmarkQueryStable|BenchmarkQueryFallback|BenchmarkQuerySummary|BenchmarkStoreAggregates|BenchmarkStoreRegionAggregates|BenchmarkGenerationOfScope|BenchmarkStoreAppendMonitorTick|BenchmarkStoreAppendProbesBatchParallel|BenchmarkWALAppend|BenchmarkReplay|BenchmarkFeedPublish|BenchmarkFeedFanout|BenchmarkAdvise|BenchmarkPriceStatsIn|BenchmarkSpikesInWindow|BenchmarkEventsSince|BenchmarkObsOverhead
 
 # Benchmark iteration control. The CI smoke keeps the 1x default (it only
@@ -110,7 +110,7 @@ SEED ?= 42
 bench-e2e:
 	bash bench/run.sh --workload $(W) --seed $(SEED) --seconds 10 --trace 0
 
-# End-to-end gate, two legs of the repo benchmark, each failing unless the
+# End-to-end gate, three legs of the repo benchmark, each failing unless the
 # driver line reports correct:true and failed:0. read-cold: every request
 # a cache miss, so every ranking is computed, and the sampled responses
 # are compared byte for byte (bodies, and an ETag on every 200) against
@@ -120,14 +120,25 @@ bench-e2e:
 # fixed query set as the pre-close store and the in-memory dataset do —
 # plus the crash variant (die after the last flush, lose nothing
 # acknowledged), so the write path's recovery identity runs on every PR.
+# live-fleet, traced: leader, follower and gateway under ingest with no
+# fault injected, so fault-free means zero — no feed event dropped, no
+# subscription lagged, no watch or replica stream reconnected or resynced.
 bench-gate:
-	@for w in read-cold ingest-recover; do \
-		line="$$(bash bench/run.sh --workload $$w --seed 42 --seconds 2 --trace 0 | tail -n 1)"; \
+	@for wt in read-cold:0 ingest-recover:0 live-fleet:1; do \
+		w=$${wt%:*}; \
+		line="$$(bash bench/run.sh --workload $$w --seed 42 --seconds 2 --trace $${wt#*:} | tail -n 1)"; \
 		echo "$$line"; \
 		case "$$line" in \
 			'{"correct":true,'*'"failed":0,'*) ;; \
 			*) echo "bench-gate: $$w did not report correct:true and failed:0" >&2; exit 1 ;; \
 		esac; \
+		[ $$w = live-fleet ] || continue; \
+		for m in store.feed.dropped store.feed.lagged query.watch.reconnects replica.reconnects replica.resyncs; do \
+			case "$$line" in \
+				*"\"$$m\":{\"value\":0,"*) ;; \
+				*) echo "bench-gate: live-fleet $$m is not 0 in a fault-free run" >&2; exit 1 ;; \
+			esac; \
+		done; \
 	done
 
 # HTTP smoke: boot spotlightd on an ephemeral port, issue one v2 batch

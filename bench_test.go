@@ -1209,77 +1209,48 @@ func BenchmarkStoreAppendMonitorTick(b *testing.B) {
 	b.ReportMetric(tickBatch, "tick_batch")
 }
 
-// BenchmarkStoreAppendProbesBatchParallelBlockedWatcher is the
-// acceptance benchmark of the change feed's overflow contract: the same
-// concurrent batched ingest as BenchmarkStoreAppendProbesBatchParallel,
-// but with a deliberately blocked subscriber attached (tiny buffer,
-// never drained). The feed must mark it lagged and keep appending at
-// full speed — the numbers should sit within noise of the
-// no-subscriber baseline.
-func BenchmarkStoreAppendProbesBatchParallelBlockedWatcher(b *testing.B) {
-	const batchSize = 64
-	db := store.New()
-	blocked := db.Feed().Subscribe(store.SubscribeOptions{Buffer: 2})
-	defer blocked.Close()
-	mkts := benchMarkets(8)
-	base := time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
-	var next atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		g := int(next.Add(1)) - 1
-		app := db.Appender(mkts[g%len(mkts)])
-		batch := make([]store.ProbeRecord, 0, batchSize)
-		i := 0
-		for pb.Next() {
-			batch = append(batch, store.ProbeRecord{
-				At:     base.Add(time.Duration(i) * time.Second),
-				Market: app.Market(), Kind: store.ProbeOnDemand,
-				Trigger: store.TriggerSpike, Rejected: i%8 == 0, Cost: 0.1,
-			})
-			if len(batch) == batchSize {
-				app.AppendProbes(batch)
-				batch = batch[:0]
-			}
-			i++
-		}
-		app.AppendProbes(batch)
-	})
-	b.ReportMetric(batchSize, "batch_size")
-}
-
-// BenchmarkFeedPublish measures the change feed's publish round with one
-// healthy (drained) subscriber: event construction, ring insertion, and
-// one buffered-channel fan-out, per 64-record batch.
+// BenchmarkFeedPublish measures the change feed's publish round per
+// 64-record batch — event construction, ring insertion and one wake —
+// with one subscriber that drains as it is woken ("drained") and with one
+// that never reads ("stalled"). The two must sit within noise of each
+// other: a slow consumer costs the publisher nothing.
 func BenchmarkFeedPublish(b *testing.B) {
-	const batchSize = 64
-	db := store.New()
-	sub := db.Feed().Subscribe(store.SubscribeOptions{Buffer: 8192})
-	defer sub.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range sub.Events() {
-		}
-	}()
-	app := db.Appender(benchMarkets(1)[0])
-	base := time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
-	batch := make([]store.ProbeRecord, batchSize)
-	for i := range batch {
-		batch[i] = store.ProbeRecord{
-			At: base, Market: app.Market(), Kind: store.ProbeOnDemand,
-			Trigger: store.TriggerSpike, Cost: 0.1,
-		}
+	for _, mode := range []string{"drained", "stalled"} {
+		b.Run(mode, func(b *testing.B) {
+			const batchSize = 64
+			db := store.New()
+			sub := db.Feed().Subscribe(store.SubscribeOptions{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				if mode == "stalled" {
+					return
+				}
+				buf := make([]store.Event, 0, 256)
+				for range sub.Ready() {
+					sub.Next(buf)
+				}
+			}()
+			app := db.Appender(benchMarkets(1)[0])
+			base := time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
+			batch := make([]store.ProbeRecord, batchSize)
+			for i := range batch {
+				batch[i] = store.ProbeRecord{
+					At: base, Market: app.Market(), Kind: store.ProbeOnDemand,
+					Trigger: store.TriggerSpike, Cost: 0.1,
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				app.AppendProbes(batch)
+			}
+			b.StopTimer()
+			sub.Close()
+			<-done
+			b.ReportMetric(batchSize, "batch_size")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		app.AppendProbes(batch)
-	}
-	b.StopTimer()
-	sub.Close()
-	<-done
-	b.ReportMetric(batchSize, "batch_size")
 }
 
 // Observability benchmarks ---------------------------------------------
@@ -1353,19 +1324,21 @@ func BenchmarkFeedFanout(b *testing.B) {
 			app := db.Appender(benchMarkets(1)[0])
 			var wg sync.WaitGroup
 			// Registered before the per-subscription Close defers so it
-			// runs after them: drainers exit once their channels close.
+			// runs after them: drainers exit once Close closes Ready.
 			defer wg.Wait()
 			for i := 0; i < subs; i++ {
 				filter := store.EventFilter{}
 				if i%2 == 1 {
 					filter.Region = "us-east-1"
 				}
-				sub := db.Feed().Subscribe(store.SubscribeOptions{Filter: filter, Buffer: 8192})
+				sub := db.Feed().Subscribe(store.SubscribeOptions{Filter: filter})
 				defer sub.Close()
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					for range sub.Events() {
+					buf := make([]store.Event, 0, 256)
+					for range sub.Ready() {
+						sub.Next(buf)
 					}
 				}()
 			}

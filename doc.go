@@ -18,8 +18,8 @@
 //     indexes and aggregates, so ingestion scales across markets and
 //     availability queries are shard-local lookups instead of log scans.
 //     Every append also publishes typed events to a change feed
-//     (store.Feed) with scope-filtered subscriptions, lagged-consumer
-//     overflow accounting, and ring-based resume (docs/streaming.md).
+//     (store.Feed): one ring, scope-filtered subscriptions that are
+//     cursors into it, and ring-based resume (docs/streaming.md).
 //     Optionally durable (store.Open): one CRC-framed write-ahead log
 //     for the whole store, framed in the same batch round as each
 //     append, periodic snapshot + compaction, and crash recovery that

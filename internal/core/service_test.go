@@ -664,12 +664,13 @@ func TestTickFlushDrivesChangeFeed(t *testing.T) {
 	svc.OnTick()
 
 	byKind := map[store.EventKind]int{}
-	for done := false; !done; {
-		select {
-		case ev := <-sub.Events():
+	for {
+		evs, _ := sub.Next(nil)
+		if len(evs) == 0 {
+			break
+		}
+		for _, ev := range evs {
 			byKind[ev.Kind]++
-		default:
-			done = true
 		}
 	}
 	if byKind[store.EventPrice] == 0 {

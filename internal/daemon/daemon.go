@@ -90,15 +90,18 @@ type Daemon struct {
 
 	st     *experiment.Study   // leader mode, or a follower after Promote
 	rep    *replica.Replicator // follower mode (kept after Promote for status)
-	mu     sync.Mutex          // owns st.Sim and st.Svc; HTTP touches only the clock under it
+	mu     sync.Mutex          // owns st.Sim and st.Svc; no request handler takes it
 	ln     net.Listener
 	srv    *http.Server
 	apiSrv *query.API
 
 	// now is the API clock indirection: followers read the replicated
 	// leader clock, and Promote atomically swaps in the local simulation
-	// clock without racing in-flight request handlers.
-	now atomic.Pointer[func() time.Time]
+	// clock without racing in-flight request handlers. simNow is that
+	// simulation clock as the tick goroutine last published it, so no
+	// request waits on a tick in progress.
+	now    atomic.Pointer[func() time.Time]
+	simNow atomic.Pointer[time.Time]
 
 	promoteMu sync.Mutex // serializes Promote vs Close teardown
 	promoted  atomic.Bool
@@ -175,12 +178,6 @@ func startLeader(opts Options) (*Daemon, error) {
 	interval := d.startTicking(st)
 
 	engine := query.NewEngine(st.DB, st.Cat)
-	simNow := func() time.Time {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return st.Sim.Now()
-	}
-	d.now.Store(&simNow)
 	apiSrv := query.NewAPI(engine, d.clock)
 	d.apiSrv = apiSrv
 	apiSrv.EnableMetrics(opts.Metrics)
@@ -209,16 +206,24 @@ func startLeader(opts Options) (*Daemon, error) {
 	return d, nil
 }
 
-// startTicking launches the tick goroutine driving st and returns the
-// wall-clock tick interval. The simulator and service are
-// single-threaded by design; the tick goroutine owns them and the HTTP
-// layer only touches the (concurrency-safe) store plus the clock under
-// the mutex. Used at leader start and again at follower promotion.
+// startTicking launches the tick goroutine driving st, points the API
+// clock at the simulation clock, and returns the wall-clock tick interval.
+// The simulator and service are single-threaded by design; the tick
+// goroutine owns them, publishes the clock once at the end of each tick,
+// and the HTTP layer only touches the (concurrency-safe) store plus that
+// published clock. Used at leader start and again at follower promotion.
 func (d *Daemon) startTicking(st *experiment.Study) time.Duration {
 	interval := time.Duration(float64(d.opts.Tick) / d.opts.Speed)
 	if interval <= 0 {
 		interval = time.Millisecond
 	}
+	publish := func() {
+		now := st.Sim.Now()
+		d.simNow.Store(&now)
+	}
+	publish()
+	simNow := func() time.Time { return *d.simNow.Load() }
+	d.now.Store(&simNow)
 	tickCtx, stopTick := context.WithCancel(context.Background())
 	d.stopTick = stopTick
 	d.tickDone = make(chan struct{})
@@ -234,6 +239,7 @@ func (d *Daemon) startTicking(st *experiment.Study) time.Duration {
 				d.mu.Lock()
 				st.Sim.Step()
 				st.Svc.OnTick()
+				publish()
 				d.mu.Unlock()
 			}
 		}
@@ -395,14 +401,7 @@ func (d *Daemon) Promote(force bool) error {
 	// From here Svc owns the persister: its OnTick flushes and its Close
 	// (via Daemon.Close) snapshots and releases the flock.
 	d.promoted.Store(true)
-	interval := d.startTicking(st)
-	simNow := func() time.Time {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return st.Sim.Now()
-	}
-	d.now.Store(&simNow)
-	d.apiSrv.SetCacheTTL(interval)
+	d.apiSrv.SetCacheTTL(d.startTicking(st))
 	return nil
 }
 

@@ -45,21 +45,17 @@ func (st *Study) spotlightFallback(m market.SpotID) (func(t time.Time) market.Sp
 		Region: m.Region(),
 		Kinds:  []store.EventKind{store.EventRevocation, store.EventOutageOpen},
 	}
-	sub := st.DB.Feed().Subscribe(store.SubscribeOptions{Filter: filter, Buffer: 256})
+	sub := st.DB.Feed().Subscribe(store.SubscribeOptions{Filter: filter})
 	var lastT time.Time
+	buf := make([]store.Event, 0, 64)
 	signaled := func(t time.Time) bool {
 		saw := false
-	liveDrain:
 		for {
-			select {
-			case _, ok := <-sub.Events():
-				if !ok {
-					break liveDrain
-				}
-				saw = true
-			default:
-				break liveDrain
+			evs, _ := sub.Next(buf)
+			if len(evs) == 0 {
+				break
 			}
+			saw = true
 		}
 		switch {
 		case lastT.IsZero() || t.Before(lastT):

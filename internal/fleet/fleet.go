@@ -188,7 +188,7 @@ func (m *Manager) subscribe() {
 		store.EventSpike, store.EventRevocation,
 		store.EventOutageOpen, store.EventOutageClose,
 	}
-	m.sub = m.cfg.DB.Feed().Subscribe(store.SubscribeOptions{Filter: filter, Buffer: 4096})
+	m.sub = m.cfg.DB.Feed().Subscribe(store.SubscribeOptions{Filter: filter})
 }
 
 // Step runs one management cycle at the simulation clock's now: drain
@@ -224,27 +224,27 @@ func (m *Manager) Step(now time.Time) {
 	m.publishSnap()
 }
 
-// drainEvents consumes everything the feed has buffered without
-// blocking. A lagged marker ends the subscription; the manager
-// resubscribes and carries on — the avoid set degrades gracefully
-// because flags expire anyway.
+// drainEvents reads the subscription until it is caught up. A lagged
+// marker (or a closed subscription) ends it; the manager resubscribes and
+// carries on — the avoid set degrades gracefully as flags expire anyway.
 func (m *Manager) drainEvents(now time.Time) {
+	buf := make([]store.Event, 0, 64)
 	for {
-		select {
-		case ev, ok := <-m.sub.Events():
-			if !ok {
-				m.subscribe()
-				return
-			}
+		evs, live := m.sub.Next(buf)
+		for _, ev := range evs {
 			if ev.Kind == store.EventLagged {
 				m.m.Lagged++
-				m.sub.Close()
-				m.subscribe()
-				return
+				break
 			}
 			m.m.Events++
 			m.handleEvent(ev, now)
-		default:
+		}
+		if !live {
+			m.sub.Close()
+			m.subscribe()
+			return
+		}
+		if len(evs) == 0 {
 			return
 		}
 	}

@@ -15,18 +15,19 @@ import (
 
 // GET /v2/watch — the live event stream (Server-Sent Events).
 //
-// The handler subscribes to the store's change feed and relays its typed
-// events as SSE frames (see pkg/api/stream.go for the wire contract).
-// Three rules shape the loop:
+// The handler subscribes to the store's change feed — a cursor into the
+// feed's ring — and relays its typed events as SSE frames (see
+// pkg/api/stream.go for the wire contract). Three rules shape the loop:
 //
-//   - writes are batched per tick: after one event is received, every
-//     other event already buffered is written too, then the stream
-//     flushes once — a monitor tick that lands hundreds of records costs
-//     one flush, not hundreds;
-//   - a slow consumer never blocks ingestion: the feed marks the
-//     subscription lagged, the handler relays the terminal lagged frame
-//     and closes, and the client reconnects with Last-Event-ID (which
-//     replays the dropped events from the ring when still covered);
+//   - writes are batched per wake: each wake reads chunks of events after
+//     the cursor until it is caught up, then flushes once — a monitor
+//     tick that lands hundreds of records costs a few flushes, not
+//     hundreds;
+//   - a slow consumer never blocks ingestion and is not cut off for being
+//     behind: its cursor simply trails in the ring. Only when the ring has
+//     overwritten events it had not read does the handler relay the
+//     terminal lagged frame and close; the client reconnects with
+//     Last-Event-ID and is resynced from the store's windowed indexes;
 //   - the stream honors server shutdown: API.Shutdown closes every open
 //     stream so http.Server.Shutdown can drain.
 
@@ -36,9 +37,9 @@ const (
 	defaultWatchLimit = 256
 	// defaultWatchHeartbeat is the idle keep-alive interval.
 	defaultWatchHeartbeat = 15 * time.Second
-	// watchBuffer is the per-stream feed buffer (events) before the
-	// subscriber is marked lagged.
-	watchBuffer = 1024
+	// watchChunk is how many events one read of the feed copies (one hold
+	// of the feed lock) before the handler writes them out.
+	watchChunk = 256
 	// watchRetryAfter is the reconnect hint (seconds) on a 429.
 	watchRetryAfter = 5
 	// maxResyncAge bounds how far back a best-effort windowed resync will
@@ -192,11 +193,10 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 		feed.Arm()
 		a.armed.Store(true)
 	})
-	opts := store.SubscribeOptions{Filter: filter, Buffer: watchBuffer}
+	opts := store.SubscribeOptions{Filter: filter}
 	now := a.Now()
 	var (
 		sub        *store.Subscription
-		backlog    []store.Event
 		resume     = "none"
 		resyncFrom time.Time
 		doResync   bool
@@ -210,7 +210,7 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		if epoch == uint64(a.epoch) {
 			var mode store.ResumeMode
-			sub, backlog, mode = feed.SubscribeFrom(opts, seq, gen)
+			sub, mode = feed.SubscribeFrom(opts, seq, gen)
 			switch mode {
 			case store.ResumeLive:
 				resume = "live"
@@ -279,51 +279,34 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 			lastTok = se.ID
 		}
 	}
-	for _, ev := range backlog {
-		se := a.toStreamEvent(ev)
-		if err := writeSSE(w, idField(se.ID), se); err != nil {
-			return
-		}
-		lastTok = se.ID
-	}
 	flusher.Flush()
 
 	hb := time.NewTicker(a.watchHeartbeat)
 	defer hb.Stop()
 	ctx := r.Context()
+	buf := make([]store.Event, 0, watchChunk)
 	for {
 		select {
-		case ev, ok := <-sub.Events():
-			if !ok {
-				return
-			}
-			done, tok := a.writeWatchEvent(w, ev)
-			if tok != "" {
-				lastTok = tok
-			}
-			if done {
-				flusher.Flush()
-				return
-			}
-			// Drain the rest of the tick's burst, then flush once.
-		burst:
+		case <-sub.Ready():
+			// Read until caught up, then flush once: while a burst is still
+			// being published the handler keeps finding more, so a tick
+			// costs a few flushes, not one per round. (A ring resume
+			// arrives with its wake pending.)
 			for {
-				select {
-				case ev, ok := <-sub.Events():
-					if !ok {
-						flusher.Flush()
+				evs, live := sub.Next(buf)
+				for _, ev := range evs {
+					se := a.toStreamEvent(ev)
+					if err := writeSSE(w, idField(se.ID), se); err != nil {
 						return
 					}
-					done, tok := a.writeWatchEvent(w, ev)
-					if tok != "" {
-						lastTok = tok
-					}
-					if done {
-						flusher.Flush()
-						return
-					}
-				default:
-					break burst
+					lastTok = se.ID
+				}
+				if !live {
+					flusher.Flush()
+					return
+				}
+				if len(evs) == 0 {
+					break
 				}
 			}
 			flusher.Flush()
@@ -338,26 +321,6 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// writeWatchEvent relays one feed event; done reports a terminal frame
-// (lagged), tok the frame's resume token ("" for control frames or after
-// a write error).
-func (a *API) writeWatchEvent(w http.ResponseWriter, ev store.Event) (done bool, tok string) {
-	if ev.Kind == store.EventLagged {
-		se := api.StreamEvent{
-			Kind: api.EventLagged, Seq: ev.Seq, Gen: ev.Gen, At: ev.At,
-			ID:     a.watchToken(ev.Seq, ev.Gen, ev.At),
-			Lagged: &api.StreamLagged{Gen: ev.Gen},
-		}
-		_ = writeSSE(w, idField(se.ID), se)
-		return true, ""
-	}
-	se := a.toStreamEvent(ev)
-	if err := writeSSE(w, idField(se.ID), se); err != nil {
-		return true, ""
-	}
-	return false, se.ID
 }
 
 // refuseWatch answers 429 with the error envelope and a retry hint.
@@ -400,6 +363,9 @@ func (a *API) toStreamEvent(ev store.Event) api.StreamEvent {
 		se.Market = ev.Market.String()
 	}
 	switch ev.Kind {
+	case store.EventLagged:
+		se.Kind = api.EventLagged
+		se.Lagged = &api.StreamLagged{Gen: ev.Gen}
 	case store.EventProbe:
 		se.Kind = api.EventProbe
 		se.Probe = &api.StreamProbe{

@@ -202,6 +202,31 @@ func TestWatchBadParams(t *testing.T) {
 	}
 }
 
+// The prober's price sweep against an open stream: thousands of one-event
+// rounds land far faster than the handler relays them. The stream is behind
+// for a while, never cut: the client sees every frame once, in order, and
+// no lagged frame.
+func TestWatchPriceSweepIsNeverCutOff(t *testing.T) {
+	srv, db := testServer(t)
+	c := openWatch(t, srv, nil, "")
+	c.expectHello("none")
+
+	const sweep = 8000
+	for i := 0; i < sweep; i++ {
+		id := market.SpotID{Zone: "us-east-1a", Type: market.InstanceType(fmt.Sprintf("t%d.large", i)), Product: market.ProductLinux}
+		db.RecordPrice(id, store.PricePoint{At: t0.Add(time.Hour), Price: 0.1})
+	}
+	for i := 0; i < sweep; i++ {
+		ev, ok := c.next(5 * time.Second)
+		if !ok || ev.Kind != api.EventPrice || ev.Seq != uint64(i+1) {
+			t.Fatalf("frame %d = (%v, seq %d, ok %v), want price at seq %d", i, ev.Kind, ev.Seq, ok, i+1)
+		}
+	}
+	if st := db.Feed().Stats(); st.Dropped != 0 || st.Lagged != 0 {
+		t.Fatalf("feed stats = %+v, want nothing dropped or lagged", st)
+	}
+}
+
 // The acceptance path: kill the stream, reconnect with Last-Event-ID,
 // and observe every event exactly once across the break.
 func TestWatchResumeExactAcrossReconnect(t *testing.T) {

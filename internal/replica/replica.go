@@ -20,14 +20,14 @@
 //     tracked from event timestamps plus /v2/health polls, so a follower
 //     serving with Salt()/Clock() mints the leader's exact tags.
 //
-// The stream is exactly-once while reconnect gaps stay inside the
-// leader's replay ring; a gap the ring no longer covers is rebuilt from
-// the leader's windowed indexes at-least-once (the leader marks it with a
-// resync frame). Replays at the resync boundary can duplicate records —
-// the follower's generations then run ahead of the leader's and its tags
-// diverge until the next restart from scratch. Status surfaces the
-// resync count so operators can see when that guarantee weakened; see
-// docs/replication.md.
+// The stream is exactly-once while this follower's position stays inside
+// the leader's ring, connected or reconnecting: falling behind is not a
+// cut. A gap the ring no longer covers is rebuilt from the leader's
+// windowed indexes at-least-once (a resync frame marks it). Replays at the
+// resync boundary can duplicate records — the follower's generations then
+// run ahead of the leader's and its tags diverge until the next restart
+// from scratch. Status surfaces the resync count so operators can see
+// when that guarantee weakened; see docs/replication.md.
 package replica
 
 import (
@@ -58,8 +58,8 @@ const (
 	// defaultStaleAfter is how long without any frame (event, heartbeat,
 	// hello) before Status reports the subscription disconnected.
 	defaultStaleAfter = 45 * time.Second
-	// watchBuffer is the client-side event buffer; deep enough that one
-	// simulated tick's burst never marks the replicator lagged.
+	// watchBuffer is the client-side event buffer: deep enough to hold one
+	// simulated tick's burst while the previous batch is applied.
 	watchBuffer = 4096
 	// defaultCursorInterval throttles durable-cursor saves (each one is
 	// two fsyncs; see persistCursor).

@@ -293,17 +293,14 @@ func TestApplyOrderIsDeterministic(t *testing.T) {
 	}
 	run := func() []store.Event {
 		db := store.New()
-		sub := db.Feed().Subscribe(store.SubscribeOptions{Buffer: 4096})
+		sub := db.Feed().Subscribe(store.SubscribeOptions{})
 		defer sub.Close()
 		r, err := New(Config{Leader: "http://leader.invalid", DB: db})
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.apply(batch)
-		evs := make([]store.Event, 0, len(batch))
-		for len(evs) < len(batch) {
-			evs = append(evs, <-sub.Events())
-		}
+		evs, _ := sub.Next(make([]store.Event, 0, len(batch)))
 		return evs
 	}
 	first := run()

@@ -12,32 +12,33 @@ import (
 // The change feed is the store's push surface: every append — single or
 // batched — publishes one round of typed events (probes, price samples,
 // spike crossings, revocations, bid spreads, and the outage transitions
-// the probe stream derives) to the subscribers whose scope filter matches,
-// in the same post-lock publish step that folds the rollup delta. One
-// append batch costs one feed lock round no matter how many subscribers
-// listen, and with no subscribers at all the append paths skip event
+// the probe stream derives) in the same post-lock publish step that folds
+// the rollup delta. With no subscribers at all the append paths skip event
 // construction entirely behind a single atomic load.
 //
-// Slow consumers never block an append: each subscription owns a buffered
-// channel, the publisher only ever performs non-blocking sends, and a
-// subscriber whose buffer fills is marked lagged — it receives one final
-// EventLagged marker (a slot is reserved for it) carrying the sequence and
-// generation of its last delivered event, and is then skipped until it
-// resubscribes. Dropped events are counted per subscription and feed-wide.
+// There is one queue: a bounded ring of the most recent events, contiguous
+// in Seq, and a subscription is a cursor into it. Publishing a round writes
+// its events into the ring once and sends each subscriber one non-blocking
+// wake; filtering and copying are the reader's work, in Next, a bounded
+// chunk per hold of the feed lock. So an append never waits on a reader's
+// pace, and a stalled reader costs the publisher nothing per event. A reader lags only
+// when the ring has overwritten events it had not read: Next then hands
+// back one terminal EventLagged marker carrying the position the reader
+// had read through, and the overwritten gap is counted as dropped.
 //
-// Resume is keyed by (sequence, generation): the feed keeps a bounded ring
-// of recent events, so a subscriber that reconnects with its last sequence
-// replays the gap exactly when the ring still covers it and the feed was
-// never quiescent in between (generation continuity is checked against the
-// store's global append generation). When exact replay is impossible the
-// caller falls back to EventsSince, which rebuilds best-effort events from
-// the shards' windowed indexes.
+// Resume is keyed by (sequence, generation): a subscriber that reconnects
+// with its last sequence is positioned in the ring right after it when the
+// ring still covers it and the feed was never quiescent in between
+// (generation continuity is checked against the store's global append
+// generation). When exact replay is impossible the caller falls back to
+// EventsSince, which rebuilds best-effort events from the shards' windowed
+// indexes.
 
 // EventKind names one change-feed event family.
 type EventKind uint8
 
-// Change-feed event kinds. EventLagged is the overflow marker a slow
-// subscriber receives instead of the events it missed.
+// Change-feed event kinds. EventLagged is the marker an overrun subscriber
+// receives instead of the events the ring overwrote before it read them.
 const (
 	// EventProbe: one probe was logged.
 	EventProbe EventKind = iota + 1
@@ -53,9 +54,9 @@ const (
 	EventOutageOpen
 	// EventOutageClose: a detected outage interval closed.
 	EventOutageClose
-	// EventLagged: the subscriber's buffer overflowed; Seq/Gen carry the
-	// last delivered position to resume from. Terminal for the
-	// subscription — no further events are delivered.
+	// EventLagged: the ring overwrote events the subscriber had not read;
+	// Seq/Gen/At carry the position it had read through, to resume from.
+	// Terminal for the subscription — no further events are delivered.
 	EventLagged
 )
 
@@ -148,9 +149,6 @@ func (f EventFilter) matchMarket(id market.SpotID) bool {
 
 // match reports whether the subscription wants ev.
 func match(mask uint16, f EventFilter, ev *Event) bool {
-	if ev.Kind == EventLagged {
-		return true
-	}
 	if mask != 0 && mask&(1<<ev.Kind) == 0 {
 		return false
 	}
@@ -160,70 +158,107 @@ func match(mask uint16, f EventFilter, ev *Event) bool {
 // SubscribeOptions parameterize one subscription.
 type SubscribeOptions struct {
 	Filter EventFilter
-	// Buffer is the event channel capacity before the subscriber is
-	// marked lagged; 0 uses DefaultSubscribeBuffer.
-	Buffer int
 }
 
-// Subscription buffer and replay-ring defaults.
 const (
-	// DefaultSubscribeBuffer is the event-channel capacity of a
-	// subscription that doesn't choose one.
-	DefaultSubscribeBuffer = 256
-	// defaultRingCapacity bounds the feed's resume replay ring. Sized so
-	// a reconnect gap of tens of seconds at realistic event rates still
-	// resumes exactly from the ring: a durable follower that restarts
-	// (WAL replay takes seconds) or briefly lags must come back through
-	// the exactly-once token path, not the at-least-once windowed
-	// resync — duplicates there skew a replica's generations and break
-	// its ETag compatibility until it is rebuilt. ~32k events of
-	// retained ring costs a few MB on a serving node.
+	// defaultRingCapacity bounds the feed's ring. Sized so a reader that
+	// stalls or reconnects for tens of seconds at realistic event rates
+	// is still covered: a durable follower that restarts (WAL replay
+	// takes seconds) or briefly lags must come back through the
+	// exactly-once token path, not the at-least-once windowed resync —
+	// duplicates there skew a replica's generations and break its ETag
+	// compatibility until it is rebuilt. ~32k events of retained ring
+	// costs a few MB on a serving node.
 	defaultRingCapacity = 32768
+	// nextChunk is how many events one Next copies when the caller brings
+	// no buffer: the read holds the feed lock, so it is bounded.
+	nextChunk = 256
 )
 
-// Subscription is one registered consumer of the change feed. Receive
-// from Events; Close unregisters and closes the channel.
+// Subscription is one registered consumer of the change feed: a cursor
+// into the feed's ring plus a filter. One goroutine reads it — wait on
+// Ready, then call Next; Close unregisters.
 type Subscription struct {
 	feed *Feed
 	// filter/mask are immutable after Subscribe.
 	filter EventFilter
 	mask   uint16
-	ch     chan Event
+	// ready holds at most one pending wake. Sends and the close happen
+	// under feed.mu, so they never race.
+	ready chan struct{}
 
-	// Publisher-side state, guarded by feed.mu: the last delivered
-	// position (what the lagged marker advertises) and the lag flag.
-	lastSeq, lastGen uint64
-	lagged           bool
-
-	dropped atomic.Uint64
-	once    sync.Once
+	// Guarded by feed.mu: cursor is the Seq the reader has read through,
+	// gen and at belong to that event (what the lagged marker advertises),
+	// and done is set by the lagged marker and by Close.
+	cursor, gen uint64
+	at          time.Time
+	done        bool
 }
 
-// Events returns the subscription's receive channel. It is closed by
-// Close; after an EventLagged delivery no further events arrive and the
-// consumer should Close and resubscribe with the marker's Seq/Gen.
-func (s *Subscription) Events() <-chan Event { return s.ch }
+// Ready delivers one wake after each publish round, and whenever Next left
+// matching events unread; it is closed by Close.
+func (s *Subscription) Ready() <-chan struct{} { return s.ready }
 
-// Dropped reports how many matching events were dropped before the lagged
-// marker was delivered (0 for healthy subscriptions).
-func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
+// wake leaves one pending wake; callers hold feed.mu on an open subscription.
+func (s *Subscription) wake() {
+	select {
+	case s.ready <- struct{}{}:
+	default:
+	}
+}
 
-// Close unregisters the subscription and closes its channel. Safe to call
-// more than once and concurrently with publishes.
-func (s *Subscription) Close() {
-	s.once.Do(func() {
-		f := s.feed
-		f.mu.Lock()
-		delete(f.subs, s)
-		if s.lagged {
-			f.laggedSubs--
+// Next copies the filter-matching events after the cursor into dst[:0], up
+// to cap(dst) of them (nextChunk when dst has no capacity), and advances
+// the cursor. An empty result means the reader is caught up. live turns
+// false when nothing further will arrive: the subscription is closed, or
+// the ring overwrote events it had not read and the result is the one
+// EventLagged marker — resubscribe with the marker's Seq/Gen.
+func (s *Subscription) Next(dst []Event) (evs []Event, live bool) {
+	if cap(dst) == 0 {
+		dst = make([]Event, 0, nextChunk)
+	}
+	dst = dst[:0]
+	f := s.feed
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if s.done {
+		return dst, false
+	}
+	c := s.cursor
+	if oldest := f.seq - uint64(f.ringLen) + 1; c+1 < oldest {
+		s.done = true
+		f.dropped += oldest - (c + 1)
+		f.lagged++
+		return append(dst, Event{Kind: EventLagged, Seq: c, Gen: s.gen, At: s.at}), false
+	}
+	for c < f.seq && len(dst) < cap(dst) {
+		c++
+		ev := &f.ring[c%uint64(len(f.ring))]
+		s.gen, s.at = ev.Gen, ev.At
+		if match(s.mask, s.filter, ev) {
+			dst = append(dst, *ev)
 		}
-		f.refreshActive()
-		// The publisher only sends under f.mu, so closing here can never
-		// race a send.
-		close(s.ch)
-		f.mu.Unlock()
-	})
+	}
+	s.cursor = c
+	if c < f.seq {
+		s.wake()
+	}
+	return dst, true
+}
+
+// Close unregisters the subscription and closes its Ready channel. Safe to
+// call more than once and concurrently with publishes and Next.
+func (s *Subscription) Close() {
+	f := s.feed
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if _, ok := f.subs[s]; !ok {
+		return
+	}
+	delete(f.subs, s)
+	f.refreshActive()
+	s.done = true
+	close(s.ready)
 }
 
 // ResumeMode says how SubscribeFrom bridged the gap between a resume
@@ -234,7 +269,8 @@ type ResumeMode int
 const (
 	// ResumeLive: nothing was missed; the stream continues exactly.
 	ResumeLive ResumeMode = iota + 1
-	// ResumeRing: the gap was replayed exactly from the feed's ring.
+	// ResumeRing: the ring still covers the gap; the subscription starts
+	// right after the resume point and Next replays it exactly.
 	ResumeRing
 	// ResumeWindow: the gap exceeds the ring (or spans a restart); the
 	// caller must rebuild it best-effort from the store's windowed
@@ -248,9 +284,9 @@ type FeedStats struct {
 	Subscribers int
 	// Published counts events ever assigned a sequence number.
 	Published uint64
-	// Dropped counts events dropped at subscriber-overflow points.
+	// Dropped counts events the ring overwrote before a reader read them.
 	Dropped uint64
-	// Lagged counts subscriptions ever marked lagged.
+	// Lagged counts subscriptions ever handed the lagged marker.
 	Lagged uint64
 	// LastSeq is the newest assigned sequence number.
 	LastSeq uint64
@@ -276,12 +312,6 @@ type Feed struct {
 	// being built and the ring keeps filling, so a subscriber that
 	// reconnects after a brief gap still resumes exactly from the ring.
 	armed int
-	// laggedSubs counts the registered-but-lagged subscriptions. They are
-	// terminal — no further events will be delivered to them — so they
-	// do not keep event construction alive: a store whose only
-	// subscriber overflowed returns to the zero-cost append path until
-	// someone (re)subscribes.
-	laggedSubs int
 
 	// seq numbers every published event; lastGen is the highest global
 	// generation an evented publish round reported. While subscribers
@@ -290,18 +320,18 @@ type Feed struct {
 	seq     uint64
 	lastGen uint64
 
-	// ring is the bounded replay buffer: a circular window of the most
-	// recent events, contiguous in Seq. Allocated on first publish —
-	// stores that never stream (offline analysis, recovery benchmarks)
-	// never pay for a multi-megabyte buffer of empty Event slots.
-	ring      []Event
-	ringCap   int
-	ringStart int // index of the oldest entry
-	ringLen   int
+	// ring is the one queue: the most recent ringLen events, contiguous in
+	// Seq and ending at seq, the event numbered q in slot q % len(ring).
+	// Allocated on first publish — stores that never stream (offline
+	// analysis, recovery benchmarks) never pay for a multi-megabyte buffer
+	// of empty Event slots.
+	ring    []Event
+	ringCap int
+	ringLen int
 
-	published   uint64
-	dropped     uint64
-	laggedCount uint64
+	published uint64
+	dropped   uint64
+	lagged    uint64
 }
 
 func newFeed(gen *atomic.Uint64, ringCap int) *Feed {
@@ -346,10 +376,9 @@ func (f *Feed) Disarm() {
 }
 
 // refreshActive recomputes the append paths' fast-path gate; callers hold
-// f.mu. Lagged subscriptions no longer receive events and so do not keep
-// construction alive.
+// f.mu.
 func (f *Feed) refreshActive() {
-	f.active.Store(int32(len(f.subs) - f.laggedSubs + f.armed))
+	f.active.Store(int32(len(f.subs) + f.armed))
 }
 
 // Stats returns the feed's counters.
@@ -360,10 +389,24 @@ func (f *Feed) Stats() FeedStats {
 		Subscribers: len(f.subs),
 		Published:   f.published,
 		Dropped:     f.dropped,
-		Lagged:      f.laggedCount,
+		Lagged:      f.lagged,
 		LastSeq:     f.seq,
 		LastGen:     f.lastGen,
 	}
+}
+
+// Backlog reports how many events the slowest registered subscription has
+// yet to read through (0 with none registered).
+func (f *Feed) Backlog() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var max uint64
+	for sub := range f.subs {
+		if d := f.seq - sub.cursor; d > max {
+			max = d
+		}
+	}
+	return max
 }
 
 // Subscribe registers a live subscriber: it receives events published
@@ -377,11 +420,11 @@ func (f *Feed) Subscribe(opts SubscribeOptions) *Subscription {
 
 // SubscribeFrom registers a subscriber resuming from a previous position:
 // seq is the last delivered sequence and gen the last delivered
-// generation. It returns the registered subscription, the exactly
-// replayed backlog (ring events after seq, filtered), and how the gap was
-// bridged; on ResumeWindow the backlog is nil and the caller replays from
-// the store's windowed indexes before going live.
-func (f *Feed) SubscribeFrom(opts SubscribeOptions, seq, gen uint64) (*Subscription, []Event, ResumeMode) {
+// generation. It returns the registered subscription and how the gap is
+// bridged: on ResumeRing the cursor sits at seq and Next replays the gap
+// exactly; on ResumeWindow the subscription is live from now and the
+// caller replays from the store's windowed indexes first.
+func (f *Feed) SubscribeFrom(opts SubscribeOptions, seq, gen uint64) (*Subscription, ResumeMode) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	sub := f.subscribeLocked(opts)
@@ -395,7 +438,7 @@ func (f *Feed) SubscribeFrom(opts SubscribeOptions, seq, gen uint64) (*Subscript
 	// and that errs conservatively (a spurious window fallback, never a
 	// false exactness claim).
 	if f.lastGen != f.gen.Load() {
-		return sub, nil, ResumeWindow
+		return sub, ResumeWindow
 	}
 	switch {
 	case gen != 0 && gen == f.lastGen && seq >= f.seq:
@@ -404,58 +447,44 @@ func (f *Feed) SubscribeFrom(opts SubscribeOptions, seq, gen uint64) (*Subscript
 		// across a restart of a durable store, where generations survive
 		// but the in-memory sequence space does not — gen equality still
 		// proves nothing was appended in between).
-		return sub, nil, ResumeLive
-	case seq > f.seq:
-		// A position from another process life with appends in between.
-		return sub, nil, ResumeWindow
-	case f.ringLen > 0 && seq >= f.ring[f.ringStart].Seq:
+		return sub, ResumeLive
+	case seq <= f.seq && seq+uint64(f.ringLen) > f.seq:
 		// The client's own last event must still be in the ring and carry
 		// the client's generation: sequence numbers restart with the
 		// process, so a pre-restart position can collide with this life's
 		// sequence space — the generation check unmasks it (generations
 		// either survive restarts exactly, on a durable store, or differ).
-		oldest := f.ring[f.ringStart].Seq
-		own := f.ring[(f.ringStart+int(seq-oldest))%len(f.ring)]
-		if own.Seq != seq || own.Gen != gen {
-			return sub, nil, ResumeWindow
+		if own := &f.ring[seq%uint64(len(f.ring))]; own.Gen == gen {
+			sub.cursor, sub.gen, sub.at = seq, own.Gen, own.At
+			sub.wake()
+			return sub, ResumeRing
 		}
-		backlog := make([]Event, 0, f.ringLen)
-		for i := 0; i < f.ringLen; i++ {
-			ev := f.ring[(f.ringStart+i)%len(f.ring)]
-			if ev.Seq > seq && match(sub.mask, sub.filter, &ev) {
-				backlog = append(backlog, ev)
-			}
-		}
-		return sub, backlog, ResumeRing
-	default:
-		return sub, nil, ResumeWindow
 	}
+	// Overwritten, or a position from another process life.
+	return sub, ResumeWindow
 }
 
+// subscribeLocked registers a subscription whose cursor sits at the
+// newest event.
 func (f *Feed) subscribeLocked(opts SubscribeOptions) *Subscription {
-	buf := opts.Buffer
-	if buf <= 0 {
-		buf = DefaultSubscribeBuffer
-	}
-	// One extra slot stays reserved for the guaranteed lagged marker.
 	sub := &Subscription{
 		feed:   f,
 		filter: opts.Filter,
 		mask:   opts.Filter.kindMask(),
-		ch:     make(chan Event, buf+1),
+		ready:  make(chan struct{}, 1),
 	}
-	// "Cold" means no event-constructing consumers: lagged subscriptions
-	// are terminal and stopped keeping construction alive, so they don't
-	// count.
-	cold := len(f.subs)-f.laggedSubs == 0 && f.armed == 0
-	if cold && f.lastGen != f.gen.Load() {
+	if len(f.subs) == 0 && f.armed == 0 && f.lastGen != f.gen.Load() {
 		// Records landed while the feed was cold: the ring's tail no
 		// longer connects to the present, so drop it rather than let a
 		// later resume replay across the gap and claim exactness (the
 		// next publish would otherwise heal the generation continuity
 		// check over a ring with an invisible hole).
-		f.ringStart, f.ringLen = 0, 0
+		f.ringLen = 0
 		f.lastGen = f.gen.Load()
+	}
+	sub.cursor, sub.gen = f.seq, f.lastGen
+	if f.ringLen > 0 {
+		sub.at = f.ring[f.seq%uint64(len(f.ring))].At
 	}
 	f.subs[sub] = struct{}{}
 	f.refreshActive()
@@ -463,67 +492,29 @@ func (f *Feed) subscribeLocked(opts SubscribeOptions) *Subscription {
 }
 
 // publish counts one append round's records into the store's global
-// generation, assigns sequence numbers to its events, records them in the
-// replay ring, and fans them out to matching subscribers with non-blocking
-// sends. Called by shard.publish after the shard lock is released and the
-// rollups are folded; rounds from different shards serialize here, which
-// is what keeps lastGen equal to the generation between evented rounds.
+// generation, assigns sequence numbers to its events, writes them into the
+// ring, and wakes every subscriber once. Called by shard.publish after the
+// shard lock is released and the rollups are folded; rounds from different
+// shards serialize here, which is what keeps lastGen equal to the
+// generation between evented rounds.
 func (f *Feed) publish(evs []Event, records uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	gen := f.gen.Add(records)
 	f.lastGen = gen
-	for i := range evs {
-		f.seq++
-		evs[i].Seq = f.seq
-		evs[i].Gen = gen
-		f.ringPush(evs[i])
-	}
-	f.published += uint64(len(evs))
-	for sub := range f.subs {
-		if sub.lagged {
-			continue
-		}
-		for i := range evs {
-			if !match(sub.mask, sub.filter, &evs[i]) {
-				continue
-			}
-			if len(sub.ch) >= cap(sub.ch)-1 {
-				// Overflow: mark the subscriber lagged and deliver the
-				// terminal marker into the reserved slot. The marker's
-				// Seq/Gen are the last successfully delivered position —
-				// exactly where a resume should restart.
-				sub.lagged = true
-				sub.dropped.Add(1)
-				f.dropped++
-				f.laggedCount++
-				f.laggedSubs++
-				f.refreshActive()
-				sub.ch <- Event{
-					Kind: EventLagged,
-					Seq:  sub.lastSeq,
-					Gen:  sub.lastGen,
-					At:   evs[i].At,
-				}
-				break
-			}
-			sub.ch <- evs[i]
-			sub.lastSeq, sub.lastGen = evs[i].Seq, evs[i].Gen
-		}
-	}
-}
-
-func (f *Feed) ringPush(ev Event) {
 	if f.ring == nil {
 		f.ring = make([]Event, f.ringCap)
 	}
-	if f.ringLen < len(f.ring) {
-		f.ring[(f.ringStart+f.ringLen)%len(f.ring)] = ev
-		f.ringLen++
-		return
+	for i := range evs {
+		f.seq++
+		evs[i].Seq, evs[i].Gen = f.seq, gen
+		f.ring[f.seq%uint64(len(f.ring))] = evs[i]
 	}
-	f.ring[f.ringStart] = ev
-	f.ringStart = (f.ringStart + 1) % len(f.ring)
+	f.ringLen = min(f.ringLen+len(evs), len(f.ring))
+	f.published += uint64(len(evs))
+	for sub := range f.subs {
+		sub.wake()
+	}
 }
 
 // EventsSince rebuilds the events of every store change with At in

@@ -1,7 +1,12 @@
 package store
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,20 +23,23 @@ func feedT(min int) time.Time {
 	return time.Date(2015, 9, 1, 0, min, 0, 0, time.UTC)
 }
 
-// drain collects every event currently buffered on the subscription.
+// drain reads the subscription until it is caught up (or ended).
 func drain(s *Subscription) []Event {
 	var out []Event
 	for {
-		select {
-		case ev, ok := <-s.Events():
-			if !ok {
-				return out
-			}
-			out = append(out, ev)
-		default:
+		evs, live := s.Next(nil)
+		out = append(out, evs...)
+		if !live || len(evs) == 0 {
 			return out
 		}
 	}
+}
+
+// smallRingStore is a store whose feed ring holds ringCap events.
+func smallRingStore(ringCap int) *Store {
+	s := New()
+	s.feed = newFeed(&s.gen, ringCap)
+	return s
 }
 
 func kinds(evs []Event) []EventKind {
@@ -138,116 +146,123 @@ func TestFeedZeroSubscribersBuildsNoEvents(t *testing.T) {
 	}
 }
 
-// Once an unarmed store's only subscriber lags, the feed goes cold again:
-// lagged subscriptions are terminal, so they must not keep append paths
-// paying for event construction.
-func TestFeedLaggedSubscriberStopsEventConstruction(t *testing.T) {
-	s := New()
-	sub := s.Feed().Subscribe(SubscribeOptions{Buffer: 2})
-	defer sub.Close()
-	for i := 0; i < 10; i++ {
-		s.AppendSpike(SpikeEvent{At: feedT(i), Market: feedM1, Ratio: 1.1})
-	}
-	afterLag := s.Feed().Stats().Published
-	if afterLag == 0 || afterLag >= 10 {
-		t.Fatalf("published = %d, want the pre-lag events only", afterLag)
-	}
-	for i := 10; i < 20; i++ {
-		s.AppendSpike(SpikeEvent{At: feedT(i), Market: feedM1, Ratio: 1.1})
-	}
-	if got := s.Feed().Stats().Published; got != afterLag {
-		t.Fatalf("published grew %d -> %d after the only subscriber lagged", afterLag, got)
-	}
-}
-
-// A blocked subscriber must never stall appends: the publisher marks it
-// lagged, delivers one terminal marker carrying the resume position, and
-// every subsequent append completes untouched. The feed is armed (the
-// serving layer's configuration), so the ring keeps filling past the lag
-// and the resume replays the dropped events exactly.
+// A stalled subscriber must never stall appends or cost the publisher
+// anything per event: the ring simply overwrites what it has not read, and
+// its next read gets exactly one terminal marker carrying the position it
+// had read through. A position the ring still covers resumes exactly.
 func TestFeedSlowSubscriberLagsWithoutBlocking(t *testing.T) {
-	s := New()
+	s := smallRingStore(16)
 	s.Feed().Arm()
 	defer s.Feed().Disarm()
-	sub := s.Feed().Subscribe(SubscribeOptions{Buffer: 4})
+	sub := s.Feed().Subscribe(SubscribeOptions{})
 	defer sub.Close()
 
-	// Never read: 4 buffered + the reserved marker slot, then lag.
+	spikes := func(from, to int) {
+		for i := from; i < to; i++ {
+			s.AppendSpike(SpikeEvent{At: feedT(i), Market: feedM1, Ratio: 1.1})
+		}
+	}
+	spikes(0, 4)
+	first := drain(sub)
+	if len(first) != 4 {
+		t.Fatalf("read %d events, want 4", len(first))
+	}
+
+	// Never read again: 96 more events lap the 16-slot ring six times.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 100; i++ {
-			s.AppendSpike(SpikeEvent{At: feedT(i), Market: feedM1, Ratio: 1.1})
-		}
+		spikes(4, 100)
 	}()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("appends blocked behind a stalled subscriber")
 	}
+	if st := s.Feed().Stats(); st.Lagged != 0 || st.Dropped != 0 {
+		t.Errorf("feed stats = %+v before the stalled reader reads: the publisher must not account per subscriber", st)
+	}
 
 	evs := drain(sub)
-	if len(evs) != 5 {
-		t.Fatalf("stalled subscriber drained %d events, want 4 + lagged marker", len(evs))
+	if len(evs) != 1 || evs[0].Kind != EventLagged {
+		t.Fatalf("overrun subscriber read %v, want exactly the lagged marker", kinds(evs))
 	}
-	last := evs[4]
-	if last.Kind != EventLagged {
-		t.Fatalf("final event = %v, want lagged marker", last.Kind)
+	last := evs[0]
+	if want := first[3]; last.Seq != want.Seq || last.Gen != want.Gen || !last.At.Equal(want.At) {
+		t.Errorf("lagged marker = (seq %d, gen %d, at %v), want the last delivered (%d, %d, %v)",
+			last.Seq, last.Gen, last.At, want.Seq, want.Gen, want.At)
 	}
-	if want := evs[3].Seq; last.Seq != want {
-		t.Errorf("lagged marker seq = %d, want last delivered %d", last.Seq, want)
+	if evs, live := sub.Next(nil); len(evs) != 0 || live {
+		t.Errorf("Next after the marker = (%v, %v), want nothing and not live", kinds(evs), live)
 	}
-	if want := evs[3].Gen; last.Gen != want {
-		t.Errorf("lagged marker gen = %d, want last delivered %d", last.Gen, want)
-	}
-	if sub.Dropped() == 0 {
-		t.Error("Dropped() = 0 for an overflowed subscription")
-	}
-	st := s.Feed().Stats()
-	if st.Lagged != 1 || st.Dropped == 0 {
-		t.Errorf("feed stats = %+v, want lagged=1 and dropped>0", st)
+	// 100 published, 4 read, 16 still in the ring: 80 overwritten unread.
+	if st := s.Feed().Stats(); st.Lagged != 1 || st.Dropped != 80 || st.Published != 100 {
+		t.Errorf("feed stats = %+v, want lagged=1 dropped=80 published=100", st)
 	}
 
-	// The lagged position resumes exactly: ring replay hands back
-	// everything after the marker with no loss or duplication.
-	resumed, backlog, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, last.Seq, last.Gen)
+	// The marker's position is gone from the ring: a resume from it must
+	// fall back to the window. One the ring still covers replays exactly.
+	resumed, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, last.Seq, last.Gen)
+	resumed.Close()
+	if mode != ResumeWindow {
+		t.Fatalf("resume from the overwritten position = %v, want ResumeWindow", mode)
+	}
+	spikes(100, 101)
+	fresh := s.Feed().Subscribe(SubscribeOptions{})
+	defer fresh.Close()
+	spikes(101, 109)
+	pos := drain(fresh)[2]
+	resumed, mode = s.Feed().SubscribeFrom(SubscribeOptions{}, pos.Seq, pos.Gen)
 	defer resumed.Close()
 	if mode != ResumeRing {
 		t.Fatalf("resume mode = %v, want ResumeRing", mode)
 	}
-	if want := 100 - 4; len(backlog) != want {
-		t.Fatalf("ring backlog = %d events, want %d", len(backlog), want)
+	replay := drain(resumed)
+	if len(replay) != 5 {
+		t.Fatalf("ring replay = %d events, want 5", len(replay))
 	}
-	for i, ev := range backlog {
-		if want := last.Seq + 1 + uint64(i); ev.Seq != want {
-			t.Fatalf("backlog[%d].Seq = %d, want %d (gap or duplicate)", i, ev.Seq, want)
+	for i, ev := range replay {
+		if want := pos.Seq + 1 + uint64(i); ev.Seq != want {
+			t.Fatalf("replay[%d].Seq = %d, want %d (gap or duplicate)", i, ev.Seq, want)
 		}
 	}
 }
 
-// Race-exercised: concurrent multi-market appends with one permanently
-// blocked subscriber and one draining subscriber. Run under -race.
+// Race-exercised: concurrent multi-market appends with one subscriber that
+// never reads and one that drains as it is woken. Run under -race.
 func TestFeedOverflowUnderConcurrentAppends(t *testing.T) {
-	s := New()
-	blocked := s.Feed().Subscribe(SubscribeOptions{Buffer: 2})
+	s := smallRingStore(4096)
+	blocked := s.Feed().Subscribe(SubscribeOptions{})
 	defer blocked.Close()
-	healthy := s.Feed().Subscribe(SubscribeOptions{Buffer: 8192})
+	healthy := s.Feed().Subscribe(SubscribeOptions{})
 	defer healthy.Close()
-
-	var got sync.WaitGroup
-	var healthyCount int
-	got.Add(1)
-	go func() {
-		defer got.Done()
-		for range healthy.Events() {
-			healthyCount++
-		}
-	}()
 
 	const (
 		writers   = 8
 		perWriter = 200
 	)
+	var got sync.WaitGroup
+	var healthyCount int
+	var lastSeq uint64
+	got.Add(1)
+	go func() {
+		defer got.Done()
+		buf := make([]Event, 0, 64)
+		for range healthy.Ready() {
+			evs, _ := healthy.Next(buf)
+			for _, ev := range evs {
+				if ev.Seq != lastSeq+1 {
+					t.Errorf("draining subscriber read seq %d after %d", ev.Seq, lastSeq)
+				}
+				lastSeq = ev.Seq
+			}
+			healthyCount += len(evs)
+			if healthyCount == writers*perWriter*2 {
+				return
+			}
+		}
+	}()
+
 	markets := []market.SpotID{feedM1, feedM2, feedM3}
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -265,18 +280,25 @@ func TestFeedOverflowUnderConcurrentAppends(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	healthy.Close()
 	got.Wait()
 
 	if want := writers * perWriter * 2; healthyCount != want {
 		t.Errorf("draining subscriber saw %d events, want %d", healthyCount, want)
 	}
-	evs := drain(blocked)
-	if len(evs) == 0 || evs[len(evs)-1].Kind != EventLagged {
-		t.Fatalf("blocked subscriber's final event = %v, want lagged marker", kinds(evs))
+	// 3,200 events never lapped the 4,096-slot ring, so the subscriber that
+	// never read is merely behind. Lap it: its one read is the marker, at
+	// the position it subscribed at.
+	healthy.Close()
+	app := s.Appender(feedM1)
+	for i := 0; i < 1000; i++ {
+		app.AppendProbes([]ProbeRecord{{At: feedT(i), Market: feedM1, Kind: ProbeSpot}})
 	}
-	if n := s.ProbeCount(); n != writers*perWriter*2 {
-		t.Fatalf("store holds %d probes, want %d — appends were lost or stalled", n, writers*perWriter*2)
+	evs := drain(blocked)
+	if len(evs) != 1 || evs[0].Kind != EventLagged || evs[0].Seq != 0 {
+		t.Fatalf("overrun subscriber read %v (first seq %d), want one lagged marker at seq 0", kinds(evs), evs[0].Seq)
+	}
+	if n, want := s.ProbeCount(), writers*perWriter*2+1000; n != want {
+		t.Fatalf("store holds %d probes, want %d — appends were lost or stalled", n, want)
 	}
 }
 
@@ -292,9 +314,9 @@ func TestFeedResumeLiveWhenNothingMissed(t *testing.T) {
 
 	// Nothing appended since: the resume attaches live with no backlog,
 	// even though the subscriber count dropped to zero in between.
-	resumed, backlog, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, evs[0].Seq, evs[0].Gen)
+	resumed, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, evs[0].Seq, evs[0].Gen)
 	defer resumed.Close()
-	if mode != ResumeLive || backlog != nil {
+	if backlog := drain(resumed); mode != ResumeLive || backlog != nil {
 		t.Fatalf("resume = (%v, %d backlog), want ResumeLive with none", mode, len(backlog))
 	}
 }
@@ -310,9 +332,9 @@ func TestFeedResumeFallsBackAfterQuietGap(t *testing.T) {
 	// no ring replay can be exact and the resume must fall back.
 	s.AppendSpike(SpikeEvent{At: feedT(2), Market: feedM1, Ratio: 1.5})
 
-	resumed, backlog, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, evs[0].Seq, evs[0].Gen)
+	resumed, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, evs[0].Seq, evs[0].Gen)
 	defer resumed.Close()
-	if mode != ResumeWindow || backlog != nil {
+	if backlog := drain(resumed); mode != ResumeWindow || backlog != nil {
 		t.Fatalf("resume = (%v, %d backlog), want ResumeWindow", mode, len(backlog))
 	}
 
@@ -332,18 +354,18 @@ func TestFeedResumeForeignSequenceFallsBack(t *testing.T) {
 
 	// A sequence from another process life (larger than anything this
 	// feed assigned) with a stale generation cannot be in the ring.
-	resumed, backlog, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, 999999, 999)
+	resumed, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, 999999, 999)
 	defer resumed.Close()
-	if mode != ResumeWindow || backlog != nil {
+	if backlog := drain(resumed); mode != ResumeWindow || backlog != nil {
 		t.Fatalf("resume = (%v, %d backlog), want ResumeWindow", mode, len(backlog))
 	}
 
 	// But a foreign sequence whose generation equals the store's current
 	// one proves nothing was missed (the durable-restart shape: record
 	// counts survive, the sequence space does not) and attaches live.
-	live, backlog, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, 999999, s.GlobalGeneration())
+	live, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, 999999, s.GlobalGeneration())
 	defer live.Close()
-	if mode != ResumeLive || backlog != nil {
+	if backlog := drain(live); mode != ResumeLive || backlog != nil {
 		t.Fatalf("resume = (%v, %d backlog), want ResumeLive on matching generation", mode, len(backlog))
 	}
 }
@@ -366,37 +388,36 @@ func TestFeedResumeCrossLifeSeqCollisionFallsBack(t *testing.T) {
 
 	// seq 3 exists in the ring, but the claimed generation belongs to
 	// another life.
-	resumed, backlog, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, evs[2].Seq, 999)
+	resumed, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, evs[2].Seq, 999)
 	defer resumed.Close()
-	if mode != ResumeWindow || backlog != nil {
+	if backlog := drain(resumed); mode != ResumeWindow || backlog != nil {
 		t.Fatalf("resume = (%v, %d backlog), want ResumeWindow on generation mismatch", mode, len(backlog))
 	}
 	// The genuine position still replays exactly.
-	ok, backlog, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, evs[2].Seq, evs[2].Gen)
+	ok, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, evs[2].Seq, evs[2].Gen)
 	defer ok.Close()
-	if mode != ResumeRing || len(backlog) != 2 {
+	if backlog := drain(ok); mode != ResumeRing || len(backlog) != 2 {
 		t.Fatalf("resume = (%v, %d backlog), want ResumeRing with 2", mode, len(backlog))
 	}
 }
 
-// While a terminal lagged subscription is the only one registered, the
-// feed is cold and appends are not evented; a new subscriber must drop
-// the stale ring so a later resume cannot replay "exactly" across that
-// invisible gap.
+// Records appended while nobody subscribes (and the feed is not armed) are
+// not evented; the next subscriber must drop the stale ring so a later
+// resume cannot replay "exactly" across that invisible gap — also when the
+// last subscriber to leave had been overrun.
 func TestFeedColdGapWithLaggedSubscriberResetsRing(t *testing.T) {
-	s := New()
-	lagged := s.Feed().Subscribe(SubscribeOptions{Buffer: 2})
-	defer lagged.Close()
+	s := smallRingStore(4)
+	lagged := s.Feed().Subscribe(SubscribeOptions{})
 	for i := 0; i < 10; i++ {
 		s.AppendSpike(SpikeEvent{At: feedT(i), Market: feedM1, Ratio: 1.1})
 	}
-	evs := drain(lagged)
-	if evs[len(evs)-1].Kind != EventLagged {
-		t.Fatal("setup: subscriber should have lagged")
+	pos := s.Feed().Stats() // the newest event's position, still in the ring
+	if evs := drain(lagged); len(evs) != 1 || evs[0].Kind != EventLagged {
+		t.Fatalf("setup: subscriber read %v, want the lagged marker", kinds(evs))
 	}
+	lagged.Close()
+	s.AppendSpike(SpikeEvent{At: feedT(10), Market: feedM1, Ratio: 1.2}) // cold: no event
 
-	// New subscriber while the lagged one is still registered: the
-	// un-evented appends (after the lag) broke ring continuity.
 	fresh := s.Feed().Subscribe(SubscribeOptions{})
 	defer fresh.Close()
 	s.AppendSpike(SpikeEvent{At: feedT(11), Market: feedM1, Ratio: 1.2})
@@ -404,39 +425,61 @@ func TestFeedColdGapWithLaggedSubscriberResetsRing(t *testing.T) {
 		t.Fatalf("fresh subscriber saw %d events, want 1", got)
 	}
 
-	resumed, backlog, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, evs[0].Seq, evs[0].Gen)
+	resumed, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, pos.LastSeq, pos.LastGen)
 	defer resumed.Close()
-	if mode != ResumeWindow || backlog != nil {
+	if backlog := drain(resumed); mode != ResumeWindow || backlog != nil {
 		t.Fatalf("resume = (%v, %d backlog), want ResumeWindow across the cold gap", mode, len(backlog))
 	}
 }
 
+// A resume point the ring has overwritten falls back to the window; one
+// inside the retained window replays exactly; and a live reader that the
+// ring laps mid-read is told so instead of being handed a gapped sequence.
 func TestFeedRingEvictionForcesWindowFallback(t *testing.T) {
-	s := New()
-	f := newFeed(&s.gen, 8) // tiny ring
-	s.feed = f
-	sub := f.Subscribe(SubscribeOptions{Buffer: 1024})
+	s := smallRingStore(8)
+	f := s.Feed()
+	sub := f.Subscribe(SubscribeOptions{})
 	defer sub.Close()
 
+	var evs []Event
 	for i := 0; i < 32; i++ {
 		s.AppendSpike(SpikeEvent{At: feedT(i), Market: feedM1, Ratio: 1.1})
+		evs = append(evs, drain(sub)...)
 	}
-	evs := drain(sub)
 	if len(evs) != 32 {
 		t.Fatal("setup: want 32 live events")
 	}
 	// Resuming from the first event: the ring only holds the last 8.
-	_, backlog, mode := f.SubscribeFrom(SubscribeOptions{}, evs[0].Seq, evs[0].Gen)
-	if mode != ResumeWindow {
-		t.Fatalf("resume mode = %v, want ResumeWindow after eviction", mode)
-	}
-	if backlog != nil {
-		t.Fatalf("backlog = %d events, want none", len(backlog))
+	old, mode := f.SubscribeFrom(SubscribeOptions{}, evs[0].Seq, evs[0].Gen)
+	defer old.Close()
+	if backlog := drain(old); mode != ResumeWindow || backlog != nil {
+		t.Fatalf("resume = (%v, %d backlog), want ResumeWindow with none after eviction", mode, len(backlog))
 	}
 	// Resuming from inside the retained window is exact.
-	_, backlog, mode = f.SubscribeFrom(SubscribeOptions{}, evs[25].Seq, evs[25].Gen)
-	if mode != ResumeRing || len(backlog) != 6 {
-		t.Fatalf("resume = (%v, %d backlog), want ResumeRing with 6", mode, len(backlog))
+	in, mode := f.SubscribeFrom(SubscribeOptions{}, evs[25].Seq, evs[25].Gen)
+	defer in.Close()
+	if mode != ResumeRing {
+		t.Fatalf("resume mode = %v, want ResumeRing", mode)
+	}
+	<-in.Ready() // a ring resume starts with its wake pending
+	if got, _ := in.Next(make([]Event, 0, 2)); len(got) != 2 || got[1].Seq != evs[27].Seq {
+		t.Fatalf("first chunk = %v, want the 2 events after the resume point", got)
+	}
+	select {
+	case <-in.Ready():
+	default:
+		t.Fatal("a read that left events behind must leave a wake pending")
+	}
+	// 2 of the 6 replayed; the next 7 appends overwrite 3 of the other 4.
+	for i := 32; i < 39; i++ {
+		s.AppendSpike(SpikeEvent{At: feedT(i), Market: feedM1, Ratio: 1.1})
+	}
+	got := drain(in)
+	if len(got) != 1 || got[0].Kind != EventLagged || got[0].Seq != evs[27].Seq || got[0].Gen != evs[27].Gen {
+		t.Fatalf("lapped reader read %+v, want one lagged marker at seq %d", got, evs[27].Seq)
+	}
+	if st := f.Stats(); st.Dropped != 3 || st.Lagged != 1 {
+		t.Errorf("feed stats = %+v, want dropped=3 lagged=1", st)
 	}
 }
 
@@ -496,8 +539,9 @@ func TestFeedArmKeepsRingHotAcrossSubscriberGaps(t *testing.T) {
 	s.AppendSpike(SpikeEvent{At: feedT(2), Market: feedM1, Ratio: 1.5})
 	s.AppendSpike(SpikeEvent{At: feedT(3), Market: feedM1, Ratio: 1.7})
 
-	resumed, backlog, mode := f.SubscribeFrom(SubscribeOptions{}, evs[0].Seq, evs[0].Gen)
+	resumed, mode := f.SubscribeFrom(SubscribeOptions{}, evs[0].Seq, evs[0].Gen)
 	defer resumed.Close()
+	backlog := drain(resumed)
 	if mode != ResumeRing || len(backlog) != 2 {
 		t.Fatalf("resume = (%v, %d backlog), want ResumeRing with the 2 gap events", mode, len(backlog))
 	}
@@ -508,7 +552,7 @@ func TestFeedArmKeepsRingHotAcrossSubscriberGaps(t *testing.T) {
 
 func TestSubscriptionCloseIsIdempotentUnderPublish(t *testing.T) {
 	s := New()
-	sub := s.Feed().Subscribe(SubscribeOptions{Buffer: 1})
+	sub := s.Feed().Subscribe(SubscribeOptions{})
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -525,5 +569,216 @@ func TestSubscriptionCloseIsIdempotentUnderPublish(t *testing.T) {
 	wg.Wait()
 	if n := s.Feed().Stats().Subscribers; n != 0 {
 		t.Fatalf("subscribers = %d after close, want 0", n)
+	}
+}
+
+// The prober's price sweep: thousands of one-event rounds back to back,
+// faster than any reader. A subscriber that reads only afterwards is
+// behind, not lagged — the ring held every event all along.
+func TestFeedPriceSweepNeverLagsAnUnreadSubscriber(t *testing.T) {
+	s := New()
+	sub := s.Feed().Subscribe(SubscribeOptions{})
+	defer sub.Close()
+	const sweep = 2000
+	for i := 0; i < sweep; i++ {
+		id := market.SpotID{Zone: "us-east-1a", Type: market.InstanceType(fmt.Sprintf("t%d.large", i)), Product: market.ProductLinux}
+		s.RecordPrice(id, PricePoint{At: feedT(1), Price: 0.1})
+	}
+	evs := drain(sub)
+	if len(evs) != sweep {
+		t.Fatalf("read %d events (last %v), want all %d", len(evs), evs[len(evs)-1].Kind, sweep)
+	}
+	for i, ev := range evs {
+		if ev.Kind != EventPrice || ev.Seq != uint64(i+1) {
+			t.Fatalf("event %d = (%v, seq %d), want price at seq %d", i, ev.Kind, ev.Seq, i+1)
+		}
+	}
+	if st := s.Feed().Stats(); st.Dropped != 0 || st.Lagged != 0 {
+		t.Fatalf("feed stats = %+v, want nothing dropped or lagged", st)
+	}
+}
+
+// Differential, run under -race: concurrent appenders over several markets,
+// readers with random filters, chunk sizes, stalls and reconnects on a
+// small ring, against an oracle of everything published. Whatever a reader
+// was handed between two positions must be exactly the filter of the
+// oracle between them — no gap, duplicate or reorder — a ring resume must
+// continue that sequence, and a marker must sit where the reader stopped.
+func TestFeedReadersMatchOracleUnderConcurrentAppends(t *testing.T) {
+	const (
+		ringCap   = 64
+		writers   = 4
+		perWriter = 1500
+		readers   = 6
+		total     = writers * perWriter
+	)
+	s := smallRingStore(ringCap)
+	f := s.Feed()
+
+	// The oracle reads everything. Writers take a token per event and the
+	// oracle returns it once read, so the oracle is never a ring behind:
+	// the harness waits on it, the feed never does.
+	tokens := make(chan struct{}, ringCap)
+	oracle := make([]Event, 0, total)
+	osub := f.Subscribe(SubscribeOptions{})
+	defer osub.Close()
+	oracleDone := make(chan struct{})
+	go func() {
+		defer close(oracleDone)
+		buf := make([]Event, 0, ringCap)
+		for len(oracle) < total {
+			<-osub.Ready()
+			evs, live := osub.Next(buf)
+			if !live {
+				t.Error("the paced oracle reader was overrun")
+				go func() { // keep the writers moving so the test ends
+					for range tokens {
+					}
+				}()
+				return
+			}
+			oracle = append(oracle, evs...)
+			for range evs {
+				<-tokens
+			}
+		}
+	}()
+
+	markets := []market.SpotID{feedM1, feedM2, feedM3,
+		{Zone: "us-east-1a", Type: "m3.large", Product: market.ProductWindows}}
+	var wg sync.WaitGroup
+	var writersDone atomic.Bool
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				id, at := markets[(w+i)%len(markets)], feedT(w*perWriter+i)
+				tokens <- struct{}{}
+				switch i % 3 {
+				case 0:
+					s.AppendSpike(SpikeEvent{At: at, Market: id, Ratio: 1.1})
+				case 1:
+					s.RecordPrice(id, PricePoint{At: at, Price: 0.1})
+				default:
+					s.AppendProbe(ProbeRecord{At: at, Market: id, Kind: ProbeSpot})
+				}
+				runtime.Gosched() // or the writers and the oracle finish between themselves
+			}
+		}(w)
+	}
+
+	filters := []EventFilter{
+		{},
+		{Region: "us-east-1"},
+		{Market: feedM3},
+		{Product: market.ProductWindows, Kinds: []EventKind{EventPrice, EventProbe}},
+		{Kinds: []EventKind{EventSpike}},
+	}
+	// A segment is what one reader was handed while reading from position
+	// start through position end.
+	type segment struct {
+		start, end uint64
+		got        []Event
+	}
+	type result struct {
+		filter          EventFilter
+		segs            []segment
+		markers, resume int
+	}
+	results := make([]result, readers)
+	var rg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func(r int) {
+			defer rg.Done()
+			rng := rand.New(rand.NewSource(int64(r) + 1))
+			res := &results[r]
+			res.filter = filters[r%len(filters)]
+			opts := SubscribeOptions{Filter: res.filter}
+			sub := f.Subscribe(opts)
+			defer func() { sub.Close() }()
+			seg := segment{start: sub.cursor}
+			// resubscribe closes the segment at end and, unless the new
+			// subscription continues it exactly, opens the next one.
+			resubscribe := func(end, seq, gen uint64) ResumeMode {
+				sub.Close()
+				var mode ResumeMode
+				sub, mode = f.SubscribeFrom(opts, seq, gen)
+				if mode == ResumeWindow {
+					seg.end = end
+					res.segs = append(res.segs, seg)
+					seg = segment{start: sub.cursor}
+				}
+				return mode
+			}
+			for {
+				finished := writersDone.Load()
+				switch n := len(seg.got); rng.Intn(4) {
+				case 0: // stall while the feed moves on by up to two rings
+					target := sub.cursor + uint64(rng.Intn(2*ringCap))
+					for f.Stats().LastSeq < target && !writersDone.Load() {
+						runtime.Gosched()
+					}
+				case 1: // reconnect from the last delivered event, as a client does
+					if n > 0 && resubscribe(sub.cursor, seg.got[n-1].Seq, seg.got[n-1].Gen) != ResumeWindow {
+						res.resume++
+					}
+				}
+				evs, live := sub.Next(make([]Event, 0, 1+rng.Intn(2*ringCap)))
+				if !live {
+					m := evs[len(evs)-1]
+					if len(evs) != 1 || m.Kind != EventLagged || m.Seq != sub.cursor {
+						t.Errorf("reader %d: ended with %v at seq %d, cursor %d; want one marker at the cursor", r, kinds(evs), m.Seq, sub.cursor)
+						return
+					}
+					res.markers++
+					if mode := resubscribe(m.Seq, m.Seq, m.Gen); mode != ResumeWindow {
+						t.Errorf("reader %d: resume from an overwritten position = %v, want ResumeWindow", r, mode)
+					}
+					continue
+				}
+				seg.got = append(seg.got, evs...)
+				if finished && len(evs) == 0 {
+					seg.end = sub.cursor
+					res.segs = append(res.segs, seg)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	writersDone.Store(true)
+	<-oracleDone
+	rg.Wait()
+
+	if len(oracle) != total {
+		t.Fatalf("oracle holds %d events, want %d", len(oracle), total)
+	}
+	for i, ev := range oracle {
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("oracle[%d].Seq = %d: the oracle itself has a gap", i, ev.Seq)
+		}
+	}
+	var markers, resumes int
+	for r, res := range results {
+		markers, resumes = markers+res.markers, resumes+res.resume
+		mask := res.filter.kindMask()
+		for _, seg := range res.segs {
+			var want []Event
+			for i := seg.start; i < seg.end; i++ {
+				if match(mask, res.filter, &oracle[i]) {
+					want = append(want, oracle[i])
+				}
+			}
+			if !reflect.DeepEqual(seg.got, want) {
+				t.Errorf("reader %d, positions %d..%d: handed %d events, the oracle's filter has %d (or they differ)",
+					r, seg.start, seg.end, len(seg.got), len(want))
+			}
+		}
+	}
+	t.Logf("%d markers, %d exact resumes", markers, resumes)
+	if markers == 0 || resumes == 0 {
+		t.Errorf("the run saw %d markers and %d exact resumes; the stalls and reconnects are not exercising both", markers, resumes)
 	}
 }

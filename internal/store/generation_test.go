@@ -191,7 +191,7 @@ func TestAppendProbesMatchesSingles(t *testing.T) {
 			t.Fatalf("Open: %v", err)
 		}
 		t.Cleanup(func() { s.Persister().Close() })
-		sub := s.Feed().Subscribe(SubscribeOptions{Buffer: 1024})
+		sub := s.Feed().Subscribe(SubscribeOptions{})
 		defer sub.Close()
 		fill(s)
 		if err := s.Persister().Flush(); err != nil {
@@ -268,7 +268,7 @@ func TestBatchAppendOrderIsDeterministic(t *testing.T) {
 	in := newMixedInput(markets, 3*len(markets))
 	run := func() []Event {
 		s := New()
-		sub := s.Feed().Subscribe(SubscribeOptions{Buffer: 4096})
+		sub := s.Feed().Subscribe(SubscribeOptions{})
 		defer sub.Close()
 		s.AppendProbes(in.probes)
 		s.AppendSpikes(in.spikes)

@@ -70,14 +70,17 @@ func (s *Store) EnableMetrics(r *obs.Registry) {
 		"Change-feed events ever assigned a sequence number.",
 		func() float64 { return float64(s.feed.Stats().Published) })
 	r.CounterFunc("spotlight_feed_dropped_total",
-		"Change-feed events dropped at subscriber-overflow points.",
+		"Change-feed events the ring overwrote before a subscription read them.",
 		func() float64 { return float64(s.feed.Stats().Dropped) })
 	r.CounterFunc("spotlight_feed_lagged_total",
-		"Subscriptions ever marked lagged (buffer overflow).",
+		"Subscriptions ended by the lagged marker (the ring no longer covered their cursor).",
 		func() float64 { return float64(s.feed.Stats().Lagged) })
 	r.GaugeFunc("spotlight_feed_subscribers",
 		"Currently registered change-feed subscriptions.",
 		func() float64 { return float64(s.feed.Stats().Subscribers) })
+	r.GaugeFunc("spotlight_feed_backlog_events",
+		"Events the slowest registered subscription has yet to read (newest sequence minus its cursor).",
+		func() float64 { return float64(s.feed.Backlog()) })
 	r.GaugeFunc("spotlight_store_replay_seconds",
 		"Duration of the recovery replay that built this store (0 for in-memory).",
 		func() float64 {

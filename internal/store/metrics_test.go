@@ -20,6 +20,8 @@ func TestStoreMetricsCountAppends(t *testing.T) {
 	s.EnableMetrics(reg)
 	id := metricsTestMarket(t)
 	now := time.Now().UTC()
+	sub := s.Feed().Subscribe(SubscribeOptions{}) // reads nothing until the scrape below
+	defer sub.Close()
 	s.AppendProbes([]ProbeRecord{
 		{At: now, Market: id, Kind: ProbeOnDemand},
 		{At: now.Add(time.Second), Market: id, Kind: ProbeSpot},
@@ -40,11 +42,15 @@ func TestStoreMetricsCountAppends(t *testing.T) {
 		"spotlight_store_generation 3",
 		"spotlight_store_markets 1",
 		"spotlight_feed_dropped_total 0",
+		"spotlight_feed_backlog_events 3",
 		"spotlight_store_wal_flush_seconds_count 0",
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("exposition missing %q:\n%s", want, sb.String())
 		}
+	}
+	if drain(sub); s.Feed().Backlog() != 0 {
+		t.Fatalf("backlog = %d after the subscriber caught up, want 0", s.Feed().Backlog())
 	}
 }
 
