@@ -8,11 +8,14 @@ GO ?= go
 # batch ingest, WAL append+flush cycle, boot-time replay), and the
 # change-feed paths (publish round with a draining and with a stalled
 # subscriber, 1/64/512-subscriber fan-out), the advisor ranking path
-# (BenchmarkAdvise matches the generation-cached variant too), and the
+# (BenchmarkAdvise matches the generation-cached variant too), the two
+# cold rankings of the read-cold workload (BenchmarkAdviseRegion and
+# BenchmarkQueryStableRegion: one region, n = 10, a new 6-144 h window per
+# call), and the
 # metrics overhead pair (BenchmarkObsOverhead runs each instrumented hot
 # path against its nil-registry twin — the two must stay within noise of
 # each other).
-BENCH_SMOKE = BenchmarkQueryStable|BenchmarkQueryFallback|BenchmarkQuerySummary|BenchmarkStoreAggregates|BenchmarkStoreRegionAggregates|BenchmarkGenerationOfScope|BenchmarkStoreAppendMonitorTick|BenchmarkStoreAppendProbesBatchParallel|BenchmarkWALAppend|BenchmarkReplay|BenchmarkFeedPublish|BenchmarkFeedFanout|BenchmarkAdvise|BenchmarkPriceStatsIn|BenchmarkSpikesInWindow|BenchmarkEventsSince|BenchmarkObsOverhead
+BENCH_SMOKE = BenchmarkQueryStable|BenchmarkQueryFallback|BenchmarkQuerySummary|BenchmarkStoreAggregates|BenchmarkStoreRegionAggregates|BenchmarkGenerationOfScope|BenchmarkStoreAppendMonitorTick|BenchmarkStoreAppendProbesBatchParallel|BenchmarkWALAppend|BenchmarkReplay|BenchmarkFeedPublish|BenchmarkFeedFanout|BenchmarkAdvise|BenchmarkAdviseRegion|BenchmarkQueryStableRegion|BenchmarkPriceStatsIn|BenchmarkSpikesInWindow|BenchmarkEventsSince|BenchmarkObsOverhead
 
 # Benchmark iteration control. The CI smoke keeps the 1x default (it only
 # proves the benchmarks run); any measurement that will be *compared* —
@@ -180,11 +183,15 @@ example-smoke:
 # loader (FuzzSnapshotV2Decode: whole snapshot file images — footer, index
 # and every section — must error, never panic, and an image that loads
 # must load identically again) and the JSON export's reader (the
-# checked-in seed corpora live in internal/store/testdata/fuzz), and over
+# checked-in seed corpora live in internal/store/testdata/fuzz), the
+# windowed price fold (FuzzPriceWindow: PriceStatsIn over sealed chunks must
+# match the naive fold over PricesIn on any series and window — unordered,
+# repeated stamps, NaN, ±Inf, -0, ends past the stamp range), and over
 # the market-ID order the rankings tie-break on (must equal the order of
 # the rendered strings).
 fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime=10s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzPriceWindow$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotReadJSON$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotV2Decode$$' -fuzztime=10s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSpotIDCompare$$' -fuzztime=10s

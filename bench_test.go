@@ -659,6 +659,60 @@ func BenchmarkAdviseCached(b *testing.B) {
 	}
 }
 
+// coldWindows rotates absolute windows the way the read-cold workload of
+// the end-to-end benchmark does: lengths cycle through 6, 24, 72 and 144 h
+// and every window ends one second earlier than the one before, so no two
+// iterations share a cache key.
+func coldWindows(end time.Time) func(i int) (time.Time, time.Time) {
+	lengths := [...]time.Duration{6 * time.Hour, 24 * time.Hour, 72 * time.Hour, 144 * time.Hour}
+	return func(i int) (time.Time, time.Time) {
+		to := end.Add(-time.Duration(i%100_000) * time.Second)
+		return to.Add(-lengths[i%len(lengths)]), to
+	}
+}
+
+// BenchmarkAdviseRegion is the advise request of read-cold: one region,
+// n = 10, no other constraint, a fresh advisor and a new window per call —
+// every price, crossing, outage and revocation fold over the region's
+// priced markets, computed cold.
+func BenchmarkAdviseRegion(b *testing.B) {
+	st := benchStudy(b)
+	_, end := st.Window()
+	window := coldWindows(end)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		adv := advisor.New(st.DB, st.Cat)
+		cons, err := adv.Normalize(api.AdviseConstraints{Regions: []string{"us-east-1"}, N: 10})
+		if err != nil {
+			b.Fatal(err)
+		}
+		from, to := window(i)
+		if len(adv.Advise(cons, from, to)) == 0 {
+			b.Fatal("no candidates")
+		}
+	}
+}
+
+// BenchmarkQueryStableRegion is the stable request of read-cold: the
+// region's whole catalog scope ranked over a new window per call, with
+// the response cache off.
+func BenchmarkQueryStableRegion(b *testing.B) {
+	st := benchStudy(b)
+	_, end := st.Window()
+	window := coldWindows(end)
+	engine := query.NewEngine(st.DB, st.Cat)
+	engine.SetCaching(false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		from, to := window(i)
+		if _, err := engine.TopStableMarkets("us-east-1", "", 10, from, to); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkQueryFallback measures the uncorrelated-fallback
 // recommendation.
 func BenchmarkQueryFallback(b *testing.B) {

@@ -78,15 +78,17 @@ func dependsOnNow(q api.Query) bool {
 }
 
 // etagFor computes the strong ETag of a query set evaluated at service
-// clock now: an FNV-64a hash over the process boot epoch, every spec's
-// parameters and scope generation, plus the clock when any spec depends
-// on it. Within one process, identical specs against an unchanged scope
-// (and unchanged clock, where it matters) produce the identical tag;
-// across restarts the epoch salt retires every outstanding tag, because
-// generations are record counts that restart from zero.
+// clock now: an FNV-64a hash over responseFormat, the ETag salt, every
+// spec's parameters and scope generation, plus the clock when any spec
+// depends on it. Identical specs against an unchanged scope (and unchanged
+// clock, where it matters) produce the identical tag. A durable store
+// keeps its salt across clean restarts, so a release that renders the same
+// records to different bytes bumps responseFormat — to 2 when price means
+// began adding sealed chunk sums — and retires every tag minted before it.
 func (a *API) etagFor(qs []api.Query, now time.Time) string {
+	const responseFormat = 2
 	h := fnv.New64a()
-	fmt.Fprintf(h, "epoch|%d\n", a.epoch)
+	fmt.Fprintf(h, "format|%d|epoch|%d\n", responseFormat, a.epoch)
 	clockBound := false
 	for _, q := range qs {
 		fmt.Fprintf(h, "%s|%s|%s|%s|%s|%d|%g|%s|%g|%d|%d|%s|%d\n",

@@ -286,3 +286,37 @@ func TestConditionalV2Batch(t *testing.T) {
 		t.Fatalf("got %d results, want 2", len(decoded.Results))
 	}
 }
+
+// TestETagRetiresValidatorsOfTheOldPriceFold: a price mean now adds sealed
+// chunk sums, so the same records can render different bytes than they did
+// under the left-to-right fold, and the response format hashed into every
+// tag moved with it. The pinned tag is the one the previous format minted
+// for this exact spec, salt and generation; it must no longer revalidate.
+func TestETagRetiresValidatorsOfTheOldPriceFold(t *testing.T) {
+	db := store.New()
+	for i := 0; i < 40; i++ {
+		db.RecordPrice(mktA, store.PricePoint{At: t0.Add(time.Duration(i) * time.Hour), Price: 0.1 + float64(i%7)/100})
+	}
+	a := NewAPI(NewEngine(db, market.New()), func() time.Time { return t0.Add(48 * time.Hour) })
+	a.SetETagSalt(0x5eed)
+	srv := httptest.NewServer(a.Handler())
+	t.Cleanup(srv.Close)
+	batch := api.BatchRequest{Queries: []api.Query{{
+		Kind: api.KindAdvise, Window: api.Between(t0, t0.Add(48*time.Hour)),
+		Advise: &api.AdviseConstraints{Regions: []string{"us-east-1"}, N: 3},
+	}}}
+	const oldFormatTag = `"890c3daeb671e98d"`
+	if db.GlobalGeneration() != 40 {
+		t.Fatalf("generation %d, the pinned tag was minted at 40", db.GlobalGeneration())
+	}
+	resp, body := postBatchETag(t, srv, batch, oldFormatTag)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("old-format validator: status %d, want 200", resp.StatusCode)
+	}
+	if tag := resp.Header.Get(api.HeaderETag); tag == oldFormatTag || tag == "" {
+		t.Fatalf("ETag %q, want a new non-empty tag", tag)
+	}
+	if len(body) == 0 {
+		t.Fatal("200 without a body")
+	}
+}

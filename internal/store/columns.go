@@ -1,8 +1,8 @@
 package store
 
 import (
+	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"spotlight/internal/market"
@@ -29,20 +29,92 @@ import (
 // mismatches), so the Market field is not stored per record: accessors
 // take the owning ID and stamp it back in.
 
-// timeWindow returns the half-open index range [lo, hi) of the timestamps
-// in at that fall inside [from, to], assuming at is non-decreasing.
-func timeWindow(at []time.Time, from, to time.Time) (int, int) {
-	lo := sort.Search(len(at), func(i int) bool { return !at[i].Before(from) })
-	hi := sort.Search(len(at), func(i int) bool { return at[i].After(to) })
-	if hi < lo {
-		hi = lo
+// Stamps. Every time column holds int64 Unix nanoseconds — 8 bytes and no
+// *Location for the collector to scan — converted once by stamp on the way
+// in and materialized by stampTime on the way out, so a record reads back
+// as the same UTC instant whether it was appended live, recovered from a
+// data dir or loaded by ReadJSON. Instants outside the int64 range
+// (1677-09-21 to 2262-04-11, the zero time.Time among them) saturate to
+// its ends. The lowest int64 is held back: it is openEnd, the end of an
+// outage that has not closed.
+const (
+	openEnd  = math.MinInt64
+	minStamp = math.MinInt64 + 1
+	maxStamp = math.MaxInt64
+)
+
+var minStampTime, maxStampTime = time.Unix(0, minStamp), time.Unix(0, maxStamp)
+
+func stamp(t time.Time) int64 {
+	switch s := t.Unix(); {
+	case -9e9 < s && s < 9e9: // well inside the range: no overflow
+		return s*1e9 + int64(t.Nanosecond())
+	case t.Before(minStampTime):
+		return minStamp
+	case t.After(maxStampTime):
+		return maxStamp
 	}
-	return lo, hi
+	return t.UnixNano()
 }
 
-// inWindow reports whether t falls inside the inclusive window [from, to].
-func inWindow(t, from, to time.Time) bool {
-	return !t.Before(from) && !t.After(to)
+func stampTime(ns int64) time.Time { return time.Unix(0, ns).UTC() }
+
+// canonical is the instant the store hands back for t.
+func canonical(t time.Time) time.Time { return stampTime(stamp(t)) }
+
+// follows reports whether appending s keeps the stamp column non-decreasing.
+func follows(at []int64, s int64) bool { return len(at) == 0 || at[len(at)-1] <= s }
+
+// after returns the first index of the non-decreasing column at whose
+// stamp is past s (len(at) when none).
+func after(at []int64, s int64) int {
+	lo, hi := 0, len(at)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if at[m] <= s {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// bounds returns the index range [lo, hi) a windowed read of [from, to]
+// visits: two binary searches on an ordered column, the whole of an
+// unordered one (whose rows the read then filters). from is a stamp, so
+// from-1 cannot overflow.
+func bounds(at []int64, ordered bool, from, to int64) (int, int) {
+	if !ordered {
+		return 0, len(at)
+	}
+	lo := after(at, from-1)
+	return lo, lo + after(at[lo:], to)
+}
+
+// collect appends row(i) to dst for every row whose stamp falls inside
+// [from, to].
+func collect[T any](dst []T, at []int64, ordered bool, from, to time.Time, row func(int) T) []T {
+	f, t := stamp(from), stamp(to)
+	lo, hi := bounds(at, ordered, f, t)
+	if ordered {
+		dst = grown(dst, hi-lo)
+	}
+	for i := lo; i < hi; i++ {
+		if f <= at[i] && at[i] <= t {
+			dst = append(dst, row(i))
+		}
+	}
+	return dst
+}
+
+// rows appends row(i) for every i in [0, n) to dst.
+func rows[T any](dst []T, n int, row func(int) T) []T {
+	dst = grown(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, row(i))
+	}
+	return dst
 }
 
 // grown returns dst with room for n more elements. An empty dst gets
@@ -62,7 +134,7 @@ func grown[T any](dst []T, n int) []T {
 
 // probeCols is the probe log in columnar form.
 type probeCols struct {
-	at            []time.Time
+	at            []int64
 	kind          []ProbeKind
 	trigger       []Trigger
 	triggerMarket []market.SpotID
@@ -77,8 +149,8 @@ type probeCols struct {
 
 func (c *probeCols) n() int { return len(c.at) }
 
-func (c *probeCols) push(r *ProbeRecord) {
-	c.at = append(c.at, r.At)
+func (c *probeCols) push(r *ProbeRecord, at int64) {
+	c.at = append(c.at, at)
 	c.kind = append(c.kind, r.Kind)
 	c.trigger = append(c.trigger, r.Trigger)
 	c.triggerMarket = append(c.triggerMarket, r.TriggerMarket)
@@ -110,7 +182,7 @@ func (c *probeCols) reserve(n int) {
 
 func (c *probeCols) get(i int, id market.SpotID) ProbeRecord {
 	return ProbeRecord{
-		At:            c.at[i],
+		At:            stampTime(c.at[i]),
 		Market:        id,
 		Kind:          c.kind[i],
 		Trigger:       c.trigger[i],
@@ -125,34 +197,19 @@ func (c *probeCols) get(i int, id market.SpotID) ProbeRecord {
 	}
 }
 
-// appendTo materializes rows [lo, hi) into dst.
-func (c *probeCols) appendTo(dst []ProbeRecord, id market.SpotID, lo, hi int) []ProbeRecord {
-	dst = grown(dst, hi-lo)
-	for i := lo; i < hi; i++ {
-		dst = append(dst, c.get(i, id))
-	}
-	return dst
+// appendTo materializes every row into dst.
+func (c *probeCols) appendTo(dst []ProbeRecord, id market.SpotID) []ProbeRecord {
+	return rows(dst, c.n(), func(i int) ProbeRecord { return c.get(i, id) })
 }
 
-// window materializes the rows inside [from, to] into dst; ordered
-// columns locate the range by binary search, unordered ones scan the
-// timestamp column.
+// window materializes the rows inside [from, to] into dst.
 func (c *probeCols) window(dst []ProbeRecord, id market.SpotID, ordered bool, from, to time.Time) []ProbeRecord {
-	if ordered {
-		lo, hi := timeWindow(c.at, from, to)
-		return c.appendTo(dst, id, lo, hi)
-	}
-	for i, t := range c.at {
-		if inWindow(t, from, to) {
-			dst = append(dst, c.get(i, id))
-		}
-	}
-	return dst
+	return collect(dst, c.at, ordered, from, to, func(i int) ProbeRecord { return c.get(i, id) })
 }
 
 // spikeCols is the spike-event log in columnar form.
 type spikeCols struct {
-	at     []time.Time
+	at     []int64
 	price  []float64
 	ratio  []float64
 	probed []bool
@@ -160,8 +217,8 @@ type spikeCols struct {
 
 func (c *spikeCols) n() int { return len(c.at) }
 
-func (c *spikeCols) push(e *SpikeEvent) {
-	c.at = append(c.at, e.At)
+func (c *spikeCols) push(e *SpikeEvent, at int64) {
+	c.at = append(c.at, at)
 	c.price = append(c.price, e.Price)
 	c.ratio = append(c.ratio, e.Ratio)
 	c.probed = append(c.probed, e.Probed)
@@ -175,33 +232,27 @@ func (c *spikeCols) reserve(n int) {
 }
 
 func (c *spikeCols) get(i int, id market.SpotID) SpikeEvent {
-	return SpikeEvent{At: c.at[i], Market: id, Price: c.price[i], Ratio: c.ratio[i], Probed: c.probed[i]}
+	return SpikeEvent{At: stampTime(c.at[i]), Market: id, Price: c.price[i], Ratio: c.ratio[i], Probed: c.probed[i]}
 }
 
-func (c *spikeCols) appendTo(dst []SpikeEvent, id market.SpotID, lo, hi int) []SpikeEvent {
-	dst = grown(dst, hi-lo)
-	for i := lo; i < hi; i++ {
-		dst = append(dst, c.get(i, id))
-	}
-	return dst
+func (c *spikeCols) appendTo(dst []SpikeEvent, id market.SpotID) []SpikeEvent {
+	return rows(dst, c.n(), func(i int) SpikeEvent { return c.get(i, id) })
 }
 
 func (c *spikeCols) window(dst []SpikeEvent, id market.SpotID, ordered bool, from, to time.Time) []SpikeEvent {
-	if ordered {
-		lo, hi := timeWindow(c.at, from, to)
-		return c.appendTo(dst, id, lo, hi)
-	}
-	for i, t := range c.at {
-		if inWindow(t, from, to) {
-			dst = append(dst, c.get(i, id))
-		}
-	}
-	return dst
+	return collect(dst, c.at, ordered, from, to, func(i int) SpikeEvent { return c.get(i, id) })
+}
+
+// crossingCols is the incremental index of spikes with Ratio >= 1: when
+// and how big, all a crossing fold reads.
+type crossingCols struct {
+	at    []int64
+	ratio []float64
 }
 
 // bidSpreadCols is the intrinsic-price search log in columnar form.
 type bidSpreadCols struct {
-	at        []time.Time
+	at        []int64
 	published []float64
 	intrinsic []float64
 	attempts  []int
@@ -209,8 +260,8 @@ type bidSpreadCols struct {
 
 func (c *bidSpreadCols) n() int { return len(c.at) }
 
-func (c *bidSpreadCols) push(r *BidSpreadRecord) {
-	c.at = append(c.at, r.At)
+func (c *bidSpreadCols) push(r *BidSpreadRecord, at int64) {
+	c.at = append(c.at, at)
 	c.published = append(c.published, r.Published)
 	c.intrinsic = append(c.intrinsic, r.Intrinsic)
 	c.attempts = append(c.attempts, r.Attempts)
@@ -224,41 +275,28 @@ func (c *bidSpreadCols) reserve(n int) {
 }
 
 func (c *bidSpreadCols) get(i int, id market.SpotID) BidSpreadRecord {
-	return BidSpreadRecord{At: c.at[i], Market: id, Published: c.published[i], Intrinsic: c.intrinsic[i], Attempts: c.attempts[i]}
+	return BidSpreadRecord{At: stampTime(c.at[i]), Market: id, Published: c.published[i], Intrinsic: c.intrinsic[i], Attempts: c.attempts[i]}
 }
 
-func (c *bidSpreadCols) appendTo(dst []BidSpreadRecord, id market.SpotID, lo, hi int) []BidSpreadRecord {
-	dst = grown(dst, hi-lo)
-	for i := lo; i < hi; i++ {
-		dst = append(dst, c.get(i, id))
-	}
-	return dst
+func (c *bidSpreadCols) appendTo(dst []BidSpreadRecord, id market.SpotID) []BidSpreadRecord {
+	return rows(dst, c.n(), func(i int) BidSpreadRecord { return c.get(i, id) })
 }
 
 func (c *bidSpreadCols) window(dst []BidSpreadRecord, id market.SpotID, ordered bool, from, to time.Time) []BidSpreadRecord {
-	if ordered {
-		lo, hi := timeWindow(c.at, from, to)
-		return c.appendTo(dst, id, lo, hi)
-	}
-	for i, t := range c.at {
-		if inWindow(t, from, to) {
-			dst = append(dst, c.get(i, id))
-		}
-	}
-	return dst
+	return collect(dst, c.at, ordered, from, to, func(i int) BidSpreadRecord { return c.get(i, id) })
 }
 
 // revocationCols is the revocation-watch log in columnar form.
 type revocationCols struct {
-	at   []time.Time
+	at   []int64
 	bid  []float64
 	held []time.Duration
 }
 
 func (c *revocationCols) n() int { return len(c.at) }
 
-func (c *revocationCols) push(r *RevocationRecord) {
-	c.at = append(c.at, r.At)
+func (c *revocationCols) push(r *RevocationRecord, at int64) {
+	c.at = append(c.at, at)
 	c.bid = append(c.bid, r.Bid)
 	c.held = append(c.held, r.Held)
 }
@@ -270,110 +308,192 @@ func (c *revocationCols) reserve(n int) {
 }
 
 func (c *revocationCols) get(i int, id market.SpotID) RevocationRecord {
-	return RevocationRecord{At: c.at[i], Market: id, Bid: c.bid[i], Held: c.held[i]}
+	return RevocationRecord{At: stampTime(c.at[i]), Market: id, Bid: c.bid[i], Held: c.held[i]}
 }
 
-func (c *revocationCols) appendTo(dst []RevocationRecord, id market.SpotID, lo, hi int) []RevocationRecord {
-	dst = grown(dst, hi-lo)
-	for i := lo; i < hi; i++ {
-		dst = append(dst, c.get(i, id))
-	}
-	return dst
+func (c *revocationCols) appendTo(dst []RevocationRecord, id market.SpotID) []RevocationRecord {
+	return rows(dst, c.n(), func(i int) RevocationRecord { return c.get(i, id) })
 }
 
 func (c *revocationCols) window(dst []RevocationRecord, id market.SpotID, ordered bool, from, to time.Time) []RevocationRecord {
-	if ordered {
-		lo, hi := timeWindow(c.at, from, to)
-		return c.appendTo(dst, id, lo, hi)
-	}
-	for i, t := range c.at {
-		if inWindow(t, from, to) {
-			dst = append(dst, c.get(i, id))
-		}
-	}
-	return dst
+	return collect(dst, c.at, ordered, from, to, func(i int) RevocationRecord { return c.get(i, id) })
 }
 
-// priceCols is the published-price series in columnar form: the densest
-// series in a study, and the one whose windowed folds gain the most from
-// scanning a bare float column.
+// chunkLen is how many consecutive prices one sealed chunk summarizes.
+const chunkLen = 16
+
+// priceChunk summarizes one sealed run of chunkLen prices: their sum,
+// added left to right from +0, and their min and max under the window
+// fold's strict first-wins comparison with NaN skipped (NaN when the whole
+// run is). Seeded with a window's first price, the fold then folds a chunk
+// in one step and lands on the bits it would reach point by point.
+type priceChunk struct{ min, max, sum float64 }
+
+func summarize(ps []float64) priceChunk {
+	ch := priceChunk{min: math.NaN(), max: math.NaN()}
+	for _, p := range ps {
+		if p < ch.min || ch.min != ch.min {
+			ch.min = p
+		}
+		if p > ch.max || ch.max != ch.max {
+			ch.max = p
+		}
+		ch.sum += p
+	}
+	return ch
+}
+
+// priceCols is the published-price series in columnar form — the densest
+// series in a study — plus, per full run of chunkLen prices, a sealed
+// summary and the run's last stamp, appended as the run fills and never
+// persisted (replay rebuilds them through the same push).
 type priceCols struct {
-	at    []time.Time
-	price []float64
+	at     []int64
+	price  []float64
+	chunks []priceChunk // chunks[k] covers price[k*chunkLen : (k+1)*chunkLen]
+	last   []int64      // last[k] is at[(k+1)*chunkLen-1]
 }
 
 func (c *priceCols) n() int { return len(c.at) }
 
-func (c *priceCols) push(p *PricePoint) {
-	c.at = append(c.at, p.At)
+func (c *priceCols) push(p *PricePoint, at int64) {
+	c.at = append(c.at, at)
 	c.price = append(c.price, p.Price)
+	if n := len(c.price); n%chunkLen == 0 {
+		c.chunks = append(c.chunks, summarize(c.price[n-chunkLen:]))
+		c.last = append(c.last, at)
+	}
 }
 
 func (c *priceCols) reserve(n int) {
 	c.at = grown(c.at, n)
 	c.price = grown(c.price, n)
+	c.chunks = grown(c.chunks, n/chunkLen+1)
+	c.last = grown(c.last, n/chunkLen+1)
+}
+
+// search is after on an ordered series, in two steps: the chunks' last
+// stamps narrow it to one run of at most chunkLen prices, searched in turn
+// — a few cache lines, where halving the whole column misses on most steps.
+func (c *priceCols) search(s int64) int {
+	lo := after(c.last, s) * chunkLen
+	return lo + after(c.at[lo:min(lo+chunkLen, len(c.at))], s)
 }
 
 func (c *priceCols) get(i int) PricePoint {
-	return PricePoint{At: c.at[i], Price: c.price[i]}
+	return PricePoint{At: stampTime(c.at[i]), Price: c.price[i]}
 }
 
-func (c *priceCols) appendTo(dst []PricePoint, lo, hi int) []PricePoint {
-	dst = grown(dst, hi-lo)
-	for i := lo; i < hi; i++ {
-		dst = append(dst, c.get(i))
-	}
-	return dst
+func (c *priceCols) appendTo(dst []PricePoint) []PricePoint {
+	return rows(dst, c.n(), c.get)
 }
 
 func (c *priceCols) window(dst []PricePoint, ordered bool, from, to time.Time) []PricePoint {
-	if ordered {
-		lo, hi := timeWindow(c.at, from, to)
-		return c.appendTo(dst, lo, hi)
-	}
-	for i, t := range c.at {
-		if inWindow(t, from, to) {
-			dst = append(dst, c.get(i))
+	return collect(dst, c.at, ordered, from, to, c.get)
+}
+
+// priceFold accumulates a window's price stats in series order: min and
+// max start at the window's first price and only a strictly smaller or
+// larger one replaces them, so a leading NaN sticks and the first of equal
+// zeros wins.
+type priceFold struct{ min, max, sum float64 }
+
+func (w *priceFold) add(ps []float64) {
+	for _, p := range ps {
+		if p < w.min {
+			w.min = p
 		}
+		if p > w.max {
+			w.max = p
+		}
+		w.sum += p
 	}
-	return dst
+}
+
+func (w *priceFold) stats(samples int) PriceWindowStats {
+	if samples == 0 {
+		return PriceWindowStats{}
+	}
+	return PriceWindowStats{Samples: samples, Min: w.min, Mean: w.sum / float64(samples), Max: w.max}
+}
+
+// stats folds min/mean/max over the prices inside [from, to]. An ordered
+// series costs two searches, then the points before the first whole chunk,
+// one step per whole chunk and the points after the last: O(log n +
+// n/chunkLen). An unordered series scans every price.
+func (c *priceCols) stats(ordered bool, from, to time.Time) PriceWindowStats {
+	f, t := stamp(from), stamp(to)
+	var w priceFold
+	if !ordered {
+		n := 0
+		for i, s := range c.at {
+			if f <= s && s <= t {
+				if n == 0 {
+					w.min, w.max = c.price[i], c.price[i]
+				}
+				w.add(c.price[i : i+1])
+				n++
+			}
+		}
+		return w.stats(n)
+	}
+	lo := c.search(f - 1)
+	hi := max(lo, c.search(t))
+	if lo == hi {
+		return PriceWindowStats{}
+	}
+	w.min, w.max = c.price[lo], c.price[lo]
+	// Chunks [a, b) lie wholly inside [lo, hi).
+	if a, b := (lo+chunkLen-1)/chunkLen, hi/chunkLen; a < b {
+		w.add(c.price[lo : a*chunkLen])
+		for _, ch := range c.chunks[a:b] {
+			if ch.min < w.min {
+				w.min = ch.min
+			}
+			if ch.max > w.max {
+				w.max = ch.max
+			}
+			w.sum += ch.sum
+		}
+		w.add(c.price[b*chunkLen : hi])
+	} else {
+		w.add(c.price[lo:hi])
+	}
+	return w.stats(hi - lo)
 }
 
 // outageCols holds the derived outage intervals. Unlike every other
 // family this one is not strictly append-only: closing an outage rewrites
 // end[i] in place, so captures deep-copy these columns instead of
-// aliasing them (outages are few — one per rejection streak).
+// aliasing them (outages are few — one per rejection streak). end[i] is
+// openEnd while the outage is ongoing.
 type outageCols struct {
 	kind  []ProbeKind
-	start []time.Time
-	end   []time.Time
+	start []int64
+	end   []int64
 }
 
 func (c *outageCols) n() int { return len(c.start) }
 
-func (c *outageCols) push(o OutageRecord) {
-	c.kind = append(c.kind, o.Kind)
-	c.start = append(c.start, o.Start)
-	c.end = append(c.end, o.End)
+func (c *outageCols) push(kind ProbeKind, start int64) {
+	c.kind = append(c.kind, kind)
+	c.start = append(c.start, start)
+	c.end = append(c.end, openEnd)
 }
 
 func (c *outageCols) get(i int, id market.SpotID) OutageRecord {
-	return OutageRecord{Market: id, Kind: c.kind[i], Start: c.start[i], End: c.end[i]}
+	o := OutageRecord{Market: id, Kind: c.kind[i], Start: stampTime(c.start[i])}
+	if c.end[i] != openEnd {
+		o.End = stampTime(c.end[i])
+	}
+	return o
 }
 
-func (c *outageCols) appendTo(dst []OutageRecord, id market.SpotID, lo, hi int) []OutageRecord {
-	dst = grown(dst, hi-lo)
-	for i := lo; i < hi; i++ {
-		dst = append(dst, c.get(i, id))
-	}
-	return dst
+func (c *outageCols) appendTo(dst []OutageRecord, id market.SpotID) []OutageRecord {
+	return rows(dst, c.n(), func(i int) OutageRecord { return c.get(i, id) })
 }
 
 // clone deep-copies the columns (the capture path; see the type comment).
 func (c *outageCols) clone() outageCols {
-	return outageCols{
-		kind:  append([]ProbeKind(nil), c.kind...),
-		start: append([]time.Time(nil), c.start...),
-		end:   append([]time.Time(nil), c.end...),
-	}
+	return outageCols{kind: slices.Clone(c.kind), start: slices.Clone(c.start), end: slices.Clone(c.end)}
 }

@@ -55,27 +55,27 @@ func assembleSnapshot(captures []shardCapture) Snapshot {
 	snap := Snapshot{Prices: make(map[string][]PricePoint)}
 	snap.Probes = mergeByTime(captures,
 		func(c shardCapture) ([]ProbeRecord, bool) {
-			return c.probes.appendTo(nil, c.id, 0, c.probes.n()), c.probesOrdered
+			return c.probes.appendTo(nil, c.id), c.probesOrdered
 		}, probeAt)
 	snap.Spikes = mergeByTime(captures,
 		func(c shardCapture) ([]SpikeEvent, bool) {
-			return c.spikes.appendTo(nil, c.id, 0, c.spikes.n()), c.spikesOrdered
+			return c.spikes.appendTo(nil, c.id), c.spikesOrdered
 		}, spikeAt)
 	snap.BidSpreads = mergeByTime(captures,
 		func(c shardCapture) ([]BidSpreadRecord, bool) {
-			return c.bidSpreads.appendTo(nil, c.id, 0, c.bidSpreads.n()), c.bidSpreadsOrdered
+			return c.bidSpreads.appendTo(nil, c.id), c.bidSpreadsOrdered
 		}, bidSpreadAt)
 	snap.Revocations = mergeByTime(captures,
 		func(c shardCapture) ([]RevocationRecord, bool) {
-			return c.revocations.appendTo(nil, c.id, 0, c.revocations.n()), c.revocationsOrdered
+			return c.revocations.appendTo(nil, c.id), c.revocationsOrdered
 		}, revocationAt)
 	snap.Outages = mergeByTime(captures,
 		func(c shardCapture) ([]OutageRecord, bool) {
-			return c.outages.appendTo(nil, c.id, 0, c.outages.n()), c.outagesOrdered
+			return c.outages.appendTo(nil, c.id), c.outagesOrdered
 		}, outageAt)
 	for _, c := range captures {
 		if c.prices.n() > 0 {
-			snap.Prices[c.id.String()] = c.prices.appendTo(nil, 0, c.prices.n())
+			snap.Prices[c.id.String()] = c.prices.appendTo(nil)
 		}
 	}
 	return snap

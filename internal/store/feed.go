@@ -573,7 +573,7 @@ func (s *Store) EventsSince(since time.Time, f EventFilter) []Event {
 		}
 		if want(EventOutageOpen) || want(EventOutageClose) {
 			sh.mu.RLock()
-			outages := sh.outages.appendTo(nil, id, 0, sh.outages.n())
+			outages := sh.outages.appendTo(nil, id)
 			sh.mu.RUnlock()
 			for i := range outages {
 				o := &outages[i]

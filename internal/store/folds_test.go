@@ -1,0 +1,508 @@
+package store
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"sync"
+	"testing"
+	"time"
+
+	"spotlight/internal/market"
+)
+
+// The windowed folds behind the rankings — PriceStatsIn, CrossingStatsFor,
+// RevocationStats, OutageOverlap and their MarketView twins — read sealed
+// chunk summaries and binary-searched int64 stamps instead of walking
+// records. These tests hold them to naive loops over the public accessors,
+// on series built to put duplicate stamps, window ends and special floats
+// on every side of a chunk edge.
+
+var foldBase = time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
+
+// foldSeries is one market's records in append order.
+type foldSeries struct {
+	id     market.SpotID
+	prices []PricePoint
+	spikes []SpikeEvent
+	revs   []RevocationRecord
+	probes []ProbeRecord
+}
+
+// foldStamps draws n stamps a few minutes apart, non-decreasing, with
+// runs of equal stamps — forced, half the time, across every chunk edge —
+// and shuffled when the series is to be appended out of order.
+func foldStamps(rng *rand.Rand, n int, ordered bool) []time.Time {
+	ts := make([]time.Time, n)
+	at := foldBase.Add(time.Duration(rng.IntN(60)) * time.Minute)
+	for i := range ts {
+		if i > 0 && (rng.IntN(4) == 0 || (i%chunkLen == 0 && rng.IntN(2) == 0)) {
+			ts[i] = ts[i-1]
+			continue
+		}
+		at = at.Add(time.Duration(1+rng.IntN(3)) * time.Minute)
+		ts[i] = at
+	}
+	if !ordered {
+		rng.Shuffle(n, func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
+	}
+	return ts
+}
+
+// foldPrice draws a price: non-negative and finite (decimal, so sums round
+// differently in different orders), ±0, and — when special — NaN and ±Inf.
+// A tied series draws only zeros of either sign (and, when special, NaN
+// and -Inf), so chunks and windows tie on their min and max — the case the
+// first-wins rule decides.
+func foldPrice(rng *rand.Rand, special, tied bool) float64 {
+	if tied {
+		palette := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(-1)}
+		if !special {
+			palette = palette[:2]
+		}
+		return palette[rng.IntN(len(palette))]
+	}
+	switch k := rng.IntN(20); {
+	case special && k == 0:
+		return math.NaN()
+	case special && k == 1:
+		return math.Inf(1)
+	case special && k == 2:
+		return math.Inf(-1)
+	case k == 3:
+		return 0
+	case k == 4:
+		return math.Copysign(0, -1)
+	}
+	return float64(1+rng.IntN(5000)) / 1000
+}
+
+// randomFoldSeries draws one market's records: 0 to 5 chunks of prices,
+// spikes and revocations either in or out of time order, and a probe
+// stream whose rejections open outages, the last of them often left open.
+func randomFoldSeries(rng *rand.Rand, id market.SpotID, special bool) foldSeries {
+	s := foldSeries{id: id}
+	tied := rng.IntN(3) == 0
+	for _, at := range foldStamps(rng, rng.IntN(5*chunkLen+1), rng.IntN(3) != 0) {
+		s.prices = append(s.prices, PricePoint{At: at, Price: foldPrice(rng, special, tied)})
+	}
+	for _, at := range foldStamps(rng, rng.IntN(3*chunkLen), rng.IntN(3) != 0) {
+		s.spikes = append(s.spikes, SpikeEvent{At: at, Market: id, Ratio: 0.5 + float64(rng.IntN(8))/4})
+	}
+	for _, at := range foldStamps(rng, rng.IntN(2*chunkLen), rng.IntN(3) != 0) {
+		s.revs = append(s.revs, RevocationRecord{At: at, Market: id, Held: time.Duration(1+rng.IntN(300)) * time.Minute})
+	}
+	for _, at := range foldStamps(rng, rng.IntN(2*chunkLen), true) {
+		kind := ProbeOnDemand
+		if rng.IntN(2) == 0 {
+			kind = ProbeSpot
+		}
+		s.probes = append(s.probes, ProbeRecord{At: at, Market: id, Kind: kind, Rejected: rng.IntN(2) == 0})
+	}
+	return s
+}
+
+// load appends the series, each family in batches of random size so
+// rounds end on both sides of chunk edges.
+func (s foldSeries) load(rng *rand.Rand, db *Store) {
+	for rest := s.prices; len(rest) > 0; {
+		n := 1 + rng.IntN(min(len(rest), 2*chunkLen))
+		db.RecordPrices(s.id, rest[:n])
+		rest = rest[n:]
+	}
+	db.AppendSpikes(s.spikes)
+	db.AppendRevocations(s.revs)
+	db.AppendProbes(s.probes)
+}
+
+// foldWindows are the windows checked on a series: ends on samples, a
+// second either side of them, and well outside the series — in both
+// orders, so empty and inverted windows are covered too.
+func foldWindows(rng *rand.Rand, s foldSeries) [][2]time.Time {
+	ends := []time.Time{foldBase.Add(-24 * time.Hour), foldBase.Add(30 * 24 * time.Hour), foldBase}
+	for _, p := range s.prices {
+		ends = append(ends, p.At, p.At.Add(-time.Second), p.At.Add(time.Second))
+	}
+	for _, e := range s.spikes {
+		ends = append(ends, e.At)
+	}
+	for _, p := range s.probes {
+		ends = append(ends, p.At, p.At.Add(time.Second))
+	}
+	out := [][2]time.Time{{ends[0], ends[1]}}
+	for i := 0; i < 40; i++ {
+		out = append(out, [2]time.Time{ends[rng.IntN(len(ends))], ends[rng.IntN(len(ends))]})
+	}
+	return out
+}
+
+// foldAnswers is every windowed fold of one market over one window.
+type foldAnswers struct {
+	prices      PriceWindowStats
+	crossings   CrossingStats
+	watches     int
+	held        time.Duration
+	odOverlap   time.Duration
+	spotOverlap time.Duration
+}
+
+// storeFolds asks the store's per-market reads.
+func storeFolds(db *Store, id market.SpotID, from, to time.Time) foldAnswers {
+	var a foldAnswers
+	a.prices = db.PriceStatsIn(id, from, to)
+	a.crossings = db.CrossingStatsFor(id, from, to)
+	db.ScanScope(id.Region(), id.Product, func(v MarketView) {
+		if v.Market() == id {
+			a.watches, a.held = v.RevocationStats(from, to)
+		}
+	})
+	a.odOverlap = db.OutageOverlap(id, ProbeOnDemand, from, to)
+	a.spotOverlap = db.OutageOverlap(id, ProbeSpot, from, to)
+	return a
+}
+
+// viewFolds asks the same of the market's MarketView.
+func viewFolds(db *Store, id market.SpotID, from, to time.Time) (a foldAnswers, seen bool) {
+	db.ScanScope(id.Region(), id.Product, func(v MarketView) {
+		if v.Market() != id {
+			return
+		}
+		seen = true
+		a.prices = v.PriceStats(from, to)
+		a.crossings = v.CrossingStats(from, to)
+		a.watches, a.held = v.RevocationStats(from, to)
+		a.odOverlap = v.OutageOverlap(ProbeOnDemand, from, to)
+		a.spotOverlap = v.OutageOverlap(ProbeSpot, from, to)
+	})
+	return a, seen
+}
+
+// naiveFolds is the definition: loops over the public accessors.
+func naiveFolds(db *Store, id market.SpotID, from, to time.Time) foldAnswers {
+	var a foldAnswers
+	sum := 0.0
+	for i, p := range db.PricesIn(id, from, to) {
+		if i == 0 || p.Price < a.prices.Min {
+			a.prices.Min = p.Price
+		}
+		if i == 0 || p.Price > a.prices.Max {
+			a.prices.Max = p.Price
+		}
+		a.prices.Samples++
+		sum += p.Price
+	}
+	if a.prices.Samples > 0 {
+		a.prices.Mean = sum / float64(a.prices.Samples)
+	}
+	for _, e := range db.SpikesInWindow(from, to, func(m market.SpotID) bool { return m == id }) {
+		if e.Ratio >= 1 {
+			a.crossings.Crossings++
+			if e.Ratio > a.crossings.MaxRatio {
+				a.crossings.MaxRatio = e.Ratio
+			}
+		}
+	}
+	for _, r := range db.RevocationsFor(id, from, to) {
+		a.watches++
+		a.held += r.Held
+	}
+	overlap := func(kind ProbeKind) (total time.Duration) {
+		for _, o := range db.OutagesFor(id, kind) {
+			start, end := o.Start, o.End
+			if end.IsZero() {
+				end = to
+			}
+			if start.Before(from) {
+				start = from
+			}
+			if end.After(to) {
+				end = to
+			}
+			if end.After(start) {
+				total += end.Sub(start)
+			}
+		}
+		return total
+	}
+	a.odOverlap, a.spotOverlap = overlap(ProbeOnDemand), overlap(ProbeSpot)
+	return a
+}
+
+// sameBits reports whether two answers agree bit for bit, Mean included.
+func sameBits(a, b foldAnswers) bool {
+	pa, pb := a.prices, b.prices
+	a.prices, b.prices = PriceWindowStats{}, PriceWindowStats{}
+	return a == b && pa.Samples == pb.Samples &&
+		math.Float64bits(pa.Min) == math.Float64bits(pb.Min) &&
+		math.Float64bits(pa.Mean) == math.Float64bits(pb.Mean) &&
+		math.Float64bits(pa.Max) == math.Float64bits(pb.Max)
+}
+
+// matchesOracle is the oracle contract: everything exact, Min and Max bit
+// for bit, Mean within 1e-12 relative (NaN where the oracle's is).
+func matchesOracle(got, want foldAnswers) bool {
+	gm, wm := got.prices.Mean, want.prices.Mean
+	closeMean := gm == wm || (math.IsNaN(gm) && math.IsNaN(wm)) ||
+		math.Abs(gm-wm) <= 1e-12*math.Max(math.Abs(gm), math.Abs(wm))
+	got.prices.Mean = wm // compared above; NaN payloads may differ with the summation order
+	return closeMean && sameBits(got, want)
+}
+
+// checkAccessors holds the accessors the oracle loops over to the records
+// that were appended: exactly the in-window ones, in append order.
+func checkAccessors(t *testing.T, db *Store, s foldSeries, from, to time.Time) {
+	t.Helper()
+	in := func(at time.Time) bool { return !at.Before(from) && !at.After(to) }
+	var wantPrices []PricePoint
+	for _, p := range s.prices {
+		if in(p.At) {
+			wantPrices = append(wantPrices, p)
+		}
+	}
+	got := db.PricesIn(s.id, from, to)
+	ok := len(got) == len(wantPrices)
+	for i := 0; ok && i < len(got); i++ {
+		ok = got[i].At == wantPrices[i].At && math.Float64bits(got[i].Price) == math.Float64bits(wantPrices[i].Price)
+	}
+	if !ok {
+		t.Fatalf("PricesIn(%v, %v, %v) = %v, want %v", s.id, from, to, got, wantPrices)
+	}
+	var wantRevs []RevocationRecord
+	for _, r := range s.revs {
+		if in(r.At) {
+			wantRevs = append(wantRevs, r)
+		}
+	}
+	if gotRevs := db.RevocationsFor(s.id, from, to); fmt.Sprint(gotRevs) != fmt.Sprint(wantRevs) {
+		t.Fatalf("RevocationsFor(%v, %v, %v) = %v, want %v", s.id, from, to, gotRevs, wantRevs)
+	}
+}
+
+// checkFolds runs every window of every series against the oracle, on the
+// per-market reads and the market views alike. appendOrder says the store
+// holds each family in the order it was appended (ReadJSON re-sorts the
+// streams it merged by time), so its accessors can be held to the input.
+func checkFolds(t *testing.T, what string, db *Store, series []foldSeries, windows [][][2]time.Time, appendOrder bool) {
+	t.Helper()
+	for k, s := range series {
+		for _, w := range windows[k] {
+			from, to := w[0], w[1]
+			want := naiveFolds(db, s.id, from, to)
+			got := storeFolds(db, s.id, from, to)
+			if !matchesOracle(got, want) {
+				t.Fatalf("%s: %v [%v, %v]:\n got  %+v\n want %+v", what, s.id, from, to, got, want)
+			}
+			view, seen := viewFolds(db, s.id, from, to)
+			if seen != (db.Generation(s.id) > 0) || (seen && !sameBits(view, got)) {
+				t.Fatalf("%s: %v [%v, %v]: view %+v (seen %v), per-market reads %+v", what, s.id, from, to, view, seen, got)
+			}
+			if appendOrder {
+				checkAccessors(t, db, s, from, to)
+			}
+		}
+	}
+}
+
+// sameAsLive requires other to answer every window bit for bit as live.
+func sameAsLive(t *testing.T, what string, other, live *Store, series []foldSeries, windows [][][2]time.Time) {
+	t.Helper()
+	for k, s := range series {
+		for _, w := range windows[k] {
+			if got, want := storeFolds(other, s.id, w[0], w[1]), storeFolds(live, s.id, w[0], w[1]); !sameBits(got, want) {
+				t.Fatalf("%s: %v [%v, %v]:\n got  %+v\n live %+v", what, s.id, w[0], w[1], got, want)
+			}
+		}
+	}
+}
+
+func TestWindowedFoldsMatchNaiveOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(27, 16))
+	for round := 0; round < 12; round++ {
+		// NaN and ±Inf have no JSON form, so only the finite rounds also
+		// go through WriteJSON/ReadJSON.
+		special := round%2 == 0
+		dir := t.TempDir()
+		live, err := Open(dir, PersistOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var series []foldSeries
+		var windows [][][2]time.Time
+		for m := 0; m < 8; m++ {
+			s := randomFoldSeries(rng, persistMarket(m), special)
+			series = append(series, s)
+			windows = append(windows, foldWindows(rng, s))
+		}
+		for i, s := range series {
+			s.load(rng, live)
+			if i == len(series)/2 {
+				// Half the markets reach the reopened store through the
+				// snapshot, the rest through the log.
+				if err := live.Persister().Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := live.Persister().Flush(); err != nil {
+			t.Fatal(err)
+		}
+		live.Persister().Abandon()
+		what := fmt.Sprintf("round %d", round)
+		checkFolds(t, what+" live", live, series, windows, true)
+
+		reopened, err := Open(dir, PersistOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFolds(t, what+" reopened", reopened, series, windows, true)
+		sameAsLive(t, what+" reopened", reopened, live, series, windows)
+		if err := reopened.Persister().Close(); err != nil {
+			t.Fatal(err)
+		}
+		if special {
+			continue
+		}
+		var dump bytes.Buffer
+		if err := live.WriteJSON(&dump); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadJSON(&dump)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFolds(t, what+" ReadJSON", loaded, series, windows, false)
+		sameAsLive(t, what+" ReadJSON", loaded, live, series, windows)
+	}
+}
+
+// TestWindowedFoldsUnderConcurrentAppends: readers fold while writers
+// append prices across chunk edges. A fold sees some prefix of each
+// series, so its sample count names the prefix, and the rest of its answer
+// must be that prefix's naive fold. Run under -race it also checks that
+// sealing a chunk publishes nothing a reader can see half-built.
+func TestWindowedFoldsUnderConcurrentAppends(t *testing.T) {
+	const markets, perMarket = 4, 20 * chunkLen
+	db := New()
+	price := func(m, i int) float64 { return float64((m*7919+i*104729)%997) / 100 }
+	at := func(i int) time.Time { return foldBase.Add(time.Duration(i) * time.Minute) }
+	var writers, readers sync.WaitGroup
+	for m := 0; m < markets; m++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			id := persistMarket(m)
+			for i := 0; i < perMarket; {
+				n := min(perMarket-i, 1+(i*31)%(chunkLen+3))
+				batch := make([]PricePoint, n)
+				for k := range batch {
+					batch[k] = PricePoint{At: at(i + k), Price: price(m, i+k)}
+				}
+				db.RecordPrices(id, batch)
+				i += n
+			}
+		}()
+	}
+	done := make(chan struct{})
+	errs := make(chan error, markets)
+	for m := 0; m < markets; m++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			id := persistMarket(m)
+			for q := 0; ; q++ {
+				select {
+				case <-done:
+					if q >= 400 {
+						return
+					}
+				default:
+				}
+				lo := (q * 37) % perMarket
+				hi := lo + (q*53)%(perMarket-lo)
+				got := db.PriceStatsIn(id, at(lo), at(hi))
+				var want PriceWindowStats
+				sum := 0.0
+				for i := lo; i < lo+got.Samples; i++ {
+					p := price(m, i)
+					if i == lo || p < want.Min {
+						want.Min = p
+					}
+					if i == lo || p > want.Max {
+						want.Max = p
+					}
+					want.Samples++
+					sum += p
+				}
+				if want.Samples > 0 {
+					want.Mean = sum / float64(want.Samples)
+				}
+				if got.Samples > hi-lo+1 || got.Min != want.Min || got.Max != want.Max ||
+					math.Abs(got.Mean-want.Mean) > 1e-12*math.Abs(want.Mean) {
+					errs <- fmt.Errorf("%v [%d, %d]: got %+v, the prefix's fold is %+v", id, lo, hi, got, want)
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// fuzzPriceSeries decodes a fuzz input into a price series, three bytes a
+// point: a signed step in minutes (zero duplicates a stamp, a negative one
+// breaks time order), then a price code — NaN, ±Inf and -0 for the first
+// four codes, cents otherwise.
+func fuzzPriceSeries(data []byte) []PricePoint {
+	var out []PricePoint
+	at := foldBase
+	for ; len(data) >= 3; data = data[3:] {
+		at = at.Add(time.Duration(int8(data[0])) * time.Minute)
+		code := uint16(data[1]) | uint16(data[2])<<8
+		price := float64(code) / 100
+		if code < 4 {
+			price = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}[code]
+		}
+		out = append(out, PricePoint{At: at, Price: price})
+	}
+	return out
+}
+
+// FuzzPriceWindow holds PriceStatsIn and MarketView.PriceStats to the
+// oracle of TestWindowedFoldsMatchNaiveOracle on whatever series and
+// window the fuzzer builds; the window ends are nanosecond offsets from
+// the series start, so they reach past both ends of the stamp range.
+func FuzzPriceWindow(f *testing.F) {
+	var ordered, edges []byte
+	for i := 0; i < 5*chunkLen+3; i++ {
+		ordered = append(ordered, 1, byte(i*37), byte(i%3))
+		step := byte(1)
+		if i%chunkLen == 0 {
+			step = 0 // a repeated stamp across every chunk edge
+		}
+		edges = append(edges, step, byte(4+i*11), 0)
+	}
+	f.Add(ordered, int64(10*time.Minute), int64(70*time.Minute))
+	f.Add(edges, int64(0), int64(time.Hour))
+	f.Add([]byte{5, 0, 0, 5, 1, 0, 5, 2, 0, 5, 3, 0, 5, 9, 0}, int64(0), int64(time.Hour))
+	f.Add([]byte{3, 10, 0, 0xfe, 20, 0, 4, 30, 0}, int64(time.Minute), int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, data []byte, from, to int64) {
+		db, id := New(), persistMarket(0)
+		ps := fuzzPriceSeries(data)
+		db.RecordPrices(id, ps)
+		w0, w1 := foldBase.Add(time.Duration(from)), foldBase.Add(time.Duration(to))
+		got, want := foldAnswers{prices: db.PriceStatsIn(id, w0, w1)}, naiveFolds(db, id, w0, w1)
+		if !matchesOracle(got, want) {
+			t.Fatalf("[%v, %v] over %d prices: got %+v, want %+v", w0, w1, len(ps), got.prices, want.prices)
+		}
+		view, _ := viewFolds(db, id, w0, w1)
+		if !sameBits(foldAnswers{prices: view.prices}, got) {
+			t.Fatalf("[%v, %v]: view %+v, PriceStatsIn %+v", w0, w1, view.prices, got.prices)
+		}
+	})
+}

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"sort"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,9 +87,8 @@ type shard struct {
 	outages     outageCols
 
 	// crossings is the incremental index of spikes with Ratio >= 1 (the
-	// on-demand price crossings behind every stability/volatility query),
-	// stored compactly — queries only need when and how big.
-	crossings []crossing
+	// on-demand price crossings behind every stability/volatility query).
+	crossings crossingCols
 
 	// Ordered flags track whether the corresponding slice is appended in
 	// non-decreasing time order; while true, window queries binary-search
@@ -226,6 +225,7 @@ func (sh *shard) appendProbes(rs []ProbeRecord) {
 			cp := append([]ProbeRecord(nil), rs...)
 			d.events = make([]Event, 0, len(cp))
 			for i := range cp {
+				cp[i].At = canonical(cp[i].At)
 				d.events = append(d.events, Event{Kind: EventProbe, Market: sh.id, At: cp[i].At, Probe: &cp[i]})
 			}
 		},
@@ -245,10 +245,9 @@ func (sh *shard) appendProbes(rs []ProbeRecord) {
 func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
 	sh.gen.Add(1)
 	d.records++
-	if n := sh.probes.n(); n > 0 && r.At.Before(sh.probes.at[n-1]) {
-		sh.probesOrdered = false
-	}
-	sh.probes.push(r)
+	at := stamp(r.At)
+	sh.probesOrdered = sh.probesOrdered && follows(sh.probes.at, at)
+	sh.probes.push(r, at)
 	sh.agg.probeCount++
 	sh.agg.probeCost += r.Cost
 	d.probeCount++
@@ -267,32 +266,29 @@ func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
 	}
 	switch {
 	case r.Rejected && sh.openOutage[ki] == 0:
-		if n := sh.outages.n(); n > 0 && r.At.Before(sh.outages.start[n-1]) {
-			sh.outagesOrdered = false
-		}
-		sh.outages.push(OutageRecord{
-			Market: r.Market, Kind: r.Kind, Start: r.At,
-		})
+		sh.outagesOrdered = sh.outagesOrdered && follows(sh.outages.start, at)
+		sh.outages.push(r.Kind, at)
 		sh.openOutage[ki] = sh.outages.n()
+		start := stampTime(at)
 		ka.outages++
-		ka.openOutageStart = r.At
+		ka.openOutageStart = start
 		kd.outages++
-		kd.openOutage(r.At)
+		kd.openOutage(start)
 		if d.emit {
 			cp := sh.outages.get(sh.outages.n()-1, sh.id)
-			d.events = append(d.events, Event{Kind: EventOutageOpen, Market: r.Market, At: r.At, Outage: &cp})
+			d.events = append(d.events, Event{Kind: EventOutageOpen, Market: r.Market, At: start, Outage: &cp})
 		}
 	case !r.Rejected && sh.openOutage[ki] != 0:
 		oi := sh.openOutage[ki] - 1
-		sh.outages.end[oi] = r.At
-		start := sh.outages.start[oi]
-		ka.closedOutageDur += r.At.Sub(start)
+		sh.outages.end[oi] = at
+		start, end := stampTime(sh.outages.start[oi]), stampTime(at)
+		ka.closedOutageDur += end.Sub(start)
 		ka.openOutageStart = time.Time{}
 		sh.openOutage[ki] = 0
-		kd.closeOutage(start, r.At.Sub(start))
+		kd.closeOutage(start, end.Sub(start))
 		if d.emit {
 			cp := sh.outages.get(oi, sh.id)
-			d.events = append(d.events, Event{Kind: EventOutageClose, Market: r.Market, At: r.At, Outage: &cp})
+			d.events = append(d.events, Event{Kind: EventOutageClose, Market: r.Market, At: end, Outage: &cp})
 		}
 	}
 }
@@ -305,6 +301,7 @@ func (sh *shard) appendSpikes(es []SpikeEvent) {
 			cp := append([]SpikeEvent(nil), es...)
 			d.events = make([]Event, 0, len(cp))
 			for i := range cp {
+				cp[i].At = canonical(cp[i].At)
 				d.events = append(d.events, Event{Kind: EventSpike, Market: sh.id, At: cp[i].At, Spike: &cp[i]})
 			}
 		},
@@ -325,28 +322,20 @@ func (sh *shard) appendSpikeLocked(e *SpikeEvent, d *rollupDelta) {
 	sh.gen.Add(1)
 	d.records++
 	d.spikes++
-	if n := sh.spikes.n(); n > 0 && e.At.Before(sh.spikes.at[n-1]) {
-		sh.spikesOrdered = false
-	}
-	sh.spikes.push(e)
+	at := stamp(e.At)
+	sh.spikesOrdered = sh.spikesOrdered && follows(sh.spikes.at, at)
+	sh.spikes.push(e, at)
 	sh.agg.spikes++
 	if e.Ratio >= 1 {
-		if n := len(sh.crossings); n > 0 && e.At.Before(sh.crossings[n-1].at) {
-			sh.crossingsOrdered = false
-		}
-		sh.crossings = append(sh.crossings, crossing{at: e.At, ratio: e.Ratio})
+		sh.crossingsOrdered = sh.crossingsOrdered && follows(sh.crossings.at, at)
+		sh.crossings.at = append(sh.crossings.at, at)
+		sh.crossings.ratio = append(sh.crossings.ratio, e.Ratio)
 		sh.agg.spikesAboveOD++
 		d.spikesAboveOD++
 		if e.Ratio > d.maxCrossRatio {
 			d.maxCrossRatio = e.Ratio
 		}
 	}
-}
-
-// crossing is one compact entry of the price-crossing index.
-type crossing struct {
-	at    time.Time
-	ratio float64
 }
 
 // appendBidSpreads logs a batch of intrinsic-price search results in one
@@ -358,6 +347,7 @@ func (sh *shard) appendBidSpreads(rs []BidSpreadRecord) {
 			cp := append([]BidSpreadRecord(nil), rs...)
 			d.events = make([]Event, 0, len(cp))
 			for i := range cp {
+				cp[i].At = canonical(cp[i].At)
 				d.events = append(d.events, Event{Kind: EventBidSpread, Market: sh.id, At: cp[i].At, BidSpread: &cp[i]})
 			}
 		},
@@ -377,10 +367,9 @@ func (sh *shard) appendBidSpreads(rs []BidSpreadRecord) {
 func (sh *shard) appendBidSpreadLocked(r *BidSpreadRecord, d *rollupDelta) {
 	sh.gen.Add(1)
 	d.records++
-	if n := sh.bidSpreads.n(); n > 0 && r.At.Before(sh.bidSpreads.at[n-1]) {
-		sh.bidSpreadsOrdered = false
-	}
-	sh.bidSpreads.push(r)
+	at := stamp(r.At)
+	sh.bidSpreadsOrdered = sh.bidSpreadsOrdered && follows(sh.bidSpreads.at, at)
+	sh.bidSpreads.push(r, at)
 }
 
 // appendRevocations logs a batch of revocation watches in one append
@@ -392,6 +381,7 @@ func (sh *shard) appendRevocations(rs []RevocationRecord) {
 			cp := append([]RevocationRecord(nil), rs...)
 			d.events = make([]Event, 0, len(cp))
 			for i := range cp {
+				cp[i].At = canonical(cp[i].At)
 				d.events = append(d.events, Event{Kind: EventRevocation, Market: sh.id, At: cp[i].At, Revocation: &cp[i]})
 			}
 		},
@@ -411,10 +401,9 @@ func (sh *shard) appendRevocations(rs []RevocationRecord) {
 func (sh *shard) appendRevocationLocked(r *RevocationRecord, d *rollupDelta) {
 	sh.gen.Add(1)
 	d.records++
-	if n := sh.revocations.n(); n > 0 && r.At.Before(sh.revocations.at[n-1]) {
-		sh.revocationsOrdered = false
-	}
-	sh.revocations.push(r)
+	at := stamp(r.At)
+	sh.revocationsOrdered = sh.revocationsOrdered && follows(sh.revocations.at, at)
+	sh.revocations.push(r, at)
 }
 
 // appendPrices logs a price series in one append round (watched markets
@@ -426,6 +415,7 @@ func (sh *shard) appendPrices(ps []PricePoint) {
 			cp := append([]PricePoint(nil), ps...)
 			d.events = make([]Event, 0, len(cp))
 			for i := range cp {
+				cp[i].At = canonical(cp[i].At)
 				d.events = append(d.events, Event{Kind: EventPrice, Market: sh.id, At: cp[i].At, Price: &cp[i]})
 			}
 		},
@@ -446,10 +436,9 @@ func (sh *shard) appendPriceLocked(p *PricePoint, d *rollupDelta) {
 	sh.gen.Add(1)
 	d.records++
 	d.price(p.Price)
-	if n := sh.prices.n(); n > 0 && p.At.Before(sh.prices.at[n-1]) {
-		sh.pricesOrdered = false
-	}
-	sh.prices.push(p)
+	at := stamp(p.At)
+	sh.pricesOrdered = sh.pricesOrdered && follows(sh.prices.at, at)
+	sh.prices.push(p, at)
 	sh.agg.priceCount++
 	sh.agg.priceSum += p.Price
 	if sh.agg.priceCount == 1 || p.Price < sh.agg.priceMin {
@@ -541,56 +530,23 @@ func (sh *shard) revocationsIn(dst []RevocationRecord, from, to time.Time) []Rev
 // once for every fold its visitor asks of the market.
 
 // priceStatsLocked folds min/mean/max over the price points inside
-// [from, to] without materializing anything: a linear scan of the bare
-// price column, over the binary-searched range when the series is
-// time-ordered.
+// [from, to] without materializing anything (priceCols.stats).
 func (sh *shard) priceStatsLocked(from, to time.Time) PriceWindowStats {
-	at, prices := sh.prices.at, sh.prices.price
-	if sh.pricesOrdered {
-		lo, hi := timeWindow(at, from, to)
-		at, prices = nil, prices[lo:hi] // every remaining point is in the window
-	}
-	var st PriceWindowStats
-	sum := 0.0
-	for i, price := range prices {
-		if at != nil && !inWindow(at[i], from, to) {
-			continue
-		}
-		if st.Samples == 0 || price < st.Min {
-			st.Min = price
-		}
-		if st.Samples == 0 || price > st.Max {
-			st.Max = price
-		}
-		st.Samples++
-		sum += price
-	}
-	if st.Samples > 0 {
-		st.Mean = sum / float64(st.Samples)
-	}
-	return st
+	return sh.prices.stats(sh.pricesOrdered, from, to)
 }
 
 // crossingStatsLocked counts the on-demand price crossings inside
 // [from, to] and their largest spike ratio, using the incremental
 // crossings index.
 func (sh *shard) crossingStatsLocked(from, to time.Time) CrossingStats {
-	crossings, filter := sh.crossings, !sh.crossingsOrdered
-	if !filter {
-		// Searched inline: a bounds helper taking an accessor closure would
-		// move that closure to the heap on every call.
-		lo := sort.Search(len(crossings), func(i int) bool { return !crossings[i].at.Before(from) })
-		hi := sort.Search(len(crossings), func(i int) bool { return crossings[i].at.After(to) })
-		crossings = crossings[lo:max(lo, hi)]
-	}
+	f, t := stamp(from), stamp(to)
+	c := &sh.crossings
+	lo, hi := bounds(c.at, sh.crossingsOrdered, f, t)
 	var st CrossingStats
-	for _, e := range crossings {
-		if filter && !inWindow(e.at, from, to) {
-			continue
-		}
-		st.Crossings++
-		if e.ratio > st.MaxRatio {
-			st.MaxRatio = e.ratio
+	for i := lo; i < hi; i++ {
+		if f <= c.at[i] && c.at[i] <= t {
+			st.Crossings++
+			st.MaxRatio = max(st.MaxRatio, c.ratio[i])
 		}
 	}
 	return st
@@ -599,49 +555,40 @@ func (sh *shard) crossingStatsLocked(from, to time.Time) CrossingStats {
 // revocationStatsLocked counts the revocation watches that landed inside
 // [from, to] and sums how long their instances were held.
 func (sh *shard) revocationStatsLocked(from, to time.Time) (watches int, held time.Duration) {
-	at, helds := sh.revocations.at, sh.revocations.held
-	if sh.revocationsOrdered {
-		lo, hi := timeWindow(at, from, to)
-		at, helds = nil, helds[lo:hi]
-	}
-	for i, h := range helds {
-		if at != nil && !inWindow(at[i], from, to) {
-			continue
+	f, t := stamp(from), stamp(to)
+	c := &sh.revocations
+	lo, hi := bounds(c.at, sh.revocationsOrdered, f, t)
+	for i := lo; i < hi; i++ {
+		if f <= c.at[i] && c.at[i] <= t {
+			watches++
+			held += c.held[i]
 		}
-		watches++
-		held += h
 	}
 	return watches, held
 }
 
 // outageOverlapLocked sums how much of [from, to] the shard's detected
-// outages of one kind cover, without copying the interval list.
+// outages of one kind cover — an open one up to to — without copying the
+// interval list.
 func (sh *shard) outageOverlapLocked(kind ProbeKind, from, to time.Time) time.Duration {
+	f, t := stamp(from), stamp(to)
+	c := &sh.outages
 	total := time.Duration(0)
-	for i, k := range sh.outages.kind {
-		if k == kind {
-			total += overlapWindow(sh.outages.start[i], sh.outages.end[i], from, to)
+	for i, k := range c.kind {
+		start, end := max(c.start[i], f), c.end[i]
+		if end == openEnd || end > t {
+			end = t
+		}
+		if k != kind || end <= start {
+			continue
+		}
+		if d := end - start; d > 0 {
+			total += time.Duration(d)
+		} else { // wrapped past 292 years: saturate as time.Time.Sub does
+			total += math.MaxInt64
 		}
 	}
 	return total
-}
-
-// overlapWindow returns how much of [from, to] the interval [start, end]
-// covers; a zero end means the interval is still open.
-func overlapWindow(start, end, from, to time.Time) time.Duration {
-	if end.IsZero() {
-		end = to
-	}
-	if start.Before(from) {
-		start = from
-	}
-	if end.After(to) {
-		end = to
-	}
-	if !end.After(start) {
-		return 0
-	}
-	return end.Sub(start)
 }
 
 // Timestamp accessors shared by the window helpers.

@@ -20,7 +20,9 @@
 //     duration and the open outage's start;
 //   - an index of on-demand price crossings (spikes with Ratio >= 1),
 //     the events behind every stability/volatility ranking;
-//   - running price min/mean/max;
+//   - running price min/mean/max, and a sealed min/max/sum summary of
+//     every 16 consecutive prices, so a windowed price fold steps over
+//     whole chunks instead of their samples;
 //   - time-ordered flags per slice, so window queries binary-search the
 //     affected range instead of scanning whole histories.
 //
@@ -595,7 +597,7 @@ func (s *Store) Revocations() []RevocationRecord {
 	return mergeByTime(s.shardList(), func(sh *shard) ([]RevocationRecord, bool) {
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		return sh.revocations.appendTo(nil, sh.id, 0, sh.revocations.n()), sh.revocationsOrdered
+		return sh.revocations.appendTo(nil, sh.id), sh.revocationsOrdered
 	}, revocationAt)
 }
 
@@ -614,7 +616,7 @@ func (s *Store) Probes() []ProbeRecord {
 	return mergeByTime(s.shardList(), func(sh *shard) ([]ProbeRecord, bool) {
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		return sh.probes.appendTo(nil, sh.id, 0, sh.probes.n()), sh.probesOrdered
+		return sh.probes.appendTo(nil, sh.id), sh.probesOrdered
 	}, probeAt)
 }
 
@@ -671,7 +673,7 @@ func (s *Store) Spikes() []SpikeEvent {
 	return mergeByTime(s.shardList(), func(sh *shard) ([]SpikeEvent, bool) {
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		return sh.spikes.appendTo(nil, sh.id, 0, sh.spikes.n()), sh.spikesOrdered
+		return sh.spikes.appendTo(nil, sh.id), sh.spikesOrdered
 	}, spikeAt)
 }
 
@@ -749,7 +751,7 @@ func (s *Store) BidSpreads() []BidSpreadRecord {
 	return mergeByTime(s.shardList(), func(sh *shard) ([]BidSpreadRecord, bool) {
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		return sh.bidSpreads.appendTo(nil, sh.id, 0, sh.bidSpreads.n()), sh.bidSpreadsOrdered
+		return sh.bidSpreads.appendTo(nil, sh.id), sh.bidSpreadsOrdered
 	}, bidSpreadAt)
 }
 
@@ -761,7 +763,7 @@ func (s *Store) BidSpreadsFor(id market.SpotID) []BidSpreadRecord {
 	}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.bidSpreads.appendTo(nil, sh.id, 0, sh.bidSpreads.n())
+	return sh.bidSpreads.appendTo(nil, sh.id)
 }
 
 // Outages returns all detected outage intervals merged across shards,
@@ -770,7 +772,7 @@ func (s *Store) Outages() []OutageRecord {
 	return mergeByTime(s.shardList(), func(sh *shard) ([]OutageRecord, bool) {
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		return sh.outages.appendTo(nil, sh.id, 0, sh.outages.n()), sh.outagesOrdered
+		return sh.outages.appendTo(nil, sh.id), sh.outagesOrdered
 	}, outageAt)
 }
 
@@ -812,8 +814,7 @@ func (s *Store) Prices(id market.SpotID) []PricePoint {
 	}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	out := make([]PricePoint, 0, sh.prices.n())
-	return sh.prices.appendTo(out, 0, sh.prices.n())
+	return sh.prices.appendTo(make([]PricePoint, 0, sh.prices.n()))
 }
 
 // PricesIn returns the recorded price points of a market inside [from, to],

@@ -151,11 +151,13 @@ func appendBool(buf []byte, b bool) []byte {
 	return append(buf, 0)
 }
 
-// appendTime encodes an instant as (Unix seconds, in-second nanoseconds).
-// Decoding reconstructs the same instant in UTC, so a store recovered
-// from the WAL renders timestamps identically to the original process (the
-// simulation clock, and any sane deployment, runs in UTC).
+// appendTime encodes an instant as (Unix seconds, in-second nanoseconds),
+// saturated to the stamp range first (columns.go). Decoding reconstructs
+// the same instant in UTC — the one the live store's columns hold — so a
+// store recovered from the WAL renders timestamps identically to the
+// original process.
 func appendTime(buf []byte, t time.Time) []byte {
+	t = canonical(t)
 	buf = appendVarint(buf, t.Unix())
 	return appendUvarint(buf, uint64(t.Nanosecond()))
 }
