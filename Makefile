@@ -182,8 +182,11 @@ example-smoke:
 # never panic, and the valid prefix must re-scan clean), the snapshot
 # loader (FuzzSnapshotV2Decode: whole snapshot file images — footer, index
 # and every section — must error, never panic, and an image that loads
-# must load identically again) and the JSON export's reader (the
-# checked-in seed corpora live in internal/store/testdata/fuzz), the
+# must load identically again), the follow stream a replica applies
+# (FuzzFollowStream: arbitrary bytes must never panic, a record must apply
+# exactly when the ordinal rule admits it, and the leader's own stream must
+# rebuild its dump) and the JSON export's reader (the checked-in seed
+# corpora live in internal/store/testdata/fuzz), the
 # windowed price fold (FuzzPriceWindow: PriceStatsIn over sealed chunks must
 # match the naive fold over PricesIn on any series and window — unordered,
 # repeated stamps, NaN, ±Inf, -0, ends past the stamp range), and over
@@ -194,6 +197,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzPriceWindow$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotReadJSON$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotV2Decode$$' -fuzztime=10s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzFollowStream$$' -fuzztime=10s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSpotIDCompare$$' -fuzztime=10s
 
 ci: build fmt-check vet loc test smoke loadgen-smoke chaos-smoke example-smoke fuzz-smoke bench bench-gate

@@ -9,7 +9,7 @@
 //	spotlightd [-addr :8080] [-seed 42] [-tick 5m] [-speed 300]
 //	           [-data-dir DIR] [-snapshot-interval 1h]
 //	           [-max-watchers 256] [-smoke]
-//	           [-follow URL] [-follow-backfill 0] [-follow-stale-after 45s]
+//	           [-follow URL] [-follow-stale-after 45s]
 //	           [-log-format text|json] [-slow-query 0] [-debug-addr ADDR]
 //
 // With -speed 300, five simulated minutes (one tick) pass per wall-clock
@@ -22,19 +22,18 @@
 // ETags included — for everything recovered.
 //
 // With -follow the daemon is a read replica instead: no simulation runs;
-// the store is built by tailing the leader's /v2/watch stream with
-// Last-Event-ID resume, and the node serves the same read-only query
-// surface with the leader's ETag salt and clock, so a caught-up follower
-// answers byte-identically to its leader — ETags included. Replica lag
-// is exposed in /v2/health. See docs/replication.md. -follow-backfill
-// asks the leader for that much trailing history on first attach
-// (bounded server-side to 24h); the default 0 is live-only.
+// the store is built from the leader's whole history — a snapshot, then
+// its log frames — over /v2/watch with Last-Event-ID resume, and the node
+// serves the same read-only query surface with the leader's ETag salt and
+// clock, so a caught-up follower answers byte-identically to its leader —
+// ETags included. Replica lag is exposed in /v2/health. See
+// docs/replication.md.
 //
 // -follow combines with -data-dir: the follower then persists the
 // replicated store through the same WAL/snapshot layer a leader uses and
-// WALs its stream cursor, so a restart replays locally and resumes the
-// leader's stream from the durable cursor instead of re-tailing the
-// backfill window — with zero duplicated or lost events. A follower can
+// its stream cursor beside it, so a restart replays locally and resumes
+// the leader's stream from the durable cursor — with zero duplicated or
+// lost records. A follower can
 // also be promoted to leader when its leader dies: SIGUSR1 (or POST
 // /v2/admin/promote) drains the subscription and resumes a study over
 // the replicated store, preserving the ETag salt, clock timeline, and
@@ -146,8 +145,6 @@ func parseFlags(args []string) (daemon.Options, cmdOptions, error) {
 		"concurrent /v2/watch subscriber cap (above it new streams get 429)")
 	fs.StringVar(&o.Follow, "follow", "",
 		"run as a read replica of the leader at this base URL (no simulation; see docs/replication.md)")
-	fs.DurationVar(&o.FollowBackfill, "follow-backfill", 0,
-		"trailing history to request from the leader on first attach (bounded server-side to 24h; 0 is live-only)")
 	fs.DurationVar(&o.FollowStaleAfter, "follow-stale-after", 0,
 		"how long without stream progress before the follower reports disconnected (0: 45s default)")
 	if err := fs.Parse(args); err != nil {
@@ -161,9 +158,6 @@ func parseFlags(args []string) (daemon.Options, cmdOptions, error) {
 	}
 	if o.MaxWatchers <= 0 {
 		return o, c, errors.New("max-watchers must be positive")
-	}
-	if o.FollowBackfill < 0 {
-		return o, c, errors.New("follow-backfill must not be negative")
 	}
 	if o.SlowQuery < 0 {
 		return o, c, errors.New("slow-query must not be negative")

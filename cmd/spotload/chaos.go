@@ -127,7 +127,7 @@ func runChaos(o options) error {
 	followOpts := daemon.Options{
 		Addr: "127.0.0.1:0", Tick: 5 * time.Minute, Speed: 600,
 		DataDir: dataDir, SnapInterval: time.Hour, MaxWatchers: 64,
-		Follow: "http://" + proxy.Addr(), FollowBackfill: 24 * time.Hour,
+		Follow:           "http://" + proxy.Addr(),
 		FollowStaleAfter: time.Second,
 	}
 	// Each daemon life gets its own registry: series describe one
@@ -147,7 +147,7 @@ func runChaos(o options) error {
 
 	// F2 is the never-killed reference replica.
 	f2, err := daemon.Start(daemon.Options{
-		Addr: "127.0.0.1:0", Follow: leader.BaseURL(), FollowBackfill: 24 * time.Hour,
+		Addr: "127.0.0.1:0", Follow: leader.BaseURL(),
 		FollowStaleAfter: time.Second, MaxWatchers: 64,
 		Metrics: obs.NewRegistry(),
 	})

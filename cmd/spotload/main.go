@@ -195,8 +195,8 @@ func run(args []string) error {
 }
 
 // bootSmokeFleet assembles the in-process topology: an accelerated
-// leader, one follower attached over /v2/watch (with backfill so it
-// catches up on the leader's head start), and a gateway fronting both as
+// leader, one follower attached over /v2/watch (its snapshot carries the
+// leader's head start), and a gateway fronting both as
 // a replica fleet. It returns once the gateway's aggregated health shows
 // every node answering.
 func bootSmokeFleet(ctx context.Context) (gwURL string, nodes []string, cleanup func(), err error) {
@@ -219,13 +219,13 @@ func bootSmokeFleet(ctx context.Context) (gwURL string, nodes []string, cleanup 
 	}
 
 	// Let the study ingest before attaching load: the market-scoped ops
-	// want history, and the follower's backfill then has data to ship.
+	// want history, and the follower's snapshot then has data to ship.
 	if err := waitForProbes(ctx, leader.BaseURL()); err != nil {
 		return fail(fmt.Errorf("smoke: leader ingest: %w", err))
 	}
 
 	follower, err := daemon.Start(daemon.Options{
-		Addr: "127.0.0.1:0", Follow: leader.BaseURL(), FollowBackfill: 24 * time.Hour, MaxWatchers: 64,
+		Addr: "127.0.0.1:0", Follow: leader.BaseURL(), MaxWatchers: 64,
 		Metrics: obs.NewRegistry(),
 	})
 	if err != nil {

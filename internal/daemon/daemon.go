@@ -38,8 +38,7 @@ type Options struct {
 	// DataDir makes the node's store durable (WAL + snapshots); empty
 	// keeps it in memory. On a leader the study resumes from the
 	// recovered record; on a follower the replica replays locally and
-	// resumes the leader's stream from its durable cursor instead of
-	// re-tailing the backfill window.
+	// resumes the leader's stream from its durable cursor.
 	DataDir string
 	// SnapInterval is the simulated time between snapshots (DataDir only).
 	SnapInterval time.Duration
@@ -51,10 +50,9 @@ type Options struct {
 	// /v2/watch (see internal/replica). The node serves the same
 	// read-only query surface with the leader's ETag salt and clock.
 	Follow string
-	// FollowBackfill asks the leader for that much trailing history on
-	// first attach (bounded server-side to 24h). Zero means live-only.
+	// Deprecated: ignored; a follower attaches with the whole history.
 	FollowBackfill time.Duration
-	// FollowTimeout bounds the wait for the leader's first hello and
+	// FollowTimeout bounds the wait for the leader's first frame and
 	// clock before Start fails (default 30s).
 	FollowTimeout time.Duration
 	// FollowStaleAfter is how long without stream progress before the
@@ -279,7 +277,6 @@ func startFollower(opts Options) (*Daemon, error) {
 	rep, err := replica.New(replica.Config{
 		Leader:     opts.Follow,
 		DB:         db,
-		Backfill:   opts.FollowBackfill,
 		StaleAfter: opts.FollowStaleAfter,
 		Persist:    d.pers,
 	})
@@ -300,7 +297,7 @@ func startFollower(opts Options) (*Daemon, error) {
 	case <-time.After(timeout):
 		rep.Close()
 		d.closePersister()
-		return nil, fmt.Errorf("follower: no hello from leader %s within %v", opts.Follow, timeout)
+		return nil, fmt.Errorf("follower: no salt and clock from leader %s within %v", opts.Follow, timeout)
 	}
 	d.rep = rep
 
@@ -373,8 +370,8 @@ func (d *Daemon) Promote(force bool) error {
 			return fmt.Errorf("promote: leader %s still streaming (split-brain guard; retry with force once it is confirmed dead)", d.opts.Follow)
 		}
 	}
-	// Drain: Close applies every event already received before returning,
-	// and a durable follower persists its final cursor in the same pass.
+	// Close waits for the apply loop to stop (a run cut mid-stream applies
+	// nothing), and a durable follower persists its final cursor on the way.
 	d.rep.Close()
 
 	opts := d.opts

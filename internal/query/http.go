@@ -40,7 +40,7 @@ import (
 //	GET /v1/summary
 //	POST /v2/query            {"queries": [{"kind": ..., ...}, ...]}
 //	POST /v2/advise           — ranked market recommendations (advise.go)
-//	GET  /v2/watch            — live Server-Sent Events stream (watch.go)
+//	GET  /v2/watch            — live events: SSE, or a follow stream (watch.go)
 //	GET  /v2/health           — store + stream health (watch.go)
 //	POST /v2/admin/promote    — follower → leader failover (followers only)
 //

@@ -13,11 +13,16 @@ import (
 	"spotlight/pkg/api"
 )
 
-// GET /v2/watch — the live event stream (Server-Sent Events).
+// GET /v2/watch — the live event stream.
 //
 // The handler subscribes to the store's change feed — a cursor into the
-// feed's ring — and relays its typed events as SSE frames (see
-// pkg/api/stream.go for the wire contract). Three rules shape the loop:
+// feed's ring — and relays its events in one of two wire formats, chosen
+// by Accept: Server-Sent Events of JSON records (pkg/api/stream.go), or,
+// for read replicas, the store's own follow stream of snapshot and log
+// frames (api.ContentTypeLog, store/stream.go). One loop serves both; they
+// differ only in how an event is written and how a gap the ring cannot
+// replay is bridged (a best-effort windowed resync, or a snapshot). Three
+// rules shape the loop:
 //
 //   - writes are batched per wake: each wake reads chunks of events after
 //     the cursor until it is caught up, then flushes once — a monitor
@@ -25,9 +30,9 @@ import (
 //     hundreds;
 //   - a slow consumer never blocks ingestion and is not cut off for being
 //     behind: its cursor simply trails in the ring. Only when the ring has
-//     overwritten events it had not read does the handler relay the
-//     terminal lagged frame and close; the client reconnects with
-//     Last-Event-ID and is resynced from the store's windowed indexes;
+//     overwritten events it had not read does the handler close the stream
+//     (SSE relays a terminal lagged frame first); the client reconnects
+//     with Last-Event-ID and the gap is bridged;
 //   - the stream honors server shutdown: API.Shutdown closes every open
 //     stream so http.Server.Shutdown can drain.
 
@@ -45,6 +50,8 @@ const (
 	// maxResyncAge bounds how far back a best-effort windowed resync will
 	// reach, keeping a stale resume token from replaying a whole study.
 	maxResyncAge = 24 * time.Hour
+	// logPositionEvery paces the follow stream's idle position frames.
+	logPositionEvery = 250 * time.Millisecond
 )
 
 // SetWatchLimit overrides the concurrent watch-subscriber cap (n <= 0
@@ -78,16 +85,15 @@ func (a *API) Shutdown() {
 	})
 }
 
-// watchKinds maps wire kind names onto store event kinds.
-var watchKinds = map[string]store.EventKind{
-	string(api.EventProbe):       store.EventProbe,
-	string(api.EventPrice):       store.EventPrice,
-	string(api.EventSpike):       store.EventSpike,
-	string(api.EventRevocation):  store.EventRevocation,
-	string(api.EventBidSpread):   store.EventBidSpread,
-	string(api.EventOutageOpen):  store.EventOutageOpen,
-	string(api.EventOutageClose): store.EventOutageClose,
-}
+// watchKinds maps wire kind names onto store event kinds, whose names are
+// the wire's.
+var watchKinds = func() map[string]store.EventKind {
+	m := make(map[string]store.EventKind)
+	for k := store.EventProbe; k <= store.EventOutageClose; k++ {
+		m[k.String()] = k
+	}
+	return m
+}()
 
 // watchFilterFromURL parses the subscription scope and kind parameters.
 func watchFilterFromURL(r *http.Request) (store.EventFilter, *api.Error) {
@@ -124,7 +130,7 @@ func watchFilterFromURL(r *http.Request) (store.EventFilter, *api.Error) {
 // and so resync — meaningful across restarts; an in-memory restart
 // retires the token into a best-effort resync).
 func (a *API) watchToken(seq, gen uint64, at time.Time) string {
-	return fmt.Sprintf("%x-%x-%x-%x", uint64(a.epoch), seq, gen, uint64(at.UnixNano()))
+	return store.Position{Salt: uint64(a.epoch), Seq: seq, Gen: gen, Clock: at}.Token()
 }
 
 // parseWatchToken reverses watchToken.
@@ -146,6 +152,13 @@ func parseWatchToken(s string) (epoch, seq, gen uint64, at time.Time, ok bool) {
 
 // handleWatch serves one GET /v2/watch stream.
 func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
+	logMode := strings.Contains(r.Header.Get("Accept"), api.ContentTypeLog)
+	for _, p := range [...]string{"market", "region", "product", "kinds", "since"} {
+		if logMode && r.URL.Query().Get(p) != "" {
+			writeAPIErr(w, api.Errorf(api.CodeBadParam, "%s does not apply to %s: the follow stream carries the whole store", p, api.ContentTypeLog).WithDetail("param", p))
+			return
+		}
+	}
 	filter, aerr := watchFilterFromURL(r)
 	if aerr != nil {
 		writeAPIErr(w, aerr)
@@ -200,6 +213,7 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 		resume     = "none"
 		resyncFrom time.Time
 		doResync   bool
+		from       store.Position // where a ring replay starts
 	)
 	switch {
 	case lastID != "":
@@ -215,7 +229,7 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 			case store.ResumeLive:
 				resume = "live"
 			case store.ResumeRing:
-				resume = "replay"
+				resume, from = "replay", store.Position{Seq: seq, Gen: gen}
 			default:
 				resume, doResync, resyncFrom = "resync", true, at
 			}
@@ -229,59 +243,93 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 		sub = feed.Subscribe(opts)
 		resume, doResync, resyncFrom = "backfill", true, now.Add(-since)
 	default:
-		sub = feed.Subscribe(opts)
+		sub, doResync = feed.Subscribe(opts), logMode // a follow stream starts from a snapshot
 	}
 	defer sub.Close()
 
+	// The wire formats differ only in how the stream opens, writes events,
+	// beats (after each catch-up of a follow stream, and on idle ticks) and
+	// bridges a gap the ring cannot replay.
+	db := a.engine.db
+	var (
+		hello, bridge, beat func() error
+		write               func(evs []store.Event) error
+		contentType         = "text/event-stream"
+		every               = a.watchHeartbeat
+	)
+	if logMode {
+		// The follow stream (store/stream.go), from the feed's head or
+		// where a ring replay starts.
+		if st := feed.Stats(); resume != "replay" {
+			from = store.Position{Seq: st.LastSeq, Gen: st.LastGen}
+		}
+		from.Salt = uint64(a.epoch)
+		sw := store.NewStreamWriter(w, from)
+		hello = func() error { return sw.Position(now) }
+		write = sw.Events
+		beat = func() error { return sw.Position(a.Now()) }
+		bridge = func() error { return sw.Snapshot(db, a.Now()) }
+		contentType, every = api.ContentTypeLog, min(every, logPositionEvery)
+	} else {
+		// hello opens the stream (with the SSE retry hint); control frames
+		// carry no id, so a client that has seen no data events reconnects
+		// fresh rather than resuming from a position it never had. The salt
+		// lets a consumer mint byte-identical ETags (it is the first segment
+		// of every resume token anyway, so nothing new leaks).
+		hello = func() error {
+			return writeSSE(w, "retry: 2000\n", api.StreamEvent{
+				Kind: api.EventHello, Gen: feed.Stats().LastGen, At: now,
+				Hello: &api.StreamHello{
+					Gen:    db.GlobalGeneration(),
+					Resume: resume,
+					Salt:   fmt.Sprintf("%x", uint64(a.epoch)),
+				},
+			})
+		}
+		// lastTok is the newest delivered event's token, which heartbeats
+		// re-advertise (an idle reconnect then resumes exactly instead of
+		// starting fresh).
+		lastTok := ""
+		write = func(evs []store.Event) error {
+			for _, ev := range evs {
+				se := a.toStreamEvent(ev)
+				if err := writeSSE(w, idField(se.ID), se); err != nil {
+					return err
+				}
+				lastTok = se.ID
+			}
+			return nil
+		}
+		beat = func() error {
+			return writeSSE(w, idField(lastTok), api.StreamEvent{Kind: api.EventHeartbeat, At: a.Now()})
+		}
+		// Best-effort windowed rebuild: bounded, and explicitly marked so
+		// the consumer knows the boundary may duplicate.
+		bridge = func() error {
+			if min := now.Add(-maxResyncAge); resyncFrom.Before(min) {
+				resyncFrom = min
+			}
+			gen := db.GlobalGeneration()
+			if err := writeSSE(w, "", api.StreamEvent{
+				Kind: api.EventResync, Gen: gen, At: now,
+				Resync: &api.StreamResync{From: resyncFrom, Gen: gen},
+			}); err != nil {
+				return err
+			}
+			return write(db.EventsSince(resyncFrom, filter))
+		}
+	}
 	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
+	h.Set("Content-Type", contentType)
 	h.Set("Cache-Control", "no-store")
 	h.Set("X-Accel-Buffering", "no") // tell reverse proxies not to buffer
 	w.WriteHeader(http.StatusOK)
-
-	// hello opens the stream (with the SSE retry hint); control frames
-	// carry no id, so a client that has seen no data events reconnects
-	// fresh rather than resuming from a position it never had. The salt
-	// lets a read replica mint byte-identical ETags (it is the first
-	// segment of every resume token anyway, so nothing new leaks).
-	if err := writeSSE(w, "retry: 2000\n", api.StreamEvent{
-		Kind: api.EventHello, Gen: feed.Stats().LastGen, At: now,
-		Hello: &api.StreamHello{
-			Gen:    a.engine.db.GlobalGeneration(),
-			Resume: resume,
-			Salt:   fmt.Sprintf("%x", uint64(a.epoch)),
-		},
-	}); err != nil {
+	if hello() != nil || doResync && bridge() != nil {
 		return
-	}
-	// lastTok tracks the newest delivered event's token so idle
-	// heartbeats can re-advertise it (an idle reconnect then resumes
-	// exactly instead of starting fresh).
-	lastTok := ""
-	if doResync {
-		// Best-effort windowed rebuild: bounded, and explicitly marked so
-		// the consumer knows the boundary may duplicate.
-		if min := now.Add(-maxResyncAge); resyncFrom.Before(min) {
-			resyncFrom = min
-		}
-		gen := a.engine.db.GlobalGeneration()
-		if err := writeSSE(w, "", api.StreamEvent{
-			Kind: api.EventResync, Gen: gen, At: now,
-			Resync: &api.StreamResync{From: resyncFrom, Gen: gen},
-		}); err != nil {
-			return
-		}
-		for _, ev := range a.engine.db.EventsSince(resyncFrom, filter) {
-			se := a.toStreamEvent(ev)
-			if err := writeSSE(w, idField(se.ID), se); err != nil {
-				return
-			}
-			lastTok = se.ID
-		}
 	}
 	flusher.Flush()
 
-	hb := time.NewTicker(a.watchHeartbeat)
+	hb := time.NewTicker(every)
 	defer hb.Stop()
 	ctx := r.Context()
 	buf := make([]store.Event, 0, watchChunk)
@@ -294,12 +342,8 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 			// arrives with its wake pending.)
 			for {
 				evs, live := sub.Next(buf)
-				for _, ev := range evs {
-					se := a.toStreamEvent(ev)
-					if err := writeSSE(w, idField(se.ID), se); err != nil {
-						return
-					}
-					lastTok = se.ID
+				if err := write(evs); err != nil {
+					return
 				}
 				if !live {
 					flusher.Flush()
@@ -309,9 +353,12 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 					break
 				}
 			}
+			if logMode && beat() != nil {
+				return
+			}
 			flusher.Flush()
 		case <-hb.C:
-			if err := writeSSE(w, idField(lastTok), api.StreamEvent{Kind: api.EventHeartbeat, At: a.Now()}); err != nil {
+			if beat() != nil {
 				return
 			}
 			flusher.Flush()
@@ -356,7 +403,8 @@ func writeSSE(w http.ResponseWriter, head string, se api.StreamEvent) error {
 // consumer dropped mid-resync can continue from its timestamp.
 func (a *API) toStreamEvent(ev store.Event) api.StreamEvent {
 	se := api.StreamEvent{
-		Seq: ev.Seq, Gen: ev.Gen, At: ev.At,
+		Kind: api.EventKind(ev.Kind.String()),
+		Seq:  ev.Seq, Gen: ev.Gen, At: ev.At,
 		ID: a.watchToken(ev.Seq, ev.Gen, ev.At),
 	}
 	if ev.Market != (market.SpotID{}) {
@@ -364,10 +412,8 @@ func (a *API) toStreamEvent(ev store.Event) api.StreamEvent {
 	}
 	switch ev.Kind {
 	case store.EventLagged:
-		se.Kind = api.EventLagged
 		se.Lagged = &api.StreamLagged{Gen: ev.Gen}
 	case store.EventProbe:
-		se.Kind = api.EventProbe
 		se.Probe = &api.StreamProbe{
 			Contract:   ev.Probe.Kind.String(),
 			Trigger:    ev.Probe.Trigger.String(),
@@ -378,7 +424,7 @@ func (a *API) toStreamEvent(ev store.Event) api.StreamEvent {
 			SpikeRatio: ev.Probe.SpikeRatio,
 			PriceRatio: ev.Probe.PriceRatio,
 		}
-		// Provenance fields ride along so a replica can rebuild the probe
+		// Provenance fields ride along so a consumer can rebuild the probe
 		// record exactly; zero values stay off the wire.
 		if ev.Probe.TriggerMarket != (market.SpotID{}) {
 			se.Probe.TriggerMarket = ev.Probe.TriggerMarket.String()
@@ -387,27 +433,18 @@ func (a *API) toStreamEvent(ev store.Event) api.StreamEvent {
 			se.Probe.SourceKind = ev.Probe.SourceKind.String()
 		}
 	case store.EventPrice:
-		se.Kind = api.EventPrice
 		se.Price = &api.PricePoint{At: ev.Price.At, Price: ev.Price.Price}
 	case store.EventSpike:
-		se.Kind = api.EventSpike
 		se.Spike = &api.StreamSpike{Price: ev.Spike.Price, Ratio: ev.Spike.Ratio, Probed: ev.Spike.Probed}
 	case store.EventRevocation:
-		se.Kind = api.EventRevocation
 		se.Revocation = &api.StreamRevocation{Bid: ev.Revocation.Bid, Held: ev.Revocation.Held}
 	case store.EventBidSpread:
-		se.Kind = api.EventBidSpread
 		se.BidSpread = &api.StreamBidSpread{
 			Published: ev.BidSpread.Published,
 			Intrinsic: ev.BidSpread.Intrinsic,
 			Attempts:  ev.BidSpread.Attempts,
 		}
 	case store.EventOutageOpen, store.EventOutageClose:
-		if ev.Kind == store.EventOutageOpen {
-			se.Kind = api.EventOutageOpen
-		} else {
-			se.Kind = api.EventOutageClose
-		}
 		o := ev.Outage
 		dur := time.Duration(0)
 		if !o.End.IsZero() {

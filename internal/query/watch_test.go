@@ -3,6 +3,7 @@ package query
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -695,5 +696,65 @@ func TestWatchTokenRoundTrip(t *testing.T) {
 		if _, _, _, _, ok := parseWatchToken(bad); ok {
 			t.Errorf("parseWatchToken(%q) accepted", bad)
 		}
+	}
+}
+
+// stopAt ends a follow stream at its first position after the opening one.
+type stopAt struct{ positions int }
+
+var errStop = errors.New("stop")
+
+func (s *stopAt) Hello(store.Position) error { return nil }
+func (s *stopAt) Snapshot() error            { return nil }
+func (s *stopAt) Position(store.Position, uint64, uint64) error {
+	s.positions++
+	return errStop
+}
+
+// Accept: application/x-spotlight-log negotiates the follow stream on the
+// same endpoint: it takes no filter, and a fresh one opens with a snapshot
+// a follower rebuilds the store from.
+func TestWatchFollowStream(t *testing.T) {
+	srv, db := testServer(t)
+	db.AppendSpike(store.SpikeEvent{At: t0, Market: mktA, Ratio: 1.2})
+	db.AppendProbe(store.ProbeRecord{At: t0.Add(time.Hour), Market: mktA, Kind: store.ProbeOnDemand, Rejected: true, Code: "ICE"})
+	open := func(query string) *http.Response {
+		req, err := http.NewRequest(http.MethodGet, srv.URL+"/v2/watch?"+query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", api.ContentTypeLog)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	for _, param := range []string{"market=" + url.QueryEscape(mktA.String()), "region=us-east-1", "product=Linux%2FUNIX", "kinds=spike", "since=1h"} {
+		resp := open(param)
+		var aerr api.Error
+		if err := json.NewDecoder(resp.Body).Decode(&aerr); err != nil || resp.StatusCode != http.StatusBadRequest || aerr.Code != api.CodeBadParam {
+			t.Errorf("%s: status %d, error %+v (%v); want 400 %s", param, resp.StatusCode, aerr, err, api.CodeBadParam)
+		}
+	}
+
+	resp := open("")
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != api.ContentTypeLog {
+		t.Fatalf("status %d, Content-Type %q", resp.StatusCode, ct)
+	}
+	follower, stop := store.New(), &stopAt{}
+	if err := follower.Follow(resp.Body, stop); err != errStop {
+		t.Fatalf("follow: %v", err)
+	}
+	var got, want strings.Builder
+	if err := follower.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("the snapshot rebuilt\n%s\nnot\n%s", got.String(), want.String())
 	}
 }

@@ -103,7 +103,7 @@ func TestDurableFollowerCrashRecovery(t *testing.T) {
 	// on-disk WAL tracks the in-memory store closely and the phase-1
 	// cursor rewind below produces a real store-ahead-of-cursor gap.
 	repA, err := New(Config{Leader: srv.URL, DB: fdbA, Persist: fdbA.Persister(),
-		Poll: 25 * time.Millisecond, CursorInterval: time.Millisecond})
+		CursorInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestDurableFollowerCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	fdbB := store.New()
-	repB, err := New(Config{Leader: srv.URL, DB: fdbB, Poll: 25 * time.Millisecond})
+	repB, err := New(Config{Leader: srv.URL, DB: fdbB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestDurableFollowerCrashRecovery(t *testing.T) {
 		t.Fatal("recovered store is empty; WAL replay failed")
 	}
 	repA2, err := New(Config{Leader: srv.URL, DB: fdbA2, Persist: fdbA2.Persister(),
-		Poll: 25 * time.Millisecond, CursorInterval: time.Millisecond})
+		CursorInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

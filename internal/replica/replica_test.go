@@ -1,13 +1,11 @@
 package replica
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,23 +14,22 @@ import (
 	"spotlight/internal/market"
 	"spotlight/internal/query"
 	"spotlight/internal/store"
-	"spotlight/pkg/api"
 )
 
 var t0 = time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
 
-// killingWriter aborts the connection after a fixed number of SSE frames,
-// simulating a flaky network path between follower and leader.
+// killingWriter aborts the connection after a fixed number of written
+// messages (one Write call each, whatever the wire format), simulating a
+// flaky network path between follower and leader.
 type killingWriter struct {
 	http.ResponseWriter
-	frames *int
+	writes *int
 	limit  int
 }
 
 func (k *killingWriter) Write(b []byte) (int, error) {
 	n, err := k.ResponseWriter.Write(b)
-	*k.frames += bytes.Count(b[:n], []byte("\n\n"))
-	if *k.frames >= k.limit {
+	if *k.writes++; *k.writes >= k.limit {
 		k.Flush()
 		panic(http.ErrAbortHandler)
 	}
@@ -46,7 +43,7 @@ func (k *killingWriter) Flush() {
 }
 
 // flakyProxy kills the first `kills` watch connections after `limit`
-// frames each; later connections (and every non-watch request) pass
+// messages each; later connections (and every non-watch request) pass
 // through untouched.
 type flakyProxy struct {
 	inner http.Handler
@@ -57,8 +54,8 @@ type flakyProxy struct {
 
 func (p *flakyProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == "/v2/watch" && p.conns.Add(1) <= p.kills {
-		frames := 0
-		p.inner.ServeHTTP(&killingWriter{ResponseWriter: w, frames: &frames, limit: p.limit}, r)
+		writes := 0
+		p.inner.ServeHTTP(&killingWriter{ResponseWriter: w, writes: &writes, limit: p.limit}, r)
 		return
 	}
 	p.inner.ServeHTTP(w, r)
@@ -86,7 +83,7 @@ func TestFollowerConvergesByteIdenticalAcrossKills(t *testing.T) {
 	// Follower: attaches before the leader ingests anything, so live
 	// tailing plus exact ring replay covers the whole history.
 	fdb := store.New()
-	rep, err := New(Config{Leader: srv.URL, DB: fdb, Poll: 25 * time.Millisecond})
+	rep, err := New(Config{Leader: srv.URL, DB: fdb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,48 +267,4 @@ func fetch(t *testing.T, u, body, ifNoneMatch string) (int, string, string) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, string(b), resp.Header.Get("ETag")
-}
-
-// TestApplyOrderIsDeterministic: two followers fed the same batch publish
-// identical local feed sequences, Seq and Gen included — the price series
-// of a batch are applied by first appearance, not in map order.
-func TestApplyOrderIsDeterministic(t *testing.T) {
-	var batch []api.StreamEvent
-	for round := 0; round < 2; round++ {
-		for i := 0; i < 48; i++ {
-			id := market.SpotID{
-				Zone:    market.Zone(fmt.Sprintf("us-east-1%c", 'a'+i%6)),
-				Type:    market.InstanceType(fmt.Sprintf("m%d.large", i/6)),
-				Product: market.ProductLinux,
-			}
-			at := t0.Add(time.Duration(round*48+i) * time.Second)
-			batch = append(batch, api.StreamEvent{
-				Kind: api.EventPrice, Market: id.String(), At: at,
-				Price: &api.PricePoint{At: at, Price: float64(i)},
-			})
-		}
-	}
-	run := func() []store.Event {
-		db := store.New()
-		sub := db.Feed().Subscribe(store.SubscribeOptions{})
-		defer sub.Close()
-		r, err := New(Config{Leader: "http://leader.invalid", DB: db})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.apply(batch)
-		evs, _ := sub.Next(make([]store.Event, 0, len(batch)))
-		return evs
-	}
-	first := run()
-	for i := 0; i < 48; i++ { // one round per market, markets in batch order
-		if got, want := first[2*i].Market.String(), batch[i].Market; got != want {
-			t.Fatalf("price round %d applied to %s, want %s", i, got, want)
-		}
-	}
-	for attempt := 0; attempt < 4; attempt++ {
-		if !reflect.DeepEqual(run(), first) {
-			t.Fatal("two followers fed the same batch published different local feed sequences")
-		}
-	}
 }

@@ -30,9 +30,9 @@ import (
 // with its last sequence is positioned in the ring right after it when the
 // ring still covers it and the feed was never quiescent in between
 // (generation continuity is checked against the store's global append
-// generation). When exact replay is impossible the caller falls back to
-// EventsSince, which rebuilds best-effort events from the shards' windowed
-// indexes.
+// generation). When exact replay is impossible an SSE consumer falls back
+// to EventsSince, which rebuilds best-effort events from the shards'
+// windowed indexes, and a follow stream (stream.go) to a snapshot.
 
 // EventKind names one change-feed event family.
 type EventKind uint8
@@ -100,6 +100,10 @@ type Event struct {
 	Kind   EventKind
 	Market market.SpotID
 	At     time.Time
+	// Ordinal is a record event's place in its market's history: how many
+	// records the market's shard held before it — the count a log run
+	// header carries. Zero on outage transitions and the lagged marker.
+	Ordinal uint64
 
 	Probe      *ProbeRecord
 	Price      *PricePoint
@@ -162,13 +166,9 @@ type SubscribeOptions struct {
 
 const (
 	// defaultRingCapacity bounds the feed's ring. Sized so a reader that
-	// stalls or reconnects for tens of seconds at realistic event rates
-	// is still covered: a durable follower that restarts (WAL replay
-	// takes seconds) or briefly lags must come back through the
-	// exactly-once token path, not the at-least-once windowed resync —
-	// duplicates there skew a replica's generations and break its ETag
-	// compatibility until it is rebuilt. ~32k events of retained ring
-	// costs a few MB on a serving node.
+	// stalls or reconnects for tens of seconds at realistic event rates —
+	// a durable follower restarting, say — resumes from the ring instead
+	// of a resync or snapshot. ~32k events cost a few MB.
 	defaultRingCapacity = 32768
 	// nextChunk is how many events one Next copies when the caller brings
 	// no buffer: the read holds the feed lock, so it is bounded.
@@ -273,8 +273,8 @@ const (
 	// right after the resume point and Next replays it exactly.
 	ResumeRing
 	// ResumeWindow: the gap exceeds the ring (or spans a restart); the
-	// caller must rebuild it best-effort from the store's windowed
-	// indexes (EventsSince).
+	// caller must rebuild it: best-effort from the store's windowed
+	// indexes (EventsSince), or exactly from a snapshot (stream.go).
 	ResumeWindow
 )
 
@@ -328,6 +328,10 @@ type Feed struct {
 	ring    []Event
 	ringCap int
 	ringLen int
+	// baseSeq and baseGen are the position just before the ring's oldest
+	// event (the last one overwritten, or the ring's start): a reader there
+	// is owed exactly the whole ring.
+	baseSeq, baseGen uint64
 
 	published uint64
 	dropped   uint64
@@ -360,6 +364,7 @@ func (f *Feed) enabled() bool { return f != nil && f.active.Load() > 0 }
 // construction.
 func (f *Feed) Arm() {
 	f.mu.Lock()
+	f.warm()
 	f.armed++
 	f.refreshActive()
 	f.mu.Unlock()
@@ -448,6 +453,11 @@ func (f *Feed) SubscribeFrom(opts SubscribeOptions, seq, gen uint64) (*Subscript
 		// but the in-memory sequence space does not — gen equality still
 		// proves nothing was appended in between).
 		return sub, ResumeLive
+	case seq == f.baseSeq && gen == f.baseGen:
+		// Right before the ring's oldest event: the whole ring is the gap.
+		sub.cursor, sub.gen = seq, gen
+		sub.wake()
+		return sub, ResumeRing
 	case seq <= f.seq && seq+uint64(f.ringLen) > f.seq:
 		// The client's own last event must still be in the ring and carry
 		// the client's generation: sequence numbers restart with the
@@ -473,15 +483,7 @@ func (f *Feed) subscribeLocked(opts SubscribeOptions) *Subscription {
 		mask:   opts.Filter.kindMask(),
 		ready:  make(chan struct{}, 1),
 	}
-	if len(f.subs) == 0 && f.armed == 0 && f.lastGen != f.gen.Load() {
-		// Records landed while the feed was cold: the ring's tail no
-		// longer connects to the present, so drop it rather than let a
-		// later resume replay across the gap and claim exactness (the
-		// next publish would otherwise heal the generation continuity
-		// check over a ring with an invisible hole).
-		f.ringLen = 0
-		f.lastGen = f.gen.Load()
-	}
+	f.warm()
 	sub.cursor, sub.gen = f.seq, f.lastGen
 	if f.ringLen > 0 {
 		sub.at = f.ring[f.seq%uint64(len(f.ring))].At
@@ -489,6 +491,17 @@ func (f *Feed) subscribeLocked(opts SubscribeOptions) *Subscription {
 	f.subs[sub] = struct{}{}
 	f.refreshActive()
 	return sub
+}
+
+// warm runs under f.mu as the feed turns hot. If records landed while it
+// was cold, the ring's tail no longer connects to the present: drop it, or a
+// later resume would replay across the gap (the next publish would heal the
+// generation continuity check over a ring with an invisible hole).
+func (f *Feed) warm() {
+	if len(f.subs) == 0 && f.armed == 0 && f.lastGen != f.gen.Load() {
+		f.ringLen, f.lastGen = 0, f.gen.Load()
+		f.baseSeq, f.baseGen = f.seq, f.lastGen
+	}
 }
 
 // publish counts one append round's records into the store's global
@@ -508,9 +521,14 @@ func (f *Feed) publish(evs []Event, records uint64) {
 	for i := range evs {
 		f.seq++
 		evs[i].Seq, evs[i].Gen = f.seq, gen
-		f.ring[f.seq%uint64(len(f.ring))] = evs[i]
+		slot := &f.ring[f.seq%uint64(len(f.ring))]
+		if f.ringLen == len(f.ring) {
+			f.baseSeq, f.baseGen = slot.Seq, slot.Gen
+		} else {
+			f.ringLen++
+		}
+		*slot = evs[i]
 	}
-	f.ringLen = min(f.ringLen+len(evs), len(f.ring))
 	f.published += uint64(len(evs))
 	for sub := range f.subs {
 		sub.wake()

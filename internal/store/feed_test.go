@@ -782,3 +782,36 @@ func TestFeedReadersMatchOracleUnderConcurrentAppends(t *testing.T) {
 		t.Errorf("the run saw %d markers and %d exact resumes; the stalls and reconnects are not exercising both", markers, resumes)
 	}
 }
+
+// A position just before the ring's oldest event — where the ring started
+// or the event it last overwrote — resumes exactly: the whole ring is the
+// gap. One event further back is overwritten and falls back.
+func TestFeedResumesAtTheRingBase(t *testing.T) {
+	s := smallRingStore(4)
+	f := s.Feed()
+	f.Arm()
+	if sub, mode := f.SubscribeFrom(SubscribeOptions{}, 0, 0); mode != ResumeRing {
+		t.Fatalf("resume at the start of an empty feed = %v, want ResumeRing", mode)
+	} else {
+		sub.Close()
+	}
+	var gens []uint64
+	for i := 0; i < 6; i++ {
+		s.AppendSpike(SpikeEvent{At: feedT(i), Market: feedM1, Ratio: 1.1})
+		gens = append(gens, s.GlobalGeneration())
+	}
+	// Events 1..6; the ring holds 3..6, so event 2 is the base.
+	sub, mode := f.SubscribeFrom(SubscribeOptions{}, 2, gens[1])
+	if mode != ResumeRing {
+		t.Fatalf("resume at the ring's base = %v, want ResumeRing", mode)
+	}
+	if evs := drain(sub); len(evs) != 4 || evs[0].Seq != 3 {
+		t.Fatalf("resumed at the base, read %d events from seq %d; want the whole ring, 3..6", len(evs), evs[0].Seq)
+	}
+	sub.Close()
+	if sub, mode := f.SubscribeFrom(SubscribeOptions{}, 1, gens[0]); mode != ResumeWindow {
+		t.Fatalf("resume before the base = %v, want ResumeWindow", mode)
+	} else {
+		sub.Close()
+	}
+}

@@ -171,6 +171,9 @@ func regenGolden(t *testing.T, storeFixture, expectedPath string) {
 	}
 	writeFuzzSeed(t, "FuzzSnapshotV2Decode", "seed-valid-snapshot", image)
 	writeFuzzSeed(t, "FuzzSnapshotV2Decode", "seed-truncated", image[:len(image)*2/3])
+	for name, seed := range fuzzFollowSeeds() {
+		writeFuzzSeed(t, "FuzzFollowStream", name, seed)
+	}
 	t.Log("golden fixture regenerated; commit testdata/")
 }
 

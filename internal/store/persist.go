@@ -438,11 +438,9 @@ func (p *Persister) NoteClock(t time.Time) {
 // to the WAL (dir/cursor.json). The blob's schema belongs to the caller
 // (internal/replica stores its stream position there); the store only
 // guarantees the same durability as a snapshot — the file is always
-// either the old or the new complete contents. Call it after Flush: a
-// cursor that claims records the WAL has not acknowledged yet would, on
-// recovery, skip the stream events that were supposed to re-deliver
-// them. Fail-stop like every other write: once the durability layer has
-// a sticky error the cursor stops advancing too.
+// either the old or the new complete contents. Call it after Flush, so a
+// cursor never claims records the WAL has not acknowledged. Fail-stop like
+// every other write: after a sticky error the cursor stops advancing too.
 func (p *Persister) SaveCursor(data []byte) error {
 	p.snapMu.Lock()
 	defer p.snapMu.Unlock()

@@ -147,7 +147,12 @@ var walBufPool = sync.Pool{New: func() any { return new([]byte) }}
 //  3. apply lands the records under the shard lock and the frames join the
 //     log inside the same hold, so WAL byte order is append order;
 //  4. after the unlock an oversized log buffer drains without blocking the
-//     shard, and publish folds the round into rollups, generation, feed.
+//     shard, the record events get their ordinals (counted under the
+//     lock), and publish folds the round into rollups, generation, feed.
+//
+// The gate is read again under the lock: a subscriber registered since may
+// have captured this shard for a snapshot (stream.go) already, so the round
+// still reaches it as record events (its outage transitions do not).
 func (sh *shard) appendRound(n int, d *rollupDelta, events func(), frames func([]byte) []byte, apply func()) {
 	if n == 0 {
 		return
@@ -164,13 +169,22 @@ func (sh *shard) appendRound(n int, d *rollupDelta, events func(), frames func([
 	sh.mu.Lock()
 	apply()
 	// The round's n records are now the shard's newest.
-	oversized := p != nil && p.log.append(sh, sh.gen.Load()-uint64(n), *enc)
+	before := sh.gen.Load() - uint64(n)
+	late := !d.emit && sh.feed.enabled()
+	oversized := p != nil && p.log.append(sh, before, *enc)
 	sh.mu.Unlock()
 	if p != nil {
 		walBufPool.Put(enc)
 		if oversized {
 			p.fail(p.log.flush())
 		}
+	}
+	if late {
+		d.emit = true
+		events()
+	}
+	for i := 0; d.emit && i < n; i++ {
+		d.events[i].Ordinal = before + uint64(i)
 	}
 	sh.publish(d)
 }

@@ -77,20 +77,6 @@ func (k ProbeKind) String() string {
 	}
 }
 
-// ParseProbeKind reverses ProbeKind.String; 0 for unknown names (which
-// includes the empty string, so an absent wire field round-trips to the
-// zero kind).
-func ParseProbeKind(s string) ProbeKind {
-	switch s {
-	case "on-demand":
-		return ProbeOnDemand
-	case "spot":
-		return ProbeSpot
-	default:
-		return 0
-	}
-}
-
 // Trigger records why SpotLight issued a probe (Chapter 3's policy tree
 // and Chapter 4's five probing functions).
 type Trigger int
@@ -146,34 +132,6 @@ func (tr Trigger) String() string {
 		return "periodic-od"
 	default:
 		return "unknown"
-	}
-}
-
-// ParseTrigger reverses Trigger.String; 0 for unknown names. Together
-// with ParseProbeKind it lets a stream consumer (a read replica) rebuild
-// ProbeRecords from their wire form exactly.
-func ParseTrigger(s string) Trigger {
-	switch s {
-	case "spike":
-		return TriggerSpike
-	case "related-same-zone":
-		return TriggerRelatedSameZone
-	case "related-other-zone":
-		return TriggerRelatedOtherZone
-	case "recheck":
-		return TriggerRecheck
-	case "periodic-spot":
-		return TriggerPeriodicSpot
-	case "cross":
-		return TriggerCross
-	case "bid-spread":
-		return TriggerBidSpread
-	case "revocation":
-		return TriggerRevocation
-	case "periodic-od":
-		return TriggerPeriodicOD
-	default:
-		return 0
 	}
 }
 

@@ -76,6 +76,9 @@ const (
 	// walRunHeader opens a run of one shard's record frames in the store
 	// log; it never appears in a snapshot section.
 	walRunHeader
+	// walPosition and walSnapChunk exist only in follow streams (stream.go).
+	walPosition
+	walSnapChunk
 )
 
 // walCastagnoli is the CRC-32C table shared by encode and decode.
@@ -189,6 +192,14 @@ func (r *walReader) err() error {
 		return fmt.Errorf("%w: short payload", ErrWALCorrupt)
 	}
 	return nil
+}
+
+// end is err, plus an error for bytes left after the last field.
+func (r *walReader) end() error {
+	if err := r.err(); err != nil || len(r.data) == 0 {
+		return err
+	}
+	return fmt.Errorf("%w: %d trailing payload bytes", ErrWALCorrupt, len(r.data))
 }
 
 // uvarint and varint keep a single-byte fast path in the inlinable
@@ -411,11 +422,8 @@ func appendRunHeader(buf []byte, id market.SpotID, before uint64) []byte {
 func decodeRunHeader(body []byte, intern map[string]string) (market.SpotID, uint64, error) {
 	r := walReader{data: body, intern: intern}
 	id, before := r.market(), r.uvarint()
-	if err := r.err(); err != nil {
+	if err := r.end(); err != nil {
 		return market.SpotID{}, 0, err
-	}
-	if len(r.data) != 0 {
-		return market.SpotID{}, 0, fmt.Errorf("%w: %d trailing run header bytes", ErrWALCorrupt, len(r.data))
 	}
 	return id, before, nil
 }
@@ -638,11 +646,8 @@ func decodeWALEntry(e *walEntry, typ walRecordType, body []byte, id market.SpotI
 	default:
 		return fmt.Errorf("%w: unknown record type %d", ErrWALCorrupt, typ)
 	}
-	if err := r.err(); err != nil {
+	if err := r.end(); err != nil {
 		return err
-	}
-	if len(r.data) != 0 {
-		return fmt.Errorf("%w: %d trailing payload bytes", ErrWALCorrupt, len(r.data))
 	}
 	// A shard's frames must only hold their own market's records; a framed
 	// record claiming another market is corruption, not data.

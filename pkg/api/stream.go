@@ -44,6 +44,9 @@ const (
 	// HeaderRetryAfter tells a rejected (429) watcher how many seconds to
 	// wait before reconnecting.
 	HeaderRetryAfter = "Retry-After"
+	// ContentTypeLog in Accept asks /v2/watch for the follow stream read
+	// replicas apply: the store's own snapshot and log frames, unfiltered.
+	ContentTypeLog = "application/x-spotlight-log"
 )
 
 // EventKind names one live-stream event family on the wire.
@@ -113,7 +116,7 @@ type StreamEvent struct {
 
 // StreamProbe is one logged probe on the stream. The payload carries the
 // full probe record — provenance fields included — so a consumer can
-// rebuild the store's probe log exactly; read replicas depend on this.
+// rebuild the store's probe log exactly.
 type StreamProbe struct {
 	// Contract is the probed tier: "on-demand" or "spot".
 	Contract string `json:"kind"`
@@ -165,8 +168,7 @@ type StreamHello struct {
 	// windowed rebuild), or "none" (fresh subscription).
 	Resume string `json:"resume"`
 	// Salt is the server's ETag/token salt, hex-encoded — the first
-	// segment of every resume token. A read replica adopts it so the
-	// ETags it mints match the leader's byte for byte.
+	// segment of every resume token.
 	Salt string `json:"salt,omitempty"`
 }
 
@@ -244,7 +246,7 @@ type HealthReplication struct {
 	Connected bool `json:"connected"`
 	// LastEventID is the newest resume token applied.
 	LastEventID string `json:"lastEventId,omitempty"`
-	// Applied counts data events applied to the local store.
+	// Applied counts records applied to the local store.
 	Applied uint64 `json:"applied"`
 	// LocalGeneration and LeaderGeneration are the two stores' global
 	// append generations; Lag is leader minus local (0 when caught up or
@@ -252,11 +254,15 @@ type HealthReplication struct {
 	LocalGeneration  uint64 `json:"localGeneration"`
 	LeaderGeneration uint64 `json:"leaderGeneration"`
 	Lag              uint64 `json:"lag"`
-	// Resyncs counts best-effort windowed rebuilds (at-least-once replays
-	// — each one may duplicate boundary events); Reconnects counts stream
-	// re-establishments.
+	// LagSeconds is the leader clock in the newest position frame minus the
+	// leader clock at the newest position applied.
+	LagSeconds float64 `json:"lagSeconds"`
+	// Resyncs counts snapshot transfers to a non-empty follower; Reconnects
+	// counts stream re-establishments.
 	Resyncs    uint64 `json:"resyncs"`
 	Reconnects uint64 `json:"reconnects"`
+	// Error says why the leader's stream is refused (naming both salts).
+	Error string `json:"error,omitempty"`
 }
 
 // HealthGateway is a gateway's per-upstream health breakdown.

@@ -68,9 +68,6 @@ type WatchOptions struct {
 	// back in synchronized waves, and the thundering herd re-kills the
 	// node the waves hit. Tests wanting exact timings opt out.
 	NoJitter bool
-	// Heartbeats delivers heartbeat frames to the consumer too (by
-	// default they are consumed internally as liveness only).
-	Heartbeats bool
 }
 
 // Watch is one live subscription with automatic reconnect.
@@ -389,8 +386,8 @@ func (w *Watch) dispatch(ctx context.Context, id, kind, data string) bool {
 		w.lastID = id
 		w.mu.Unlock()
 	}
-	if ev.Kind == api.EventHeartbeat && !w.opts.Heartbeats {
-		return true
+	if ev.Kind == api.EventHeartbeat {
+		return true // liveness only
 	}
 	if ev.Kind == api.EventLagged {
 		w.mu.Lock()
