@@ -6,12 +6,10 @@
 //
 //	spotlight-gateway -nodes http://a:8080,http://b:8080 [-addr :8090]
 //	                  [-partitioned] [-timeout 10s]
-//	                  [-retries 1] [-hedge-after 0] [-fail-threshold 3]
-//	                  [-eject-for 5s] [-probe-interval 0]
 //	                  [-log-format text|json] [-debug-addr ADDR]
 //
 // The gateway serves its own metrics — per-node upstream latency and
-// outcomes, retries, hedges, breaker state, partial merges, plus the
+// outcomes, retries, breaker state, partial merges, plus the
 // shared HTTP series — on GET /metrics (Prometheus text) and GET
 // /v2/metrics (JSON). -debug-addr adds a second listener with
 // net/http/pprof. Logs are structured (log/slog); -log-format picks
@@ -31,12 +29,13 @@
 // "upstream", with the node URL in details) while the rest of the batch
 // answers normally. GET /v2/health aggregates the whole fleet.
 //
-// The gateway is health-aware: idempotent reads retry on a peer
-// (-retries), optionally hedge to one after -hedge-after of silence, and
-// a node that fails -fail-threshold calls in a row is ejected from
-// rotation for -eject-for (circuit breaker; /v2/health shows per-node
-// breaker state). -probe-interval starts a background health poll that
-// re-admits recovered nodes without waiting for live traffic. On a
+// The gateway is health-aware: on a replica fleet an idempotent read
+// tries every node once, healthy ones first, until one answers; on a
+// partitioned fleet it re-tries the owner once. A node that fails 3 calls
+// in a row is ejected from rotation for 5s (circuit breaker; /v2/health
+// shows per-node breaker state), then re-admitted by a successful trial
+// call or health poll. A slow but live node costs up to -timeout per
+// read: failover moves on only when an attempt fails. On a
 // partitioned fleet a missing partition degrades fanned-out answers to
 // partial (named in the "partial" field / X-Spotlight-Partial header)
 // instead of failing them, and complete fan-outs carry a merged gateway
@@ -93,16 +92,6 @@ func parseFlags(args []string) (gateway.Config, cmdOptions, error) {
 	fs.BoolVar(&cfg.Partitioned, "partitioned", false,
 		"nodes each own a disjoint market subset (fan out and merge scope-less aggregations) instead of being full replicas")
 	fs.DurationVar(&cfg.Timeout, "timeout", 10*time.Second, "per upstream round-trip timeout")
-	fs.IntVar(&cfg.Retries, "retries", 0,
-		"extra attempts for an idempotent read after its first choice fails (0: default 1; negative disables)")
-	fs.DurationVar(&cfg.HedgeAfter, "hedge-after", 0,
-		"hedge an unanswered idempotent read to the next replica after this long (0 disables)")
-	fs.IntVar(&cfg.FailThreshold, "fail-threshold", 0,
-		"consecutive failures before a node is ejected from rotation (0: default 3)")
-	fs.DurationVar(&cfg.EjectFor, "eject-for", 0,
-		"how long an ejected node sits out before re-admission trials (0: default 5s)")
-	fs.DurationVar(&cfg.ProbeInterval, "probe-interval", 0,
-		"background health-poll interval for ejected nodes (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, c, err
 	}
@@ -155,7 +144,6 @@ func run(args []string) error {
 	if cmd.debugAddr != "" {
 		dbg, stopDbg, err := obs.ServeDebug(cmd.debugAddr, reg)
 		if err != nil {
-			g.Close()
 			return err
 		}
 		defer stopDbg()
@@ -164,13 +152,10 @@ func run(args []string) error {
 
 	select {
 	case err := <-serveErr:
-		g.Close()
 		return err
 	case <-ctx.Done():
 		shutCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 		defer cancel()
-		err := srv.Shutdown(shutCtx)
-		g.Close()
-		return err
+		return srv.Shutdown(shutCtx)
 	}
 }

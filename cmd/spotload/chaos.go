@@ -8,8 +8,8 @@ package main
 //	  ├── durable follower F1, replicating through a chaos.Proxy
 //	  ├── memory follower F2, attached directly (the reference replica)
 //	  └── gateway over {leader, F1, F2} with a fault-injecting transport
-//	      (delays + random connection resets), retries, hedging, and
-//	      breaker-based ejection
+//	      (delays + random connection resets), configured as
+//	      spotlight-gateway ships: every-peer failover and breakers
 //
 // Script, under continuous gateway read load:
 //
@@ -164,20 +164,14 @@ func runChaos(o options) error {
 	tr.SetResetRate(0.01)
 	f1URL := f1.BaseURL()
 	gw, err := gateway.New(gateway.Config{
-		Nodes:         []string{leader.BaseURL(), f1URL, f2.BaseURL()},
-		Timeout:       5 * time.Second,
-		HTTPClient:    &http.Client{Transport: tr},
-		Retries:       2,
-		HedgeAfter:    150 * time.Millisecond,
-		FailThreshold: 3,
-		EjectFor:      time.Second,
-		ProbeInterval: 250 * time.Millisecond,
+		Nodes:      []string{leader.BaseURL(), f1URL, f2.BaseURL()},
+		Timeout:    5 * time.Second,
+		HTTPClient: &http.Client{Transport: tr},
 	})
 	if err != nil {
 		return fmt.Errorf("chaos: build gateway: %w", err)
 	}
 	gw.EnableMetrics(obs.NewRegistry())
-	closers = append(closers, gw.Close)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return fmt.Errorf("chaos: gateway listen: %w", err)

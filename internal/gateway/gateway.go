@@ -64,32 +64,12 @@ type Config struct {
 	// than replicated to all of them; it changes routing and turns on
 	// fan-out merges for the scope-less aggregations.
 	Partitioned bool
-	// Timeout bounds each upstream round trip (default 10s).
+	// Timeout bounds each upstream round trip (default 10s). It is also
+	// what a slow but live node can cost one read: failover moves on
+	// only when an attempt fails.
 	Timeout time.Duration
-	// VirtualNodes tunes ring granularity (default 64 points per node).
-	VirtualNodes int
 	// HTTPClient overrides the upstream transport (nil: default).
 	HTTPClient *http.Client
-
-	// Retries is how many extra candidates an idempotent call may try
-	// after its first choice fails (default 1; negative disables). On a
-	// replica fleet retries go to distinct peers; on a partitioned fleet
-	// only the owning node has the data, so they re-try it.
-	Retries int
-	// HedgeAfter, when positive, launches a duplicate attempt at the
-	// next candidate if the current one has not answered within this
-	// long — tail-latency insurance for replica fleets. 0 disables.
-	HedgeAfter time.Duration
-	// FailThreshold is how many consecutive failures eject a node from
-	// rotation (breaker opens; default 3).
-	FailThreshold int
-	// EjectFor is how long an ejected node sits out before a trial call
-	// may probe it (default 5s).
-	EjectFor time.Duration
-	// ProbeInterval, when positive, starts a background goroutine that
-	// health-polls ejected nodes every interval so they rejoin without
-	// waiting for live traffic; stop it with Close. 0 disables.
-	ProbeInterval time.Duration
 }
 
 // Gateway routes queries across the configured nodes. Build with New;
@@ -100,11 +80,7 @@ type Gateway struct {
 	clients []*client.Client
 	proxies []*httputil.ReverseProxy
 	rr      atomic.Uint64
-
-	health    *tracker
-	probeStop chan struct{}
-	probeDone chan struct{}
-	closeOnce sync.Once
+	health  *tracker
 
 	// reg/metrics are armed by EnableMetrics (see metrics.go); the
 	// zero-value gwMetrics no-ops on every hot path.
@@ -120,14 +96,12 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = defaultTimeout
 	}
-	if cfg.VirtualNodes <= 0 {
-		cfg.VirtualNodes = defaultVirtualNodes
-	}
 	g := &Gateway{
 		cfg:     cfg,
-		ring:    newRing(cfg.Nodes, cfg.VirtualNodes),
+		ring:    newRing(cfg.Nodes, defaultVirtualNodes),
 		clients: make([]*client.Client, len(cfg.Nodes)),
 		proxies: make([]*httputil.ReverseProxy, len(cfg.Nodes)),
+		health:  newTracker(len(cfg.Nodes)),
 		metrics: newGwMetrics(len(cfg.Nodes)),
 	}
 	for i, node := range cfg.Nodes {
@@ -146,12 +120,6 @@ func New(cfg Config) (*Gateway, error) {
 				api.Errorf(api.CodeUpstream, "upstream unreachable: %v", err).WithDetail("node", u.Host))
 		}
 		g.proxies[i] = p
-	}
-	g.health = newTracker(len(cfg.Nodes), cfg.FailThreshold, cfg.EjectFor)
-	if cfg.ProbeInterval > 0 {
-		g.probeStop = make(chan struct{})
-		g.probeDone = make(chan struct{})
-		go g.probeLoop(cfg.ProbeInterval)
 	}
 	return g, nil
 }
@@ -245,7 +213,7 @@ type nodeCall struct {
 	queries []api.Query
 	resp    *api.BatchResponse
 	etag    string
-	node    int // the node that actually answered (failover may move it)
+	node    int // the node that answered, or the first that failed
 	err     error
 }
 
@@ -290,8 +258,7 @@ func (g *Gateway) scatter(ctx context.Context, queries []api.Query) ([]api.Resul
 		wg.Add(1)
 		go func(n int, call *nodeCall) {
 			defer wg.Done()
-			a := g.batchNode(cctx, n, call.queries)
-			call.resp, call.etag, call.node, call.err = a.resp, a.etag, a.node, a.err
+			g.batchNode(cctx, n, call)
 		}(n, call)
 	}
 	wg.Wait()
@@ -672,8 +639,8 @@ func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {
 // Scope-less URLs hash their full spec for cache affinity on a replica
 // fleet; on a partitioned fleet the three mergeable aggregations are
 // answered by scatter-gather here, and the rest (catalog-backed
-// /v1/markets) go to any node. Every route uses the retrying forwarder,
-// so a single slow or dead node costs a retry, not a 502.
+// /v1/markets) go to any node. Every route uses the failover forwarder,
+// so a dead node costs a retry, not a 502.
 func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	if m := q.Get("market"); m != "" {

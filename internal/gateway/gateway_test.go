@@ -331,10 +331,8 @@ func TestHealthEjectedNodeBreakerOpen(t *testing.T) {
 	deadSrv.Close() // dead node: connection refused from here on
 
 	g, err := New(Config{
-		Nodes:         []string{live.URL, deadURL},
-		FailThreshold: 2,
-		EjectFor:      time.Minute,
-		Timeout:       5 * time.Second,
+		Nodes:   []string{live.URL, deadURL},
+		Timeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -343,18 +341,18 @@ func TestHealthEjectedNodeBreakerOpen(t *testing.T) {
 	g.EnableMetrics(reg)
 	gsrv := gwServer(t, g)
 
-	// Each health poll fails the dead node once; the second crosses the
+	// Each health poll fails the dead node once; the third crosses the
 	// threshold, and the poll snapshots breaker state after recording the
-	// failure, so the second response already shows it open.
+	// failure, so the third response already shows it open.
 	var h api.Health
-	for i := 0; i < 2; i++ {
+	for i := 0; i < failThreshold; i++ {
 		h = getHealth(t, gsrv.URL)
 	}
 	if h.Status != "degraded" || h.Gateway == nil || len(h.Gateway.Nodes) != 2 {
 		t.Fatalf("health = %+v, want degraded with 2 nodes", h)
 	}
 	dead := h.Gateway.Nodes[1]
-	if dead.Status != "unreachable" || dead.Breaker != "open" || dead.ConsecutiveFails < 2 {
+	if dead.Status != "unreachable" || dead.Breaker != "open" || dead.ConsecutiveFails < failThreshold {
 		t.Fatalf("dead node = %+v, want unreachable with an open breaker", dead)
 	}
 	if h.Gateway.Nodes[0].Breaker != "closed" || h.Gateway.Nodes[0].Status != "ok" {

@@ -1,14 +1,13 @@
-// Per-upstream health: circuit breakers, retry/failover candidate
-// ordering, hedged batch calls, and the optional re-admission prober.
+// Per-upstream health: circuit breakers and the one failover loop every
+// idempotent call runs through.
 //
-// The failure model is the PR 8 one: a store node that is slow, dead, or
-// resetting connections must cost the fleet one degraded answer, not a
-// hard 502 for everything routed its way. Every idempotent call runs
-// through pickCandidates/batchNode or forward below, which record
-// per-node outcomes in the tracker; a node that fails FailThreshold
-// calls in a row is ejected (breaker opens) and traffic flows to its
-// peers until a trial call — lazy, or driven by the background prober —
-// succeeds and re-admits it.
+// A store node that is slow, dead, or resetting connections must cost
+// the fleet one degraded answer, not a hard 502 for everything routed its
+// way. batchNode and forward below both call failover, which tries the
+// candidates in order and records per-node outcomes in the tracker; a
+// node that fails failThreshold calls in a row is ejected (breaker opens)
+// and ordered behind its peers until a successful call re-admits it —
+// a lazy half-open trial once ejectFor has passed, or a /v2/health poll.
 package gateway
 
 import (
@@ -23,17 +22,13 @@ import (
 	"spotlight/pkg/api"
 )
 
-// Breaker defaults.
+// Breaker constants.
 const (
-	// defaultFailThreshold is how many consecutive call failures eject a
-	// node.
-	defaultFailThreshold = 3
-	// defaultEjectFor is how long an ejected node sits out before a
-	// trial call may probe it again.
-	defaultEjectFor = 5 * time.Second
-	// defaultRetries is how many extra candidates an idempotent call may
-	// try after its primary fails.
-	defaultRetries = 1
+	// failThreshold is how many consecutive call failures eject a node.
+	failThreshold = 3
+	// ejectFor is how long an ejected node sits out before a trial call
+	// may probe it again.
+	ejectFor = 5 * time.Second
 )
 
 // Breaker states, reported in NodeHealth.Breaker.
@@ -53,23 +48,17 @@ type nodeState struct {
 
 // tracker holds the per-node breakers.
 type tracker struct {
-	nodes     []nodeState
-	threshold int
-	ejectFor  time.Duration
+	nodes []nodeState
+	// now is the breaker clock (time.Now; tests substitute their own).
+	now func() time.Time
 	// onOpen, when set (EnableMetrics), observes each closed-to-open
 	// transition; called with the node's lock held, so it must not call
 	// back into the tracker.
 	onOpen func(node int)
 }
 
-func newTracker(n, threshold int, ejectFor time.Duration) *tracker {
-	if threshold <= 0 {
-		threshold = defaultFailThreshold
-	}
-	if ejectFor <= 0 {
-		ejectFor = defaultEjectFor
-	}
-	return &tracker{nodes: make([]nodeState, n), threshold: threshold, ejectFor: ejectFor}
+func newTracker(n int) *tracker {
+	return &tracker{nodes: make([]nodeState, n), now: time.Now}
 }
 
 // allow reports whether node i should receive traffic: breaker closed,
@@ -78,10 +67,7 @@ func (t *tracker) allow(i int) bool {
 	s := &t.nodes[i]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.open {
-		return true
-	}
-	return time.Since(s.openedAt) >= t.ejectFor
+	return !s.open || t.now().Sub(s.openedAt) >= ejectFor
 }
 
 // succeed records a successful call: the breaker closes and the failure
@@ -100,12 +86,12 @@ func (t *tracker) fail(i int) {
 	s := &t.nodes[i]
 	s.mu.Lock()
 	s.fails++
-	if s.fails >= t.threshold || s.open {
+	if s.fails >= failThreshold || s.open {
 		if !s.open && t.onOpen != nil {
 			t.onOpen(i)
 		}
 		s.open = true
-		s.openedAt = time.Now()
+		s.openedAt = t.now()
 	}
 	s.mu.Unlock()
 }
@@ -118,7 +104,7 @@ func (t *tracker) snapshot(i int) (state string, fails int) {
 	switch {
 	case !s.open:
 		state = breakerClosed
-	case time.Since(s.openedAt) >= t.ejectFor:
+	case t.now().Sub(s.openedAt) >= ejectFor:
 		state = breakerHalfOpen
 	default:
 		state = breakerOpen
@@ -135,47 +121,28 @@ func nodeAlive(err error) bool {
 	return errors.As(err, &aerr) && aerr.Code != api.CodeInternal
 }
 
-// pickCandidates builds the attempt order for one idempotent call whose
+// candidates builds the attempt order for one idempotent call whose
 // affinity choice is primary. On a replica fleet any node can answer, so
-// the list rotates through distinct peers, healthy ones first (ejected
-// nodes stay at the tail as a last resort — a fully ejected fleet still
-// gets tried rather than failing without a single wire attempt). On a
-// partitioned fleet only the owner has the data, so retries re-try it.
-// The list is capped at 1+Retries attempts.
-func (g *Gateway) pickCandidates(primary int) []int {
-	max := 1 + g.retries()
+// every distinct node is tried once, in index order from primary with
+// healthy nodes first (ejected nodes stay at the tail as a last resort —
+// a fully ejected fleet still gets tried rather than failing without a
+// single wire attempt). On a partitioned or single-node fleet only the
+// owner has the data, so it is re-tried once.
+func (g *Gateway) candidates(primary int) []int {
 	if g.cfg.Partitioned || len(g.clients) == 1 {
-		out := make([]int, 0, max)
-		for len(out) < max {
-			out = append(out, primary)
-		}
-		return out
+		return []int{primary, primary}
 	}
-	healthy := make([]int, 0, len(g.clients))
-	ejected := make([]int, 0)
-	for k := 0; k < len(g.clients); k++ {
+	out := make([]int, 0, len(g.clients))
+	var ejected []int
+	for k := range g.clients {
 		n := (primary + k) % len(g.clients)
 		if g.health.allow(n) {
-			healthy = append(healthy, n)
+			out = append(out, n)
 		} else {
 			ejected = append(ejected, n)
 		}
 	}
-	out := append(healthy, ejected...)
-	if len(out) > max {
-		out = out[:max]
-	}
-	return out
-}
-
-func (g *Gateway) retries() int {
-	if g.cfg.Retries < 0 {
-		return 0
-	}
-	if g.cfg.Retries == 0 {
-		return defaultRetries
-	}
-	return g.cfg.Retries
+	return append(out, ejected...)
 }
 
 // firstHealthy returns primary unless its breaker is open, in which case
@@ -191,134 +158,87 @@ func (g *Gateway) firstHealthy(primary int) int {
 	return primary
 }
 
-// batchAttempt is one upstream try of a sub-batch.
-type batchAttempt struct {
-	resp *api.BatchResponse
-	etag string
-	node int
-	err  error
+// failover runs one idempotent call against the candidates in order and
+// stops at the first node that answers; try reports whether node n did.
+// Each attempt's latency and outcome feed the node's upstream series and
+// its breaker, and every attempt after the first counts as a retry. Once
+// ctx is done no further attempt starts: a caller that gave up must not
+// charge healthy nodes with its cancellation.
+func (g *Gateway) failover(ctx context.Context, primary int, try func(n int) bool) bool {
+	for k, n := range g.candidates(primary) {
+		if k > 0 {
+			if ctx.Err() != nil {
+				return false
+			}
+			g.metrics.retries.Inc()
+		}
+		start := time.Now()
+		ok := try(n)
+		g.metrics.observeUpstream(n, time.Since(start), ok)
+		if ok {
+			g.health.succeed(n)
+			return true
+		}
+		g.health.fail(n)
+	}
+	return false
 }
 
-// batchNode runs one node sub-batch with failover and hedging: attempts
-// start at the candidates in order — the next one launched when the
-// previous fails, or early when HedgeAfter elapses without an answer
-// (the hedge duplicates an idempotent read, so the only cost is load) —
-// and the first success wins. Outcomes feed the breakers.
-func (g *Gateway) batchNode(ctx context.Context, primary int, queries []api.Query) batchAttempt {
-	cands := g.pickCandidates(primary)
-	results := make(chan batchAttempt, len(cands))
-	launched := 0
-	launch := func() {
-		n := cands[launched]
-		launched++
-		go func() {
-			start := time.Now()
-			resp, etag, err := g.clients[n].BatchTagged(ctx, queries...)
-			alive := err == nil || nodeAlive(err)
-			g.metrics.observeUpstream(n, time.Since(start), alive)
-			if alive {
-				g.health.succeed(n)
-			} else {
-				g.health.fail(n)
-			}
-			results <- batchAttempt{resp: resp, etag: etag, node: n, err: err}
-		}()
-	}
-	launch()
-
-	hedge := g.cfg.HedgeAfter
-	var hedgeC <-chan time.Time
-	if hedge > 0 && launched < len(cands) {
-		t := time.NewTimer(hedge)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	var first batchAttempt
-	got := 0
-	for {
-		select {
-		case a := <-results:
-			got++
-			if a.err == nil || nodeAlive(a.err) {
-				return a
-			}
-			if first.err == nil {
-				first = a
-			}
-			if launched < len(cands) {
-				g.metrics.retries.Inc()
-				launch()
-			} else if got == launched {
-				return first
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if launched < len(cands) {
-				g.metrics.hedges.Inc()
-				launch()
-			}
-		case <-ctx.Done():
-			if first.err == nil {
-				first = batchAttempt{node: primary, err: ctx.Err()}
-			}
-			return first
+// batchNode runs one node sub-batch through failover, filling call with
+// the answering node's response — or, when no candidate answered, with
+// the first failure.
+func (g *Gateway) batchNode(ctx context.Context, primary int, call *nodeCall) {
+	g.failover(ctx, primary, func(n int) bool {
+		resp, etag, err := g.clients[n].BatchTagged(ctx, call.queries...)
+		if err == nil || nodeAlive(err) {
+			call.resp, call.etag, call.node, call.err = resp, etag, n, err
+			return true
 		}
-	}
+		if call.err == nil {
+			call.node, call.err = n, err
+		}
+		return false
+	})
 }
 
 // forward relays one idempotent HTTP request (a /v1 GET, or the
-// replica-fleet advise POST whose body the caller buffered) to the
-// candidate nodes in order, copying the first usable answer — status,
-// headers (ETags included), body — back to the client. A transport
-// error or 5xx moves on to the next candidate and feeds the breaker; a
-// 2xx/3xx/4xx is the node's real answer and relays as-is. This replaces
-// the single-shot ReverseProxy for everything except streaming.
+// replica-fleet advise POST whose body the caller buffered) through
+// failover, copying the first usable answer — status, headers (ETags
+// included), body — back to the client. A transport error or 5xx moves
+// on to the next candidate; a 2xx/3xx/4xx is the node's real answer and
+// relays as-is.
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, primary int, body []byte) {
-	cands := g.pickCandidates(primary)
 	var lastErr error
 	var lastNode string
-	for k, n := range cands {
-		if k > 0 {
-			g.metrics.retries.Inc()
-		}
+	if g.failover(r.Context(), primary, func(n int) bool {
 		ctx, cancel := context.WithTimeout(r.Context(), g.cfg.Timeout)
+		defer cancel()
 		var rd io.Reader
 		if body != nil {
 			rd = bytes.NewReader(body)
 		}
 		req, err := http.NewRequestWithContext(ctx, r.Method, g.cfg.Nodes[n]+r.URL.RequestURI(), rd)
 		if err != nil {
-			cancel()
-			writeErr(w, http.StatusInternalServerError, api.Errorf(api.CodeInternal, "build upstream request: %v", err))
-			return
+			lastErr, lastNode = err, g.cfg.Nodes[n]
+			return false
 		}
 		copyHeader(req.Header, r.Header)
-		start := time.Now()
 		resp, err := g.httpClient().Do(req)
 		if err != nil {
-			g.metrics.observeUpstream(n, time.Since(start), false)
-			cancel()
-			g.health.fail(n)
 			lastErr, lastNode = err, g.cfg.Nodes[n]
-			continue
+			return false
 		}
+		defer resp.Body.Close()
 		if resp.StatusCode >= 500 {
-			g.metrics.observeUpstream(n, time.Since(start), false)
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-			resp.Body.Close()
-			cancel()
-			g.health.fail(n)
 			lastErr, lastNode = errors.New(resp.Status), g.cfg.Nodes[n]
-			continue
+			return false
 		}
-		g.metrics.observeUpstream(n, time.Since(start), true)
-		g.health.succeed(n)
 		copyHeader(w.Header(), resp.Header)
 		w.WriteHeader(resp.StatusCode)
 		io.Copy(w, resp.Body)
-		resp.Body.Close()
-		cancel()
+		return true
+	}) {
 		return
 	}
 	writeErr(w, http.StatusBadGateway,
@@ -340,43 +260,6 @@ func (g *Gateway) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// probeLoop is the background re-admission prober: every interval it
-// polls /v2/health on nodes whose breaker is not closed, so an ejected
-// node that recovered rejoins the rotation within one interval instead
-// of waiting for live traffic to take the half-open gamble.
-func (g *Gateway) probeLoop(interval time.Duration) {
-	defer close(g.probeDone)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-g.probeStop:
-			return
-		case <-ticker.C:
-			for i := range g.clients {
-				if state, _ := g.health.snapshot(i); state == breakerClosed {
-					continue
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), g.cfg.Timeout)
-				_, err := g.clients[i].Health(ctx)
-				cancel()
-				if err != nil {
-					g.health.fail(i)
-				} else {
-					g.health.succeed(i)
-				}
-			}
-		}
-	}
-}
-
-// Close stops the background prober (if one was started). The gateway
-// itself holds no other resources; idempotent.
-func (g *Gateway) Close() {
-	g.closeOnce.Do(func() {
-		if g.probeStop != nil {
-			close(g.probeStop)
-			<-g.probeDone
-		}
-	})
-}
+// Close is a no-op: the gateway starts no goroutine of its own, and its
+// upstream transport belongs to the caller.
+func (g *Gateway) Close() {}

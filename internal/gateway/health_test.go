@@ -1,0 +1,241 @@
+package gateway
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strings"
+	"testing"
+	"time"
+
+	"spotlight/internal/market"
+	"spotlight/internal/obs"
+	"spotlight/internal/store"
+	"spotlight/pkg/api"
+)
+
+// deadURL returns the address of a server that has already shut down:
+// connections to it are refused.
+func deadURL() string {
+	s := httptest.NewServer(http.NotFoundHandler())
+	s.Close()
+	return s.URL
+}
+
+// A replica fleet in which two of three nodes refuse connections answers
+// every idempotent read from the survivor from the very first request —
+// batch, market-scoped /v1 GET and /v2/advise alike — even when the
+// ring's first two picks are the dead nodes.
+func TestReplicaFleetFailsOverToTheLastLiveNode(t *testing.T) {
+	db := store.New()
+	live := newNode(t, db)
+	g, err := New(Config{Nodes: []string{live.URL, deadURL(), deadURL()}, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gsrv := gwServer(t, g)
+
+	// Rotation from node 1 tries 1, then 2, then the survivor 0.
+	const primary = 1
+	var id market.SpotID
+	for _, m := range market.New().SpotMarkets() {
+		if strings.HasPrefix(string(m.Zone), "us-east-1") && g.ring.pick(m.String()) == primary {
+			id = m
+			break
+		}
+	}
+	if id == (market.SpotID{}) {
+		t.Fatal("ring routes no us-east-1 market to node 1")
+	}
+	seedProbes(db, id, 10, 2)
+	seedPrices(db, id, 0.05)
+	window := api.Window{From: t0, To: t0.Add(24 * time.Hour)}
+
+	// Batch: the body matches the survivor's, and the merged tag is the
+	// fold of the survivor's own ETag.
+	batch, _ := json.Marshal(api.BatchRequest{Queries: []api.Query{
+		{Kind: api.KindUnavailability, Market: id.String(), Window: window},
+		{Kind: api.KindPrices, Market: id.String(), Window: window},
+	}})
+	post := func(base string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Post(base+"/v2/query", "application/json", bytes.NewReader(batch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp, raw
+	}
+	viaGW, gwBody := post(gsrv.URL)
+	direct, directBody := post(live.URL)
+	if viaGW.StatusCode != http.StatusOK {
+		t.Fatalf("gateway batch status = %d body=%s", viaGW.StatusCode, gwBody)
+	}
+	if !bytes.Equal(gwBody, directBody) {
+		t.Errorf("gateway batch diverged from the survivor\n via: %.300s\nnode: %.300s", gwBody, directBody)
+	}
+	wantTag := g.mergedETag(true, []string{live.URL + "\x00" + direct.Header.Get(api.HeaderETag)})
+	if got := viaGW.Header.Get(api.HeaderETag); got != wantTag {
+		t.Errorf("gateway batch ETag = %q, want the survivor's folded %q", got, wantTag)
+	}
+
+	// Market-scoped /v1 GET: proxied bytes and ETag.
+	path := "/v1/unavailability?market=" + url.QueryEscape(id.String()) + "&kind=od&from=" +
+		url.QueryEscape(window.From.Format(time.RFC3339)) + "&to=" + url.QueryEscape(window.To.Format(time.RFC3339))
+	get := func(base string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp, raw
+	}
+	viaGW, gwBody = get(gsrv.URL)
+	direct, directBody = get(live.URL)
+	if viaGW.StatusCode != http.StatusOK || !bytes.Equal(gwBody, directBody) {
+		t.Errorf("gateway /v1 = %d %.300s, survivor %.300s", viaGW.StatusCode, gwBody, directBody)
+	}
+	if tag := viaGW.Header.Get(api.HeaderETag); tag == "" || tag != direct.Header.Get(api.HeaderETag) {
+		t.Errorf("gateway /v1 ETag = %q, survivor %q", tag, direct.Header.Get(api.HeaderETag))
+	}
+
+	// Advise: pick constraints whose body hashes to node 1 as well.
+	var areq api.AdviseRequest
+	for n := 1; ; n++ {
+		areq = api.AdviseRequest{
+			AdviseConstraints: api.AdviseConstraints{Regions: []string{"us-east-1"}, N: n},
+			Window:            window,
+		}
+		body, _ := json.Marshal(areq)
+		if g.ring.pick("advise|"+string(body)) == primary {
+			break
+		}
+	}
+	viaGW, gwBody = postAdviseRaw(t, gsrv.URL, areq, "")
+	direct, directBody = postAdviseRaw(t, live.URL, areq, "")
+	if viaGW.StatusCode != http.StatusOK || !bytes.Equal(gwBody, directBody) {
+		t.Errorf("gateway advise = %d %.300s, survivor %.300s", viaGW.StatusCode, gwBody, directBody)
+	}
+	if tag := viaGW.Header.Get(api.HeaderETag); tag == "" || tag != direct.Header.Get(api.HeaderETag) {
+		t.Errorf("gateway advise ETag = %q, survivor %q", tag, direct.Header.Get(api.HeaderETag))
+	}
+}
+
+// stubUpstream answers every request 200 with an empty list, except that
+// hosts marked down refuse; it counts the attempts each host receives.
+type stubUpstream struct {
+	down map[string]bool
+	hits map[string]int
+}
+
+func (s *stubUpstream) RoundTrip(r *http.Request) (*http.Response, error) {
+	s.hits[r.URL.Host]++
+	if s.down[r.URL.Host] {
+		return nil, errors.New("connection refused")
+	}
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{},
+		Body: io.NopCloser(strings.NewReader("[]")), Request: r}, nil
+}
+
+// The breaker ejects a node after failThreshold failures, orders it last
+// for ejectFor, then lets exactly one trial through: a failed trial
+// re-opens it and restarts the window, a successful one closes it, and
+// breaker_opens_total counts closed-to-open transitions only.
+func TestBreakerEjectsTrialsAndReadmits(t *testing.T) {
+	const a, b = "a.invalid", "b.invalid"
+	up := &stubUpstream{down: map[string]bool{}, hits: map[string]int{}}
+	g, err := New(Config{Nodes: []string{"http://" + a, "http://" + b}, HTTPClient: &http.Client{Transport: up}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	g.EnableMetrics(reg)
+	now := t0
+	g.health.now = func() time.Time { return now }
+	h := g.Handler()
+
+	// Reads of a market node 1 owns try node 1 first while it is allowed.
+	var m string
+	for _, id := range market.New().SpotMarkets() {
+		if g.ring.pick(id.String()) == 1 {
+			m = id.String()
+			break
+		}
+	}
+	read := func() {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/prices?market="+url.QueryEscape(m), nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("read answered %d: %s", rec.Code, rec.Body)
+		}
+	}
+	state := func() string {
+		s, _ := g.health.snapshot(1)
+		return s
+	}
+	opens := func() uint64 {
+		return reg.Counter("spotlight_gateway_breaker_opens_total", "", "node", "http://"+b).Value()
+	}
+
+	up.down[b] = true
+	for i := 0; i < failThreshold; i++ {
+		read()
+	}
+	if state() != breakerOpen || opens() != 1 || up.hits[b] != failThreshold {
+		t.Fatalf("after %d failures: breaker %s, opens %v, hits %d", failThreshold, state(), opens(), up.hits[b])
+	}
+
+	// Ejected: ordered last, so reads inside the window never reach it.
+	if c := g.candidates(1); len(c) != 2 || c[0] != 0 || c[1] != 1 {
+		t.Fatalf("candidates with node 1 ejected = %v, want [0 1]", c)
+	}
+	for i := 0; i < 5; i++ {
+		read()
+	}
+	if up.hits[b] != failThreshold {
+		t.Fatalf("ejected node received %d attempts inside the window, want %d", up.hits[b], failThreshold)
+	}
+
+	// The window passes: one trial goes through, fails, and re-opens the
+	// breaker without counting a second open.
+	now = now.Add(ejectFor)
+	if state() != breakerHalfOpen {
+		t.Fatalf("breaker after the window = %s, want %s", state(), breakerHalfOpen)
+	}
+	for i := 0; i < 5; i++ {
+		read()
+	}
+	if up.hits[b] != failThreshold+1 || state() != breakerOpen || opens() != 1 {
+		t.Fatalf("after a failed trial: hits %d, breaker %s, opens %v", up.hits[b], state(), opens())
+	}
+	// The failed trial restarted the window.
+	now = now.Add(ejectFor - time.Millisecond)
+	if c := g.candidates(1); c[0] != 0 {
+		t.Fatalf("candidates just before the restarted window ends = %v, want node 1 last", c)
+	}
+
+	// The node recovers: the next trial succeeds and closes the breaker.
+	up.down[b] = false
+	now = now.Add(time.Millisecond)
+	read()
+	if st, fails := g.health.snapshot(1); up.hits[b] != failThreshold+2 || st != breakerClosed || fails != 0 {
+		t.Fatalf("after a successful trial: hits %d, breaker %s, fails %d", up.hits[b], st, fails)
+	}
+
+	// A fresh failure run is a second closed-to-open transition.
+	up.down[b] = true
+	for i := 0; i < failThreshold; i++ {
+		read()
+	}
+	if opens() != 2 {
+		t.Fatalf("breaker_opens_total = %v after two ejections, want 2", opens())
+	}
+}

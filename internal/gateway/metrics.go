@@ -1,12 +1,12 @@
 // Gateway observability: per-upstream latency and outcome series,
-// retry/hedge counters, breaker state, and partial-merge counts.
+// the retry counter, breaker state, and partial-merge counts.
 //
 // The per-node children are resolved once at EnableMetrics into plain
-// slices indexed by node — the hot paths (batchNode's launch closure,
-// forward's candidate loop) then touch an atomic, never the registry's
-// lock. A gateway whose metrics were never enabled carries nil pointers
-// in those slices, and every obs method no-ops on nil, so the
-// uninstrumented cost is one nil check per call.
+// slices indexed by node — the hot path (failover's candidate loop) then
+// touches an atomic, never the registry's lock. A gateway whose metrics
+// were never enabled carries nil pointers in those slices, and every obs
+// method no-ops on nil, so the uninstrumented cost is one nil check per
+// call.
 package gateway
 
 import (
@@ -20,7 +20,6 @@ import (
 // EnableMetrics.
 type gwMetrics struct {
 	retries       *obs.Counter
-	hedges        *obs.Counter
 	partialMerges *obs.Counter
 
 	upstreamSeconds []*obs.Histogram
@@ -61,8 +60,6 @@ func (g *Gateway) EnableMetrics(reg *obs.Registry) {
 	m := g.metrics
 	m.retries = reg.Counter("spotlight_gateway_retries_total",
 		"Upstream attempts launched because a previous candidate failed.")
-	m.hedges = reg.Counter("spotlight_gateway_hedges_total",
-		"Duplicate upstream attempts launched by the hedge timer.")
 	m.partialMerges = reg.Counter("spotlight_gateway_partial_merges_total",
 		"Fanned-out queries merged with at least one partition missing.")
 	for i, node := range g.cfg.Nodes {

@@ -75,26 +75,6 @@ type Platform interface {
 // FallbackPolicy picks the on-demand market a revoked job restarts on.
 type FallbackPolicy func(t time.Time) market.SpotID
 
-// EventSteeredFallback builds a FallbackPolicy that reacts to pushed
-// SpotLight events instead of polling (the SpotOn twin of
-// spotcheck.EventSteeredFallback): signaled(t) reports whether a
-// relevant revocation/outage event arrived since the last decision at
-// instant t, recompute asks SpotLight for the current best restart
-// market, and the policy caches the target in between — a checkpointed
-// job re-plans its restart market when the information service pushes
-// news, not every tick.
-func EventSteeredFallback(signaled func(t time.Time) bool, recompute func(t time.Time) market.SpotID) FallbackPolicy {
-	var cached market.SpotID
-	have := false
-	return func(t time.Time) market.SpotID {
-		if signaled(t) || !have {
-			cached = recompute(t)
-			have = true
-		}
-		return cached
-	}
-}
-
 // JobConfig describes one batch job run.
 type JobConfig struct {
 	// Market hosts the job's spot server.
