@@ -150,7 +150,7 @@ smoke:
 	$(GO) run ./cmd/spotlightd -addr 127.0.0.1:0 -smoke
 
 # Scale-out smoke: spotload boots a leader, a read replica following it
-# over /v2/watch, and a scatter-gather gateway fronting both, then loads
+# over /v2/watch, and a gateway fronting both as a replica fleet, then loads
 # the gateway and writes the latency distribution to spotload-report.txt
 # (archived by CI next to bench-smoke.txt). Fails unless every request
 # succeeded against the 2-node fleet AND every node's /metrics serves

@@ -1,45 +1,32 @@
-// Command spotlight-gateway fronts a fleet of SpotLight store nodes with
-// one scatter-gather HTTP endpoint (see internal/gateway and
+// Command spotlight-gateway fronts a replica fleet of SpotLight store
+// nodes — a leader and its -follow followers, each holding the full
+// store — with one HTTP endpoint (see internal/gateway and
 // docs/replication.md).
 //
 // Usage:
 //
 //	spotlight-gateway -nodes http://a:8080,http://b:8080 [-addr :8090]
-//	                  [-partitioned] [-timeout 10s]
-//	                  [-log-format text|json] [-debug-addr ADDR]
+//	                  [-timeout 10s] [-log-format text|json] [-debug-addr ADDR]
 //
 // The gateway serves its own metrics — per-node upstream latency and
-// outcomes, retries, breaker state, partial merges, plus the
-// shared HTTP series — on GET /metrics (Prometheus text) and GET
-// /v2/metrics (JSON). -debug-addr adds a second listener with
-// net/http/pprof. Logs are structured (log/slog); -log-format picks
-// text or json.
+// outcomes, retries, breaker state, plus the shared HTTP series — on
+// GET /metrics (Prometheus text) and GET /v2/metrics (JSON). -debug-addr
+// adds a second listener with net/http/pprof. Logs are structured
+// (log/slog); -log-format picks text or json.
 //
-// Without -partitioned the nodes are assumed to be full replicas (a
-// leader and its -follow followers): each query routes whole to one node
-// by consistent hash, spreading load while preserving per-market cache
-// affinity, and upstream ETags pass through untouched. With -partitioned
-// the nodes are assumed to each own a disjoint subset of markets:
-// market-scoped queries route to the owner, and the scope-less
-// aggregations (summary, stable, volatile, and the /v2/advise decision
-// endpoint) fan out to every node and are merged at the gateway.
+// Every request is forwarded whole to one node picked by consistent
+// hash — /v1 reads by market (per-market cache affinity), POST
+// /v2/query batches and /v2/advise by their body — and the node's
+// status, body and ETag pass through untouched. GET /v2/health
+// aggregates the whole fleet.
 //
-// POST /v2/query batches are split per node and the sub-batches run
-// concurrently; a node failure fails only its own queries (code
-// "upstream", with the node URL in details) while the rest of the batch
-// answers normally. GET /v2/health aggregates the whole fleet.
-//
-// The gateway is health-aware: on a replica fleet an idempotent read
-// tries every node once, healthy ones first, until one answers; on a
-// partitioned fleet it re-tries the owner once. A node that fails 3 calls
-// in a row is ejected from rotation for 5s (circuit breaker; /v2/health
-// shows per-node breaker state), then re-admitted by a successful trial
-// call or health poll. A slow but live node costs up to -timeout per
-// read: failover moves on only when an attempt fails. On a
-// partitioned fleet a missing partition degrades fanned-out answers to
-// partial (named in the "partial" field / X-Spotlight-Partial header)
-// instead of failing them, and complete fan-outs carry a merged gateway
-// ETag honored against If-None-Match.
+// The gateway is health-aware: an idempotent read tries every node
+// once, healthy ones first, until one answers; only when every node
+// fails does it answer 502 with code "upstream". A node that fails 3
+// calls in a row is ejected from rotation for 5s (circuit breaker;
+// /v2/health shows per-node breaker state), then re-admitted by a
+// successful trial call or health poll. A slow but live node costs up
+// to -timeout per read: failover moves on only when an attempt fails.
 package main
 
 import (
@@ -89,8 +76,6 @@ func parseFlags(args []string) (gateway.Config, cmdOptions, error) {
 		"optional debug listener serving net/http/pprof plus /metrics (empty disables)")
 	fs.StringVar(&nodes, "nodes", "",
 		"comma-separated store node base URLs (e.g. http://a:8080,http://b:8080)")
-	fs.BoolVar(&cfg.Partitioned, "partitioned", false,
-		"nodes each own a disjoint market subset (fan out and merge scope-less aggregations) instead of being full replicas")
 	fs.DurationVar(&cfg.Timeout, "timeout", 10*time.Second, "per upstream round-trip timeout")
 	if err := fs.Parse(args); err != nil {
 		return cfg, c, err
@@ -136,11 +121,7 @@ func run(args []string) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	mode := "replica-fleet"
-	if cfg.Partitioned {
-		mode = "partitioned"
-	}
-	logger.Info("serving", "addr", ln.Addr().String(), "mode", mode, "nodes", len(cfg.Nodes))
+	logger.Info("serving", "addr", ln.Addr().String(), "nodes", len(cfg.Nodes))
 	if cmd.debugAddr != "" {
 		dbg, stopDbg, err := obs.ServeDebug(cmd.debugAddr, reg)
 		if err != nil {

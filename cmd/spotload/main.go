@@ -13,11 +13,11 @@
 // spotlightd, a follower, or a spotlight-gateway fleet front.
 //
 // With -smoke the harness is self-contained: it boots a leader, attaches
-// one read replica over /v2/watch, fronts both with a scatter-gather
+// one read replica over /v2/watch, fronts both with a replica-fleet
 // gateway, runs a short load against the gateway, and exits non-zero
 // unless every request succeeded and both nodes answered health checks —
 // the CI proof that the whole scale-out path (replication, routing,
-// batch splitting) serves under concurrent load. The report is printed
+// forwarding) serves under concurrent load. The report is printed
 // and, with -report, also written to a file for archiving.
 //
 // With -chaos the harness runs the failure-domain drill instead: a

@@ -57,10 +57,9 @@
 //     by tailing its /v2/watch change feed, adopting the leader's clock
 //     and ETag salt so a caught-up follower answers byte-identically
 //     (docs/replication.md)
-//   - internal/gateway     — the scatter-gather front door: one endpoint
-//     over N store nodes with consistent-hash routing, per-node batch
-//     splitting, per-query upstream error isolation, and
-//     partitioned-fleet merges
+//   - internal/gateway     — the front door: one endpoint over N replica
+//     nodes, forwarding each request whole to one node by consistent
+//     hash, with every-peer failover and circuit breakers
 //   - internal/loadgen     — mixed read workload driver recording
 //     per-operation latency distributions
 //   - cmd/spotlight-study  — regenerate every table and figure
@@ -71,8 +70,7 @@
 //     stream through pkg/client and exits; -data-dir makes the study
 //     durable across restarts; -follow runs the daemon as a read
 //     replica of another node)
-//   - cmd/spotlight-gateway— front a replica or partitioned fleet with
-//     one scatter-gather endpoint
+//   - cmd/spotlight-gateway— front a replica fleet with one endpoint
 //   - cmd/spotload         — load harness; -smoke boots a leader, a
 //     follower, and a gateway in-process and proves the scale-out path
 //     under concurrent load

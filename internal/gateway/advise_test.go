@@ -15,43 +15,6 @@ import (
 	"spotlight/pkg/api"
 )
 
-func TestMergeAdvise(t *testing.T) {
-	winTo := t0.Add(24 * time.Hour)
-	lists := []*api.AdviseResult{
-		{From: t0, To: winTo, Candidates: []api.AdviseCandidate{
-			{Rank: 1, Market: "mkt-a", Score: 90, PriceSamples: 10},
-			{Rank: 2, Market: "mkt-shared", Score: 70, PriceSamples: 3},
-		}},
-		nil, // a partition with no answer contributes nothing
-		{From: t0, To: winTo, Candidates: []api.AdviseCandidate{
-			{Rank: 1, Market: "mkt-b", Score: 95, PriceSamples: 8},
-			{Rank: 2, Market: "mkt-shared", Score: 72, PriceSamples: 12},
-		}},
-	}
-	got := mergeAdvise(lists, 2)
-	if len(got.Candidates) != 2 {
-		t.Fatalf("merged candidates = %+v, want the top 2", got.Candidates)
-	}
-	if got.Candidates[0].Market != "mkt-b" || got.Candidates[1].Market != "mkt-a" {
-		t.Errorf("merged order = [%s %s], want [mkt-b mkt-a]", got.Candidates[0].Market, got.Candidates[1].Market)
-	}
-	for i, c := range got.Candidates {
-		if c.Rank != i+1 {
-			t.Errorf("rank %d renumbered to %d", i+1, c.Rank)
-		}
-	}
-	if !got.From.Equal(t0) || !got.To.Equal(winTo) {
-		t.Errorf("merged window = %s..%s", got.From, got.To)
-	}
-	// The duplicated market keeps the row with more evidence.
-	full := mergeAdvise(lists, 10)
-	for _, c := range full.Candidates {
-		if c.Market == "mkt-shared" && c.PriceSamples != 12 {
-			t.Errorf("shared market kept %d samples, want the 12-sample row", c.PriceSamples)
-		}
-	}
-}
-
 // postAdviseRaw posts an advise request and returns status, headers, body.
 func postAdviseRaw(t *testing.T, url string, areq api.AdviseRequest, etag string) (*http.Response, []byte) {
 	t.Helper()
@@ -77,122 +40,6 @@ func postAdviseRaw(t *testing.T, url string, areq api.AdviseRequest, etag string
 func seedPrices(db *store.Store, id market.SpotID, price float64) {
 	for i := 0; i < 24; i++ {
 		db.RecordPrice(id, store.PricePoint{At: t0.Add(time.Duration(i) * time.Hour), Price: price})
-	}
-}
-
-func TestPartitionedAdviseFanOut(t *testing.T) {
-	dbs := []*store.Store{store.New(), store.New()}
-	srv0, srv1 := newNode(t, dbs[0]), newNode(t, dbs[1])
-	g, err := New(Config{Nodes: []string{srv0.URL, srv1.URL}, Partitioned: true, Timeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gsrv := gwServer(t, g)
-
-	// Price a handful of markets, each recorded only on its ring owner, so
-	// no single node can produce the full ranking.
-	perNode := make([]int, len(dbs))
-	ids := partitionedMarkets(t, g, len(dbs), 6)
-	for i, id := range ids {
-		n := g.ring.pick(id.String())
-		seedPrices(dbs[n], id, 0.01+0.01*float64(i))
-		perNode[n]++
-	}
-	if perNode[0] == 0 || perNode[1] == 0 {
-		t.Fatalf("ring put all markets on one node: %v", perNode)
-	}
-
-	areq := api.AdviseRequest{
-		AdviseConstraints: api.AdviseConstraints{Regions: []string{"us-east-1"}, N: 10},
-		Window:            api.Between(t0, t0.Add(24*time.Hour)),
-	}
-	resp, body := postAdviseRaw(t, gsrv.URL, areq, "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d body=%s", resp.StatusCode, body)
-	}
-	var out api.AdviseResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Candidates) != len(ids) {
-		t.Fatalf("merged candidates = %d, want all %d priced markets across both partitions", len(out.Candidates), len(ids))
-	}
-	seen := make(map[int]bool)
-	for i, c := range out.Candidates {
-		if c.Rank != i+1 {
-			t.Errorf("rank %d carries Rank=%d", i+1, c.Rank)
-		}
-		if i > 0 && out.Candidates[i-1].Score < c.Score {
-			t.Errorf("merged ranking not score-descending at %d", i)
-		}
-		seen[g.ring.pick(c.Market)] = true
-	}
-	if !seen[0] || !seen[1] {
-		t.Errorf("merged ranking drew from one partition only")
-	}
-
-	// A complete fan-out carries a merged gateway ETag, and revalidating
-	// with it answers an empty 304 — the merge is skipped entirely when
-	// no partition's scope generation moved.
-	etag := resp.Header.Get(api.HeaderETag)
-	if etag == "" {
-		t.Fatal("complete fan-out advise carries no ETag")
-	}
-	rnm, rnmBody := postAdviseRaw(t, gsrv.URL, areq, etag)
-	if rnm.StatusCode != http.StatusNotModified || len(rnmBody) != 0 {
-		t.Fatalf("fan-out validator answered %d (%q), want empty 304", rnm.StatusCode, rnmBody)
-	}
-	if rnmEtag := rnm.Header.Get(api.HeaderETag); rnmEtag != etag {
-		t.Errorf("304 ETag = %q, want the merged tag %q", rnmEtag, etag)
-	}
-
-	// New data on either partition invalidates the merged tag.
-	dbs[g.ring.pick(ids[0].String())].RecordPrice(ids[0], store.PricePoint{At: t0.Add(25 * time.Hour), Price: 0.5})
-	fresh, body2 := postAdviseRaw(t, gsrv.URL, areq, etag)
-	if fresh.StatusCode != http.StatusOK {
-		t.Fatalf("post-append validator answered %d (%q), want a fresh 200", fresh.StatusCode, body2)
-	}
-	if newTag := fresh.Header.Get(api.HeaderETag); newTag == "" || newTag == etag {
-		t.Errorf("post-append ETag = %q, want a new tag (old %q)", newTag, etag)
-	}
-
-	// Constraint errors surface as the node's own envelope.
-	bad, body := postAdviseRaw(t, gsrv.URL, api.AdviseRequest{
-		AdviseConstraints: api.AdviseConstraints{Regions: []string{"mars-north-1"}},
-	}, "")
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad-region status = %d body=%s", bad.StatusCode, body)
-	}
-	var e api.Error
-	if err := json.Unmarshal(body, &e); err != nil || e.Code != api.CodeBadParam {
-		t.Errorf("bad-region envelope = %s", body)
-	}
-
-	// A dead partition degrades the advise instead of failing it: the
-	// live partitions' markets are still ranked, and Partial names the
-	// missing node so callers know the ranking is narrower than the fleet.
-	srv1.Close()
-	degraded, body := postAdviseRaw(t, gsrv.URL, areq, "")
-	if degraded.StatusCode != http.StatusOK {
-		t.Fatalf("degraded status = %d body=%s", degraded.StatusCode, body)
-	}
-	var part api.AdviseResponse
-	if err := json.Unmarshal(body, &part); err != nil {
-		t.Fatal(err)
-	}
-	if len(part.Partial) != 1 || part.Partial[0] != srv1.URL {
-		t.Errorf("degraded partial = %v, want [%s]", part.Partial, srv1.URL)
-	}
-	if len(part.Candidates) != perNode[0] {
-		t.Errorf("degraded candidates = %d, want partition 0's %d markets", len(part.Candidates), perNode[0])
-	}
-	for _, c := range part.Candidates {
-		if g.ring.pick(c.Market) != 0 {
-			t.Errorf("degraded ranking includes dead partition's market %s", c.Market)
-		}
-	}
-	if degraded.Header.Get(api.HeaderETag) != "" {
-		t.Errorf("degraded advise carries ETag %q; partial responses must not be cacheable", degraded.Header.Get(api.HeaderETag))
 	}
 }
 

@@ -37,57 +37,6 @@ func TestRingStableAndBalanced(t *testing.T) {
 	}
 }
 
-func TestMergeSummaries(t *testing.T) {
-	lists := [][]api.RegionSummary{
-		{{Region: "us-east-1", ODOutages: 2, MeanODOutage: 10 * time.Minute, TotalODProbes: 100, TotalSpotProbes: 50, RejectedSpotPcnt: 0.10}},
-		{{Region: "us-east-1", ODOutages: 1, MeanODOutage: 40 * time.Minute, TotalODProbes: 20, TotalSpotProbes: 150, RejectedSpotPcnt: 0.30},
-			{Region: "eu-west-1", ODOutages: 0, TotalODProbes: 5}},
-	}
-	got := mergeSummaries(lists)
-	if len(got) != 2 || got[0].Region != "eu-west-1" || got[1].Region != "us-east-1" {
-		t.Fatalf("merged regions = %+v", got)
-	}
-	ue := got[1]
-	if ue.ODOutages != 3 || ue.TotalODProbes != 120 || ue.TotalSpotProbes != 200 {
-		t.Errorf("counters did not sum: %+v", ue)
-	}
-	// (2*10m + 1*40m) / 3 = 20m, weighted by outage count.
-	if ue.MeanODOutage != 20*time.Minute {
-		t.Errorf("MeanODOutage = %v, want 20m", ue.MeanODOutage)
-	}
-	// (0.10*50 + 0.30*150) / 200 = 0.25, weighted by spot probes.
-	if ue.RejectedSpotPcnt != 0.25 {
-		t.Errorf("RejectedSpotPcnt = %v, want 0.25", ue.RejectedSpotPcnt)
-	}
-}
-
-func TestMergeStableRanksFleetWide(t *testing.T) {
-	// Node 0 owns mkt-a (2 crossings); node 1 reports the catalog zero
-	// for it. Node 1 owns mkt-b (0 crossings, some unavailability).
-	lists := [][]api.StableMarket{
-		{{Market: "mkt-a", Crossings: 2, ODUnavailability: 0.1}, {Market: "mkt-b"}},
-		{{Market: "mkt-a"}, {Market: "mkt-b", ODUnavailability: 0.05}},
-	}
-	got := mergeStable(lists, 1)
-	if len(got) != 1 || got[0].Market != "mkt-b" {
-		t.Fatalf("merged ranking = %+v, want mkt-b first (fewest crossings wins)", got)
-	}
-	if got[0].ODUnavailability != 0.05 {
-		t.Errorf("mkt-b row = %+v, want the owning node's signal kept", got[0])
-	}
-}
-
-func TestMergeVolatileRanksFleetWide(t *testing.T) {
-	lists := [][]api.VolatileMarket{
-		{{Market: "mkt-a", Crossings: 5, MaxRatio: 2.0}},
-		{{Market: "mkt-b", Crossings: 5, MaxRatio: 3.0}, {Market: "mkt-c", Crossings: 1, MaxRatio: 9.0}},
-	}
-	got := mergeVolatile(lists, 2)
-	if len(got) != 2 || got[0].Market != "mkt-b" || got[1].Market != "mkt-a" {
-		t.Fatalf("merged ranking = %+v, want [mkt-b mkt-a] (crossings desc, ratio desc)", got)
-	}
-}
-
 // newNode builds one real store node: a fresh store served by the query
 // API under the shared test clock.
 func newNode(t *testing.T, db *store.Store) *httptest.Server {
@@ -107,62 +56,28 @@ func gwServer(t *testing.T, g *Gateway) *httptest.Server {
 	return srv
 }
 
-func postBatch(t *testing.T, url string, req api.BatchRequest) (int, api.BatchResponse) {
+// postBatchRaw posts a raw /v2/query body, revalidating etag when set,
+// and returns the response with its body read.
+func postBatchRaw(t *testing.T, url string, body []byte, etag string) (*http.Response, []byte) {
 	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/v2/query", "application/json", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, url+"/v2/query", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if etag != "" {
+		req.Header.Set(api.HeaderIfNoneMatch, etag)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
-	var out api.BatchResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(raw, &out); err != nil {
-			t.Fatalf("decode batch response: %v: %s", err, raw)
-		}
-	}
-	return resp.StatusCode, out
+	return resp, raw
 }
 
-// usEastMarkets returns catalog spot markets in us-east-1.
-// partitionedMarkets returns n us-east-1 spot markets chosen so every
-// ring partition owns at least one. The ring hashes the node URLs, and
-// httptest ports are ephemeral, so a fixed prefix of the catalog can
-// land entirely on one node for an unlucky port draw — scan the whole
-// region and seed each partition first instead.
-func partitionedMarkets(t *testing.T, g *Gateway, parts, n int) []market.SpotID {
-	t.Helper()
-	byNode := make([][]market.SpotID, parts)
-	for _, id := range market.New().SpotMarkets() {
-		if strings.HasPrefix(string(id.Zone), "us-east-1") {
-			p := g.ring.pick(id.String())
-			byNode[p] = append(byNode[p], id)
-		}
-	}
-	var ids []market.SpotID
-	for p, owned := range byNode {
-		if len(owned) == 0 {
-			t.Fatalf("ring assigned no us-east-1 market to partition %d", p)
-		}
-		ids = append(ids, owned[0])
-		byNode[p] = owned[1:]
-	}
-	for p, idle := 0, 0; len(ids) < n && idle < parts; p = (p + 1) % parts {
-		if len(byNode[p]) == 0 {
-			idle++
-			continue
-		}
-		idle = 0
-		ids = append(ids, byNode[p][0])
-		byNode[p] = byNode[p][1:]
-	}
-	if len(ids) < n {
-		t.Fatalf("catalog has only %d us-east-1 spot markets, want %d", len(ids), n)
-	}
-	return ids
-}
-
+// usEastMarkets returns the first n us-east-1 spot markets of the catalog.
 func usEastMarkets(t *testing.T, n int) []market.SpotID {
 	t.Helper()
 	var ids []market.SpotID
@@ -191,134 +106,6 @@ func seedProbes(db *store.Store, id market.SpotID, count, rejected int) {
 	// Close any outage the rejected run opened, so summaries are settled.
 	rs = append(rs, store.ProbeRecord{At: t0.Add(time.Duration(count) * time.Minute), Market: id, Kind: store.ProbeOnDemand})
 	db.AppendProbes(rs)
-}
-
-// A partitioned fleet: each market's records live only on its ring
-// owner. The gateway must answer market queries from the owner, merge
-// the scope-less summary across partitions, and isolate a dead
-// partition's failures per query.
-func TestPartitionedScatterGather(t *testing.T) {
-	dbs := []*store.Store{store.New(), store.New()}
-	srv0, srv1 := newNode(t, dbs[0]), newNode(t, dbs[1])
-	nodes := []string{srv0.URL, srv1.URL}
-	g, err := New(Config{Nodes: nodes, Partitioned: true, Timeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gsrv := gwServer(t, g)
-
-	// Shard by the gateway's own ring, and find one market per node so
-	// the routing assertions are deterministic.
-	perNode := make([]market.SpotID, len(nodes))
-	total := 0
-	for i, id := range partitionedMarkets(t, g, len(nodes), 8) {
-		n := g.ring.pick(id.String())
-		count := 10 + i
-		seedProbes(dbs[n], id, count, 2)
-		total += count + 1 // +1 settling probe
-		perNode[n] = id
-	}
-	for n, id := range perNode {
-		if id == (market.SpotID{}) {
-			t.Fatalf("ring assigned no test market to node %d", n)
-		}
-	}
-
-	window := api.Window{From: t0, To: t0.Add(24 * time.Hour)}
-	status, resp := postBatch(t, gsrv.URL, api.BatchRequest{Queries: []api.Query{
-		{Kind: api.KindSummary},
-		{Kind: api.KindUnavailability, Market: perNode[0].String(), Window: window},
-		{Kind: api.KindUnavailability, Market: perNode[1].String(), Window: window},
-		{Kind: api.KindStable, Region: "us-east-1", N: 3, Window: window},
-	}})
-	if status != http.StatusOK {
-		t.Fatalf("batch status = %d", status)
-	}
-	for i, res := range resp.Results {
-		if res.Error != nil {
-			t.Fatalf("query %d failed: %+v", i, res.Error)
-		}
-	}
-	var usEast *api.RegionSummary
-	for i := range resp.Results[0].Summary {
-		if resp.Results[0].Summary[i].Region == "us-east-1" {
-			usEast = &resp.Results[0].Summary[i]
-		}
-	}
-	if usEast == nil || usEast.TotalODProbes != total {
-		t.Fatalf("merged summary = %+v, want %d total OD probes across both partitions", resp.Results[0].Summary, total)
-	}
-	if len(resp.Results[3].Stable) != 3 {
-		t.Fatalf("merged stable ranking has %d rows, want 3", len(resp.Results[3].Stable))
-	}
-
-	// The /v1 surface merges the same way.
-	r1, err := http.Get(gsrv.URL + "/v1/summary")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []api.RegionSummary
-	if err := json.NewDecoder(r1.Body).Decode(&rows); err != nil {
-		t.Fatal(err)
-	}
-	r1.Body.Close()
-	if len(rows) == 0 || rows[0].TotalODProbes != total {
-		t.Fatalf("/v1/summary via gateway = %+v, want %d probes", rows, total)
-	}
-
-	// Scope-less watches cannot be served from a partitioned fleet.
-	rw, err := http.Get(gsrv.URL + "/v2/watch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rw.Body.Close()
-	if rw.StatusCode != http.StatusBadRequest {
-		t.Fatalf("partitioned scope-less watch status = %d, want 400", rw.StatusCode)
-	}
-
-	// Kill partition 1: its market-scoped queries fail with code
-	// "upstream" naming the node, fanned queries degrade to a partial
-	// merge over the answering partitions, and partition 0's queries
-	// still answer.
-	srv1.Close()
-	status, resp = postBatch(t, gsrv.URL, api.BatchRequest{Queries: []api.Query{
-		{Kind: api.KindUnavailability, Market: perNode[0].String(), Window: window},
-		{Kind: api.KindUnavailability, Market: perNode[1].String(), Window: window},
-		{Kind: api.KindSummary},
-	}})
-	if status != http.StatusOK {
-		t.Fatalf("degraded batch status = %d, want 200 with per-query errors", status)
-	}
-	if err := resp.Results[0].Error; err != nil {
-		t.Errorf("live partition's query failed: %+v", err)
-	}
-	if err := resp.Results[1].Error; err == nil || err.Code != api.CodeUpstream {
-		t.Errorf("dead partition's market query error = %+v, want code %q", err, api.CodeUpstream)
-	} else if err.Details["node"] != nodes[1] {
-		t.Errorf("dead partition's market query names node %q, want %q", err.Details["node"], nodes[1])
-	}
-	if err := resp.Results[2].Error; err != nil {
-		t.Errorf("fanned summary on degraded fleet failed: %+v, want partial merge", err)
-	} else if p := resp.Results[2].Partial; len(p) != 1 || p[0] != nodes[1] {
-		t.Errorf("fanned summary partial = %v, want [%s]", p, nodes[1])
-	}
-
-	// Aggregated health: degraded, with the dead node called out.
-	rh, err := http.Get(gsrv.URL + "/v2/health")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rh.Body.Close()
-	var h api.Health
-	if err := json.NewDecoder(rh.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	if h.Status != "degraded" || h.Store.Mode != "gateway" || h.Gateway == nil {
-		t.Fatalf("degraded fleet health = %+v", h)
-	}
-	if len(h.Gateway.Nodes) != 2 || h.Gateway.Nodes[1].Status != "unreachable" {
-		t.Fatalf("per-node health = %+v, want node 1 unreachable", h.Gateway.Nodes)
-	}
 }
 
 // A node that keeps failing must show up in aggregated health with its
@@ -380,7 +167,7 @@ func getHealth(t *testing.T, baseURL string) api.Health {
 
 // A replica fleet: both nodes serve the same store, so any routing is
 // correct — the gateway's answers must match a direct node's exactly,
-// and proxied /v1 reads keep the node's ETag (cross-checkable because
+// batches and /v1 reads alike, ETags included (cross-checkable because
 // replicas share the leader's salt; here both nodes are one API).
 func TestReplicaFleetMatchesDirect(t *testing.T) {
 	db := store.New()
@@ -409,52 +196,32 @@ func TestReplicaFleetMatchesDirect(t *testing.T) {
 		{Kind: api.KindUnavailability, Market: ids[0].String(), Window: window},
 		{Kind: api.KindUnavailability, Market: ids[3].String(), Window: window},
 	}
-	status, viaGW := postBatch(t, gsrv.URL, api.BatchRequest{Queries: queries})
-	if status != http.StatusOK {
-		t.Fatalf("gateway batch status = %d", status)
+	// The batch forwards whole: status, body and ETag are the node's, byte
+	// for byte.
+	batch, _ := json.Marshal(api.BatchRequest{Queries: queries})
+	viaGW, gwBody := postBatchRaw(t, gsrv.URL, batch, "")
+	direct, directBody := postBatchRaw(t, srvA.URL, batch, "")
+	if viaGW.StatusCode != http.StatusOK || direct.StatusCode != http.StatusOK {
+		t.Fatalf("batch status via gateway %d, direct %d", viaGW.StatusCode, direct.StatusCode)
 	}
-	statusD, direct := postBatch(t, srvA.URL, api.BatchRequest{Queries: queries})
-	if statusD != http.StatusOK {
-		t.Fatalf("direct batch status = %d", statusD)
+	if !bytes.Equal(gwBody, directBody) {
+		t.Errorf("gateway batch diverged from direct node\n via: %.300s\nnode: %.300s", gwBody, directBody)
 	}
-	got, _ := json.Marshal(viaGW.Results)
-	want, _ := json.Marshal(direct.Results)
-	if string(got) != string(want) {
-		t.Errorf("gateway batch diverged from direct node\n via: %.300s\nnode: %.300s", got, want)
-	}
-	if !viaGW.Now.Equal(direct.Now) {
-		t.Errorf("gateway Now = %v, direct %v", viaGW.Now, direct.Now)
+	batchTag := direct.Header.Get(api.HeaderETag)
+	if batchTag == "" || viaGW.Header.Get(api.HeaderETag) != batchTag {
+		t.Fatalf("gateway batch ETag = %q, direct %q", viaGW.Header.Get(api.HeaderETag), batchTag)
 	}
 
-	// The gateway's merged batch tag revalidates under the same
-	// If-None-Match rules as a node's — a weak-prefixed validator (what
-	// caching intermediaries forward) included.
-	batchBody, _ := json.Marshal(api.BatchRequest{Queries: queries})
-	var batchTag string
-	for _, tc := range []struct {
-		validator func() string
-		want      int
-	}{
-		{func() string { return "" }, http.StatusOK},
-		{func() string { return batchTag }, http.StatusNotModified},
-		{func() string { return "W/" + batchTag }, http.StatusNotModified},
-		{func() string { return `"stale", W/` + batchTag }, http.StatusNotModified},
-	} {
-		req, _ := http.NewRequest(http.MethodPost, gsrv.URL+"/v2/query", bytes.NewReader(batchBody))
-		if v := tc.validator(); v != "" {
-			req.Header.Set(api.HeaderIfNoneMatch, v)
+	// A tag taken directly from a node revalidates through the gateway
+	// under the node's If-None-Match rules — a weak-prefixed validator
+	// (what caching intermediaries forward) and a list included.
+	for _, v := range []string{batchTag, "W/" + batchTag, `"stale", W/` + batchTag} {
+		resp, body := postBatchRaw(t, gsrv.URL, batch, v)
+		if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+			t.Fatalf("gateway batch with If-None-Match %q answered %d (%q), want empty 304", v, resp.StatusCode, body)
 		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Fatalf("gateway batch with If-None-Match %q answered %d, want %d", tc.validator(), resp.StatusCode, tc.want)
-		}
-		if batchTag = resp.Header.Get(api.HeaderETag); batchTag == "" {
-			t.Fatal("gateway batch response carries no ETag")
+		if tag := resp.Header.Get(api.HeaderETag); tag != batchTag {
+			t.Errorf("304 ETag = %q, want the node's %q", tag, batchTag)
 		}
 	}
 
@@ -486,5 +253,56 @@ func TestReplicaFleetMatchesDirect(t *testing.T) {
 	defer rnm.Body.Close()
 	if rnm.StatusCode != http.StatusNotModified {
 		t.Fatalf("validator through gateway answered %d, want 304", rnm.StatusCode)
+	}
+}
+
+// The node, not the gateway, judges a batch envelope: an empty, oversized
+// or malformed batch relays the node's own 400 and error code. Only when
+// no node answers does the gateway speak for itself: 502, code "upstream".
+func TestReplicaBatchRelaysNodeErrorsAnd502sADeadFleet(t *testing.T) {
+	live := newNode(t, store.New())
+	g, err := New(Config{Nodes: []string{live.URL, deadURL()}, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gsrv := gwServer(t, g)
+
+	over := make([]api.Query, api.MaxBatchQueries+1)
+	for i := range over {
+		over[i] = api.Query{Kind: api.KindSummary}
+	}
+	overBody, _ := json.Marshal(api.BatchRequest{Queries: over})
+	for _, tc := range []struct {
+		name string
+		body string
+		code string
+	}{
+		{"empty", `{"queries":[]}`, api.CodeBadRequest},
+		{"over the limit", string(overBody), api.CodeTooManyQueries},
+		{"malformed", `{"queries":[`, api.CodeBadRequest},
+	} {
+		resp, body := postBatchRaw(t, gsrv.URL, []byte(tc.body), "")
+		_, direct := postBatchRaw(t, live.URL, []byte(tc.body), "")
+		var e api.Error
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || e.Code != tc.code {
+			t.Errorf("%s batch via gateway = %d %s, want 400 with code %q", tc.name, resp.StatusCode, body, tc.code)
+		}
+		if !bytes.Equal(body, direct) {
+			t.Errorf("%s batch: gateway relayed %s, node said %s", tc.name, body, direct)
+		}
+	}
+
+	dead, err := New(Config{Nodes: []string{deadURL(), deadURL()}, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, _ := json.Marshal(api.BatchRequest{Queries: []api.Query{{Kind: api.KindSummary}}})
+	resp, body := postBatchRaw(t, gwServer(t, dead).URL, batch, "")
+	var e api.Error
+	if resp.StatusCode != http.StatusBadGateway || json.Unmarshal(body, &e) != nil || e.Code != api.CodeUpstream {
+		t.Fatalf("dead fleet batch = %d %s, want 502 with code %q", resp.StatusCode, body, api.CodeUpstream)
+	}
+	if resp.Header.Get(api.HeaderETag) != "" {
+		t.Errorf("502 carries ETag %q", resp.Header.Get(api.HeaderETag))
 	}
 }

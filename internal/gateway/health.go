@@ -3,11 +3,11 @@
 //
 // A store node that is slow, dead, or resetting connections must cost
 // the fleet one degraded answer, not a hard 502 for everything routed its
-// way. batchNode and forward below both call failover, which tries the
-// candidates in order and records per-node outcomes in the tracker; a
-// node that fails failThreshold calls in a row is ejected (breaker opens)
-// and ordered behind its peers until a successful call re-admits it —
-// a lazy half-open trial once ejectFor has passed, or a /v2/health poll.
+// way. forward below calls failover, which tries the candidates in order
+// and records per-node outcomes in the tracker; a node that fails
+// failThreshold calls in a row is ejected (breaker opens) and ordered
+// behind its peers until a successful call re-admits it — a lazy
+// half-open trial once ejectFor has passed, or a /v2/health poll.
 package gateway
 
 import (
@@ -112,24 +112,14 @@ func (t *tracker) snapshot(i int) (state string, fails int) {
 	return state, s.fails
 }
 
-// nodeAlive classifies a batch-call error: an *api.Error other than
-// "internal" means the node answered — it is healthy, the query was bad
-// — while transport failures and node-internal errors count against the
-// breaker and are worth retrying elsewhere.
-func nodeAlive(err error) bool {
-	var aerr *api.Error
-	return errors.As(err, &aerr) && aerr.Code != api.CodeInternal
-}
-
 // candidates builds the attempt order for one idempotent call whose
-// affinity choice is primary. On a replica fleet any node can answer, so
-// every distinct node is tried once, in index order from primary with
-// healthy nodes first (ejected nodes stay at the tail as a last resort —
-// a fully ejected fleet still gets tried rather than failing without a
-// single wire attempt). On a partitioned or single-node fleet only the
-// owner has the data, so it is re-tried once.
+// affinity choice is primary. Any replica can answer, so every distinct
+// node is tried once, in index order from primary with healthy nodes
+// first (ejected nodes stay at the tail as a last resort — a fully
+// ejected fleet still gets tried rather than failing without a single
+// wire attempt). A single-node fleet re-tries its one node once.
 func (g *Gateway) candidates(primary int) []int {
-	if g.cfg.Partitioned || len(g.clients) == 1 {
+	if len(g.clients) == 1 {
 		return []int{primary, primary}
 	}
 	out := make([]int, 0, len(g.clients))
@@ -184,29 +174,11 @@ func (g *Gateway) failover(ctx context.Context, primary int, try func(n int) boo
 	return false
 }
 
-// batchNode runs one node sub-batch through failover, filling call with
-// the answering node's response — or, when no candidate answered, with
-// the first failure.
-func (g *Gateway) batchNode(ctx context.Context, primary int, call *nodeCall) {
-	g.failover(ctx, primary, func(n int) bool {
-		resp, etag, err := g.clients[n].BatchTagged(ctx, call.queries...)
-		if err == nil || nodeAlive(err) {
-			call.resp, call.etag, call.node, call.err = resp, etag, n, err
-			return true
-		}
-		if call.err == nil {
-			call.node, call.err = n, err
-		}
-		return false
-	})
-}
-
-// forward relays one idempotent HTTP request (a /v1 GET, or the
-// replica-fleet advise POST whose body the caller buffered) through
-// failover, copying the first usable answer — status, headers (ETags
-// included), body — back to the client. A transport error or 5xx moves
-// on to the next candidate; a 2xx/3xx/4xx is the node's real answer and
-// relays as-is.
+// forward relays one idempotent HTTP request (a /v1 GET, or a batch or
+// advise POST whose body the caller buffered) through failover, copying
+// the first usable answer — status, headers (ETags included), body —
+// back to the client. A transport error or 5xx moves on to the next
+// candidate; a 2xx/3xx/4xx is the node's real answer and relays as-is.
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, primary int, body []byte) {
 	var lastErr error
 	var lastNode string

@@ -1,5 +1,5 @@
 // Gateway observability: per-upstream latency and outcome series,
-// the retry counter, breaker state, and partial-merge counts.
+// the retry counter, and breaker state.
 //
 // The per-node children are resolved once at EnableMetrics into plain
 // slices indexed by node — the hot path (failover's candidate loop) then
@@ -19,8 +19,7 @@ import (
 // where labeled. Allocated (with sized slices) in New; armed by
 // EnableMetrics.
 type gwMetrics struct {
-	retries       *obs.Counter
-	partialMerges *obs.Counter
+	retries *obs.Counter
 
 	upstreamSeconds []*obs.Histogram
 	upstreamOK      []*obs.Counter
@@ -60,8 +59,6 @@ func (g *Gateway) EnableMetrics(reg *obs.Registry) {
 	m := g.metrics
 	m.retries = reg.Counter("spotlight_gateway_retries_total",
 		"Upstream attempts launched because a previous candidate failed.")
-	m.partialMerges = reg.Counter("spotlight_gateway_partial_merges_total",
-		"Fanned-out queries merged with at least one partition missing.")
 	for i, node := range g.cfg.Nodes {
 		m.upstreamSeconds[i] = reg.Histogram("spotlight_gateway_upstream_seconds",
 			"Latency of one upstream call, per node.", "node", node)

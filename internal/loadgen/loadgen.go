@@ -2,7 +2,7 @@
 // replica fleet, or a gateway — with a mixed read workload and records
 // per-operation latency distributions. Command spotload is the flag
 // wrapper; its -smoke mode boots a leader, a follower, and a gateway
-// in-process and proves the scatter-gather path under load.
+// in-process and proves the gateway path under load.
 package loadgen
 
 import (

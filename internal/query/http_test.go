@@ -2,6 +2,7 @@ package query
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -29,9 +30,11 @@ func get(t *testing.T, srv *httptest.Server, path string, q url.Values) (*http.R
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var buf [1 << 16]byte
-	n, _ := resp.Body.Read(buf[:])
-	return resp, buf[:n]
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
 }
 
 func window() url.Values {

@@ -472,9 +472,12 @@ func (a *API) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Store: api.HealthStore{
 			Mode:       "memory",
 			Healthy:    true,
-			Markets:    len(db.Markets()),
 			Generation: db.GlobalGeneration(),
 		},
+	}
+	// Count markets from the O(regions) rollups, not by copying the list.
+	for _, agg := range db.RegionAggregates(h.Now) {
+		h.Store.Markets += agg.Markets
 	}
 	if p := db.Persister(); p != nil {
 		h.Store.Mode = "durable"

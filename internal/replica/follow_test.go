@@ -501,3 +501,40 @@ func TestFollowerFeedOrderIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// Health counts markets from the rollups rather than the market list; the
+// count must still be the list's length on a leader and on its follower,
+// including once a new market's first record lands.
+func TestHealthCountsMarketsOnLeaderAndFollower(t *testing.T) {
+	ids := usEast1(t, 2)
+	l := newTestLeader(t, store.New(), 0xfeed, nil)
+	ingestDays(l.db, ids, t0, 1)
+	fdb := store.New()
+	rep := follow(t, l, fdb, nil)
+	fsrv := serveFollower(t, fdb, rep)
+	check := func(want int) {
+		t.Helper()
+		converge(t, l, fdb, rep)
+		for _, n := range []struct {
+			url string
+			db  *store.Store
+		}{{l.srv.URL, l.db}, {fsrv.URL, fdb}} {
+			var h api.Health
+			if _, body, _ := fetch(t, n.url+"/v2/health", "", ""); json.Unmarshal([]byte(body), &h) != nil {
+				t.Fatalf("health body %s", body)
+			}
+			if h.Store.Markets != len(n.db.Markets()) || h.Store.Markets != want {
+				t.Fatalf("%s: health counts %d markets, the store lists %d, want %d", n.url, h.Store.Markets, len(n.db.Markets()), want)
+			}
+		}
+	}
+	check(2)
+	// The new market is in another region, so the count spans rollups.
+	for _, id := range market.New().SpotMarkets() {
+		if id.Region() != ids[0].Region() {
+			l.db.RecordPrice(id, store.PricePoint{At: t0.Add(25 * time.Hour), Price: 0.2})
+			break
+		}
+	}
+	check(3)
+}

@@ -100,8 +100,4 @@ type AdviseResult struct {
 type AdviseResponse struct {
 	Now time.Time `json:"now"`
 	AdviseResult
-	// Partial, set only by the gateway, lists the upstream nodes whose
-	// answers are missing from a fanned-out merge (ejected, timed out, or
-	// erroring). The ranking covers the remaining partitions' markets.
-	Partial []string `json:"partial,omitempty"`
 }

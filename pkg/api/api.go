@@ -139,12 +139,6 @@ type Result struct {
 	Markets        []MarketInfo     `json:"markets,omitempty"`
 	Summary        []RegionSummary  `json:"summary,omitempty"`
 	Advise         *AdviseResult    `json:"advise,omitempty"`
-
-	// Partial, set only by the gateway, lists the upstream nodes whose
-	// shares are missing from a fanned-out merge (ejected, timed out, or
-	// erroring). The payload covers the remaining partitions' markets —
-	// degraded but usable, instead of failing the whole merge.
-	Partial []string `json:"partial,omitempty"`
 }
 
 // Unavailability answers an unavailability query.

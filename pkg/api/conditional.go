@@ -29,15 +29,10 @@ const (
 	HeaderETag = "ETag"
 	// HeaderIfNoneMatch is the request header revalidating a held tag.
 	HeaderIfNoneMatch = "If-None-Match"
-	// HeaderPartial is set by the gateway on bare /v1 fan-out payloads
-	// whose merge is missing partitions (the envelope-carrying endpoints
-	// report the same list in the "partial" field instead): a
-	// comma-separated list of the unreachable upstream nodes.
-	HeaderPartial = "X-Spotlight-Partial"
 )
 
 // ETagMatches implements If-None-Match against one strong ETag — the
-// comparison every tier (node, gateway) answers 304 by: a comma-separated
+// comparison a node answers 304 by: a comma-separated
 // candidate list, each compared after trimming and ignoring a
 // weak-validator prefix, with "*" matching anything.
 func ETagMatches(header, etag string) bool {

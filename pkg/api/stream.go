@@ -267,11 +267,7 @@ type HealthReplication struct {
 
 // HealthGateway is a gateway's per-upstream health breakdown.
 type HealthGateway struct {
-	// Partitioned reports the routing mode: true when markets are
-	// sharded across upstreams, false when every upstream is a full
-	// replica.
-	Partitioned bool         `json:"partitioned"`
-	Nodes       []NodeHealth `json:"nodes"`
+	Nodes []NodeHealth `json:"nodes"`
 }
 
 // NodeHealth is one upstream's health as seen by the gateway.

@@ -146,32 +146,6 @@ func (c *Client) Batch(ctx context.Context, queries ...api.Query) (*api.BatchRes
 	return &resp, nil
 }
 
-// BatchTagged is Batch plus the response's ETag ("" when the service
-// sent none). Aggregators — the gateway's scatter-gather — use the
-// per-upstream tags as ingredients for a merged validator; plain
-// consumers wanting transparent 304 handling should use Batch with
-// EnableConditionalRequests instead.
-func (c *Client) BatchTagged(ctx context.Context, queries ...api.Query) (*api.BatchResponse, string, error) {
-	body, err := json.Marshal(api.BatchRequest{Queries: queries})
-	if err != nil {
-		return nil, "", fmt.Errorf("client: encode batch: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v2/query", bytes.NewReader(body))
-	if err != nil {
-		return nil, "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	var resp api.BatchResponse
-	etag, err := c.do(req, "POST /v2/query "+string(body), &resp)
-	if err != nil {
-		return nil, "", err
-	}
-	if len(resp.Results) != len(queries) {
-		return nil, "", fmt.Errorf("client: batch returned %d results for %d queries", len(resp.Results), len(queries))
-	}
-	return &resp, etag, nil
-}
-
 // Promote asks a follower to take over as leader (POST
 // /v2/admin/promote): its replication subscription drains and stops and
 // the node starts accepting writes with the failed leader's ETag salt,
