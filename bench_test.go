@@ -1203,22 +1203,6 @@ func BenchmarkSpikesInWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkEventsSince is the watch-resume replay path: rebuilding the
-// event stream of the last day from the shards' windowed indexes. One
-// slice per (shard, family) window plus the output — not zero-alloc, but
-// no longer one whole-store record materialization per call.
-func BenchmarkEventsSince(b *testing.B) {
-	db, base := benchWideStore(1000)
-	since := base.Add(8 * time.Minute) // second half of each market's history
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if evs := db.EventsSince(since, store.EventFilter{}); len(evs) == 0 {
-			b.Fatal("no events")
-		}
-	}
-}
-
 // BenchmarkStoreAppendMonitorTick is the monitor-shaped ingest workload:
 // concurrent region scanners each buffer a tick's worth of records (~9
 // probes, the spike/cross/related/recheck fan-out of one detection) per

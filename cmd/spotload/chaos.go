@@ -274,8 +274,8 @@ func runChaos(o options) error {
 		return fmt.Errorf("chaos: restarted node is not reporting follower state: %+v", st.Replication)
 	}
 	if st.Replication.Resyncs > 0 {
-		// A windowed resync is at-least-once; the byte-identical check
-		// below would fail anyway, but fail loudly at the cause.
+		// A resync is a snapshot transfer, not the cursor resume this
+		// phase exercises: fail loudly at the cause.
 		return fmt.Errorf("chaos: restarted follower fell out of the replay ring (%d resyncs) — exactly-once resume not exercised", st.Replication.Resyncs)
 	}
 	logf("chaos: phase 2 ok — durable follower restarted from %s and resumed (gen %d, cursor %s)",

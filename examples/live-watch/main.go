@@ -74,8 +74,8 @@ func run() error {
 	}
 	defer w.Close()
 
-	// Event-steered fallback: recompute only when the watch pushed news
-	// since the last migration decision.
+	// Event-steered fallback: recompute only when the watch pushed news, or
+	// a resync (a gap's news is only in the query), since the last decision.
 	signaled := func(time.Time) bool {
 		saw := false
 		for {
@@ -84,7 +84,7 @@ func run() error {
 				if !ok {
 					return saw
 				}
-				if ev.Kind == api.EventRevocation || ev.Kind == api.EventOutageOpen || ev.Kind == api.EventOutageClose {
+				if ev.Kind == api.EventRevocation || ev.Kind == api.EventOutageOpen || ev.Kind == api.EventOutageClose || ev.Kind == api.EventResync {
 					saw = true
 				}
 			default:

@@ -35,17 +35,16 @@ func (alwaysAvailable) ODAvailable(market.SpotID, time.Time) bool { return true 
 // sources — a live subscription to the store's change feed (a study that
 // is still ingesting pushes the recompute the moment SpotLight learns of
 // a revocation), and, for a completed study whose feed is quiet, the
-// recorded event history of the gap since the previous decision (the
-// replay stand-in for the same push). Either way the engine scan runs
+// region's revocation and outage folds over the gap since the previous
+// decision (the stand-in for the same push). Either way the engine scan runs
 // only when the information service actually learned something, not on a
 // timer. The returned closer releases the feed subscription.
 func (st *Study) spotlightFallback(m market.SpotID) (func(t time.Time) market.SpotID, func()) {
 	engine := query.NewEngine(st.DB, st.Cat)
-	filter := store.EventFilter{
+	sub := st.DB.Feed().Subscribe(store.SubscribeOptions{Filter: store.EventFilter{
 		Region: m.Region(),
 		Kinds:  []store.EventKind{store.EventRevocation, store.EventOutageOpen},
-	}
-	sub := st.DB.Feed().Subscribe(store.SubscribeOptions{Filter: filter})
+	}})
 	var lastT time.Time
 	buf := make([]store.Event, 0, 64)
 	signaled := func(t time.Time) bool {
@@ -63,10 +62,14 @@ func (st *Study) spotlightFallback(m market.SpotID) (func(t time.Time) market.Sp
 			// from different start times.
 			saw = true
 		case !saw:
-			// Quiet feed: consult the recorded history for events inside
-			// (lastT, t], exactly what the live feed would have pushed.
-			evs := st.DB.EventsSince(lastT.Add(time.Nanosecond), filter)
-			saw = len(evs) > 0 && !evs[0].At.After(t)
+			// Quiet feed: ask the recorded history whether a revocation
+			// landed or an outage opened inside (lastT, t], exactly what the
+			// live feed would have pushed.
+			from := lastT.Add(time.Nanosecond)
+			st.DB.ScanScope(m.Region(), "", func(v store.MarketView) {
+				revoked, _ := v.RevocationStats(from, t)
+				saw = saw || revoked > 0 || v.OutagesOpened(from, t) > 0
+			})
 		}
 		lastT = t
 		return saw

@@ -21,8 +21,8 @@ import (
 // for read replicas, the store's own follow stream of snapshot and log
 // frames (api.ContentTypeLog, store/stream.go). One loop serves both; they
 // differ only in how an event is written and how a gap the ring cannot
-// replay is bridged (a best-effort windowed resync, or a snapshot). Three
-// rules shape the loop:
+// replay is bridged (a resync frame that announces it, or a snapshot).
+// Three rules shape the loop:
 //
 //   - writes are batched per wake: each wake reads chunks of events after
 //     the cursor until it is caught up, then flushes once — a monitor
@@ -47,12 +47,12 @@ const (
 	watchChunk = 256
 	// watchRetryAfter is the reconnect hint (seconds) on a 429.
 	watchRetryAfter = 5
-	// maxResyncAge bounds how far back a best-effort windowed resync will
-	// reach, keeping a stale resume token from replaying a whole study.
-	maxResyncAge = 24 * time.Hour
 	// logPositionEvery paces the follow stream's idle position frames.
 	logPositionEvery = 250 * time.Millisecond
 )
+
+// resumeNames are the hello frame's names for how a resume was bridged.
+var resumeNames = [...]string{store.ResumeLive: "live", store.ResumeRing: "replay", store.ResumeGap: "resync"}
 
 // SetWatchLimit overrides the concurrent watch-subscriber cap (n <= 0
 // keeps the default). Call before serving.
@@ -126,9 +126,9 @@ func watchFilterFromURL(r *http.Request) (store.EventFilter, *api.Error) {
 
 // watchToken renders one resume token: process epoch, event sequence,
 // generation, and record timestamp, all hex. The epoch pins the token to
-// one sequence space (a durable store's stable salt keeps generations —
-// and so resync — meaningful across restarts; an in-memory restart
-// retires the token into a best-effort resync).
+// one sequence space (a durable store's stable salt keeps generations
+// meaningful across restarts; an in-memory restart retires the token, and
+// its resume is told of a gap).
 func (a *API) watchToken(seq, gen uint64, at time.Time) string {
 	return store.Position{Salt: uint64(a.epoch), Seq: seq, Gen: gen, Clock: at}.Token()
 }
@@ -153,29 +153,30 @@ func parseWatchToken(s string) (epoch, seq, gen uint64, at time.Time, ok bool) {
 // handleWatch serves one GET /v2/watch stream.
 func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 	logMode := strings.Contains(r.Header.Get("Accept"), api.ContentTypeLog)
-	for _, p := range [...]string{"market", "region", "product", "kinds", "since"} {
-		if logMode && r.URL.Query().Get(p) != "" {
+	qs := r.URL.Query()
+	for _, p := range [...]string{"market", "region", "product", "kinds"} {
+		if logMode && qs.Get(p) != "" {
 			writeAPIErr(w, api.Errorf(api.CodeBadParam, "%s does not apply to %s: the follow stream carries the whole store", p, api.ContentTypeLog).WithDetail("param", p))
 			return
 		}
+	}
+	if qs.Has("since") {
+		writeAPIErr(w, api.Errorf(api.CodeBadParam, "since is not supported: a stream carries no history, read it through the queries").WithDetail("param", "since"))
+		return
 	}
 	filter, aerr := watchFilterFromURL(r)
 	if aerr != nil {
 		writeAPIErr(w, aerr)
 		return
 	}
-	var since time.Duration
-	if s := r.URL.Query().Get("since"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil || d <= 0 {
-			writeAPIErr(w, api.Errorf(api.CodeBadParam, "bad since %q (want a positive duration like \"1h\")", s).WithDetail("param", "since"))
-			return
-		}
-		since = d
-	}
 	lastID := r.Header.Get(api.HeaderLastEventID)
 	if lastID == "" {
-		lastID = r.URL.Query().Get("lastEventId")
+		lastID = qs.Get("lastEventId")
+	}
+	tokEpoch, tokSeq, tokGen, _, ok := parseWatchToken(lastID)
+	if lastID != "" && !ok {
+		writeAPIErr(w, api.Errorf(api.CodeBadParam, "malformed Last-Event-ID %q", lastID).WithDetail("param", "lastEventId"))
+		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -198,9 +199,9 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer a.watchers.Add(-1)
 
-	// Attach to the feed, bridging any resume gap. The first watch arms
-	// the feed for the server's lifetime: events keep flowing into the
-	// replay ring between subscribers, so reconnect gaps resume exactly.
+	// Attach to the feed. The first watch arms the feed for the server's
+	// lifetime: events keep flowing into the replay ring between
+	// subscribers, so reconnect gaps resume exactly.
 	feed := a.engine.db.Feed()
 	a.armOnce.Do(func() {
 		feed.Arm()
@@ -208,48 +209,27 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 	})
 	opts := store.SubscribeOptions{Filter: filter}
 	now := a.Now()
-	var (
-		sub        *store.Subscription
-		resume     = "none"
-		resyncFrom time.Time
-		doResync   bool
-		from       store.Position // where a ring replay starts
-	)
+	var sub *store.Subscription
+	resume := "none"
 	switch {
-	case lastID != "":
-		epoch, seq, gen, at, ok := parseWatchToken(lastID)
-		if !ok {
-			writeAPIErr(w, api.Errorf(api.CodeBadParam, "malformed Last-Event-ID %q", lastID).WithDetail("param", "lastEventId"))
-			return
-		}
-		if epoch == uint64(a.epoch) {
-			var mode store.ResumeMode
-			sub, mode = feed.SubscribeFrom(opts, seq, gen)
-			switch mode {
-			case store.ResumeLive:
-				resume = "live"
-			case store.ResumeRing:
-				resume, from = "replay", store.Position{Seq: seq, Gen: gen}
-			default:
-				resume, doResync, resyncFrom = "resync", true, at
-			}
-		} else {
-			// Another process life: sequence space is gone; rebuild from
-			// the token's timestamp.
-			sub = feed.Subscribe(opts)
-			resume, doResync, resyncFrom = "resync", true, at
-		}
-	case since > 0:
+	case lastID == "":
 		sub = feed.Subscribe(opts)
-		resume, doResync, resyncFrom = "backfill", true, now.Add(-since)
+	case tokEpoch != uint64(a.epoch):
+		// Another process life: its sequence space is gone.
+		sub, resume = feed.Subscribe(opts), "resync"
 	default:
-		sub, doResync = feed.Subscribe(opts), logMode // a follow stream starts from a snapshot
+		var mode store.ResumeMode
+		sub, mode = feed.SubscribeFrom(opts, tokSeq, tokGen)
+		resume = resumeNames[mode]
 	}
 	defer sub.Close()
+	// A gap the ring cannot replay is bridged by a snapshot on a follow
+	// stream, which also opens every fresh one, and announced on SSE.
+	gap := resume == "resync" || logMode && resume == "none"
 
 	// The wire formats differ only in how the stream opens, writes events,
 	// beats (after each catch-up of a follow stream, and on idle ticks) and
-	// bridges a gap the ring cannot replay.
+	// bridges a gap.
 	db := a.engine.db
 	var (
 		hello, bridge, beat func() error
@@ -258,11 +238,9 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 		every               = a.watchHeartbeat
 	)
 	if logMode {
-		// The follow stream (store/stream.go), from the feed's head or
-		// where a ring replay starts.
-		if st := feed.Stats(); resume != "replay" {
-			from = store.Position{Seq: st.LastSeq, Gen: st.LastGen}
-		}
+		// The follow stream (store/stream.go), from where the subscription
+		// starts: the feed's head, or the resume point of a ring replay.
+		from := sub.Position()
 		from.Salt = uint64(a.epoch)
 		sw := store.NewStreamWriter(w, from)
 		hello = func() error { return sw.Position(now) }
@@ -286,9 +264,9 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 				},
 			})
 		}
-		// lastTok is the newest delivered event's token, which heartbeats
-		// re-advertise (an idle reconnect then resumes exactly instead of
-		// starting fresh).
+		// lastTok is the newest delivered position's token, which
+		// heartbeats re-advertise (an idle reconnect then resumes exactly
+		// instead of starting fresh).
 		lastTok := ""
 		write = func(evs []store.Event) error {
 			for _, ev := range evs {
@@ -303,20 +281,14 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 		beat = func() error {
 			return writeSSE(w, idField(lastTok), api.StreamEvent{Kind: api.EventHeartbeat, At: a.Now()})
 		}
-		// Best-effort windowed rebuild: bounded, and explicitly marked so
-		// the consumer knows the boundary may duplicate.
+		// The gap is announced, not rebuilt: one resync frame whose id is
+		// where this stream continues. The consumer re-reads the state it
+		// needs through the queries, and a reconnect with that id resumes
+		// exactly.
 		bridge = func() error {
-			if min := now.Add(-maxResyncAge); resyncFrom.Before(min) {
-				resyncFrom = min
-			}
-			gen := db.GlobalGeneration()
-			if err := writeSSE(w, "", api.StreamEvent{
-				Kind: api.EventResync, Gen: gen, At: now,
-				Resync: &api.StreamResync{From: resyncFrom, Gen: gen},
-			}); err != nil {
-				return err
-			}
-			return write(db.EventsSince(resyncFrom, filter))
+			p := sub.Position()
+			lastTok = a.watchToken(p.Seq, p.Gen, p.Clock)
+			return writeSSE(w, idField(lastTok), api.StreamEvent{Kind: api.EventResync, Gen: p.Gen, At: now})
 		}
 	}
 	h := w.Header()
@@ -324,7 +296,7 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 	h.Set("Cache-Control", "no-store")
 	h.Set("X-Accel-Buffering", "no") // tell reverse proxies not to buffer
 	w.WriteHeader(http.StatusOK)
-	if hello() != nil || doResync && bridge() != nil {
+	if hello() != nil || gap && bridge() != nil {
 		return
 	}
 	flusher.Flush()
@@ -399,8 +371,7 @@ func writeSSE(w http.ResponseWriter, head string, se api.StreamEvent) error {
 }
 
 // toStreamEvent converts a store feed event to its wire DTO, minting the
-// resume token. Windowed-replay events (Seq 0) still carry a token so a
-// consumer dropped mid-resync can continue from its timestamp.
+// resume token.
 func (a *API) toStreamEvent(ev store.Event) api.StreamEvent {
 	se := api.StreamEvent{
 		Kind: api.EventKind(ev.Kind.String()),

@@ -183,7 +183,7 @@ func TestWatchBadParams(t *testing.T) {
 		{url.Values{"market": {"not-a-market"}}, api.CodeBadMarket},
 		{url.Values{"market": {mktA.String()}, "region": {"us-east-1"}}, api.CodeBadParam},
 		{url.Values{"kinds": {"spike,nope"}}, api.CodeBadParam},
-		{url.Values{"since": {"-1h"}}, api.CodeBadParam},
+		{url.Values{"since": {"1h"}}, api.CodeBadParam},
 		{url.Values{"lastEventId": {"garbage"}}, api.CodeBadParam},
 	} {
 		resp, err := http.Get(srv.URL + "/v2/watch?" + tc.params.Encode())
@@ -294,59 +294,36 @@ func TestWatchResumeUpToDateAttachesLive(t *testing.T) {
 	c2.expectHello("live")
 }
 
+// A gap the ring cannot replay is announced, not rebuilt: a token from
+// another process life gets one resync frame and none of the history, the
+// frame's id is where the stream continues, and a reconnect with that id
+// resumes exactly.
 func TestWatchResyncFallback(t *testing.T) {
 	srv, db := testServer(t)
 
-	// History recorded with no subscribers: only a windowed rebuild can
-	// serve it. A token from a foreign epoch forces that path. (The
-	// service clock is t0+24h, so these records sit inside the bounded
-	// resync window.)
+	// History recorded with no subscribers: no stream ever replays it.
 	db.AppendSpike(store.SpikeEvent{At: t0.Add(time.Hour), Market: mktA, Ratio: 1.3})
 	db.AppendRevocation(store.RevocationRecord{At: t0.Add(90 * time.Minute), Market: mktA, Bid: 0.4, Held: time.Hour})
 
-	// Epoch deadbeef never matches a UnixNano boot epoch; the timestamp
-	// field points one hour before the records.
+	// Epoch deadbeef never matches a UnixNano boot epoch.
 	foreign := fmt.Sprintf("%x-%x-%x-%x", 0xdeadbeef, 1, 1, uint64(t0.UnixNano()))
 	c := openWatch(t, srv, nil, foreign)
 	c.expectHello("resync")
-	ev, ok := c.next(5 * time.Second)
-	if !ok || ev.Kind != api.EventResync || ev.Resync == nil {
-		t.Fatalf("frame = %+v, want resync marker", ev)
+	resync, ok := c.next(5 * time.Second)
+	if gen := db.GlobalGeneration(); !ok || resync.Kind != api.EventResync || resync.ID == "" || resync.Gen != gen {
+		t.Fatalf("frame = %+v, want a resync marker with an id, at generation %d", resync, gen)
 	}
-	spike, ok := c.next(5 * time.Second)
-	if !ok || spike.Kind != api.EventSpike {
-		t.Fatalf("frame = %+v, want replayed spike", spike)
-	}
-	rev, ok := c.next(5 * time.Second)
-	if !ok || rev.Kind != api.EventRevocation {
-		t.Fatalf("frame = %+v, want replayed revocation", rev)
-	}
-	// Replayed frames still carry resume tokens anchored at their record
-	// timestamps.
-	if rev.ID == "" {
-		t.Fatal("replayed event carries no resume token")
-	}
-	// And the stream is live afterwards.
 	db.AppendSpike(store.SpikeEvent{At: t0, Market: mktA, Ratio: 9.9})
 	live, ok := c.next(5 * time.Second)
-	if !ok || live.Kind != api.EventSpike || live.Seq == 0 {
-		t.Fatalf("frame = %+v, want live spike", live)
+	if !ok || live.Kind != api.EventSpike || live.Spike.Ratio != 9.9 {
+		t.Fatalf("frame = %+v, want the live spike and no replayed history", live)
 	}
-}
+	c.close()
 
-func TestWatchSinceBackfill(t *testing.T) {
-	srv, db := testServer(t)
-	db.AppendSpike(store.SpikeEvent{At: t0.Add(23 * time.Hour), Market: mktA, Ratio: 1.4})
-
-	c := openWatch(t, srv, url.Values{"since": {"6h"}}, "")
-	c.expectHello("backfill")
-	ev, ok := c.next(5 * time.Second)
-	if !ok || ev.Kind != api.EventResync {
-		t.Fatalf("frame = %+v, want resync marker", ev)
-	}
-	spike, ok := c.next(5 * time.Second)
-	if !ok || spike.Kind != api.EventSpike {
-		t.Fatalf("frame = %+v, want backfilled spike", spike)
+	c2 := openWatch(t, srv, nil, resync.ID)
+	c2.expectHello("replay")
+	if again, ok := c2.next(5 * time.Second); !ok || again.Seq != live.Seq {
+		t.Fatalf("frame = %+v, want the live spike (seq %d) replayed from the resync position", again, live.Seq)
 	}
 }
 

@@ -206,7 +206,7 @@ func TestDurableFollowerCrashRecovery(t *testing.T) {
 	}
 
 	if st := repA2.Status(); st.Resyncs != 0 {
-		t.Errorf("restarted follower resyncs = %d, want 0 (cursor resume must be exactly-once, not a windowed resync)", st.Resyncs)
+		t.Errorf("restarted follower resyncs = %d, want 0 (cursor resume must be exactly-once, not a snapshot resync)", st.Resyncs)
 	}
 
 	// Serve both followers the way daemon follower mode does and demand

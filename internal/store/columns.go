@@ -282,10 +282,6 @@ func (c *bidSpreadCols) appendTo(dst []BidSpreadRecord, id market.SpotID) []BidS
 	return rows(dst, c.n(), func(i int) BidSpreadRecord { return c.get(i, id) })
 }
 
-func (c *bidSpreadCols) window(dst []BidSpreadRecord, id market.SpotID, ordered bool, from, to time.Time) []BidSpreadRecord {
-	return collect(dst, c.at, ordered, from, to, func(i int) BidSpreadRecord { return c.get(i, id) })
-}
-
 // revocationCols is the revocation-watch log in columnar form.
 type revocationCols struct {
 	at   []int64

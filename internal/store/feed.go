@@ -1,7 +1,6 @@
 package store
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,9 +29,9 @@ import (
 // with its last sequence is positioned in the ring right after it when the
 // ring still covers it and the feed was never quiescent in between
 // (generation continuity is checked against the store's global append
-// generation). When exact replay is impossible an SSE consumer falls back
-// to EventsSince, which rebuilds best-effort events from the shards'
-// windowed indexes, and a follow stream (stream.go) to a snapshot.
+// generation). When exact replay is impossible nothing is rebuilt: an SSE
+// consumer is told of the gap and re-reads state through queries, and a
+// follow stream (stream.go) sends a snapshot.
 
 // EventKind names one change-feed event family.
 type EventKind uint8
@@ -89,7 +88,7 @@ func (k EventKind) String() string {
 // aliases caller or shard memory.
 type Event struct {
 	// Seq is the feed-assigned strictly increasing sequence number, the
-	// primary resume key. Replayed events built by EventsSince carry 0.
+	// primary resume key.
 	Seq uint64
 	// Gen is the store's global append generation after the publish round
 	// that produced this event, assigned in the same feed-lock hold as Seq
@@ -246,6 +245,15 @@ func (s *Subscription) Next(dst []Event) (evs []Event, live bool) {
 	return dst, true
 }
 
+// Position returns the place the cursor has read through: its sequence,
+// generation and record time. A stream that opens by announcing a gap
+// hands its consumer this position to resume from.
+func (s *Subscription) Position() Position {
+	s.feed.mu.Lock()
+	defer s.feed.mu.Unlock()
+	return Position{Seq: s.cursor, Gen: s.gen, Clock: s.at}
+}
+
 // Close unregisters the subscription and closes its Ready channel. Safe to
 // call more than once and concurrently with publishes and Next.
 func (s *Subscription) Close() {
@@ -272,10 +280,10 @@ const (
 	// ResumeRing: the ring still covers the gap; the subscription starts
 	// right after the resume point and Next replays it exactly.
 	ResumeRing
-	// ResumeWindow: the gap exceeds the ring (or spans a restart); the
-	// caller must rebuild it: best-effort from the store's windowed
-	// indexes (EventsSince), or exactly from a snapshot (stream.go).
-	ResumeWindow
+	// ResumeGap: the gap exceeds the ring (or spans a restart) and cannot
+	// be replayed; the subscription is live from now. The caller announces
+	// the gap (SSE) or sends a snapshot (stream.go).
+	ResumeGap
 )
 
 // FeedStats is the feed's observability snapshot (the /v2/health payload).
@@ -358,10 +366,9 @@ func (f *Feed) enabled() bool { return f != nil && f.active.Load() > 0 }
 // Arm keeps the feed hot while no subscriber is registered: append paths
 // keep building events and the replay ring keeps filling, which is what
 // lets a subscriber that disconnected for a moment resume exactly instead
-// of falling back to a best-effort windowed resync. Serving layers arm
-// the feed once when streaming starts and disarm on shutdown; arming is
-// reference-counted. Deployments that never stream never pay for event
-// construction.
+// of being told of a gap. Serving layers arm the feed once when streaming
+// starts and disarm on shutdown; arming is reference-counted. Deployments
+// that never stream never pay for event construction.
 func (f *Feed) Arm() {
 	f.mu.Lock()
 	f.warm()
@@ -427,8 +434,7 @@ func (f *Feed) Subscribe(opts SubscribeOptions) *Subscription {
 // seq is the last delivered sequence and gen the last delivered
 // generation. It returns the registered subscription and how the gap is
 // bridged: on ResumeRing the cursor sits at seq and Next replays the gap
-// exactly; on ResumeWindow the subscription is live from now and the
-// caller replays from the store's windowed indexes first.
+// exactly; on ResumeGap the subscription is live from now.
 func (f *Feed) SubscribeFrom(opts SubscribeOptions, seq, gen uint64) (*Subscription, ResumeMode) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -440,10 +446,10 @@ func (f *Feed) SubscribeFrom(opts SubscribeOptions, seq, gen uint64) (*Subscript
 	// round bumps the generation and lastGen in one hold of this lock, so
 	// a reconnect landing mid-round still compares equal; only a round
 	// that started while the feed was cold can bump the generation alone,
-	// and that errs conservatively (a spurious window fallback, never a
-	// false exactness claim).
+	// and that errs conservatively (a spurious gap, never a false
+	// exactness claim).
 	if f.lastGen != f.gen.Load() {
-		return sub, ResumeWindow
+		return sub, ResumeGap
 	}
 	switch {
 	case gen != 0 && gen == f.lastGen && seq >= f.seq:
@@ -471,7 +477,7 @@ func (f *Feed) SubscribeFrom(opts SubscribeOptions, seq, gen uint64) (*Subscript
 		}
 	}
 	// Overwritten, or a position from another process life.
-	return sub, ResumeWindow
+	return sub, ResumeGap
 }
 
 // subscribeLocked registers a subscription whose cursor sits at the
@@ -533,94 +539,4 @@ func (f *Feed) publish(evs []Event, records uint64) {
 	for sub := range f.subs {
 		sub.wake()
 	}
-}
-
-// EventsSince rebuilds the events of every store change with At in
-// [since, ∞) that matches the filter, from the shards' windowed indexes —
-// the fallback replay path when a resume gap exceeds the feed's ring.
-// Events are ordered by timestamp (ties by market, then family) and carry
-// Seq 0 and the store's current global generation; outage transitions are
-// synthesized from the derived intervals. Callers should treat the result
-// as at-least-once relative to a live stream that broke mid-round.
-func (s *Store) EventsSince(since time.Time, f EventFilter) []Event {
-	gen := s.GlobalGeneration()
-	mask := f.kindMask()
-	want := func(k EventKind) bool { return mask == 0 || mask&(1<<k) != 0 }
-	// Window bounds are inclusive; cap the far end inside time.Time's
-	// int64-nanosecond range.
-	to := time.Unix(0, 1<<62)
-
-	var out []Event
-	for _, sh := range s.shardList() {
-		if !f.matchMarket(sh.id) {
-			continue
-		}
-		id := sh.id
-		// Each family materializes its window once, exactly sized by the
-		// shard's time index, and events point into that slice — one
-		// allocation per (shard, family) instead of one more per record.
-		if want(EventProbe) {
-			recs := sh.probesIn(nil, since, to)
-			for i := range recs {
-				out = append(out, Event{Kind: EventProbe, Gen: gen, Market: id, At: recs[i].At, Probe: &recs[i]})
-			}
-		}
-		if want(EventPrice) {
-			recs := sh.pricesIn(nil, since, to)
-			for i := range recs {
-				out = append(out, Event{Kind: EventPrice, Gen: gen, Market: id, At: recs[i].At, Price: &recs[i]})
-			}
-		}
-		if want(EventSpike) {
-			recs := sh.spikesIn(nil, since, to)
-			for i := range recs {
-				out = append(out, Event{Kind: EventSpike, Gen: gen, Market: id, At: recs[i].At, Spike: &recs[i]})
-			}
-		}
-		if want(EventRevocation) {
-			recs := sh.revocationsIn(nil, since, to)
-			for i := range recs {
-				out = append(out, Event{Kind: EventRevocation, Gen: gen, Market: id, At: recs[i].At, Revocation: &recs[i]})
-			}
-		}
-		if want(EventBidSpread) {
-			recs := sh.bidSpreadsIn(nil, since, to)
-			for i := range recs {
-				out = append(out, Event{Kind: EventBidSpread, Gen: gen, Market: id, At: recs[i].At, BidSpread: &recs[i]})
-			}
-		}
-		if want(EventOutageOpen) || want(EventOutageClose) {
-			sh.mu.RLock()
-			outages := sh.outages.appendTo(nil, id)
-			sh.mu.RUnlock()
-			for i := range outages {
-				o := &outages[i]
-				if want(EventOutageOpen) && !o.Start.Before(since) {
-					out = append(out, Event{Kind: EventOutageOpen, Gen: gen, Market: id, At: o.Start, Outage: o})
-				}
-				if want(EventOutageClose) && !o.End.IsZero() && !o.End.Before(since) {
-					out = append(out, Event{Kind: EventOutageClose, Gen: gen, Market: id, At: o.End, Outage: o})
-				}
-			}
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if !out[i].At.Equal(out[j].At) {
-			return out[i].At.Before(out[j].At)
-		}
-		if out[i].Market != out[j].Market {
-			return out[i].Market.String() < out[j].Market.String()
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return out
-}
-
-// bidSpreadsIn returns the shard's intrinsic-price results inside
-// [from, to] (the one windowed read feed replay needed that the query
-// paths never had).
-func (sh *shard) bidSpreadsIn(dst []BidSpreadRecord, from, to time.Time) []BidSpreadRecord {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.bidSpreads.window(dst, sh.id, sh.bidSpreadsOrdered, from, to)
 }

@@ -201,11 +201,11 @@ func TestFeedSlowSubscriberLagsWithoutBlocking(t *testing.T) {
 	}
 
 	// The marker's position is gone from the ring: a resume from it must
-	// fall back to the window. One the ring still covers replays exactly.
+	// report a gap. One the ring still covers replays exactly.
 	resumed, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, last.Seq, last.Gen)
 	resumed.Close()
-	if mode != ResumeWindow {
-		t.Fatalf("resume from the overwritten position = %v, want ResumeWindow", mode)
+	if mode != ResumeGap {
+		t.Fatalf("resume from the overwritten position = %v, want ResumeGap", mode)
 	}
 	spikes(100, 101)
 	fresh := s.Feed().Subscribe(SubscribeOptions{})
@@ -329,19 +329,13 @@ func TestFeedResumeFallsBackAfterQuietGap(t *testing.T) {
 	sub.Close()
 
 	// Records land while nobody subscribes: no events exist for them, so
-	// no ring replay can be exact and the resume must fall back.
+	// no ring replay can be exact and the resume must report the gap.
 	s.AppendSpike(SpikeEvent{At: feedT(2), Market: feedM1, Ratio: 1.5})
 
 	resumed, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, evs[0].Seq, evs[0].Gen)
 	defer resumed.Close()
-	if backlog := drain(resumed); mode != ResumeWindow || backlog != nil {
-		t.Fatalf("resume = (%v, %d backlog), want ResumeWindow", mode, len(backlog))
-	}
-
-	// The windowed rebuild covers the gap.
-	replay := s.EventsSince(feedT(2), EventFilter{})
-	if len(replay) != 1 || replay[0].Kind != EventSpike || !replay[0].At.Equal(feedT(2)) {
-		t.Fatalf("EventsSince replayed %v, want the quiet-gap spike", kinds(replay))
+	if backlog := drain(resumed); mode != ResumeGap || backlog != nil {
+		t.Fatalf("resume = (%v, %d backlog), want ResumeGap", mode, len(backlog))
 	}
 }
 
@@ -356,8 +350,8 @@ func TestFeedResumeForeignSequenceFallsBack(t *testing.T) {
 	// feed assigned) with a stale generation cannot be in the ring.
 	resumed, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, 999999, 999)
 	defer resumed.Close()
-	if backlog := drain(resumed); mode != ResumeWindow || backlog != nil {
-		t.Fatalf("resume = (%v, %d backlog), want ResumeWindow", mode, len(backlog))
+	if backlog := drain(resumed); mode != ResumeGap || backlog != nil {
+		t.Fatalf("resume = (%v, %d backlog), want ResumeGap", mode, len(backlog))
 	}
 
 	// But a foreign sequence whose generation equals the store's current
@@ -390,8 +384,8 @@ func TestFeedResumeCrossLifeSeqCollisionFallsBack(t *testing.T) {
 	// another life.
 	resumed, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, evs[2].Seq, 999)
 	defer resumed.Close()
-	if backlog := drain(resumed); mode != ResumeWindow || backlog != nil {
-		t.Fatalf("resume = (%v, %d backlog), want ResumeWindow on generation mismatch", mode, len(backlog))
+	if backlog := drain(resumed); mode != ResumeGap || backlog != nil {
+		t.Fatalf("resume = (%v, %d backlog), want ResumeGap on generation mismatch", mode, len(backlog))
 	}
 	// The genuine position still replays exactly.
 	ok, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, evs[2].Seq, evs[2].Gen)
@@ -427,12 +421,12 @@ func TestFeedColdGapWithLaggedSubscriberResetsRing(t *testing.T) {
 
 	resumed, mode := s.Feed().SubscribeFrom(SubscribeOptions{}, pos.LastSeq, pos.LastGen)
 	defer resumed.Close()
-	if backlog := drain(resumed); mode != ResumeWindow || backlog != nil {
-		t.Fatalf("resume = (%v, %d backlog), want ResumeWindow across the cold gap", mode, len(backlog))
+	if backlog := drain(resumed); mode != ResumeGap || backlog != nil {
+		t.Fatalf("resume = (%v, %d backlog), want ResumeGap across the cold gap", mode, len(backlog))
 	}
 }
 
-// A resume point the ring has overwritten falls back to the window; one
+// A resume point the ring has overwritten reports a gap; one
 // inside the retained window replays exactly; and a live reader that the
 // ring laps mid-read is told so instead of being handed a gapped sequence.
 func TestFeedRingEvictionForcesWindowFallback(t *testing.T) {
@@ -452,8 +446,8 @@ func TestFeedRingEvictionForcesWindowFallback(t *testing.T) {
 	// Resuming from the first event: the ring only holds the last 8.
 	old, mode := f.SubscribeFrom(SubscribeOptions{}, evs[0].Seq, evs[0].Gen)
 	defer old.Close()
-	if backlog := drain(old); mode != ResumeWindow || backlog != nil {
-		t.Fatalf("resume = (%v, %d backlog), want ResumeWindow with none after eviction", mode, len(backlog))
+	if backlog := drain(old); mode != ResumeGap || backlog != nil {
+		t.Fatalf("resume = (%v, %d backlog), want ResumeGap with none after eviction", mode, len(backlog))
 	}
 	// Resuming from inside the retained window is exact.
 	in, mode := f.SubscribeFrom(SubscribeOptions{}, evs[25].Seq, evs[25].Gen)
@@ -480,41 +474,6 @@ func TestFeedRingEvictionForcesWindowFallback(t *testing.T) {
 	}
 	if st := f.Stats(); st.Dropped != 3 || st.Lagged != 1 {
 		t.Errorf("feed stats = %+v, want dropped=3 lagged=1", st)
-	}
-}
-
-func TestEventsSinceFiltersAndOrders(t *testing.T) {
-	s := New()
-	s.AppendProbe(ProbeRecord{At: feedT(1), Market: feedM1, Kind: ProbeOnDemand, Rejected: true})
-	s.RecordPrice(feedM2, PricePoint{At: feedT(2), Price: 0.4})
-	s.AppendSpike(SpikeEvent{At: feedT(3), Market: feedM3, Ratio: 1.8})
-	s.AppendProbe(ProbeRecord{At: feedT(4), Market: feedM1, Kind: ProbeOnDemand}) // close
-
-	all := s.EventsSince(feedT(0), EventFilter{})
-	want := []EventKind{EventProbe, EventOutageOpen, EventPrice, EventSpike, EventProbe, EventOutageClose}
-	if len(all) != len(want) {
-		t.Fatalf("EventsSince = %v, want %v", kinds(all), want)
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i].At.Before(all[i-1].At) {
-			t.Fatalf("EventsSince out of time order at %d: %v", i, kinds(all))
-		}
-	}
-	for i, ev := range all {
-		if ev.Kind != want[i] {
-			t.Fatalf("EventsSince[%d] = %v, want %v", i, ev.Kind, want[i])
-		}
-	}
-
-	// Window bound: only records at/after the cut.
-	tail := s.EventsSince(feedT(3), EventFilter{})
-	if len(tail) != 3 {
-		t.Fatalf("EventsSince(tail) = %v, want spike + closing probe + outage-close", kinds(tail))
-	}
-	// Scope + kind filters apply.
-	scoped := s.EventsSince(feedT(0), EventFilter{Region: "us-east-1", Kinds: []EventKind{EventPrice}})
-	if len(scoped) != 1 || scoped[0].Market != feedM2 {
-		t.Fatalf("scoped EventsSince = %v, want only %v's price", kinds(scoped), feedM2)
 	}
 }
 
@@ -705,7 +664,7 @@ func TestFeedReadersMatchOracleUnderConcurrentAppends(t *testing.T) {
 				sub.Close()
 				var mode ResumeMode
 				sub, mode = f.SubscribeFrom(opts, seq, gen)
-				if mode == ResumeWindow {
+				if mode == ResumeGap {
 					seg.end = end
 					res.segs = append(res.segs, seg)
 					seg = segment{start: sub.cursor}
@@ -721,7 +680,7 @@ func TestFeedReadersMatchOracleUnderConcurrentAppends(t *testing.T) {
 						runtime.Gosched()
 					}
 				case 1: // reconnect from the last delivered event, as a client does
-					if n > 0 && resubscribe(sub.cursor, seg.got[n-1].Seq, seg.got[n-1].Gen) != ResumeWindow {
+					if n > 0 && resubscribe(sub.cursor, seg.got[n-1].Seq, seg.got[n-1].Gen) != ResumeGap {
 						res.resume++
 					}
 				}
@@ -733,8 +692,8 @@ func TestFeedReadersMatchOracleUnderConcurrentAppends(t *testing.T) {
 						return
 					}
 					res.markers++
-					if mode := resubscribe(m.Seq, m.Seq, m.Gen); mode != ResumeWindow {
-						t.Errorf("reader %d: resume from an overwritten position = %v, want ResumeWindow", r, mode)
+					if mode := resubscribe(m.Seq, m.Seq, m.Gen); mode != ResumeGap {
+						t.Errorf("reader %d: resume from an overwritten position = %v, want ResumeGap", r, mode)
 					}
 					continue
 				}
@@ -809,8 +768,8 @@ func TestFeedResumesAtTheRingBase(t *testing.T) {
 		t.Fatalf("resumed at the base, read %d events from seq %d; want the whole ring, 3..6", len(evs), evs[0].Seq)
 	}
 	sub.Close()
-	if sub, mode := f.SubscribeFrom(SubscribeOptions{}, 1, gens[0]); mode != ResumeWindow {
-		t.Fatalf("resume before the base = %v, want ResumeWindow", mode)
+	if sub, mode := f.SubscribeFrom(SubscribeOptions{}, 1, gens[0]); mode != ResumeGap {
+		t.Fatalf("resume before the base = %v, want ResumeGap", mode)
 	} else {
 		sub.Close()
 	}

@@ -13,9 +13,9 @@ import (
 )
 
 // The windowed folds behind the rankings — PriceStatsIn, CrossingStatsFor,
-// RevocationStats, OutageOverlap and their MarketView twins — read sealed
-// chunk summaries and binary-searched int64 stamps instead of walking
-// records. These tests hold them to naive loops over the public accessors,
+// RevocationStats, OutageOverlap, OutagesOpened and their MarketView twins
+// — read sealed chunk summaries and binary-searched int64 stamps instead of
+// walking records. These tests hold them to naive loops over the public accessors,
 // on series built to put duplicate stamps, window ends and special floats
 // on every side of a chunk edge.
 
@@ -145,6 +145,7 @@ type foldAnswers struct {
 	held        time.Duration
 	odOverlap   time.Duration
 	spotOverlap time.Duration
+	opened      int
 }
 
 // storeFolds asks the store's per-market reads.
@@ -155,6 +156,7 @@ func storeFolds(db *Store, id market.SpotID, from, to time.Time) foldAnswers {
 	db.ScanScope(id.Region(), id.Product, func(v MarketView) {
 		if v.Market() == id {
 			a.watches, a.held = v.RevocationStats(from, to)
+			a.opened = v.OutagesOpened(from, to)
 		}
 	})
 	a.odOverlap = db.OutageOverlap(id, ProbeOnDemand, from, to)
@@ -174,6 +176,7 @@ func viewFolds(db *Store, id market.SpotID, from, to time.Time) (a foldAnswers, 
 		a.watches, a.held = v.RevocationStats(from, to)
 		a.odOverlap = v.OutageOverlap(ProbeOnDemand, from, to)
 		a.spotOverlap = v.OutageOverlap(ProbeSpot, from, to)
+		a.opened = v.OutagesOpened(from, to)
 	})
 	return a, seen
 }
@@ -221,6 +224,9 @@ func naiveFolds(db *Store, id market.SpotID, from, to time.Time) foldAnswers {
 			}
 			if end.After(start) {
 				total += end.Sub(start)
+			}
+			if !o.Start.Before(from) && !o.Start.After(to) {
+				a.opened++
 			}
 		}
 		return total

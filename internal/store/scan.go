@@ -39,6 +39,18 @@ func (v MarketView) RevocationStats(from, to time.Time) (watches int, held time.
 	return v.sh.revocationStatsLocked(from, to)
 }
 
+// OutagesOpened counts the detected outages, of either kind, that opened
+// inside [from, to].
+func (v MarketView) OutagesOpened(from, to time.Time) (n int) {
+	f, t := stamp(from), stamp(to)
+	for _, s := range v.sh.outages.start {
+		if f <= s && s <= t {
+			n++
+		}
+	}
+	return n
+}
+
 // ScanScope visits every market with at least one record in the
 // (region, product) scope exactly once, either dimension empty for "all",
 // resolving the scope through the rollup entries' member lists: a scoped

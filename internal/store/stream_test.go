@@ -20,7 +20,7 @@ const streamSalt = 0x5eed
 // cannot replay the gap. It returns the subscription the rest is read from.
 func serveFollow(leader *Store, tok *Position, w io.Writer, clock time.Time) (*Subscription, *StreamWriter) {
 	f := leader.Feed()
-	sub, mode := f.Subscribe(SubscribeOptions{}), ResumeWindow
+	sub, mode := f.Subscribe(SubscribeOptions{}), ResumeGap
 	if tok != nil && tok.Salt == streamSalt {
 		sub.Close()
 		sub, mode = f.SubscribeFrom(SubscribeOptions{}, tok.Seq, tok.Gen)
@@ -28,7 +28,7 @@ func serveFollow(leader *Store, tok *Position, w io.Writer, clock time.Time) (*S
 	st := f.Stats()
 	sw := NewStreamWriter(w, Position{Salt: streamSalt, Seq: st.LastSeq, Gen: st.LastGen})
 	_ = sw.Position(clock)
-	if mode == ResumeWindow {
+	if mode == ResumeGap {
 		_ = sw.Snapshot(leader, clock)
 	}
 	return sub, sw

@@ -26,13 +26,14 @@ import "time"
 //
 // Resume: replaying the last received id in the Last-Event-ID header (or
 // the lastEventId query parameter) continues the stream. The gap is
-// bridged exactly — from the server's in-memory replay ring — whenever
-// it is still covered; otherwise the server sends a "resync" frame and
-// rebuilds the gap best-effort from the store's windowed indexes
-// (at-least-once: events at the resume boundary may repeat). Query
-// parameters: market OR region/product scope the subscription, kinds is
-// a comma-separated EventKind list, and since=<duration> asks a fresh
-// subscription for an initial windowed backfill.
+// replayed exactly — from the server's in-memory replay ring — whenever
+// it is still covered; otherwise nothing of it is sent: a "resync" frame
+// announces the gap, and its id is where the stream continues. A stream
+// carries no history (since= is refused): a consumer that meets a resync
+// re-reads the state it needs through the queries, where a conditional
+// GET makes an unchanged scope a 304. Query parameters: market OR
+// region/product scope the subscription, and kinds is a comma-separated
+// EventKind list.
 //
 // Capacity: the server enforces a subscriber cap; beyond it /v2/watch
 // answers 429 with the usual error envelope (code "overloaded") and a
@@ -78,8 +79,9 @@ const (
 	// EventLagged is terminal: the consumer fell behind and events were
 	// dropped; Gen in the payload is the position to resume from.
 	EventLagged EventKind = "lagged"
-	// EventResync precedes a best-effort windowed replay: events from
-	// From onward may duplicate ones the consumer already saw.
+	// EventResync announces a gap the server cannot replay: the events
+	// between the consumer's token and this frame's id are not sent. Gen
+	// is the store generation the stream continues from.
 	EventResync EventKind = "resync"
 )
 
@@ -91,8 +93,7 @@ type StreamEvent struct {
 	ID string `json:"-"`
 
 	Kind EventKind `json:"kind"`
-	// Seq is the server-assigned sequence number; 0 on control frames and
-	// windowed replays.
+	// Seq is the server-assigned sequence number; 0 on control frames.
 	Seq uint64 `json:"seq,omitempty"`
 	// Gen is the store generation the event (or control frame) is
 	// anchored at.
@@ -111,7 +112,6 @@ type StreamEvent struct {
 	Outage     *Outage           `json:"outage,omitempty"`
 	Hello      *StreamHello      `json:"hello,omitempty"`
 	Lagged     *StreamLagged     `json:"lagged,omitempty"`
-	Resync     *StreamResync     `json:"resync,omitempty"`
 }
 
 // StreamProbe is one logged probe on the stream. The payload carries the
@@ -164,8 +164,8 @@ type StreamHello struct {
 	// Gen is the store generation the subscription attached at.
 	Gen uint64 `json:"gen"`
 	// Resume reports how a Last-Event-ID was bridged: "live" (nothing
-	// missed), "replay" (exact ring replay), "resync" (best-effort
-	// windowed rebuild), or "none" (fresh subscription).
+	// missed), "replay" (exact ring replay), "resync" (a gap, announced by
+	// the resync frame that follows), or "none" (fresh subscription).
 	Resume string `json:"resume"`
 	// Salt is the server's ETag/token salt, hex-encoded — the first
 	// segment of every resume token.
@@ -176,14 +176,6 @@ type StreamHello struct {
 type StreamLagged struct {
 	// Gen is the generation of the last delivered event — the position to
 	// resume from.
-	Gen uint64 `json:"gen"`
-}
-
-// StreamResync warns that the following replay is best-effort.
-type StreamResync struct {
-	// From is the timestamp the windowed rebuild starts at (inclusive).
-	From time.Time `json:"from"`
-	// Gen is the store generation the rebuilt events are anchored at.
 	Gen uint64 `json:"gen"`
 }
 

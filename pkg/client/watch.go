@@ -20,9 +20,11 @@ import (
 // Live streaming. Watch opens a GET /v2/watch Server-Sent Events stream
 // and delivers typed api.StreamEvent values over a channel, reconnecting
 // automatically with Last-Event-ID resume whenever the connection drops —
-// the gap is replayed by the server (exactly from its ring when covered,
-// best-effort otherwise, flagged by a "resync" frame). A 429 from the
-// server's subscriber cap is retried after its Retry-After hint.
+// the server replays the gap exactly from its ring when it still can, and
+// otherwise delivers one "resync" event instead: the gap's events are
+// gone, so re-read the state you need through the queries; the watch
+// continues from there. A 429 from the server's subscriber cap is retried
+// after its Retry-After hint.
 //
 //	w, err := c.Watch(ctx, client.WatchOptions{
 //		Region: "us-east-1",
@@ -46,11 +48,8 @@ type WatchOptions struct {
 	Product string
 	// Kinds restricts the delivered event families; nil means all.
 	Kinds []api.EventKind
-	// Since asks a fresh subscription for an initial windowed backfill of
-	// that much history before going live.
-	Since time.Duration
 	// LastEventID resumes from a token captured earlier (e.g. a previous
-	// Watch's LastEventID); overrides Since.
+	// Watch's LastEventID).
 	LastEventID string
 	// Buffer is the delivery channel capacity (default 64). A consumer
 	// that stops draining eventually stalls the reader, the server marks
@@ -183,12 +182,6 @@ func (w *Watch) watchURL() string {
 			names[i] = string(k)
 		}
 		v.Set("kinds", strings.Join(names, ","))
-	}
-	// Keep asking for the backfill until a resume token exists: a
-	// connection that dies before any id-bearing frame arrived must not
-	// silently drop the caller's requested history.
-	if w.opts.Since > 0 && w.LastEventID() == "" {
-		v.Set("since", w.opts.Since.String())
 	}
 	u := w.c.base + "/v2/watch"
 	if enc := v.Encode(); enc != "" {

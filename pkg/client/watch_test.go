@@ -5,8 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -291,86 +295,209 @@ func TestWatch429RetriesAfterHint(t *testing.T) {
 	}
 }
 
-// A connection that dies before any id-bearing frame arrived must keep
-// requesting the caller's backfill on reconnect instead of silently
-// dropping it.
-func TestWatchSinceSurvivesEarlyDisconnect(t *testing.T) {
-	var calls atomic.Int64
-	var secondSince atomic.Value
-	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n := calls.Add(1)
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintf(w, "event: hello\ndata: {\"kind\":\"hello\",\"hello\":{\"gen\":1,\"resume\":\"none\"}}\n\n")
-		w.(http.Flusher).Flush()
-		if n == 1 {
-			return // dies before any id-bearing frame
-		}
-		secondSince.Store(r.URL.Query().Get("since"))
-		fmt.Fprintf(w, "id: tok-1\nevent: spike\ndata: {\"kind\":\"spike\",\"seq\":1,\"gen\":1}\n\n")
-		w.(http.Flusher).Flush()
-		<-r.Context().Done()
-	}))
-	defer stub.Close()
-
-	c, err := New(stub.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := c.Watch(context.Background(), WatchOptions{Since: time.Hour, MinBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case ev, ok := <-w.Events():
-			if !ok {
-				t.Fatalf("watch ended: %v", w.Err())
-			}
-			if ev.Kind == api.EventSpike {
-				if got := secondSince.Load(); got != "1h0m0s" {
-					t.Fatalf("reconnect sent since=%v, want the original 1h backfill", got)
-				}
-				return
-			}
-		case <-deadline:
-			t.Fatal("timed out waiting for the reconnected stream")
-		}
-	}
+// flakyWriter aborts its stream once limit frames are written (0: never),
+// and before writing anything once the link is down.
+type flakyWriter struct {
+	http.ResponseWriter
+	down          *atomic.Bool
+	frames, limit int
 }
 
-// Since-backfill flows through to the server and replays history.
-func TestWatchSinceBackfill(t *testing.T) {
-	srv, db, _ := watchServer(t)
-	db.AppendSpike(store.SpikeEvent{At: watchT0.Add(23 * time.Hour), Market: watchMkt, Ratio: 3.0})
+func (f *flakyWriter) Write(b []byte) (int, error) {
+	if f.down.Load() {
+		panic(http.ErrAbortHandler)
+	}
+	n, err := f.ResponseWriter.Write(b)
+	if f.frames += bytes.Count(b[:n], []byte("\n\n")); f.limit > 0 && f.frames >= f.limit {
+		f.Flush()
+		panic(http.ErrAbortHandler)
+	}
+	return n, err
+}
+
+func (f *flakyWriter) Flush() { f.ResponseWriter.(http.Flusher).Flush() }
+
+// The watch contract end to end, against an oracle of everything appended.
+// One writer appends spikes, one round each, so the store generation after
+// each append names that spike. In a seeded order the stream is killed
+// every few frames, partitioned while the writer overruns the feed's ring,
+// and the server restarts from disk, quiet or with records landing before
+// the watch reattaches. The consumer must see the spikes in append order,
+// each at most once, and every gap must be one resync frame whose
+// generation is exactly where the stream then continues.
+func TestWatchMatchesAppendOracleAcrossGapsAndRestarts(t *testing.T) {
+	const ring = 32768 // the store feed's ring capacity
+	type node struct {
+		db *store.Store
+		a  *query.API
+	}
+	dir := t.TempDir()
+	open := func() *node {
+		db, err := store.Open(dir, store.PersistOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := query.NewAPI(query.NewEngine(db, market.New()), func() time.Time { return watchT0.Add(24 * time.Hour) })
+		a.SetETagSalt(db.Persister().Salt())
+		return &node{db, a}
+	}
+	stop := func(n *node) {
+		n.a.Shutdown()
+		if err := n.db.Persister().Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var cur atomic.Pointer[node]
+	var down atomic.Bool
+	var killAt atomic.Int64
+	cur.Store(open())
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if down.Load() {
+			http.Error(w, "partitioned", http.StatusServiceUnavailable)
+			return
+		}
+		cur.Load().a.Handler().ServeHTTP(&flakyWriter{ResponseWriter: w, down: &down, limit: int(killAt.Load())}, r)
+	}))
+	defer srv.Close()
+	defer func() { stop(cur.Load()) }()
 
 	c, err := New(srv.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := c.Watch(context.Background(), WatchOptions{Since: 6 * time.Hour})
+	w, err := c.Watch(context.Background(), WatchOptions{MinBackoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond, Buffer: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	var mu sync.Mutex
+	var got []api.StreamEvent
+	go func() {
+		for ev := range w.Events() {
+			mu.Lock()
+			got = append(got, ev)
+			mu.Unlock()
+		}
+	}()
+	frames := func() []api.StreamEvent {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(got)
+	}
+	waitFor := func(what string, done func([]api.StreamEvent) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !done(frames()); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
 
-	var kinds []api.EventKind
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case ev := <-w.Events():
-			kinds = append(kinds, ev.Kind)
-			if ev.Kind == api.EventSpike {
-				if len(kinds) != 3 || kinds[0] != api.EventHello || kinds[1] != api.EventResync {
-					t.Fatalf("frames = %v, want hello, resync, spike", kinds)
+	var gens []uint64 // gens[k] is the generation spike #k+1 landed at
+	appendSpikes := func(n int) {
+		db := cur.Load().db
+		for ; n > 0; n-- {
+			db.AppendSpike(store.SpikeEvent{At: watchT0.Add(time.Duration(len(gens)) * time.Second), Market: watchMkt, Ratio: float64(len(gens) + 1)})
+			gens = append(gens, db.GlobalGeneration())
+		}
+	}
+	// replay holds the consumer's frames to the oracle: at is the index of
+	// the last spike they account for, err the first frame that breaks the
+	// contract.
+	replay := func(fs []api.StreamEvent) (at, resyncs, gaps int, err error) {
+		at = -1
+		for _, f := range fs {
+			switch f.Kind {
+			case api.EventSpike:
+				if at+1 >= len(gens) || f.Gen != gens[at+1] || f.Spike.Ratio != float64(at+2) {
+					return at, resyncs, gaps, fmt.Errorf("after spike #%d the consumer got spike #%v at generation %d: lost, duplicated or reordered", at+1, f.Spike.Ratio, f.Gen)
 				}
+				at++
+			case api.EventResync:
+				resyncs++
+				j := sort.Search(len(gens), func(k int) bool { return gens[k] > f.Gen }) - 1
+				if j < at || (j >= 0 && gens[j] != f.Gen) {
+					return at, resyncs, gaps, fmt.Errorf("resync to generation %d after spike #%d: not a position at or past the consumer's", f.Gen, at+1)
+				}
+				if j > at {
+					gaps++
+				}
+				at = j
+			}
+		}
+		return at, resyncs, gaps, nil
+	}
+	caughtUp := func() {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			at, _, _, err := replay(frames())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if at == len(gens)-1 {
 				return
 			}
-		case <-deadline:
-			t.Fatalf("timed out; saw %v", kinds)
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out with the consumer accounting for %d of %d spikes (an unannounced gap?)", at+1, len(gens))
+			}
 		}
+	}
+	// restart stops the node and reopens it from disk with cold records
+	// appended before the watch may reattach, and checks how the
+	// reattaching stream says it resumed.
+	restart := func(cold int, resume string) {
+		t.Helper()
+		down.Store(true)
+		stop(cur.Load())
+		cur.Store(open())
+		appendSpikes(cold)
+		hellos := func(fs []api.StreamEvent) (hs []api.StreamEvent) {
+			for _, f := range fs {
+				if f.Kind == api.EventHello {
+					hs = append(hs, f)
+				}
+			}
+			return hs
+		}
+		before := len(hellos(frames()))
+		down.Store(false)
+		waitFor("the watch to reattach", func(fs []api.StreamEvent) bool { return len(hellos(fs)) > before })
+		if h := hellos(frames())[before]; h.Hello.Resume != resume {
+			t.Fatalf("after a restart with %d cold records the stream resumed %q, want %q", cold, h.Hello.Resume, resume)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(31))
+	steps := []string{"burst", "burst", "burst", "burst", "burst", "burst", "overrun", "overrun", "cold restart", "cold restart", "quiet restart"}
+	rng.Shuffle(len(steps), func(i, j int) { steps[i], steps[j] = steps[j], steps[i] })
+	wantGaps := 0
+	for _, step := range steps {
+		caughtUp()
+		switch step {
+		case "burst": // the stream dies every few frames
+			killAt.Store(int64(2 + rng.Intn(6)))
+			appendSpikes(1 + rng.Intn(40))
+		case "overrun": // partitioned while the ring overwrites the consumer's position
+			down.Store(true)
+			appendSpikes(ring + 1 + rng.Intn(100))
+			down.Store(false)
+			wantGaps++
+		case "cold restart":
+			restart(1+rng.Intn(20), "resync")
+			wantGaps++
+		case "quiet restart":
+			restart(0, "live")
+		}
+	}
+	appendSpikes(10)
+	caughtUp()
+
+	_, resyncs, gaps, _ := replay(frames())
+	t.Logf("%d spikes, %d reconnects, %d resyncs", len(gens), w.Reconnects(), resyncs)
+	if gaps != wantGaps || resyncs != wantGaps {
+		t.Fatalf("%d resync frames over %d gaps, want one for each of the %d overruns and cold restarts", resyncs, gaps, wantGaps)
+	}
+	if w.Reconnects() <= uint64(len(steps)) {
+		t.Errorf("%d reconnects over %d steps: the bursts did not kill the stream", w.Reconnects(), len(steps))
 	}
 }
