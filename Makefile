@@ -11,11 +11,14 @@ GO ?= go
 # (BenchmarkAdvise matches the generation-cached variant too), the two
 # cold rankings of the read-cold workload (BenchmarkAdviseRegion and
 # BenchmarkQueryStableRegion: one region, n = 10, a new 6-144 h window per
-# call), and the
+# call), the
 # metrics overhead pair (BenchmarkObsOverhead runs each instrumented hot
 # path against its nil-registry twin — the two must stay within noise of
-# each other).
-BENCH_SMOKE = BenchmarkQueryStable|BenchmarkQueryFallback|BenchmarkQuerySummary|BenchmarkStoreAggregates|BenchmarkStoreRegionAggregates|BenchmarkGenerationOfScope|BenchmarkStoreAppendMonitorTick|BenchmarkStoreAppendProbesBatchParallel|BenchmarkWALAppend|BenchmarkReplay|BenchmarkFeedPublish|BenchmarkFeedFanout|BenchmarkAdvise|BenchmarkAdviseRegion|BenchmarkQueryStableRegion|BenchmarkPriceStatsIn|BenchmarkSpikesInWindow|BenchmarkObsOverhead
+# each other), and the tick pair (BenchmarkSimStep: one full-catalog
+# simulator step; BenchmarkServiceTick: a step plus one monitoring cycle
+# over all nine regions), which the leader preload behind live-fleet's
+# setup_s and ingest-recover's timed loop are made of.
+BENCH_SMOKE = BenchmarkQueryStable|BenchmarkQueryFallback|BenchmarkQuerySummary|BenchmarkStoreAggregates|BenchmarkStoreRegionAggregates|BenchmarkGenerationOfScope|BenchmarkStoreAppendMonitorTick|BenchmarkStoreAppendProbesBatchParallel|BenchmarkWALAppend|BenchmarkReplay|BenchmarkFeedPublish|BenchmarkFeedFanout|BenchmarkAdvise|BenchmarkAdviseRegion|BenchmarkQueryStableRegion|BenchmarkPriceStatsIn|BenchmarkSpikesInWindow|BenchmarkObsOverhead|BenchmarkSimStep|BenchmarkServiceTick
 
 # Benchmark iteration control. The CI smoke keeps the 1x default (it only
 # proves the benchmarks run); any measurement that will be *compared* —

@@ -2,7 +2,6 @@ package cloud
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"spotlight/internal/market"
@@ -223,41 +222,28 @@ func (s *Sim) OnDemandPrice(m market.SpotID) (float64, error) {
 
 // MarketPrice is one row of a region price snapshot.
 type MarketPrice struct {
-	ID       market.SpotID
+	ID market.SpotID
+	// Index is the market's dense catalog index: its position in
+	// Catalog.SpotMarkets(), so a consumer can address per-market state
+	// by slice instead of hashing ID.
+	Index    int
 	Spot     float64
 	OnDemand float64
 }
 
-// EachRegionPrice invokes fn for every spot market of region r with its
-// current published price. This is the batch "one API call per region"
-// read path Chapter 4's region managers rely on.
+// EachRegionPrice invokes fn for every spot market of region r, in
+// catalog order, with its current published price. This is the batch
+// "one API call per region" read path Chapter 4's region managers rely
+// on. An unknown region yields nothing.
 func (s *Sim) EachRegionPrice(r market.Region, fn func(MarketPrice)) {
-	for _, m := range s.markets {
-		if m.id.Region() != r {
-			continue
-		}
-		fn(MarketPrice{ID: m.id, Spot: m.published, OnDemand: m.odPrice})
+	reg := s.regions[r]
+	if reg == nil {
+		return
 	}
-}
-
-// SpotPriceHistory returns the published price points of market m in
-// [from, to], oldest first, bounded by the simulator's retention ring.
-func (s *Sim) SpotPriceHistory(m market.SpotID, from, to time.Time) ([]PricePoint, error) {
-	idx, ok := s.marketIdx[m]
-	if !ok {
-		return nil, apiErrorf(ErrBadParameters, "unknown market %v", m)
+	for _, i := range reg.markets {
+		m := s.markets[i]
+		fn(MarketPrice{ID: m.id, Index: i, Spot: m.published, OnDemand: m.odPrice})
 	}
-	mr := s.markets[idx]
-	var out []PricePoint
-	for i := 0; i < mr.historyLen; i++ {
-		pt := mr.history[(mr.historyStart+i)%len(mr.history)]
-		if pt.At.Before(from) || pt.At.After(to) {
-			continue
-		}
-		out = append(out, pt)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].At.Before(out[j].At) })
-	return out, nil
 }
 
 // Internal machinery -----------------------------------------------------

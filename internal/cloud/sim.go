@@ -30,8 +30,6 @@ type Config struct {
 	// true clearing price, modelling EC2's 20-40 s propagation delay
 	// (§5.1.2). Default 1.
 	PriceLagTicks int
-	// HistoryDepth is the per-market price history ring size. Default 512.
-	HistoryDepth int
 	// APICallsPerTickPerRegion bounds client API calls per region per
 	// tick. Default 600.
 	APICallsPerTickPerRegion int
@@ -70,9 +68,6 @@ func (c *Config) fillDefaults() {
 	if c.PriceLagTicks <= 0 {
 		c.PriceLagTicks = 1
 	}
-	if c.HistoryDepth <= 0 {
-		c.HistoryDepth = 512
-	}
 	if c.APICallsPerTickPerRegion <= 0 {
 		c.APICallsPerTickPerRegion = 600
 	}
@@ -91,12 +86,6 @@ func (c *Config) fillDefaults() {
 	if c.BillingIncrement <= 0 {
 		c.BillingIncrement = time.Hour
 	}
-}
-
-// PricePoint is one point of a market's published spot price history.
-type PricePoint struct {
-	At    time.Time `json:"at"`
-	Price float64   `json:"price"`
 }
 
 // poolRt is the per-pool runtime state.
@@ -139,20 +128,19 @@ type marketRt struct {
 	lagBuf []float64
 	lagPos int
 
-	published    float64
-	lastRecorded float64
-	history      []PricePoint
-	historyStart int // ring start
-	historyLen   int
-	supplyUnits  float64 // this market's share of pool spot supply
-	demandUnits  float64
+	published   float64
+	supplyUnits float64 // this market's share of pool spot supply
+	demandUnits float64
 }
 
-// regionRt tracks per-region quotas.
+// regionRt tracks per-region quotas and the region's markets.
 type regionRt struct {
 	apiCalls      int
 	openSpotReqs  int
 	runningByType map[market.InstanceType]int
+	// markets lists the dense indices of the region's spot markets in
+	// catalog order: the walk behind EachRegionPrice.
+	markets []int
 }
 
 // Sim is the cloud simulator. All methods are safe only from a single
@@ -274,10 +262,11 @@ func New(cat *market.Catalog, cfg Config) (*Sim, error) {
 			params:  dm.Params(i),
 			poolIdx: dm.MarketPoolIndex(i),
 			lagBuf:  make([]float64, cfg.PriceLagTicks),
-			history: make([]PricePoint, cfg.HistoryDepth),
 		}
 		s.markets[i] = m
 		s.marketIdx[sid] = i
+		reg := s.regions[sid.Region()]
+		reg.markets = append(reg.markets, i)
 	}
 
 	// Prime prices so the published feed is meaningful from tick zero.
@@ -289,7 +278,6 @@ func New(cat *market.Catalog, cfg Config) (*Sim, error) {
 			m.lagBuf[k] = m.truePrice
 		}
 		m.published = m.truePrice
-		s.recordPrice(m, s.clock.Now())
 	}
 	return s, nil
 }
@@ -333,7 +321,7 @@ func (s *Sim) Step() time.Time {
 	s.advanceInstances(now)
 	for i, m := range s.markets {
 		s.updateMarketPrice(i, m)
-		s.publish(m, now)
+		m.publish()
 	}
 	s.enforceSpotCapacity(now)
 	s.reevaluateHeld(now)
@@ -457,27 +445,11 @@ func (s *Sim) updateMarketPrice(i int, m *marketRt) {
 	}
 }
 
-// publish shifts the true price into the lagged published feed and records
-// history points on change.
-func (s *Sim) publish(m *marketRt, now time.Time) {
+// publish shifts the true price into the lagged published feed.
+func (m *marketRt) publish() {
 	m.published = m.lagBuf[m.lagPos]
 	m.lagBuf[m.lagPos] = m.truePrice
 	m.lagPos = (m.lagPos + 1) % len(m.lagBuf)
-	if m.published != m.lastRecorded {
-		s.recordPrice(m, now)
-	}
-}
-
-func (s *Sim) recordPrice(m *marketRt, now time.Time) {
-	pt := PricePoint{At: now, Price: m.published}
-	if m.historyLen < len(m.history) {
-		m.history[(m.historyStart+m.historyLen)%len(m.history)] = pt
-		m.historyLen++
-	} else {
-		m.history[m.historyStart] = pt
-		m.historyStart = (m.historyStart + 1) % len(m.history)
-	}
-	m.lastRecorded = m.published
 }
 
 // retiredEntry schedules a terminated object for pruning.
@@ -529,13 +501,14 @@ func (s *Sim) advanceInstances(now time.Time) {
 }
 
 // prune drops terminated instances and closed spot requests past the
-// retention window.
+// retention window. Entries are appended at the simulator's monotone
+// clock, so retired is ordered by at and only its prefix can expire.
 func (s *Sim) prune(now time.Time) {
-	kept := s.retired[:0]
-	for _, e := range s.retired {
+	n := 0
+	for ; n < len(s.retired); n++ {
+		e := s.retired[n]
 		if now.Sub(e.at) < retireRetention {
-			kept = append(kept, e)
-			continue
+			break
 		}
 		if e.inst != "" {
 			if inst, ok := s.instances[e.inst]; ok && inst.State == InstanceTerminated {
@@ -549,7 +522,7 @@ func (s *Sim) prune(now time.Time) {
 			}
 		}
 	}
-	s.retired = kept
+	s.retired = s.retired[n:]
 }
 
 // enforceSpotCapacity revokes client spot instances (lowest bids first)

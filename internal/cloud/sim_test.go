@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -328,13 +329,11 @@ func TestSpotRevocationOnPriceRise(t *testing.T) {
 	}
 }
 
-func TestSpotPriceAndHistory(t *testing.T) {
+func TestSpotPrice(t *testing.T) {
 	s := testSim(t, 1)
-	from := s.Now()
 	for i := 0; i < 50; i++ {
 		s.Step()
 	}
-	to := s.Now()
 	p, err := s.SpotPrice(testMarket)
 	if err != nil {
 		t.Fatal(err)
@@ -342,23 +341,8 @@ func TestSpotPriceAndHistory(t *testing.T) {
 	if p <= 0 {
 		t.Errorf("SpotPrice = %v, want positive", p)
 	}
-	hist, err := s.SpotPriceHistory(testMarket, from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist) == 0 {
-		t.Fatal("empty price history after 50 ticks")
-	}
-	for i := 1; i < len(hist); i++ {
-		if hist[i].At.Before(hist[i-1].At) {
-			t.Fatal("history not sorted by time")
-		}
-		if hist[i].Price == hist[i-1].Price {
-			t.Error("consecutive identical prices recorded; history should be change-only")
-		}
-	}
-	if _, err := s.SpotPriceHistory(market.SpotID{Zone: "atlantis-1a", Type: "c3.large", Product: market.ProductLinux}, from, to); err == nil {
-		t.Error("history for unknown market succeeded")
+	if _, err := s.SpotPrice(market.SpotID{Zone: "atlantis-1a", Type: "c3.large", Product: market.ProductLinux}); err == nil {
+		t.Error("price for unknown market succeeded")
 	}
 }
 
@@ -407,22 +391,48 @@ func TestDescribeSpotRequestsBatch(t *testing.T) {
 	}
 }
 
+// TestEachRegionPrice states the provider contract the monitor's region
+// scan is built on: for every catalog region, EachRegionPrice yields
+// exactly the catalog's markets of that region, in SpotMarkets() order,
+// each with its position in SpotMarkets() as Index and its current
+// published price.
 func TestEachRegionPrice(t *testing.T) {
 	s := testSim(t, 1)
-	count := 0
-	s.EachRegionPrice("us-east-1", func(mp MarketPrice) {
-		count++
-		if mp.ID.Region() != "us-east-1" {
-			t.Errorf("market %v leaked into us-east-1 snapshot", mp.ID)
-		}
-		if mp.Spot <= 0 || mp.OnDemand <= 0 {
-			t.Errorf("market %v: non-positive prices %+v", mp.ID, mp)
-		}
-	})
-	want := 5 * 53 * 3 // 5 zones x 53 types x 3 products
-	if count != want {
-		t.Errorf("us-east-1 snapshot = %d markets, want %d", count, want)
+	s.Step()
+	type row struct {
+		id    market.SpotID
+		index int
 	}
+	want := make(map[market.Region][]row)
+	for i, id := range s.Catalog().SpotMarkets() {
+		want[id.Region()] = append(want[id.Region()], row{id, i})
+	}
+	for _, r := range s.Catalog().Regions() {
+		var got []row
+		s.EachRegionPrice(r, func(mp MarketPrice) {
+			got = append(got, row{mp.ID, mp.Index})
+			if p, err := s.SpotPrice(mp.ID); err != nil || mp.Spot != p {
+				t.Errorf("%v: Spot = %v, SpotPrice = %v (%v)", mp.ID, mp.Spot, p, err)
+			}
+			if mp.Spot <= 0 || mp.OnDemand <= 0 {
+				t.Errorf("market %v: non-positive prices %+v", mp.ID, mp)
+			}
+		})
+		if len(got) != len(want[r]) {
+			t.Fatalf("%s: %d markets, catalog has %d", r, len(got), len(want[r]))
+		}
+		for k := range got {
+			if got[k] != want[r][k] {
+				t.Fatalf("%s row %d = %+v, want %+v", r, k, got[k], want[r][k])
+			}
+		}
+	}
+	if n, want := len(want["us-east-1"]), 5*53*3; n != want { // 5 zones x 53 types x 3 products
+		t.Errorf("us-east-1 snapshot = %d markets, want %d", n, want)
+	}
+	s.EachRegionPrice("atlantis-1", func(mp MarketPrice) {
+		t.Errorf("unknown region yielded %v", mp.ID)
+	})
 }
 
 func TestDeterministicPrices(t *testing.T) {
@@ -559,5 +569,138 @@ func TestOutageContains(t *testing.T) {
 	}
 	if got := ongoing.Duration(base.Add(2 * time.Hour)); got != 2*time.Hour {
 		t.Errorf("ongoing Duration = %v, want 2h", got)
+	}
+}
+
+// TestRetiredObjectsExpireAfterRetention drives terminated instances and
+// closed spot requests across more than a day: each object stays
+// describable for retireRetention after it retires and is gone after it,
+// and the retire queue stays ordered by retirement time, the invariant
+// prune's prefix expiry relies on.
+func TestRetiredObjectsExpireAfterRetention(t *testing.T) {
+	s := testSim(t, 1)
+	od, err := s.OnDemandPrice(testMarket)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// An object is an instance or a request; at is when it retired (zero
+	// until it is seen in a terminal state).
+	type object struct {
+		inst InstanceID
+		req  RequestID
+		at   time.Time
+	}
+	var objs []*object
+	retireSome := func() {
+		inst, err := s.RunInstance(testMarket)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.TerminateInstance(inst.ID); err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, &object{inst: inst.ID})
+
+		// A bid at the on-demand price usually wins: the user ends the
+		// instance, which closes the request. Otherwise cancel it.
+		req, err := s.RequestSpotInstance(testMarket, od)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.State == SpotFulfilled {
+			if err := s.TerminateInstance(req.Instance); err != nil {
+				t.Fatal(err)
+			}
+			objs = append(objs, &object{inst: req.Instance})
+		} else if err := s.CancelSpotRequest(req.ID); err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, &object{req: req.ID})
+
+		// A bid under the floor is held until cancelled.
+		low, err := s.RequestSpotInstance(testMarket, od/1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CancelSpotRequest(low.ID); err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, &object{req: low.ID})
+	}
+
+	start := s.Now()
+	end := start.Add(retireRetention + 14*time.Hour)
+	for s.Now().Before(end) {
+		if s.Now().Sub(start) < 12*time.Hour && s.Now().Sub(start)%(3*time.Hour) == 0 {
+			retireSome()
+		}
+		s.Step()
+
+		for k := 1; k < len(s.retired); k++ {
+			if s.retired[k].at.Before(s.retired[k-1].at) {
+				t.Fatalf("retired[%d] at %v precedes retired[%d] at %v",
+					k, s.retired[k].at, k-1, s.retired[k-1].at)
+			}
+		}
+		for _, o := range objs {
+			var err error
+			if o.inst != "" {
+				var inst Instance
+				inst, err = s.DescribeInstance(o.inst)
+				if err == nil && o.at.IsZero() && inst.State == InstanceTerminated {
+					o.at = inst.End
+				}
+			} else {
+				var req SpotRequest
+				req, err = s.DescribeSpotRequest(o.req)
+				if err == nil && o.at.IsZero() && req.State.Terminal() {
+					o.at = req.Updated
+				}
+			}
+			switch {
+			case o.at.IsZero():
+				if err != nil {
+					t.Fatalf("%s%s gone before it retired: %v", o.inst, o.req, err)
+				}
+			case s.Now().Sub(o.at) < retireRetention:
+				if err != nil {
+					t.Fatalf("%s%s retired at %v, gone at %v: %v", o.inst, o.req, o.at, s.Now(), err)
+				}
+			case !IsCode(err, ErrNotFound):
+				t.Fatalf("%s%s retired at %v, still describable at %v (err %v)", o.inst, o.req, o.at, s.Now(), err)
+			}
+		}
+	}
+	for _, o := range objs {
+		if o.at.IsZero() {
+			t.Errorf("%s%s never retired", o.inst, o.req)
+		}
+	}
+	if len(s.retired) != 0 {
+		t.Errorf("%d retire entries left after every object expired", len(s.retired))
+	}
+}
+
+// TestNewRetainsLittle guards the simulator's resident size: a
+// full-catalog Sim keeps per-market state the tick needs and nothing
+// more. It once kept a 512-point price-history ring per market, 68 MB
+// that no serving path read.
+func TestNewRetainsLittle(t *testing.T) {
+	cat := market.New()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := New(cat, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("cloud.New retains %.1f MB", float64(retained)/(1<<20))
+	if retained >= 8<<20 {
+		t.Errorf("cloud.New retains %d B, want < 8 MiB", retained)
 	}
 }

@@ -182,7 +182,7 @@ func (f *fakeProvider) DescribeSpotRequests(r market.Region, ids []cloud.Request
 }
 
 func (f *fakeProvider) EachRegionPrice(r market.Region, fn func(cloud.MarketPrice)) {
-	for _, id := range f.cat.SpotMarkets() {
+	for i, id := range f.cat.SpotMarkets() {
 		if id.Region() != r {
 			continue
 		}
@@ -194,7 +194,7 @@ func (f *fakeProvider) EachRegionPrice(r market.Region, fn func(cloud.MarketPric
 		if err != nil {
 			continue
 		}
-		fn(cloud.MarketPrice{ID: id, Spot: price, OnDemand: od})
+		fn(cloud.MarketPrice{ID: id, Index: i, Spot: price, OnDemand: od})
 	}
 }
 

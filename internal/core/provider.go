@@ -47,7 +47,9 @@ type Provider interface {
 
 	// EachRegionPrice streams the current published spot price of every
 	// market in a region — the batched per-region read Chapter 4's
-	// region managers use to stay inside API limits.
+	// region managers use to stay inside API limits. Each row's Index
+	// must be the market's position in Catalog().SpotMarkets(): the
+	// region scan addresses its monitors by it.
 	EachRegionPrice(r market.Region, fn func(cloud.MarketPrice))
 	// OnDemandPrice returns the market's fixed on-demand price.
 	OnDemandPrice(m market.SpotID) (float64, error)

@@ -13,11 +13,7 @@ import (
 // survives before the platform revokes it. The observations feed the
 // mean-time-to-revocation ranking the query interface exposes.
 func (s *Service) runRevocationWatch(now time.Time) {
-	for _, id := range s.cfg.RevocationMarkets {
-		mon, ok := s.mons[id]
-		if !ok || !mon.revocation {
-			continue
-		}
+	for _, mon := range s.revocationMons {
 		if mon.revInstance == "" {
 			s.acquireRevocationInstance(mon, now)
 			continue

@@ -58,11 +58,9 @@ type marketMon struct {
 	heldReq         cloud.RequestID
 
 	// BidSpread scheduling.
-	bidSpread     bool
 	nextBidSpread time.Time
 
 	// Revocation watch.
-	revocation  bool
 	revInstance cloud.InstanceID
 	revBid      float64
 	revSince    time.Time
@@ -78,9 +76,18 @@ type Service struct {
 	budget *budgetController
 	rng    *rand.Rand
 
-	regions   []market.Region
-	mons      map[market.SpotID]*marketMon
-	monsByReg map[market.Region][]*marketMon
+	regions []market.Region
+	// byIndex holds the monitors by dense catalog index
+	// (cloud.MarketPrice.Index); nil marks a market outside the
+	// monitored regions. The region scan addresses it directly.
+	byIndex []*marketMon
+	// mons resolves a SpotID to its monitor for the related-market
+	// fan-out, whose targets the catalog derives by ID.
+	mons map[market.SpotID]*marketMon
+	// bidSpreadMons and revocationMons are Config.BidSpreadMarkets and
+	// Config.RevocationMarkets resolved to monitors, in config order.
+	bidSpreadMons  []*marketMon
+	revocationMons []*marketMon
 
 	activeOD   map[market.SpotID]*marketMon
 	activeSpot map[market.SpotID]*marketMon
@@ -125,8 +132,8 @@ func New(prov Provider, db *store.Store, cfg Config) (*Service, error) {
 		budget:     newBudgetController(cfg.Budget, cfg.BudgetWindow, prov.Now()),
 		rng:        rand.New(rand.NewPCG(cfg.Seed, 0x5b07_11fe)),
 		regions:    regions,
+		byIndex:    make([]*marketMon, len(cat.SpotMarkets())),
 		mons:       make(map[market.SpotID]*marketMon),
-		monsByReg:  make(map[market.Region][]*marketMon, len(regions)),
 		activeOD:   make(map[market.SpotID]*marketMon),
 		activeSpot: make(map[market.SpotID]*marketMon),
 		heldCNA:    make(map[market.Region]int),
@@ -140,25 +147,13 @@ func New(prov Provider, db *store.Store, cfg Config) (*Service, error) {
 	for _, id := range cfg.WatchedMarkets {
 		watched[id] = true
 	}
-	bidSpread := make(map[market.SpotID]bool, len(cfg.BidSpreadMarkets))
-	for _, id := range cfg.BidSpreadMarkets {
-		bidSpread[id] = true
-	}
-	revocation := make(map[market.SpotID]bool, len(cfg.RevocationMarkets))
-	for _, id := range cfg.RevocationMarkets {
-		revocation[id] = true
-	}
-
 	inRegions := make(map[market.Region]bool, len(regions))
 	for _, r := range regions {
 		inRegions[r] = false
-		if _, ok := s.monsByReg[r]; !ok {
-			s.monsByReg[r] = nil
-		}
 	}
-	for _, id := range cat.SpotMarkets() {
+	for i, id := range cat.SpotMarkets() {
 		r := id.Region()
-		if _, ok := s.monsByReg[r]; !ok {
+		if _, ok := inRegions[r]; !ok {
 			continue
 		}
 		inRegions[r] = true
@@ -167,15 +162,13 @@ func New(prov Provider, db *store.Store, cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("core: price for %v: %w", id, err)
 		}
 		mon := &marketMon{
-			id:         id,
-			od:         od,
-			watched:    watched[id],
-			bidSpread:  bidSpread[id],
-			revocation: revocation[id],
-			app:        s.db.Appender(id),
+			id:      id,
+			od:      od,
+			watched: watched[id],
+			app:     s.db.Appender(id),
 		}
+		s.byIndex[i] = mon
 		s.mons[id] = mon
-		s.monsByReg[r] = append(s.monsByReg[r], mon)
 		s.spotRR = append(s.spotRR, mon)
 	}
 	for r, seen := range inRegions {
@@ -183,7 +176,21 @@ func New(prov Provider, db *store.Store, cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("core: region %q has no markets in the catalog", r)
 		}
 	}
+	s.bidSpreadMons = s.resolve(cfg.BidSpreadMarkets)
+	s.revocationMons = s.resolve(cfg.RevocationMarkets)
 	return s, nil
+}
+
+// resolve maps configured market IDs to their monitors, in order,
+// dropping markets outside the monitored regions.
+func (s *Service) resolve(ids []market.SpotID) []*marketMon {
+	var out []*marketMon
+	for _, id := range ids {
+		if mon, ok := s.mons[id]; ok {
+			out = append(out, mon)
+		}
+	}
+	return out
 }
 
 // Store returns the service's database.
@@ -312,8 +319,8 @@ func (s *Service) flushProbes() {
 // spikes above a certain threshold").
 func (s *Service) scanRegion(r market.Region, now time.Time) {
 	s.prov.EachRegionPrice(r, func(mp cloud.MarketPrice) {
-		mon, ok := s.mons[mp.ID]
-		if !ok {
+		mon := s.byIndex[mp.Index]
+		if mon == nil {
 			return
 		}
 		mon.price = mp.Spot
@@ -527,11 +534,7 @@ func (s *Service) runPeriodicODProbes(now time.Time, dt time.Duration) {
 
 // runBidSpreads launches due intrinsic-price searches.
 func (s *Service) runBidSpreads(now time.Time) {
-	for _, id := range s.cfg.BidSpreadMarkets {
-		mon, ok := s.mons[id]
-		if !ok || !mon.bidSpread {
-			continue
-		}
+	for _, mon := range s.bidSpreadMons {
 		if now.Before(mon.nextBidSpread) {
 			continue
 		}

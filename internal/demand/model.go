@@ -120,6 +120,9 @@ type regionState struct {
 	rng    *rand.Rand
 	noise  float64
 	tzHour float64
+	// diurnal is this tick's day-cycle factor at the region's local time,
+	// shared by every market of the region.
+	diurnal float64
 	// famSpikes holds region-wide flash crowds per family; they couple
 	// demand across the region's availability zones (§3.2.2).
 	famSpikes map[market.Family][]spike
@@ -167,8 +170,12 @@ type Model struct {
 	cat     *market.Catalog
 	cfg     Config
 	tickSec float64
+	// rho and innov are the per-tick AR(1) decay and innovation scale
+	// (see ar1); both depend only on the tick.
+	rho   float64
+	innov float64
 
-	regions   map[market.Region]*regionState
+	regions   []*regionState // catalog region order
 	pools     []*poolState
 	poolIdx   map[market.PoolID]int
 	markets   []*marketState
@@ -190,23 +197,27 @@ func NewModel(cat *market.Catalog, cfg Config) (*Model, error) {
 		cat:       cat,
 		cfg:       cfg,
 		tickSec:   cfg.Tick.Seconds(),
-		regions:   make(map[market.Region]*regionState, len(cat.Regions())),
 		poolIdx:   make(map[market.PoolID]int, len(cat.Pools())),
 		marketIdx: make(map[market.SpotID]int, len(cat.SpotMarkets())),
 	}
+	m.rho = math.Exp(-m.tickSec / (3 * 3600))
+	m.innov = math.Sqrt(1 - m.rho*m.rho)
 
+	byRegion := make(map[market.Region]*regionState, len(cat.Regions()))
 	for _, r := range cat.Regions() {
 		prof, ok := cfg.Profiles[r]
 		if !ok {
 			prof = DefaultProfiles()["sa-east-1"]
 		}
-		m.regions[r] = &regionState{
+		rs := &regionState{
 			prof:      prof,
 			rng:       seededRNG(cfg.Seed, "region:"+string(r)),
 			tzHour:    regionTZ(r),
 			famSpikes: make(map[market.Family][]spike),
 			families:  cat.Families(),
 		}
+		byRegion[r] = rs
+		m.regions = append(m.regions, rs)
 	}
 
 	hot := make(map[market.PoolID]bool, len(cfg.HotPools))
@@ -214,7 +225,7 @@ func NewModel(cat *market.Catalog, cfg Config) (*Model, error) {
 		hot[pid] = true
 	}
 	for _, pid := range cat.Pools() {
-		rs := m.regions[pid.Zone.RegionOf()]
+		rs := byRegion[pid.Zone.RegionOf()]
 		rng := seededRNG(cfg.Seed, "pool:"+pid.String())
 		ps := &poolState{
 			id:           pid,
@@ -306,6 +317,7 @@ func (m *Model) Step(now time.Time) {
 
 func (m *Model) stepRegion(rs *regionState, now time.Time) {
 	rs.noise = m.ar1(rs.noise, rs.rng, rs.prof.Volatility)
+	rs.diurnal = diurnal(now, rs.tzHour)
 
 	// Region-wide flash crowds arrive per family; they make the same
 	// family saturate in several availability zones at once (§5.2.3).
@@ -396,7 +408,7 @@ func (m *Model) stepMarket(ms *marketState, now time.Time) {
 		ms.spikes = append(ms.spikes, spike{start: now, end: now.Add(spikeDuration(ms.rng)), mag: mag})
 	}
 
-	d := diurnal(now, ms.pool.region.tzHour)
+	d := ms.pool.region.diurnal
 	spikeMult := 1.0
 	for _, s := range ms.spikes {
 		spikeMult += s.effectiveMag(now)
@@ -409,10 +421,10 @@ func (m *Model) stepMarket(ms *marketState, now time.Time) {
 }
 
 // ar1 advances a zero-mean AR(1) process with ~3 h correlation time and
-// stationary standard deviation sigma.
+// stationary standard deviation sigma: x' = rho*x + sigma*sqrt(1-rho²)*N,
+// with rho = exp(-tick/3h) and the square root precomputed as m.innov.
 func (m *Model) ar1(x float64, rng *rand.Rand, sigma float64) float64 {
-	rho := math.Exp(-m.tickSec / (3 * 3600))
-	return rho*x + sigma*math.Sqrt(1-rho*rho)*normFloat(rng)
+	return m.rho*x + sigma*m.innov*normFloat(rng)
 }
 
 // Pool accessors ------------------------------------------------------------
