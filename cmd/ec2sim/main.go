@@ -55,10 +55,27 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	steps := int(time.Duration(*days) * 24 * time.Hour / *tick)
-	trace, err := traceMarket(sim, id, steps)
+
+	// The market's change-only published price trace: the price before
+	// the first step, then one point per step that changed it.
+	type pricePoint struct {
+		at    time.Time
+		price float64
+	}
+	price, err := sim.SpotPrice(id)
 	if err != nil {
 		return err
+	}
+	trace := []pricePoint{{sim.Now(), price}}
+	steps := int(time.Duration(*days) * 24 * time.Hour / *tick)
+	for i := 0; i < steps; i++ {
+		now := sim.Step()
+		if price, err = sim.SpotPrice(id); err != nil {
+			return err
+		}
+		if price != trace[len(trace)-1].price {
+			trace = append(trace, pricePoint{now, price})
+		}
 	}
 	fmt.Fprintf(out, "market %s: od=$%.4f, %d price changes over %d days\n", id, od, len(trace)-1, *days)
 	if *showTrace {
@@ -92,31 +109,4 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(tw, "%s\t%d\t%v\n", r, byRegion[r], mean.Round(time.Minute))
 	}
 	return tw.Flush()
-}
-
-// pricePoint is one point of a market's published spot price trace.
-type pricePoint struct {
-	at    time.Time
-	price float64
-}
-
-// traceMarket steps sim steps times and returns market id's change-only
-// published price trace: the price before the first step, then one point
-// per step that changed it.
-func traceMarket(sim *cloud.Sim, id market.SpotID, steps int) ([]pricePoint, error) {
-	price, err := sim.SpotPrice(id)
-	if err != nil {
-		return nil, err
-	}
-	trace := []pricePoint{{sim.Now(), price}}
-	for i := 0; i < steps; i++ {
-		now := sim.Step()
-		if price, err = sim.SpotPrice(id); err != nil {
-			return nil, err
-		}
-		if price != trace[len(trace)-1].price {
-			trace = append(trace, pricePoint{now, price})
-		}
-	}
-	return trace, nil
 }

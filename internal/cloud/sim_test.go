@@ -683,9 +683,8 @@ func TestRetiredObjectsExpireAfterRetention(t *testing.T) {
 }
 
 // TestNewRetainsLittle guards the simulator's resident size: a
-// full-catalog Sim keeps per-market state the tick needs and nothing
-// more. It once kept a 512-point price-history ring per market, 68 MB
-// that no serving path read.
+// full-catalog Sim holds the per-market state a tick needs, a few MB,
+// and no per-market buffers that nothing on the serving path reads.
 func TestNewRetainsLittle(t *testing.T) {
 	cat := market.New()
 	var before, after runtime.MemStats
@@ -699,7 +698,7 @@ func TestNewRetainsLittle(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(s)
 	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	t.Logf("cloud.New retains %.1f MB", float64(retained)/(1<<20))
+	t.Logf("cloud.New retains %.1f MiB", float64(retained)/(1<<20))
 	if retained >= 8<<20 {
 		t.Errorf("cloud.New retains %d B, want < 8 MiB", retained)
 	}
