@@ -20,6 +20,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -1208,8 +1209,14 @@ func BenchmarkSpikesInWindow(b *testing.B) {
 // probes, the spike/cross/related/recheck fan-out of one detection) per
 // market and flush them through Appender.AppendProbes — the internal/core
 // per-tick batching path.
+//
+// heap_B/record is the live heap the store retains per record appended:
+// the HeapAlloc delta across the run, each end read after runtime.GC.
 func BenchmarkStoreAppendMonitorTick(b *testing.B) {
 	const tickBatch = 9
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	db := store.New()
 	mkts := benchMarkets(256)
 	base := time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
@@ -1244,6 +1251,10 @@ func BenchmarkStoreAppendMonitorTick(b *testing.B) {
 			apps[(g*31+i/tickBatch)%len(mkts)].AppendProbes(batch)
 		}
 	})
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(db.GlobalGeneration()), "heap_B/record")
 	b.ReportMetric(tickBatch, "tick_batch")
 }
 

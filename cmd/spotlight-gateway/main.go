@@ -108,6 +108,7 @@ func run(args []string) error {
 		return err
 	}
 	reg := obs.NewRegistry()
+	obs.RegisterRuntime(reg)
 	g.EnableMetrics(reg)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -175,6 +175,7 @@ func run(args []string) error {
 		return err
 	}
 	reg := obs.NewRegistry()
+	obs.RegisterRuntime(reg)
 	opts.Metrics = reg
 	opts.Logger = logger
 

@@ -3,6 +3,7 @@ package experiment
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"spotlight/internal/core"
@@ -72,4 +73,38 @@ func TestStudyDigestPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestStudyHeapPerRecord holds the live heap of the store a seeded 3-day
+// study leaves, per record, under a ceiling: the heap with the store
+// reachable minus the heap once it is dropped, so the simulator and the
+// service do not count. The store measured 45.4 B per record with
+// pointer-free probe columns and quarter-step column growth, and 58.0 B
+// before them, with doubling columns and string-bearing probe columns.
+func TestStudyHeapPerRecord(t *testing.T) {
+	const ceiling = 50.0
+	st, err := Run(Config{Seed: 42, Days: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := st.DB // st, and the simulator with it, is unreachable from here
+	with := liveHeap()
+	records := db.GlobalGeneration()
+	runtime.KeepAlive(db)
+	without := liveHeap()
+	perRecord := float64(int64(with)-int64(without)) / float64(records)
+	t.Logf("the store holds %d records in %.1f B each", records, perRecord)
+	if perRecord >= ceiling {
+		t.Errorf("the store holds %.1f B per record, want < %.0f", perRecord, ceiling)
+	}
+}
+
+// liveHeap collects and returns the bytes of live heap objects; the second
+// cycle frees what the first one finalized.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

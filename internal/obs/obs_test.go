@@ -5,6 +5,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -200,4 +202,30 @@ func statusHandler(status int) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(status)
 	})
+}
+
+// TestRuntimeSeries scrapes the runtime series after a collection and
+// finds each one with a value above zero.
+func TestRuntimeSeries(t *testing.T) {
+	r := NewRegistry()
+	RegisterRuntime(r)
+	runtime.GC()
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"spotlight_go_heap_live_bytes", "spotlight_go_gc_cycles_total", "spotlight_go_goroutines"} {
+		found := false
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				found = true
+				if f, err := strconv.ParseFloat(v, 64); err != nil || f <= 0 {
+					t.Errorf("%s = %q, want a value > 0", name, v)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s missing from the scrape:\n%s", name, sb.String())
+		}
+	}
 }

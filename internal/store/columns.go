@@ -3,6 +3,8 @@ package store
 import (
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"spotlight/internal/market"
@@ -28,6 +30,21 @@ import (
 // (append paths route records by Market, and the WAL decoder rejects
 // mismatches), so the Market field is not stored per record: accessors
 // take the owning ID and stamp it back in.
+//
+// No column holds a pointer: its elements are numbers, bools or structs of
+// numbers, so the collector never scans a record
+// (TestColumnsArePointerFree). The two string-bearing probe fields,
+// TriggerMarket and Code, are stored as uint32 indices into the store's
+// append-only dictionaries (probeDicts).
+// An index means something only inside one process's store: accessors
+// turn it back into the value before a record leaves the store, so the
+// log, snapshots, the follow stream and every export carry the values,
+// and no index is ever persisted or compared across stores.
+//
+// A full column grows by a quarter of its length plus one row, rounded up
+// to the allocator's size class (appendRow), not by append's doubling, so
+// a resident history carries at most a quarter of itself in slack.
+// Recovery, which counts its frames first, reserves columns exactly.
 
 // Stamps. Every time column holds int64 Unix nanoseconds — 8 bytes and no
 // *Location for the collector to scan — converted once by stamp on the way
@@ -132,40 +149,107 @@ func grown[T any](dst []T, n int) []T {
 	return slices.Grow(dst, n)
 }
 
-// probeCols is the probe log in columnar form.
+// appendRow appends v to a column. A full column moves to a fresh array
+// of len + len/4 + 1 rows, which slices.Grow on a nil slice rounds up to
+// the allocator's size class.
+func appendRow[T any](col []T, v T) []T {
+	if n := len(col); n == cap(col) {
+		col = append(slices.Grow([]T(nil), n+n/4+1), col...)
+	}
+	return append(col, v)
+}
+
+// dict is an append-only intern table: each distinct value gets the next
+// uint32 index for the life of the store, so a column holds 4 bytes and no
+// pointer where the value would hold several of both. Shards appending in
+// parallel share one dict, so only an insert excludes them: ids maps a
+// value to its index under mu's read lock, and vals holds the values by
+// index, published whole after every insert and read without a lock. An
+// insert publishes vals before it stores the index in ids, so no index is
+// handed out before at can read it.
+type dict[T comparable] struct {
+	mu   sync.RWMutex
+	ids  map[T]uint32
+	vals atomic.Pointer[[]T]
+}
+
+func (d *dict[T]) at(i uint32) T { return (*d.vals.Load())[i] }
+
+// id returns v's index, adding v on first sight. col is the column the
+// index goes into: a shard's consecutive rows often repeat a value (a
+// market's probes are mostly triggered by the market itself and mostly
+// fulfilled), so the previous row's index is tried before the table.
+func (d *dict[T]) id(v T, col []uint32) uint32 {
+	if n := len(col); n > 0 && d.at(col[n-1]) == v {
+		return col[n-1]
+	}
+	d.mu.RLock()
+	i, ok := d.ids[v]
+	d.mu.RUnlock()
+	if ok {
+		return i
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if i, ok := d.ids[v]; ok {
+		return i
+	}
+	if d.ids == nil {
+		d.ids = make(map[T]uint32)
+	}
+	var vals []T
+	if p := d.vals.Load(); p != nil {
+		vals = *p
+	}
+	i = uint32(len(vals))
+	vals = appendRow(vals, v)
+	d.vals.Store(&vals)
+	d.ids[v] = i
+	return i
+}
+
+// probeDicts are one store's dictionaries for the probe columns whose
+// values hold strings.
+type probeDicts struct {
+	markets dict[market.SpotID]
+	codes   dict[string]
+}
+
+// probeCols is the probe log in columnar form. triggerMarket and code
+// hold indices into the store's probeDicts.
 type probeCols struct {
 	at            []int64
 	kind          []ProbeKind
 	trigger       []Trigger
-	triggerMarket []market.SpotID
+	triggerMarket []uint32
 	sourceKind    []ProbeKind
 	spikeRatio    []float64
 	priceRatio    []float64
 	rejected      []bool
-	code          []string
+	code          []uint32
 	bid           []float64
 	cost          []float64
 }
 
 func (c *probeCols) n() int { return len(c.at) }
 
-func (c *probeCols) push(r *ProbeRecord, at int64) {
-	c.at = append(c.at, at)
-	c.kind = append(c.kind, r.Kind)
-	c.trigger = append(c.trigger, r.Trigger)
-	c.triggerMarket = append(c.triggerMarket, r.TriggerMarket)
-	c.sourceKind = append(c.sourceKind, r.SourceKind)
-	c.spikeRatio = append(c.spikeRatio, r.SpikeRatio)
-	c.priceRatio = append(c.priceRatio, r.PriceRatio)
-	c.rejected = append(c.rejected, r.Rejected)
-	c.code = append(c.code, r.Code)
-	c.bid = append(c.bid, r.Bid)
-	c.cost = append(c.cost, r.Cost)
+func (c *probeCols) push(r *ProbeRecord, at int64, d *probeDicts) {
+	c.at = appendRow(c.at, at)
+	c.kind = appendRow(c.kind, r.Kind)
+	c.trigger = appendRow(c.trigger, r.Trigger)
+	c.triggerMarket = appendRow(c.triggerMarket, d.markets.id(r.TriggerMarket, c.triggerMarket))
+	c.sourceKind = appendRow(c.sourceKind, r.SourceKind)
+	c.spikeRatio = appendRow(c.spikeRatio, r.SpikeRatio)
+	c.priceRatio = appendRow(c.priceRatio, r.PriceRatio)
+	c.rejected = appendRow(c.rejected, r.Rejected)
+	c.code = appendRow(c.code, d.codes.id(r.Code, c.code))
+	c.bid = appendRow(c.bid, r.Bid)
+	c.cost = appendRow(c.cost, r.Cost)
 }
 
 // reserve grows every column for n more records in one exact allocation
 // each — recovery counts a shard's frames before decoding them, so the
-// hot decode loop never pays append's doubling growth (or its zeroing).
+// hot decode loop never pays appendRow's step growth (or its copying).
 func (c *probeCols) reserve(n int) {
 	c.at = grown(c.at, n)
 	c.kind = grown(c.kind, n)
@@ -180,31 +264,31 @@ func (c *probeCols) reserve(n int) {
 	c.cost = grown(c.cost, n)
 }
 
-func (c *probeCols) get(i int, id market.SpotID) ProbeRecord {
+func (c *probeCols) get(i int, id market.SpotID, d *probeDicts) ProbeRecord {
 	return ProbeRecord{
 		At:            stampTime(c.at[i]),
 		Market:        id,
 		Kind:          c.kind[i],
 		Trigger:       c.trigger[i],
-		TriggerMarket: c.triggerMarket[i],
+		TriggerMarket: d.markets.at(c.triggerMarket[i]),
 		SourceKind:    c.sourceKind[i],
 		SpikeRatio:    c.spikeRatio[i],
 		PriceRatio:    c.priceRatio[i],
 		Rejected:      c.rejected[i],
-		Code:          c.code[i],
+		Code:          d.codes.at(c.code[i]),
 		Bid:           c.bid[i],
 		Cost:          c.cost[i],
 	}
 }
 
 // appendTo materializes every row into dst.
-func (c *probeCols) appendTo(dst []ProbeRecord, id market.SpotID) []ProbeRecord {
-	return rows(dst, c.n(), func(i int) ProbeRecord { return c.get(i, id) })
+func (c *probeCols) appendTo(dst []ProbeRecord, id market.SpotID, d *probeDicts) []ProbeRecord {
+	return rows(dst, c.n(), func(i int) ProbeRecord { return c.get(i, id, d) })
 }
 
 // window materializes the rows inside [from, to] into dst.
-func (c *probeCols) window(dst []ProbeRecord, id market.SpotID, ordered bool, from, to time.Time) []ProbeRecord {
-	return collect(dst, c.at, ordered, from, to, func(i int) ProbeRecord { return c.get(i, id) })
+func (c *probeCols) window(dst []ProbeRecord, id market.SpotID, d *probeDicts, ordered bool, from, to time.Time) []ProbeRecord {
+	return collect(dst, c.at, ordered, from, to, func(i int) ProbeRecord { return c.get(i, id, d) })
 }
 
 // spikeCols is the spike-event log in columnar form.
@@ -218,10 +302,10 @@ type spikeCols struct {
 func (c *spikeCols) n() int { return len(c.at) }
 
 func (c *spikeCols) push(e *SpikeEvent, at int64) {
-	c.at = append(c.at, at)
-	c.price = append(c.price, e.Price)
-	c.ratio = append(c.ratio, e.Ratio)
-	c.probed = append(c.probed, e.Probed)
+	c.at = appendRow(c.at, at)
+	c.price = appendRow(c.price, e.Price)
+	c.ratio = appendRow(c.ratio, e.Ratio)
+	c.probed = appendRow(c.probed, e.Probed)
 }
 
 func (c *spikeCols) reserve(n int) {
@@ -261,10 +345,10 @@ type bidSpreadCols struct {
 func (c *bidSpreadCols) n() int { return len(c.at) }
 
 func (c *bidSpreadCols) push(r *BidSpreadRecord, at int64) {
-	c.at = append(c.at, at)
-	c.published = append(c.published, r.Published)
-	c.intrinsic = append(c.intrinsic, r.Intrinsic)
-	c.attempts = append(c.attempts, r.Attempts)
+	c.at = appendRow(c.at, at)
+	c.published = appendRow(c.published, r.Published)
+	c.intrinsic = appendRow(c.intrinsic, r.Intrinsic)
+	c.attempts = appendRow(c.attempts, r.Attempts)
 }
 
 func (c *bidSpreadCols) reserve(n int) {
@@ -292,9 +376,9 @@ type revocationCols struct {
 func (c *revocationCols) n() int { return len(c.at) }
 
 func (c *revocationCols) push(r *RevocationRecord, at int64) {
-	c.at = append(c.at, at)
-	c.bid = append(c.bid, r.Bid)
-	c.held = append(c.held, r.Held)
+	c.at = appendRow(c.at, at)
+	c.bid = appendRow(c.bid, r.Bid)
+	c.held = appendRow(c.held, r.Held)
 }
 
 func (c *revocationCols) reserve(n int) {
@@ -353,11 +437,11 @@ type priceCols struct {
 func (c *priceCols) n() int { return len(c.at) }
 
 func (c *priceCols) push(p *PricePoint, at int64) {
-	c.at = append(c.at, at)
-	c.price = append(c.price, p.Price)
+	c.at = appendRow(c.at, at)
+	c.price = appendRow(c.price, p.Price)
 	if n := len(c.price); n%chunkLen == 0 {
-		c.chunks = append(c.chunks, summarize(c.price[n-chunkLen:]))
-		c.last = append(c.last, at)
+		c.chunks = appendRow(c.chunks, summarize(c.price[n-chunkLen:]))
+		c.last = appendRow(c.last, at)
 	}
 }
 
@@ -472,9 +556,9 @@ type outageCols struct {
 func (c *outageCols) n() int { return len(c.start) }
 
 func (c *outageCols) push(kind ProbeKind, start int64) {
-	c.kind = append(c.kind, kind)
-	c.start = append(c.start, start)
-	c.end = append(c.end, openEnd)
+	c.kind = appendRow(c.kind, kind)
+	c.start = appendRow(c.start, start)
+	c.end = appendRow(c.end, openEnd)
 }
 
 func (c *outageCols) get(i int, id market.SpotID) OutageRecord {

@@ -1,0 +1,200 @@
+package store
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand/v2"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"spotlight/internal/market"
+)
+
+// TestColumnsArePointerFree holds the column layout's invariant: every
+// field of a shard's column structs is a slice whose element type holds no
+// pointer (no string, slice, map, interface or pointer, however nested), so
+// the collector never scans a record.
+func TestColumnsArePointerFree(t *testing.T) {
+	for _, cols := range []any{probeCols{}, spikeCols{}, priceCols{}, crossingCols{}, bidSpreadCols{}, revocationCols{}, outageCols{}} {
+		typ := reflect.TypeOf(cols)
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch {
+			case f.Type.Kind() != reflect.Slice:
+				t.Errorf("%s.%s is a %s, not a column", typ.Name(), f.Name, f.Type)
+			case hasPointers(f.Type.Elem()):
+				t.Errorf("%s.%s holds %s, which contains a pointer", typ.Name(), f.Name, f.Type.Elem())
+			}
+		}
+	}
+}
+
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// dictOracle generates per-market probe streams whose dictionary-backed
+// fields cover the edge cases: trigger markets inside and outside the
+// appended set, the zero market, the empty code, more than 300 distinct
+// codes, and kinds and triggers outside their enums. Stamps rise strictly
+// within a market, so every read path's order is the oracle's.
+func dictOracle(rng *rand.Rand, markets []market.SpotID, perMarket int) map[market.SpotID][]ProbeRecord {
+	triggers := append([]market.SpotID{{}, {Zone: "mars-north-1a", Type: "q9.huge", Product: "Plan 9"}}, markets...)
+	for i := 0; i < 40; i++ {
+		triggers = append(triggers, market.SpotID{Zone: market.Zone(fmt.Sprintf("zz-%d", i)), Type: "x1.tiny", Product: "Linux/UNIX: edge"})
+	}
+	codes := []string{"", "InsufficientInstanceCapacity", "a\"b<c>\x00ü"}
+	for i := 0; i < 320; i++ {
+		codes = append(codes, fmt.Sprintf("Code%03d", i))
+	}
+	kinds := []ProbeKind{ProbeOnDemand, ProbeSpot, 0, -1, 7, 1 << 40}
+	trigs := []Trigger{TriggerSpike, TriggerRecheck, TriggerPeriodicOD, 0, -5, 99, -1 << 33}
+	out := make(map[market.SpotID][]ProbeRecord, len(markets))
+	for _, id := range markets {
+		at := persistBase
+		for i := 0; i < perMarket; i++ {
+			at = at.Add(time.Duration(1 + rng.IntN(int(time.Minute))))
+			out[id] = append(out[id], ProbeRecord{
+				At: at, Market: id,
+				Kind:          kinds[rng.IntN(len(kinds))],
+				Trigger:       trigs[rng.IntN(len(trigs))],
+				TriggerMarket: triggers[rng.IntN(len(triggers))],
+				SourceKind:    kinds[rng.IntN(len(kinds))],
+				SpikeRatio:    rng.Float64() * 10,
+				PriceRatio:    rng.NormFloat64(),
+				Rejected:      rng.IntN(3) == 0,
+				Code:          codes[rng.IntN(len(codes))],
+				Bid:           rng.Float64(),
+				Cost:          rng.Float64() / 100,
+			})
+		}
+	}
+	return out
+}
+
+// sameProbes fails the test at the first record of got that differs from
+// want, field for field.
+func sameProbes(t *testing.T, path string, got, want []ProbeRecord) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d probes, want %d", path, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: probe %d is\n%+v\nwant\n%+v", path, i, got[i], want[i])
+		}
+	}
+}
+
+// TestProbeDictionaryOracle appends dictOracle's streams from several
+// goroutines at once (one per pair of markets, all sharing the store's
+// dictionaries) into a durable store, half before a snapshot and a follower
+// attach and half after, and requires the oracle back exactly through the
+// accessors, WriteJSON, a close and reopen, and a Follow into a fresh store.
+func TestProbeDictionaryOracle(t *testing.T) {
+	const perMarket = 120
+	markets := []market.SpotID{fuzzMarket, fuzzOtherMarket}
+	for i := 1; i <= 6; i++ { // persistMarket(0) is fuzzMarket
+		markets = append(markets, persistMarket(i))
+	}
+	streams := dictOracle(rand.New(rand.NewPCG(35, 7)), markets, perMarket)
+
+	// The oracle: every market's stream in market-ID order, stamps
+	// canonical; the global accessors order it by time, ties by market ID.
+	sorted := append([]market.SpotID(nil), markets...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].String() < sorted[j].String() })
+	var byMarket []ProbeRecord
+	for _, id := range sorted {
+		for _, r := range streams[id] {
+			r.At = canonical(r.At)
+			byMarket = append(byMarket, r)
+		}
+	}
+	byTime := append([]ProbeRecord(nil), byMarket...)
+	sort.SliceStable(byTime, func(i, j int) bool { return byTime[i].At.Before(byTime[j].At) })
+
+	dir := t.TempDir()
+	s, err := Open(dir, PersistOptions{SegmentSize: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendHalf := func(half int) {
+		var wg sync.WaitGroup
+		for g := 0; g < len(markets); g += 2 {
+			wg.Add(1)
+			go func(g int, ids []market.SpotID) {
+				defer wg.Done()
+				rng := rand.New(rand.NewPCG(uint64(g), uint64(half)))
+				for _, id := range ids {
+					rs := streams[id][half*perMarket/2 : (half+1)*perMarket/2]
+					for len(rs) > 0 {
+						n := min(len(rs), 1+rng.IntN(5))
+						s.AppendProbes(rs[:n])
+						rs = rs[n:]
+					}
+				}
+			}(g, markets[g:g+2])
+		}
+		wg.Wait()
+	}
+
+	appendHalf(0)
+	if err := s.Persister().Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	sub, sw := serveFollow(s, nil, &stream, persistBase)
+	appendHalf(1)
+	if !pumpFollow(sub, sw, persistBase) {
+		t.Fatal("the feed's ring overran the follow stream")
+	}
+	sub.Close()
+
+	check := func(path string, db *Store) {
+		t.Helper()
+		sameProbes(t, path+" Probes", db.Probes(), byTime)
+		sameProbes(t, path+" ProbesInWindow", db.ProbesInWindow(persistBase, persistBase.Add(1000*time.Hour), nil), byMarket)
+		var snap Snapshot
+		if err := json.Unmarshal([]byte(dumpOf(t, db)), &snap); err != nil {
+			t.Fatal(err)
+		}
+		sameProbes(t, path+" WriteJSON", snap.Probes, byTime)
+	}
+	check("leader", s)
+
+	follower := New()
+	if err := follower.Follow(&stream, &testFollower{db: follower, salt: streamSalt}); err != io.EOF {
+		t.Fatalf("follow: %v", err)
+	}
+	check("follower", follower)
+
+	if err := s.Persister().Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(dir, PersistOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Persister().Close()
+	check("reopened", reopened)
+}

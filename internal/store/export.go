@@ -55,7 +55,7 @@ func assembleSnapshot(captures []shardCapture) Snapshot {
 	snap := Snapshot{Prices: make(map[string][]PricePoint)}
 	snap.Probes = mergeByTime(captures,
 		func(c shardCapture) ([]ProbeRecord, bool) {
-			return c.probes.appendTo(nil, c.id), c.probesOrdered
+			return c.probes.appendTo(nil, c.id, c.dicts), c.probesOrdered
 		}, probeAt)
 	snap.Spikes = mergeByTime(captures,
 		func(c shardCapture) ([]SpikeEvent, bool) {

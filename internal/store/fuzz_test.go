@@ -52,7 +52,7 @@ func fuzzMiscountedSegment() ([]byte, int) {
 // no snapshot: the serial scan, then every market's runs through the
 // record decoder (markets in ID order). validLen is the scan's.
 func decodeLog(data []byte) (entries []walEntry, validLen int, err error) {
-	r := newRecovery()
+	r := newRecovery(new(probeDicts))
 	validLen, err = r.scanLog(data)
 	tasks := make([]*replayTask, 0, len(r.tasks))
 	for _, t := range r.tasks {
@@ -123,7 +123,7 @@ func FuzzWALDecode(f *testing.F) {
 			return // not a log file at all
 		}
 		// The valid prefix must scan clean on its own, to the same length.
-		r := newRecovery()
+		r := newRecovery(new(probeDicts))
 		if againLen, err2 := r.scanLog(data[:validLen]); err2 != nil || againLen != validLen {
 			t.Fatalf("re-scan of the %d-byte valid prefix: %d, %v", validLen, againLen, err2)
 		}

@@ -200,7 +200,7 @@ func TestAppendProbesMatchesSingles(t *testing.T) {
 		out := fed{s: s, wal: make(map[string][]byte), events: make(map[string][]Event)}
 		// Which markets' rounds sit next to each other in the one log
 		// depends on the batching; each market's own frames must not.
-		r := newRecovery()
+		r := newRecovery(new(probeDicts))
 		for _, file := range logFiles(t, dir) {
 			data, err := os.ReadFile(file)
 			if err != nil {

@@ -59,21 +59,23 @@ type replayTask struct {
 	err   error
 }
 
-// recovery is the state of one Open's replay: the tasks by market, and the
-// string table the serial log pass decodes run headers with.
+// recovery is the state of one Open's replay: the tasks by market, the
+// string table the serial log pass decodes run headers with, and the
+// store's probe dictionaries the rebuilt shards index.
 type recovery struct {
 	tasks  map[market.SpotID]*replayTask
 	intern map[string]string
+	dicts  *probeDicts
 }
 
-func newRecovery() *recovery {
-	return &recovery{tasks: make(map[market.SpotID]*replayTask), intern: make(map[string]string)}
+func newRecovery(dicts *probeDicts) *recovery {
+	return &recovery{tasks: make(map[market.SpotID]*replayTask), intern: make(map[string]string), dicts: dicts}
 }
 
 func (r *recovery) task(id market.SpotID) *replayTask {
 	t := r.tasks[id]
 	if t == nil {
-		t = &replayTask{sh: newShard(id)}
+		t = &replayTask{sh: newShard(id, r.dicts)}
 		r.tasks[id] = t
 	}
 	return t
@@ -148,7 +150,7 @@ func (r *recovery) scanLog(data []byte) (validLen int, err error) {
 // then a sequential finalize in market-ID order. Returns the newest
 // recovered record timestamp.
 func replayParallel(walRoot string, files []logFile, info snapInfo, s *Store) (time.Time, error) {
-	r := newRecovery()
+	r := newRecovery(&s.dicts)
 	if info.seq > 0 {
 		// One read; every task's section is a slice of this image, which
 		// nothing references once the tasks are gone.

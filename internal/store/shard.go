@@ -128,6 +128,10 @@ type shard struct {
 	// like rp/rg and immutable after; its instruments are nil no-ops
 	// until Store.EnableMetrics.
 	metrics *storeMetrics
+
+	// dicts are the owning store's probe dictionaries, which the probe
+	// columns index. Set by newShard, immutable afterwards.
+	dicts *probeDicts
 }
 
 // walBufPool recycles the scratch buffers append rounds encode WAL frames
@@ -214,10 +218,11 @@ func (sh *shard) publish(d *rollupDelta) {
 	}
 }
 
-func newShard(id market.SpotID) *shard {
+func newShard(id market.SpotID, dicts *probeDicts) *shard {
 	return &shard{
 		id:                 id,
 		key:                id.String(),
+		dicts:              dicts,
 		probesOrdered:      true,
 		spikesOrdered:      true,
 		crossingsOrdered:   true,
@@ -261,7 +266,7 @@ func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
 	d.records++
 	at := stamp(r.At)
 	sh.probesOrdered = sh.probesOrdered && follows(sh.probes.at, at)
-	sh.probes.push(r, at)
+	sh.probes.push(r, at, sh.dicts)
 	sh.agg.probeCount++
 	sh.agg.probeCost += r.Cost
 	d.probeCount++
@@ -342,8 +347,8 @@ func (sh *shard) appendSpikeLocked(e *SpikeEvent, d *rollupDelta) {
 	sh.agg.spikes++
 	if e.Ratio >= 1 {
 		sh.crossingsOrdered = sh.crossingsOrdered && follows(sh.crossings.at, at)
-		sh.crossings.at = append(sh.crossings.at, at)
-		sh.crossings.ratio = append(sh.crossings.ratio, e.Ratio)
+		sh.crossings.at = appendRow(sh.crossings.at, at)
+		sh.crossings.ratio = appendRow(sh.crossings.ratio, e.Ratio)
 		sh.agg.spikesAboveOD++
 		d.spikesAboveOD++
 		if e.Ratio > d.maxCrossRatio {
@@ -472,7 +477,8 @@ func (sh *shard) appendPriceLocked(p *PricePoint, d *rollupDelta) {
 // the outage columns — whose end timestamps are rewritten when an outage
 // closes — are deep-copied.
 type shardCapture struct {
-	id market.SpotID
+	id    market.SpotID
+	dicts *probeDicts
 
 	// gen is the shard's record count at the cut; a snapshot's index pins
 	// it, and replay skips the log frames it already counts.
@@ -499,6 +505,7 @@ func (sh *shard) capture() shardCapture {
 	defer sh.mu.Unlock()
 	return shardCapture{
 		id:                 sh.id,
+		dicts:              sh.dicts,
 		gen:                sh.gen.Load(),
 		probes:             sh.probes,
 		spikes:             sh.spikes,
@@ -530,7 +537,7 @@ func (sh *shard) pricesIn(dst []PricePoint, from, to time.Time) []PricePoint {
 func (sh *shard) probesIn(dst []ProbeRecord, from, to time.Time) []ProbeRecord {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.probes.window(dst, sh.id, sh.probesOrdered, from, to)
+	return sh.probes.window(dst, sh.id, sh.dicts, sh.probesOrdered, from, to)
 }
 
 func (sh *shard) revocationsIn(dst []RevocationRecord, from, to time.Time) []RevocationRecord {

@@ -84,7 +84,7 @@ func encodeSnapshot(w io.Writer, seq uint64, captures []shardCapture) (sections 
 		}
 		start := off
 		for i := 0; i < c.probes.n(); i++ {
-			buf = put(appendProbeFrame(buf, c.probes.get(i, c.id)))
+			buf = put(appendProbeFrame(buf, c.probes.get(i, c.id, c.dicts)))
 		}
 		for i := 0; i < c.spikes.n(); i++ {
 			buf = put(appendSpikeFrame(buf, c.spikes.get(i, c.id)))

@@ -261,6 +261,9 @@ type Store struct {
 	// construction and shared into every shard; its fields stay nil (all
 	// instruments no-ops) until EnableMetrics arms them.
 	metrics *storeMetrics
+
+	// dicts holds the values the shards' probe columns index (columns.go).
+	dicts probeDicts
 }
 
 // New returns an empty store.
@@ -279,7 +282,7 @@ func (s *Store) shardFor(id market.SpotID) *shard {
 	if sh := s.lookup(id); sh != nil {
 		return sh
 	}
-	return s.adoptShard(newShard(id))
+	return s.adoptShard(newShard(id, &s.dicts))
 }
 
 // adoptShard wires sh to its region-level and (region, product) rollups —
@@ -574,7 +577,7 @@ func (s *Store) Probes() []ProbeRecord {
 	return mergeByTime(s.shardList(), func(sh *shard) ([]ProbeRecord, bool) {
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		return sh.probes.appendTo(nil, sh.id), sh.probesOrdered
+		return sh.probes.appendTo(nil, sh.id, sh.dicts), sh.probesOrdered
 	}, probeAt)
 }
 
@@ -585,7 +588,7 @@ func (s *Store) ProbesWhere(keep func(ProbeRecord) bool) []ProbeRecord {
 		defer sh.mu.RUnlock()
 		var run []ProbeRecord
 		for i := 0; i < sh.probes.n(); i++ {
-			if r := sh.probes.get(i, sh.id); keep(r) {
+			if r := sh.probes.get(i, sh.id, sh.dicts); keep(r) {
 				run = append(run, r)
 			}
 		}

@@ -221,7 +221,7 @@ func TestFollowStreamCoversARoundRacingTheSnapshot(t *testing.T) {
 	_ = sw.Position(persistBase)
 	// The snapshot's capture of the shard, cut while the round is parked
 	// (capture's own body; its lock is the one held here).
-	c := shardCapture{id: sh.id, gen: sh.gen.Load(), probes: sh.probes, spikes: sh.spikes,
+	c := shardCapture{id: sh.id, dicts: sh.dicts, gen: sh.gen.Load(), probes: sh.probes, spikes: sh.spikes,
 		bidSpreads: sh.bidSpreads, revocations: sh.revocations, prices: sh.prices, outages: sh.outages.clone(),
 		probesOrdered: true, spikesOrdered: true, bidSpreadsOrdered: true, revocationsOrdered: true,
 		pricesOrdered: true, outagesOrdered: true}
