@@ -192,9 +192,12 @@ example-smoke:
 # corpora live in internal/store/testdata/fuzz), the
 # windowed price fold (FuzzPriceWindow: PriceStatsIn over sealed chunks must
 # match the naive fold over PricesIn on any series and window — unordered,
-# repeated stamps, NaN, ±Inf, -0, ends past the stamp range), and over
+# repeated stamps, NaN, ±Inf, -0, ends past the stamp range), over
 # the market-ID order the rankings tie-break on (must equal the order of
-# the rendered strings).
+# the rendered strings), and over the market-ID parser and the catalog
+# position it feeds (FuzzParseSpotID: an accepted ID round-trips, and
+# SpotIndex finds it exactly when the catalog lists it, at its own
+# position).
 fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzPriceWindow$$' -fuzztime=10s
@@ -202,5 +205,6 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotV2Decode$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzFollowStream$$' -fuzztime=10s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSpotIDCompare$$' -fuzztime=10s
+	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzParseSpotID$$' -fuzztime=10s
 
 ci: build fmt-check vet loc test smoke loadgen-smoke chaos-smoke example-smoke fuzz-smoke bench bench-gate

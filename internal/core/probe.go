@@ -114,8 +114,8 @@ func (s *Service) probeRelated(trigger *marketMon, now time.Time, sourceKind sto
 }
 
 func (s *Service) probeRelatedOne(trigger *marketMon, rel market.SpotID, now time.Time, tr store.Trigger, sourceKind store.ProbeKind) {
-	relMon, ok := s.mons[rel]
-	if !ok {
+	relMon := s.monitor(rel)
+	if relMon == nil {
 		return
 	}
 	ctx := probeContext{

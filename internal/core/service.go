@@ -78,12 +78,10 @@ type Service struct {
 
 	regions []market.Region
 	// byIndex holds the monitors by dense catalog index
-	// (cloud.MarketPrice.Index); nil marks a market outside the
-	// monitored regions. The region scan addresses it directly.
+	// (cloud.MarketPrice.Index, market.Catalog.SpotIndex); nil marks a
+	// market outside the monitored regions. The region scan addresses it
+	// directly, the related-market fan-out through monitor.
 	byIndex []*marketMon
-	// mons resolves a SpotID to its monitor for the related-market
-	// fan-out, whose targets the catalog derives by ID.
-	mons map[market.SpotID]*marketMon
 	// bidSpreadMons and revocationMons are Config.BidSpreadMarkets and
 	// Config.RevocationMarkets resolved to monitors, in config order.
 	bidSpreadMons  []*marketMon
@@ -133,7 +131,6 @@ func New(prov Provider, db *store.Store, cfg Config) (*Service, error) {
 		rng:        rand.New(rand.NewPCG(cfg.Seed, 0x5b07_11fe)),
 		regions:    regions,
 		byIndex:    make([]*marketMon, len(cat.SpotMarkets())),
-		mons:       make(map[market.SpotID]*marketMon),
 		activeOD:   make(map[market.SpotID]*marketMon),
 		activeSpot: make(map[market.SpotID]*marketMon),
 		heldCNA:    make(map[market.Region]int),
@@ -168,7 +165,6 @@ func New(prov Provider, db *store.Store, cfg Config) (*Service, error) {
 			app:     s.db.Appender(id),
 		}
 		s.byIndex[i] = mon
-		s.mons[id] = mon
 		s.spotRR = append(s.spotRR, mon)
 	}
 	for r, seen := range inRegions {
@@ -186,11 +182,20 @@ func New(prov Provider, db *store.Store, cfg Config) (*Service, error) {
 func (s *Service) resolve(ids []market.SpotID) []*marketMon {
 	var out []*marketMon
 	for _, id := range ids {
-		if mon, ok := s.mons[id]; ok {
+		if mon := s.monitor(id); mon != nil {
 			out = append(out, mon)
 		}
 	}
 	return out
+}
+
+// monitor returns id's monitor; nil for a market outside the catalog or
+// the monitored regions.
+func (s *Service) monitor(id market.SpotID) *marketMon {
+	if i, ok := s.cat.SpotIndex(id); ok {
+		return s.byIndex[i]
+	}
+	return nil
 }
 
 // Store returns the service's database.

@@ -2,6 +2,7 @@ package market
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -253,8 +254,22 @@ func (c *Catalog) Families() []Family { return c.families }
 // first).
 func (c *Catalog) FamilyTypes(f Family) []InstanceType { return c.familyTypes[f] }
 
-// SpotMarkets returns every spot market in the catalog.
+// SpotMarkets returns every spot market in the catalog, zone by zone in
+// Zones order, within a zone type by type in Types order, within a type
+// product by product in Products order.
 func (c *Catalog) SpotMarkets() []SpotID { return c.spotMarkets }
+
+// SpotIndex returns id's position in SpotMarkets; false when its zone,
+// type or product is not in the catalog.
+func (c *Catalog) SpotIndex(id SpotID) (int, bool) {
+	zi, okZone := c.zoneIndex[id.Zone]
+	ti, okType := c.typeIndex[id.Type]
+	pi := slices.Index(Products, id.Product)
+	if !okZone || !okType || pi < 0 {
+		return 0, false
+	}
+	return (zi*len(c.types)+ti)*len(Products) + pi, true
+}
 
 // OnDemandMarkets returns every on-demand market in the catalog.
 func (c *Catalog) OnDemandMarkets() []ODID { return c.odMarkets }

@@ -342,3 +342,26 @@ func TestHasType(t *testing.T) {
 		t.Error("HasType(z9.mega) = true")
 	}
 }
+
+// TestSpotIndex: every catalog market maps back to its own position, and an
+// ID with any field outside the catalog is not found.
+func TestSpotIndex(t *testing.T) {
+	c := New()
+	for i, id := range c.SpotMarkets() {
+		if got, ok := c.SpotIndex(id); !ok || got != i {
+			t.Fatalf("SpotIndex(%v) = %d, %v; want %d, true", id, got, ok, i)
+		}
+	}
+	known := c.SpotMarkets()[0]
+	for _, id := range []SpotID{
+		{},
+		{Zone: "us-east-1z", Type: known.Type, Product: known.Product},
+		{Zone: known.Zone, Type: "q9.huge", Product: known.Product},
+		{Zone: known.Zone, Type: known.Type, Product: "Plan 9"},
+		{Zone: known.Zone, Type: known.Type, Product: "linux/unix"},
+	} {
+		if i, ok := c.SpotIndex(id); ok {
+			t.Errorf("SpotIndex(%+v) = %d, true; want false", id, i)
+		}
+	}
+}

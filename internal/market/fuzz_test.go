@@ -6,8 +6,14 @@ import (
 )
 
 // FuzzParseSpotID exercises the ID parser with arbitrary input: it must
-// never panic, and whatever it accepts must round-trip through String.
+// never panic, whatever it accepts must round-trip through String, and the
+// catalog must find it at its own position exactly when it lists it.
 func FuzzParseSpotID(f *testing.F) {
+	cat := New()
+	listed := make(map[SpotID]bool, len(cat.SpotMarkets()))
+	for _, id := range cat.SpotMarkets() {
+		listed[id] = true
+	}
 	f.Add("us-east-1d:c3.2xlarge:Linux/UNIX")
 	f.Add("sa-east-1a:m3.large:Windows")
 	f.Add("a:b:c")
@@ -16,6 +22,8 @@ func FuzzParseSpotID(f *testing.F) {
 	f.Add("zone:type:product:extra")
 	f.Add("zone:type")
 	f.Add("\x00:\xff:☃")
+	f.Add("us-east-1a:c3.large:SUSE Linux")
+	f.Add("us-east-1d:c3.2xlarge:Linux/UNIX:")
 	f.Fuzz(func(t *testing.T, s string) {
 		id, err := ParseSpotID(s)
 		if err != nil {
@@ -37,6 +45,13 @@ func FuzzParseSpotID(f *testing.F) {
 		_ = id.Type.Family()
 		_ = id.Type.Size()
 		_ = strings.Contains(string(id.Product), ":")
+		i, found := cat.SpotIndex(id)
+		switch {
+		case found && cat.SpotMarkets()[i] != id:
+			t.Fatalf("SpotIndex(%q) = %d, which lists %v", s, i, cat.SpotMarkets()[i])
+		case found != listed[id]:
+			t.Fatalf("SpotIndex(%q) found = %v, catalog lists it: %v", s, found, listed[id])
+		}
 	})
 }
 

@@ -175,6 +175,15 @@ type dict[T comparable] struct {
 
 func (d *dict[T]) at(i uint32) T { return (*d.vals.Load())[i] }
 
+// find returns v's index without adding it: a read of a value never
+// added leaves the table as it was.
+func (d *dict[T]) find(v T) (uint32, bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	i, ok := d.ids[v]
+	return i, ok
+}
+
 // id returns v's index, adding v on first sight. col is the column the
 // index goes into: a shard's consecutive rows often repeat a value (a
 // market's probes are mostly triggered by the market itself and mostly
@@ -183,10 +192,7 @@ func (d *dict[T]) id(v T, col []uint32) uint32 {
 	if n := len(col); n > 0 && d.at(col[n-1]) == v {
 		return col[n-1]
 	}
-	d.mu.RLock()
-	i, ok := d.ids[v]
-	d.mu.RUnlock()
-	if ok {
+	if i, ok := d.find(v); ok {
 		return i
 	}
 	d.mu.Lock()
@@ -201,7 +207,7 @@ func (d *dict[T]) id(v T, col []uint32) uint32 {
 	if p := d.vals.Load(); p != nil {
 		vals = *p
 	}
-	i = uint32(len(vals))
+	i := uint32(len(vals))
 	vals = appendRow(vals, v)
 	d.vals.Store(&vals)
 	d.ids[v] = i
@@ -209,7 +215,8 @@ func (d *dict[T]) id(v T, col []uint32) uint32 {
 }
 
 // probeDicts are one store's dictionaries for the probe columns whose
-// values hold strings.
+// values hold strings. markets is also the store's market index: a shard
+// is named by its market's index there (Store.shards).
 type probeDicts struct {
 	markets dict[market.SpotID]
 	codes   dict[string]
@@ -573,7 +580,11 @@ func (c *outageCols) appendTo(dst []OutageRecord, id market.SpotID) []OutageReco
 	return rows(dst, c.n(), func(i int) OutageRecord { return c.get(i, id) })
 }
 
-// clone deep-copies the columns (the capture path; see the type comment).
-func (c *outageCols) clone() outageCols {
+// clone deep-copies the columns (the capture path; see the type comment);
+// empty when the shard never held an outage.
+func (c *outageFamily) clone() outageCols {
+	if c == nil {
+		return outageCols{}
+	}
 	return outageCols{kind: slices.Clone(c.kind), start: slices.Clone(c.start), end: slices.Clone(c.end)}
 }

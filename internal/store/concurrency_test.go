@@ -58,6 +58,10 @@ func TestConcurrentShardedWrites(t *testing.T) {
 				s.SpikeCrossingsWhere(time.Time{}, time.Now().Add(time.Hour), nil)
 				s.Aggregates(time.Now())
 				s.ProbeCount()
+				// Find-only reads racing the markets' first writes.
+				for i := 0; i < writers*marketsPerWriter; i++ {
+					s.Generation(concMarket(i))
+				}
 			}
 		}()
 	}
@@ -79,7 +83,7 @@ func TestConcurrentShardedWrites(t *testing.T) {
 					}
 					app.AppendProbe(ProbeRecord{
 						At: at, Market: id, Kind: ProbeOnDemand,
-						Trigger: TriggerSpike, Rejected: rejected, Cost: 0.25,
+						Trigger: TriggerSpike, TriggerMarket: id, Rejected: rejected, Cost: 0.25,
 					})
 					app.AppendSpike(SpikeEvent{At: at, Market: id, Ratio: 0.5 + float64(i%4)})
 					app.RecordPrice(PricePoint{At: at, Price: float64(i)})
@@ -103,8 +107,10 @@ func TestConcurrentShardedWrites(t *testing.T) {
 	if got := len(s.Spikes()); got != total {
 		t.Errorf("len(Spikes()) = %d, want %d", got, total)
 	}
-	if got := len(s.Markets()); got != markets {
-		t.Errorf("Markets = %d, want %d", got, markets)
+	// One shard and one dictionary entry per market written: the index
+	// holds no duplicate and the racing reads inserted nothing.
+	if got, dict := len(s.Markets()), len(s.dicts.markets.ids); got != markets || dict != markets {
+		t.Errorf("Markets = %d, dictionary entries = %d, want %d and %d", got, dict, markets, markets)
 	}
 
 	// Merged global views must be timestamp-ordered.

@@ -52,33 +52,42 @@ func (s *Store) captureAll() []shardCapture {
 // global streams ordered by timestamp (ties in market-ID order, which is
 // the captures' order) and the per-market price map.
 func assembleSnapshot(captures []shardCapture) Snapshot {
-	snap := Snapshot{Prices: make(map[string][]PricePoint)}
-	snap.Probes = mergeByTime(captures,
-		func(c shardCapture) ([]ProbeRecord, bool) {
-			return c.probes.appendTo(nil, c.id, c.dicts), c.probesOrdered
-		}, probeAt)
-	snap.Spikes = mergeByTime(captures,
-		func(c shardCapture) ([]SpikeEvent, bool) {
-			return c.spikes.appendTo(nil, c.id), c.spikesOrdered
-		}, spikeAt)
-	snap.BidSpreads = mergeByTime(captures,
-		func(c shardCapture) ([]BidSpreadRecord, bool) {
-			return c.bidSpreads.appendTo(nil, c.id), c.bidSpreadsOrdered
-		}, bidSpreadAt)
-	snap.Revocations = mergeByTime(captures,
-		func(c shardCapture) ([]RevocationRecord, bool) {
-			return c.revocations.appendTo(nil, c.id), c.revocationsOrdered
-		}, revocationAt)
-	snap.Outages = mergeByTime(captures,
-		func(c shardCapture) ([]OutageRecord, bool) {
-			return c.outages.appendTo(nil, c.id), c.outagesOrdered
-		}, outageAt)
+	snap := Snapshot{
+		Probes:      mergeByTime(captures, shardCapture.probeRun, probeAt),
+		Spikes:      mergeByTime(captures, shardCapture.spikeRun, spikeAt),
+		BidSpreads:  mergeByTime(captures, shardCapture.bidSpreadRun, bidSpreadAt),
+		Revocations: mergeByTime(captures, shardCapture.revocationRun, revocationAt),
+		Outages:     mergeByTime(captures, shardCapture.outageRun, outageAt),
+		Prices:      make(map[string][]PricePoint),
+	}
 	for _, c := range captures {
 		if c.prices.n() > 0 {
 			snap.Prices[c.id.String()] = c.prices.appendTo(nil)
 		}
 	}
 	return snap
+}
+
+// The runs mergeByTime merges across captures: one family's records of one
+// capture, and whether they were appended in time order.
+func (c shardCapture) probeRun() ([]ProbeRecord, bool) {
+	return c.probes.appendTo(nil, c.id, c.dicts), c.unordered.ordered(famProbes)
+}
+
+func (c shardCapture) spikeRun() ([]SpikeEvent, bool) {
+	return c.spikes.appendTo(nil, c.id), c.unordered.ordered(famSpikes)
+}
+
+func (c shardCapture) bidSpreadRun() ([]BidSpreadRecord, bool) {
+	return c.bidSpreads.appendTo(nil, c.id), c.unordered.ordered(famBidSpreads)
+}
+
+func (c shardCapture) revocationRun() ([]RevocationRecord, bool) {
+	return c.revocations.appendTo(nil, c.id), c.unordered.ordered(famRevocations)
+}
+
+func (c shardCapture) outageRun() ([]OutageRecord, bool) {
+	return c.outages.appendTo(nil, c.id), c.unordered.ordered(famOutages)
 }
 
 // ReadJSON loads a dump previously produced by WriteJSON into a fresh

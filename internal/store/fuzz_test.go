@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -52,16 +51,11 @@ func fuzzMiscountedSegment() ([]byte, int) {
 // no snapshot: the serial scan, then every market's runs through the
 // record decoder (markets in ID order). validLen is the scan's.
 func decodeLog(data []byte) (entries []walEntry, validLen int, err error) {
-	r := newRecovery(new(probeDicts))
+	r := newRecovery(New())
 	validLen, err = r.scanLog(data)
-	tasks := make([]*replayTask, 0, len(r.tasks))
-	for _, t := range r.tasks {
-		tasks = append(tasks, t)
-	}
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].sh.key < tasks[j].sh.key })
-	for _, t := range tasks {
+	for _, t := range r.sorted() {
 		for _, run := range t.runs {
-			if _, derr := decodeFrames(run, t.sh.id, nil, func(e *walEntry) { entries = append(entries, *e) }); derr != nil {
+			if _, derr := decodeFrames(run, t.sh.id(), nil, func(e *walEntry) { entries = append(entries, *e) }); derr != nil {
 				return entries, validLen, derr
 			}
 		}
@@ -123,7 +117,7 @@ func FuzzWALDecode(f *testing.F) {
 			return // not a log file at all
 		}
 		// The valid prefix must scan clean on its own, to the same length.
-		r := newRecovery(new(probeDicts))
+		r := newRecovery(New())
 		if againLen, err2 := r.scanLog(data[:validLen]); err2 != nil || againLen != validLen {
 			t.Fatalf("re-scan of the %d-byte valid prefix: %d, %v", validLen, againLen, err2)
 		}

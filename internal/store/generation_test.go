@@ -200,7 +200,7 @@ func TestAppendProbesMatchesSingles(t *testing.T) {
 		out := fed{s: s, wal: make(map[string][]byte), events: make(map[string][]Event)}
 		// Which markets' rounds sit next to each other in the one log
 		// depends on the batching; each market's own frames must not.
-		r := newRecovery(new(probeDicts))
+		r := newRecovery(New())
 		for _, file := range logFiles(t, dir) {
 			data, err := os.ReadFile(file)
 			if err != nil {
@@ -210,8 +210,8 @@ func TestAppendProbesMatchesSingles(t *testing.T) {
 				t.Fatalf("scan %s: valid prefix %d of %d, %v", file, n, len(data), err)
 			}
 		}
-		for id, task := range r.tasks {
-			out.wal[id.String()] = bytes.Join(task.runs, nil)
+		for _, task := range r.sorted() {
+			out.wal[task.sh.id().String()] = bytes.Join(task.runs, nil)
 		}
 		if len(out.wal) == 0 {
 			t.Fatal("the flush left no log frames")

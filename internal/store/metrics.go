@@ -61,11 +61,7 @@ func (s *Store) EnableMetrics(r *obs.Registry) {
 		func() float64 { return float64(s.gen.Load()) })
 	r.GaugeFunc("spotlight_store_markets",
 		"Markets with at least one record (shard count).",
-		func() float64 {
-			s.mu.RLock()
-			defer s.mu.RUnlock()
-			return float64(len(s.shards))
-		})
+		func() float64 { return float64(len(s.shardList())) })
 	r.CounterFunc("spotlight_feed_published_total",
 		"Change-feed events ever assigned a sequence number.",
 		func() float64 { return float64(s.feed.Stats().Published) })

@@ -547,7 +547,7 @@ func (l *storeLog) append(sh *shard, before uint64, frames []byte) (oversized bo
 		return false
 	}
 	if l.last != sh {
-		l.pending = appendRunHeader(l.pending, sh.id, before)
+		l.pending = appendRunHeader(l.pending, sh.id(), before)
 		l.last = sh
 	}
 	l.pending = append(l.pending, frames...)

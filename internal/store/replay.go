@@ -7,7 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -59,26 +59,41 @@ type replayTask struct {
 	err   error
 }
 
-// recovery is the state of one Open's replay: the tasks by market, the
-// string table the serial log pass decodes run headers with, and the
-// store's probe dictionaries the rebuilt shards index.
+// recovery is the state of one Open's replay: the tasks by market index in
+// the store's dictionary (nil for an index with none), the string table the
+// serial log pass decodes run headers with, and the store the rebuilt
+// shards belong to.
 type recovery struct {
-	tasks  map[market.SpotID]*replayTask
+	tasks  []*replayTask
 	intern map[string]string
-	dicts  *probeDicts
+	store  *Store
 }
 
-func newRecovery(dicts *probeDicts) *recovery {
-	return &recovery{tasks: make(map[market.SpotID]*replayTask), intern: make(map[string]string), dicts: dicts}
+func newRecovery(s *Store) *recovery {
+	return &recovery{intern: make(map[string]string), store: s}
 }
 
 func (r *recovery) task(id market.SpotID) *replayTask {
-	t := r.tasks[id]
-	if t == nil {
-		t = &replayTask{sh: newShard(id, r.dicts)}
-		r.tasks[id] = t
+	i := r.store.dicts.markets.id(id, nil)
+	if n := int(i) + 1; n > len(r.tasks) {
+		r.tasks = append(r.tasks, make([]*replayTask, n-len(r.tasks))...)
 	}
-	return t
+	if r.tasks[i] == nil {
+		r.tasks[i] = &replayTask{sh: r.store.newShard(i)}
+	}
+	return r.tasks[i]
+}
+
+// sorted returns the tasks in market-ID order.
+func (r *recovery) sorted() []*replayTask {
+	tasks := make([]*replayTask, 0, len(r.tasks))
+	for _, t := range r.tasks {
+		if t != nil {
+			tasks = append(tasks, t)
+		}
+	}
+	slices.SortFunc(tasks, func(a, b *replayTask) int { return a.sh.id().Compare(b.sh.id()) })
+	return tasks
 }
 
 // openRun decodes a run header and returns its market's task, provided the
@@ -150,7 +165,7 @@ func (r *recovery) scanLog(data []byte) (validLen int, err error) {
 // then a sequential finalize in market-ID order. Returns the newest
 // recovered record timestamp.
 func replayParallel(walRoot string, files []logFile, info snapInfo, s *Store) (time.Time, error) {
-	r := newRecovery(&s.dicts)
+	r := newRecovery(s)
 	if info.seq > 0 {
 		// One read; every task's section is a slice of this image, which
 		// nothing references once the tasks are gone.
@@ -200,11 +215,7 @@ func replayParallel(walRoot string, files []logFile, info snapInfo, s *Store) (t
 		break
 	}
 
-	tasks := make([]*replayTask, 0, len(r.tasks))
-	for _, t := range r.tasks {
-		tasks = append(tasks, t)
-	}
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].sh.key < tasks[j].sh.key })
+	tasks := r.sorted()
 
 	// Replay is a bounded bulk load: the heap grows monotonically toward
 	// the store's steady-state size, and every column is reserved to its
@@ -288,16 +299,16 @@ func countFrames(c *frameCounts, data []byte) {
 // exact allocation per column.
 func (sh *shard) reserveFor(c frameCounts) {
 	if n := c[walProbe]; n > 0 {
-		sh.probes.reserve(n)
+		ensure(&sh.probes).reserve(n)
 	}
 	if n := c[walSpike]; n > 0 {
-		sh.spikes.reserve(n)
+		ensure(&sh.spikes).reserve(n)
 	}
 	if n := c[walBidSpread]; n > 0 {
-		sh.bidSpreads.reserve(n)
+		ensure(&sh.bidSpreads).reserve(n)
 	}
 	if n := c[walRevocation]; n > 0 {
-		sh.revocations.reserve(n)
+		ensure(&sh.revocations).reserve(n)
 	}
 	if n := c[walPrice]; n > 0 {
 		sh.prices.reserve(n)
@@ -321,12 +332,13 @@ func (t *replayTask) run(snapPath string, intern map[string]string) {
 		t.err = snapshotDamaged(snapPath, err)
 		return
 	}
+	id := t.sh.id()
 	for _, run := range t.runs {
-		if _, derr := decodeFrames(run, t.sh.id, intern, t.applyEntry); derr != nil {
+		if _, derr := decodeFrames(run, id, intern, t.applyEntry); derr != nil {
 			// The frame passed its checksum in the serial pass, so this is
 			// not a torn write, and cutting the log here would drop other
 			// markets' records the pass already accepted.
-			t.err = fmt.Errorf("store: a log frame of %v passes its checksum but does not decode: %w", t.sh.id, derr)
+			t.err = fmt.Errorf("store: a log frame of %v passes its checksum but does not decode: %w", id, derr)
 			return
 		}
 	}
@@ -334,7 +346,7 @@ func (t *replayTask) run(snapPath string, intern map[string]string) {
 
 // applyEntry replays one decoded record through the shard's ordinary
 // locked append helpers — the exact code path a live append takes, so
-// every aggregate, ordered flag, derived outage, and crossing index
+// every aggregate, time-order bit, derived outage, and crossing index
 // rebuilds identically — accumulating the rollup fold into the task's
 // delta for finalize.
 func (t *replayTask) applyEntry(e *walEntry) {

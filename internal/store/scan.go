@@ -15,7 +15,7 @@ import (
 type MarketView struct{ sh *shard }
 
 // Market returns the viewed market.
-func (v MarketView) Market() market.SpotID { return v.sh.id }
+func (v MarketView) Market() market.SpotID { return v.sh.id() }
 
 // CrossingStats is CrossingStatsFor on the viewed market.
 func (v MarketView) CrossingStats(from, to time.Time) CrossingStats {
@@ -42,6 +42,9 @@ func (v MarketView) RevocationStats(from, to time.Time) (watches int, held time.
 // OutagesOpened counts the detected outages, of either kind, that opened
 // inside [from, to].
 func (v MarketView) OutagesOpened(from, to time.Time) (n int) {
+	if v.sh.outages == nil {
+		return 0
+	}
 	f, t := stamp(from), stamp(to)
 	for _, s := range v.sh.outages.start {
 		if f <= s && s <= t {

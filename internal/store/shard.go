@@ -45,28 +45,22 @@ func (a *kindAgg) outageDur(now time.Time) time.Duration {
 	return d
 }
 
-// shardAgg holds one shard's running summaries, updated on every append so
-// aggregate queries never rescan the log.
-type shardAgg struct {
-	byKind     [probeKinds]kindAgg
-	probeCount int // all kinds, unknown included
-	probeCost  float64
-
-	spikes        int
-	spikesAboveOD int
-
-	priceCount         int
-	priceSum           float64
-	priceMin, priceMax float64
-}
+// priceAgg is the running fold of a shard's whole price series, updated
+// on every append so aggregate queries never rescan it; the sample count
+// is the column's length.
+type priceAgg struct{ sum, min, max float64 }
 
 // shard holds every record of one spot market behind its own lock, so
 // writes to different markets never contend and per-market queries never
 // scan other markets' history.
+//
+// Most markets are quiet — a day of prices and a handful of spikes or
+// probes — so the per-market fixed cost, not the record bytes, sets an
+// always-on store's memory: a shard names its market by its index in the
+// store's market dictionary, and a record family other than prices is a
+// nil pointer until its first row.
 type shard struct {
-	mu  sync.RWMutex
-	id  market.SpotID
-	key string // id.String(), cached for deterministic shard ordering
+	mu sync.RWMutex
 
 	// gen counts every record ever appended to this shard (probes, spikes,
 	// bid spreads, revocations, prices). It is the per-shard invalidation
@@ -76,63 +70,91 @@ type shard struct {
 	// Atomic so readers never take the shard lock.
 	gen atomic.Uint64
 
+	// store is the owning store — its feed, log, metrics and global
+	// generation take every append round — and rp and rg the shard's
+	// (region, product) and region-level rollup entries; every append
+	// publishes its rollupDelta to all three. idx is the market's index in
+	// store.dicts.markets (id). Wired once at creation, immutable
+	// afterwards.
+	store  *Store
+	rp, rg *rollup
+	idx    uint32
+
+	// unordered marks the families appended out of time order at least
+	// once; window queries binary-search the others instead of scanning.
+	unordered families
+
 	// Record families are stored column-oriented (see columns.go): the
 	// windowed folds scan only the columns they read, and captures alias
-	// the append-only columns instead of copying them.
-	probes      probeCols
-	spikes      spikeCols
-	bidSpreads  bidSpreadCols
-	revocations revocationCols
+	// the append-only columns instead of copying them. Every shard holds
+	// prices; the other families are allocated on their first row.
 	prices      priceCols
-	outages     outageCols
+	probes      *probeFamily
+	spikes      *spikeFamily
+	bidSpreads  *bidSpreadCols
+	revocations *revocationCols
+	outages     *outageFamily
 
-	// crossings is the incremental index of spikes with Ratio >= 1 (the
-	// on-demand price crossings behind every stability/volatility query).
-	crossings crossingCols
-
-	// Ordered flags track whether the corresponding slice is appended in
-	// non-decreasing time order; while true, window queries binary-search
-	// instead of scanning.
-	probesOrdered      bool
-	spikesOrdered      bool
-	crossingsOrdered   bool
-	pricesOrdered      bool
-	revocationsOrdered bool
-	bidSpreadsOrdered  bool
-	outagesOrdered     bool // by Start; follows probesOrdered in practice
-
-	// openOutage[k] is 1+index into outages of kind k's ongoing outage;
-	// 0 means the kind is currently available.
-	openOutage [probeKinds]int
-
-	agg shardAgg
-
-	// rp and rg are the shard's (region, product) and region-level rollup
-	// entries, and storeGen the store's global generation counter; every
-	// append publishes its rollupDelta to all three. Wired once at shard
-	// creation, immutable afterwards.
-	rp, rg   *rollup
-	storeGen *atomic.Uint64
-
-	// feed is the store's change-feed hub; append paths publish the
-	// round's typed events to it alongside the rollup fold. Wired at
-	// creation like rp/rg, immutable afterwards.
-	feed *Feed
-
-	// persist is the owning store's durability engine, whose log every
-	// append round frames into; nil for in-memory stores. Wired at
-	// creation like rp/rg, immutable afterwards.
-	persist *Persister
-
-	// metrics is the owning store's instrument block, wired at creation
-	// like rp/rg and immutable after; its instruments are nil no-ops
-	// until Store.EnableMetrics.
-	metrics *storeMetrics
-
-	// dicts are the owning store's probe dictionaries, which the probe
-	// columns index. Set by newShard, immutable afterwards.
-	dicts *probeDicts
+	priceAgg priceAgg
 }
+
+// probeFamily is a shard's probe log with the running per-kind summaries
+// it feeds, allocated on the shard's first probe. The count of every
+// probe, unknown kinds included, is the columns' length.
+type probeFamily struct {
+	probeCols
+	byKind [probeKinds]kindAgg
+	cost   float64
+}
+
+// spikeFamily is a shard's spike log with the crossings index it feeds,
+// allocated together on the shard's first spike.
+type spikeFamily struct {
+	spikeCols
+	crossings crossingCols
+}
+
+// outageFamily is a shard's outage intervals, allocated on its first
+// rejected probe. open[k] is 1+index of kind k's ongoing outage; 0 means
+// the kind is currently available.
+type outageFamily struct {
+	outageCols
+	open [probeKinds]int
+}
+
+// families is a set of a shard's record columns, one bit each.
+type families uint8
+
+const (
+	famProbes families = 1 << iota
+	famSpikes
+	famCrossings
+	famPrices
+	famRevocations
+	famBidSpreads
+	famOutages // by Start; follows famProbes in practice
+)
+
+// track adds f to the set when appending stamp s breaks at's time order.
+func (u *families) track(f families, at []int64, s int64) {
+	if !follows(at, s) {
+		*u |= f
+	}
+}
+
+// ordered reports whether f's column is still in time order.
+func (u families) ordered(f families) bool { return u&f == 0 }
+
+// ensure returns the family *p, allocating it on its first row.
+func ensure[T any](p **T) *T {
+	if *p == nil {
+		*p = new(T)
+	}
+	return *p
+}
+
+// id returns the shard's market: one atomic load from the dictionary.
+func (sh *shard) id() market.SpotID { return sh.store.dicts.markets.at(sh.idx) }
 
 // walBufPool recycles the scratch buffers append rounds encode WAL frames
 // into before taking the shard lock.
@@ -161,10 +183,10 @@ func (sh *shard) appendRound(n int, d *rollupDelta, events func(), frames func([
 	if n == 0 {
 		return
 	}
-	if d.emit = sh.feed.enabled(); d.emit {
+	feed, p := sh.store.feed, sh.store.persist
+	if d.emit = feed.enabled(); d.emit {
 		events()
 	}
-	p := sh.persist
 	var enc *[]byte
 	if p != nil {
 		enc = walBufPool.Get().(*[]byte)
@@ -174,7 +196,7 @@ func (sh *shard) appendRound(n int, d *rollupDelta, events func(), frames func([
 	apply()
 	// The round's n records are now the shard's newest.
 	before := sh.gen.Load() - uint64(n)
-	late := !d.emit && sh.feed.enabled()
+	late := !d.emit && feed.enabled()
 	oversized := p != nil && p.log.append(sh, before, *enc)
 	sh.mu.Unlock()
 	if p != nil {
@@ -209,27 +231,13 @@ func (sh *shard) appendRound(n int, d *rollupDelta, events func(), frames func([
 func (sh *shard) publish(d *rollupDelta) {
 	sh.rp.apply(d)
 	sh.rg.apply(d)
-	sh.metrics.appendBatches.Inc()
-	sh.metrics.appendRecords.Add(d.records)
+	s := sh.store
+	s.metrics.appendBatches.Inc()
+	s.metrics.appendRecords.Add(d.records)
 	if len(d.events) > 0 {
-		sh.feed.publish(d.events, d.records)
+		s.feed.publish(d.events, d.records)
 	} else {
-		sh.storeGen.Add(d.records)
-	}
-}
-
-func newShard(id market.SpotID, dicts *probeDicts) *shard {
-	return &shard{
-		id:                 id,
-		key:                id.String(),
-		dicts:              dicts,
-		probesOrdered:      true,
-		spikesOrdered:      true,
-		crossingsOrdered:   true,
-		pricesOrdered:      true,
-		revocationsOrdered: true,
-		bidSpreadsOrdered:  true,
-		outagesOrdered:     true,
+		s.gen.Add(d.records)
 	}
 }
 
@@ -243,9 +251,10 @@ func (sh *shard) appendProbes(rs []ProbeRecord) {
 		func() {
 			cp := append([]ProbeRecord(nil), rs...)
 			d.events = make([]Event, 0, len(cp))
+			id := sh.id()
 			for i := range cp {
 				cp[i].At = canonical(cp[i].At)
-				d.events = append(d.events, Event{Kind: EventProbe, Market: sh.id, At: cp[i].At, Probe: &cp[i]})
+				d.events = append(d.events, Event{Kind: EventProbe, Market: id, At: cp[i].At, Probe: &cp[i]})
 			}
 		},
 		func(b []byte) []byte {
@@ -265,10 +274,10 @@ func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
 	sh.gen.Add(1)
 	d.records++
 	at := stamp(r.At)
-	sh.probesOrdered = sh.probesOrdered && follows(sh.probes.at, at)
-	sh.probes.push(r, at, sh.dicts)
-	sh.agg.probeCount++
-	sh.agg.probeCost += r.Cost
+	ps := ensure(&sh.probes)
+	sh.unordered.track(famProbes, ps.at, at)
+	ps.push(r, at, &sh.store.dicts)
+	ps.cost += r.Cost
 	d.probeCount++
 	d.probeCost += r.Cost
 
@@ -276,37 +285,39 @@ func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
 	if !ok {
 		return
 	}
-	ka, kd := &sh.agg.byKind[ki], &d.byKind[ki]
+	ka, kd := &ps.byKind[ki], &d.byKind[ki]
 	ka.probes++
 	kd.probes++
 	if r.Rejected {
 		ka.rejected++
 		kd.rejected++
 	}
+	oc := sh.outages
 	switch {
-	case r.Rejected && sh.openOutage[ki] == 0:
-		sh.outagesOrdered = sh.outagesOrdered && follows(sh.outages.start, at)
-		sh.outages.push(r.Kind, at)
-		sh.openOutage[ki] = sh.outages.n()
+	case r.Rejected && (oc == nil || oc.open[ki] == 0):
+		oc = ensure(&sh.outages)
+		sh.unordered.track(famOutages, oc.start, at)
+		oc.push(r.Kind, at)
+		oc.open[ki] = oc.n()
 		start := stampTime(at)
 		ka.outages++
 		ka.openOutageStart = start
 		kd.outages++
 		kd.openOutage(start)
 		if d.emit {
-			cp := sh.outages.get(sh.outages.n()-1, sh.id)
+			cp := oc.get(oc.n()-1, sh.id())
 			d.events = append(d.events, Event{Kind: EventOutageOpen, Market: r.Market, At: start, Outage: &cp})
 		}
-	case !r.Rejected && sh.openOutage[ki] != 0:
-		oi := sh.openOutage[ki] - 1
-		sh.outages.end[oi] = at
-		start, end := stampTime(sh.outages.start[oi]), stampTime(at)
+	case !r.Rejected && oc != nil && oc.open[ki] != 0:
+		oi := oc.open[ki] - 1
+		oc.end[oi] = at
+		start, end := stampTime(oc.start[oi]), stampTime(at)
 		ka.closedOutageDur += end.Sub(start)
 		ka.openOutageStart = time.Time{}
-		sh.openOutage[ki] = 0
+		oc.open[ki] = 0
 		kd.closeOutage(start, end.Sub(start))
 		if d.emit {
-			cp := sh.outages.get(oi, sh.id)
+			cp := oc.get(oi, sh.id())
 			d.events = append(d.events, Event{Kind: EventOutageClose, Market: r.Market, At: end, Outage: &cp})
 		}
 	}
@@ -319,9 +330,10 @@ func (sh *shard) appendSpikes(es []SpikeEvent) {
 		func() {
 			cp := append([]SpikeEvent(nil), es...)
 			d.events = make([]Event, 0, len(cp))
+			id := sh.id()
 			for i := range cp {
 				cp[i].At = canonical(cp[i].At)
-				d.events = append(d.events, Event{Kind: EventSpike, Market: sh.id, At: cp[i].At, Spike: &cp[i]})
+				d.events = append(d.events, Event{Kind: EventSpike, Market: id, At: cp[i].At, Spike: &cp[i]})
 			}
 		},
 		func(b []byte) []byte {
@@ -342,14 +354,14 @@ func (sh *shard) appendSpikeLocked(e *SpikeEvent, d *rollupDelta) {
 	d.records++
 	d.spikes++
 	at := stamp(e.At)
-	sh.spikesOrdered = sh.spikesOrdered && follows(sh.spikes.at, at)
-	sh.spikes.push(e, at)
-	sh.agg.spikes++
+	sp := ensure(&sh.spikes)
+	sh.unordered.track(famSpikes, sp.at, at)
+	sp.push(e, at)
 	if e.Ratio >= 1 {
-		sh.crossingsOrdered = sh.crossingsOrdered && follows(sh.crossings.at, at)
-		sh.crossings.at = appendRow(sh.crossings.at, at)
-		sh.crossings.ratio = appendRow(sh.crossings.ratio, e.Ratio)
-		sh.agg.spikesAboveOD++
+		c := &sp.crossings
+		sh.unordered.track(famCrossings, c.at, at)
+		c.at = appendRow(c.at, at)
+		c.ratio = appendRow(c.ratio, e.Ratio)
 		d.spikesAboveOD++
 		if e.Ratio > d.maxCrossRatio {
 			d.maxCrossRatio = e.Ratio
@@ -365,9 +377,10 @@ func (sh *shard) appendBidSpreads(rs []BidSpreadRecord) {
 		func() {
 			cp := append([]BidSpreadRecord(nil), rs...)
 			d.events = make([]Event, 0, len(cp))
+			id := sh.id()
 			for i := range cp {
 				cp[i].At = canonical(cp[i].At)
-				d.events = append(d.events, Event{Kind: EventBidSpread, Market: sh.id, At: cp[i].At, BidSpread: &cp[i]})
+				d.events = append(d.events, Event{Kind: EventBidSpread, Market: id, At: cp[i].At, BidSpread: &cp[i]})
 			}
 		},
 		func(b []byte) []byte {
@@ -387,8 +400,9 @@ func (sh *shard) appendBidSpreadLocked(r *BidSpreadRecord, d *rollupDelta) {
 	sh.gen.Add(1)
 	d.records++
 	at := stamp(r.At)
-	sh.bidSpreadsOrdered = sh.bidSpreadsOrdered && follows(sh.bidSpreads.at, at)
-	sh.bidSpreads.push(r, at)
+	bs := ensure(&sh.bidSpreads)
+	sh.unordered.track(famBidSpreads, bs.at, at)
+	bs.push(r, at)
 }
 
 // appendRevocations logs a batch of revocation watches in one append
@@ -399,9 +413,10 @@ func (sh *shard) appendRevocations(rs []RevocationRecord) {
 		func() {
 			cp := append([]RevocationRecord(nil), rs...)
 			d.events = make([]Event, 0, len(cp))
+			id := sh.id()
 			for i := range cp {
 				cp[i].At = canonical(cp[i].At)
-				d.events = append(d.events, Event{Kind: EventRevocation, Market: sh.id, At: cp[i].At, Revocation: &cp[i]})
+				d.events = append(d.events, Event{Kind: EventRevocation, Market: id, At: cp[i].At, Revocation: &cp[i]})
 			}
 		},
 		func(b []byte) []byte {
@@ -421,8 +436,9 @@ func (sh *shard) appendRevocationLocked(r *RevocationRecord, d *rollupDelta) {
 	sh.gen.Add(1)
 	d.records++
 	at := stamp(r.At)
-	sh.revocationsOrdered = sh.revocationsOrdered && follows(sh.revocations.at, at)
-	sh.revocations.push(r, at)
+	rv := ensure(&sh.revocations)
+	sh.unordered.track(famRevocations, rv.at, at)
+	rv.push(r, at)
 }
 
 // appendPrices logs a price series in one append round (watched markets
@@ -433,9 +449,10 @@ func (sh *shard) appendPrices(ps []PricePoint) {
 		func() {
 			cp := append([]PricePoint(nil), ps...)
 			d.events = make([]Event, 0, len(cp))
+			id := sh.id()
 			for i := range cp {
 				cp[i].At = canonical(cp[i].At)
-				d.events = append(d.events, Event{Kind: EventPrice, Market: sh.id, At: cp[i].At, Price: &cp[i]})
+				d.events = append(d.events, Event{Kind: EventPrice, Market: id, At: cp[i].At, Price: &cp[i]})
 			}
 		},
 		func(b []byte) []byte {
@@ -456,15 +473,15 @@ func (sh *shard) appendPriceLocked(p *PricePoint, d *rollupDelta) {
 	d.records++
 	d.price(p.Price)
 	at := stamp(p.At)
-	sh.pricesOrdered = sh.pricesOrdered && follows(sh.prices.at, at)
+	sh.unordered.track(famPrices, sh.prices.at, at)
 	sh.prices.push(p, at)
-	sh.agg.priceCount++
-	sh.agg.priceSum += p.Price
-	if sh.agg.priceCount == 1 || p.Price < sh.agg.priceMin {
-		sh.agg.priceMin = p.Price
+	a, first := &sh.priceAgg, sh.prices.n() == 1
+	a.sum += p.Price
+	if first || p.Price < a.min {
+		a.min = p.Price
 	}
-	if sh.agg.priceCount == 1 || p.Price > sh.agg.priceMax {
-		sh.agg.priceMax = p.Price
+	if first || p.Price > a.max {
+		a.max = p.Price
 	}
 }
 
@@ -475,7 +492,7 @@ func (sh *shard) appendPriceLocked(p *PricePoint, d *rollupDelta) {
 // holds the column slice headers as of the cut, and later appends only
 // write past the captured lengths (or into fresh backing arrays). Only
 // the outage columns — whose end timestamps are rewritten when an outage
-// closes — are deep-copied.
+// closes — are deep-copied. A family the shard never held captures empty.
 type shardCapture struct {
 	id    market.SpotID
 	dicts *probeDicts
@@ -484,66 +501,78 @@ type shardCapture struct {
 	// it, and replay skips the log frames it already counts.
 	gen uint64
 
+	unordered families
+
 	probes      probeCols
 	spikes      spikeCols
 	bidSpreads  bidSpreadCols
 	revocations revocationCols
 	prices      priceCols
 	outages     outageCols
+}
 
-	probesOrdered      bool
-	spikesOrdered      bool
-	bidSpreadsOrdered  bool
-	revocationsOrdered bool
-	pricesOrdered      bool
-	outagesOrdered     bool
+// value returns *p, or the zero family when the shard never held one.
+func value[T any](p *T) (v T) {
+	if p != nil {
+		v = *p
+	}
+	return v
 }
 
 // capture cuts every record stream of the shard atomically.
 func (sh *shard) capture() shardCapture {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return sh.captureLocked()
+}
+
+// captureLocked is capture under a shard lock the caller holds.
+func (sh *shard) captureLocked() shardCapture {
 	return shardCapture{
-		id:                 sh.id,
-		dicts:              sh.dicts,
-		gen:                sh.gen.Load(),
-		probes:             sh.probes,
-		spikes:             sh.spikes,
-		bidSpreads:         sh.bidSpreads,
-		revocations:        sh.revocations,
-		prices:             sh.prices,
-		outages:            sh.outages.clone(),
-		probesOrdered:      sh.probesOrdered,
-		spikesOrdered:      sh.spikesOrdered,
-		bidSpreadsOrdered:  sh.bidSpreadsOrdered,
-		revocationsOrdered: sh.revocationsOrdered,
-		pricesOrdered:      sh.pricesOrdered,
-		outagesOrdered:     sh.outagesOrdered,
+		id:          sh.id(),
+		dicts:       &sh.store.dicts,
+		gen:         sh.gen.Load(),
+		unordered:   sh.unordered,
+		probes:      value(sh.probes).probeCols,
+		spikes:      value(sh.spikes).spikeCols,
+		bidSpreads:  value(sh.bidSpreads),
+		revocations: value(sh.revocations),
+		prices:      sh.prices,
+		outages:     sh.outages.clone(),
 	}
 }
 
 func (sh *shard) spikesIn(dst []SpikeEvent, from, to time.Time) []SpikeEvent {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.spikes.window(dst, sh.id, sh.spikesOrdered, from, to)
+	if sh.spikes == nil {
+		return dst
+	}
+	return sh.spikes.window(dst, sh.id(), sh.unordered.ordered(famSpikes), from, to)
 }
 
 func (sh *shard) pricesIn(dst []PricePoint, from, to time.Time) []PricePoint {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.prices.window(dst, sh.pricesOrdered, from, to)
+	return sh.prices.window(dst, sh.unordered.ordered(famPrices), from, to)
 }
 
 func (sh *shard) probesIn(dst []ProbeRecord, from, to time.Time) []ProbeRecord {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.probes.window(dst, sh.id, sh.dicts, sh.probesOrdered, from, to)
+	if sh.probes == nil {
+		return dst
+	}
+	return sh.probes.window(dst, sh.id(), &sh.store.dicts, sh.unordered.ordered(famProbes), from, to)
 }
 
 func (sh *shard) revocationsIn(dst []RevocationRecord, from, to time.Time) []RevocationRecord {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.revocations.window(dst, sh.id, sh.revocationsOrdered, from, to)
+	if sh.revocations == nil {
+		return dst
+	}
+	return sh.revocations.window(dst, sh.id(), sh.unordered.ordered(famRevocations), from, to)
 }
 
 // The windowed folds below run under a shard lock the caller holds: the
@@ -553,17 +582,20 @@ func (sh *shard) revocationsIn(dst []RevocationRecord, from, to time.Time) []Rev
 // priceStatsLocked folds min/mean/max over the price points inside
 // [from, to] without materializing anything (priceCols.stats).
 func (sh *shard) priceStatsLocked(from, to time.Time) PriceWindowStats {
-	return sh.prices.stats(sh.pricesOrdered, from, to)
+	return sh.prices.stats(sh.unordered.ordered(famPrices), from, to)
 }
 
 // crossingStatsLocked counts the on-demand price crossings inside
 // [from, to] and their largest spike ratio, using the incremental
 // crossings index.
 func (sh *shard) crossingStatsLocked(from, to time.Time) CrossingStats {
-	f, t := stamp(from), stamp(to)
-	c := &sh.crossings
-	lo, hi := bounds(c.at, sh.crossingsOrdered, f, t)
 	var st CrossingStats
+	if sh.spikes == nil {
+		return st
+	}
+	f, t := stamp(from), stamp(to)
+	c := &sh.spikes.crossings
+	lo, hi := bounds(c.at, sh.unordered.ordered(famCrossings), f, t)
 	for i := lo; i < hi; i++ {
 		if f <= c.at[i] && c.at[i] <= t {
 			st.Crossings++
@@ -576,9 +608,12 @@ func (sh *shard) crossingStatsLocked(from, to time.Time) CrossingStats {
 // revocationStatsLocked counts the revocation watches that landed inside
 // [from, to] and sums how long their instances were held.
 func (sh *shard) revocationStatsLocked(from, to time.Time) (watches int, held time.Duration) {
+	c := sh.revocations
+	if c == nil {
+		return 0, 0
+	}
 	f, t := stamp(from), stamp(to)
-	c := &sh.revocations
-	lo, hi := bounds(c.at, sh.revocationsOrdered, f, t)
+	lo, hi := bounds(c.at, sh.unordered.ordered(famRevocations), f, t)
 	for i := lo; i < hi; i++ {
 		if f <= c.at[i] && c.at[i] <= t {
 			watches++
@@ -592,9 +627,12 @@ func (sh *shard) revocationStatsLocked(from, to time.Time) (watches int, held ti
 // outages of one kind cover — an open one up to to — without copying the
 // interval list.
 func (sh *shard) outageOverlapLocked(kind ProbeKind, from, to time.Time) time.Duration {
-	f, t := stamp(from), stamp(to)
-	c := &sh.outages
+	c := sh.outages
 	total := time.Duration(0)
+	if c == nil {
+		return total
+	}
+	f, t := stamp(from), stamp(to)
 	for i, k := range c.kind {
 		start, end := max(c.start[i], f), c.end[i]
 		if end == openEnd || end > t {

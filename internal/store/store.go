@@ -6,11 +6,14 @@
 //
 // # Sharded design
 //
-// The store is sharded per spot market (market.SpotID). Each shard owns
-// its market's probe, spike, outage, price, bid-spread, and revocation
-// history behind its own RWMutex, so ingestion of different markets never
-// contends on a global lock, and every per-market query (OutagesFor,
-// SpikesFor, Prices, OutageOverlap, ...) touches exactly one shard.
+// The store is sharded per spot market (market.SpotID), and its markets
+// are indexed by one append-only dictionary: a shard sits at its market's
+// index there, and a read of a market never written inserts nothing. Each
+// shard owns its market's probe, spike, outage, price, bid-spread, and
+// revocation history behind its own RWMutex, so ingestion of different
+// markets never contends on a global lock, and every per-market query
+// (OutagesFor, SpikesFor, Prices, OutageOverlap, ...) touches exactly one
+// shard. A family other than prices costs nothing until its first row.
 //
 // Shards additionally maintain incremental indexes and aggregates on the
 // write path:
@@ -23,8 +26,9 @@
 //   - running price min/mean/max, and a sealed min/max/sum summary of
 //     every 16 consecutive prices, so a windowed price fold steps over
 //     whole chunks instead of their samples;
-//   - time-ordered flags per slice, so window queries binary-search the
-//     affected range instead of scanning whole histories.
+//   - one time-order bit per record family, so window queries
+//     binary-search the affected range instead of scanning whole
+//     histories.
 //
 // Aggregate queries (Aggregates, SpikeCrossingsWhere, ProbeCount) read
 // those summaries in O(markets) instead of O(records). Global iteration
@@ -46,6 +50,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -233,8 +238,11 @@ type RevocationRecord struct {
 // their shard, and the global iteration methods merge across shards in
 // timestamp order. All methods are safe for concurrent use.
 type Store struct {
-	mu     sync.RWMutex
-	shards map[market.SpotID]*shard
+	mu sync.RWMutex
+	// shards holds each market's shard at the market's index in
+	// dicts.markets: a market's first write inserts it. An index whose
+	// value only ever appeared as a probe's trigger market holds nil.
+	shards []*shard
 	// sorted caches the shards in market-ID order for deterministic
 	// global iteration; nil when a new shard invalidated it.
 	sorted []*shard
@@ -262,14 +270,14 @@ type Store struct {
 	// instruments no-ops) until EnableMetrics arms them.
 	metrics *storeMetrics
 
-	// dicts holds the values the shards' probe columns index (columns.go).
+	// dicts holds the values the shards' probe columns index (columns.go);
+	// its market table is also the shards' index.
 	dicts probeDicts
 }
 
 // New returns an empty store.
 func New() *Store {
 	s := &Store{
-		shards:  make(map[market.SpotID]*shard),
 		rollups: make(map[rollupScope]*rollup),
 		metrics: &storeMetrics{},
 	}
@@ -279,11 +287,16 @@ func New() *Store {
 
 // shardFor returns the shard of id, creating it on first write.
 func (s *Store) shardFor(id market.SpotID) *shard {
-	if sh := s.lookup(id); sh != nil {
+	i := s.dicts.markets.id(id, nil)
+	if sh := s.shardAt(i); sh != nil {
 		return sh
 	}
-	return s.adoptShard(newShard(id, &s.dicts))
+	return s.adoptShard(s.newShard(i))
 }
+
+// newShard returns an empty shard of the market at index i of
+// s.dicts.markets, not yet adopted.
+func (s *Store) newShard(i uint32) *shard { return &shard{store: s, idx: i} }
 
 // adoptShard wires sh to its region-level and (region, product) rollups —
 // which every subsequent append folds into — and publishes it; if the
@@ -293,19 +306,19 @@ func (s *Store) shardFor(id market.SpotID) *shard {
 // publishes their accumulated rollup delta afterwards.
 func (s *Store) adoptShard(sh *shard) *shard {
 	// Resolve the rollups outside the store lock (rollupFor takes it).
-	region := sh.id.Region()
-	rp := s.rollupFor(rollupScope{region: region, product: sh.id.Product})
-	rg := s.rollupFor(rollupScope{region: region})
+	id := sh.id()
+	rp := s.rollupFor(rollupScope{region: id.Region(), product: id.Product})
+	rg := s.rollupFor(rollupScope{region: id.Region()})
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cur := s.shards[sh.id]; cur != nil {
+	if n := int(sh.idx) + 1; n > len(s.shards) {
+		s.shards = append(s.shards, make([]*shard, n-len(s.shards))...)
+	}
+	if cur := s.shards[sh.idx]; cur != nil {
 		return cur
 	}
-	sh.rp, sh.rg, sh.storeGen = rp, rg, &s.gen
-	sh.feed = s.feed
-	sh.metrics = s.metrics
-	sh.persist = s.persist
-	s.shards[sh.id] = sh
+	sh.rp, sh.rg = rp, rg
+	s.shards[sh.idx] = sh
 	s.sorted = nil
 	// Shards exist iff they hold at least one record, so adoption is the
 	// scope's market count ticking up — and the one place a shard joins the
@@ -320,11 +333,24 @@ func (s *Store) adoptShard(sh *shard) *shard {
 	return sh
 }
 
-// lookup returns the shard of id without creating it.
+// lookup returns the shard of id without creating it: a market never
+// written adds neither a shard nor a dictionary entry.
 func (s *Store) lookup(id market.SpotID) *shard {
+	i, ok := s.dicts.markets.find(id)
+	if !ok {
+		return nil
+	}
+	return s.shardAt(i)
+}
+
+// shardAt returns the shard at market index i, nil when it has none.
+func (s *Store) shardAt(i uint32) *shard {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.shards[id]
+	if int(i) < len(s.shards) {
+		return s.shards[i]
+	}
+	return nil
 }
 
 // shardList returns every shard in market-ID order. The returned slice is
@@ -342,9 +368,12 @@ func (s *Store) shardList() []*shard {
 	if s.sorted == nil {
 		list := make([]*shard, 0, len(s.shards))
 		for _, sh := range s.shards {
-			list = append(list, sh)
+			if sh != nil {
+				list = append(list, sh)
+			}
 		}
-		sort.Slice(list, func(i, j int) bool { return list[i].key < list[j].key })
+		// Market-ID order is the order of the rendered IDs (SpotID.Compare).
+		slices.SortFunc(list, func(a, b *shard) int { return a.id().Compare(b.id()) })
 		s.sorted = list
 	}
 	return s.sorted
@@ -547,7 +576,7 @@ func (s *Store) Markets() []market.SpotID {
 	shards := s.shardList()
 	out := make([]market.SpotID, len(shards))
 	for i, sh := range shards {
-		out[i] = sh.id
+		out[i] = sh.id()
 	}
 	return out
 }
@@ -555,11 +584,7 @@ func (s *Store) Markets() []market.SpotID {
 // Revocations returns all revocation-watch observations merged across
 // shards, oldest first.
 func (s *Store) Revocations() []RevocationRecord {
-	return mergeByTime(s.shardList(), func(sh *shard) ([]RevocationRecord, bool) {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		return sh.revocations.appendTo(nil, sh.id), sh.revocationsOrdered
-	}, revocationAt)
+	return mergeByTime(s.captureAll(), shardCapture.revocationRun, revocationAt)
 }
 
 // RevocationsFor returns one market's revocation observations within
@@ -574,25 +599,14 @@ func (s *Store) RevocationsFor(id market.SpotID, from, to time.Time) []Revocatio
 
 // Probes returns all probes merged across shards, oldest first.
 func (s *Store) Probes() []ProbeRecord {
-	return mergeByTime(s.shardList(), func(sh *shard) ([]ProbeRecord, bool) {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		return sh.probes.appendTo(nil, sh.id, sh.dicts), sh.probesOrdered
-	}, probeAt)
+	return mergeByTime(s.captureAll(), shardCapture.probeRun, probeAt)
 }
 
 // ProbesWhere returns copies of probes matching keep, oldest first.
 func (s *Store) ProbesWhere(keep func(ProbeRecord) bool) []ProbeRecord {
-	return mergeByTime(s.shardList(), func(sh *shard) ([]ProbeRecord, bool) {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		var run []ProbeRecord
-		for i := 0; i < sh.probes.n(); i++ {
-			if r := sh.probes.get(i, sh.id, sh.dicts); keep(r) {
-				run = append(run, r)
-			}
-		}
-		return run, sh.probesOrdered // filtering preserves order
+	return mergeByTime(s.captureAll(), func(c shardCapture) ([]ProbeRecord, bool) {
+		run, ordered := c.probeRun()
+		return slices.DeleteFunc(run, func(r ProbeRecord) bool { return !keep(r) }), ordered // filtering preserves order
 	}, probeAt)
 }
 
@@ -623,7 +637,9 @@ func (s *Store) ProbeCount() int {
 	total := 0
 	for _, sh := range s.shardList() {
 		sh.mu.RLock()
-		total += sh.agg.probeCount
+		if sh.probes != nil {
+			total += sh.probes.n()
+		}
 		sh.mu.RUnlock()
 	}
 	return total
@@ -631,11 +647,7 @@ func (s *Store) ProbeCount() int {
 
 // Spikes returns all spike events merged across shards, oldest first.
 func (s *Store) Spikes() []SpikeEvent {
-	return mergeByTime(s.shardList(), func(sh *shard) ([]SpikeEvent, bool) {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		return sh.spikes.appendTo(nil, sh.id), sh.spikesOrdered
-	}, spikeAt)
+	return mergeByTime(s.captureAll(), shardCapture.spikeRun, spikeAt)
 }
 
 // SpikesFor returns the spike events of one market within [from, to].
@@ -653,7 +665,7 @@ func (s *Store) SpikesFor(id market.SpotID, from, to time.Time) []SpikeEvent {
 func (s *Store) SpikesInWindow(from, to time.Time, keep func(market.SpotID) bool) []SpikeEvent {
 	var out []SpikeEvent
 	for _, sh := range s.shardList() {
-		if keep != nil && !keep(sh.id) {
+		if keep != nil && !keep(sh.id()) {
 			continue
 		}
 		out = sh.spikesIn(out, from, to)
@@ -680,14 +692,15 @@ type CrossingStats struct {
 func (s *Store) SpikeCrossingsWhere(from, to time.Time, keep func(market.SpotID) bool) map[market.SpotID]CrossingStats {
 	out := make(map[market.SpotID]CrossingStats)
 	for _, sh := range s.shardList() {
-		if keep != nil && !keep(sh.id) {
+		id := sh.id()
+		if keep != nil && !keep(id) {
 			continue
 		}
 		sh.mu.RLock()
 		st := sh.crossingStatsLocked(from, to)
 		sh.mu.RUnlock()
 		if st.Crossings > 0 {
-			out[sh.id] = st
+			out[id] = st
 		}
 	}
 	return out
@@ -709,11 +722,7 @@ func (s *Store) CrossingStatsFor(id market.SpotID, from, to time.Time) CrossingS
 // BidSpreads returns all intrinsic-price search results merged across
 // shards, oldest first.
 func (s *Store) BidSpreads() []BidSpreadRecord {
-	return mergeByTime(s.shardList(), func(sh *shard) ([]BidSpreadRecord, bool) {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		return sh.bidSpreads.appendTo(nil, sh.id), sh.bidSpreadsOrdered
-	}, bidSpreadAt)
+	return mergeByTime(s.captureAll(), shardCapture.bidSpreadRun, bidSpreadAt)
 }
 
 // BidSpreadsFor returns one market's intrinsic-price search results.
@@ -724,17 +733,16 @@ func (s *Store) BidSpreadsFor(id market.SpotID) []BidSpreadRecord {
 	}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.bidSpreads.appendTo(nil, sh.id)
+	if sh.bidSpreads == nil {
+		return nil
+	}
+	return sh.bidSpreads.appendTo(nil, id)
 }
 
 // Outages returns all detected outage intervals merged across shards,
 // ordered by start time; ongoing ones keep a zero End.
 func (s *Store) Outages() []OutageRecord {
-	return mergeByTime(s.shardList(), func(sh *shard) ([]OutageRecord, bool) {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		return sh.outages.appendTo(nil, sh.id), sh.outagesOrdered
-	}, outageAt)
+	return mergeByTime(s.captureAll(), shardCapture.outageRun, outageAt)
 }
 
 // OutagesFor returns detected outages for one market and contract kind.
@@ -746,9 +754,12 @@ func (s *Store) OutagesFor(id market.SpotID, kind ProbeKind) []OutageRecord {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	var out []OutageRecord
+	if sh.outages == nil {
+		return out
+	}
 	for i, k := range sh.outages.kind {
 		if k == kind {
-			out = append(out, sh.outages.get(i, sh.id))
+			out = append(out, sh.outages.get(i, id))
 		}
 	}
 	return out
@@ -816,10 +827,10 @@ func (s *Store) PricedMarkets() []market.SpotID {
 	var out []market.SpotID
 	for _, sh := range s.shardList() {
 		sh.mu.RLock()
-		n := sh.agg.priceCount
+		n := sh.prices.n()
 		sh.mu.RUnlock()
 		if n > 0 {
-			out = append(out, sh.id)
+			out = append(out, sh.id())
 		}
 	}
 	return out
@@ -863,30 +874,21 @@ func (s *Store) Aggregates(now time.Time) []MarketAggregates {
 	out := make([]MarketAggregates, 0, len(shards))
 	for _, sh := range shards {
 		sh.mu.RLock()
-		a := sh.agg
+		n, pa := sh.prices.n(), sh.priceAgg
+		m := MarketAggregates{Market: sh.id(), PriceSamples: n, PriceMin: pa.min, PriceMax: pa.max}
+		if n > 0 {
+			m.PriceMean = pa.sum / float64(n)
+		}
+		if p := sh.probes; p != nil {
+			od, spot := &p.byKind[ProbeOnDemand-1], &p.byKind[ProbeSpot-1]
+			m.TotalProbes, m.ProbeCost = p.n(), p.cost
+			m.ODProbes, m.ODRejected, m.ODOutages, m.ODOutageDur = od.probes, od.rejected, od.outages, od.outageDur(now)
+			m.SpotProbes, m.SpotRejected, m.SpotOutages = spot.probes, spot.rejected, spot.outages
+		}
+		if sp := sh.spikes; sp != nil {
+			m.Spikes, m.SpikesAboveOD = sp.n(), len(sp.crossings.at)
+		}
 		sh.mu.RUnlock()
-		od := a.byKind[ProbeOnDemand-1]
-		spot := a.byKind[ProbeSpot-1]
-		m := MarketAggregates{
-			Market:        sh.id,
-			TotalProbes:   a.probeCount,
-			ODProbes:      od.probes,
-			ODRejected:    od.rejected,
-			SpotProbes:    spot.probes,
-			SpotRejected:  spot.rejected,
-			ProbeCost:     a.probeCost,
-			ODOutages:     od.outages,
-			SpotOutages:   spot.outages,
-			ODOutageDur:   od.outageDur(now),
-			Spikes:        a.spikes,
-			SpikesAboveOD: a.spikesAboveOD,
-			PriceSamples:  a.priceCount,
-			PriceMin:      a.priceMin,
-			PriceMax:      a.priceMax,
-		}
-		if a.priceCount > 0 {
-			m.PriceMean = a.priceSum / float64(a.priceCount)
-		}
 		out = append(out, m)
 	}
 	return out
@@ -916,7 +918,7 @@ func (s *Store) Generation(id market.SpotID) uint64 {
 func (s *Store) ScopeGeneration(keep func(market.SpotID) bool) uint64 {
 	var total uint64
 	for _, sh := range s.shardList() {
-		if keep != nil && !keep(sh.id) {
+		if keep != nil && !keep(sh.id()) {
 			continue
 		}
 		total += sh.gen.Load()

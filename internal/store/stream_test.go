@@ -220,11 +220,8 @@ func TestFollowStreamCoversARoundRacingTheSnapshot(t *testing.T) {
 	sw := NewStreamWriter(&buf, Position{Salt: streamSalt, Seq: st.LastSeq, Gen: st.LastGen})
 	_ = sw.Position(persistBase)
 	// The snapshot's capture of the shard, cut while the round is parked
-	// (capture's own body; its lock is the one held here).
-	c := shardCapture{id: sh.id, dicts: sh.dicts, gen: sh.gen.Load(), probes: sh.probes, spikes: sh.spikes,
-		bidSpreads: sh.bidSpreads, revocations: sh.revocations, prices: sh.prices, outages: sh.outages.clone(),
-		probesOrdered: true, spikesOrdered: true, bidSpreadsOrdered: true, revocationsOrdered: true,
-		pricesOrdered: true, outagesOrdered: true}
+	// (its lock is the one held here).
+	c := sh.captureLocked()
 	if _, err := encodeSnapshot(chunkWriter{sw}, 0, []shardCapture{c}); err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +321,7 @@ func followedCounts(s *Store) map[market.SpotID]frameCounts {
 	out := make(map[market.SpotID]frameCounts)
 	for _, sh := range s.shardList() {
 		c := sh.capture()
-		out[sh.id] = frameCounts{walProbe: c.probes.n(), walSpike: c.spikes.n(), walBidSpread: c.bidSpreads.n(),
+		out[sh.id()] = frameCounts{walProbe: c.probes.n(), walSpike: c.spikes.n(), walBidSpread: c.bidSpreads.n(),
 			walRevocation: c.revocations.n(), walPrice: c.prices.n()}
 	}
 	return out
