@@ -18,7 +18,7 @@ GO ?= go
 # simulator step; BenchmarkServiceTick: a step plus one monitoring cycle
 # over all nine regions), which the leader preload behind live-fleet's
 # setup_s and ingest-recover's timed loop are made of.
-BENCH_SMOKE = BenchmarkQueryStable|BenchmarkQueryFallback|BenchmarkQuerySummary|BenchmarkStoreAggregates|BenchmarkStoreRegionAggregates|BenchmarkGenerationOfScope|BenchmarkStoreAppendMonitorTick|BenchmarkStoreAppendProbesBatchParallel|BenchmarkWALAppend|BenchmarkReplay|BenchmarkFeedPublish|BenchmarkFeedFanout|BenchmarkAdvise|BenchmarkAdviseRegion|BenchmarkQueryStableRegion|BenchmarkPriceStatsIn|BenchmarkSpikesInWindow|BenchmarkObsOverhead|BenchmarkSimStep|BenchmarkServiceTick
+BENCH_SMOKE = BenchmarkQueryStable|BenchmarkQueryFallback|BenchmarkQuerySummary|BenchmarkStoreRegionAggregates|BenchmarkGenerationOfScope|BenchmarkStoreAppendMonitorTick|BenchmarkStoreAppendProbesBatchParallel|BenchmarkWALAppend|BenchmarkReplay|BenchmarkFeedPublish|BenchmarkFeedFanout|BenchmarkAdvise|BenchmarkAdviseRegion|BenchmarkQueryStableRegion|BenchmarkPriceStatsIn|BenchmarkSpikesInWindow|BenchmarkObsOverhead|BenchmarkSimStep|BenchmarkServiceTick
 
 # Benchmark iteration control. The CI smoke keeps the 1x default (it only
 # proves the benchmarks run); any measurement that will be *compared* —
@@ -197,7 +197,9 @@ example-smoke:
 # the rendered strings), and over the market-ID parser and the catalog
 # position it feeds (FuzzParseSpotID: an accepted ID round-trips, and
 # SpotIndex finds it exactly when the catalog lists it, at its own
-# position).
+# position), and over the /v2/watch resume-token parser (FuzzWatchToken:
+# the untrusted Last-Event-ID header must never panic, and every rendered
+# or accepted token must parse back to the same position).
 fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzPriceWindow$$' -fuzztime=10s
@@ -206,5 +208,6 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzFollowStream$$' -fuzztime=10s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSpotIDCompare$$' -fuzztime=10s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzParseSpotID$$' -fuzztime=10s
+	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzWatchToken$$' -fuzztime=10s
 
 ci: build fmt-check vet loc test smoke loadgen-smoke chaos-smoke example-smoke fuzz-smoke bench bench-gate

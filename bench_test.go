@@ -1106,24 +1106,8 @@ func BenchmarkQuerySummaryCached(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreAggregates measures the per-market aggregate walk the
-// summary used before the rollup layer — still the right call when the
-// caller needs every market's row, and the baseline the rollup read is
-// compared against.
-func BenchmarkStoreAggregates(b *testing.B) {
-	db, base := benchWideStore(1000)
-	now := base.Add(24 * time.Hour)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := db.Aggregates(now); len(rows) != 1000 {
-			b.Fatalf("got %d rows", len(rows))
-		}
-	}
-}
-
 // BenchmarkStoreRegionAggregates reads the region-level rollups directly:
-// the O(regions) path BenchmarkStoreAggregates is compared against.
+// the O(regions) fold behind Summary and /v2/health.
 func BenchmarkStoreRegionAggregates(b *testing.B) {
 	db, base := benchWideStore(1000)
 	now := base.Add(24 * time.Hour)
@@ -1136,21 +1120,8 @@ func BenchmarkStoreRegionAggregates(b *testing.B) {
 	}
 }
 
-// BenchmarkScopeGenerationWalk vs BenchmarkGenerationOfScope: the same
-// cache-validity question answered by the per-shard walk and by the
-// rollup counter.
-func BenchmarkScopeGenerationWalk(b *testing.B) {
-	db, _ := benchWideStore(1000)
-	keep := func(id market.SpotID) bool { return id.Region() == "us-east-1" }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if db.ScopeGeneration(keep) == 0 {
-			b.Fatal("zero generation")
-		}
-	}
-}
-
+// BenchmarkGenerationOfScope answers a region's cache-validity question
+// from its rollup counter.
 func BenchmarkGenerationOfScope(b *testing.B) {
 	db, _ := benchWideStore(1000)
 	b.ReportAllocs()

@@ -15,7 +15,7 @@
 //   - internal/market      — the 9-region / 26-zone / 53-type catalog
 //   - internal/store       — SpotLight's database, sharded per spot market:
 //     each market's history lives behind its own lock with incremental
-//     indexes and aggregates, so ingestion scales across markets and
+//     indexes, so ingestion scales across markets and
 //     availability queries are shard-local lookups instead of log scans.
 //     Every append also publishes typed events to a change feed
 //     (store.Feed): one ring, scope-filtered subscriptions that are

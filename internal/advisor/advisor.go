@@ -1,9 +1,9 @@
 // Package advisor is the decision layer over the SpotLight store: given
 // workload constraints (capacity floors, price and interruption ceilings,
 // a region/product set) it ranks the spot markets the service has price
-// history for by a composite score over the store's own rollup
-// observations — price statistics, spike/crossing rates, revocation
-// history, and live outage state.
+// history for by a composite score over the store's windowed per-market
+// folds — price statistics, spike/crossing rates, revocation history, and
+// live outage state — read in one scope scan.
 //
 // The observational queries answer "what is the market doing"; Advise
 // answers "what should I run". It backs both the POST /v2/advise endpoint

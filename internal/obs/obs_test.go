@@ -214,7 +214,7 @@ func TestRuntimeSeries(t *testing.T) {
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"spotlight_go_heap_live_bytes", "spotlight_go_gc_cycles_total", "spotlight_go_goroutines"} {
+	for _, name := range []string{"spotlight_go_heap_live_bytes", "spotlight_go_gc_cycles_total", "spotlight_go_gc_pause_cpu_seconds_total", "spotlight_go_goroutines"} {
 		found := false
 		for _, line := range strings.Split(sb.String(), "\n") {
 			if v, ok := strings.CutPrefix(line, name+" "); ok {

@@ -29,7 +29,7 @@ var ErrBadWindow = errors.New("query: to must be after from")
 // some shard in the query's scope sees an append. Scope generations come
 // from the store's rollup hierarchy (GenerationOfScope), so a cache probe
 // is O(1) instead of a walk over every shard, and Summary itself reads the
-// O(regions) rollup aggregates rather than folding per-market state.
+// O(regions) region rollups rather than folding per-market state.
 // Cached results are shared between callers — treat the returned slices as
 // read-only.
 type Engine struct {

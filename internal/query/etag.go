@@ -16,7 +16,7 @@ import (
 // gets 304 Not Modified — no recomputation, no body — until an append
 // lands inside the scope (or, for clock-dependent queries, the service
 // clock moves). The generation lookups come from the store's rollup
-// hierarchy, so validating a request is O(1) regardless of how many
+// counters, so validating a request is O(1) regardless of how many
 // markets the query would touch.
 
 // queryScopeGen returns the append generation of the shards one query's

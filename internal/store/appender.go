@@ -11,7 +11,7 @@ import (
 // market, so appends go straight to the shard without a store-level map
 // lookup. The shard itself is created lazily on the first write: binding
 // an Appender to a never-probed market leaves no trace in the store, so
-// Markets()/Aggregates() keep their "at least one record" contract. All
+// Markets() keeps its "at least one record" contract. All
 // methods are safe for concurrent use.
 //
 // Records written through an Appender must target the bound market; the

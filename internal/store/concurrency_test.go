@@ -56,7 +56,7 @@ func TestConcurrentShardedWrites(t *testing.T) {
 					}
 				}
 				s.SpikeCrossingsWhere(time.Time{}, time.Now().Add(time.Hour), nil)
-				s.Aggregates(time.Now())
+				s.RegionAggregates(time.Now())
 				s.ProbeCount()
 				// Find-only reads racing the markets' first writes.
 				for i := 0; i < writers*marketsPerWriter; i++ {
@@ -155,7 +155,7 @@ func TestConcurrentShardedWrites(t *testing.T) {
 	}
 
 	var aggProbes, aggSpikes, aggCrossings int
-	for _, a := range s.Aggregates(window) {
+	for _, a := range s.RegionAggregates(window) {
 		aggProbes += a.TotalProbes
 		aggSpikes += a.Spikes
 		aggCrossings += a.SpikesAboveOD
@@ -166,6 +166,11 @@ func TestConcurrentShardedWrites(t *testing.T) {
 	// Ratios cycle 0.5, 1.5, 2.5, 3.5: three of four cross the OD price.
 	if want := total * 3 / 4; aggCrossings != want {
 		t.Errorf("aggregate crossings = %d, want %d", aggCrossings, want)
+	}
+	for i := 0; i < markets; i++ {
+		if got, want := s.CrossingStatsFor(concMarket(i), base, window), (CrossingStats{Crossings: perMarket * 3 / 4, MaxRatio: 3.5}); got != want {
+			t.Fatalf("CrossingStatsFor(%v) = %+v, want %+v", concMarket(i), got, want)
+		}
 	}
 }
 

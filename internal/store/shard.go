@@ -13,7 +13,7 @@ import (
 // (ProbeOnDemand and ProbeSpot).
 const probeKinds = 2
 
-// kindIndex maps a ProbeKind to its aggregate slot; records with an
+// kindIndex maps a ProbeKind to its per-kind slot; records with an
 // unknown kind are logged but excluded from per-kind indexes.
 func kindIndex(k ProbeKind) (int, bool) {
 	if k == ProbeOnDemand || k == ProbeSpot {
@@ -21,34 +21,6 @@ func kindIndex(k ProbeKind) (int, bool) {
 	}
 	return 0, false
 }
-
-// kindAgg is the incrementally-maintained per-kind summary of one shard.
-type kindAgg struct {
-	probes   int
-	rejected int
-	// outages counts every derived outage interval, including an open one.
-	outages int
-	// closedOutageDur sums End-Start over closed outages.
-	closedOutageDur time.Duration
-	// openOutageStart is the start of the ongoing outage; zero when the
-	// kind is currently available.
-	openOutageStart time.Time
-}
-
-// outageDur returns the total detected outage time measured to now,
-// ongoing outage included.
-func (a *kindAgg) outageDur(now time.Time) time.Duration {
-	d := a.closedOutageDur
-	if !a.openOutageStart.IsZero() {
-		d += now.Sub(a.openOutageStart)
-	}
-	return d
-}
-
-// priceAgg is the running fold of a shard's whole price series, updated
-// on every append so aggregate queries never rescan it; the sample count
-// is the column's length.
-type priceAgg struct{ sum, min, max float64 }
 
 // shard holds every record of one spot market behind its own lock, so
 // writes to different markets never contend and per-market queries never
@@ -72,10 +44,10 @@ type shard struct {
 
 	// store is the owning store — its feed, log, metrics and global
 	// generation take every append round — and rp and rg the shard's
-	// (region, product) and region-level rollup entries; every append
-	// publishes its rollupDelta to all three. idx is the market's index in
-	// store.dicts.markets (id). Wired once at creation, immutable
-	// afterwards.
+	// (region, product) and region-level rollup entries: every append round
+	// bumps rp's generation and folds its rollupDelta into rg. idx is the
+	// market's index in store.dicts.markets (id). Wired once at creation,
+	// immutable afterwards.
 	store  *Store
 	rp, rg *rollup
 	idx    uint32
@@ -89,22 +61,11 @@ type shard struct {
 	// the append-only columns instead of copying them. Every shard holds
 	// prices; the other families are allocated on their first row.
 	prices      priceCols
-	probes      *probeFamily
+	probes      *probeCols
 	spikes      *spikeFamily
 	bidSpreads  *bidSpreadCols
 	revocations *revocationCols
 	outages     *outageFamily
-
-	priceAgg priceAgg
-}
-
-// probeFamily is a shard's probe log with the running per-kind summaries
-// it feeds, allocated on the shard's first probe. The count of every
-// probe, unknown kinds included, is the columns' length.
-type probeFamily struct {
-	probeCols
-	byKind [probeKinds]kindAgg
-	cost   float64
 }
 
 // spikeFamily is a shard's spike log with the crossings index it feeds,
@@ -215,21 +176,21 @@ func (sh *shard) appendRound(n int, d *rollupDelta, events func(), frames func([
 	sh.publish(d)
 }
 
-// publish folds an append batch's delta into the shard's rollup hierarchy
+// publish folds an append batch's delta into the shard's rollup entries
 // and fans the round's events out to the change feed. Ordering carries
 // the cache-consistency invariant: the generation counters must only
 // become visible once the state they count is readable, otherwise a
 // response cache could store a result computed without this append under
 // a generation that claims to include it. So publish runs after the shard
-// lock is released (shard records land first), each rollup bumps its own
-// counter after folding its aggregates (rollup.apply), and the global
+// lock is released (shard records land first), the region entry bumps its
+// counter only after folding its aggregate (rollup.apply), and the global
 // counter — which vouches for every level — bumps last. A round with
 // events bumps it inside the feed publish (one step with the feed's own
 // generation bookkeeping, so a subscriber resuming mid-round never sees
 // the two disagree), stamped on events that therefore describe state the
 // query surface already serves.
 func (sh *shard) publish(d *rollupDelta) {
-	sh.rp.apply(d)
+	sh.rp.gen.Add(d.records)
 	sh.rg.apply(d)
 	s := sh.store
 	s.metrics.appendBatches.Inc()
@@ -273,23 +234,19 @@ func (sh *shard) appendProbes(rs []ProbeRecord) {
 func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
 	sh.gen.Add(1)
 	d.records++
+	d.probeCount++
 	at := stamp(r.At)
 	ps := ensure(&sh.probes)
 	sh.unordered.track(famProbes, ps.at, at)
 	ps.push(r, at, &sh.store.dicts)
-	ps.cost += r.Cost
-	d.probeCount++
-	d.probeCost += r.Cost
 
 	ki, ok := kindIndex(r.Kind)
 	if !ok {
 		return
 	}
-	ka, kd := &ps.byKind[ki], &d.byKind[ki]
-	ka.probes++
+	kd := &d.byKind[ki]
 	kd.probes++
 	if r.Rejected {
-		ka.rejected++
 		kd.rejected++
 	}
 	oc := sh.outages
@@ -300,10 +257,8 @@ func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
 		oc.push(r.Kind, at)
 		oc.open[ki] = oc.n()
 		start := stampTime(at)
-		ka.outages++
-		ka.openOutageStart = start
 		kd.outages++
-		kd.openOutage(start)
+		kd.open.add(start, 1)
 		if d.emit {
 			cp := oc.get(oc.n()-1, sh.id())
 			d.events = append(d.events, Event{Kind: EventOutageOpen, Market: r.Market, At: start, Outage: &cp})
@@ -312,10 +267,9 @@ func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
 		oi := oc.open[ki] - 1
 		oc.end[oi] = at
 		start, end := stampTime(oc.start[oi]), stampTime(at)
-		ka.closedOutageDur += end.Sub(start)
-		ka.openOutageStart = time.Time{}
 		oc.open[ki] = 0
-		kd.closeOutage(start, end.Sub(start))
+		kd.open.add(start, -1)
+		kd.closedOutageDur += end.Sub(start)
 		if d.emit {
 			cp := oc.get(oi, sh.id())
 			d.events = append(d.events, Event{Kind: EventOutageClose, Market: r.Market, At: end, Outage: &cp})
@@ -363,9 +317,6 @@ func (sh *shard) appendSpikeLocked(e *SpikeEvent, d *rollupDelta) {
 		c.at = appendRow(c.at, at)
 		c.ratio = appendRow(c.ratio, e.Ratio)
 		d.spikesAboveOD++
-		if e.Ratio > d.maxCrossRatio {
-			d.maxCrossRatio = e.Ratio
-		}
 	}
 }
 
@@ -471,18 +422,9 @@ func (sh *shard) appendPrices(ps []PricePoint) {
 func (sh *shard) appendPriceLocked(p *PricePoint, d *rollupDelta) {
 	sh.gen.Add(1)
 	d.records++
-	d.price(p.Price)
 	at := stamp(p.At)
 	sh.unordered.track(famPrices, sh.prices.at, at)
 	sh.prices.push(p, at)
-	a, first := &sh.priceAgg, sh.prices.n() == 1
-	a.sum += p.Price
-	if first || p.Price < a.min {
-		a.min = p.Price
-	}
-	if first || p.Price > a.max {
-		a.max = p.Price
-	}
 }
 
 // shardCapture is one shard's full record state cut under a single lock
@@ -533,7 +475,7 @@ func (sh *shard) captureLocked() shardCapture {
 		dicts:       &sh.store.dicts,
 		gen:         sh.gen.Load(),
 		unordered:   sh.unordered,
-		probes:      value(sh.probes).probeCols,
+		probes:      value(sh.probes),
 		spikes:      value(sh.spikes).spikeCols,
 		bidSpreads:  value(sh.bidSpreads),
 		revocations: value(sh.revocations),

@@ -10,12 +10,16 @@ import (
 )
 
 // TestShardFixedCost holds what a market costs before its records do: the
-// shard struct, and the live heap of a store holding every catalog market
-// with one price each, per market — shard, index entry, dictionary entry,
-// rollup membership and the two one-row price columns together.
+// shard struct, the probe family a market's first probe allocates, and the
+// live heap of a store holding every catalog market with one price each,
+// per market — shard, index entry, dictionary entry, rollup membership and
+// the two one-row price columns together.
 func TestShardFixedCost(t *testing.T) {
-	if size := unsafe.Sizeof(shard{}); size > 448 {
-		t.Errorf("a shard is %d B, want <= 448", size)
+	if size := unsafe.Sizeof(shard{}); size > 208 {
+		t.Errorf("a shard is %d B, want <= 208", size)
+	}
+	if size := unsafe.Sizeof(probeCols{}); size > 288 {
+		t.Errorf("a probe family is %d B, want <= 288", size)
 	}
 	ids := market.New().SpotMarkets()
 	at := time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)

@@ -15,23 +15,20 @@
 // (OutagesFor, SpikesFor, Prices, OutageOverlap, ...) touches exactly one
 // shard. A family other than prices costs nothing until its first row.
 //
-// Shards additionally maintain incremental indexes and aggregates on the
-// write path:
+// Shards additionally maintain incremental indexes on the write path:
 //
-//   - per-kind probe counters, rejection counters, and probe cost;
-//   - derived outage intervals with running totals of closed-outage
-//     duration and the open outage's start;
+//   - derived outage intervals, with each kind's ongoing outage;
 //   - an index of on-demand price crossings (spikes with Ratio >= 1),
 //     the events behind every stability/volatility ranking;
-//   - running price min/mean/max, and a sealed min/max/sum summary of
-//     every 16 consecutive prices, so a windowed price fold steps over
-//     whole chunks instead of their samples;
+//   - a sealed min/max/sum summary of every 16 consecutive prices, so a
+//     windowed price fold steps over whole chunks instead of their
+//     samples;
 //   - one time-order bit per record family, so window queries
 //     binary-search the affected range instead of scanning whole
 //     histories.
 //
-// Aggregate queries (Aggregates, SpikeCrossingsWhere, ProbeCount) read
-// those summaries in O(markets) instead of O(records). Global iteration
+// Windowed reads (SpikeCrossingsWhere, PriceStatsIn, OutageOverlap) fold
+// those indexes inside the shard without copying. Global iteration
 // methods (Probes, Spikes, Outages, ...) remain available for export and
 // offline analysis: they merge across shards in timestamp order,
 // resolving ties by market-ID order.
@@ -39,14 +36,14 @@
 // # Rollup hierarchy
 //
 // Above the shards sits a rollup layer (rollup.go): per-(region, product)
-// and per-region aggregates plus append-generation counters, folded in on
-// the same append that updates the shard. Scope-wide reads — region
-// summaries (RegionAggregates, ScopeAggregatesFor) and cache-validity
-// probes (GenerationOfScope, GlobalGeneration) — cost O(regions) or O(1)
-// instead of walking every market shard. Each rollup entry also lists its
-// member shards: that scope index is how a ranking over a region, a
-// product or both visits exactly its own shards, once each, with every
-// fold it needs under one read lock (ScanScope, scan.go).
+// and per-region append-generation counters, bumped after every append
+// round, and a per-region aggregate of probe, outage and spike counts.
+// Region summaries (RegionAggregates) and cache-validity probes
+// (GenerationOfScope, GlobalGeneration) cost O(regions) or O(1) instead of
+// walking every market shard. Each rollup entry also lists its member
+// shards: that scope index is how a ranking over a region, a product or
+// both visits exactly its own shards, once each, with every fold it needs
+// under one read lock (ScanScope, scan.go).
 package store
 
 import (
@@ -233,7 +230,7 @@ type RevocationRecord struct {
 }
 
 // Store is the sharded database: every market's records live in their own
-// shard behind their own lock, with incrementally-maintained aggregates.
+// shard behind their own lock, with incrementally-maintained indexes.
 // Writes to different markets never contend, per-market queries touch only
 // their shard, and the global iteration methods merge across shards in
 // timestamp order. All methods are safe for concurrent use.
@@ -250,9 +247,9 @@ type Store struct {
 	// gen counts every record ever appended, any market — the global
 	// scope-generation counter of the rollup hierarchy.
 	gen atomic.Uint64
-	// rollups holds the hierarchical scope aggregates: one entry per
-	// (region, product) seen on the write path plus one region-level entry
-	// per region (empty product). rollupList caches them sorted.
+	// rollups holds the scope entries: one per (region, product) seen on
+	// the write path plus one region-level entry per region (empty
+	// product). rollupList caches them sorted.
 	rollups    map[rollupScope]*rollup
 	rollupList []*rollup
 
@@ -299,7 +296,7 @@ func (s *Store) shardFor(id market.SpotID) *shard {
 func (s *Store) newShard(i uint32) *shard { return &shard{store: s, idx: i} }
 
 // adoptShard wires sh to its region-level and (region, product) rollups —
-// which every subsequent append folds into — and publishes it; if the
+// which every subsequent append round publishes to — and publishes it; if the
 // market already has a shard (a racing first write) that one is returned
 // instead. Live first writes adopt an empty shard, parallel recovery
 // (replay.go) one whose columns already hold the recovered records; it
@@ -326,7 +323,6 @@ func (s *Store) adoptShard(sh *shard) *shard {
 	// follower's apply.
 	for _, r := range [...]*rollup{rp, rg} {
 		r.mu.Lock()
-		r.agg.markets++
 		r.members = append(r.members, sh)
 		r.mu.Unlock()
 	}
@@ -471,8 +467,7 @@ func mergeOrderedRuns[T any](runs [][]T, at func(T) time.Time, total int) []T {
 // hands each to apply, markets in order of first appearance. Within one
 // market the input order is preserved (the outage derivation depends on
 // it); across markets the order is a pure function of the input, so two
-// stores fed the same batch publish the same feed sequence and fold their
-// rollup float sums in the same order. Bulk loads are usually a
+// stores fed the same batch publish the same feed sequence. Bulk loads are usually a
 // timestamp-ordered interleaving of many markets; grouping pays one
 // append round per market instead of one per record.
 func groupByMarket[T any](s *Store, recs []T, marketOf func(*T) market.SpotID, apply func(*shard, []T)) {
@@ -510,7 +505,7 @@ func bidSpreadMarket(r *BidSpreadRecord) market.SpotID   { return r.Market }
 func revocationMarket(r *RevocationRecord) market.SpotID { return r.Market }
 
 // AppendProbe logs one probe and folds it into the market's derived outage
-// intervals and running aggregates.
+// intervals and its region's aggregate.
 func (s *Store) AppendProbe(r ProbeRecord) {
 	s.shardFor(r.Market).appendProbes([]ProbeRecord{r})
 }
@@ -836,64 +831,6 @@ func (s *Store) PricedMarkets() []market.SpotID {
 	return out
 }
 
-// MarketAggregates is the incrementally-maintained summary of one market's
-// shard: counters the old flat log could only produce by rescanning every
-// record.
-type MarketAggregates struct {
-	Market market.SpotID
-
-	// TotalProbes counts every logged probe, including unknown kinds;
-	// ODProbes and SpotProbes break down the known ones.
-	TotalProbes  int
-	ODProbes     int
-	ODRejected   int
-	SpotProbes   int
-	SpotRejected int
-	ProbeCost    float64
-
-	// ODOutages / SpotOutages count detected outage intervals, ongoing
-	// included; ODOutageDur measures total on-demand outage time to `now`.
-	ODOutages   int
-	SpotOutages int
-	ODOutageDur time.Duration
-
-	Spikes        int
-	SpikesAboveOD int
-
-	PriceSamples int
-	PriceMin     float64
-	PriceMean    float64
-	PriceMax     float64
-}
-
-// Aggregates returns every shard's running summary at instant now (used to
-// measure ongoing outages), in market-ID order. This is an O(markets)
-// walk; no record is copied or rescanned.
-func (s *Store) Aggregates(now time.Time) []MarketAggregates {
-	shards := s.shardList()
-	out := make([]MarketAggregates, 0, len(shards))
-	for _, sh := range shards {
-		sh.mu.RLock()
-		n, pa := sh.prices.n(), sh.priceAgg
-		m := MarketAggregates{Market: sh.id(), PriceSamples: n, PriceMin: pa.min, PriceMax: pa.max}
-		if n > 0 {
-			m.PriceMean = pa.sum / float64(n)
-		}
-		if p := sh.probes; p != nil {
-			od, spot := &p.byKind[ProbeOnDemand-1], &p.byKind[ProbeSpot-1]
-			m.TotalProbes, m.ProbeCost = p.n(), p.cost
-			m.ODProbes, m.ODRejected, m.ODOutages, m.ODOutageDur = od.probes, od.rejected, od.outages, od.outageDur(now)
-			m.SpotProbes, m.SpotRejected, m.SpotOutages = spot.probes, spot.rejected, spot.outages
-		}
-		if sp := sh.spikes; sp != nil {
-			m.Spikes, m.SpikesAboveOD = sp.n(), len(sp.crossings.at)
-		}
-		sh.mu.RUnlock()
-		out = append(out, m)
-	}
-	return out
-}
-
 // Generation returns the market's append generation: the number of records
 // of any kind ever appended to its shard (0 when the market has no shard).
 // Every append bumps exactly one market's generation, so a cached query
@@ -904,24 +841,4 @@ func (s *Store) Generation(id market.SpotID) uint64 {
 		return 0
 	}
 	return sh.gen.Load()
-}
-
-// ScopeGeneration sums the append generations of the shards accepted by
-// keep (all shards when nil). Because each append increments exactly one
-// in-scope shard's counter by one, the sum equals the total number of
-// records ever appended inside the scope and is strictly monotone in those
-// appends: equal sums imply an unchanged scope. Appends outside the scope
-// leave the sum untouched — that is the per-shard invalidation a response
-// cache keys on. The walk is O(markets) atomic loads, no shard lock taken.
-// For region/product-shaped scopes prefer GenerationOfScope, which reads
-// the equivalent rollup counter in O(1).
-func (s *Store) ScopeGeneration(keep func(market.SpotID) bool) uint64 {
-	var total uint64
-	for _, sh := range s.shardList() {
-		if keep != nil && !keep(sh.id()) {
-			continue
-		}
-		total += sh.gen.Load()
-	}
-	return total
 }

@@ -140,21 +140,17 @@ func TestAppenderLazyShard(t *testing.T) {
 	if app.Market() != mktA {
 		t.Fatalf("Appender bound to %v, want %v", app.Market(), mktA)
 	}
-	// Binding alone must leave no trace: Markets()/Aggregates() promise
-	// "at least one record".
+	// Binding alone must leave no trace: Markets() promises "at least one
+	// record".
 	if got := len(s.Markets()); got != 0 {
 		t.Fatalf("Markets after bare bind = %d, want 0", got)
-	}
-	if got := len(s.Aggregates(t0)); got != 0 {
-		t.Fatalf("Aggregates after bare bind = %d, want 0", got)
 	}
 	app.AppendSpike(SpikeEvent{At: t0, Market: mktA, Ratio: 2})
 	if got := s.Markets(); len(got) != 1 || got[0] != mktA {
 		t.Fatalf("Markets after first write = %v, want [%v]", got, mktA)
 	}
-	aggs := s.Aggregates(t0)
-	if len(aggs) != 1 || aggs[0].Spikes != 1 || aggs[0].SpikesAboveOD != 1 {
-		t.Fatalf("Aggregates after first write = %+v", aggs)
+	if got := s.SpikesFor(mktA, t0, t0); len(got) != 1 || got[0].Ratio != 2 {
+		t.Fatalf("SpikesFor after first write = %+v", got)
 	}
 	// Writes through the handle and through the store land in one shard.
 	s.AppendSpike(SpikeEvent{At: t0.Add(time.Hour), Market: mktA, Ratio: 0.5})

@@ -6,8 +6,8 @@ import "time"
 // kinds. Given workload constraints (capacity floors, price and
 // interruption ceilings, a region/product set — the input schema of
 // spotinfo's find_spot_instances), the service ranks the spot markets it
-// has price history for by a composite score over its own rollup
-// aggregates. It is reachable two ways with identical semantics: as the
+// has price history for by a composite score over its own windowed
+// per-market observations. It is reachable two ways with identical semantics: as the
 // dedicated POST /v2/advise endpoint (body: AdviseRequest) and as the
 // KindAdvise arm of the POST /v2/query batch envelope.
 
