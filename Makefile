@@ -33,7 +33,7 @@ BENCH_COUNT ?= 1
 OLD ?= bench-baseline.txt
 NEW ?= bench-smoke.txt
 
-.PHONY: all build test vet fmt-check loc bench bench-diff bench-baseline bench-e2e bench-gate smoke loadgen-smoke chaos-smoke fuzz-smoke example-smoke ci
+.PHONY: all build test vet fmt-check loc bench bench-diff bench-baseline bench-e2e bench-gate smoke chaos-smoke fuzz-smoke example-smoke ci
 
 all: build
 
@@ -128,7 +128,8 @@ bench-e2e:
 # acknowledged), so the write path's recovery identity runs on every PR.
 # live-fleet, traced: leader, follower and gateway under ingest with no
 # fault injected, so fault-free means zero — no feed event dropped, no
-# subscription lagged, no watch or replica stream reconnected or resynced.
+# subscription lagged, no watch or replica stream reconnected or resynced,
+# no gateway breaker opened.
 bench-gate:
 	@for wt in read-cold:0 ingest-recover:0 live-fleet:1; do \
 		w=$${wt%:*}; \
@@ -139,7 +140,7 @@ bench-gate:
 			*) echo "bench-gate: $$w did not report correct:true and failed:0" >&2; exit 1 ;; \
 		esac; \
 		[ $$w = live-fleet ] || continue; \
-		for m in store.feed.dropped store.feed.lagged query.watch.reconnects replica.reconnects replica.resyncs; do \
+		for m in store.feed.dropped store.feed.lagged query.watch.reconnects replica.reconnects replica.resyncs gateway.breaker_opens; do \
 			case "$$line" in \
 				*"\"$$m\":{\"value\":0,"*) ;; \
 				*) echo "bench-gate: live-fleet $$m is not 0 in a fault-free run" >&2; exit 1 ;; \
@@ -152,26 +153,20 @@ bench-gate:
 smoke:
 	$(GO) run ./cmd/spotlightd -addr 127.0.0.1:0 -smoke
 
-# Scale-out smoke: spotload boots a leader, a read replica following it
-# over /v2/watch, and a gateway fronting both as a replica fleet, then loads
-# the gateway and writes the latency distribution to spotload-report.txt
-# (archived by CI next to bench-smoke.txt). Fails unless every request
-# succeeded against the 2-node fleet AND every node's /metrics serves
-# its role's core series; the raw expositions land in metrics-dump.txt.
-loadgen-smoke:
-	$(GO) run ./cmd/spotload -smoke -report spotload-report.txt -metrics-dump metrics-dump.txt
-
 # Chaos smoke: the failure-domain drill, under the race detector. One
 # process boots a leader, a durable follower behind a fault-injecting
 # TCP proxy, a memory follower, and a gateway with injected delays and
 # resets, then — while load runs — kills streams, restarts the durable
 # follower from disk (byte-comparing it against the never-killed
 # replica, ETags included), kills the leader, and promotes a follower.
-# Fails unless gateway read availability stays >= 99% and replication
-# stays exactly-once. Report archived by CI next to spotload-report.txt;
-# the end-of-drill /metrics expositions land in chaos-metrics-dump.txt.
+# Fails unless gateway read availability stays >= 99%, replication stays
+# exactly-once, and every surviving node's end-of-drill metrics serve its
+# role's core series with nonzero traffic counts (HTTP requests on every
+# node, upstream requests on the gateway, applied records on the
+# never-restarted follower). Report archived by CI next to
+# bench-smoke.txt; the /metrics expositions land in chaos-metrics-dump.txt.
 chaos-smoke:
-	$(GO) run -race ./cmd/spotload -chaos -report chaos-report.txt -metrics-dump chaos-metrics-dump.txt
+	$(GO) run -race ./cmd/spotload -report chaos-report.txt -metrics-dump chaos-metrics-dump.txt
 
 # Decision-layer smoke: run the fleet-manager example end to end — an
 # /v2/advise call through the client SDK, then the threshold vs
@@ -197,9 +192,12 @@ example-smoke:
 # the rendered strings), and over the market-ID parser and the catalog
 # position it feeds (FuzzParseSpotID: an accepted ID round-trips, and
 # SpotIndex finds it exactly when the catalog lists it, at its own
-# position), and over the /v2/watch resume-token parser (FuzzWatchToken:
+# position), over the /v2/watch resume-token parser (FuzzWatchToken:
 # the untrusted Last-Event-ID header must never panic, and every rendered
-# or accepted token must parse back to the same position).
+# or accepted token must parse back to the same position), and over the
+# /v1 URL surface (FuzzV1Query: any raw query string on any /v1 route
+# answers 200 with an ETag and a JSON body, or 400 with the error
+# envelope — never a panic or a 5xx).
 fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzPriceWindow$$' -fuzztime=10s
@@ -209,5 +207,6 @@ fuzz-smoke:
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSpotIDCompare$$' -fuzztime=10s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzParseSpotID$$' -fuzztime=10s
 	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzWatchToken$$' -fuzztime=10s
+	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzV1Query$$' -fuzztime=10s
 
-ci: build fmt-check vet loc test smoke loadgen-smoke chaos-smoke example-smoke fuzz-smoke bench bench-gate
+ci: build fmt-check vet loc test smoke chaos-smoke example-smoke fuzz-smoke bench bench-gate

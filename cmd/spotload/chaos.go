@@ -1,6 +1,6 @@
 package main
 
-// The -chaos scenario: failure-domain smoke for the whole PR 8 surface.
+// The drill: failure-domain smoke for replication, failover and the gateway.
 //
 // Topology (all in-process):
 //
@@ -26,10 +26,14 @@ package main
 //	5. promote F1 (no force — the split-brain guard must accept a dead
 //	   leader) and watch its store generation advance: the promoted
 //	   node accepts writes
-//	6. assert gateway read availability stayed >= 99% through all of it
+//	6. scrape every surviving node: each must serve its role's core
+//	   series and show the traffic it carried (HTTP requests on every
+//	   node, upstream requests on the gateway, applied records on F2),
+//	   and gateway read availability must have stayed >= 99% through
+//	   all of it
 //
 // The run writes a phase-by-phase report (printed, and archived in CI
-// next to the bench and load reports).
+// next to the bench output).
 
 import (
 	"context"
@@ -334,13 +338,14 @@ func runChaos(o options) error {
 
 	// Phase 6: the verdict. First scrape every surviving node's metrics:
 	// the drill also proves the observability layer serves its core
-	// series on a promoted node, a live follower, and the gateway.
+	// series on a promoted node, a live follower, and the gateway, and
+	// that their counters saw the drill's traffic.
 	time.Sleep(500 * time.Millisecond)
 	stopLoad()
 	loadWG.Wait()
 	summary, dump, err := scrapeMetrics(ctx, []scrapeTarget{
 		followerTarget("f1-promoted", f1.BaseURL()),
-		followerTarget("f2", f2.BaseURL()),
+		followerTarget("f2", f2.BaseURL(), "spotlight_replica_applied_total"),
 		gatewayTarget("gateway", gwURL),
 	})
 	if err != nil {

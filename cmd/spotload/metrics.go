@@ -1,10 +1,11 @@
 package main
 
-// End-of-run metrics scrape: spotload pulls GET /metrics (Prometheus
-// text) and GET /v2/metrics (JSON) from every node it drove, verifies
-// the core series each role must serve, folds the headline numbers into
-// the run report, and optionally archives the raw expositions to a dump
-// file (-metrics-dump) for CI artifacts.
+// End-of-drill metrics scrape: spotload pulls GET /metrics (Prometheus
+// text) and GET /v2/metrics (JSON) from every surviving node, verifies
+// the core series each role must serve and the counts that prove it
+// served traffic, folds the headline numbers into the drill report, and
+// optionally archives the raw expositions to a dump file (-metrics-dump)
+// for CI artifacts.
 
 import (
 	"context"
@@ -52,36 +53,34 @@ var (
 type scrapeTarget struct {
 	name     string
 	url      string
-	required []string // series the scrape must contain; nil means best-effort
+	required []string // series /metrics must contain
+	positive []string // families whose /v2/metrics values must sum above 0
 }
 
-func leaderTarget(name, url string) scrapeTarget {
-	return scrapeTarget{name: name, url: url, required: append(append([]string{}, coreHTTP...), coreStore...)}
-}
-
-func followerTarget(name, url string) scrapeTarget {
+// followerTarget is a store node that replicated (or still replicates)
+// from a leader; positive adds families that must have counted traffic
+// beyond the HTTP requests every node serves.
+func followerTarget(name, url string, positive ...string) scrapeTarget {
 	req := append(append([]string{}, coreHTTP...), coreStore...)
-	return scrapeTarget{name: name, url: url, required: append(req, coreReplica...)}
+	return scrapeTarget{name: name, url: url, required: append(req, coreReplica...),
+		positive: append([]string{"spotlight_http_requests_total"}, positive...)}
 }
 
 func gatewayTarget(name, url string) scrapeTarget {
-	return scrapeTarget{name: name, url: url, required: append(append([]string{}, coreHTTP...), coreGateway...)}
+	return scrapeTarget{name: name, url: url, required: append(append([]string{}, coreHTTP...), coreGateway...),
+		positive: []string{"spotlight_http_requests_total", "spotlight_gateway_upstream_requests_total"}}
 }
 
 // scrapeMetrics pulls every target and returns per-node summary lines
-// plus the concatenated raw text expositions. A target with required
-// series fails the scrape when /metrics is unserveable or a series is
-// missing; best-effort targets degrade to a note.
+// plus the concatenated raw text expositions. The scrape fails when a
+// node's /metrics or /v2/metrics is unserveable, a required series is
+// missing, or a positive family reads 0.
 func scrapeMetrics(ctx context.Context, targets []scrapeTarget) (summary []string, dump string, err error) {
 	var db strings.Builder
 	for _, t := range targets {
-		text, terr := fetchText(ctx, t.url+"/metrics")
-		if terr != nil {
-			if t.required != nil {
-				return nil, "", fmt.Errorf("metrics: %s (%s): /metrics unserveable: %w", t.name, t.url, terr)
-			}
-			summary = append(summary, fmt.Sprintf("metrics: %s — scrape failed: %v", t.name, terr))
-			continue
+		text, err := fetchText(ctx, t.url+"/metrics")
+		if err != nil {
+			return nil, "", fmt.Errorf("metrics: %s (%s): /metrics unserveable: %w", t.name, t.url, err)
 		}
 		for _, series := range t.required {
 			if !strings.Contains(text, series) {
@@ -89,21 +88,19 @@ func scrapeMetrics(ctx context.Context, targets []scrapeTarget) (summary []strin
 			}
 		}
 		fmt.Fprintf(&db, "==== %s (%s) ====\n%s\n", t.name, t.url, text)
-		line, lerr := foldJSON(ctx, t)
-		if lerr != nil {
-			if t.required != nil {
-				return nil, "", lerr
-			}
-			line = fmt.Sprintf("metrics: %s — /v2/metrics: %v", t.name, lerr)
+		line, err := foldJSON(ctx, t)
+		if err != nil {
+			return nil, "", err
 		}
 		summary = append(summary, line)
 	}
 	return summary, db.String(), nil
 }
 
-// foldJSON reduces one node's /v2/metrics into a single report line:
-// request totals, worst-route HTTP p99, feed drops, replica lag, and
-// gateway breaker opens — the numbers a failed CI run is triaged from.
+// foldJSON reduces one node's /v2/metrics into the report line a failed
+// CI run is triaged from (requests, worst-route HTTP p99, applied records,
+// feed drops, replica lag, upstream requests, breaker opens), and fails
+// unless every positive family of t counted something.
 func foldJSON(ctx context.Context, t scrapeTarget) (string, error) {
 	body, err := fetchText(ctx, t.url+"/v2/metrics")
 	if err != nil {
@@ -113,54 +110,35 @@ func foldJSON(ctx context.Context, t scrapeTarget) (string, error) {
 	if err := json.Unmarshal([]byte(body), &fams); err != nil {
 		return "", fmt.Errorf("metrics: %s: bad /v2/metrics JSON: %w", t.name, err)
 	}
-	var (
-		requests, feedDrops, breakerOpens, lag, retries float64
-		p99                                             float64
-		hasDrops, hasLag, hasBreaker                    bool
-	)
+	sums := make(map[string]float64, len(fams))
+	var p99 float64
 	for _, f := range fams {
-		switch f.Name {
-		case "spotlight_http_requests_total":
-			for _, v := range f.Values {
-				requests += v.Value
-			}
-		case "spotlight_http_request_seconds":
-			for _, v := range f.Values {
-				if v.P99 > p99 {
-					p99 = v.P99
-				}
-			}
-		case "spotlight_feed_dropped_total":
-			hasDrops = true
-			for _, v := range f.Values {
-				feedDrops += v.Value
-			}
-		case "spotlight_replica_lag_records":
-			hasLag = true
-			for _, v := range f.Values {
-				lag += v.Value
-			}
-		case "spotlight_gateway_breaker_opens_total":
-			hasBreaker = true
-			for _, v := range f.Values {
-				breakerOpens += v.Value
-			}
-		case "spotlight_gateway_retries_total":
-			for _, v := range f.Values {
-				retries += v.Value
+		for _, v := range f.Values {
+			sums[f.Name] += v.Value
+			if f.Name == "spotlight_http_request_seconds" && v.P99 > p99 {
+				p99 = v.P99
 			}
 		}
 	}
+	for _, name := range t.positive {
+		if sums[name] <= 0 {
+			return "", fmt.Errorf("metrics: %s (%s): %s is %v after the drill, want > 0", t.name, t.url, name, sums[name])
+		}
+	}
 	line := fmt.Sprintf("metrics: %s — %.0f http requests, worst-route p99 %.1fms",
-		t.name, requests, 1000*p99)
-	if hasDrops {
-		line += fmt.Sprintf(", %.0f feed drops", feedDrops)
+		t.name, sums["spotlight_http_requests_total"], 1000*p99)
+	if v, ok := sums["spotlight_replica_applied_total"]; ok {
+		line += fmt.Sprintf(", %.0f records applied", v)
 	}
-	if hasLag {
-		line += fmt.Sprintf(", replica lag %.0f", lag)
+	if v, ok := sums["spotlight_feed_dropped_total"]; ok {
+		line += fmt.Sprintf(", %.0f feed drops", v)
 	}
-	if hasBreaker {
-		line += fmt.Sprintf(", %.0f breaker opens, %.0f retries", breakerOpens, retries)
+	if v, ok := sums["spotlight_replica_lag_records"]; ok {
+		line += fmt.Sprintf(", replica lag %.0f", v)
+	}
+	if v, ok := sums["spotlight_gateway_breaker_opens_total"]; ok {
+		line += fmt.Sprintf(", %.0f upstream requests, %.0f breaker opens, %.0f retries",
+			sums["spotlight_gateway_upstream_requests_total"], v, sums["spotlight_gateway_retries_total"])
 	}
 	return line, nil
 }

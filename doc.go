@@ -60,8 +60,6 @@
 //   - internal/gateway     — the front door: one endpoint over N replica
 //     nodes, forwarding each request whole to one node by consistent
 //     hash, with every-peer failover and circuit breakers
-//   - internal/loadgen     — mixed read workload driver recording
-//     per-operation latency distributions
 //   - cmd/spotlight-study  — regenerate every table and figure
 //   - cmd/spotlight-analyze— regenerate Chapter 5 figures from a dumped
 //     store snapshot (collect once, analyze many)
@@ -71,9 +69,9 @@
 //     durable across restarts; -follow runs the daemon as a read
 //     replica of another node)
 //   - cmd/spotlight-gateway— front a replica fleet with one endpoint
-//   - cmd/spotload         — load harness; -smoke boots a leader, a
-//     follower, and a gateway in-process and proves the scale-out path
-//     under concurrent load
+//   - cmd/spotload         — the failure-domain drill: boots a leader,
+//     two followers, and a gateway in-process, then kills streams and
+//     the leader, restarts a follower, and promotes one under load
 //   - cmd/ec2sim           — inspect the simulator standalone
 //   - examples/            — runnable walkthroughs; each serves a study
 //     over HTTP and consumes it through pkg/client
@@ -86,6 +84,6 @@
 // measure the sharded store's concurrent ingestion and query serving.
 //
 // Development: `make ci` runs the same build / gofmt / vet / race-test /
-// http-smoke / scale-out-smoke / example-smoke / fuzz-smoke /
-// benchmark-smoke pipeline as .github/workflows/ci.yml.
+// http-smoke / chaos-smoke / example-smoke / fuzz-smoke /
+// benchmark-smoke / bench-gate pipeline as .github/workflows/ci.yml.
 package spotlight

@@ -5,12 +5,12 @@
 // (added delay, blackholes, mid-flight connection kills).
 //
 // Both are deterministic-by-configuration and concurrency-safe, built
-// for the failure-domain tests and the `spotload -chaos` smoke: boot a
+// for the failure-domain tests and the spotload drill: boot a
 // real leader/follower/gateway fleet in-process, wrap the gateway's
 // upstream transport in a Transport, splice a Proxy into the follower's
 // replication path, and turn the dials mid-load. Nothing in this
-// package is imported by production code paths — commands wire it only
-// behind explicit chaos flags.
+// package is imported by production code paths — only the drill
+// command and tests wire it.
 package chaos
 
 import (

@@ -1,8 +1,8 @@
 // Package daemon assembles one running SpotLight node: store, query API,
 // HTTP server, and either the simulated study that feeds the store
 // (leader mode) or a replication subscription to another node (follower
-// mode). Command spotlightd is a thin flag wrapper over Start; tests and
-// the spotload harness embed nodes directly.
+// mode). Command spotlightd is a thin flag wrapper over Start; tests,
+// the benchmark and the spotload drill embed nodes directly.
 package daemon
 
 import (

@@ -72,8 +72,8 @@ func writePromHistogram(w io.Writer, name string, ch *child) {
 
 // FamilySnapshot is one metric family in the JSON exposition
 // (GET /v2/metrics): every value carries its labels, and histograms
-// carry server-side p50/p90/p99 estimates so scrapers (spotload's
-// report fold) don't re-implement bucket math.
+// carry server-side p50/p90/p99 estimates so scrapers (the spotload
+// drill's end-of-run fold) don't re-implement bucket math.
 type FamilySnapshot struct {
 	Name   string          `json:"name"`
 	Type   string          `json:"type"`

@@ -8,7 +8,7 @@ import (
 
 // NewLogger builds the shared structured logger for a daemon: format is
 // "text" (default) or "json", and component is attached to every line
-// so multi-node logs (the spotload smoke runs three nodes in one
+// so multi-node logs (the spotload drill runs four nodes in one
 // process) stay attributable.
 func NewLogger(w io.Writer, format, component string) (*slog.Logger, error) {
 	var h slog.Handler

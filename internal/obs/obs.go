@@ -15,9 +15,9 @@
 //     state) are exposed as CounterFunc/GaugeFunc collectors evaluated
 //     at scrape time, never as extra work per request or per append.
 //
-// Registries are per node, not per process: the spotload smoke boots a
-// leader, a follower, and a gateway in one process and each serves its
-// own /metrics.
+// Registries are per node, not per process: the spotload drill boots a
+// leader, two followers, and a gateway in one process and each serves
+// its own /metrics.
 package obs
 
 import (

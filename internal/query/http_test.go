@@ -104,6 +104,10 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"/v1/stable", func() url.Values { q := window(); q.Set("n", "-2"); return q }(), api.CodeBadParam},
 		{"/v1/predict", func() url.Values { q := window(); q.Set("market", mktA.String()); return q }(), api.CodeBadParam}, // no ratio
 		{"/v1/reserved-value", func() url.Values { q := window(); q.Set("market", mktA.String()); return q }(), api.CodeBadParam},
+		// Non-finite floats parse, but JSON cannot carry them back.
+		{"/v1/predict", url.Values{"market": {mktA.String()}, "window": {"24h"}, "ratio": {"NaN"}}, api.CodeBadParam},
+		{"/v1/predict", url.Values{"market": {mktA.String()}, "window": {"24h"}, "ratio": {"+Inf"}}, api.CodeBadParam},
+		{"/v1/reserved-value", url.Values{"market": {mktA.String()}, "window": {"24h"}, "utilization": {"NaN"}}, api.CodeBadParam},
 	}
 	for _, tt := range tests {
 		resp, body := get(t, srv, tt.path, tt.q)
@@ -213,4 +217,60 @@ func TestHTTPPricesAndSummary(t *testing.T) {
 	if len(sums) != 1 || sums[0].Region != "us-east-1" {
 		t.Errorf("summary = %+v", sums)
 	}
+}
+
+// v1Routes is every GET /v1/* route Handler serves.
+var v1Routes = []string{
+	"/v1/unavailability", "/v1/stable", "/v1/volatile", "/v1/fallback", "/v1/prices",
+	"/v1/outages", "/v1/predict", "/v1/reserved-value", "/v1/markets", "/v1/summary",
+}
+
+// FuzzV1Query sends arbitrary raw query strings to every /v1 route over a
+// small store. The URL is the untrusted surface: whatever it says, the
+// answer is a 200 with an ETag and a JSON body, or a 400 with the error
+// envelope — never a panic, a 5xx, or a 200 whose body failed to encode.
+func FuzzV1Query(f *testing.F) {
+	mkt := url.QueryEscape(mktA.String())
+	f.Add(uint8(6), "market="+mkt+"&window=24h&ratio=NaN")
+	f.Add(uint8(6), "market="+mkt+"&window=24h&ratio=%2BInf")
+	f.Add(uint8(7), "market="+mkt+"&window=24h&utilization=NaN")
+	f.Add(uint8(0), "market="+mkt+"&kind=spot&from=2015-09-01T00:00:00Z&to=2015-09-02T00:00:00Z")
+	f.Add(uint8(1), "region=us-east-1&n=3&window=24h")
+	f.Add(uint8(2), "product=Linux%2FUNIX&n=2&window=6h")
+	f.Add(uint8(3), "market="+mkt+"&n=5&window=48h")
+	f.Add(uint8(5), "market="+mkt+"&window=-24h")
+	f.Add(uint8(6), "market="+mkt+"&window=24h&ratio=1.5&horizon=15m")
+	f.Add(uint8(7), "market="+mkt+"&window=24h&utilization=0.5")
+	f.Add(uint8(8), "region=us-east-1")
+	f.Add(uint8(9), "")
+
+	db := store.New()
+	addOutage(db, mktA, store.ProbeOnDemand, t0, t0.Add(6*time.Hour))
+	addOutage(db, mktB, store.ProbeSpot, t0.Add(2*time.Hour), time.Time{})
+	for i, p := range []float64{0.1, 0.3, 0.2} {
+		db.RecordPrice(mktA, store.PricePoint{At: t0.Add(time.Duration(i) * time.Hour), Price: p})
+		db.RecordPrice(mktB, store.PricePoint{At: t0.Add(time.Duration(i) * time.Hour), Price: 2 * p})
+	}
+	h := NewAPI(NewEngine(db, market.New()), func() time.Time { return t0.Add(24 * time.Hour) }).Handler()
+
+	f.Fuzz(func(t *testing.T, route uint8, raw string) {
+		r := httptest.NewRequest(http.MethodGet, v1Routes[int(route)%len(v1Routes)], nil)
+		r.URL.RawQuery = raw
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		body := w.Body.Bytes()
+		switch w.Code {
+		case http.StatusOK:
+			if w.Header().Get(api.HeaderETag) == "" || len(body) == 0 || !json.Valid(body) {
+				t.Fatalf("%s?%s: 200 with ETag %q and body %q", r.URL.Path, raw, w.Header().Get(api.HeaderETag), body)
+			}
+		case http.StatusBadRequest:
+			var e api.Error
+			if err := json.Unmarshal(body, &e); err != nil || e.Code == "" {
+				t.Fatalf("%s?%s: 400 body %q is not an error envelope (%v)", r.URL.Path, raw, body, err)
+			}
+		default:
+			t.Fatalf("%s?%s: status %d, body %q", r.URL.Path, raw, w.Code, body)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package query
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -307,8 +308,8 @@ func (a *API) execPredict(q api.Query, now time.Time) (*api.Prediction, *api.Err
 	if aerr != nil {
 		return nil, aerr
 	}
-	if q.Ratio < 0 {
-		return nil, api.Errorf(api.CodeBadParam, "ratio must be a non-negative spike multiple, got %g", q.Ratio).WithDetail("param", "ratio")
+	if q.Ratio < 0 || math.IsNaN(q.Ratio) || math.IsInf(q.Ratio, 1) {
+		return nil, api.Errorf(api.CodeBadParam, "ratio must be a finite non-negative spike multiple, got %g", q.Ratio).WithDetail("param", "ratio")
 	}
 	horizon := defaultPredictHorizon
 	if q.Horizon != "" {
@@ -340,7 +341,7 @@ func (a *API) execReservedValue(q api.Query, now time.Time) (*api.ReservedValue,
 	if aerr != nil {
 		return nil, aerr
 	}
-	if q.Utilization < 0 || q.Utilization > 1 {
+	if q.Utilization < 0 || q.Utilization > 1 || math.IsNaN(q.Utilization) {
 		return nil, api.Errorf(api.CodeBadParam, "utilization must be in [0,1], got %g", q.Utilization).WithDetail("param", "utilization")
 	}
 	rv, err := a.engine.ReservedValue(id, q.Utilization, from, to)
