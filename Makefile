@@ -194,10 +194,15 @@ example-smoke:
 # SpotIndex finds it exactly when the catalog lists it, at its own
 # position), over the /v2/watch resume-token parser (FuzzWatchToken:
 # the untrusted Last-Event-ID header must never panic, and every rendered
-# or accepted token must parse back to the same position), and over the
+# or accepted token must parse back to the same position), over the
 # /v1 URL surface (FuzzV1Query: any raw query string on any /v1 route
 # answers 200 with an ETag and a JSON body, or 400 with the error
-# envelope — never a panic or a 5xx).
+# envelope — never a panic or a 5xx), over the advise body
+# (FuzzAdviseBody: any POST /v2/advise body answers 200 with an ETag and
+# a decodable AdviseResponse, or 400 with an error code — never a panic
+# or a 5xx), and over a follower's saved cursor.json (FuzzCursorDecode:
+# any bytes error or decode, never panic, and an accepted cursor decodes
+# to the same fields once marshalled again).
 fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzPriceWindow$$' -fuzztime=10s
@@ -208,5 +213,7 @@ fuzz-smoke:
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzParseSpotID$$' -fuzztime=10s
 	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzWatchToken$$' -fuzztime=10s
 	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzV1Query$$' -fuzztime=10s
+	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzAdviseBody$$' -fuzztime=10s
+	$(GO) test ./internal/replica -run '^$$' -fuzz '^FuzzCursorDecode$$' -fuzztime=10s
 
 ci: build fmt-check vet loc test smoke chaos-smoke example-smoke fuzz-smoke bench bench-gate

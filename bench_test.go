@@ -802,13 +802,14 @@ func BenchmarkStoreAppendProbesBatchParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		g := int(next.Add(1)) - 1
-		app := db.Appender(mkts[g%len(mkts)])
+		id := mkts[g%len(mkts)]
+		app := db.Appender(id)
 		batch := make([]store.ProbeRecord, 0, batchSize)
 		i := 0
 		for pb.Next() {
 			batch = append(batch, store.ProbeRecord{
 				At:     base.Add(time.Duration(i) * time.Second),
-				Market: app.Market(), Kind: store.ProbeOnDemand,
+				Market: id, Kind: store.ProbeOnDemand,
 				Trigger: store.TriggerSpike, Rejected: i%8 == 0, Cost: 0.1,
 			})
 			if len(batch) == batchSize {
@@ -841,13 +842,14 @@ func BenchmarkStoreAppendProbesBatchParallelWAL(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		g := int(next.Add(1)) - 1
-		app := db.Appender(mkts[g%len(mkts)])
+		id := mkts[g%len(mkts)]
+		app := db.Appender(id)
 		batch := make([]store.ProbeRecord, 0, batchSize)
 		i := 0
 		for pb.Next() {
 			batch = append(batch, store.ProbeRecord{
 				At:     base.Add(time.Duration(i) * time.Second),
-				Market: app.Market(), Kind: store.ProbeOnDemand,
+				Market: id, Kind: store.ProbeOnDemand,
 				Trigger: store.TriggerSpike, Rejected: i%8 == 0, Cost: 0.1,
 			})
 			if len(batch) == batchSize {
@@ -875,7 +877,8 @@ func BenchmarkWALAppend(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := db.Persister()
-	app := db.Appender(benchMarkets(1)[0])
+	id := benchMarkets(1)[0]
+	app := db.Appender(id)
 	base := time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
 	batch := make([]store.ProbeRecord, batchSize)
 	b.ReportAllocs()
@@ -885,7 +888,7 @@ func BenchmarkWALAppend(b *testing.B) {
 		for j := range batch {
 			batch[j] = store.ProbeRecord{
 				At:     base.Add(time.Duration(i+j) * time.Second),
-				Market: app.Market(), Kind: store.ProbeSpot,
+				Market: id, Kind: store.ProbeSpot,
 				Trigger: store.TriggerPeriodicSpot, Rejected: (i+j)%8 == 0, Cost: 0.1,
 			}
 		}
@@ -1251,12 +1254,13 @@ func BenchmarkFeedPublish(b *testing.B) {
 					sub.Next(buf)
 				}
 			}()
-			app := db.Appender(benchMarkets(1)[0])
+			id := benchMarkets(1)[0]
+			app := db.Appender(id)
 			base := time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
 			batch := make([]store.ProbeRecord, batchSize)
 			for i := range batch {
 				batch[i] = store.ProbeRecord{
-					At: base, Market: app.Market(), Kind: store.ProbeOnDemand,
+					At: base, Market: id, Kind: store.ProbeOnDemand,
 					Trigger: store.TriggerSpike, Cost: 0.1,
 				}
 			}
@@ -1295,7 +1299,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 			const batchSize = 64
 			db := store.New()
 			db.EnableMetrics(v.reg())
-			app := db.Appender(benchMarkets(1)[0])
+			id := benchMarkets(1)[0]
+			app := db.Appender(id)
 			base := time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
 			batch := make([]store.ProbeRecord, batchSize)
 			b.ReportAllocs()
@@ -1304,7 +1309,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 				for j := range batch {
 					batch[j] = store.ProbeRecord{
 						At:     base.Add(time.Duration(i+j) * time.Second),
-						Market: app.Market(), Kind: store.ProbeOnDemand,
+						Market: id, Kind: store.ProbeOnDemand,
 						Trigger: store.TriggerSpike, Rejected: (i+j)%8 == 0, Cost: 0.1,
 					}
 				}
@@ -1341,7 +1346,8 @@ func BenchmarkFeedFanout(b *testing.B) {
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
 			const batchSize = 64
 			db := store.New()
-			app := db.Appender(benchMarkets(1)[0])
+			id := benchMarkets(1)[0]
+			app := db.Appender(id)
 			var wg sync.WaitGroup
 			// Registered before the per-subscription Close defers so it
 			// runs after them: drainers exit once Close closes Ready.
@@ -1366,7 +1372,7 @@ func BenchmarkFeedFanout(b *testing.B) {
 			batch := make([]store.ProbeRecord, batchSize)
 			for i := range batch {
 				batch[i] = store.ProbeRecord{
-					At: base, Market: app.Market(), Kind: store.ProbeOnDemand,
+					At: base, Market: id, Kind: store.ProbeOnDemand,
 					Trigger: store.TriggerSpike, Cost: 0.1,
 				}
 			}

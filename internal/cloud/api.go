@@ -29,9 +29,9 @@ func (s *Sim) RunInstance(m market.SpotID) (Instance, error) {
 		return Instance{}, err
 	}
 	reg := s.regions[region]
-	if reg.runningByType[m.Type] >= s.cfg.MaxRunningPerType {
+	if reg.runningByType[m.Type] >= maxRunningPerType {
 		return Instance{}, apiErrorf(ErrInstanceLimitExceeded,
-			"at most %d running %s instances per region", s.cfg.MaxRunningPerType, m.Type)
+			"at most %d running %s instances per region", maxRunningPerType, m.Type)
 	}
 	units, err := s.cat.Units(m.Type)
 	if err != nil {
@@ -112,9 +112,9 @@ func (s *Sim) RequestSpotInstance(m market.SpotID, bid float64) (SpotRequest, er
 		return SpotRequest{}, err
 	}
 	reg := s.regions[region]
-	if reg.openSpotReqs >= s.cfg.MaxOpenSpotRequestsPerRegion {
+	if reg.openSpotReqs >= maxOpenSpotRequestsPerRegion {
 		return SpotRequest{}, apiErrorf(ErrSpotRequestLimitExceeded,
-			"at most %d open spot requests per region", s.cfg.MaxOpenSpotRequestsPerRegion)
+			"at most %d open spot requests per region", maxOpenSpotRequestsPerRegion)
 	}
 
 	mr := s.markets[idx]
@@ -362,8 +362,7 @@ func (s *Sim) finishTermination(inst *Instance, now time.Time, revoked bool) {
 
 // releaseAndBill returns the instance's capacity to its pool and charges
 // the client: on-demand and user-terminated spot pay a one-hour minimum;
-// a revoked spot instance's interrupted hour is free, per EC2's policy;
-// spot blocks were billed up front and only release capacity here.
+// a revoked spot instance's interrupted hour is free, per EC2's policy.
 func (s *Sim) releaseAndBill(inst *Instance, now time.Time, revoked bool) {
 	if inst.released {
 		return
@@ -375,10 +374,6 @@ func (s *Sim) releaseAndBill(inst *Instance, now time.Time, revoked bool) {
 		if pool.clientSpotUnits < 0 {
 			pool.clientSpotUnits = 0
 		}
-		if inst.IsBlock() {
-			s.regions[inst.Market.Region()].runningByType[inst.Market.Type]--
-			delete(s.blocks, inst.ID)
-		}
 	} else {
 		pool.clientODUnits -= inst.units
 		if pool.clientODUnits < 0 {
@@ -386,11 +381,6 @@ func (s *Sim) releaseAndBill(inst *Instance, now time.Time, revoked bool) {
 		}
 		s.regions[inst.Market.Region()].runningByType[inst.Market.Type]--
 	}
-	if inst.billed {
-		return // blocks are prepaid
-	}
-	inst.billed = true
-
 	rate := s.markets[inst.marketIdx].odPrice
 	if inst.Spot {
 		rate = inst.launchPrice

@@ -74,20 +74,12 @@ type Instance struct {
 	// (spot only; zero if never warned).
 	WarningAt time.Time
 
-	// BlockExpiry is when a spot-block instance's fixed duration ends;
-	// zero for regular instances. Blocks are never revoked by price.
-	BlockExpiry time.Time
-
 	units       int
 	poolIdx     int
 	marketIdx   int
 	launchPrice float64 // spot: published clearing price at launch, used for billing
-	billed      bool
 	released    bool
 }
-
-// IsBlock reports whether the instance is a fixed-duration spot block.
-func (i *Instance) IsBlock() bool { return !i.BlockExpiry.IsZero() }
 
 // LaunchPrice returns the clearing price the instance launched at — the
 // rate a spot instance's runtime bills at (zero for on-demand instances,

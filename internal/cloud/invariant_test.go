@@ -34,8 +34,8 @@ func checkInvariants(t *testing.T, s *Sim) {
 		if inst.State == InstanceTerminated || inst.released {
 			continue
 		}
-		if inst.Spot && !inst.IsBlock() {
-			continue // regular spot doesn't count toward the run quota
+		if inst.Spot {
+			continue // spot doesn't count toward the run quota
 		}
 		r := inst.Market.Region()
 		if liveByType[r] == nil {
@@ -84,7 +84,7 @@ func heldInRegion(s *Sim, r market.Region) []RequestID {
 }
 
 // TestInvariantsUnderRandomAPIUse drives the simulator with a random but
-// seeded client: launches, spot bids at random levels, blocks, cancels,
+// seeded client: launches, spot bids at random levels, cancels,
 // and terminations, interleaved with time, then checks conservation after
 // every burst. This is the property-based safety net for the whole API
 // surface.
@@ -103,7 +103,7 @@ func TestInvariantsUnderRandomAPIUse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch rng.IntN(6) {
+			switch rng.IntN(5) {
 			case 0: // on-demand launch
 				if inst, err := s.RunInstance(m); err == nil {
 					instances = append(instances, inst.ID)
@@ -116,21 +116,17 @@ func TestInvariantsUnderRandomAPIUse(t *testing.T) {
 						instances = append(instances, req.Instance)
 					}
 				}
-			case 2: // spot block (sometimes invalid duration)
-				if inst, err := s.RequestSpotBlock(m, rng.IntN(8)); err == nil {
-					instances = append(instances, inst.ID)
-				}
-			case 3: // terminate something
+			case 2: // terminate something
 				if len(instances) > 0 {
 					id := instances[rng.IntN(len(instances))]
 					_ = s.TerminateInstance(id)
 				}
-			case 4: // cancel something
+			case 3: // cancel something
 				if len(requests) > 0 {
 					id := requests[rng.IntN(len(requests))]
 					_ = s.CancelSpotRequest(id)
 				}
-			case 5: // describe (read-only)
+			case 4: // describe (read-only)
 				if len(requests) > 0 {
 					_, _ = s.DescribeSpotRequest(requests[rng.IntN(len(requests))])
 				}
@@ -148,7 +144,7 @@ func TestInvariantsUnderRandomAPIUse(t *testing.T) {
 // (pure demand evolution, pruning, outage tracking).
 func TestInvariantsUnderLongIdle(t *testing.T) {
 	s := testSim(t, 7)
-	steps := int(48 * time.Hour / s.Tick())
+	steps := int(48 * time.Hour / s.cfg.Tick)
 	for i := 0; i < steps; i++ {
 		s.Step()
 	}

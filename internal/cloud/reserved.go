@@ -137,32 +137,6 @@ func (s *Sim) StartReserved(id ReservationID) error {
 	return nil
 }
 
-// StopReserved stops a running reserved instance; the reservation stays
-// granted and can be started again. The freed machine feeds the spot tier
-// in the meantime (Fig 2.2).
-func (s *Sim) StopReserved(id ReservationID) error {
-	res, ok := s.reservations[id]
-	if !ok {
-		return apiErrorf(ErrNotFound, "reservation %s", id)
-	}
-	if err := s.chargeAPICall(res.Market.Region()); err != nil {
-		return err
-	}
-	if res.State == ReservationRunning {
-		res.State = ReservationIdle
-	}
-	return nil
-}
-
-// DescribeReservation returns a copy of the reservation.
-func (s *Sim) DescribeReservation(id ReservationID) (Reservation, error) {
-	res, ok := s.reservations[id]
-	if !ok {
-		return Reservation{}, apiErrorf(ErrNotFound, "reservation %s", id)
-	}
-	return *res, nil
-}
-
 // expireReservations releases capacity of reservations whose term ended.
 func (s *Sim) expireReservations(now time.Time) {
 	for _, res := range s.reservations {

@@ -40,21 +40,12 @@ func TestReservationPurchaseAndGuarantee(t *testing.T) {
 	if err := s.StartReserved(res.ID); err != nil {
 		t.Fatalf("StartReserved during saturation: %v (the §2.1.2 guarantee)", err)
 	}
-	got, _ := s.DescribeReservation(res.ID)
-	if got.State != ReservationRunning {
-		t.Errorf("state = %v, want running", got.State)
+	if got := s.reservations[res.ID].State; got != ReservationRunning {
+		t.Errorf("state = %v, want running", got)
 	}
 	// Starting again is idempotent.
 	if err := s.StartReserved(res.ID); err != nil {
 		t.Errorf("second start errored: %v", err)
-	}
-	// Stop returns it to idle.
-	if err := s.StopReserved(res.ID); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = s.DescribeReservation(res.ID)
-	if got.State != ReservationIdle {
-		t.Errorf("state after stop = %v, want idle", got.State)
 	}
 }
 
@@ -89,9 +80,8 @@ func TestReservationExpiryReleasesCapacity(t *testing.T) {
 	for i := 0; i < 8; i++ { // 40 simulated minutes
 		s.Step()
 	}
-	got, _ := s.DescribeReservation(res.ID)
-	if got.State != ReservationExpired {
-		t.Fatalf("state = %v after term, want expired", got.State)
+	if got := s.reservations[res.ID].State; got != ReservationExpired {
+		t.Fatalf("state = %v after term, want expired", got)
 	}
 	if pool.clientODUnits != 0 {
 		t.Errorf("clientODUnits = %d after expiry, want 0", pool.clientODUnits)
@@ -111,12 +101,6 @@ func TestReservationValidation(t *testing.T) {
 		t.Errorf("unknown market err = %v", err)
 	}
 	if err := s.StartReserved("r-nope"); !IsCode(err, ErrNotFound) {
-		t.Errorf("unknown id err = %v", err)
-	}
-	if err := s.StopReserved("r-nope"); !IsCode(err, ErrNotFound) {
-		t.Errorf("unknown id err = %v", err)
-	}
-	if _, err := s.DescribeReservation("r-nope"); !IsCode(err, ErrNotFound) {
 		t.Errorf("unknown id err = %v", err)
 	}
 }

@@ -24,22 +24,9 @@ type Config struct {
 	Start time.Time
 	// Profiles optionally overrides the demand profiles per region.
 	Profiles map[market.Region]demand.Profile
-	// BaseCapacityUnits overrides the base pool capacity (see demand).
-	BaseCapacityUnits int
-	// PriceLagTicks is how many ticks the published spot price lags the
-	// true clearing price, modelling EC2's 20-40 s propagation delay
-	// (§5.1.2). Default 1.
-	PriceLagTicks int
 	// APICallsPerTickPerRegion bounds client API calls per region per
 	// tick. Default 600.
 	APICallsPerTickPerRegion int
-	// MaxOpenSpotRequestsPerRegion mirrors EC2's quota of 20.
-	MaxOpenSpotRequestsPerRegion int
-	// MaxRunningPerType mirrors EC2's per-type quota of 20.
-	MaxRunningPerType int
-	// RevocationWarning is the advance warning before a spot instance is
-	// revoked (EC2: two minutes).
-	RevocationWarning time.Duration
 	// MinimumCharge is the shortest billable duration per instance
 	// (EC2 2015: one hour). §3.4 notes probing gets cheaper under
 	// finer-grained billing, e.g. Google Compute Engine's 10 minutes —
@@ -58,6 +45,19 @@ type Config struct {
 	StrongPools []market.PoolID
 }
 
+// EC2's quotas and revocation notice.
+const (
+	// maxOpenSpotRequestsPerRegion is EC2's quota of open spot requests
+	// per region.
+	maxOpenSpotRequestsPerRegion = 20
+	// maxRunningPerType is EC2's quota of running instances of one type
+	// per region.
+	maxRunningPerType = 20
+	// revocationWarning is the advance warning before a spot instance is
+	// revoked.
+	revocationWarning = 2 * time.Minute
+)
+
 func (c *Config) fillDefaults() {
 	if c.Tick <= 0 {
 		c.Tick = 5 * time.Minute
@@ -65,20 +65,8 @@ func (c *Config) fillDefaults() {
 	if c.Start.IsZero() {
 		c.Start = simtime.StudyEpoch
 	}
-	if c.PriceLagTicks <= 0 {
-		c.PriceLagTicks = 1
-	}
 	if c.APICallsPerTickPerRegion <= 0 {
 		c.APICallsPerTickPerRegion = 600
-	}
-	if c.MaxOpenSpotRequestsPerRegion <= 0 {
-		c.MaxOpenSpotRequestsPerRegion = 20
-	}
-	if c.MaxRunningPerType <= 0 {
-		c.MaxRunningPerType = 20
-	}
-	if c.RevocationWarning <= 0 {
-		c.RevocationWarning = 2 * time.Minute
 	}
 	if c.MinimumCharge <= 0 {
 		c.MinimumCharge = time.Hour
@@ -125,8 +113,10 @@ type marketRt struct {
 	lastQ     float64
 	cnaActive bool
 
-	lagBuf []float64
-	lagPos int
+	// lagged is the true price one tick ago: the published price lags
+	// the clearing price by a tick, modelling EC2's 20-40 s propagation
+	// delay (§5.1.2).
+	lagged float64
 
 	published   float64
 	supplyUnits float64 // this market's share of pool spot supply
@@ -161,7 +151,6 @@ type Sim struct {
 
 	instances    map[InstanceID]*Instance
 	liveSpot     map[InstanceID]*Instance
-	blocks       map[InstanceID]*Instance
 	spotReqs     map[RequestID]*SpotRequest
 	heldReqs     map[RequestID]*SpotRequest
 	instToReq    map[InstanceID]*SpotRequest
@@ -187,12 +176,11 @@ type Sim struct {
 func New(cat *market.Catalog, cfg Config) (*Sim, error) {
 	cfg.fillDefaults()
 	dm, err := demand.NewModel(cat, demand.Config{
-		Seed:              cfg.Seed,
-		Tick:              cfg.Tick,
-		Profiles:          cfg.Profiles,
-		BaseCapacityUnits: cfg.BaseCapacityUnits,
-		ForceVolatile:     cfg.VolatileMarkets,
-		HotPools:          cfg.StrongPools,
+		Seed:          cfg.Seed,
+		Tick:          cfg.Tick,
+		Profiles:      cfg.Profiles,
+		ForceVolatile: cfg.VolatileMarkets,
+		HotPools:      cfg.StrongPools,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cloud: %w", err)
@@ -208,7 +196,6 @@ func New(cat *market.Catalog, cfg Config) (*Sim, error) {
 		regions:      make(map[market.Region]*regionRt, len(cat.Regions())),
 		instances:    make(map[InstanceID]*Instance),
 		liveSpot:     make(map[InstanceID]*Instance),
-		blocks:       make(map[InstanceID]*Instance),
 		spotReqs:     make(map[RequestID]*SpotRequest),
 		heldReqs:     make(map[RequestID]*SpotRequest),
 		instToReq:    make(map[InstanceID]*SpotRequest),
@@ -261,7 +248,6 @@ func New(cat *market.Catalog, cfg Config) (*Sim, error) {
 			odPrice: od,
 			params:  dm.Params(i),
 			poolIdx: dm.MarketPoolIndex(i),
-			lagBuf:  make([]float64, cfg.PriceLagTicks),
 		}
 		s.markets[i] = m
 		s.marketIdx[sid] = i
@@ -274,9 +260,7 @@ func New(cat *market.Catalog, cfg Config) (*Sim, error) {
 	s.updatePools()
 	for i, m := range s.markets {
 		s.updateMarketPrice(i, m)
-		for k := range m.lagBuf {
-			m.lagBuf[k] = m.truePrice
-		}
+		m.lagged = m.truePrice
 		m.published = m.truePrice
 	}
 	return s, nil
@@ -297,9 +281,6 @@ func (s *Sim) AdvanceTo(t time.Time) {
 	}
 }
 
-// Tick returns the configured simulation step.
-func (s *Sim) Tick() time.Duration { return s.cfg.Tick }
-
 // Catalog returns the topology the simulator runs over.
 func (s *Sim) Catalog() *market.Catalog { return s.cat }
 
@@ -317,7 +298,6 @@ func (s *Sim) Step() time.Time {
 
 	s.updatePools()
 	s.expireReservations(now)
-	s.expireBlocks(now)
 	s.advanceInstances(now)
 	for i, m := range s.markets {
 		s.updateMarketPrice(i, m)
@@ -447,9 +427,8 @@ func (s *Sim) updateMarketPrice(i int, m *marketRt) {
 
 // publish shifts the true price into the lagged published feed.
 func (m *marketRt) publish() {
-	m.published = m.lagBuf[m.lagPos]
-	m.lagBuf[m.lagPos] = m.truePrice
-	m.lagPos = (m.lagPos + 1) % len(m.lagBuf)
+	m.published = m.lagged
+	m.lagged = m.truePrice
 }
 
 // retiredEntry schedules a terminated object for pruning.
@@ -486,7 +465,7 @@ func (s *Sim) advanceInstances(now time.Time) {
 				}
 			}
 		case InstanceShuttingDown:
-			if !inst.WarningAt.IsZero() && !now.Before(inst.WarningAt.Add(s.cfg.RevocationWarning)) {
+			if !inst.WarningAt.IsZero() && !now.Before(inst.WarningAt.Add(revocationWarning)) {
 				s.finishTermination(inst, now, true)
 			}
 		}

@@ -25,8 +25,8 @@ func TestStepAdvancesClock(t *testing.T) {
 	s := testSim(t, 1)
 	t0 := s.Now()
 	t1 := s.Step()
-	if got := t1.Sub(t0); got != s.Tick() {
-		t.Errorf("Step advanced %v, want %v", got, s.Tick())
+	if got := t1.Sub(t0); got != s.cfg.Tick {
+		t.Errorf("Step advanced %v, want %v", got, s.cfg.Tick)
 	}
 	if !s.Now().Equal(t1) {
 		t.Errorf("Now() = %v, want %v", s.Now(), t1)
@@ -113,8 +113,8 @@ func TestInstanceTypeQuota(t *testing.T) {
 		}
 		launched++
 	}
-	if launched != s.cfg.MaxRunningPerType {
-		t.Errorf("launched %d instances, want quota %d", launched, s.cfg.MaxRunningPerType)
+	if launched != maxRunningPerType {
+		t.Errorf("launched %d instances, want quota %d", launched, maxRunningPerType)
 	}
 	if !IsCode(last, ErrInstanceLimitExceeded) {
 		t.Errorf("err = %v, want %s", last, ErrInstanceLimitExceeded)
@@ -237,8 +237,8 @@ func TestSpotRequestQuota(t *testing.T) {
 		}
 		opened++
 	}
-	if opened != s.cfg.MaxOpenSpotRequestsPerRegion {
-		t.Errorf("opened %d requests, want quota %d", opened, s.cfg.MaxOpenSpotRequestsPerRegion)
+	if opened != maxOpenSpotRequestsPerRegion {
+		t.Errorf("opened %d requests, want quota %d", opened, maxOpenSpotRequestsPerRegion)
 	}
 	if !IsCode(last, ErrSpotRequestLimitExceeded) {
 		t.Errorf("err = %v, want %s", last, ErrSpotRequestLimitExceeded)
@@ -318,7 +318,7 @@ func TestSpotRevocationOnPriceRise(t *testing.T) {
 		t.Fatal("no revocation warning recorded")
 	}
 
-	s.advanceInstances(now.Add(s.cfg.RevocationWarning))
+	s.advanceInstances(now.Add(revocationWarning))
 	got, _ = s.DescribeSpotRequest(req.ID)
 	if got.State != SpotInstanceTerminatedByPrice {
 		t.Errorf("state = %v, want instance-terminated-by-price", got.State)
@@ -474,7 +474,7 @@ func TestPublishedPriceLags(t *testing.T) {
 func TestTrueOutagesAccumulate(t *testing.T) {
 	s := testSim(t, 3)
 	days := 3
-	steps := int(time.Duration(days) * 24 * time.Hour / s.Tick())
+	steps := int(time.Duration(days) * 24 * time.Hour / s.cfg.Tick)
 	for i := 0; i < steps; i++ {
 		s.Step()
 	}

@@ -13,7 +13,6 @@ type budgetController struct {
 	windowStart time.Time
 	spent       float64
 	totalSpent  float64
-	denied      int64
 }
 
 func newBudgetController(budget float64, window time.Duration, start time.Time) *budgetController {
@@ -33,7 +32,6 @@ func (b *budgetController) roll(now time.Time) {
 func (b *budgetController) allow(now time.Time, cost float64) bool {
 	b.roll(now)
 	if b.budget > 0 && b.spent+cost > b.budget {
-		b.denied++
 		return false
 	}
 	b.spent += cost
@@ -56,6 +54,3 @@ func (b *budgetController) refund(cost float64) {
 
 // Spent returns the total dollars charged across all windows.
 func (b *budgetController) Spent() float64 { return b.totalSpent }
-
-// Denied returns how many probes the budget suppressed.
-func (b *budgetController) Denied() int64 { return b.denied }

@@ -39,7 +39,6 @@ func (s *Service) odProbe(mon *marketMon, now time.Time, ctx probeContext) {
 		Cost:          cost,
 	}
 	s.stats.ODProbes++
-	s.rstats(mon.id.Region()).ODProbes++
 
 	switch {
 	case err == nil:
@@ -59,7 +58,6 @@ func (s *Service) odProbe(mon *marketMon, now time.Time, ctx probeContext) {
 		rec.Code = string(cloud.ErrInsufficientCapacity)
 		s.logProbe(mon, rec)
 		s.stats.ODRejections++
-		s.rstats(mon.id.Region()).ODRejections++
 		s.onODRejection(mon, now, ctx)
 	default:
 		// Quota or rate-limit errors are SpotLight's own backpressure,
@@ -164,7 +162,6 @@ func (s *Service) spotProbe(mon *marketMon, now time.Time, ctx probeContext) {
 		Cost:          cost,
 	}
 	s.stats.SpotProbes++
-	s.rstats(mon.id.Region()).SpotProbes++
 
 	switch req.State {
 	case cloud.SpotFulfilled:
@@ -182,7 +179,6 @@ func (s *Service) spotProbe(mon *marketMon, now time.Time, ctx probeContext) {
 		rec.Code = req.State.String()
 		s.logProbe(mon, rec)
 		s.stats.SpotRejections++
-		s.rstats(mon.id.Region()).SpotRejections++
 		s.onSpotRejection(mon, req, now, ctx)
 	default:
 		// price-too-low / capacity-oversubscribed: capacity exists, the

@@ -99,7 +99,6 @@ type Service struct {
 
 	lastTick time.Time
 	stats    Counters
-	regional map[market.Region]*Counters
 
 	// lastSnapshot is when the durable store was last snapshot (zero
 	// until the first tick seeds it); only meaningful when the store has
@@ -134,10 +133,6 @@ func New(prov Provider, db *store.Store, cfg Config) (*Service, error) {
 		activeOD:   make(map[market.SpotID]*marketMon),
 		activeSpot: make(map[market.SpotID]*marketMon),
 		heldCNA:    make(map[market.Region]int),
-		regional:   make(map[market.Region]*Counters, len(regions)),
-	}
-	for _, r := range regions {
-		s.regional[r] = &Counters{}
 	}
 
 	watched := make(map[market.SpotID]bool, len(cfg.WatchedMarkets))
@@ -198,31 +193,8 @@ func (s *Service) monitor(id market.SpotID) *marketMon {
 	return nil
 }
 
-// Store returns the service's database.
-func (s *Service) Store() *store.Store { return s.db }
-
 // Stats returns a copy of the operational counters.
 func (s *Service) Stats() Counters { return s.stats }
-
-// RegionStats returns per-region operational counters — the observable
-// face of Chapter 4's per-region manager hierarchy.
-func (s *Service) RegionStats() map[market.Region]Counters {
-	out := make(map[market.Region]Counters, len(s.regional))
-	for r, c := range s.regional {
-		out[r] = *c
-	}
-	return out
-}
-
-// rstats returns the mutable per-region counter block.
-func (s *Service) rstats(r market.Region) *Counters {
-	c, ok := s.regional[r]
-	if !ok {
-		c = &Counters{}
-		s.regional[r] = c
-	}
-	return c
-}
 
 // Spent returns the dollars the budget controller has charged.
 func (s *Service) Spent() float64 { return s.budget.Spent() }
@@ -339,14 +311,12 @@ func (s *Service) scanRegion(r market.Region, now time.Time) {
 		case ratio > s.cfg.Threshold && !mon.above:
 			mon.above = true
 			s.stats.SpikesSeen++
-			s.rstats(r).SpikesSeen++
 			probed := false
 			// Sample the crossing (§3.4's sampling ratio p). A market
 			// already known to be unavailable is on the recheck
 			// schedule; a fresh spike probe would be redundant.
 			if !mon.odOutage && s.rng.Float64() < s.cfg.SampleProb {
 				s.stats.SpikesSampled++
-				s.rstats(r).SpikesSampled++
 				probed = true
 				s.odProbe(mon, now, probeContext{
 					trigger:       store.TriggerSpike,

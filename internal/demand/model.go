@@ -23,10 +23,6 @@ type Config struct {
 	// profile fall back to the sa-east-1 default (most conservative).
 	Profiles map[market.Region]Profile
 
-	// BaseCapacityUnits is the pool capacity before the region's
-	// PoolScale multiplier. Zero selects the default.
-	BaseCapacityUnits int
-
 	// ForceVolatile marks specific markets as volatile regardless of the
 	// seeded draw. The paper's case studies deliberately pick markets
 	// that exhibit frequent price spikes (d2.* in us-east-1e, g2.8xlarge
@@ -41,7 +37,9 @@ type Config struct {
 	HotPools []market.PoolID
 }
 
-const defaultBaseCapacityUnits = 2560
+// baseCapacityUnits is the pool capacity before the region's PoolScale
+// multiplier.
+const baseCapacityUnits = 2560
 
 // PoolDemand is the demand state of one capacity pool at the current tick.
 // All quantities are fractions of the pool's capacity.
@@ -175,11 +173,10 @@ type Model struct {
 	rho   float64
 	innov float64
 
-	regions   []*regionState // catalog region order
-	pools     []*poolState
-	poolIdx   map[market.PoolID]int
-	markets   []*marketState
-	marketIdx map[market.SpotID]int
+	regions []*regionState // catalog region order
+	pools   []*poolState
+	poolIdx map[market.PoolID]int
+	markets []*marketState
 }
 
 // NewModel builds a demand model over the catalog.
@@ -190,15 +187,11 @@ func NewModel(cat *market.Catalog, cfg Config) (*Model, error) {
 	if cfg.Profiles == nil {
 		cfg.Profiles = DefaultProfiles()
 	}
-	if cfg.BaseCapacityUnits <= 0 {
-		cfg.BaseCapacityUnits = defaultBaseCapacityUnits
-	}
 	m := &Model{
-		cat:       cat,
-		cfg:       cfg,
-		tickSec:   cfg.Tick.Seconds(),
-		poolIdx:   make(map[market.PoolID]int, len(cat.Pools())),
-		marketIdx: make(map[market.SpotID]int, len(cat.SpotMarkets())),
+		cat:     cat,
+		cfg:     cfg,
+		tickSec: cfg.Tick.Seconds(),
+		poolIdx: make(map[market.PoolID]int, len(cat.Pools())),
 	}
 	m.rho = math.Exp(-m.tickSec / (3 * 3600))
 	m.innov = math.Sqrt(1 - m.rho*m.rho)
@@ -231,7 +224,7 @@ func NewModel(cat *market.Catalog, cfg Config) (*Model, error) {
 			id:           pid,
 			region:       rs,
 			rng:          rng,
-			capacity:     int(float64(cfg.BaseCapacityUnits) * rs.prof.PoolScale),
+			capacity:     int(baseCapacityUnits * rs.prof.PoolScale),
 			hot:          hot[pid],
 			rg0:          0.30 + 0.18*rng.Float64(),
 			rgPhase:      rng.Float64() * 2 * math.Pi,
@@ -270,7 +263,6 @@ func NewModel(cat *market.Catalog, cfg Config) (*Model, error) {
 			demandBase: 0.35 * share,
 			scaleNoise: 0,
 		}
-		m.marketIdx[sid] = len(m.markets)
 		m.markets = append(m.markets, ms)
 	}
 	return m, nil
@@ -432,16 +424,6 @@ func (m *Model) ar1(x float64, rng *rand.Rand, sigma float64) float64 {
 // PoolCount returns the number of capacity pools.
 func (m *Model) PoolCount() int { return len(m.pools) }
 
-// PoolIndex returns the dense index of pool id, or an error for unknown
-// pools.
-func (m *Model) PoolIndex(id market.PoolID) (int, error) {
-	i, ok := m.poolIdx[id]
-	if !ok {
-		return 0, fmt.Errorf("demand: unknown pool %v", id)
-	}
-	return i, nil
-}
-
 // PoolIDAt returns the pool ID at dense index i.
 func (m *Model) PoolIDAt(i int) market.PoolID { return m.pools[i].id }
 
@@ -456,16 +438,6 @@ func (m *Model) PoolCapacity(i int) int { return m.pools[i].capacity }
 
 // MarketCount returns the number of spot markets.
 func (m *Model) MarketCount() int { return len(m.markets) }
-
-// MarketIndex returns the dense index of spot market id, or an error for
-// unknown markets.
-func (m *Model) MarketIndex(id market.SpotID) (int, error) {
-	i, ok := m.marketIdx[id]
-	if !ok {
-		return 0, fmt.Errorf("demand: unknown market %v", id)
-	}
-	return i, nil
-}
 
 // MarketIDAt returns the spot market ID at dense index i.
 func (m *Model) MarketIDAt(i int) market.SpotID { return m.markets[i].id }

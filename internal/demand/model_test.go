@@ -41,27 +41,27 @@ func TestModelCardinality(t *testing.T) {
 
 func TestIndexRoundTrip(t *testing.T) {
 	cat, m := newTestModel(t, 1)
-	pid := cat.Pools()[7]
-	i, err := m.PoolIndex(pid)
-	if err != nil {
-		t.Fatal(err)
+	pools := make(map[market.PoolID]bool)
+	for i := 0; i < m.PoolCount(); i++ {
+		pools[m.PoolIDAt(i)] = true
 	}
-	if got := m.PoolIDAt(i); got != pid {
-		t.Errorf("PoolIDAt(PoolIndex(%v)) = %v", pid, got)
+	for _, pid := range cat.Pools() {
+		if !pools[pid] {
+			t.Errorf("pool %v has no dense index", pid)
+		}
 	}
-	sid := cat.SpotMarkets()[42]
-	j, err := m.MarketIndex(sid)
-	if err != nil {
-		t.Fatal(err)
+	markets := make(map[market.SpotID]bool)
+	for i := 0; i < m.MarketCount(); i++ {
+		markets[m.MarketIDAt(i)] = true
 	}
-	if got := m.MarketIDAt(j); got != sid {
-		t.Errorf("MarketIDAt(MarketIndex(%v)) = %v", sid, got)
+	for _, sid := range cat.SpotMarkets() {
+		if !markets[sid] {
+			t.Errorf("market %v has no dense index", sid)
+		}
 	}
-	if _, err := m.PoolIndex(market.PoolID{Zone: "nowhere-1a", Family: "c3"}); err == nil {
-		t.Error("PoolIndex accepted unknown pool")
-	}
-	if _, err := m.MarketIndex(market.SpotID{Zone: "nowhere-1a", Type: "c3.large", Product: market.ProductLinux}); err == nil {
-		t.Error("MarketIndex accepted unknown market")
+	if len(pools) != m.PoolCount() || len(markets) != m.MarketCount() {
+		t.Errorf("dense indices repeat an ID: %d pools over %d indices, %d markets over %d",
+			len(pools), m.PoolCount(), len(markets), m.MarketCount())
 	}
 }
 

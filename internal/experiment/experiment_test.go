@@ -189,7 +189,7 @@ func TestCaseStudyMarketsAreSix(t *testing.T) {
 	}
 	cat := market.New()
 	for _, m := range ms {
-		if !cat.HasZone(m.Zone) || !cat.HasType(m.Type) {
+		if _, ok := cat.SpotIndex(m); !ok {
 			t.Errorf("case study market %v not in catalog", m)
 		}
 	}

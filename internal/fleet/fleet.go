@@ -13,7 +13,6 @@ package fleet
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"spotlight/internal/advisor"
@@ -32,29 +31,30 @@ type Config struct {
 	DB *store.Store
 	// Cat is the market catalog.
 	Cat *market.Catalog
-	// Advisor, when set, is shared (e.g. the query engine's); nil builds
-	// a private one over DB/Cat.
-	Advisor *advisor.Advisor
 	// Constraints is the workload description placements must satisfy.
 	Constraints api.AdviseConstraints
 	// Target is the desired instance count.
 	Target int
 	// Policy decides bids; nil means the threshold policy.
 	Policy BidPolicy
-	// Window is the advisor's history window; 0 means 6h.
-	Window time.Duration
-	// AvoidFor is how long an event-flagged market is excluded from
-	// placement; 0 means 1h.
-	AvoidFor time.Duration
-	// SpikeRatio is the spot/on-demand multiple at or above which a spike
-	// event triggers avoidance and migration; 0 means 1.0 (any crossing
-	// of the on-demand price).
-	SpikeRatio float64
-	// RepatriateEvery is the tick interval between attempts to move
-	// on-demand fallback capacity back to spot; 0 means 12 (one hour at
-	// 5-minute ticks).
-	RepatriateEvery int
 }
+
+// The manager's steering constants.
+const (
+	// window is the advisor's history window.
+	window = 6 * time.Hour
+	// avoidFor is how long an event-flagged market is excluded from
+	// placement.
+	avoidFor = time.Hour
+	// spikeRatio is the spot/on-demand multiple at or above which a spike
+	// event triggers avoidance and migration: any crossing of the
+	// on-demand price.
+	spikeRatio = 1.0
+	// repatriateEvery is the tick interval between attempts to move
+	// on-demand fallback capacity back to spot: one hour at 5-minute
+	// ticks.
+	repatriateEvery = 12
+)
 
 // Metrics is the manager's lifetime accounting.
 type Metrics struct {
@@ -121,10 +121,6 @@ type Manager struct {
 
 	tick int
 	m    Metrics
-
-	// obsSnap is the scrape-safe copy of m, republished after every Step
-	// (see metrics.go); collectors read it instead of racing m.
-	obsSnap atomic.Pointer[Metrics]
 }
 
 // New validates the config and builds a manager with an armed feed
@@ -141,22 +137,7 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = &Threshold{}
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 6 * time.Hour
-	}
-	if cfg.AvoidFor <= 0 {
-		cfg.AvoidFor = time.Hour
-	}
-	if cfg.SpikeRatio <= 0 {
-		cfg.SpikeRatio = 1.0
-	}
-	if cfg.RepatriateEvery <= 0 {
-		cfg.RepatriateEvery = 12
-	}
-	adv := cfg.Advisor
-	if adv == nil {
-		adv = advisor.New(cfg.DB, cfg.Cat)
-	}
+	adv := advisor.New(cfg.DB, cfg.Cat)
 	wire := cfg.Constraints
 	wire.N = advisor.MaxN
 	cons, err := adv.Normalize(wire)
@@ -204,7 +185,7 @@ func (m *Manager) Step(now time.Time) {
 	m.reap(now)
 	m.migrate(now)
 	m.fill(now)
-	if m.tick%m.cfg.RepatriateEvery == 0 {
+	if m.tick%repatriateEvery == 0 {
 		m.repatriate(now)
 	}
 
@@ -221,7 +202,6 @@ func (m *Manager) Step(now time.Time) {
 		Target:      m.cfg.Target,
 		Revocations: m.m.Revocations - revokedBefore,
 	})
-	m.publishSnap()
 }
 
 // drainEvents reads the subscription until it is caught up. A lagged
@@ -254,12 +234,12 @@ func (m *Manager) drainEvents(now time.Time) {
 func (m *Manager) handleEvent(ev store.Event, now time.Time) {
 	switch ev.Kind {
 	case store.EventSpike:
-		if ev.Spike != nil && ev.Spike.Ratio >= m.cfg.SpikeRatio {
-			m.avoid[ev.Market] = now.Add(m.cfg.AvoidFor)
+		if ev.Spike != nil && ev.Spike.Ratio >= spikeRatio {
+			m.avoid[ev.Market] = now.Add(avoidFor)
 		}
 	case store.EventRevocation:
 		// Someone's on-demand-priced bid just lost here; ours would too.
-		m.avoid[ev.Market] = now.Add(m.cfg.AvoidFor)
+		m.avoid[ev.Market] = now.Add(avoidFor)
 	case store.EventOutageOpen:
 		if ev.Outage != nil && ev.Outage.Kind == store.ProbeSpot {
 			m.outage[ev.Market] = true
@@ -320,7 +300,7 @@ func (m *Manager) reap(now time.Time) {
 		if revoked {
 			m.m.Revocations++
 			// The revoked market just proved hostile to our bid level.
-			m.avoid[s.mkt] = now.Add(m.cfg.AvoidFor)
+			m.avoid[s.mkt] = now.Add(avoidFor)
 		}
 		m.m.Cost += billedHours(end.Sub(s.launched), revoked) * s.rate
 		*s = slot{}
@@ -458,7 +438,7 @@ func (m *Manager) acquireOnDemand(now time.Time) (slot, bool) {
 // window. The advisor memoizes per generation, so repeated calls within
 // one tick cost one map probe.
 func (m *Manager) candidates(now time.Time) []api.AdviseCandidate {
-	return m.adv.Advise(m.cons, now.Add(-m.cfg.Window), now)
+	return m.adv.Advise(m.cons, now.Add(-window), now)
 }
 
 // release terminates a live instance and bills its runtime (user

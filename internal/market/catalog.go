@@ -157,7 +157,6 @@ type Catalog struct {
 	families    []Family
 	familyTypes map[Family][]InstanceType
 	spotMarkets []SpotID
-	odMarkets   []ODID
 	pools       []PoolID
 }
 
@@ -209,13 +208,6 @@ func New() *Catalog {
 		for _, t := range c.types {
 			for _, p := range Products {
 				c.spotMarkets = append(c.spotMarkets, SpotID{Zone: z, Type: t, Product: p})
-			}
-		}
-	}
-	for _, r := range c.regions {
-		for _, t := range c.types {
-			for _, p := range Products {
-				c.odMarkets = append(c.odMarkets, ODID{Region: r, Type: t, Product: p})
 			}
 		}
 	}
@@ -271,31 +263,8 @@ func (c *Catalog) SpotIndex(id SpotID) (int, bool) {
 	return (zi*len(c.types)+ti)*len(Products) + pi, true
 }
 
-// OnDemandMarkets returns every on-demand market in the catalog.
-func (c *Catalog) OnDemandMarkets() []ODID { return c.odMarkets }
-
 // Pools returns every physical capacity pool (zone x family).
 func (c *Catalog) Pools() []PoolID { return c.pools }
-
-// HasType reports whether t is in the catalog.
-func (c *Catalog) HasType(t InstanceType) bool {
-	_, ok := typeTable[t]
-	return ok
-}
-
-// HasZone reports whether z is in the catalog.
-func (c *Catalog) HasZone(z Zone) bool {
-	zones, ok := c.zonesByReg[z.RegionOf()]
-	if !ok {
-		return false
-	}
-	for _, have := range zones {
-		if have == z {
-			return true
-		}
-	}
-	return false
-}
 
 // Units returns the capacity weight of instance type t. It returns an
 // error for unknown types.

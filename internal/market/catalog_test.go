@@ -26,7 +26,7 @@ func TestCatalogCardinality(t *testing.T) {
 	}
 	// 9 regions x 53 types x 3 products = 1431 on-demand markets, the
 	// paper's "more than 1000 on-demand markets".
-	if got := len(c.OnDemandMarkets()); got != 9*53*3 {
+	if got := len(c.Regions()) * len(c.Types()) * len(Products); got != 9*53*3 {
 		t.Errorf("on-demand markets = %d, want %d", got, 9*53*3)
 	}
 	if got := len(c.Pools()); got != 26*len(c.Families()) {
@@ -199,28 +199,20 @@ func TestSpotIDDerivations(t *testing.T) {
 	if got := id.Pool(); got != (PoolID{Zone: "ap-southeast-2b", Family: "g2"}) {
 		t.Errorf("Pool = %+v", got)
 	}
-	od := id.OnDemand()
-	if od.Region != "ap-southeast-2" || od.Type != id.Type || od.Product != id.Product {
-		t.Errorf("OnDemand = %+v", od)
-	}
 }
 
 func TestInstanceTypeParsing(t *testing.T) {
 	tests := []struct {
 		give       InstanceType
 		wantFamily Family
-		wantSize   string
 	}{
-		{"c3.2xlarge", "c3", "2xlarge"},
-		{"t1.micro", "t1", "micro"},
-		{"weird", "weird", ""},
+		{"c3.2xlarge", "c3"},
+		{"t1.micro", "t1"},
+		{"weird", "weird"},
 	}
 	for _, tt := range tests {
 		if got := tt.give.Family(); got != tt.wantFamily {
 			t.Errorf("%s Family = %q, want %q", tt.give, got, tt.wantFamily)
-		}
-		if got := tt.give.Size(); got != tt.wantSize {
-			t.Errorf("%s Size = %q, want %q", tt.give, got, tt.wantSize)
 		}
 	}
 }
@@ -270,18 +262,6 @@ func TestRelatedUnion(t *testing.T) {
 	}
 }
 
-func TestSameTypeOtherZones(t *testing.T) {
-	c := New()
-	id := SpotID{Zone: "us-west-1a", Type: "m3.large", Product: ProductLinux}
-	rel := c.SameTypeOtherZones(id)
-	if len(rel) != 1 {
-		t.Fatalf("SameTypeOtherZones = %d, want 1", len(rel))
-	}
-	if rel[0].Zone != "us-west-1b" || rel[0].Type != id.Type {
-		t.Errorf("unexpected market %v", rel[0])
-	}
-}
-
 func TestUncorrelatedCandidates(t *testing.T) {
 	c := New()
 	id := SpotID{Zone: "ap-southeast-2a", Type: "g2.8xlarge", Product: ProductLinux}
@@ -321,25 +301,6 @@ func TestZoneRegionPrefixProperty(t *testing.T) {
 		if !strings.HasPrefix(string(z), string(r)) {
 			t.Errorf("zone %q does not extend region %q", z, r)
 		}
-		if !c.HasZone(z) {
-			t.Errorf("HasZone(%q) = false for catalog zone", z)
-		}
-	}
-	if c.HasZone("us-east-1z") {
-		t.Error("HasZone accepted a nonexistent zone")
-	}
-	if c.HasZone("atlantis-1a") {
-		t.Error("HasZone accepted a nonexistent region")
-	}
-}
-
-func TestHasType(t *testing.T) {
-	c := New()
-	if !c.HasType("c3.2xlarge") {
-		t.Error("HasType(c3.2xlarge) = false")
-	}
-	if c.HasType("z9.mega") {
-		t.Error("HasType(z9.mega) = true")
 	}
 }
 

@@ -41,9 +41,7 @@ func FuzzParseSpotID(f *testing.F) {
 		// Derived accessors must not panic on arbitrary content.
 		_ = id.Region()
 		_ = id.Pool()
-		_ = id.OnDemand()
 		_ = id.Type.Family()
-		_ = id.Type.Size()
 		_ = strings.Contains(string(id.Product), ":")
 		i, found := cat.SpotIndex(id)
 		switch {

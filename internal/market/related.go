@@ -46,19 +46,6 @@ func (c *Catalog) Related(id SpotID) []SpotID {
 	return out
 }
 
-// SameTypeOtherZones returns the markets selling exactly id's type and
-// product in the region's other availability zones.
-func (c *Catalog) SameTypeOtherZones(id SpotID) []SpotID {
-	var out []SpotID
-	for _, z := range c.ZonesIn(id.Region()) {
-		if z == id.Zone {
-			continue
-		}
-		out = append(out, SpotID{Zone: z, Type: id.Type, Product: id.Product})
-	}
-	return out
-}
-
 // UncorrelatedCandidates returns spot markets in the same region whose
 // family differs from id's family. Per the case studies (Chapter 6), these
 // are hosted on different physical servers, so their availability is

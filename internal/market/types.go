@@ -58,15 +58,6 @@ func (t InstanceType) Family() Family {
 	return Family(s)
 }
 
-// Size returns the size suffix of the type ("c3.2xlarge" -> "2xlarge").
-func (t InstanceType) Size() string {
-	s := string(t)
-	if i := strings.IndexByte(s, '.'); i >= 0 {
-		return s[i+1:]
-	}
-	return ""
-}
-
 // SpotID identifies one spot market: an instance type sold under a product
 // platform in a single availability zone, each with its own dynamic price.
 type SpotID struct {
@@ -115,13 +106,6 @@ func (id SpotID) Compare(o SpotID) int {
 // Region returns the region containing the market's zone.
 func (id SpotID) Region() Region { return id.Zone.RegionOf() }
 
-// OnDemand returns the on-demand market corresponding to this spot market.
-// On-demand markets are tracked per region (Chapter 4), though individual
-// probes still target this market's specific zone.
-func (id SpotID) OnDemand() ODID {
-	return ODID{Region: id.Region(), Type: id.Type, Product: id.Product}
-}
-
 // ParseSpotID parses the "zone:type:product" form produced by String.
 func ParseSpotID(s string) (SpotID, error) {
 	parts := strings.SplitN(s, ":", 3)
@@ -162,19 +146,6 @@ func (id *SpotID) UnmarshalJSON(data []byte) error {
 	}
 	*id = parsed
 	return nil
-}
-
-// ODID identifies one on-demand market: an instance type sold under a
-// product platform in a region at a fixed price.
-type ODID struct {
-	Region  Region
-	Type    InstanceType
-	Product Product
-}
-
-// String renders the ID as "region:type:product".
-func (id ODID) String() string {
-	return string(id.Region) + ":" + string(id.Type) + ":" + string(id.Product)
 }
 
 // PoolID identifies one physical capacity pool. Following the paper's model

@@ -52,17 +52,9 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a settable instantaneous value. Nil-receiver safe like
+// Gauge is an instantaneous value moved by deltas. Nil-receiver safe like
 // Counter.
 type Gauge struct{ v atomic.Int64 }
-
-// Set stores v. No-op on a nil receiver.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
 
 // Add adds delta (negative to decrement). No-op on a nil receiver.
 func (g *Gauge) Add(delta int64) {

@@ -23,7 +23,6 @@ func TestNilRegistryAndMetricsAreNoOps(t *testing.T) {
 	// None of these may panic.
 	c.Inc()
 	c.Add(5)
-	g.Set(3)
 	g.Add(-1)
 	h.Observe(time.Millisecond)
 	r.CounterFunc("f", "", func() float64 { return 1 })
@@ -53,7 +52,7 @@ func TestCounterGaugeGetOrCreate(t *testing.T) {
 		t.Fatalf("counter = %d, want 3", got)
 	}
 	g := r.Gauge("inflight", "")
-	g.Set(7)
+	g.Add(7)
 	g.Add(-2)
 	if g.Value() != 5 {
 		t.Fatalf("gauge = %d, want 5", g.Value())
@@ -88,7 +87,7 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("spot_requests_total", "Requests served.", "route", "/v1/summary", "status", "200").Add(4)
-	r.Gauge("spot_in_flight", "In flight.").Set(2)
+	r.Gauge("spot_in_flight", "In flight.").Add(2)
 	r.Histogram("spot_latency_seconds", "Latency.", "route", "/v1/summary").Observe(2 * time.Millisecond)
 	r.GaugeFunc("spot_generation", "Store generation.", func() float64 { return 42 })
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"spotlight/internal/market"
 	"spotlight/internal/store"
 	"spotlight/pkg/api"
 )
@@ -213,4 +214,45 @@ func TestBatchAdvise(t *testing.T) {
 	if bad.Error == nil || bad.Error.Code != api.CodeBadParam {
 		t.Errorf("bad-region arm = %+v, want bad_param", bad)
 	}
+}
+
+// FuzzAdviseBody posts arbitrary bodies to POST /v2/advise over a small
+// store. The body is untrusted input, so every answer must be a 200 with
+// an ETag and a decodable api.AdviseResponse, or a 400 whose api.Error
+// has a code: never a panic, never a 5xx.
+func FuzzAdviseBody(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"regions":["atlantis-1"]}`,
+		`{"instanceTypes":"["}`,
+		`{"n":101}`,
+		`{"maxInterruptionRate":1.5}`,
+		`{"regions":["us-east-1"],"instanceTypes":"c3.*","minVCPU":4,"window":"24h"}`,
+		`{"regions":["us-east-1"],"n":`,
+	} {
+		f.Add([]byte(seed))
+	}
+	db := store.New()
+	seedAdvisePrices(db)
+	h := NewAPI(NewEngine(db, market.New()), func() time.Time { return t0.Add(24 * time.Hour) }).Handler()
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v2/advise", bytes.NewReader(body)))
+		out := w.Body.Bytes()
+		switch w.Code {
+		case http.StatusOK:
+			var resp api.AdviseResponse
+			if err := json.Unmarshal(out, &resp); err != nil || w.Header().Get(api.HeaderETag) == "" {
+				t.Fatalf("%q: 200 with ETag %q and body %q (%v)", body, w.Header().Get(api.HeaderETag), out, err)
+			}
+		case http.StatusBadRequest:
+			var e api.Error
+			if err := json.Unmarshal(out, &e); err != nil || e.Code == "" {
+				t.Fatalf("%q: 400 body %q is not an error envelope (%v)", body, out, err)
+			}
+		default:
+			t.Fatalf("%q: status %d, body %q", body, w.Code, out)
+		}
+	})
 }

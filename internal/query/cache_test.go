@@ -192,37 +192,6 @@ func TestUnavailabilityCachePerMarket(t *testing.T) {
 	}
 }
 
-// TestPriceSummaryCache: windowed price stats cache per market generation
-// and recompute after a price append.
-func TestPriceSummaryCache(t *testing.T) {
-	e, db := seededEngine(t)
-	db.RecordPrice(mktA, store.PricePoint{At: t0.Add(time.Hour), Price: 2})
-	db.RecordPrice(mktA, store.PricePoint{At: t0.Add(2 * time.Hour), Price: 4})
-	from, to := t0, t0.Add(24*time.Hour)
-
-	st, err := e.PriceSummary(mktA, from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Samples != 2 || st.Min != 2 || st.Max != 4 || st.Mean != 3 {
-		t.Fatalf("price summary = %+v, want 2 samples min=2 mean=3 max=4", st)
-	}
-	if _, err := e.PriceSummary(mktA, from, to); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := e.CacheStats(); hits != 1 || misses != 1 {
-		t.Fatalf("price summary hits/misses = %d/%d, want 1/1", hits, misses)
-	}
-	db.RecordPrice(mktA, store.PricePoint{At: t0.Add(3 * time.Hour), Price: 9})
-	st, err = e.PriceSummary(mktA, from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Samples != 3 || st.Max != 9 {
-		t.Errorf("recomputed price summary = %+v, want 3 samples max=9", st)
-	}
-}
-
 // TestSetCachingDisables: with caching off the engine recomputes every
 // time and reports zero stats.
 func TestSetCachingDisables(t *testing.T) {

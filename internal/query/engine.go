@@ -53,9 +53,8 @@ func NewEngine(db *store.Store, cat *market.Catalog) *Engine {
 	return &Engine{db: db, cat: cat, cache: newResultCache(0), adv: advisor.New(db, cat)}
 }
 
-// Advisor returns the engine's decision layer, for in-process consumers
-// (the fleet manager) that want to share its generation-keyed memo with
-// the /v2/advise endpoint.
+// Advisor returns the engine's decision layer, the one /v2/advise ranks
+// with, so its metrics can read the generation-keyed memo's counters.
 func (e *Engine) Advisor() *advisor.Advisor { return e.adv }
 
 // SetCaching enables or disables the response cache (it is on by
@@ -402,51 +401,6 @@ func (e *Engine) Markets(region market.Region, product market.Product) ([]Market
 	return out, nil
 }
 
-// AvailabilityCorrelation returns the Pearson correlation of the two
-// markets' detected on-demand outage indicators, sampled over [from, to]
-// at the given resolution (default 5 minutes). This is the quantitative
-// backing for Chapter 6's "select markets that are independent, i.e.,
-// hosted on different physical servers": a good fallback market has a
-// correlation near zero (or is never out at all, in which case the
-// correlation is also zero).
-func (e *Engine) AvailabilityCorrelation(m1, m2 market.SpotID, from, to time.Time, resolution time.Duration) (float64, error) {
-	if !to.After(from) {
-		return 0, ErrBadWindow
-	}
-	if resolution <= 0 {
-		resolution = 5 * time.Minute
-	}
-	indicator := func(m market.SpotID) []float64 {
-		outs := e.db.OutagesFor(m, store.ProbeOnDemand)
-		var series []float64
-		for t := from; t.Before(to); t = t.Add(resolution) {
-			v := 0.0
-			for _, o := range outs {
-				end := o.End
-				if end.IsZero() {
-					end = to
-				}
-				if !t.Before(o.Start) && t.Before(end) {
-					v = 1
-					break
-				}
-			}
-			series = append(series, v)
-		}
-		return series
-	}
-	return stats.Pearson(indicator(m1), indicator(m2))
-}
-
-// PriceStats summarizes a recorded price series over a window.
-type PriceStats struct {
-	Market  market.SpotID `json:"market"`
-	Samples int           `json:"samples"`
-	Min     float64       `json:"min"`
-	Mean    float64       `json:"mean"`
-	Max     float64       `json:"max"`
-}
-
 // Prices returns the recorded price points of a market within the window,
 // sliced out of the market's shard by binary search.
 func (e *Engine) Prices(m market.SpotID, from, to time.Time) ([]store.PricePoint, error) {
@@ -454,24 +408,4 @@ func (e *Engine) Prices(m market.SpotID, from, to time.Time) ([]store.PricePoint
 		return nil, ErrBadWindow
 	}
 	return e.db.PricesIn(m, from, to), nil
-}
-
-// PriceSummary computes min/mean/max of the recorded series in a window.
-// The fold runs inside the market's shard (store.PriceStatsIn) — no copy
-// of the series is allocated — and the result is cached per (market,
-// window) until the market's shard sees an append.
-func (e *Engine) PriceSummary(m market.SpotID, from, to time.Time) (PriceStats, error) {
-	if !to.After(from) {
-		return PriceStats{}, ErrBadWindow
-	}
-	compute := func() (PriceStats, error) {
-		w := e.db.PriceStatsIn(m, from, to)
-		return PriceStats{Market: m, Samples: w.Samples, Min: w.Min, Mean: w.Mean, Max: w.Max}, nil
-	}
-	if e.cache == nil {
-		return compute()
-	}
-	gen := e.db.Generation(m)
-	key := fmt.Sprintf("pricesum|%s|%d|%d", m, from.UnixNano(), to.UnixNano())
-	return memoize(e.cache, key, gen, compute)
 }

@@ -192,43 +192,6 @@ func TestSummaryAggregates(t *testing.T) {
 	}
 }
 
-func TestAvailabilityCorrelation(t *testing.T) {
-	e, db := seededEngine(t)
-	to := t0.Add(24 * time.Hour)
-	// Perfectly overlapping outages -> correlation 1.
-	addOutage(db, mktA, store.ProbeOnDemand, t0.Add(2*time.Hour), t0.Add(4*time.Hour))
-	addOutage(db, mktB, store.ProbeOnDemand, t0.Add(2*time.Hour), t0.Add(4*time.Hour))
-	r, err := e.AvailabilityCorrelation(mktA, mktB, t0, to, 5*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-1) > 1e-9 {
-		t.Errorf("overlapping outages corr = %v, want 1", r)
-	}
-	// A market that never fails has zero variance -> correlation 0.
-	never := market.SpotID{Zone: "us-west-2a", Type: "m4.large", Product: market.ProductLinux}
-	r, err = e.AvailabilityCorrelation(mktA, never, t0, to, 5*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 0 {
-		t.Errorf("corr with always-available market = %v, want 0", r)
-	}
-	// Disjoint outages are anti-correlated.
-	disjoint := market.SpotID{Zone: "eu-west-1a", Type: "r3.large", Product: market.ProductLinux}
-	addOutage(db, disjoint, store.ProbeOnDemand, t0.Add(10*time.Hour), t0.Add(12*time.Hour))
-	r, err = e.AvailabilityCorrelation(mktA, disjoint, t0, to, 5*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r >= 0 {
-		t.Errorf("disjoint outages corr = %v, want negative", r)
-	}
-	if _, err := e.AvailabilityCorrelation(mktA, mktB, to, t0, 0); err != ErrBadWindow {
-		t.Errorf("err = %v, want ErrBadWindow", err)
-	}
-}
-
 func TestPricesAndSummaryStats(t *testing.T) {
 	e, db := seededEngine(t)
 	for i, p := range []float64{0.1, 0.3, 0.2} {
@@ -236,21 +199,21 @@ func TestPricesAndSummaryStats(t *testing.T) {
 	}
 	db.RecordPrice(mktA, store.PricePoint{At: t0.Add(48 * time.Hour), Price: 9}) // outside window
 
-	st, err := e.PriceSummary(mktA, t0, t0.Add(24*time.Hour))
+	got, err := e.Prices(mktA, t0, t0.Add(24*time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Samples != 3 {
-		t.Fatalf("samples = %d, want 3", st.Samples)
+	if len(got) != 3 || got[0].Price != 0.1 || got[1].Price != 0.3 || got[2].Price != 0.2 {
+		t.Fatalf("prices = %+v, want the three in-window points in order", got)
 	}
-	if st.Min != 0.1 || st.Max != 0.3 || math.Abs(st.Mean-0.2) > 1e-9 {
-		t.Errorf("stats = %+v", st)
-	}
-	empty, err := e.PriceSummary(mktB, t0, t0.Add(time.Hour))
+	empty, err := e.Prices(mktB, t0, t0.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.Samples != 0 {
-		t.Errorf("empty summary = %+v", empty)
+	if len(empty) != 0 {
+		t.Errorf("empty window = %+v", empty)
+	}
+	if _, err := e.Prices(mktA, t0, t0); err != ErrBadWindow {
+		t.Errorf("empty window err = %v, want ErrBadWindow", err)
 	}
 }

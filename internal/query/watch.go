@@ -62,14 +62,6 @@ func (a *API) SetWatchLimit(n int) {
 	}
 }
 
-// SetWatchHeartbeat overrides the idle heartbeat interval (d <= 0 keeps
-// the default). Call before serving.
-func (a *API) SetWatchHeartbeat(d time.Duration) {
-	if d > 0 {
-		a.watchHeartbeat = d
-	}
-}
-
 // Shutdown closes every open watch stream so the owning http.Server can
 // drain; subsequent watch requests are refused with 429. Idempotent.
 func (a *API) Shutdown() {

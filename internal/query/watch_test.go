@@ -405,7 +405,7 @@ func TestWatchShutdownClosesStreams(t *testing.T) {
 func TestWatchHeartbeat(t *testing.T) {
 	db := store.New()
 	a := NewAPI(NewEngine(db, market.New()), func() time.Time { return t0 })
-	a.SetWatchHeartbeat(50 * time.Millisecond)
+	a.watchHeartbeat = 50 * time.Millisecond
 	srv := httptest.NewServer(a.Handler())
 	defer srv.Close()
 	defer a.Shutdown()

@@ -43,16 +43,9 @@ func (r *Replicator) loadCursor(p *store.Persister) error {
 	if err != nil || !ok {
 		return err
 	}
-	var cur cursorFile
-	if err := json.Unmarshal(data, &cur); err != nil {
-		return fmt.Errorf("replica: decode cursor: %w", err)
-	}
-	if cur.Version != cursorVersion {
-		return fmt.Errorf("replica: cursor version %d is not %d", cur.Version, cursorVersion)
-	}
-	salt, err := strconv.ParseUint(cur.Salt, 16, 64)
+	cur, salt, err := decodeCursor(data)
 	if err != nil {
-		return fmt.Errorf("replica: cursor salt %q: %w", cur.Salt, err)
+		return err
 	}
 	r.salt.Store(salt)
 	r.saltKnown.Store(true)
@@ -64,6 +57,23 @@ func (r *Replicator) loadCursor(p *store.Persister) error {
 		r.token = cur.LastEventID
 	}
 	return nil
+}
+
+// decodeCursor parses a saved cursor and its hex salt. It checks only the
+// bytes; loadCursor decides what the cursor may resume.
+func decodeCursor(data []byte) (cursorFile, uint64, error) {
+	var cur cursorFile
+	if err := json.Unmarshal(data, &cur); err != nil {
+		return cursorFile{}, 0, fmt.Errorf("replica: decode cursor: %w", err)
+	}
+	if cur.Version != cursorVersion {
+		return cursorFile{}, 0, fmt.Errorf("replica: cursor version %d is not %d", cur.Version, cursorVersion)
+	}
+	salt, err := strconv.ParseUint(cur.Salt, 16, 64)
+	if err != nil {
+		return cursorFile{}, 0, fmt.Errorf("replica: cursor salt %q: %w", cur.Salt, err)
+	}
+	return cur, salt, nil
 }
 
 // persistCursor flushes the store, then saves the position the flushed

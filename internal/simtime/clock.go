@@ -59,17 +59,6 @@ func (c *SimClock) Advance(d time.Duration) time.Time {
 	return c.now
 }
 
-// Set positions the clock at t. Setting the clock before its current
-// position panics for the same reason Advance rejects negative durations.
-func (c *SimClock) Set(t time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t.Before(c.now) {
-		panic("simtime: cannot set clock backwards")
-	}
-	c.now = t
-}
-
 // StudyEpoch is the canonical start instant for simulated studies. The
 // concrete date is arbitrary but fixed so that seeded runs are fully
 // reproducible; it matches the paper's measurement period (fall 2015).

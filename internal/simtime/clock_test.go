@@ -28,17 +28,6 @@ func TestSimClockAdvance(t *testing.T) {
 	}
 }
 
-func TestSimClockSet(t *testing.T) {
-	c := NewSimClock(StudyEpoch)
-	target := StudyEpoch.Add(time.Hour)
-	c.Set(target)
-	if !c.Now().Equal(target) {
-		t.Errorf("Now() = %v, want %v", c.Now(), target)
-	}
-	// Setting to the same instant is allowed.
-	c.Set(target)
-}
-
 func TestSimClockRefusesTimeTravel(t *testing.T) {
 	c := NewSimClock(StudyEpoch)
 	assertPanics := func(name string, f func()) {
@@ -51,7 +40,6 @@ func TestSimClockRefusesTimeTravel(t *testing.T) {
 		f()
 	}
 	assertPanics("Advance(-1)", func() { c.Advance(-time.Second) })
-	assertPanics("Set(past)", func() { c.Set(StudyEpoch.Add(-time.Second)) })
 }
 
 func TestSimClockConcurrentReads(t *testing.T) {

@@ -65,9 +65,6 @@ type Config struct {
 	// Fallback picks the migration target; nil means the same market
 	// (the paper's baseline).
 	Fallback FallbackPolicy
-	// MigrationPause is the nested VM pause per migration (the bounded
-	// final memory copy; §6.1). Default 1 second.
-	MigrationPause time.Duration
 	// Tick is the evaluation granularity. Default 1 minute.
 	Tick time.Duration
 	// From/To bound the simulation; zero values use the trace extent.
@@ -97,6 +94,10 @@ type Result struct {
 	MeanHourlyCost float64
 }
 
+// migrationPause is the nested VM pause per migration: the bounded final
+// memory copy (§6.1).
+const migrationPause = time.Second
+
 // vmState is where the nested VM currently runs.
 type vmState int
 
@@ -116,9 +117,6 @@ func Run(cfg Config) (Result, error) {
 	}
 	if cfg.ODPrice <= 0 {
 		return Result{}, errors.New("spotcheck: non-positive on-demand price")
-	}
-	if cfg.MigrationPause <= 0 {
-		cfg.MigrationPause = time.Second
 	}
 	if cfg.Tick <= 0 {
 		cfg.Tick = time.Minute
@@ -155,7 +153,7 @@ func Run(cfg Config) (Result, error) {
 
 	migrate := func(t time.Time) {
 		// A bounded-time live migration pauses the VM briefly.
-		res.Downtime += cfg.MigrationPause
+		res.Downtime += migrationPause
 	}
 
 	for t := cfg.From; t.Before(cfg.To); t = t.Add(cfg.Tick) {

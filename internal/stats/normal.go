@@ -8,79 +8,6 @@ func NormCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// Coefficients for Acklam's rational approximation to the inverse of the
-// standard normal CDF. Relative error is below 1.15e-9 over the full open
-// interval, which is far tighter than anything the simulator's bid curve
-// needs.
-var (
-	acklamA = [6]float64{
-		-3.969683028665376e+01, 2.209460984245205e+02,
-		-2.759285104469687e+02, 1.383577518672690e+02,
-		-3.066479806614716e+01, 2.506628277459239e+00,
-	}
-	acklamB = [5]float64{
-		-5.447609879822406e+01, 1.615858368580409e+02,
-		-1.556989798598866e+02, 6.680131188771972e+01,
-		-1.328068155288572e+01,
-	}
-	acklamC = [6]float64{
-		-7.784894002430293e-03, -3.223964580411365e-01,
-		-2.400758277161838e+00, -2.549732539343734e+00,
-		4.374664141464968e+00, 2.938163982698783e+00,
-	}
-	acklamD = [4]float64{
-		7.784695709041462e-03, 3.224671290700398e-01,
-		2.445134137142996e+00, 3.754408661907416e+00,
-	}
-)
-
-// NormInv returns the inverse of the standard normal CDF (the quantile
-// function) evaluated at p. It returns -Inf for p <= 0 and +Inf for p >= 1.
-func NormInv(p float64) float64 {
-	switch {
-	case math.IsNaN(p):
-		return math.NaN()
-	case p <= 0:
-		return math.Inf(-1)
-	case p >= 1:
-		return math.Inf(1)
-	}
-
-	const (
-		pLow  = 0.02425
-		pHigh = 1 - pLow
-	)
-	var x float64
-	switch {
-	case p < pLow:
-		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((acklamC[0]*q+acklamC[1])*q+acklamC[2])*q+acklamC[3])*q+acklamC[4])*q + acklamC[5]) /
-			((((acklamD[0]*q+acklamD[1])*q+acklamD[2])*q+acklamD[3])*q + 1)
-	case p <= pHigh:
-		q := p - 0.5
-		r := q * q
-		x = (((((acklamA[0]*r+acklamA[1])*r+acklamA[2])*r+acklamA[3])*r+acklamA[4])*r + acklamA[5]) * q /
-			(((((acklamB[0]*r+acklamB[1])*r+acklamB[2])*r+acklamB[3])*r+acklamB[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((acklamC[0]*q+acklamC[1])*q+acklamC[2])*q+acklamC[3])*q+acklamC[4])*q + acklamC[5]) /
-			((((acklamD[0]*q+acklamD[1])*q+acklamD[2])*q+acklamD[3])*q + 1)
-	}
-
-	// One step of Halley's method sharpens the approximation to close to
-	// machine precision; cheap and keeps the property tests honest.
-	e := NormCDF(x) - p
-	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	x -= u / (1 + x*u/2)
-	return x
-}
-
-// LogNormalQuantile returns the q-th quantile of a lognormal distribution
-// with log-mean mu and log-stddev sigma.
-func LogNormalQuantile(mu, sigma, q float64) float64 {
-	return math.Exp(mu + sigma*NormInv(q))
-}
-
 // LogNormalCDF returns P(X <= x) for a lognormal distribution with log-mean
 // mu and log-stddev sigma. It returns 0 for x <= 0.
 func LogNormalCDF(mu, sigma, x float64) float64 {

@@ -28,9 +28,6 @@ func (s *Store) Appender(id market.SpotID) *Appender {
 	return &Appender{store: s, id: id}
 }
 
-// Market returns the market the handle is bound to.
-func (a *Appender) Market() market.SpotID { return a.id }
-
 // shard resolves (and memoizes) the bound market's shard, creating it on
 // the first write.
 func (a *Appender) shard() *shard {
@@ -41,9 +38,6 @@ func (a *Appender) shard() *shard {
 	a.sh.Store(sh)
 	return sh
 }
-
-// AppendProbe logs one probe of the bound market.
-func (a *Appender) AppendProbe(r ProbeRecord) { a.AppendProbes([]ProbeRecord{r}) }
 
 // AppendProbes logs a batch of probes of the bound market in one append
 // round, preserving input order (the monitor tick flush, bulk loads).

@@ -81,10 +81,10 @@ func TestConcurrentShardedWrites(t *testing.T) {
 					if rejected {
 						totalRejected.Add(1)
 					}
-					app.AppendProbe(ProbeRecord{
+					app.AppendProbes([]ProbeRecord{{
 						At: at, Market: id, Kind: ProbeOnDemand,
 						Trigger: TriggerSpike, TriggerMarket: id, Rejected: rejected, Cost: 0.25,
-					})
+					}})
 					app.AppendSpike(SpikeEvent{At: at, Market: id, Ratio: 0.5 + float64(i%4)})
 					app.RecordPrice(PricePoint{At: at, Price: float64(i)})
 				}
@@ -186,7 +186,7 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 		defer close(done)
 		app := s.Appender(id)
 		for i := 0; i < 5000; i++ {
-			app.AppendProbe(ProbeRecord{At: base.Add(time.Duration(i) * time.Second), Market: id, Kind: ProbeSpot, Cost: 0.01})
+			app.AppendProbes([]ProbeRecord{{At: base.Add(time.Duration(i) * time.Second), Market: id, Kind: ProbeSpot, Cost: 0.01}})
 		}
 	}()
 	for {

@@ -87,7 +87,7 @@ func TestAppendProbesMatchesSingles(t *testing.T) {
 				var toB []ProbeRecord
 				for _, r := range in.probes {
 					if r.Market == mktA {
-						appA.AppendProbe(r)
+						appA.AppendProbes([]ProbeRecord{r})
 					} else {
 						toB = append(toB, r)
 					}
@@ -289,13 +289,14 @@ func TestAppenderAppendProbes(t *testing.T) {
 	appA, appB := s.Appender(mktA), s.Appender(mktB)
 	var wg sync.WaitGroup
 	for g, app := range map[int]*Appender{0: appA, 1: appB} {
+		id := []market.SpotID{mktA, mktB}[g]
 		wg.Add(1)
 		go func(g int, app *Appender) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				batch := []ProbeRecord{
-					probe(t0.Add(time.Duration(i)*time.Minute), app.Market(), ProbeOnDemand, false),
-					probe(t0.Add(time.Duration(i)*time.Minute+30*time.Second), app.Market(), ProbeSpot, false),
+					probe(t0.Add(time.Duration(i)*time.Minute), id, ProbeOnDemand, false),
+					probe(t0.Add(time.Duration(i)*time.Minute+30*time.Second), id, ProbeSpot, false),
 				}
 				app.AppendProbes(batch)
 			}

@@ -63,8 +63,8 @@ func goldenWorkload(s *Store, p *Persister) error {
 	}
 
 	// Post-snapshot records: recovered from the log only.
-	appA.AppendProbe(ProbeRecord{At: base.Add(20 * time.Minute), Market: goldenA, Kind: ProbeSpot,
-		Trigger: TriggerCross, TriggerMarket: goldenA, SourceKind: ProbeOnDemand, Bid: 0.4, Cost: 0.01})
+	appA.AppendProbes([]ProbeRecord{{At: base.Add(20 * time.Minute), Market: goldenA, Kind: ProbeSpot,
+		Trigger: TriggerCross, TriggerMarket: goldenA, SourceKind: ProbeOnDemand, Bid: 0.4, Cost: 0.01}})
 	appA.RecordPrice(PricePoint{At: base.Add(20 * time.Minute), Price: 0.29})
 	appB.AppendSpike(SpikeEvent{At: base.Add(21 * time.Minute), Market: goldenB, Price: 0.9, Ratio: 0.8})
 	appB.AppendRevocation(RevocationRecord{At: base.Add(25 * time.Minute), Market: goldenB, Bid: 1.0, Held: 95 * time.Minute})

@@ -162,11 +162,11 @@ func TestUnflushedAppendsAreLostCleanly(t *testing.T) {
 	}
 	id := persistMarket(0)
 	app := s.Appender(id)
-	app.AppendProbe(ProbeRecord{At: persistBase, Market: id, Kind: ProbeSpot})
+	app.AppendProbes([]ProbeRecord{{At: persistBase, Market: id, Kind: ProbeSpot}})
 	if err := s.Persister().Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	app.AppendProbe(ProbeRecord{At: persistBase.Add(time.Minute), Market: id, Kind: ProbeSpot})
+	app.AppendProbes([]ProbeRecord{{At: persistBase.Add(time.Minute), Market: id, Kind: ProbeSpot}})
 
 	s.Persister().Abandon()
 	re, err := Open(dir, PersistOptions{})
@@ -215,7 +215,7 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 
 	// Post-snapshot appends land in a fresh file and replay on top.
 	id := persistMarket(0)
-	s.Appender(id).AppendProbe(ProbeRecord{At: persistBase.Add(100 * time.Hour), Market: id, Kind: ProbeSpot, Cost: 0.5})
+	s.Appender(id).AppendProbes([]ProbeRecord{{At: persistBase.Add(100 * time.Hour), Market: id, Kind: ProbeSpot, Cost: 0.5}})
 	if err := p.Flush(); err != nil {
 		t.Fatalf("Flush after snapshot: %v", err)
 	}
@@ -616,7 +616,7 @@ func TestWriteJSONConsistentCut(t *testing.T) {
 			app := s.Appender(id)
 			for i := 0; i < pairs; i++ {
 				at := persistBase.Add(time.Duration(i) * time.Second)
-				app.AppendProbe(ProbeRecord{At: at, Market: id, Kind: ProbeOnDemand})
+				app.AppendProbes([]ProbeRecord{{At: at, Market: id, Kind: ProbeOnDemand}})
 				app.AppendSpike(SpikeEvent{At: at, Market: id, Price: 1, Ratio: 2})
 			}
 		}()
@@ -709,7 +709,7 @@ func TestClockResumesFromRecoveredRecordsAfterCrash(t *testing.T) {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	newest := persistBase.Add(3 * time.Hour)
-	s.Appender(id).AppendProbe(ProbeRecord{At: newest, Market: id, Kind: ProbeSpot})
+	s.Appender(id).AppendProbes([]ProbeRecord{{At: newest, Market: id, Kind: ProbeSpot}})
 	p.NoteClock(newest) // noted in memory only; never persisted
 	if err := p.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -802,7 +802,7 @@ func TestOpenDropsHeaderOnlySegment(t *testing.T) {
 		t.Fatalf("header-only log file survived recovery: stat err = %v", err)
 	}
 	id := persistMarket(0)
-	s.Appender(id).AppendProbe(ProbeRecord{At: persistBase, Market: id, Kind: ProbeSpot})
+	s.Appender(id).AppendProbes([]ProbeRecord{{At: persistBase, Market: id, Kind: ProbeSpot}})
 	if err := s.Persister().Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}

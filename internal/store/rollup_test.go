@@ -107,12 +107,12 @@ func scopeRecords(s *Store, region market.Region, product market.Product) uint64
 			n++
 		}
 	}
-	for _, r := range s.BidSpreads() {
+	for _, r := range allBidSpreads(s) {
 		if in(r.Market) {
 			n++
 		}
 	}
-	for _, r := range s.Revocations() {
+	for _, r := range allRevocations(s) {
 		if in(r.Market) {
 			n++
 		}

@@ -595,7 +595,6 @@ func (sh *shard) outageOverlapLocked(kind ProbeKind, from, to time.Time) time.Du
 // Timestamp accessors shared by the window helpers.
 func probeAt(r ProbeRecord) time.Time           { return r.At }
 func spikeAt(e SpikeEvent) time.Time            { return e.At }
-func priceAt(p PricePoint) time.Time            { return p.At }
 func revocationAt(r RevocationRecord) time.Time { return r.At }
 func bidSpreadAt(r BidSpreadRecord) time.Time   { return r.At }
 func outageAt(o OutageRecord) time.Time         { return o.Start }

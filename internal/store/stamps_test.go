@@ -116,8 +116,8 @@ func TestStampsMaterializeIdenticallyLiveAndRecovered(t *testing.T) {
 	}{{"reopened", reopened}, {"ReadJSON", loaded}} {
 		sameRecords(t, st.what+" probes", st.db.Probes(), live.Probes())
 		sameRecords(t, st.what+" spikes", st.db.Spikes(), live.Spikes())
-		sameRecords(t, st.what+" bid spreads", st.db.BidSpreads(), live.BidSpreads())
-		sameRecords(t, st.what+" revocations", st.db.Revocations(), live.Revocations())
+		sameRecords(t, st.what+" bid spreads", allBidSpreads(st.db), allBidSpreads(live))
+		sameRecords(t, st.what+" revocations", allRevocations(st.db), allRevocations(live))
 		sameRecords(t, st.what+" outages", st.db.Outages(), live.Outages())
 		sameRecords(t, st.what+" prices", st.db.Prices(id), live.Prices(id))
 	}

@@ -576,12 +576,6 @@ func (s *Store) Markets() []market.SpotID {
 	return out
 }
 
-// Revocations returns all revocation-watch observations merged across
-// shards, oldest first.
-func (s *Store) Revocations() []RevocationRecord {
-	return mergeByTime(s.captureAll(), shardCapture.revocationRun, revocationAt)
-}
-
 // RevocationsFor returns one market's revocation observations within
 // [from, to], oldest first when appends were time-ordered.
 func (s *Store) RevocationsFor(id market.SpotID, from, to time.Time) []RevocationRecord {
@@ -712,12 +706,6 @@ func (s *Store) CrossingStatsFor(id market.SpotID, from, to time.Time) CrossingS
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.crossingStatsLocked(from, to)
-}
-
-// BidSpreads returns all intrinsic-price search results merged across
-// shards, oldest first.
-func (s *Store) BidSpreads() []BidSpreadRecord {
-	return mergeByTime(s.captureAll(), shardCapture.bidSpreadRun, bidSpreadAt)
 }
 
 // BidSpreadsFor returns one market's intrinsic-price search results.
