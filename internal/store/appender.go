@@ -14,8 +14,9 @@ import (
 // Markets() keeps its "at least one record" contract. All
 // methods are safe for concurrent use.
 //
-// Records written through an Appender must target the bound market; the
-// Market field of each record is routed by the handle, not re-checked.
+// A record written through an Appender is the bound market's: the handle
+// routes it, and the store serves, logs and publishes it under that market
+// whatever its own Market field says.
 type Appender struct {
 	store *Store
 	id    market.SpotID
@@ -45,21 +46,21 @@ func (a *Appender) AppendProbes(rs []ProbeRecord) {
 	if len(rs) == 0 {
 		return
 	}
-	a.shard().appendProbes(rs)
+	appendRows(a.shard(), rs)
 }
 
 // AppendSpike logs one threshold crossing of the bound market.
-func (a *Appender) AppendSpike(e SpikeEvent) { a.shard().appendSpikes([]SpikeEvent{e}) }
+func (a *Appender) AppendSpike(e SpikeEvent) { appendRows(a.shard(), []SpikeEvent{e}) }
 
 // AppendBidSpread logs one intrinsic-price search of the bound market.
 func (a *Appender) AppendBidSpread(r BidSpreadRecord) {
-	a.shard().appendBidSpreads([]BidSpreadRecord{r})
+	appendRows(a.shard(), []BidSpreadRecord{r})
 }
 
 // AppendRevocation logs one revocation watch of the bound market.
 func (a *Appender) AppendRevocation(r RevocationRecord) {
-	a.shard().appendRevocations([]RevocationRecord{r})
+	appendRows(a.shard(), []RevocationRecord{r})
 }
 
 // RecordPrice appends one price observation of the bound market.
-func (a *Appender) RecordPrice(p PricePoint) { a.shard().appendPrices([]PricePoint{p}) }
+func (a *Appender) RecordPrice(p PricePoint) { appendRows(a.shard(), []PricePoint{p}) }

@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -55,15 +56,16 @@ func hasPointers(t reflect.Type) bool {
 
 // dictOracle generates per-market probe streams whose dictionary-backed
 // fields cover the edge cases: trigger markets inside and outside the
-// appended set, the zero market, the empty code, more than 300 distinct
-// codes, and kinds and triggers outside their enums. Stamps rise strictly
+// appended set, the zero market, the empty code, a code whose length
+// prefix takes two bytes, more than 300 distinct codes, and kinds and triggers outside their enums. Stamps rise strictly
 // within a market, so every read path's order is the oracle's.
 func dictOracle(rng *rand.Rand, markets []market.SpotID, perMarket int) map[market.SpotID][]ProbeRecord {
 	triggers := append([]market.SpotID{{}, {Zone: "mars-north-1a", Type: "q9.huge", Product: "Plan 9"}}, markets...)
 	for i := 0; i < 40; i++ {
 		triggers = append(triggers, market.SpotID{Zone: market.Zone(fmt.Sprintf("zz-%d", i)), Type: "x1.tiny", Product: "Linux/UNIX: edge"})
 	}
-	codes := []string{"", "InsufficientInstanceCapacity", "a\"b<c>\x00ü"}
+	// The last fixed code is 160 bytes: its length prefix takes two bytes.
+	codes := []string{"", "InsufficientInstanceCapacity", "a\"b<c>\x00ü", strings.Repeat("Server.InternalError/", 8)[:160]}
 	for i := 0; i < 320; i++ {
 		codes = append(codes, fmt.Sprintf("Code%03d", i))
 	}

@@ -22,17 +22,17 @@ func fuzzSegment() []byte {
 	at := time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
 	buf := []byte(walMagic)
 	buf = appendRunHeader(buf, fuzzMarket, 0)
-	buf = appendProbeFrame(buf, ProbeRecord{
+	buf = frameOf(buf, ProbeRecord{
 		At: at, Market: fuzzMarket, Kind: ProbeOnDemand, Trigger: TriggerSpike,
 		TriggerMarket: fuzzMarket, SourceKind: ProbeSpot,
 		SpikeRatio: 1.5, PriceRatio: 1.2, Rejected: true, Code: "ICE", Bid: 0.3, Cost: 0.02,
 	})
-	buf = appendSpikeFrame(buf, SpikeEvent{At: at.Add(time.Minute), Market: fuzzMarket, Price: 0.9, Ratio: 1.8, Probed: true})
+	buf = frameOf(buf, SpikeEvent{At: at.Add(time.Minute), Market: fuzzMarket, Price: 0.9, Ratio: 1.8, Probed: true})
 	buf = appendRunHeader(buf, fuzzOtherMarket, 0)
-	buf = appendBidSpreadFrame(buf, BidSpreadRecord{At: at.Add(2 * time.Minute), Market: fuzzOtherMarket, Published: 0.5, Intrinsic: 0.31, Attempts: 6})
+	buf = frameOf(buf, BidSpreadRecord{At: at.Add(2 * time.Minute), Market: fuzzOtherMarket, Published: 0.5, Intrinsic: 0.31, Attempts: 6})
 	buf = appendRunHeader(buf, fuzzMarket, 2)
-	buf = appendRevocationFrame(buf, RevocationRecord{At: at.Add(3 * time.Minute), Market: fuzzMarket, Bid: 1.1, Held: time.Hour})
-	buf = appendPriceFrame(buf, PricePoint{At: at.Add(4 * time.Minute), Price: 0.27})
+	buf = frameOf(buf, RevocationRecord{At: at.Add(3 * time.Minute), Market: fuzzMarket, Bid: 1.1, Held: time.Hour})
+	buf = frameOf(buf, PricePoint{At: at.Add(4 * time.Minute), Price: 0.27})
 	return buf
 }
 
@@ -43,41 +43,52 @@ func fuzzMiscountedSegment() ([]byte, int) {
 	buf := fuzzSegment()
 	valid := len(buf)
 	buf = appendRunHeader(buf, fuzzOtherMarket, 2) // the shard holds 1
-	buf = appendPriceFrame(buf, PricePoint{At: time.Date(2015, 9, 1, 0, 5, 0, 0, time.UTC), Price: 0.4})
+	buf = frameOf(buf, PricePoint{At: time.Date(2015, 9, 1, 0, 5, 0, 0, time.UTC), Price: 0.4})
 	return buf, valid
+}
+
+// frameOf appends r's frame naming r's own market, as a writer that did
+// not route it through a shard would.
+func frameOf[R record](b []byte, r R) []byte {
+	var id market.SpotID
+	if _, m := fields(&r); m != nil {
+		id = *m
+	}
+	return encode(b, &r, id)
 }
 
 // decodeLog runs both halves of log recovery over one file image, against
 // no snapshot: the serial scan, then every market's runs through the
-// record decoder (markets in ID order). validLen is the scan's.
-func decodeLog(data []byte) (entries []walEntry, validLen int, err error) {
+// record decoder (markets in ID order). It returns how many records
+// decoded; validLen is the scan's.
+func decodeLog(data []byte) (records uint64, validLen int, err error) {
 	r := newRecovery(New())
 	validLen, err = r.scanLog(data)
 	for _, t := range r.sorted() {
-		for _, run := range t.runs {
-			if _, derr := decodeFrames(run, t.sh.id(), nil, func(e *walEntry) { entries = append(entries, *e) }); derr != nil {
-				return entries, validLen, derr
-			}
+		t.run("", nil)
+		records += t.sh.gen.Load()
+		if t.err != nil {
+			return records, validLen, t.err
 		}
 	}
-	return entries, validLen, err
+	return records, validLen, err
 }
 
 // TestLogRunsMustContinueTheirShard: the serial scan accepts a log whose
 // run headers count their shards' records exactly, and ends the valid
 // prefix at the first header that does not.
 func TestLogRunsMustContinueTheirShard(t *testing.T) {
-	entries, validLen, err := decodeLog(fuzzSegment())
-	if err != nil || validLen != len(fuzzSegment()) || len(entries) != 5 {
-		t.Fatalf("valid log: %d entries, valid prefix %d of %d, err %v", len(entries), validLen, len(fuzzSegment()), err)
+	records, validLen, err := decodeLog(fuzzSegment())
+	if err != nil || validLen != len(fuzzSegment()) || records != 5 {
+		t.Fatalf("valid log: %d records, valid prefix %d of %d, err %v", records, validLen, len(fuzzSegment()), err)
 	}
 	bad, want := fuzzMiscountedSegment()
-	entries, validLen, err = decodeLog(bad)
-	if !errors.Is(err, ErrWALCorrupt) || validLen != want || len(entries) != 5 {
-		t.Fatalf("miscounted run: %d entries, valid prefix %d (want %d), err %v", len(entries), validLen, want, err)
+	records, validLen, err = decodeLog(bad)
+	if !errors.Is(err, ErrWALCorrupt) || validLen != want || records != 5 {
+		t.Fatalf("miscounted run: %d records, valid prefix %d (want %d), err %v", records, validLen, want, err)
 	}
 	// A record frame no run header introduces belongs to no shard.
-	orphan := appendPriceFrame([]byte(walMagic), PricePoint{At: time.Unix(0, 0), Price: 1})
+	orphan := frameOf([]byte(walMagic), PricePoint{At: time.Unix(0, 0), Price: 1})
 	if _, validLen, err = decodeLog(orphan); !errors.Is(err, ErrWALCorrupt) || validLen != len(walMagic) {
 		t.Fatalf("headerless frame: valid prefix %d, err %v", validLen, err)
 	}
@@ -99,14 +110,14 @@ func FuzzWALDecode(f *testing.F) {
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(walMagic)+10] ^= 0xff // checksum mismatch
 	f.Add(corrupt)
-	f.Add(miscounted)                                                                               // a run that skips a record
-	f.Add(appendPriceFrame([]byte(walMagic), PricePoint{Price: 1}))                                 // a frame before any run header
-	f.Add(appendRunHeader(append([]byte(nil), valid...), fuzzOtherMarket, 1))                       // a run header at the tail
-	f.Add(appendPriceFrame(appendRunHeader([]byte(walMagic), fuzzMarket, 0), PricePoint{}))         // decodes under its header
-	f.Add(appendSpikeFrame(appendRunHeader([]byte(walMagic), fuzzMarket, 0), SpikeEvent{Ratio: 2})) // another market's record under the header
+	f.Add(miscounted)                                                                      // a run that skips a record
+	f.Add(frameOf([]byte(walMagic), PricePoint{Price: 1}))                                 // a frame before any run header
+	f.Add(appendRunHeader(append([]byte(nil), valid...), fuzzOtherMarket, 1))              // a run header at the tail
+	f.Add(frameOf(appendRunHeader([]byte(walMagic), fuzzMarket, 0), PricePoint{}))         // decodes under its header
+	f.Add(frameOf(appendRunHeader([]byte(walMagic), fuzzMarket, 0), SpikeEvent{Ratio: 2})) // another market's record under the header
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, validLen, err := decodeLog(data)
+		records, validLen, err := decodeLog(data)
 		if validLen < 0 || validLen > len(data) {
 			t.Fatalf("valid prefix %d outside input of %d bytes", validLen, len(data))
 		}
@@ -124,8 +135,8 @@ func FuzzWALDecode(f *testing.F) {
 		if err == nil {
 			// And a cleanly decoded log must re-decode identically.
 			again, _, err2 := decodeLog(data[:validLen])
-			if err2 != nil || len(again) != len(entries) {
-				t.Fatalf("re-decode of valid prefix diverged: %v, %d vs %d entries", err2, len(again), len(entries))
+			if err2 != nil || again != records {
+				t.Fatalf("re-decode of valid prefix diverged: %v, %d vs %d records", err2, again, records)
 			}
 		}
 	})
@@ -192,19 +203,25 @@ func fuzzSnapshot(f *testing.F) []byte {
 }
 
 // decodeSnapshot loads a snapshot image the way Open does — footer and
-// index, then every section through the record decoder — serially.
-func decodeSnapshot(data []byte, intern map[string]string) ([]walEntry, error) {
+// index, then every section into its shard through the record decoder —
+// serially, and returns the records loaded.
+func decodeSnapshot(data []byte, intern map[string]string) (Snapshot, error) {
 	sections, err := parseSnapshot(data, fuzzSnapSeq)
 	if err != nil {
-		return nil, err
+		return Snapshot{}, err
 	}
-	var entries []walEntry
+	r := newRecovery(New())
 	for _, sec := range sections {
-		if err := decodeSection(sec, intern, func(e *walEntry) { entries = append(entries, *e) }); err != nil {
-			return nil, err
-		}
+		r.task(sec.id).snap = sec
 	}
-	return entries, nil
+	var captures []shardCapture
+	for _, t := range r.sorted() {
+		if t.run("", intern); t.err != nil {
+			return Snapshot{}, t.err
+		}
+		captures = append(captures, t.sh.capture())
+	}
+	return assembleSnapshot(captures), nil
 }
 
 // FuzzSnapshotV2Decode feeds arbitrary bytes to the snapshot file loader:
@@ -232,13 +249,13 @@ func FuzzSnapshotV2Decode(f *testing.F) {
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := decodeSnapshot(data, nil)
+		loaded, err := decodeSnapshot(data, nil)
 		if err != nil {
 			return
 		}
 		again, err := decodeSnapshot(data, make(map[string]string))
-		if err != nil || !reflect.DeepEqual(again, entries) {
-			t.Fatalf("re-load diverged: %v, %d vs %d records", err, len(again), len(entries))
+		if err != nil || !reflect.DeepEqual(again, loaded) {
+			t.Fatalf("re-load diverged: %v\n got: %+v\nwant: %+v", err, again, loaded)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand/v2"
 	"net/url"
 	"os"
@@ -175,6 +176,44 @@ func TestUnflushedAppendsAreLostCleanly(t *testing.T) {
 	}
 	if got := re.Generation(id); got != 1 {
 		t.Fatalf("recovered generation = %d, want 1 (the flushed record)", got)
+	}
+}
+
+// A record written through an Appender is its bound market's whatever its
+// own Market field says — here unset: its log frame and its follow-stream
+// frame name the bound market, so a restart recovers it there and a
+// follower applies it there, instead of both refusing the frame.
+func TestAppenderRecordIsItsBoundMarkets(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, PersistOptions{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	id := persistMarket(0)
+	var stream bytes.Buffer
+	sub, sw := serveFollow(s, nil, &stream, persistBase)
+	defer sub.Close()
+	s.Appender(id).AppendSpike(SpikeEvent{At: persistBase, Price: 0.4, Ratio: 1.5})
+	pumpFollow(sub, sw, persistBase)
+	if err := s.Persister().Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	s.Persister().Abandon()
+
+	want := []SpikeEvent{{At: persistBase, Market: id, Price: 0.4, Ratio: 1.5}}
+	re, err := Open(dir, PersistOptions{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if got := re.SpikesFor(id, persistBase, persistBase); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered spikes = %+v, want %+v", got, want)
+	}
+	follower := New()
+	if err := follower.Follow(&stream, &testFollower{db: follower, salt: streamSalt}); !errors.Is(err, io.EOF) {
+		t.Fatalf("follow: %v", err)
+	}
+	if got := follower.SpikesFor(id, persistBase, persistBase); !reflect.DeepEqual(got, want) {
+		t.Fatalf("followed spikes = %+v, want %+v", got, want)
 	}
 }
 
@@ -509,10 +548,10 @@ func TestReplaySkipsFramesTheSnapshotCovers(t *testing.T) {
 
 	log := appendRunHeader([]byte(walMagic), a, 2)
 	for _, p := range as[2:] { // records 3 and 4 are in the snapshot, 5 is new
-		log = appendPriceFrame(log, p)
+		log = frameOf(log, p)
 	}
 	log = appendRunHeader(log, b, 1)
-	log = appendSpikeFrame(log, SpikeEvent{At: persistBase.Add(time.Hour), Market: b, Ratio: 3})
+	log = frameOf(log, SpikeEvent{At: persistBase.Add(time.Hour), Market: b, Ratio: 3})
 	snap, err := findLatestSnapshot(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -1120,7 +1159,7 @@ func TestOpenRejectsBadWALDir(t *testing.T) {
 			t.Fatal(err)
 		}
 		seg := filepath.Join(shardDir, fmt.Sprintf("seg-%08d-00000001.wal", epoch))
-		frame := appendPriceFrame([]byte("SPOTWAL1"), PricePoint{At: persistBase, Price: 1})
+		frame := frameOf([]byte("SPOTWAL1"), PricePoint{At: persistBase, Price: 1})
 		if err := os.WriteFile(seg, frame, 0o644); err != nil {
 			t.Fatal(err)
 		}

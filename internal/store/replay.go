@@ -140,8 +140,8 @@ func (r *recovery) scanLog(data []byte) (validLen int, err error) {
 			t, ferr = r.openRun(body)
 		case t == nil:
 			ferr = fmt.Errorf("%w: record frame before any run header", ErrWALCorrupt)
-		case typ < walProbe || typ > walPrice:
-			ferr = fmt.Errorf("%w: unknown frame type %d", ErrWALCorrupt, typ)
+		case !isRecord(typ):
+			ferr = unknownFrame(typ)
 		default:
 			if keep < 0 && t.next >= t.snap.records {
 				keep = off
@@ -294,29 +294,12 @@ func countFrames(c *frameCounts, data []byte) {
 	}
 }
 
-// reserveFor grows the shard's columns for the counted records in one
-// exact allocation per column.
-func (sh *shard) reserveFor(c frameCounts) {
-	if n := c[walProbe]; n > 0 {
-		ensure(&sh.probes).reserve(n)
-	}
-	if n := c[walSpike]; n > 0 {
-		ensure(&sh.spikes).reserve(n)
-	}
-	if n := c[walBidSpread]; n > 0 {
-		ensure(&sh.bidSpreads).reserve(n)
-	}
-	if n := c[walRevocation]; n > 0 {
-		ensure(&sh.revocations).reserve(n)
-	}
-	if n := c[walPrice]; n > 0 {
-		sh.prices.reserve(n)
-	}
-}
-
 // run decodes one market's snapshot section and log runs into its shard;
 // snapPath names the snapshot file in errors. No locks: the shard is
-// exclusively this worker's until finalize.
+// exclusively this worker's until finalize. Every record lands through the
+// live append path's land — every time-order bit, derived outage and
+// crossing index rebuilds identically — counted into the task's delta for
+// finalize.
 func (t *replayTask) run(snapPath string, intern map[string]string) {
 	// Pre-count frames first, so the columns get exactly one allocation
 	// each before the decode loop starts.
@@ -325,43 +308,34 @@ func (t *replayTask) run(snapPath string, intern map[string]string) {
 	for _, run := range t.runs {
 		countFrames(&counts, run)
 	}
-	t.sh.reserveFor(counts)
+	for typ := walProbe; typ <= walPrice; typ++ {
+		if n := counts[typ]; n > 0 {
+			codecs[typ].reserve(t.sh, n)
+		}
+	}
 
-	if err := decodeSection(t.snap, intern, t.applyEntry); err != nil {
+	id := t.sh.id()
+	apply := func(typ walRecordType, body []byte) error {
+		if !isRecord(typ) {
+			return unknownFrame(typ)
+		}
+		at, err := codecs[typ].replay(body, id, intern, t.sh, &t.delta)
+		if at.After(t.maxAt) {
+			t.maxAt = at
+		}
+		return err
+	}
+	if err := decodeSection(t.snap, apply); err != nil {
 		t.err = snapshotDamaged(snapPath, err)
 		return
 	}
-	id := t.sh.id()
 	for _, run := range t.runs {
-		if _, derr := decodeFrames(run, id, intern, t.applyEntry); derr != nil {
+		if _, err := eachFrame(run, apply); err != nil {
 			// The frame passed its checksum in the serial pass, so this is
 			// not a torn write, and cutting the log here would drop other
 			// markets' records the pass already accepted.
-			t.err = fmt.Errorf("store: a log frame of %v passes its checksum but does not decode: %w", id, derr)
+			t.err = fmt.Errorf("store: a log frame of %v passes its checksum but does not decode: %w", id, err)
 			return
 		}
-	}
-}
-
-// applyEntry replays one decoded record through the shard's ordinary
-// locked append helpers — the exact code path a live append takes, so
-// every time-order bit, derived outage, and crossing index rebuilds
-// identically — accumulating the rollup delta into the task's delta for
-// finalize.
-func (t *replayTask) applyEntry(e *walEntry) {
-	switch e.typ {
-	case walProbe:
-		t.sh.appendProbeLocked(&e.probe, &t.delta)
-	case walSpike:
-		t.sh.appendSpikeLocked(&e.spike, &t.delta)
-	case walBidSpread:
-		t.sh.appendBidSpreadLocked(&e.bidSpread, &t.delta)
-	case walRevocation:
-		t.sh.appendRevocationLocked(&e.revocation, &t.delta)
-	case walPrice:
-		t.sh.appendPriceLocked(&e.price, &t.delta)
-	}
-	if at := e.at(); at.After(t.maxAt) {
-		t.maxAt = at
 	}
 }

@@ -117,22 +117,21 @@ func ensure[T any](p **T) *T {
 // id returns the shard's market: one atomic load from the dictionary.
 func (sh *shard) id() market.SpotID { return sh.store.dicts.markets.at(sh.idx) }
 
-// walBufPool recycles the scratch buffers append rounds encode WAL frames
+// walBufPool recycles the scratch buffers append rounds encode log frames
 // into before taking the shard lock.
 var walBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// appendRound is the one way records enter a shard. Every family's append
-// supplies the round's delta (declared in the family's frame and captured
-// by its closures, so it stays on the stack) and three batch-level
-// closures over its n records; the round owns the ordering:
+// appendRows is the one way records enter a shard: the batch rs lands as
+// one append round — one lock acquisition, one rollup fold and one feed
+// publish amortized across the batch (bulk loads, the monitor tick flush; a
+// single record is a one-element batch). The round owns the ordering:
 //
-//  1. events copies the batch into feed events before the lock, only when
-//     somebody subscribes (one atomic load otherwise) — callers reuse
-//     their record buffers across rounds, so events must not alias them;
-//  2. frames pre-encodes the WAL frames outside the lock, so the lock-held
-//     part of a durable append is a single buffer copy;
-//  3. apply lands the records under the shard lock and the frames join the
-//     log inside the same hold, so WAL byte order is append order;
+//  1. feed events copy the batch before the lock, only when somebody
+//     subscribes (one atomic load otherwise);
+//  2. the log frames are encoded outside the lock, so the lock-held part
+//     of a durable append is a single buffer copy;
+//  3. the records land under the shard lock and the frames join the log
+//     inside the same hold, so log byte order is append order;
 //  4. after the unlock an oversized log buffer drains without blocking the
 //     shard, the record events get their ordinals (counted under the
 //     lock), and publish folds the round into rollups, generation, feed.
@@ -140,21 +139,29 @@ var walBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // The gate is read again under the lock: a subscriber registered since may
 // have captured this shard for a snapshot (stream.go) already, so the round
 // still reaches it as record events (its outage transitions do not).
-func (sh *shard) appendRound(n int, d *rollupDelta, events func(), frames func([]byte) []byte, apply func()) {
+func appendRows[R record](sh *shard, rs []R) {
+	n := len(rs)
 	if n == 0 {
 		return
 	}
+	var d rollupDelta
 	feed, p := sh.store.feed, sh.store.persist
 	if d.emit = feed.enabled(); d.emit {
-		events()
+		recordEvents(sh, rs, &d)
 	}
 	var enc *[]byte
 	if p != nil {
 		enc = walBufPool.Get().(*[]byte)
-		*enc = frames((*enc)[:0])
+		b, id := (*enc)[:0], sh.id()
+		for i := range rs {
+			b = encode(b, &rs[i], id)
+		}
+		*enc = b
 	}
 	sh.mu.Lock()
-	apply()
+	for i := range rs {
+		land(sh, &rs[i], &d)
+	}
 	// The round's n records are now the shard's newest.
 	before := sh.gen.Load() - uint64(n)
 	late := !d.emit && feed.enabled()
@@ -168,12 +175,12 @@ func (sh *shard) appendRound(n int, d *rollupDelta, events func(), frames func([
 	}
 	if late {
 		d.emit = true
-		events()
+		recordEvents(sh, rs, &d)
 	}
 	for i := 0; d.emit && i < n; i++ {
 		d.events[i].Ordinal = before + uint64(i)
 	}
-	sh.publish(d)
+	sh.publish(&d)
 }
 
 // publish folds an append batch's delta into the shard's rollup entries
@@ -202,40 +209,11 @@ func (sh *shard) publish(d *rollupDelta) {
 	}
 }
 
-// appendProbes logs a batch of probes in one append round: one lock
-// acquisition, one rollup fold and one feed publish amortized across the
-// batch (bulk loads, the monitor tick flush; a single probe is a
-// one-element batch).
-func (sh *shard) appendProbes(rs []ProbeRecord) {
-	var d rollupDelta
-	sh.appendRound(len(rs), &d,
-		func() {
-			cp := append([]ProbeRecord(nil), rs...)
-			d.events = make([]Event, 0, len(cp))
-			id := sh.id()
-			for i := range cp {
-				cp[i].At = canonical(cp[i].At)
-				d.events = append(d.events, Event{Kind: EventProbe, Market: id, At: cp[i].At, Probe: &cp[i]})
-			}
-		},
-		func(b []byte) []byte {
-			for i := range rs {
-				b = appendProbeFrame(b, rs[i])
-			}
-			return b
-		},
-		func() {
-			for i := range rs {
-				sh.appendProbeLocked(&rs[i], &d)
-			}
-		})
-}
+// The land methods put one record, stamped at, into its shard's columns
+// and fold what the rollups read into d (see land).
 
-func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
-	sh.gen.Add(1)
-	d.records++
+func (r *ProbeRecord) land(sh *shard, at int64, d *rollupDelta) {
 	d.probeCount++
-	at := stamp(r.At)
 	ps := ensure(&sh.probes)
 	sh.unordered.track(famProbes, ps.at, at)
 	ps.push(r, at, &sh.store.dicts)
@@ -260,8 +238,9 @@ func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
 		kd.outages++
 		kd.open.add(start, 1)
 		if d.emit {
-			cp := oc.get(oc.n()-1, sh.id())
-			d.events = append(d.events, Event{Kind: EventOutageOpen, Market: r.Market, At: start, Outage: &cp})
+			id := sh.id()
+			cp := oc.get(oc.n()-1, id)
+			d.events = append(d.events, Event{Kind: EventOutageOpen, Market: id, At: start, Outage: &cp})
 		}
 	case !r.Rejected && oc != nil && oc.open[ki] != 0:
 		oi := oc.open[ki] - 1
@@ -271,43 +250,15 @@ func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
 		kd.open.add(start, -1)
 		kd.closedOutageDur += end.Sub(start)
 		if d.emit {
-			cp := oc.get(oi, sh.id())
-			d.events = append(d.events, Event{Kind: EventOutageClose, Market: r.Market, At: end, Outage: &cp})
+			id := sh.id()
+			cp := oc.get(oi, id)
+			d.events = append(d.events, Event{Kind: EventOutageClose, Market: id, At: end, Outage: &cp})
 		}
 	}
 }
 
-// appendSpikes logs a batch of spike events in one append round.
-func (sh *shard) appendSpikes(es []SpikeEvent) {
-	var d rollupDelta
-	sh.appendRound(len(es), &d,
-		func() {
-			cp := append([]SpikeEvent(nil), es...)
-			d.events = make([]Event, 0, len(cp))
-			id := sh.id()
-			for i := range cp {
-				cp[i].At = canonical(cp[i].At)
-				d.events = append(d.events, Event{Kind: EventSpike, Market: id, At: cp[i].At, Spike: &cp[i]})
-			}
-		},
-		func(b []byte) []byte {
-			for i := range es {
-				b = appendSpikeFrame(b, es[i])
-			}
-			return b
-		},
-		func() {
-			for i := range es {
-				sh.appendSpikeLocked(&es[i], &d)
-			}
-		})
-}
-
-func (sh *shard) appendSpikeLocked(e *SpikeEvent, d *rollupDelta) {
-	sh.gen.Add(1)
-	d.records++
+func (e *SpikeEvent) land(sh *shard, at int64, d *rollupDelta) {
 	d.spikes++
-	at := stamp(e.At)
 	sp := ensure(&sh.spikes)
 	sh.unordered.track(famSpikes, sp.at, at)
 	sp.push(e, at)
@@ -320,109 +271,19 @@ func (sh *shard) appendSpikeLocked(e *SpikeEvent, d *rollupDelta) {
 	}
 }
 
-// appendBidSpreads logs a batch of intrinsic-price search results in one
-// append round.
-func (sh *shard) appendBidSpreads(rs []BidSpreadRecord) {
-	var d rollupDelta
-	sh.appendRound(len(rs), &d,
-		func() {
-			cp := append([]BidSpreadRecord(nil), rs...)
-			d.events = make([]Event, 0, len(cp))
-			id := sh.id()
-			for i := range cp {
-				cp[i].At = canonical(cp[i].At)
-				d.events = append(d.events, Event{Kind: EventBidSpread, Market: id, At: cp[i].At, BidSpread: &cp[i]})
-			}
-		},
-		func(b []byte) []byte {
-			for i := range rs {
-				b = appendBidSpreadFrame(b, rs[i])
-			}
-			return b
-		},
-		func() {
-			for i := range rs {
-				sh.appendBidSpreadLocked(&rs[i], &d)
-			}
-		})
-}
-
-func (sh *shard) appendBidSpreadLocked(r *BidSpreadRecord, d *rollupDelta) {
-	sh.gen.Add(1)
-	d.records++
-	at := stamp(r.At)
+func (r *BidSpreadRecord) land(sh *shard, at int64) {
 	bs := ensure(&sh.bidSpreads)
 	sh.unordered.track(famBidSpreads, bs.at, at)
 	bs.push(r, at)
 }
 
-// appendRevocations logs a batch of revocation watches in one append
-// round.
-func (sh *shard) appendRevocations(rs []RevocationRecord) {
-	var d rollupDelta
-	sh.appendRound(len(rs), &d,
-		func() {
-			cp := append([]RevocationRecord(nil), rs...)
-			d.events = make([]Event, 0, len(cp))
-			id := sh.id()
-			for i := range cp {
-				cp[i].At = canonical(cp[i].At)
-				d.events = append(d.events, Event{Kind: EventRevocation, Market: id, At: cp[i].At, Revocation: &cp[i]})
-			}
-		},
-		func(b []byte) []byte {
-			for i := range rs {
-				b = appendRevocationFrame(b, rs[i])
-			}
-			return b
-		},
-		func() {
-			for i := range rs {
-				sh.appendRevocationLocked(&rs[i], &d)
-			}
-		})
-}
-
-func (sh *shard) appendRevocationLocked(r *RevocationRecord, d *rollupDelta) {
-	sh.gen.Add(1)
-	d.records++
-	at := stamp(r.At)
+func (r *RevocationRecord) land(sh *shard, at int64) {
 	rv := ensure(&sh.revocations)
 	sh.unordered.track(famRevocations, rv.at, at)
 	rv.push(r, at)
 }
 
-// appendPrices logs a price series in one append round (watched markets
-// carry the densest series in a study).
-func (sh *shard) appendPrices(ps []PricePoint) {
-	var d rollupDelta
-	sh.appendRound(len(ps), &d,
-		func() {
-			cp := append([]PricePoint(nil), ps...)
-			d.events = make([]Event, 0, len(cp))
-			id := sh.id()
-			for i := range cp {
-				cp[i].At = canonical(cp[i].At)
-				d.events = append(d.events, Event{Kind: EventPrice, Market: id, At: cp[i].At, Price: &cp[i]})
-			}
-		},
-		func(b []byte) []byte {
-			for i := range ps {
-				b = appendPriceFrame(b, ps[i])
-			}
-			return b
-		},
-		func() {
-			for i := range ps {
-				sh.appendPriceLocked(&ps[i], &d)
-			}
-		})
-}
-
-func (sh *shard) appendPriceLocked(p *PricePoint, d *rollupDelta) {
-	sh.gen.Add(1)
-	d.records++
-	at := stamp(p.At)
+func (p *PricePoint) land(sh *shard, at int64) {
 	sh.unordered.track(famPrices, sh.prices.at, at)
 	sh.prices.push(p, at)
 }

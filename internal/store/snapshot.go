@@ -83,20 +83,11 @@ func encodeSnapshot(w io.Writer, seq uint64, captures []shardCapture) (sections 
 			continue // a shard exists iff it holds records; nothing to store
 		}
 		start := off
-		for i := 0; i < c.probes.n(); i++ {
-			buf = put(appendProbeFrame(buf, c.probes.get(i, c.id, c.dicts)))
-		}
-		for i := 0; i < c.spikes.n(); i++ {
-			buf = put(appendSpikeFrame(buf, c.spikes.get(i, c.id)))
-		}
-		for i := 0; i < c.bidSpreads.n(); i++ {
-			buf = put(appendBidSpreadFrame(buf, c.bidSpreads.get(i, c.id)))
-		}
-		for i := 0; i < c.revocations.n(); i++ {
-			buf = put(appendRevocationFrame(buf, c.revocations.get(i, c.id)))
-		}
-		for i := 0; i < c.prices.n(); i++ {
-			buf = put(appendPriceFrame(buf, c.prices.get(i)))
+		for typ := walProbe; typ <= walPrice; typ++ {
+			f := &codecs[typ]
+			for i := range f.rows(c) {
+				buf = put(f.frame(buf, c, i))
+			}
 		}
 		trailer = appendString(trailer, c.id.String())
 		trailer = appendUvarint(trailer, start)
@@ -168,11 +159,11 @@ func parseSnapshot(data []byte, seq uint64) ([]snapSection, error) {
 	return sections, nil
 }
 
-// decodeSection streams one section's records through fn, one at a time; a
-// frame that does not decode, a record of another market, or a record count
-// other than the index's is an error.
-func decodeSection(sec snapSection, intern map[string]string, fn func(*walEntry)) error {
-	n, err := decodeFrames(sec.frames, sec.id, intern, fn)
+// decodeSection hands fn the type and body of each of a section's frames,
+// one at a time; a frame fn refuses, or a record count other than the
+// index's, is an error.
+func decodeSection(sec snapSection, fn func(typ walRecordType, body []byte) error) error {
+	n, err := eachFrame(sec.frames, fn)
 	if err == nil && n != sec.records {
 		err = fmt.Errorf("%w: %d records, the index claims %d", ErrWALCorrupt, n, sec.records)
 	}

@@ -463,17 +463,19 @@ func mergeOrderedRuns[T any](runs [][]T, at func(T) time.Time, total int) []T {
 	return out
 }
 
-// groupByMarket splits one record family into per-market batches and
-// hands each to apply, markets in order of first appearance. Within one
+// groupByMarket appends a batch of one record family as one append round
+// per market, markets in order of first appearance (a price names no
+// market, so prices are never grouped). Within one
 // market the input order is preserved (the outage derivation depends on
 // it); across markets the order is a pure function of the input, so two
 // stores fed the same batch publish the same feed sequence. Bulk loads are usually a
 // timestamp-ordered interleaving of many markets; grouping pays one
 // append round per market instead of one per record.
-func groupByMarket[T any](s *Store, recs []T, marketOf func(*T) market.SpotID, apply func(*shard, []T)) {
+func groupByMarket[R record](s *Store, recs []R) {
 	if len(recs) == 0 {
 		return
 	}
+	marketOf := func(r *R) market.SpotID { _, m := fields(r); return *m }
 	// One market throughout (single records, a follower's per-market
 	// frames): the input is the batch, nothing to regroup.
 	first, same := marketOf(&recs[0]), 1
@@ -481,10 +483,10 @@ func groupByMarket[T any](s *Store, recs []T, marketOf func(*T) market.SpotID, a
 		same++
 	}
 	if same == len(recs) {
-		apply(s.shardFor(first), recs)
+		appendRows(s.shardFor(first), recs)
 		return
 	}
-	groups := make(map[market.SpotID][]T)
+	groups := make(map[market.SpotID][]R)
 	var order []market.SpotID
 	for i := range recs {
 		id := marketOf(&recs[i])
@@ -495,65 +497,60 @@ func groupByMarket[T any](s *Store, recs []T, marketOf func(*T) market.SpotID, a
 		groups[id] = append(group, recs[i])
 	}
 	for _, id := range order {
-		apply(s.shardFor(id), groups[id])
+		appendRows(s.shardFor(id), groups[id])
 	}
 }
-
-func probeMarket(r *ProbeRecord) market.SpotID           { return r.Market }
-func spikeMarket(e *SpikeEvent) market.SpotID            { return e.Market }
-func bidSpreadMarket(r *BidSpreadRecord) market.SpotID   { return r.Market }
-func revocationMarket(r *RevocationRecord) market.SpotID { return r.Market }
 
 // AppendProbe logs one probe and folds it into the market's derived outage
 // intervals and its region's aggregate.
 func (s *Store) AppendProbe(r ProbeRecord) {
-	s.shardFor(r.Market).appendProbes([]ProbeRecord{r})
+	appendRows(s.shardFor(r.Market), []ProbeRecord{r})
 }
 
 // AppendProbes logs a batch of probes, one append round per affected
 // market (see groupByMarket for the ordering contract).
 func (s *Store) AppendProbes(rs []ProbeRecord) {
-	groupByMarket(s, rs, probeMarket, (*shard).appendProbes)
+	groupByMarket(s, rs)
 }
 
 // AppendSpike logs one threshold-crossing event and indexes on-demand
 // price crossings (Ratio >= 1) incrementally.
 func (s *Store) AppendSpike(e SpikeEvent) {
-	s.shardFor(e.Market).appendSpikes([]SpikeEvent{e})
+	appendRows(s.shardFor(e.Market), []SpikeEvent{e})
 }
 
 // AppendSpikes logs a batch of spike events, one append round per
 // affected market.
 func (s *Store) AppendSpikes(es []SpikeEvent) {
-	groupByMarket(s, es, spikeMarket, (*shard).appendSpikes)
+	groupByMarket(s, es)
 }
 
 // AppendBidSpread logs one intrinsic-price search result.
 func (s *Store) AppendBidSpread(r BidSpreadRecord) {
-	s.shardFor(r.Market).appendBidSpreads([]BidSpreadRecord{r})
+	appendRows(s.shardFor(r.Market), []BidSpreadRecord{r})
 }
 
 // AppendBidSpreads logs a batch of intrinsic-price search results, one
 // append round per affected market.
 func (s *Store) AppendBidSpreads(rs []BidSpreadRecord) {
-	groupByMarket(s, rs, bidSpreadMarket, (*shard).appendBidSpreads)
+	groupByMarket(s, rs)
 }
 
 // AppendRevocation logs one completed revocation watch.
 func (s *Store) AppendRevocation(r RevocationRecord) {
-	s.shardFor(r.Market).appendRevocations([]RevocationRecord{r})
+	appendRows(s.shardFor(r.Market), []RevocationRecord{r})
 }
 
 // AppendRevocations logs a batch of completed revocation watches, one
 // append round per affected market.
 func (s *Store) AppendRevocations(rs []RevocationRecord) {
-	groupByMarket(s, rs, revocationMarket, (*shard).appendRevocations)
+	groupByMarket(s, rs)
 }
 
 // RecordPrice appends one price observation for a market. Callers decide
 // which markets to track densely (watched markets) versus sample.
 func (s *Store) RecordPrice(id market.SpotID, p PricePoint) {
-	s.shardFor(id).appendPrices([]PricePoint{p})
+	appendRows(s.shardFor(id), []PricePoint{p})
 }
 
 // RecordPrices appends a batch of price observations for one market in
@@ -562,7 +559,7 @@ func (s *Store) RecordPrices(id market.SpotID, ps []PricePoint) {
 	if len(ps) == 0 {
 		return
 	}
-	s.shardFor(id).appendPrices(ps)
+	appendRows(s.shardFor(id), ps)
 }
 
 // Markets returns every market with at least one record of any kind, in

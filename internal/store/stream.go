@@ -109,18 +109,7 @@ func (sw *StreamWriter) Events(evs []Event) error {
 			sw.id, sw.gen = ev.Market, ev.Gen
 		}
 		sw.next = ev.Ordinal + 1
-		switch ev.Kind {
-		case EventProbe:
-			b = appendProbeFrame(b, *ev.Probe)
-		case EventPrice:
-			b = appendPriceFrame(b, *ev.Price)
-		case EventSpike:
-			b = appendSpikeFrame(b, *ev.Spike)
-		case EventRevocation:
-			b = appendRevocationFrame(b, *ev.Revocation)
-		case EventBidSpread:
-			b = appendBidSpreadFrame(b, *ev.BidSpread)
-		}
+		b = ev.frame(b)
 	}
 	return sw.write(b)
 }
@@ -157,7 +146,6 @@ func (s *Store) Follow(r io.Reader, f Follower) (err error) {
 		next, have             uint64 // the run's next ordinal; its shard's record count
 		image                  []byte
 		applied, skipped, took uint64
-		e                      walEntry
 		intern                 = make(map[string]string)
 	)
 	for first := true; err == nil; first = false {
@@ -189,20 +177,18 @@ func (s *Store) Follow(r io.Reader, f Follower) (err error) {
 			if id, next, err = decodeRunHeader(body, intern); err == nil {
 				open, have = true, s.Generation(id)
 			}
-		case typ < walProbe || typ > walPrice:
-			err = fmt.Errorf("%w: unknown frame type %d", ErrWALCorrupt, typ)
+		case !isRecord(typ):
+			err = unknownFrame(typ)
 		case !open:
 			err = fmt.Errorf("%w: record frame before any run header", ErrWALCorrupt)
 		case next > have:
 			err = fmt.Errorf("%w: record %d of %v, this store holds %d", ErrStreamGap, next, id, have)
+		case next < have: // held already: decoded, not applied
+			err = codecs[typ].follow(body, id, intern, nil)
+			skipped, next = skipped+1, next+1
 		default:
-			if err = decodeWALEntry(&e, typ, body, id, intern); err == nil && next == have {
-				s.shardFor(id).appendEntry(&e)
-				applied, have = applied+1, have+1
-			} else if err == nil {
-				skipped++
-			}
-			next++
+			err = codecs[typ].follow(body, id, intern, s)
+			applied, have, next = applied+1, have+1, next+1
 		}
 	}
 	return err
@@ -215,40 +201,32 @@ func (s *Store) Follow(r io.Reader, f Follower) (err error) {
 func (s *Store) applySnapshot(image []byte, intern map[string]string) (applied uint64, err error) {
 	sections, err := parseSnapshot(image, 0)
 	for i := 0; err == nil && i < len(sections); i++ {
-		err = decodeSection(sections[i], intern, func(*walEntry) {})
+		id := sections[i].id
+		err = decodeSection(sections[i], func(typ walRecordType, body []byte) error {
+			if !isRecord(typ) {
+				return unknownFrame(typ)
+			}
+			return codecs[typ].follow(body, id, intern, nil)
+		})
 	}
 	for i := 0; err == nil && i < len(sections); i++ {
 		id := sections[i].id
 		var held frameCounts
 		if sh := s.lookup(id); sh != nil {
 			c := sh.capture()
-			held = frameCounts{walProbe: c.probes.n(), walSpike: c.spikes.n(), walBidSpread: c.bidSpreads.n(),
-				walRevocation: c.revocations.n(), walPrice: c.prices.n()}
+			for typ := walProbe; typ <= walPrice; typ++ {
+				held[typ] = codecs[typ].rows(&c)
+			}
 		}
-		_ = decodeSection(sections[i], intern, func(e *walEntry) { // decoded cleanly above
-			if held[e.typ]--; held[e.typ] < 0 {
-				s.shardFor(id).appendEntry(e)
+		_ = decodeSection(sections[i], func(typ walRecordType, body []byte) error { // checked above
+			if held[typ]--; held[typ] < 0 {
+				_ = codecs[typ].follow(body, id, intern, s)
 				applied++
 			}
+			return nil
 		})
 	}
 	return applied, err
-}
-
-// appendEntry lands one decoded record as an append round of its own.
-func (sh *shard) appendEntry(e *walEntry) {
-	switch e.typ {
-	case walProbe:
-		sh.appendProbes([]ProbeRecord{e.probe})
-	case walSpike:
-		sh.appendSpikes([]SpikeEvent{e.spike})
-	case walBidSpread:
-		sh.appendBidSpreads([]BidSpreadRecord{e.bidSpread})
-	case walRevocation:
-		sh.appendRevocations([]RevocationRecord{e.revocation})
-	case walPrice:
-		sh.appendPrices([]PricePoint{e.price})
-	}
 }
 
 // frameReader reads a stream's frames; a body is valid until the next read.

@@ -257,21 +257,28 @@ func followOracle(data []byte, salt uint64) map[market.SpotID]*frameCounts {
 		run           market.SpotID
 		open, inImage bool
 		next          uint64
-		e             walEntry
 	)
+	check := func(id market.SpotID) func(walRecordType, []byte) error {
+		return func(typ walRecordType, body []byte) error {
+			if !isRecord(typ) {
+				return unknownFrame(typ)
+			}
+			return codecs[typ].follow(body, id, nil, nil)
+		}
+	}
 	for off, first := 0, true; ; first = false {
 		typ, body, n, err := decodeWALFrame(data[off:])
 		if err == nil && inImage && typ != walSnapChunk {
 			sections, err := parseSnapshot(image, 0)
 			for i := 0; err == nil && i < len(sections); i++ {
-				err = decodeSection(sections[i], nil, func(*walEntry) {})
+				err = decodeSection(sections[i], check(sections[i].id))
 			}
 			if err != nil {
 				return held
 			}
 			for _, sec := range sections {
 				var c frameCounts
-				_ = decodeSection(sec, nil, func(e *walEntry) { c[e.typ]++ })
+				_ = decodeSection(sec, func(typ walRecordType, _ []byte) error { c[typ]++; return nil })
 				for typ := range c {
 					count(sec.id)[typ] = max(count(sec.id)[typ], c[typ])
 				}
@@ -304,7 +311,7 @@ func followOracle(data []byte, salt uint64) map[market.SpotID]*frameCounts {
 			for _, v := range count(run) {
 				have += uint64(v)
 			}
-			if typ < walProbe || typ > walPrice || !open || next > have || decodeWALEntry(&e, typ, body, run, nil) != nil {
+			if !open || next > have || check(run)(typ, body) != nil {
 				return held
 			}
 			if next == have {
@@ -321,8 +328,11 @@ func followedCounts(s *Store) map[market.SpotID]frameCounts {
 	out := make(map[market.SpotID]frameCounts)
 	for _, sh := range s.shardList() {
 		c := sh.capture()
-		out[sh.id()] = frameCounts{walProbe: c.probes.n(), walSpike: c.spikes.n(), walBidSpread: c.bidSpreads.n(),
-			walRevocation: c.revocations.n(), walPrice: c.prices.n()}
+		var n frameCounts
+		for typ := walProbe; typ <= walPrice; typ++ {
+			n[typ] = codecs[typ].rows(&c)
+		}
+		out[sh.id()] = n
 	}
 	return out
 }
@@ -376,7 +386,7 @@ func fuzzFollowSeeds() map[string][]byte {
 	return map[string][]byte{
 		"seed-valid-stream": valid,
 		"seed-torn-frame":   valid[:len(valid)-5],
-		"seed-ordinal-gap":  appendPriceFrame(gap, PricePoint{Price: 1}),
+		"seed-ordinal-gap":  frameOf(gap, PricePoint{Price: 1}),
 		"seed-foreign-salt": append(foreign, valid[opening:]...),
 	}
 }

@@ -261,21 +261,7 @@ func (r *walReader) bytes() []byte {
 	return raw
 }
 
-func (r *walReader) str() string {
-	raw := r.bytes()
-	if len(raw) == 0 {
-		return ""
-	}
-	if r.intern != nil {
-		if s, ok := r.intern[string(raw)]; ok {
-			return s
-		}
-		s := string(raw)
-		r.intern[s] = s
-		return s
-	}
-	return string(raw)
-}
+func (r *walReader) str() string { return r.internBytes(r.bytes()) }
 
 func (r *walReader) float() float64 {
 	if len(r.data) < 8 {
@@ -307,24 +293,11 @@ func (r *walReader) instant() time.Time {
 	return time.Unix(sec, int64(nsec)).UTC()
 }
 
-func (r *walReader) market() market.SpotID {
-	zone := r.str()
-	typ := r.str()
-	product := r.str()
-	return market.SpotID{
-		Zone:    market.Zone(zone),
-		Type:    market.InstanceType(typ),
-		Product: market.Product(product),
-	}
-}
-
-// marketExpect decodes a market field that is nearly always the given ID
-// (a shard's snapshot section and log runs only hold its own market's
-// records): when the raw
-// bytes match, it returns the expected ID without any map lookups or
-// allocation. Mismatches fall back to the general decoder — the caller's
-// market check then rejects them where it matters.
-func (r *walReader) marketExpect(expect market.SpotID) market.SpotID {
+// market decodes a market field. A record's is nearly always its shard's
+// (expect): when the raw bytes match, it returns expect without any map
+// lookups or allocation. Anything else decodes in full — a record's
+// caller then rejects it as another market's.
+func (r *walReader) market(expect market.SpotID) market.SpotID {
 	zone := r.bytes()
 	typ := r.bytes()
 	product := r.bytes()
@@ -338,7 +311,7 @@ func (r *walReader) marketExpect(expect market.SpotID) market.SpotID {
 	}
 }
 
-// internBytes is str()'s dedup step for bytes already read.
+// internBytes returns raw as a string, deduplicated through intern.
 func (r *walReader) internBytes(raw []byte) string {
 	if len(raw) == 0 {
 		return ""
@@ -354,59 +327,95 @@ func (r *walReader) internBytes(raw []byte) string {
 	return string(raw)
 }
 
-// Record encoders: one frame per record.
+// Record frames. A frame names the market of the shard that holds the
+// record (id), as a snapshot section does, not the record's own Market
+// field: a record appended through an Appender is its bound market's, and
+// a price names no market at all.
 
-func appendProbeFrame(buf []byte, rec ProbeRecord) []byte {
+func (r ProbeRecord) encode(buf []byte, id market.SpotID) []byte {
 	return appendWALFrame(buf, walProbe, func(b []byte) []byte {
-		b = appendTime(b, rec.At)
-		b = appendMarket(b, rec.Market)
-		b = appendVarint(b, int64(rec.Kind))
-		b = appendVarint(b, int64(rec.Trigger))
-		b = appendMarket(b, rec.TriggerMarket)
-		b = appendVarint(b, int64(rec.SourceKind))
-		b = appendFloat(b, rec.SpikeRatio)
-		b = appendFloat(b, rec.PriceRatio)
-		b = appendBool(b, rec.Rejected)
-		b = appendString(b, rec.Code)
-		b = appendFloat(b, rec.Bid)
-		return appendFloat(b, rec.Cost)
+		b = appendTime(b, r.At)
+		b = appendMarket(b, id)
+		b = appendVarint(b, int64(r.Kind))
+		b = appendVarint(b, int64(r.Trigger))
+		b = appendMarket(b, r.TriggerMarket)
+		b = appendVarint(b, int64(r.SourceKind))
+		b = appendFloat(b, r.SpikeRatio)
+		b = appendFloat(b, r.PriceRatio)
+		b = appendBool(b, r.Rejected)
+		b = appendString(b, r.Code)
+		b = appendFloat(b, r.Bid)
+		return appendFloat(b, r.Cost)
 	})
 }
 
-func appendSpikeFrame(buf []byte, e SpikeEvent) []byte {
+func (r *ProbeRecord) decode(rd *walReader, id market.SpotID) {
+	*r = ProbeRecord{
+		At:            rd.instant(),
+		Market:        rd.market(id),
+		Kind:          ProbeKind(rd.varint()),
+		Trigger:       Trigger(rd.varint()),
+		TriggerMarket: rd.market(id),
+		SourceKind:    ProbeKind(rd.varint()),
+		SpikeRatio:    rd.float(),
+		PriceRatio:    rd.float(),
+		Rejected:      rd.boolean(),
+		Code:          rd.str(),
+		Bid:           rd.float(),
+		Cost:          rd.float(),
+	}
+}
+
+func (e SpikeEvent) encode(buf []byte, id market.SpotID) []byte {
 	return appendWALFrame(buf, walSpike, func(b []byte) []byte {
 		b = appendTime(b, e.At)
-		b = appendMarket(b, e.Market)
+		b = appendMarket(b, id)
 		b = appendFloat(b, e.Price)
 		b = appendFloat(b, e.Ratio)
 		return appendBool(b, e.Probed)
 	})
 }
 
-func appendBidSpreadFrame(buf []byte, r BidSpreadRecord) []byte {
+func (e *SpikeEvent) decode(rd *walReader, id market.SpotID) {
+	*e = SpikeEvent{At: rd.instant(), Market: rd.market(id), Price: rd.float(), Ratio: rd.float(), Probed: rd.boolean()}
+}
+
+func (r BidSpreadRecord) encode(buf []byte, id market.SpotID) []byte {
 	return appendWALFrame(buf, walBidSpread, func(b []byte) []byte {
 		b = appendTime(b, r.At)
-		b = appendMarket(b, r.Market)
+		b = appendMarket(b, id)
 		b = appendFloat(b, r.Published)
 		b = appendFloat(b, r.Intrinsic)
 		return appendVarint(b, int64(r.Attempts))
 	})
 }
 
-func appendRevocationFrame(buf []byte, r RevocationRecord) []byte {
+func (r *BidSpreadRecord) decode(rd *walReader, id market.SpotID) {
+	*r = BidSpreadRecord{At: rd.instant(), Market: rd.market(id), Published: rd.float(), Intrinsic: rd.float(), Attempts: int(rd.varint())}
+}
+
+func (r RevocationRecord) encode(buf []byte, id market.SpotID) []byte {
 	return appendWALFrame(buf, walRevocation, func(b []byte) []byte {
 		b = appendTime(b, r.At)
-		b = appendMarket(b, r.Market)
+		b = appendMarket(b, id)
 		b = appendFloat(b, r.Bid)
 		return appendVarint(b, int64(r.Held))
 	})
 }
 
-func appendPriceFrame(buf []byte, p PricePoint) []byte {
+func (r *RevocationRecord) decode(rd *walReader, id market.SpotID) {
+	*r = RevocationRecord{At: rd.instant(), Market: rd.market(id), Bid: rd.float(), Held: time.Duration(rd.varint())}
+}
+
+func (p PricePoint) encode(buf []byte, _ market.SpotID) []byte {
 	return appendWALFrame(buf, walPrice, func(b []byte) []byte {
 		b = appendTime(b, p.At)
 		return appendFloat(b, p.Price)
 	})
+}
+
+func (p *PricePoint) decode(rd *walReader) {
+	*p = PricePoint{At: rd.instant(), Price: rd.float()}
 }
 
 // appendRunHeader frames a run header: the market whose shard the next
@@ -421,275 +430,24 @@ func appendRunHeader(buf []byte, id market.SpotID, before uint64) []byte {
 // decodeRunHeader inverts appendRunHeader on one frame body.
 func decodeRunHeader(body []byte, intern map[string]string) (market.SpotID, uint64, error) {
 	r := walReader{data: body, intern: intern}
-	id, before := r.market(), r.uvarint()
+	id, before := r.market(market.SpotID{}), r.uvarint()
 	if err := r.end(); err != nil {
 		return market.SpotID{}, 0, err
 	}
 	return id, before, nil
 }
 
-// walEntry is one decoded WAL record; exactly one of the record fields is
-// meaningful, selected by typ.
-type walEntry struct {
-	typ        walRecordType
-	probe      ProbeRecord
-	spike      SpikeEvent
-	bidSpread  BidSpreadRecord
-	revocation RevocationRecord
-	price      PricePoint
-}
-
-// at returns the record's timestamp.
-func (e walEntry) at() time.Time {
-	switch e.typ {
-	case walProbe:
-		return e.probe.At
-	case walSpike:
-		return e.spike.At
-	case walBidSpread:
-		return e.bidSpread.At
-	case walRevocation:
-		return e.revocation.At
-	case walPrice:
-		return e.price.At
-	default:
-		return time.Time{}
-	}
-}
-
-// matchMarketBytes advances past one encoded market (three uvarint-
-// prefixed strings) when it is byte-for-byte the given ID or entirely
-// empty. Returns the new offset, the decoded ID, and whether it matched
-// one of those two shapes; any other market (or any component length
-// needing a multi-byte prefix) reports false so the caller can fall back
-// to the general decoder.
-func matchMarketBytes(body []byte, i int, id market.SpotID) (int, market.SpotID, bool) {
-	// An unset market encodes as three zero lengths; sniff that shape
-	// first so a zero TriggerMarket doesn't have to match the shard ID.
-	if i+3 <= len(body) && body[i] == 0 && body[i+1] == 0 && body[i+2] == 0 {
-		return i + 3, market.SpotID{}, true
-	}
-	comps := [3]string{string(id.Zone), string(id.Type), string(id.Product)}
-	for _, want := range comps {
-		if i >= len(body) {
-			return i, market.SpotID{}, false
+// eachFrame hands fn the type and body of every frame in data, in order,
+// until a frame or fn fails; count is how many passed.
+func eachFrame(data []byte, fn func(typ walRecordType, body []byte) error) (count uint64, err error) {
+	for off := 0; off < len(data); count++ {
+		typ, body, n, err := decodeWALFrame(data[off:])
+		if err == nil {
+			err = fn(typ, body)
 		}
-		n := int(body[i])
-		if n >= 0x80 || n != len(want) {
-			return i, market.SpotID{}, false
+		if err != nil {
+			return count, err
 		}
-		i++
-		if i+n > len(body) || string(body[i:i+n]) != want {
-			return i, market.SpotID{}, false
-		}
-		i += n
-	}
-	return i, id, true
-}
-
-// decodeProbeFast is the replay hot path: one cursor pass over a probe
-// frame body with every varint read inline and both market fields
-// compared in place against the shard's own ID (which they virtually
-// always are — a shard's frames only hold its own market's records, and
-// a probe's trigger market is either its own market or unset). It only
-// commits when the whole body parses as that common shape AND is fully
-// consumed; anything else — multi-byte component lengths, a foreign
-// trigger market, trailing bytes, corruption — reports false and the
-// caller re-decodes through the general walReader path, which also owns
-// producing the precise error.
-func decodeProbeFast(e *ProbeRecord, body []byte, id market.SpotID, intern map[string]string) bool {
-	sec, n := binary.Varint(body)
-	if n <= 0 {
-		return false
-	}
-	i := n
-	nsec, n := binary.Uvarint(body[i:])
-	if n <= 0 || nsec >= uint64(time.Second) {
-		return false
-	}
-	i += n
-	var ok bool
-	var mkt, trig market.SpotID
-	if i, mkt, ok = matchMarketBytes(body, i, id); !ok || mkt != id {
-		return false
-	}
-	// Kind and Trigger are tiny enums: single-byte varints or bust.
-	if i+2 > len(body) || body[i] >= 0x80 || body[i+1] >= 0x80 {
-		return false
-	}
-	kind := int64(body[i] >> 1)
-	if body[i]&1 != 0 {
-		kind = ^kind
-	}
-	trigger := int64(body[i+1] >> 1)
-	if body[i+1]&1 != 0 {
-		trigger = ^trigger
-	}
-	i += 2
-	if i, trig, ok = matchMarketBytes(body, i, id); !ok {
-		return false
-	}
-	if i >= len(body) || body[i] >= 0x80 {
-		return false
-	}
-	srcKind := int64(body[i] >> 1)
-	if body[i]&1 != 0 {
-		srcKind = ^srcKind
-	}
-	i++
-	if i+8+8+1 > len(body) {
-		return false
-	}
-	spikeRatio := math.Float64frombits(binary.LittleEndian.Uint64(body[i:]))
-	priceRatio := math.Float64frombits(binary.LittleEndian.Uint64(body[i+8:]))
-	rejected := body[i+16] != 0
-	i += 17
-	if i >= len(body) || body[i] >= 0x80 {
-		return false
-	}
-	cn := int(body[i])
-	i++
-	if i+cn+8+8 != len(body) {
-		return false
-	}
-	var code string
-	if cn != 0 {
-		raw := body[i : i+cn]
-		if intern != nil {
-			if s, hit := intern[string(raw)]; hit {
-				code = s
-			} else {
-				code = string(raw)
-				intern[code] = code
-			}
-		} else {
-			code = string(raw)
-		}
-	}
-	i += cn
-	bid := math.Float64frombits(binary.LittleEndian.Uint64(body[i:]))
-	cost := math.Float64frombits(binary.LittleEndian.Uint64(body[i+8:]))
-	*e = ProbeRecord{
-		At:            time.Unix(sec, int64(nsec)).UTC(),
-		Market:        mkt,
-		Kind:          ProbeKind(kind),
-		Trigger:       Trigger(trigger),
-		TriggerMarket: trig,
-		SourceKind:    ProbeKind(srcKind),
-		SpikeRatio:    spikeRatio,
-		PriceRatio:    priceRatio,
-		Rejected:      rejected,
-		Code:          code,
-		Bid:           bid,
-		Cost:          cost,
-	}
-	return true
-}
-
-// decodeWALEntry decodes one frame body into e, in place — the decode
-// loops reuse one entry across millions of frames rather than copying
-// the ~400-byte union through every call (only the record of e.typ is
-// meaningful; stale bytes of the other arms are never read). The price
-// record carries no market of its own: the caller supplies the owning
-// market, from the snapshot index or the log's run header. intern,
-// when non-nil, deduplicates decoded strings across records (see
-// walReader.intern).
-func decodeWALEntry(e *walEntry, typ walRecordType, body []byte, id market.SpotID, intern map[string]string) error {
-	r := walReader{data: body, intern: intern}
-	e.typ = typ
-	switch typ {
-	case walProbe:
-		if decodeProbeFast(&e.probe, body, id, intern) {
-			// Fully parsed, fully consumed, market == id by
-			// construction — the post-switch checks are already met.
-			return nil
-		}
-		e.probe = ProbeRecord{
-			At:            r.instant(),
-			Market:        r.marketExpect(id),
-			Kind:          ProbeKind(r.varint()),
-			Trigger:       Trigger(r.varint()),
-			TriggerMarket: r.marketExpect(id),
-			SourceKind:    ProbeKind(r.varint()),
-			SpikeRatio:    r.float(),
-			PriceRatio:    r.float(),
-			Rejected:      r.boolean(),
-			Code:          r.str(),
-			Bid:           r.float(),
-			Cost:          r.float(),
-		}
-	case walSpike:
-		e.spike = SpikeEvent{
-			At:     r.instant(),
-			Market: r.marketExpect(id),
-			Price:  r.float(),
-			Ratio:  r.float(),
-			Probed: r.boolean(),
-		}
-	case walBidSpread:
-		e.bidSpread = BidSpreadRecord{
-			At:        r.instant(),
-			Market:    r.marketExpect(id),
-			Published: r.float(),
-			Intrinsic: r.float(),
-			Attempts:  int(r.varint()),
-		}
-	case walRevocation:
-		e.revocation = RevocationRecord{
-			At:     r.instant(),
-			Market: r.marketExpect(id),
-			Bid:    r.float(),
-			Held:   time.Duration(r.varint()),
-		}
-	case walPrice:
-		e.price = PricePoint{At: r.instant(), Price: r.float()}
-	default:
-		return fmt.Errorf("%w: unknown record type %d", ErrWALCorrupt, typ)
-	}
-	if err := r.end(); err != nil {
-		return err
-	}
-	// A shard's frames must only hold their own market's records; a framed
-	// record claiming another market is corruption, not data.
-	switch typ {
-	case walProbe:
-		if e.probe.Market != id {
-			return fmt.Errorf("%w: record market %v in log of %v", ErrWALCorrupt, e.probe.Market, id)
-		}
-	case walSpike:
-		if e.spike.Market != id {
-			return fmt.Errorf("%w: record market %v in log of %v", ErrWALCorrupt, e.spike.Market, id)
-		}
-	case walBidSpread:
-		if e.bidSpread.Market != id {
-			return fmt.Errorf("%w: record market %v in log of %v", ErrWALCorrupt, e.bidSpread.Market, id)
-		}
-	case walRevocation:
-		if e.revocation.Market != id {
-			return fmt.Errorf("%w: record market %v in log of %v", ErrWALCorrupt, e.revocation.Market, id)
-		}
-	}
-	return nil
-}
-
-// decodeFrames streams a sequence of record frames — a snapshot section, or
-// one run of a market's log frames — through fn, one
-// decoded record at a time and without ever collecting a slice: the only
-// per-record state is the stack-allocated walEntry. It returns how many
-// records it decoded; err is nil only when data decoded completely.
-// intern, when non-nil, deduplicates decoded strings across records.
-func decodeFrames(data []byte, id market.SpotID, intern map[string]string, fn func(*walEntry)) (count uint64, err error) {
-	var e walEntry
-	for off := 0; off < len(data); {
-		typ, body, n, ferr := decodeWALFrame(data[off:])
-		if ferr != nil {
-			return count, ferr
-		}
-		if derr := decodeWALEntry(&e, typ, body, id, intern); derr != nil {
-			return count, derr
-		}
-		fn(&e)
-		count++
 		off += n
 	}
 	return count, nil
