@@ -38,8 +38,8 @@ type marketMon struct {
 	// store-level shard lookup on every ingested record.
 	app *store.Appender
 	// pending buffers the tick's probe records; OnTick flushes them in one
-	// batched append per market (see Service.flushProbes). The slice's
-	// capacity is reused across ticks.
+	// batched append per market (see Service.flushProbes) and drops them,
+	// so no market holds its largest tick's buffer for good.
 	pending []store.ProbeRecord
 
 	lastSample        time.Time
@@ -278,15 +278,15 @@ func (s *Service) logProbe(mon *marketMon, rec store.ProbeRecord) {
 
 // flushProbes appends every monitor's buffered probe records through its
 // bound Appender in one batch per market, preserving within-market order
-// (the store's outage derivation depends on it). Buffers keep their
-// capacity for the next tick. Each batch is also one change-feed publish
+// (the store's outage derivation depends on it), and drops each buffer
+// once the store has copied it. Each batch is also one change-feed publish
 // round: live watchers (store.Feed subscribers, /v2/watch streams)
 // receive a tick's probes and derived outage transitions as one burst
 // per market per tick, not one wakeup per record.
 func (s *Service) flushProbes() {
 	for _, mon := range s.dirtyMons {
 		mon.app.AppendProbes(mon.pending)
-		mon.pending = mon.pending[:0]
+		mon.pending = nil
 	}
 	s.dirtyMons = s.dirtyMons[:0]
 }

@@ -657,3 +657,28 @@ func TestTickFlushDrivesChangeFeed(t *testing.T) {
 		t.Errorf("the tick's probe events carry %d generations, want 1", len(probeGens))
 	}
 }
+
+// After a tick's flush no monitor holds a probe buffer: the store copies a
+// batch on append, so a buffer kept for the next tick would only pin the
+// largest tick each market ever probed.
+func TestTickFlushDropsProbeBuffers(t *testing.T) {
+	f := newFakeProvider()
+	od := odPrice(t, f, trigMkt)
+	f.prices[trigMkt] = od * 1.5 // spike over the threshold
+	f.odDown[trigMkt] = true     // the rejection fans out to related markets
+	svc, db := newService(t, f, Config{Regions: []market.Region{"us-east-1"}})
+
+	svc.OnTick()
+
+	if db.ProbeCount() == 0 {
+		t.Fatal("the tick logged no probe")
+	}
+	for _, mon := range svc.byIndex {
+		if mon != nil && cap(mon.pending) != 0 {
+			t.Errorf("%v holds a probe buffer of %d records after the tick", mon.id, cap(mon.pending))
+		}
+	}
+	if len(svc.dirtyMons) != 0 {
+		t.Errorf("%d monitors still marked dirty after the tick", len(svc.dirtyMons))
+	}
+}

@@ -81,10 +81,11 @@ func TestStudyDigestPinned(t *testing.T) {
 // not count. The 1-day study at the default 5-minute tick is the live
 // fleet's leader, where every catalog market holds a day of prices and
 // little else, so the per-market fixed cost weighs most. Both measure
-// 50.2 and 36.7 B per record once the store folds only the region
-// aggregates a reader reads; 53.3 and 38.1 B with per-market running
-// aggregates beside them; 79.1 and 45.4 B with a 1,096-byte shard per
-// market in a map keyed by market ID. The 3-day study measured 58.0 B
+// 41.3 and 31.2 B per record once a probe is one 48-byte row holding a
+// shape index; 50.2 and 36.7 B with eleven probe columns, once the store
+// folds only the region aggregates a reader reads; 53.3 and 38.1 B with
+// per-market running aggregates beside them; 79.1 and 45.4 B with a
+// 1,096-byte shard per market in a map keyed by market ID. The 3-day study measured 58.0 B
 // before pointer-free probe columns and quarter-step column growth. Each
 // ceiling sits a tenth over its measurement, rounded up to a whole byte.
 func TestStudyHeapPerRecord(t *testing.T) {
@@ -93,8 +94,8 @@ func TestStudyHeapPerRecord(t *testing.T) {
 		days    int
 		ceiling float64
 	}{
-		{"1-day", 1, 56},
-		{"3-day", 3, 41},
+		{"1-day", 1, 46},
+		{"3-day", 3, 35},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st, err := Run(Config{Seed: 42, Days: tc.days})

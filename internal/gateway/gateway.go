@@ -168,7 +168,9 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 
 // handleHealth aggregates the fleet's health: every node is polled
 // concurrently, the worst node status wins, and the per-node breakdown
-// rides in the gateway arm.
+// rides in the gateway arm. A failed poll charges the node's breaker only
+// while the caller still waits: a client that drops the request is not a
+// node failure.
 func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 	cctx, cancel := context.WithTimeout(r.Context(), g.cfg.Timeout)
 	defer cancel()
@@ -187,7 +189,9 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				nh.Status = "unreachable"
 				nh.Error = err.Error()
-				g.health.fail(i)
+				if r.Context().Err() == nil {
+					g.health.fail(i)
+				}
 			} else {
 				nh.Status = h.Status
 				nh.Generation = h.Store.Generation

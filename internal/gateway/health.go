@@ -152,8 +152,9 @@ func (g *Gateway) firstHealthy(primary int) int {
 // stops at the first node that answers; try reports whether node n did.
 // Each attempt's latency and outcome feed the node's upstream series and
 // its breaker, and every attempt after the first counts as a retry. Once
-// ctx is done no further attempt starts: a caller that gave up must not
-// charge healthy nodes with its cancellation.
+// ctx is done no further attempt starts, and the attempt it cut short
+// charges no breaker: a caller that gave up must not charge healthy nodes
+// with its cancellation.
 func (g *Gateway) failover(ctx context.Context, primary int, try func(n int) bool) bool {
 	for k, n := range g.candidates(primary) {
 		if k > 0 {
@@ -168,6 +169,9 @@ func (g *Gateway) failover(ctx context.Context, primary int, try func(n int) boo
 		if ok {
 			g.health.succeed(n)
 			return true
+		}
+		if ctx.Err() != nil {
+			return false
 		}
 		g.health.fail(n)
 	}

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -233,5 +235,54 @@ func TestBreakerEjectsTrialsAndReadmits(t *testing.T) {
 	}
 	if opens() != 2 {
 		t.Fatalf("breaker_opens_total = %v after two ejections, want 2", opens())
+	}
+}
+
+// holdingNode serves every request by holding it open until its client
+// goes away, counting the requests it saw.
+func holdingNode(t *testing.T) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var hits atomic.Int64
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(func() { close(release); srv.Close() })
+	return srv, &hits
+}
+
+// A caller that gives up is not a node failure: reads and health polls
+// that their callers cancel while a healthy but slow node holds them
+// leave its breaker closed with no failure counted, however many there
+// are (TestHealthEjectedNodeBreakerOpen holds that real failures still
+// open it).
+func TestCallerCancellationChargesNoBreaker(t *testing.T) {
+	for _, tc := range []struct{ name, path string }{
+		{"forward", "/v1/prices?market=" + url.QueryEscape("us-east-1d:c3.2xlarge:Linux/UNIX")},
+		{"health", "/v2/health"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			node, hits := holdingNode(t)
+			g, err := New(Config{Nodes: []string{node.URL}, Timeout: 5 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := g.Handler()
+			for i := 0; i < failThreshold; i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, tc.path, nil).WithContext(ctx))
+				cancel()
+			}
+			if hits.Load() < failThreshold {
+				t.Fatalf("the node saw %d requests, want >= %d", hits.Load(), failThreshold)
+			}
+			if state, fails := g.health.snapshot(0); state != breakerClosed || fails != 0 {
+				t.Errorf("after %d cancelled requests the node's breaker is %s with %d failures, want closed with 0", failThreshold, state, fails)
+			}
+		})
 	}
 }

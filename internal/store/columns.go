@@ -3,6 +3,7 @@ package store
 import (
 	"math"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,6 +20,10 @@ import (
 // ever materializing a []Record: encoders iterate indices and build one
 // stack-allocated record per frame.
 //
+// Probes are the one family stored as rows (probeRows): no fold reads a
+// probe field on its own, so columns would buy no scan and cost eleven
+// slice headers and growth steps per shard.
+//
 // Columns are append-only: a committed index is never rewritten (the one
 // exception, outage closing, lives in outageCols and is documented
 // there). That invariant is what makes zero-copy captures safe: a capture
@@ -33,9 +38,9 @@ import (
 //
 // No column holds a pointer: its elements are numbers, bools or structs of
 // numbers, so the collector never scans a record
-// (TestColumnsArePointerFree). The two string-bearing probe fields,
-// TriggerMarket and Code, are stored as uint32 indices into the store's
-// append-only dictionaries (probeDicts).
+// (TestColumnsArePointerFree). A probe row holds its TriggerMarket and its
+// shape (kind, trigger, source kind, rejection and Code) as uint32 indices
+// into the store's append-only dictionaries (probeDicts).
 // An index means something only inside one process's store: accessors
 // turn it back into the value before a record leaves the store, so the
 // log, snapshots, the follow stream and every export carry the values,
@@ -160,7 +165,7 @@ func appendRow[T any](col []T, v T) []T {
 }
 
 // dict is an append-only intern table: each distinct value gets the next
-// uint32 index for the life of the store, so a column holds 4 bytes and no
+// uint32 index for the life of the store, so a row holds 4 bytes and no
 // pointer where the value would hold several of both. Shards appending in
 // parallel share one dict, so only an insert excludes them: ids maps a
 // value to its index under mu's read lock, and vals holds the values by
@@ -173,6 +178,9 @@ type dict[T comparable] struct {
 	vals atomic.Pointer[[]T]
 }
 
+// noPrev is the previous index id is given for a shard's first row.
+const noPrev = math.MaxUint32
+
 func (d *dict[T]) at(i uint32) T { return (*d.vals.Load())[i] }
 
 // find returns v's index without adding it: a read of a value never
@@ -184,13 +192,13 @@ func (d *dict[T]) find(v T) (uint32, bool) {
 	return i, ok
 }
 
-// id returns v's index, adding v on first sight. col is the column the
-// index goes into: a shard's consecutive rows often repeat a value (a
-// market's probes are mostly triggered by the market itself and mostly
-// fulfilled), so the previous row's index is tried before the table.
-func (d *dict[T]) id(v T, col []uint32) uint32 {
-	if n := len(col); n > 0 && d.at(col[n-1]) == v {
-		return col[n-1]
+// id returns v's index, adding v on first sight. prev is the index the
+// shard's previous row holds (noPrev for none): consecutive rows often
+// repeat a value (a market's probes are mostly triggered by the market
+// itself), so it is tried before the table.
+func (d *dict[T]) id(v T, prev uint32) uint32 {
+	if prev != noPrev && d.at(prev) == v {
+		return prev
 	}
 	if i, ok := d.find(v); ok {
 		return i
@@ -214,88 +222,84 @@ func (d *dict[T]) id(v T, col []uint32) uint32 {
 	return i
 }
 
-// probeDicts are one store's dictionaries for the probe columns whose
-// values hold strings. markets is also the store's market index: a shard
-// is named by its market's index there (Store.shards).
+// probeDicts are one store's dictionaries for the probe fields a row holds
+// as an index. markets is also the store's market index: a shard is named
+// by its market's index there (Store.shards).
 type probeDicts struct {
 	markets dict[market.SpotID]
-	codes   dict[string]
+	shapes  dict[probeShape]
 }
 
-// probeCols is the probe log in columnar form. triggerMarket and code
-// hold indices into the store's probeDicts.
-type probeCols struct {
-	at            []int64
-	kind          []ProbeKind
-	trigger       []Trigger
-	triggerMarket []uint32
-	sourceKind    []ProbeKind
-	spikeRatio    []float64
-	priceRatio    []float64
-	rejected      []bool
-	code          []uint32
-	bid           []float64
-	cost          []float64
+// probeShape is what a probe says besides its instant, its markets and its
+// numbers. A study's probes take a few dozen distinct shapes, so a row
+// holds one index into probeDicts.shapes instead; a kind or trigger
+// outside its enum is just another entry. A shape holds no float: NaN !=
+// NaN would add an entry per row, and -0 == +0 would read a -0 back as +0.
+type probeShape struct {
+	kind, sourceKind ProbeKind
+	trigger          Trigger
+	rejected         bool
+	code             string
 }
 
-func (c *probeCols) n() int { return len(c.at) }
-
-func (c *probeCols) push(r *ProbeRecord, at int64, d *probeDicts) {
-	c.at = appendRow(c.at, at)
-	c.kind = appendRow(c.kind, r.Kind)
-	c.trigger = appendRow(c.trigger, r.Trigger)
-	c.triggerMarket = appendRow(c.triggerMarket, d.markets.id(r.TriggerMarket, c.triggerMarket))
-	c.sourceKind = appendRow(c.sourceKind, r.SourceKind)
-	c.spikeRatio = appendRow(c.spikeRatio, r.SpikeRatio)
-	c.priceRatio = appendRow(c.priceRatio, r.PriceRatio)
-	c.rejected = appendRow(c.rejected, r.Rejected)
-	c.code = appendRow(c.code, d.codes.id(r.Code, c.code))
-	c.bid = appendRow(c.bid, r.Bid)
-	c.cost = appendRow(c.cost, r.Cost)
+// probeRow is one probe, 48 bytes and no pointer: its stamp, its four
+// numbers, and indices into the store's probeDicts for its shape and its
+// trigger market.
+type probeRow struct {
+	at                                int64
+	spikeRatio, priceRatio, bid, cost float64
+	shape, triggerMarket              uint32
 }
 
-// reserve grows every column for n more records in one exact allocation
-// each — recovery counts a shard's frames before decoding them, so the
-// hot decode loop never pays appendRow's step growth (or its copying).
-func (c *probeCols) reserve(n int) {
-	c.at = grown(c.at, n)
-	c.kind = grown(c.kind, n)
-	c.trigger = grown(c.trigger, n)
-	c.triggerMarket = grown(c.triggerMarket, n)
-	c.sourceKind = grown(c.sourceKind, n)
-	c.spikeRatio = grown(c.spikeRatio, n)
-	c.priceRatio = grown(c.priceRatio, n)
-	c.rejected = grown(c.rejected, n)
-	c.code = grown(c.code, n)
-	c.bid = grown(c.bid, n)
-	c.cost = grown(c.cost, n)
+// probeRows is the probe log, one row per probe (see the header comment).
+type probeRows []probeRow
+
+func (c *probeRows) push(r *ProbeRecord, at int64, d *probeDicts) {
+	prev := probeRow{shape: noPrev, triggerMarket: noPrev}
+	if n := len(*c); n > 0 {
+		prev = (*c)[n-1]
+	}
+	shape := d.shapes.id(probeShape{r.Kind, r.SourceKind, r.Trigger, r.Rejected, r.Code}, prev.shape)
+	trigger := d.markets.id(r.TriggerMarket, prev.triggerMarket)
+	*c = appendRow(*c, probeRow{at, r.SpikeRatio, r.PriceRatio, r.Bid, r.Cost, shape, trigger})
 }
 
-func (c *probeCols) get(i int, id market.SpotID, d *probeDicts) ProbeRecord {
+// reserve grows the rows for n more probes in one exact allocation —
+// recovery counts a shard's frames before decoding them, so the hot decode
+// loop never pays appendRow's step growth (or its copying).
+func (c *probeRows) reserve(n int) { *c = grown(*c, n) }
+
+func (c probeRows) get(i int, id market.SpotID, d *probeDicts) ProbeRecord {
+	r, s := c[i], d.shapes.at(c[i].shape)
 	return ProbeRecord{
-		At:            stampTime(c.at[i]),
-		Market:        id,
-		Kind:          c.kind[i],
-		Trigger:       c.trigger[i],
-		TriggerMarket: d.markets.at(c.triggerMarket[i]),
-		SourceKind:    c.sourceKind[i],
-		SpikeRatio:    c.spikeRatio[i],
-		PriceRatio:    c.priceRatio[i],
-		Rejected:      c.rejected[i],
-		Code:          d.codes.at(c.code[i]),
-		Bid:           c.bid[i],
-		Cost:          c.cost[i],
+		At: stampTime(r.at), Market: id, Kind: s.kind, Trigger: s.trigger,
+		TriggerMarket: d.markets.at(r.triggerMarket), SourceKind: s.sourceKind,
+		SpikeRatio: r.spikeRatio, PriceRatio: r.priceRatio,
+		Rejected: s.rejected, Code: s.code, Bid: r.bid, Cost: r.cost,
 	}
 }
 
 // appendTo materializes every row into dst.
-func (c *probeCols) appendTo(dst []ProbeRecord, id market.SpotID, d *probeDicts) []ProbeRecord {
-	return rows(dst, c.n(), func(i int) ProbeRecord { return c.get(i, id, d) })
+func (c probeRows) appendTo(dst []ProbeRecord, id market.SpotID, d *probeDicts) []ProbeRecord {
+	return rows(dst, len(c), func(i int) ProbeRecord { return c.get(i, id, d) })
 }
 
-// window materializes the rows inside [from, to] into dst.
-func (c *probeCols) window(dst []ProbeRecord, id market.SpotID, d *probeDicts, ordered bool, from, to time.Time) []ProbeRecord {
-	return collect(dst, c.at, ordered, from, to, func(i int) ProbeRecord { return c.get(i, id, d) })
+// window materializes the rows inside [from, to] into dst, binary-searching
+// the stamps of ordered rows and filtering every row of unordered ones.
+func (c probeRows) window(dst []ProbeRecord, id market.SpotID, d *probeDicts, ordered bool, from, to time.Time) []ProbeRecord {
+	f, t := stamp(from), stamp(to)
+	lo, hi := 0, len(c)
+	if ordered {
+		lo = sort.Search(len(c), func(i int) bool { return c[i].at >= f })
+		hi = max(lo, sort.Search(len(c), func(i int) bool { return c[i].at > t }))
+		dst = grown(dst, hi-lo)
+	}
+	for i := lo; i < hi; i++ {
+		if f <= c[i].at && c[i].at <= t {
+			dst = append(dst, c.get(i, id, d))
+		}
+	}
+	return dst
 }
 
 // spikeCols is the spike-event log in columnar form.

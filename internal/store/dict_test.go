@@ -18,10 +18,11 @@ import (
 
 // TestColumnsArePointerFree holds the column layout's invariant: every
 // field of a shard's column structs is a slice whose element type holds no
-// pointer (no string, slice, map, interface or pointer, however nested), so
-// the collector never scans a record.
+// pointer (no string, slice, map, interface or pointer, however nested),
+// and so is every field of a probe row, so the collector never scans a
+// record.
 func TestColumnsArePointerFree(t *testing.T) {
-	for _, cols := range []any{probeCols{}, spikeCols{}, priceCols{}, crossingCols{}, bidSpreadCols{}, revocationCols{}, outageCols{}} {
+	for _, cols := range []any{spikeCols{}, priceCols{}, crossingCols{}, bidSpreadCols{}, revocationCols{}, outageCols{}} {
 		typ := reflect.TypeOf(cols)
 		for i := 0; i < typ.NumField(); i++ {
 			f := typ.Field(i)
@@ -31,6 +32,15 @@ func TestColumnsArePointerFree(t *testing.T) {
 			case hasPointers(f.Type.Elem()):
 				t.Errorf("%s.%s holds %s, which contains a pointer", typ.Name(), f.Name, f.Type.Elem())
 			}
+		}
+	}
+	if elem := reflect.TypeOf(probeRows{}).Elem(); elem != reflect.TypeOf(probeRow{}) {
+		t.Errorf("probeRows holds %s, not probeRow", elem)
+	}
+	row := reflect.TypeOf(probeRow{})
+	for i := 0; i < row.NumField(); i++ {
+		if f := row.Field(i); hasPointers(f.Type) {
+			t.Errorf("probeRow.%s is a %s, which contains a pointer", f.Name, f.Type)
 		}
 	}
 }
@@ -57,8 +67,9 @@ func hasPointers(t reflect.Type) bool {
 // dictOracle generates per-market probe streams whose dictionary-backed
 // fields cover the edge cases: trigger markets inside and outside the
 // appended set, the zero market, the empty code, a code whose length
-// prefix takes two bytes, more than 300 distinct codes, and kinds and triggers outside their enums. Stamps rise strictly
-// within a market, so every read path's order is the oracle's.
+// prefix takes two bytes, more than 300 distinct codes, and kinds and
+// triggers outside their enums. Stamps are distinct within a market and
+// rise strictly in its stream.
 func dictOracle(rng *rand.Rand, markets []market.SpotID, perMarket int) map[market.SpotID][]ProbeRecord {
 	triggers := append([]market.SpotID{{}, {Zone: "mars-north-1a", Type: "q9.huge", Product: "Plan 9"}}, markets...)
 	for i := 0; i < 40; i++ {
@@ -113,13 +124,28 @@ func sameProbes(t *testing.T, path string, got, want []ProbeRecord) {
 // dictionaries) into a durable store, half before a snapshot and a follower
 // attach and half after, and requires the oracle back exactly through the
 // accessors, WriteJSON, a close and reopen, and a Follow into a fresh store.
+// One market's stream is shuffled, so its shard is read by the unordered
+// scan and every other by the binary search; windowed reads cover random
+// sub-windows, single stamps and empty windows. The shape dictionary must
+// hold one entry per distinct shape appended, never one per row.
 func TestProbeDictionaryOracle(t *testing.T) {
 	const perMarket = 120
 	markets := []market.SpotID{fuzzMarket, fuzzOtherMarket}
 	for i := 1; i <= 6; i++ { // persistMarket(0) is fuzzMarket
 		markets = append(markets, persistMarket(i))
 	}
-	streams := dictOracle(rand.New(rand.NewPCG(35, 7)), markets, perMarket)
+	rng := rand.New(rand.NewPCG(35, 7))
+	streams := dictOracle(rng, markets, perMarket)
+	shuffled := persistMarket(3)
+	rng.Shuffle(perMarket, func(i, j int) {
+		streams[shuffled][i], streams[shuffled][j] = streams[shuffled][j], streams[shuffled][i]
+	})
+	shapes := make(map[probeShape]bool)
+	for _, rs := range streams {
+		for _, r := range rs {
+			shapes[probeShape{kind: r.Kind, sourceKind: r.SourceKind, trigger: r.Trigger, rejected: r.Rejected, code: r.Code}] = true
+		}
+	}
 
 	// The oracle: every market's stream in market-ID order, stamps
 	// canonical; the global accessors order it by time, ties by market ID.
@@ -134,6 +160,27 @@ func TestProbeDictionaryOracle(t *testing.T) {
 	}
 	byTime := append([]ProbeRecord(nil), byMarket...)
 	sort.SliceStable(byTime, func(i, j int) bool { return byTime[i].At.Before(byTime[j].At) })
+
+	// Windows [from, to]: random spans around random probes, single stamps,
+	// a stamp's next nanosecond, reversed spans and spans before the first
+	// probe.
+	type window struct{ from, to time.Time }
+	var windows []window
+	for i := 0; i < 60; i++ {
+		at := byMarket[rng.IntN(len(byMarket))].At
+		switch i % 5 {
+		case 0, 1:
+			from := at.Add(time.Duration(rng.Int64N(int64(2*time.Hour))) - time.Hour)
+			windows = append(windows, window{from, from.Add(time.Duration(rng.Int64N(int64(3 * time.Hour))))})
+		case 2:
+			windows = append(windows, window{at, at})
+		case 3:
+			windows = append(windows, window{at.Add(1), at.Add(1)})
+		case 4:
+			windows = append(windows, window{at, at.Add(-time.Duration(1 + rng.Int64N(int64(time.Hour))))})
+		}
+	}
+	windows = append(windows, window{persistBase.Add(-time.Hour), persistBase})
 
 	dir := t.TempDir()
 	s, err := Open(dir, PersistOptions{SegmentSize: 8 << 10})
@@ -176,6 +223,21 @@ func TestProbeDictionaryOracle(t *testing.T) {
 		t.Helper()
 		sameProbes(t, path+" Probes", db.Probes(), byTime)
 		sameProbes(t, path+" ProbesInWindow", db.ProbesInWindow(persistBase, persistBase.Add(1000*time.Hour), nil), byMarket)
+		for _, w := range windows {
+			var want []ProbeRecord
+			for _, r := range byMarket {
+				if !r.At.Before(w.from) && !r.At.After(w.to) {
+					want = append(want, r)
+				}
+			}
+			sameProbes(t, fmt.Sprintf("%s ProbesInWindow[%v, %v]", path, w.from, w.to), db.ProbesInWindow(w.from, w.to, nil), want)
+		}
+		if db.lookup(shuffled).unordered.ordered(famProbes) {
+			t.Errorf("%s: the shuffled market's probes read as ordered", path)
+		}
+		if got := len(db.dicts.shapes.ids); got != len(shapes) {
+			t.Errorf("%s: the shape dictionary holds %d entries, want %d distinct shapes", path, got, len(shapes))
+		}
 		var snap Snapshot
 		if err := json.Unmarshal([]byte(dumpOf(t, db)), &snap); err != nil {
 			t.Fatal(err)

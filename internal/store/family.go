@@ -181,7 +181,7 @@ var codecs = [walPrice + 1]codec{
 		replay:  replay[ProbeRecord],
 		follow:  follow[ProbeRecord],
 		reserve: func(sh *shard, n int) { ensure(&sh.probes).reserve(n) },
-		rows:    func(c *shardCapture) int { return c.probes.n() },
+		rows:    func(c *shardCapture) int { return len(c.probes) },
 		frame:   func(b []byte, c *shardCapture, i int) []byte { return c.probes.get(i, c.id, c.dicts).encode(b, c.id) },
 	},
 	walSpike: {

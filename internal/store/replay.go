@@ -73,7 +73,7 @@ func newRecovery(s *Store) *recovery {
 }
 
 func (r *recovery) task(id market.SpotID) *replayTask {
-	i := r.store.dicts.markets.id(id, nil)
+	i := r.store.dicts.markets.id(id, noPrev)
 	if n := int(i) + 1; n > len(r.tasks) {
 		r.tasks = append(r.tasks, make([]*replayTask, n-len(r.tasks))...)
 	}

@@ -56,12 +56,13 @@ type shard struct {
 	// once; window queries binary-search the others instead of scanning.
 	unordered families
 
-	// Record families are stored column-oriented (see columns.go): the
-	// windowed folds scan only the columns they read, and captures alias
-	// the append-only columns instead of copying them. Every shard holds
-	// prices; the other families are allocated on their first row.
+	// Record families are stored column-oriented, probes as rows (see
+	// columns.go): the windowed folds scan only the columns they read, and
+	// captures alias the append-only columns instead of copying them. Every
+	// shard holds prices; the other families are allocated on their first
+	// row.
 	prices      priceCols
-	probes      *probeCols
+	probes      *probeRows
 	spikes      *spikeFamily
 	bidSpreads  *bidSpreadCols
 	revocations *revocationCols
@@ -96,9 +97,9 @@ const (
 	famOutages // by Start; follows famProbes in practice
 )
 
-// track adds f to the set when appending stamp s breaks at's time order.
-func (u *families) track(f families, at []int64, s int64) {
-	if !follows(at, s) {
+// track adds f to the set when an append breaks its time order.
+func (u *families) track(f families, inOrder bool) {
+	if !inOrder {
 		*u |= f
 	}
 }
@@ -215,7 +216,7 @@ func (sh *shard) publish(d *rollupDelta) {
 func (r *ProbeRecord) land(sh *shard, at int64, d *rollupDelta) {
 	d.probeCount++
 	ps := ensure(&sh.probes)
-	sh.unordered.track(famProbes, ps.at, at)
+	sh.unordered.track(famProbes, len(*ps) == 0 || (*ps)[len(*ps)-1].at <= at)
 	ps.push(r, at, &sh.store.dicts)
 
 	ki, ok := kindIndex(r.Kind)
@@ -231,7 +232,7 @@ func (r *ProbeRecord) land(sh *shard, at int64, d *rollupDelta) {
 	switch {
 	case r.Rejected && (oc == nil || oc.open[ki] == 0):
 		oc = ensure(&sh.outages)
-		sh.unordered.track(famOutages, oc.start, at)
+		sh.unordered.track(famOutages, follows(oc.start, at))
 		oc.push(r.Kind, at)
 		oc.open[ki] = oc.n()
 		start := stampTime(at)
@@ -260,11 +261,11 @@ func (r *ProbeRecord) land(sh *shard, at int64, d *rollupDelta) {
 func (e *SpikeEvent) land(sh *shard, at int64, d *rollupDelta) {
 	d.spikes++
 	sp := ensure(&sh.spikes)
-	sh.unordered.track(famSpikes, sp.at, at)
+	sh.unordered.track(famSpikes, follows(sp.at, at))
 	sp.push(e, at)
 	if e.Ratio >= 1 {
 		c := &sp.crossings
-		sh.unordered.track(famCrossings, c.at, at)
+		sh.unordered.track(famCrossings, follows(c.at, at))
 		c.at = appendRow(c.at, at)
 		c.ratio = appendRow(c.ratio, e.Ratio)
 		d.spikesAboveOD++
@@ -273,18 +274,18 @@ func (e *SpikeEvent) land(sh *shard, at int64, d *rollupDelta) {
 
 func (r *BidSpreadRecord) land(sh *shard, at int64) {
 	bs := ensure(&sh.bidSpreads)
-	sh.unordered.track(famBidSpreads, bs.at, at)
+	sh.unordered.track(famBidSpreads, follows(bs.at, at))
 	bs.push(r, at)
 }
 
 func (r *RevocationRecord) land(sh *shard, at int64) {
 	rv := ensure(&sh.revocations)
-	sh.unordered.track(famRevocations, rv.at, at)
+	sh.unordered.track(famRevocations, follows(rv.at, at))
 	rv.push(r, at)
 }
 
 func (p *PricePoint) land(sh *shard, at int64) {
-	sh.unordered.track(famPrices, sh.prices.at, at)
+	sh.unordered.track(famPrices, follows(sh.prices.at, at))
 	sh.prices.push(p, at)
 }
 
@@ -306,7 +307,7 @@ type shardCapture struct {
 
 	unordered families
 
-	probes      probeCols
+	probes      probeRows
 	spikes      spikeCols
 	bidSpreads  bidSpreadCols
 	revocations revocationCols
@@ -363,10 +364,7 @@ func (sh *shard) pricesIn(dst []PricePoint, from, to time.Time) []PricePoint {
 func (sh *shard) probesIn(dst []ProbeRecord, from, to time.Time) []ProbeRecord {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if sh.probes == nil {
-		return dst
-	}
-	return sh.probes.window(dst, sh.id(), &sh.store.dicts, sh.unordered.ordered(famProbes), from, to)
+	return value(sh.probes).window(dst, sh.id(), &sh.store.dicts, sh.unordered.ordered(famProbes), from, to)
 }
 
 func (sh *shard) revocationsIn(dst []RevocationRecord, from, to time.Time) []RevocationRecord {

@@ -10,16 +10,19 @@ import (
 )
 
 // TestShardFixedCost holds what a market costs before its records do: the
-// shard struct, the probe family a market's first probe allocates, and the
-// live heap of a store holding every catalog market with one price each,
-// per market — shard, index entry, dictionary entry, rollup membership and
-// the two one-row price columns together.
+// shard struct, the probe family a market's first probe allocates, the
+// probe row, and the live heap of a store holding every catalog market
+// with one price each, per market — shard, index entry, dictionary entry,
+// rollup membership and the two one-row price columns together.
 func TestShardFixedCost(t *testing.T) {
 	if size := unsafe.Sizeof(shard{}); size > 208 {
 		t.Errorf("a shard is %d B, want <= 208", size)
 	}
-	if size := unsafe.Sizeof(probeCols{}); size > 288 {
-		t.Errorf("a probe family is %d B, want <= 288", size)
+	if size := unsafe.Sizeof(probeRows{}); size > 24 {
+		t.Errorf("a probe family is %d B, want <= 24", size)
+	}
+	if size := unsafe.Sizeof(probeRow{}); size != 48 {
+		t.Errorf("a probe row is %d B, want 48", size)
 	}
 	ids := market.New().SpotMarkets()
 	at := time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)

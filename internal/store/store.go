@@ -284,7 +284,7 @@ func New() *Store {
 
 // shardFor returns the shard of id, creating it on first write.
 func (s *Store) shardFor(id market.SpotID) *shard {
-	i := s.dicts.markets.id(id, nil)
+	i := s.dicts.markets.id(id, noPrev)
 	if sh := s.shardAt(i); sh != nil {
 		return sh
 	}
@@ -623,9 +623,7 @@ func (s *Store) ProbeCount() int {
 	total := 0
 	for _, sh := range s.shardList() {
 		sh.mu.RLock()
-		if sh.probes != nil {
-			total += sh.probes.n()
-		}
+		total += len(value(sh.probes))
 		sh.mu.RUnlock()
 	}
 	return total
