@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -66,5 +69,37 @@ func TestRunSpotOnOnStudy(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "SpotOn_h") {
 		t.Error("rendered Fig 6.2 missing header")
+	}
+}
+
+// TestCaseStudyTablesPinned holds the rendered Fig 6.1 and Fig 6.2 tables
+// of the 6-day seed-42 shape study to digests recorded once: a change to a
+// case-study replay that moves any number in either table fails here, and
+// the constants change only together with a model change that CHANGES.md
+// states.
+func TestCaseStudyTablesPinned(t *testing.T) {
+	st := shapeStudy(t)
+	fig61, err := st.RunSpotCheck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig62, err := st.RunSpotOn(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, sha string
+		write     func(io.Writer) error
+	}{
+		{"Fig 6.1", "d4d518061443c7787eb4712b5803d848500922510621bf7fd7f049307b21fbaf", func(w io.Writer) error { return WriteFig61(w, fig61) }},
+		{"Fig 6.2", "7454336ad39839c0838108725aeef254a0930c4f219b6e40a40fa613786cc8a4", func(w io.Writer) error { return WriteFig62(w, fig62) }},
+	} {
+		var sb strings.Builder
+		if err := tc.write(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String()))); got != tc.sha {
+			t.Errorf("%s SHA-256 = %s, want %s\n%s", tc.name, got, tc.sha, sb.String())
+		}
 	}
 }
