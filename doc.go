@@ -47,9 +47,9 @@
 //   - pkg/client           — the Go client SDK over both API surfaces,
 //     including Watch (typed live events, auto-reconnect with resume)
 //   - internal/analysis    — one function per paper table/figure
-//   - internal/experiment  — study harness and the Chapter 6 case studies
-//   - internal/spotcheck   — SpotCheck case study (Fig 6.1)
-//   - internal/spoton      — SpotOn case study + Eq 6.1 (Fig 6.2)
+//   - internal/experiment  — study harness and the Chapter 6 case
+//     studies: SpotCheck's VM and SpotOn's jobs replayed over a study's
+//     price traces (Figs 6.1, 6.2), and Eq 6.1
 //   - internal/daemon      — assembles one runnable node (leader or
 //     follower): store, query API, HTTP server, and either the simulated
 //     study or a replication subscription

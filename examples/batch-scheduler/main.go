@@ -21,7 +21,6 @@ import (
 	"spotlight/internal/experiment"
 	"spotlight/internal/market"
 	"spotlight/internal/query"
-	"spotlight/internal/spoton"
 	"spotlight/pkg/api"
 	"spotlight/pkg/client"
 )
@@ -88,9 +87,9 @@ func run() error {
 		mean /= float64(len(pts))
 		crossings := len(st.DB.SpikesFor(id, from, to))
 		mttr := to.Sub(from) / time.Duration(crossings+1)
-		tau := spoton.OptimalCheckpointInterval(6*time.Minute, mttr, time.Hour)
+		tau := experiment.OptimalCheckpointInterval(6*time.Minute, mttr, time.Hour)
 		pRevoke := 1 - float64(mttr)/(float64(mttr)+float64(time.Hour))
-		cost, err := spoton.ExpectedCostPerUnitTime(spoton.ExpectedCostParams{
+		cost, err := experiment.ExpectedCostPerUnitTime(experiment.ExpectedCostParams{
 			SpotPrice:              mean,
 			RevocationProb:         pRevoke,
 			ExpectedRevocationTime: mttr / 2,
@@ -130,13 +129,13 @@ func run() error {
 	// checkpoint overhead, but every replica's spot hours are paid.
 	fmt.Println("\nreplication instead of checkpointing (2 replicas, 20 trials):")
 	repA, repB := ranked[0].id, ranked[len(ranked)-1].id
-	var replicas []spoton.Replica
+	var replicas []experiment.Replica
 	for _, id := range []market.SpotID{repA, repB} {
 		od, err := st.Cat.SpotODPrice(id)
 		if err != nil {
 			return err
 		}
-		replicas = append(replicas, spoton.Replica{
+		replicas = append(replicas, experiment.Replica{
 			Market: id, ODPrice: od, Trace: st.DB.Prices(id),
 		})
 	}
@@ -144,21 +143,12 @@ func run() error {
 	for i := range starts {
 		starts[i] = from.Add(time.Duration(i) * 6 * time.Hour)
 	}
-	stats, err := spoton.RunReplicatedTrials(spoton.ReplicatedJobConfig{
-		Replicas:    replicas,
-		Platform:    alwaysUp{},
-		RunningTime: time.Hour,
-	}, starts)
+	stats, err := experiment.RunReplicatedTrials(replicas, experiment.AlwaysAvailable, starts)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("  replicas %s + %s\n", repA, repB)
 	fmt.Printf("  mean completion %.2fh (no checkpoint overhead), mean spot cost $%.3f/run, %d restarts\n",
-		stats.MeanCompletion.Hours(), stats.MeanSpotCost, stats.Restarts)
+		stats.MeanCompletion.Hours(), stats.MeanSpotCost, stats.Revocations)
 	return nil
 }
-
-// alwaysUp is the optimistic platform assumption for the replication demo.
-type alwaysUp struct{}
-
-func (alwaysUp) ODAvailable(market.SpotID, time.Time) bool { return true }

@@ -25,7 +25,6 @@ import (
 	"spotlight/internal/experiment"
 	"spotlight/internal/market"
 	"spotlight/internal/query"
-	"spotlight/internal/spotcheck"
 	"spotlight/pkg/api"
 	"spotlight/pkg/client"
 )
@@ -76,7 +75,7 @@ func run() error {
 
 	// Event-steered fallback: recompute only when the watch pushed news, or
 	// a resync (a gap's news is only in the query), since the last decision.
-	signaled := func(time.Time) bool {
+	signaled := func() bool {
 		saw := false
 		for {
 			select {
@@ -93,18 +92,19 @@ func run() error {
 		}
 	}
 	recomputes := 0
-	steer := spotcheck.EventSteeredFallback(signaled, func(t time.Time) market.SpotID {
-		recomputes++
-		fbs, err := c.Fallback(ctx, host.String(), 1, api.Last(24*time.Hour))
-		if err != nil || len(fbs) == 0 {
-			return host
+	cached := host
+	steer := func() market.SpotID {
+		if signaled() || recomputes == 0 {
+			recomputes++
+			cached = host
+			if fbs, err := c.Fallback(ctx, host.String(), 1, api.Last(24*time.Hour)); err == nil && len(fbs) > 0 {
+				if parsed, err := market.ParseSpotID(fbs[0].Market); err == nil {
+					cached = parsed
+				}
+			}
 		}
-		parsed, perr := market.ParseSpotID(fbs[0].Market)
-		if perr != nil {
-			return host
-		}
-		return parsed
-	})
+		return cached
+	}
 
 	fmt.Printf("live-watch: hosting on %s, watching region %s for revocations/outages\n\n", host, host.Region())
 
@@ -119,7 +119,7 @@ func run() error {
 		mu.Unlock()
 		if i%12 == 11 { // once per simulated hour
 			decisions++
-			target := steer(now())
+			target := steer()
 			if target != host {
 				fmt.Printf("%s  steering: fall back to %s\n", now().Format("15:04"), target)
 			}

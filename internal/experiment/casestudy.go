@@ -8,84 +8,63 @@ import (
 
 	"spotlight/internal/market"
 	"spotlight/internal/query"
-	"spotlight/internal/spotcheck"
-	"spotlight/internal/spoton"
 	"spotlight/internal/store"
 )
 
-// groundTruthPlatform adapts the simulator's ground truth to the case
-// studies' Platform interface.
-type groundTruthPlatform struct{ st *Study }
-
-func (p groundTruthPlatform) ODAvailable(m market.SpotID, t time.Time) bool {
-	ok, err := p.st.Sim.ODAvailableAt(m, t)
+// odAvailable answers on-demand obtainability from the simulator's ground
+// truth.
+func (st *Study) odAvailable(m market.SpotID, t time.Time) bool {
+	ok, err := st.Sim.ODAvailableAt(m, t)
 	return err == nil && ok
 }
 
-// alwaysAvailable is the (false) assumption the paper debunks: an
-// on-demand fallback that never fails.
-type alwaysAvailable struct{}
-
-func (alwaysAvailable) ODAvailable(market.SpotID, time.Time) bool { return true }
-
-// spotlightFallback builds the event-steered fallback policy for market
-// m: revocation and outage-open events in m's region signal that the
-// steering should be recomputed, and the query engine supplies the
-// current best uncorrelated market. Signals come from two equivalent
-// sources — a live subscription to the store's change feed (a study that
-// is still ingesting pushes the recompute the moment SpotLight learns of
-// a revocation), and, for a completed study whose feed is quiet, the
-// region's revocation and outage folds over the gap since the previous
-// decision (the stand-in for the same push). Either way the engine scan runs
-// only when the information service actually learned something, not on a
-// timer. The returned closer releases the feed subscription.
-func (st *Study) spotlightFallback(m market.SpotID) (func(t time.Time) market.SpotID, func()) {
+// spotlightFallback builds the SpotLight-informed fallback policy for
+// market m: the query engine's best uncorrelated market, recomputed only
+// when the study's history shows a revocation or an outage opening in m's
+// region since the previous decision, or when a trial restarts the
+// timeline. The engine scan runs only when the information service
+// learned something, not at every decision.
+func (st *Study) spotlightFallback(m market.SpotID) fallbackPolicy {
 	engine := query.NewEngine(st.DB, st.Cat)
-	sub := st.DB.Feed().Subscribe(store.SubscribeOptions{Filter: store.EventFilter{
-		Region: m.Region(),
-		Kinds:  []store.EventKind{store.EventRevocation, store.EventOutageOpen},
-	}})
-	var lastT time.Time
-	buf := make([]store.Event, 0, 64)
-	signaled := func(t time.Time) bool {
-		saw := false
-		for {
-			evs, _ := sub.Next(buf)
-			if len(evs) == 0 {
-				break
-			}
-			saw = true
-		}
-		switch {
-		case lastT.IsZero() || t.Before(lastT):
-			// First decision of a (re)started timeline — trials replay
-			// from different start times.
-			saw = true
-		case !saw:
-			// Quiet feed: ask the recorded history whether a revocation
-			// landed or an outage opened inside (lastT, t], exactly what the
-			// live feed would have pushed.
-			from := lastT.Add(time.Nanosecond)
+	var last time.Time
+	target := m
+	return func(t time.Time) market.SpotID {
+		news := last.IsZero() || t.Before(last)
+		if !news {
+			from := last.Add(time.Nanosecond)
 			st.DB.ScanScope(m.Region(), "", func(v store.MarketView) {
 				revoked, _ := v.RevocationStats(from, t)
-				saw = saw || revoked > 0 || v.OutagesOpened(from, t) > 0
+				news = news || revoked > 0 || v.OutagesOpened(from, t) > 0
 			})
 		}
-		lastT = t
-		return saw
-	}
-	recompute := func(t time.Time) market.SpotID {
-		from := st.Start
-		if !t.After(from) {
-			return m
+		last = t
+		if news {
+			target = m
+			if t.After(st.Start) {
+				if rows, err := engine.RecommendFallback(m, 1, st.Start, t); err == nil && len(rows) > 0 {
+					target = rows[0].Market
+				}
+			}
 		}
-		rows, err := engine.RecommendFallback(m, 1, from, t)
-		if err != nil || len(rows) == 0 {
-			return m
-		}
-		return rows[0].Market
+		return target
 	}
-	return spotcheck.EventSteeredFallback(signaled, recompute), sub.Close
+}
+
+// caseStudyReplays returns a replay of every case-study market the study
+// monitored (a region filter leaves some out) on the simulator's ground
+// truth, with the paper's baseline fallback.
+func (st *Study) caseStudyReplays() ([]replay, error) {
+	var out []replay
+	for _, m := range CaseStudyMarkets() {
+		od, err := st.Cat.SpotODPrice(m)
+		if err != nil {
+			return nil, err
+		}
+		if trace := st.DB.Prices(m); len(trace) > 0 {
+			out = append(out, replay{replicas: []Replica{{Market: m, ODPrice: od, Trace: trace}}, od: st.odAvailable})
+		}
+	}
+	return out, nil
 }
 
 // Fig61Row is one bar pair of Fig 6.1.
@@ -105,34 +84,19 @@ type Fig61Row struct {
 // market with and without SpotLight's data (Fig 6.1). Markets the study
 // did not monitor (e.g. under a region filter) are skipped.
 func (st *Study) RunSpotCheck() ([]Fig61Row, error) {
+	replays, err := st.caseStudyReplays()
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig61Row
-	for _, m := range CaseStudyMarkets() {
-		od, err := st.Cat.SpotODPrice(m)
-		if err != nil {
-			return nil, err
-		}
-		trace := st.DB.Prices(m)
-		if len(trace) == 0 {
-			continue // market outside the monitored regions
-		}
-		base := spotcheck.Config{
-			Market:   m,
-			ODPrice:  od,
-			Trace:    trace,
-			Platform: groundTruthPlatform{st},
-			From:     st.Start,
-			To:       st.End,
-			Tick:     st.Cfg.Tick,
-		}
-		naive, err := spotcheck.Run(base)
+	for _, r := range replays {
+		m := r.replicas[0].Market
+		naive, err := runVM(r, st.Start, st.End, st.Cfg.Tick)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: spotcheck %v: %w", m, err)
 		}
-		informed := base
-		policy, closePolicy := st.spotlightFallback(m)
-		informed.Fallback = policy
-		smart, err := spotcheck.Run(informed)
-		closePolicy()
+		r.fallback = st.spotlightFallback(m)
+		smart, err := runVM(r, st.Start, st.End, st.Cfg.Tick)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: spotcheck(+spotlight) %v: %w", m, err)
 		}
@@ -183,41 +147,26 @@ func (st *Study) RunSpotOn(trials int) ([]Fig62Row, error) {
 		starts[i] = st.Start.Add(time.Duration(int64(usable) / int64(trials) * int64(i)))
 	}
 
+	replays, err := st.caseStudyReplays()
+	if err != nil {
+		return nil, err
+	}
+	job := func(r replay, start time.Time) (jobResult, error) { return runJob(r, start, st.Cfg.Tick) }
 	var rows []Fig62Row
-	for _, m := range CaseStudyMarkets() {
-		od, err := st.Cat.SpotODPrice(m)
-		if err != nil {
-			return nil, err
-		}
-		trace := st.DB.Prices(m)
-		if len(trace) == 0 {
-			continue // market outside the monitored regions
-		}
-		base := spoton.JobConfig{
-			Market:             m,
-			ODPrice:            od,
-			Trace:              trace,
-			Platform:           groundTruthPlatform{st},
-			RunningTime:        time.Hour,
-			CheckpointTime:     6 * time.Minute,
-			CheckpointInterval: 15 * time.Minute,
-			Tick:               st.Cfg.Tick,
-		}
-		naive, err := spoton.RunTrials(base, starts)
+	for _, r := range replays {
+		m := r.replicas[0].Market
+		naive, err := runTrials(r, starts, job)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: spoton %v: %w", m, err)
 		}
-		informedCfg := base
-		policy, closePolicy := st.spotlightFallback(m)
-		informedCfg.Fallback = policy
-		informed, err := spoton.RunTrials(informedCfg, starts)
-		closePolicy()
+		ideal := r
+		ideal.od = AlwaysAvailable
+		r.fallback = st.spotlightFallback(m)
+		informed, err := runTrials(r, starts, job)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: spoton(+spotlight) %v: %w", m, err)
 		}
-		idealCfg := base
-		idealCfg.Platform = alwaysAvailable{}
-		ideal, err := spoton.RunTrials(idealCfg, starts)
+		idealStats, err := runTrials(ideal, starts, job)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: spoton(ideal) %v: %w", m, err)
 		}
@@ -225,7 +174,7 @@ func (st *Study) RunSpotOn(trials int) ([]Fig62Row, error) {
 			Market:         m,
 			SpotOnHours:    naive.MeanCompletion.Hours(),
 			SpotLightHours: informed.MeanCompletion.Hours(),
-			IdealHours:     ideal.MeanCompletion.Hours(),
+			IdealHours:     idealStats.MeanCompletion.Hours(),
 			Revocations:    naive.Revocations,
 		})
 	}

@@ -1,17 +1,17 @@
-package spoton_test
+package experiment_test
 
 import (
 	"fmt"
 	"time"
 
-	"spotlight/internal/spoton"
+	"spotlight/internal/experiment"
 )
 
 func ExampleExpectedCostPerUnitTime() {
 	// Eq 6.1 for a 1-hour job on a market with a 50% revocation chance,
 	// 2-hour expected time to revocation, 6-minute checkpoints every
 	// hour, and a $0.20/hour spot price.
-	cost, err := spoton.ExpectedCostPerUnitTime(spoton.ExpectedCostParams{
+	cost, err := experiment.ExpectedCostPerUnitTime(experiment.ExpectedCostParams{
 		SpotPrice:              0.20,
 		RevocationProb:         0.5,
 		ExpectedRevocationTime: 2 * time.Hour,
@@ -30,7 +30,7 @@ func ExampleExpectedCostPerUnitTime() {
 }
 
 func ExampleOptimalCheckpointInterval() {
-	tau := spoton.OptimalCheckpointInterval(6*time.Minute, 12*time.Hour, 24*time.Hour)
+	tau := experiment.OptimalCheckpointInterval(6*time.Minute, 12*time.Hour, 24*time.Hour)
 	fmt.Println(tau.Round(time.Minute))
 	// Output:
 	// 1h33m0s
