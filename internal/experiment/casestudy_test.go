@@ -92,7 +92,7 @@ func TestCaseStudyTablesPinned(t *testing.T) {
 		write     func(io.Writer) error
 	}{
 		{"Fig 6.1", "d4d518061443c7787eb4712b5803d848500922510621bf7fd7f049307b21fbaf", func(w io.Writer) error { return WriteFig61(w, fig61) }},
-		{"Fig 6.2", "7454336ad39839c0838108725aeef254a0930c4f219b6e40a40fa613786cc8a4", func(w io.Writer) error { return WriteFig62(w, fig62) }},
+		{"Fig 6.2", "e9cb94568a49f6cbaefa618e1449f786d326cfbdd0f2baf735f2024fd3b18a20", func(w io.Writer) error { return WriteFig62(w, fig62) }},
 	} {
 		var sb strings.Builder
 		if err := tc.write(&sb); err != nil {

@@ -197,8 +197,9 @@ const (
 	checkpointTime     = 6 * time.Minute
 	checkpointInterval = 15 * time.Minute
 	jobDeadline        = 10*jobLength + 24*time.Hour
-	// replicatedTick is the replicated job's replay step.
-	replicatedTick = time.Minute
+	// jobTick is a job replay's step. A checkpoint ends only on a whole
+	// step, so the step divides the checkpoint time.
+	jobTick = time.Minute
 )
 
 // jobResult is the outcome of one SpotOn job replay.
@@ -220,12 +221,12 @@ type jobResult struct {
 	Finished bool
 }
 
-// runJob replays SpotOn's checkpointed job on replicas[0] from start in
-// steps of tick. A revocation rolls the job back to its last checkpoint
+// runJob replays SpotOn's checkpointed job on replicas[0] from start. A
+// revocation rolls the job back to its last checkpoint
 // and restarts it on the on-demand fallback, for good; while the fallback
 // is unobtainable the job waits, and takes whichever tier recovers first,
 // on-demand before spot.
-func runJob(r replay, start time.Time, tick time.Duration) (jobResult, error) {
+func runJob(r replay, start time.Time) (jobResult, error) {
 	if err := r.validate(); err != nil {
 		return jobResult{}, err
 	}
@@ -241,7 +242,7 @@ func runJob(r replay, start time.Time, tick time.Duration) (jobResult, error) {
 		waiting      = false
 		deadline     = start.Add(jobDeadline)
 	)
-	for t := start; done < jobLength; t = t.Add(tick) {
+	for t := start; done < jobLength; t = t.Add(jobTick) {
 		if !t.Before(deadline) {
 			res.Completion = t.Sub(start)
 			return res, nil // Finished stays false
@@ -249,7 +250,7 @@ func runJob(r replay, start time.Time, tick time.Duration) (jobResult, error) {
 		price := prices.at(t)
 		switch {
 		case waiting:
-			res.WaitedForOD += tick
+			res.WaitedForOD += jobTick
 			if r.fallbackUp(t) {
 				waiting = false
 				spot = false
@@ -267,27 +268,27 @@ func runJob(r replay, start time.Time, tick time.Duration) (jobResult, error) {
 				spot = false
 			} else {
 				waiting = true
-				res.WaitedForOD += tick
+				res.WaitedForOD += jobTick
 			}
 		default:
 			// Making progress on spot or on-demand. A checkpoint write
 			// blocks progress for its duration; only spot execution
 			// checkpoints, since on-demand is not revocable.
 			if ckptLeft > 0 {
-				ckptLeft -= tick
+				ckptLeft -= jobTick
 				if ckptLeft <= 0 {
 					checkpointed = done
 					sinceCkpt = 0
 				}
 			} else {
-				done += tick
-				sinceCkpt += tick
+				done += jobTick
+				sinceCkpt += jobTick
 				if spot && sinceCkpt >= checkpointInterval && done < jobLength {
 					ckptLeft = checkpointTime
 				}
 			}
 		}
-		res.Completion = t.Add(tick).Sub(start)
+		res.Completion = t.Add(jobTick).Sub(start)
 	}
 	res.Finished = true
 	return res, nil
@@ -317,25 +318,25 @@ func runReplicatedJob(r replay, start time.Time) (jobResult, error) {
 		odDone   time.Duration
 		waiting  bool
 		deadline = start.Add(jobDeadline)
-		tickH    = replicatedTick.Hours()
+		tickH    = jobTick.Hours()
 	)
-	for t := start; ; t = t.Add(replicatedTick) {
+	for t := start; ; t = t.Add(jobTick) {
 		if !t.Before(deadline) {
 			res.Completion = t.Sub(start)
 			return res, nil
 		}
 		switch {
 		case waiting:
-			res.WaitedForOD += replicatedTick
+			res.WaitedForOD += jobTick
 			if r.fallbackUp(t) {
 				waiting = false
 				onOD = true
 			}
 		case onOD:
-			odDone += replicatedTick
+			odDone += jobTick
 			if odDone >= jobLength {
 				res.Finished = true
-				res.Completion = t.Add(replicatedTick).Sub(start)
+				res.Completion = t.Add(jobTick).Sub(start)
 				return res, nil
 			}
 		default:
@@ -351,11 +352,11 @@ func runReplicatedJob(r replay, start time.Time) (jobResult, error) {
 					continue
 				}
 				anyAlive = true
-				rep.done += replicatedTick
+				rep.done += jobTick
 				res.SpotCost += price * tickH
 				if rep.done >= jobLength {
 					res.Finished = true
-					res.Completion = t.Add(replicatedTick).Sub(start)
+					res.Completion = t.Add(jobTick).Sub(start)
 					return res, nil
 				}
 			}
@@ -366,7 +367,7 @@ func runReplicatedJob(r replay, start time.Time) (jobResult, error) {
 					onOD = true
 				} else {
 					waiting = true
-					res.WaitedForOD += replicatedTick
+					res.WaitedForOD += jobTick
 				}
 			}
 		}

@@ -261,11 +261,8 @@ func TestExpectedCostErrors(t *testing.T) {
 	}
 }
 
-// job replays SpotOn's checkpointed job at a one-minute tick.
-func job(r replay, start time.Time) (jobResult, error) { return runJob(r, start, time.Minute) }
-
 func TestJobWithoutRevocations(t *testing.T) {
-	res, err := job(onMkt(trace(0, 0.3, 48, 0.3), AlwaysAvailable), t0)
+	res, err := runJob(onMkt(trace(0, 0.3, 48, 0.3), AlwaysAvailable), t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,10 +280,27 @@ func TestJobWithoutRevocations(t *testing.T) {
 	}
 }
 
+// TestSpotOnJobHoursWithoutRevocations holds Fig 6.2's job to the paper's
+// arithmetic from any start: a revocation-free hour of work with three
+// six-minute checkpoints takes 1 h + 3 x 6 min = 1.30 h. Replayed at a
+// study's 5-minute tick it read 1.50 h, because a checkpoint ended only
+// on a whole tick.
+func TestSpotOnJobHoursWithoutRevocations(t *testing.T) {
+	r := onMkt(trace(0, 0.3, 48, 0.3), AlwaysAvailable)
+	starts := []time.Time{t0, t0.Add(5 * time.Minute), t0.Add(37 * time.Minute)}
+	st, err := runTrials(r, starts, runJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.MeanCompletion != 78*time.Minute || st.MaxCompletion != 78*time.Minute {
+		t.Errorf("mean/max completion = %v/%v, want 1h18m (1.30 h)", st.MeanCompletion, st.MaxCompletion)
+	}
+}
+
 func TestJobRevocationLosesUncheckpointedWork(t *testing.T) {
 	// Spike at +20 min: the job has checkpointed at 15 min of work, so it
 	// loses the work since then and restarts on-demand.
-	res, err := job(onMkt(trace(0, 0.3, 20.0/60, 1.5, 1, 0.3), AlwaysAvailable), t0)
+	res, err := runJob(onMkt(trace(0, 0.3, 20.0/60, 1.5, 1, 0.3), AlwaysAvailable), t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +326,7 @@ func TestJobWaitsWhenFallbackUnavailable(t *testing.T) {
 	r := onMkt(trace(0, 0.3, 0.5, 1.5, 3, 0.3), outages(map[market.SpotID][][2]time.Time{ // spike from +30m to +3h
 		mkt: {{t0, t0.Add(2 * time.Hour)}}, // od out for 2 hours
 	}))
-	res, err := job(r, t0)
+	res, err := runJob(r, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +347,7 @@ func TestSpotLightFallbackAvoidsWait(t *testing.T) {
 		mkt: {{t0, t0.Add(2 * time.Hour)}},
 	}))
 	r.fallback = func(time.Time) market.SpotID { return fallMkt }
-	res, err := job(r, t0)
+	res, err := runJob(r, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +361,7 @@ func TestJobDeadline(t *testing.T) {
 	r := onMkt(trace(0, 5), outages(map[market.SpotID][][2]time.Time{
 		mkt: {{t0, t0.Add(1000 * time.Hour)}},
 	}))
-	res, err := job(r, t0)
+	res, err := runJob(r, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +381,7 @@ func TestJobValidation(t *testing.T) {
 		{replicas: []Replica{{Market: mkt, ODPrice: 1, Trace: trace(0, 0.3)}}},
 	}
 	for i, r := range bad {
-		if _, err := job(r, t0); err == nil {
+		if _, err := runJob(r, t0); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}
@@ -376,7 +390,7 @@ func TestJobValidation(t *testing.T) {
 func TestRunTrials(t *testing.T) {
 	r := onMkt(trace(0, 0.3, 6, 1.5, 7, 0.3, 48, 0.3), AlwaysAvailable)
 	starts := []time.Time{t0, t0.Add(5 * time.Hour), t0.Add(10 * time.Hour)}
-	st, err := runTrials(r, starts, job)
+	st, err := runTrials(r, starts, runJob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +403,7 @@ func TestRunTrials(t *testing.T) {
 	if st.MaxCompletion < st.MeanCompletion {
 		t.Errorf("max %v < mean %v", st.MaxCompletion, st.MeanCompletion)
 	}
-	if _, err := runTrials(r, nil, job); err == nil {
+	if _, err := runTrials(r, nil, runJob); err == nil {
 		t.Error("empty starts accepted")
 	}
 }
