@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"spotlight/internal/analysis"
-	"spotlight/internal/demand"
 	"spotlight/internal/experiment"
 	"spotlight/internal/market"
 )
@@ -35,14 +34,13 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("spotlight-study", flag.ContinueOnError)
 	var (
-		days     = fs.Int("days", 30, "simulated study length in days")
-		seed     = fs.Uint64("seed", 42, "study seed")
-		tick     = fs.Duration("tick", 5*time.Minute, "simulation tick")
-		trials   = fs.Int("trials", 100, "SpotOn trials per market (Fig 6.2)")
-		regions  = fs.String("regions", "", "comma-separated region filter (default: all)")
-		outDir   = fs.String("out", "", "directory for raw CSV/JSON dumps (optional)")
-		profiles = fs.String("profiles", "", "JSON file overriding per-region demand profiles")
-		quiet    = fs.Bool("quiet", false, "suppress progress output")
+		days    = fs.Int("days", 30, "simulated study length in days")
+		seed    = fs.Uint64("seed", 42, "study seed")
+		tick    = fs.Duration("tick", 5*time.Minute, "simulation tick")
+		trials  = fs.Int("trials", 100, "SpotOn trials per market (Fig 6.2)")
+		regions = fs.String("regions", "", "comma-separated region filter (default: all)")
+		outDir  = fs.String("out", "", "directory for raw CSV/JSON dumps (optional)")
+		quiet   = fs.Bool("quiet", false, "suppress progress output")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -52,18 +50,6 @@ func run(args []string, out io.Writer) error {
 		Seed: *seed,
 		Days: *days,
 		Tick: *tick,
-	}
-	if *profiles != "" {
-		f, err := os.Open(*profiles)
-		if err != nil {
-			return err
-		}
-		profs, err := demand.LoadProfiles(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		cfg.Cloud.Profiles = profs
 	}
 	if *regions != "" {
 		for _, r := range strings.Split(*regions, ",") {

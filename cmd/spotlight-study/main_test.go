@@ -71,31 +71,4 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-days", "not-a-number"}, &sb); err == nil {
 		t.Error("bad flag accepted")
 	}
-	if err := run([]string{"-profiles", "/nonexistent.json"}, &sb); err == nil {
-		t.Error("missing profiles file accepted")
-	}
-}
-
-func TestRunWithProfileOverride(t *testing.T) {
-	if testing.Short() {
-		t.Skip("study command test skipped in -short mode")
-	}
-	path := filepath.Join(t.TempDir(), "profiles.json")
-	override := `{"sa-east-1": {"provision": 1.5, "volatility": 0.05,
-		"spikeRatePerDay": 0.1, "marketSpikeRatePerDay": 1.0,
-		"regionalShare": 0.3, "poolScale": 1.0, "spotCNABase": 0.02}}`
-	if err := os.WriteFile(path, []byte(override), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	err := run([]string{
-		"-days", "1", "-seed", "5", "-trials", "2", "-quiet",
-		"-regions", "sa-east-1", "-profiles", path,
-	}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "study:") {
-		t.Error("override study produced no summary")
-	}
 }

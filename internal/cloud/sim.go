@@ -22,8 +22,6 @@ type Config struct {
 	// Start is the simulated start instant. Zero selects
 	// simtime.StudyEpoch.
 	Start time.Time
-	// Profiles optionally overrides the demand profiles per region.
-	Profiles map[market.Region]demand.Profile
 	// APICallsPerTickPerRegion bounds client API calls per region per
 	// tick. Default 600.
 	APICallsPerTickPerRegion int
@@ -178,7 +176,6 @@ func New(cat *market.Catalog, cfg Config) (*Sim, error) {
 	dm, err := demand.NewModel(cat, demand.Config{
 		Seed:          cfg.Seed,
 		Tick:          cfg.Tick,
-		Profiles:      cfg.Profiles,
 		ForceVolatile: cfg.VolatileMarkets,
 		HotPools:      cfg.StrongPools,
 	})

@@ -19,10 +19,6 @@ type Config struct {
 	// Tick is the simulation step the model will be advanced by.
 	Tick time.Duration
 
-	// Profiles maps each region to its demand profile. Regions without a
-	// profile fall back to the sa-east-1 default (most conservative).
-	Profiles map[market.Region]Profile
-
 	// ForceVolatile marks specific markets as volatile regardless of the
 	// seeded draw. The paper's case studies deliberately pick markets
 	// that exhibit frequent price spikes (d2.* in us-east-1e, g2.8xlarge
@@ -184,9 +180,6 @@ func NewModel(cat *market.Catalog, cfg Config) (*Model, error) {
 	if cfg.Tick <= 0 {
 		return nil, fmt.Errorf("demand: non-positive tick %v", cfg.Tick)
 	}
-	if cfg.Profiles == nil {
-		cfg.Profiles = DefaultProfiles()
-	}
 	m := &Model{
 		cat:     cat,
 		cfg:     cfg,
@@ -197,10 +190,12 @@ func NewModel(cat *market.Catalog, cfg Config) (*Model, error) {
 	m.innov = math.Sqrt(1 - m.rho*m.rho)
 
 	byRegion := make(map[market.Region]*regionState, len(cat.Regions()))
+	profiles := DefaultProfiles()
 	for _, r := range cat.Regions() {
-		prof, ok := cfg.Profiles[r]
+		// A region without a profile takes the most conservative one.
+		prof, ok := profiles[r]
 		if !ok {
-			prof = DefaultProfiles()["sa-east-1"]
+			prof = profiles["sa-east-1"]
 		}
 		rs := &regionState{
 			prof:      prof,

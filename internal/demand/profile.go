@@ -13,14 +13,7 @@
 // spikes past the on-demand price (§5.1).
 package demand
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-
-	"spotlight/internal/market"
-)
+import "spotlight/internal/market"
 
 // Profile captures the demand character of one region.
 type Profile struct {
@@ -29,80 +22,35 @@ type Profile struct {
 	// Values below ~1.05 produce regular saturation at daily peaks;
 	// larger values make outages rare. (§5.2.2: us-east-1 is
 	// well-provisioned, sa-east-1 / ap-southeast-* are not.)
-	Provision float64 `json:"provision"`
+	Provision float64
 
 	// Volatility is the standard deviation of the AR(1) multiplicative
 	// noise on on-demand load.
-	Volatility float64 `json:"volatility"`
+	Volatility float64
 
 	// SpikeRatePerDay is the expected number of flash-crowd demand
 	// spikes per capacity pool per day.
-	SpikeRatePerDay float64 `json:"spikeRatePerDay"`
+	SpikeRatePerDay float64
 
 	// MarketSpikeRatePerDay is the expected number of spot-demand spikes
 	// per spot market per day (spot-side surges that move the spot price
 	// without any on-demand shortage).
-	MarketSpikeRatePerDay float64 `json:"marketSpikeRatePerDay"`
+	MarketSpikeRatePerDay float64
 
 	// RegionalShare is the fraction of noise and spike energy shared by
 	// every availability zone in the region (the rest is AZ-local). It
 	// controls the cross-AZ unavailability coupling of Fig 5.8.
-	RegionalShare float64 `json:"regionalShare"`
+	RegionalShare float64
 
 	// PoolScale multiplies the base pool capacity; larger regions have
 	// more physical servers behind each market.
-	PoolScale float64 `json:"poolScale"`
+	PoolScale float64
 
 	// SpotCNABase is the peak probability that a spot request is refused
 	// with capacity-not-available when the spot price is pinned at the
 	// low-price floor (§5.3: EC2 withholds capacity it would otherwise
 	// sell below its operating cost).
-	SpotCNABase float64 `json:"spotCNABase"`
-}
-
-// validate rejects physically meaningless profile values.
-func (p Profile) validate() error {
-	switch {
-	case p.Provision <= 0:
-		return errors.New("demand: profile provision must be positive")
-	case p.Volatility < 0 || p.Volatility > 1:
-		return errors.New("demand: profile volatility outside [0,1]")
-	case p.SpikeRatePerDay < 0 || p.MarketSpikeRatePerDay < 0:
-		return errors.New("demand: negative spike rate")
-	case p.RegionalShare < 0 || p.RegionalShare > 1:
-		return errors.New("demand: regional share outside [0,1]")
-	case p.PoolScale <= 0:
-		return errors.New("demand: pool scale must be positive")
-	case p.SpotCNABase < 0 || p.SpotCNABase > 0.5:
-		return errors.New("demand: spot CNA base outside [0,0.5]")
-	}
-	return nil
-}
-
-// LoadProfiles reads a JSON object mapping region names to profiles and
-// merges it over the defaults, so a file may override only some regions.
-// Example file:
-//
-//	{"sa-east-1": {"provision": 0.9, "volatility": 0.12,
-//	               "spikeRatePerDay": 1.0, "marketSpikeRatePerDay": 3.0,
-//	               "regionalShare": 0.4, "poolScale": 1.0,
-//	               "spotCNABase": 0.05}}
-func LoadProfiles(r io.Reader) (map[market.Region]Profile, error) {
-	var raw map[market.Region]Profile
-	if err := json.NewDecoder(r).Decode(&raw); err != nil {
-		return nil, fmt.Errorf("demand: decode profiles: %w", err)
-	}
-	out := DefaultProfiles()
-	for region, prof := range raw {
-		if _, known := out[region]; !known {
-			return nil, fmt.Errorf("demand: unknown region %q in profiles", region)
-		}
-		if err := prof.validate(); err != nil {
-			return nil, fmt.Errorf("demand: region %q: %w", region, err)
-		}
-		out[region] = prof
-	}
-	return out, nil
+	SpotCNABase float64
 }
 
 // DefaultProfiles returns the per-region demand profiles used by the

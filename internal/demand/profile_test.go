@@ -1,14 +1,22 @@
 package demand
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestDefaultProfilesValid(t *testing.T) {
-	for region, prof := range DefaultProfiles() {
-		if err := prof.validate(); err != nil {
-			t.Errorf("default profile for %s invalid: %v", region, err)
+	for region, p := range DefaultProfiles() {
+		switch {
+		case p.Provision <= 0:
+			t.Errorf("%s: provision %v not positive", region, p.Provision)
+		case p.Volatility < 0 || p.Volatility > 1:
+			t.Errorf("%s: volatility %v outside [0,1]", region, p.Volatility)
+		case p.SpikeRatePerDay < 0 || p.MarketSpikeRatePerDay < 0:
+			t.Errorf("%s: negative spike rate", region)
+		case p.RegionalShare < 0 || p.RegionalShare > 1:
+			t.Errorf("%s: regional share %v outside [0,1]", region, p.RegionalShare)
+		case p.PoolScale <= 0:
+			t.Errorf("%s: pool scale %v not positive", region, p.PoolScale)
+		case p.SpotCNABase < 0 || p.SpotCNABase > 0.5:
+			t.Errorf("%s: spot CNA base %v outside [0,0.5]", region, p.SpotCNABase)
 		}
 	}
 	if len(DefaultProfiles()) != 9 {
@@ -26,43 +34,5 @@ func TestDefaultProvisioningOrdering(t *testing.T) {
 	if p["sa-east-1"].SpikeRatePerDay <= p["us-east-1"].SpikeRatePerDay {
 		t.Errorf("sa-east-1 spike rate %v not above us-east-1 %v",
 			p["sa-east-1"].SpikeRatePerDay, p["us-east-1"].SpikeRatePerDay)
-	}
-}
-
-func TestLoadProfilesMergesOverDefaults(t *testing.T) {
-	in := `{"sa-east-1": {"provision": 0.9, "volatility": 0.12,
-		"spikeRatePerDay": 1.0, "marketSpikeRatePerDay": 3.0,
-		"regionalShare": 0.4, "poolScale": 1.0, "spotCNABase": 0.05}}`
-	profs, err := LoadProfiles(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := profs["sa-east-1"].Provision; got != 0.9 {
-		t.Errorf("sa-east-1 provision = %v, want 0.9 (overridden)", got)
-	}
-	// Unmentioned regions keep their defaults.
-	if got := profs["us-east-1"]; got != DefaultProfiles()["us-east-1"] {
-		t.Errorf("us-east-1 = %+v, want default", got)
-	}
-	if len(profs) != 9 {
-		t.Errorf("profiles = %d regions, want 9", len(profs))
-	}
-}
-
-func TestLoadProfilesRejectsBadInput(t *testing.T) {
-	bad := []string{
-		`not json`,
-		`{"atlantis-1": {"provision": 1, "poolScale": 1}}`, // unknown region
-		`{"sa-east-1": {"provision": 0, "poolScale": 1}}`,  // zero provision
-		`{"sa-east-1": {"provision": 1, "poolScale": 0}}`,  // zero pool scale
-		`{"sa-east-1": {"provision": 1, "poolScale": 1, "volatility": 2}}`,
-		`{"sa-east-1": {"provision": 1, "poolScale": 1, "regionalShare": -0.1}}`,
-		`{"sa-east-1": {"provision": 1, "poolScale": 1, "spotCNABase": 0.9}}`,
-		`{"sa-east-1": {"provision": 1, "poolScale": 1, "spikeRatePerDay": -1}}`,
-	}
-	for i, in := range bad {
-		if _, err := LoadProfiles(strings.NewReader(in)); err == nil {
-			t.Errorf("input %d accepted: %s", i, in)
-		}
 	}
 }
