@@ -33,7 +33,7 @@ BENCH_COUNT ?= 1
 OLD ?= bench-baseline.txt
 NEW ?= bench-smoke.txt
 
-.PHONY: all build test vet fmt-check loc bench bench-diff bench-baseline bench-e2e bench-gate smoke chaos-smoke fuzz-smoke example-smoke ci
+.PHONY: all build test vet fmt-check loc bench bench-diff bench-baseline bench-e2e bench-gate smoke chaos-smoke fuzz-smoke example-smoke cover-runs ci
 
 all: build
 
@@ -215,5 +215,36 @@ fuzz-smoke:
 	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzV1Query$$' -fuzztime=10s
 	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzAdviseBody$$' -fuzztime=10s
 	$(GO) test ./internal/replica -run '^$$' -fuzz '^FuzzCursorDecode$$' -fuzztime=10s
+
+# Coverage of what the binaries run, not gated: build every main (the
+# commands, the examples and the benchmark) with coverage over the whole
+# module, run each the way CI or a reader runs it — the daemon's
+# self-smoke, the spotload drill, all seven examples, a 2-day study and
+# its analysis, a 1-day ec2sim trace and the four benchmark workloads at
+# two traced seconds — and print the statement coverage per package, the
+# total, and every function no run reached. Everything, the benchmark's
+# reports included, lands in a temporary directory.
+cover-runs:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; bin=$$tmp/bin; mkdir -p $$bin $$tmp/cov; \
+	for d in cmd/* examples/* bench; do \
+		$(GO) build -cover -coverpkg=spotlight/... -o $$bin/$$(basename $$d) ./$$d; \
+	done; \
+	export GOCOVERDIR=$$tmp/cov; \
+	$$bin/spotlightd -addr 127.0.0.1:0 -smoke >/dev/null 2>&1; \
+	$$bin/spotload -report $$tmp/chaos-report.txt -metrics-dump $$tmp/chaos-metrics.txt >/dev/null 2>&1; \
+	for e in examples/*; do $$bin/$$(basename $$e) >/dev/null 2>&1; done; \
+	$$bin/spotlight-study -days 2 -quiet -out $$tmp/study >/dev/null; \
+	$$bin/spotlight-analyze -in $$tmp/study/store.json >/dev/null; \
+	$$bin/ec2sim -days 1 -trace >/dev/null; \
+	for w in read-hot read-cold live-fleet ingest-recover; do \
+		$$bin/bench --workload $$w --seed 42 --seconds 2 --trace 1 --out $$tmp/bench >/dev/null 2>&1; \
+	done; \
+	$(GO) tool covdata percent -i=$$tmp/cov; \
+	$(GO) tool covdata textfmt -i=$$tmp/cov -o $$tmp/cover.txt; \
+	$(GO) tool cover -func=$$tmp/cover.txt >$$tmp/func.txt; \
+	awk '$$NF == "0.0%"' $$tmp/func.txt >$$tmp/zero.txt; \
+	echo "never-run functions:"; cat $$tmp/zero.txt; \
+	echo "$$(wc -l <$$tmp/zero.txt) never-run functions, $$(grep -c '^spotlight/bench/' $$tmp/zero.txt || true) of them in bench/"; \
+	tail -n 1 $$tmp/func.txt
 
 ci: build fmt-check vet loc test smoke chaos-smoke example-smoke fuzz-smoke bench bench-gate
