@@ -3,6 +3,7 @@ package cloud
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -701,5 +702,59 @@ func TestNewRetainsLittle(t *testing.T) {
 	t.Logf("cloud.New retains %.1f MiB", float64(retained)/(1<<20))
 	if retained >= 8<<20 {
 		t.Errorf("cloud.New retains %d B, want < 8 MiB", retained)
+	}
+}
+
+// TestOffCatalogMarketRejected holds the contract of every entry point
+// that takes a market ID: a zone, type or product outside the catalog is
+// InvalidParameterValue ("unknown market"), charges no API call and
+// creates no instance, request or reservation.
+func TestOffCatalogMarketRejected(t *testing.T) {
+	calls := map[string]func(*Sim, market.SpotID) error{
+		"RunInstance": func(s *Sim, m market.SpotID) error {
+			_, err := s.RunInstance(m)
+			return err
+		},
+		"RequestSpotInstance": func(s *Sim, m market.SpotID) error {
+			_, err := s.RequestSpotInstance(m, 1)
+			return err
+		},
+		"SpotPrice": func(s *Sim, m market.SpotID) error {
+			_, err := s.SpotPrice(m)
+			return err
+		},
+		"TrueOutagesFor": func(s *Sim, m market.SpotID) error {
+			_, err := s.TrueOutagesFor(m)
+			return err
+		},
+		"PurchaseReservation": func(s *Sim, m market.SpotID) error {
+			_, err := s.PurchaseReservation(m, time.Hour)
+			return err
+		},
+	}
+	markets := map[string]market.SpotID{
+		"zone":    {Zone: "us-east-1z", Type: testMarket.Type, Product: testMarket.Product},
+		"type":    {Zone: testMarket.Zone, Type: "c3.huge", Product: testMarket.Product},
+		"product": {Zone: testMarket.Zone, Type: testMarket.Type, Product: "Plan 9"},
+	}
+	s := testSim(t, 1)
+	for name, call := range calls {
+		for what, m := range markets {
+			t.Run(name+"/"+what, func(t *testing.T) {
+				reg := s.regions[m.Region()]
+				calls0, insts, reqs, ress := reg.apiCalls, len(s.instances), len(s.spotReqs), len(s.reservations)
+				err := call(s, m)
+				if !IsCode(err, ErrBadParameters) || !strings.Contains(err.Error(), "unknown market") {
+					t.Fatalf("err = %v, want %s: unknown market", err, ErrBadParameters)
+				}
+				if reg.apiCalls != calls0 {
+					t.Errorf("API calls %d -> %d", calls0, reg.apiCalls)
+				}
+				if len(s.instances) != insts || len(s.spotReqs) != reqs || len(s.reservations) != ress {
+					t.Errorf("instances %d -> %d, requests %d -> %d, reservations %d -> %d",
+						insts, len(s.instances), reqs, len(s.spotReqs), ress, len(s.reservations))
+				}
+			})
+		}
 	}
 }
