@@ -80,10 +80,10 @@ type MarketParams struct {
 	Volatile bool
 }
 
+// spike is one flash crowd; start and end are Unix nanoseconds.
 type spike struct {
-	start time.Time
-	end   time.Time
-	mag   float64
+	start, end int64
+	mag        float64
 }
 
 // effectiveMag ramps the flash crowd up and down over 30% of its lifetime
@@ -91,12 +91,12 @@ type spike struct {
 // the largest instance types rejected) on the shoulders of every event,
 // which is what keeps family-related unavailability a probability rather
 // than a certainty (§5.2.3).
-func (s spike) effectiveMag(now time.Time) float64 {
-	total := s.end.Sub(s.start)
+func (s spike) effectiveMag(now int64) float64 {
+	total := s.end - s.start
 	if total <= 0 {
 		return s.mag
 	}
-	pos := float64(now.Sub(s.start)) / float64(total)
+	pos := float64(now-s.start) / float64(total)
 	switch {
 	case pos <= 0 || pos >= 1:
 		return 0
@@ -291,18 +291,23 @@ func (m *Model) supplyShare(sid market.SpotID) float64 {
 // Step advances every demand process to instant now. Callers must advance
 // monotonically in increments of the configured tick.
 func (m *Model) Step(now time.Time) {
+	ns := now.UnixNano()
 	for _, rs := range m.regions {
-		m.stepRegion(rs, now)
+		m.stepRegion(rs, now, ns)
 	}
 	for _, ps := range m.pools {
-		m.stepPool(ps, now)
+		m.stepPool(ps, now, ns)
 	}
 	for _, ms := range m.markets {
-		m.stepMarket(ms, now)
+		m.stepMarket(ms, ns)
 	}
 }
 
-func (m *Model) stepRegion(rs *regionState, now time.Time) {
+// The step functions take the instant twice: as a time.Time for the
+// calendar (day and week cycles) and as Unix nanoseconds ns for spike
+// windows.
+
+func (m *Model) stepRegion(rs *regionState, now time.Time, ns int64) {
 	rs.noise = m.ar1(rs.noise, rs.rng, rs.prof.Volatility)
 	rs.diurnal = diurnal(now, rs.tzHour)
 
@@ -313,19 +318,19 @@ func (m *Model) stepRegion(rs *regionState, now time.Time) {
 	// coupling of Fig 5.8 fall as spike size grows.
 	ratePerTick := rs.prof.SpikeRatePerDay * rs.prof.RegionalShare * m.tickSec / 86400
 	for _, f := range rs.families {
-		rs.famSpikes[f] = pruneSpikes(rs.famSpikes[f], now)
+		rs.famSpikes[f] = pruneSpikes(rs.famSpikes[f], ns)
 		if rs.rng.Float64() < ratePerTick {
 			mag := math.Exp(math.Log(0.05) + 0.6*normFloat(rs.rng))
 			dur := spikeDuration(rs.rng)
-			rs.famSpikes[f] = append(rs.famSpikes[f], spike{start: now, end: now.Add(dur), mag: mag})
+			rs.famSpikes[f] = append(rs.famSpikes[f], spike{start: ns, end: ns + int64(dur), mag: mag})
 		}
 	}
 }
 
-func (m *Model) stepPool(ps *poolState, now time.Time) {
+func (m *Model) stepPool(ps *poolState, now time.Time, ns int64) {
 	prof := ps.region.prof
 	ps.noise = m.ar1(ps.noise, ps.rng, prof.Volatility)
-	ps.spikes = pruneSpikes(ps.spikes, now)
+	ps.spikes = pruneSpikes(ps.spikes, ns)
 
 	// AZ-local flash crowds: heavier-tailed magnitudes than regional ones.
 	localRate := prof.SpikeRatePerDay * (1 - prof.RegionalShare) * m.tickSec / 86400
@@ -339,7 +344,7 @@ func (m *Model) stepPool(ps *poolState, now time.Time) {
 			mag *= 2
 			dur *= 4
 		}
-		ps.spikes = append(ps.spikes, spike{start: now, end: now.Add(dur), mag: mag})
+		ps.spikes = append(ps.spikes, spike{start: ns, end: ns + int64(dur), mag: mag})
 	}
 
 	d := diurnal(now, ps.region.tzHour+ps.diurnalPhase)
@@ -356,10 +361,10 @@ func (m *Model) stepPool(ps *poolState, now time.Time) {
 
 	spikeBoost := 0.0
 	for _, s := range ps.spikes {
-		spikeBoost += s.effectiveMag(now)
+		spikeBoost += s.effectiveMag(ns)
 	}
 	for _, s := range ps.region.famSpikes[ps.id.Family] {
-		spikeBoost += s.effectiveMag(now) * ps.regJitter
+		spikeBoost += s.effectiveMag(ns) * ps.regJitter
 	}
 
 	// Hot pools ignore the region's provisioning: they are chronically
@@ -380,11 +385,11 @@ func (m *Model) stepPool(ps *poolState, now time.Time) {
 	}
 }
 
-func (m *Model) stepMarket(ms *marketState, now time.Time) {
+func (m *Model) stepMarket(ms *marketState, ns int64) {
 	prof := ms.pool.region.prof
 	ms.noise = m.ar1(ms.noise, ms.rng, 0.18)
 	ms.scaleNoise = m.ar1(ms.scaleNoise, ms.rng, 0.55)
-	ms.spikes = pruneSpikes(ms.spikes, now)
+	ms.spikes = pruneSpikes(ms.spikes, ns)
 
 	rate := prof.MarketSpikeRatePerDay
 	if ms.params.Volatile {
@@ -392,13 +397,13 @@ func (m *Model) stepMarket(ms *marketState, now time.Time) {
 	}
 	if ms.rng.Float64() < rate*m.tickSec/86400 {
 		mag := math.Exp(math.Log(2.0) + 1.3*normFloat(ms.rng))
-		ms.spikes = append(ms.spikes, spike{start: now, end: now.Add(spikeDuration(ms.rng)), mag: mag})
+		ms.spikes = append(ms.spikes, spike{start: ns, end: ns + int64(spikeDuration(ms.rng)), mag: mag})
 	}
 
 	d := ms.pool.region.diurnal
 	spikeMult := 1.0
 	for _, s := range ms.spikes {
-		spikeMult += s.effectiveMag(now)
+		spikeMult += s.effectiveMag(ns)
 	}
 
 	ms.cur = MarketState{
@@ -484,10 +489,10 @@ func spikeDuration(rng *rand.Rand) time.Duration {
 	return time.Duration(minutes * float64(time.Minute))
 }
 
-func pruneSpikes(ss []spike, now time.Time) []spike {
+func pruneSpikes(ss []spike, now int64) []spike {
 	out := ss[:0]
 	for _, s := range ss {
-		if s.end.After(now) {
+		if s.end > now {
 			out = append(out, s)
 		}
 	}

@@ -276,10 +276,10 @@ func TestSpikeDurationTail(t *testing.T) {
 }
 
 func TestPruneSpikes(t *testing.T) {
-	now := simtime.StudyEpoch
+	now := simtime.StudyEpoch.UnixNano()
 	ss := []spike{
-		{end: now.Add(-time.Minute), mag: 1},
-		{end: now.Add(time.Minute), mag: 2},
+		{end: now - int64(time.Minute), mag: 1},
+		{end: now + int64(time.Minute), mag: 2},
 		{end: now, mag: 3}, // exactly-now expires
 	}
 	out := pruneSpikes(ss, now)
