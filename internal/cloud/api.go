@@ -19,11 +19,10 @@ const maxBidMultiple = 10.0
 // InsufficientInstanceCapacity when the pool cannot host the instance —
 // the signal SpotLight exists to observe.
 func (s *Sim) RunInstance(m market.SpotID) (Instance, error) {
-	idx, ok := s.marketIdx[m]
+	idx, ok := s.cat.SpotIndex(m)
 	if !ok {
 		return Instance{}, apiErrorf(ErrBadParameters, "unknown market %v", m)
 	}
-	mr := s.markets[idx]
 	region := m.Region()
 	if err := s.chargeAPICall(region); err != nil {
 		return Instance{}, err
@@ -37,7 +36,8 @@ func (s *Sim) RunInstance(m market.SpotID) (Instance, error) {
 	if err != nil {
 		return Instance{}, apiErrorf(ErrBadParameters, "%v", err)
 	}
-	pool := s.pools[mr.poolIdx]
+	poolIdx := s.dm.MarketPoolIndex(idx)
+	pool := s.pools[poolIdx]
 	if s.odFreeUnits(pool) < units {
 		return Instance{}, apiErrorf(ErrInsufficientCapacity,
 			"no on-demand capacity for %s in %s", m.Type, m.Zone)
@@ -49,7 +49,7 @@ func (s *Sim) RunInstance(m market.SpotID) (Instance, error) {
 		State:     InstanceRunning,
 		Launch:    s.clock.Now(),
 		units:     units,
-		poolIdx:   mr.poolIdx,
+		poolIdx:   poolIdx,
 		marketIdx: idx,
 	}
 	s.instances[inst.ID] = inst
@@ -103,7 +103,7 @@ func (s *Sim) DescribeInstance(id InstanceID) (Instance, error) {
 // expressed through the returned request's status: fulfilled,
 // price-too-low, capacity-not-available, or capacity-oversubscribed.
 func (s *Sim) RequestSpotInstance(m market.SpotID, bid float64) (SpotRequest, error) {
-	idx, ok := s.marketIdx[m]
+	idx, ok := s.cat.SpotIndex(m)
 	if !ok {
 		return SpotRequest{}, apiErrorf(ErrBadParameters, "unknown market %v", m)
 	}
@@ -117,7 +117,6 @@ func (s *Sim) RequestSpotInstance(m market.SpotID, bid float64) (SpotRequest, er
 			"at most %d open spot requests per region", maxOpenSpotRequestsPerRegion)
 	}
 
-	mr := s.markets[idx]
 	units, err := s.cat.Units(m.Type)
 	if err != nil {
 		return SpotRequest{}, apiErrorf(ErrBadParameters, "%v", err)
@@ -132,12 +131,12 @@ func (s *Sim) RequestSpotInstance(m market.SpotID, bid float64) (SpotRequest, er
 		Updated:   now,
 		History:   []SpotTransition{{At: now, State: SpotPendingEvaluation}},
 		units:     units,
-		poolIdx:   mr.poolIdx,
+		poolIdx:   s.dm.MarketPoolIndex(idx),
 		marketIdx: idx,
 	}
 	s.spotReqs[req.ID] = req
 
-	if bid <= 0 || bid > maxBidMultiple*mr.odPrice {
+	if bid <= 0 || bid > maxBidMultiple*s.markets[idx].odPrice {
 		s.transitionSpot(req, SpotBadParameters, now)
 		return s.viewSpot(req), nil
 	}
@@ -207,7 +206,7 @@ func (s *Sim) DescribeSpotRequests(region market.Region, ids []RequestID) (map[R
 // propagation delay (§5.1.2), which is why a bid at the published price
 // can lose during volatility.
 func (s *Sim) SpotPrice(m market.SpotID) (float64, error) {
-	idx, ok := s.marketIdx[m]
+	idx, ok := s.cat.SpotIndex(m)
 	if !ok {
 		return 0, apiErrorf(ErrBadParameters, "unknown market %v", m)
 	}
@@ -240,9 +239,10 @@ func (s *Sim) EachRegionPrice(r market.Region, fn func(MarketPrice)) {
 	if reg == nil {
 		return
 	}
-	for _, i := range reg.markets {
-		m := s.markets[i]
-		fn(MarketPrice{ID: m.id, Index: i, Spot: m.published, OnDemand: m.odPrice})
+	ids := s.cat.SpotMarkets()
+	for i := reg.first; i < reg.end; i++ {
+		m := &s.markets[i]
+		fn(MarketPrice{ID: ids[i], Index: i, Spot: m.published, OnDemand: m.odPrice})
 	}
 }
 
@@ -265,7 +265,7 @@ func (s *Sim) chargeAPICall(r market.Region) error {
 // applying Fig 3.2's outcome set in the order the platform would: price
 // first, then capacity, then contention.
 func (s *Sim) evaluateSpot(req *SpotRequest, now time.Time) {
-	m := s.markets[req.marketIdx]
+	m := &s.markets[req.marketIdx]
 	p := s.pools[req.poolIdx]
 	switch {
 	case req.Bid < m.truePrice:
@@ -295,7 +295,6 @@ func (s *Sim) fulfillSpot(req *SpotRequest, now time.Time) {
 	if req.State != SpotPendingFulfillment {
 		s.transitionSpot(req, SpotPendingFulfillment, now)
 	}
-	m := s.markets[req.marketIdx]
 	inst := &Instance{
 		ID:        s.newInstanceID(),
 		Market:    req.Market,
@@ -307,7 +306,7 @@ func (s *Sim) fulfillSpot(req *SpotRequest, now time.Time) {
 		poolIdx:   req.poolIdx,
 		marketIdx: req.marketIdx,
 	}
-	inst.launchPrice = m.truePrice
+	inst.launchPrice = s.markets[req.marketIdx].truePrice
 	s.instances[inst.ID] = inst
 	s.liveSpot[inst.ID] = inst
 	s.instToReq[inst.ID] = req

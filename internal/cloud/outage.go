@@ -104,7 +104,7 @@ func (s *Sim) TrueOutages() []Outage {
 // market's instance type: intervals when the pool's free capacity was
 // below the type's size.
 func (s *Sim) TrueOutagesFor(m market.SpotID) ([]Outage, error) {
-	idx, ok := s.marketIdx[m]
+	idx, ok := s.cat.SpotIndex(m)
 	if !ok {
 		return nil, apiErrorf(ErrBadParameters, "unknown market %v", m)
 	}
@@ -112,7 +112,7 @@ func (s *Sim) TrueOutagesFor(m market.SpotID) ([]Outage, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := s.pools[s.markets[idx].poolIdx]
+	pool := s.pools[s.dm.MarketPoolIndex(idx)]
 	var out []Outage
 	for _, o := range pool.tracker.snapshot(s.clock.Now()) {
 		if o.Units == units {

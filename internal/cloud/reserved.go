@@ -76,7 +76,7 @@ func (s *Sim) PurchaseReservation(m market.SpotID, term time.Duration) (Reservat
 	if term <= 0 {
 		return Reservation{}, apiErrorf(ErrBadParameters, "non-positive reservation term %v", term)
 	}
-	idx, ok := s.marketIdx[m]
+	idx, ok := s.cat.SpotIndex(m)
 	if !ok {
 		return Reservation{}, apiErrorf(ErrBadParameters, "unknown market %v", m)
 	}
@@ -87,8 +87,8 @@ func (s *Sim) PurchaseReservation(m market.SpotID, term time.Duration) (Reservat
 	if err != nil {
 		return Reservation{}, apiErrorf(ErrBadParameters, "%v", err)
 	}
-	mr := s.markets[idx]
-	pool := s.pools[mr.poolIdx]
+	poolIdx := s.dm.MarketPoolIndex(idx)
+	pool := s.pools[poolIdx]
 	// Granting requires free headroom right now: the platform will not
 	// over-promise capacity it has already sold (footnote 1 of §2.1.2).
 	if s.odFreeUnits(pool) < units {
@@ -103,9 +103,9 @@ func (s *Sim) PurchaseReservation(m market.SpotID, term time.Duration) (Reservat
 		State:       ReservationIdle,
 		Granted:     now,
 		Expiry:      now.Add(term),
-		UpfrontCost: mr.odPrice * (1 - ReservedTermDiscount) * term.Hours(),
+		UpfrontCost: s.markets[idx].odPrice * (1 - ReservedTermDiscount) * term.Hours(),
 		units:       units,
-		poolIdx:     mr.poolIdx,
+		poolIdx:     poolIdx,
 	}
 	// The granted slice is carved out of the on-demand bound immediately
 	// (it behaves like clientODUnits for accounting: capacity promised

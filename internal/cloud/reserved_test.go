@@ -30,8 +30,8 @@ func TestReservationPurchaseAndGuarantee(t *testing.T) {
 
 	// The guarantee: saturate the pool so on-demand requests fail, then
 	// start the reservation anyway.
-	idx := s.marketIdx[testMarket]
-	p := s.pools[s.markets[idx].poolIdx]
+	idx, _ := s.cat.SpotIndex(testMarket)
+	p := s.pools[s.dm.MarketPoolIndex(idx)]
 	p.odUsedUnits = p.odCapUnits // saturate
 
 	if _, err := s.RunInstance(testMarket); !IsCode(err, ErrInsufficientCapacity) {
@@ -51,8 +51,8 @@ func TestReservationPurchaseAndGuarantee(t *testing.T) {
 
 func TestReservationShrinksODSupply(t *testing.T) {
 	s := testSim(t, 1)
-	idx := s.marketIdx[testMarket]
-	pool := s.pools[s.markets[idx].poolIdx]
+	idx, _ := s.cat.SpotIndex(testMarket)
+	pool := s.pools[s.dm.MarketPoolIndex(idx)]
 	freeBefore := s.odFreeUnits(pool)
 	units, _ := s.cat.Units(testMarket.Type)
 
@@ -67,8 +67,8 @@ func TestReservationShrinksODSupply(t *testing.T) {
 
 func TestReservationExpiryReleasesCapacity(t *testing.T) {
 	s := testSim(t, 1)
-	idx := s.marketIdx[testMarket]
-	pool := s.pools[s.markets[idx].poolIdx]
+	idx, _ := s.cat.SpotIndex(testMarket)
+	pool := s.pools[s.dm.MarketPoolIndex(idx)]
 	res, err := s.PurchaseReservation(testMarket, 30*time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +107,8 @@ func TestReservationValidation(t *testing.T) {
 
 func TestReservationPurchaseRejectedWhenSaturated(t *testing.T) {
 	s := testSim(t, 1)
-	idx := s.marketIdx[testMarket]
-	p := s.pools[s.markets[idx].poolIdx]
+	idx, _ := s.cat.SpotIndex(testMarket)
+	p := s.pools[s.dm.MarketPoolIndex(idx)]
 	p.odUsedUnits = p.odCapUnits // no headroom
 	if _, err := s.PurchaseReservation(testMarket, time.Hour); !IsCode(err, ErrInsufficientCapacity) {
 		t.Errorf("purchase during saturation err = %v, want %s (§2.1.2 footnote)", err, ErrInsufficientCapacity)

@@ -99,26 +99,19 @@ type poolRt struct {
 	tracker *outageTracker
 }
 
-// marketRt is the per-spot-market runtime state.
+// marketRt is the per-spot-market runtime state, held by value at the
+// market's catalog index. Its ID, pool and static parameters are the
+// catalog's and the demand model's, read at the same index.
 type marketRt struct {
-	id      market.SpotID
-	odPrice float64
-	params  demand.MarketParams
-	poolIdx int
-
+	odPrice   float64
 	truePrice float64
-	atFloor   bool
 	lastQ     float64
-	cnaActive bool
-
 	// lagged is the true price one tick ago: the published price lags
 	// the clearing price by a tick, modelling EC2's 20-40 s propagation
 	// delay (§5.1.2).
-	lagged float64
-
-	published   float64
-	supplyUnits float64 // this market's share of pool spot supply
-	demandUnits float64
+	lagged    float64
+	published float64
+	cnaActive bool
 }
 
 // regionRt tracks per-region quotas and the region's markets.
@@ -126,9 +119,10 @@ type regionRt struct {
 	apiCalls      int
 	openSpotReqs  int
 	runningByType map[market.InstanceType]int
-	// markets lists the dense indices of the region's spot markets in
-	// catalog order: the walk behind EachRegionPrice.
-	markets []int
+	// first and end bound the catalog indices of the region's spot
+	// markets, [first, end): a region's zones are consecutive in the
+	// catalog, and so are their markets. The walk behind EachRegionPrice.
+	first, end int
 }
 
 // Sim is the cloud simulator. All methods are safe only from a single
@@ -142,10 +136,9 @@ type Sim struct {
 	dm    *demand.Model
 	rng   *rand.Rand
 
-	pools     []*poolRt
-	markets   []*marketRt
-	marketIdx map[market.SpotID]int
-	regions   map[market.Region]*regionRt
+	pools   []*poolRt  // catalog pool order
+	markets []marketRt // catalog market order
+	regions map[market.Region]*regionRt
 
 	instances    map[InstanceID]*Instance
 	liveSpot     map[InstanceID]*Instance
@@ -189,7 +182,6 @@ func New(cat *market.Catalog, cfg Config) (*Sim, error) {
 		clock:        simtime.NewSimClock(cfg.Start),
 		dm:           dm,
 		rng:          rand.New(rand.NewPCG(cfg.Seed, 0x5eed0c10_0d51)),
-		marketIdx:    make(map[market.SpotID]int, dm.MarketCount()),
 		regions:      make(map[market.Region]*regionRt, len(cat.Regions())),
 		instances:    make(map[InstanceID]*Instance),
 		liveSpot:     make(map[InstanceID]*Instance),
@@ -207,9 +199,8 @@ func New(cat *market.Catalog, cfg Config) (*Sim, error) {
 	for _, pid := range cfg.StrongPools {
 		forcedStrong[pid] = true
 	}
-	s.pools = make([]*poolRt, dm.PoolCount())
-	for i := range s.pools {
-		pid := dm.PoolIDAt(i)
+	s.pools = make([]*poolRt, len(cat.Pools()))
+	for i, pid := range cat.Pools() {
 		var sizes []int
 		for _, t := range cat.FamilyTypes(pid.Family) {
 			u, uerr := cat.Units(t)
@@ -233,30 +224,27 @@ func New(cat *market.Catalog, cfg Config) (*Sim, error) {
 		}
 	}
 
-	s.markets = make([]*marketRt, dm.MarketCount())
-	for i := range s.markets {
-		sid := dm.MarketIDAt(i)
+	s.markets = make([]marketRt, len(cat.SpotMarkets()))
+	for i, sid := range cat.SpotMarkets() {
 		od, perr := cat.SpotODPrice(sid)
 		if perr != nil {
 			return nil, perr
 		}
-		m := &marketRt{
-			id:      sid,
-			odPrice: od,
-			params:  dm.Params(i),
-			poolIdx: dm.MarketPoolIndex(i),
-		}
-		s.markets[i] = m
-		s.marketIdx[sid] = i
+		s.markets[i].odPrice = od
 		reg := s.regions[sid.Region()]
-		reg.markets = append(reg.markets, i)
+		if reg.end == 0 {
+			reg.first = i
+		}
+		reg.end = i + 1
 	}
 
 	// Prime prices so the published feed is meaningful from tick zero.
 	s.dm.Step(s.clock.Now())
 	s.updatePools()
-	for i, m := range s.markets {
-		s.updateMarketPrice(i, m)
+	params := s.dm.Params()
+	for i := range s.markets {
+		m := &s.markets[i]
+		s.updateMarketPrice(m, i, &params[i])
 		m.lagged = m.truePrice
 		m.published = m.truePrice
 	}
@@ -296,8 +284,10 @@ func (s *Sim) Step() time.Time {
 	s.updatePools()
 	s.expireReservations(now)
 	s.advanceInstances(now)
-	for i, m := range s.markets {
-		s.updateMarketPrice(i, m)
+	params := s.dm.Params()
+	for i := range s.markets {
+		m := &s.markets[i]
+		s.updateMarketPrice(m, i, &params[i])
 		m.publish()
 	}
 	s.enforceSpotCapacity(now)
@@ -382,23 +372,22 @@ func (s *Sim) demandCoupling(p *poolRt, i int) float64 {
 	return c
 }
 
-// updateMarketPrice re-clears one spot market. i is the market's dense
-// index (shared with the demand model).
-func (s *Sim) updateMarketPrice(i int, m *marketRt) {
-	p := s.pools[m.poolIdx]
+// updateMarketPrice re-clears market m, at catalog index i, with static
+// parameters par.
+func (s *Sim) updateMarketPrice(m *marketRt, i int, par *demand.MarketParams) {
+	pi := s.dm.MarketPoolIndex(i)
+	p := s.pools[pi]
 	ms := s.dm.MarketAt(i)
-	couple := s.demandCoupling(p, m.poolIdx)
+	couple := s.demandCoupling(p, pi)
 
-	m.supplyUnits = m.params.SupplyShare * p.spotSupplyUnits
-	m.demandUnits = ms.DemandFrac * float64(p.capacity) * couple
+	supplyUnits := par.SupplyShare * p.spotSupplyUnits
+	demandUnits := ms.DemandFrac * float64(p.capacity) * couple
 
-	price, atFloor := clearingPrice(
-		m.odPrice, m.supplyUnits, m.demandUnits, ms.PriceScale,
-		m.params.SigmaClass, m.params.FloorFrac)
-	m.truePrice = price
-	m.atFloor = atFloor
-	if m.demandUnits > 0 && m.supplyUnits < m.demandUnits {
-		m.lastQ = 1 - m.supplyUnits/m.demandUnits
+	m.truePrice, _ = clearingPrice(
+		m.odPrice, supplyUnits, demandUnits, ms.PriceScale,
+		par.SigmaClass, par.FloorFrac)
+	if demandUnits > 0 && supplyUnits < demandUnits {
+		m.lastQ = 1 - supplyUnits/demandUnits
 	} else {
 		m.lastQ = 0
 	}
@@ -409,7 +398,7 @@ func (s *Sim) updateMarketPrice(i int, m *marketRt) {
 	// recovery past half the on-demand price ends the withholding
 	// immediately — at that level selling beats idling.
 	ratio := m.truePrice / m.odPrice
-	pStat := m.params.CNABase * sq(clampF(1.05-ratio, 0, 1))
+	pStat := par.CNABase * sq(clampF(1.05-ratio, 0, 1))
 	if m.cnaActive {
 		if ratio > 0.5 || s.rng.Float64() < 0.3 {
 			m.cnaActive = false
@@ -449,7 +438,7 @@ func (s *Sim) advanceInstances(now time.Time) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		inst := s.liveSpot[id]
-		m := s.markets[inst.marketIdx]
+		m := &s.markets[inst.marketIdx]
 		switch inst.State {
 		case InstanceRunning:
 			if m.truePrice > inst.Bid {

@@ -301,7 +301,7 @@ func TestSpotRevocationOnPriceRise(t *testing.T) {
 	// Force the clearing price above the bid and advance: the simulator
 	// must warn (marked-for-termination), then terminate by price after
 	// the two-minute warning.
-	idx := s.marketIdx[testMarket]
+	idx, _ := s.cat.SpotIndex(testMarket)
 	inst := s.instances[req.Instance]
 	s.markets[idx].truePrice = inst.Bid + priceTick
 	now := s.Now()
@@ -457,7 +457,7 @@ func TestDeterministicPrices(t *testing.T) {
 
 func TestPublishedPriceLags(t *testing.T) {
 	s := testSim(t, 7)
-	idx := s.marketIdx[testMarket]
+	idx, _ := s.cat.SpotIndex(testMarket)
 	var prevTrue float64
 	sawLag := false
 	for i := 0; i < 30; i++ {
@@ -684,9 +684,14 @@ func TestRetiredObjectsExpireAfterRetention(t *testing.T) {
 }
 
 // TestNewRetainsLittle guards the simulator's resident size: a
-// full-catalog Sim holds the per-market state a tick needs, a few MB,
-// and no per-market buffers that nothing on the serving path reads.
+// full-catalog Sim holds the per-market state a tick needs and no
+// per-market buffers, IDs, parameters or index maps that the catalog or
+// the demand model already hold. It measures 1,106,096 B (1,106,944 B
+// under -race), 2.5 MiB with a market ID, a copy of the static
+// parameters and an index map entry per market; the ceiling sits a tenth
+// over the larger measurement.
 func TestNewRetainsLittle(t *testing.T) {
+	const ceiling = 1_218_000
 	cat := market.New()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -699,9 +704,9 @@ func TestNewRetainsLittle(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(s)
 	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	t.Logf("cloud.New retains %.1f MiB", float64(retained)/(1<<20))
-	if retained >= 8<<20 {
-		t.Errorf("cloud.New retains %d B, want < 8 MiB", retained)
+	t.Logf("cloud.New retains %d B", retained)
+	if retained >= ceiling {
+		t.Errorf("cloud.New retains %d B, want < %d", retained, ceiling)
 	}
 }
 

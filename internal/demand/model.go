@@ -142,11 +142,13 @@ type poolState struct {
 	cur PoolDemand
 }
 
+// marketState is one market's demand process, held by value at the
+// market's catalog index. rng draws from pcg, both inline: the row must
+// not move once built.
 type marketState struct {
-	id     market.SpotID
-	pool   *poolState
-	rng    *rand.Rand
-	params MarketParams
+	pcg  rand.PCG
+	rng  rand.Rand
+	pool int32 // dense pool index
 
 	demandBase float64
 	noise      float64
@@ -170,9 +172,11 @@ type Model struct {
 	innov float64
 
 	regions []*regionState // catalog region order
-	pools   []*poolState
-	poolIdx map[market.PoolID]int
-	markets []*marketState
+	pools   []*poolState   // catalog pool order
+	// markets and params are indexed by catalog market index
+	// (market.Catalog.SpotIndex).
+	markets []marketState
+	params  []MarketParams
 }
 
 // NewModel builds a demand model over the catalog.
@@ -184,7 +188,8 @@ func NewModel(cat *market.Catalog, cfg Config) (*Model, error) {
 		cat:     cat,
 		cfg:     cfg,
 		tickSec: cfg.Tick.Seconds(),
-		poolIdx: make(map[market.PoolID]int, len(cat.Pools())),
+		markets: make([]marketState, len(cat.SpotMarkets())),
+		params:  make([]MarketParams, len(cat.SpotMarkets())),
 	}
 	m.rho = math.Exp(-m.tickSec / (3 * 3600))
 	m.innov = math.Sqrt(1 - m.rho*m.rho)
@@ -212,6 +217,7 @@ func NewModel(cat *market.Catalog, cfg Config) (*Model, error) {
 	for _, pid := range cfg.HotPools {
 		hot[pid] = true
 	}
+	poolIdx := make(map[market.PoolID]int32, len(cat.Pools()))
 	for _, pid := range cat.Pools() {
 		rs := byRegion[pid.Zone.RegionOf()]
 		rng := seededRNG(cfg.Seed, "pool:"+pid.String())
@@ -226,7 +232,7 @@ func NewModel(cat *market.Catalog, cfg Config) (*Model, error) {
 			diurnalPhase: (rng.Float64() - 0.5) * 1.5, // hours of local jitter
 			regJitter:    0.4 + rng.Float64(),
 		}
-		m.poolIdx[pid] = len(m.pools)
+		poolIdx[pid] = int32(len(m.pools))
 		m.pools = append(m.pools, ps)
 	}
 
@@ -234,31 +240,27 @@ func NewModel(cat *market.Catalog, cfg Config) (*Model, error) {
 	for _, id := range cfg.ForceVolatile {
 		forced[id] = true
 	}
-	for _, sid := range cat.SpotMarkets() {
-		ps := m.pools[m.poolIdx[sid.Pool()]]
-		rng := seededRNG(cfg.Seed, "market:"+sid.String())
+	for i, sid := range cat.SpotMarkets() {
+		ms := &m.markets[i]
+		ms.pcg.Seed(cfg.Seed, nameHash("market:"+sid.String()))
+		ms.rng = *rand.New(&ms.pcg)
+		ms.pool = poolIdx[sid.Pool()]
+		rng := &ms.rng
 		share := m.supplyShare(sid)
 		volatile := rng.Float64() < 0.15 || forced[sid]
 		sigmaClass := rng.IntN(2) // 0 or 1
 		if volatile {
 			sigmaClass = 2
 		}
-		prof := ps.region.prof
-		ms := &marketState{
-			id:   sid,
-			pool: ps,
-			rng:  rng,
-			params: MarketParams{
-				SupplyShare: share,
-				SigmaClass:  sigmaClass,
-				FloorFrac:   0.06 + 0.08*rng.Float64(),
-				CNABase:     prof.SpotCNABase * (0.7 + 0.6*rng.Float64()),
-				Volatile:    volatile,
-			},
-			demandBase: 0.35 * share,
-			scaleNoise: 0,
+		prof := m.pools[ms.pool].region.prof
+		m.params[i] = MarketParams{
+			SupplyShare: share,
+			SigmaClass:  sigmaClass,
+			FloorFrac:   0.06 + 0.08*rng.Float64(),
+			CNABase:     prof.SpotCNABase * (0.7 + 0.6*rng.Float64()),
+			Volatile:    volatile,
 		}
-		m.markets = append(m.markets, ms)
+		ms.demandBase = 0.35 * share
 	}
 	return m, nil
 }
@@ -298,8 +300,8 @@ func (m *Model) Step(now time.Time) {
 	for _, ps := range m.pools {
 		m.stepPool(ps, now, ns)
 	}
-	for _, ms := range m.markets {
-		m.stepMarket(ms, ns)
+	for i := range m.markets {
+		m.stepMarket(&m.markets[i], m.params[i].Volatile, ns)
 	}
 }
 
@@ -385,22 +387,23 @@ func (m *Model) stepPool(ps *poolState, now time.Time, ns int64) {
 	}
 }
 
-func (m *Model) stepMarket(ms *marketState, ns int64) {
-	prof := ms.pool.region.prof
-	ms.noise = m.ar1(ms.noise, ms.rng, 0.18)
-	ms.scaleNoise = m.ar1(ms.scaleNoise, ms.rng, 0.55)
+func (m *Model) stepMarket(ms *marketState, volatile bool, ns int64) {
+	region := m.pools[ms.pool].region
+	rng := &ms.rng
+	ms.noise = m.ar1(ms.noise, rng, 0.18)
+	ms.scaleNoise = m.ar1(ms.scaleNoise, rng, 0.55)
 	ms.spikes = pruneSpikes(ms.spikes, ns)
 
-	rate := prof.MarketSpikeRatePerDay
-	if ms.params.Volatile {
+	rate := region.prof.MarketSpikeRatePerDay
+	if volatile {
 		rate *= 3
 	}
-	if ms.rng.Float64() < rate*m.tickSec/86400 {
-		mag := math.Exp(math.Log(2.0) + 1.3*normFloat(ms.rng))
-		ms.spikes = append(ms.spikes, spike{start: ns, end: ns + int64(spikeDuration(ms.rng)), mag: mag})
+	if rng.Float64() < rate*m.tickSec/86400 {
+		mag := math.Exp(math.Log(2.0) + 1.3*normFloat(rng))
+		ms.spikes = append(ms.spikes, spike{start: ns, end: ns + int64(spikeDuration(rng)), mag: mag})
 	}
 
-	d := ms.pool.region.diurnal
+	d := region.diurnal
 	spikeMult := 1.0
 	for _, s := range ms.spikes {
 		spikeMult += s.effectiveMag(ns)
@@ -419,39 +422,27 @@ func (m *Model) ar1(x float64, rng *rand.Rand, sigma float64) float64 {
 	return m.rho*x + sigma*m.innov*normFloat(rng)
 }
 
-// Pool accessors ------------------------------------------------------------
+// Accessors ------------------------------------------------------------------
+//
+// Pools are addressed by their position in market.Catalog.Pools, markets
+// by their catalog index (market.Catalog.SpotIndex).
 
-// PoolCount returns the number of capacity pools.
-func (m *Model) PoolCount() int { return len(m.pools) }
-
-// PoolIDAt returns the pool ID at dense index i.
-func (m *Model) PoolIDAt(i int) market.PoolID { return m.pools[i].id }
-
-// PoolAt returns the current demand of the pool at dense index i.
+// PoolAt returns the current demand of pool i.
 func (m *Model) PoolAt(i int) PoolDemand { return m.pools[i].cur }
 
-// PoolCapacity returns the physical capacity (in units) of the pool at
-// dense index i.
+// PoolCapacity returns the physical capacity (in units) of pool i.
 func (m *Model) PoolCapacity(i int) int { return m.pools[i].capacity }
 
-// Market accessors ----------------------------------------------------------
-
-// MarketCount returns the number of spot markets.
-func (m *Model) MarketCount() int { return len(m.markets) }
-
-// MarketIDAt returns the spot market ID at dense index i.
-func (m *Model) MarketIDAt(i int) market.SpotID { return m.markets[i].id }
-
-// MarketAt returns the current dynamic demand of the market at dense
-// index i.
+// MarketAt returns the current dynamic demand of market i.
 func (m *Model) MarketAt(i int) MarketState { return m.markets[i].cur }
 
-// MarketPoolIndex returns the dense pool index backing market i.
-func (m *Model) MarketPoolIndex(i int) int { return m.poolIdx[m.markets[i].pool.id] }
+// MarketPoolIndex returns the index of the pool backing market i.
+func (m *Model) MarketPoolIndex(i int) int { return int(m.markets[i].pool) }
 
-// Params returns the static bid-side parameters of the market at dense
-// index i.
-func (m *Model) Params(i int) MarketParams { return m.markets[i].params }
+// Params returns every market's static bid-side parameters, indexed by
+// catalog market index. The slice is the model's own; callers must not
+// modify it.
+func (m *Model) Params() []MarketParams { return m.params }
 
 // Helpers --------------------------------------------------------------------
 
@@ -515,9 +506,14 @@ func normFloat(rng *rand.Rand) float64 { return rng.NormFloat64() }
 // seededRNG derives an independent, reproducible PCG stream for a named
 // component from the study seed.
 func seededRNG(seed uint64, name string) *rand.Rand {
+	return rand.New(rand.NewPCG(seed, nameHash(name)))
+}
+
+// nameHash is the second PCG seed of a named component.
+func nameHash(name string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
-	return rand.New(rand.NewPCG(seed, h.Sum64()))
+	return h.Sum64()
 }
 
 // regionTZ returns the rough UTC offset of a region, used to phase its

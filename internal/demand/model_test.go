@@ -31,46 +31,30 @@ func TestNewModelValidation(t *testing.T) {
 
 func TestModelCardinality(t *testing.T) {
 	cat, m := newTestModel(t, 1)
-	if m.PoolCount() != len(cat.Pools()) {
-		t.Errorf("PoolCount = %d, want %d", m.PoolCount(), len(cat.Pools()))
+	if len(m.pools) != len(cat.Pools()) {
+		t.Errorf("%d pools, want %d", len(m.pools), len(cat.Pools()))
 	}
-	if m.MarketCount() != len(cat.SpotMarkets()) {
-		t.Errorf("MarketCount = %d, want %d", m.MarketCount(), len(cat.SpotMarkets()))
+	if len(m.markets) != len(cat.SpotMarkets()) || len(m.Params()) != len(cat.SpotMarkets()) {
+		t.Errorf("%d markets and %d params, want %d", len(m.markets), len(m.Params()), len(cat.SpotMarkets()))
 	}
 }
 
+// TestIndexRoundTrip: pool i is the catalog's pool i, so the simulator
+// can name a pool by the catalog alone.
 func TestIndexRoundTrip(t *testing.T) {
 	cat, m := newTestModel(t, 1)
-	pools := make(map[market.PoolID]bool)
-	for i := 0; i < m.PoolCount(); i++ {
-		pools[m.PoolIDAt(i)] = true
-	}
-	for _, pid := range cat.Pools() {
-		if !pools[pid] {
-			t.Errorf("pool %v has no dense index", pid)
+	for i, pid := range cat.Pools() {
+		if m.pools[i].id != pid {
+			t.Errorf("pool %d is %v, want %v", i, m.pools[i].id, pid)
 		}
-	}
-	markets := make(map[market.SpotID]bool)
-	for i := 0; i < m.MarketCount(); i++ {
-		markets[m.MarketIDAt(i)] = true
-	}
-	for _, sid := range cat.SpotMarkets() {
-		if !markets[sid] {
-			t.Errorf("market %v has no dense index", sid)
-		}
-	}
-	if len(pools) != m.PoolCount() || len(markets) != m.MarketCount() {
-		t.Errorf("dense indices repeat an ID: %d pools over %d indices, %d markets over %d",
-			len(pools), m.PoolCount(), len(markets), m.MarketCount())
 	}
 }
 
 func TestMarketPoolIndexConsistent(t *testing.T) {
-	_, m := newTestModel(t, 1)
-	for i := 0; i < m.MarketCount(); i += 97 {
-		sid := m.MarketIDAt(i)
-		pi := m.MarketPoolIndex(i)
-		if got := m.PoolIDAt(pi); got != sid.Pool() {
+	cat, m := newTestModel(t, 1)
+	for i := 0; i < len(cat.SpotMarkets()); i += 97 {
+		sid := cat.SpotMarkets()[i]
+		if got := cat.Pools()[m.MarketPoolIndex(i)]; got != sid.Pool() {
 			t.Errorf("market %v mapped to pool %v, want %v", sid, got, sid.Pool())
 		}
 	}
@@ -92,25 +76,25 @@ func stepDays(m *Model, start time.Time, days int, tick time.Duration, visit fun
 func TestInvariantsOverTime(t *testing.T) {
 	_, m := newTestModel(t, 2)
 	stepDays(m, simtime.StudyEpoch, 3, 5*time.Minute, func(time.Time) {
-		for i := 0; i < m.PoolCount(); i += 13 {
+		for i := 0; i < len(m.pools); i += 13 {
 			pd := m.PoolAt(i)
 			if pd.ReservedGranted < 0 || pd.ReservedGranted > 1 {
-				t.Fatalf("pool %v: ReservedGranted=%v out of [0,1]", m.PoolIDAt(i), pd.ReservedGranted)
+				t.Fatalf("pool %v: ReservedGranted=%v out of [0,1]", m.pools[i].id, pd.ReservedGranted)
 			}
 			if pd.ReservedRunning < 0 || pd.ReservedRunning > pd.ReservedGranted+1e-9 {
-				t.Fatalf("pool %v: ReservedRunning=%v exceeds granted %v", m.PoolIDAt(i), pd.ReservedRunning, pd.ReservedGranted)
+				t.Fatalf("pool %v: ReservedRunning=%v exceeds granted %v", m.pools[i].id, pd.ReservedRunning, pd.ReservedGranted)
 			}
 			if pd.OnDemandDesired < 0 || pd.OnDemandDesired > 1.2 {
-				t.Fatalf("pool %v: OnDemandDesired=%v out of range", m.PoolIDAt(i), pd.OnDemandDesired)
+				t.Fatalf("pool %v: OnDemandDesired=%v out of range", m.pools[i].id, pd.OnDemandDesired)
 			}
 		}
-		for i := 0; i < m.MarketCount(); i += 211 {
+		for i := 0; i < len(m.markets); i += 211 {
 			ms := m.MarketAt(i)
 			if ms.DemandFrac < 0 || math.IsNaN(ms.DemandFrac) {
-				t.Fatalf("market %v: bad DemandFrac %v", m.MarketIDAt(i), ms.DemandFrac)
+				t.Fatalf("market %d: bad DemandFrac %v", i, ms.DemandFrac)
 			}
 			if ms.PriceScale <= 0 || math.IsNaN(ms.PriceScale) {
-				t.Fatalf("market %v: bad PriceScale %v", m.MarketIDAt(i), ms.PriceScale)
+				t.Fatalf("market %d: bad PriceScale %v", i, ms.PriceScale)
 			}
 		}
 	})
@@ -121,12 +105,12 @@ func TestDeterminism(t *testing.T) {
 	_, m2 := newTestModel(t, 77)
 	stepDays(m1, simtime.StudyEpoch, 1, 5*time.Minute, nil)
 	stepDays(m2, simtime.StudyEpoch, 1, 5*time.Minute, nil)
-	for i := 0; i < m1.PoolCount(); i++ {
+	for i := 0; i < len(m1.pools); i++ {
 		if m1.PoolAt(i) != m2.PoolAt(i) {
 			t.Fatalf("pool %d diverged under equal seeds", i)
 		}
 	}
-	for i := 0; i < m1.MarketCount(); i++ {
+	for i := 0; i < len(m1.markets); i++ {
 		if m1.MarketAt(i) != m2.MarketAt(i) {
 			t.Fatalf("market %d diverged under equal seeds", i)
 		}
@@ -139,12 +123,12 @@ func TestSeedsDiffer(t *testing.T) {
 	stepDays(m1, simtime.StudyEpoch, 1, 5*time.Minute, nil)
 	stepDays(m2, simtime.StudyEpoch, 1, 5*time.Minute, nil)
 	same := 0
-	for i := 0; i < m1.PoolCount(); i++ {
+	for i := 0; i < len(m1.pools); i++ {
 		if m1.PoolAt(i) == m2.PoolAt(i) {
 			same++
 		}
 	}
-	if same == m1.PoolCount() {
+	if same == len(m1.pools) {
 		t.Error("different seeds produced identical demand")
 	}
 }
@@ -157,9 +141,9 @@ func TestProvisioningOrdering(t *testing.T) {
 	saturated := make(map[market.Region]int)
 	samples := make(map[market.Region]int)
 	stepDays(m, simtime.StudyEpoch, 7, 5*time.Minute, func(time.Time) {
-		for i := 0; i < m.PoolCount(); i++ {
+		for i := range m.pools {
 			pd := m.PoolAt(i)
-			r := m.PoolIDAt(i).Zone.RegionOf()
+			r := m.pools[i].id.Zone.RegionOf()
 			samples[r]++
 			if pd.OnDemandDesired >= 1-pd.ReservedGranted {
 				saturated[r]++
@@ -188,8 +172,8 @@ func TestProvisioningOrdering(t *testing.T) {
 func TestSupplySharesSumToOnePerPool(t *testing.T) {
 	cat, m := newTestModel(t, 1)
 	byPool := make(map[market.PoolID]float64)
-	for i := 0; i < m.MarketCount(); i++ {
-		byPool[m.MarketIDAt(i).Pool()] += m.Params(i).SupplyShare
+	for i, p := range m.Params() {
+		byPool[cat.SpotMarkets()[i].Pool()] += p.SupplyShare
 	}
 	if len(byPool) != len(cat.Pools()) {
 		t.Fatalf("markets cover %d pools, want %d", len(byPool), len(cat.Pools()))
@@ -202,27 +186,26 @@ func TestSupplySharesSumToOnePerPool(t *testing.T) {
 }
 
 func TestStaticParamsRanges(t *testing.T) {
-	_, m := newTestModel(t, 1)
+	cat, m := newTestModel(t, 1)
 	volatile := 0
-	for i := 0; i < m.MarketCount(); i++ {
-		p := m.Params(i)
+	for i, p := range m.Params() {
 		if p.FloorFrac < 0.05 || p.FloorFrac > 0.15 {
-			t.Fatalf("market %v FloorFrac %v out of range", m.MarketIDAt(i), p.FloorFrac)
+			t.Fatalf("market %v FloorFrac %v out of range", cat.SpotMarkets()[i], p.FloorFrac)
 		}
 		if p.CNABase < 0 || p.CNABase > 0.3 {
-			t.Fatalf("market %v CNABase %v out of range", m.MarketIDAt(i), p.CNABase)
+			t.Fatalf("market %v CNABase %v out of range", cat.SpotMarkets()[i], p.CNABase)
 		}
 		if p.SigmaClass < 0 || p.SigmaClass > 2 {
-			t.Fatalf("market %v SigmaClass %d out of range", m.MarketIDAt(i), p.SigmaClass)
+			t.Fatalf("market %v SigmaClass %d out of range", cat.SpotMarkets()[i], p.SigmaClass)
 		}
 		if p.Volatile {
 			volatile++
 			if p.SigmaClass != 2 {
-				t.Fatalf("volatile market %v has SigmaClass %d, want 2", m.MarketIDAt(i), p.SigmaClass)
+				t.Fatalf("volatile market %v has SigmaClass %d, want 2", cat.SpotMarkets()[i], p.SigmaClass)
 			}
 		}
 	}
-	frac := float64(volatile) / float64(m.MarketCount())
+	frac := float64(volatile) / float64(len(m.Params()))
 	if frac < 0.10 || frac > 0.20 {
 		t.Errorf("volatile market fraction = %.3f, want ~0.15", frac)
 	}
