@@ -12,6 +12,12 @@ import (
 // we can find the intrinsic bid prices".
 const maxBidSpreadAttempts = 6
 
+// bidSpreadWatch schedules the intrinsic-price search on one market.
+type bidSpreadWatch struct {
+	mon  *marketMon
+	next time.Time
+}
+
 // bidSpreadSearch is Chapter 4's BidSpread function: find the lowest bid
 // that actually wins a spot instance right now. Because the published
 // price lags the true clearing price by the propagation delay (§5.1.2),
@@ -82,7 +88,7 @@ func (s *Service) bidSpreadSearch(mon *marketMon, now time.Time) {
 	s.stats.BidSpreadRuns++
 	mon.app.AppendBidSpread(store.BidSpreadRecord{
 		At:        now,
-		Market:    mon.id,
+		Market:    s.id(mon),
 		Published: published,
 		Intrinsic: intrinsic,
 		Attempts:  attempts,
@@ -96,7 +102,7 @@ func (s *Service) tryBid(mon *marketMon, now time.Time, bid float64) (cloud.Spot
 		s.stats.BudgetDenied++
 		return 0, false
 	}
-	req, err := s.prov.RequestSpotInstance(mon.id, bid)
+	req, err := s.prov.RequestSpotInstance(s.id(mon), bid)
 	if err != nil {
 		s.budget.refund(bid)
 		s.stats.QuotaSkips++

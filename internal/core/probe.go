@@ -26,10 +26,11 @@ func (s *Service) odProbe(mon *marketMon, now time.Time, ctx probeContext) {
 		s.stats.BudgetDenied++
 		return
 	}
-	inst, err := s.prov.RunInstance(mon.id)
+	id := s.id(mon)
+	inst, err := s.prov.RunInstance(id)
 	rec := store.ProbeRecord{
 		At:            now,
-		Market:        mon.id,
+		Market:        id,
 		Kind:          store.ProbeOnDemand,
 		Trigger:       ctx.trigger,
 		TriggerMarket: ctx.triggerMarket,
@@ -76,8 +77,8 @@ func (s *Service) onODRejection(mon *marketMon, now time.Time, ctx probeContext)
 	if fresh {
 		mon.odOutage = true
 		mon.spikeRatio = ctx.spikeRatio
-		mon.nextODRecheck = now.Add(s.cfg.RecheckInterval)
-		s.activeOD[mon.id] = mon
+		mon.nextODRecheck = now.Add(s.cfg.RecheckInterval).UnixNano()
+		s.activeOD[mon.idx] = mon
 	}
 	// Fan out only on the initial spike-triggered detection; related and
 	// recheck probes never recurse (the paper fans out from the trigger
@@ -85,15 +86,15 @@ func (s *Service) onODRejection(mon *marketMon, now time.Time, ctx probeContext)
 	if !fresh || ctx.trigger != store.TriggerSpike {
 		return
 	}
-	mon.relatedUntil = now.Add(s.cfg.RelatedWindow)
-	mon.nextRelated = now.Add(s.cfg.RelatedRecheckInterval)
+	mon.relatedUntil = now.Add(s.cfg.RelatedWindow).UnixNano()
+	mon.nextRelated = now.Add(s.cfg.RelatedRecheckInterval).UnixNano()
 	if !s.cfg.DisableFamilyProbing {
 		s.probeRelated(mon, now, store.ProbeOnDemand)
 	}
 	// Cross probe: is the spot side of this market also out (§5.4)?
 	s.spotProbe(mon, now, probeContext{
 		trigger:       store.TriggerCross,
-		triggerMarket: mon.id,
+		triggerMarket: s.id(mon),
 		sourceKind:    store.ProbeOnDemand,
 		spikeRatio:    ctx.spikeRatio,
 	})
@@ -103,10 +104,11 @@ func (s *Service) onODRejection(mon *marketMon, now time.Time, ctx probeContext)
 // zone and the family across the region's other zones, on both contract
 // tiers. sourceKind records which tier's rejection caused the fan-out.
 func (s *Service) probeRelated(trigger *marketMon, now time.Time, sourceKind store.ProbeKind) {
-	for _, rel := range s.cat.RelatedSameZone(trigger.id) {
+	id := s.id(trigger)
+	for _, rel := range s.cat.RelatedSameZone(id) {
 		s.probeRelatedOne(trigger, rel, now, store.TriggerRelatedSameZone, sourceKind)
 	}
-	for _, rel := range s.cat.RelatedOtherZones(trigger.id) {
+	for _, rel := range s.cat.RelatedOtherZones(id) {
 		s.probeRelatedOne(trigger, rel, now, store.TriggerRelatedOtherZone, sourceKind)
 	}
 }
@@ -118,7 +120,7 @@ func (s *Service) probeRelatedOne(trigger *marketMon, rel market.SpotID, now tim
 	}
 	ctx := probeContext{
 		trigger:       tr,
-		triggerMarket: trigger.id,
+		triggerMarket: s.id(trigger),
 		sourceKind:    sourceKind,
 		spikeRatio:    trigger.spikeRatio,
 	}
@@ -143,7 +145,8 @@ func (s *Service) spotProbe(mon *marketMon, now time.Time, ctx probeContext) {
 		s.stats.BudgetDenied++
 		return
 	}
-	req, err := s.prov.RequestSpotInstance(mon.id, bid)
+	id := s.id(mon)
+	req, err := s.prov.RequestSpotInstance(id, bid)
 	if err != nil {
 		s.budget.refund(cost)
 		s.stats.QuotaSkips++
@@ -151,7 +154,7 @@ func (s *Service) spotProbe(mon *marketMon, now time.Time, ctx probeContext) {
 	}
 	rec := store.ProbeRecord{
 		At:            now,
-		Market:        mon.id,
+		Market:        id,
 		Kind:          store.ProbeSpot,
 		Trigger:       ctx.trigger,
 		TriggerMarket: ctx.triggerMarket,
@@ -205,10 +208,10 @@ func (s *Service) onSpotRejection(mon *marketMon, req cloud.SpotRequest, now tim
 	fresh := !mon.spotOutage
 	if fresh {
 		mon.spotOutage = true
-		mon.nextSpotRecheck = now.Add(s.cfg.RecheckInterval)
-		s.activeSpot[mon.id] = mon
+		mon.nextSpotRecheck = now.Add(s.cfg.RecheckInterval).UnixNano()
+		s.activeSpot[mon.idx] = mon
 	}
-	region := mon.id.Region()
+	region := s.id(mon).Region()
 	if s.heldCNA[region] < s.cfg.MaxHeldCNAPerRegion && mon.heldReq == "" {
 		mon.heldReq = req.ID
 		s.heldCNA[region]++
@@ -222,7 +225,7 @@ func (s *Service) onSpotRejection(mon *marketMon, req cloud.SpotRequest, now tim
 	if !mon.odOutage {
 		s.odProbe(mon, now, probeContext{
 			trigger:       store.TriggerCross,
-			triggerMarket: mon.id,
+			triggerMarket: s.id(mon),
 			sourceKind:    store.ProbeSpot,
 			spikeRatio:    ctx.spikeRatio,
 		})
@@ -240,12 +243,13 @@ func (s *Service) onSpotRejection(mon *marketMon, req cloud.SpotRequest, now tim
 // tick, so SpotLight just reads the status and records the recovery when
 // it comes.
 func (s *Service) handleHeldView(mon *marketMon, req cloud.SpotRequest, now time.Time) {
+	id := s.id(mon)
 	rec := store.ProbeRecord{
 		At:            now,
-		Market:        mon.id,
+		Market:        id,
 		Kind:          store.ProbeSpot,
 		Trigger:       store.TriggerRecheck,
-		TriggerMarket: mon.id,
+		TriggerMarket: id,
 		SourceKind:    store.ProbeSpot,
 		PriceRatio:    s.priceRatio(mon),
 		Bid:           req.Bid,
@@ -280,7 +284,7 @@ func (s *Service) releaseHold(mon *marketMon) {
 	if mon.heldReq == "" {
 		return
 	}
-	region := mon.id.Region()
+	region := s.id(mon).Region()
 	if s.heldCNA[region] > 0 {
 		s.heldCNA[region]--
 	}
@@ -289,14 +293,14 @@ func (s *Service) releaseHold(mon *marketMon) {
 
 func (s *Service) closeODOutage(mon *marketMon) {
 	mon.odOutage = false
-	mon.relatedUntil = time.Time{}
-	delete(s.activeOD, mon.id)
+	mon.relatedUntil = 0
+	delete(s.activeOD, mon.idx)
 }
 
 func (s *Service) closeSpotOutage(mon *marketMon) {
 	mon.spotOutage = false
 	s.releaseHold(mon)
-	delete(s.activeSpot, mon.id)
+	delete(s.activeSpot, mon.idx)
 }
 
 func (s *Service) priceRatio(mon *marketMon) float64 {

@@ -7,28 +7,40 @@ import (
 	"spotlight/internal/store"
 )
 
+// revocationWatch is the Revocation experiment on one market: the spot
+// instance SpotLight keeps alive there, its bid, since when it runs and
+// how many hours of it the budget has paid.
+type revocationWatch struct {
+	mon      *marketMon
+	instance cloud.InstanceID
+	bid      float64
+	since    time.Time
+	charged  time.Duration
+}
+
 // runRevocationWatch maintains the Revocation probing function of
 // Chapter 4: on each user-selected volatile market, SpotLight keeps one
 // spot instance alive at a configured bid and records how long it
 // survives before the platform revokes it. The observations feed the
 // mean-time-to-revocation ranking the query interface exposes.
 func (s *Service) runRevocationWatch(now time.Time) {
-	for _, mon := range s.revocationMons {
-		if mon.revInstance == "" {
-			s.acquireRevocationInstance(mon, now)
+	for i := range s.revocations {
+		w := &s.revocations[i]
+		if w.instance == "" {
+			s.acquireRevocationInstance(w, now)
 			continue
 		}
-		s.watchRevocationInstance(mon, now)
+		s.watchRevocationInstance(w, now)
 	}
 }
 
-func (s *Service) acquireRevocationInstance(mon *marketMon, now time.Time) {
-	bid := s.cfg.RevocationBid * mon.od
+func (s *Service) acquireRevocationInstance(w *revocationWatch, now time.Time) {
+	bid := s.cfg.RevocationBid * w.mon.od
 	if !s.budget.allow(now, bid) {
 		s.stats.BudgetDenied++
 		return
 	}
-	req, err := s.prov.RequestSpotInstance(mon.id, bid)
+	req, err := s.prov.RequestSpotInstance(s.id(w.mon), bid)
 	if err != nil {
 		s.budget.refund(bid)
 		s.stats.QuotaSkips++
@@ -42,43 +54,43 @@ func (s *Service) acquireRevocationInstance(mon *marketMon, now time.Time) {
 		}
 		return
 	}
-	mon.revInstance = req.Instance
-	mon.revBid = bid
-	mon.revSince = now
-	mon.revCharged = time.Hour // the first hour is paid up front
+	w.instance = req.Instance
+	w.bid = bid
+	w.since = now
+	w.charged = time.Hour // the first hour is paid up front
 }
 
-func (s *Service) watchRevocationInstance(mon *marketMon, now time.Time) {
-	inst, err := s.prov.DescribeInstance(mon.revInstance)
+func (s *Service) watchRevocationInstance(w *revocationWatch, now time.Time) {
+	inst, err := s.prov.DescribeInstance(w.instance)
 	if err != nil {
-		mon.revInstance = ""
+		w.instance = ""
 		return
 	}
 	switch inst.State {
 	case cloud.InstanceRunning:
 		// Accrue the holding cost hour by hour; if the budget runs dry,
 		// the experiment pauses.
-		held := now.Sub(mon.revSince)
-		for mon.revCharged < held {
-			if !s.budget.allow(now, mon.price) {
+		held := now.Sub(w.since)
+		for w.charged < held {
+			if !s.budget.allow(now, w.mon.price) {
 				s.stats.BudgetDenied++
-				_ = s.prov.TerminateInstance(mon.revInstance)
+				_ = s.prov.TerminateInstance(w.instance)
 				return
 			}
-			mon.revCharged += time.Hour
+			w.charged += time.Hour
 		}
 	case cloud.InstanceShuttingDown:
 		// Two-minute warning in progress; wait for the termination.
 	case cloud.InstanceTerminated:
 		if inst.Revoked {
 			s.stats.Revocations++
-			mon.app.AppendRevocation(store.RevocationRecord{
+			w.mon.app.AppendRevocation(store.RevocationRecord{
 				At:     inst.End,
-				Market: mon.id,
-				Bid:    mon.revBid,
-				Held:   inst.End.Sub(mon.revSince),
+				Market: s.id(w.mon),
+				Bid:    w.bid,
+				Held:   inst.End.Sub(w.since),
 			})
 		}
-		mon.revInstance = ""
+		w.instance = ""
 	}
 }

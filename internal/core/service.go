@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"time"
 
@@ -26,14 +27,9 @@ type Counters struct {
 }
 
 // marketMon is the per-market monitor: SpotLight's Chapter 4 "market
-// class" with its probe manager state.
+// class" with its probe manager state. Its ID is the catalog's entry at
+// idx (Service.id); its instants are Unix nanoseconds, zero for never.
 type marketMon struct {
-	id      market.SpotID
-	od      float64
-	price   float64
-	above   bool // currently above the spike threshold
-	watched bool
-
 	// app writes straight to this market's store shard, skipping the
 	// store-level shard lookup on every ingested record.
 	app *store.Appender
@@ -42,29 +38,26 @@ type marketMon struct {
 	// so no market holds its largest tick's buffer for good.
 	pending []store.ProbeRecord
 
-	lastSample        time.Time
+	od                float64
+	price             float64
 	lastRecordedPrice float64
+	lastSample        int64
 
 	// On-demand outage handling (RequestInsufficiency).
-	odOutage      bool
-	nextODRecheck time.Time
-	relatedUntil  time.Time
-	nextRelated   time.Time
+	nextODRecheck int64
+	relatedUntil  int64
+	nextRelated   int64
 	spikeRatio    float64 // ratio of the spike that opened the outage
 
 	// Spot outage handling (CheckCapacity holds).
-	spotOutage      bool
-	nextSpotRecheck time.Time
+	nextSpotRecheck int64
 	heldReq         cloud.RequestID
 
-	// BidSpread scheduling.
-	nextBidSpread time.Time
-
-	// Revocation watch.
-	revInstance cloud.InstanceID
-	revBid      float64
-	revSince    time.Time
-	revCharged  time.Duration
+	idx        int32 // catalog index
+	above      bool  // currently above the spike threshold
+	watched    bool
+	odOutage   bool
+	spotOutage bool
 }
 
 // Service is the SpotLight information service.
@@ -77,21 +70,25 @@ type Service struct {
 	rng    *rand.Rand
 
 	regions []market.Region
-	// byIndex holds the monitors by dense catalog index
-	// (cloud.MarketPrice.Index, market.Catalog.SpotIndex); nil marks a
-	// market outside the monitored regions. The region scan addresses it
-	// directly, the related-market fan-out through monitor.
+	// mons holds the monitors of the monitored regions' markets, in
+	// catalog order; the periodic probes walk it round-robin.
+	mons []marketMon
+	// byIndex points into mons by catalog index (cloud.MarketPrice.Index,
+	// market.Catalog.SpotIndex); nil marks a market outside the monitored
+	// regions. The region scan addresses it directly, the related-market
+	// fan-out through monitor.
 	byIndex []*marketMon
-	// bidSpreadMons and revocationMons are Config.BidSpreadMarkets and
+	// bidSpreads and revocations are Config.BidSpreadMarkets and
 	// Config.RevocationMarkets resolved to monitors, in config order.
-	bidSpreadMons  []*marketMon
-	revocationMons []*marketMon
+	bidSpreads  []bidSpreadWatch
+	revocations []revocationWatch
 
-	activeOD   map[market.SpotID]*marketMon
-	activeSpot map[market.SpotID]*marketMon
+	// activeOD and activeSpot hold the markets in an outage by catalog
+	// index.
+	activeOD   map[int32]*marketMon
+	activeSpot map[int32]*marketMon
 	heldCNA    map[market.Region]int
 
-	spotRR          []*marketMon
 	rrPos           int
 	spotProbeCredit float64
 	odRRPos         int
@@ -130,8 +127,8 @@ func New(prov Provider, db *store.Store, cfg Config) (*Service, error) {
 		rng:        rand.New(rand.NewPCG(cfg.Seed, 0x5b07_11fe)),
 		regions:    regions,
 		byIndex:    make([]*marketMon, len(cat.SpotMarkets())),
-		activeOD:   make(map[market.SpotID]*marketMon),
-		activeSpot: make(map[market.SpotID]*marketMon),
+		activeOD:   make(map[int32]*marketMon),
+		activeSpot: make(map[int32]*marketMon),
 		heldCNA:    make(map[market.Region]int),
 	}
 
@@ -143,6 +140,14 @@ func New(prov Provider, db *store.Store, cfg Config) (*Service, error) {
 	for _, r := range regions {
 		inRegions[r] = false
 	}
+	monitored := 0
+	for _, id := range cat.SpotMarkets() {
+		if _, ok := inRegions[id.Region()]; ok {
+			monitored++
+		}
+	}
+	// mons is sized once: byIndex points into it.
+	s.mons = make([]marketMon, 0, monitored)
 	for i, id := range cat.SpotMarkets() {
 		r := id.Region()
 		if _, ok := inRegions[r]; !ok {
@@ -153,36 +158,42 @@ func New(prov Provider, db *store.Store, cfg Config) (*Service, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: price for %v: %w", id, err)
 		}
-		mon := &marketMon{
-			id:      id,
+		s.mons = append(s.mons, marketMon{
+			idx:     int32(i),
 			od:      od,
 			watched: watched[id],
 			app:     s.db.Appender(id),
-		}
-		s.byIndex[i] = mon
-		s.spotRR = append(s.spotRR, mon)
+		})
+		s.byIndex[i] = &s.mons[len(s.mons)-1]
 	}
 	for r, seen := range inRegions {
 		if !seen {
 			return nil, fmt.Errorf("core: region %q has no markets in the catalog", r)
 		}
 	}
-	s.bidSpreadMons = s.resolve(cfg.BidSpreadMarkets)
-	s.revocationMons = s.resolve(cfg.RevocationMarkets)
+	for _, mon := range s.resolve(cfg.BidSpreadMarkets) {
+		s.bidSpreads = append(s.bidSpreads, bidSpreadWatch{mon: mon})
+	}
+	for _, mon := range s.resolve(cfg.RevocationMarkets) {
+		s.revocations = append(s.revocations, revocationWatch{mon: mon})
+	}
 	return s, nil
 }
 
 // resolve maps configured market IDs to their monitors, in order,
-// dropping markets outside the monitored regions.
+// dropping repeats and markets outside the monitored regions.
 func (s *Service) resolve(ids []market.SpotID) []*marketMon {
 	var out []*marketMon
 	for _, id := range ids {
-		if mon := s.monitor(id); mon != nil {
+		if mon := s.monitor(id); mon != nil && !slices.Contains(out, mon) {
 			out = append(out, mon)
 		}
 	}
 	return out
 }
+
+// id returns mon's market ID.
+func (s *Service) id(mon *marketMon) market.SpotID { return s.cat.SpotMarkets()[mon.idx] }
 
 // monitor returns id's monitor; nil for a market outside the catalog or
 // the monitored regions.
@@ -295,13 +306,14 @@ func (s *Service) flushProbes() {
 // triggers spike probes (§3.1: "trigger a probe whenever the spot price
 // spikes above a certain threshold").
 func (s *Service) scanRegion(r market.Region, now time.Time) {
+	ns := now.UnixNano()
 	s.prov.EachRegionPrice(r, func(mp cloud.MarketPrice) {
 		mon := s.byIndex[mp.Index]
 		if mon == nil {
 			return
 		}
 		mon.price = mp.Spot
-		s.recordPrice(mon, now)
+		s.recordPrice(mon, now, ns)
 
 		ratio := 0.0
 		if mon.od > 0 {
@@ -320,13 +332,13 @@ func (s *Service) scanRegion(r market.Region, now time.Time) {
 				probed = true
 				s.odProbe(mon, now, probeContext{
 					trigger:       store.TriggerSpike,
-					triggerMarket: mon.id,
+					triggerMarket: mp.ID,
 					sourceKind:    store.ProbeSpot,
 					spikeRatio:    ratio,
 				})
 			}
 			mon.app.AppendSpike(store.SpikeEvent{
-				At: now, Market: mon.id, Price: mon.price, Ratio: ratio, Probed: probed,
+				At: now, Market: mp.ID, Price: mon.price, Ratio: ratio, Probed: probed,
 			})
 		case ratio <= s.cfg.Threshold && mon.above:
 			mon.above = false
@@ -335,31 +347,31 @@ func (s *Service) scanRegion(r market.Region, now time.Time) {
 }
 
 // recordPrice logs the price series: densely for watched markets, sparsely
-// for the rest.
-func (s *Service) recordPrice(mon *marketMon, now time.Time) {
+// for the rest. ns is now in Unix nanoseconds.
+func (s *Service) recordPrice(mon *marketMon, now time.Time, ns int64) {
 	switch {
 	case mon.watched:
-		if mon.price != mon.lastRecordedPrice || mon.lastSample.IsZero() {
+		if mon.price != mon.lastRecordedPrice || mon.lastSample == 0 {
 			mon.app.RecordPrice(store.PricePoint{At: now, Price: mon.price})
 			mon.lastRecordedPrice = mon.price
-			mon.lastSample = now
+			mon.lastSample = ns
 		}
-	case mon.lastSample.IsZero() || now.Sub(mon.lastSample) >= s.cfg.PriceSampleEvery:
+	case mon.lastSample == 0 || ns-mon.lastSample >= int64(s.cfg.PriceSampleEvery):
 		mon.app.RecordPrice(store.PricePoint{At: now, Price: mon.price})
 		mon.lastRecordedPrice = mon.price
-		mon.lastSample = now
+		mon.lastSample = ns
 	}
 }
 
 // sortedMons returns the monitors of an active set in stable ID order, so
 // probe order (and hence budget consumption) is reproducible across runs.
-func sortedMons(set map[market.SpotID]*marketMon) []*marketMon {
+func (s *Service) sortedMons(set map[int32]*marketMon) []*marketMon {
 	out := make([]*marketMon, 0, len(set))
 	for _, mon := range set {
 		out = append(out, mon)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].id, out[j].id
+		a, b := s.id(out[i]), s.id(out[j])
 		if a.Zone != b.Zone {
 			return a.Zone < b.Zone
 		}
@@ -374,19 +386,20 @@ func sortedMons(set map[market.SpotID]*marketMon) []*marketMon {
 // runODRechecks re-probes unavailable on-demand markets every δ until they
 // recover, and re-probes their related markets inside the related window.
 func (s *Service) runODRechecks(now time.Time) {
-	for _, mon := range sortedMons(s.activeOD) {
-		if !now.Before(mon.nextODRecheck) {
-			mon.nextODRecheck = now.Add(s.cfg.RecheckInterval)
+	ns := now.UnixNano()
+	for _, mon := range s.sortedMons(s.activeOD) {
+		if ns >= mon.nextODRecheck {
+			mon.nextODRecheck = ns + int64(s.cfg.RecheckInterval)
 			s.odProbe(mon, now, probeContext{
 				trigger:       store.TriggerRecheck,
-				triggerMarket: mon.id,
+				triggerMarket: s.id(mon),
 				sourceKind:    store.ProbeOnDemand,
 				spikeRatio:    mon.spikeRatio,
 			})
 		}
 		if mon.odOutage && !s.cfg.DisableFamilyProbing &&
-			now.Before(mon.relatedUntil) && !now.Before(mon.nextRelated) {
-			mon.nextRelated = now.Add(s.cfg.RelatedRecheckInterval)
+			ns < mon.relatedUntil && ns >= mon.nextRelated {
+			mon.nextRelated = ns + int64(s.cfg.RelatedRecheckInterval)
 			s.probeRelated(mon, now, store.ProbeOnDemand)
 		}
 	}
@@ -397,20 +410,21 @@ func (s *Service) runODRechecks(now time.Time) {
 // one batched describe call per region, the way Chapter 4's region
 // managers conserve API budget.
 func (s *Service) runSpotRechecks(now time.Time) {
+	ns := now.UnixNano()
 	heldByRegion := make(map[market.Region][]*marketMon)
-	for _, mon := range sortedMons(s.activeSpot) {
-		if now.Before(mon.nextSpotRecheck) {
+	for _, mon := range s.sortedMons(s.activeSpot) {
+		if ns < mon.nextSpotRecheck {
 			continue
 		}
-		mon.nextSpotRecheck = now.Add(s.cfg.RecheckInterval)
+		mon.nextSpotRecheck = ns + int64(s.cfg.RecheckInterval)
 		if mon.heldReq != "" {
-			r := mon.id.Region()
+			r := s.id(mon).Region()
 			heldByRegion[r] = append(heldByRegion[r], mon)
 			continue
 		}
 		s.spotProbe(mon, now, probeContext{
 			trigger:       store.TriggerRecheck,
-			triggerMarket: mon.id,
+			triggerMarket: s.id(mon),
 			sourceKind:    store.ProbeSpot,
 		})
 	}
@@ -445,7 +459,7 @@ func (s *Service) runSpotRechecks(now time.Time) {
 // runPeriodicSpotProbes spreads the daily CheckCapacity budget round-robin
 // across all monitored markets (§3.3).
 func (s *Service) runPeriodicSpotProbes(now time.Time, dt time.Duration) {
-	if len(s.spotRR) == 0 || dt <= 0 {
+	if len(s.mons) == 0 || dt <= 0 {
 		return
 	}
 	s.spotProbeCredit += float64(s.cfg.SpotProbesPerDay) * dt.Hours() / 24
@@ -454,9 +468,9 @@ func (s *Service) runPeriodicSpotProbes(now time.Time, dt time.Duration) {
 		// that is not already on the spot recheck schedule. Give up
 		// after one full rotation so a quiet feed cannot spin forever.
 		var mon *marketMon
-		for scanned := 0; scanned < len(s.spotRR); scanned++ {
-			cand := s.spotRR[s.rrPos]
-			s.rrPos = (s.rrPos + 1) % len(s.spotRR)
+		for scanned := 0; scanned < len(s.mons); scanned++ {
+			cand := &s.mons[s.rrPos]
+			s.rrPos = (s.rrPos + 1) % len(s.mons)
 			if cand.price > 0 && !cand.spotOutage {
 				mon = cand
 				break
@@ -469,7 +483,7 @@ func (s *Service) runPeriodicSpotProbes(now time.Time, dt time.Duration) {
 		s.spotProbeCredit--
 		s.spotProbe(mon, now, probeContext{
 			trigger:       store.TriggerPeriodicSpot,
-			triggerMarket: mon.id,
+			triggerMarket: s.id(mon),
 			sourceKind:    store.ProbeSpot,
 		})
 	}
@@ -480,15 +494,15 @@ func (s *Service) runPeriodicSpotProbes(now time.Time, dt time.Duration) {
 // controller with the market-based policy, so the two can be compared at
 // equal spend.
 func (s *Service) runPeriodicODProbes(now time.Time, dt time.Duration) {
-	if s.cfg.PeriodicODProbesPerDay <= 0 || len(s.spotRR) == 0 || dt <= 0 {
+	if s.cfg.PeriodicODProbesPerDay <= 0 || len(s.mons) == 0 || dt <= 0 {
 		return
 	}
 	s.odProbeCredit += float64(s.cfg.PeriodicODProbesPerDay) * dt.Hours() / 24
 	for s.odProbeCredit >= 1 {
 		var mon *marketMon
-		for scanned := 0; scanned < len(s.spotRR); scanned++ {
-			cand := s.spotRR[s.odRRPos]
-			s.odRRPos = (s.odRRPos + 1) % len(s.spotRR)
+		for scanned := 0; scanned < len(s.mons); scanned++ {
+			cand := &s.mons[s.odRRPos]
+			s.odRRPos = (s.odRRPos + 1) % len(s.mons)
 			if !cand.odOutage {
 				mon = cand
 				break
@@ -501,7 +515,7 @@ func (s *Service) runPeriodicODProbes(now time.Time, dt time.Duration) {
 		s.odProbeCredit--
 		s.odProbe(mon, now, probeContext{
 			trigger:       store.TriggerPeriodicOD,
-			triggerMarket: mon.id,
+			triggerMarket: s.id(mon),
 			sourceKind:    store.ProbeOnDemand,
 		})
 	}
@@ -509,11 +523,12 @@ func (s *Service) runPeriodicODProbes(now time.Time, dt time.Duration) {
 
 // runBidSpreads launches due intrinsic-price searches.
 func (s *Service) runBidSpreads(now time.Time) {
-	for _, mon := range s.bidSpreadMons {
-		if now.Before(mon.nextBidSpread) {
+	for i := range s.bidSpreads {
+		w := &s.bidSpreads[i]
+		if now.Before(w.next) {
 			continue
 		}
-		mon.nextBidSpread = now.Add(s.cfg.BidSpreadInterval)
-		s.bidSpreadSearch(mon, now)
+		w.next = now.Add(s.cfg.BidSpreadInterval)
+		s.bidSpreadSearch(w.mon, now)
 	}
 }

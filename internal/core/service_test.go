@@ -675,7 +675,7 @@ func TestTickFlushDropsProbeBuffers(t *testing.T) {
 	}
 	for _, mon := range svc.byIndex {
 		if mon != nil && cap(mon.pending) != 0 {
-			t.Errorf("%v holds a probe buffer of %d records after the tick", mon.id, cap(mon.pending))
+			t.Errorf("%v holds a probe buffer of %d records after the tick", svc.id(mon), cap(mon.pending))
 		}
 	}
 	if len(svc.dirtyMons) != 0 {

@@ -6,8 +6,10 @@ import (
 	"runtime"
 	"testing"
 
+	"spotlight/internal/cloud"
 	"spotlight/internal/core"
 	"spotlight/internal/market"
+	"spotlight/internal/store"
 )
 
 // TestStudyDigestPinned holds three 1-day studies to figures recorded
@@ -124,4 +126,48 @@ func liveHeap() uint64 {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return m.HeapAlloc
+}
+
+// TestMarketFixedCost holds what the simulated cloud and the monitor
+// retain per catalog market before the first record, configured as a
+// study configures them: the live heap cloud.New and core.New add over a
+// built catalog and an empty store. It measures 480 B (277 + 203) with
+// one dense row per market in the demand model, the simulator and the
+// monitor, addressed by catalog index; 1,073 B (635 + 438) when each
+// layer kept a heap object per market holding its own copy of the market
+// ID, the simulator an index map and a copy of the static parameters,
+// and the monitor its schedule as time.Time. The ceiling sits a tenth
+// over the measurement, rounded up to a whole byte.
+func TestMarketFixedCost(t *testing.T) {
+	const ceiling = 528
+	cat := market.New()
+	db := store.New()
+	before := liveHeap()
+	sim, err := cloud.New(cat, cloud.Config{
+		Seed:            42,
+		VolatileMarkets: append(CaseStudyMarkets(), BidSpreadMarket()),
+		StrongPools:     caseStudyPools(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	simOnly := liveHeap()
+	svc, err := core.New(sim, db, core.Config{
+		Seed:              42,
+		WatchedMarkets:    TracedMarkets(),
+		BidSpreadMarkets:  []market.SpotID{BidSpreadMarket()},
+		RevocationMarkets: CaseStudyMarkets(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := liveHeap()
+	runtime.KeepAlive(svc)
+	n := float64(len(cat.SpotMarkets()))
+	perMarket := float64(int64(after)-int64(before)) / n
+	t.Logf("cloud.New %.0f B + core.New %.0f B = %.0f B per market",
+		float64(int64(simOnly)-int64(before))/n, float64(int64(after)-int64(simOnly))/n, perMarket)
+	if perMarket >= ceiling {
+		t.Errorf("cloud.New + core.New retain %.0f B per market, want < %d", perMarket, ceiling)
+	}
 }
