@@ -149,13 +149,13 @@ func (g *Gateway) firstHealthy(primary int) int {
 }
 
 // failover runs one idempotent call against the candidates in order and
-// stops at the first node that answers; try reports whether node n did.
+// stops at the first node that answers; try reports node n's outcome.
 // Each attempt's latency and outcome feed the node's upstream series and
 // its breaker, and every attempt after the first counts as a retry. Once
 // ctx is done no further attempt starts, and the attempt it cut short
-// charges no breaker: a caller that gave up must not charge healthy nodes
-// with its cancellation.
-func (g *Gateway) failover(ctx context.Context, primary int, try func(n int) bool) bool {
+// counts as cancelled and charges no breaker: a caller that gave up must
+// not charge healthy nodes with its cancellation.
+func (g *Gateway) failover(ctx context.Context, primary int, try func(n int) outcome) bool {
 	for k, n := range g.candidates(primary) {
 		if k > 0 {
 			if ctx.Err() != nil {
@@ -164,13 +164,16 @@ func (g *Gateway) failover(ctx context.Context, primary int, try func(n int) boo
 			g.metrics.retries.Inc()
 		}
 		start := time.Now()
-		ok := try(n)
-		g.metrics.observeUpstream(n, time.Since(start), ok)
-		if ok {
+		o := try(n)
+		if o != outcomeOK && ctx.Err() != nil {
+			o = outcomeCancelled
+		}
+		g.metrics.observeUpstream(n, time.Since(start), o)
+		switch o {
+		case outcomeOK:
 			g.health.succeed(n)
 			return true
-		}
-		if ctx.Err() != nil {
+		case outcomeCancelled:
 			return false
 		}
 		g.health.fail(n)
@@ -186,7 +189,7 @@ func (g *Gateway) failover(ctx context.Context, primary int, try func(n int) boo
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, primary int, body []byte) {
 	var lastErr error
 	var lastNode string
-	if g.failover(r.Context(), primary, func(n int) bool {
+	if g.failover(r.Context(), primary, func(n int) outcome {
 		ctx, cancel := context.WithTimeout(r.Context(), g.cfg.Timeout)
 		defer cancel()
 		var rd io.Reader
@@ -196,24 +199,27 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, primary int, b
 		req, err := http.NewRequestWithContext(ctx, r.Method, g.cfg.Nodes[n]+r.URL.RequestURI(), rd)
 		if err != nil {
 			lastErr, lastNode = err, g.cfg.Nodes[n]
-			return false
+			return outcomeTransport
 		}
 		copyHeader(req.Header, r.Header)
 		resp, err := g.httpClient().Do(req)
 		if err != nil {
 			lastErr, lastNode = err, g.cfg.Nodes[n]
-			return false
+			if ctx.Err() == context.DeadlineExceeded {
+				return outcomeTimeout
+			}
+			return outcomeTransport
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode >= 500 {
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 			lastErr, lastNode = errors.New(resp.Status), g.cfg.Nodes[n]
-			return false
+			return outcomeStatus
 		}
 		copyHeader(w.Header(), resp.Header)
 		w.WriteHeader(resp.StatusCode)
 		io.Copy(w, resp.Body)
-		return true
+		return outcomeOK
 	}) {
 		return
 	}

@@ -259,11 +259,15 @@ func holdingNode(t *testing.T) (*httptest.Server, *atomic.Int64) {
 // that their callers cancel while a healthy but slow node holds them
 // leave its breaker closed with no failure counted, however many there
 // are (TestHealthEjectedNodeBreakerOpen holds that real failures still
-// open it).
+// open it). A cut-short read counts as a cancelled upstream call, not as
+// a failed one; a health poll is not an upstream call.
 func TestCallerCancellationChargesNoBreaker(t *testing.T) {
-	for _, tc := range []struct{ name, path string }{
-		{"forward", "/v1/prices?market=" + url.QueryEscape("us-east-1d:c3.2xlarge:Linux/UNIX")},
-		{"health", "/v2/health"},
+	for _, tc := range []struct {
+		name, path string
+		cancelled  uint64
+	}{
+		{"forward", "/v1/prices?market=" + url.QueryEscape("us-east-1d:c3.2xlarge:Linux/UNIX"), failThreshold},
+		{"health", "/v2/health", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			node, hits := holdingNode(t)
@@ -271,6 +275,8 @@ func TestCallerCancellationChargesNoBreaker(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			reg := obs.NewRegistry()
+			g.EnableMetrics(reg)
 			h := g.Handler()
 			for i := 0; i < failThreshold; i++ {
 				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -282,6 +288,56 @@ func TestCallerCancellationChargesNoBreaker(t *testing.T) {
 			}
 			if state, fails := g.health.snapshot(0); state != breakerClosed || fails != 0 {
 				t.Errorf("after %d cancelled requests the node's breaker is %s with %d failures, want closed with 0", failThreshold, state, fails)
+			}
+			want := map[string]uint64{"cancelled": tc.cancelled}
+			for _, name := range outcomeNames {
+				got := reg.Counter("spotlight_gateway_upstream_requests_total", "", "node", node.URL, "outcome", name).Value()
+				if got != want[name] {
+					t.Errorf("outcome=%q counts %d upstream calls, want %d", name, got, want[name])
+				}
+			}
+		})
+	}
+}
+
+// Each way an upstream call can fail counts under its own outcome: a
+// refused connection as transport, a 5xx as status, an attempt that
+// outlives the gateway's timeout as timeout. A one-node fleet tries its
+// node twice.
+func TestUpstreamOutcomeSeries(t *testing.T) {
+	fiveHundred := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "boom", http.StatusInternalServerError)
+	}))
+	t.Cleanup(fiveHundred.Close)
+	holding, _ := holdingNode(t)
+	for _, tc := range []struct {
+		outcome, node string
+	}{
+		{"transport", deadURL()},
+		{"status", fiveHundred.URL},
+		{"timeout", holding.URL},
+	} {
+		t.Run(tc.outcome, func(t *testing.T) {
+			g, err := New(Config{Nodes: []string{tc.node}, Timeout: 50 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			g.EnableMetrics(reg)
+			rec := httptest.NewRecorder()
+			g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/markets", nil))
+			if rec.Code != http.StatusBadGateway {
+				t.Errorf("status %d, want %d", rec.Code, http.StatusBadGateway)
+			}
+			for _, name := range outcomeNames {
+				want := uint64(0)
+				if name == tc.outcome {
+					want = 2
+				}
+				got := reg.Counter("spotlight_gateway_upstream_requests_total", "", "node", tc.node, "outcome", name).Value()
+				if got != want {
+					t.Errorf("outcome=%q counts %d upstream calls, want %d", name, got, want)
+				}
 			}
 		})
 	}

@@ -21,29 +21,45 @@ import (
 type gwMetrics struct {
 	retries *obs.Counter
 
-	upstreamSeconds []*obs.Histogram
-	upstreamOK      []*obs.Counter
-	upstreamErr     []*obs.Counter
-	breakerOpens    []*obs.Counter
+	upstreamSeconds  []*obs.Histogram
+	upstreamRequests [][numOutcomes]*obs.Counter
+	breakerOpens     []*obs.Counter
 }
+
+// outcome classifies one upstream attempt: the outcome label of
+// spotlight_gateway_upstream_requests_total.
+type outcome int
+
+const (
+	// outcomeOK: the node answered below 500, even with a query-level
+	// error.
+	outcomeOK outcome = iota
+	// outcomeTransport: no answer — the request could not be built,
+	// dialled or read.
+	outcomeTransport
+	// outcomeStatus: the node answered 5xx.
+	outcomeStatus
+	// outcomeTimeout: the attempt outlived Config.Timeout.
+	outcomeTimeout
+	// outcomeCancelled: the caller gave up; it charges no breaker.
+	outcomeCancelled
+	numOutcomes
+)
+
+var outcomeNames = [numOutcomes]string{"ok", "transport", "status", "timeout", "cancelled"}
 
 func newGwMetrics(n int) *gwMetrics {
 	return &gwMetrics{
-		upstreamSeconds: make([]*obs.Histogram, n),
-		upstreamOK:      make([]*obs.Counter, n),
-		upstreamErr:     make([]*obs.Counter, n),
-		breakerOpens:    make([]*obs.Counter, n),
+		upstreamSeconds:  make([]*obs.Histogram, n),
+		upstreamRequests: make([][numOutcomes]*obs.Counter, n),
+		breakerOpens:     make([]*obs.Counter, n),
 	}
 }
 
 // observeUpstream records one upstream attempt against node n.
-func (m *gwMetrics) observeUpstream(n int, d time.Duration, ok bool) {
+func (m *gwMetrics) observeUpstream(n int, d time.Duration, o outcome) {
 	m.upstreamSeconds[n].Observe(d)
-	if ok {
-		m.upstreamOK[n].Inc()
-	} else {
-		m.upstreamErr[n].Inc()
-	}
+	m.upstreamRequests[n][o].Inc()
 }
 
 // EnableMetrics registers the gateway's series in reg and arms the
@@ -62,12 +78,11 @@ func (g *Gateway) EnableMetrics(reg *obs.Registry) {
 	for i, node := range g.cfg.Nodes {
 		m.upstreamSeconds[i] = reg.Histogram("spotlight_gateway_upstream_seconds",
 			"Latency of one upstream call, per node.", "node", node)
-		m.upstreamOK[i] = reg.Counter("spotlight_gateway_upstream_requests_total",
-			"Upstream calls by node and outcome (ok: the node answered, even with a query-level error).",
-			"node", node, "outcome", "ok")
-		m.upstreamErr[i] = reg.Counter("spotlight_gateway_upstream_requests_total",
-			"Upstream calls by node and outcome (ok: the node answered, even with a query-level error).",
-			"node", node, "outcome", "error")
+		for o, name := range outcomeNames {
+			m.upstreamRequests[i][o] = reg.Counter("spotlight_gateway_upstream_requests_total",
+				"Upstream calls by node and outcome: ok (the node answered, even with a query-level error), transport, status (5xx), timeout or cancelled (the caller gave up).",
+				"node", node, "outcome", name)
+		}
 		m.breakerOpens[i] = reg.Counter("spotlight_gateway_breaker_opens_total",
 			"Closed-to-open breaker transitions, per node.", "node", node)
 		i := i
