@@ -12,12 +12,6 @@ import (
 // we can find the intrinsic bid prices".
 const maxBidSpreadAttempts = 6
 
-// bidSpreadWatch schedules the intrinsic-price search on one market.
-type bidSpreadWatch struct {
-	mon  *marketMon
-	next time.Time
-}
-
 // bidSpreadSearch is Chapter 4's BidSpread function: find the lowest bid
 // that actually wins a spot instance right now. Because the published
 // price lags the true clearing price by the propagation delay (§5.1.2),

@@ -7,17 +7,6 @@ import (
 	"spotlight/internal/store"
 )
 
-// revocationWatch is the Revocation experiment on one market: the spot
-// instance SpotLight keeps alive there, its bid, since when it runs and
-// how many hours of it the budget has paid.
-type revocationWatch struct {
-	mon      *marketMon
-	instance cloud.InstanceID
-	bid      float64
-	since    time.Time
-	charged  time.Duration
-}
-
 // runRevocationWatch maintains the Revocation probing function of
 // Chapter 4: on each user-selected volatile market, SpotLight keeps one
 // spot instance alive at a configured bid and records how long it
@@ -34,7 +23,7 @@ func (s *Service) runRevocationWatch(now time.Time) {
 	}
 }
 
-func (s *Service) acquireRevocationInstance(w *revocationWatch, now time.Time) {
+func (s *Service) acquireRevocationInstance(w *watch, now time.Time) {
 	bid := s.cfg.RevocationBid * w.mon.od
 	if !s.budget.allow(now, bid) {
 		s.stats.BudgetDenied++
@@ -60,7 +49,7 @@ func (s *Service) acquireRevocationInstance(w *revocationWatch, now time.Time) {
 	w.charged = time.Hour // the first hour is paid up front
 }
 
-func (s *Service) watchRevocationInstance(w *revocationWatch, now time.Time) {
+func (s *Service) watchRevocationInstance(w *watch, now time.Time) {
 	inst, err := s.prov.DescribeInstance(w.instance)
 	if err != nil {
 		w.instance = ""

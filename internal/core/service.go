@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
 	"slices"
-	"sort"
 	"time"
 
 	"spotlight/internal/cloud"
@@ -70,18 +70,16 @@ type Service struct {
 	rng    *rand.Rand
 
 	regions []market.Region
-	// mons holds the monitors of the monitored regions' markets, in
-	// catalog order; the periodic probes walk it round-robin.
+	// mons holds one monitor per catalog market at its catalog index
+	// (cloud.MarketPrice.Index, market.Catalog.SpotIndex); one without an
+	// Appender lies outside the monitored regions. The region scan
+	// addresses it directly, the related-market fan-out through monitor,
+	// the periodic probes round-robin.
 	mons []marketMon
-	// byIndex points into mons by catalog index (cloud.MarketPrice.Index,
-	// market.Catalog.SpotIndex); nil marks a market outside the monitored
-	// regions. The region scan addresses it directly, the related-market
-	// fan-out through monitor.
-	byIndex []*marketMon
 	// bidSpreads and revocations are Config.BidSpreadMarkets and
 	// Config.RevocationMarkets resolved to monitors, in config order.
-	bidSpreads  []bidSpreadWatch
-	revocations []revocationWatch
+	bidSpreads  []watch
+	revocations []watch
 
 	// activeOD and activeSpot hold the markets in an outage by catalog
 	// index.
@@ -126,7 +124,7 @@ func New(prov Provider, db *store.Store, cfg Config) (*Service, error) {
 		budget:     newBudgetController(cfg.Budget, cfg.BudgetWindow, prov.Now()),
 		rng:        rand.New(rand.NewPCG(cfg.Seed, 0x5b07_11fe)),
 		regions:    regions,
-		byIndex:    make([]*marketMon, len(cat.SpotMarkets())),
+		mons:       make([]marketMon, len(cat.SpotMarkets())),
 		activeOD:   make(map[int32]*marketMon),
 		activeSpot: make(map[int32]*marketMon),
 		heldCNA:    make(map[market.Region]int),
@@ -140,14 +138,6 @@ func New(prov Provider, db *store.Store, cfg Config) (*Service, error) {
 	for _, r := range regions {
 		inRegions[r] = false
 	}
-	monitored := 0
-	for _, id := range cat.SpotMarkets() {
-		if _, ok := inRegions[id.Region()]; ok {
-			monitored++
-		}
-	}
-	// mons is sized once: byIndex points into it.
-	s.mons = make([]marketMon, 0, monitored)
 	for i, id := range cat.SpotMarkets() {
 		r := id.Region()
 		if _, ok := inRegions[r]; !ok {
@@ -158,35 +148,43 @@ func New(prov Provider, db *store.Store, cfg Config) (*Service, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: price for %v: %w", id, err)
 		}
-		s.mons = append(s.mons, marketMon{
+		s.mons[i] = marketMon{
 			idx:     int32(i),
 			od:      od,
 			watched: watched[id],
 			app:     s.db.Appender(id),
-		})
-		s.byIndex[i] = &s.mons[len(s.mons)-1]
+		}
 	}
 	for r, seen := range inRegions {
 		if !seen {
 			return nil, fmt.Errorf("core: region %q has no markets in the catalog", r)
 		}
 	}
-	for _, mon := range s.resolve(cfg.BidSpreadMarkets) {
-		s.bidSpreads = append(s.bidSpreads, bidSpreadWatch{mon: mon})
-	}
-	for _, mon := range s.resolve(cfg.RevocationMarkets) {
-		s.revocations = append(s.revocations, revocationWatch{mon: mon})
-	}
+	s.bidSpreads = s.resolve(cfg.BidSpreadMarkets)
+	s.revocations = s.resolve(cfg.RevocationMarkets)
 	return s, nil
 }
 
-// resolve maps configured market IDs to their monitors, in order,
-// dropping repeats and markets outside the monitored regions.
-func (s *Service) resolve(ids []market.SpotID) []*marketMon {
-	var out []*marketMon
+// watch is the state of a per-market experiment: the BidSpread search's
+// next run, or the spot instance the Revocation watch keeps alive, its
+// bid, since when it runs and how many of its hours the budget has paid.
+type watch struct {
+	mon      *marketMon
+	next     time.Time
+	instance cloud.InstanceID
+	bid      float64
+	since    time.Time
+	charged  time.Duration
+}
+
+// resolve maps configured market IDs to watches of their monitors, in
+// order, dropping repeats and markets outside the monitored regions.
+func (s *Service) resolve(ids []market.SpotID) []watch {
+	var out []watch
 	for _, id := range ids {
-		if mon := s.monitor(id); mon != nil && !slices.Contains(out, mon) {
-			out = append(out, mon)
+		mon := s.monitor(id)
+		if mon != nil && !slices.ContainsFunc(out, func(w watch) bool { return w.mon == mon }) {
+			out = append(out, watch{mon: mon})
 		}
 	}
 	return out
@@ -199,7 +197,9 @@ func (s *Service) id(mon *marketMon) market.SpotID { return s.cat.SpotMarkets()[
 // the monitored regions.
 func (s *Service) monitor(id market.SpotID) *marketMon {
 	if i, ok := s.cat.SpotIndex(id); ok {
-		return s.byIndex[i]
+		if mon := &s.mons[i]; mon.app != nil {
+			return mon
+		}
 	}
 	return nil
 }
@@ -308,8 +308,8 @@ func (s *Service) flushProbes() {
 func (s *Service) scanRegion(r market.Region, now time.Time) {
 	ns := now.UnixNano()
 	s.prov.EachRegionPrice(r, func(mp cloud.MarketPrice) {
-		mon := s.byIndex[mp.Index]
-		if mon == nil {
+		mon := &s.mons[mp.Index]
+		if mon.app == nil {
 			return
 		}
 		mon.price = mp.Spot
@@ -370,15 +370,9 @@ func (s *Service) sortedMons(set map[int32]*marketMon) []*marketMon {
 	for _, mon := range set {
 		out = append(out, mon)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := s.id(out[i]), s.id(out[j])
-		if a.Zone != b.Zone {
-			return a.Zone < b.Zone
-		}
-		if a.Type != b.Type {
-			return a.Type < b.Type
-		}
-		return a.Product < b.Product
+	slices.SortFunc(out, func(x, y *marketMon) int {
+		a, b := s.id(x), s.id(y)
+		return cmp.Or(cmp.Compare(a.Zone, b.Zone), cmp.Compare(a.Type, b.Type), cmp.Compare(a.Product, b.Product))
 	})
 	return out
 }
@@ -433,7 +427,7 @@ func (s *Service) runSpotRechecks(now time.Time) {
 	for r := range heldByRegion {
 		regions = append(regions, r)
 	}
-	sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
+	slices.Sort(regions)
 	for _, r := range regions {
 		mons := heldByRegion[r]
 		ids := make([]cloud.RequestID, len(mons))
@@ -503,7 +497,7 @@ func (s *Service) runPeriodicODProbes(now time.Time, dt time.Duration) {
 		for scanned := 0; scanned < len(s.mons); scanned++ {
 			cand := &s.mons[s.odRRPos]
 			s.odRRPos = (s.odRRPos + 1) % len(s.mons)
-			if !cand.odOutage {
+			if cand.app != nil && !cand.odOutage {
 				mon = cand
 				break
 			}

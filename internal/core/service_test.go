@@ -673,8 +673,8 @@ func TestTickFlushDropsProbeBuffers(t *testing.T) {
 	if db.ProbeCount() == 0 {
 		t.Fatal("the tick logged no probe")
 	}
-	for _, mon := range svc.byIndex {
-		if mon != nil && cap(mon.pending) != 0 {
+	for i := range svc.mons {
+		if mon := &svc.mons[i]; cap(mon.pending) != 0 {
 			t.Errorf("%v holds a probe buffer of %d records after the tick", svc.id(mon), cap(mon.pending))
 		}
 	}
