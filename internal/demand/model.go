@@ -204,7 +204,7 @@ func NewModel(cat *market.Catalog, cfg Config) (*Model, error) {
 		}
 		rs := &regionState{
 			prof:      prof,
-			rng:       seededRNG(cfg.Seed, "region:"+string(r)),
+			rng:       rand.New(seededPCG(cfg.Seed, "region:"+string(r))),
 			tzHour:    regionTZ(r),
 			famSpikes: make(map[market.Family][]spike),
 			families:  cat.Families(),
@@ -220,7 +220,7 @@ func NewModel(cat *market.Catalog, cfg Config) (*Model, error) {
 	poolIdx := make(map[market.PoolID]int32, len(cat.Pools()))
 	for _, pid := range cat.Pools() {
 		rs := byRegion[pid.Zone.RegionOf()]
-		rng := seededRNG(cfg.Seed, "pool:"+pid.String())
+		rng := rand.New(seededPCG(cfg.Seed, "pool:"+pid.String()))
 		ps := &poolState{
 			id:           pid,
 			region:       rs,
@@ -242,13 +242,12 @@ func NewModel(cat *market.Catalog, cfg Config) (*Model, error) {
 	}
 	for i, sid := range cat.SpotMarkets() {
 		ms := &m.markets[i]
-		ms.pcg.Seed(cfg.Seed, nameHash("market:"+sid.String()))
+		ms.pcg = *seededPCG(cfg.Seed, "market:"+sid.String())
 		ms.rng = *rand.New(&ms.pcg)
 		ms.pool = poolIdx[sid.Pool()]
-		rng := &ms.rng
 		share := m.supplyShare(sid)
-		volatile := rng.Float64() < 0.15 || forced[sid]
-		sigmaClass := rng.IntN(2) // 0 or 1
+		volatile := ms.rng.Float64() < 0.15 || forced[sid]
+		sigmaClass := ms.rng.IntN(2) // 0 or 1
 		if volatile {
 			sigmaClass = 2
 		}
@@ -256,8 +255,8 @@ func NewModel(cat *market.Catalog, cfg Config) (*Model, error) {
 		m.params[i] = MarketParams{
 			SupplyShare: share,
 			SigmaClass:  sigmaClass,
-			FloorFrac:   0.06 + 0.08*rng.Float64(),
-			CNABase:     prof.SpotCNABase * (0.7 + 0.6*rng.Float64()),
+			FloorFrac:   0.06 + 0.08*ms.rng.Float64(),
+			CNABase:     prof.SpotCNABase * (0.7 + 0.6*ms.rng.Float64()),
 			Volatile:    volatile,
 		}
 		ms.demandBase = 0.35 * share
@@ -291,7 +290,9 @@ func (m *Model) supplyShare(sid market.SpotID) float64 {
 }
 
 // Step advances every demand process to instant now. Callers must advance
-// monotonically in increments of the configured tick.
+// monotonically in increments of the configured tick. The step functions
+// read now as a time.Time for the day and week cycles and as Unix
+// nanoseconds ns for spike windows.
 func (m *Model) Step(now time.Time) {
 	ns := now.UnixNano()
 	for _, rs := range m.regions {
@@ -304,10 +305,6 @@ func (m *Model) Step(now time.Time) {
 		m.stepMarket(&m.markets[i], m.params[i].Volatile, ns)
 	}
 }
-
-// The step functions take the instant twice: as a time.Time for the
-// calendar (day and week cycles) and as Unix nanoseconds ns for spike
-// windows.
 
 func (m *Model) stepRegion(rs *regionState, now time.Time, ns int64) {
 	rs.noise = m.ar1(rs.noise, rs.rng, rs.prof.Volatility)
@@ -503,17 +500,12 @@ func clamp(x, lo, hi float64) float64 {
 // normFloat draws a standard normal variate.
 func normFloat(rng *rand.Rand) float64 { return rng.NormFloat64() }
 
-// seededRNG derives an independent, reproducible PCG stream for a named
+// seededPCG derives an independent, reproducible PCG stream for a named
 // component from the study seed.
-func seededRNG(seed uint64, name string) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, nameHash(name)))
-}
-
-// nameHash is the second PCG seed of a named component.
-func nameHash(name string) uint64 {
+func seededPCG(seed uint64, name string) *rand.PCG {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
-	return h.Sum64()
+	return rand.NewPCG(seed, h.Sum64())
 }
 
 // regionTZ returns the rough UTC offset of a region, used to phase its

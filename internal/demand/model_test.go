@@ -2,6 +2,7 @@ package demand
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -232,7 +233,7 @@ func TestWeeklyShape(t *testing.T) {
 }
 
 func TestSpikeDurationTail(t *testing.T) {
-	rng := seededRNG(9, "duration-test")
+	rng := rand.New(seededPCG(9, "duration-test"))
 	n := 20000
 	over1h, over10h := 0, 0
 	for i := 0; i < n; i++ {
