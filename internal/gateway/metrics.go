@@ -26,22 +26,19 @@ type gwMetrics struct {
 	breakerOpens     []*obs.Counter
 }
 
-// outcome classifies one upstream attempt: the outcome label of
-// spotlight_gateway_upstream_requests_total.
+// outcome classifies one upstream attempt, the outcome label of
+// spotlight_gateway_upstream_requests_total: ok (the node answered below
+// 500, even with a query-level error), transport (no answer: the request
+// could not be built, sent or read), status (5xx), timeout (the attempt
+// outlived Config.Timeout) or cancelled (the caller gave up; no breaker
+// is charged).
 type outcome int
 
 const (
-	// outcomeOK: the node answered below 500, even with a query-level
-	// error.
 	outcomeOK outcome = iota
-	// outcomeTransport: no answer — the request could not be built,
-	// dialled or read.
 	outcomeTransport
-	// outcomeStatus: the node answered 5xx.
 	outcomeStatus
-	// outcomeTimeout: the attempt outlived Config.Timeout.
 	outcomeTimeout
-	// outcomeCancelled: the caller gave up; it charges no breaker.
 	outcomeCancelled
 	numOutcomes
 )
