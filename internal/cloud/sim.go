@@ -241,10 +241,8 @@ func New(cat *market.Catalog, cfg Config) (*Sim, error) {
 	// Prime prices so the published feed is meaningful from tick zero.
 	s.dm.Step(s.clock.Now())
 	s.updatePools()
-	params := s.dm.Params()
 	for i := range s.markets {
-		m := &s.markets[i]
-		s.updateMarketPrice(m, i, &params[i])
+		m := s.updateMarketPrice(i)
 		m.lagged = m.truePrice
 		m.published = m.truePrice
 	}
@@ -284,11 +282,8 @@ func (s *Sim) Step() time.Time {
 	s.updatePools()
 	s.expireReservations(now)
 	s.advanceInstances(now)
-	params := s.dm.Params()
 	for i := range s.markets {
-		m := &s.markets[i]
-		s.updateMarketPrice(m, i, &params[i])
-		m.publish()
+		s.updateMarketPrice(i).publish()
 	}
 	s.enforceSpotCapacity(now)
 	s.reevaluateHeld(now)
@@ -372,9 +367,10 @@ func (s *Sim) demandCoupling(p *poolRt, i int) float64 {
 	return c
 }
 
-// updateMarketPrice re-clears market m, at catalog index i, with static
-// parameters par.
-func (s *Sim) updateMarketPrice(m *marketRt, i int, par *demand.MarketParams) {
+// updateMarketPrice re-clears the market at catalog index i and returns
+// its state.
+func (s *Sim) updateMarketPrice(i int) *marketRt {
+	m, par := &s.markets[i], &s.dm.Params()[i]
 	pi := s.dm.MarketPoolIndex(i)
 	p := s.pools[pi]
 	ms := s.dm.MarketAt(i)
@@ -409,6 +405,7 @@ func (s *Sim) updateMarketPrice(m *marketRt, i int, par *demand.MarketParams) {
 			m.cnaActive = true
 		}
 	}
+	return m
 }
 
 // publish shifts the true price into the lagged published feed.
