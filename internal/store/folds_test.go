@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -27,6 +29,7 @@ type foldSeries struct {
 	prices []PricePoint
 	spikes []SpikeEvent
 	revs   []RevocationRecord
+	bids   []BidSpreadRecord
 	probes []ProbeRecord
 }
 
@@ -79,7 +82,7 @@ func foldPrice(rng *rand.Rand, special, tied bool) float64 {
 }
 
 // randomFoldSeries draws one market's records: 0 to 5 chunks of prices,
-// spikes and revocations either in or out of time order, and a probe
+// spikes, revocations and bid spreads either in or out of time order, and a probe
 // stream whose rejections open outages, the last of them often left open.
 func randomFoldSeries(rng *rand.Rand, id market.SpotID, special bool) foldSeries {
 	s := foldSeries{id: id}
@@ -92,6 +95,9 @@ func randomFoldSeries(rng *rand.Rand, id market.SpotID, special bool) foldSeries
 	}
 	for _, at := range foldStamps(rng, rng.IntN(2*chunkLen), rng.IntN(3) != 0) {
 		s.revs = append(s.revs, RevocationRecord{At: at, Market: id, Held: time.Duration(1+rng.IntN(300)) * time.Minute})
+	}
+	for _, at := range foldStamps(rng, rng.IntN(2*chunkLen), rng.IntN(3) != 0) {
+		s.bids = append(s.bids, BidSpreadRecord{At: at, Market: id, Published: float64(rng.IntN(90)) / 100, Intrinsic: float64(rng.IntN(90)) / 100, Attempts: rng.IntN(9)})
 	}
 	for _, at := range foldStamps(rng, rng.IntN(2*chunkLen), true) {
 		kind := ProbeOnDemand
@@ -113,6 +119,7 @@ func (s foldSeries) load(rng *rand.Rand, db *Store) {
 	}
 	db.AppendSpikes(s.spikes)
 	db.AppendRevocations(s.revs)
+	db.AppendBidSpreads(s.bids)
 	db.AppendProbes(s.probes)
 }
 
@@ -255,34 +262,93 @@ func matchesOracle(got, want foldAnswers) bool {
 	return closeMean && sameBits(got, want)
 }
 
-// checkAccessors holds the accessors the oracle loops over to the records
-// that were appended: exactly the in-window ones, in append order.
-func checkAccessors(t *testing.T, db *Store, s foldSeries, from, to time.Time) {
+// checkAccessors holds the accessors the oracle loops over, and every other
+// read of one family, to the records that were appended: exactly the
+// in-window ones, in append order, and across markets grouped in market-ID
+// order. Outages are held to a walk of the probes: a rejected probe of a
+// kind with none open opens one, that kind's next accepted probe closes it.
+func checkAccessors(t *testing.T, db *Store, series []foldSeries, k int, from, to time.Time) {
 	t.Helper()
-	in := func(at time.Time) bool { return !at.Before(from) && !at.After(to) }
-	var wantPrices []PricePoint
-	for _, p := range s.prices {
-		if in(p.At) {
-			wantPrices = append(wantPrices, p)
+	s := series[k]
+	what := func(read string) string { return fmt.Sprintf("%s(%v, %v, %v)", read, s.id, from, to) }
+	expectRun(t, what("PricesIn"), db.PricesIn(s.id, from, to), inWindow(s.prices, from, to))
+	expectRun(t, what("RevocationsFor"), db.RevocationsFor(s.id, from, to), inWindow(s.revs, from, to))
+	spikes := inWindow(s.spikes, from, to)
+	expectRun(t, what("SpikesFor"), db.SpikesFor(s.id, from, to), spikes)
+	expectRun(t, what("SpikesInWindow with keep"), db.SpikesInWindow(from, to, func(m market.SpotID) bool { return m == s.id }), spikes)
+	byID := slices.Clone(series)
+	slices.SortFunc(byID, func(a, b foldSeries) int { return a.id.Compare(b.id) })
+	var all []SpikeEvent
+	for _, o := range byID {
+		all = append(all, inWindow(o.spikes, from, to)...)
+	}
+	expectRun(t, what("SpikesInWindow"), db.SpikesInWindow(from, to, nil), all)
+	spot := func(r ProbeRecord) bool { return r.Market == s.id && r.Kind == ProbeSpot }
+	expectRun(t, what("ProbesInWindow with keep"), db.ProbesInWindow(from, to, spot),
+		slices.DeleteFunc(inWindow(s.probes, from, to), func(r ProbeRecord) bool { return !spot(r) }))
+	expectRun(t, what("BidSpreadsFor"), db.BidSpreadsFor(s.id), s.bids)
+	for _, kind := range []ProbeKind{ProbeOnDemand, ProbeSpot} {
+		var want []OutageRecord
+		open := -1
+		for _, p := range s.probes {
+			switch {
+			case p.Kind != kind:
+			case p.Rejected && open < 0:
+				open = len(want)
+				want = append(want, OutageRecord{Market: s.id, Kind: kind, Start: p.At})
+			case !p.Rejected && open >= 0:
+				want[open].End, open = p.At, -1
+			}
+		}
+		expectRun(t, fmt.Sprintf("OutagesFor(%v, %v)", s.id, kind), db.OutagesFor(s.id, kind), want)
+	}
+}
+
+// inWindow returns the records of recs inside [from, to] in order, each at
+// the instant the store hands back for it.
+func inWindow[R record](recs []R, from, to time.Time) []R {
+	var out []R
+	for _, r := range recs {
+		at, _ := fields(&r)
+		*at = canonical(*at)
+		if !at.Before(canonical(from)) && !at.After(canonical(to)) {
+			out = append(out, r)
 		}
 	}
-	got := db.PricesIn(s.id, from, to)
-	ok := len(got) == len(wantPrices)
+	return out
+}
+
+// expectRun fails t unless got holds want's records in order, floats bit
+// for bit.
+func expectRun[T any](t *testing.T, what string, got, want []T) {
+	t.Helper()
+	ok := len(got) == len(want)
 	for i := 0; ok && i < len(got); i++ {
-		ok = got[i].At == wantPrices[i].At && math.Float64bits(got[i].Price) == math.Float64bits(wantPrices[i].Price)
+		ok = bitEqual(reflect.ValueOf(got[i]), reflect.ValueOf(want[i]))
 	}
 	if !ok {
-		t.Fatalf("PricesIn(%v, %v, %v) = %v, want %v", s.id, from, to, got, wantPrices)
+		t.Fatalf("%s = %v, want %v", what, got, want)
 	}
-	var wantRevs []RevocationRecord
-	for _, r := range s.revs {
-		if in(r.At) {
-			wantRevs = append(wantRevs, r)
+}
+
+// bitEqual is == with floats compared by their bits, so NaN equals the same
+// NaN and -0 does not equal +0.
+func bitEqual(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Struct:
+		if ta, ok := a.Interface().(time.Time); ok {
+			return ta == b.Interface().(time.Time)
 		}
+		for i := range a.NumField() {
+			if !bitEqual(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
 	}
-	if gotRevs := db.RevocationsFor(s.id, from, to); fmt.Sprint(gotRevs) != fmt.Sprint(wantRevs) {
-		t.Fatalf("RevocationsFor(%v, %v, %v) = %v, want %v", s.id, from, to, gotRevs, wantRevs)
-	}
+	return a.Equal(b)
 }
 
 // checkFolds runs every window of every series against the oracle, on the
@@ -304,7 +370,7 @@ func checkFolds(t *testing.T, what string, db *Store, series []foldSeries, windo
 				t.Fatalf("%s: %v [%v, %v]: view %+v (seen %v), per-market reads %+v", what, s.id, from, to, view, seen, got)
 			}
 			if appendOrder {
-				checkAccessors(t, db, s, from, to)
+				checkAccessors(t, db, series, k, from, to)
 			}
 		}
 	}
