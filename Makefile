@@ -184,10 +184,12 @@ example-smoke:
 # (FuzzFollowStream: arbitrary bytes must never panic, a record must apply
 # exactly when the ordinal rule admits it, and the leader's own stream must
 # rebuild its dump) and the JSON export's reader (the checked-in seed
-# corpora live in internal/store/testdata/fuzz), the
-# windowed price fold (FuzzPriceWindow: PriceStatsIn over sealed chunks must
-# match the naive fold over PricesIn on any series and window — unordered,
-# repeated stamps, NaN, ±Inf, -0, ends past the stamp range), over
+# corpora live in internal/store/testdata/fuzz), every family's window
+# (FuzzPriceWindow: the fuzzed stamps — saturated, duplicate and out of
+# order — land as prices, spikes, revocations and probes; every windowed
+# fold must match its naive fold, and PricesIn, SpikesFor, RevocationsFor
+# and ProbesInWindow must return the in-window input bit for bit, on any
+# series and window — NaN, ±Inf, -0, ends past the stamp range), over
 # the market-ID order the rankings tie-break on (must equal the order of
 # the rendered strings), and over the market-ID parser and the catalog
 # position it feeds (FuzzParseSpotID: an accepted ID round-trips, and

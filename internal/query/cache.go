@@ -1,9 +1,6 @@
 package query
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // resultCache memoizes query results keyed by the query's parameters plus
 // the store generation of the shards the query reads (its scope). A hit
@@ -21,11 +18,6 @@ type resultCache struct {
 	max     int
 
 	hits, misses uint64
-
-	// fastHits/fastMisses count probes of lock-free single-slot caches
-	// (the engine's Summary slot) that bypass the keyed map; stats()
-	// folds them in so observability covers both tiers.
-	fastHits, fastMisses atomic.Uint64
 }
 
 type cacheEntry struct {
@@ -97,5 +89,5 @@ func memoize[T any](c *resultCache, key string, gen uint64, compute func() (T, e
 func (c *resultCache) stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits + c.fastHits.Load(), c.misses + c.fastMisses.Load()
+	return c.hits, c.misses
 }

@@ -84,11 +84,11 @@ func TestSummaryCacheGeneration(t *testing.T) {
 		t.Fatalf("summary hits/misses = %d/%d, want 1/1", hits, misses)
 	}
 
-	e.Summary(now.Add(time.Hour)) // different clock recomputes (single slot)
+	e.Summary(now.Add(time.Hour)) // a different clock is a different key
 	if hits, misses := e.CacheStats(); hits != 1 || misses != 2 {
 		t.Errorf("different-now summary hits/misses = %d/%d, want 1/2", hits, misses)
 	}
-	e.Summary(now.Add(time.Hour)) // and the new instant now occupies the slot
+	e.Summary(now.Add(time.Hour)) // and a repeat at the new instant hits
 	if hits, _ := e.CacheStats(); hits != 2 {
 		t.Errorf("repeat at the new instant did not hit")
 	}

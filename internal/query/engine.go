@@ -10,7 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
+	"strconv"
 	"time"
 
 	"spotlight/internal/advisor"
@@ -37,14 +37,6 @@ type Engine struct {
 	cat   *market.Catalog
 	cache *resultCache
 	adv   *advisor.Advisor
-
-	// summary is the single-slot Summary cache: one pointer swap per
-	// recompute, one atomic load per probe. Summary is the hottest
-	// cached query (every dashboard poll and every service tick reads
-	// it), and its validity check — generation AND instant — is fully
-	// contained in the slot, so it skips the keyed map and its mutex
-	// entirely. nil while caching is disabled or before the first fold.
-	summary atomic.Pointer[summarySlot]
 }
 
 // NewEngine builds a query engine over db and the catalog, with response
@@ -61,7 +53,6 @@ func (e *Engine) Advisor() *advisor.Advisor { return e.adv }
 // default). Disabling exists for benchmarks that measure the raw query
 // path and for callers that mutate returned slices.
 func (e *Engine) SetCaching(on bool) {
-	e.summary.Store(nil)
 	if on {
 		if e.cache == nil {
 			e.cache = newResultCache(0)
@@ -306,61 +297,36 @@ type RegionSummary struct {
 // service clock) are a cache hit. The returned slice is shared — do not
 // modify it.
 func (e *Engine) Summary(now time.Time) []RegionSummary {
-	// The summary depends on `now` (open outages are measured to it), so
-	// a cached fold is only valid at the exact instant it was computed —
-	// but under an advancing clock (the live daemon ticks every wall
-	// second) keying the map by `now` would accumulate one dead entry
-	// per tick. Instead the summary occupies a single slot whose value
-	// remembers its instant: each new `now` overwrites it, repeated
-	// queries within one instant hit.
-	var gen uint64
-	if e.cache != nil {
-		// Generation is read *before* the fold (same ordering rule as
-		// memoize): an append racing the recompute leaves the slot
-		// stored at the older generation, so the next probe recomputes
-		// rather than serving stale rows.
-		gen = e.db.GlobalGeneration()
-		if slot := e.summary.Load(); slot != nil && slot.gen == gen && slot.now.Equal(now) {
-			e.cache.fastHits.Add(1)
-			return slot.rows
+	// The summary depends on now (open outages are measured to it), so it
+	// is keyed by its instant. Under an advancing clock each tick leaves one
+	// dead entry behind; the map's wholesale reset bounds them.
+	gen := e.db.GlobalGeneration()
+	rows, _ := memoize(e.cache, "summary|"+strconv.FormatInt(now.UnixNano(), 10), gen, func() (out []RegionSummary, _ error) {
+		for _, agg := range e.db.RegionAggregates(now) {
+			if agg.TotalProbes == 0 && agg.Spikes == 0 {
+				continue // regions with only price/bid-spread/revocation history
+			}
+			s := RegionSummary{
+				Region:            agg.Region,
+				ODOutages:         agg.ODOutages,
+				SpotOutages:       agg.SpotOutages,
+				RejectedODProbes:  agg.ODRejected,
+				TotalODProbes:     agg.ODProbes,
+				TotalSpotProbes:   agg.SpotProbes,
+				SpikesAboveOD:     agg.SpikesAboveOD,
+				ObservedSpikesAll: agg.Spikes,
+			}
+			if agg.ODOutages > 0 {
+				s.MeanODOutage = agg.ODOutageDur / time.Duration(agg.ODOutages)
+			}
+			if agg.SpotProbes > 0 {
+				s.RejectedSpotPcnt = float64(agg.SpotRejected) / float64(agg.SpotProbes)
+			}
+			out = append(out, s)
 		}
-		e.cache.fastMisses.Add(1)
-	}
-	var out []RegionSummary
-	for _, agg := range e.db.RegionAggregates(now) {
-		if agg.TotalProbes == 0 && agg.Spikes == 0 {
-			continue // regions with only price/bid-spread/revocation history
-		}
-		s := RegionSummary{
-			Region:            agg.Region,
-			ODOutages:         agg.ODOutages,
-			SpotOutages:       agg.SpotOutages,
-			RejectedODProbes:  agg.ODRejected,
-			TotalODProbes:     agg.ODProbes,
-			TotalSpotProbes:   agg.SpotProbes,
-			SpikesAboveOD:     agg.SpikesAboveOD,
-			ObservedSpikesAll: agg.Spikes,
-		}
-		if agg.ODOutages > 0 {
-			s.MeanODOutage = agg.ODOutageDur / time.Duration(agg.ODOutages)
-		}
-		if agg.SpotProbes > 0 {
-			s.RejectedSpotPcnt = float64(agg.SpotRejected) / float64(agg.SpotProbes)
-		}
-		out = append(out, s)
-	}
-	if e.cache != nil {
-		e.summary.Store(&summarySlot{gen: gen, now: now, rows: out})
-	}
-	return out
-}
-
-// summarySlot is the single cached Summary fold plus the generation and
-// instant it is valid at.
-type summarySlot struct {
-	gen  uint64
-	now  time.Time
-	rows []RegionSummary
+		return out, nil
+	})
+	return rows
 }
 
 // MarketInfo is one row of the market-discovery listing.

@@ -3,7 +3,6 @@ package store
 import (
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,47 +10,46 @@ import (
 	"spotlight/internal/market"
 )
 
-// Column-oriented record storage. Each record family keeps its fields in
-// parallel slices ("struct of arrays") instead of a slice of record
-// structs, so the windowed folds behind the query surface — price stats,
-// spike windows, crossing counts, outage overlap — scan only the columns
-// they read, contiguously, instead of striding over whole records. The
-// layout also lets snapshot encode/decode stream record-at-a-time without
-// ever materializing a []Record: encoders iterate indices and build one
-// stack-allocated record per frame.
+// Record storage. Each record family is one stamped log (famLog): its
+// rows in append order, each beside the int64 stamp it was appended at,
+// and every operation a family needs — push, exact reserve, the in-order
+// check, the binary-searched window and materializing rows — is written
+// once, on the log. A family supplies only a row type and one row→record
+// conversion (probeOf, spikeOf, ...). Rows instead of parallel columns
+// cost no fold anything: a price window folds its whole chunks from their
+// summaries and touches prices only at its edges, and every other fold
+// reads all of its row but a revocation's bid. Snapshot encode/decode still
+// stream record-at-a-time without ever materializing a []Record: encoders
+// walk a log and build one stack-allocated record per frame.
 //
-// Probes are the one family stored as rows (probeRows): no fold reads a
-// probe field on its own, so columns would buy no scan and cost eleven
-// slice headers and growth steps per shard.
+// Logs are append-only: a committed entry is never rewritten (the one
+// exception, outage closing, is documented at outageRow). That invariant
+// is what makes zero-copy captures safe: a capture copies the log's slice
+// header under the shard lock, and concurrent appends only ever touch
+// entries at or past the captured length — or a freshly reallocated
+// backing array.
 //
-// Columns are append-only: a committed index is never rewritten (the one
-// exception, outage closing, lives in outageCols and is documented
-// there). That invariant is what makes zero-copy captures safe: a capture
-// copies the column struct (slice headers) under the shard lock, and
-// concurrent appends only ever touch indexes at or past the captured
-// length — or a freshly reallocated backing array.
-//
-// The market of every record in a shard's columns is the shard's own ID
+// The market of every record in a shard's logs is the shard's own ID
 // (append paths route records by Market, and the WAL decoder rejects
-// mismatches), so the Market field is not stored per record: accessors
-// take the owning ID and stamp it back in.
+// mismatches), so the Market field is not stored per record: conversions
+// take the owner and stamp its ID back in.
 //
-// No column holds a pointer: its elements are numbers, bools or structs of
+// No row holds a pointer: its fields are numbers, bools or structs of
 // numbers, so the collector never scans a record
 // (TestColumnsArePointerFree). A probe row holds its TriggerMarket and its
 // shape (kind, trigger, source kind, rejection and Code) as uint32 indices
 // into the store's append-only dictionaries (probeDicts).
-// An index means something only inside one process's store: accessors
+// An index means something only inside one process's store: conversions
 // turn it back into the value before a record leaves the store, so the
 // log, snapshots, the follow stream and every export carry the values,
 // and no index is ever persisted or compared across stores.
 //
-// A full column grows by a quarter of its length plus one row, rounded up
+// A full log grows by a quarter of its length plus one entry, rounded up
 // to the allocator's size class (appendRow), not by append's doubling, so
 // a resident history carries at most a quarter of itself in slack.
-// Recovery, which counts its frames first, reserves columns exactly.
+// Recovery, which counts its frames first, reserves logs exactly.
 
-// Stamps. Every time column holds int64 Unix nanoseconds — 8 bytes and no
+// Stamps. Every stamp is int64 Unix nanoseconds — 8 bytes and no
 // *Location for the collector to scan — converted once by stamp on the way
 // in and materialized by stampTime on the way out, so a record reads back
 // as the same UTC instant whether it was appended live, recovered from a
@@ -84,16 +82,36 @@ func stampTime(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 // canonical is the instant the store hands back for t.
 func canonical(t time.Time) time.Time { return stampTime(stamp(t)) }
 
-// follows reports whether appending s keeps the stamp column non-decreasing.
-func follows(at []int64, s int64) bool { return len(at) == 0 || at[len(at)-1] <= s }
+// stamped is one entry of a family's log: a row and the stamp it was
+// appended at.
+type stamped[T any] struct {
+	at  int64
+	row T
+}
 
-// after returns the first index of the non-decreasing column at whose
-// stamp is past s (len(at) when none).
-func after(at []int64, s int64) int {
-	lo, hi := 0, len(at)
+// famLog is one family's log of one shard, in append order.
+type famLog[T any] []stamped[T]
+
+// push appends row at stamp at and reports whether the log is still
+// non-decreasing in its stamps.
+func (l *famLog[T]) push(at int64, row T) (inOrder bool) {
+	inOrder = len(*l) == 0 || (*l)[len(*l)-1].at <= at
+	*l = appendRow(*l, stamped[T]{at, row})
+	return inOrder
+}
+
+// reserve grows the log for n more entries in one exact allocation —
+// recovery counts a shard's frames before decoding them, so the hot decode
+// loop never pays appendRow's step growth (or its copying).
+func (l *famLog[T]) reserve(n int) { *l = grown(*l, n) }
+
+// after returns the index of the first entry of the ordered log stamped
+// past s (len(l) when none).
+func (l famLog[T]) after(s int64) int {
+	lo, hi := 0, len(l)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if at[m] <= s {
+		if l[m].at <= s {
 			lo = m + 1
 		} else {
 			hi = m
@@ -102,46 +120,52 @@ func after(at []int64, s int64) int {
 	return lo
 }
 
-// bounds returns the index range [lo, hi) a windowed read of [from, to]
-// visits: two binary searches on an ordered column, the whole of an
-// unordered one (whose rows the read then filters). from is a stamp, so
-// from-1 cannot overflow.
-func bounds(at []int64, ordered bool, from, to int64) (int, int) {
+// span returns the entries a windowed read of [from, to] visits: two
+// binary searches on an ordered log, the whole of an unordered one (whose
+// entries the read then filters). from is a stamp, so from-1 cannot
+// overflow.
+func (l famLog[T]) span(ordered bool, from, to int64) famLog[T] {
 	if !ordered {
-		return 0, len(at)
+		return l
 	}
-	lo := after(at, from-1)
-	return lo, lo + after(at[lo:], to)
+	l = l[l.after(from-1):]
+	return l[:l.after(to)]
 }
 
-// collect appends row(i) to dst for every row whose stamp falls inside
-// [from, to].
-func collect[T any](dst []T, at []int64, ordered bool, from, to time.Time, row func(int) T) []T {
+// owner is what turns a shard's rows back into records: the shard's
+// market, stamped into each record, and the store's dictionaries.
+type owner struct {
+	id    market.SpotID
+	dicts *probeDicts
+}
+
+// collect appends rec of every entry of l stamped inside [from, to] to dst.
+func collect[T, R any](dst []R, l famLog[T], o owner, ordered bool, from, to time.Time, rec func(stamped[T], owner) R) []R {
 	f, t := stamp(from), stamp(to)
-	lo, hi := bounds(at, ordered, f, t)
+	l = l.span(ordered, f, t)
 	if ordered {
-		dst = grown(dst, hi-lo)
+		dst = grown(dst, len(l))
 	}
-	for i := lo; i < hi; i++ {
-		if f <= at[i] && at[i] <= t {
-			dst = append(dst, row(i))
+	for _, e := range l {
+		if f <= e.at && e.at <= t {
+			dst = append(dst, rec(e, o))
 		}
 	}
 	return dst
 }
 
-// rows appends row(i) for every i in [0, n) to dst.
-func rows[T any](dst []T, n int, row func(int) T) []T {
-	dst = grown(dst, n)
-	for i := 0; i < n; i++ {
-		dst = append(dst, row(i))
+// rows appends rec of every entry of l to dst.
+func rows[T, R any](dst []R, l famLog[T], o owner, rec func(stamped[T], owner) R) []R {
+	dst = grown(dst, len(l))
+	for _, e := range l {
+		dst = append(dst, rec(e, o))
 	}
 	return dst
 }
 
 // grown returns dst with room for n more elements. An empty dst gets
 // exactly n (windowed reads know their result size from the
-// binary-searched bounds, column reservation from the frame pre-count); a
+// binary-searched bounds, log reservation from the frame pre-count); a
 // dst already holding other shards' results grows geometrically, so
 // accumulating one result across k shards copies O(N), not O(N·k).
 func grown[T any](dst []T, n int) []T {
@@ -154,7 +178,7 @@ func grown[T any](dst []T, n int) []T {
 	return slices.Grow(dst, n)
 }
 
-// appendRow appends v to a column. A full column moves to a fresh array
+// appendRow appends v to a slice. A full slice moves to a fresh array
 // of len + len/4 + 1 rows, which slices.Grow on a nil slice rounds up to
 // the allocator's size class.
 func appendRow[T any](col []T, v T) []T {
@@ -242,172 +266,86 @@ type probeShape struct {
 	code             string
 }
 
-// probeRow is one probe, 48 bytes and no pointer: its stamp, its four
-// numbers, and indices into the store's probeDicts for its shape and its
-// trigger market.
+// probeRow is one probe, 40 bytes (48 with its stamp) and no pointer: its
+// four numbers, and indices into the store's probeDicts for its shape and
+// its trigger market.
 type probeRow struct {
-	at                                int64
 	spikeRatio, priceRatio, bid, cost float64
 	shape, triggerMarket              uint32
 }
 
-// probeRows is the probe log, one row per probe (see the header comment).
-type probeRows []probeRow
-
-func (c *probeRows) push(r *ProbeRecord, at int64, d *probeDicts) {
+// probeRowOf is r's row at the end of probe log l: its shape and trigger
+// market interned, the last row's indices tried first.
+func probeRowOf(r *ProbeRecord, l famLog[probeRow], d *probeDicts) probeRow {
 	prev := probeRow{shape: noPrev, triggerMarket: noPrev}
-	if n := len(*c); n > 0 {
-		prev = (*c)[n-1]
+	if n := len(l); n > 0 {
+		prev = l[n-1].row
 	}
 	shape := d.shapes.id(probeShape{r.Kind, r.SourceKind, r.Trigger, r.Rejected, r.Code}, prev.shape)
 	trigger := d.markets.id(r.TriggerMarket, prev.triggerMarket)
-	*c = appendRow(*c, probeRow{at, r.SpikeRatio, r.PriceRatio, r.Bid, r.Cost, shape, trigger})
+	return probeRow{r.SpikeRatio, r.PriceRatio, r.Bid, r.Cost, shape, trigger}
 }
 
-// reserve grows the rows for n more probes in one exact allocation —
-// recovery counts a shard's frames before decoding them, so the hot decode
-// loop never pays appendRow's step growth (or its copying).
-func (c *probeRows) reserve(n int) { *c = grown(*c, n) }
+// The row→record conversions, one per family.
 
-func (c probeRows) get(i int, id market.SpotID, d *probeDicts) ProbeRecord {
-	r, s := c[i], d.shapes.at(c[i].shape)
+func probeOf(e stamped[probeRow], o owner) ProbeRecord {
+	r, s := e.row, o.dicts.shapes.at(e.row.shape)
 	return ProbeRecord{
-		At: stampTime(r.at), Market: id, Kind: s.kind, Trigger: s.trigger,
-		TriggerMarket: d.markets.at(r.triggerMarket), SourceKind: s.sourceKind,
+		At: stampTime(e.at), Market: o.id, Kind: s.kind, Trigger: s.trigger,
+		TriggerMarket: o.dicts.markets.at(r.triggerMarket), SourceKind: s.sourceKind,
 		SpikeRatio: r.spikeRatio, PriceRatio: r.priceRatio,
 		Rejected: s.rejected, Code: s.code, Bid: r.bid, Cost: r.cost,
 	}
 }
 
-// appendTo materializes every row into dst.
-func (c probeRows) appendTo(dst []ProbeRecord, id market.SpotID, d *probeDicts) []ProbeRecord {
-	return rows(dst, len(c), func(i int) ProbeRecord { return c.get(i, id, d) })
+type spikeRow struct {
+	price, ratio float64
+	probed       bool
 }
 
-// window materializes the rows inside [from, to] into dst, binary-searching
-// the stamps of ordered rows and filtering every row of unordered ones.
-func (c probeRows) window(dst []ProbeRecord, id market.SpotID, d *probeDicts, ordered bool, from, to time.Time) []ProbeRecord {
-	f, t := stamp(from), stamp(to)
-	lo, hi := 0, len(c)
-	if ordered {
-		lo = sort.Search(len(c), func(i int) bool { return c[i].at >= f })
-		hi = max(lo, sort.Search(len(c), func(i int) bool { return c[i].at > t }))
-		dst = grown(dst, hi-lo)
+func spikeOf(e stamped[spikeRow], o owner) SpikeEvent {
+	return SpikeEvent{At: stampTime(e.at), Market: o.id, Price: e.row.price, Ratio: e.row.ratio, Probed: e.row.probed}
+}
+
+type bidSpreadRow struct {
+	published, intrinsic float64
+	attempts             int
+}
+
+func bidSpreadOf(e stamped[bidSpreadRow], o owner) BidSpreadRecord {
+	r := e.row
+	return BidSpreadRecord{At: stampTime(e.at), Market: o.id, Published: r.published, Intrinsic: r.intrinsic, Attempts: r.attempts}
+}
+
+type revocationRow struct {
+	bid  float64
+	held time.Duration
+}
+
+func revocationOf(e stamped[revocationRow], o owner) RevocationRecord {
+	return RevocationRecord{At: stampTime(e.at), Market: o.id, Bid: e.row.bid, Held: e.row.held}
+}
+
+func priceOf(e stamped[float64], _ owner) PricePoint {
+	return PricePoint{At: stampTime(e.at), Price: e.row}
+}
+
+// outageRow is one derived outage interval, stamped by its start. Unlike
+// every other row it is not immutable: closing an outage rewrites end in
+// place, so captures deep-copy the outage log instead of aliasing it
+// (outages are few — one per rejection streak). end is openEnd while the
+// outage is ongoing.
+type outageRow struct {
+	kind ProbeKind
+	end  int64
+}
+
+func outageOf(e stamped[outageRow], o owner) OutageRecord {
+	out := OutageRecord{Market: o.id, Kind: e.row.kind, Start: stampTime(e.at)}
+	if e.row.end != openEnd {
+		out.End = stampTime(e.row.end)
 	}
-	for i := lo; i < hi; i++ {
-		if f <= c[i].at && c[i].at <= t {
-			dst = append(dst, c.get(i, id, d))
-		}
-	}
-	return dst
-}
-
-// spikeCols is the spike-event log in columnar form.
-type spikeCols struct {
-	at     []int64
-	price  []float64
-	ratio  []float64
-	probed []bool
-}
-
-func (c *spikeCols) n() int { return len(c.at) }
-
-func (c *spikeCols) push(e *SpikeEvent, at int64) {
-	c.at = appendRow(c.at, at)
-	c.price = appendRow(c.price, e.Price)
-	c.ratio = appendRow(c.ratio, e.Ratio)
-	c.probed = appendRow(c.probed, e.Probed)
-}
-
-func (c *spikeCols) reserve(n int) {
-	c.at = grown(c.at, n)
-	c.price = grown(c.price, n)
-	c.ratio = grown(c.ratio, n)
-	c.probed = grown(c.probed, n)
-}
-
-func (c *spikeCols) get(i int, id market.SpotID) SpikeEvent {
-	return SpikeEvent{At: stampTime(c.at[i]), Market: id, Price: c.price[i], Ratio: c.ratio[i], Probed: c.probed[i]}
-}
-
-func (c *spikeCols) appendTo(dst []SpikeEvent, id market.SpotID) []SpikeEvent {
-	return rows(dst, c.n(), func(i int) SpikeEvent { return c.get(i, id) })
-}
-
-func (c *spikeCols) window(dst []SpikeEvent, id market.SpotID, ordered bool, from, to time.Time) []SpikeEvent {
-	return collect(dst, c.at, ordered, from, to, func(i int) SpikeEvent { return c.get(i, id) })
-}
-
-// crossingCols is the incremental index of spikes with Ratio >= 1: when
-// and how big, all a crossing fold reads.
-type crossingCols struct {
-	at    []int64
-	ratio []float64
-}
-
-// bidSpreadCols is the intrinsic-price search log in columnar form.
-type bidSpreadCols struct {
-	at        []int64
-	published []float64
-	intrinsic []float64
-	attempts  []int
-}
-
-func (c *bidSpreadCols) n() int { return len(c.at) }
-
-func (c *bidSpreadCols) push(r *BidSpreadRecord, at int64) {
-	c.at = appendRow(c.at, at)
-	c.published = appendRow(c.published, r.Published)
-	c.intrinsic = appendRow(c.intrinsic, r.Intrinsic)
-	c.attempts = appendRow(c.attempts, r.Attempts)
-}
-
-func (c *bidSpreadCols) reserve(n int) {
-	c.at = grown(c.at, n)
-	c.published = grown(c.published, n)
-	c.intrinsic = grown(c.intrinsic, n)
-	c.attempts = grown(c.attempts, n)
-}
-
-func (c *bidSpreadCols) get(i int, id market.SpotID) BidSpreadRecord {
-	return BidSpreadRecord{At: stampTime(c.at[i]), Market: id, Published: c.published[i], Intrinsic: c.intrinsic[i], Attempts: c.attempts[i]}
-}
-
-func (c *bidSpreadCols) appendTo(dst []BidSpreadRecord, id market.SpotID) []BidSpreadRecord {
-	return rows(dst, c.n(), func(i int) BidSpreadRecord { return c.get(i, id) })
-}
-
-// revocationCols is the revocation-watch log in columnar form.
-type revocationCols struct {
-	at   []int64
-	bid  []float64
-	held []time.Duration
-}
-
-func (c *revocationCols) n() int { return len(c.at) }
-
-func (c *revocationCols) push(r *RevocationRecord, at int64) {
-	c.at = appendRow(c.at, at)
-	c.bid = appendRow(c.bid, r.Bid)
-	c.held = appendRow(c.held, r.Held)
-}
-
-func (c *revocationCols) reserve(n int) {
-	c.at = grown(c.at, n)
-	c.bid = grown(c.bid, n)
-	c.held = grown(c.held, n)
-}
-
-func (c *revocationCols) get(i int, id market.SpotID) RevocationRecord {
-	return RevocationRecord{At: stampTime(c.at[i]), Market: id, Bid: c.bid[i], Held: c.held[i]}
-}
-
-func (c *revocationCols) appendTo(dst []RevocationRecord, id market.SpotID) []RevocationRecord {
-	return rows(dst, c.n(), func(i int) RevocationRecord { return c.get(i, id) })
-}
-
-func (c *revocationCols) window(dst []RevocationRecord, id market.SpotID, ordered bool, from, to time.Time) []RevocationRecord {
-	return collect(dst, c.at, ordered, from, to, func(i int) RevocationRecord { return c.get(i, id) })
+	return out
 }
 
 // chunkLen is how many consecutive prices one sealed chunk summarizes.
@@ -420,9 +358,10 @@ const chunkLen = 16
 // in one step and lands on the bits it would reach point by point.
 type priceChunk struct{ min, max, sum float64 }
 
-func summarize(ps []float64) priceChunk {
+func summarize(ps famLog[float64]) priceChunk {
 	ch := priceChunk{min: math.NaN(), max: math.NaN()}
-	for _, p := range ps {
+	for _, e := range ps {
+		p := e.row
 		if p < ch.min || ch.min != ch.min {
 			ch.min = p
 		}
@@ -434,53 +373,21 @@ func summarize(ps []float64) priceChunk {
 	return ch
 }
 
-// priceCols is the published-price series in columnar form — the densest
-// series in a study — plus, per full run of chunkLen prices, a sealed
-// summary and the run's last stamp, appended as the run fills and never
-// persisted (replay rebuilds them through the same push).
-type priceCols struct {
-	at     []int64
-	price  []float64
-	chunks []priceChunk // chunks[k] covers price[k*chunkLen : (k+1)*chunkLen]
-	last   []int64      // last[k] is at[(k+1)*chunkLen-1]
-}
-
-func (c *priceCols) n() int { return len(c.at) }
-
-func (c *priceCols) push(p *PricePoint, at int64) {
-	c.at = appendRow(c.at, at)
-	c.price = appendRow(c.price, p.Price)
-	if n := len(c.price); n%chunkLen == 0 {
-		c.chunks = appendRow(c.chunks, summarize(c.price[n-chunkLen:]))
-		c.last = appendRow(c.last, at)
-	}
-}
-
-func (c *priceCols) reserve(n int) {
-	c.at = grown(c.at, n)
-	c.price = grown(c.price, n)
-	c.chunks = grown(c.chunks, n/chunkLen+1)
-	c.last = grown(c.last, n/chunkLen+1)
+// priceLog is the published-price series — the densest series in a study —
+// plus, per full run of chunkLen prices, a sealed summary stamped with the
+// run's last stamp, appended as the run fills (PricePoint.land) and never
+// persisted (replay rebuilds them through the same land).
+type priceLog struct {
+	log    famLog[float64]
+	chunks famLog[priceChunk] // chunks[k] covers log[k*chunkLen : (k+1)*chunkLen]
 }
 
 // search is after on an ordered series, in two steps: the chunks' last
 // stamps narrow it to one run of at most chunkLen prices, searched in turn
-// — a few cache lines, where halving the whole column misses on most steps.
-func (c *priceCols) search(s int64) int {
-	lo := after(c.last, s) * chunkLen
-	return lo + after(c.at[lo:min(lo+chunkLen, len(c.at))], s)
-}
-
-func (c *priceCols) get(i int) PricePoint {
-	return PricePoint{At: stampTime(c.at[i]), Price: c.price[i]}
-}
-
-func (c *priceCols) appendTo(dst []PricePoint) []PricePoint {
-	return rows(dst, c.n(), c.get)
-}
-
-func (c *priceCols) window(dst []PricePoint, ordered bool, from, to time.Time) []PricePoint {
-	return collect(dst, c.at, ordered, from, to, c.get)
+// — a few cache lines, where halving the whole log misses on most steps.
+func (c *priceLog) search(s int64) int {
+	lo := c.chunks.after(s) * chunkLen
+	return lo + c.log[lo:min(lo+chunkLen, len(c.log))].after(s)
 }
 
 // priceFold accumulates a window's price stats in series order: min and
@@ -489,8 +396,9 @@ func (c *priceCols) window(dst []PricePoint, ordered bool, from, to time.Time) [
 // zeros wins.
 type priceFold struct{ min, max, sum float64 }
 
-func (w *priceFold) add(ps []float64) {
-	for _, p := range ps {
+func (w *priceFold) add(ps famLog[float64]) {
+	for _, e := range ps {
+		p := e.row
 		if p < w.min {
 			w.min = p
 		}
@@ -512,17 +420,17 @@ func (w *priceFold) stats(samples int) PriceWindowStats {
 // series costs two searches, then the points before the first whole chunk,
 // one step per whole chunk and the points after the last: O(log n +
 // n/chunkLen). An unordered series scans every price.
-func (c *priceCols) stats(ordered bool, from, to time.Time) PriceWindowStats {
+func (c *priceLog) stats(ordered bool, from, to time.Time) PriceWindowStats {
 	f, t := stamp(from), stamp(to)
 	var w priceFold
 	if !ordered {
 		n := 0
-		for i, s := range c.at {
-			if f <= s && s <= t {
+		for i, e := range c.log {
+			if f <= e.at && e.at <= t {
 				if n == 0 {
-					w.min, w.max = c.price[i], c.price[i]
+					w.min, w.max = e.row, e.row
 				}
-				w.add(c.price[i : i+1])
+				w.add(c.log[i : i+1])
 				n++
 			}
 		}
@@ -533,11 +441,12 @@ func (c *priceCols) stats(ordered bool, from, to time.Time) PriceWindowStats {
 	if lo == hi {
 		return PriceWindowStats{}
 	}
-	w.min, w.max = c.price[lo], c.price[lo]
+	w.min, w.max = c.log[lo].row, c.log[lo].row
 	// Chunks [a, b) lie wholly inside [lo, hi).
 	if a, b := (lo+chunkLen-1)/chunkLen, hi/chunkLen; a < b {
-		w.add(c.price[lo : a*chunkLen])
-		for _, ch := range c.chunks[a:b] {
+		w.add(c.log[lo : a*chunkLen])
+		for _, e := range c.chunks[a:b] {
+			ch := e.row
 			if ch.min < w.min {
 				w.min = ch.min
 			}
@@ -546,49 +455,9 @@ func (c *priceCols) stats(ordered bool, from, to time.Time) PriceWindowStats {
 			}
 			w.sum += ch.sum
 		}
-		w.add(c.price[b*chunkLen : hi])
+		w.add(c.log[b*chunkLen : hi])
 	} else {
-		w.add(c.price[lo:hi])
+		w.add(c.log[lo:hi])
 	}
 	return w.stats(hi - lo)
-}
-
-// outageCols holds the derived outage intervals. Unlike every other
-// family this one is not strictly append-only: closing an outage rewrites
-// end[i] in place, so captures deep-copy these columns instead of
-// aliasing them (outages are few — one per rejection streak). end[i] is
-// openEnd while the outage is ongoing.
-type outageCols struct {
-	kind  []ProbeKind
-	start []int64
-	end   []int64
-}
-
-func (c *outageCols) n() int { return len(c.start) }
-
-func (c *outageCols) push(kind ProbeKind, start int64) {
-	c.kind = appendRow(c.kind, kind)
-	c.start = appendRow(c.start, start)
-	c.end = appendRow(c.end, openEnd)
-}
-
-func (c *outageCols) get(i int, id market.SpotID) OutageRecord {
-	o := OutageRecord{Market: id, Kind: c.kind[i], Start: stampTime(c.start[i])}
-	if c.end[i] != openEnd {
-		o.End = stampTime(c.end[i])
-	}
-	return o
-}
-
-func (c *outageCols) appendTo(dst []OutageRecord, id market.SpotID) []OutageRecord {
-	return rows(dst, c.n(), func(i int) OutageRecord { return c.get(i, id) })
-}
-
-// clone deep-copies the columns (the capture path; see the type comment);
-// empty when the shard never held an outage.
-func (c *outageFamily) clone() outageCols {
-	if c == nil {
-		return outageCols{}
-	}
-	return outageCols{kind: slices.Clone(c.kind), start: slices.Clone(c.start), end: slices.Clone(c.end)}
 }

@@ -16,31 +16,35 @@ import (
 	"spotlight/internal/market"
 )
 
-// TestColumnsArePointerFree holds the column layout's invariant: every
-// field of a shard's column structs is a slice whose element type holds no
-// pointer (no string, slice, map, interface or pointer, however nested),
-// and so is every field of a probe row, so the collector never scans a
-// record.
+// TestColumnsArePointerFree holds the log layout's invariant: the entry
+// type of every log of every family a shard holds, and every other field of
+// a family struct, holds no pointer (no string, slice, map, interface or
+// pointer, however nested), so the collector never scans a record.
 func TestColumnsArePointerFree(t *testing.T) {
-	for _, cols := range []any{spikeCols{}, priceCols{}, crossingCols{}, bidSpreadCols{}, revocationCols{}, outageCols{}} {
-		typ := reflect.TypeOf(cols)
-		for i := 0; i < typ.NumField(); i++ {
-			f := typ.Field(i)
-			switch {
-			case f.Type.Kind() != reflect.Slice:
-				t.Errorf("%s.%s is a %s, not a column", typ.Name(), f.Name, f.Type)
-			case hasPointers(f.Type.Elem()):
-				t.Errorf("%s.%s holds %s, which contains a pointer", typ.Name(), f.Name, f.Type.Elem())
+	sh := reflect.TypeOf(shard{})
+	for _, name := range []string{"prices", "probes", "spikes", "bidSpreads", "revocations", "outages"} {
+		f, ok := sh.FieldByName(name)
+		if !ok {
+			t.Fatalf("shard has no family %s", name)
+		}
+		fam := f.Type
+		if fam.Kind() == reflect.Pointer {
+			fam = fam.Elem()
+		}
+		parts := []reflect.Type{fam}
+		if fam.Kind() == reflect.Struct {
+			parts = parts[:0]
+			for i := range fam.NumField() {
+				parts = append(parts, fam.Field(i).Type)
 			}
 		}
-	}
-	if elem := reflect.TypeOf(probeRows{}).Elem(); elem != reflect.TypeOf(probeRow{}) {
-		t.Errorf("probeRows holds %s, not probeRow", elem)
-	}
-	row := reflect.TypeOf(probeRow{})
-	for i := 0; i < row.NumField(); i++ {
-		if f := row.Field(i); hasPointers(f.Type) {
-			t.Errorf("probeRow.%s is a %s, which contains a pointer", f.Name, f.Type)
+		for _, part := range parts {
+			if part.Kind() == reflect.Slice {
+				part = part.Elem()
+			}
+			if hasPointers(part) {
+				t.Errorf("shard.%s holds %s, which contains a pointer", name, part)
+			}
 		}
 	}
 }

@@ -61,8 +61,8 @@ func assembleSnapshot(captures []shardCapture) Snapshot {
 		Prices:      make(map[string][]PricePoint),
 	}
 	for _, c := range captures {
-		if c.prices.n() > 0 {
-			snap.Prices[c.id.String()] = c.prices.appendTo(nil)
+		if len(c.prices) > 0 {
+			snap.Prices[c.id.String()] = rows(nil, c.prices, c.owner, priceOf)
 		}
 	}
 	return snap
@@ -71,23 +71,23 @@ func assembleSnapshot(captures []shardCapture) Snapshot {
 // The runs mergeByTime merges across captures: one family's records of one
 // capture, and whether they were appended in time order.
 func (c shardCapture) probeRun() ([]ProbeRecord, bool) {
-	return c.probes.appendTo(nil, c.id, c.dicts), c.unordered.ordered(famProbes)
+	return rows(nil, c.probes, c.owner, probeOf), c.unordered.ordered(famProbes)
 }
 
 func (c shardCapture) spikeRun() ([]SpikeEvent, bool) {
-	return c.spikes.appendTo(nil, c.id), c.unordered.ordered(famSpikes)
+	return rows(nil, c.spikes, c.owner, spikeOf), c.unordered.ordered(famSpikes)
 }
 
 func (c shardCapture) bidSpreadRun() ([]BidSpreadRecord, bool) {
-	return c.bidSpreads.appendTo(nil, c.id), c.unordered.ordered(famBidSpreads)
+	return rows(nil, c.bidSpreads, c.owner, bidSpreadOf), c.unordered.ordered(famBidSpreads)
 }
 
 func (c shardCapture) revocationRun() ([]RevocationRecord, bool) {
-	return c.revocations.appendTo(nil, c.id), c.unordered.ordered(famRevocations)
+	return rows(nil, c.revocations, c.owner, revocationOf), c.unordered.ordered(famRevocations)
 }
 
 func (c shardCapture) outageRun() ([]OutageRecord, bool) {
-	return c.outages.appendTo(nil, c.id), c.unordered.ordered(famOutages)
+	return rows(nil, c.outages, c.owner, outageOf), c.unordered.ordered(famOutages)
 }
 
 // ReadJSON loads a dump previously produced by WriteJSON into a fresh

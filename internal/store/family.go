@@ -10,8 +10,9 @@ import (
 // Record families. A shard logs five families of rows — probes, spikes, bid
 // spreads, revocations and prices — and this file is the one place that
 // tells them apart. A record type supplies only what differs: its frame
-// body (encode and decode, wal.go) and how it lands in its shard's columns
-// (land, shard.go). One append round (appendRows), one codec table indexed
+// body (encode and decode, wal.go) and how it lands in its shard's logs
+// (land, shard.go), and a row type with its conversion back
+// (columns.go). One append round (appendRows), one codec table indexed
 // by frame type (codecs), and the recovery, follow and snapshot paths built
 // on them serve all five.
 //
@@ -88,7 +89,7 @@ func decode[R record](r *R, body []byte, id market.SpotID, intern map[string]str
 	return nil
 }
 
-// land puts r into sh's columns — under the shard lock, or in the recovery
+// land puts r into sh's logs — under the shard lock, or in the recovery
 // worker that owns sh — and counts it into the round's delta: one more
 // record of the shard, plus what the rollups fold.
 func land[R record](sh *shard, r *R, d *rollupDelta) {
@@ -169,7 +170,7 @@ type codec struct {
 	// follow decodes a frame body the same way and, with s set, appends
 	// the record to s as an append round of its own.
 	follow func(body []byte, id market.SpotID, intern map[string]string, s *Store) error
-	// reserve grows sh's columns of the family for n more rows.
+	// reserve grows sh's log of the family for n more rows.
 	reserve func(sh *shard, n int)
 	// rows is how many rows of the family c holds; frame appends row i's.
 	rows  func(c *shardCapture) int
@@ -182,35 +183,39 @@ var codecs = [walPrice + 1]codec{
 		follow:  follow[ProbeRecord],
 		reserve: func(sh *shard, n int) { ensure(&sh.probes).reserve(n) },
 		rows:    func(c *shardCapture) int { return len(c.probes) },
-		frame:   func(b []byte, c *shardCapture, i int) []byte { return c.probes.get(i, c.id, c.dicts).encode(b, c.id) },
+		frame:   func(b []byte, c *shardCapture, i int) []byte { return probeOf(c.probes[i], c.owner).encode(b, c.id) },
 	},
 	walSpike: {
 		replay:  replay[SpikeEvent],
 		follow:  follow[SpikeEvent],
-		reserve: func(sh *shard, n int) { ensure(&sh.spikes).reserve(n) },
-		rows:    func(c *shardCapture) int { return c.spikes.n() },
-		frame:   func(b []byte, c *shardCapture, i int) []byte { return c.spikes.get(i, c.id).encode(b, c.id) },
+		reserve: func(sh *shard, n int) { ensure(&sh.spikes).log.reserve(n) },
+		rows:    func(c *shardCapture) int { return len(c.spikes) },
+		frame:   func(b []byte, c *shardCapture, i int) []byte { return spikeOf(c.spikes[i], c.owner).encode(b, c.id) },
 	},
 	walBidSpread: {
 		replay:  replay[BidSpreadRecord],
 		follow:  follow[BidSpreadRecord],
 		reserve: func(sh *shard, n int) { ensure(&sh.bidSpreads).reserve(n) },
-		rows:    func(c *shardCapture) int { return c.bidSpreads.n() },
-		frame:   func(b []byte, c *shardCapture, i int) []byte { return c.bidSpreads.get(i, c.id).encode(b, c.id) },
+		rows:    func(c *shardCapture) int { return len(c.bidSpreads) },
+		frame: func(b []byte, c *shardCapture, i int) []byte {
+			return bidSpreadOf(c.bidSpreads[i], c.owner).encode(b, c.id)
+		},
 	},
 	walRevocation: {
 		replay:  replay[RevocationRecord],
 		follow:  follow[RevocationRecord],
 		reserve: func(sh *shard, n int) { ensure(&sh.revocations).reserve(n) },
-		rows:    func(c *shardCapture) int { return c.revocations.n() },
-		frame:   func(b []byte, c *shardCapture, i int) []byte { return c.revocations.get(i, c.id).encode(b, c.id) },
+		rows:    func(c *shardCapture) int { return len(c.revocations) },
+		frame: func(b []byte, c *shardCapture, i int) []byte {
+			return revocationOf(c.revocations[i], c.owner).encode(b, c.id)
+		},
 	},
 	walPrice: {
 		replay:  replay[PricePoint],
 		follow:  follow[PricePoint],
-		reserve: func(sh *shard, n int) { sh.prices.reserve(n) },
-		rows:    func(c *shardCapture) int { return c.prices.n() },
-		frame:   func(b []byte, c *shardCapture, i int) []byte { return c.prices.get(i).encode(b, c.id) },
+		reserve: func(sh *shard, n int) { sh.prices.log.reserve(n); sh.prices.chunks.reserve(n/chunkLen + 1) },
+		rows:    func(c *shardCapture) int { return len(c.prices) },
+		frame:   func(b []byte, c *shardCapture, i int) []byte { return priceOf(c.prices[i], c.owner).encode(b, c.id) },
 	},
 }
 

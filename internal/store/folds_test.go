@@ -188,9 +188,11 @@ func viewFolds(db *Store, id market.SpotID, from, to time.Time) (a foldAnswers, 
 	return a, seen
 }
 
-// naiveFolds is the definition: loops over the public accessors.
+// naiveFolds is the definition: loops over the public accessors, with the
+// window's ends saturated to the stamp range as the store reads them.
 func naiveFolds(db *Store, id market.SpotID, from, to time.Time) foldAnswers {
 	var a foldAnswers
+	from, to = canonical(from), canonical(to)
 	sum := 0.0
 	for i, p := range db.PricesIn(id, from, to) {
 		if i == 0 || p.Price < a.prices.Min {
@@ -526,29 +528,44 @@ func TestWindowedFoldsUnderConcurrentAppends(t *testing.T) {
 	}
 }
 
-// fuzzPriceSeries decodes a fuzz input into a price series, three bytes a
-// point: a signed step in minutes (zero duplicates a stamp, a negative one
-// breaks time order), then a price code — NaN, ±Inf and -0 for the first
-// four codes, cents otherwise.
-func fuzzPriceSeries(data []byte) []PricePoint {
-	var out []PricePoint
+// fuzzSeries decodes a fuzz input into one market's records, three bytes
+// a stamp: a signed step in minutes (zero duplicates a stamp, a negative
+// one breaks time order, and the extremes jump 400 years, past either end
+// of the stamp range), then a code. Each stamp is one price — NaN, ±Inf and
+// -0 for the first four codes, cents otherwise — and one spike, revocation
+// and probe carrying the same number and bits of the code.
+func fuzzSeries(data []byte, id market.SpotID) foldSeries {
+	s := foldSeries{id: id}
 	at := foldBase
 	for ; len(data) >= 3; data = data[3:] {
-		at = at.Add(time.Duration(int8(data[0])) * time.Minute)
+		switch step := int8(data[0]); step {
+		case math.MinInt8:
+			at = at.AddDate(-400, 0, 0)
+		case math.MaxInt8:
+			at = at.AddDate(400, 0, 0)
+		default:
+			at = at.Add(time.Duration(step) * time.Minute)
+		}
 		code := uint16(data[1]) | uint16(data[2])<<8
 		price := float64(code) / 100
 		if code < 4 {
 			price = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}[code]
 		}
-		out = append(out, PricePoint{At: at, Price: price})
+		kind := ProbeKind(1 + code&1)
+		s.prices = append(s.prices, PricePoint{At: at, Price: price})
+		s.spikes = append(s.spikes, SpikeEvent{At: at, Market: id, Price: price, Ratio: price, Probed: code&2 != 0})
+		s.revs = append(s.revs, RevocationRecord{At: at, Market: id, Bid: price, Held: time.Duration(code) * time.Second})
+		s.probes = append(s.probes, ProbeRecord{At: at, Market: id, Kind: kind, Rejected: code&2 != 0, SpikeRatio: price, Cost: price})
 	}
-	return out
+	return s
 }
 
-// FuzzPriceWindow holds PriceStatsIn and MarketView.PriceStats to the
-// oracle of TestWindowedFoldsMatchNaiveOracle on whatever series and
-// window the fuzzer builds; the window ends are nanosecond offsets from
-// the series start, so they reach past both ends of the stamp range.
+// FuzzPriceWindow holds every windowed fold, per market and on the market
+// view, to the oracle of TestWindowedFoldsMatchNaiveOracle, and PricesIn, SpikesFor,
+// RevocationsFor and ProbesInWindow to the in-window input bit for bit, on
+// whatever series and window the fuzzer builds; the window ends are
+// nanosecond offsets from the series start, so they reach past both ends
+// of the stamp range.
 func FuzzPriceWindow(f *testing.F) {
 	var ordered, edges []byte
 	for i := 0; i < 5*chunkLen+3; i++ {
@@ -563,18 +580,26 @@ func FuzzPriceWindow(f *testing.F) {
 	f.Add(edges, int64(0), int64(time.Hour))
 	f.Add([]byte{5, 0, 0, 5, 1, 0, 5, 2, 0, 5, 3, 0, 5, 9, 0}, int64(0), int64(time.Hour))
 	f.Add([]byte{3, 10, 0, 0xfe, 20, 0, 4, 30, 0}, int64(time.Minute), int64(math.MaxInt64))
+	f.Add([]byte{1, 6, 0, 0x7f, 7, 0, 0, 8, 0, 0x80, 9, 0, 0x80, 10, 0, 0x7f, 11, 0, 0xfe, 12, 0}, int64(math.MinInt64), int64(math.MaxInt64))
 	f.Fuzz(func(t *testing.T, data []byte, from, to int64) {
 		db, id := New(), persistMarket(0)
-		ps := fuzzPriceSeries(data)
-		db.RecordPrices(id, ps)
+		s := fuzzSeries(data, id)
+		db.RecordPrices(id, s.prices)
+		db.AppendSpikes(s.spikes)
+		db.AppendRevocations(s.revs)
+		db.AppendProbes(s.probes)
 		w0, w1 := foldBase.Add(time.Duration(from)), foldBase.Add(time.Duration(to))
-		got, want := foldAnswers{prices: db.PriceStatsIn(id, w0, w1)}, naiveFolds(db, id, w0, w1)
+		got, want := storeFolds(db, id, w0, w1), naiveFolds(db, id, w0, w1)
 		if !matchesOracle(got, want) {
-			t.Fatalf("[%v, %v] over %d prices: got %+v, want %+v", w0, w1, len(ps), got.prices, want.prices)
+			t.Fatalf("[%v, %v] over %d stamps:\n got  %+v\n want %+v", w0, w1, len(s.prices), got, want)
 		}
-		view, _ := viewFolds(db, id, w0, w1)
-		if !sameBits(foldAnswers{prices: view.prices}, got) {
-			t.Fatalf("[%v, %v]: view %+v, PriceStatsIn %+v", w0, w1, view.prices, got.prices)
+		if view, _ := viewFolds(db, id, w0, w1); !sameBits(view, got) {
+			t.Fatalf("[%v, %v]: view %+v, per-market reads %+v", w0, w1, view, got)
 		}
+		what := func(read string) string { return fmt.Sprintf("%s(%v, %v)", read, w0, w1) }
+		expectRun(t, what("PricesIn"), db.PricesIn(id, w0, w1), inWindow(s.prices, w0, w1))
+		expectRun(t, what("SpikesFor"), db.SpikesFor(id, w0, w1), inWindow(s.spikes, w0, w1))
+		expectRun(t, what("RevocationsFor"), db.RevocationsFor(id, w0, w1), inWindow(s.revs, w0, w1))
+		expectRun(t, what("ProbesInWindow"), db.ProbesInWindow(w0, w1, nil), inWindow(s.probes, w0, w1))
 	})
 }

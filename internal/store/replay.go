@@ -217,7 +217,7 @@ func replayParallel(walRoot string, files []logFile, info snapInfo, s *Store) (t
 	tasks := r.sorted()
 
 	// Replay is a bounded bulk load: the heap grows monotonically toward
-	// the store's steady-state size, and every column is reserved to its
+	// the store's steady-state size, and every log is reserved to its
 	// exact final length up front. Letting the collector run concurrent
 	// mark cycles (and keep write barriers armed) while that growth is in
 	// flight only re-scans data that is about to grow again, so park it
@@ -271,7 +271,7 @@ func replayParallel(walRoot string, files []logFile, info snapInfo, s *Store) (t
 
 // frameCounts counts a byte stream's frames per record type — a cheap
 // pre-pass (length-prefix hops, no CRC, no field decode) so replay can
-// size every column exactly before the real decode. Torn tails stop the
+// size every log exactly before the real decode. Torn tails stop the
 // count early and corrupt prefixes may overcount; both only affect
 // reserved capacity, never contents.
 type frameCounts [walPrice + 1]int
@@ -301,7 +301,7 @@ func countFrames(c *frameCounts, data []byte) {
 // crossing index rebuilds identically — counted into the task's delta for
 // finalize.
 func (t *replayTask) run(snapPath string, intern map[string]string) {
-	// Pre-count frames first, so the columns get exactly one allocation
+	// Pre-count frames first, so the logs get exactly one allocation
 	// each before the decode loop starts.
 	var counts frameCounts
 	countFrames(&counts, t.snap.frames)

@@ -42,12 +42,9 @@ func (v MarketView) RevocationStats(from, to time.Time) (watches int, held time.
 // OutagesOpened counts the detected outages, of either kind, that opened
 // inside [from, to].
 func (v MarketView) OutagesOpened(from, to time.Time) (n int) {
-	if v.sh.outages == nil {
-		return 0
-	}
 	f, t := stamp(from), stamp(to)
-	for _, s := range v.sh.outages.start {
-		if f <= s && s <= t {
+	for _, e := range value(v.sh.outages).log {
+		if f <= e.at && e.at <= t {
 			n++
 		}
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,35 +57,35 @@ type shard struct {
 	// once; window queries binary-search the others instead of scanning.
 	unordered families
 
-	// Record families are stored column-oriented, probes as rows (see
-	// columns.go): the windowed folds scan only the columns they read, and
-	// captures alias the append-only columns instead of copying them. Every
+	// Each record family is one stamped log (see columns.go), and
+	// captures alias the append-only logs instead of copying them. Every
 	// shard holds prices; the other families are allocated on their first
 	// row.
-	prices      priceCols
-	probes      *probeRows
+	prices      priceLog
+	probes      *famLog[probeRow]
 	spikes      *spikeFamily
-	bidSpreads  *bidSpreadCols
-	revocations *revocationCols
+	bidSpreads  *famLog[bidSpreadRow]
+	revocations *famLog[revocationRow]
 	outages     *outageFamily
 }
 
-// spikeFamily is a shard's spike log with the crossings index it feeds,
-// allocated together on the shard's first spike.
+// spikeFamily is a shard's spike log with the crossings index it feeds —
+// the ratio of every spike with Ratio >= 1 — allocated together on the
+// shard's first spike.
 type spikeFamily struct {
-	spikeCols
-	crossings crossingCols
+	log       famLog[spikeRow]
+	crossings famLog[float64]
 }
 
 // outageFamily is a shard's outage intervals, allocated on its first
 // rejected probe. open[k] is 1+index of kind k's ongoing outage; 0 means
 // the kind is currently available.
 type outageFamily struct {
-	outageCols
+	log  famLog[outageRow]
 	open [probeKinds]int
 }
 
-// families is a set of a shard's record columns, one bit each.
+// families is a set of a shard's record logs, one bit each.
 type families uint8
 
 const (
@@ -104,7 +105,7 @@ func (u *families) track(f families, inOrder bool) {
 	}
 }
 
-// ordered reports whether f's column is still in time order.
+// ordered reports whether f's log is still in time order.
 func (u families) ordered(f families) bool { return u&f == 0 }
 
 // ensure returns the family *p, allocating it on its first row.
@@ -117,6 +118,9 @@ func ensure[T any](p **T) *T {
 
 // id returns the shard's market: one atomic load from the dictionary.
 func (sh *shard) id() market.SpotID { return sh.store.dicts.markets.at(sh.idx) }
+
+// owner returns what turns the shard's rows back into records.
+func (sh *shard) owner() owner { return owner{sh.id(), &sh.store.dicts} }
 
 // walBufPool recycles the scratch buffers append rounds encode log frames
 // into before taking the shard lock.
@@ -210,14 +214,13 @@ func (sh *shard) publish(d *rollupDelta) {
 	}
 }
 
-// The land methods put one record, stamped at, into its shard's columns
-// and fold what the rollups read into d (see land).
+// The land methods put one record, stamped at, into its shard's logs and
+// fold what the rollups read into d (see land).
 
 func (r *ProbeRecord) land(sh *shard, at int64, d *rollupDelta) {
 	d.probeCount++
 	ps := ensure(&sh.probes)
-	sh.unordered.track(famProbes, len(*ps) == 0 || (*ps)[len(*ps)-1].at <= at)
-	ps.push(r, at, &sh.store.dicts)
+	sh.unordered.track(famProbes, ps.push(at, probeRowOf(r, *ps, &sh.store.dicts)))
 
 	ki, ok := kindIndex(r.Kind)
 	if !ok {
@@ -232,28 +235,25 @@ func (r *ProbeRecord) land(sh *shard, at int64, d *rollupDelta) {
 	switch {
 	case r.Rejected && (oc == nil || oc.open[ki] == 0):
 		oc = ensure(&sh.outages)
-		sh.unordered.track(famOutages, follows(oc.start, at))
-		oc.push(r.Kind, at)
-		oc.open[ki] = oc.n()
+		sh.unordered.track(famOutages, oc.log.push(at, outageRow{r.Kind, openEnd}))
+		oc.open[ki] = len(oc.log)
 		start := stampTime(at)
 		kd.outages++
 		kd.open.add(start, 1)
 		if d.emit {
-			id := sh.id()
-			cp := oc.get(oc.n()-1, id)
-			d.events = append(d.events, Event{Kind: EventOutageOpen, Market: id, At: start, Outage: &cp})
+			cp := outageOf(oc.log[len(oc.log)-1], sh.owner())
+			d.events = append(d.events, Event{Kind: EventOutageOpen, Market: cp.Market, At: start, Outage: &cp})
 		}
 	case !r.Rejected && oc != nil && oc.open[ki] != 0:
-		oi := oc.open[ki] - 1
-		oc.end[oi] = at
-		start, end := stampTime(oc.start[oi]), stampTime(at)
+		o := &oc.log[oc.open[ki]-1]
+		o.row.end = at
+		start, end := stampTime(o.at), stampTime(at)
 		oc.open[ki] = 0
 		kd.open.add(start, -1)
 		kd.closedOutageDur += end.Sub(start)
 		if d.emit {
-			id := sh.id()
-			cp := oc.get(oi, id)
-			d.events = append(d.events, Event{Kind: EventOutageClose, Market: id, At: end, Outage: &cp})
+			cp := outageOf(*o, sh.owner())
+			d.events = append(d.events, Event{Kind: EventOutageClose, Market: cp.Market, At: end, Outage: &cp})
 		}
 	}
 }
@@ -261,45 +261,39 @@ func (r *ProbeRecord) land(sh *shard, at int64, d *rollupDelta) {
 func (e *SpikeEvent) land(sh *shard, at int64, d *rollupDelta) {
 	d.spikes++
 	sp := ensure(&sh.spikes)
-	sh.unordered.track(famSpikes, follows(sp.at, at))
-	sp.push(e, at)
+	sh.unordered.track(famSpikes, sp.log.push(at, spikeRow{e.Price, e.Ratio, e.Probed}))
 	if e.Ratio >= 1 {
-		c := &sp.crossings
-		sh.unordered.track(famCrossings, follows(c.at, at))
-		c.at = appendRow(c.at, at)
-		c.ratio = appendRow(c.ratio, e.Ratio)
+		sh.unordered.track(famCrossings, sp.crossings.push(at, e.Ratio))
 		d.spikesAboveOD++
 	}
 }
 
 func (r *BidSpreadRecord) land(sh *shard, at int64) {
-	bs := ensure(&sh.bidSpreads)
-	sh.unordered.track(famBidSpreads, follows(bs.at, at))
-	bs.push(r, at)
+	sh.unordered.track(famBidSpreads, ensure(&sh.bidSpreads).push(at, bidSpreadRow{r.Published, r.Intrinsic, r.Attempts}))
 }
 
 func (r *RevocationRecord) land(sh *shard, at int64) {
-	rv := ensure(&sh.revocations)
-	sh.unordered.track(famRevocations, follows(rv.at, at))
-	rv.push(r, at)
+	sh.unordered.track(famRevocations, ensure(&sh.revocations).push(at, revocationRow{r.Bid, r.Held}))
 }
 
 func (p *PricePoint) land(sh *shard, at int64) {
-	sh.unordered.track(famPrices, follows(sh.prices.at, at))
-	sh.prices.push(p, at)
+	c := &sh.prices
+	sh.unordered.track(famPrices, c.log.push(at, p.Price))
+	if n := len(c.log); n%chunkLen == 0 {
+		c.chunks.push(at, summarize(c.log[n-chunkLen:]))
+	}
 }
 
 // shardCapture is one shard's full record state cut under a single lock
 // hold — the per-shard consistent cut behind snapshots and WriteJSON: no
 // append can land in some of a market's record streams and not others.
-// The append-only column families are captured zero-copy: the capture
-// holds the column slice headers as of the cut, and later appends only
-// write past the captured lengths (or into fresh backing arrays). Only
-// the outage columns — whose end timestamps are rewritten when an outage
-// closes — are deep-copied. A family the shard never held captures empty.
+// The append-only logs are captured zero-copy: the capture holds the
+// logs' slice headers as of the cut, and later appends only write past the
+// captured lengths (or into fresh backing arrays). Only the outage log —
+// whose end stamps are rewritten when an outage closes — is deep-copied.
+// A family the shard never held captures empty.
 type shardCapture struct {
-	id    market.SpotID
-	dicts *probeDicts
+	owner
 
 	// gen is the shard's record count at the cut; a snapshot's index pins
 	// it, and replay skips the log frames it already counts.
@@ -307,12 +301,12 @@ type shardCapture struct {
 
 	unordered families
 
-	probes      probeRows
-	spikes      spikeCols
-	bidSpreads  bidSpreadCols
-	revocations revocationCols
-	prices      priceCols
-	outages     outageCols
+	probes      famLog[probeRow]
+	spikes      famLog[spikeRow]
+	bidSpreads  famLog[bidSpreadRow]
+	revocations famLog[revocationRow]
+	prices      famLog[float64]
+	outages     famLog[outageRow]
 }
 
 // value returns *p, or the zero family when the shard never held one.
@@ -333,47 +327,40 @@ func (sh *shard) capture() shardCapture {
 // captureLocked is capture under a shard lock the caller holds.
 func (sh *shard) captureLocked() shardCapture {
 	return shardCapture{
-		id:          sh.id(),
-		dicts:       &sh.store.dicts,
+		owner:       sh.owner(),
 		gen:         sh.gen.Load(),
 		unordered:   sh.unordered,
 		probes:      value(sh.probes),
-		spikes:      value(sh.spikes).spikeCols,
+		spikes:      value(sh.spikes).log,
 		bidSpreads:  value(sh.bidSpreads),
 		revocations: value(sh.revocations),
-		prices:      sh.prices,
-		outages:     sh.outages.clone(),
+		prices:      sh.prices.log,
+		outages:     slices.Clone(value(sh.outages).log),
 	}
 }
 
 func (sh *shard) spikesIn(dst []SpikeEvent, from, to time.Time) []SpikeEvent {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if sh.spikes == nil {
-		return dst
-	}
-	return sh.spikes.window(dst, sh.id(), sh.unordered.ordered(famSpikes), from, to)
+	return collect(dst, value(sh.spikes).log, sh.owner(), sh.unordered.ordered(famSpikes), from, to, spikeOf)
 }
 
 func (sh *shard) pricesIn(dst []PricePoint, from, to time.Time) []PricePoint {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.prices.window(dst, sh.unordered.ordered(famPrices), from, to)
+	return collect(dst, sh.prices.log, sh.owner(), sh.unordered.ordered(famPrices), from, to, priceOf)
 }
 
 func (sh *shard) probesIn(dst []ProbeRecord, from, to time.Time) []ProbeRecord {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return value(sh.probes).window(dst, sh.id(), &sh.store.dicts, sh.unordered.ordered(famProbes), from, to)
+	return collect(dst, value(sh.probes), sh.owner(), sh.unordered.ordered(famProbes), from, to, probeOf)
 }
 
 func (sh *shard) revocationsIn(dst []RevocationRecord, from, to time.Time) []RevocationRecord {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if sh.revocations == nil {
-		return dst
-	}
-	return sh.revocations.window(dst, sh.id(), sh.unordered.ordered(famRevocations), from, to)
+	return collect(dst, value(sh.revocations), sh.owner(), sh.unordered.ordered(famRevocations), from, to, revocationOf)
 }
 
 // The windowed folds below run under a shard lock the caller holds: the
@@ -381,7 +368,7 @@ func (sh *shard) revocationsIn(dst []RevocationRecord, from, to time.Time) []Rev
 // once for every fold its visitor asks of the market.
 
 // priceStatsLocked folds min/mean/max over the price points inside
-// [from, to] without materializing anything (priceCols.stats).
+// [from, to] without materializing anything (priceLog.stats).
 func (sh *shard) priceStatsLocked(from, to time.Time) PriceWindowStats {
 	return sh.prices.stats(sh.unordered.ordered(famPrices), from, to)
 }
@@ -391,16 +378,11 @@ func (sh *shard) priceStatsLocked(from, to time.Time) PriceWindowStats {
 // crossings index.
 func (sh *shard) crossingStatsLocked(from, to time.Time) CrossingStats {
 	var st CrossingStats
-	if sh.spikes == nil {
-		return st
-	}
 	f, t := stamp(from), stamp(to)
-	c := &sh.spikes.crossings
-	lo, hi := bounds(c.at, sh.unordered.ordered(famCrossings), f, t)
-	for i := lo; i < hi; i++ {
-		if f <= c.at[i] && c.at[i] <= t {
+	for _, e := range value(sh.spikes).crossings.span(sh.unordered.ordered(famCrossings), f, t) {
+		if f <= e.at && e.at <= t {
 			st.Crossings++
-			st.MaxRatio = max(st.MaxRatio, c.ratio[i])
+			st.MaxRatio = max(st.MaxRatio, e.row)
 		}
 	}
 	return st
@@ -409,16 +391,11 @@ func (sh *shard) crossingStatsLocked(from, to time.Time) CrossingStats {
 // revocationStatsLocked counts the revocation watches that landed inside
 // [from, to] and sums how long their instances were held.
 func (sh *shard) revocationStatsLocked(from, to time.Time) (watches int, held time.Duration) {
-	c := sh.revocations
-	if c == nil {
-		return 0, 0
-	}
 	f, t := stamp(from), stamp(to)
-	lo, hi := bounds(c.at, sh.unordered.ordered(famRevocations), f, t)
-	for i := lo; i < hi; i++ {
-		if f <= c.at[i] && c.at[i] <= t {
+	for _, e := range value(sh.revocations).span(sh.unordered.ordered(famRevocations), f, t) {
+		if f <= e.at && e.at <= t {
 			watches++
-			held += c.held[i]
+			held += e.row.held
 		}
 	}
 	return watches, held
@@ -428,18 +405,14 @@ func (sh *shard) revocationStatsLocked(from, to time.Time) (watches int, held ti
 // outages of one kind cover — an open one up to to — without copying the
 // interval list.
 func (sh *shard) outageOverlapLocked(kind ProbeKind, from, to time.Time) time.Duration {
-	c := sh.outages
 	total := time.Duration(0)
-	if c == nil {
-		return total
-	}
 	f, t := stamp(from), stamp(to)
-	for i, k := range c.kind {
-		start, end := max(c.start[i], f), c.end[i]
+	for _, e := range value(sh.outages).log {
+		start, end := max(e.at, f), e.row.end
 		if end == openEnd || end > t {
 			end = t
 		}
-		if k != kind || end <= start {
+		if e.row.kind != kind || end <= start {
 			continue
 		}
 		if d := end - start; d > 0 {

@@ -11,18 +11,18 @@ import (
 
 // TestShardFixedCost holds what a market costs before its records do: the
 // shard struct, the probe family a market's first probe allocates, the
-// probe row, and the live heap of a store holding every catalog market
+// probe entry, and the live heap of a store holding every catalog market
 // with one price each, per market — shard, index entry, dictionary entry,
-// rollup membership and the two one-row price columns together.
+// rollup membership and the one-entry price log together.
 func TestShardFixedCost(t *testing.T) {
-	if size := unsafe.Sizeof(shard{}); size > 208 {
-		t.Errorf("a shard is %d B, want <= 208", size)
+	if size := unsafe.Sizeof(shard{}); size > 160 {
+		t.Errorf("a shard is %d B, want <= 160", size)
 	}
-	if size := unsafe.Sizeof(probeRows{}); size > 24 {
+	if size := unsafe.Sizeof(famLog[probeRow]{}); size > 24 {
 		t.Errorf("a probe family is %d B, want <= 24", size)
 	}
-	if size := unsafe.Sizeof(probeRow{}); size != 48 {
-		t.Errorf("a probe row is %d B, want 48", size)
+	if size := unsafe.Sizeof(stamped[probeRow]{}); size != 48 {
+		t.Errorf("a probe entry is %d B, want 48", size)
 	}
 	ids := market.New().SpotMarkets()
 	at := time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
@@ -36,8 +36,8 @@ func TestShardFixedCost(t *testing.T) {
 	runtime.KeepAlive(ids)
 	perShard := float64(int64(with)-int64(without)) / float64(len(ids))
 	t.Logf("%d markets cost %.0f B each (shard struct %d B)", len(ids), perShard, unsafe.Sizeof(shard{}))
-	if perShard > 600 {
-		t.Errorf("a one-price market costs %.0f B of heap, want <= 600", perShard)
+	if perShard > 433 {
+		t.Errorf("a one-price market costs %.0f B of heap, want <= 433", perShard)
 	}
 }
 

@@ -32,7 +32,7 @@ import (
 // the index from the end of the file.
 //
 // Encode and decode both stream record-at-a-time: the encoder walks each
-// capture's columns and frames one record per iteration into one buffered
+// capture's logs and frames one record per iteration into one buffered
 // writer, the decoder hands each decoded frame straight to the shard
 // replay — neither side ever materializes a []Record.
 //

@@ -267,7 +267,7 @@ type Store struct {
 	// instruments no-ops) until EnableMetrics arms them.
 	metrics *storeMetrics
 
-	// dicts holds the values the shards' probe columns index (columns.go);
+	// dicts holds the values the shards' probe rows index (columns.go);
 	// its market table is also the shards' index.
 	dicts probeDicts
 }
@@ -299,7 +299,7 @@ func (s *Store) newShard(i uint32) *shard { return &shard{store: s, idx: i} }
 // which every subsequent append round publishes to — and publishes it; if the
 // market already has a shard (a racing first write) that one is returned
 // instead. Live first writes adopt an empty shard, parallel recovery
-// (replay.go) one whose columns already hold the recovered records; it
+// (replay.go) one whose logs already hold the recovered records; it
 // publishes their accumulated rollup delta afterwards.
 func (s *Store) adoptShard(sh *shard) *shard {
 	// Resolve the rollups outside the store lock (rollupFor takes it).
@@ -714,7 +714,7 @@ func (s *Store) BidSpreadsFor(id market.SpotID) []BidSpreadRecord {
 	if sh.bidSpreads == nil {
 		return nil
 	}
-	return sh.bidSpreads.appendTo(nil, id)
+	return rows(nil, *sh.bidSpreads, sh.owner(), bidSpreadOf)
 }
 
 // Outages returns all detected outage intervals merged across shards,
@@ -732,12 +732,10 @@ func (s *Store) OutagesFor(id market.SpotID, kind ProbeKind) []OutageRecord {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	var out []OutageRecord
-	if sh.outages == nil {
-		return out
-	}
-	for i, k := range sh.outages.kind {
-		if k == kind {
-			out = append(out, sh.outages.get(i, id))
+	o := sh.owner()
+	for _, e := range value(sh.outages).log {
+		if e.row.kind == kind {
+			out = append(out, outageOf(e, o))
 		}
 	}
 	return out
@@ -764,7 +762,7 @@ func (s *Store) Prices(id market.SpotID) []PricePoint {
 	}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.prices.appendTo(make([]PricePoint, 0, sh.prices.n()))
+	return rows([]PricePoint{}, sh.prices.log, sh.owner(), priceOf)
 }
 
 // PricesIn returns the recorded price points of a market inside [from, to],
@@ -805,7 +803,7 @@ func (s *Store) PricedMarkets() []market.SpotID {
 	var out []market.SpotID
 	for _, sh := range s.shardList() {
 		sh.mu.RLock()
-		n := sh.prices.n()
+		n := len(sh.prices.log)
 		sh.mu.RUnlock()
 		if n > 0 {
 			out = append(out, sh.id())

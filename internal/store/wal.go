@@ -156,7 +156,7 @@ func appendBool(buf []byte, b bool) []byte {
 
 // appendTime encodes an instant as (Unix seconds, in-second nanoseconds),
 // saturated to the stamp range first (columns.go). Decoding reconstructs
-// the same instant in UTC — the one the live store's columns hold — so a
+// the same instant in UTC — the one the live store's logs hold — so a
 // store recovered from the WAL renders timestamps identically to the
 // original process.
 func appendTime(buf []byte, t time.Time) []byte {
