@@ -83,8 +83,9 @@ func TestStudyDigestPinned(t *testing.T) {
 // not count. The 1-day study at the default 5-minute tick is the live
 // fleet's leader, where every catalog market holds a day of prices and
 // little else, so the per-market fixed cost weighs most. Both measure
-// 41.3 and 31.2 B per record once a probe is one 48-byte row holding a
-// shape index; 50.2 and 36.7 B with eleven probe columns, once the store
+// 31.8 and 20.9 B per record once a market's prices are sealed into
+// encoded 16-price chunks (35.8 and 26.7 B as 16-byte raw entries); 41.3
+// and 31.2 B once a probe is one 48-byte row holding a shape index; 50.2 and 36.7 B with eleven probe columns, once the store
 // folds only the region aggregates a reader reads; 53.3 and 38.1 B with
 // per-market running aggregates beside them; 79.1 and 45.4 B with a
 // 1,096-byte shard per market in a map keyed by market ID. The 3-day study measured 58.0 B
@@ -96,8 +97,8 @@ func TestStudyHeapPerRecord(t *testing.T) {
 		days    int
 		ceiling float64
 	}{
-		{"1-day", 1, 46},
-		{"3-day", 3, 35},
+		{"1-day", 1, 35},
+		{"3-day", 3, 23},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st, err := Run(Config{Seed: 42, Days: tc.days})

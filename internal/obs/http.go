@@ -38,6 +38,10 @@ func (s *statusRecorder) Flush() {
 	}
 }
 
+// Unwrap lets an http.ResponseController reach the connection, to set a
+// stream's write deadline.
+func (s *statusRecorder) Unwrap() http.ResponseWriter { return s.ResponseWriter }
+
 // Instrument wraps next with per-route HTTP metrics: request totals by
 // status, a latency histogram, the shared in-flight gauge, and a 304
 // counter (the cache-efficiency numerator). The route label is fixed at

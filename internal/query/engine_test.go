@@ -73,6 +73,30 @@ func TestOngoingOutageCountsToWindowEnd(t *testing.T) {
 	}
 }
 
+// TestUnavailabilityStaysAFraction: windows wider than a Duration holds,
+// over outages whose overlaps together exceed one, still read a fraction
+// in [0, 1] — the overlap saturates like the window's length does.
+func TestUnavailabilityStaysAFraction(t *testing.T) {
+	e, db := seededEngine(t)
+	year := func(y int) time.Time { return time.Date(y, 1, 1, 0, 0, 0, 0, time.UTC) }
+	addOutage(db, mktA, store.ProbeOnDemand, year(1700), year(1980))
+	addOutage(db, mktA, store.ProbeOnDemand, year(2000), time.Time{})
+	for _, w := range [][2]time.Time{
+		{time.Date(1723, 5, 23, 0, 0, 0, 0, time.UTC), time.Date(2307, 12, 11, 0, 0, 0, 0, time.UTC)},
+		{year(1500), year(2500)},
+		{year(1690), year(2262)},
+		{year(1990), year(2100)},
+	} {
+		got, err := e.ODUnavailability(mktA, w[0], w[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !(got >= 0 && got <= 1) {
+			t.Errorf("unavailability over [%v, %v] = %v, want a fraction in [0, 1]", w[0], w[1], got)
+		}
+	}
+}
+
 func TestBadWindows(t *testing.T) {
 	e, _ := seededEngine(t)
 	if _, err := e.ODUnavailability(mktA, t0, t0); err != ErrBadWindow {

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"encoding/json"
 	"log/slog"
 	"math"
@@ -71,7 +72,8 @@ type API struct {
 	watchLimit     int
 	watchers       atomic.Int64
 	watchHeartbeat time.Duration
-	streamShut     chan struct{}
+	streamShut     context.Context
+	shutStreams    context.CancelFunc
 	shutOnce       sync.Once
 	// armOnce arms the store feed on the first watch request (and keeps
 	// it armed until Shutdown), so brief reconnect gaps between watchers
@@ -101,14 +103,15 @@ func NewAPI(engine *Engine, now func() time.Time) *API {
 	if now == nil {
 		now = time.Now
 	}
-	return &API{
+	a := &API{
 		engine:         engine,
 		Now:            now,
 		epoch:          time.Now().UnixNano(),
 		watchLimit:     defaultWatchLimit,
 		watchHeartbeat: defaultWatchHeartbeat,
-		streamShut:     make(chan struct{}),
 	}
+	a.streamShut, a.shutStreams = context.WithCancel(context.Background())
+	return a
 }
 
 // SetCacheTTL turns on Cache-Control hints: every successful (or 304)

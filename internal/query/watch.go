@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -49,6 +50,10 @@ const (
 	watchRetryAfter = 5
 	// logPositionEvery paces the follow stream's idle position frames.
 	logPositionEvery = 250 * time.Millisecond
+	// watchShutdownGrace is how long a stream's writes may still take once
+	// the server shuts down: a reading consumer gets the stream's end, one
+	// that stopped reading is cut off well inside a server's drain.
+	watchShutdownGrace = time.Second
 )
 
 // resumeNames are the hello frame's names for how a resume was bridged.
@@ -66,7 +71,7 @@ func (a *API) SetWatchLimit(n int) {
 // drain; subsequent watch requests are refused with 429. Idempotent.
 func (a *API) Shutdown() {
 	a.shutOnce.Do(func() {
-		close(a.streamShut)
+		a.shutStreams()
 		// Consume armOnce so a request racing past the refusal check can
 		// no longer arm the feed after this point, then release the arm
 		// if one was taken.
@@ -179,7 +184,7 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// Per-server subscriber cap: a clean 429 + Retry-After envelope. A
 	// shutting-down server refuses the same way.
 	select {
-	case <-a.streamShut:
+	case <-a.streamShut.Done():
 		a.refuseWatch(w, "server is shutting down")
 		return
 	default:
@@ -293,6 +298,12 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	flusher.Flush()
 
+	// A consumer that stops reading stalls the handler in a write, where
+	// it sees no shutdown, and http.Server.Shutdown waits for it: the
+	// shutdown gives the stream's writes watchShutdownGrace to finish.
+	rc := http.NewResponseController(w)
+	defer context.AfterFunc(a.streamShut, func() { _ = rc.SetWriteDeadline(time.Now().Add(watchShutdownGrace)) })()
+
 	hb := time.NewTicker(every)
 	defer hb.Stop()
 	ctx := r.Context()
@@ -328,7 +339,7 @@ func (a *API) handleWatch(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		case <-ctx.Done():
 			return
-		case <-a.streamShut:
+		case <-a.streamShut.Done():
 			return
 		}
 	}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"spotlight/internal/market"
+	"spotlight/internal/obs"
 	"spotlight/internal/store"
 	"spotlight/pkg/api"
 )
@@ -399,6 +401,52 @@ func TestWatchShutdownClosesStreams(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("post-shutdown watch status = %d, want 429", resp.StatusCode)
+	}
+}
+
+// TestWatchShutdownUnblocksAStalledStream: a consumer that stops reading
+// stalls its stream's handler in a write once the socket buffers fill.
+// Shutdown must cut that write off after watchShutdownGrace, so the server
+// drains inside its shutdown deadline instead of waiting it out — also
+// through the metrics middleware.
+func TestWatchShutdownUnblocksAStalledStream(t *testing.T) {
+	for _, instrumented := range []bool{false, true} {
+		t.Run(fmt.Sprint("instrumented=", instrumented), func(t *testing.T) {
+			stalledStreamShutdown(t, instrumented)
+		})
+	}
+}
+
+func stalledStreamShutdown(t *testing.T, instrumented bool) {
+	db := store.New()
+	a := NewAPI(NewEngine(db, market.New()), func() time.Time { return t0 })
+	if instrumented {
+		a.EnableMetrics(obs.NewRegistry())
+	}
+	srv := httptest.NewServer(a.Handler())
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/v2/watch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close() // never read: the consumer has stalled
+	// Rounds small enough for the handler to keep up with the feed's ring
+	// until the socket buffers are full, then enough more to be sure.
+	batch := make([]store.ProbeRecord, 500)
+	for round := 0; round < 200; round++ {
+		for i := range batch {
+			batch[i] = store.ProbeRecord{At: t0.Add(time.Duration(round*len(batch)+i) * time.Second), Market: mktA,
+				Kind: store.ProbeSpot, Code: strings.Repeat("x", 200)}
+		}
+		db.AppendProbes(batch)
+		time.Sleep(time.Millisecond)
+	}
+	a.Shutdown()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := srv.Config.Shutdown(ctx); err != nil {
+		t.Fatalf("server shutdown with a stalled stream open: %v", err)
 	}
 }
 

@@ -46,8 +46,12 @@ import (
 //
 // A full log grows by a quarter of its length plus one entry, rounded up
 // to the allocator's size class (appendRow), not by append's doubling, so
-// a resident history carries at most a quarter of itself in slack.
-// Recovery, which counts its frames first, reserves logs exactly.
+// a resident log carries up to about a quarter of itself in slack: a log
+// of 16-byte entries steps from 128 to 168, so one holding 144 carries
+// 24. The price log, the densest, keeps no such log: its history is
+// sealed chunks (prices.go), whose arena grows by the same step over
+// encoded bytes, beside a raw tail of less than one chunk. Recovery,
+// which counts its frames first, reserves logs exactly.
 
 // Stamps. Every stamp is int64 Unix nanoseconds — 8 bytes and no
 // *Location for the collector to scan — converted once by stamp on the way
@@ -346,118 +350,4 @@ func outageOf(e stamped[outageRow], o owner) OutageRecord {
 		out.End = stampTime(e.row.end)
 	}
 	return out
-}
-
-// chunkLen is how many consecutive prices one sealed chunk summarizes.
-const chunkLen = 16
-
-// priceChunk summarizes one sealed run of chunkLen prices: their sum,
-// added left to right from +0, and their min and max under the window
-// fold's strict first-wins comparison with NaN skipped (NaN when the whole
-// run is). Seeded with a window's first price, the fold then folds a chunk
-// in one step and lands on the bits it would reach point by point.
-type priceChunk struct{ min, max, sum float64 }
-
-func summarize(ps famLog[float64]) priceChunk {
-	ch := priceChunk{min: math.NaN(), max: math.NaN()}
-	for _, e := range ps {
-		p := e.row
-		if p < ch.min || ch.min != ch.min {
-			ch.min = p
-		}
-		if p > ch.max || ch.max != ch.max {
-			ch.max = p
-		}
-		ch.sum += p
-	}
-	return ch
-}
-
-// priceLog is the published-price series — the densest series in a study —
-// plus, per full run of chunkLen prices, a sealed summary stamped with the
-// run's last stamp, appended as the run fills (PricePoint.land) and never
-// persisted (replay rebuilds them through the same land).
-type priceLog struct {
-	log    famLog[float64]
-	chunks famLog[priceChunk] // chunks[k] covers log[k*chunkLen : (k+1)*chunkLen]
-}
-
-// search is after on an ordered series, in two steps: the chunks' last
-// stamps narrow it to one run of at most chunkLen prices, searched in turn
-// — a few cache lines, where halving the whole log misses on most steps.
-func (c *priceLog) search(s int64) int {
-	lo := c.chunks.after(s) * chunkLen
-	return lo + c.log[lo:min(lo+chunkLen, len(c.log))].after(s)
-}
-
-// priceFold accumulates a window's price stats in series order: min and
-// max start at the window's first price and only a strictly smaller or
-// larger one replaces them, so a leading NaN sticks and the first of equal
-// zeros wins.
-type priceFold struct{ min, max, sum float64 }
-
-func (w *priceFold) add(ps famLog[float64]) {
-	for _, e := range ps {
-		p := e.row
-		if p < w.min {
-			w.min = p
-		}
-		if p > w.max {
-			w.max = p
-		}
-		w.sum += p
-	}
-}
-
-func (w *priceFold) stats(samples int) PriceWindowStats {
-	if samples == 0 {
-		return PriceWindowStats{}
-	}
-	return PriceWindowStats{Samples: samples, Min: w.min, Mean: w.sum / float64(samples), Max: w.max}
-}
-
-// stats folds min/mean/max over the prices inside [from, to]. An ordered
-// series costs two searches, then the points before the first whole chunk,
-// one step per whole chunk and the points after the last: O(log n +
-// n/chunkLen). An unordered series scans every price.
-func (c *priceLog) stats(ordered bool, from, to time.Time) PriceWindowStats {
-	f, t := stamp(from), stamp(to)
-	var w priceFold
-	if !ordered {
-		n := 0
-		for i, e := range c.log {
-			if f <= e.at && e.at <= t {
-				if n == 0 {
-					w.min, w.max = e.row, e.row
-				}
-				w.add(c.log[i : i+1])
-				n++
-			}
-		}
-		return w.stats(n)
-	}
-	lo := c.search(f - 1)
-	hi := max(lo, c.search(t))
-	if lo == hi {
-		return PriceWindowStats{}
-	}
-	w.min, w.max = c.log[lo].row, c.log[lo].row
-	// Chunks [a, b) lie wholly inside [lo, hi).
-	if a, b := (lo+chunkLen-1)/chunkLen, hi/chunkLen; a < b {
-		w.add(c.log[lo : a*chunkLen])
-		for _, e := range c.chunks[a:b] {
-			ch := e.row
-			if ch.min < w.min {
-				w.min = ch.min
-			}
-			if ch.max > w.max {
-				w.max = ch.max
-			}
-			w.sum += ch.sum
-		}
-		w.add(c.log[b*chunkLen : hi])
-	} else {
-		w.add(c.log[lo:hi])
-	}
-	return w.stats(hi - lo)
 }

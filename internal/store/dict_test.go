@@ -17,8 +17,9 @@ import (
 )
 
 // TestColumnsArePointerFree holds the log layout's invariant: the entry
-// type of every log of every family a shard holds, and every other field of
-// a family struct, holds no pointer (no string, slice, map, interface or
+// type of every log of every family a shard holds, the element of the price
+// arena, and every other field of a family struct — or of a struct a family
+// points to — holds no pointer (no string, slice, map, interface or
 // pointer, however nested), so the collector never scans a record.
 func TestColumnsArePointerFree(t *testing.T) {
 	sh := reflect.TypeOf(shard{})
@@ -27,18 +28,7 @@ func TestColumnsArePointerFree(t *testing.T) {
 		if !ok {
 			t.Fatalf("shard has no family %s", name)
 		}
-		fam := f.Type
-		if fam.Kind() == reflect.Pointer {
-			fam = fam.Elem()
-		}
-		parts := []reflect.Type{fam}
-		if fam.Kind() == reflect.Struct {
-			parts = parts[:0]
-			for i := range fam.NumField() {
-				parts = append(parts, fam.Field(i).Type)
-			}
-		}
-		for _, part := range parts {
+		for _, part := range familyParts(f.Type) {
 			if part.Kind() == reflect.Slice {
 				part = part.Elem()
 			}
@@ -47,6 +37,22 @@ func TestColumnsArePointerFree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// familyParts returns the fields a family is made of: a pointer stands for
+// what it points to, and a struct for its fields, however nested.
+func familyParts(t reflect.Type) []reflect.Type {
+	if t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	if t.Kind() != reflect.Struct {
+		return []reflect.Type{t}
+	}
+	var parts []reflect.Type
+	for i := range t.NumField() {
+		parts = append(parts, familyParts(t.Field(i).Type)...)
+	}
+	return parts
 }
 
 func hasPointers(t reflect.Type) bool {

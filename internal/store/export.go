@@ -61,8 +61,8 @@ func assembleSnapshot(captures []shardCapture) Snapshot {
 		Prices:      make(map[string][]PricePoint),
 	}
 	for _, c := range captures {
-		if len(c.prices) > 0 {
-			snap.Prices[c.id.String()] = rows(nil, c.prices, c.owner, priceOf)
+		if c.prices.len() > 0 {
+			snap.Prices[c.id.String()] = c.prices.rows(nil)
 		}
 	}
 	return snap

@@ -172,9 +172,11 @@ type codec struct {
 	follow func(body []byte, id market.SpotID, intern map[string]string, s *Store) error
 	// reserve grows sh's log of the family for n more rows.
 	reserve func(sh *shard, n int)
-	// rows is how many rows of the family c holds; frame appends row i's.
-	rows  func(c *shardCapture) int
-	frame func(b []byte, c *shardCapture, i int) []byte
+	// rows is how many rows of the family c holds; frames appends each
+	// row's frame to b in turn, handing it to put, which returns the buffer
+	// the next one goes into.
+	rows   func(c *shardCapture) int
+	frames func(b []byte, c *shardCapture, put func([]byte) []byte) []byte
 }
 
 var codecs = [walPrice + 1]codec{
@@ -183,22 +185,35 @@ var codecs = [walPrice + 1]codec{
 		follow:  follow[ProbeRecord],
 		reserve: func(sh *shard, n int) { ensure(&sh.probes).reserve(n) },
 		rows:    func(c *shardCapture) int { return len(c.probes) },
-		frame:   func(b []byte, c *shardCapture, i int) []byte { return probeOf(c.probes[i], c.owner).encode(b, c.id) },
+		frames: func(b []byte, c *shardCapture, put func([]byte) []byte) []byte {
+			for _, e := range c.probes {
+				b = put(probeOf(e, c.owner).encode(b, c.id))
+			}
+			return b
+		},
 	},
 	walSpike: {
 		replay:  replay[SpikeEvent],
 		follow:  follow[SpikeEvent],
 		reserve: func(sh *shard, n int) { ensure(&sh.spikes).log.reserve(n) },
 		rows:    func(c *shardCapture) int { return len(c.spikes) },
-		frame:   func(b []byte, c *shardCapture, i int) []byte { return spikeOf(c.spikes[i], c.owner).encode(b, c.id) },
+		frames: func(b []byte, c *shardCapture, put func([]byte) []byte) []byte {
+			for _, e := range c.spikes {
+				b = put(spikeOf(e, c.owner).encode(b, c.id))
+			}
+			return b
+		},
 	},
 	walBidSpread: {
 		replay:  replay[BidSpreadRecord],
 		follow:  follow[BidSpreadRecord],
 		reserve: func(sh *shard, n int) { ensure(&sh.bidSpreads).reserve(n) },
 		rows:    func(c *shardCapture) int { return len(c.bidSpreads) },
-		frame: func(b []byte, c *shardCapture, i int) []byte {
-			return bidSpreadOf(c.bidSpreads[i], c.owner).encode(b, c.id)
+		frames: func(b []byte, c *shardCapture, put func([]byte) []byte) []byte {
+			for _, e := range c.bidSpreads {
+				b = put(bidSpreadOf(e, c.owner).encode(b, c.id))
+			}
+			return b
 		},
 	},
 	walRevocation: {
@@ -206,16 +221,27 @@ var codecs = [walPrice + 1]codec{
 		follow:  follow[RevocationRecord],
 		reserve: func(sh *shard, n int) { ensure(&sh.revocations).reserve(n) },
 		rows:    func(c *shardCapture) int { return len(c.revocations) },
-		frame: func(b []byte, c *shardCapture, i int) []byte {
-			return revocationOf(c.revocations[i], c.owner).encode(b, c.id)
+		frames: func(b []byte, c *shardCapture, put func([]byte) []byte) []byte {
+			for _, e := range c.revocations {
+				b = put(revocationOf(e, c.owner).encode(b, c.id))
+			}
+			return b
 		},
 	},
 	walPrice: {
 		replay:  replay[PricePoint],
 		follow:  follow[PricePoint],
-		reserve: func(sh *shard, n int) { sh.prices.log.reserve(n); sh.prices.chunks.reserve(n/chunkLen + 1) },
-		rows:    func(c *shardCapture) int { return len(c.prices) },
-		frame:   func(b []byte, c *shardCapture, i int) []byte { return priceOf(c.prices[i], c.owner).encode(b, c.id) },
+		reserve: func(sh *shard, n int) { sh.prices.reserve(n) },
+		rows:    func(c *shardCapture) int { return c.prices.len() },
+		frames: func(b []byte, c *shardCapture, put func([]byte) []byte) []byte {
+			var cur priceCursor
+			for k := 0; k <= len(c.prices.index); k++ {
+				for _, e := range c.prices.run(&cur, k) {
+					b = put(priceOf(e, c.owner).encode(b, c.id))
+				}
+			}
+			return b
+		},
 	},
 }
 

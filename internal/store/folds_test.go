@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -219,7 +220,9 @@ func naiveFolds(db *Store, id market.SpotID, from, to time.Time) foldAnswers {
 		a.watches++
 		a.held += r.Held
 	}
-	overlap := func(kind ProbeKind) (total time.Duration) {
+	// Overlaps add up exactly, then saturate to the longest Duration.
+	overlap := func(kind ProbeKind) time.Duration {
+		total := new(big.Int)
 		for _, o := range db.OutagesFor(id, kind) {
 			start, end := o.Start, o.End
 			if end.IsZero() {
@@ -232,13 +235,16 @@ func naiveFolds(db *Store, id market.SpotID, from, to time.Time) foldAnswers {
 				end = to
 			}
 			if end.After(start) {
-				total += end.Sub(start)
+				total.Add(total, big.NewInt(int64(end.Sub(start))))
 			}
 			if !o.Start.Before(from) && !o.Start.After(to) {
 				a.opened++
 			}
 		}
-		return total
+		if !total.IsInt64() {
+			return math.MaxInt64
+		}
+		return time.Duration(total.Int64())
 	}
 	a.odOverlap, a.spotOverlap = overlap(ProbeOnDemand), overlap(ProbeSpot)
 	return a
@@ -577,6 +583,12 @@ func FuzzPriceWindow(f *testing.F) {
 		edges = append(edges, step, byte(4+i*11), 0)
 	}
 	f.Add(ordered, int64(10*time.Minute), int64(70*time.Minute))
+	// Price i is stamped i+1 minutes in, so chunk k holds minutes 16k+1 to
+	// 16k+16: windows starting and ending on either side of a chunk edge.
+	f.Add(ordered, int64(16*time.Minute), int64(48*time.Minute))
+	f.Add(ordered, int64(17*time.Minute), int64(49*time.Minute))
+	f.Add(ordered, int64(16*time.Minute+time.Second), int64(33*time.Minute-time.Second))
+	f.Add(ordered, int64(17*time.Minute), int64(17*time.Minute))
 	f.Add(edges, int64(0), int64(time.Hour))
 	f.Add([]byte{5, 0, 0, 5, 1, 0, 5, 2, 0, 5, 3, 0, 5, 9, 0}, int64(0), int64(time.Hour))
 	f.Add([]byte{3, 10, 0, 0xfe, 20, 0, 4, 30, 0}, int64(time.Minute), int64(math.MaxInt64))

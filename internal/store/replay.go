@@ -218,7 +218,7 @@ func replayParallel(walRoot string, files []logFile, info snapInfo, s *Store) (t
 
 	// Replay is a bounded bulk load: the heap grows monotonically toward
 	// the store's steady-state size, and every log is reserved to its
-	// exact final length up front. Letting the collector run concurrent
+	// final length up front. Letting the collector run concurrent
 	// mark cycles (and keep write barriers armed) while that growth is in
 	// flight only re-scans data that is about to grow again, so park it
 	// for the duration and let the deferred restore trigger one cycle
@@ -301,8 +301,9 @@ func countFrames(c *frameCounts, data []byte) {
 // crossing index rebuilds identically — counted into the task's delta for
 // finalize.
 func (t *replayTask) run(snapPath string, intern map[string]string) {
-	// Pre-count frames first, so the logs get exactly one allocation
-	// each before the decode loop starts.
+	// Pre-count frames first, so the logs are reserved before the decode
+	// loop starts, and nothing in it allocates per frame (the price log
+	// settles its reservation once every price has landed).
 	var counts frameCounts
 	countFrames(&counts, t.snap.frames)
 	for _, run := range t.runs {
@@ -338,4 +339,5 @@ func (t *replayTask) run(snapPath string, intern map[string]string) {
 			return
 		}
 	}
+	t.sh.prices.settle()
 }

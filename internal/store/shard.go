@@ -30,8 +30,8 @@ func kindIndex(k ProbeKind) (int, bool) {
 // Most markets are quiet — a day of prices and a handful of spikes or
 // probes — so the per-market fixed cost, not the record bytes, sets an
 // always-on store's memory: a shard names its market by its index in the
-// store's market dictionary, and a record family other than prices is a
-// nil pointer until its first row.
+// store's market dictionary, and a record family other than prices — and
+// a price log's sealed chunks — is a nil pointer until its first row.
 type shard struct {
 	mu sync.RWMutex
 
@@ -57,10 +57,11 @@ type shard struct {
 	// once; window queries binary-search the others instead of scanning.
 	unordered families
 
-	// Each record family is one stamped log (see columns.go), and
-	// captures alias the append-only logs instead of copying them. Every
-	// shard holds prices; the other families are allocated on their first
-	// row.
+	// Each record family is one stamped log (see columns.go), prices a
+	// tail and sealed chunks (prices.go), and captures alias the
+	// append-only logs instead of copying them. Every shard holds a price
+	// tail; the sealed chunks are allocated on the first seal, the other
+	// families on their first row.
 	prices      priceLog
 	probes      *famLog[probeRow]
 	spikes      *spikeFamily
@@ -277,11 +278,7 @@ func (r *RevocationRecord) land(sh *shard, at int64) {
 }
 
 func (p *PricePoint) land(sh *shard, at int64) {
-	c := &sh.prices
-	sh.unordered.track(famPrices, c.log.push(at, p.Price))
-	if n := len(c.log); n%chunkLen == 0 {
-		c.chunks.push(at, summarize(c.log[n-chunkLen:]))
-	}
+	sh.unordered.track(famPrices, sh.prices.push(at, p.Price))
 }
 
 // shardCapture is one shard's full record state cut under a single lock
@@ -305,7 +302,7 @@ type shardCapture struct {
 	spikes      famLog[spikeRow]
 	bidSpreads  famLog[bidSpreadRow]
 	revocations famLog[revocationRow]
-	prices      famLog[float64]
+	prices      priceSeries
 	outages     famLog[outageRow]
 }
 
@@ -334,7 +331,7 @@ func (sh *shard) captureLocked() shardCapture {
 		spikes:      value(sh.spikes).log,
 		bidSpreads:  value(sh.bidSpreads),
 		revocations: value(sh.revocations),
-		prices:      sh.prices.log,
+		prices:      sh.prices.series(),
 		outages:     slices.Clone(value(sh.outages).log),
 	}
 }
@@ -348,7 +345,8 @@ func (sh *shard) spikesIn(dst []SpikeEvent, from, to time.Time) []SpikeEvent {
 func (sh *shard) pricesIn(dst []PricePoint, from, to time.Time) []PricePoint {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return collect(dst, sh.prices.log, sh.owner(), sh.unordered.ordered(famPrices), from, to, priceOf)
+	ps := sh.prices.series()
+	return ps.collect(dst, sh.unordered.ordered(famPrices), from, to)
 }
 
 func (sh *shard) probesIn(dst []ProbeRecord, from, to time.Time) []ProbeRecord {
@@ -368,9 +366,10 @@ func (sh *shard) revocationsIn(dst []RevocationRecord, from, to time.Time) []Rev
 // once for every fold its visitor asks of the market.
 
 // priceStatsLocked folds min/mean/max over the price points inside
-// [from, to] without materializing anything (priceLog.stats).
+// [from, to] without materializing anything (priceSeries.stats).
 func (sh *shard) priceStatsLocked(from, to time.Time) PriceWindowStats {
-	return sh.prices.stats(sh.unordered.ordered(famPrices), from, to)
+	ps := sh.prices.series()
+	return ps.stats(sh.unordered.ordered(famPrices), from, to)
 }
 
 // crossingStatsLocked counts the on-demand price crossings inside
@@ -403,9 +402,11 @@ func (sh *shard) revocationStatsLocked(from, to time.Time) (watches int, held ti
 
 // outageOverlapLocked sums how much of [from, to] the shard's detected
 // outages of one kind cover — an open one up to to — without copying the
-// interval list.
+// interval list. Each overlap and their sum saturate as time.Time.Sub
+// does: a window wider than 292 years reads the longest Duration, never a
+// wrapped negative one.
 func (sh *shard) outageOverlapLocked(kind ProbeKind, from, to time.Time) time.Duration {
-	total := time.Duration(0)
+	var total uint64 // a sum of two Durations fits
 	f, t := stamp(from), stamp(to)
 	for _, e := range value(sh.outages).log {
 		start, end := max(e.at, f), e.row.end
@@ -415,13 +416,13 @@ func (sh *shard) outageOverlapLocked(kind ProbeKind, from, to time.Time) time.Du
 		if e.row.kind != kind || end <= start {
 			continue
 		}
-		if d := end - start; d > 0 {
-			total += time.Duration(d)
-		} else { // wrapped past 292 years: saturate as time.Time.Sub does
-			total += math.MaxInt64
+		d := uint64(math.MaxInt64) // end - start wrapped past 292 years
+		if end-start > 0 {
+			d = uint64(end - start)
 		}
+		total = min(total+d, math.MaxInt64)
 	}
-	return total
+	return time.Duration(total)
 }
 
 // Timestamp accessors shared by the window helpers.

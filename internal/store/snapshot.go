@@ -84,10 +84,7 @@ func encodeSnapshot(w io.Writer, seq uint64, captures []shardCapture) (sections 
 		}
 		start := off
 		for typ := walProbe; typ <= walPrice; typ++ {
-			f := &codecs[typ]
-			for i := range f.rows(c) {
-				buf = put(f.frame(buf, c, i))
-			}
+			buf = codecs[typ].frames(buf, c, put)
 		}
 		trailer = appendString(trailer, c.id.String())
 		trailer = appendUvarint(trailer, start)

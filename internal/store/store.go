@@ -762,7 +762,8 @@ func (s *Store) Prices(id market.SpotID) []PricePoint {
 	}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return rows([]PricePoint{}, sh.prices.log, sh.owner(), priceOf)
+	ps := sh.prices.series()
+	return ps.rows([]PricePoint{})
 }
 
 // PricesIn returns the recorded price points of a market inside [from, to],
@@ -803,8 +804,9 @@ func (s *Store) PricedMarkets() []market.SpotID {
 	var out []market.SpotID
 	for _, sh := range s.shardList() {
 		sh.mu.RLock()
-		n := len(sh.prices.log)
+		ps := sh.prices.series()
 		sh.mu.RUnlock()
+		n := ps.len()
 		if n > 0 {
 			out = append(out, sh.id())
 		}
