@@ -3,6 +3,7 @@ package query
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -229,6 +230,8 @@ var v1Routes = []string{
 // small store. The URL is the untrusted surface: whatever it says, the
 // answer is a 200 with an ETag and a JSON body, or a 400 with the error
 // envelope — never a panic, a 5xx, or a 200 whose body failed to encode.
+// A 200 unavailability is a fraction in [0, 1], and exactly the share of
+// its window the market's outages cover (windowShare).
 func FuzzV1Query(f *testing.F) {
 	mkt := url.QueryEscape(mktA.String())
 	f.Add(uint8(6), "market="+mkt+"&window=24h&ratio=NaN")
@@ -243,6 +246,9 @@ func FuzzV1Query(f *testing.F) {
 	f.Add(uint8(7), "market="+mkt+"&window=24h&utilization=0.5")
 	f.Add(uint8(8), "region=us-east-1")
 	f.Add(uint8(9), "")
+	// Ends past what UnixNano holds, 584 years apart: a 400, not a share
+	// of a saturated window.
+	f.Add(uint8(0), "market="+url.QueryEscape(mktB.String())+"&kind=spot&from=1723-05-23T00:00:00Z&to=2307-12-11T00:00:00Z")
 
 	db := store.New()
 	addOutage(db, mktA, store.ProbeOnDemand, t0, t0.Add(6*time.Hour))
@@ -251,10 +257,12 @@ func FuzzV1Query(f *testing.F) {
 		db.RecordPrice(mktA, store.PricePoint{At: t0.Add(time.Duration(i) * time.Hour), Price: p})
 		db.RecordPrice(mktB, store.PricePoint{At: t0.Add(time.Duration(i) * time.Hour), Price: 2 * p})
 	}
-	h := NewAPI(NewEngine(db, market.New()), func() time.Time { return t0.Add(24 * time.Hour) }).Handler()
+	now := t0.Add(24 * time.Hour)
+	h := NewAPI(NewEngine(db, market.New()), func() time.Time { return now }).Handler()
 
 	f.Fuzz(func(t *testing.T, route uint8, raw string) {
-		r := httptest.NewRequest(http.MethodGet, v1Routes[int(route)%len(v1Routes)], nil)
+		path := v1Routes[int(route)%len(v1Routes)]
+		r := httptest.NewRequest(http.MethodGet, path, nil)
 		r.URL.RawQuery = raw
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, r)
@@ -263,6 +271,18 @@ func FuzzV1Query(f *testing.F) {
 		case http.StatusOK:
 			if w.Header().Get(api.HeaderETag) == "" || len(body) == 0 || !json.Valid(body) {
 				t.Fatalf("%s?%s: 200 with ETag %q and body %q", r.URL.Path, raw, w.Header().Get(api.HeaderETag), body)
+			}
+			if path == "/v1/unavailability" {
+				var u api.Unavailability
+				if err := json.Unmarshal(body, &u); err != nil {
+					t.Fatal(err)
+				}
+				q, _ := queryFromURL(r, api.KindUnavailability)
+				from, to, _ := q.Window.Resolve(now)
+				want := windowShare(t, db, u, from, to)
+				if !(u.Unavailability >= 0 && u.Unavailability <= 1) || math.Abs(u.Unavailability-want) > 1e-9 {
+					t.Fatalf("%s?%s: unavailability %v over [%v, %v], want %v", r.URL.Path, raw, u.Unavailability, from, to, want)
+				}
 			}
 		case http.StatusBadRequest:
 			var e api.Error
@@ -273,4 +293,35 @@ func FuzzV1Query(f *testing.F) {
 			t.Fatalf("%s?%s: status %d, body %q", r.URL.Path, raw, w.Code, body)
 		}
 	})
+}
+
+// windowShare is the share of [from, to] that u's market's outages of u's
+// kind cover, an open one up to to, in float seconds: no Duration to
+// saturate, whatever the window.
+func windowShare(t *testing.T, db *store.Store, u api.Unavailability, from, to time.Time) float64 {
+	id, err := market.ParseSpotID(u.Market)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind := store.ProbeOnDemand
+	if u.Contract == "spot" {
+		kind = store.ProbeSpot
+	}
+	seconds := func(a, b time.Time) float64 {
+		return float64(b.Unix()-a.Unix()) + float64(b.Nanosecond()-a.Nanosecond())/1e9
+	}
+	covered := 0.0
+	for _, o := range db.OutagesFor(id, kind) {
+		start, end := o.Start, o.End
+		if end.IsZero() || end.After(to) {
+			end = to
+		}
+		if start.Before(from) {
+			start = from
+		}
+		if end.After(start) {
+			covered += seconds(start, end)
+		}
+	}
+	return covered / seconds(from, to)
 }

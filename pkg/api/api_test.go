@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -33,6 +34,14 @@ func TestWindowResolveAbsolute(t *testing.T) {
 	if !from.Equal(now.Add(-time.Hour)) || !to.Equal(now) {
 		t.Errorf("resolved [%v, %v]", from, to)
 	}
+	// The widest windows the store represents still resolve: the first
+	// instant plus the longest Duration, and the longest trailing window.
+	first := time.Unix(0, math.MinInt64)
+	for _, w := range []Window{Between(first, first.Add(math.MaxInt64)), Last(math.MaxInt64)} {
+		if _, _, err := w.Resolve(now); err != nil {
+			t.Errorf("window %+v: %v", w, err)
+		}
+	}
 }
 
 func TestWindowResolveErrors(t *testing.T) {
@@ -45,6 +54,10 @@ func TestWindowResolveErrors(t *testing.T) {
 		{Rel: "yesterday"},                   // unparseable
 		{Rel: "-3h"},                         // non-positive
 		{Rel: "0s"},                          // zero
+		// Ends the store cannot represent, and a span no Duration holds.
+		{From: time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC), To: now},
+		{From: now, To: time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)},
+		{From: time.Date(1723, 5, 23, 0, 0, 0, 0, time.UTC), To: time.Date(2262, 1, 1, 0, 0, 0, 0, time.UTC)},
 	}
 	for _, w := range bad {
 		if _, _, err := w.Resolve(now); err == nil || err.Code != CodeBadWindow {

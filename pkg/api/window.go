@@ -1,6 +1,9 @@
 package api
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // Window selects the time range of a query. Either the absolute form
 // (From and To, RFC3339 on the wire) or the relative form (Rel, a Go
@@ -30,7 +33,10 @@ func (w Window) IsZero() bool { return w.Rel == "" && w.From.IsZero() && w.To.Is
 
 // Resolve turns the window into concrete [from, to] bounds against the
 // service clock now. It returns CodeBadWindow when the window is missing,
-// unparseable, non-positive, empty, or inverted.
+// unparseable, non-positive, empty, or inverted, and when the store
+// cannot represent it: an end outside the instants UnixNano represents
+// (1677-09-21 to 2262-04-11), or a span longer than the longest
+// time.Duration (about 292 years).
 func (w Window) Resolve(now time.Time) (from, to time.Time, err *Error) {
 	if w.Rel != "" {
 		d, perr := time.ParseDuration(w.Rel)
@@ -40,13 +46,25 @@ func (w Window) Resolve(now time.Time) (from, to time.Time, err *Error) {
 		if d <= 0 {
 			return from, to, Errorf(CodeBadWindow, "relative window must be positive, got %q", w.Rel)
 		}
-		return now.Add(-d), now, nil
+		from, to = now.Add(-d), now
+	} else {
+		if w.From.IsZero() || w.To.IsZero() {
+			return from, to, Errorf(CodeBadWindow, "missing window: supply from+to (RFC3339) or window (relative duration)")
+		}
+		if !w.To.After(w.From) {
+			return from, to, Errorf(CodeBadWindow, "window is empty or inverted: to must be after from")
+		}
+		from, to = w.From, w.To
 	}
-	if w.From.IsZero() || w.To.IsZero() {
-		return from, to, Errorf(CodeBadWindow, "missing window: supply from+to (RFC3339) or window (relative duration)")
+	if from.Before(minInstant) || to.After(maxInstant) {
+		return time.Time{}, time.Time{}, Errorf(CodeBadWindow, "window must lie within %s and %s", minInstant.Format(time.RFC3339), maxInstant.Format(time.RFC3339))
 	}
-	if !w.To.After(w.From) {
-		return from, to, Errorf(CodeBadWindow, "window is empty or inverted: to must be after from")
+	if !from.Add(to.Sub(from)).Equal(to) { // Sub saturated
+		return time.Time{}, time.Time{}, Errorf(CodeBadWindow, "window is longer than %v", time.Duration(math.MaxInt64))
 	}
-	return w.From, w.To, nil
+	return from, to, nil
 }
+
+// minInstant and maxInstant are the ends of the instants UnixNano
+// represents, and so of every window the store can answer.
+var minInstant, maxInstant = time.Unix(0, math.MinInt64).UTC(), time.Unix(0, math.MaxInt64).UTC()
