@@ -199,7 +199,9 @@ example-smoke:
 # or accepted token must parse back to the same position), over the
 # /v1 URL surface (FuzzV1Query: any raw query string on any /v1 route
 # answers 200 with an ETag and a JSON body, or 400 with the error
-# envelope — never a panic or a 5xx), over the advise body
+# envelope — never a panic or a 5xx — and a 200 unavailability lies in
+# [0, 1] and equals the share of its window the fixture's outages
+# cover), over the advise body
 # (FuzzAdviseBody: any POST /v2/advise body answers 200 with an ETag and
 # a decodable AdviseResponse, or 400 with an error code — never a panic
 # or a 5xx), and over a follower's saved cursor.json (FuzzCursorDecode:

@@ -104,12 +104,13 @@ func TestReplicaFleetFailsOverToTheLastLiveNode(t *testing.T) {
 		t.Errorf("gateway /v1 ETag = %q, survivor %q", tag, direct.Header.Get(api.HeaderETag))
 	}
 
-	// Advise: pick constraints whose body hashes to node 1 as well.
+	// Advise: pick constraints whose body hashes to node 1 as well; n
+	// stays in its valid range, and the window grows once every n missed.
 	var areq api.AdviseRequest
-	for n := 1; ; n++ {
+	for k := 0; ; k++ {
 		areq = api.AdviseRequest{
-			AdviseConstraints: api.AdviseConstraints{Regions: []string{"us-east-1"}, N: n},
-			Window:            window,
+			AdviseConstraints: api.AdviseConstraints{Regions: []string{"us-east-1"}, N: 1 + k%100},
+			Window:            api.Window{From: t0, To: window.To.Add(time.Duration(k/100) * time.Minute)},
 		}
 		body, _ := json.Marshal(areq)
 		if g.ring.pick("advise|"+string(body)) == primary {

@@ -22,12 +22,11 @@ import (
 // stream record-at-a-time without ever materializing a []Record: encoders
 // walk a log and build one stack-allocated record per frame.
 //
-// Logs are append-only: a committed entry is never rewritten (the one
-// exception, outage closing, is documented at outageRow). That invariant
-// is what makes zero-copy captures safe: a capture copies the log's slice
-// header under the shard lock, and concurrent appends only ever touch
-// entries at or past the captured length — or a freshly reallocated
-// backing array.
+// Logs are append-only: a committed entry is never rewritten. That
+// invariant is what makes zero-copy captures safe: a capture copies the
+// log's slice header under the shard lock, and concurrent appends only
+// ever touch entries at or past the captured length — or a freshly
+// reallocated backing array.
 //
 // The market of every record in a shard's logs is the shard's own ID
 // (append paths route records by Market, and the WAL decoder rejects
@@ -59,10 +58,10 @@ import (
 // as the same UTC instant whether it was appended live, recovered from a
 // data dir or loaded by ReadJSON. Instants outside the int64 range
 // (1677-09-21 to 2262-04-11, the zero time.Time among them) saturate to
-// its ends. The lowest int64 is held back: it is openEnd, the end of an
-// outage that has not closed.
+// its ends. The lowest int64 is held back: it is noOutage, the open
+// outage start of a kind that is available.
 const (
-	openEnd  = math.MinInt64
+	noOutage = math.MinInt64
 	minStamp = math.MinInt64 + 1
 	maxStamp = math.MaxInt64
 )
@@ -332,22 +331,4 @@ func revocationOf(e stamped[revocationRow], o owner) RevocationRecord {
 
 func priceOf(e stamped[float64], _ owner) PricePoint {
 	return PricePoint{At: stampTime(e.at), Price: e.row}
-}
-
-// outageRow is one derived outage interval, stamped by its start. Unlike
-// every other row it is not immutable: closing an outage rewrites end in
-// place, so captures deep-copy the outage log instead of aliasing it
-// (outages are few — one per rejection streak). end is openEnd while the
-// outage is ongoing.
-type outageRow struct {
-	kind ProbeKind
-	end  int64
-}
-
-func outageOf(e stamped[outageRow], o owner) OutageRecord {
-	out := OutageRecord{Market: o.id, Kind: e.row.kind, Start: stampTime(e.at)}
-	if e.row.end != openEnd {
-		out.End = stampTime(e.row.end)
-	}
-	return out
 }

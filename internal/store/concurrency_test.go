@@ -55,12 +55,22 @@ func TestConcurrentShardedWrites(t *testing.T) {
 						return
 					}
 				}
+				outages := s.Outages()
+				for i := 1; i < len(outages); i++ {
+					if outages[i].Start.Before(outages[i-1].Start) {
+						t.Error("Outages() not ordered by start during concurrent writes")
+						return
+					}
+				}
 				s.SpikeCrossingsWhere(time.Time{}, time.Now().Add(time.Hour), nil)
 				s.RegionAggregates(time.Now())
 				s.ProbeCount()
-				// Find-only reads racing the markets' first writes.
+				// Find-only reads, and outage walks of the probes, racing
+				// the markets' first writes and their later ones.
 				for i := 0; i < writers*marketsPerWriter; i++ {
 					s.Generation(concMarket(i))
+					s.OutagesFor(concMarket(i), ProbeOnDemand)
+					s.OutageOverlap(concMarket(i), ProbeOnDemand, time.Time{}, time.Now())
 				}
 			}
 		}()

@@ -23,7 +23,7 @@ import (
 // pointer, however nested), so the collector never scans a record.
 func TestColumnsArePointerFree(t *testing.T) {
 	sh := reflect.TypeOf(shard{})
-	for _, name := range []string{"prices", "probes", "spikes", "bidSpreads", "revocations", "outages"} {
+	for _, name := range []string{"prices", "probes", "spikes", "bidSpreads", "revocations"} {
 		f, ok := sh.FieldByName(name)
 		if !ok {
 			t.Fatalf("shard has no family %s", name)

@@ -69,25 +69,27 @@ func assembleSnapshot(captures []shardCapture) Snapshot {
 }
 
 // The runs mergeByTime merges across captures: one family's records of one
-// capture, and whether they were appended in time order.
-func (c shardCapture) probeRun() ([]ProbeRecord, bool) {
-	return rows(nil, c.probes, c.owner, probeOf), c.unordered.ordered(famProbes)
+// capture, in append order.
+func (c shardCapture) probeRun() []ProbeRecord {
+	return rows(nil, c.probes, c.owner, probeOf)
 }
 
-func (c shardCapture) spikeRun() ([]SpikeEvent, bool) {
-	return rows(nil, c.spikes, c.owner, spikeOf), c.unordered.ordered(famSpikes)
+func (c shardCapture) spikeRun() []SpikeEvent {
+	return rows(nil, c.spikes, c.owner, spikeOf)
 }
 
-func (c shardCapture) bidSpreadRun() ([]BidSpreadRecord, bool) {
-	return rows(nil, c.bidSpreads, c.owner, bidSpreadOf), c.unordered.ordered(famBidSpreads)
+func (c shardCapture) bidSpreadRun() []BidSpreadRecord {
+	return rows(nil, c.bidSpreads, c.owner, bidSpreadOf)
 }
 
-func (c shardCapture) revocationRun() ([]RevocationRecord, bool) {
-	return rows(nil, c.revocations, c.owner, revocationOf), c.unordered.ordered(famRevocations)
+func (c shardCapture) revocationRun() []RevocationRecord {
+	return rows(nil, c.revocations, c.owner, revocationOf)
 }
 
-func (c shardCapture) outageRun() ([]OutageRecord, bool) {
-	return rows(nil, c.outages, c.owner, outageOf), c.unordered.ordered(famOutages)
+// outageRun reads the capture's outages from its probes, in the order
+// they opened.
+func (c shardCapture) outageRun() []OutageRecord {
+	return outageRecords(nil, c.probes, c.owner, -1)
 }
 
 // ReadJSON loads a dump previously produced by WriteJSON into a fresh

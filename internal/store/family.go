@@ -195,7 +195,7 @@ var codecs = [walPrice + 1]codec{
 	walSpike: {
 		replay:  replay[SpikeEvent],
 		follow:  follow[SpikeEvent],
-		reserve: func(sh *shard, n int) { ensure(&sh.spikes).log.reserve(n) },
+		reserve: func(sh *shard, n int) { ensure(&sh.spikes).reserve(n) },
 		rows:    func(c *shardCapture) int { return len(c.spikes) },
 		frames: func(b []byte, c *shardCapture, put func([]byte) []byte) []byte {
 			for _, e := range c.spikes {

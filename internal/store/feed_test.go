@@ -87,11 +87,11 @@ func TestFeedPublishesTypedEvents(t *testing.T) {
 	if evs[0].Probe == nil || !evs[0].Probe.Rejected {
 		t.Error("probe event missing its record payload")
 	}
-	if evs[1].Outage == nil || !evs[1].Outage.Start.Equal(feedT(1)) {
-		t.Error("outage-open event missing its interval payload")
+	if o := evs[1].Outage; o == nil || *o != (OutageRecord{Market: feedM1, Kind: ProbeOnDemand, Start: feedT(1)}) || evs[1].At != feedT(1) {
+		t.Errorf("outage-open event at %v carries %+v, want the open interval at its start", evs[1].At, o)
 	}
-	if evs[7].Outage == nil || !evs[7].Outage.End.Equal(feedT(6)) {
-		t.Error("outage-close event missing the closed interval")
+	if o := evs[7].Outage; o == nil || *o != (OutageRecord{Market: feedM1, Kind: ProbeOnDemand, Start: feedT(1), End: feedT(6)}) || evs[7].At != feedT(6) {
+		t.Errorf("outage-close event at %v carries %+v, want the closed interval at its end", evs[7].At, o)
 	}
 	// The final event's generation matches the store's: nothing unseen.
 	if g := evs[len(evs)-1].Gen; g != s.GlobalGeneration() {

@@ -227,7 +227,7 @@ func listLog(walRoot string, seq uint64) (files []logFile, next logFile, err err
 
 // Open opens (creating if needed) a durable store rooted at dir: it
 // replays the newest complete snapshot and every log file it does not
-// cover into a fresh store, rebuilding all derived state — outages,
+// cover into a fresh store, rebuilding all derived state — open outages,
 // rollups, and generation counters — from the records themselves, then
 // arms the write-ahead path so subsequent appends are logged.
 func Open(dir string, opts PersistOptions) (_ *Store, err error) {

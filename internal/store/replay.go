@@ -297,9 +297,8 @@ func countFrames(c *frameCounts, data []byte) {
 // run decodes one market's snapshot section and log runs into its shard;
 // snapPath names the snapshot file in errors. No locks: the shard is
 // exclusively this worker's until finalize. Every record lands through the
-// live append path's land — every time-order bit, derived outage and
-// crossing index rebuilds identically — counted into the task's delta for
-// finalize.
+// live append path's land — every time-order bit and open outage start
+// rebuilds identically — counted into the task's delta for finalize.
 func (t *replayTask) run(snapPath string, intern map[string]string) {
 	// Pre-count frames first, so the logs are reserved before the decode
 	// loop starts, and nothing in it allocates per frame (the price log

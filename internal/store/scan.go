@@ -42,12 +42,15 @@ func (v MarketView) RevocationStats(from, to time.Time) (watches int, held time.
 // OutagesOpened counts the detected outages, of either kind, that opened
 // inside [from, to].
 func (v MarketView) OutagesOpened(from, to time.Time) (n int) {
+	if v.sh.outages == nil {
+		return 0
+	}
 	f, t := stamp(from), stamp(to)
-	for _, e := range value(v.sh.outages).log {
-		if f <= e.at && e.at <= t {
+	v.sh.outagesIn(f, t, func(_ int, start, end int64) {
+		if end == noOutage && f <= start && start <= t {
 			n++
 		}
-	}
+	})
 	return n
 }
 

@@ -2,7 +2,6 @@ package store
 
 import (
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,6 +25,9 @@ func kindIndex(k ProbeKind) (int, bool) {
 // shard holds every record of one spot market behind its own lock, so
 // writes to different markets never contend and per-market queries never
 // scan other markets' history.
+//
+// A shard holds only what was appended, one log per record family, and
+// reads outages and crossings from its probes and spikes.
 //
 // Most markets are quiet — a day of prices and a handful of spikes or
 // probes — so the per-market fixed cost, not the record bytes, sets an
@@ -64,26 +66,33 @@ type shard struct {
 	// families on their first row.
 	prices      priceLog
 	probes      *famLog[probeRow]
-	spikes      *spikeFamily
+	spikes      *famLog[spikeRow]
 	bidSpreads  *famLog[bidSpreadRow]
 	revocations *famLog[revocationRow]
-	outages     *outageFamily
+
+	// outages is nil until the first rejected probe of a kind: a market
+	// that never had an outage reads none without walking its probes.
+	outages *outageStarts
 }
 
-// spikeFamily is a shard's spike log with the crossings index it feeds —
-// the ratio of every spike with Ratio >= 1 — allocated together on the
-// shard's first spike.
-type spikeFamily struct {
-	log       famLog[spikeRow]
-	crossings famLog[float64]
-}
+// outageStarts holds each kind's open outage start, noOutage while the
+// kind is available.
+type outageStarts [probeKinds]int64
 
-// outageFamily is a shard's outage intervals, allocated on its first
-// rejected probe. open[k] is 1+index of kind k's ongoing outage; 0 means
-// the kind is currently available.
-type outageFamily struct {
-	log  famLog[outageRow]
-	open [probeKinds]int
+// step is the outage rule for one probe of kind slot ki stamped at: a
+// rejection of an available kind opens an outage at at, an acceptance of
+// an unavailable kind closes the one open since start. moved reports that
+// an outage opened (the probe was rejected) or closed.
+func (o *outageStarts) step(ki int, rejected bool, at int64) (start int64, moved bool) {
+	switch start = o[ki]; {
+	case rejected && start == noOutage:
+		o[ki] = at
+		return at, true
+	case !rejected && start != noOutage:
+		o[ki] = noOutage
+		return start, true
+	}
+	return start, false
 }
 
 // families is a set of a shard's record logs, one bit each.
@@ -92,11 +101,9 @@ type families uint8
 const (
 	famProbes families = 1 << iota
 	famSpikes
-	famCrossings
 	famPrices
 	famRevocations
 	famBidSpreads
-	famOutages // by Start; follows famProbes in practice
 )
 
 // track adds f to the set when an append breaks its time order.
@@ -231,40 +238,40 @@ func (r *ProbeRecord) land(sh *shard, at int64, d *rollupDelta) {
 	kd.probes++
 	if r.Rejected {
 		kd.rejected++
+		if sh.outages == nil {
+			sh.outages = &outageStarts{noOutage, noOutage}
+		}
 	}
-	oc := sh.outages
-	switch {
-	case r.Rejected && (oc == nil || oc.open[ki] == 0):
-		oc = ensure(&sh.outages)
-		sh.unordered.track(famOutages, oc.log.push(at, outageRow{r.Kind, openEnd}))
-		oc.open[ki] = len(oc.log)
-		start := stampTime(at)
+	if sh.outages == nil {
+		return
+	}
+	start, moved := sh.outages.step(ki, r.Rejected, at)
+	if !moved {
+		return
+	}
+	o := OutageRecord{Kind: r.Kind, Start: stampTime(start)}
+	ev := Event{Kind: EventOutageOpen, At: o.Start}
+	if r.Rejected {
 		kd.outages++
-		kd.open.add(start, 1)
-		if d.emit {
-			cp := outageOf(oc.log[len(oc.log)-1], sh.owner())
-			d.events = append(d.events, Event{Kind: EventOutageOpen, Market: cp.Market, At: start, Outage: &cp})
-		}
-	case !r.Rejected && oc != nil && oc.open[ki] != 0:
-		o := &oc.log[oc.open[ki]-1]
-		o.row.end = at
-		start, end := stampTime(o.at), stampTime(at)
-		oc.open[ki] = 0
-		kd.open.add(start, -1)
-		kd.closedOutageDur += end.Sub(start)
-		if d.emit {
-			cp := outageOf(*o, sh.owner())
-			d.events = append(d.events, Event{Kind: EventOutageClose, Market: cp.Market, At: end, Outage: &cp})
-		}
+		kd.open.add(o.Start, 1)
+	} else {
+		o.End = stampTime(at)
+		ev.Kind, ev.At = EventOutageClose, o.End
+		kd.open.add(o.Start, -1)
+		kd.closedOutageDur += o.End.Sub(o.Start)
+	}
+	if d.emit {
+		cp := o
+		cp.Market = sh.id()
+		ev.Market, ev.Outage = cp.Market, &cp
+		d.events = append(d.events, ev)
 	}
 }
 
 func (e *SpikeEvent) land(sh *shard, at int64, d *rollupDelta) {
 	d.spikes++
-	sp := ensure(&sh.spikes)
-	sh.unordered.track(famSpikes, sp.log.push(at, spikeRow{e.Price, e.Ratio, e.Probed}))
+	sh.unordered.track(famSpikes, ensure(&sh.spikes).push(at, spikeRow{e.Price, e.Ratio, e.Probed}))
 	if e.Ratio >= 1 {
-		sh.unordered.track(famCrossings, sp.crossings.push(at, e.Ratio))
 		d.spikesAboveOD++
 	}
 }
@@ -284,11 +291,10 @@ func (p *PricePoint) land(sh *shard, at int64) {
 // shardCapture is one shard's full record state cut under a single lock
 // hold — the per-shard consistent cut behind snapshots and WriteJSON: no
 // append can land in some of a market's record streams and not others.
-// The append-only logs are captured zero-copy: the capture holds the
-// logs' slice headers as of the cut, and later appends only write past the
-// captured lengths (or into fresh backing arrays). Only the outage log —
-// whose end stamps are rewritten when an outage closes — is deep-copied.
-// A family the shard never held captures empty.
+// Every log is captured zero-copy: the capture holds the logs' slice
+// headers as of the cut, and later appends only write past the captured
+// lengths (or into fresh backing arrays). Outages are read from the
+// captured probes. A family the shard never held captures empty.
 type shardCapture struct {
 	owner
 
@@ -296,14 +302,11 @@ type shardCapture struct {
 	// it, and replay skips the log frames it already counts.
 	gen uint64
 
-	unordered families
-
 	probes      famLog[probeRow]
 	spikes      famLog[spikeRow]
 	bidSpreads  famLog[bidSpreadRow]
 	revocations famLog[revocationRow]
 	prices      priceSeries
-	outages     famLog[outageRow]
 }
 
 // value returns *p, or the zero family when the shard never held one.
@@ -326,20 +329,18 @@ func (sh *shard) captureLocked() shardCapture {
 	return shardCapture{
 		owner:       sh.owner(),
 		gen:         sh.gen.Load(),
-		unordered:   sh.unordered,
 		probes:      value(sh.probes),
-		spikes:      value(sh.spikes).log,
+		spikes:      value(sh.spikes),
 		bidSpreads:  value(sh.bidSpreads),
 		revocations: value(sh.revocations),
 		prices:      sh.prices.series(),
-		outages:     slices.Clone(value(sh.outages).log),
 	}
 }
 
 func (sh *shard) spikesIn(dst []SpikeEvent, from, to time.Time) []SpikeEvent {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return collect(dst, value(sh.spikes).log, sh.owner(), sh.unordered.ordered(famSpikes), from, to, spikeOf)
+	return collect(dst, value(sh.spikes), sh.owner(), sh.unordered.ordered(famSpikes), from, to, spikeOf)
 }
 
 func (sh *shard) pricesIn(dst []PricePoint, from, to time.Time) []PricePoint {
@@ -372,16 +373,16 @@ func (sh *shard) priceStatsLocked(from, to time.Time) PriceWindowStats {
 	return ps.stats(sh.unordered.ordered(famPrices), from, to)
 }
 
-// crossingStatsLocked counts the on-demand price crossings inside
-// [from, to] and their largest spike ratio, using the incremental
-// crossings index.
+// crossingStatsLocked counts the on-demand price crossings — the spikes
+// with Ratio >= 1 — inside [from, to] and their largest ratio, walking the
+// binary-searched span of the spike log.
 func (sh *shard) crossingStatsLocked(from, to time.Time) CrossingStats {
 	var st CrossingStats
 	f, t := stamp(from), stamp(to)
-	for _, e := range value(sh.spikes).crossings.span(sh.unordered.ordered(famCrossings), f, t) {
-		if f <= e.at && e.at <= t {
+	for _, e := range value(sh.spikes).span(sh.unordered.ordered(famSpikes), f, t) {
+		if f <= e.at && e.at <= t && e.row.ratio >= 1 {
 			st.Crossings++
-			st.MaxRatio = max(st.MaxRatio, e.row)
+			st.MaxRatio = max(st.MaxRatio, e.row.ratio)
 		}
 	}
 	return st
@@ -400,27 +401,109 @@ func (sh *shard) revocationStatsLocked(from, to time.Time) (watches int, held ti
 	return watches, held
 }
 
+// walkOutages runs the probes of l through step in order from the open
+// starts open, and hands visit each outage of kind slot ki as it opens
+// (end is noOutage) and again as it closes at end. It returns each kind's
+// open start after the last probe.
+func walkOutages(l famLog[probeRow], shapes []probeShape, open outageStarts, visit func(ki int, start, end int64)) outageStarts {
+	for _, e := range l {
+		s := &shapes[e.row.shape]
+		ki, ok := kindIndex(s.kind)
+		if !ok {
+			continue
+		}
+		if start, moved := open.step(ki, s.rejected, e.at); moved {
+			end := e.at
+			if s.rejected {
+				end = noOutage
+			}
+			visit(ki, start, end)
+		}
+	}
+	return open
+}
+
+// outagesIn is walkOutages over the shard's probes, which hold an outage,
+// for a read of [f, t]. A log in time order is walked only over the probes
+// stamped inside: a kind is in an outage where the walk starts iff its
+// last probe before was rejected, and minStamp stands for that outage's
+// start, which is before f; what opens after t starts past the window,
+// and what closes after t is still open at t.
+func (sh *shard) outagesIn(f, t int64, visit func(ki int, start, end int64)) outageStarts {
+	l, open := *sh.probes, outageStarts{noOutage, noOutage}
+	shapes := *sh.store.dicts.shapes.vals.Load()
+	if sh.unordered.ordered(famProbes) {
+		i := l.after(f - 1)
+		var seen [probeKinds]bool
+		for k, n := i-1, 0; k >= 0 && n < probeKinds; k-- {
+			s := &shapes[l[k].row.shape]
+			if ki, ok := kindIndex(s.kind); ok && !seen[ki] {
+				seen[ki], n = true, n+1
+				if s.rejected {
+					open[ki] = minStamp
+				}
+			}
+		}
+		l = l[i:max(i, l.after(t))]
+	}
+	return walkOutages(l, shapes, open, visit)
+}
+
+// outageRecords appends the outages of the probe log l to dst in the order
+// they opened, only those of kind slot only — every kind's when only is
+// negative; an open one keeps a zero End.
+func outageRecords(dst []OutageRecord, l famLog[probeRow], o owner, only int) []OutageRecord {
+	if len(l) == 0 {
+		return dst
+	}
+	var at [probeKinds]int // dst index of each kind's open outage
+	walkOutages(l, *o.dicts.shapes.vals.Load(), outageStarts{noOutage, noOutage}, func(ki int, start, end int64) {
+		switch {
+		case only >= 0 && ki != only:
+		case end == noOutage:
+			at[ki] = len(dst)
+			// Slot ki holds kind ki+1 (kindIndex).
+			dst = append(dst, OutageRecord{Market: o.id, Kind: ProbeKind(ki + 1), Start: stampTime(start)})
+		default:
+			dst[at[ki]].End = stampTime(end)
+		}
+	})
+	return dst
+}
+
 // outageOverlapLocked sums how much of [from, to] the shard's detected
-// outages of one kind cover — an open one up to to — without copying the
+// outages of one kind cover — an open one up to to — without building the
 // interval list. Each overlap and their sum saturate as time.Time.Sub
 // does: a window wider than 292 years reads the longest Duration, never a
 // wrapped negative one.
 func (sh *shard) outageOverlapLocked(kind ProbeKind, from, to time.Time) time.Duration {
+	want, ok := kindIndex(kind)
+	if !ok || sh.outages == nil {
+		return 0
+	}
 	var total uint64 // a sum of two Durations fits
 	f, t := stamp(from), stamp(to)
-	for _, e := range value(sh.outages).log {
-		start, end := max(e.at, f), e.row.end
-		if end == openEnd || end > t {
+	add := func(start, end int64) {
+		start = max(start, f)
+		if end == noOutage || end > t {
 			end = t
 		}
-		if e.row.kind != kind || end <= start {
-			continue
+		if end <= start {
+			return
 		}
 		d := uint64(math.MaxInt64) // end - start wrapped past 292 years
 		if end-start > 0 {
 			d = uint64(end - start)
 		}
 		total = min(total+d, math.MaxInt64)
+	}
+	open := sh.outagesIn(f, t, func(ki int, start, end int64) {
+		if ki == want && end != noOutage {
+			add(start, end)
+		}
+	})
+	if open[want] != noOutage {
+		add(open[want], noOutage)
 	}
 	return time.Duration(total)
 }

@@ -10,16 +10,23 @@ import (
 )
 
 // TestShardFixedCost holds what a market costs before its records do: the
-// shard struct, the probe family a market's first probe allocates, the
+// shard struct, the probe and spike families a market's first probe and
+// spike allocate, the outage state its first rejection allocates, the
 // probe entry, and the live heap of a store holding every catalog market
 // with one price each, per market — shard, index entry, dictionary entry,
 // rollup membership and the one-entry price log together.
 func TestShardFixedCost(t *testing.T) {
-	if size := unsafe.Sizeof(shard{}); size > 160 {
-		t.Errorf("a shard is %d B, want <= 160", size)
+	if size := unsafe.Sizeof(shard{}); size > 136 {
+		t.Errorf("a shard is %d B, want <= 136", size)
 	}
 	if size := unsafe.Sizeof(famLog[probeRow]{}); size > 24 {
 		t.Errorf("a probe family is %d B, want <= 24", size)
+	}
+	if size := unsafe.Sizeof(famLog[spikeRow]{}); size > 24 {
+		t.Errorf("a spike family is %d B, want <= 24", size)
+	}
+	if size := unsafe.Sizeof(outageStarts{}); size > 16 {
+		t.Errorf("a shard's outage state is %d B, want <= 16", size)
 	}
 	if size := unsafe.Sizeof(stamped[probeRow]{}); size != 48 {
 		t.Errorf("a probe entry is %d B, want 48", size)
@@ -38,6 +45,45 @@ func TestShardFixedCost(t *testing.T) {
 	t.Logf("%d markets cost %.0f B each (shard struct %d B)", len(ids), perShard, unsafe.Sizeof(shard{}))
 	if perShard > 433 {
 		t.Errorf("a one-price market costs %.0f B of heap, want <= 433", perShard)
+	}
+}
+
+// TestCaptureAliasesEveryLog holds the capture to its contract: every log
+// of a shard holding every family and outages, the price tail and both
+// sealed parts included, is captured as the shard's own backing array,
+// and capturing allocates nothing, so no log is copied.
+func TestCaptureAliasesEveryLog(t *testing.T) {
+	s := New()
+	id := persistMarket(0)
+	for i := 0; i < 2*chunkLen+3; i++ {
+		at := persistBase.Add(time.Duration(i) * time.Minute)
+		s.RecordPrice(id, PricePoint{At: at, Price: float64(i)})
+		s.AppendProbe(ProbeRecord{At: at, Market: id, Kind: ProbeOnDemand, Rejected: i%3 == 0})
+		s.AppendSpike(SpikeEvent{At: at, Market: id, Ratio: 1 + float64(i%2)})
+		s.AppendBidSpread(BidSpreadRecord{At: at, Market: id})
+		s.AppendRevocation(RevocationRecord{At: at, Market: id})
+	}
+	sh := s.lookup(id)
+	c := sh.capture()
+	sealed := sh.prices.sealed
+	for _, l := range []struct {
+		name           string
+		shard, capture unsafe.Pointer
+	}{
+		{"probes", unsafe.Pointer(unsafe.SliceData(*sh.probes)), unsafe.Pointer(unsafe.SliceData(c.probes))},
+		{"spikes", unsafe.Pointer(unsafe.SliceData(*sh.spikes)), unsafe.Pointer(unsafe.SliceData(c.spikes))},
+		{"bid spreads", unsafe.Pointer(unsafe.SliceData(*sh.bidSpreads)), unsafe.Pointer(unsafe.SliceData(c.bidSpreads))},
+		{"revocations", unsafe.Pointer(unsafe.SliceData(*sh.revocations)), unsafe.Pointer(unsafe.SliceData(c.revocations))},
+		{"price tail", unsafe.Pointer(unsafe.SliceData(sh.prices.tail)), unsafe.Pointer(unsafe.SliceData(c.prices.tail))},
+		{"price index", unsafe.Pointer(unsafe.SliceData(sealed.index)), unsafe.Pointer(unsafe.SliceData(c.prices.index))},
+		{"price arena", unsafe.Pointer(unsafe.SliceData(sealed.arena)), unsafe.Pointer(unsafe.SliceData(c.prices.arena))},
+	} {
+		if l.shard == nil || l.capture != l.shard {
+			t.Errorf("the capture's %s are at %p, the shard's at %p: want the same array", l.name, l.capture, l.shard)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { c = sh.capture() }); n != 0 {
+		t.Errorf("a capture allocates %v times, want 0", n)
 	}
 }
 

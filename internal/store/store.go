@@ -9,26 +9,25 @@
 // The store is sharded per spot market (market.SpotID), and its markets
 // are indexed by one append-only dictionary: a shard sits at its market's
 // index there, and a read of a market never written inserts nothing. Each
-// shard owns its market's probe, spike, outage, price, bid-spread, and
-// revocation history behind its own RWMutex, so ingestion of different
-// markets never contends on a global lock, and every per-market query
+// shard owns its market's probe, spike, price, bid-spread, and revocation
+// history behind its own RWMutex, so ingestion of different markets never
+// contends on a global lock, and every per-market query
 // (OutagesFor, SpikesFor, Prices, OutageOverlap, ...) touches exactly one
 // shard. A family other than prices costs nothing until its first row.
 //
-// Shards additionally maintain incremental indexes on the write path:
-//
-//   - derived outage intervals, with each kind's ongoing outage;
-//   - an index of on-demand price crossings (spikes with Ratio >= 1),
-//     the events behind every stability/volatility ranking;
-//   - a sealed min/max/sum summary of every 16 consecutive prices, so a
-//     windowed price fold steps over whole chunks instead of their
-//     samples;
-//   - one time-order bit per record family, so window queries
-//     binary-search the affected range instead of scanning whole
-//     histories.
+// A shard holds only what was appended and reads what derives from it
+// from its logs: outages from the probes — a rejected probe of a kind
+// opens one, the kind's next accepted probe closes it, and a shard keeps
+// just each kind's open start, nil until its first rejection — and
+// on-demand price crossings (spikes with Ratio >= 1), the events behind
+// every stability/volatility ranking, from the spikes. A sealed
+// min/max/sum summary of every 16 consecutive prices lets a windowed
+// price fold step over whole chunks instead of their samples, and one
+// time-order bit per record family lets window queries binary-search the
+// affected range instead of scanning whole histories.
 //
 // Windowed reads (SpikeCrossingsWhere, PriceStatsIn, OutageOverlap) fold
-// those indexes inside the shard without copying. Global iteration
+// those logs inside the shard without copying. Global iteration
 // methods (Probes, Spikes, Outages, ...) remain available for export and
 // offline analysis: they merge across shards in timestamp order,
 // resolving ties by market-ID order.
@@ -48,7 +47,6 @@ package store
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -230,7 +228,7 @@ type RevocationRecord struct {
 }
 
 // Store is the sharded database: every market's records live in their own
-// shard behind their own lock, with incrementally-maintained indexes.
+// shard behind their own lock, as the logs they were appended to.
 // Writes to different markets never contend, per-market queries touch only
 // their shard, and the global iteration methods merge across shards in
 // timestamp order. All methods are safe for concurrent use.
@@ -377,89 +375,15 @@ func (s *Store) shardList() []*shard {
 
 // mergeByTime collects one record run per source — live shards, or the
 // shard captures of a consistent cut — and merges them into one
-// timestamp-ordered slice: records of one source keep their append order
-// and ties across sources resolve by source order, which callers build in
-// market-ID order. In the common case — every run appended in time order —
-// this is an O(N log k) k-way merge over k sources; only when some run saw
-// out-of-order appends does it fall back to concatenating and
-// stable-sorting.
-func mergeByTime[S, T any](sources []S, collect func(S) ([]T, bool), at func(T) time.Time) []T {
-	runs := make([][]T, 0, len(sources))
-	total, allOrdered := 0, true
+// timestamp-ordered slice by one stable sort of the runs laid end to end:
+// records of one source keep their append order and ties across sources
+// resolve by source order, which callers build in market-ID order.
+func mergeByTime[S, T any](sources []S, collect func(S) []T, at func(T) time.Time) []T {
+	var out []T
 	for _, src := range sources {
-		run, ordered := collect(src)
-		if len(run) == 0 {
-			continue
-		}
-		runs = append(runs, run)
-		total += len(run)
-		allOrdered = allOrdered && ordered
+		out = append(out, collect(src)...)
 	}
-	switch {
-	case len(runs) == 0:
-		return nil
-	case len(runs) == 1 && allOrdered:
-		return runs[0]
-	case allOrdered:
-		return mergeOrderedRuns(runs, at, total)
-	}
-	out := make([]T, 0, total)
-	for _, run := range runs {
-		out = append(out, run...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return at(out[i]).Before(at(out[j])) })
-	return out
-}
-
-// mergeOrderedRuns merges k time-ordered runs with a binary min-heap of
-// run cursors. Ties order by run index, which mergeByTime's callers build
-// in market-ID order.
-func mergeOrderedRuns[T any](runs [][]T, at func(T) time.Time, total int) []T {
-	pos := make([]int, len(runs))
-	less := func(a, b int) bool {
-		ta, tb := at(runs[a][pos[a]]), at(runs[b][pos[b]])
-		if !ta.Equal(tb) {
-			return ta.Before(tb)
-		}
-		return a < b
-	}
-	// heap holds run indices, min at heap[0].
-	heap := make([]int, len(runs))
-	for i := range runs {
-		heap[i] = i
-	}
-	siftDown := func(i, n int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < n && less(heap[l], heap[m]) {
-				m = l
-			}
-			if r < n && less(heap[r], heap[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
-	}
-	n := len(heap)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(i, n)
-	}
-	out := make([]T, 0, total)
-	for n > 0 {
-		r := heap[0]
-		out = append(out, runs[r][pos[r]])
-		pos[r]++
-		if pos[r] == len(runs[r]) {
-			heap[0] = heap[n-1]
-			n--
-		}
-		siftDown(0, n)
-	}
+	slices.SortStableFunc(out, func(a, b T) int { return at(a).Compare(at(b)) })
 	return out
 }
 
@@ -501,8 +425,8 @@ func groupByMarket[R record](s *Store, recs []R) {
 	}
 }
 
-// AppendProbe logs one probe and folds it into the market's derived outage
-// intervals and its region's aggregate.
+// AppendProbe logs one probe and folds it, and the outage it opens or
+// closes, into its region's aggregate.
 func (s *Store) AppendProbe(r ProbeRecord) {
 	appendRows(s.shardFor(r.Market), []ProbeRecord{r})
 }
@@ -513,8 +437,7 @@ func (s *Store) AppendProbes(rs []ProbeRecord) {
 	groupByMarket(s, rs)
 }
 
-// AppendSpike logs one threshold-crossing event and indexes on-demand
-// price crossings (Ratio >= 1) incrementally.
+// AppendSpike logs one threshold-crossing event.
 func (s *Store) AppendSpike(e SpikeEvent) {
 	appendRows(s.shardFor(e.Market), []SpikeEvent{e})
 }
@@ -590,9 +513,8 @@ func (s *Store) Probes() []ProbeRecord {
 
 // ProbesWhere returns copies of probes matching keep, oldest first.
 func (s *Store) ProbesWhere(keep func(ProbeRecord) bool) []ProbeRecord {
-	return mergeByTime(s.captureAll(), func(c shardCapture) ([]ProbeRecord, bool) {
-		run, ordered := c.probeRun()
-		return slices.DeleteFunc(run, func(r ProbeRecord) bool { return !keep(r) }), ordered // filtering preserves order
+	return mergeByTime(s.captureAll(), func(c shardCapture) []ProbeRecord {
+		return slices.DeleteFunc(c.probeRun(), func(r ProbeRecord) bool { return !keep(r) })
 	}, probeAt)
 }
 
@@ -668,11 +590,10 @@ type CrossingStats struct {
 }
 
 // SpikeCrossingsWhere returns per-market crossing statistics for
-// [from, to], computed from each shard's incremental crossings index, for
-// the markets accepted by keep (all markets when nil). Markets with no
-// crossings in the window are absent; shards outside the scope are skipped
-// entirely, so a region- or product-filtered ranking touches only the
-// matching shards' crossing indexes.
+// [from, to], folded from each shard's spike log, for the markets accepted
+// by keep (all markets when nil). Markets with no crossings in the window
+// are absent; shards outside the scope are skipped entirely, so a region-
+// or product-filtered ranking touches only the matching shards' spikes.
 func (s *Store) SpikeCrossingsWhere(from, to time.Time, keep func(market.SpotID) bool) map[market.SpotID]CrossingStats {
 	out := make(map[market.SpotID]CrossingStats)
 	for _, sh := range s.shardList() {
@@ -691,8 +612,8 @@ func (s *Store) SpikeCrossingsWhere(from, to time.Time, keep func(market.SpotID)
 }
 
 // CrossingStatsFor returns one market's crossing statistics for [from, to]
-// from its shard's incremental index; the zero stats when the market has
-// no shard.
+// from its shard's spike log; the zero stats when the market has no
+// shard.
 func (s *Store) CrossingStatsFor(id market.SpotID, from, to time.Time) CrossingStats {
 	sh := s.lookup(id)
 	if sh == nil {
@@ -723,7 +644,8 @@ func (s *Store) Outages() []OutageRecord {
 	return mergeByTime(s.captureAll(), shardCapture.outageRun, outageAt)
 }
 
-// OutagesFor returns detected outages for one market and contract kind.
+// OutagesFor returns detected outages for one market and contract kind,
+// in the order they opened.
 func (s *Store) OutagesFor(id market.SpotID, kind ProbeKind) []OutageRecord {
 	sh := s.lookup(id)
 	if sh == nil {
@@ -731,14 +653,10 @@ func (s *Store) OutagesFor(id market.SpotID, kind ProbeKind) []OutageRecord {
 	}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	var out []OutageRecord
-	o := sh.owner()
-	for _, e := range value(sh.outages).log {
-		if e.row.kind == kind {
-			out = append(out, outageOf(e, o))
-		}
+	if ki, ok := kindIndex(kind); ok && sh.outages != nil {
+		return outageRecords(nil, *sh.probes, sh.owner(), ki)
 	}
-	return out
+	return nil
 }
 
 // OutageOverlap returns how much of [from, to] is covered by the market's

@@ -35,10 +35,10 @@ func (w Window) IsZero() bool { return w.Rel == "" && w.From.IsZero() && w.To.Is
 // service clock now. It returns CodeBadWindow when the window is missing,
 // unparseable, non-positive, empty, or inverted, and when the store
 // cannot represent it: an end outside the instants UnixNano represents
-// (1677-09-21 to 2262-04-11), or a span longer than the longest
-// time.Duration (about 292 years).
+// (1677-09-21 to 2262-04-11), or a span longer than the longest Duration.
 func (w Window) Resolve(now time.Time) (from, to time.Time, err *Error) {
-	if w.Rel != "" {
+	switch {
+	case w.Rel != "":
 		d, perr := time.ParseDuration(w.Rel)
 		if perr != nil {
 			return from, to, Errorf(CodeBadWindow, "bad relative window %q (want a duration like \"24h\")", w.Rel)
@@ -47,24 +47,17 @@ func (w Window) Resolve(now time.Time) (from, to time.Time, err *Error) {
 			return from, to, Errorf(CodeBadWindow, "relative window must be positive, got %q", w.Rel)
 		}
 		from, to = now.Add(-d), now
-	} else {
-		if w.From.IsZero() || w.To.IsZero() {
-			return from, to, Errorf(CodeBadWindow, "missing window: supply from+to (RFC3339) or window (relative duration)")
-		}
-		if !w.To.After(w.From) {
-			return from, to, Errorf(CodeBadWindow, "window is empty or inverted: to must be after from")
-		}
+	case w.From.IsZero() || w.To.IsZero():
+		return from, to, Errorf(CodeBadWindow, "missing window: supply from+to (RFC3339) or window (relative duration)")
+	case !w.To.After(w.From):
+		return from, to, Errorf(CodeBadWindow, "window is empty or inverted: to must be after from")
+	default:
 		from, to = w.From, w.To
 	}
-	if from.Before(minInstant) || to.After(maxInstant) {
-		return time.Time{}, time.Time{}, Errorf(CodeBadWindow, "window must lie within %s and %s", minInstant.Format(time.RFC3339), maxInstant.Format(time.RFC3339))
-	}
-	if !from.Add(to.Sub(from)).Equal(to) { // Sub saturated
-		return time.Time{}, time.Time{}, Errorf(CodeBadWindow, "window is longer than %v", time.Duration(math.MaxInt64))
+	lo, hi := time.Unix(0, math.MinInt64).UTC(), time.Unix(0, math.MaxInt64).UTC()
+	if from.Before(lo) || to.After(hi) || !from.Add(to.Sub(from)).Equal(to) { // Sub saturates
+		return time.Time{}, time.Time{}, Errorf(CodeBadWindow, "window must lie within %s and %s and span at most %v",
+			lo.Format(time.RFC3339), hi.Format(time.RFC3339), time.Duration(math.MaxInt64))
 	}
 	return from, to, nil
 }
-
-// minInstant and maxInstant are the ends of the instants UnixNano
-// represents, and so of every window the store can answer.
-var minInstant, maxInstant = time.Unix(0, math.MinInt64).UTC(), time.Unix(0, math.MaxInt64).UTC()
