@@ -58,6 +58,9 @@ type shard struct {
 	// unordered marks the families appended out of time order at least
 	// once; window queries binary-search the others instead of scanning.
 	unordered families
+	// hadOutage marks the kinds that have had an outage; reads of another
+	// kind walk no probe. It fits in unordered's padding.
+	hadOutage [probeKinds]bool
 
 	// Each record family is one stamped log (see columns.go), prices a
 	// tail and sealed chunks (prices.go), and captures alias the
@@ -241,8 +244,7 @@ func (r *ProbeRecord) land(sh *shard, at int64, d *rollupDelta) {
 		if sh.outages == nil {
 			sh.outages = &outageStarts{noOutage, noOutage}
 		}
-	}
-	if sh.outages == nil {
+	} else if sh.outages == nil {
 		return
 	}
 	start, moved := sh.outages.step(ki, r.Rejected, at)
@@ -254,6 +256,7 @@ func (r *ProbeRecord) land(sh *shard, at int64, d *rollupDelta) {
 	if r.Rejected {
 		kd.outages++
 		kd.open.add(o.Start, 1)
+		sh.hadOutage[ki] = true
 	} else {
 		o.End = stampTime(at)
 		ev.Kind, ev.At = EventOutageClose, o.End
@@ -478,7 +481,7 @@ func outageRecords(dst []OutageRecord, l famLog[probeRow], o owner, only int) []
 // wrapped negative one.
 func (sh *shard) outageOverlapLocked(kind ProbeKind, from, to time.Time) time.Duration {
 	want, ok := kindIndex(kind)
-	if !ok || sh.outages == nil {
+	if !ok || !sh.hadOutage[want] {
 		return 0
 	}
 	var total uint64 // a sum of two Durations fits

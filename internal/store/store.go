@@ -16,11 +16,10 @@
 // shard. A family other than prices costs nothing until its first row.
 //
 // A shard holds only what was appended and reads what derives from it
-// from its logs: outages from the probes — a rejected probe of a kind
-// opens one, the kind's next accepted probe closes it, and a shard keeps
-// just each kind's open start, nil until its first rejection — and
-// on-demand price crossings (spikes with Ratio >= 1), the events behind
-// every stability/volatility ranking, from the spikes. A sealed
+// from its logs: outages from the probes (a rejected probe of a kind
+// opens one, the kind's next accepted probe closes it; a shard keeps each
+// kind's open start and whether it ever had one) and on-demand price
+// crossings, spikes with Ratio >= 1, from the spikes. A sealed
 // min/max/sum summary of every 16 consecutive prices lets a windowed
 // price fold step over whole chunks instead of their samples, and one
 // time-order bit per record family lets window queries binary-search the
@@ -653,7 +652,7 @@ func (s *Store) OutagesFor(id market.SpotID, kind ProbeKind) []OutageRecord {
 	}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if ki, ok := kindIndex(kind); ok && sh.outages != nil {
+	if ki, ok := kindIndex(kind); ok && sh.hadOutage[ki] {
 		return outageRecords(nil, *sh.probes, sh.owner(), ki)
 	}
 	return nil
