@@ -2,8 +2,9 @@
 
 GO ?= go
 
-# Benchmarks covered by the smoke run: the query hot paths, the rollup/
-# ingest paths whose regressions matter (summary, scope generations,
+# Benchmarks covered by the smoke run: the query hot paths (uncached, and
+# BenchmarkHTTPCachedHit: a stored body served through the handler), the
+# rollup/ingest paths whose regressions matter (summary, scope generations,
 # monitor-shaped batched appends), the durability paths (WAL-enabled
 # batch ingest, WAL append+flush cycle, boot-time replay), and the
 # change-feed paths (publish round with a draining and with a stalled
@@ -18,7 +19,7 @@ GO ?= go
 # simulator step; BenchmarkServiceTick: a step plus one monitoring cycle
 # over all nine regions), which the leader preload behind live-fleet's
 # setup_s and ingest-recover's timed loop are made of.
-BENCH_SMOKE = BenchmarkQueryStable|BenchmarkQueryFallback|BenchmarkQuerySummary|BenchmarkStoreRegionAggregates|BenchmarkGenerationOfScope|BenchmarkStoreAppendMonitorTick|BenchmarkStoreAppendProbesBatchParallel|BenchmarkWALAppend|BenchmarkReplay|BenchmarkFeedPublish|BenchmarkFeedFanout|BenchmarkAdvise|BenchmarkAdviseRegion|BenchmarkQueryStableRegion|BenchmarkPriceStatsIn|BenchmarkSpikesInWindow|BenchmarkObsOverhead|BenchmarkSimStep|BenchmarkServiceTick
+BENCH_SMOKE = BenchmarkQueryStable|BenchmarkHTTPCachedHit|BenchmarkQueryFallback|BenchmarkQuerySummary|BenchmarkStoreRegionAggregates|BenchmarkGenerationOfScope|BenchmarkStoreAppendMonitorTick|BenchmarkStoreAppendProbesBatchParallel|BenchmarkWALAppend|BenchmarkReplay|BenchmarkFeedPublish|BenchmarkFeedFanout|BenchmarkAdvise|BenchmarkAdviseRegion|BenchmarkQueryStableRegion|BenchmarkPriceStatsIn|BenchmarkSpikesInWindow|BenchmarkObsOverhead|BenchmarkSimStep|BenchmarkServiceTick
 
 # Benchmark iteration control. The CI smoke keeps the 1x default (it only
 # proves the benchmarks run); any measurement that will be *compared* —
@@ -75,8 +76,9 @@ loc:
 	echo "| **total** | $$total |"; exit $$fail
 
 # Benchmark smoke: compile and run each perf-critical query path once
-# (BenchmarkQueryStable matches the cached variant too). Capture-then-cat
-# instead of tee so the exit status survives /bin/sh.
+# (the pattern BenchmarkQueryStable also matches its Region and Parallel
+# variants). Capture-then-cat instead of tee so the exit status survives
+# /bin/sh.
 bench:
 	@$(GO) test -bench='$(BENCH_SMOKE)' -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -run='^$$' . >bench-smoke.txt 2>&1; \
 	rc=$$?; cat bench-smoke.txt; exit $$rc

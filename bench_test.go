@@ -15,9 +15,13 @@
 package spotlight_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -587,25 +591,52 @@ func BenchmarkQueryStable(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryStableCached measures the same query with the
-// generation-keyed response cache on: after the first computation every
-// repeat is a scope-generation walk plus a map hit — the serving cost of
-// a dashboard polling an unchanged window.
-func BenchmarkQueryStableCached(b *testing.B) {
+// BenchmarkHTTPCachedHit measures a request served from the table of
+// rendered answers through the API handler: a v1 prices hit and a 3-spec
+// batch hit (the read-hot batch: stable, summary, spot unavailability),
+// each revisiting a stored body under a frozen clock. No query runs and
+// no encoder does; what remains is parsing, the key and the write.
+// moves: cpu_us_per_op on read-hot
+func BenchmarkHTTPCachedHit(b *testing.B) {
 	st := benchStudy(b)
-	from, to := st.Window()
-	engine := query.NewEngine(st.DB, st.Cat)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.TopStableMarkets("us-east-1", market.ProductLinux, 10, from, to); err != nil {
-			b.Fatal(err)
-		}
+	_, to := st.Window()
+	a := query.NewAPI(query.NewEngine(st.DB, st.Cat), func() time.Time { return to })
+	defer a.Shutdown()
+	h := a.Handler()
+	id := st.Cat.SpotMarkets()[0].String()
+	batch, err := json.Marshal(api.BatchRequest{Queries: []api.Query{
+		{Kind: api.KindStable, Region: "us-east-1", N: 5, Window: api.Last(24 * time.Hour)},
+		{Kind: api.KindSummary},
+		{Kind: api.KindUnavailability, Market: id, Contract: "spot", Window: api.Last(24 * time.Hour)},
+	}})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.StopTimer()
-	hits, misses := engine.CacheStats()
-	b.ReportMetric(float64(hits), "cache_hits")
-	b.ReportMetric(float64(misses), "cache_misses")
+	body := bytes.NewReader(batch)
+	for _, c := range []struct {
+		name string
+		req  *http.Request
+	}{
+		{"prices", httptest.NewRequest(http.MethodGet, "/v1/prices?market="+url.QueryEscape(id)+"&window=24h", nil)},
+		{"batch", httptest.NewRequest(http.MethodPost, "/v2/query", io.NopCloser(body))},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			serve := func() *httptest.ResponseRecorder {
+				body.Reset(batch)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, c.req)
+				return rec
+			}
+			if rec := serve(); rec.Code != http.StatusOK {
+				b.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+		})
+	}
 }
 
 // BenchmarkAdvise measures one cold decision-layer ranking: a fresh
@@ -1093,22 +1124,6 @@ func BenchmarkQuerySummary(b *testing.B) {
 	}
 }
 
-// BenchmarkQuerySummaryCached is the same query with caching on and a
-// fixed clock: after the first fold every repeat is a generation load
-// plus a map hit.
-func BenchmarkQuerySummaryCached(b *testing.B) {
-	db, base := benchWideStore(1000)
-	engine := query.NewEngine(db, market.New())
-	now := base.Add(24 * time.Hour)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := engine.Summary(now); len(rows) == 0 {
-			b.Fatal("empty summary")
-		}
-	}
-}
-
 // BenchmarkStoreRegionAggregates reads the region-level rollups directly:
 // the O(regions) fold behind Summary and /v2/health.
 func BenchmarkStoreRegionAggregates(b *testing.B) {
@@ -1285,7 +1300,7 @@ func BenchmarkFeedPublish(b *testing.B) {
 // within noise of each other. "append" is the batched store ingest path
 // (counters and a WAL-shaped histogram per batch); "summary" is a full
 // cached HTTP round trip through the API handler (middleware, stage
-// trace, response cache hit).
+// trace, a body served from the table of rendered answers).
 func BenchmarkObsOverhead(b *testing.B) {
 	registries := []struct {
 		name string

@@ -24,8 +24,8 @@
 //     for the whole store, framed in the same batch round as each
 //     append, periodic snapshot + compaction, and crash recovery that
 //     replays snapshot-then-WAL (docs/persistence.md)
-//   - internal/query       — query engine (with a generation-keyed
-//     response cache) + the versioned HTTP API: GET /v1/* adapters, the
+//   - internal/query       — query engine + the versioned HTTP API (its
+//     repeats served from a table of rendered answers): GET /v1/*, the
 //     POST /v2/query batch endpoint, POST /v2/advise, the GET /v2/watch
 //     Server-Sent Events stream with Last-Event-ID resume, and
 //     GET /v2/health, all over the typed DTOs of pkg/api (full

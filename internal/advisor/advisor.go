@@ -92,7 +92,7 @@ type advEntry struct {
 }
 
 // cacheMax bounds the memo map; on overflow it resets wholesale, matching
-// the query-layer resultCache policy.
+// the query layer's table of rendered answers.
 const cacheMax = 256
 
 // New builds an Advisor over the store and catalog.

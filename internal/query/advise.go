@@ -34,7 +34,7 @@ func (a *API) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		aerr = api.Errorf(api.CodeBadRequest, "bad advise body: %v", err)
 	}
 	q := api.Query{Kind: api.KindAdvise, Window: req.Window, Advise: &req.AdviseConstraints}
-	a.conditional(w, r, &tr, string(api.KindAdvise), []api.Query{q}, aerr, func(now time.Time) (any, *api.Error) {
+	a.conditional(w, r, &tr, string(api.KindAdvise), true, []api.Query{q}, aerr, func(now time.Time) (any, *api.Error) {
 		res := a.exec(q, now)
 		if res.Error != nil {
 			return nil, res.Error

@@ -182,6 +182,32 @@ func TestHTTPAdviseConditional(t *testing.T) {
 	}
 }
 
+// TestAdviseEchoesWindowInUTC: two advise requests over the same instants,
+// one naming them in Z and one in +02:00, share one strong ETag, so they
+// must share one body too — otherwise the +02:00 request revalidates to
+// 304 against bytes it was never sent. The echoed window is UTC.
+func TestAdviseEchoesWindowInUTC(t *testing.T) {
+	srv, db := testServer(t)
+	seedAdvisePrices(db)
+	east := time.FixedZone("+02:00", 2*60*60)
+	cons := api.AdviseConstraints{Regions: []string{"us-east-1"}, N: 3}
+	z, zBody := postAdvise(t, srv, api.AdviseRequest{AdviseConstraints: cons, Window: api.Between(t0, t0.Add(24*time.Hour))}, "")
+	shifted := api.AdviseRequest{AdviseConstraints: cons, Window: api.Between(t0.In(east), t0.Add(24*time.Hour).In(east))}
+	e, eBody := postAdvise(t, srv, shifted, "")
+	if z.StatusCode != http.StatusOK || e.StatusCode != http.StatusOK {
+		t.Fatalf("status %d and %d", z.StatusCode, e.StatusCode)
+	}
+	if zt, et := z.Header.Get(api.HeaderETag), e.Header.Get(api.HeaderETag); zt != et {
+		t.Fatalf("same instants, tags %s and %s", zt, et)
+	}
+	if !bytes.Equal(zBody, eBody) {
+		t.Errorf("one tag, two bodies:\nZ      %s\n+02:00 %s", zBody, eBody)
+	}
+	if !bytes.Contains(eBody, []byte(`"from":"2015-09-01T00:00:00Z","to":"2015-09-02T00:00:00Z"`)) {
+		t.Errorf("echoed window is not UTC: %s", eBody)
+	}
+}
+
 func TestBatchAdvise(t *testing.T) {
 	srv, db := testServer(t)
 	seedAdvisePrices(db)

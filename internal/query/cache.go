@@ -1,93 +1,75 @@
 package query
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// resultCache memoizes query results keyed by the query's parameters plus
-// the store generation of the shards the query reads (its scope). A hit
-// requires the stored generation to equal the scope's current generation,
-// so the cache never needs explicit eviction on write: an append inside
-// the scope bumps exactly that scope's generation and the stale entry
-// simply stops matching, while appends to unrelated shards leave the
-// entry valid — per-shard invalidation for free.
+// bodyTable holds rendered answers: the ETag and encoded JSON body of a
+// 200, keyed by the route it was served on plus the exact bytes the ETag
+// hashes (appendKey). Those bytes carry every spec's parameters and the
+// generation of the scope its answer reads, so the table never needs
+// explicit eviction on write: an append inside a scope bumps that scope's
+// generation, the next request builds a different key and misses, while
+// appends to unrelated shards leave the key — and the entry — valid.
 //
-// Values are stored and returned by reference; callers must treat cached
-// results as immutable.
-type resultCache struct {
+// The ordering rule every entry respects: the key (and so each scope
+// generation) is read before the answer is computed, so an append racing
+// the computation leaves the entry under the older generation, which no
+// later request builds again.
+type bodyTable struct {
 	mu      sync.Mutex
-	entries map[string]cacheEntry
-	max     int
+	entries map[string]rendered
+	size    int // bytes held by entries' keys and bodies
 
-	hits, misses uint64
+	hits, misses atomic.Uint64
 }
 
-type cacheEntry struct {
-	gen uint64
-	val any
+// rendered is one stored answer. For the envelopes that echo the clock
+// (/v2/query, /v2/advise) body starts after `{"now":<now>,`: the tag
+// leaves the clock out, so the entry serves every tick it stays valid.
+type rendered struct {
+	etag string
+	body []byte
 }
 
-// defaultCacheSize bounds the entry map. Distinct (query, window) pairs on
-// a serving engine are few — applications poll the same dashboards —
-// so the bound exists only to survive adversarial key churn.
-const defaultCacheSize = 1024
+// The table's bounds. Distinct (query, window) pairs on a serving node are
+// few — applications poll the same dashboards — so the bounds exist only
+// to survive adversarial key churn. Reaching either resets the table
+// wholesale: entries refill on demand, and the reset is cheaper and
+// simpler than tracking recency for a table this small.
+const (
+	maxCacheEntries = 1024
+	maxCacheBytes   = 64 << 20
+)
 
-func newResultCache(max int) *resultCache {
-	if max <= 0 {
-		max = defaultCacheSize
+// get returns the answer stored under key. It counts nothing: a 304
+// answers from the tag alone, so only the caller knows whether a body is
+// served. A nil table (caching off) holds nothing.
+func (t *bodyTable) get(key []byte) (rendered, bool) {
+	if t == nil {
+		return rendered{}, false
 	}
-	return &resultCache{entries: make(map[string]cacheEntry), max: max}
+	t.mu.Lock()
+	r, ok := t.entries[string(key)]
+	t.mu.Unlock()
+	return r, ok
 }
 
-// get returns the cached value for key if it was stored at generation gen.
-func (c *resultCache) get(key string, gen uint64) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || e.gen != gen {
-		c.misses++
-		return nil, false
+// put stores r under key, unless r alone outgrows the byte bound.
+func (t *bodyTable) put(key []byte, r rendered) {
+	n := len(key) + len(r.etag) + cap(r.body)
+	if t == nil || n > maxCacheBytes {
+		return
 	}
-	c.hits++
-	return e.val, true
-}
-
-// put stores val for key at generation gen. When the map is full it is
-// reset wholesale: entries re-fill on demand and the reset path is cheaper
-// and simpler than tracking recency for a cache this small.
-func (c *resultCache) put(key string, gen uint64, val any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.entries) >= c.max {
-		c.entries = make(map[string]cacheEntry)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.entries[string(key)]; ok {
+		return // a concurrent miss stored this key first
 	}
-	c.entries[key] = cacheEntry{gen: gen, val: val}
-}
-
-// memoize serves key from the cache when it is valid at gen, and
-// otherwise computes, stores, and returns the value. It owns the one
-// ordering rule every cached query must respect: the caller reads the
-// scope generation *before* calling (gen is a parameter), compute runs
-// after, so an append racing the computation leaves the entry keyed at
-// the older generation and the next lookup recomputes instead of serving
-// stale data. A nil cache just computes.
-func memoize[T any](c *resultCache, key string, gen uint64, compute func() (T, error)) (T, error) {
-	if c == nil {
-		return compute()
+	if t.entries == nil || len(t.entries) >= maxCacheEntries || t.size+n > maxCacheBytes {
+		t.entries, t.size = make(map[string]rendered), 0
 	}
-	if v, ok := c.get(key, gen); ok {
-		return v.(T), nil
-	}
-	val, err := compute()
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	c.put(key, gen, val)
-	return val, nil
-}
-
-// stats returns the hit/miss counters (test and benchmark visibility).
-func (c *resultCache) stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+	t.entries[string(key)] = r
+	t.size += n
 }

@@ -8,9 +8,7 @@ package query
 
 import (
 	"errors"
-	"fmt"
 	"slices"
-	"strconv"
 	"time"
 
 	"spotlight/internal/advisor"
@@ -22,59 +20,55 @@ import (
 // ErrBadWindow is returned when a query window is empty or inverted.
 var ErrBadWindow = errors.New("query: to must be after from")
 
-// Engine answers availability queries from a SpotLight store. The
-// cacheable queries — the rankings (TopStableMarkets, TopVolatileMarkets),
-// Summary, per-market unavailability, and windowed price summaries — are
-// memoized in a generation-keyed response cache: a result is reused until
-// some shard in the query's scope sees an append. Scope generations come
-// from the store's rollup hierarchy (GenerationOfScope), so a cache probe
-// is O(1) instead of a walk over every shard, and Summary itself reads the
-// O(regions) region rollups rather than folding per-market state.
-// Cached results are shared between callers — treat the returned slices as
-// read-only.
+// Engine answers availability queries from a SpotLight store. Its methods
+// always compute: Summary reads the O(regions) region rollups rather than
+// folding per-market state, and the rankings scan their scope once. What
+// the engine keeps for the HTTP layer is the table of rendered answers
+// (bodyTable): a served body is reused until some shard in the query's
+// scope sees an append.
 type Engine struct {
 	db    *store.Store
 	cat   *market.Catalog
-	cache *resultCache
+	cache *bodyTable
 	adv   *advisor.Advisor
 }
 
-// NewEngine builds a query engine over db and the catalog, with response
-// caching enabled.
+// NewEngine builds a query engine over db and the catalog, with the table
+// of rendered answers enabled.
 func NewEngine(db *store.Store, cat *market.Catalog) *Engine {
-	return &Engine{db: db, cat: cat, cache: newResultCache(0), adv: advisor.New(db, cat)}
+	return &Engine{db: db, cat: cat, cache: &bodyTable{}, adv: advisor.New(db, cat)}
 }
 
 // Advisor returns the engine's decision layer, the one /v2/advise ranks
 // with, so its metrics can read the generation-keyed memo's counters.
 func (e *Engine) Advisor() *advisor.Advisor { return e.adv }
 
-// SetCaching enables or disables the response cache (it is on by
-// default). Disabling exists for benchmarks that measure the raw query
-// path and for callers that mutate returned slices.
+// SetCaching enables or disables the table of rendered answers the HTTP
+// layer serves repeated queries from (it is on by default). Disabling
+// exists for oracles and benchmarks that measure the raw query path.
 func (e *Engine) SetCaching(on bool) {
 	if on {
 		if e.cache == nil {
-			e.cache = newResultCache(0)
+			e.cache = &bodyTable{}
 		}
 		return
 	}
 	e.cache = nil
 }
 
-// CacheStats returns the response cache's hit/miss counters (zeros when
-// caching is disabled).
+// CacheStats returns the table's counters: bodies served from it, and
+// requests whose queries ran because it held none (zeros when caching is
+// disabled). A 304 counts in neither.
 func (e *Engine) CacheStats() (hits, misses uint64) {
 	if e.cache == nil {
 		return 0, 0
 	}
-	return e.cache.stats()
+	return e.cache.hits.Load(), e.cache.misses.Load()
 }
 
 // unavailability computes the fraction of [from, to] covered by detected
 // outages of the given contract kind. The window arithmetic runs inside
 // the market's shard (store.OutageOverlap): no interval list is copied.
-// This is the uncached path.
 func (e *Engine) unavailability(m market.SpotID, kind store.ProbeKind, from, to time.Time) (float64, error) {
 	if !to.After(from) {
 		return 0, ErrBadWindow
@@ -83,32 +77,16 @@ func (e *Engine) unavailability(m market.SpotID, kind store.ProbeKind, from, to 
 	return float64(total) / float64(to.Sub(from)), nil
 }
 
-// cachedUnavailability memoizes one market's unavailability per (market,
-// kind, window) keyed by the market's own shard generation — appends to
-// any other market leave the entry valid.
-func (e *Engine) cachedUnavailability(m market.SpotID, kind store.ProbeKind, from, to time.Time) (float64, error) {
-	if e.cache == nil {
-		return e.unavailability(m, kind, from, to)
-	}
-	gen := e.db.Generation(m)
-	key := fmt.Sprintf("unav|%s|%d|%d|%d", m, kind, from.UnixNano(), to.UnixNano())
-	return memoize(e.cache, key, gen, func() (float64, error) {
-		return e.unavailability(m, kind, from, to)
-	})
-}
-
 // ODUnavailability returns the fraction of the window during which the
-// market's on-demand tier was detected unavailable. Results are cached per
-// (market, window) until the market's shard sees an append.
+// market's on-demand tier was detected unavailable.
 func (e *Engine) ODUnavailability(m market.SpotID, from, to time.Time) (float64, error) {
-	return e.cachedUnavailability(m, store.ProbeOnDemand, from, to)
+	return e.unavailability(m, store.ProbeOnDemand, from, to)
 }
 
 // SpotUnavailability returns the fraction of the window during which the
-// market's spot tier was detected capacity-not-available. Cached like
-// ODUnavailability.
+// market's spot tier was detected capacity-not-available.
 func (e *Engine) SpotUnavailability(m market.SpotID, from, to time.Time) (float64, error) {
-	return e.cachedUnavailability(m, store.ProbeSpot, from, to)
+	return e.unavailability(m, store.ProbeSpot, from, to)
 }
 
 // StableMarket is one row of a stability ranking.
@@ -131,9 +109,8 @@ type StableMarket struct {
 
 // TopStableMarkets ranks the spot markets of a region (all regions when
 // empty) by fewest on-demand-price crossings and returns the n most
-// stable. Product filters to one platform when non-empty. Results are
-// cached per (filter, n, window) until an append lands in a matching
-// shard; the returned slice is shared — do not modify it.
+// stable: one scan of the scope's catalog markets into a top-n selection.
+// Product filters to one platform when non-empty.
 func (e *Engine) TopStableMarkets(region market.Region, product market.Product, n int, from, to time.Time) ([]StableMarket, error) {
 	if !to.After(from) {
 		return nil, ErrBadWindow
@@ -141,21 +118,6 @@ func (e *Engine) TopStableMarkets(region market.Region, product market.Product, 
 	if n <= 0 {
 		return nil, nil
 	}
-	if e.cache == nil {
-		return e.computeStableMarkets(region, product, n, from, to)
-	}
-	// The generation is the scope's rollup counter — an O(1) load, not a
-	// shard walk; memoize owns the generation-first ordering.
-	gen := e.db.GenerationOfScope(region, product)
-	key := fmt.Sprintf("stable|%s|%s|%d|%d|%d", region, product, n, from.UnixNano(), to.UnixNano())
-	return memoize(e.cache, key, gen, func() ([]StableMarket, error) {
-		return e.computeStableMarkets(region, product, n, from, to)
-	})
-}
-
-// computeStableMarkets is the uncached stability ranking: one scan of the
-// scope's catalog markets into a top-n selection.
-func (e *Engine) computeStableMarkets(region market.Region, product market.Product, n int, from, to time.Time) ([]StableMarket, error) {
 	if product != "" && !slices.Contains(market.Products, product) {
 		return nil, nil // no catalog market sells it
 	}
@@ -292,41 +254,31 @@ type RegionSummary struct {
 // Summary aggregates the store per region at instant now (used to close
 // ongoing outages). It reads the store's region-level rollups — O(regions)
 // entries maintained incrementally on the append path, so no market shard
-// is walked at all — and memoizes the result per (now, global generation):
-// repeated summary queries between appends (and between ticks of the
-// service clock) are a cache hit. The returned slice is shared — do not
-// modify it.
-func (e *Engine) Summary(now time.Time) []RegionSummary {
-	// The summary depends on now (open outages are measured to it), so it
-	// is keyed by its instant. Under an advancing clock each tick leaves one
-	// dead entry behind; the map's wholesale reset bounds them.
-	gen := e.db.GlobalGeneration()
-	rows, _ := memoize(e.cache, "summary|"+strconv.FormatInt(now.UnixNano(), 10), gen, func() (out []RegionSummary, _ error) {
-		for _, agg := range e.db.RegionAggregates(now) {
-			if agg.TotalProbes == 0 && agg.Spikes == 0 {
-				continue // regions with only price/bid-spread/revocation history
-			}
-			s := RegionSummary{
-				Region:            agg.Region,
-				ODOutages:         agg.ODOutages,
-				SpotOutages:       agg.SpotOutages,
-				RejectedODProbes:  agg.ODRejected,
-				TotalODProbes:     agg.ODProbes,
-				TotalSpotProbes:   agg.SpotProbes,
-				SpikesAboveOD:     agg.SpikesAboveOD,
-				ObservedSpikesAll: agg.Spikes,
-			}
-			if agg.ODOutages > 0 {
-				s.MeanODOutage = agg.ODOutageDur / time.Duration(agg.ODOutages)
-			}
-			if agg.SpotProbes > 0 {
-				s.RejectedSpotPcnt = float64(agg.SpotRejected) / float64(agg.SpotProbes)
-			}
-			out = append(out, s)
+// is walked at all.
+func (e *Engine) Summary(now time.Time) (out []RegionSummary) {
+	for _, agg := range e.db.RegionAggregates(now) {
+		if agg.TotalProbes == 0 && agg.Spikes == 0 {
+			continue // regions with only price/bid-spread/revocation history
 		}
-		return out, nil
-	})
-	return rows
+		s := RegionSummary{
+			Region:            agg.Region,
+			ODOutages:         agg.ODOutages,
+			SpotOutages:       agg.SpotOutages,
+			RejectedODProbes:  agg.ODRejected,
+			TotalODProbes:     agg.ODProbes,
+			TotalSpotProbes:   agg.SpotProbes,
+			SpikesAboveOD:     agg.SpikesAboveOD,
+			ObservedSpikesAll: agg.Spikes,
+		}
+		if agg.ODOutages > 0 {
+			s.MeanODOutage = agg.ODOutageDur / time.Duration(agg.ODOutages)
+		}
+		if agg.SpotProbes > 0 {
+			s.RejectedSpotPcnt = float64(agg.SpotRejected) / float64(agg.SpotProbes)
+		}
+		out = append(out, s)
+	}
+	return out
 }
 
 // MarketInfo is one row of the market-discovery listing.

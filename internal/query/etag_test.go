@@ -3,9 +3,15 @@ package query
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -318,5 +324,96 @@ func TestETagRetiresValidatorsOfTheOldPriceFold(t *testing.T) {
 	}
 	if len(body) == 0 {
 		t.Fatal("200 without a body")
+	}
+}
+
+// etagOracle is the fmt form the strong ETag was computed in before keys
+// were appended with strconv: every tag a client holds was minted by it,
+// so the key's preimage must hash to exactly this.
+func etagOracle(a *API, qs []api.Query, now time.Time) string {
+	const responseFormat = 2
+	h := fnv.New64a()
+	fmt.Fprintf(h, "format|%d|epoch|%d\n", responseFormat, a.epoch)
+	clockBound := false
+	for _, q := range qs {
+		fmt.Fprintf(h, "%s|%s|%s|%s|%s|%d|%g|%s|%g|%d|%d|%s|%d\n",
+			q.Kind, q.Market, q.Region, q.Product, q.Contract, q.N,
+			q.Ratio, q.Horizon, q.Utilization,
+			q.From.UnixNano(), q.To.UnixNano(), q.Rel,
+			a.queryScopeGen(q))
+		if c := q.Advise; c != nil {
+			fmt.Fprintf(h, "advise|%s|%s|%s|%d|%g|%g|%g|%d\n",
+				strings.Join(c.Regions, ","), strings.Join(c.Products, ","),
+				c.InstanceTypes, c.MinVCPU, c.MinMemoryGB,
+				c.MaxPricePerHour, c.MaxInterruptionRate, c.N)
+		}
+		clockBound = clockBound || dependsOnNow(q)
+	}
+	if clockBound {
+		fmt.Fprintf(h, "now|%d", now.UnixNano())
+	}
+	return fmt.Sprintf("%q", fmt.Sprintf("%016x", h.Sum64()))
+}
+
+// TestETagMatchesFmtOracle: over a seeded corpus of query sets — every
+// kind, floats that fmt and strconv could print apart (NaN, ±Inf, −0,
+// 1e21, 5e-324), negative n, nil, empty and multi-entry advise lists, and
+// relative, absolute, zone-shifted and missing windows — the key's
+// preimage hashes to the tag etagOracle mints, and the key opens with its
+// route.
+func TestETagMatchesFmtOracle(t *testing.T) {
+	db := store.New()
+	addOutage(db, mktA, store.ProbeOnDemand, t0, t0.Add(6*time.Hour))
+	db.RecordPrice(mktEU, store.PricePoint{At: t0, Price: 0.2})
+	db.AppendSpike(store.SpikeEvent{At: t0, Market: mktB, Ratio: 2})
+	a := NewAPI(NewEngine(db, market.New()), nil)
+	a.SetETagSalt(0x5eed)
+
+	east := time.FixedZone("+02:00", 2*60*60)
+	floats := []float64{0, 1.5, 0.1, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e21, 5e-324, -7.25e-9}
+	windows := []api.Window{
+		{}, api.Last(24 * time.Hour), {Rel: "90m"}, {Rel: "garbage"},
+		api.Between(t0, t0.Add(24*time.Hour)), api.Between(t0.In(east), t0.Add(time.Hour).In(east)),
+		{From: t0}, {From: time.Date(1500, 1, 1, 0, 0, 0, 0, time.UTC), To: t0},
+	}
+	kinds := []api.Kind{api.KindUnavailability, api.KindStable, api.KindVolatile, api.KindFallback, api.KindPrices,
+		api.KindOutages, api.KindPredict, api.KindReservedValue, api.KindMarkets, api.KindSummary, api.KindAdvise, "bogus"}
+	lists := [][]string{nil, {}, {"us-east-1"}, {"us-east-1", "eu-west-1"}, {"all"}}
+	pick := func(r *rand.Rand, s []string) string { return s[r.Intn(len(s))] }
+	r := rand.New(rand.NewSource(42))
+	for i := 0; i < 2000; i++ {
+		qs := make([]api.Query, 1+r.Intn(4))
+		for j := range qs {
+			q := api.Query{
+				Kind:        kinds[r.Intn(len(kinds))],
+				Market:      pick(r, []string{"", mktA.String(), mktB.String(), mktEU.String(), "not-a-market"}),
+				Region:      pick(r, []string{"", "us-east-1", "eu-west-1"}),
+				Product:     pick(r, []string{"", "Linux/UNIX", "Windows"}),
+				Contract:    pick(r, []string{"", "od", "spot"}),
+				N:           []int{0, 5, -3, 1000}[r.Intn(4)],
+				Ratio:       floats[r.Intn(len(floats))],
+				Horizon:     pick(r, []string{"", "15m"}),
+				Utilization: floats[r.Intn(len(floats))],
+				Window:      windows[r.Intn(len(windows))],
+			}
+			if r.Intn(2) == 0 {
+				q.Advise = &api.AdviseConstraints{
+					Regions: lists[r.Intn(len(lists))], Products: lists[r.Intn(2)],
+					InstanceTypes: pick(r, []string{"", "c3.*", "m3.large"}), MinVCPU: r.Intn(9) - 1,
+					MinMemoryGB: floats[r.Intn(len(floats))], MaxPricePerHour: floats[r.Intn(len(floats))],
+					MaxInterruptionRate: floats[r.Intn(len(floats))], N: r.Intn(12) - 1,
+				}
+			}
+			qs[j] = q
+		}
+		now := t0.Add(time.Duration(r.Intn(96)) * time.Hour)
+		route := pick(r, []string{"stable", "batch[" + strconv.Itoa(len(qs)) + "]", "advise"})
+		key, pre, _ := a.appendKey(nil, route, qs, now)
+		if got, want := etagOf(key[pre:]), etagOracle(a, qs, now); got != want {
+			t.Fatalf("set %d: tag %s, oracle %s\npreimage %q\nspecs %+v", i, got, want, key[pre:], qs)
+		}
+		if string(key[:pre]) != route+"\n" {
+			t.Fatalf("set %d: key opens %q, want route %q", i, key[:pre], route)
+		}
 	}
 }

@@ -123,20 +123,6 @@ func (a *API) SetCacheTTL(d time.Duration) {
 	a.cacheTTL = d
 }
 
-// setCacheControl stamps the max-age hint on a query response. Sub-second
-// tick intervals round up: a max-age of 0 would mean "always revalidate",
-// which is stricter than having no hint at all.
-func (a *API) setCacheControl(w http.ResponseWriter) {
-	if a.cacheTTL <= 0 {
-		return
-	}
-	secs := int(math.Ceil(a.cacheTTL.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Cache-Control", "max-age="+strconv.Itoa(secs))
-}
-
 // SetReplication wires a follower's replication-status provider into
 // /v2/health: each health request calls fn for a fresh snapshot. A
 // disconnected follower reports status "degraded" (it keeps serving what
@@ -232,7 +218,7 @@ func (a *API) v1(kind api.Kind, pick func(api.Result) any) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := a.newTrace()
 		q, aerr := queryFromURL(r, kind)
-		a.conditional(w, r, &tr, string(kind), []api.Query{q}, aerr, func(now time.Time) (any, *api.Error) {
+		a.conditional(w, r, &tr, string(kind), false, []api.Query{q}, aerr, func(now time.Time) (any, *api.Error) {
 			res := a.exec(q, now)
 			if res.Error != nil {
 				return nil, res.Error
@@ -243,44 +229,89 @@ func (a *API) v1(kind api.Kind, pick func(api.Result) any) http.HandlerFunc {
 }
 
 // conditional is the request flow every query endpoint (/v1/*, /v2/query,
-// /v2/advise) shares once its URL or body is parsed into specs: compute
-// the specs' ETag, revalidate against If-None-Match (the tag is the
+// /v2/advise) shares once its URL or body is parsed into specs: build the
+// specs' table key, revalidate against If-None-Match (the tag is the
 // queries' scope generation, so a 304 costs no query execution at all),
-// otherwise run the queries and answer 200 with the tag. It closes the
-// parse/cache_probe/exec/encode stages of tr, so every endpoint routed
-// through here is in the slow-query log by construction. aerr is the
-// caller's parse failure, if any; error responses never carry an ETag.
-func (a *API) conditional(w http.ResponseWriter, r *http.Request, tr *stageTrace, kind string,
+// serve a stored body when the engine's table holds one, and otherwise
+// run the queries, answer 200 with the tag and store what was written.
+// kind labels the request in the slow-query log and names its route in
+// the key: a v1 kind, batch[n] or advise. echoNow marks the envelopes
+// that open with the clock they were evaluated at, which a stored body
+// leaves out. It closes the parse/cache_probe/exec/encode stages of tr,
+// so every endpoint routed through here is in the slow-query log. aerr is
+// the caller's parse failure, if any; errors are never stored or tagged.
+func (a *API) conditional(w http.ResponseWriter, r *http.Request, tr *stageTrace, kind string, echoNow bool,
 	qs []api.Query, aerr *api.Error, run func(now time.Time) (any, *api.Error)) {
 	tr.step(&tr.parse)
-	if aerr == nil {
-		// One clock reading per request: every relative window resolves
-		// against the same instant the tag was computed at.
-		now := a.Now()
-		etag := a.etagFor(qs, now)
-		notModified := api.ETagMatches(r.Header.Get(api.HeaderIfNoneMatch), etag)
-		tr.step(&tr.probe)
-		var body any
-		if !notModified {
-			body, aerr = run(now)
-			tr.step(&tr.exec)
+	if aerr != nil {
+		a.finish(tr, kind, writeAPIErr(w, aerr))
+		return
+	}
+	// One clock reading per request: every relative window resolves
+	// against the same instant the key was built at.
+	now := a.Now()
+	var kb [512]byte
+	key, pre, keyed := a.appendKey(kb[:0], kind, qs, now)
+	table := a.engine.cache
+	if !keyed {
+		table = nil
+	}
+	ans, hit := table.get(key)
+	if !hit {
+		ans.etag = etagOf(key[pre:])
+	}
+	tr.step(&tr.probe)
+	if api.ETagMatches(r.Header.Get(api.HeaderIfNoneMatch), ans.etag) {
+		a.setValidators(w, ans.etag)
+		w.WriteHeader(http.StatusNotModified)
+		a.finish(tr, kind, http.StatusNotModified)
+		return
+	}
+	var head []byte // {"now":<now>, where the envelope echoes it
+	if echoNow {
+		t, err := now.MarshalJSON()
+		head = append(append(append(make([]byte, 0, len(t)+8), `{"now":`...), t...), ',')
+		hit = hit && err == nil // the encoder fails on this clock too
+	}
+	if hit {
+		table.hits.Add(1)
+	} else {
+		if table != nil {
+			table.misses.Add(1)
 		}
-		if aerr == nil {
-			w.Header().Set(api.HeaderETag, etag)
-			a.setCacheControl(w)
-			status := http.StatusNotModified
-			if notModified {
-				w.WriteHeader(status)
-			} else {
-				status = http.StatusOK
-				writeJSON(w, body)
-				tr.step(&tr.encode)
-			}
-			a.finish(tr, kind, status)
+		body, aerr := run(now)
+		tr.step(&tr.exec)
+		if aerr != nil {
+			a.finish(tr, kind, writeAPIErr(w, aerr))
 			return
 		}
+		// json.Encoder writes Marshal's bytes and a newline; the envelopes
+		// that echo the clock open with it, so what is stored starts past head.
+		b, err := json.Marshal(body)
+		if err != nil {
+			head = nil // json.Encoder writes nothing when encoding fails
+		} else {
+			ans.body = append(b, '\n')[len(head):]
+			table.put(key, ans)
+		}
 	}
-	a.finish(tr, kind, writeAPIErr(w, aerr))
+	a.setValidators(w, ans.etag)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(head)
+	_, _ = w.Write(ans.body)
+	tr.step(&tr.encode)
+	a.finish(tr, kind, http.StatusOK)
+}
+
+// setValidators stamps a 200 or 304 query response's ETag and, once
+// SetCacheTTL armed it, its max-age hint. Sub-second tick intervals round
+// up: a max-age of 0 would mean "always revalidate", which is stricter
+// than having no hint at all.
+func (a *API) setValidators(w http.ResponseWriter, etag string) {
+	w.Header().Set(api.HeaderETag, etag)
+	if a.cacheTTL > 0 {
+		w.Header().Set("Cache-Control", "max-age="+strconv.Itoa(int(math.Ceil(a.cacheTTL.Seconds()))))
+	}
 }
 
 // queryFromURL parses a v1 GET URL into the typed query spec. Malformed
@@ -301,19 +332,17 @@ func queryFromURL(r *http.Request, kind api.Kind) (api.Query, *api.Error) {
 		Contract: qs.Get("kind"),
 		Horizon:  qs.Get("horizon"),
 	}
-	if s := qs.Get("from"); s != "" {
-		t, err := time.Parse(time.RFC3339, s)
-		if err != nil {
-			return q, api.Errorf(api.CodeBadWindow, "bad 'from' %q (want RFC3339)", s)
+	for _, end := range [...]struct {
+		name string
+		t    *time.Time
+	}{{"from", &q.From}, {"to", &q.To}} {
+		if s := qs.Get(end.name); s != "" {
+			t, err := time.Parse(time.RFC3339, s)
+			if err != nil {
+				return q, api.Errorf(api.CodeBadWindow, "bad '%s' %q (want RFC3339)", end.name, s)
+			}
+			*end.t = t
 		}
-		q.From = t
-	}
-	if s := qs.Get("to"); s != "" {
-		t, err := time.Parse(time.RFC3339, s)
-		if err != nil {
-			return q, api.Errorf(api.CodeBadWindow, "bad 'to' %q (want RFC3339)", s)
-		}
-		q.To = t
 	}
 	if s := qs.Get("n"); s != "" {
 		n, err := strconv.Atoi(s)

@@ -11,7 +11,7 @@ import (
 // every route with per-route/per-status counts, latency histograms, the
 // in-flight gauge, and the 304 counter (obs.Instrument), and serves the
 // registry itself as GET /metrics (Prometheus text) and GET /v2/metrics
-// (JSON). Values other layers already count — response-cache hits,
+// (JSON). Values other layers already count — rendered-answer hits,
 // advisor memo hits, watch streams — register as scrape-time collectors.
 // Call before Handler(); a nil registry leaves the API uninstrumented.
 func (a *API) EnableMetrics(reg *obs.Registry) {
@@ -22,10 +22,10 @@ func (a *API) EnableMetrics(reg *obs.Registry) {
 	a.slowQueries = reg.Counter("spotlight_slow_queries_total",
 		"Requests that exceeded the slow-query threshold and were logged.")
 	reg.CounterFunc("spotlight_query_cache_hits_total",
-		"Engine response-cache hits (generation-keyed fast path).",
+		"200 bodies served from the table of rendered answers.",
 		func() float64 { h, _ := a.engine.CacheStats(); return float64(h) })
 	reg.CounterFunc("spotlight_query_cache_misses_total",
-		"Engine response-cache misses (query recomputed).",
+		"Requests whose queries ran because the table held no body.",
 		func() float64 { _, m := a.engine.CacheStats(); return float64(m) })
 	adv := a.engine.Advisor()
 	reg.CounterFunc("spotlight_advisor_memo_hits_total",

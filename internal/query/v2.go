@@ -47,13 +47,15 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// clock when any spec resolves against it), so an unchanged batch
 	// answers 304 without fanning out a single query. The echoed Now field
 	// is evaluation metadata and intentionally outside the tag: a 304
-	// asserts the results are unchanged, not the clock.
-	a.conditional(w, r, &tr, batchKind(len(req.Queries)), req.Queries, aerr, func(now time.Time) (any, *api.Error) {
+	// asserts the results are unchanged, not the clock. A stored body
+	// leaves it out too. The label, which names the route in the key, is
+	// batch[n].
+	a.conditional(w, r, &tr, "batch["+strconv.Itoa(len(req.Queries))+"]", true, req.Queries, aerr, func(now time.Time) (any, *api.Error) {
 		resp := api.BatchResponse{Now: now, Results: make([]api.Result, len(req.Queries))}
 
 		// Fan out across the engine. Queries are read-only and the store is
 		// concurrency-safe, so the only bound needed is CPU parallelism.
-		sem := make(chan struct{}, batchParallelism())
+		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 		var wg sync.WaitGroup
 		for i, q := range req.Queries {
 			wg.Add(1)
@@ -67,18 +69,6 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Wait()
 		return resp, nil
 	})
-}
-
-// batchKind labels a batch request in the slow-query log by its size.
-func batchKind(n int) string {
-	return "batch[" + strconv.Itoa(n) + "]"
-}
-
-func batchParallelism() int {
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		return n
-	}
-	return 1
 }
 
 // exec evaluates one typed query spec at service clock now.
@@ -113,13 +103,14 @@ func (a *API) exec(q api.Query, now time.Time) api.Result {
 	return res
 }
 
-// specMarket parses the spec's market ID.
-func specMarket(q api.Query) (market.SpotID, *api.Error) {
+// specMarketWindow parses the spec's market ID, then resolves its window.
+func specMarketWindow(q api.Query, now time.Time) (id market.SpotID, from, to time.Time, aerr *api.Error) {
 	id, err := market.ParseSpotID(q.Market)
 	if err != nil {
-		return market.SpotID{}, api.Errorf(api.CodeBadMarket, "bad or missing market %q (want zone:type:product)", q.Market)
+		return id, from, to, api.Errorf(api.CodeBadMarket, "bad or missing market %q (want zone:type:product)", q.Market)
 	}
-	return id, nil
+	from, to, aerr = q.Window.Resolve(now)
+	return id, from, to, aerr
 }
 
 // specN validates the spec's result bound, applying the kind's default.
@@ -142,11 +133,7 @@ func engineErr(err error) *api.Error {
 }
 
 func (a *API) execUnavailability(q api.Query, now time.Time) (*api.Unavailability, *api.Error) {
-	id, aerr := specMarket(q)
-	if aerr != nil {
-		return nil, aerr
-	}
-	from, to, aerr := q.Window.Resolve(now)
+	id, from, to, aerr := specMarketWindow(q, now)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -226,11 +213,7 @@ func (a *API) execVolatile(q api.Query, now time.Time) ([]api.VolatileMarket, *a
 }
 
 func (a *API) execFallback(q api.Query, now time.Time) ([]api.Fallback, *api.Error) {
-	id, aerr := specMarket(q)
-	if aerr != nil {
-		return nil, aerr
-	}
-	from, to, aerr := q.Window.Resolve(now)
+	id, from, to, aerr := specMarketWindow(q, now)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -254,11 +237,7 @@ func (a *API) execFallback(q api.Query, now time.Time) ([]api.Fallback, *api.Err
 }
 
 func (a *API) execPrices(q api.Query, now time.Time) ([]api.PricePoint, *api.Error) {
-	id, aerr := specMarket(q)
-	if aerr != nil {
-		return nil, aerr
-	}
-	from, to, aerr := q.Window.Resolve(now)
+	id, from, to, aerr := specMarketWindow(q, now)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -274,11 +253,7 @@ func (a *API) execPrices(q api.Query, now time.Time) ([]api.PricePoint, *api.Err
 }
 
 func (a *API) execOutages(q api.Query, now time.Time) ([]api.Outage, *api.Error) {
-	id, aerr := specMarket(q)
-	if aerr != nil {
-		return nil, aerr
-	}
-	from, to, aerr := q.Window.Resolve(now)
+	id, from, to, aerr := specMarketWindow(q, now)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -300,11 +275,7 @@ func (a *API) execOutages(q api.Query, now time.Time) ([]api.Outage, *api.Error)
 }
 
 func (a *API) execPredict(q api.Query, now time.Time) (*api.Prediction, *api.Error) {
-	id, aerr := specMarket(q)
-	if aerr != nil {
-		return nil, aerr
-	}
-	from, to, aerr := q.Window.Resolve(now)
+	id, from, to, aerr := specMarketWindow(q, now)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -333,11 +304,7 @@ func (a *API) execPredict(q api.Query, now time.Time) (*api.Prediction, *api.Err
 }
 
 func (a *API) execReservedValue(q api.Query, now time.Time) (*api.ReservedValue, *api.Error) {
-	id, aerr := specMarket(q)
-	if aerr != nil {
-		return nil, aerr
-	}
-	from, to, aerr := q.Window.Resolve(now)
+	id, from, to, aerr := specMarketWindow(q, now)
 	if aerr != nil {
 		return nil, aerr
 	}

@@ -239,8 +239,8 @@ func TestWriteAPIErrStatusMapping(t *testing.T) {
 }
 
 // TestV2CacheHitAndInvalidationOverHTTP closes the loop through the HTTP
-// layer: identical stable+summary batches hit the engine cache, and an
-// append to an in-scope shard invalidates it.
+// layer: an identical stable+summary batch is one hit on the table of
+// rendered answers, and an append to an in-scope shard makes it miss.
 func TestV2CacheHitAndInvalidationOverHTTP(t *testing.T) {
 	db := store.New()
 	engine := NewEngine(db, market.New())
@@ -264,11 +264,11 @@ func TestV2CacheHitAndInvalidationOverHTTP(t *testing.T) {
 		t.Fatalf("second batch status = %d", resp.StatusCode)
 	}
 	hits1, _ := engine.CacheStats()
-	if hits1 != hits0+2 {
-		t.Errorf("repeated batch hits = %d -> %d, want +2 (stable and summary both cached)", hits0, hits1)
+	if hits1 != hits0+1 {
+		t.Errorf("repeated batch hits = %d -> %d, want +1 (the batch's body served from the table)", hits0, hits1)
 	}
 
-	// An append to a us-east-1 shard invalidates both cached entries.
+	// An append to a us-east-1 shard moves the batch's key.
 	db.AppendSpike(store.SpikeEvent{At: t0.Add(2 * time.Hour), Market: mktA, Ratio: 3})
 	resp, out := postBatch(t, srv, batch...)
 	if resp.StatusCode != http.StatusOK {

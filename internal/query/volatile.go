@@ -1,7 +1,6 @@
 package query
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -27,12 +26,10 @@ type VolatileMarket struct {
 }
 
 // TopVolatileMarkets ranks markets by spike count (descending) within the
-// window, enriched with revocation-watch observations. Region/product
-// filter as in TopStableMarkets; n bounds the result. Results are cached
-// per (filter, n, window) keyed by the scope's rollup generation —
-// revocation appends bump the same shard generations the spikes do, so the
-// enrichment can never go stale. The returned slice is shared — do not
-// modify it.
+// window, enriched with revocation-watch observations: one scan of the
+// scope's shards — a market with no spike past the on-demand price in the
+// window is not volatile and gets no row — into a top-n selection.
+// Region/product filter as in TopStableMarkets; n bounds the result.
 func (e *Engine) TopVolatileMarkets(region market.Region, product market.Product, n int, from, to time.Time) ([]VolatileMarket, error) {
 	if !to.After(from) {
 		return nil, ErrBadWindow
@@ -40,20 +37,6 @@ func (e *Engine) TopVolatileMarkets(region market.Region, product market.Product
 	if n <= 0 {
 		return nil, nil
 	}
-	if e.cache == nil {
-		return e.computeVolatileMarkets(region, product, n, from, to)
-	}
-	gen := e.db.GenerationOfScope(region, product)
-	key := fmt.Sprintf("volatile|%s|%s|%d|%d|%d", region, product, n, from.UnixNano(), to.UnixNano())
-	return memoize(e.cache, key, gen, func() ([]VolatileMarket, error) {
-		return e.computeVolatileMarkets(region, product, n, from, to)
-	})
-}
-
-// computeVolatileMarkets is the uncached volatility ranking: one scan of
-// the scope's shards — a market with no spike past the on-demand price in
-// the window is not volatile and gets no row — into a top-n selection.
-func (e *Engine) computeVolatileMarkets(region market.Region, product market.Product, n int, from, to time.Time) ([]VolatileMarket, error) {
 	top := stats.NewTopN(n, func(a, b *VolatileMarket) bool {
 		if a.Crossings != b.Crossings {
 			return a.Crossings > b.Crossings

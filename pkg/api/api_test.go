@@ -44,6 +44,28 @@ func TestWindowResolveAbsolute(t *testing.T) {
 	}
 }
 
+// TestWindowResolveReturnsUTC: the resolved ends are UTC whatever zone
+// the window or the clock names its instants in, so an answer that echoes
+// them renders the same bytes for the same instants.
+func TestWindowResolveReturnsUTC(t *testing.T) {
+	east := time.FixedZone("+02:00", 2*60*60)
+	for _, c := range []struct {
+		w   Window
+		now time.Time
+	}{
+		{Between(now.Add(-time.Hour).In(east), now.In(east)), now},
+		{Last(time.Hour), now.In(east)},
+	} {
+		from, to, err := c.w.Resolve(c.now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if from.Location() != time.UTC || to.Location() != time.UTC || !from.Equal(now.Add(-time.Hour)) || !to.Equal(now) {
+			t.Errorf("window %+v at %v resolved to [%v, %v], want UTC [%v, %v]", c.w, c.now, from, to, now.Add(-time.Hour), now)
+		}
+	}
+}
+
 func TestWindowResolveErrors(t *testing.T) {
 	bad := []Window{
 		{},                                   // missing entirely

@@ -31,11 +31,12 @@ func Between(from, to time.Time) Window { return Window{From: from, To: to} }
 // IsZero reports whether no window was supplied at all.
 func (w Window) IsZero() bool { return w.Rel == "" && w.From.IsZero() && w.To.IsZero() }
 
-// Resolve turns the window into concrete [from, to] bounds against the
-// service clock now. It returns CodeBadWindow when the window is missing,
-// unparseable, non-positive, empty, or inverted, and when the store
-// cannot represent it: an end outside the instants UnixNano represents
-// (1677-09-21 to 2262-04-11), or a span longer than the longest Duration.
+// Resolve turns the window into concrete UTC [from, to] bounds against
+// the service clock now, so an answer that echoes them reads the same in
+// whatever zone the request named them. It returns CodeBadWindow when the
+// window is missing, unparseable, non-positive, empty, or inverted, and
+// when the store cannot represent it: an end outside the instants UnixNano
+// represents (1677-09-21 to 2262-04-11), or a span over the longest Duration.
 func (w Window) Resolve(now time.Time) (from, to time.Time, err *Error) {
 	switch {
 	case w.Rel != "":
@@ -59,5 +60,5 @@ func (w Window) Resolve(now time.Time) (from, to time.Time, err *Error) {
 		return time.Time{}, time.Time{}, Errorf(CodeBadWindow, "window must lie within %s and %s and span at most %v",
 			lo.Format(time.RFC3339), hi.Format(time.RFC3339), time.Duration(math.MaxInt64))
 	}
-	return from, to, nil
+	return from.UTC(), to.UTC(), nil
 }
