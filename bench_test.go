@@ -707,6 +707,7 @@ func coldWindows(end time.Time) func(i int) (time.Time, time.Time) {
 // n = 10, no other constraint, a fresh advisor and a new window per call —
 // every price, crossing, outage and revocation fold over the region's
 // priced markets, computed cold.
+// moves: cpu_us_per_op on read-cold
 func BenchmarkAdviseRegion(b *testing.B) {
 	st := benchStudy(b)
 	_, end := st.Window()
@@ -729,6 +730,7 @@ func BenchmarkAdviseRegion(b *testing.B) {
 // BenchmarkQueryStableRegion is the stable request of read-cold: the
 // region's whole catalog scope ranked over a new window per call, with
 // the response cache off.
+// moves: cpu_us_per_op on read-cold
 func BenchmarkQueryStableRegion(b *testing.B) {
 	st := benchStudy(b)
 	_, end := st.Window()
@@ -746,15 +748,18 @@ func BenchmarkQueryStableRegion(b *testing.B) {
 }
 
 // BenchmarkQueryFallback measures the uncorrelated-fallback
-// recommendation.
+// recommendation over a new window per call, as read-cold asks it.
+// moves: cpu_us_per_op on read-cold
 func BenchmarkQueryFallback(b *testing.B) {
 	st := benchStudy(b)
-	from, to := st.Window()
+	_, end := st.Window()
+	window := coldWindows(end)
 	engine := query.NewEngine(st.DB, st.Cat)
 	id := market.SpotID{Zone: "us-east-1e", Type: "d2.8xlarge", Product: market.ProductLinux}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		from, to := window(i)
 		if _, err := engine.RecommendFallback(id, 5, from, to); err != nil {
 			b.Fatal(err)
 		}

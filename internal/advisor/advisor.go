@@ -295,11 +295,7 @@ func (a *Advisor) rank(c Constraints, from, to time.Time) []api.AdviseCandidate 
 		}
 		return x.id.Compare(y.id) < 0
 	})
-	visit := func(v store.MarketView) {
-		if row, ok := a.score(v, c, from, to); ok {
-			top.Push(row)
-		}
-	}
+	visit := func(v store.MarketView) { a.offer(v, c, from, to, top) }
 	regions, products := c.Regions, c.Products
 	if len(regions) == 0 {
 		regions = []market.Region{""}
@@ -340,56 +336,76 @@ func (a *Advisor) rank(c Constraints, from, to time.Time) []api.AdviseCandidate 
 	return out
 }
 
-// score applies the per-market filters (the region and product sets are
-// the scan's scope already) and scores one market from its shard's folds
-// over [from, to]; false when the market is not a candidate.
-func (a *Advisor) score(v store.MarketView, c Constraints, from, to time.Time) (scored, bool) {
+// offer applies the per-market filters (the region and product sets are
+// the scan's scope already), scores one market from its shard's folds
+// over [from, to] and pushes it to top if it is a candidate.
+//
+// The folds run cheapest first, and the price fold, the costly one, only
+// if the market's best case could still be kept: its score with the
+// savings term read from the window's price floor instead of its mean,
+// plus bestCaseMargin. The filters are a conjunction, so their order
+// changes no answer, and neither does the skip: the best case never ranks
+// below the real row, so a best case top refuses now means a real row
+// top would refuse now too, and a refused Push changes nothing. (A row
+// whose mean is NaN ranks below no row at all: a full selection refuses
+// it whatever the bound.)
+func (a *Advisor) offer(v store.MarketView, c Constraints, from, to time.Time, top *stats.TopN[scored]) {
 	id := v.Market()
 	if !a.admissible(id.Type, c) {
-		return scored{}, false
-	}
-	ps := v.PriceStats(from, to)
-	if ps.Samples == 0 {
-		return scored{}, false
+		return
 	}
 	od, err := a.cat.SpotODPrice(id)
 	if err != nil || od <= 0 {
-		return scored{}, false
-	}
-	if c.MaxPrice > 0 && ps.Mean > c.MaxPrice {
-		return scored{}, false
+		return
 	}
 
-	window := to.Sub(from)
-	crossings := v.CrossingStats(from, to).Crossings
-	interruption := float64(crossings) * float64(time.Hour) / float64(window)
-	if interruption > 1 {
-		interruption = 1
+	window := float64(to.Sub(from))
+	row := scored{id: id, od: od, crossings: v.CrossingStats(from, to).Crossings}
+	row.interruption = min(1, float64(row.crossings)*float64(time.Hour)/window)
+	if c.MaxInterruption > 0 && row.interruption > c.MaxInterruption {
+		return
 	}
-	if c.MaxInterruption > 0 && interruption > c.MaxInterruption {
-		return scored{}, false
-	}
-
-	spotUnav := float64(v.OutageOverlap(store.ProbeSpot, from, to)) / float64(window)
-	if spotUnav > 1 {
-		spotUnav = 1
-	}
-	live := v.OutageOverlap(store.ProbeSpot, to.Add(-time.Second), to) > 0 ||
+	row.spotUnav = min(1, float64(v.OutageOverlap(store.ProbeSpot, from, to))/window)
+	row.live = v.OutageOverlap(store.ProbeSpot, to.Add(-time.Second), to) > 0 ||
 		v.OutageOverlap(store.ProbeOnDemand, to.Add(-time.Second), to) > 0
 
-	sav01 := clamp01(1 - ps.Mean/od)
-	avail := clamp01(1 - spotUnav)
-	stability := 1 / (1 + float64(crossings))
+	if floor, ok := v.PriceFloor(from, to); ok {
+		row.score = row.scoreWith(clamp01(1-floor/od)) + bestCaseMargin
+		if !top.Admits(row) {
+			return
+		}
+	}
+	row.prices = v.PriceStats(from, to)
+	if row.prices.Samples == 0 || (c.MaxPrice > 0 && row.prices.Mean > c.MaxPrice) {
+		return
+	}
+	row.score = row.scoreWith(clamp01(1 - row.prices.Mean/od))
+	row.revocations, _ = v.RevocationStats(from, to)
+	top.Push(row)
+}
+
+// bestCaseMargin is added to a best-case score to cover a mean that
+// rounds below the window's lowest price. Every price the fold adds is at
+// least the floor, and IEEE addition and division by a positive count are
+// monotone, so the mean is at least the floor's own mean over the same
+// additions, which lies within (samples+1)·2⁻⁵³ of the floor in relative
+// terms. The savings term can then exceed the best case's by about that
+// much where it is not clamped (floor ≤ od), and scoreWith, monotone too,
+// passes it on times 45 plus a few roundings of a score below 100: under
+// 1e-6 for any window of fewer than 10⁸ prices, some three years of one
+// price a second.
+const bestCaseMargin = 1e-6
+
+// scoreWith is the row's composite score with the savings term sav01 in
+// [0, 1], read from the row's other evidence.
+func (r *scored) scoreWith(sav01 float64) float64 {
+	avail := clamp01(1 - r.spotUnav)
+	stability := 1 / (1 + float64(r.crossings))
 	score := 100 * (weightSavings*sav01 + weightAvail*avail + weightStability*stability)
-	if live {
+	if r.live {
 		score *= outagePenalty
 	}
-	revocations, _ := v.RevocationStats(from, to)
-	return scored{
-		id: id, od: od, prices: ps,
-		crossings: crossings, interruption: interruption, spotUnav: spotUnav,
-		revocations: revocations, live: live, score: score,
-	}, true
+	return score
 }
 
 // admissible applies the catalog-side filters on the instance type: the

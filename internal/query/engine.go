@@ -131,7 +131,8 @@ func (e *Engine) TopStableMarkets(region market.Region, product market.Product, 
 		}
 		return a.Market.Compare(b.Market) < 0
 	})
-	e.scanCatalog(region, product, "", from, to, func(id market.SpotID, crossings int, odUnav float64) {
+	admits := func(id market.SpotID) bool { return top.Admits(StableMarket{Market: id}) }
+	e.scanCatalog(region, product, "", from, to, admits, func(id market.SpotID, crossings int, odUnav float64) {
 		top.Push(StableMarket{
 			Market:           id,
 			Crossings:        crossings,
@@ -148,8 +149,12 @@ func (e *Engine) TopStableMarkets(region market.Region, product market.Product, 
 // outage fraction over [from, to]. Markets with a shard come from one scan
 // of the store's scope index; a catalog market the store has never seen
 // still gets its row (no crossings, no outage), and a stored market
-// outside the catalog gets none.
-func (e *Engine) scanCatalog(region market.Region, product market.Product, skip market.Family, from, to time.Time, row func(id market.SpotID, crossings int, odUnav float64)) {
+// outside the catalog gets none. Before a stored market's folds, admits
+// is asked whether its best case, no crossings and no outage, could still
+// make the ranking; a market it refuses would be dropped whatever its
+// folds say, so it costs no fold and gets no row — it is asked once the
+// market is marked seen, so not the never-seen row either.
+func (e *Engine) scanCatalog(region market.Region, product market.Product, skip market.Family, from, to time.Time, admits func(market.SpotID) bool, row func(id market.SpotID, crossings int, odUnav float64)) {
 	zones, types, products := e.cat.Zones(), e.cat.Types(), market.Products
 	if region != "" {
 		zones = e.cat.ZonesIn(region)
@@ -175,7 +180,7 @@ func (e *Engine) scanCatalog(region market.Region, product market.Product, skip 
 		}
 		i := ((zi-firstZone)*len(types)+ti)*len(products) + pi
 		seen[i/64] |= 1 << (i % 64)
-		if id.Type.Family() == skip {
+		if id.Type.Family() == skip || !admits(id) {
 			return
 		}
 		odUnav := float64(v.OutageOverlap(store.ProbeOnDemand, from, to)) / window
@@ -231,7 +236,8 @@ func (e *Engine) RecommendFallback(m market.SpotID, n int, from, to time.Time) (
 		}
 		return a.Market.Compare(b.Market) < 0
 	})
-	e.scanCatalog(m.Region(), m.Product, m.Type.Family(), from, to, func(id market.SpotID, crossings int, odUnav float64) {
+	admits := func(id market.SpotID) bool { return top.Admits(Fallback{Market: id}) }
+	e.scanCatalog(m.Region(), m.Product, m.Type.Family(), from, to, admits, func(id market.SpotID, crossings int, odUnav float64) {
 		top.Push(Fallback{Market: id, ODUnavailability: odUnav, Crossings: crossings})
 	})
 	return top.Sorted(), nil

@@ -158,6 +158,38 @@ func TestTopStableMarketsLimitsN(t *testing.T) {
 	}
 }
 
+// TestScanCatalogSkipsRefusedMarkets: a stored market admits refuses gets
+// no row at all — neither its folds' row nor the row of a market the store
+// has never seen — while every unstored catalog market of the scope still
+// gets its zero row once, without being asked about.
+func TestScanCatalogSkipsRefusedMarkets(t *testing.T) {
+	e, db := seededEngine(t)
+	refused := market.SpotID{Zone: "us-west-2a", Type: "c3.large", Product: market.ProductLinux}
+	kept := market.SpotID{Zone: "us-west-2b", Type: "c3.large", Product: market.ProductLinux}
+	for _, id := range []market.SpotID{refused, kept} {
+		addOutage(db, id, store.ProbeOnDemand, t0, t0.Add(time.Hour))
+	}
+	asked, rows := map[market.SpotID]int{}, map[market.SpotID]int{}
+	admits := func(id market.SpotID) bool { asked[id]++; return id != refused }
+	e.scanCatalog("us-west-2", market.ProductLinux, "", t0, t0.Add(2*time.Hour), admits, func(id market.SpotID, crossings int, odUnav float64) {
+		rows[id]++
+		if id == kept && odUnav != 0.5 {
+			t.Errorf("kept market's row: on-demand unavailability %v, want 0.5", odUnav)
+		}
+	})
+	if len(asked) != 2 || asked[refused] != 1 || asked[kept] != 1 {
+		t.Errorf("admits asked about %v, want each stored market once", asked)
+	}
+	for _, id := range e.cat.SpotMarkets() {
+		if inScope(id, "us-west-2", market.ProductLinux) && id != refused && rows[id] != 1 {
+			t.Errorf("%v: %d rows, want 1", id, rows[id])
+		}
+	}
+	if rows[refused] != 0 {
+		t.Errorf("refused market got %d rows, want none", rows[refused])
+	}
+}
+
 func TestRecommendFallbackAvoidsFamilyAndPrefersAvailable(t *testing.T) {
 	e, db := seededEngine(t)
 	to := t0.Add(24 * time.Hour)

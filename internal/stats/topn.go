@@ -41,6 +41,20 @@ func (t *TopN[T]) Push(row T) {
 	t.rows = t.rows[:last]
 }
 
+// Admits reports whether row would be kept if it were pushed now: the
+// selection is not full, or row comes before the worst row kept. It keeps
+// nothing. A ranking asks with a row's best case before paying for the
+// folds that give its real one: a best case refused now means the real row
+// would be pushed and dropped, so skipping it changes no answer.
+func (t *TopN[T]) Admits(row T) bool {
+	// Staged like Push's candidate, and for the same reason.
+	t.rows = append(t.rows, row)
+	last := len(t.rows) - 1
+	ok := last < t.n || (last > 0 && t.less(&t.rows[last], &t.rows[0]))
+	t.rows = t.rows[:last]
+	return ok
+}
+
 // siftDown restores the heap property below i within rows[:n].
 func (t *TopN[T]) siftDown(i, n int) {
 	for {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"math/big"
@@ -251,6 +252,38 @@ func naiveFolds(db *Store, id market.SpotID, from, to time.Time) foldAnswers {
 	return a
 }
 
+// checkFloor holds the view's PriceFloor to its contract: a number at
+// most every non-NaN price in the window, or no bound — and a bound
+// whenever the market has no NaN price at all.
+func checkFloor(t *testing.T, db *Store, id market.SpotID, from, to time.Time) {
+	t.Helper()
+	floor, bounded := 0.0, false
+	db.ScanScope(id.Region(), id.Product, func(v MarketView) {
+		if v.Market() == id {
+			floor, bounded = v.PriceFloor(from, to)
+		}
+	})
+	if !bounded {
+		for _, p := range db.PricesIn(id, minStampTime, maxStampTime) {
+			if math.IsNaN(p.Price) {
+				return
+			}
+		}
+		if db.Generation(id) > 0 {
+			t.Fatalf("%v [%v, %v]: no price floor on a series without NaN", id, from, to)
+		}
+		return
+	}
+	if math.IsNaN(floor) {
+		t.Fatalf("%v [%v, %v]: the price floor is NaN", id, from, to)
+	}
+	for _, p := range db.PricesIn(id, from, to) {
+		if p.Price < floor {
+			t.Fatalf("%v [%v, %v]: price floor %v above the price %v at %v", id, from, to, floor, p.Price, p.At)
+		}
+	}
+}
+
 // sameBits reports whether two answers agree bit for bit, Mean included.
 func sameBits(a, b foldAnswers) bool {
 	pa, pb := a.prices, b.prices
@@ -380,6 +413,7 @@ func checkFolds(t *testing.T, what string, db *Store, series []foldSeries, windo
 			if !matchesOracle(got, want) {
 				t.Fatalf("%s: %v [%v, %v]:\n got  %+v\n want %+v", what, s.id, from, to, got, want)
 			}
+			checkFloor(t, db, s.id, from, to)
 			view, seen := viewFolds(db, s.id, from, to)
 			if seen != (db.Generation(s.id) > 0) || (seen && !sameBits(view, got)) {
 				t.Fatalf("%s: %v [%v, %v]: view %+v (seen %v), per-market reads %+v", what, s.id, from, to, view, seen, got)
@@ -607,6 +641,19 @@ func FuzzPriceWindow(f *testing.F) {
 	f.Add(ordered, int64(17*time.Minute), int64(17*time.Minute))
 	f.Add(edges, int64(0), int64(time.Hour))
 	f.Add([]byte{5, 0, 0, 5, 1, 0, 5, 2, 0, 5, 3, 0, 5, 9, 0}, int64(0), int64(time.Hour))
+	// A chunk of NaN only, whose summary gives no bound, then one of
+	// prices: windows over either and both.
+	var nans []byte
+	for i := 0; i < 2*chunkLen+2; i++ {
+		code := byte(0)
+		if i >= chunkLen {
+			code = byte(4 + i)
+		}
+		nans = append(nans, 1, code, 0)
+	}
+	f.Add(nans, int64(0), int64(10*time.Minute))
+	f.Add(nans, int64(17*time.Minute), int64(40*time.Minute))
+	f.Add(nans, int64(0), int64(time.Hour))
 	f.Add([]byte{3, 10, 0, 0xfe, 20, 0, 4, 30, 0}, int64(time.Minute), int64(math.MaxInt64))
 	f.Add([]byte{1, 6, 0, 0x7f, 7, 0, 0, 8, 0, 0x80, 9, 0, 0x80, 10, 0, 0x7f, 11, 0, 0xfe, 12, 0}, int64(math.MinInt64), int64(math.MaxInt64))
 	f.Fuzz(func(t *testing.T, data []byte, from, to int64) {
@@ -624,10 +671,62 @@ func FuzzPriceWindow(f *testing.F) {
 		if view, _ := viewFolds(db, id, w0, w1); !sameBits(view, got) {
 			t.Fatalf("[%v, %v]: view %+v, per-market reads %+v", w0, w1, view, got)
 		}
+		checkFloor(t, db, id, w0, w1)
 		what := func(read string) string { return fmt.Sprintf("%s(%v, %v)", read, w0, w1) }
 		expectRun(t, what("PricesIn"), db.PricesIn(id, w0, w1), inWindow(s.prices, w0, w1))
 		expectRun(t, what("SpikesFor"), db.SpikesFor(id, w0, w1), inWindow(s.spikes, w0, w1))
 		expectRun(t, what("RevocationsFor"), db.RevocationsFor(id, w0, w1), inWindow(s.revs, w0, w1))
 		expectRun(t, what("ProbesInWindow"), db.ProbesInWindow(w0, w1, nil), inWindow(s.probes, w0, w1))
 	})
+}
+
+// TestPriceFloorIsTightOnWholeChunks: a window of whole runs that ends
+// with the series reads only its own summaries and tail prices, so its
+// floor is its minimum. One that ends on a chunk's last stamp also reads
+// the next chunk's summary, since without decoding its first stamp that
+// chunk may begin inside, but not the tail's prices after it: the tail
+// holds the series' lowest price, which such a window must not see. An
+// unordered series' floor is its whole minimum.
+func TestPriceFloorIsTightOnWholeChunks(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 49))
+	const n = 5*chunkLen + 7
+	var ordered, shuffled []PricePoint
+	for i := range n {
+		ordered = append(ordered, PricePoint{At: foldBase.Add(time.Duration(i+1) * time.Minute), Price: float64(1+rng.IntN(5000)) / 1000})
+	}
+	ordered[n-1].Price = 0
+	shuffled = slices.Clone(ordered)
+	rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	db := New()
+	db.RecordPrices(persistMarket(0), ordered)
+	db.RecordPrices(persistMarket(1), shuffled)
+	floor := func(id market.SpotID, from, to time.Time) (f float64, ok bool) {
+		db.ScanScope(id.Region(), id.Product, func(v MarketView) {
+			if v.Market() == id {
+				f, ok = v.PriceFloor(from, to)
+			}
+		})
+		return f, ok
+	}
+	lowest := func(ps []PricePoint) float64 {
+		return slices.MinFunc(ps, func(a, b PricePoint) int { return cmp.Compare(a.Price, b.Price) }).Price
+	}
+	// Runs start every chunkLen prices; the last one is the tail.
+	starts := []int{0, chunkLen, 2 * chunkLen, 3 * chunkLen, 4 * chunkLen, 5 * chunkLen, n}
+	for a := 0; a+1 < len(starts); a++ {
+		for b := a + 1; b < len(starts); b++ {
+			from, to := ordered[starts[a]].At, ordered[starts[b]-1].At
+			end := starts[b]
+			if b < len(starts)-2 { // the next run is a sealed chunk
+				end = starts[b+1]
+			}
+			got, ok := floor(persistMarket(0), from, to)
+			if want := lowest(ordered[starts[a]:end]); !ok || got != want {
+				t.Errorf("runs [%d, %d) [%v, %v]: floor %v (%v), want %v", a, b, from, to, got, ok, want)
+			}
+		}
+	}
+	if got, ok := floor(persistMarket(1), ordered[0].At, ordered[n-1].At); !ok || got != lowest(ordered) {
+		t.Errorf("unordered series: floor %v (%v), want the minimum %v", got, ok, lowest(ordered))
+	}
 }

@@ -312,12 +312,22 @@ type priceCursor struct {
 // run returns run k of the series through c: sealed chunk k decoded, or
 // the tail for k == len(p.index).
 func (p *priceSeries) run(c *priceCursor, k int) famLog[float64] {
+	return p.runIn(c, k, math.MinInt64, math.MaxInt64)
+}
+
+// runIn is run for a read of [f, t]: a sealed chunk none of whose stamps
+// falls in the window comes back empty, its prices left undecoded.
+func (p *priceSeries) runIn(c *priceCursor, k int, f, t int64) famLog[float64] {
 	if k == len(p.index) {
 		return p.tail
 	}
 	if c.held != k+1 {
 		off := int(p.index[k].row.off)
 		hdr := off + decodeStamps(p.arena[off:], &c.buf)
+		if !slices.ContainsFunc(c.buf[:], func(e stamped[float64]) bool { return f <= e.at && e.at <= t }) {
+			c.held = 0
+			return nil
+		}
 		var ps [chunkLen]float64
 		decodePrices(p.arena, off, hdr, chunkLen, &ps)
 		for i, v := range ps {
@@ -358,7 +368,8 @@ func (p *priceSeries) bounds(ordered bool, f, t int64) (i, end, lo, hi int) {
 }
 
 // collect appends every price stamped inside [from, to] to dst, in series
-// order.
+// order. An unordered series decodes the prices only of the chunks with a
+// stamp in the window.
 func (p *priceSeries) collect(dst []PricePoint, ordered bool, from, to time.Time) []PricePoint {
 	f, t := stamp(from), stamp(to)
 	i, end, _, _ := p.bounds(ordered, f, t)
@@ -368,7 +379,8 @@ func (p *priceSeries) collect(dst []PricePoint, ordered bool, from, to time.Time
 	var c priceCursor
 	for ; i < end; i = (i/chunkLen + 1) * chunkLen {
 		k := i / chunkLen
-		for _, e := range p.run(&c, k)[i%chunkLen : min(end-k*chunkLen, chunkLen)] {
+		run := p.runIn(&c, k, f, t)
+		for _, e := range run[i%chunkLen : min(end-k*chunkLen, len(run))] {
 			if f <= e.at && e.at <= t {
 				dst = append(dst, priceOf(e, owner{}))
 			}
@@ -446,8 +458,8 @@ func (w *priceFold) stats(samples int) PriceWindowStats {
 // stats folds min/mean/max over the prices inside [from, to]. An ordered
 // series costs two locates, then the points of the edge runs — a chunk's
 // prices decoded at each edge at most — and one step per whole chunk
-// between: O(log n + n/chunkLen). An unordered series decodes and scans
-// every chunk.
+// between: O(log n + n/chunkLen). An unordered series decodes every
+// chunk's stamps, and the prices of those with a stamp in the window.
 func (p *priceSeries) stats(ordered bool, from, to time.Time) PriceWindowStats {
 	f, t := stamp(from), stamp(to)
 	var w priceFold
@@ -455,7 +467,7 @@ func (p *priceSeries) stats(ordered bool, from, to time.Time) PriceWindowStats {
 		var c priceCursor
 		n := 0
 		for k := 0; k <= len(p.index); k++ {
-			for _, e := range p.run(&c, k) {
+			for _, e := range p.runIn(&c, k, f, t) {
 				if f <= e.at && e.at <= t {
 					if n == 0 {
 						w.min, w.max = e.row, e.row
@@ -499,4 +511,38 @@ func (p *priceSeries) stats(ordered bool, from, to time.Time) PriceWindowStats {
 		w.part(p, b, hi, 0, end%chunkLen, false)
 	}
 	return w.stats(end - i)
+}
+
+// floor returns a lower bound on every non-NaN price stamped inside
+// [f, t], read from the chunk summaries and the tail alone: no arena byte
+// is decoded. An ordered series reads the chunks the window can touch —
+// from the first ending at or after f to the first ending past t, which
+// may begin inside — and the tail when no chunk ends past t; an unordered
+// one reads every summary. false when a summary or an in-window tail
+// price is NaN: there is no bound to give.
+func (p *priceSeries) floor(ordered bool, f, t int64) (float64, bool) {
+	chunks, tail := p.index, p.tail
+	if ordered {
+		a, b := p.index.after(f-1), p.index.after(t) // f is a stamp, so f-1 cannot overflow
+		if b < len(p.index) {
+			tail = nil
+		}
+		chunks = p.index[a:max(a, min(b+1, len(p.index)))]
+	}
+	lo := math.Inf(1)
+	for _, e := range chunks {
+		if e.row.min != e.row.min {
+			return 0, false
+		}
+		lo = min(lo, e.row.min)
+	}
+	for _, e := range tail {
+		if f <= e.at && e.at <= t {
+			if e.row != e.row {
+				return 0, false
+			}
+			lo = min(lo, e.row)
+		}
+	}
+	return lo, true
 }

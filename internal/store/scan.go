@@ -32,6 +32,15 @@ func (v MarketView) PriceStats(from, to time.Time) PriceWindowStats {
 	return v.sh.priceStatsLocked(from, to)
 }
 
+// PriceFloor returns a lower bound on every non-NaN price PriceStats would
+// fold over [from, to], read from the sealed chunks' summaries and the raw
+// tail without decoding a chunk: what a ranking asks before paying for the
+// fold. false when there is no bound (a NaN summary or tail price).
+func (v MarketView) PriceFloor(from, to time.Time) (float64, bool) {
+	ps := v.sh.prices.series()
+	return ps.floor(v.sh.unordered.ordered(famPrices), stamp(from), stamp(to))
+}
+
 // RevocationStats returns how many revocation watches landed inside
 // [from, to] and the sum of their held times — what a ranking needs of
 // RevocationsFor, without materializing the records.
