@@ -184,13 +184,15 @@ example-smoke:
 # and every section — must error, never panic, and an image that loads
 # must load identically again), the follow stream a replica applies
 # (FuzzFollowStream: arbitrary bytes must never panic, a record must apply
-# exactly when the ordinal rule admits it, and the leader's own stream must
-# rebuild its dump) and the JSON export's reader (the checked-in seed
-# corpora live in internal/store/testdata/fuzz), every family's window
-# (FuzzPriceWindow: the fuzzed stamps — saturated, duplicate and out of
-# order — land as prices, spikes, revocations and probes; every windowed
-# fold must match its naive fold, and PricesIn, SpikesFor, RevocationsFor
-# and ProbesInWindow must return the in-window input bit for bit, on any
+# exactly when the ordinal rule admits it and it keeps its family in time
+# order, and the leader's own stream must rebuild its dump) and the JSON
+# export's reader (the checked-in seed corpora live in
+# internal/store/testdata/fuzz), every family's window (FuzzPriceWindow:
+# the fuzzed stamps — saturated, duplicate and back in time — land as
+# prices, spikes, revocations and probes in rounds of three, every round
+# that goes back in time must be refused and counted; every windowed fold
+# must match its naive fold, and PricesIn, SpikesFor, RevocationsFor and
+# ProbesInWindow must return the in-window input the store kept bit for bit, on any
 # series and window — NaN, ±Inf, -0, ends past the stamp range), over
 # the market-ID order the rankings tie-break on (must equal the order of
 # the rendered strings), and over the market-ID parser and the catalog

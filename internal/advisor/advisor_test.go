@@ -272,7 +272,7 @@ func TestAdviseMemoTracksGeneration(t *testing.T) {
 		t.Error("unchanged store did not serve the memoized ranking")
 	}
 	// An in-scope append invalidates; the recomputation sees the new sample.
-	db.RecordPrice(mktSmall, store.PricePoint{At: t0.Add(90 * time.Minute), Price: 0.10})
+	db.RecordPrice(mktSmall, store.PricePoint{At: t0.Add(23*time.Hour + 30*time.Minute), Price: 0.10})
 	after := a.Advise(cons, from, to)
 	if len(after) != 1 || after[0].PriceSamples != first[0].PriceSamples+1 {
 		t.Errorf("post-append samples = %+v, want one more than %d", after, first[0].PriceSamples)

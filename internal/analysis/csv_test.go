@@ -49,9 +49,9 @@ func TestFig54CSV(t *testing.T) {
 func TestAllFigureCSVsAreWellFormed(t *testing.T) {
 	db := store.New()
 	db.AppendSpike(store.SpikeEvent{At: t0, Market: mktA, Ratio: 2})
-	odOutage(db, mktA, t0.Add(time.Minute), t0.Add(10*time.Minute))
 	spotProbe(db, mktA, 0.05, true)
 	spotProbe(db, mktB, 0.3, false)
+	odOutage(db, mktA, t0.Add(time.Minute), t0.Add(10*time.Minute))
 	db.AppendBidSpread(store.BidSpreadRecord{At: t0, Market: mktA, Published: 0.1, Intrinsic: 0.12, Attempts: 2})
 	db.RecordPrice(mktA, store.PricePoint{At: t0, Price: 0.1})
 	db.RecordPrice(mktA, store.PricePoint{At: t0.Add(time.Hour), Price: 0.5})

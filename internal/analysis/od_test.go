@@ -146,7 +146,7 @@ func TestFig57Breakdown(t *testing.T) {
 	}
 	// A spot-sourced related rejection must not count in Fig 5.7.
 	db.AppendProbe(store.ProbeRecord{
-		At: t0, Market: mktC, Kind: store.ProbeOnDemand,
+		At: t0.Add(time.Minute), Market: mktC, Kind: store.ProbeOnDemand,
 		Trigger: store.TriggerRelatedSameZone, TriggerMarket: mktA,
 		SourceKind: store.ProbeSpot, SpikeRatio: 2.5, Rejected: true, Code: "x",
 	})

@@ -163,8 +163,8 @@ func TestRatioRangeIndex(t *testing.T) {
 func TestRenderersProduceOutput(t *testing.T) {
 	db := store.New()
 	db.AppendSpike(store.SpikeEvent{At: t0, Market: mktA, Ratio: 2})
-	odOutage(db, mktA, t0.Add(time.Minute), t0.Add(10*time.Minute))
 	spotProbe(db, mktA, 0.05, true)
+	odOutage(db, mktA, t0.Add(time.Minute), t0.Add(10*time.Minute))
 
 	var sb strings.Builder
 	if err := Fig54GlobalUnavailability(db, nil).WriteText(&sb); err != nil {

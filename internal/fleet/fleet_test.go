@@ -43,7 +43,7 @@ func newRig(t *testing.T) *rig {
 // window, making it an advisor candidate.
 func (r *rig) price(id market.SpotID, p float64) {
 	now := r.sim.Now()
-	for i := 0; i < 6; i++ {
+	for i := 5; i >= 0; i-- { // oldest first: the store takes a series in time order
 		r.db.RecordPrice(id, store.PricePoint{At: now.Add(-time.Duration(i) * time.Hour), Price: p})
 	}
 }

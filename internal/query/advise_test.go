@@ -156,7 +156,7 @@ func TestHTTPAdviseConditional(t *testing.T) {
 	}
 
 	// An in-scope append rotates the tag and the recomputation sees it.
-	db.RecordPrice(mktA, store.PricePoint{At: t0.Add(90 * time.Minute), Price: 0.04})
+	db.RecordPrice(mktA, store.PricePoint{At: t0.Add(23*time.Hour + 30*time.Minute), Price: 0.04})
 	resp, body = postAdvise(t, srv, areq, etag)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("in-scope append: status = %d, want 200", resp.StatusCode)

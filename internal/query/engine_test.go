@@ -220,9 +220,9 @@ func TestRecommendFallbackAvoidsFamilyAndPrefersAvailable(t *testing.T) {
 func TestSummaryAggregates(t *testing.T) {
 	e, db := seededEngine(t)
 	now := t0.Add(24 * time.Hour)
-	addOutage(db, mktA, store.ProbeOnDemand, t0, t0.Add(time.Hour))
 	db.AppendProbe(store.ProbeRecord{At: t0, Market: mktA, Kind: store.ProbeSpot, Rejected: true, Code: "capacity-not-available"})
 	db.AppendProbe(store.ProbeRecord{At: t0, Market: mktA, Kind: store.ProbeSpot})
+	addOutage(db, mktA, store.ProbeOnDemand, t0, t0.Add(time.Hour))
 	db.AppendSpike(store.SpikeEvent{At: t0, Market: mktA, Ratio: 2})
 	db.AppendSpike(store.SpikeEvent{At: t0, Market: mktA, Ratio: 0.5})
 

@@ -92,7 +92,7 @@ func TestConditionalV1(t *testing.T) {
 				return q
 			},
 			inScope: func(db *store.Store) {
-				db.AppendProbe(store.ProbeRecord{At: t0.Add(2 * time.Hour), Market: mktA, Kind: store.ProbeOnDemand})
+				db.AppendProbe(store.ProbeRecord{At: t0.Add(7 * time.Hour), Market: mktA, Kind: store.ProbeOnDemand})
 			},
 			outScope: func(db *store.Store) {
 				db.AppendProbe(store.ProbeRecord{At: t0.Add(2 * time.Hour), Market: mktB, Kind: store.ProbeOnDemand})

@@ -231,7 +231,10 @@ var v1Routes = []string{
 // answer is a 200 with an ETag and a JSON body, or a 400 with the error
 // envelope — never a panic, a 5xx, or a 200 whose body failed to encode.
 // A 200 unavailability is a fraction in [0, 1], and exactly the share of
-// its window the market's outages cover (windowShare).
+// its window the market's outages cover (windowShare); a 200 prediction is
+// a probability in [0, 1] over a count of spikes. The store holds spikes
+// above and below the default ratio, inside an on-demand outage and
+// outside one, so predictions have hits.
 func FuzzV1Query(f *testing.F) {
 	mkt := url.QueryEscape(mktA.String())
 	f.Add(uint8(6), "market="+mkt+"&window=24h&ratio=NaN")
@@ -243,6 +246,7 @@ func FuzzV1Query(f *testing.F) {
 	f.Add(uint8(3), "market="+mkt+"&n=5&window=48h")
 	f.Add(uint8(5), "market="+mkt+"&window=-24h")
 	f.Add(uint8(6), "market="+mkt+"&window=24h&ratio=1.5&horizon=15m")
+	f.Add(uint8(6), "market="+mkt+"&window=24h&ratio=0.8&horizon=2h")
 	f.Add(uint8(7), "market="+mkt+"&window=24h&utilization=0.5")
 	f.Add(uint8(8), "region=us-east-1")
 	f.Add(uint8(9), "")
@@ -256,6 +260,10 @@ func FuzzV1Query(f *testing.F) {
 	for i, p := range []float64{0.1, 0.3, 0.2} {
 		db.RecordPrice(mktA, store.PricePoint{At: t0.Add(time.Duration(i) * time.Hour), Price: p})
 		db.RecordPrice(mktB, store.PricePoint{At: t0.Add(time.Duration(i) * time.Hour), Price: 2 * p})
+	}
+	for i, ratio := range []float64{2, 0.5, 3, 1.2, 0.9} { // mktA's on-demand outage holds the first two
+		db.AppendSpike(store.SpikeEvent{At: t0.Add(time.Duration(1+4*i) * time.Hour), Market: mktA, Ratio: ratio})
+		db.AppendSpike(store.SpikeEvent{At: t0.Add(time.Duration(2+4*i) * time.Hour), Market: mktB, Ratio: ratio})
 	}
 	now := t0.Add(24 * time.Hour)
 	h := NewAPI(NewEngine(db, market.New()), func() time.Time { return now }).Handler()
@@ -282,6 +290,15 @@ func FuzzV1Query(f *testing.F) {
 				want := windowShare(t, db, u, from, to)
 				if !(u.Unavailability >= 0 && u.Unavailability <= 1) || math.Abs(u.Unavailability-want) > 1e-9 {
 					t.Fatalf("%s?%s: unavailability %v over [%v, %v], want %v", r.URL.Path, raw, u.Unavailability, from, to, want)
+				}
+			}
+			if path == "/v1/predict" {
+				var p api.Prediction
+				if err := json.Unmarshal(body, &p); err != nil {
+					t.Fatal(err)
+				}
+				if !(p.Probability >= 0 && p.Probability <= 1) || p.Samples < 0 {
+					t.Fatalf("%s?%s: probability %v over %d samples", r.URL.Path, raw, p.Probability, p.Samples)
 				}
 			}
 		case http.StatusBadRequest:

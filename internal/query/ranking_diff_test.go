@@ -57,15 +57,14 @@ func randomRecords(rng *rand.Rand, cat *market.Catalog) []marketRecords {
 	var out []marketRecords
 	for _, id := range ids {
 		m := marketRecords{id: id}
-		ordered := rng.Intn(3) != 0
+		// Each (market, family) series is in time order, as the store
+		// takes it.
 		stamps := func(n int) []time.Time {
 			ts := make([]time.Time, n)
 			for i := range ts {
 				ts[i] = at()
 			}
-			if ordered {
-				sort.Slice(ts, func(i, j int) bool { return ts[i].Before(ts[j]) })
-			}
+			sort.Slice(ts, func(i, j int) bool { return ts[i].Before(ts[j]) })
 			return ts
 		}
 		// Few distinct crossing counts and ratios, so rows tie down to the ID.
@@ -98,14 +97,25 @@ func randomRecords(rng *rand.Rand, cat *market.Catalog) []marketRecords {
 
 // loadRecords appends the markets in the given order, which is the order
 // their shards are adopted in — and so the order a scope scan visits them.
-func loadRecords(recs []marketRecords, order []int) *store.Store {
+// With shuffle set, each market's families go in an order it draws.
+func loadRecords(recs []marketRecords, order []int, shuffle *rand.Rand) *store.Store {
 	db := store.New()
 	for _, i := range order {
 		m := recs[i]
-		db.AppendSpikes(m.spikes)
-		db.AppendProbes(m.probes)
-		db.AppendRevocations(m.revs)
-		db.RecordPrices(m.id, m.prices)
+		families := []func() error{
+			func() error { return db.AppendSpikes(m.spikes) },
+			func() error { return db.AppendProbes(m.probes) },
+			func() error { return db.AppendRevocations(m.revs) },
+			func() error { return db.RecordPrices(m.id, m.prices) },
+		}
+		if shuffle != nil {
+			shuffle.Shuffle(len(families), func(a, b int) { families[a], families[b] = families[b], families[a] })
+		}
+		for _, add := range families {
+			if err := add(); err != nil {
+				panic(err)
+			}
+		}
 	}
 	return db
 }
@@ -268,10 +278,10 @@ func TestRankingsMatchNaiveOracle(t *testing.T) {
 	cat := market.New()
 	recs := randomRecords(rng, cat)
 	order := rng.Perm(len(recs))
-	db := loadRecords(recs, order)
-	// The same records adopted in another order: a scan visits the shards
-	// differently, the answers may not.
-	shuffled := loadRecords(recs, rng.Perm(len(recs)))
+	db := loadRecords(recs, order, nil)
+	// The same records adopted in another order, each market's families
+	// too: a scan visits the shards differently, the answers may not.
+	shuffled := loadRecords(recs, rng.Perm(len(recs)), rng)
 	for round := 0; round < 12; round++ {
 		from := t0.Add(time.Duration(rng.Int63n(int64(diffSpan / 2))))
 		to := from.Add(time.Second + time.Duration(rng.Int63n(int64(diffSpan/2))))
@@ -289,7 +299,7 @@ func TestRankingsMatchNaiveOracle(t *testing.T) {
 	}
 	down := slices.Clone(up)
 	slices.Reverse(down)
-	checkRankings(t, cat, loadRecords(tied, down), loadRecords(tied, up), tied[0].id, from, to)
+	checkRankings(t, cat, loadRecords(tied, down, nil), loadRecords(tied, up, nil), tied[0].id, from, to)
 }
 
 // tiedRecords is the tie round's store: the us-west-2 Linux c3.large

@@ -73,9 +73,9 @@ func TestTopVolatileMarketsFilters(t *testing.T) {
 func TestOutagesQuery(t *testing.T) {
 	e, db := seededEngine(t)
 	to := t0.Add(24 * time.Hour)
+	addOutage(db, mktA, store.ProbeOnDemand, t0.Add(-48*time.Hour), t0.Add(-47*time.Hour))
 	addOutage(db, mktA, store.ProbeOnDemand, t0.Add(2*time.Hour), t0.Add(3*time.Hour))
 	addOutage(db, mktA, store.ProbeSpot, t0.Add(5*time.Hour), time.Time{}) // ongoing
-	addOutage(db, mktA, store.ProbeOnDemand, t0.Add(-48*time.Hour), t0.Add(-47*time.Hour))
 
 	rows, err := e.Outages(mktA, t0, to)
 	if err != nil {

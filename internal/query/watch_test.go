@@ -315,7 +315,7 @@ func TestWatchResyncFallback(t *testing.T) {
 	if gen := db.GlobalGeneration(); !ok || resync.Kind != api.EventResync || resync.ID == "" || resync.Gen != gen {
 		t.Fatalf("frame = %+v, want a resync marker with an id, at generation %d", resync, gen)
 	}
-	db.AppendSpike(store.SpikeEvent{At: t0, Market: mktA, Ratio: 9.9})
+	db.AppendSpike(store.SpikeEvent{At: t0.Add(2 * time.Hour), Market: mktA, Ratio: 9.9})
 	live, ok := c.next(5 * time.Second)
 	if !ok || live.Kind != api.EventSpike || live.Spike.Ratio != 9.9 {
 		t.Fatalf("frame = %+v, want the live spike and no replayed history", live)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"sync/atomic"
 
 	"spotlight/internal/market"
@@ -43,10 +44,9 @@ func (a *Appender) shard() *shard {
 // AppendProbes logs a batch of probes of the bound market in one append
 // round, preserving input order (the monitor tick flush, bulk loads).
 func (a *Appender) AppendProbes(rs []ProbeRecord) {
-	if len(rs) == 0 {
-		return
+	if len(rs) > 0 && inOrder(a.store, a.id, math.MinInt64, rs) == nil {
+		appendRows(a.shard(), rs)
 	}
-	appendRows(a.shard(), rs)
 }
 
 // AppendSpike logs one threshold crossing of the bound market.

@@ -12,8 +12,8 @@ import (
 
 // Record storage. Each record family is one stamped log (famLog): its
 // rows in append order, each beside the int64 stamp it was appended at,
-// and every operation a family needs — push, exact reserve, the in-order
-// check, the binary-searched window and materializing rows — is written
+// and every operation a family needs — push, exact reserve, the newest
+// stamp, the binary-searched window and materializing rows — is written
 // once, on the log. A family supplies only a row type and one row→record
 // conversion (probeOf, spikeOf, ...). Rows instead of parallel columns
 // cost no fold anything: a price window folds its whole chunks from their
@@ -95,12 +95,17 @@ type stamped[T any] struct {
 // famLog is one family's log of one shard, in append order.
 type famLog[T any] []stamped[T]
 
-// push appends row at stamp at and reports whether the log is still
-// non-decreasing in its stamps.
-func (l *famLog[T]) push(at int64, row T) (inOrder bool) {
-	inOrder = len(*l) == 0 || (*l)[len(*l)-1].at <= at
-	*l = appendRow(*l, stamped[T]{at, row})
-	return inOrder
+// push appends row at stamp at, which the append round has held to the
+// log's newest (last).
+func (l *famLog[T]) push(at int64, row T) { *l = appendRow(*l, stamped[T]{at, row}) }
+
+// last returns the stamp of the log's newest entry; math.MinInt64, which no
+// stamp precedes, when it is empty.
+func (l famLog[T]) last() int64 {
+	if len(l) == 0 {
+		return math.MinInt64
+	}
+	return l[len(l)-1].at
 }
 
 // reserve grows the log for n more entries in one exact allocation —
@@ -108,8 +113,8 @@ func (l *famLog[T]) push(at int64, row T) (inOrder bool) {
 // loop never pays appendRow's step growth (or its copying).
 func (l *famLog[T]) reserve(n int) { *l = grown(*l, n) }
 
-// after returns the index of the first entry of the ordered log stamped
-// past s (len(l) when none).
+// after returns the index of the first entry of the log stamped past s
+// (len(l) when none).
 func (l famLog[T]) after(s int64) int {
 	lo, hi := 0, len(l)
 	for lo < hi {
@@ -123,14 +128,9 @@ func (l famLog[T]) after(s int64) int {
 	return lo
 }
 
-// span returns the entries a windowed read of [from, to] visits: two
-// binary searches on an ordered log, the whole of an unordered one (whose
-// entries the read then filters). from is a stamp, so from-1 cannot
-// overflow.
-func (l famLog[T]) span(ordered bool, from, to int64) famLog[T] {
-	if !ordered {
-		return l
-	}
+// span returns the entries stamped inside [from, to]: two binary searches.
+// from is a stamp, so from-1 cannot overflow.
+func (l famLog[T]) span(from, to int64) famLog[T] {
 	l = l[l.after(from-1):]
 	return l[:l.after(to)]
 }
@@ -140,21 +140,6 @@ func (l famLog[T]) span(ordered bool, from, to int64) famLog[T] {
 type owner struct {
 	id    market.SpotID
 	dicts *probeDicts
-}
-
-// collect appends rec of every entry of l stamped inside [from, to] to dst.
-func collect[T, R any](dst []R, l famLog[T], o owner, ordered bool, from, to time.Time, rec func(stamped[T], owner) R) []R {
-	f, t := stamp(from), stamp(to)
-	l = l.span(ordered, f, t)
-	if ordered {
-		dst = grown(dst, len(l))
-	}
-	for _, e := range l {
-		if f <= e.at && e.at <= t {
-			dst = append(dst, rec(e, o))
-		}
-	}
-	return dst
 }
 
 // rows appends rec of every entry of l to dst.

@@ -7,13 +7,16 @@ import (
 	"io"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"spotlight/internal/market"
+	"spotlight/internal/obs"
 )
 
 // TestColumnsArePointerFree holds the log layout's invariant: the entry
@@ -134,10 +137,12 @@ func sameProbes(t *testing.T, path string, got, want []ProbeRecord) {
 // dictionaries) into a durable store, half before a snapshot and a follower
 // attach and half after, and requires the oracle back exactly through the
 // accessors, WriteJSON, a close and reopen, and a Follow into a fresh store.
-// One market's stream is shuffled, so its shard is read by the unordered
-// scan and every other by the binary search; windowed reads cover random
-// sub-windows, single stamps and empty windows. The shape dictionary must
-// hold one entry per distinct shape appended, never one per row.
+// One market's stream is interleaved with rounds that go back in time —
+// each of its batches reversed, and its first probe a nanosecond early —
+// which the leader must refuse and count, and which no other path may
+// hold; windowed reads cover random sub-windows, single stamps and empty
+// windows. The shape dictionary must hold one entry per distinct shape
+// appended, never one per row.
 func TestProbeDictionaryOracle(t *testing.T) {
 	const perMarket = 120
 	markets := []market.SpotID{fuzzMarket, fuzzOtherMarket}
@@ -146,10 +151,7 @@ func TestProbeDictionaryOracle(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(35, 7))
 	streams := dictOracle(rng, markets, perMarket)
-	shuffled := persistMarket(3)
-	rng.Shuffle(perMarket, func(i, j int) {
-		streams[shuffled][i], streams[shuffled][j] = streams[shuffled][j], streams[shuffled][i]
-	})
+	backwards := persistMarket(3)
 	shapes := make(map[probeShape]bool)
 	for _, rs := range streams {
 		for _, r := range rs {
@@ -197,6 +199,8 @@ func TestProbeDictionaryOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.EnableMetrics(obs.NewRegistry())
+	var refusals atomic.Uint64 // the back-in-time rounds appended
 	appendHalf := func(half int) {
 		var wg sync.WaitGroup
 		for g := 0; g < len(markets); g += 2 {
@@ -208,7 +212,19 @@ func TestProbeDictionaryOracle(t *testing.T) {
 					rs := streams[id][half*perMarket/2 : (half+1)*perMarket/2]
 					for len(rs) > 0 {
 						n := min(len(rs), 1+rng.IntN(5))
+						if id == backwards && n > 1 {
+							reversed := slices.Clone(rs[:n])
+							slices.Reverse(reversed)
+							s.AppendProbes(reversed)
+							refusals.Add(1)
+						}
 						s.AppendProbes(rs[:n])
+						if id == backwards {
+							early := rs[0]
+							early.At = early.At.Add(-1)
+							s.AppendProbe(early)
+							refusals.Add(1)
+						}
 						rs = rs[n:]
 					}
 				}
@@ -242,9 +258,6 @@ func TestProbeDictionaryOracle(t *testing.T) {
 			}
 			sameProbes(t, fmt.Sprintf("%s ProbesInWindow[%v, %v]", path, w.from, w.to), db.ProbesInWindow(w.from, w.to, nil), want)
 		}
-		if db.lookup(shuffled).unordered.ordered(famProbes) {
-			t.Errorf("%s: the shuffled market's probes read as ordered", path)
-		}
 		if got := len(db.dicts.shapes.ids); got != len(shapes) {
 			t.Errorf("%s: the shape dictionary holds %d entries, want %d distinct shapes", path, got, len(shapes))
 		}
@@ -255,6 +268,9 @@ func TestProbeDictionaryOracle(t *testing.T) {
 		sameProbes(t, path+" WriteJSON", snap.Probes, byTime)
 	}
 	check("leader", s)
+	if got, want := s.metrics.appendRefused.Value(), refusals.Load(); got != want {
+		t.Errorf("leader: %d rounds refused, want the %d that went back in time", got, want)
+	}
 
 	follower := New()
 	if err := follower.Follow(&stream, &testFollower{db: follower, salt: streamSalt}); err != io.EOF {

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -97,9 +98,11 @@ func (c shardCapture) outageRun() []OutageRecord {
 // counters rebuild to the values the dumped store had. The
 // outage stream is ignored: outages are derived state, rebuilt from the
 // probe log. This is the offline-analysis path: collect a study once,
-// regenerate figures from the dump as often as needed.
+// regenerate figures from the dump as often as needed. A dump that goes
+// back in time within a (market, family) series is an error naming the
+// market (ErrBackInTime).
 //
-// Replay order is a pure function of the dump — families in schema order,
+// Replay order is a pure function of the dump — each family in schema order,
 // markets by first appearance within a family, price series in market-ID
 // order — so two loads of the same dump produce identical stores, scope
 // member order included.
@@ -109,21 +112,22 @@ func ReadJSON(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("store: decode snapshot: %w", err)
 	}
 	s := New()
-	s.AppendProbes(snap.Probes)
-	s.AppendSpikes(snap.Spikes)
-	s.AppendBidSpreads(snap.BidSpreads)
-	s.AppendRevocations(snap.Revocations)
+	err := errors.Join(s.AppendProbes(snap.Probes), s.AppendSpikes(snap.Spikes),
+		s.AppendBidSpreads(snap.BidSpreads), s.AppendRevocations(snap.Revocations))
 	priceKeys := make([]string, 0, len(snap.Prices))
 	for idStr := range snap.Prices {
 		priceKeys = append(priceKeys, idStr)
 	}
 	sort.Strings(priceKeys)
 	for _, idStr := range priceKeys {
-		id, err := market.ParseSpotID(idStr)
-		if err != nil {
-			return nil, fmt.Errorf("store: snapshot price key: %w", err)
+		id, perr := market.ParseSpotID(idStr)
+		if perr != nil {
+			return nil, fmt.Errorf("store: snapshot price key: %w", perr)
 		}
-		s.RecordPrices(id, snap.Prices[idStr])
+		err = errors.Join(err, s.RecordPrices(id, snap.Prices[idStr]))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: load snapshot: %w", err)
 	}
 	return s, nil
 }

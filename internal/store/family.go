@@ -7,7 +7,7 @@ import (
 	"spotlight/internal/market"
 )
 
-// Record families. A shard logs five families of rows — probes, spikes, bid
+// Record family code. A shard logs five kinds of row — probes, spikes, bid
 // spreads, revocations and prices — and this file is the one place that
 // tells them apart. A record type supplies only what differs: its frame
 // body (encode and decode, wal.go) and how it lands in its shard's logs
@@ -161,14 +161,16 @@ func (ev *Event) frame(b []byte) []byte {
 }
 
 // codec is what the shared paths know of one family; codecs holds one per
-// record frame type, in the order a snapshot section lists the families.
+// record frame type, in the order a snapshot section lists each family.
 type codec struct {
 	// replay decodes a frame body naming market id (see decode) and lands
 	// the record in sh, counted into d: recovery publishes d itself. It
-	// returns the record's instant.
+	// returns the record's instant, and ErrBackInTime for a record stamped
+	// before its family's newest row in sh, which it does not land.
 	replay func(body []byte, id market.SpotID, intern map[string]string, sh *shard, d *rollupDelta) (time.Time, error)
 	// follow decodes a frame body the same way and, with s set, appends
-	// the record to s as an append round of its own.
+	// the record to s as an append round of its own; a refused round is
+	// its error.
 	follow func(body []byte, id market.SpotID, intern map[string]string, s *Store) error
 	// reserve grows sh's log of the family for n more rows.
 	reserve func(sh *shard, n int)
@@ -254,12 +256,15 @@ func unknownFrame(typ walRecordType) error {
 }
 
 func replay[R record](body []byte, id market.SpotID, intern map[string]string, sh *shard, d *rollupDelta) (time.Time, error) {
-	var r R
-	err := decode(&r, body, id, intern)
+	var r [1]R
+	err := decode(&r[0], body, id, intern)
 	if err == nil {
-		land(sh, &r, d)
+		err = inOrder(sh.store, id, newest[R](sh), r[:])
 	}
-	at, _ := fields(&r)
+	if err == nil {
+		land(sh, &r[0], d)
+	}
+	at, _ := fields(&r[0])
 	return *at, err
 }
 
@@ -267,7 +272,7 @@ func follow[R record](body []byte, id market.SpotID, intern map[string]string, s
 	var r [1]R
 	err := decode(&r[0], body, id, intern)
 	if err == nil && s != nil {
-		appendRows(s.shardFor(id), r[:])
+		err = appendRows(s.shardFor(id), r[:])
 	}
 	return err
 }

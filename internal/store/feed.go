@@ -113,7 +113,7 @@ type Event struct {
 }
 
 // EventFilter scopes a subscription: global (zero value), one region, one
-// (region, product), or one market. Kinds narrows the event families
+// (region, product), or one market. Kinds narrows the event kinds
 // delivered; nil means all. EventLagged always passes.
 type EventFilter struct {
 	// Market restricts to one market when non-zero (Region/Product are
@@ -123,7 +123,7 @@ type EventFilter struct {
 	Region market.Region
 	// Product restricts to one product platform when non-empty.
 	Product market.Product
-	// Kinds restricts the delivered event families; nil delivers all.
+	// Kinds restricts the delivered event kinds; nil delivers all.
 	Kinds []EventKind
 }
 

@@ -271,10 +271,12 @@ func TestFeedOverflowUnderConcurrentAppends(t *testing.T) {
 			defer wg.Done()
 			id := markets[w%len(markets)]
 			app := s.Appender(id)
+			// Writers share markets, so they share one stamp: any
+			// interleaving of their rounds keeps each market in time order.
 			for i := 0; i < perWriter; i++ {
 				app.AppendProbes([]ProbeRecord{
-					{At: feedT(i), Market: id, Kind: ProbeSpot},
-					{At: feedT(i), Market: id, Kind: ProbeOnDemand},
+					{At: feedT(0), Market: id, Kind: ProbeSpot},
+					{At: feedT(0), Market: id, Kind: ProbeOnDemand},
 				})
 			}
 		}(w)
@@ -612,7 +614,9 @@ func TestFeedReadersMatchOracleUnderConcurrentAppends(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				id, at := markets[(w+i)%len(markets)], feedT(w*perWriter+i)
+				// One stamp for every record: writers share markets, and any
+				// interleaving of their rounds keeps each market in time order.
+				id, at := markets[(w+i)%len(markets)], feedT(0)
 				tokens <- struct{}{}
 				switch i % 3 {
 				case 0:

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"spotlight/internal/market"
+	"spotlight/internal/obs"
 )
 
 // The windowed folds behind the rankings — PriceStatsIn, CrossingStatsFor,
@@ -21,11 +23,14 @@ import (
 // — read sealed chunk summaries and binary-searched int64 stamps instead of
 // walking records. These tests hold them to naive loops over the public accessors,
 // on series built to put duplicate stamps, window ends and special floats
-// on every side of a chunk edge.
+// on every side of a chunk edge, and appended in rounds some of which go
+// back in time: the store must refuse and count exactly those, and hold
+// exactly the rest.
 
 var foldBase = time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
 
-// foldSeries is one market's records in append order.
+// foldSeries is one market's records in append order: as drawn, or as the
+// store keeps them (landRounds).
 type foldSeries struct {
 	id     market.SpotID
 	prices []PricePoint
@@ -37,7 +42,7 @@ type foldSeries struct {
 
 // foldStamps draws n stamps a few minutes apart, non-decreasing, with
 // runs of equal stamps — forced, half the time, across every chunk edge —
-// and shuffled when the series is to be appended out of order.
+// and shuffled when the series is to go back in time.
 func foldStamps(rng *rand.Rand, n int, ordered bool) []time.Time {
 	ts := make([]time.Time, n)
 	at := foldBase.Add(time.Duration(rng.IntN(60)) * time.Minute)
@@ -109,18 +114,57 @@ func randomFoldSeries(rng *rand.Rand, id market.SpotID, special bool) foldSeries
 	return s
 }
 
-// load appends the series, each family in batches of random size so
-// rounds end on both sides of chunk edges.
-func (s foldSeries) load(rng *rand.Rand, db *Store) {
-	for rest := s.prices; len(rest) > 0; {
-		n := 1 + rng.IntN(min(len(rest), 2*chunkLen))
-		db.RecordPrices(s.id, rest[:n])
-		rest = rest[n:]
+// load appends the series, each family in rounds of random size so they
+// end on both sides of chunk edges, and returns what the store keeps of it
+// and how many rounds it refused (landRounds).
+func (s foldSeries) load(t *testing.T, rng *rand.Rand, db *Store) (kept foldSeries, refused int) {
+	return s.landIn(t, db, func(rest int) int { return 1 + rng.IntN(min(rest, 2*chunkLen)) })
+}
+
+// landIn appends the series in rounds of the sizes size draws; see load.
+func (s foldSeries) landIn(t *testing.T, db *Store, size func(rest int) int) (kept foldSeries, refused int) {
+	kept.id = s.id
+	var n [5]int
+	kept.prices, n[0] = landRounds(t, nil, s.prices, size, func(r []PricePoint) error { return db.RecordPrices(s.id, r) })
+	kept.spikes, n[1] = landRounds(t, nil, s.spikes, size, db.AppendSpikes)
+	kept.revs, n[2] = landRounds(t, nil, s.revs, size, db.AppendRevocations)
+	kept.bids, n[3] = landRounds(t, nil, s.bids, size, db.AppendBidSpreads)
+	kept.probes, n[4] = landRounds(t, nil, s.probes, size, db.AppendProbes)
+	return kept, n[0] + n[1] + n[2] + n[3] + n[4]
+}
+
+// landRounds appends recs through add, to a series that holds kept, in
+// rounds of the sizes size draws, and returns what the series must then
+// hold — kept and the rounds whose stamps go back in time neither within
+// the round nor before the newest kept one; equal stamps never do — and
+// how many rounds it must refuse. add's error must say which it did.
+func landRounds[R record](t *testing.T, kept, recs []R, size func(rest int) int, add func([]R) error) (_ []R, refused int) {
+	t.Helper()
+	last := int64(math.MinInt64)
+	if n := len(kept); n > 0 {
+		at, _ := fields(&kept[n-1])
+		last = stamp(*at)
 	}
-	db.AppendSpikes(s.spikes)
-	db.AppendRevocations(s.revs)
-	db.AppendBidSpreads(s.bids)
-	db.AppendProbes(s.probes)
+	for rest := recs; len(rest) > 0; {
+		round := rest[:size(len(rest))]
+		rest = rest[len(round):]
+		err := add(round)
+		prev, back := last, false
+		for i := range round {
+			at, _ := fields(&round[i])
+			back = back || stamp(*at) < prev
+			prev = stamp(*at)
+		}
+		if back != errors.Is(err, ErrBackInTime) {
+			t.Errorf("a round that goes back in time: %v; its append returned %v", back, err)
+		}
+		if back {
+			refused++
+			continue
+		}
+		kept, last = append(kept, round...), prev
+	}
+	return kept, refused
 }
 
 // foldWindows are the windows checked on a series: ends on samples, a
@@ -399,11 +443,10 @@ func bitEqual(a, b reflect.Value) bool {
 	return a.Equal(b)
 }
 
-// checkFolds runs every window of every series against the oracle, on the
-// per-market reads and the market views alike. appendOrder says the store
-// holds each family in the order it was appended (ReadJSON re-sorts the
-// streams it merged by time), so its accessors can be held to the input.
-func checkFolds(t *testing.T, what string, db *Store, series []foldSeries, windows [][][2]time.Time, appendOrder bool) {
+// checkFolds runs every window of every series — as the store keeps it —
+// against the oracle, on the per-market reads and the market views alike,
+// and holds the accessors to the series.
+func checkFolds(t *testing.T, what string, db *Store, series []foldSeries, windows [][][2]time.Time) {
 	t.Helper()
 	for k, s := range series {
 		for _, w := range windows[k] {
@@ -418,27 +461,17 @@ func checkFolds(t *testing.T, what string, db *Store, series []foldSeries, windo
 			if seen != (db.Generation(s.id) > 0) || (seen && !sameBits(view, got)) {
 				t.Fatalf("%s: %v [%v, %v]: view %+v (seen %v), per-market reads %+v", what, s.id, from, to, view, seen, got)
 			}
-			if appendOrder {
-				checkAccessors(t, db, series, k, from, to)
-			}
+			checkAccessors(t, db, series, k, from, to)
 		}
 	}
 }
 
 // sameAsLive requires other to answer every window bit for bit as live.
-// resorted says other holds every family sorted by time, as ReadJSON
-// loads it: where a series' probes were appended out of time order, other
-// derives outages from another probe order, so only the other folds must
-// agree.
-func sameAsLive(t *testing.T, what string, other, live *Store, series []foldSeries, windows [][][2]time.Time, resorted bool) {
+func sameAsLive(t *testing.T, what string, other, live *Store, series []foldSeries, windows [][][2]time.Time) {
 	t.Helper()
 	for k, s := range series {
-		sameOutages := !resorted || slices.IsSortedFunc(s.probes, func(a, b ProbeRecord) int { return a.At.Compare(b.At) })
 		for _, w := range windows[k] {
 			got, want := storeFolds(other, s.id, w[0], w[1]), storeFolds(live, s.id, w[0], w[1])
-			if !sameOutages {
-				got.odOverlap, got.spotOverlap, got.opened = want.odOverlap, want.spotOverlap, want.opened
-			}
 			if !sameBits(got, want) {
 				t.Fatalf("%s: %v [%v, %v]:\n got  %+v\n live %+v", what, s.id, w[0], w[1], got, want)
 			}
@@ -446,6 +479,12 @@ func sameAsLive(t *testing.T, what string, other, live *Store, series []foldSeri
 	}
 }
 
+// TestWindowedFoldsMatchNaiveOracle appends random series, families out
+// of time order among them, to a live store, and holds it and every store
+// built from it — reopened from its data dir, loaded from its WriteJSON
+// dump — to the oracle over the records the contract keeps and to the
+// live answers bit for bit, and the dump to a byte-exact WriteJSON →
+// ReadJSON → WriteJSON round trip, outages included.
 func TestWindowedFoldsMatchNaiveOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(27, 16))
 	for round := 0; round < 12; round++ {
@@ -457,6 +496,7 @@ func TestWindowedFoldsMatchNaiveOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		live.EnableMetrics(obs.NewRegistry())
 		var series []foldSeries
 		var windows [][][2]time.Time
 		for m := 0; m < 8; m++ {
@@ -464,8 +504,10 @@ func TestWindowedFoldsMatchNaiveOracle(t *testing.T) {
 			series = append(series, s)
 			windows = append(windows, foldWindows(rng, s))
 		}
+		refused := 0
 		for i, s := range series {
-			s.load(rng, live)
+			kept, n := s.load(t, rng, live)
+			series[i], refused = kept, refused+n
 			if i == len(series)/2 {
 				// Half the markets reach the reopened store through the
 				// snapshot, the rest through the log.
@@ -479,14 +521,17 @@ func TestWindowedFoldsMatchNaiveOracle(t *testing.T) {
 		}
 		live.Persister().Abandon()
 		what := fmt.Sprintf("round %d", round)
-		checkFolds(t, what+" live", live, series, windows, true)
+		if got := live.metrics.appendRefused.Value(); got != uint64(refused) {
+			t.Fatalf("%s: %d rounds refused, want the %d that went back in time", what, got, refused)
+		}
+		checkFolds(t, what+" live", live, series, windows)
 
 		reopened, err := Open(dir, PersistOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkFolds(t, what+" reopened", reopened, series, windows, true)
-		sameAsLive(t, what+" reopened", reopened, live, series, windows, false)
+		checkFolds(t, what+" reopened", reopened, series, windows)
+		sameAsLive(t, what+" reopened", reopened, live, series, windows)
 		if err := reopened.Persister().Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -497,12 +542,15 @@ func TestWindowedFoldsMatchNaiveOracle(t *testing.T) {
 		if err := live.WriteJSON(&dump); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := ReadJSON(&dump)
+		loaded, err := ReadJSON(bytes.NewReader(dump.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkFolds(t, what+" ReadJSON", loaded, series, windows, false)
-		sameAsLive(t, what+" ReadJSON", loaded, live, series, windows, true)
+		checkFolds(t, what+" ReadJSON", loaded, series, windows)
+		sameAsLive(t, what+" ReadJSON", loaded, live, series, windows)
+		if again := dumpOf(t, loaded); again != dump.String() {
+			t.Fatalf("%s: WriteJSON of the loaded dump differs from the dump", what)
+		}
 	}
 }
 
@@ -586,7 +634,7 @@ func TestWindowedFoldsUnderConcurrentAppends(t *testing.T) {
 
 // fuzzSeries decodes a fuzz input into one market's records, three bytes
 // a stamp: a signed step in minutes (zero duplicates a stamp, a negative
-// one breaks time order, and the extremes jump 400 years, past either end
+// one goes back in time, and the extremes jump 400 years, past either end
 // of the stamp range), then a code. Each stamp is one price — NaN, ±Inf and
 // -0 for the first four codes, cents otherwise — and one spike, revocation
 // and probe carrying the same number and bits of the code.
@@ -618,10 +666,12 @@ func fuzzSeries(data []byte, id market.SpotID) foldSeries {
 
 // FuzzPriceWindow holds every windowed fold, per market and on the market
 // view, to the oracle of TestWindowedFoldsMatchNaiveOracle, and PricesIn, SpikesFor,
-// RevocationsFor and ProbesInWindow to the in-window input bit for bit, on
-// whatever series and window the fuzzer builds; the window ends are
-// nanosecond offsets from the series start, so they reach past both ends
-// of the stamp range.
+// RevocationsFor and ProbesInWindow to the in-window input the store keeps
+// bit for bit, on whatever series and window the fuzzer builds; the window
+// ends are nanosecond offsets from the series start, so they reach past
+// both ends of the stamp range. Each family lands in rounds of three
+// stamps: a round that goes back in time, within itself or before what
+// landed, must be refused and counted, and leave the store as it was.
 func FuzzPriceWindow(f *testing.F) {
 	var ordered, edges []byte
 	for i := 0; i < 5*chunkLen+3; i++ {
@@ -658,11 +708,11 @@ func FuzzPriceWindow(f *testing.F) {
 	f.Add([]byte{1, 6, 0, 0x7f, 7, 0, 0, 8, 0, 0x80, 9, 0, 0x80, 10, 0, 0x7f, 11, 0, 0xfe, 12, 0}, int64(math.MinInt64), int64(math.MaxInt64))
 	f.Fuzz(func(t *testing.T, data []byte, from, to int64) {
 		db, id := New(), persistMarket(0)
-		s := fuzzSeries(data, id)
-		db.RecordPrices(id, s.prices)
-		db.AppendSpikes(s.spikes)
-		db.AppendRevocations(s.revs)
-		db.AppendProbes(s.probes)
+		db.EnableMetrics(obs.NewRegistry())
+		s, refused := fuzzSeries(data, id).landIn(t, db, func(rest int) int { return min(rest, 3) })
+		if got := db.metrics.appendRefused.Value(); got != uint64(refused) {
+			t.Fatalf("%d rounds refused, want the %d that went back in time", got, refused)
+		}
 		w0, w1 := foldBase.Add(time.Duration(from)), foldBase.Add(time.Duration(to))
 		got, want := storeFolds(db, id, w0, w1), naiveFolds(db, id, w0, w1)
 		if !matchesOracle(got, want) {
@@ -685,8 +735,8 @@ func FuzzPriceWindow(f *testing.F) {
 // floor is its minimum. One that ends on a chunk's last stamp also reads
 // the next chunk's summary, since without decoding its first stamp that
 // chunk may begin inside, but not the tail's prices after it: the tail
-// holds the series' lowest price, which such a window must not see. An
-// unordered series' floor is its whole minimum.
+// holds the series' lowest price, which such a window must not see. The
+// same prices shuffled are refused whole, leaving their market unwritten.
 func TestPriceFloorIsTightOnWholeChunks(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 49))
 	const n = 5*chunkLen + 7
@@ -726,7 +776,7 @@ func TestPriceFloorIsTightOnWholeChunks(t *testing.T) {
 			}
 		}
 	}
-	if got, ok := floor(persistMarket(1), ordered[0].At, ordered[n-1].At); !ok || got != lowest(ordered) {
-		t.Errorf("unordered series: floor %v (%v), want the minimum %v", got, ok, lowest(ordered))
+	if got, ok := floor(persistMarket(1), ordered[0].At, ordered[n-1].At); ok || db.Generation(persistMarket(1)) != 0 {
+		t.Errorf("shuffled series: floor %v (%v), want none: its market holds no price", got, ok)
 	}
 }

@@ -63,7 +63,7 @@ func frameOf[R record](b []byte, r R) []byte {
 // decoded; validLen is the scan's.
 func decodeLog(data []byte) (records uint64, validLen int, err error) {
 	r := newRecovery(New())
-	validLen, err = r.scanLog(data)
+	validLen, err = r.scanLog("log", data)
 	for _, t := range r.sorted() {
 		t.run("", nil)
 		records += t.sh.gen.Load()
@@ -129,7 +129,7 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		// The valid prefix must scan clean on its own, to the same length.
 		r := newRecovery(New())
-		if againLen, err2 := r.scanLog(data[:validLen]); err2 != nil || againLen != validLen {
+		if againLen, err2 := r.scanLog("log", data[:validLen]); err2 != nil || againLen != validLen {
 			t.Fatalf("re-scan of the %d-byte valid prefix: %d, %v", validLen, againLen, err2)
 		}
 		if err == nil {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"reflect"
@@ -179,12 +178,14 @@ func TestAppendProbesMatchesSingles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n, err := r.scanLog(data); err != nil || n != len(data) {
+			if n, err := r.scanLog(file, data); err != nil || n != len(data) {
 				t.Fatalf("scan %s: valid prefix %d of %d, %v", file, n, len(data), err)
 			}
 		}
 		for _, task := range r.sorted() {
-			out.wal[task.sh.id().String()] = bytes.Join(task.runs, nil)
+			for _, run := range task.runs {
+				out.wal[task.sh.id().String()] = append(out.wal[task.sh.id().String()], run.frames...)
+			}
 		}
 		if len(out.wal) == 0 {
 			t.Fatal("the flush left no log frames")

@@ -16,6 +16,7 @@ import (
 type storeMetrics struct {
 	appendBatches   *obs.Counter
 	appendRecords   *obs.Counter
+	appendRefused   *obs.Counter
 	walFlushes      *obs.Counter
 	walFlushSeconds *obs.Histogram
 	walFlushedBytes *obs.Counter
@@ -41,6 +42,8 @@ func (s *Store) EnableMetrics(r *obs.Registry) {
 		"Append batches folded into shards (one shard lock round each).")
 	m.appendRecords = r.Counter("spotlight_store_append_records_total",
 		"Records of any kind appended to the store.")
+	m.appendRefused = r.Counter("spotlight_store_append_refused_total",
+		"Append rounds refused whole because a record went back in time within its (market, family) series.")
 	m.walFlushes = r.Counter("spotlight_store_wal_flushes_total",
 		"Store-log flushes that wrote bytes: one write of the pending buffer, every market's frames since the last one.")
 	m.walFlushSeconds = r.HistogramBuckets("spotlight_store_wal_flush_seconds",

@@ -70,14 +70,17 @@ func assertStoresEqual(t *testing.T, got, want *Store) {
 
 // appendWorkload drives every append path once per market: probes with a
 // rejection/recovery pair (deriving an outage), spikes above and below
-// the crossing threshold, prices, bid spreads, and revocations.
+// the crossing threshold, prices, bid spreads, and revocations. A market
+// that holds records already takes the next ones an hour per record later,
+// so a repeated workload keeps every series in time order.
 func appendWorkload(s *Store, markets int, perMarket int) {
 	for m := 0; m < markets; m++ {
 		id := persistMarket(m)
 		app := s.Appender(id)
+		base := persistBase.Add(time.Duration(s.Generation(id)) * time.Hour)
 		var batch []ProbeRecord
 		for i := 0; i < perMarket; i++ {
-			at := persistBase.Add(time.Duration(m*perMarket+i) * time.Minute)
+			at := base.Add(time.Duration(m*perMarket+i) * time.Minute)
 			batch = append(batch, ProbeRecord{
 				At: at, Market: id, Kind: ProbeOnDemand, Trigger: TriggerSpike,
 				TriggerMarket: id, SourceKind: ProbeSpot,
@@ -90,8 +93,8 @@ func appendWorkload(s *Store, markets int, perMarket int) {
 			app.RecordPrice(PricePoint{At: at, Price: 0.1 * float64(i+1)})
 		}
 		app.AppendProbes(batch)
-		app.AppendBidSpread(BidSpreadRecord{At: persistBase.Add(time.Duration(m) * time.Hour), Market: id, Published: 0.5, Intrinsic: 0.3, Attempts: 4})
-		app.AppendRevocation(RevocationRecord{At: persistBase.Add(time.Duration(m) * time.Hour), Market: id, Bid: 1.0, Held: 90 * time.Minute})
+		app.AppendBidSpread(BidSpreadRecord{At: base.Add(time.Duration(m) * time.Hour), Market: id, Published: 0.5, Intrinsic: 0.3, Attempts: 4})
+		app.AppendRevocation(RevocationRecord{At: base.Add(time.Duration(m) * time.Hour), Market: id, Bid: 1.0, Held: 90 * time.Minute})
 	}
 }
 
@@ -254,11 +257,11 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 
 	// Post-snapshot appends land in a fresh file and replay on top.
 	id := persistMarket(0)
-	s.Appender(id).AppendProbes([]ProbeRecord{{At: persistBase.Add(100 * time.Hour), Market: id, Kind: ProbeSpot, Cost: 0.5}})
+	s.Appender(id).AppendProbes([]ProbeRecord{{At: persistBase.Add(1000 * time.Hour), Market: id, Kind: ProbeSpot, Cost: 0.5}})
 	if err := p.Flush(); err != nil {
 		t.Fatalf("Flush after snapshot: %v", err)
 	}
-	oracle.AppendProbe(ProbeRecord{At: persistBase.Add(100 * time.Hour), Market: id, Kind: ProbeSpot, Cost: 0.5})
+	oracle.AppendProbe(ProbeRecord{At: persistBase.Add(1000 * time.Hour), Market: id, Kind: ProbeSpot, Cost: 0.5})
 
 	p.Abandon()
 	re, err := Open(dir, PersistOptions{})

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"time"
 )
 
 // Prices. The published-price series is the densest series in a study, so
@@ -25,8 +24,8 @@ import (
 //	                            zero bytes), then the bytes between
 //
 // Stamp deltas use wrapping int64 arithmetic, so saturated, duplicate and
-// reversed stamps round-trip exactly, and ordered and unordered runs share
-// the one encoding. A study's hourly prices take about 101 bytes a chunk —
+// even reversed stamps round-trip exactly. A study's hourly prices take about
+// 101 bytes a chunk —
 // 16 raw, 21 of stamps, 64 of prices — where raw entries took 256.
 //
 // Reads find their window in the index, whose last stamps narrow a search
@@ -102,18 +101,10 @@ type priceLog struct {
 // entries no later append rewrites.
 func (l *priceLog) series() priceSeries { return priceSeries{value(l.sealed), l.tail} }
 
-// push appends a price at stamp at and reports whether the series is still
-// non-decreasing in its stamps. The run that fills seals. A tail doubles
-// from one entry to chunkLen, five allocations a chunk.
-func (l *priceLog) push(at int64, price float64) (inOrder bool) {
-	switch s := l.sealed; {
-	case len(l.tail) > 0:
-		inOrder = l.tail[len(l.tail)-1].at <= at
-	case s != nil && len(s.index) > 0:
-		inOrder = s.index[len(s.index)-1].at <= at
-	default:
-		inOrder = true
-	}
+// push appends a price at stamp at, which the append round has held to the
+// series' newest (last). The run that fills seals. A tail doubles from one
+// entry to chunkLen, five allocations a chunk.
+func (l *priceLog) push(at int64, price float64) {
 	if n := len(l.tail); n == cap(l.tail) {
 		l.tail = append(make(famLog[float64], 0, min(max(2*n, 1), chunkLen)), l.tail...)
 	}
@@ -121,8 +112,11 @@ func (l *priceLog) push(at int64, price float64) (inOrder bool) {
 	if len(l.tail) == chunkLen {
 		l.seal()
 	}
-	return inOrder
 }
+
+// last returns the stamp of the series' newest price (famLog.last): the
+// tail's, or the last sealed chunk's when the tail is empty.
+func (l *priceLog) last() int64 { return max(l.tail.last(), value(l.sealed).index.last()) }
 
 // seal encodes the full tail into the arena and indexes it. The tail's
 // array goes with it unless it has room for a whole next run (recovery's
@@ -312,22 +306,12 @@ type priceCursor struct {
 // run returns run k of the series through c: sealed chunk k decoded, or
 // the tail for k == len(p.index).
 func (p *priceSeries) run(c *priceCursor, k int) famLog[float64] {
-	return p.runIn(c, k, math.MinInt64, math.MaxInt64)
-}
-
-// runIn is run for a read of [f, t]: a sealed chunk none of whose stamps
-// falls in the window comes back empty, its prices left undecoded.
-func (p *priceSeries) runIn(c *priceCursor, k int, f, t int64) famLog[float64] {
 	if k == len(p.index) {
 		return p.tail
 	}
 	if c.held != k+1 {
 		off := int(p.index[k].row.off)
 		hdr := off + decodeStamps(p.arena[off:], &c.buf)
-		if !slices.ContainsFunc(c.buf[:], func(e stamped[float64]) bool { return f <= e.at && e.at <= t }) {
-			c.held = 0
-			return nil
-		}
 		var ps [chunkLen]float64
 		decodePrices(p.arena, off, hdr, chunkLen, &ps)
 		for i, v := range ps {
@@ -338,7 +322,7 @@ func (p *priceSeries) runIn(c *priceCursor, k int, f, t int64) famLog[float64] {
 	return c.buf[:]
 }
 
-// locate is after on an ordered series: the index narrows it to one run,
+// locate is after on the series: the index narrows it to one run,
 // whose stamps it reads unless its first is already past s. hdr is the
 // arena offset of that chunk's price headers when it read them.
 func (p *priceSeries) locate(s int64) (i, hdr int) {
@@ -355,35 +339,25 @@ func (p *priceSeries) locate(s int64) (i, hdr int) {
 	return k*chunkLen + famLog[float64](run[:]).after(s), hdr
 }
 
-// bounds returns the positions [i, end) a read of [f, t] walks: two
-// locates on an ordered series, all of an unordered one. hi and lo are
-// the header offsets the locates read (-1 for none).
-func (p *priceSeries) bounds(ordered bool, f, t int64) (i, end, lo, hi int) {
-	if !ordered {
-		return 0, p.len(), -1, -1
-	}
+// bounds returns the positions [i, end) of the prices stamped inside
+// [f, t]: two locates. lo and hi are the header offsets the locates read
+// (-1 for none).
+func (p *priceSeries) bounds(f, t int64) (i, end, lo, hi int) {
 	i, lo = p.locate(f - 1) // f is a stamp, so f-1 cannot overflow
 	end, hi = p.locate(t)
 	return i, max(i, end), lo, hi
 }
 
-// collect appends every price stamped inside [from, to] to dst, in series
-// order. An unordered series decodes the prices only of the chunks with a
-// stamp in the window.
-func (p *priceSeries) collect(dst []PricePoint, ordered bool, from, to time.Time) []PricePoint {
-	f, t := stamp(from), stamp(to)
-	i, end, _, _ := p.bounds(ordered, f, t)
-	if ordered {
-		dst = grown(dst, end-i)
-	}
+// collect appends every price stamped inside [f, t] to dst, in series
+// order, decoding only the runs bounds hands it.
+func (p *priceSeries) collect(dst []PricePoint, f, t int64) []PricePoint {
+	i, end, _, _ := p.bounds(f, t)
+	dst = grown(dst, end-i)
 	var c priceCursor
 	for ; i < end; i = (i/chunkLen + 1) * chunkLen {
 		k := i / chunkLen
-		run := p.runIn(&c, k, f, t)
-		for _, e := range run[i%chunkLen : min(end-k*chunkLen, len(run))] {
-			if f <= e.at && e.at <= t {
-				dst = append(dst, priceOf(e, owner{}))
-			}
+		for _, e := range p.run(&c, k)[i%chunkLen : min(end-k*chunkLen, chunkLen)] {
+			dst = append(dst, priceOf(e, owner{}))
 		}
 	}
 	return dst
@@ -455,31 +429,12 @@ func (w *priceFold) stats(samples int) PriceWindowStats {
 	return PriceWindowStats{Samples: samples, Min: w.min, Mean: w.sum / float64(samples), Max: w.max}
 }
 
-// stats folds min/mean/max over the prices inside [from, to]. An ordered
-// series costs two locates, then the points of the edge runs — a chunk's
-// prices decoded at each edge at most — and one step per whole chunk
-// between: O(log n + n/chunkLen). An unordered series decodes every
-// chunk's stamps, and the prices of those with a stamp in the window.
-func (p *priceSeries) stats(ordered bool, from, to time.Time) PriceWindowStats {
-	f, t := stamp(from), stamp(to)
+// stats folds min/mean/max over the prices inside [f, t]: two locates,
+// then the points of the edge runs — a chunk's prices decoded at each edge
+// at most — and one step per whole chunk between: O(log n + n/chunkLen).
+func (p *priceSeries) stats(f, t int64) PriceWindowStats {
 	var w priceFold
-	if !ordered {
-		var c priceCursor
-		n := 0
-		for k := 0; k <= len(p.index); k++ {
-			for _, e := range p.runIn(&c, k, f, t) {
-				if f <= e.at && e.at <= t {
-					if n == 0 {
-						w.min, w.max = e.row, e.row
-					}
-					w.one(e.row)
-					n++
-				}
-			}
-		}
-		return w.stats(n)
-	}
-	i, end, lo, hi := p.bounds(true, f, t)
+	i, end, lo, hi := p.bounds(f, t)
 	if i == end {
 		return PriceWindowStats{}
 	}
@@ -515,22 +470,18 @@ func (p *priceSeries) stats(ordered bool, from, to time.Time) PriceWindowStats {
 
 // floor returns a lower bound on every non-NaN price stamped inside
 // [f, t], read from the chunk summaries and the tail alone: no arena byte
-// is decoded. An ordered series reads the chunks the window can touch —
-// from the first ending at or after f to the first ending past t, which
-// may begin inside — and the tail when no chunk ends past t; an unordered
-// one reads every summary. false when a summary or an in-window tail
-// price is NaN: there is no bound to give.
-func (p *priceSeries) floor(ordered bool, f, t int64) (float64, bool) {
-	chunks, tail := p.index, p.tail
-	if ordered {
-		a, b := p.index.after(f-1), p.index.after(t) // f is a stamp, so f-1 cannot overflow
-		if b < len(p.index) {
-			tail = nil
-		}
-		chunks = p.index[a:max(a, min(b+1, len(p.index)))]
+// is decoded. It reads the chunks the window can touch — from the first
+// ending at or after f to the first ending past t, which may begin inside
+// — and the tail when no chunk ends past t. false when a summary or an
+// in-window tail price is NaN: there is no bound to give.
+func (p *priceSeries) floor(f, t int64) (float64, bool) {
+	tail := p.tail
+	a, b := p.index.after(f-1), p.index.after(t) // f is a stamp, so f-1 cannot overflow
+	if b < len(p.index) {
+		tail = nil
 	}
 	lo := math.Inf(1)
-	for _, e := range chunks {
+	for _, e := range p.index[a:max(a, min(b+1, len(p.index)))] {
 		if e.row.min != e.row.min {
 			return 0, false
 		}

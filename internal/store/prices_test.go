@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"spotlight/internal/market"
+	"spotlight/internal/obs"
 )
 
 // chunkStampPalette holds instants at and past both ends of the stamp range
@@ -104,8 +105,10 @@ func sameStats(a, b PriceWindowStats) bool {
 
 // TestPriceChunksRoundTrip lands price series of every length from 0 to 40
 // — two and a half chunks — in time order, shuffled, and in order but for
-// one step back at a chunk edge, in batches of random size, and requires Prices, PricesIn and PriceStatsIn back bit for bit
-// against the appended input on the live store, on a follower that attached
+// one step back at a chunk edge, in batches of random size, and requires
+// Prices, PricesIn and PriceStatsIn back bit for bit against the rounds
+// the store keeps — every one but those that go back in time, which it
+// must refuse and count — on the live store, on a follower that attached
 // with a snapshot halfway and took the rest as log frames, and on the
 // store reopened from a snapshot and the log.
 func TestPriceChunksRoundTrip(t *testing.T) {
@@ -115,9 +118,10 @@ func TestPriceChunksRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	live.EnableMetrics(obs.NewRegistry())
 	type landed struct {
-		id market.SpotID
-		ps []PricePoint
+		id       market.SpotID
+		ps, kept []PricePoint
 	}
 	var series []landed
 	for n := 0; n <= 40; n++ {
@@ -129,20 +133,21 @@ func TestPriceChunksRoundTrip(t *testing.T) {
 				ps[chunkLen].At = stampTime(minStamp)
 			}
 			id := market.SpotID{Zone: market.Zone(fmt.Sprintf("zz-%d", n)), Type: typ, Product: market.ProductLinux}
-			series = append(series, landed{id, ps})
+			series = append(series, landed{id: id, ps: ps})
 		}
 	}
+	refused := 0
 	land := func(half int) {
-		for _, s := range series {
+		for i := range series {
+			s := &series[i]
 			rest := s.ps[:len(s.ps)/2]
 			if half == 1 {
 				rest = s.ps[len(s.ps)/2:]
 			}
-			for len(rest) > 0 {
-				k := 1 + rng.IntN(min(len(rest), chunkLen+3))
-				live.RecordPrices(s.id, rest[:k])
-				rest = rest[k:]
-			}
+			var n int
+			s.kept, n = landRounds(t, s.kept, rest, func(rest int) int { return 1 + rng.IntN(min(rest, chunkLen+3)) },
+				func(r []PricePoint) error { return live.RecordPrices(s.id, r) })
+			refused += n
 		}
 	}
 
@@ -155,6 +160,9 @@ func TestPriceChunksRoundTrip(t *testing.T) {
 	land(1)
 	pumpFollow(sub, sw, foldBase)
 	sub.Close()
+	if got := live.metrics.appendRefused.Value(); got != uint64(refused) || refused == 0 {
+		t.Fatalf("%d rounds refused, want the %d that went back in time", got, refused)
+	}
 	follower := New()
 	if err := follower.Follow(&stream, &testFollower{db: follower, salt: streamSalt}); err != io.EOF {
 		t.Fatalf("follow: %v", err)
@@ -177,14 +185,14 @@ func TestPriceChunksRoundTrip(t *testing.T) {
 			what := func(read string) string {
 				return fmt.Sprintf("%s: %s(%v) over %d prices", db.name, read, s.id, len(s.ps))
 			}
-			expectRun(t, what("Prices"), db.Prices(s.id), inWindow(s.ps, stampTime(minStamp), stampTime(maxStamp)))
+			expectRun(t, what("Prices"), db.Prices(s.id), inWindow(s.kept, stampTime(minStamp), stampTime(maxStamp)))
 			ends := append([]time.Time{}, chunkStampPalette...)
 			for _, p := range s.ps {
 				ends = append(ends, p.At.Add(-time.Nanosecond), p.At, p.At.Add(time.Nanosecond))
 			}
 			for w := 0; w < 60; w++ {
 				from, to := ends[rng.IntN(len(ends))], ends[rng.IntN(len(ends))]
-				want := inWindow(s.ps, from, to)
+				want := inWindow(s.kept, from, to)
 				expectRun(t, what(fmt.Sprintf("PricesIn[%v, %v]", from, to)), db.PricesIn(s.id, from, to), want)
 				if got, want := db.PriceStatsIn(s.id, from, to), pointFold(want); !sameStats(got, want) {
 					t.Fatalf("%s = %+v, want %+v", what(fmt.Sprintf("PriceStatsIn[%v, %v]", from, to)), got, want)

@@ -50,12 +50,19 @@ type replayTask struct {
 	// the market's log frames seen so far, runs the record frames past
 	// snap.records, in log order, aliasing the file images.
 	next uint64
-	runs [][]byte
+	runs []logRun
 
 	// Worker results.
 	delta rollupDelta
 	maxAt time.Time
 	err   error
+}
+
+// logRun is a run of one market's record frames and the log file that
+// holds them.
+type logRun struct {
+	file   string
+	frames []byte
 }
 
 // recovery is the state of one Open's replay: the tasks by market index in
@@ -111,14 +118,14 @@ func (r *recovery) openRun(body []byte) (*replayTask, error) {
 	return t, nil
 }
 
-// scanLog is the serial pass over one log file image. It checks every
+// scanLog is the serial pass over the image of log file path. It checks every
 // frame's checksum without decoding a record, follows the run headers, and
 // hands each run's frames to its market's task, minus the ones whose
 // ordinal the snapshot already covers (appended between a snapshot's log
 // rotation and that shard's capture, they are in both). It returns the
 // byte length of the valid prefix; err is nil only when the whole image is
 // valid, and whatever the prefix holds has been handed over either way.
-func (r *recovery) scanLog(data []byte) (validLen int, err error) {
+func (r *recovery) scanLog(path string, data []byte) (validLen int, err error) {
 	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
 		return 0, fmt.Errorf("%w: bad log magic", ErrWALCorrupt)
 	}
@@ -126,7 +133,7 @@ func (r *recovery) scanLog(data []byte) (validLen int, err error) {
 	keep := -1        // offset of the run's first frame to replay; -1 while the snapshot covers them
 	endRun := func(end int) {
 		if keep >= 0 {
-			t.runs = append(t.runs, data[keep:end])
+			t.runs = append(t.runs, logRun{path, data[keep:end]})
 		}
 		keep = -1
 	}
@@ -193,7 +200,7 @@ func replayParallel(walRoot string, files []logFile, info snapInfo, s *Store) (t
 		if err != nil {
 			return time.Time{}, fmt.Errorf("store: read %s: %w", path, err)
 		}
-		validLen, serr := r.scanLog(data)
+		validLen, serr := r.scanLog(path, data)
 		if validLen <= len(walMagic) {
 			err = os.Remove(path)
 		} else if serr != nil {
@@ -297,8 +304,9 @@ func countFrames(c *frameCounts, data []byte) {
 // run decodes one market's snapshot section and log runs into its shard;
 // snapPath names the snapshot file in errors. No locks: the shard is
 // exclusively this worker's until finalize. Every record lands through the
-// live append path's land — every time-order bit and open outage start
-// rebuilds identically — counted into the task's delta for finalize.
+// live append path's land — every open outage start rebuilds identically —
+// counted into the task's delta for finalize; a record that goes back in
+// time within its family fails the task, naming its file (ErrBackInTime).
 func (t *replayTask) run(snapPath string, intern map[string]string) {
 	// Pre-count frames first, so the logs are reserved before the decode
 	// loop starts, and nothing in it allocates per frame (the price log
@@ -306,7 +314,7 @@ func (t *replayTask) run(snapPath string, intern map[string]string) {
 	var counts frameCounts
 	countFrames(&counts, t.snap.frames)
 	for _, run := range t.runs {
-		countFrames(&counts, run)
+		countFrames(&counts, run.frames)
 	}
 	for typ := walProbe; typ <= walPrice; typ++ {
 		if n := counts[typ]; n > 0 {
@@ -330,11 +338,11 @@ func (t *replayTask) run(snapPath string, intern map[string]string) {
 		return
 	}
 	for _, run := range t.runs {
-		if _, err := eachFrame(run, apply); err != nil {
+		if _, err := eachFrame(run.frames, apply); err != nil {
 			// The frame passed its checksum in the serial pass, so this is
 			// not a torn write, and cutting the log here would drop other
 			// markets' records the pass already accepted.
-			t.err = fmt.Errorf("store: a log frame of %v passes its checksum but does not decode: %w", id, err)
+			t.err = fmt.Errorf("store: log %s holds a frame of %v that passes its checksum but does not land: %w", run.file, id, err)
 			return
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -160,6 +161,14 @@ func TestRollupConsistencyRandomized(t *testing.T) {
 	const goroutines = 8
 	const opsPer = 400
 
+	// Each market's clock moves forward by at least a batch's span per
+	// append, so a round goes back in time only when another goroutine's
+	// later one lands between its stamp and its append: refused, it must
+	// leave the rollups as they were.
+	clocks := make(map[market.SpotID]*atomic.Int64)
+	for _, id := range rollupMarkets {
+		clocks[id] = new(atomic.Int64)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -168,7 +177,7 @@ func TestRollupConsistencyRandomized(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(g), 0xda7a))
 			for i := 0; i < opsPer; i++ {
 				id := rollupMarkets[rng.IntN(len(rollupMarkets))]
-				at := base.Add(time.Duration(rng.IntN(86400)) * time.Second)
+				at := base.Add(time.Duration(clocks[id].Add(int64(6+rng.IntN(60)))) * time.Second)
 				switch rng.IntN(10) {
 				case 0, 1, 2, 3: // probes dominate real ingest
 					kind := ProbeOnDemand
@@ -268,21 +277,22 @@ func TestRegionAggregatesOrdering(t *testing.T) {
 }
 
 // TestPriceStatsInMatchesPricesIn: the in-shard fold must agree with the
-// copy-then-scan path it replaces, on both ordered and unordered series.
+// copy-then-scan path it replaces. The prices are offered out of time
+// order: only those past the newest one land (hours 5, 9, 10 and 11), the
+// rest are refused.
 func TestPriceStatsInMatchesPricesIn(t *testing.T) {
 	s := New()
 	base := time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
 	id := rollupMarkets[0]
-	// Out-of-order appends flip the shard to scan mode.
-	offsets := []int{5, 2, 9, 1, 7, 3, 8, 0, 6, 4}
+	offsets := []int{5, 2, 9, 1, 7, 3, 8, 0, 6, 4, 10, 11}
 	for i, off := range offsets {
 		s.RecordPrice(id, PricePoint{At: base.Add(time.Duration(off) * time.Hour), Price: float64(i%4) + 0.5})
 	}
-	from, to := base.Add(2*time.Hour), base.Add(8*time.Hour)
+	from, to := base.Add(2*time.Hour), base.Add(10*time.Hour)
 	st := s.PriceStatsIn(id, from, to)
 	pts := s.PricesIn(id, from, to)
-	if st.Samples != len(pts) {
-		t.Fatalf("samples = %d, want %d", st.Samples, len(pts))
+	if st.Samples != 3 || len(pts) != 3 {
+		t.Fatalf("samples = %d over %d prices, want the 3 that landed in the window", st.Samples, len(pts))
 	}
 	min, max, sum := pts[0].Price, pts[0].Price, 0.0
 	for _, p := range pts {

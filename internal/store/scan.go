@@ -19,17 +19,17 @@ func (v MarketView) Market() market.SpotID { return v.sh.id() }
 
 // CrossingStats is CrossingStatsFor on the viewed market.
 func (v MarketView) CrossingStats(from, to time.Time) CrossingStats {
-	return v.sh.crossingStatsLocked(from, to)
+	return v.sh.crossingStatsLocked(stamp(from), stamp(to))
 }
 
 // OutageOverlap is Store.OutageOverlap on the viewed market.
 func (v MarketView) OutageOverlap(kind ProbeKind, from, to time.Time) time.Duration {
-	return v.sh.outageOverlapLocked(kind, from, to)
+	return v.sh.outageOverlapLocked(kind, stamp(from), stamp(to))
 }
 
 // PriceStats is PriceStatsIn on the viewed market.
 func (v MarketView) PriceStats(from, to time.Time) PriceWindowStats {
-	return v.sh.priceStatsLocked(from, to)
+	return v.sh.priceStatsLocked(stamp(from), stamp(to))
 }
 
 // PriceFloor returns a lower bound on every non-NaN price PriceStats would
@@ -38,14 +38,14 @@ func (v MarketView) PriceStats(from, to time.Time) PriceWindowStats {
 // fold. false when there is no bound (a NaN summary or tail price).
 func (v MarketView) PriceFloor(from, to time.Time) (float64, bool) {
 	ps := v.sh.prices.series()
-	return ps.floor(v.sh.unordered.ordered(famPrices), stamp(from), stamp(to))
+	return ps.floor(stamp(from), stamp(to))
 }
 
 // RevocationStats returns how many revocation watches landed inside
 // [from, to] and the sum of their held times — what a ranking needs of
 // RevocationsFor, without materializing the records.
 func (v MarketView) RevocationStats(from, to time.Time) (watches int, held time.Duration) {
-	return v.sh.revocationStatsLocked(from, to)
+	return v.sh.revocationStatsLocked(stamp(from), stamp(to))
 }
 
 // OutagesOpened counts the detected outages, of either kind, that opened

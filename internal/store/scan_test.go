@@ -88,12 +88,16 @@ func TestScanScopeResolvesEveryScopeShape(t *testing.T) {
 	s := New()
 	appendWorkload(s, 8, 12)
 	win := market.SpotID{Zone: "eu-west-1b", Type: "m3.large", Product: market.ProductWindows}
-	// Out of time order: the view's folds must take the unordered paths too.
+	// Out of time order: the rounds at hours 2 and 17 go back in time and
+	// are refused, and the market joins its scopes once, with hour 30.
 	for _, h := range []int{30, 2, 17} {
 		at := persistBase.Add(time.Duration(h) * time.Hour)
 		s.AppendSpike(SpikeEvent{At: at, Market: win, Ratio: 1 + float64(h)})
 		s.RecordPrice(win, PricePoint{At: at, Price: float64(h)})
 		s.AppendRevocation(RevocationRecord{At: at, Market: win, Held: time.Duration(h) * time.Minute})
+	}
+	if got := s.Generation(win); got != 3 {
+		t.Fatalf("%v holds %d records, want the 3 of hour 30", win, got)
 	}
 	assertScopeIndex(t, s)
 	if got := scanMembers(t, s, rollupScope{region: "mars-1"}); got != nil {
@@ -116,7 +120,7 @@ func TestRecoveredScopeIndex(t *testing.T) {
 	}
 	late := market.SpotID{Zone: "sa-east-1a", Type: "m3.large", Product: market.ProductSUSE}
 	s.AppendSpike(SpikeEvent{At: persistBase, Market: late, Ratio: 2})
-	s.AppendProbe(ProbeRecord{At: persistBase, Market: persistMarket(0), Kind: ProbeSpot, Rejected: true})
+	s.AppendProbe(ProbeRecord{At: persistBase.Add(24 * time.Hour), Market: persistMarket(0), Kind: ProbeSpot, Rejected: true})
 	if err := s.Persister().Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -55,18 +57,15 @@ type shard struct {
 	rp, rg *rollup
 	idx    uint32
 
-	// unordered marks the families appended out of time order at least
-	// once; window queries binary-search the others instead of scanning.
-	unordered families
 	// hadOutage marks the kinds that have had an outage; reads of another
-	// kind walk no probe. It fits in unordered's padding.
+	// kind walk no probe. It fits in idx's padding.
 	hadOutage [probeKinds]bool
 
 	// Each record family is one stamped log (see columns.go), prices a
 	// tail and sealed chunks (prices.go), and captures alias the
 	// append-only logs instead of copying them. Every shard holds a price
-	// tail; the sealed chunks are allocated on the first seal, the other
-	// families on their first row.
+	// tail; the sealed chunks are allocated on the first seal, every other
+	// family on its first row.
 	prices      priceLog
 	probes      *famLog[probeRow]
 	spikes      *famLog[spikeRow]
@@ -97,27 +96,6 @@ func (o *outageStarts) step(ki int, rejected bool, at int64) (start int64, moved
 	}
 	return start, false
 }
-
-// families is a set of a shard's record logs, one bit each.
-type families uint8
-
-const (
-	famProbes families = 1 << iota
-	famSpikes
-	famPrices
-	famRevocations
-	famBidSpreads
-)
-
-// track adds f to the set when an append breaks its time order.
-func (u *families) track(f families, inOrder bool) {
-	if !inOrder {
-		*u |= f
-	}
-}
-
-// ordered reports whether f's log is still in time order.
-func (u families) ordered(f families) bool { return u&f == 0 }
 
 // ensure returns the family *p, allocating it on its first row.
 func ensure[T any](p **T) *T {
@@ -152,29 +130,41 @@ var walBufPool = sync.Pool{New: func() any { return new([]byte) }}
 //     shard, the record events get their ordinals (counted under the
 //     lock), and publish folds the round into rollups, generation, feed.
 //
+// rs keeps time order within itself (batch entry points check it before
+// they resolve the shard); under the lock its first stamp is held to the
+// family's newest, and a round that goes back in time is refused whole: no
+// row, log frame, rollup delta, feed event or generation (inOrder).
+//
 // The gate is read again under the lock: a subscriber registered since may
 // have captured this shard for a snapshot (stream.go) already, so the round
 // still reaches it as record events (its outage transitions do not).
-func appendRows[R record](sh *shard, rs []R) {
+func appendRows[R record](sh *shard, rs []R) error {
 	n := len(rs)
 	if n == 0 {
-		return
+		return nil
 	}
 	var d rollupDelta
-	feed, p := sh.store.feed, sh.store.persist
+	feed, p, id := sh.store.feed, sh.store.persist, sh.id()
 	if d.emit = feed.enabled(); d.emit {
 		recordEvents(sh, rs, &d)
 	}
 	var enc *[]byte
 	if p != nil {
 		enc = walBufPool.Get().(*[]byte)
-		b, id := (*enc)[:0], sh.id()
+		b := (*enc)[:0]
 		for i := range rs {
 			b = encode(b, &rs[i], id)
 		}
 		*enc = b
 	}
 	sh.mu.Lock()
+	if err := inOrder(sh.store, id, newest[R](sh), rs[:1]); err != nil {
+		sh.mu.Unlock()
+		if p != nil {
+			walBufPool.Put(enc)
+		}
+		return err
+	}
 	for i := range rs {
 		land(sh, &rs[i], &d)
 	}
@@ -197,7 +187,45 @@ func appendRows[R record](sh *shard, rs []R) {
 		d.events[i].Ordinal = before + uint64(i)
 	}
 	sh.publish(&d)
+	return nil
 }
+
+// inOrder checks that rs, records of market id, keep time order after a
+// row stamped prev: a stamp equal to the one before it is allowed, an
+// earlier one refuses the round, counted in s's metrics (ErrBackInTime).
+func inOrder[R record](s *Store, id market.SpotID, prev int64, rs []R) error {
+	for i := range rs {
+		at, _ := fields(&rs[i])
+		if a := stamp(*at); a >= prev {
+			prev = a
+			continue
+		}
+		s.metrics.appendRefused.Inc()
+		return fmt.Errorf("%w: %v %T stamped %v, after %v", ErrBackInTime, id, rs[i], *at, stampTime(prev))
+	}
+	return nil
+}
+
+// newest returns the stamp of the newest row of R's family in sh;
+// math.MinInt64, which no stamp precedes, when it has none.
+func newest[R record](sh *shard) int64 {
+	switch any((*R)(nil)).(type) {
+	case *ProbeRecord:
+		return value(sh.probes).last()
+	case *SpikeEvent:
+		return value(sh.spikes).last()
+	case *BidSpreadRecord:
+		return value(sh.bidSpreads).last()
+	case *RevocationRecord:
+		return value(sh.revocations).last()
+	}
+	return sh.prices.last()
+}
+
+// ErrBackInTime reports a record stamped before the newest row of its
+// family in its market: the store takes every (market, family) series in
+// time order only, and recovery, the follow stream and ReadJSON fail on one.
+var ErrBackInTime = errors.New("store: record goes back in time")
 
 // publish folds an append batch's delta into the shard's rollup entries
 // and fans the round's events out to the change feed. Ordering carries
@@ -231,7 +259,7 @@ func (sh *shard) publish(d *rollupDelta) {
 func (r *ProbeRecord) land(sh *shard, at int64, d *rollupDelta) {
 	d.probeCount++
 	ps := ensure(&sh.probes)
-	sh.unordered.track(famProbes, ps.push(at, probeRowOf(r, *ps, &sh.store.dicts)))
+	ps.push(at, probeRowOf(r, *ps, &sh.store.dicts))
 
 	ki, ok := kindIndex(r.Kind)
 	if !ok {
@@ -273,22 +301,22 @@ func (r *ProbeRecord) land(sh *shard, at int64, d *rollupDelta) {
 
 func (e *SpikeEvent) land(sh *shard, at int64, d *rollupDelta) {
 	d.spikes++
-	sh.unordered.track(famSpikes, ensure(&sh.spikes).push(at, spikeRow{e.Price, e.Ratio, e.Probed}))
+	ensure(&sh.spikes).push(at, spikeRow{e.Price, e.Ratio, e.Probed})
 	if e.Ratio >= 1 {
 		d.spikesAboveOD++
 	}
 }
 
 func (r *BidSpreadRecord) land(sh *shard, at int64) {
-	sh.unordered.track(famBidSpreads, ensure(&sh.bidSpreads).push(at, bidSpreadRow{r.Published, r.Intrinsic, r.Attempts}))
+	ensure(&sh.bidSpreads).push(at, bidSpreadRow{r.Published, r.Intrinsic, r.Attempts})
 }
 
 func (r *RevocationRecord) land(sh *shard, at int64) {
-	sh.unordered.track(famRevocations, ensure(&sh.revocations).push(at, revocationRow{r.Bid, r.Held}))
+	ensure(&sh.revocations).push(at, revocationRow{r.Bid, r.Held})
 }
 
 func (p *PricePoint) land(sh *shard, at int64) {
-	sh.unordered.track(famPrices, sh.prices.push(at, p.Price))
+	sh.prices.push(at, p.Price)
 }
 
 // shardCapture is one shard's full record state cut under a single lock
@@ -340,50 +368,51 @@ func (sh *shard) captureLocked() shardCapture {
 	}
 }
 
-func (sh *shard) spikesIn(dst []SpikeEvent, from, to time.Time) []SpikeEvent {
+// The windowed reads and folds below take a window as its two stamps
+// [f, t], converted once at the exported boundary. The folds run under a
+// shard lock the caller holds: the public per-market reads take it for one
+// fold, a scope scan (scan.go) once for every fold its visitor asks of the
+// market.
+
+func (sh *shard) spikesIn(dst []SpikeEvent, f, t int64) []SpikeEvent {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return collect(dst, value(sh.spikes), sh.owner(), sh.unordered.ordered(famSpikes), from, to, spikeOf)
+	return rows(dst, value(sh.spikes).span(f, t), sh.owner(), spikeOf)
 }
 
-func (sh *shard) pricesIn(dst []PricePoint, from, to time.Time) []PricePoint {
+func (sh *shard) pricesIn(dst []PricePoint, f, t int64) []PricePoint {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	ps := sh.prices.series()
-	return ps.collect(dst, sh.unordered.ordered(famPrices), from, to)
+	return ps.collect(dst, f, t)
 }
 
-func (sh *shard) probesIn(dst []ProbeRecord, from, to time.Time) []ProbeRecord {
+func (sh *shard) probesIn(dst []ProbeRecord, f, t int64) []ProbeRecord {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return collect(dst, value(sh.probes), sh.owner(), sh.unordered.ordered(famProbes), from, to, probeOf)
+	return rows(dst, value(sh.probes).span(f, t), sh.owner(), probeOf)
 }
 
-func (sh *shard) revocationsIn(dst []RevocationRecord, from, to time.Time) []RevocationRecord {
+func (sh *shard) revocationsIn(dst []RevocationRecord, f, t int64) []RevocationRecord {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return collect(dst, value(sh.revocations), sh.owner(), sh.unordered.ordered(famRevocations), from, to, revocationOf)
+	return rows(dst, value(sh.revocations).span(f, t), sh.owner(), revocationOf)
 }
-
-// The windowed folds below run under a shard lock the caller holds: the
-// public per-market reads take it for one fold, a scope scan (scan.go)
-// once for every fold its visitor asks of the market.
 
 // priceStatsLocked folds min/mean/max over the price points inside
-// [from, to] without materializing anything (priceSeries.stats).
-func (sh *shard) priceStatsLocked(from, to time.Time) PriceWindowStats {
+// [f, t] without materializing anything (priceSeries.stats).
+func (sh *shard) priceStatsLocked(f, t int64) PriceWindowStats {
 	ps := sh.prices.series()
-	return ps.stats(sh.unordered.ordered(famPrices), from, to)
+	return ps.stats(f, t)
 }
 
 // crossingStatsLocked counts the on-demand price crossings — the spikes
-// with Ratio >= 1 — inside [from, to] and their largest ratio, walking the
+// with Ratio >= 1 — inside [f, t] and their largest ratio, walking the
 // binary-searched span of the spike log.
-func (sh *shard) crossingStatsLocked(from, to time.Time) CrossingStats {
+func (sh *shard) crossingStatsLocked(f, t int64) CrossingStats {
 	var st CrossingStats
-	f, t := stamp(from), stamp(to)
-	for _, e := range value(sh.spikes).span(sh.unordered.ordered(famSpikes), f, t) {
-		if f <= e.at && e.at <= t && e.row.ratio >= 1 {
+	for _, e := range value(sh.spikes).span(f, t) {
+		if e.row.ratio >= 1 {
 			st.Crossings++
 			st.MaxRatio = max(st.MaxRatio, e.row.ratio)
 		}
@@ -392,14 +421,11 @@ func (sh *shard) crossingStatsLocked(from, to time.Time) CrossingStats {
 }
 
 // revocationStatsLocked counts the revocation watches that landed inside
-// [from, to] and sums how long their instances were held.
-func (sh *shard) revocationStatsLocked(from, to time.Time) (watches int, held time.Duration) {
-	f, t := stamp(from), stamp(to)
-	for _, e := range value(sh.revocations).span(sh.unordered.ordered(famRevocations), f, t) {
-		if f <= e.at && e.at <= t {
-			watches++
-			held += e.row.held
-		}
+// [f, t] and sums how long their instances were held.
+func (sh *shard) revocationStatsLocked(f, t int64) (watches int, held time.Duration) {
+	for _, e := range value(sh.revocations).span(f, t) {
+		watches++
+		held += e.row.held
 	}
 	return watches, held
 }
@@ -427,29 +453,26 @@ func walkOutages(l famLog[probeRow], shapes []probeShape, open outageStarts, vis
 }
 
 // outagesIn is walkOutages over the shard's probes, which hold an outage,
-// for a read of [f, t]. A log in time order is walked only over the probes
-// stamped inside: a kind is in an outage where the walk starts iff its
-// last probe before was rejected, and minStamp stands for that outage's
-// start, which is before f; what opens after t starts past the window,
-// and what closes after t is still open at t.
+// for a read of [f, t], walked only over the probes stamped inside: a kind
+// is in an outage where the walk starts iff its last probe before was
+// rejected, and minStamp stands for that outage's start, which is before
+// f; what opens after t starts past the window, and what closes after t is
+// still open at t.
 func (sh *shard) outagesIn(f, t int64, visit func(ki int, start, end int64)) outageStarts {
 	l, open := *sh.probes, outageStarts{noOutage, noOutage}
 	shapes := *sh.store.dicts.shapes.vals.Load()
-	if sh.unordered.ordered(famProbes) {
-		i := l.after(f - 1)
-		var seen [probeKinds]bool
-		for k, n := i-1, 0; k >= 0 && n < probeKinds; k-- {
-			s := &shapes[l[k].row.shape]
-			if ki, ok := kindIndex(s.kind); ok && !seen[ki] {
-				seen[ki], n = true, n+1
-				if s.rejected {
-					open[ki] = minStamp
-				}
+	i := l.after(f - 1)
+	var seen [probeKinds]bool
+	for k, n := i-1, 0; k >= 0 && n < probeKinds; k-- {
+		s := &shapes[l[k].row.shape]
+		if ki, ok := kindIndex(s.kind); ok && !seen[ki] {
+			seen[ki], n = true, n+1
+			if s.rejected {
+				open[ki] = minStamp
 			}
 		}
-		l = l[i:max(i, l.after(t))]
 	}
-	return walkOutages(l, shapes, open, visit)
+	return walkOutages(l[i:max(i, l.after(t))], shapes, open, visit)
 }
 
 // outageRecords appends the outages of the probe log l to dst in the order
@@ -474,18 +497,17 @@ func outageRecords(dst []OutageRecord, l famLog[probeRow], o owner, only int) []
 	return dst
 }
 
-// outageOverlapLocked sums how much of [from, to] the shard's detected
-// outages of one kind cover — an open one up to to — without building the
+// outageOverlapLocked sums how much of [f, t] the shard's detected
+// outages of one kind cover — an open one up to t — without building the
 // interval list. Each overlap and their sum saturate as time.Time.Sub
 // does: a window wider than 292 years reads the longest Duration, never a
 // wrapped negative one.
-func (sh *shard) outageOverlapLocked(kind ProbeKind, from, to time.Time) time.Duration {
+func (sh *shard) outageOverlapLocked(kind ProbeKind, f, t int64) time.Duration {
 	want, ok := kindIndex(kind)
 	if !ok || !sh.hadOutage[want] {
 		return 0
 	}
 	var total uint64 // a sum of two Durations fits
-	f, t := stamp(from), stamp(to)
 	add := func(start, end int64) {
 		start = max(start, f)
 		if end == noOutage || end > t {

@@ -21,7 +21,7 @@ import (
 //	footer    index offset, SEQ, CRC-32C of index + both, "SPOTSNPE"
 //
 // A section is the WAL's CRC-framed record encoding (wal.go) — one frame
-// per record, families in append order within each family (probes, spikes,
+// per record, one family after another, each in append order (probes, spikes,
 // bid spreads, revocations, prices; derived outages are not stored) — so
 // there is one binary record format and one streaming decoder for both
 // halves of recovery. An index entry is a uvarint-prefixed "zone:type:

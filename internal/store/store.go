@@ -21,9 +21,12 @@
 // kind's open start and whether it ever had one) and on-demand price
 // crossings, spikes with Ratio >= 1, from the spikes. A sealed
 // min/max/sum summary of every 16 consecutive prices lets a windowed
-// price fold step over whole chunks instead of their samples, and one
-// time-order bit per record family lets window queries binary-search the
-// affected range instead of scanning whole histories.
+// price fold step over whole chunks instead of their samples.
+//
+// Every (market, family) series is in time order: an append round that
+// goes back in time is refused whole and counted, and recovery, the follow
+// stream and ReadJSON fail on such a record (ErrBackInTime). So every
+// window query binary-searches its range instead of scanning a history.
 //
 // Windowed reads (SpikeCrossingsWhere, PriceStatsIn, OutageOverlap) fold
 // those logs inside the shard without copying. Global iteration
@@ -45,6 +48,8 @@
 package store
 
 import (
+	"errors"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -53,7 +58,7 @@ import (
 	"spotlight/internal/market"
 )
 
-// ProbeKind distinguishes the two probe families of §2.2.
+// ProbeKind distinguishes the two probe types of §2.2.
 type ProbeKind int
 
 // Probe kinds.
@@ -388,15 +393,16 @@ func mergeByTime[S, T any](sources []S, collect func(S) []T, at func(T) time.Tim
 
 // groupByMarket appends a batch of one record family as one append round
 // per market, markets in order of first appearance (a price names no
-// market, so prices are never grouped). Within one
-// market the input order is preserved (the outage derivation depends on
-// it); across markets the order is a pure function of the input, so two
-// stores fed the same batch publish the same feed sequence. Bulk loads are usually a
-// timestamp-ordered interleaving of many markets; grouping pays one
-// append round per market instead of one per record.
-func groupByMarket[R record](s *Store, recs []R) {
+// market, so prices are never grouped). Within one market the input order
+// is preserved, and a market's round that goes back in time is refused
+// alone; across markets the order is a pure function of the input, so two
+// stores fed the same batch publish the same feed sequence. Bulk loads are
+// usually a timestamp-ordered interleaving of many markets; grouping pays
+// one append round per market instead of one per record. It returns the
+// refusals.
+func groupByMarket[R record](s *Store, recs []R) error {
 	if len(recs) == 0 {
-		return
+		return nil
 	}
 	marketOf := func(r *R) market.SpotID { _, m := fields(r); return *m }
 	// One market throughout (single records, a follower's per-market
@@ -406,8 +412,7 @@ func groupByMarket[R record](s *Store, recs []R) {
 		same++
 	}
 	if same == len(recs) {
-		appendRows(s.shardFor(first), recs)
-		return
+		return appendBatch(s, first, recs)
 	}
 	groups := make(map[market.SpotID][]R)
 	var order []market.SpotID
@@ -419,9 +424,20 @@ func groupByMarket[R record](s *Store, recs []R) {
 		}
 		groups[id] = append(group, recs[i])
 	}
+	var err error
 	for _, id := range order {
-		appendRows(s.shardFor(id), groups[id])
+		err = errors.Join(err, appendBatch(s, id, groups[id]))
 	}
+	return err
+}
+
+// appendBatch lands rs, a batch of market id, as one append round; its
+// shard is created only for a round that keeps time order within itself.
+func appendBatch[R record](s *Store, id market.SpotID, rs []R) error {
+	if err := inOrder(s, id, math.MinInt64, rs); err != nil || len(rs) == 0 {
+		return err
+	}
+	return appendRows(s.shardFor(id), rs)
 }
 
 // AppendProbe logs one probe and folds it, and the outage it opens or
@@ -431,9 +447,10 @@ func (s *Store) AppendProbe(r ProbeRecord) {
 }
 
 // AppendProbes logs a batch of probes, one append round per affected
-// market (see groupByMarket for the ordering contract).
-func (s *Store) AppendProbes(rs []ProbeRecord) {
-	groupByMarket(s, rs)
+// market (see groupByMarket for the ordering contract), and returns the
+// rounds refused for going back in time.
+func (s *Store) AppendProbes(rs []ProbeRecord) error {
+	return groupByMarket(s, rs)
 }
 
 // AppendSpike logs one threshold-crossing event.
@@ -442,9 +459,9 @@ func (s *Store) AppendSpike(e SpikeEvent) {
 }
 
 // AppendSpikes logs a batch of spike events, one append round per
-// affected market.
-func (s *Store) AppendSpikes(es []SpikeEvent) {
-	groupByMarket(s, es)
+// affected market; see AppendProbes.
+func (s *Store) AppendSpikes(es []SpikeEvent) error {
+	return groupByMarket(s, es)
 }
 
 // AppendBidSpread logs one intrinsic-price search result.
@@ -453,9 +470,9 @@ func (s *Store) AppendBidSpread(r BidSpreadRecord) {
 }
 
 // AppendBidSpreads logs a batch of intrinsic-price search results, one
-// append round per affected market.
-func (s *Store) AppendBidSpreads(rs []BidSpreadRecord) {
-	groupByMarket(s, rs)
+// append round per affected market; see AppendProbes.
+func (s *Store) AppendBidSpreads(rs []BidSpreadRecord) error {
+	return groupByMarket(s, rs)
 }
 
 // AppendRevocation logs one completed revocation watch.
@@ -464,9 +481,9 @@ func (s *Store) AppendRevocation(r RevocationRecord) {
 }
 
 // AppendRevocations logs a batch of completed revocation watches, one
-// append round per affected market.
-func (s *Store) AppendRevocations(rs []RevocationRecord) {
-	groupByMarket(s, rs)
+// append round per affected market; see AppendProbes.
+func (s *Store) AppendRevocations(rs []RevocationRecord) error {
+	return groupByMarket(s, rs)
 }
 
 // RecordPrice appends one price observation for a market. Callers decide
@@ -476,12 +493,10 @@ func (s *Store) RecordPrice(id market.SpotID, p PricePoint) {
 }
 
 // RecordPrices appends a batch of price observations for one market in
-// one append round, preserving input order.
-func (s *Store) RecordPrices(id market.SpotID, ps []PricePoint) {
-	if len(ps) == 0 {
-		return
-	}
-	appendRows(s.shardFor(id), ps)
+// one append round, preserving input order, and returns its refusal when
+// it goes back in time.
+func (s *Store) RecordPrices(id market.SpotID, ps []PricePoint) error {
+	return appendBatch(s, id, ps)
 }
 
 // Markets returns every market with at least one record of any kind, in
@@ -496,13 +511,13 @@ func (s *Store) Markets() []market.SpotID {
 }
 
 // RevocationsFor returns one market's revocation observations within
-// [from, to], oldest first when appends were time-ordered.
+// [from, to], oldest first.
 func (s *Store) RevocationsFor(id market.SpotID, from, to time.Time) []RevocationRecord {
 	sh := s.lookup(id)
 	if sh == nil {
 		return nil
 	}
-	return sh.revocationsIn(nil, from, to)
+	return sh.revocationsIn(nil, stamp(from), stamp(to))
 }
 
 // Probes returns all probes merged across shards, oldest first.
@@ -522,9 +537,10 @@ func (s *Store) ProbesWhere(keep func(ProbeRecord) bool) []ProbeRecord {
 // market in market-ID order.
 func (s *Store) ProbesInWindow(from, to time.Time, keep func(ProbeRecord) bool) []ProbeRecord {
 	var out []ProbeRecord
+	f, t := stamp(from), stamp(to)
 	for _, sh := range s.shardList() {
 		start := len(out)
-		out = sh.probesIn(out, from, to)
+		out = sh.probesIn(out, f, t)
 		if keep == nil {
 			continue
 		}
@@ -561,7 +577,7 @@ func (s *Store) SpikesFor(id market.SpotID, from, to time.Time) []SpikeEvent {
 	if sh == nil {
 		return nil
 	}
-	return sh.spikesIn(nil, from, to)
+	return sh.spikesIn(nil, stamp(from), stamp(to))
 }
 
 // SpikesInWindow returns the spike events with At inside [from, to] of
@@ -569,11 +585,12 @@ func (s *Store) SpikesFor(id market.SpotID, from, to time.Time) []SpikeEvent {
 // shard's time index. Results are grouped by market in market-ID order.
 func (s *Store) SpikesInWindow(from, to time.Time, keep func(market.SpotID) bool) []SpikeEvent {
 	var out []SpikeEvent
+	f, t := stamp(from), stamp(to)
 	for _, sh := range s.shardList() {
 		if keep != nil && !keep(sh.id()) {
 			continue
 		}
-		out = sh.spikesIn(out, from, to)
+		out = sh.spikesIn(out, f, t)
 	}
 	return out
 }
@@ -595,13 +612,14 @@ type CrossingStats struct {
 // or product-filtered ranking touches only the matching shards' spikes.
 func (s *Store) SpikeCrossingsWhere(from, to time.Time, keep func(market.SpotID) bool) map[market.SpotID]CrossingStats {
 	out := make(map[market.SpotID]CrossingStats)
+	f, t := stamp(from), stamp(to)
 	for _, sh := range s.shardList() {
 		id := sh.id()
 		if keep != nil && !keep(id) {
 			continue
 		}
 		sh.mu.RLock()
-		st := sh.crossingStatsLocked(from, to)
+		st := sh.crossingStatsLocked(f, t)
 		sh.mu.RUnlock()
 		if st.Crossings > 0 {
 			out[id] = st
@@ -620,7 +638,7 @@ func (s *Store) CrossingStatsFor(id market.SpotID, from, to time.Time) CrossingS
 	}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.crossingStatsLocked(from, to)
+	return sh.crossingStatsLocked(stamp(from), stamp(to))
 }
 
 // BidSpreadsFor returns one market's intrinsic-price search results.
@@ -668,7 +686,7 @@ func (s *Store) OutageOverlap(id market.SpotID, kind ProbeKind, from, to time.Ti
 	}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.outageOverlapLocked(kind, from, to)
+	return sh.outageOverlapLocked(kind, stamp(from), stamp(to))
 }
 
 // Prices returns a copy of the recorded price series of a market.
@@ -684,13 +702,13 @@ func (s *Store) Prices(id market.SpotID) []PricePoint {
 }
 
 // PricesIn returns the recorded price points of a market inside [from, to],
-// located by binary search when the series is time-ordered.
+// oldest first, located by binary search.
 func (s *Store) PricesIn(id market.SpotID, from, to time.Time) []PricePoint {
 	sh := s.lookup(id)
 	if sh == nil {
 		return nil
 	}
-	return sh.pricesIn(nil, from, to)
+	return sh.pricesIn(nil, stamp(from), stamp(to))
 }
 
 // PriceWindowStats is the windowed price summary of one market, folded
@@ -712,7 +730,7 @@ func (s *Store) PriceStatsIn(id market.SpotID, from, to time.Time) PriceWindowSt
 	}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.priceStatsLocked(from, to)
+	return sh.priceStatsLocked(stamp(from), stamp(to))
 }
 
 // PricedMarkets returns the markets with at least one recorded price, in

@@ -137,7 +137,8 @@ type Follower interface {
 
 // Follow applies one follow stream to s, which must have no other writer,
 // until the stream ends (io.EOF at a frame boundary), a frame is damaged, a
-// record leaves a gap (ErrStreamGap), or f refuses; it returns why.
+// record leaves a gap (ErrStreamGap) or goes back in time (ErrBackInTime,
+// not applied), or f refuses; it returns why.
 func (s *Store) Follow(r io.Reader, f Follower) (err error) {
 	var (
 		fr                     = frameReader{r: bufio.NewReaderSize(r, snapChunk)}
@@ -197,7 +198,8 @@ func (s *Store) Follow(r io.Reader, f Follower) (err error) {
 // applySnapshot lands the records of a snapshot image this store does not
 // hold yet — per section and family, all but as many as the local shard
 // holds — and returns how many. The whole image is checked first, so a
-// damaged one applies nothing.
+// damaged one applies nothing; a record that goes back in time is refused
+// and ends the apply (ErrBackInTime).
 func (s *Store) applySnapshot(image []byte, intern map[string]string) (applied uint64, err error) {
 	sections, err := parseSnapshot(image, 0)
 	for i := 0; err == nil && i < len(sections); i++ {
@@ -218,12 +220,12 @@ func (s *Store) applySnapshot(image []byte, intern map[string]string) (applied u
 				held[typ] = codecs[typ].rows(&c)
 			}
 		}
-		_ = decodeSection(sections[i], func(typ walRecordType, body []byte) error { // checked above
-			if held[typ]--; held[typ] < 0 {
-				_ = codecs[typ].follow(body, id, intern, s)
-				applied++
+		err = decodeSection(sections[i], func(typ walRecordType, body []byte) error { // decodes: checked above
+			if held[typ]--; held[typ] >= 0 {
+				return nil
 			}
-			return nil
+			applied++
+			return codecs[typ].follow(body, id, intern, s)
 		})
 	}
 	return applied, err

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -243,14 +245,31 @@ func TestFollowStreamCoversARoundRacingTheSnapshot(t *testing.T) {
 // frames as Follow does and returns the per-family record counts a follower
 // that starts empty and accepts salt must end with — a snapshot raises each
 // family to the image's count, a run frame counts only at its market's count
-// — stopping where Follow stops.
+// — stopping where Follow stops. A record that would apply but goes back in
+// time within its (market, family) ends the stream unapplied, as a
+// damaged frame does.
 func followOracle(data []byte, salt uint64) map[market.SpotID]*frameCounts {
 	held := make(map[market.SpotID]*frameCounts)
+	newest := make(map[market.SpotID]*[walPrice + 1]int64)
 	count := func(id market.SpotID) *frameCounts {
 		if held[id] == nil {
 			held[id] = new(frameCounts)
+			newest[id] = new([walPrice + 1]int64)
+			for typ := range newest[id] {
+				newest[id][typ] = math.MinInt64
+			}
 		}
 		return held[id]
+	}
+	// apply counts one record frame in, unless it goes back in time.
+	apply := func(id market.SpotID, typ walRecordType, body []byte) bool {
+		c, at := count(id), frameStamp(typ, body, id)
+		if at < newest[id][typ] {
+			return false
+		}
+		c[typ]++
+		newest[id][typ] = at
+		return true
 	}
 	var (
 		image         []byte
@@ -276,11 +295,17 @@ func followOracle(data []byte, salt uint64) map[market.SpotID]*frameCounts {
 			if err != nil {
 				return held
 			}
+			// Each section applies, family by family, the records past
+			// the ones its market holds.
 			for _, sec := range sections {
-				var c frameCounts
-				_ = decodeSection(sec, func(typ walRecordType, _ []byte) error { c[typ]++; return nil })
-				for typ := range c {
-					count(sec.id)[typ] = max(count(sec.id)[typ], c[typ])
+				skip := *count(sec.id)
+				if decodeSection(sec, func(typ walRecordType, body []byte) error {
+					if skip[typ]--; skip[typ] >= 0 || apply(sec.id, typ, body) {
+						return nil
+					}
+					return ErrBackInTime
+				}) != nil {
+					return held
 				}
 			}
 			image, inImage = nil, false
@@ -314,12 +339,34 @@ func followOracle(data []byte, salt uint64) map[market.SpotID]*frameCounts {
 			if !open || next > have || check(run)(typ, body) != nil {
 				return held
 			}
-			if next == have {
-				count(run)[typ]++
+			if next == have && !apply(run, typ, body) {
+				return held
 			}
 			next++
 		}
 	}
+}
+
+// frameStamp is the stamp of the record a frame of market id carries.
+func frameStamp(typ walRecordType, body []byte, id market.SpotID) int64 {
+	switch typ {
+	case walProbe:
+		return decodedStamp[ProbeRecord](body, id)
+	case walSpike:
+		return decodedStamp[SpikeEvent](body, id)
+	case walBidSpread:
+		return decodedStamp[BidSpreadRecord](body, id)
+	case walRevocation:
+		return decodedStamp[RevocationRecord](body, id)
+	}
+	return decodedStamp[PricePoint](body, id)
+}
+
+func decodedStamp[R record](body []byte, id market.SpotID) int64 {
+	var r R
+	_ = decode(&r, body, id, nil)
+	at, _ := fields(&r)
+	return stamp(*at)
 }
 
 // followedCounts reports the per-family record counts of every market s
@@ -375,9 +422,11 @@ func fuzzFollowStream() ([]byte, *Store) {
 }
 
 // fuzzFollowSeeds are the checked-in seed shapes: a valid stream, one torn
-// mid-frame, one whose run skips a record, one of a foreign history.
+// mid-frame, one whose run skips a record, one of a foreign history, and
+// one that continues the valid stream with a price back in time and a
+// price in time after it, neither of which may apply.
 func fuzzFollowSeeds() map[string][]byte {
-	valid, _ := fuzzFollowStream()
+	valid, leader := fuzzFollowStream()
 	_, hello, opening, _ := decodeWALFrame(valid)
 	foreign := appendWALFrame(nil, walPosition, func(b []byte) []byte {
 		return append(appendUvarint(b, 0xbad), hello[len(appendUvarint(nil, streamSalt)):]...)
@@ -388,6 +437,9 @@ func fuzzFollowSeeds() map[string][]byte {
 		"seed-torn-frame":   valid[:len(valid)-5],
 		"seed-ordinal-gap":  frameOf(gap, PricePoint{Price: 1}),
 		"seed-foreign-salt": append(foreign, valid[opening:]...),
+		"seed-back-in-time": frameOf(frameOf(appendRunHeader(slices.Clone(valid), fuzzMarket, leader.Generation(fuzzMarket)),
+			PricePoint{At: time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC), Price: 1}),
+			PricePoint{At: time.Date(2015, 9, 2, 0, 0, 0, 0, time.UTC), Price: 2}),
 	}
 }
 
