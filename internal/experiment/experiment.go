@@ -9,6 +9,7 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"spotlight/internal/cloud"
@@ -201,3 +202,16 @@ func (st *Study) RunDays(n int) {
 
 // Window returns the study's covered time range.
 func (st *Study) Window() (from, to time.Time) { return st.Start, st.End }
+
+// WriteDump writes the study's raw observations as a follow stream
+// (internal/store's stream.go), all at the study's end clock: an opening
+// position, then the store's image and the position after it. Store.Follow
+// loads it into a fresh store; a dump that ends before that closing
+// position was cut short, even where it ends at a frame boundary.
+func (st *Study) WriteDump(w io.Writer) error {
+	sw := store.NewStreamWriter(w, store.Position{Gen: st.DB.GlobalGeneration()})
+	if err := sw.Position(st.End); err != nil {
+		return err
+	}
+	return sw.Snapshot(st.DB, st.End)
+}

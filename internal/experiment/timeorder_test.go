@@ -17,6 +17,18 @@ func (follower) Hello(store.Position) error                    { return nil }
 func (follower) Snapshot() error                               { return nil }
 func (follower) Position(store.Position, uint64, uint64) error { return nil }
 
+// imageOf is the store's image as a follow stream carries it: two stores
+// hold the same records, family by family and market by market, iff their
+// images are equal.
+func imageOf(t *testing.T, db *store.Store) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := store.NewStreamWriter(&b, store.Position{}).Snapshot(db, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
 // refused reads a store's count of append rounds refused for going back in
 // time.
 func refused(reg *obs.Registry) uint64 {
@@ -27,7 +39,7 @@ func refused(reg *obs.Registry) uint64 {
 // contract: the monitor of a seed-42 1-day study (the setup of
 // TestStudyDigestPinned) and a follower applying its follow stream append
 // every (market, family) series in time order, so neither store refuses a
-// round, and the follower ends holding the leader's dump.
+// round, and the follower ends holding the leader's image.
 func TestProducersKeepTimeOrder(t *testing.T) {
 	leader, follow := store.New(), store.New()
 	lreg, freg := obs.NewRegistry(), obs.NewRegistry()
@@ -77,15 +89,9 @@ func TestProducersKeepTimeOrder(t *testing.T) {
 	if n := refused(freg); n != 0 {
 		t.Errorf("the follower refused %d append rounds, want 0", n)
 	}
-	var want, got bytes.Buffer
-	if err := leader.WriteJSON(&want); err != nil {
-		t.Fatal(err)
-	}
-	if err := follow.WriteJSON(&got); err != nil {
-		t.Fatal(err)
-	}
-	if leader.GlobalGeneration() == 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("the follower holds %d records and a dump of %d bytes, the leader %d and %d",
-			follow.GlobalGeneration(), got.Len(), leader.GlobalGeneration(), want.Len())
+	want, got := imageOf(t, leader), imageOf(t, follow)
+	if leader.GlobalGeneration() == 0 || !bytes.Equal(got, want) {
+		t.Errorf("the follower holds %d records and an image of %d bytes, the leader %d and %d",
+			follow.GlobalGeneration(), len(got), leader.GlobalGeneration(), len(want))
 	}
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -800,14 +801,14 @@ func TestWatchFollowStream(t *testing.T) {
 	if err := follower.Follow(resp.Body, stop); err != errStop {
 		t.Fatalf("follow: %v", err)
 	}
-	var got, want strings.Builder
-	if err := follower.WriteJSON(&got); err != nil {
+	var got, want bytes.Buffer
+	if err := store.NewStreamWriter(&got, store.Position{}).Snapshot(follower, t0); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WriteJSON(&want); err != nil {
+	if err := store.NewStreamWriter(&want, store.Position{}).Snapshot(db, t0); err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != want.String() {
-		t.Fatalf("the snapshot rebuilt\n%s\nnot\n%s", got.String(), want.String())
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("the snapshot rebuilt an image of %d bytes, not the leader's %d:\n%q\nnot\n%q", got.Len(), want.Len(), got.Bytes(), want.Bytes())
 	}
 }

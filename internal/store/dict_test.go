@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -136,7 +135,8 @@ func sameProbes(t *testing.T, path string, got, want []ProbeRecord) {
 // goroutines at once (one per pair of markets, all sharing the store's
 // dictionaries) into a durable store, half before a snapshot and a follower
 // attach and half after, and requires the oracle back exactly through the
-// accessors, WriteJSON, a close and reopen, and a Follow into a fresh store.
+// accessors, its dump loaded into a fresh store, a close and reopen, and a
+// Follow into a fresh store.
 // One market's stream is interleaved with rounds that go back in time —
 // each of its batches reversed, and its first probe a nanosecond early —
 // which the leader must refuse and count, and which no other path may
@@ -261,11 +261,11 @@ func TestProbeDictionaryOracle(t *testing.T) {
 		if got := len(db.dicts.shapes.ids); got != len(shapes) {
 			t.Errorf("%s: the shape dictionary holds %d entries, want %d distinct shapes", path, got, len(shapes))
 		}
-		var snap Snapshot
-		if err := json.Unmarshal([]byte(dumpOf(t, db)), &snap); err != nil {
-			t.Fatal(err)
+		loaded, err := loadDump([]byte(dumpOf(t, db)))
+		if err != nil {
+			t.Fatalf("%s: load the dump: %v", path, err)
 		}
-		sameProbes(t, path+" WriteJSON", snap.Probes, byTime)
+		sameProbes(t, path+" dump", loaded.Probes(), byTime)
 	}
 	check("leader", s)
 	if got, want := s.metrics.appendRefused.Value(), refusals.Load(); got != want {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -14,10 +15,10 @@ import (
 // The golden fixture pins the on-disk format — the snapshot file's layout,
 // log framing and run headers, and the binary record encoding — against
 // accidental change: testdata/golden/store holds a committed data directory
-// (snapshot + a live log file + meta) and expected-state.json the exact
-// WriteJSON dump recovery must reproduce from it. If either file stops
-// matching, the format changed and needs a new magic/version plus a
-// migration story, not a silent break.
+// (snapshot + a live log file + meta), and recovery from it must reproduce
+// the store goldenWorkload builds live, by dump and by every accessor. If
+// it stops matching, the format changed and needs a new magic/version plus
+// a migration story, not a silent break.
 //
 // Regenerate (after an INTENTIONAL format change) with:
 //
@@ -79,14 +80,30 @@ func TestGoldenFixture(t *testing.T) {
 		regenGolden(t, storeFixture, expectedPath)
 	}
 
-	// Recover from a copy: Open repairs torn tails in place and the
-	// committed fixture must stay pristine.
-	dir := t.TempDir()
-	copyTree(t, storeFixture, dir)
-	s, err := Open(dir, PersistOptions{})
+	s := openGolden(t)
+	live, err := Open(t.TempDir(), PersistOptions{})
 	if err != nil {
-		t.Fatalf("Open(golden fixture): %v", err)
+		t.Fatal(err)
 	}
+	defer live.Persister().Close()
+	if err := goldenWorkload(live, live.Persister()); err != nil {
+		t.Fatal(err)
+	}
+	dump := dumpOf(t, s)
+	if want := dumpOf(t, live); dump != want {
+		t.Errorf("recovered state diverged from the live workload's — the on-disk format changed\n got: %q\nwant: %q", dump, want)
+	}
+	sameAccessors(t, "recovered", s, live)
+	// The dump loads into a store that dumps the same bytes, outages
+	// included.
+	loaded, err := loadDump([]byte(dump))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := dumpOf(t, loaded); again != dump {
+		t.Errorf("the loaded dump dumps differently:\n got: %q\nwant: %q", again, dump)
+	}
+	sameAccessors(t, "loaded", loaded, live)
 
 	var got bytes.Buffer
 	if err := s.WriteJSON(&got); err != nil {
@@ -124,6 +141,66 @@ func TestGoldenFixture(t *testing.T) {
 	clock := s.Persister().Clock()
 	if want := time.Date(2015, 9, 1, 12, 30, 0, 0, time.UTC); !clock.Equal(want) {
 		t.Errorf("recovered clock = %v, want %v", clock, want)
+	}
+}
+
+// openGolden recovers the golden fixture from a copy: Open repairs torn
+// tails in place and the committed fixture must stay pristine.
+func openGolden(t testing.TB) *Store {
+	t.Helper()
+	dir := t.TempDir()
+	copyTree(t, filepath.Join(goldenDir(t), "store"), dir)
+	s, err := Open(dir, PersistOptions{})
+	if err != nil {
+		t.Fatalf("Open(golden fixture): %v", err)
+	}
+	t.Cleanup(func() { s.Persister().Abandon() })
+	return s
+}
+
+// sameAccessors holds every read of got to want's: assertStoresEqual's
+// dump, aggregates and generations, and each record accessor and windowed
+// fold over all time, per market.
+func sameAccessors(t *testing.T, what string, got, want *Store) {
+	t.Helper()
+	assertStoresEqual(t, got, want)
+	from, to := time.Unix(0, minStamp), time.Unix(0, maxStamp)
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"Markets", got.Markets(), want.Markets()},
+		{"PricedMarkets", got.PricedMarkets(), want.PricedMarkets()},
+		{"Probes", got.Probes(), want.Probes()},
+		{"ProbeCount", got.ProbeCount(), want.ProbeCount()},
+		{"Spikes", got.Spikes(), want.Spikes()},
+		{"Outages", got.Outages(), want.Outages()},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s: %s = %+v, want %+v", what, c.name, c.got, c.want)
+		}
+	}
+	for _, id := range want.Markets() {
+		for _, c := range []struct {
+			name      string
+			got, want any
+		}{
+			{"BidSpreadsFor", got.BidSpreadsFor(id), want.BidSpreadsFor(id)},
+			{"RevocationsFor", got.RevocationsFor(id, from, to), want.RevocationsFor(id, from, to)},
+			{"SpikesFor", got.SpikesFor(id, from, to), want.SpikesFor(id, from, to)},
+			{"CrossingStatsFor", got.CrossingStatsFor(id, from, to), want.CrossingStatsFor(id, from, to)},
+			{"Prices", got.Prices(id), want.Prices(id)},
+			{"PricesIn", got.PricesIn(id, from, to), want.PricesIn(id, from, to)},
+			{"PriceStatsIn", got.PriceStatsIn(id, from, to), want.PriceStatsIn(id, from, to)},
+			{"OutagesFor od", got.OutagesFor(id, ProbeOnDemand), want.OutagesFor(id, ProbeOnDemand)},
+			{"OutagesFor spot", got.OutagesFor(id, ProbeSpot), want.OutagesFor(id, ProbeSpot)},
+			{"OutageOverlap od", got.OutageOverlap(id, ProbeOnDemand, from, to), want.OutageOverlap(id, ProbeOnDemand, from, to)},
+			{"OutageOverlap spot", got.OutageOverlap(id, ProbeSpot, from, to), want.OutageOverlap(id, ProbeSpot, from, to)},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Errorf("%s: %s(%v) = %+v, want %+v", what, c.name, id, c.got, c.want)
+			}
+		}
 	}
 }
 
@@ -189,7 +266,7 @@ func writeFuzzSeed(t *testing.T, fuzzName, seedName string, data []byte) {
 	}
 }
 
-func copyTree(t *testing.T, src, dst string) {
+func copyTree(t testing.TB, src, dst string) {
 	t.Helper()
 	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
 		if err != nil {

@@ -2,22 +2,21 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"spotlight/internal/market"
 	"spotlight/internal/obs"
 )
 
 // Time order is the append contract: every (market, family) series is in
 // time order, so an append round that goes back in time — within itself or
 // before its family's newest row — is refused whole and counted, and every
-// other way in (recovery, the follow stream, ReadJSON) fails on one.
+// other way in (recovery, the follow stream, a study's dump) fails on one.
 
 // storeState is what a refused round must leave as it was: every record
 // stream, every generation and rollup, and the bytes of the log.
@@ -122,33 +121,53 @@ func TestBackInTimeRoundIsRefused(t *testing.T) {
 		t.Errorf("an equal stamp: %v, generation %d, want %d", err, s.Generation(id), before.market+1)
 	}
 
-	var dump Snapshot
-	if err := json.Unmarshal([]byte(before.dump), &dump); err != nil {
+	var img bytes.Buffer
+	if _, err := encodeSnapshot(&img, 0, s.captureAll()); err != nil {
 		t.Fatal(err)
 	}
-	dump.Probes[0].At, dump.Probes[1].At = dump.Probes[1].At, dump.Probes[0].At
-	b, err := json.Marshal(dump)
-	if err != nil {
+	swapFirstProbes(t, img.Bytes(), 0, id)
+	var dump bytes.Buffer
+	sw := NewStreamWriter(&dump, Position{})
+	if err := errors.Join(sw.Position(persistBase), writeImage(sw, img.Bytes()), sw.Position(persistBase)); err != nil {
 		t.Fatal(err)
 	}
-	if loaded, err := ReadJSON(bytes.NewReader(b)); loaded != nil || !errors.Is(err, ErrBackInTime) || !strings.Contains(err.Error(), id.String()) {
-		t.Errorf("ReadJSON of probes back in time returned a store: %t, and %v; want none and ErrBackInTime naming %v", loaded != nil, err, id)
+	if loaded, err := loadDump(dump.Bytes()); loaded != nil || !errors.Is(err, ErrBackInTime) || !strings.Contains(err.Error(), id.String()) {
+		t.Errorf("a dump of probes back in time loaded a store: %t, and %v; want none and ErrBackInTime naming %v", loaded != nil, err, id)
 	}
 }
 
-// TestWriteJSONRoundTripIsExact: the golden fixture's dump, loaded and
-// dumped again, comes back byte for byte, outages included.
-func TestWriteJSONRoundTripIsExact(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join(goldenDir(t), "expected-state.json"))
+// writeImage frames a snapshot image into sw's chunk frames.
+func writeImage(sw *StreamWriter, img []byte) error {
+	_, err := chunkWriter{sw}.Write(img)
+	return err
+}
+
+// swapFirstProbes swaps the first two probe frames of market id's section
+// of snapshot image img in place: the same bytes, every checksum intact,
+// the second stamped before the first.
+func swapFirstProbes(t *testing.T, img []byte, seq uint64, id market.SpotID) {
+	t.Helper()
+	sections, err := parseSnapshot(img, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadJSON(bytes.NewReader(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dumpOf(t, loaded); got != string(want) {
-		t.Errorf("WriteJSON(ReadJSON(dump)) differs from the dump:\n got: %.600s\nwant: %.600s", got, want)
+	for _, sec := range sections {
+		if sec.id != id {
+			continue
+		}
+		var frames [][]byte
+		for off := 0; off < len(sec.frames); {
+			_, _, n, err := decodeWALFrame(sec.frames[off:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames, off = append(frames, sec.frames[off:off+n]), off+n
+		}
+		if typ := sec.frames[walFrameHeader]; typ != byte(walProbe) {
+			t.Fatalf("the section opens with frame type %d, want probes", typ)
+		}
+		frames[0], frames[1] = frames[1], frames[0]
+		copy(sec.frames, bytes.Join(frames, nil))
 	}
 }
 
@@ -221,30 +240,7 @@ func TestRecoveryRefusesBackInTimeFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sections, err := parseSnapshot(img, snap.seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Swap the market's first two probe frames: the same bytes, every
-		// checksum intact, the second stamped before the first.
-		for _, sec := range sections {
-			if sec.id != id {
-				continue
-			}
-			var frames [][]byte
-			for off := 0; off < len(sec.frames); {
-				_, _, n, err := decodeWALFrame(sec.frames[off:])
-				if err != nil {
-					t.Fatal(err)
-				}
-				frames, off = append(frames, sec.frames[off:off+n]), off+n
-			}
-			if typ := sec.frames[walFrameHeader]; typ != byte(walProbe) {
-				t.Fatalf("the section opens with frame type %d, want probes", typ)
-			}
-			frames[0], frames[1] = frames[1], frames[0]
-			copy(sec.frames, bytes.Join(frames, nil))
-		}
+		swapFirstProbes(t, img, snap.seq, id)
 		if err := os.WriteFile(snap.path, img, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -34,19 +34,12 @@ func persistMarket(i int) market.SpotID {
 }
 
 // assertStoresEqual compares two stores down to every layer recovery
-// rebuilds: record streams (via the consistent JSON dump), region
-// aggregates, and every generation counter, per market and per scope.
+// rebuilds: record streams (via the consistent dump), region aggregates,
+// and every generation counter, per market and per scope.
 func assertStoresEqual(t *testing.T, got, want *Store) {
 	t.Helper()
-	var gotJSON, wantJSON bytes.Buffer
-	if err := got.WriteJSON(&gotJSON); err != nil {
-		t.Fatalf("WriteJSON(got): %v", err)
-	}
-	if err := want.WriteJSON(&wantJSON); err != nil {
-		t.Fatalf("WriteJSON(want): %v", err)
-	}
-	if !bytes.Equal(gotJSON.Bytes(), wantJSON.Bytes()) {
-		t.Errorf("record streams differ:\n got: %.400s\nwant: %.400s", gotJSON.String(), wantJSON.String())
+	if g, w := dumpOf(t, got), dumpOf(t, want); g != w {
+		t.Errorf("record streams differ:\n got: %q\nwant: %q", g[:min(len(g), 400)], w[:min(len(w), 400)])
 	}
 	now := persistBase.Add(30 * 24 * time.Hour)
 	if g, w := got.RegionAggregates(now), want.RegionAggregates(now); !reflect.DeepEqual(g, w) {
@@ -638,13 +631,14 @@ func TestSnapshotUnderConcurrentAppends(t *testing.T) {
 	assertStoresEqual(t, re, s)
 }
 
-// TestWriteJSONConsistentCut is the regression test for the documented
-// torn-read race: WriteJSON used to read each record stream in a separate
-// pass, so an append racing the dump could land its spike in the spike
-// stream while its probe missed the probe stream. Writers here append a
-// probe strictly before its paired spike; under a consistent per-shard
-// cut no dump can ever hold more spikes than probes for a market.
-func TestWriteJSONConsistentCut(t *testing.T) {
+// TestDumpConsistentCut is the regression test for the torn-read race: a
+// dump that read each record family in a separate pass could hold an
+// append's spike while missing the probe appended before it. Writers here
+// append a probe strictly before its paired spike; under the per-shard
+// consistent cut a dump is taken at, a concurrent append lands in every
+// family of its market or in none, so no loaded dump can ever hold more
+// spikes than probes for a market.
+func TestDumpConsistentCut(t *testing.T) {
 	s := New()
 	const writers = 4
 	const pairs = 400
@@ -672,14 +666,9 @@ func TestWriteJSONConsistentCut(t *testing.T) {
 				return
 			default:
 			}
-			var buf bytes.Buffer
-			if err := s.WriteJSON(&buf); err != nil {
-				t.Errorf("WriteJSON: %v", err)
-				return
-			}
-			snap, err := ReadJSON(strings.NewReader(buf.String()))
+			snap, err := loadDump([]byte(dumpOf(t, s)))
 			if err != nil {
-				t.Errorf("ReadJSON: %v", err)
+				t.Errorf("load the dump: %v", err)
 				return
 			}
 			for _, id := range snap.Markets() {

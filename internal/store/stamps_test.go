@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,13 +12,12 @@ import (
 // contract: every instant comes back in UTC, saturated to the int64
 // nanosecond range (the zero time.Time included), identically from the
 // live store, its change feed, the store reopened from its data dir and
-// the one ReadJSON builds from its dump — == on the records, location and
-// all. An outage still open keeps a zero End.
+// the one its dump loads into — == on the records, location and all. An
+// outage still open keeps a zero End.
 func TestStampsMaterializeIdenticallyLiveAndRecovered(t *testing.T) {
 	lowest, highest := time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
 	plus2 := time.Date(2015, 9, 1, 14, 0, 0, 7, time.FixedZone("+02:00", 2*3600))
-	// Non-decreasing once saturated, so ReadJSON's merge by time keeps the
-	// append order and derives the same outages.
+	// Non-decreasing once saturated: every series is in time order.
 	stamps := []time.Time{{}, lowest, lowest.Add(-time.Hour), plus2, highest, highest.Add(time.Hour)}
 	floor, ceiling := time.Unix(0, minStamp).UTC(), time.Unix(0, maxStamp).UTC()
 	want := []time.Time{floor, floor, floor, plus2.UTC(), ceiling, ceiling}
@@ -102,18 +100,14 @@ func TestStampsMaterializeIdenticallyLiveAndRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Persister().Close()
-	var dump bytes.Buffer
-	if err := live.WriteJSON(&dump); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadJSON(&dump)
+	loaded, err := loadDump([]byte(dumpOf(t, live)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range []struct {
 		what string
 		db   *Store
-	}{{"reopened", reopened}, {"ReadJSON", loaded}} {
+	}{{"reopened", reopened}, {"loaded", loaded}} {
 		sameRecords(t, st.what+" probes", st.db.Probes(), live.Probes())
 		sameRecords(t, st.what+" spikes", st.db.Spikes(), live.Spikes())
 		sameRecords(t, st.what+" bid spreads", allBidSpreads(st.db), allBidSpreads(live))

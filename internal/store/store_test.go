@@ -287,6 +287,43 @@ func TestReadJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDumpRoundTrip: a store's dump, loaded into a fresh store, holds
+// every record family, rebuilds the derived outage from the probe log, and
+// dumps again to the same bytes.
+func TestDumpRoundTrip(t *testing.T) {
+	s := New()
+	s.AppendProbe(probe(t0, mktA, ProbeOnDemand, true))
+	s.AppendProbe(probe(t0.Add(10*time.Minute), mktA, ProbeOnDemand, false))
+	s.AppendSpike(SpikeEvent{At: t0, Market: mktA, Ratio: 2})
+	s.RecordPrice(mktB, PricePoint{At: t0, Price: 0.5})
+	s.AppendBidSpread(BidSpreadRecord{At: t0, Market: mktA, Published: 0.1, Intrinsic: 0.12, Attempts: 2})
+	s.AppendRevocation(RevocationRecord{At: t0, Market: mktA, Bid: 0.42, Held: time.Hour})
+
+	dump := dumpOf(t, s)
+	loaded, err := loadDump([]byte(dump))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.ProbeCount() != 2 || len(loaded.Spikes()) != 1 ||
+		len(allBidSpreads(loaded)) != 1 || len(allRevocations(loaded)) != 1 {
+		t.Errorf("loaded counts wrong: %d probes %d spikes", loaded.ProbeCount(), len(loaded.Spikes()))
+	}
+	if got := loaded.Prices(mktB); len(got) != 1 || got[0].Price != 0.5 {
+		t.Errorf("loaded prices = %+v", got)
+	}
+	// The derived outage intervals are rebuilt from the probe log.
+	outs := loaded.OutagesFor(mktA, ProbeOnDemand)
+	if len(outs) != 1 || outs[0].End.IsZero() {
+		t.Fatalf("rebuilt outages = %+v", outs)
+	}
+	if got := outs[0].End.Sub(outs[0].Start); got != 10*time.Minute {
+		t.Errorf("rebuilt outage duration = %v, want 10m", got)
+	}
+	if again := dumpOf(t, loaded); again != dump {
+		t.Error("the loaded store's dump differs from the dump it was loaded from")
+	}
+}
+
 func TestReadJSONErrors(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")

@@ -107,13 +107,46 @@ func (f *testFollower) restart(t *testing.T, dir string, crash bool) {
 	}
 }
 
-func dumpOf(t *testing.T, s *Store) string {
+// dumpOf writes s as a study's dump is written (experiment's
+// Study.WriteDump): an opening position, then the store's image and the
+// position after it. Two stores hold the same records, family by family and
+// market by market, iff their dumps are equal.
+func dumpOf(t testing.TB, s *Store) string {
 	t.Helper()
 	var b bytes.Buffer
-	if err := s.WriteJSON(&b); err != nil {
+	sw := NewStreamWriter(&b, Position{Salt: streamSalt})
+	if err := sw.Position(time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Snapshot(s, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()
+}
+
+// loadDump follows a dump into a fresh store as spotlight-analyze does: the
+// store is whole only once a position has followed the image and the
+// stream ends there. A dump cut at a frame boundary ends in io.EOF like a
+// whole one, having applied nothing.
+func loadDump(dump []byte) (*Store, error) {
+	s, f := New(), &dumpFollower{}
+	if err := s.Follow(bytes.NewReader(dump), f); err != io.EOF {
+		return nil, err
+	}
+	if !f.closed {
+		return nil, errors.New("the dump ends before the position closing its image")
+	}
+	return s, nil
+}
+
+// dumpFollower hears a dump: closed once a position follows its image.
+type dumpFollower struct{ image, closed bool }
+
+func (f *dumpFollower) Hello(Position) error { return nil }
+func (f *dumpFollower) Snapshot() error      { f.image = true; return nil }
+func (f *dumpFollower) Position(Position, uint64, uint64) error {
+	f.closed = f.image
+	return nil
 }
 
 // The randomized differential: a leader on a 64-event ring takes random
@@ -454,6 +487,7 @@ func FuzzFollowStream(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add([]byte{})
+	f.Add([]byte(dumpOf(f, openGolden(f)))) // the golden fixture's dump: an image, then its position
 	f.Fuzz(func(t *testing.T, data []byte) {
 		follower := New()
 		_ = follower.Follow(bytes.NewReader(data), &testFollower{db: follower, salt: streamSalt})
