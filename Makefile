@@ -185,9 +185,10 @@ example-smoke:
 # must load identically again), the follow stream a replica applies
 # (FuzzFollowStream: arbitrary bytes must never panic, a record must apply
 # exactly when the ordinal rule admits it and it keeps its family in time
-# order, and the leader's own stream must rebuild its dump) and the JSON
-# export's reader (the checked-in seed corpora live in
-# internal/store/testdata/fuzz), every family's window (FuzzPriceWindow:
+# order, and the leader's own stream must rebuild its dump; a study's dump
+# is a follow stream, and the golden fixture's dump is a seed) (the
+# checked-in seed corpora live in internal/store/testdata/fuzz), every
+# family's window (FuzzPriceWindow:
 # the fuzzed stamps — saturated, duplicate and back in time — land as
 # prices, spikes, revocations and probes in rounds of three, every round
 # that goes back in time must be refused and counted; every windowed fold
@@ -214,7 +215,6 @@ example-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzPriceWindow$$' -fuzztime=10s
-	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotReadJSON$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotV2Decode$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzFollowStream$$' -fuzztime=10s
 	$(GO) test ./internal/market -run '^$$' -fuzz '^FuzzSpotIDCompare$$' -fuzztime=10s
@@ -242,7 +242,7 @@ cover-runs:
 	$$bin/spotload -report $$tmp/chaos-report.txt -metrics-dump $$tmp/chaos-metrics.txt >/dev/null 2>&1; \
 	for e in examples/*; do $$bin/$$(basename $$e) >/dev/null 2>&1; done; \
 	$$bin/spotlight-study -days 2 -quiet -out $$tmp/study >/dev/null; \
-	$$bin/spotlight-analyze -in $$tmp/study/store.json >/dev/null; \
+	$$bin/spotlight-analyze -in $$tmp/study/store.stream >/dev/null; \
 	$$bin/ec2sim -days 1 -trace >/dev/null; \
 	for w in read-hot read-cold live-fleet ingest-recover; do \
 		$$bin/bench --workload $$w --seed 42 --seconds 2 --trace 1 --out $$tmp/bench >/dev/null 2>&1; \

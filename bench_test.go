@@ -827,7 +827,7 @@ func BenchmarkStoreAppendParallelManyMarkets(b *testing.B) { storeAppendParallel
 // BenchmarkStoreAppendProbesBatchParallel measures the batched ingestion
 // path: concurrent appenders each flush 64-record batches to their bound
 // market through Appender.AppendProbes, paying one lock round per batch
-// instead of per record (the replay / ReadJSON bulk-load pattern).
+// instead of per record (the replay bulk-load pattern).
 func BenchmarkStoreAppendProbesBatchParallel(b *testing.B) {
 	const batchSize = 64
 	db := store.New()
@@ -1173,7 +1173,10 @@ func BenchmarkPriceStatsIn(b *testing.B) {
 	for i := 0; i < 5000; i++ {
 		ps = append(ps, store.PricePoint{At: base.Add(time.Duration(i) * time.Minute), Price: 0.05 + float64(i%40)/1000})
 	}
-	db.RecordPrices(id, ps)
+	app := db.Appender(id)
+	for _, p := range ps {
+		app.RecordPrice(p)
+	}
 	from, to := base.Add(time.Hour), base.Add(72*time.Hour)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -2,7 +2,7 @@
 // the simulated cloud and regenerates every table and figure of the
 // evaluation as text tables (Chapter 5 observations and the Chapter 6 case
 // studies). Optionally dumps the raw probe/price logs for offline
-// plotting.
+// plotting, and the whole store (store.stream) for spotlight-analyze.
 //
 // Usage:
 //
@@ -39,7 +39,7 @@ func run(args []string, out io.Writer) error {
 		tick    = fs.Duration("tick", 5*time.Minute, "simulation tick")
 		trials  = fs.Int("trials", 100, "SpotOn trials per market (Fig 6.2)")
 		regions = fs.String("regions", "", "comma-separated region filter (default: all)")
-		outDir  = fs.String("out", "", "directory for raw CSV/JSON dumps (optional)")
+		outDir  = fs.String("out", "", "directory for raw CSV dumps and the store dump (optional)")
 		quiet   = fs.Bool("quiet", false, "suppress progress output")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -210,7 +210,9 @@ func writeFigures(out io.Writer, st *experiment.Study, trials int) error {
 	return experiment.WriteFig62(out, rows62)
 }
 
-// dump writes the raw logs plus one plot-ready CSV per figure.
+// dump writes the raw logs, the store's dump (store.stream: the store's
+// image as a follow stream, which spotlight-analyze loads) and one
+// plot-ready CSV per figure.
 func dump(st *experiment.Study, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -239,7 +241,7 @@ func dump(st *experiment.Study, dir string) error {
 	if err := writeFile("outages.csv", st.DB.WriteOutagesCSV); err != nil {
 		return err
 	}
-	if err := writeFile("store.json", st.DB.WriteJSON); err != nil {
+	if err := writeFile("store.stream", st.WriteDump); err != nil {
 		return err
 	}
 

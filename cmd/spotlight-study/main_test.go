@@ -33,7 +33,7 @@ func TestRunTinyStudy(t *testing.T) {
 		}
 	}
 	for _, f := range []string{
-		"probes.csv", "prices.csv", "store.json",
+		"probes.csv", "prices.csv", "store.stream",
 		"fig2_1.csv", "fig5_2.csv", "fig5_3.csv", "fig5_4.csv", "fig5_5.csv",
 		"fig5_6.csv", "fig5_7.csv", "fig5_8.csv", "fig5_9.csv",
 		"fig5_10.csv", "fig5_11.csv", "fig5_12.csv",

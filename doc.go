@@ -61,8 +61,8 @@
 //     nodes, forwarding each request whole to one node by consistent
 //     hash, with every-peer failover and circuit breakers
 //   - cmd/spotlight-study  — regenerate every table and figure
-//   - cmd/spotlight-analyze— regenerate Chapter 5 figures from a dumped
-//     store snapshot (collect once, analyze many)
+//   - cmd/spotlight-analyze— regenerate Chapter 5 figures from a study's
+//     dump, store.stream (collect once, analyze many)
 //   - cmd/spotlightd       — run the service as an HTTP daemon (-smoke
 //     self-checks a v2 batch, a /v2/advise call, and a live watch
 //     stream through pkg/client and exits; -data-dir makes the study

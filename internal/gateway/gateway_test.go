@@ -105,7 +105,7 @@ func seedProbes(db *store.Store, id market.SpotID, count, rejected int) {
 	}
 	// Close any outage the rejected run opened, so summaries are settled.
 	rs = append(rs, store.ProbeRecord{At: t0.Add(time.Duration(count) * time.Minute), Market: id, Kind: store.ProbeOnDemand})
-	db.AppendProbes(rs)
+	db.Appender(id).AppendProbes(rs)
 }
 
 // A node that keeps failing must show up in aggregated health with its

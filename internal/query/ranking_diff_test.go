@@ -101,20 +101,33 @@ func randomRecords(rng *rand.Rand, cat *market.Catalog) []marketRecords {
 func loadRecords(recs []marketRecords, order []int, shuffle *rand.Rand) *store.Store {
 	db := store.New()
 	for _, i := range order {
-		m := recs[i]
-		families := []func() error{
-			func() error { return db.AppendSpikes(m.spikes) },
-			func() error { return db.AppendProbes(m.probes) },
-			func() error { return db.AppendRevocations(m.revs) },
-			func() error { return db.RecordPrices(m.id, m.prices) },
+		m, app := recs[i], db.Appender(recs[i].id)
+		families := []func(){
+			func() {
+				for _, e := range m.spikes {
+					app.AppendSpike(e)
+				}
+			},
+			func() { app.AppendProbes(m.probes) },
+			func() {
+				for _, r := range m.revs {
+					app.AppendRevocation(r)
+				}
+			},
+			func() {
+				for _, p := range m.prices {
+					app.RecordPrice(p)
+				}
+			},
 		}
 		if shuffle != nil {
 			shuffle.Shuffle(len(families), func(a, b int) { families[a], families[b] = families[b], families[a] })
 		}
 		for _, add := range families {
-			if err := add(); err != nil {
-				panic(err)
-			}
+			add()
+		}
+		if held, want := db.Generation(m.id), len(m.spikes)+len(m.probes)+len(m.revs)+len(m.prices); held != uint64(want) {
+			panic(fmt.Sprintf("%v holds %d records of %d: the store refused a round", m.id, held, want))
 		}
 	}
 	return db
@@ -338,7 +351,9 @@ func tiedRecords(t *testing.T, cat *market.Catalog) (recs []marketRecords, from,
 	for i := 1; i < 1000 && price == 0; i++ {
 		p := od * float64(i) / 1000
 		probe := store.New()
-		probe.RecordPrices(ids[0], series(p))
+		for _, pt := range series(p) {
+			probe.RecordPrice(ids[0], pt)
+		}
 		if mean := probe.PriceStatsIn(ids[0], from, to).Mean; mean < p && score(mean) > score(p) {
 			price = p
 		}

@@ -440,7 +440,7 @@ func stalledStreamShutdown(t *testing.T, instrumented bool) {
 			batch[i] = store.ProbeRecord{At: t0.Add(time.Duration(round*len(batch)+i) * time.Second), Market: mktA,
 				Kind: store.ProbeSpot, Code: strings.Repeat("x", 200)}
 		}
-		db.AppendProbes(batch)
+		db.Appender(mktA).AppendProbes(batch)
 		time.Sleep(time.Millisecond)
 	}
 	a.Shutdown()

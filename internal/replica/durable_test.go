@@ -35,18 +35,12 @@ func ingestRound(db *store.Store, ids []market.SpotID, round int, at time.Time) 
 			Bid: 0.5, Cost: 0.02,
 		})
 	}
-	db.AppendProbes(probes)
-	db.AppendSpikes([]store.SpikeEvent{
-		{At: at.Add(2 * time.Minute), Market: ids[round%3], Price: 0.9, Ratio: 1.2 + 0.1*float64(round), Probed: true},
-	})
-	db.RecordPrices(ids[1], []store.PricePoint{{At: at.Add(3 * time.Minute), Price: 0.3 + 0.01*float64(round)}})
+	appendProbes(db, probes)
+	db.AppendSpike(store.SpikeEvent{At: at.Add(2 * time.Minute), Market: ids[round%3], Price: 0.9, Ratio: 1.2 + 0.1*float64(round), Probed: true})
+	db.RecordPrice(ids[1], store.PricePoint{At: at.Add(3 * time.Minute), Price: 0.3 + 0.01*float64(round)})
 	if round%3 == 0 {
-		db.AppendRevocations([]store.RevocationRecord{
-			{At: at.Add(4 * time.Minute), Market: ids[0], Bid: 0.5, Held: time.Duration(round+1) * time.Hour},
-		})
-		db.AppendBidSpreads([]store.BidSpreadRecord{
-			{At: at.Add(5 * time.Minute), Market: ids[1], Published: 0.3, Intrinsic: 0.35, Attempts: 2 + round},
-		})
+		db.AppendRevocation(store.RevocationRecord{At: at.Add(4 * time.Minute), Market: ids[0], Bid: 0.5, Held: time.Duration(round+1) * time.Hour})
+		db.AppendBidSpread(store.BidSpreadRecord{At: at.Add(5 * time.Minute), Market: ids[1], Published: 0.3, Intrinsic: 0.35, Attempts: 2 + round})
 	}
 }
 

@@ -117,14 +117,16 @@ func ingestDays(db *store.Store, ids []market.SpotID, from time.Time, days int) 
 			for k := 0; k < 8; k++ {
 				ps = append(ps, store.PricePoint{At: at.Add(time.Duration(k) * time.Minute), Price: 0.1 + 0.01*float64((round*7+i*3+k)%17)})
 			}
-			db.RecordPrices(id, ps)
+			for _, p := range ps {
+				db.RecordPrice(id, p)
+			}
 		}
-		db.AppendProbes(probes)
-		db.AppendSpikes([]store.SpikeEvent{{At: at.Add(2 * time.Minute), Market: ids[round%len(ids)],
-			Price: 0.9, Ratio: 0.8 + 0.05*float64(round%10), Probed: round%2 == 0}})
+		appendProbes(db, probes)
+		db.AppendSpike(store.SpikeEvent{At: at.Add(2 * time.Minute), Market: ids[round%len(ids)],
+			Price: 0.9, Ratio: 0.8 + 0.05*float64(round%10), Probed: round%2 == 0})
 		if round%12 == 0 {
-			db.AppendRevocations([]store.RevocationRecord{{At: at.Add(4 * time.Minute), Market: ids[0], Bid: 0.5, Held: time.Duration(round%5+1) * time.Hour}})
-			db.AppendBidSpreads([]store.BidSpreadRecord{{At: at.Add(5 * time.Minute), Market: ids[1], Published: 0.3, Intrinsic: 0.35, Attempts: 2 + round%4}})
+			db.AppendRevocation(store.RevocationRecord{At: at.Add(4 * time.Minute), Market: ids[0], Bid: 0.5, Held: time.Duration(round%5+1) * time.Hour})
+			db.AppendBidSpread(store.BidSpreadRecord{At: at.Add(5 * time.Minute), Market: ids[1], Published: 0.3, Intrinsic: 0.35, Attempts: 2 + round%4})
 		}
 	}
 	return at
@@ -403,7 +405,7 @@ func TestCursorRoundTripsSaltTokenAndClock(t *testing.T) {
 	if err := (follower{r1}).Hello(pos); err != nil { // an empty store adopts the salt
 		t.Fatal(err)
 	}
-	db.AppendSpikes([]store.SpikeEvent{{At: t0, Market: usEast1(t, 1)[0], Ratio: 1.2}})
+	db.AppendSpike(store.SpikeEvent{At: t0, Market: usEast1(t, 1)[0], Ratio: 1.2})
 	_ = (follower{r1}).Position(pos, 1, 0)
 	r1.persistCursor(true)
 
@@ -465,7 +467,8 @@ func TestFollowerFeedOrderIsDeterministic(t *testing.T) {
 			id := market.SpotID{Zone: market.Zone(fmt.Sprintf("us-east-1%c", 'a'+i%6)),
 				Type: market.InstanceType(fmt.Sprintf("m%d.large", i/6)), Product: market.ProductLinux}
 			at := t0.Add(time.Duration(round*48+i) * time.Second)
-			leader.RecordPrices(id, []store.PricePoint{{At: at, Price: float64(i)}, {At: at.Add(time.Millisecond), Price: 1}})
+			leader.RecordPrice(id, store.PricePoint{At: at, Price: float64(i)})
+			leader.RecordPrice(id, store.PricePoint{At: at.Add(time.Millisecond), Price: 1})
 		}
 	}
 	evs, _ := sub.Next(make([]store.Event, 0, 1024))

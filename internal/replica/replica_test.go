@@ -18,6 +18,22 @@ import (
 
 var t0 = time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC)
 
+// appendProbes lands probes as one append round per market, markets in
+// order of first appearance, the way the monitor's tick flushes them.
+func appendProbes(db *store.Store, probes []store.ProbeRecord) {
+	var order []market.SpotID
+	rounds := make(map[market.SpotID][]store.ProbeRecord)
+	for _, r := range probes {
+		if rounds[r.Market] == nil {
+			order = append(order, r.Market)
+		}
+		rounds[r.Market] = append(rounds[r.Market], r)
+	}
+	for _, id := range order {
+		db.Appender(id).AppendProbes(rounds[id])
+	}
+}
+
 // killingWriter aborts the connection after a fixed number of written
 // messages (one Write call each, whatever the wire format), simulating a
 // flaky network path between follower and leader.
@@ -135,18 +151,12 @@ func TestFollowerConvergesByteIdenticalAcrossKills(t *testing.T) {
 				Bid: 0.5, Cost: 0.02,
 			})
 		}
-		db.AppendProbes(probes)
-		db.AppendSpikes([]store.SpikeEvent{
-			{At: at.Add(2 * time.Minute), Market: ids[round%3], Price: 0.9, Ratio: 1.2 + 0.1*float64(round), Probed: true},
-		})
-		db.RecordPrices(ids[1], []store.PricePoint{{At: at.Add(3 * time.Minute), Price: 0.3 + 0.01*float64(round)}})
+		appendProbes(db, probes)
+		db.AppendSpike(store.SpikeEvent{At: at.Add(2 * time.Minute), Market: ids[round%3], Price: 0.9, Ratio: 1.2 + 0.1*float64(round), Probed: true})
+		db.RecordPrice(ids[1], store.PricePoint{At: at.Add(3 * time.Minute), Price: 0.3 + 0.01*float64(round)})
 		if round%3 == 0 {
-			db.AppendRevocations([]store.RevocationRecord{
-				{At: at.Add(4 * time.Minute), Market: ids[0], Bid: 0.5, Held: time.Duration(round+1) * time.Hour},
-			})
-			db.AppendBidSpreads([]store.BidSpreadRecord{
-				{At: at.Add(5 * time.Minute), Market: ids[1], Published: 0.3, Intrinsic: 0.35, Attempts: 2 + round},
-			})
+			db.AppendRevocation(store.RevocationRecord{At: at.Add(4 * time.Minute), Market: ids[0], Bid: 0.5, Held: time.Duration(round+1) * time.Hour})
+			db.AppendBidSpread(store.BidSpreadRecord{At: at.Add(5 * time.Minute), Market: ids[1], Published: 0.3, Intrinsic: 0.35, Attempts: 2 + round})
 		}
 		time.Sleep(10 * time.Millisecond) // let kills land mid-ingest
 	}

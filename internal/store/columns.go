@@ -56,7 +56,7 @@ import (
 // *Location for the collector to scan — converted once by stamp on the way
 // in and materialized by stampTime on the way out, so a record reads back
 // as the same UTC instant whether it was appended live, recovered from a
-// data dir or loaded by ReadJSON. Instants outside the int64 range
+// data dir or followed from a stream. Instants outside the int64 range
 // (1677-09-21 to 2262-04-11, the zero time.Time among them) saturate to
 // its ends. The lowest int64 is held back: it is noOutage, the open
 // outage start of a kind that is available.

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -137,40 +136,6 @@ func FuzzWALDecode(f *testing.F) {
 			if err2 != nil || again != records {
 				t.Fatalf("re-decode of valid prefix diverged: %v, %d vs %d records", err2, again, records)
 			}
-		}
-	})
-}
-
-// FuzzSnapshotReadJSON feeds arbitrary bytes to the snapshot loader:
-// malformed input must produce an error, never a panic, and a successful
-// load must round-trip through WriteJSON.
-func FuzzSnapshotReadJSON(f *testing.F) {
-	var snap bytes.Buffer
-	s := New()
-	s.AppendProbe(ProbeRecord{
-		At: time.Date(2015, 9, 1, 0, 0, 0, 0, time.UTC), Market: fuzzMarket,
-		Kind: ProbeSpot, Trigger: TriggerPeriodicSpot, Rejected: true, Code: "cap",
-	})
-	s.RecordPrice(fuzzMarket, PricePoint{At: time.Date(2015, 9, 1, 1, 0, 0, 0, time.UTC), Price: 0.12})
-	if err := s.WriteJSON(&snap); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(snap.Bytes())
-	f.Add(snap.Bytes()[:snap.Len()/2])                // truncated JSON
-	f.Add([]byte(`{}`))                               // empty snapshot
-	f.Add([]byte(`{"prices":{"not a market":[]}}`))   // bad price key
-	f.Add([]byte(`{"probes":[{"at":"not-a-time"}]}`)) // bad timestamp
-	f.Add([]byte(`{"probes":null,"prices":null}`))    // null streams
-	f.Add([]byte(`[1,2,3]`))                          // wrong shape
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := ReadJSON(strings.NewReader(string(data)))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if werr := st.WriteJSON(&out); werr != nil {
-			t.Fatalf("WriteJSON after successful ReadJSON: %v", werr)
 		}
 	})
 }

@@ -224,7 +224,7 @@ func newest[R record](sh *shard) int64 {
 
 // ErrBackInTime reports a record stamped before the newest row of its
 // family in its market: the store takes every (market, family) series in
-// time order only, and recovery, the follow stream and ReadJSON fail on one.
+// time order only, and recovery and the follow stream fail on one.
 var ErrBackInTime = errors.New("store: record goes back in time")
 
 // publish folds an append batch's delta into the shard's rollup entries
@@ -320,7 +320,7 @@ func (p *PricePoint) land(sh *shard, at int64) {
 }
 
 // shardCapture is one shard's full record state cut under a single lock
-// hold — the per-shard consistent cut behind snapshots and WriteJSON: no
+// hold — the per-shard consistent cut behind snapshots and dumps: no
 // append can land in some of a market's record streams and not others.
 // Every log is captured zero-copy: the capture holds the logs' slice
 // headers as of the cut, and later appends only write past the captured
@@ -534,8 +534,6 @@ func (sh *shard) outageOverlapLocked(kind ProbeKind, f, t int64) time.Duration {
 }
 
 // Timestamp accessors shared by the window helpers.
-func probeAt(r ProbeRecord) time.Time           { return r.At }
-func spikeAt(e SpikeEvent) time.Time            { return e.At }
-func revocationAt(r RevocationRecord) time.Time { return r.At }
-func bidSpreadAt(r BidSpreadRecord) time.Time   { return r.At }
-func outageAt(o OutageRecord) time.Time         { return o.Start }
+func probeAt(r ProbeRecord) time.Time   { return r.At }
+func spikeAt(e SpikeEvent) time.Time    { return e.At }
+func outageAt(o OutageRecord) time.Time { return o.Start }

@@ -24,8 +24,9 @@
 // price fold step over whole chunks instead of their samples.
 //
 // Every (market, family) series is in time order: an append round that
-// goes back in time is refused whole and counted, and recovery, the follow
-// stream and ReadJSON fail on such a record (ErrBackInTime). So every
+// goes back in time is refused whole and counted, and recovery and the
+// follow stream (a study's dump included) fail on such a record
+// (ErrBackInTime). So every
 // window query binary-searches its range instead of scanning a history.
 //
 // Windowed reads (SpikeCrossingsWhere, PriceStatsIn, OutageOverlap) fold
@@ -48,8 +49,6 @@
 package store
 
 import (
-	"errors"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -377,6 +376,22 @@ func (s *Store) shardList() []*shard {
 	return s.sorted
 }
 
+// The runs mergeByTime merges across captures: one family's records of one
+// capture, in append order.
+func (c shardCapture) probeRun() []ProbeRecord {
+	return rows(nil, c.probes, c.owner, probeOf)
+}
+
+func (c shardCapture) spikeRun() []SpikeEvent {
+	return rows(nil, c.spikes, c.owner, spikeOf)
+}
+
+// outageRun reads the capture's outages from its probes, in the order
+// they opened.
+func (c shardCapture) outageRun() []OutageRecord {
+	return outageRecords(nil, c.probes, c.owner, -1)
+}
+
 // mergeByTime collects one record run per source — live shards, or the
 // shard captures of a consistent cut — and merges them into one
 // timestamp-ordered slice by one stable sort of the runs laid end to end:
@@ -391,66 +406,10 @@ func mergeByTime[S, T any](sources []S, collect func(S) []T, at func(T) time.Tim
 	return out
 }
 
-// groupByMarket appends a batch of one record family as one append round
-// per market, markets in order of first appearance (a price names no
-// market, so prices are never grouped). Within one market the input order
-// is preserved, and a market's round that goes back in time is refused
-// alone; across markets the order is a pure function of the input, so two
-// stores fed the same batch publish the same feed sequence. Bulk loads are
-// usually a timestamp-ordered interleaving of many markets; grouping pays
-// one append round per market instead of one per record. It returns the
-// refusals.
-func groupByMarket[R record](s *Store, recs []R) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	marketOf := func(r *R) market.SpotID { _, m := fields(r); return *m }
-	// One market throughout (single records, a follower's per-market
-	// frames): the input is the batch, nothing to regroup.
-	first, same := marketOf(&recs[0]), 1
-	for same < len(recs) && marketOf(&recs[same]) == first {
-		same++
-	}
-	if same == len(recs) {
-		return appendBatch(s, first, recs)
-	}
-	groups := make(map[market.SpotID][]R)
-	var order []market.SpotID
-	for i := range recs {
-		id := marketOf(&recs[i])
-		group, seen := groups[id]
-		if !seen {
-			order = append(order, id)
-		}
-		groups[id] = append(group, recs[i])
-	}
-	var err error
-	for _, id := range order {
-		err = errors.Join(err, appendBatch(s, id, groups[id]))
-	}
-	return err
-}
-
-// appendBatch lands rs, a batch of market id, as one append round; its
-// shard is created only for a round that keeps time order within itself.
-func appendBatch[R record](s *Store, id market.SpotID, rs []R) error {
-	if err := inOrder(s, id, math.MinInt64, rs); err != nil || len(rs) == 0 {
-		return err
-	}
-	return appendRows(s.shardFor(id), rs)
-}
-
 // AppendProbe logs one probe and folds it, and the outage it opens or
 // closes, into its region's aggregate.
 func (s *Store) AppendProbe(r ProbeRecord) {
 	appendRows(s.shardFor(r.Market), []ProbeRecord{r})
-}
-
-// AppendProbes logs a batch of probes, one append round per affected
-// market (see groupByMarket for the ordering contract), and returns the
-// rounds refused for going back in time.
-func (s *Store) AppendProbes(rs []ProbeRecord) error {
-	return groupByMarket(s, rs)
 }
 
 // AppendSpike logs one threshold-crossing event.
@@ -458,21 +417,9 @@ func (s *Store) AppendSpike(e SpikeEvent) {
 	appendRows(s.shardFor(e.Market), []SpikeEvent{e})
 }
 
-// AppendSpikes logs a batch of spike events, one append round per
-// affected market; see AppendProbes.
-func (s *Store) AppendSpikes(es []SpikeEvent) error {
-	return groupByMarket(s, es)
-}
-
 // AppendBidSpread logs one intrinsic-price search result.
 func (s *Store) AppendBidSpread(r BidSpreadRecord) {
 	appendRows(s.shardFor(r.Market), []BidSpreadRecord{r})
-}
-
-// AppendBidSpreads logs a batch of intrinsic-price search results, one
-// append round per affected market; see AppendProbes.
-func (s *Store) AppendBidSpreads(rs []BidSpreadRecord) error {
-	return groupByMarket(s, rs)
 }
 
 // AppendRevocation logs one completed revocation watch.
@@ -480,23 +427,10 @@ func (s *Store) AppendRevocation(r RevocationRecord) {
 	appendRows(s.shardFor(r.Market), []RevocationRecord{r})
 }
 
-// AppendRevocations logs a batch of completed revocation watches, one
-// append round per affected market; see AppendProbes.
-func (s *Store) AppendRevocations(rs []RevocationRecord) error {
-	return groupByMarket(s, rs)
-}
-
 // RecordPrice appends one price observation for a market. Callers decide
 // which markets to track densely (watched markets) versus sample.
 func (s *Store) RecordPrice(id market.SpotID, p PricePoint) {
 	appendRows(s.shardFor(id), []PricePoint{p})
-}
-
-// RecordPrices appends a batch of price observations for one market in
-// one append round, preserving input order, and returns its refusal when
-// it goes back in time.
-func (s *Store) RecordPrices(id market.SpotID, ps []PricePoint) error {
-	return appendBatch(s, id, ps)
 }
 
 // Markets returns every market with at least one record of any kind, in

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -199,29 +198,6 @@ func TestConcurrentAppends(t *testing.T) {
 	}
 }
 
-func TestWriteJSONRoundTrip(t *testing.T) {
-	s := New()
-	s.AppendProbe(probe(t0, mktA, ProbeOnDemand, true))
-	s.AppendSpike(SpikeEvent{At: t0, Market: mktA, Ratio: 2})
-	s.RecordPrice(mktA, PricePoint{At: t0, Price: 0.5})
-	s.AppendBidSpread(BidSpreadRecord{At: t0, Market: mktA, Published: 0.1, Intrinsic: 0.12, Attempts: 2})
-
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
-	}
-	if len(snap.Probes) != 1 || len(snap.Spikes) != 1 || len(snap.Outages) != 1 {
-		t.Errorf("snapshot = %+v", snap)
-	}
-	if len(snap.Prices[mktA.String()]) != 1 {
-		t.Errorf("snapshot prices missing for %s", mktA)
-	}
-}
-
 func TestWriteProbesCSV(t *testing.T) {
 	s := New()
 	s.AppendProbe(probe(t0, mktA, ProbeOnDemand, true))
@@ -250,40 +226,6 @@ func TestWritePricesCSV(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "0.42") {
 		t.Errorf("prices csv missing sample: %q", buf.String())
-	}
-}
-
-func TestReadJSONRoundTrip(t *testing.T) {
-	s := New()
-	s.AppendProbe(probe(t0, mktA, ProbeOnDemand, true))
-	s.AppendProbe(probe(t0.Add(10*time.Minute), mktA, ProbeOnDemand, false))
-	s.AppendSpike(SpikeEvent{At: t0, Market: mktA, Ratio: 2})
-	s.RecordPrice(mktB, PricePoint{At: t0, Price: 0.5})
-	s.AppendBidSpread(BidSpreadRecord{At: t0, Market: mktA, Published: 0.1, Intrinsic: 0.12, Attempts: 2})
-	s.AppendRevocation(RevocationRecord{At: t0, Market: mktA, Bid: 0.42, Held: time.Hour})
-
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.ProbeCount() != 2 || len(loaded.Spikes()) != 1 ||
-		len(allBidSpreads(loaded)) != 1 || len(allRevocations(loaded)) != 1 {
-		t.Errorf("loaded counts wrong: %d probes %d spikes", loaded.ProbeCount(), len(loaded.Spikes()))
-	}
-	if got := loaded.Prices(mktB); len(got) != 1 || got[0].Price != 0.5 {
-		t.Errorf("loaded prices = %+v", got)
-	}
-	// The derived outage intervals are rebuilt from the probe log.
-	outs := loaded.OutagesFor(mktA, ProbeOnDemand)
-	if len(outs) != 1 || outs[0].End.IsZero() {
-		t.Errorf("rebuilt outages = %+v", outs)
-	}
-	if got := outs[0].End.Sub(outs[0].Start); got != 10*time.Minute {
-		t.Errorf("rebuilt outage duration = %v, want 10m", got)
 	}
 }
 
@@ -321,15 +263,6 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 	if again := dumpOf(t, loaded); again != dump {
 		t.Error("the loaded store's dump differs from the dump it was loaded from")
-	}
-}
-
-func TestReadJSONErrors(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := ReadJSON(strings.NewReader(`{"prices":{"badkey":[]}}`)); err == nil {
-		t.Error("malformed market key accepted")
 	}
 }
 
