@@ -31,10 +31,10 @@ func (st *Study) spotlightFallback(m market.SpotID) fallbackPolicy {
 	return func(t time.Time) market.SpotID {
 		news := last.IsZero() || t.Before(last)
 		if !news {
-			from := last.Add(time.Nanosecond)
+			w := store.WindowOf(last.Add(time.Nanosecond), t)
 			st.DB.ScanScope(m.Region(), "", func(v store.MarketView) {
-				revoked, _ := v.RevocationStats(from, t)
-				news = news || revoked > 0 || v.OutagesOpened(from, t) > 0
+				revoked, _ := v.RevocationStats(w)
+				news = news || revoked > 0 || v.OutagesOpened(w) > 0
 			})
 		}
 		last = t

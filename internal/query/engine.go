@@ -169,7 +169,7 @@ func (e *Engine) scanCatalog(region market.Region, product market.Product, skip 
 	// seen marks the scope's catalog markets that have a shard, indexed in
 	// the order the loop below enumerates them.
 	seen := make([]uint64, (len(zones)*len(types)*len(products)+63)/64)
-	window := float64(to.Sub(from))
+	window, w := float64(to.Sub(from)), store.WindowOf(from, to)
 	e.db.ScanScope(region, product, func(v store.MarketView) {
 		id := v.Market()
 		zi, okZone := e.cat.ZoneIndex(id.Zone)
@@ -183,8 +183,8 @@ func (e *Engine) scanCatalog(region market.Region, product market.Product, skip 
 		if id.Type.Family() == skip || !admits(id) {
 			return
 		}
-		odUnav := float64(v.OutageOverlap(store.ProbeOnDemand, from, to)) / window
-		row(id, v.CrossingStats(from, to).Crossings, odUnav)
+		odUnav := float64(v.OutageOverlap(store.ProbeOnDemand, w)) / window
+		row(id, v.CrossingStats(w).Crossings, odUnav)
 	})
 	i := 0
 	for _, z := range zones {

@@ -46,14 +46,15 @@ func (e *Engine) TopVolatileMarkets(region market.Region, product market.Product
 		}
 		return a.Market.Compare(b.Market) < 0
 	})
+	w := store.WindowOf(from, to)
 	e.db.ScanScope(region, product, func(v store.MarketView) {
-		cs := v.CrossingStats(from, to)
+		cs := v.CrossingStats(w)
 		if cs.Crossings == 0 {
 			return
 		}
 		row := VolatileMarket{Market: v.Market(), Crossings: cs.Crossings, MaxRatio: cs.MaxRatio}
 		var held time.Duration
-		if row.Watches, held = v.RevocationStats(from, to); row.Watches > 0 {
+		if row.Watches, held = v.RevocationStats(w); row.Watches > 0 {
 			row.MeanHeld = held / time.Duration(row.Watches)
 		}
 		top.Push(row)

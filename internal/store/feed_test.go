@@ -228,6 +228,22 @@ func TestFeedSlowSubscriberLagsWithoutBlocking(t *testing.T) {
 	}
 }
 
+// feedWait bounds how long a test waits, once its writers are done, for a
+// reader to see every event they published.
+const feedWait = 10 * time.Second
+
+// awaitReader waits up to feedWait for a reader's done; past that it closes
+// stop and waits for the reader to return, so the test reads and reports
+// the reader's counts rather than hanging until the package times out.
+func awaitReader(done, stop chan struct{}) {
+	select {
+	case <-done:
+	case <-time.After(feedWait):
+		close(stop)
+		<-done
+	}
+}
+
 // Race-exercised: concurrent multi-market appends with one subscriber that
 // never reads and one that drains as it is woken. Run under -race.
 func TestFeedOverflowUnderConcurrentAppends(t *testing.T) {
@@ -241,14 +257,18 @@ func TestFeedOverflowUnderConcurrentAppends(t *testing.T) {
 		writers   = 8
 		perWriter = 200
 	)
-	var got sync.WaitGroup
 	var healthyCount int
 	var lastSeq uint64
-	got.Add(1)
+	done, stop := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer got.Done()
+		defer close(done)
 		buf := make([]Event, 0, 64)
-		for range healthy.Ready() {
+		for {
+			select {
+			case <-healthy.Ready():
+			case <-stop:
+				return
+			}
 			evs, _ := healthy.Next(buf)
 			for _, ev := range evs {
 				if ev.Seq != lastSeq+1 {
@@ -282,10 +302,10 @@ func TestFeedOverflowUnderConcurrentAppends(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	got.Wait()
+	awaitReader(done, stop)
 
 	if want := writers * perWriter * 2; healthyCount != want {
-		t.Errorf("draining subscriber saw %d events, want %d", healthyCount, want)
+		t.Fatalf("draining subscriber saw %d events, want %d", healthyCount, want)
 	}
 	// 3,200 events never lapped the 4,096-slot ring, so the subscriber that
 	// never read is merely behind. Lap it: its one read is the marker, at
@@ -583,12 +603,16 @@ func TestFeedReadersMatchOracleUnderConcurrentAppends(t *testing.T) {
 	oracle := make([]Event, 0, total)
 	osub := f.Subscribe(SubscribeOptions{})
 	defer osub.Close()
-	oracleDone := make(chan struct{})
+	oracleDone, stopOracle := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(oracleDone)
 		buf := make([]Event, 0, ringCap)
 		for len(oracle) < total {
-			<-osub.Ready()
+			select {
+			case <-osub.Ready():
+			case <-stopOracle:
+				return
+			}
 			evs, live := osub.Next(buf)
 			if !live {
 				t.Error("the paced oracle reader was overrun")
@@ -712,7 +736,7 @@ func TestFeedReadersMatchOracleUnderConcurrentAppends(t *testing.T) {
 	}
 	wg.Wait()
 	writersDone.Store(true)
-	<-oracleDone
+	awaitReader(oracleDone, stopOracle)
 	rg.Wait()
 
 	if len(oracle) != total {

@@ -203,10 +203,11 @@ func storeFolds(db *Store, id market.SpotID, from, to time.Time) foldAnswers {
 	var a foldAnswers
 	a.prices = db.PriceStatsIn(id, from, to)
 	a.crossings = db.CrossingStatsFor(id, from, to)
+	w := WindowOf(from, to)
 	db.ScanScope(id.Region(), id.Product, func(v MarketView) {
 		if v.Market() == id {
-			a.watches, a.held = v.RevocationStats(from, to)
-			a.opened = v.OutagesOpened(from, to)
+			a.watches, a.held = v.RevocationStats(w)
+			a.opened = v.OutagesOpened(w)
 		}
 	})
 	a.odOverlap = db.OutageOverlap(id, ProbeOnDemand, from, to)
@@ -216,17 +217,18 @@ func storeFolds(db *Store, id market.SpotID, from, to time.Time) foldAnswers {
 
 // viewFolds asks the same of the market's MarketView.
 func viewFolds(db *Store, id market.SpotID, from, to time.Time) (a foldAnswers, seen bool) {
+	w := WindowOf(from, to)
 	db.ScanScope(id.Region(), id.Product, func(v MarketView) {
 		if v.Market() != id {
 			return
 		}
 		seen = true
-		a.prices = v.PriceStats(from, to)
-		a.crossings = v.CrossingStats(from, to)
-		a.watches, a.held = v.RevocationStats(from, to)
-		a.odOverlap = v.OutageOverlap(ProbeOnDemand, from, to)
-		a.spotOverlap = v.OutageOverlap(ProbeSpot, from, to)
-		a.opened = v.OutagesOpened(from, to)
+		a.prices = v.PriceStats(w)
+		a.crossings = v.CrossingStats(w)
+		a.watches, a.held = v.RevocationStats(w)
+		a.odOverlap = v.OutageOverlap(ProbeOnDemand, w)
+		a.spotOverlap = v.OutageOverlap(ProbeSpot, w)
+		a.opened = v.OutagesOpened(w)
 	})
 	return a, seen
 }
@@ -303,7 +305,7 @@ func checkFloor(t *testing.T, db *Store, id market.SpotID, from, to time.Time) {
 	floor, bounded := 0.0, false
 	db.ScanScope(id.Region(), id.Product, func(v MarketView) {
 		if v.Market() == id {
-			floor, bounded = v.PriceFloor(from, to)
+			floor, bounded = v.PriceFloor(WindowOf(from, to))
 		}
 	})
 	if !bounded {
@@ -744,7 +746,7 @@ func TestPriceFloorIsTightOnWholeChunks(t *testing.T) {
 	floor := func(id market.SpotID, from, to time.Time) (f float64, ok bool) {
 		db.ScanScope(id.Region(), id.Product, func(v MarketView) {
 			if v.Market() == id {
-				f, ok = v.PriceFloor(from, to)
+				f, ok = v.PriceFloor(WindowOf(from, to))
 			}
 		})
 		return f, ok

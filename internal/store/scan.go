@@ -17,46 +17,53 @@ type MarketView struct{ sh *shard }
 // Market returns the viewed market.
 func (v MarketView) Market() market.SpotID { return v.sh.id() }
 
+// Window is a closed query window [from, to] converted to stamps once, so
+// a scan hands every market's folds the same value instead of converting
+// the window per fold per market.
+type Window struct{ from, to int64 }
+
+// WindowOf returns the window [from, to].
+func WindowOf(from, to time.Time) Window { return Window{stamp(from), stamp(to)} }
+
 // CrossingStats is CrossingStatsFor on the viewed market.
-func (v MarketView) CrossingStats(from, to time.Time) CrossingStats {
-	return v.sh.crossingStatsLocked(stamp(from), stamp(to))
+func (v MarketView) CrossingStats(w Window) CrossingStats {
+	return v.sh.crossingStatsLocked(w.from, w.to)
 }
 
 // OutageOverlap is Store.OutageOverlap on the viewed market.
-func (v MarketView) OutageOverlap(kind ProbeKind, from, to time.Time) time.Duration {
-	return v.sh.outageOverlapLocked(kind, stamp(from), stamp(to))
+func (v MarketView) OutageOverlap(kind ProbeKind, w Window) time.Duration {
+	return v.sh.outageOverlapLocked(kind, w.from, w.to)
 }
 
 // PriceStats is PriceStatsIn on the viewed market.
-func (v MarketView) PriceStats(from, to time.Time) PriceWindowStats {
-	return v.sh.priceStatsLocked(stamp(from), stamp(to))
+func (v MarketView) PriceStats(w Window) PriceWindowStats {
+	return v.sh.priceStatsLocked(w.from, w.to)
 }
 
 // PriceFloor returns a lower bound on every non-NaN price PriceStats would
-// fold over [from, to], read from the sealed chunks' summaries and the raw
-// tail without decoding a chunk: what a ranking asks before paying for the
+// fold over w, read from the sealed chunks' summaries and the raw tail
+// without decoding a chunk: what a ranking asks before paying for the
 // fold. false when there is no bound (a NaN summary or tail price).
-func (v MarketView) PriceFloor(from, to time.Time) (float64, bool) {
+func (v MarketView) PriceFloor(w Window) (float64, bool) {
 	ps := v.sh.prices.series()
-	return ps.floor(stamp(from), stamp(to))
+	return ps.floor(w.from, w.to)
 }
 
-// RevocationStats returns how many revocation watches landed inside
-// [from, to] and the sum of their held times — what a ranking needs of
-// RevocationsFor, without materializing the records.
-func (v MarketView) RevocationStats(from, to time.Time) (watches int, held time.Duration) {
-	return v.sh.revocationStatsLocked(stamp(from), stamp(to))
+// RevocationStats returns how many revocation watches landed inside w and
+// the sum of their held times — what a ranking needs of RevocationsFor,
+// without materializing the records.
+func (v MarketView) RevocationStats(w Window) (watches int, held time.Duration) {
+	return v.sh.revocationStatsLocked(w.from, w.to)
 }
 
 // OutagesOpened counts the detected outages, of either kind, that opened
-// inside [from, to].
-func (v MarketView) OutagesOpened(from, to time.Time) (n int) {
+// inside w.
+func (v MarketView) OutagesOpened(w Window) (n int) {
 	if v.sh.outages == nil {
 		return 0
 	}
-	f, t := stamp(from), stamp(to)
-	v.sh.outagesIn(f, t, func(_ int, start, end int64) {
-		if end == noOutage && f <= start && start <= t {
+	v.sh.outagesIn(w.from, w.to, func(_ int, start, end int64) {
+		if end == noOutage && w.from <= start && start <= w.to {
 			n++
 		}
 	})

@@ -66,14 +66,15 @@ func assertScopeIndex(t *testing.T, s *Store) {
 		watches  int
 		held     time.Duration
 	}
+	w := WindowOf(from, to)
 	s.ScanScope("", "", func(v MarketView) {
 		var got, want folds
 		id := v.Market()
-		got.cs, want.cs = v.CrossingStats(from, to), s.CrossingStatsFor(id, from, to)
-		got.od, want.od = v.OutageOverlap(ProbeOnDemand, from, to), s.OutageOverlap(id, ProbeOnDemand, from, to)
-		got.spot, want.spot = v.OutageOverlap(ProbeSpot, from, to), s.OutageOverlap(id, ProbeSpot, from, to)
-		got.ps, want.ps = v.PriceStats(from, to), s.PriceStatsIn(id, from, to)
-		got.watches, got.held = v.RevocationStats(from, to)
+		got.cs, want.cs = v.CrossingStats(w), s.CrossingStatsFor(id, from, to)
+		got.od, want.od = v.OutageOverlap(ProbeOnDemand, w), s.OutageOverlap(id, ProbeOnDemand, from, to)
+		got.spot, want.spot = v.OutageOverlap(ProbeSpot, w), s.OutageOverlap(id, ProbeSpot, from, to)
+		got.ps, want.ps = v.PriceStats(w), s.PriceStatsIn(id, from, to)
+		got.watches, got.held = v.RevocationStats(w)
 		for _, rv := range s.RevocationsFor(id, from, to) {
 			want.watches++
 			want.held += rv.Held
@@ -180,10 +181,11 @@ func TestScanDuringAdoption(t *testing.T) {
 						t.Errorf("scan of %+v visited %v twice", sc, v.Market())
 					}
 					seen[v.Market()] = true
-					cs := v.CrossingStats(from, to)
-					ps := v.PriceStats(from, to)
-					watches, _ := v.RevocationStats(from, to)
-					v.OutageOverlap(ProbeOnDemand, from, to)
+					w := WindowOf(from, to)
+					cs := v.CrossingStats(w)
+					ps := v.PriceStats(w)
+					watches, _ := v.RevocationStats(w)
+					v.OutageOverlap(ProbeOnDemand, w)
 					// One lock hold: every family was appended in step.
 					if d := cs.Crossings - ps.Samples; d < 0 || d > 1 || cs.Crossings-watches < 0 || cs.Crossings-watches > 1 {
 						t.Errorf("view of %v is not one cut: %d crossings, %d prices, %d watches", v.Market(), cs.Crossings, ps.Samples, watches)
