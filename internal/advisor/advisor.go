@@ -295,8 +295,10 @@ func (a *Advisor) rank(c Constraints, from, to time.Time) []api.AdviseCandidate 
 		}
 		return x.id.Compare(y.id) < 0
 	})
-	w := windows{all: store.WindowOf(from, to), last: store.WindowOf(to.Add(-time.Second), to), span: float64(window)}
-	visit := func(v store.MarketView) { a.offer(v, c, w, top) }
+	// The query window and its last second (the live outage check), each
+	// converted once per request.
+	all, last := store.WindowOf(from, to), store.WindowOf(to.Add(-time.Second), to)
+	visit := func(v store.MarketView) { a.offer(v, c, all, last, float64(window), top) }
 	regions, products := c.Regions, c.Products
 	if len(regions) == 0 {
 		regions = []market.Region{""}
@@ -337,17 +339,10 @@ func (a *Advisor) rank(c Constraints, from, to time.Time) []api.AdviseCandidate 
 	return out
 }
 
-// windows are a ranking's query window and its last second (the live
-// outage check), each built once per request, and the window's length in
-// nanoseconds.
-type windows struct {
-	all, last store.Window
-	span      float64
-}
-
 // offer applies the per-market filters (the region and product sets are
 // the scan's scope already), scores one market from its shard's folds
-// over w and pushes it to top if it is a candidate.
+// over all, span nanoseconds long, and pushes it to top if it is a
+// candidate; an outage overlapping last makes the row live.
 //
 // The folds run cheapest first, and the price fold, the costly one, only
 // if the market's best case could still be kept: its score with the
@@ -358,7 +353,7 @@ type windows struct {
 // top would refuse now too, and a refused Push changes nothing. (A row
 // whose mean is NaN ranks below no row at all: a full selection refuses
 // it whatever the bound.)
-func (a *Advisor) offer(v store.MarketView, c Constraints, w windows, top *stats.TopN[scored]) {
+func (a *Advisor) offer(v store.MarketView, c Constraints, all, last store.Window, span float64, top *stats.TopN[scored]) {
 	id := v.Market()
 	if !a.admissible(id.Type, c) {
 		return
@@ -368,26 +363,26 @@ func (a *Advisor) offer(v store.MarketView, c Constraints, w windows, top *stats
 		return
 	}
 
-	row := scored{id: id, od: od, crossings: v.CrossingStats(w.all).Crossings}
-	row.interruption = min(1, float64(row.crossings)*float64(time.Hour)/w.span)
+	row := scored{id: id, od: od, crossings: v.CrossingStats(all).Crossings}
+	row.interruption = min(1, float64(row.crossings)*float64(time.Hour)/span)
 	if c.MaxInterruption > 0 && row.interruption > c.MaxInterruption {
 		return
 	}
-	row.spotUnav = min(1, float64(v.OutageOverlap(store.ProbeSpot, w.all))/w.span)
-	row.live = v.OutageOverlap(store.ProbeSpot, w.last) > 0 || v.OutageOverlap(store.ProbeOnDemand, w.last) > 0
+	row.spotUnav = min(1, float64(v.OutageOverlap(store.ProbeSpot, all))/span)
+	row.live = v.OutageOverlap(store.ProbeSpot, last) > 0 || v.OutageOverlap(store.ProbeOnDemand, last) > 0
 
-	if floor, ok := v.PriceFloor(w.all); ok {
+	if floor, ok := v.PriceFloor(all); ok {
 		row.score = row.scoreWith(clamp01(1-floor/od)) + bestCaseMargin
 		if !top.Admits(row) {
 			return
 		}
 	}
-	row.prices = v.PriceStats(w.all)
+	row.prices = v.PriceStats(all)
 	if row.prices.Samples == 0 || (c.MaxPrice > 0 && row.prices.Mean > c.MaxPrice) {
 		return
 	}
 	row.score = row.scoreWith(clamp01(1 - row.prices.Mean/od))
-	row.revocations, _ = v.RevocationStats(w.all)
+	row.revocations, _ = v.RevocationStats(all)
 	top.Push(row)
 }
 

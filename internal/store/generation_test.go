@@ -225,9 +225,10 @@ func TestAppendProbesMatchesSingles(t *testing.T) {
 	}
 }
 
-// TestBatchAppendOrderIsDeterministic: a multi-market batch is applied in
-// order of first appearance, so two stores fed the same batch publish the
-// same feed sequence (and fold their rollup float sums in the same order).
+// TestBatchAppendOrderIsDeterministic: the tests' multi-market batch
+// (batch_test.go) is applied in order of first appearance, so two stores
+// fed the same batch publish the same feed sequence (and fold their rollup
+// float sums in the same order), which the differential tests rely on.
 // Grouping through a Go map's iteration order fails this with
 // overwhelming probability at 48 markets.
 func TestBatchAppendOrderIsDeterministic(t *testing.T) {
@@ -270,14 +271,16 @@ func TestBatchAppendOrderIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestAppendProbesEdgeCases: empty and single-record batches.
+// TestAppendProbesEdgeCases: empty and single-record batches through an
+// Appender; an empty one creates no shard.
 func TestAppendProbesEdgeCases(t *testing.T) {
 	s := New()
-	s.AppendProbes(nil)
-	if got := s.ProbeCount(); got != 0 {
-		t.Errorf("empty batch appended %d probes", got)
+	app := s.Appender(mktA)
+	app.AppendProbes(nil)
+	if got := s.ProbeCount(); got != 0 || len(s.Markets()) != 0 {
+		t.Errorf("empty batch appended %d probes into %d markets", got, len(s.Markets()))
 	}
-	s.AppendProbes([]ProbeRecord{probe(t0, mktA, ProbeSpot, false)})
+	app.AppendProbes([]ProbeRecord{probe(t0, mktA, ProbeSpot, false)})
 	if got := s.ProbeCount(); got != 1 {
 		t.Errorf("singleton batch appended %d probes, want 1", got)
 	}

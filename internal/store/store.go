@@ -26,8 +26,8 @@
 // Every (market, family) series is in time order: an append round that
 // goes back in time is refused whole and counted, and recovery and the
 // follow stream (a study's dump included) fail on such a record
-// (ErrBackInTime). So every
-// window query binary-searches its range instead of scanning a history.
+// (ErrBackInTime). So every window query binary-searches its range instead
+// of scanning a history.
 //
 // Windowed reads (SpikeCrossingsWhere, PriceStatsIn, OutageOverlap) fold
 // those logs inside the shard without copying. Global iteration
