@@ -230,8 +230,7 @@ func TestWritePricesCSV(t *testing.T) {
 }
 
 // TestDumpRoundTrip: a store's dump, loaded into a fresh store, holds
-// every record family, rebuilds the derived outage from the probe log, and
-// dumps again to the same bytes.
+// every record family.
 func TestDumpRoundTrip(t *testing.T) {
 	s := New()
 	s.AppendProbe(probe(t0, mktA, ProbeOnDemand, true))
@@ -241,8 +240,7 @@ func TestDumpRoundTrip(t *testing.T) {
 	s.AppendBidSpread(BidSpreadRecord{At: t0, Market: mktA, Published: 0.1, Intrinsic: 0.12, Attempts: 2})
 	s.AppendRevocation(RevocationRecord{At: t0, Market: mktA, Bid: 0.42, Held: time.Hour})
 
-	dump := dumpOf(t, s)
-	loaded, err := loadDump([]byte(dump))
+	loaded, err := loadDump([]byte(dumpOf(t, s)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +251,20 @@ func TestDumpRoundTrip(t *testing.T) {
 	if got := loaded.Prices(mktB); len(got) != 1 || got[0].Price != 0.5 {
 		t.Errorf("loaded prices = %+v", got)
 	}
-	// The derived outage intervals are rebuilt from the probe log.
+}
+
+// TestDumpLoadRebuildsOutages: a loaded dump rebuilds the derived outage
+// from the probe log, and dumps again to the same bytes.
+func TestDumpLoadRebuildsOutages(t *testing.T) {
+	s := New()
+	s.AppendProbe(probe(t0, mktA, ProbeOnDemand, true))
+	s.AppendProbe(probe(t0.Add(10*time.Minute), mktA, ProbeOnDemand, false))
+
+	dump := dumpOf(t, s)
+	loaded, err := loadDump([]byte(dump))
+	if err != nil {
+		t.Fatal(err)
+	}
 	outs := loaded.OutagesFor(mktA, ProbeOnDemand)
 	if len(outs) != 1 || outs[0].End.IsZero() {
 		t.Fatalf("rebuilt outages = %+v", outs)
