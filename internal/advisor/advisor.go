@@ -13,6 +13,7 @@ package advisor
 
 import (
 	"fmt"
+	"math"
 	"path"
 	"sort"
 	"strings"
@@ -84,6 +85,18 @@ type Advisor struct {
 	// scrape-time collectors with zero extra cost per Advise.
 	memoHits   atomic.Uint64
 	memoMisses atomic.Uint64
+	// folded counts the markets whose folds a fresh rank ran: those whose
+	// best case, read from the price floor alone, the selection admitted.
+	folded atomic.Uint64
+
+	// ods holds each market's on-demand price at its store index
+	// (MarketView.Index): 0 until a scan first meets the market, then its
+	// catalog price, or -1 when it has none. A store never renumbers a
+	// market, so an entry never changes once filled. It is sized to the
+	// catalog on the first rank; a store holding markets outside the
+	// catalog may index past it, and those markets read the catalog.
+	odOnce sync.Once
+	ods    []atomic.Uint64
 }
 
 type advEntry struct {
@@ -104,6 +117,28 @@ func New(db *store.Store, cat *market.Catalog) *Advisor {
 // versus ranked fresh. Hits+misses is the total rankings served.
 func (a *Advisor) MemoStats() (hits, misses uint64) {
 	return a.memoHits.Load(), a.memoMisses.Load()
+}
+
+// MarketsFolded returns how many markets fresh rankings have folded: every
+// market a ranking's price-floor bound did not skip.
+func (a *Advisor) MarketsFolded() uint64 { return a.folded.Load() }
+
+// onDemand returns the on-demand price of id, the market at store index i,
+// from the dense table, reading the catalog on the market's first visit.
+func (a *Advisor) onDemand(i uint32, id market.SpotID) float64 {
+	if int(i) < len(a.ods) {
+		if bits := a.ods[i].Load(); bits != 0 {
+			return math.Float64frombits(bits)
+		}
+	}
+	od, err := a.cat.SpotODPrice(id)
+	if err != nil || od <= 0 {
+		od = -1
+	}
+	if int(i) < len(a.ods) {
+		a.ods[i].Store(math.Float64bits(od))
+	}
+	return od
 }
 
 // Normalize validates wire constraints against the catalog and converts
@@ -281,6 +316,7 @@ func (a *Advisor) rank(c Constraints, from, to time.Time) []api.AdviseCandidate 
 	if window <= 0 {
 		return []api.AdviseCandidate{}
 	}
+	a.odOnce.Do(func() { a.ods = make([]atomic.Uint64, len(a.cat.SpotMarkets())) })
 
 	// Deterministic order: score descending, then fewest expected
 	// interruptions, then market ID — identical statistics always rank in
@@ -298,7 +334,12 @@ func (a *Advisor) rank(c Constraints, from, to time.Time) []api.AdviseCandidate 
 	// The query window and its last second (the live outage check), each
 	// converted once per request.
 	all, last := store.WindowOf(from, to), store.WindowOf(to.Add(-time.Second), to)
-	visit := func(v store.MarketView) { a.offer(v, c, all, last, float64(window), top) }
+	var folded uint64
+	visit := func(v store.MarketView) {
+		if a.offer(v, c, all, last, float64(window), top) {
+			folded++
+		}
+	}
 	regions, products := c.Regions, c.Products
 	if len(regions) == 0 {
 		regions = []market.Region{""}
@@ -311,6 +352,7 @@ func (a *Advisor) rank(c Constraints, from, to time.Time) []api.AdviseCandidate 
 			a.db.ScanScope(r, p, visit)
 		}
 	}
+	a.folded.Add(folded)
 
 	rows := top.Sorted()
 	out := make([]api.AdviseCandidate, len(rows))
@@ -342,48 +384,60 @@ func (a *Advisor) rank(c Constraints, from, to time.Time) []api.AdviseCandidate 
 // offer applies the per-market filters (the region and product sets are
 // the scan's scope already), scores one market from its shard's folds
 // over all, span nanoseconds long, and pushes it to top if it is a
-// candidate; an outage overlapping last makes the row live.
+// candidate; an outage overlapping last makes the row live. It reports
+// whether the market's folds ran.
 //
-// The folds run cheapest first, and the price fold, the costly one, only
-// if the market's best case could still be kept: its score with the
-// savings term read from the window's price floor instead of its mean,
-// plus bestCaseMargin. The filters are a conjunction, so their order
-// changes no answer, and neither does the skip: the best case never ranks
-// below the real row, so a best case top refuses now means a real row
-// top would refuse now too, and a refused Push changes nothing. (A row
-// whose mean is NaN ranks below no row at all: a full selection refuses
-// it whatever the bound.)
-func (a *Advisor) offer(v store.MarketView, c Constraints, all, last store.Window, span float64, top *stats.TopN[scored]) {
+// Before each fold top is asked whether the market's best case could
+// still be kept: its score with the savings term read from the window's
+// price floor instead of its mean, plus bestCaseMargin, and with every
+// fold not yet run at its best — first no crossings, no spot outage and
+// no live outage, which costs no fold at all, then the real ones, before
+// the price fold, the costly one. The filters are a conjunction, so their
+// order changes no answer, and neither does a skip: a best case never
+// ranks below the real row, so a best case top refuses now means a real
+// row top would refuse now too, and a refused Push changes nothing. (A
+// row whose mean is NaN ranks below no row at all: a full selection
+// refuses it whatever the bound.)
+func (a *Advisor) offer(v store.MarketView, c Constraints, all, last store.Window, span float64, top *stats.TopN[scored]) (folded bool) {
 	id := v.Market()
 	if !a.admissible(id.Type, c) {
-		return
+		return false
 	}
-	od, err := a.cat.SpotODPrice(id)
-	if err != nil || od <= 0 {
-		return
+	od := a.onDemand(v.Index(), id)
+	if od <= 0 {
+		return false
+	}
+	row := scored{id: id, od: od}
+	floor, bounded := v.PriceFloor(all)
+	if bounded && !top.Admits(row.bestCase(floor)) {
+		return false
 	}
 
-	row := scored{id: id, od: od, crossings: v.CrossingStats(all).Crossings}
+	row.crossings = v.CrossingStats(all).Crossings
 	row.interruption = min(1, float64(row.crossings)*float64(time.Hour)/span)
 	if c.MaxInterruption > 0 && row.interruption > c.MaxInterruption {
-		return
+		return true
 	}
 	row.spotUnav = min(1, float64(v.OutageOverlap(store.ProbeSpot, all))/span)
 	row.live = v.OutageOverlap(store.ProbeSpot, last) > 0 || v.OutageOverlap(store.ProbeOnDemand, last) > 0
-
-	if floor, ok := v.PriceFloor(all); ok {
-		row.score = row.scoreWith(clamp01(1-floor/od)) + bestCaseMargin
-		if !top.Admits(row) {
-			return
-		}
+	if bounded && !top.Admits(row.bestCase(floor)) {
+		return true
 	}
 	row.prices = v.PriceStats(all)
 	if row.prices.Samples == 0 || (c.MaxPrice > 0 && row.prices.Mean > c.MaxPrice) {
-		return
+		return true
 	}
 	row.score = row.scoreWith(clamp01(1 - row.prices.Mean/od))
 	row.revocations, _ = v.RevocationStats(all)
 	top.Push(row)
+	return true
+}
+
+// bestCase is the row scored with the savings term read from the price
+// floor instead of the mean, plus bestCaseMargin.
+func (r scored) bestCase(floor float64) scored {
+	r.score = r.scoreWith(clamp01(1-floor/r.od)) + bestCaseMargin
+	return r
 }
 
 // bestCaseMargin is added to a best-case score to cover a mean that

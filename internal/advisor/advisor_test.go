@@ -284,3 +284,34 @@ func TestAdviseMemoTracksGeneration(t *testing.T) {
 		t.Errorf("us-east-1 scope generation moved on a us-west-2 append: %d -> %d", tok, got)
 	}
 }
+
+// TestAdviseBoundRunsNoFoldFirst counts the markets a rank folds by hand.
+// Five zones' c3.2xlarge markets hold flat prices: us-east-1b, adopted
+// first, and us-east-1a, adopted next with one crossing, at $0.05; the
+// rest, adopted after, at $0.10. With n = 1, us-east-1b is kept.
+// us-east-1a's best case — no crossing, no outage, its price floor — ranks
+// at least level with it, so us-east-1a is folded, and its crossing then
+// loses. Every later market's best case already loses on price, so it is
+// skipped before any fold. A bound that read the real crossings first
+// would skip us-east-1a too, having folded it all the same.
+func TestAdviseBoundRunsNoFoldFirst(t *testing.T) {
+	a, db := newAdvisor(t)
+	var ids []market.SpotID
+	for i, z := range []market.Zone{"us-east-1b", "us-east-1a", "us-east-1c", "us-east-1d", "us-east-1e"} {
+		id := market.SpotID{Zone: z, Type: "c3.2xlarge", Product: market.ProductLinux}
+		price := 0.10
+		if i < 2 {
+			price = 0.05
+		}
+		recordFlat(db, id, price)
+		ids = append(ids, id)
+	}
+	db.AppendSpike(store.SpikeEvent{At: t0.Add(time.Hour), Market: ids[1], Ratio: 2})
+	got := advise(t, a, api.AdviseConstraints{N: 1})
+	if len(got) != 1 || got[0].Market != ids[0].String() {
+		t.Fatalf("ranking = %+v, want %v alone", got, ids[0])
+	}
+	if folded := a.MarketsFolded(); folded != 2 {
+		t.Errorf("rank folded %d markets, want 2", folded)
+	}
+}

@@ -157,7 +157,10 @@ type Catalog struct {
 	families    []Family
 	familyTypes map[Family][]InstanceType
 	spotMarkets []SpotID
-	pools       []PoolID
+	// spotOrder holds positions in spotMarkets in SpotID.Compare order:
+	// every region's under "", each region's under its name.
+	spotOrder map[Region][]int32
+	pools     []PoolID
 }
 
 // New builds the full EC2-2015 catalog.
@@ -201,15 +204,25 @@ func New() *Catalog {
 	}
 	sort.Slice(c.families, func(i, j int) bool { return c.families[i] < c.families[j] })
 
+	var all []int32
 	for _, z := range c.zones {
 		for _, f := range c.families {
 			c.pools = append(c.pools, PoolID{Zone: z, Family: f})
 		}
 		for _, t := range c.types {
 			for _, p := range Products {
+				all = append(all, int32(len(c.spotMarkets)))
 				c.spotMarkets = append(c.spotMarkets, SpotID{Zone: z, Type: t, Product: p})
 			}
 		}
+	}
+	slices.SortFunc(all, func(a, b int32) int { return c.spotMarkets[a].Compare(c.spotMarkets[b]) })
+	// A zone is its region's name and a letter, so each region's markets
+	// are one run of that order, the runs in Regions order.
+	c.spotOrder = map[Region][]int32{"": all}
+	for _, r := range c.regions {
+		n := len(c.zonesByReg[r]) * len(c.types) * len(Products)
+		c.spotOrder[r], all = all[:n:n], all[n:]
 	}
 	return c
 }
@@ -217,27 +230,11 @@ func New() *Catalog {
 // Regions returns all regions in sorted order.
 func (c *Catalog) Regions() []Region { return c.regions }
 
-// Zones returns all availability zones in sorted order.
-func (c *Catalog) Zones() []Zone { return c.zones }
-
 // ZonesIn returns the availability zones of region r.
 func (c *Catalog) ZonesIn(r Region) []Zone { return c.zonesByReg[r] }
 
-// ZoneIndex returns z's position in Zones. A region's zones are
-// consecutive there, in ZonesIn order.
-func (c *Catalog) ZoneIndex(z Zone) (int, bool) {
-	i, ok := c.zoneIndex[z]
-	return i, ok
-}
-
 // Types returns all instance types in sorted order.
 func (c *Catalog) Types() []InstanceType { return c.types }
-
-// TypeIndex returns t's position in Types.
-func (c *Catalog) TypeIndex(t InstanceType) (int, bool) {
-	i, ok := c.typeIndex[t]
-	return i, ok
-}
 
 // Families returns all instance families in sorted order.
 func (c *Catalog) Families() []Family { return c.families }
@@ -250,6 +247,12 @@ func (c *Catalog) FamilyTypes(f Family) []InstanceType { return c.familyTypes[f]
 // Zones order, within a zone type by type in Types order, within a type
 // product by product in Products order.
 func (c *Catalog) SpotMarkets() []SpotID { return c.spotMarkets }
+
+// SpotOrder returns the positions in SpotMarkets of region r's markets
+// (every region's when r is empty) in SpotID.Compare order; nil for a
+// region not in the catalog. A position modulo len(Products) is its
+// market's index in Products.
+func (c *Catalog) SpotOrder(r Region) []int32 { return c.spotOrder[r] }
 
 // SpotIndex returns id's position in SpotMarkets; false when its zone,
 // type or product is not in the catalog.
@@ -284,11 +287,7 @@ func (c *Catalog) VCPU(t InstanceType) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("market: unknown instance type %q", t)
 	}
-	v := spec.units / 4
-	if v < 1 {
-		v = 1
-	}
-	return v, nil
+	return max(1, spec.units/4), nil
 }
 
 // MemoryGB returns the memory of instance type t in GB, from the family's

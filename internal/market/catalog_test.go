@@ -8,12 +8,20 @@ import (
 	"testing/quick"
 )
 
+// allZones lists every region's zones.
+func allZones(c *Catalog) (zones []Zone) {
+	for _, r := range c.Regions() {
+		zones = append(zones, c.ZonesIn(r)...)
+	}
+	return zones
+}
+
 func TestCatalogCardinality(t *testing.T) {
 	c := New()
 	if got := len(c.Regions()); got != 9 {
 		t.Errorf("regions = %d, want 9", got)
 	}
-	if got := len(c.Zones()); got != 26 {
+	if got := len(allZones(c)); got != 26 {
 		t.Errorf("zones = %d, want 26 (paper: 26 availability zones)", got)
 	}
 	if got := len(c.Types()); got != 53 {
@@ -296,7 +304,7 @@ func TestSpotIDStringRoundTripProperty(t *testing.T) {
 // Property: zone names always extend their region name.
 func TestZoneRegionPrefixProperty(t *testing.T) {
 	c := New()
-	for _, z := range c.Zones() {
+	for _, z := range allZones(c) {
 		r := z.RegionOf()
 		if !strings.HasPrefix(string(z), string(r)) {
 			t.Errorf("zone %q does not extend region %q", z, r)
@@ -324,5 +332,39 @@ func TestSpotIndex(t *testing.T) {
 		if i, ok := c.SpotIndex(id); ok {
 			t.Errorf("SpotIndex(%+v) = %d, true; want false", id, i)
 		}
+	}
+}
+
+// TestSpotOrder: each region's order, and the all-regions one, lists every
+// market of its scope once, in ascending rendered-ID order, and a position
+// modulo the product count is the market's product index.
+func TestSpotOrder(t *testing.T) {
+	c := New()
+	ids := c.SpotMarkets()
+	for _, r := range append([]Region{""}, c.Regions()...) {
+		order, seen := c.SpotOrder(r), 0
+		for i, p := range order {
+			id := ids[p]
+			if r != "" && id.Region() != r {
+				t.Fatalf("SpotOrder(%q) lists %v", r, id)
+			}
+			if i > 0 && ids[order[i-1]].String() >= id.String() {
+				t.Fatalf("SpotOrder(%q): %v before %v", r, ids[order[i-1]], id)
+			}
+			if Products[int(p)%len(Products)] != id.Product {
+				t.Fatalf("SpotOrder(%q): position %d of %v is not its product's", r, p, id)
+			}
+			seen++
+		}
+		want := len(ids)
+		if r != "" {
+			want = len(c.ZonesIn(r)) * len(c.Types()) * len(Products)
+		}
+		if seen != want {
+			t.Errorf("SpotOrder(%q) lists %d markets, want %d", r, seen, want)
+		}
+	}
+	if order := c.SpotOrder("mars-1"); order != nil {
+		t.Errorf("SpotOrder of an unknown region = %d positions, want none", len(order))
 	}
 }

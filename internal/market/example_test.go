@@ -9,7 +9,11 @@ import (
 func ExampleNew() {
 	cat := market.New()
 	fmt.Println("regions:", len(cat.Regions()))
-	fmt.Println("zones:", len(cat.Zones()))
+	zones := 0
+	for _, r := range cat.Regions() {
+		zones += len(cat.ZonesIn(r))
+	}
+	fmt.Println("zones:", zones)
 	fmt.Println("types:", len(cat.Types()))
 	fmt.Println("spot markets:", len(cat.SpotMarkets()))
 	// Output:

@@ -22,10 +22,10 @@ var ErrBadWindow = errors.New("query: to must be after from")
 
 // Engine answers availability queries from a SpotLight store. Its methods
 // always compute: Summary reads the O(regions) region rollups rather than
-// folding per-market state, and the rankings scan their scope once. What
-// the engine keeps for the HTTP layer is the table of rendered answers
-// (bodyTable): a served body is reused until some shard in the query's
-// scope sees an append.
+// folding per-market state, and the rankings read their scope at most
+// once. What the engine keeps for the HTTP layer is the table of rendered
+// answers (bodyTable): a served body is reused until some shard in the
+// query's scope sees an append.
 type Engine struct {
 	db    *store.Store
 	cat   *market.Catalog
@@ -109,7 +109,7 @@ type StableMarket struct {
 
 // TopStableMarkets ranks the spot markets of a region (all regions when
 // empty) by fewest on-demand-price crossings and returns the n most
-// stable: one scan of the scope's catalog markets into a top-n selection.
+// stable: one walk of the scope's catalog markets into a top-n selection.
 // Product filters to one platform when non-empty.
 func (e *Engine) TopStableMarkets(region market.Region, product market.Product, n int, from, to time.Time) ([]StableMarket, error) {
 	if !to.After(from) {
@@ -122,17 +122,9 @@ func (e *Engine) TopStableMarkets(region market.Region, product market.Product, 
 		return nil, nil // no catalog market sells it
 	}
 	window := to.Sub(from)
-	top := stats.NewTopN(n, func(a, b *StableMarket) bool {
-		if a.Crossings != b.Crossings {
-			return a.Crossings < b.Crossings
-		}
-		if a.ODUnavailability != b.ODUnavailability {
-			return a.ODUnavailability < b.ODUnavailability
-		}
-		return a.Market.Compare(b.Market) < 0
-	})
+	top := stats.NewTopN(n, stableBefore)
 	admits := func(id market.SpotID) bool { return top.Admits(StableMarket{Market: id}) }
-	e.scanCatalog(region, product, "", from, to, admits, func(id market.SpotID, crossings int, odUnav float64) {
+	e.walk(region, product, "", from, to, admits, func(id market.SpotID, crossings int, odUnav float64) {
 		top.Push(StableMarket{
 			Market:           id,
 			Crossings:        crossings,
@@ -143,59 +135,58 @@ func (e *Engine) TopStableMarkets(region market.Region, product market.Product, 
 	return top.Sorted(), nil
 }
 
-// scanCatalog hands row every catalog market of region (all regions when
-// empty) and product (all platforms when empty), except those of family
-// skip, exactly once, with its on-demand-price crossings and on-demand
-// outage fraction over [from, to]. Markets with a shard come from one scan
-// of the store's scope index; a catalog market the store has never seen
-// still gets its row (no crossings, no outage), and a stored market
-// outside the catalog gets none. Before a stored market's folds, admits
-// is asked whether its best case, no crossings and no outage, could still
-// make the ranking; a market it refuses would be dropped whatever its
-// folds say, so it costs no fold and gets no row — it is asked once the
-// market is marked seen, so not the never-seen row either.
-func (e *Engine) scanCatalog(region market.Region, product market.Product, skip market.Family, from, to time.Time, admits func(market.SpotID) bool, row func(id market.SpotID, crossings int, odUnav float64)) {
-	zones, types, products := e.cat.Zones(), e.cat.Types(), market.Products
-	if region != "" {
-		zones = e.cat.ZonesIn(region)
+// stableBefore is the stability order: fewest crossings, then least
+// on-demand unavailability, then market ID.
+func stableBefore(a, b *StableMarket) bool {
+	if a.Crossings != b.Crossings {
+		return a.Crossings < b.Crossings
 	}
-	if product != "" {
-		products = []market.Product{product}
+	if a.ODUnavailability != b.ODUnavailability {
+		return a.ODUnavailability < b.ODUnavailability
 	}
-	if len(zones) == 0 {
-		return
-	}
-	firstZone, _ := e.cat.ZoneIndex(zones[0])
-	// seen marks the scope's catalog markets that have a shard, indexed in
-	// the order the loop below enumerates them.
-	seen := make([]uint64, (len(zones)*len(types)*len(products)+63)/64)
+	return a.Market.Compare(b.Market) < 0
+}
+
+// walk hands row the catalog markets of region (all regions when empty)
+// and product (all platforms when empty), except those of family skip, in
+// SpotID.Compare order, each with its on-demand-price crossings and
+// on-demand outage fraction over [from, to], both folded under one store
+// view; a market the store has never seen gets no crossings and no outage,
+// and a stored market outside the catalog gets no row. Before each market
+// admits is asked whether its best case, no crossings and no outage, could
+// still make the ranking. Both rankings order equal best cases by market ID
+// alone, so the first refusal refuses every later market too and ends the
+// walk: its cost follows n, not the scope.
+func (e *Engine) walk(region market.Region, product market.Product, skip market.Family, from, to time.Time, admits func(market.SpotID) bool, row func(id market.SpotID, crossings int, odUnav float64)) {
 	window, w := float64(to.Sub(from)), store.WindowOf(from, to)
-	e.db.ScanScope(region, product, func(v store.MarketView) {
-		id := v.Market()
-		zi, okZone := e.cat.ZoneIndex(id.Zone)
-		ti, okType := e.cat.TypeIndex(id.Type)
-		pi := slices.Index(products, id.Product)
-		if !okZone || !okType || pi < 0 {
-			return
-		}
-		i := ((zi-firstZone)*len(types)+ti)*len(products) + pi
-		seen[i/64] |= 1 << (i % 64)
-		if id.Type.Family() == skip || !admits(id) {
-			return
-		}
-		odUnav := float64(v.OutageOverlap(store.ProbeOnDemand, w)) / window
-		row(id, v.CrossingStats(w).Crossings, odUnav)
-	})
-	i := 0
-	for _, z := range zones {
-		for _, t := range types {
-			for _, p := range products {
-				if seen[i/64]&(1<<(i%64)) == 0 && t.Family() != skip {
-					row(market.SpotID{Zone: z, Type: t, Product: p}, 0, 0)
-				}
-				i++
+	var crossings int
+	var odUnav float64
+	fold := func(v store.MarketView) {
+		crossings = v.CrossingStats(w).Crossings
+		odUnav = float64(v.OutageOverlap(store.ProbeOnDemand, w)) / window
+	}
+	ids := e.cat.SpotMarkets()
+	for _, p := range e.cat.SpotOrder(region) {
+		id := ids[p]
+		if product != "" {
+			// With the product fixed, Compare orders markets by zone and type
+			// alone: the first product's position stands for the zone and
+			// type, whatever product the ranking asks about.
+			if int(p)%len(market.Products) != 0 {
+				continue
 			}
+			id.Product = product
 		}
+		if skip != "" && id.Type.Family() == skip {
+			continue
+		}
+		if !admits(id) {
+			return
+		}
+		if !e.db.View(id, fold) {
+			crossings, odUnav = 0, 0 // never seen: no crossings, no outage
+		}
+		row(id, crossings, odUnav)
 	}
 }
 
@@ -237,7 +228,7 @@ func (e *Engine) RecommendFallback(m market.SpotID, n int, from, to time.Time) (
 		return a.Market.Compare(b.Market) < 0
 	})
 	admits := func(id market.SpotID) bool { return top.Admits(Fallback{Market: id}) }
-	e.scanCatalog(m.Region(), m.Product, m.Type.Family(), from, to, admits, func(id market.SpotID, crossings int, odUnav float64) {
+	e.walk(m.Region(), m.Product, m.Type.Family(), from, to, admits, func(id market.SpotID, crossings int, odUnav float64) {
 		top.Push(Fallback{Market: id, ODUnavailability: odUnav, Crossings: crossings})
 	})
 	return top.Sorted(), nil

@@ -2,10 +2,12 @@ package query
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"spotlight/internal/market"
+	"spotlight/internal/stats"
 	"spotlight/internal/store"
 )
 
@@ -158,35 +160,119 @@ func TestTopStableMarketsLimitsN(t *testing.T) {
 	}
 }
 
-// TestScanCatalogSkipsRefusedMarkets: a stored market admits refuses gets
-// no row at all — neither its folds' row nor the row of a market the store
-// has never seen — while every unstored catalog market of the scope still
-// gets its zero row once, without being asked about.
-func TestScanCatalogSkipsRefusedMarkets(t *testing.T) {
+// scopeInIDOrder lists the catalog markets of a scope, minus family skip,
+// in market-ID order.
+func scopeInIDOrder(cat *market.Catalog, region market.Region, product market.Product, skip market.Family) []market.SpotID {
+	var ids []market.SpotID
+	for _, id := range cat.SpotMarkets() {
+		if inScope(id, region, product) && id.Type.Family() != skip {
+			ids = append(ids, id)
+		}
+	}
+	slices.SortFunc(ids, market.SpotID.Compare)
+	return ids
+}
+
+// TestWalkAsksInIDOrderAndStopsAtFirstRefusal: the walk hands its rows in
+// ascending market-ID order, asks admits before every row — a market the
+// store has never seen included, a stored market outside the catalog never
+// — and after the first refusal asks nothing more and adds no row.
+func TestWalkAsksInIDOrderAndStopsAtFirstRefusal(t *testing.T) {
 	e, db := seededEngine(t)
-	refused := market.SpotID{Zone: "us-west-2a", Type: "c3.large", Product: market.ProductLinux}
-	kept := market.SpotID{Zone: "us-west-2b", Type: "c3.large", Product: market.ProductLinux}
-	for _, id := range []market.SpotID{refused, kept} {
+	first := scopeInIDOrder(e.cat, "us-west-2", market.ProductLinux, "")
+	// Stored markets adopted against ID order, and one outside the catalog.
+	for _, id := range []market.SpotID{first[5], first[2], {Zone: "us-west-2z", Type: "c3.large", Product: market.ProductLinux}} {
 		addOutage(db, id, store.ProbeOnDemand, t0, t0.Add(time.Hour))
 	}
-	asked, rows := map[market.SpotID]int{}, map[market.SpotID]int{}
-	admits := func(id market.SpotID) bool { asked[id]++; return id != refused }
-	e.scanCatalog("us-west-2", market.ProductLinux, "", t0, t0.Add(2*time.Hour), admits, func(id market.SpotID, crossings int, odUnav float64) {
-		rows[id]++
-		if id == kept && odUnav != 0.5 {
-			t.Errorf("kept market's row: on-demand unavailability %v, want 0.5", odUnav)
+	for _, c := range []struct {
+		region  market.Region
+		product market.Product
+		skip    market.Family
+		stop    int // index in the scope of the first refused market; -1 for none
+	}{
+		{"us-west-2", market.ProductLinux, "", 7},
+		{"us-west-2", market.ProductLinux, "", 0},
+		{"us-west-2", market.ProductLinux, "", -1},
+		{"us-west-2", "", "", -1},
+		{"us-west-2", market.ProductWindows, "c3", 40},
+		{"", "", "", -1},
+	} {
+		scope := scopeInIDOrder(e.cat, c.region, c.product, c.skip)
+		var asked, rows []market.SpotID
+		admits := func(id market.SpotID) bool {
+			if len(asked) != len(rows) {
+				t.Errorf("%+v: asked about %v before %v's row", c, id, asked[len(asked)-1])
+			}
+			asked = append(asked, id)
+			return c.stop < 0 || id != scope[c.stop]
 		}
-	})
-	if len(asked) != 2 || asked[refused] != 1 || asked[kept] != 1 {
-		t.Errorf("admits asked about %v, want each stored market once", asked)
-	}
-	for _, id := range e.cat.SpotMarkets() {
-		if inScope(id, "us-west-2", market.ProductLinux) && id != refused && rows[id] != 1 {
-			t.Errorf("%v: %d rows, want 1", id, rows[id])
+		e.walk(c.region, c.product, c.skip, t0, t0.Add(2*time.Hour), admits, func(id market.SpotID, crossings int, odUnav float64) {
+			if len(asked) == 0 || asked[len(asked)-1] != id {
+				t.Errorf("%+v: row of %v, which admits was not just asked about", c, id)
+			}
+			rows = append(rows, id)
+			want := 0.0
+			if id == first[5] || id == first[2] {
+				want = 0.5
+			}
+			if crossings != 0 || odUnav != want {
+				t.Errorf("%+v: %v's row: %d crossings, on-demand unavailability %v; want 0 and %v", c, id, crossings, odUnav, want)
+			}
+		})
+		wantAsked, wantRows := scope, scope
+		if c.stop >= 0 {
+			wantAsked, wantRows = scope[:c.stop+1], scope[:c.stop]
+		}
+		if !slices.Equal(asked, wantAsked) {
+			t.Errorf("%+v: admits asked about %d markets, want the scope's first %d in ID order", c, len(asked), len(wantAsked))
+		}
+		if !slices.Equal(rows, wantRows) {
+			t.Errorf("%+v: %d rows, want the scope's first %d in ID order", c, len(rows), len(wantRows))
 		}
 	}
-	if rows[refused] != 0 {
-		t.Errorf("refused market got %d rows, want none", rows[refused])
+}
+
+// TestStableWalkCostFollowsN counts a stable ranking's walk by hand. With
+// the k lowest-ID markets of a scope holding one crossing each and every
+// other market none, a ranking of n folds the k crossing markets, each
+// admitted while a row with a crossing is kept, and the n zero-crossing
+// markets that push them out and fill the selection; the next market's
+// best case ties the kept rows and loses on ID, so the walk views exactly
+// n + k + 1 markets and folds n + k.
+func TestStableWalkCostFollowsN(t *testing.T) {
+	from, to := t0, t0.Add(24*time.Hour)
+	for _, k := range []int{0, 1, 4, 12} {
+		for _, n := range []int{1, 5, 10} {
+			e, db := seededEngine(t)
+			scope := scopeInIDOrder(e.cat, "us-east-1", market.ProductLinux, "")
+			for _, id := range scope[:k] {
+				db.AppendSpike(store.SpikeEvent{At: t0.Add(time.Hour), Market: id, Ratio: 1.5})
+			}
+			top := stats.NewTopN(n, stableBefore)
+			viewed, folded := 0, 0
+			e.walk("us-east-1", market.ProductLinux, "", from, to, func(id market.SpotID) bool {
+				viewed++
+				return top.Admits(StableMarket{Market: id})
+			}, func(id market.SpotID, crossings int, odUnav float64) {
+				folded++
+				top.Push(StableMarket{Market: id, Crossings: crossings, ODUnavailability: odUnav})
+			})
+			if viewed != n+k+1 || folded != n+k {
+				t.Errorf("k=%d n=%d: walk viewed %d markets and folded %d, want %d and %d", k, n, viewed, folded, n+k+1, n+k)
+			}
+			rows, err := e.TopStableMarkets("us-east-1", market.ProductLinux, n, from, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != n {
+				t.Errorf("k=%d n=%d: %d rows", k, n, len(rows))
+			}
+			for i, r := range rows {
+				if r.Market != scope[k+i] || r.Crossings != 0 {
+					t.Errorf("k=%d n=%d: row %d is %v with %d crossings, want %v with none", k, n, i, r.Market, r.Crossings, scope[k+i])
+				}
+			}
+		}
 	}
 }
 

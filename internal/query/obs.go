@@ -37,6 +37,9 @@ func (a *API) EnableMetrics(reg *obs.Registry) {
 	reg.CounterFunc("spotlight_advisor_rankings_total",
 		"Rankings served by the advisor (memo hits + fresh ranks).",
 		func() float64 { h, m := adv.MemoStats(); return float64(h + m) })
+	reg.CounterFunc("spotlight_advisor_markets_folded_total",
+		"Markets whose folds fresh advise ranks ran: those their price-floor bound did not skip.",
+		func() float64 { return float64(adv.MarketsFolded()) })
 	reg.GaugeFunc("spotlight_watch_streams",
 		"Currently open /v2/watch SSE streams.",
 		func() float64 { return float64(a.watchers.Load()) })

@@ -17,6 +17,11 @@ type MarketView struct{ sh *shard }
 // Market returns the viewed market.
 func (v MarketView) Market() market.SpotID { return v.sh.id() }
 
+// Index returns the viewed market's index in the store: dense from 0, given
+// on the market's first record and never changed, since a store drops no
+// market. A reader may key a table of per-market constants by it.
+func (v MarketView) Index() uint32 { return v.sh.idx }
+
 // Window is a closed query window [from, to] converted to stamps once, so
 // a scan hands every market's folds the same value instead of converting
 // the window per fold per market.
@@ -91,6 +96,18 @@ func (s *Store) ScanScope(region market.Region, product market.Product, visit fu
 			r.scan(visit)
 		}
 	}
+}
+
+// View runs visit on id's shard under its read lock, as ScanScope would,
+// and reports whether id has one: one lookup and one lock, so every fold
+// visit asks for reads the same records. visit must not block or append.
+func (s *Store) View(id market.SpotID, visit func(MarketView)) bool {
+	sh := s.lookup(id)
+	if sh == nil {
+		return false
+	}
+	sh.view(visit)
+	return true
 }
 
 func (r *rollup) scan(visit func(MarketView)) {
