@@ -9,8 +9,7 @@ GO ?= go
 # batch ingest, WAL append+flush cycle, boot-time replay), and the
 # change-feed paths (publish round with a draining and with a stalled
 # subscriber, 1/64/512-subscriber fan-out), the advisor ranking path
-# (BenchmarkAdvise matches the generation-cached variant too), the two
-# cold rankings of the read-cold workload (BenchmarkAdviseRegion and
+# (BenchmarkAdvise), the two cold rankings of the read-cold workload (BenchmarkAdviseRegion and
 # BenchmarkQueryStableRegion: one region, n = 10, a new 6-144 h window per
 # call), the
 # metrics overhead pair (BenchmarkObsOverhead runs each instrumented hot

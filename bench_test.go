@@ -642,7 +642,7 @@ func BenchmarkHTTPCachedHit(b *testing.B) {
 // BenchmarkAdvise measures one cold decision-layer ranking: a fresh
 // advisor scans the constraint scope's shards, applies the workload
 // constraints, and scores the admissible set into a top-n selection —
-// the cost of a /v2/advise that misses the memo.
+// the cost of a /v2/advise the table of rendered answers does not hold.
 func BenchmarkAdvise(b *testing.B) {
 	st := benchStudy(b)
 	from, to := st.Window()
@@ -666,31 +666,6 @@ func BenchmarkAdvise(b *testing.B) {
 	b.ReportMetric(float64(n), "candidates")
 }
 
-// BenchmarkAdviseCached measures the same ranking with the
-// generation-keyed memo warm: each repeat is a scope-generation sum plus
-// a map probe — the serving cost of a fleet manager calling the advisor
-// every tick against an unchanged store.
-func BenchmarkAdviseCached(b *testing.B) {
-	st := benchStudy(b)
-	from, to := st.Window()
-	adv := advisor.New(st.DB, st.Cat)
-	cons, err := adv.Normalize(api.AdviseConstraints{
-		Regions:  []string{"us-east-1"},
-		Products: []string{string(market.ProductLinux)},
-		MinVCPU:  4,
-		N:        10,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	adv.Advise(cons, from, to) // warm the memo
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		adv.Advise(cons, from, to)
-	}
-}
-
 // coldWindows rotates absolute windows the way the read-cold workload of
 // the end-to-end benchmark does: lengths cycle through 6, 24, 72 and 144 h
 // and every window ends one second earlier than the one before, so no two
@@ -704,8 +679,8 @@ func coldWindows(end time.Time) func(i int) (time.Time, time.Time) {
 }
 
 // BenchmarkAdviseRegion is the advise request of read-cold: one region,
-// n = 10, no other constraint, and a new window per call, so the memo
-// never answers — every fold over the region's priced markets the ranking
+// n = 10, no other constraint, and a new window per call, as read-cold
+// sends them — every fold over the region's priced markets the ranking
 // does not skip is computed cold. The advisor is built once, as the served
 // engine's is, so its on-demand price table is filled once, not per call.
 // moves: cpu_us_per_op on read-cold

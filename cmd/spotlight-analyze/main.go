@@ -50,29 +50,13 @@ func run(args []string, out io.Writer) error {
 // writeFigures writes figure fig of db as text, or every figure when fig
 // is empty.
 func writeFigures(out io.Writer, db *store.Store, fig string) error {
-	figures := []struct {
-		id    string
-		title string
-		write func(io.Writer) error
-	}{
-		{"5.4", "P(on-demand unavailable) vs spike size", analysis.Fig54GlobalUnavailability(db, nil).WriteText},
-		{"5.5", "rejected probes per region", analysis.Fig55RegionRejectShare(db).WriteText},
-		{"5.6", "per-region unavailability (900s)", analysis.Fig56RegionUnavailability(db, 0).WriteText},
-		{"5.7", "spike vs related-market rejections", analysis.Fig57TriggerBreakdown(db).WriteText},
-		{"5.8", "cross-zone coupling", analysis.Fig58CrossAZ(db, nil).WriteText},
-		{"5.9", "outage duration CDF", analysis.Fig59OutageDurationCDF(db).WriteText},
-		{"5.10", "spot capacity-not-available vs price", analysis.Fig510SpotUnavailability(db).WriteText},
-		{"5.11", "spot insufficiency distribution", analysis.Fig511SpotInsufficiencyDist(db).WriteText},
-		{"5.12", "related-market insufficiency pairs", analysis.Fig512CrossKind(db, nil).WriteText},
-	}
 	matched := false
-	for _, fg := range figures {
-		if fig != "" && fg.id != fig {
+	for _, f := range analysis.StoreFigures(db) {
+		if fig != "" && f.Label != "Fig "+fig {
 			continue
 		}
 		matched = true
-		fmt.Fprintf(out, "\n=== Fig %s — %s ===\n", fg.id, fg.title)
-		if err := fg.write(out); err != nil {
+		if err := f.WriteText(out); err != nil {
 			return err
 		}
 	}

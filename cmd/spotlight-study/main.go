@@ -74,11 +74,13 @@ func run(args []string, out io.Writer) error {
 		*days, *seed, st.DB.ProbeCount(), len(st.DB.Spikes()), st.Svc.Spent(),
 		time.Since(start).Round(time.Second))
 
-	if err := writeFigures(out, st, *trials); err != nil {
+	from, to := st.Window()
+	figs := analysis.StudyFigures(st.DB, st.Cat, from, to, experiment.BidSpreadMarket())
+	if err := writeFigures(out, st, figs, *trials); err != nil {
 		return err
 	}
 	if *outDir != "" {
-		if err := dump(st, *outDir); err != nil {
+		if err := dump(st, figs, *outDir); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "\nraw data written to %s\n", *outDir)
@@ -90,107 +92,13 @@ func section(out io.Writer, title string) {
 	fmt.Fprintf(out, "\n=== %s ===\n", title)
 }
 
-func writeFigures(out io.Writer, st *experiment.Study, trials int) error {
-	from, to := st.Window()
-
-	section(out, "Table 2.1 — contract tradeoffs")
-	if err := analysis.WriteTable21(out); err != nil {
-		return err
-	}
-
-	section(out, "Fig 2.1 — spot price vs on-demand (c3.2xlarge us-east-1d)")
-	c32 := market.SpotID{Zone: "us-east-1d", Type: "c3.2xlarge", Product: market.ProductLinux}
-	if tr, err := analysis.Fig21PriceTrace(st.DB, st.Cat, c32, from, to); err == nil {
-		if err := tr.WriteText(out); err != nil {
+// writeFigures writes figs as text, then runs and writes the Chapter 6
+// case studies.
+func writeFigures(out io.Writer, st *experiment.Study, figs []analysis.Figure, trials int) error {
+	for _, f := range figs {
+		if err := f.WriteText(out); err != nil {
 			return err
 		}
-	} else {
-		fmt.Fprintln(out, "(no trace)", err)
-	}
-
-	section(out, "Fig 5.1a — c3.* family prices in us-east-1d")
-	fam := []market.SpotID{
-		{Zone: "us-east-1d", Type: "c3.2xlarge", Product: market.ProductLinux},
-		{Zone: "us-east-1d", Type: "c3.4xlarge", Product: market.ProductLinux},
-		{Zone: "us-east-1d", Type: "c3.8xlarge", Product: market.ProductLinux},
-	}
-	if trs, err := analysis.Fig51Traces(st.DB, st.Cat, fam, from, to); err == nil {
-		for _, tr := range trs {
-			if err := tr.WriteText(out); err != nil {
-				return err
-			}
-		}
-	}
-
-	section(out, "Fig 5.1b — c3.2xlarge prices across us-east-1 zones")
-	zones := []market.SpotID{
-		{Zone: "us-east-1a", Type: "c3.2xlarge", Product: market.ProductLinux},
-		{Zone: "us-east-1b", Type: "c3.2xlarge", Product: market.ProductLinux},
-		{Zone: "us-east-1d", Type: "c3.2xlarge", Product: market.ProductLinux},
-	}
-	if trs, err := analysis.Fig51Traces(st.DB, st.Cat, zones, from, to); err == nil {
-		for _, tr := range trs {
-			if err := tr.WriteText(out); err != nil {
-				return err
-			}
-		}
-	}
-
-	section(out, "Fig 5.2 — intrinsic bid price (BidSpread)")
-	if err := analysis.Fig52IntrinsicPrice(st.DB, experiment.BidSpreadMarket()).WriteText(out); err != nil {
-		return err
-	}
-
-	section(out, "Fig 5.3 — least bid to hold a spot instance")
-	if f53, err := analysis.Fig53HoldPrices(st.DB, st.Cat, c32, from, to, nil, 0); err == nil {
-		if err := f53.WriteText(out); err != nil {
-			return err
-		}
-	}
-
-	section(out, "Fig 5.4 — P(on-demand unavailable) vs spike size (global)")
-	if err := analysis.Fig54GlobalUnavailability(st.DB, nil).WriteText(out); err != nil {
-		return err
-	}
-
-	section(out, "Fig 5.5 — rejected probes per region vs spike size")
-	if err := analysis.Fig55RegionRejectShare(st.DB).WriteText(out); err != nil {
-		return err
-	}
-
-	section(out, "Fig 5.6 — P(on-demand unavailable) per region (window 900s)")
-	if err := analysis.Fig56RegionUnavailability(st.DB, 0).WriteText(out); err != nil {
-		return err
-	}
-
-	section(out, "Fig 5.7 — rejections by price spikes vs related markets")
-	if err := analysis.Fig57TriggerBreakdown(st.DB).WriteText(out); err != nil {
-		return err
-	}
-
-	section(out, "Fig 5.8 — P(related zone unavailable) vs spike size")
-	if err := analysis.Fig58CrossAZ(st.DB, nil).WriteText(out); err != nil {
-		return err
-	}
-
-	section(out, "Fig 5.9 — CDF of on-demand outage durations")
-	if err := analysis.Fig59OutageDurationCDF(st.DB).WriteText(out); err != nil {
-		return err
-	}
-
-	section(out, "Fig 5.10 — spot capacity-not-available vs price level")
-	if err := analysis.Fig510SpotUnavailability(st.DB).WriteText(out); err != nil {
-		return err
-	}
-
-	section(out, "Fig 5.11 — spot insufficiency distribution")
-	if err := analysis.Fig511SpotInsufficiencyDist(st.DB).WriteText(out); err != nil {
-		return err
-	}
-
-	section(out, "Fig 5.12 — related-market insufficiency by contract pair")
-	if err := analysis.Fig512CrossKind(st.DB, nil).WriteText(out); err != nil {
-		return err
 	}
 
 	section(out, "Fig 6.1 — SpotCheck availability")
@@ -211,9 +119,9 @@ func writeFigures(out io.Writer, st *experiment.Study, trials int) error {
 }
 
 // dump writes the raw logs, the store's dump (store.stream: the store's
-// image as a follow stream, which spotlight-analyze loads) and one
-// plot-ready CSV per figure.
-func dump(st *experiment.Study, dir string) error {
+// image as a follow stream, which spotlight-analyze loads) and, in figs'
+// order, the CSV of every figure that has one: fig5_4.csv for Fig 5.4.
+func dump(st *experiment.Study, figs []analysis.Figure, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -245,28 +153,12 @@ func dump(st *experiment.Study, dir string) error {
 		return err
 	}
 
-	from, to := st.Window()
-	figs := map[string]func(io.Writer) error{
-		"fig5_4.csv":  analysis.Fig54GlobalUnavailability(st.DB, nil).WriteCSV,
-		"fig5_5.csv":  analysis.Fig55RegionRejectShare(st.DB).WriteCSV,
-		"fig5_6.csv":  analysis.Fig56RegionUnavailability(st.DB, 0).WriteCSV,
-		"fig5_7.csv":  analysis.Fig57TriggerBreakdown(st.DB).WriteCSV,
-		"fig5_8.csv":  analysis.Fig58CrossAZ(st.DB, nil).WriteCSV,
-		"fig5_9.csv":  analysis.Fig59OutageDurationCDF(st.DB).WriteCSV,
-		"fig5_10.csv": analysis.Fig510SpotUnavailability(st.DB).WriteCSV,
-		"fig5_11.csv": analysis.Fig511SpotInsufficiencyDist(st.DB).WriteCSV,
-		"fig5_12.csv": analysis.Fig512CrossKind(st.DB, nil).WriteCSV,
-		"fig5_2.csv":  analysis.Fig52IntrinsicPrice(st.DB, experiment.BidSpreadMarket()).WriteCSV,
-	}
-	c32 := market.SpotID{Zone: "us-east-1d", Type: "c3.2xlarge", Product: market.ProductLinux}
-	if tr, err := analysis.Fig21PriceTrace(st.DB, st.Cat, c32, from, to); err == nil {
-		figs["fig2_1.csv"] = tr.WriteCSV
-	}
-	if f53, err := analysis.Fig53HoldPrices(st.DB, st.Cat, c32, from, to, nil, 0); err == nil {
-		figs["fig5_3.csv"] = f53.WriteCSV
-	}
-	for name, fill := range figs {
-		if err := writeFile(name, fill); err != nil {
+	for _, f := range figs {
+		if f.CSV == nil {
+			continue
+		}
+		name := "fig" + strings.ReplaceAll(strings.TrimPrefix(f.Label, "Fig "), ".", "_") + ".csv"
+		if err := writeFile(name, f.CSV); err != nil {
 			return err
 		}
 	}

@@ -33,8 +33,8 @@
 //   - internal/advisor     — the decision layer: ranks spot markets
 //     against workload constraints (capacity floors, price and
 //     interruption ceilings, region/product sets) by a composite score
-//     over the store's rollups, memoized per scope generation; served
-//     as POST /v2/advise (docs/advisor.md)
+//     over the store's windowed per-market folds, read in one scope
+//     scan; served as POST /v2/advise (docs/advisor.md)
 //   - internal/fleet       — simulated fleet manager consuming the
 //     advisor and the store change feed: event-steered migration off
 //     revoked/spiking markets, on-demand fallback and repatriation, and

@@ -70,24 +70,18 @@ type Constraints struct {
 }
 
 // Advisor ranks spot markets against workload constraints. Safe for
-// concurrent use; results are memoized per (constraints, window) keyed by
-// the store generation of the constraint scope, so a cached answer stays
-// valid exactly until an append lands inside the regions it read.
+// concurrent use; every Advise ranks afresh. Repeated asks are the
+// caller's to keep: the query layer serves them from its table of
+// rendered answers, the fleet manager holds one ranking per step.
 type Advisor struct {
 	db  *store.Store
 	cat *market.Catalog
 
-	mu      sync.Mutex
-	entries map[string]advEntry
-
-	// memoHits/memoMisses count Advise calls answered from the memo vs
-	// ranked fresh — already-atomic, so the metrics layer exposes them as
-	// scrape-time collectors with zero extra cost per Advise.
-	memoHits   atomic.Uint64
-	memoMisses atomic.Uint64
-	// folded counts the markets whose folds a fresh rank ran: those whose
-	// best case, read from the price floor alone, the selection admitted.
-	folded atomic.Uint64
+	// rankings counts Advise calls; folded counts the markets whose folds
+	// a ranking ran: those whose best case, read from the price floor
+	// alone, the selection admitted.
+	rankings atomic.Uint64
+	folded   atomic.Uint64
 
 	// ods holds each market's on-demand price at its store index
 	// (MarketView.Index): 0 until a scan first meets the market, then its
@@ -99,27 +93,20 @@ type Advisor struct {
 	ods    []atomic.Uint64
 }
 
-type advEntry struct {
-	gen uint64
-	val []api.AdviseCandidate
-}
-
-// cacheMax bounds the memo map; on overflow it resets wholesale, matching
-// the query layer's table of rendered answers.
-const cacheMax = 256
-
 // New builds an Advisor over the store and catalog.
 func New(db *store.Store, cat *market.Catalog) *Advisor {
-	return &Advisor{db: db, cat: cat, entries: make(map[string]advEntry)}
+	return &Advisor{db: db, cat: cat}
 }
 
-// MemoStats returns how many Advise calls hit the generation-keyed memo
-// versus ranked fresh. Hits+misses is the total rankings served.
-func (a *Advisor) MemoStats() (hits, misses uint64) {
-	return a.memoHits.Load(), a.memoMisses.Load()
-}
+// Rankings returns how many rankings Advise has served.
+func (a *Advisor) Rankings() uint64 { return a.rankings.Load() }
 
-// MarketsFolded returns how many markets fresh rankings have folded: every
+// MemoStats reports no memo hits and every ranking as a miss.
+//
+// Deprecated: the advisor keeps no memo; use Rankings.
+func (a *Advisor) MemoStats() (hits, misses uint64) { return 0, a.Rankings() }
+
+// MarketsFolded returns how many markets rankings have folded: every
 // market a ranking's price-floor bound did not skip.
 func (a *Advisor) MarketsFolded() uint64 { return a.folded.Load() }
 
@@ -219,69 +206,6 @@ func (a *Advisor) Normalize(c api.AdviseConstraints) (Constraints, error) {
 	return out, nil
 }
 
-// ScopeGen returns the store generation of the shards an Advise call with
-// these constraints can read: the sum of the per-region scope generations
-// when the region set is restricted (each is an append count, so the sum
-// moves on any append in scope), the global generation otherwise. It is
-// the cache-validity token for both the memo below and the HTTP ETag.
-func (a *Advisor) ScopeGen(c Constraints) uint64 {
-	if len(c.Regions) == 0 {
-		return a.db.GlobalGeneration()
-	}
-	var sum uint64
-	for _, r := range c.Regions {
-		sum += a.db.GenerationOfScope(r, "")
-	}
-	return sum
-}
-
-// Advise ranks the markets satisfying c by composite score over [from,
-// to]. Only markets with at least one recorded price sample inside the
-// window are candidates — the advisor recommends from its own evidence,
-// never from catalog price sheets alone. An empty result is a valid
-// answer. The returned slice is shared with the memo; callers must not
-// mutate it.
-func (a *Advisor) Advise(c Constraints, from, to time.Time) []api.AdviseCandidate {
-	gen := a.ScopeGen(c) // read before compute: an append racing the fold keys the entry stale
-	key := cacheKey(c, from, to)
-
-	a.mu.Lock()
-	if e, ok := a.entries[key]; ok && e.gen == gen {
-		a.mu.Unlock()
-		a.memoHits.Add(1)
-		return e.val
-	}
-	a.mu.Unlock()
-	a.memoMisses.Add(1)
-
-	val := a.rank(c, from, to)
-
-	a.mu.Lock()
-	if len(a.entries) >= cacheMax {
-		a.entries = make(map[string]advEntry)
-	}
-	a.entries[key] = advEntry{gen: gen, val: val}
-	a.mu.Unlock()
-	return val
-}
-
-func cacheKey(c Constraints, from, to time.Time) string {
-	var b strings.Builder
-	for _, r := range c.Regions {
-		b.WriteString(string(r))
-		b.WriteByte(',')
-	}
-	b.WriteByte('|')
-	for _, p := range c.Products {
-		b.WriteString(string(p))
-		b.WriteByte(',')
-	}
-	fmt.Fprintf(&b, "|%s|%d|%g|%g|%g|%d|%d|%d",
-		c.TypePattern, c.MinVCPU, c.MinMemoryGB, c.MaxPrice, c.MaxInterruption, c.N,
-		from.UnixNano(), to.UnixNano())
-	return b.String()
-}
-
 // Scoring weights: savings dominate (the reason to run spot at all), then
 // observed availability, then price stability. A live outage at the
 // window end halves the score — the market may still be the right answer
@@ -308,10 +232,16 @@ type scored struct {
 	score        float64
 }
 
-// rank scans the constraint scope once — each region x product pair
+// Advise ranks the markets satisfying c by composite score over [from,
+// to]. Only markets with at least one recorded price sample inside the
+// window are candidates — the advisor recommends from its own evidence,
+// never from catalog price sheets alone. An empty result is a valid
+// answer. It scans the constraint scope once — each region x product pair
 // resolves through the store's scope index, each market's folds run under
-// one read lock — into a top-n selection, and renders only the winners.
-func (a *Advisor) rank(c Constraints, from, to time.Time) []api.AdviseCandidate {
+// one read lock — into a top-n selection, renders only the winners, and
+// returns them in a slice the caller owns.
+func (a *Advisor) Advise(c Constraints, from, to time.Time) []api.AdviseCandidate {
+	a.rankings.Add(1)
 	window := to.Sub(from)
 	if window <= 0 {
 		return []api.AdviseCandidate{}

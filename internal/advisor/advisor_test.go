@@ -62,8 +62,8 @@ func TestNormalizeDefaultsAndAll(t *testing.T) {
 	if len(c.Regions) != 0 {
 		t.Errorf(`regions ["all"] normalized to %v, want unrestricted`, c.Regions)
 	}
-	// Duplicates collapse and the set sorts, so equivalent spellings share
-	// one memo entry.
+	// Duplicates collapse and the set sorts, so a region named twice is
+	// scanned once.
 	c, err = a.Normalize(api.AdviseConstraints{Regions: []string{"us-west-2", "us-east-1", "us-west-2"}})
 	if err != nil {
 		t.Fatal(err)
@@ -252,36 +252,6 @@ func TestAdviseInterruptionAndOutageSignals(t *testing.T) {
 	}
 	if got[0].SpotUnavailability <= 0 {
 		t.Errorf("SpotUnavailability = %g, want > 0 with an open outage", got[0].SpotUnavailability)
-	}
-}
-
-func TestAdviseMemoTracksGeneration(t *testing.T) {
-	a, db := newAdvisor(t)
-	recordFlat(db, mktSmall, 0.02)
-	cons, err := a.Normalize(api.AdviseConstraints{Regions: []string{"us-east-1"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	from, to := t0, t0.Add(24*time.Hour)
-	first := a.Advise(cons, from, to)
-	if len(first) != 1 {
-		t.Fatalf("candidates = %d, want 1", len(first))
-	}
-	// Unchanged store: the memoized slice comes back as-is.
-	if again := a.Advise(cons, from, to); &again[0] != &first[0] {
-		t.Error("unchanged store did not serve the memoized ranking")
-	}
-	// An in-scope append invalidates; the recomputation sees the new sample.
-	db.RecordPrice(mktSmall, store.PricePoint{At: t0.Add(23*time.Hour + 30*time.Minute), Price: 0.10})
-	after := a.Advise(cons, from, to)
-	if len(after) != 1 || after[0].PriceSamples != first[0].PriceSamples+1 {
-		t.Errorf("post-append samples = %+v, want one more than %d", after, first[0].PriceSamples)
-	}
-	// An out-of-scope append leaves the region-scoped memo valid.
-	tok := a.ScopeGen(cons)
-	db.RecordPrice(mktWest, store.PricePoint{At: t0, Price: 0.05})
-	if got := a.ScopeGen(cons); got != tok {
-		t.Errorf("us-east-1 scope generation moved on a us-west-2 append: %d -> %d", tok, got)
 	}
 }
 

@@ -35,18 +35,15 @@ var spikeRanges = []spikeRange{
 
 // SpikeRangeLabels renders the Figs 5.5/5.7 bin labels.
 func SpikeRangeLabels() []string {
-	out := make([]string, len(spikeRanges))
-	for i, r := range spikeRanges {
+	return labels(spikeRanges, func(r spikeRange) string {
 		switch {
 		case r.hi < 0:
-			out[i] = fmt.Sprintf(">%gX", r.lo)
+			return fmt.Sprintf(">%gX", r.lo)
 		case r.lo == 0:
-			out[i] = fmt.Sprintf("<%gX", r.hi)
-		default:
-			out[i] = fmt.Sprintf("%gX-%gX", r.lo, r.hi)
+			return fmt.Sprintf("<%gX", r.hi)
 		}
-	}
-	return out
+		return fmt.Sprintf("%gX-%gX", r.lo, r.hi)
+	})
 }
 
 // spikeRangeIndex buckets a ratio into its range bin.
@@ -73,11 +70,10 @@ var PriceRatioThresholds = []float64{
 // PriceRatioLabels renders the Fig 5.10 x-axis labels, including the final
 // ">1X" bucket.
 func PriceRatioLabels() []string {
-	labels := []string{
+	return []string{
 		"<1/10X", "<1/9X", "<1/8X", "<1/7X", "<1/6X",
 		"<1/5X", "<1/4X", "<1/3X", "<1/2X", "<1X", ">1X",
 	}
-	return labels
 }
 
 // ratioRangeLabels renders the Fig 5.11 non-cumulative bins.

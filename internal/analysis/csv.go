@@ -29,50 +29,17 @@ func f64(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // WriteCSV emits window x threshold unavailability percentages.
 func (f Fig54) WriteCSV(w io.Writer) error {
-	header := []string{"window_s"}
-	for _, t := range f.Thresholds {
-		header = append(header, SpikeThresholdLabel(t))
-	}
-	var rows [][]string
-	for wi, win := range f.Windows {
-		row := []string{strconv.Itoa(int(win.Seconds()))}
-		for ti := range f.Thresholds {
-			row = append(row, f64(f.UnavailabilityPct[wi][ti]))
-		}
-		rows = append(rows, row)
-	}
-	return writeGrid(w, header, rows)
+	return writeMatrix(w, true, "window_s", labels(f.Thresholds, SpikeThresholdLabel), windowLabels(f.Windows, "%d"), f.UnavailabilityPct)
 }
 
 // WriteCSV emits region x bin rejection shares.
 func (f Fig55) WriteCSV(w io.Writer) error {
-	header := append([]string{"region"}, f.BinLabels...)
-	var rows [][]string
-	for ri, r := range f.Regions {
-		row := []string{string(r)}
-		for b := range f.BinLabels {
-			row = append(row, f64(f.SharePct[ri][b]))
-		}
-		rows = append(rows, row)
-	}
-	return writeGrid(w, header, rows)
+	return writeMatrix(w, true, "region", f.BinLabels, labels(f.Regions, regionLabel), f.SharePct)
 }
 
 // WriteCSV emits region x threshold unavailability percentages.
 func (f Fig56) WriteCSV(w io.Writer) error {
-	header := []string{"region"}
-	for _, t := range f.Thresholds {
-		header = append(header, SpikeThresholdLabel(t))
-	}
-	var rows [][]string
-	for ri, r := range f.Regions {
-		row := []string{string(r)}
-		for ti := range f.Thresholds {
-			row = append(row, f64(f.UnavailabilityPct[ri][ti]))
-		}
-		rows = append(rows, row)
-	}
-	return writeGrid(w, header, rows)
+	return writeMatrix(w, true, "region", labels(f.Thresholds, SpikeThresholdLabel), labels(f.Regions, regionLabel), f.UnavailabilityPct)
 }
 
 // WriteCSV emits the spike/related split per bin.
@@ -89,19 +56,7 @@ func (f Fig57) WriteCSV(w io.Writer) error {
 
 // WriteCSV emits window x threshold cross-zone probabilities.
 func (f Fig58) WriteCSV(w io.Writer) error {
-	header := []string{"window_s"}
-	for _, t := range f.Thresholds {
-		header = append(header, SpikeThresholdLabel(t))
-	}
-	var rows [][]string
-	for wi, win := range f.Windows {
-		row := []string{strconv.Itoa(int(win.Seconds()))}
-		for ti := range f.Thresholds {
-			row = append(row, f64(f.ProbabilityPct[wi][ti]))
-		}
-		rows = append(rows, row)
-	}
-	return writeGrid(w, header, rows)
+	return writeMatrix(w, true, "window_s", labels(f.Thresholds, SpikeThresholdLabel), windowLabels(f.Windows, "%d"), f.ProbabilityPct)
 }
 
 // WriteCSV emits the raw sorted outage durations plus the CDF marks.
@@ -116,35 +71,13 @@ func (f Fig59) WriteCSV(w io.Writer) error {
 
 // WriteCSV emits region (plus "all") x price-bin rejection percentages.
 func (f Fig510) WriteCSV(w io.Writer) error {
-	header := append([]string{"region"}, f.BinLabels...)
-	var rows [][]string
-	for ri, r := range f.Regions {
-		row := []string{string(r)}
-		for b := range f.BinLabels {
-			row = append(row, f64(f.UnavailabilityPct[ri][b]))
-		}
-		rows = append(rows, row)
-	}
-	all := []string{"all"}
-	for b := range f.BinLabels {
-		all = append(all, f64(f.AllPct[b]))
-	}
-	rows = append(rows, all)
-	return writeGrid(w, header, rows)
+	rows, cells := f.withAll()
+	return writeMatrix(w, true, "region", f.BinLabels, rows, cells)
 }
 
 // WriteCSV emits region x ratio-bin shares.
 func (f Fig511) WriteCSV(w io.Writer) error {
-	header := append([]string{"region"}, f.BinLabels...)
-	var rows [][]string
-	for ri, r := range f.Regions {
-		row := []string{string(r)}
-		for b := range f.BinLabels {
-			row = append(row, f64(f.SharePct[ri][b]))
-		}
-		rows = append(rows, row)
-	}
-	return writeGrid(w, header, rows)
+	return writeMatrix(w, true, "region", f.BinLabels, labels(f.Regions, regionLabel), f.SharePct)
 }
 
 // WriteCSV emits the four pair series per window.

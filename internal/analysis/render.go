@@ -3,8 +3,12 @@ package analysis
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"text/tabwriter"
 	"time"
+
+	"spotlight/internal/market"
 )
 
 // Rendering helpers: each figure result renders itself as an aligned text
@@ -15,63 +19,66 @@ func newTab(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 }
 
-func windowLabel(d time.Duration) string {
-	return fmt.Sprintf("%ds", int(d.Seconds()))
+// writeMatrix writes a labelled matrix of percentages, the shape of Figs
+// 5.4-5.6, 5.8, 5.10 and 5.11: a header of corner and cols, then each
+// row's label and cells — as CSV, cells in shortest form, or as an
+// aligned text table, cells to two places.
+func writeMatrix(w io.Writer, asCSV bool, corner string, cols, rows []string, cells [][]float64) error {
+	cell := f64
+	if !asCSV {
+		cell = func(v float64) string { return fmt.Sprintf("%.2f", v) }
+	}
+	header := append([]string{corner}, cols...)
+	grid := make([][]string, len(rows))
+	for i, label := range rows {
+		grid[i] = []string{label}
+		for j := range cols {
+			grid[i] = append(grid[i], cell(cells[i][j]))
+		}
+	}
+	if asCSV {
+		return writeGrid(w, header, grid)
+	}
+	tw := newTab(w)
+	for _, row := range append([][]string{header}, grid...) {
+		fmt.Fprintln(tw, strings.Join(row, "\t"))
+	}
+	return tw.Flush()
+}
+
+// labels renders each of xs with label.
+func labels[T any](xs []T, label func(T) string) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = label(x)
+	}
+	return out
+}
+
+func regionLabel(r market.Region) string { return string(r) }
+
+// windowLabels renders each window's whole seconds with format.
+func windowLabels(ws []time.Duration, format string) []string {
+	return labels(ws, func(w time.Duration) string { return fmt.Sprintf(format, int(w.Seconds())) })
 }
 
 // WriteText renders Fig 5.4.
 func (f Fig54) WriteText(w io.Writer) error {
-	tw := newTab(w)
-	fmt.Fprint(tw, "window")
-	for _, t := range f.Thresholds {
-		fmt.Fprintf(tw, "\t%s", SpikeThresholdLabel(t))
-	}
-	fmt.Fprintln(tw)
-	for wi, win := range f.Windows {
-		fmt.Fprintf(tw, "<=%s", windowLabel(win))
-		for ti := range f.Thresholds {
-			fmt.Fprintf(tw, "\t%.2f", f.UnavailabilityPct[wi][ti])
-		}
-		fmt.Fprintln(tw)
-	}
-	return tw.Flush()
+	return writeMatrix(w, false, "window", labels(f.Thresholds, SpikeThresholdLabel), windowLabels(f.Windows, "<=%ds"), f.UnavailabilityPct)
 }
 
 // WriteText renders Fig 5.5.
 func (f Fig55) WriteText(w io.Writer) error {
-	tw := newTab(w)
-	fmt.Fprint(tw, "region")
-	for _, b := range f.BinLabels {
-		fmt.Fprintf(tw, "\t%s", b)
+	if err := writeMatrix(w, false, "region", f.BinLabels, labels(f.Regions, regionLabel), f.SharePct); err != nil {
+		return err
 	}
-	fmt.Fprintln(tw)
-	for ri, r := range f.Regions {
-		fmt.Fprint(tw, string(r))
-		for b := range f.BinLabels {
-			fmt.Fprintf(tw, "\t%.2f", f.SharePct[ri][b])
-		}
-		fmt.Fprintln(tw)
-	}
-	fmt.Fprintf(tw, "(total rejected spike-triggered probes: %d)\n", f.Total)
-	return tw.Flush()
+	_, err := fmt.Fprintf(w, "(total rejected spike-triggered probes: %d)\n", f.Total)
+	return err
 }
 
 // WriteText renders Fig 5.6.
 func (f Fig56) WriteText(w io.Writer) error {
-	tw := newTab(w)
-	fmt.Fprint(tw, "region")
-	for _, t := range f.Thresholds {
-		fmt.Fprintf(tw, "\t%s", SpikeThresholdLabel(t))
-	}
-	fmt.Fprintln(tw)
-	for ri, r := range f.Regions {
-		fmt.Fprint(tw, string(r))
-		for ti := range f.Thresholds {
-			fmt.Fprintf(tw, "\t%.2f", f.UnavailabilityPct[ri][ti])
-		}
-		fmt.Fprintln(tw)
-	}
-	return tw.Flush()
+	return writeMatrix(w, false, "region", labels(f.Thresholds, SpikeThresholdLabel), labels(f.Regions, regionLabel), f.UnavailabilityPct)
 }
 
 // WriteText renders Fig 5.7.
@@ -86,20 +93,7 @@ func (f Fig57) WriteText(w io.Writer) error {
 
 // WriteText renders Fig 5.8.
 func (f Fig58) WriteText(w io.Writer) error {
-	tw := newTab(w)
-	fmt.Fprint(tw, "window")
-	for _, t := range f.Thresholds {
-		fmt.Fprintf(tw, "\t%s", SpikeThresholdLabel(t))
-	}
-	fmt.Fprintln(tw)
-	for wi, win := range f.Windows {
-		fmt.Fprintf(tw, "<=%s", windowLabel(win))
-		for ti := range f.Thresholds {
-			fmt.Fprintf(tw, "\t%.2f", f.ProbabilityPct[wi][ti])
-		}
-		fmt.Fprintln(tw)
-	}
-	return tw.Flush()
+	return writeMatrix(w, false, "window", labels(f.Thresholds, SpikeThresholdLabel), windowLabels(f.Windows, "<=%ds"), f.ProbabilityPct)
 }
 
 // WriteText renders Fig 5.9.
@@ -113,47 +107,24 @@ func (f Fig59) WriteText(w io.Writer) error {
 	return tw.Flush()
 }
 
+// withAll is Fig 5.10's rows and cells, its "all" row last.
+func (f Fig510) withAll() (rows []string, cells [][]float64) {
+	return append(labels(f.Regions, regionLabel), "all"), append(slices.Clip(f.UnavailabilityPct), f.AllPct)
+}
+
 // WriteText renders Fig 5.10.
 func (f Fig510) WriteText(w io.Writer) error {
-	tw := newTab(w)
-	fmt.Fprint(tw, "region")
-	for _, b := range f.BinLabels {
-		fmt.Fprintf(tw, "\t%s", b)
-	}
-	fmt.Fprintln(tw)
-	for ri, r := range f.Regions {
-		fmt.Fprint(tw, string(r))
-		for b := range f.BinLabels {
-			fmt.Fprintf(tw, "\t%.2f", f.UnavailabilityPct[ri][b])
-		}
-		fmt.Fprintln(tw)
-	}
-	fmt.Fprint(tw, "all")
-	for b := range f.BinLabels {
-		fmt.Fprintf(tw, "\t%.2f", f.AllPct[b])
-	}
-	fmt.Fprintln(tw)
-	return tw.Flush()
+	rows, cells := f.withAll()
+	return writeMatrix(w, false, "region", f.BinLabels, rows, cells)
 }
 
 // WriteText renders Fig 5.11.
 func (f Fig511) WriteText(w io.Writer) error {
-	tw := newTab(w)
-	fmt.Fprint(tw, "region")
-	for _, b := range f.BinLabels {
-		fmt.Fprintf(tw, "\t%s", b)
+	if err := writeMatrix(w, false, "region", f.BinLabels, labels(f.Regions, regionLabel), f.SharePct); err != nil {
+		return err
 	}
-	fmt.Fprintln(tw)
-	for ri, r := range f.Regions {
-		fmt.Fprint(tw, string(r))
-		for b := range f.BinLabels {
-			fmt.Fprintf(tw, "\t%.2f", f.SharePct[ri][b])
-		}
-		fmt.Fprintln(tw)
-	}
-	fmt.Fprintf(tw, "(total spot rejections: %d; below on-demand price: %.1f%%)\n",
-		f.Total, f.BelowODPct)
-	return tw.Flush()
+	_, err := fmt.Fprintf(w, "(total spot rejections: %d; below on-demand price: %.1f%%)\n", f.Total, f.BelowODPct)
+	return err
 }
 
 // WriteText renders Fig 5.12.
@@ -161,8 +132,8 @@ func (f Fig512) WriteText(w io.Writer) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "window\tod-od%\tspot-spot%\tod-spot%\tspot-od%")
 	for wi, win := range f.Windows {
-		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%.1f\t%.1f\n",
-			windowLabel(win), f.ODtoOD[wi], f.SpotToSpot[wi], f.ODToSpot[wi], f.SpotToOD[wi])
+		fmt.Fprintf(tw, "%ds\t%.1f\t%.1f\t%.1f\t%.1f\n",
+			int(win.Seconds()), f.ODtoOD[wi], f.SpotToSpot[wi], f.ODToSpot[wi], f.SpotToOD[wi])
 	}
 	fmt.Fprintf(tw, "(detections: od=%d spot=%d)\n", f.ODDetections, f.SpotDetections)
 	return tw.Flush()

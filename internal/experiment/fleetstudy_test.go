@@ -51,6 +51,33 @@ func TestRunFleetComparison(t *testing.T) {
 	}
 }
 
+// TestFleetComparisonPinned holds a seeded head-to-head to the table it
+// rendered when every placement asked the advisor afresh: ranking once per
+// Step moves no placement, cost or revocation.
+func TestFleetComparisonPinned(t *testing.T) {
+	rows, err := RunFleetComparison(FleetStudyConfig{
+		Seed:       42,
+		Regions:    []market.Region{"us-east-1"},
+		WarmupDays: 1,
+		Days:       1,
+		Target:     2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := WriteFleetComparison(&sb, rows); err != nil {
+		t.Fatal(err)
+	}
+	const want = `policy            cost ($)  availability (%)  migrations  repatriations  od fallbacks  revocations  spot launches
+threshold         4.27      100.00            2           0              0             0            4
+feedback-control  4.27      100.00            2           0              0             0            4
+`
+	if got := sb.String(); got != want {
+		t.Errorf("head-to-head =\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestRunFleetComparisonCustomPolicy(t *testing.T) {
 	rows, err := RunFleetComparison(FleetStudyConfig{
 		Seed:       11,

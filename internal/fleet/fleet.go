@@ -119,6 +119,10 @@ type Manager struct {
 	avoid  map[market.SpotID]time.Time
 	outage map[market.SpotID]bool
 
+	// ranked is the current Step's ranking: nil until candidates first
+	// asks the advisor for it.
+	ranked []api.AdviseCandidate
+
 	tick int
 	m    Metrics
 }
@@ -177,8 +181,14 @@ func (m *Manager) subscribe() {
 // platform took, migrate off flagged markets, fill empty slots, and
 // (periodically) repatriate on-demand fallback capacity to spot. Call it
 // after the monitoring service's OnTick so the tick's events are visible.
+//
+// Nothing a Step does appends to the store, so every placement within it
+// reads one ranking, asked of the advisor at most once per Step; an
+// append racing the Step (a live monitoring service) is ranked by the
+// next one.
 func (m *Manager) Step(now time.Time) {
 	m.tick++
+	m.ranked = nil
 	revokedBefore := m.m.Revocations
 	m.drainEvents(now)
 	m.expireAvoids(now)
@@ -434,11 +444,13 @@ func (m *Manager) acquireOnDemand(now time.Time) (slot, bool) {
 	return slot{}, false
 }
 
-// candidates asks the advisor for the ranked markets over the trailing
-// window. The advisor memoizes per generation, so repeated calls within
-// one tick cost one map probe.
+// candidates returns the Step's ranked markets over the trailing window,
+// ranking on the Step's first call.
 func (m *Manager) candidates(now time.Time) []api.AdviseCandidate {
-	return m.adv.Advise(m.cons, now.Add(-window), now)
+	if m.ranked == nil {
+		m.ranked = m.adv.Advise(m.cons, now.Add(-window), now)
+	}
+	return m.ranked
 }
 
 // release terminates a live instance and bills its runtime (user

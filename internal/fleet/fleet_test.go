@@ -144,16 +144,22 @@ func TestClampBid(t *testing.T) {
 	}
 }
 
+// TestManagerFillsToTarget fills two slots in one Step, which places both
+// from one ranking: the advisor ranks once, not once per slot.
 func TestManagerFillsToTarget(t *testing.T) {
 	r := newRig(t)
 	r.price(mktX, 0.05)
 	m := r.manager(t, Config{Target: 2})
 	defer m.Close(r.sim.Now())
 
+	before := m.adv.Rankings()
 	m.Step(r.sim.Now())
 	met := m.Metrics()
 	if met.SpotLaunches != 2 || met.Fallbacks != 0 {
 		t.Errorf("after one step: %+v, want 2 spot launches and no fallbacks", met)
+	}
+	if got := m.adv.Rankings() - before; got != 1 {
+		t.Errorf("one Step ranked %d times, want 1", got)
 	}
 	if got := met.AvailabilityPcnt(); got != 100 {
 		t.Errorf("availability = %g, want 100", got)

@@ -40,7 +40,7 @@ func NewEngine(db *store.Store, cat *market.Catalog) *Engine {
 }
 
 // Advisor returns the engine's decision layer, the one /v2/advise ranks
-// with, so its metrics can read the generation-keyed memo's counters.
+// with, so its metrics can read the advisor's ranking and fold counters.
 func (e *Engine) Advisor() *advisor.Advisor { return e.adv }
 
 // SetCaching enables or disables the table of rendered answers the HTTP

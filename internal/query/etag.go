@@ -47,9 +47,9 @@ func (a *API) queryScopeGen(q api.Query) uint64 {
 		// history, so its scope is the whole store, as the summary's is.
 		return db.GlobalGeneration()
 	case api.KindAdvise:
-		// The advisor reads every priced market in the constraint's region
-		// set; its own ScopeGen computes the matching validity token
-		// (per-region generations when restricted, global otherwise).
+		// The advisor reads every priced market of the constraint's region
+		// set: the sum of its regions' generations (append counts, so the
+		// sum moves on any append in scope), or the global one unrestricted.
 		var cons api.AdviseConstraints
 		if q.Advise != nil {
 			cons = *q.Advise
@@ -58,7 +58,14 @@ func (a *API) queryScopeGen(q api.Query) uint64 {
 		if err != nil {
 			return 0
 		}
-		return a.engine.adv.ScopeGen(c)
+		if len(c.Regions) == 0 {
+			return db.GlobalGeneration()
+		}
+		var sum uint64
+		for _, r := range c.Regions {
+			sum += db.GenerationOfScope(r, "")
+		}
+		return sum
 	default:
 		// Markets is catalog-only, immutable for the life of the process;
 		// an unknown kind fails in exec every time.

@@ -12,7 +12,7 @@ import (
 // in-flight gauge, and the 304 counter (obs.Instrument), and serves the
 // registry itself as GET /metrics (Prometheus text) and GET /v2/metrics
 // (JSON). Values other layers already count — rendered-answer hits,
-// advisor memo hits, watch streams — register as scrape-time collectors.
+// advisor rankings, watch streams — register as scrape-time collectors.
 // Call before Handler(); a nil registry leaves the API uninstrumented.
 func (a *API) EnableMetrics(reg *obs.Registry) {
 	if reg == nil {
@@ -27,19 +27,12 @@ func (a *API) EnableMetrics(reg *obs.Registry) {
 	reg.CounterFunc("spotlight_query_cache_misses_total",
 		"Requests whose queries ran because the table held no body.",
 		func() float64 { _, m := a.engine.CacheStats(); return float64(m) })
-	adv := a.engine.Advisor()
-	reg.CounterFunc("spotlight_advisor_memo_hits_total",
-		"Advise calls answered from the generation-keyed memo.",
-		func() float64 { h, _ := adv.MemoStats(); return float64(h) })
-	reg.CounterFunc("spotlight_advisor_memo_misses_total",
-		"Advise calls that ranked fresh.",
-		func() float64 { _, m := adv.MemoStats(); return float64(m) })
 	reg.CounterFunc("spotlight_advisor_rankings_total",
-		"Rankings served by the advisor (memo hits + fresh ranks).",
-		func() float64 { h, m := adv.MemoStats(); return float64(h + m) })
+		"Rankings served by the advisor.",
+		func() float64 { return float64(a.engine.adv.Rankings()) })
 	reg.CounterFunc("spotlight_advisor_markets_folded_total",
-		"Markets whose folds fresh advise ranks ran: those their price-floor bound did not skip.",
-		func() float64 { return float64(adv.MarketsFolded()) })
+		"Markets whose folds advise rankings ran: those their price-floor bound did not skip.",
+		func() float64 { return float64(a.engine.adv.MarketsFolded()) })
 	reg.GaugeFunc("spotlight_watch_streams",
 		"Currently open /v2/watch SSE streams.",
 		func() float64 { return float64(a.watchers.Load()) })
