@@ -639,10 +639,12 @@ func BenchmarkHTTPCachedHit(b *testing.B) {
 	}
 }
 
-// BenchmarkAdvise measures one cold decision-layer ranking: a fresh
-// advisor scans the constraint scope's shards, applies the workload
-// constraints, and scores the admissible set into a top-n selection —
-// the cost of a /v2/advise the table of rendered answers does not hold.
+// BenchmarkAdvise measures one decision-layer ranking of a scope whose
+// generation moved: a fresh advisor first builds the scope's all-time
+// order (one scope scan, the on-demand prices read from the catalog, one
+// sort), then walks it under the workload constraints into a top-n
+// selection — what the first /v2/advise after an append to its scope
+// costs, as on a live leader after each tick.
 func BenchmarkAdvise(b *testing.B) {
 	st := benchStudy(b)
 	from, to := st.Window()
@@ -718,6 +720,27 @@ func BenchmarkQueryStableRegion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		from, to := window(i)
 		if _, err := engine.TopStableMarkets("us-east-1", "", 10, from, to); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkQueryVolatileRegion is the volatile request of read-cold: the
+// region's markets ranked by crossings over a new window per call, with
+// the response cache off. The scope's all-time order is built by the first
+// call and walked by every other.
+// moves: cpu_us_per_op on read-cold
+func BenchmarkQueryVolatileRegion(b *testing.B) {
+	st := benchStudy(b)
+	_, end := st.Window()
+	window := coldWindows(end)
+	engine := query.NewEngine(st.DB, st.Cat)
+	engine.SetCaching(false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		from, to := window(i)
+		if _, err := engine.TopVolatileMarkets("us-east-1", "", 10, from, to); err != nil {
 			b.Fatal(err)
 		}
 	}

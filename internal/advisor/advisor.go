@@ -12,6 +12,7 @@
 package advisor
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"path"
@@ -77,11 +78,17 @@ type Advisor struct {
 	db  *store.Store
 	cat *market.Catalog
 
-	// rankings counts Advise calls; folded counts the markets whose folds
-	// a ranking ran: those whose best case, read from the price floor
-	// alone, the selection admitted.
+	// rankings counts Advise calls; viewed counts the markets rankings
+	// viewed: those whose all-time best case the selection admitted;
+	// folded counts the viewed markets whose folds ran: those whose best
+	// case, read from the window's price floor, the selection admitted.
 	rankings atomic.Uint64
+	viewed   atomic.Uint64
 	folded   atomic.Uint64
+
+	// order walks each scope's markets by their all-time best case,
+	// highest first (bestOverAllTime).
+	order *store.RankOrder[float64]
 
 	// ods holds each market's on-demand price at its store index
 	// (MarketView.Index): 0 until a scan first meets the market, then its
@@ -95,7 +102,9 @@ type Advisor struct {
 
 // New builds an Advisor over the store and catalog.
 func New(db *store.Store, cat *market.Catalog) *Advisor {
-	return &Advisor{db: db, cat: cat}
+	a := &Advisor{db: db, cat: cat}
+	a.order = store.NewRankOrder(db, a.bestOverAllTime, func(x, y float64) int { return cmp.Compare(y, x) })
+	return a
 }
 
 // Rankings returns how many rankings Advise has served.
@@ -106,8 +115,12 @@ func (a *Advisor) Rankings() uint64 { return a.rankings.Load() }
 // Deprecated: the advisor keeps no memo; use Rankings.
 func (a *Advisor) MemoStats() (hits, misses uint64) { return 0, a.Rankings() }
 
+// MarketsViewed returns how many markets rankings have viewed: every
+// market a ranking's walk reached before its first refusal.
+func (a *Advisor) MarketsViewed() uint64 { return a.viewed.Load() }
+
 // MarketsFolded returns how many markets rankings have folded: every
-// market a ranking's price-floor bound did not skip.
+// viewed market a ranking's price-floor bound did not skip.
 func (a *Advisor) MarketsFolded() uint64 { return a.folded.Load() }
 
 // onDemand returns the on-demand price of id, the market at store index i,
@@ -236,10 +249,11 @@ type scored struct {
 // to]. Only markets with at least one recorded price sample inside the
 // window are candidates — the advisor recommends from its own evidence,
 // never from catalog price sheets alone. An empty result is a valid
-// answer. It scans the constraint scope once — each region x product pair
-// resolves through the store's scope index, each market's folds run under
-// one read lock — into a top-n selection, renders only the winners, and
-// returns them in a slice the caller owns.
+// answer. It walks each region x product pair of the constraint scope in
+// the order of its markets' all-time best case (store.RankOrder), each
+// market's folds under one read lock, into a top-n selection, and stops a
+// pair's walk at the first market the selection refuses; it renders only
+// the winners and returns them in a slice the caller owns.
 func (a *Advisor) Advise(c Constraints, from, to time.Time) []api.AdviseCandidate {
 	a.rankings.Add(1)
 	window := to.Sub(from)
@@ -248,23 +262,14 @@ func (a *Advisor) Advise(c Constraints, from, to time.Time) []api.AdviseCandidat
 	}
 	a.odOnce.Do(func() { a.ods = make([]atomic.Uint64, len(a.cat.SpotMarkets())) })
 
-	// Deterministic order: score descending, then fewest expected
-	// interruptions, then market ID — identical statistics always rank in
-	// market-ID order, so repeated evaluations (and every node of a
-	// replicated fleet) agree byte-for-byte.
-	top := stats.NewTopN(c.N, func(x, y *scored) bool {
-		if x.score != y.score {
-			return x.score > y.score
-		}
-		if x.interruption != y.interruption {
-			return x.interruption < y.interruption
-		}
-		return x.id.Compare(y.id) < 0
-	})
+	top := stats.NewTopN(c.N, func(x, y *scored) bool { return before(x.score, x.interruption, x.id, y) })
 	// The query window and its last second (the live outage check), each
 	// converted once per request.
 	all, last := store.WindowOf(from, to), store.WindowOf(to.Add(-time.Second), to)
-	var folded uint64
+	var viewed, folded uint64
+	// An all-time best case is a row with no interruption, ordered among
+	// its peers by score and then ID alone: the order's own order.
+	admits := func(id market.SpotID, best float64) bool { return kept(top, best, 0, id) }
 	visit := func(v store.MarketView) {
 		if a.offer(v, c, all, last, float64(window), top) {
 			folded++
@@ -279,9 +284,10 @@ func (a *Advisor) Advise(c Constraints, from, to time.Time) []api.AdviseCandidat
 	}
 	for _, r := range regions {
 		for _, p := range products {
-			a.db.ScanScope(r, p, visit)
+			viewed += uint64(a.order.Walk(r, p, admits, visit))
 		}
 	}
+	a.viewed.Add(viewed)
 	a.folded.Add(folded)
 
 	rows := top.Sorted()
@@ -339,7 +345,7 @@ func (a *Advisor) offer(v store.MarketView, c Constraints, all, last store.Windo
 	}
 	row := scored{id: id, od: od}
 	floor, bounded := v.PriceFloor(all)
-	if bounded && !top.Admits(row.bestCase(floor)) {
+	if bounded && !kept(top, row.bestCase(floor), 0, id) {
 		return false
 	}
 
@@ -350,7 +356,7 @@ func (a *Advisor) offer(v store.MarketView, c Constraints, all, last store.Windo
 	}
 	row.spotUnav = min(1, float64(v.OutageOverlap(store.ProbeSpot, all))/span)
 	row.live = v.OutageOverlap(store.ProbeSpot, last) > 0 || v.OutageOverlap(store.ProbeOnDemand, last) > 0
-	if bounded && !top.Admits(row.bestCase(floor)) {
+	if bounded && !kept(top, row.bestCase(floor), row.interruption, id) {
 		return true
 	}
 	row.prices = v.PriceStats(all)
@@ -363,11 +369,50 @@ func (a *Advisor) offer(v store.MarketView, c Constraints, all, last store.Windo
 	return true
 }
 
-// bestCase is the row scored with the savings term read from the price
+// bestOverAllTime is the order key of the market v: its best case with
+// the savings term read from its price floor over all time, which no
+// window's floor is below, so no window's best case — and no window's row
+// — scores above it. A market with no floor (a NaN price) keys +Inf, first;
+// one with no on-demand price is never a candidate and is left out.
+func (a *Advisor) bestOverAllTime(v store.MarketView) (float64, bool) {
+	od := a.onDemand(v.Index(), v.Market())
+	if od <= 0 {
+		return 0, false
+	}
+	floor, bounded := v.PriceFloor(store.AllTime)
+	if !bounded {
+		return math.Inf(1), true
+	}
+	row := scored{od: od}
+	return row.bestCase(floor), true
+}
+
+// bestCase is the row's score with the savings term read from the price
 // floor instead of the mean, plus bestCaseMargin.
-func (r scored) bestCase(floor float64) scored {
-	r.score = r.scoreWith(clamp01(1-floor/r.od)) + bestCaseMargin
-	return r
+func (r *scored) bestCase(floor float64) float64 {
+	return r.scoreWith(clamp01(1-floor/r.od)) + bestCaseMargin
+}
+
+// before is the ranking's order — score descending, then fewest expected
+// interruptions, then market ID — between a row given by those three
+// fields and the row y: identical statistics always rank in market-ID
+// order, so repeated evaluations (and every node of a replicated fleet)
+// agree byte-for-byte.
+func before(score, interruption float64, id market.SpotID, y *scored) bool {
+	if score != y.score {
+		return score > y.score
+	}
+	if interruption != y.interruption {
+		return interruption < y.interruption
+	}
+	return id.Compare(y.id) < 0
+}
+
+// kept reports whether top would keep a row ranking as score,
+// interruption and id: Admits without building the row.
+func kept(top *stats.TopN[scored], score, interruption float64, id market.SpotID) bool {
+	bar := top.Bar()
+	return bar == nil || before(score, interruption, id, bar)
 }
 
 // bestCaseMargin is added to a best-case score to cover a mean that

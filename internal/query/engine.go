@@ -31,12 +31,15 @@ type Engine struct {
 	cat   *market.Catalog
 	cache *bodyTable
 	adv   *advisor.Advisor
+	// volatile walks each scope's markets by their all-time crossings.
+	volatile *store.RankOrder[store.CrossingStats]
 }
 
 // NewEngine builds a query engine over db and the catalog, with the table
 // of rendered answers enabled.
 func NewEngine(db *store.Store, cat *market.Catalog) *Engine {
-	return &Engine{db: db, cat: cat, cache: &bodyTable{}, adv: advisor.New(db, cat)}
+	return &Engine{db: db, cat: cat, cache: &bodyTable{}, adv: advisor.New(db, cat),
+		volatile: store.NewRankOrder(db, everCrossed, crossedMost)}
 }
 
 // Advisor returns the engine's decision layer, the one /v2/advise ranks

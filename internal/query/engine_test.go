@@ -1,7 +1,9 @@
 package query
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"spotlight/internal/market"
 	"spotlight/internal/stats"
 	"spotlight/internal/store"
+	"spotlight/pkg/api"
 )
 
 var (
@@ -273,6 +276,179 @@ func TestStableWalkCostFollowsN(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestVolatileWalkCostFollowsN counts a volatile ranking's walk by hand.
+// The k lowest-ID markets of a scope hold two crossings before the
+// window, the next 20 one crossing inside it and 5 more a spike short of
+// the on-demand price. A ranking of n views the k first — their all-time
+// best case leads the order and is admitted while the selection is empty,
+// and their window holds no crossing, so they give no row — then the n
+// one-crossing markets that fill the selection; the next one's best case
+// ties the kept rows and loses on ID. The walk asks about k + n + 1
+// markets, views k + n and hands n rows; the 5 that never crossed are not
+// in the order at all.
+func TestVolatileWalkCostFollowsN(t *testing.T) {
+	from, to := t0.Add(time.Hour), t0.Add(25*time.Hour)
+	for _, k := range []int{0, 1, 4, 12} {
+		for _, n := range []int{1, 5, 10} {
+			e, db := seededEngine(t)
+			scope := scopeInIDOrder(e.cat, "us-east-1", market.ProductLinux, "")
+			// Adopted against the order, so the walk cannot follow adoption.
+			for i := k + 24; i >= 0; i-- {
+				id := scope[i]
+				switch {
+				case i < k:
+					db.AppendSpike(store.SpikeEvent{At: t0, Market: id, Ratio: 2})
+					db.AppendSpike(store.SpikeEvent{At: t0, Market: id, Ratio: 2})
+				case i < k+20:
+					db.AppendSpike(store.SpikeEvent{At: from.Add(time.Hour), Market: id, Ratio: 1.5})
+				default:
+					db.AppendSpike(store.SpikeEvent{At: from.Add(time.Hour), Market: id, Ratio: 0.5})
+				}
+			}
+			top := stats.NewTopN(n, volatileBefore)
+			asked, viewed, rows := 0, 0, 0
+			e.walkVolatile("us-east-1", market.ProductLinux, store.WindowOf(from, to), func(best VolatileMarket) bool {
+				asked++
+				ok := top.Admits(best)
+				if ok {
+					viewed++
+				}
+				return ok
+			}, func(r VolatileMarket) {
+				rows++
+				top.Push(r)
+			})
+			if asked != k+n+1 || viewed != k+n || rows != n {
+				t.Errorf("k=%d n=%d: walk asked about %d markets, viewed %d and handed %d rows; want %d, %d and %d", k, n, asked, viewed, rows, k+n+1, k+n, n)
+			}
+			got, err := e.TopVolatileMarkets("us-east-1", market.ProductLinux, n, from, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != n {
+				t.Errorf("k=%d n=%d: %d rows", k, n, len(got))
+			}
+			for i, r := range got {
+				if r.Market != scope[k+i] || r.Crossings != 1 || r.MaxRatio != 1.5 {
+					t.Errorf("k=%d n=%d: row %d is %+v, want %v with one crossing of 1.5", k, n, i, r, scope[k+i])
+				}
+			}
+		}
+	}
+}
+
+// TestAdviseWalkCostFollowsN counts an advise ranking's walk by hand over
+// two regions. In us-east-1, 20 markets each hold one price inside the
+// window, their savings a step apart; in us-west-2, k markets hold a
+// price of a hundredth of on-demand before the window and the on-demand
+// price inside it. A ranking of n views and folds the n us-east-1 markets
+// that save most — the next one's all-time best case falls a step short
+// of the kept rows — then views every us-west-2 market, whose all-time
+// floor promises more than any kept row, and folds none of them: read from
+// the window's floor, their best case saves nothing.
+func TestAdviseWalkCostFollowsN(t *testing.T) {
+	from, to := t0.Add(time.Hour), t0.Add(25*time.Hour)
+	priced := func(cat *market.Catalog, region market.Region) (ids []market.SpotID, ods []float64) {
+		for _, id := range scopeInIDOrder(cat, region, market.ProductLinux, "") {
+			if od, err := cat.SpotODPrice(id); err == nil && od > 0 {
+				ids, ods = append(ids, id), append(ods, od)
+			}
+		}
+		return ids, ods
+	}
+	for _, k := range []int{0, 1, 4, 12} {
+		for _, n := range []int{1, 5, 10} {
+			e, db := seededEngine(t)
+			east, eastOD := priced(e.cat, "us-east-1")
+			for i := 19; i >= 0; i-- { // adopted against the order
+				db.RecordPrice(east[i], store.PricePoint{At: from.Add(time.Hour), Price: (0.3 + 0.01*float64(i)) * eastOD[i]})
+			}
+			west, westOD := priced(e.cat, "us-west-2")
+			for i, id := range west[:k] {
+				db.RecordPrice(id, store.PricePoint{At: t0, Price: westOD[i] / 100})
+				db.RecordPrice(id, store.PricePoint{At: from.Add(time.Hour), Price: westOD[i]})
+			}
+			adv := e.Advisor()
+			c, err := adv.Normalize(api.AdviseConstraints{Regions: []string{"us-west-2", "us-east-1"}, Products: []string{"Linux/UNIX"}, N: n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := adv.Advise(c, from, to)
+			if viewed, folded := adv.MarketsViewed(), adv.MarketsFolded(); viewed != uint64(n+k) || folded != uint64(n) {
+				t.Errorf("k=%d n=%d: advise viewed %d markets and folded %d, want %d and %d", k, n, viewed, folded, n+k, n)
+			}
+			if len(got) != n {
+				t.Errorf("k=%d n=%d: %d rows", k, n, len(got))
+			}
+			for i, r := range got {
+				if r.Market != east[i].String() {
+					t.Errorf("k=%d n=%d: row %d is %s, want %v", k, n, i, r.Market, east[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRankOrdersKeepOnlyStoredScopes ranks over scopes the store holds no
+// records of — regions and products it has never seen, as a volatile
+// request passes them unvalidated, and a catalog region advise accepts —
+// and requires today's empty answers and no order kept for any of them.
+func TestRankOrdersKeepOnlyStoredScopes(t *testing.T) {
+	e, db := seededEngine(t)
+	e.SetCaching(false)
+	db.AppendSpike(store.SpikeEvent{At: t0, Market: mktA, Ratio: 2})
+	db.RecordPrice(mktA, store.PricePoint{At: t0, Price: 0.1})
+	from, to := t0, t0.Add(time.Hour)
+	// The scopes each ranking keeps an order for; the count is the store's
+	// own, read through the unexported field.
+	held := func() (volatile, advise int) {
+		return reflect.ValueOf(e.volatile).Elem().FieldByName("scopes").Len(),
+			reflect.ValueOf(e.adv).Elem().FieldByName("order").Elem().FieldByName("scopes").Len()
+	}
+	scopes := []struct {
+		region  market.Region
+		product market.Product
+	}{{"mars-1", ""}, {"", "BeOS"}, {"mars-1", "BeOS"}, {"us-east-1", "BeOS"}, {"eu-west-1", ""}}
+	for i := 0; i < 200; i++ {
+		scopes = append(scopes, struct {
+			region  market.Region
+			product market.Product
+		}{market.Region(fmt.Sprintf("region-%d", i)), market.Product(fmt.Sprintf("product-%d", i))})
+	}
+	for _, sc := range scopes {
+		rows, err := e.TopVolatileMarkets(sc.region, sc.product, 10, from, to)
+		if err != nil || rows != nil {
+			t.Errorf("volatile %q/%q: %v, %v; want no rows", sc.region, sc.product, rows, err)
+		}
+	}
+	c, err := e.Advisor().Normalize(api.AdviseConstraints{Regions: []string{"eu-west-1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Advisor().Advise(c, from, to); got == nil || len(got) != 0 {
+		t.Errorf("advise over eu-west-1: %v, want an empty list", got)
+	}
+	if v, a := held(); v != 0 || a != 0 {
+		t.Errorf("orders kept for scopes with no records: %d volatile, %d advise", v, a)
+	}
+
+	// A scope that holds records keeps its order, once.
+	for range 2 {
+		if rows, _ := e.TopVolatileMarkets("us-east-1", "", 10, from, to); len(rows) != 1 || rows[0].Market != mktA {
+			t.Errorf("volatile us-east-1: %v, want %v alone", rows, mktA)
+		}
+	}
+	if c, err = e.Advisor().Normalize(api.AdviseConstraints{Regions: []string{"us-east-1"}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Advisor().Advise(c, from, to); len(got) != 1 || got[0].Market != mktA.String() {
+		t.Errorf("advise over us-east-1: %v, want %v alone", got, mktA)
+	}
+	if v, a := held(); v != 1 || a != 1 {
+		t.Errorf("orders kept: %d volatile, %d advise; want 1 each", v, a)
 	}
 }
 

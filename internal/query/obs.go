@@ -30,6 +30,9 @@ func (a *API) EnableMetrics(reg *obs.Registry) {
 	reg.CounterFunc("spotlight_advisor_rankings_total",
 		"Rankings served by the advisor.",
 		func() float64 { return float64(a.engine.adv.Rankings()) })
+	reg.CounterFunc("spotlight_advisor_markets_viewed_total",
+		"Markets advise rankings viewed: those their walks reached before the first refusal.",
+		func() float64 { return float64(a.engine.adv.MarketsViewed()) })
 	reg.CounterFunc("spotlight_advisor_markets_folded_total",
 		"Markets whose folds advise rankings ran: those their price-floor bound did not skip.",
 		func() float64 { return float64(a.engine.adv.MarketsFolded()) })

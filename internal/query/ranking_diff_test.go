@@ -299,8 +299,13 @@ func TestRankingsMatchNaiveOracle(t *testing.T) {
 		from := t0.Add(time.Duration(rng.Int63n(int64(diffSpan / 2))))
 		to := from.Add(time.Second + time.Duration(rng.Int63n(int64(diffSpan/2))))
 		target := recs[rng.Intn(len(recs))].id // stored, sometimes outside the catalog
-		checkRankings(t, cat, db, shuffled, target, from, to)
+		checkRankings(t, cat, db, uncached(cat, db, shuffled), target, from, to)
 	}
+
+	// The stale-order round: one long-lived engine ranks, then appends
+	// raise a market's all-time bound — the order a walk follows — and
+	// every ranking must follow the move.
+	checkAfterAppends(t, cat, recs, order)
 
 	// The tie round: markets with the same price series and no crossing or
 	// outage tie on every key but the ID, adopted in ID order and in the
@@ -312,7 +317,83 @@ func TestRankingsMatchNaiveOracle(t *testing.T) {
 	}
 	down := slices.Clone(up)
 	slices.Reverse(down)
-	checkRankings(t, cat, loadRecords(tied, down, nil), loadRecords(tied, up, nil), tied[0].id, from, to)
+	db = loadRecords(tied, down, nil)
+	checkRankings(t, cat, db, uncached(cat, db, loadRecords(tied, up, nil)), tied[0].id, from, to)
+}
+
+// checkAfterAppends is the stale-order round over a store holding recs:
+// one engine, caching off, is held to the oracle before and after each
+// append that raises one market's all-time best case — a run of new
+// lowest prices on a market whose old floor keeps it out of the top, a
+// first crossing spike on a market that had none, and a spike of a higher
+// ratio than any other that lifts a market past the ones it tied on
+// crossings. A walk that kept the order it built before an append would
+// stop before the lifted market, or never meet it.
+func checkAfterAppends(t *testing.T, cat *market.Catalog, recs []marketRecords, order []int) {
+	t.Helper()
+	db := loadRecords(recs, order, nil)
+	e := uncached(cat, db)[0]
+	from, to := t0, t0.Add(diffSpan+time.Hour)
+	at := t0.Add(diffSpan) // after every stored stamp: appends keep time order
+	crossings := func(m marketRecords) (n int) {
+		for _, s := range m.spikes {
+			if s.Ratio >= 1 {
+				n++
+			}
+		}
+		return n
+	}
+	most := 0
+	for _, m := range recs {
+		most = max(most, crossings(m))
+	}
+	pick := func(what string, ok func(marketRecords) bool) market.SpotID {
+		t.Helper()
+		for _, m := range recs {
+			if ok(m) {
+				return m.id
+			}
+		}
+		t.Fatalf("the records hold no %s", what)
+		return market.SpotID{}
+	}
+	cheap := pick("priced catalog market in us-east-1 with only dear prices, no spike and no probe", func(m marketRecords) bool {
+		od, err := cat.SpotODPrice(m.id)
+		if err != nil || m.id.Region() != "us-east-1" || len(m.prices) == 0 || len(m.spikes)+len(m.probes) > 0 {
+			return false
+		}
+		for _, p := range m.prices {
+			if p.Price < 0.7*od {
+				return false
+			}
+		}
+		return true
+	})
+	calm := pick("market with no crossing", func(m marketRecords) bool { return crossings(m) == 0 })
+	runnerUp := pick("market one crossing short of the most", func(m marketRecords) bool { return crossings(m) == most-1 && most > 1 })
+
+	checkRankings(t, cat, db, []*Engine{e}, calm, from, to)
+	od, _ := cat.SpotODPrice(cheap)
+	for i := 0; i < 50; i++ {
+		db.RecordPrice(cheap, store.PricePoint{At: at.Add(time.Duration(i) * time.Second), Price: od / 100})
+	}
+	checkRankings(t, cat, db, []*Engine{e}, calm, from, to)
+	db.AppendSpike(store.SpikeEvent{At: at, Market: calm, Ratio: 1.5})
+	checkRankings(t, cat, db, []*Engine{e}, calm, from, to)
+	db.AppendSpike(store.SpikeEvent{At: at, Market: runnerUp, Ratio: 3})
+	checkRankings(t, cat, db, []*Engine{e}, calm, from, to)
+}
+
+// uncached builds an engine over each store with its table of rendered
+// answers off, so every ranking runs.
+func uncached(cat *market.Catalog, dbs ...*store.Store) []*Engine {
+	var engines []*Engine
+	for _, db := range dbs {
+		e := NewEngine(db, cat)
+		e.SetCaching(false)
+		engines = append(engines, e)
+	}
+	return engines
 }
 
 // tiedRecords is the tie round's store: the us-west-2 Linux c3.large
@@ -367,15 +448,11 @@ func tiedRecords(t *testing.T, cat *market.Catalog) (recs []marketRecords, from,
 	return recs, from, to
 }
 
-// checkRankings holds every ranking of both stores, which hold the same
-// records, to the naive oracle over the first, for n = 1, 10 and beyond
+// checkRankings holds every ranking of the engines, whose stores hold the
+// records db holds, to the naive oracle over db, for n = 1, 10 and beyond
 // any scope.
-func checkRankings(t *testing.T, cat *market.Catalog, db, shuffled *store.Store, target market.SpotID, from, to time.Time) {
+func checkRankings(t *testing.T, cat *market.Catalog, db *store.Store, engines []*Engine, target market.SpotID, from, to time.Time) {
 	t.Helper()
-	engines := []*Engine{NewEngine(db, cat), NewEngine(shuffled, cat)}
-	for _, e := range engines {
-		e.SetCaching(false)
-	}
 	scopes := []struct {
 		region  market.Region
 		product market.Product

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"cmp"
 	"sort"
 	"time"
 
@@ -26,10 +27,10 @@ type VolatileMarket struct {
 }
 
 // TopVolatileMarkets ranks markets by spike count (descending) within the
-// window, enriched with revocation-watch observations: one scan of the
-// scope's shards — a market with no spike past the on-demand price in the
-// window is not volatile and gets no row — into a top-n selection.
-// Region/product filter as in TopStableMarkets; n bounds the result.
+// window, enriched with revocation-watch observations: a walk of the
+// scope's markets into a top-n selection (walkVolatile). A market with no
+// spike past the on-demand price in the window is not volatile and gets no
+// row. Region/product filter as in TopStableMarkets; n bounds the result.
 func (e *Engine) TopVolatileMarkets(region market.Region, product market.Product, n int, from, to time.Time) ([]VolatileMarket, error) {
 	if !to.After(from) {
 		return nil, ErrBadWindow
@@ -37,29 +38,60 @@ func (e *Engine) TopVolatileMarkets(region market.Region, product market.Product
 	if n <= 0 {
 		return nil, nil
 	}
-	top := stats.NewTopN(n, func(a, b *VolatileMarket) bool {
-		if a.Crossings != b.Crossings {
-			return a.Crossings > b.Crossings
-		}
-		if a.MaxRatio != b.MaxRatio {
-			return a.MaxRatio > b.MaxRatio
-		}
-		return a.Market.Compare(b.Market) < 0
-	})
-	w := store.WindowOf(from, to)
-	e.db.ScanScope(region, product, func(v store.MarketView) {
+	top := stats.NewTopN(n, volatileBefore)
+	e.walkVolatile(region, product, store.WindowOf(from, to), top.Admits, top.Push)
+	return top.Sorted(), nil
+}
+
+// volatileBefore is the volatility order: most crossings, then the largest
+// spike multiple, then market ID.
+func volatileBefore(a, b *VolatileMarket) bool {
+	if a.Crossings != b.Crossings {
+		return a.Crossings > b.Crossings
+	}
+	if a.MaxRatio != b.MaxRatio {
+		return a.MaxRatio > b.MaxRatio
+	}
+	return a.Market.Compare(b.Market) < 0
+}
+
+// crossedMost orders all-time crossing stats as volatileBefore orders rows.
+func crossedMost(a, b store.CrossingStats) int {
+	if c := cmp.Compare(b.Crossings, a.Crossings); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.MaxRatio, a.MaxRatio)
+}
+
+// everCrossed is the volatile order's key: a market's crossings over all
+// time, which no window's crossings exceed, with their largest multiple.
+// A window with as many crossings holds the same spikes, so no window's
+// row ranks before this best case. A market that never crossed is left out.
+func everCrossed(v store.MarketView) (store.CrossingStats, bool) {
+	cs := v.CrossingStats(store.AllTime)
+	return cs, cs.Crossings > 0
+}
+
+// walkVolatile hands row the markets of the (region, product) scope, either
+// empty for all, that crossed the on-demand price in w, each with its
+// crossings and revocation watches over w, walking them in the order of
+// their all-time crossings (everCrossed). Before each market admits is
+// asked about its all-time best case; the first refusal ends the walk.
+func (e *Engine) walkVolatile(region market.Region, product market.Product, w store.Window, admits func(VolatileMarket) bool, row func(VolatileMarket)) {
+	e.volatile.Walk(region, product, func(id market.SpotID, best store.CrossingStats) bool {
+		return admits(VolatileMarket{Market: id, Crossings: best.Crossings, MaxRatio: best.MaxRatio})
+	}, func(v store.MarketView) {
 		cs := v.CrossingStats(w)
 		if cs.Crossings == 0 {
 			return
 		}
-		row := VolatileMarket{Market: v.Market(), Crossings: cs.Crossings, MaxRatio: cs.MaxRatio}
+		r := VolatileMarket{Market: v.Market(), Crossings: cs.Crossings, MaxRatio: cs.MaxRatio}
 		var held time.Duration
-		if row.Watches, held = v.RevocationStats(w); row.Watches > 0 {
-			row.MeanHeld = held / time.Duration(row.Watches)
+		if r.Watches, held = v.RevocationStats(w); r.Watches > 0 {
+			r.MeanHeld = held / time.Duration(r.Watches)
 		}
-		top.Push(row)
+		row(r)
 	})
-	return top.Sorted(), nil
 }
 
 // OutageView is one detected outage row returned by the outages query.

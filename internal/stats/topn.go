@@ -55,6 +55,18 @@ func (t *TopN[T]) Admits(row T) bool {
 	return ok
 }
 
+// Bar returns the worst kept row once the selection is full — a row is
+// kept only if it comes before this one — and nil while it has room (or
+// for n ≤ 0, where Push keeps nothing whatever is asked). A
+// ranking whose best case costs less to compare than to build as a row
+// asks Bar instead of Admits; the pointer holds until the next Push.
+func (t *TopN[T]) Bar() *T {
+	if len(t.rows) < t.n || len(t.rows) == 0 {
+		return nil
+	}
+	return &t.rows[0]
+}
+
 // siftDown restores the heap property below i within rows[:n].
 func (t *TopN[T]) siftDown(i, n int) {
 	for {

@@ -100,3 +100,19 @@ func TestTopNAdmitsAllocatesNothing(t *testing.T) {
 		t.Errorf("Admits allocated %v times a run, want 0", got)
 	}
 }
+
+// TestBarMatchesAdmits: a row comes before Bar, or Bar is nil, exactly
+// when Admits would keep it.
+func TestBarMatchesAdmits(t *testing.T) {
+	less := func(a, b *int) bool { return *a < *b }
+	top := NewTopN(3, less)
+	for _, v := range []int{9, 4, 7, 1, 8, 3, 5} {
+		for probe := 0; probe < 10; probe++ {
+			bar := top.Bar()
+			if got, want := bar == nil || less(&probe, bar), top.Admits(probe); got != want {
+				t.Errorf("after pushes up to %d: Bar says %v for %d, Admits %v", v, got, probe, want)
+			}
+		}
+		top.Push(v)
+	}
+}

@@ -102,7 +102,14 @@ func (s *Store) ScanScope(region market.Region, product market.Product, visit fu
 // and reports whether id has one: one lookup and one lock, so every fold
 // visit asks for reads the same records. visit must not block or append.
 func (s *Store) View(id market.SpotID, visit func(MarketView)) bool {
-	sh := s.lookup(id)
+	i, ok := s.dicts.markets.find(id)
+	return ok && s.ViewAt(i, visit)
+}
+
+// ViewAt is View on the market at store index i (MarketView.Index),
+// reached without a lookup by ID; false when no market has that index.
+func (s *Store) ViewAt(i uint32, visit func(MarketView)) bool {
+	sh := s.shardAt(i)
 	if sh == nil {
 		return false
 	}
