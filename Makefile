@@ -18,8 +18,11 @@ GO ?= go
 # each other), and the tick pair (BenchmarkSimStep: one full-catalog
 # simulator step; BenchmarkServiceTick: a step plus one monitoring cycle
 # over all nine regions), which the leader preload behind live-fleet's
-# setup_s and ingest-recover's timed loop are made of.
-BENCH_SMOKE = BenchmarkQueryStable|BenchmarkHTTPCachedHit|BenchmarkQueryFallback|BenchmarkQuerySummary|BenchmarkStoreRegionAggregates|BenchmarkGenerationOfScope|BenchmarkStoreAppendMonitorTick|BenchmarkStoreAppendProbesBatchParallel|BenchmarkWALAppend|BenchmarkReplay|BenchmarkFeedPublish|BenchmarkFeedFanout|BenchmarkAdvise|BenchmarkAdviseRegion|BenchmarkQueryStableRegion|BenchmarkQueryVolatileRegion|BenchmarkPriceStatsIn|BenchmarkSpikesInWindow|BenchmarkObsOverhead|BenchmarkSimStep|BenchmarkServiceTick
+# setup_s and ingest-recover's timed loop are made of, and the SDK's side
+# of a read (BenchmarkSDKDecode: request build, an in-memory round trip
+# replaying a recorded answer, body read and decode, for prices, summary,
+# stable, the read-hot batch and advise).
+BENCH_SMOKE = BenchmarkQueryStable|BenchmarkHTTPCachedHit|BenchmarkSDKDecode|BenchmarkQueryFallback|BenchmarkQuerySummary|BenchmarkStoreRegionAggregates|BenchmarkGenerationOfScope|BenchmarkStoreAppendMonitorTick|BenchmarkStoreAppendProbesBatchParallel|BenchmarkWALAppend|BenchmarkReplay|BenchmarkFeedPublish|BenchmarkFeedFanout|BenchmarkAdvise|BenchmarkAdviseRegion|BenchmarkQueryStableRegion|BenchmarkQueryVolatileRegion|BenchmarkPriceStatsIn|BenchmarkSpikesInWindow|BenchmarkObsOverhead|BenchmarkSimStep|BenchmarkServiceTick
 
 # Benchmark iteration control. The CI smoke keeps the 1x default (it only
 # proves the benchmarks run); any measurement that will be *compared* —
@@ -211,7 +214,11 @@ example-smoke:
 # a decodable AdviseResponse, or 400 with an error code — never a panic
 # or a 5xx), and over a follower's saved cursor.json (FuzzCursorDecode:
 # any bytes error or decode, never panic, and an accepted cursor decodes
-# to the same fields once marshalled again).
+# to the same fields once marshalled again), and over the SDK's hand
+# decoder (FuzzDecodeBody: whenever it accepts a body for one of the types
+# it decodes, json.Unmarshal must decode the body too, to a
+# reflect.DeepEqual value, and a declined body must leave the target
+# untouched).
 fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzPriceWindow$$' -fuzztime=10s
@@ -223,6 +230,7 @@ fuzz-smoke:
 	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzV1Query$$' -fuzztime=10s
 	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzAdviseBody$$' -fuzztime=10s
 	$(GO) test ./internal/replica -run '^$$' -fuzz '^FuzzCursorDecode$$' -fuzztime=10s
+	$(GO) test ./pkg/client -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime=10s
 
 # Coverage of what the binaries run, not gated: build every main (the
 # commands, the examples and the benchmark) with coverage over the whole

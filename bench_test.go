@@ -16,6 +16,7 @@ package spotlight_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -39,6 +40,7 @@ import (
 	"spotlight/internal/query"
 	"spotlight/internal/store"
 	"spotlight/pkg/api"
+	"spotlight/pkg/client"
 )
 
 // The shared study behind the figure benchmarks: 6 simulated days over
@@ -634,6 +636,76 @@ func BenchmarkHTTPCachedHit(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				serve()
+			}
+		})
+	}
+}
+
+// sdkTransport serves every request of one SDK call with one recorded
+// answer: the first request goes through the API handler and its body is
+// kept, every later one replays it without touching the service.
+type sdkTransport struct {
+	h    http.Handler
+	body []byte
+}
+
+func (t *sdkTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if t.body == nil {
+		rec := httptest.NewRecorder()
+		t.h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			return nil, fmt.Errorf("status %d: %s", rec.Code, rec.Body)
+		}
+		t.body = rec.Body.Bytes()
+	}
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(bytes.NewReader(t.body)), Request: req}, nil
+}
+
+// BenchmarkSDKDecode measures the SDK's side of one read of the read-hot
+// and read-cold kinds: the typed method builds its request, net/http's
+// client carries it over a transport that replays a recorded answer, and
+// the SDK reads and decodes the body. No server work is timed.
+// moves: cpu_us_per_op on read-hot
+func BenchmarkSDKDecode(b *testing.B) {
+	st := benchStudy(b)
+	_, to := st.Window()
+	a := query.NewAPI(query.NewEngine(st.DB, st.Cat), func() time.Time { return to })
+	defer a.Shutdown()
+	ctx, day := context.Background(), api.Last(24*time.Hour)
+	id := st.Cat.SpotMarkets()[0].String()
+	for _, c := range []struct {
+		name string
+		call func(*client.Client) error
+	}{
+		{"prices", func(c *client.Client) error { _, err := c.Prices(ctx, id, day); return err }},
+		{"summary", func(c *client.Client) error { _, err := c.Summary(ctx); return err }},
+		{"stable", func(c *client.Client) error { _, err := c.Stable(ctx, "us-east-1", "", 10, day); return err }},
+		{"batch", func(c *client.Client) error {
+			_, err := c.Batch(ctx,
+				api.Query{Kind: api.KindStable, Region: "us-east-1", N: 5, Window: day},
+				api.Query{Kind: api.KindSummary},
+				api.Query{Kind: api.KindUnavailability, Market: id, Contract: "spot", Window: day})
+			return err
+		}},
+		{"advise", func(c *client.Client) error {
+			_, err := c.Advise(ctx, api.AdviseRequest{AdviseConstraints: api.AdviseConstraints{Regions: []string{"us-east-1"}, N: 10}, Window: day})
+			return err
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cl, err := client.New("http://spotlight", &http.Client{Transport: &sdkTransport{h: a.Handler()}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := c.call(cl); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.call(cl); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -39,9 +39,11 @@ type rankedScope[K any] struct {
 	list []ranked[K]
 }
 
+// ranked holds its market's shard: an adopted shard is never replaced, so
+// a walk views it without the store lock.
 type ranked[K any] struct {
 	id  market.SpotID
-	idx uint32
+	sh  *shard
 	key K
 }
 
@@ -62,9 +64,8 @@ func (o *RankOrder[K]) Walk(region market.Region, product market.Product, admits
 		if !admits(e.id, e.key) {
 			break
 		}
-		if o.db.ViewAt(e.idx, visit) {
-			viewed++
-		}
+		e.sh.view(visit)
+		viewed++
 	}
 	return viewed
 }
@@ -87,7 +88,7 @@ func (o *RankOrder[K]) list(region market.Region, product market.Product) []rank
 	var list []ranked[K]
 	o.db.ScanScope(region, product, func(v MarketView) {
 		if k, ok := o.key(v); ok {
-			list = append(list, ranked[K]{id: v.Market(), idx: v.Index(), key: k})
+			list = append(list, ranked[K]{id: v.Market(), sh: v.sh, key: k})
 		}
 	})
 	slices.SortFunc(list, func(a, b ranked[K]) int {

@@ -18,6 +18,15 @@
 //
 //	var aerr *api.Error
 //	if errors.As(err, &aerr) && aerr.Code == api.CodeBadWindow { ... }
+//
+// The answers a control loop reads on every tick decode by hand
+// (decode.go): what Prices, Summary, Stable, Volatile, Fallback,
+// Unavailability and Advise return, and a Batch whose results carry
+// those kinds' or advise's arms. Any other type (health, promote,
+// markets, outages, predict, reserved-value, the error envelope), and
+// any body outside the compact form the service writes, goes to
+// encoding/json. Either way the result, and every decode error, is
+// exactly encoding/json's.
 package client
 
 import (
@@ -422,9 +431,10 @@ func (c *Client) do(req *http.Request, key string, out any) (string, error) {
 	return etag, decodeBody(body, req.URL.Path, out)
 }
 
-// decodeBody unmarshals a response body into out (nil out skips).
+// decodeBody unmarshals a response body into out (nil out skips),
+// through decodeFast when it takes the body.
 func decodeBody(body []byte, path string, out any) error {
-	if out == nil {
+	if out == nil || decodeFast(body, out) {
 		return nil
 	}
 	if err := json.Unmarshal(body, out); err != nil {
