@@ -16,9 +16,8 @@ import (
 	"fmt"
 	"math"
 	"path"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -87,23 +86,19 @@ type Advisor struct {
 	folded   atomic.Uint64
 
 	// order walks each scope's markets by their all-time best case,
-	// highest first (bestOverAllTime).
-	order *store.RankOrder[float64]
-
-	// ods holds each market's on-demand price at its store index
-	// (MarketView.Index): 0 until a scan first meets the market, then its
-	// catalog price, or -1 when it has none. A store never renumbers a
-	// market, so an entry never changes once filled. It is sized to the
-	// catalog on the first rank; a store holding markets outside the
-	// catalog may index past it, and those markets read the catalog.
-	odOnce sync.Once
-	ods    []atomic.Uint64
+	// highest first, each with its on-demand price (bestOverAllTime).
+	order *store.RankOrder[orderKey]
 }
+
+// orderKey is a market's entry in the advise order: its all-time best
+// case, which orders the walk, and its on-demand price, which a visit
+// scores with.
+type orderKey struct{ best, od float64 }
 
 // New builds an Advisor over the store and catalog.
 func New(db *store.Store, cat *market.Catalog) *Advisor {
 	a := &Advisor{db: db, cat: cat}
-	a.order = store.NewRankOrder(db, a.bestOverAllTime, func(x, y float64) int { return cmp.Compare(y, x) })
+	a.order = store.NewRankOrder(db, a.bestOverAllTime, func(x, y orderKey) int { return cmp.Compare(y.best, x.best) })
 	return a
 }
 
@@ -123,24 +118,6 @@ func (a *Advisor) MarketsViewed() uint64 { return a.viewed.Load() }
 // viewed market a ranking's price-floor bound did not skip.
 func (a *Advisor) MarketsFolded() uint64 { return a.folded.Load() }
 
-// onDemand returns the on-demand price of id, the market at store index i,
-// from the dense table, reading the catalog on the market's first visit.
-func (a *Advisor) onDemand(i uint32, id market.SpotID) float64 {
-	if int(i) < len(a.ods) {
-		if bits := a.ods[i].Load(); bits != 0 {
-			return math.Float64frombits(bits)
-		}
-	}
-	od, err := a.cat.SpotODPrice(id)
-	if err != nil || od <= 0 {
-		od = -1
-	}
-	if int(i) < len(a.ods) {
-		a.ods[i].Store(math.Float64bits(od))
-	}
-	return od
-}
-
 // Normalize validates wire constraints against the catalog and converts
 // them to the typed form. Unknown regions, unknown products, malformed
 // type patterns, and out-of-range numeric fields return a
@@ -150,41 +127,26 @@ func (a *Advisor) Normalize(c api.AdviseConstraints) (Constraints, error) {
 	var out Constraints
 
 	if !(len(c.Regions) == 1 && c.Regions[0] == "all") {
-		seen := make(map[market.Region]bool, len(c.Regions))
+		out.Regions = slices.Grow(out.Regions, len(c.Regions))
 		for _, r := range c.Regions {
-			reg := market.Region(r)
-			if !a.cat.HasRegion(reg) {
+			if !a.cat.HasRegion(market.Region(r)) {
 				return out, &BadConstraintError{Param: "regions", Msg: fmt.Sprintf("unknown region %q", r)}
 			}
-			if !seen[reg] {
-				seen[reg] = true
-				out.Regions = append(out.Regions, reg)
-			}
+			out.Regions = append(out.Regions, market.Region(r))
 		}
-		sort.Slice(out.Regions, func(i, j int) bool { return out.Regions[i] < out.Regions[j] })
+		slices.Sort(out.Regions)
+		out.Regions = slices.Compact(out.Regions)
 	}
 
-	if len(c.Products) > 0 {
-		seen := make(map[market.Product]bool, len(c.Products))
-		for _, p := range c.Products {
-			prod := market.Product(p)
-			known := false
-			for _, have := range market.Products {
-				if prod == have {
-					known = true
-					break
-				}
-			}
-			if !known {
-				return out, &BadConstraintError{Param: "products", Msg: fmt.Sprintf("unknown product %q", p)}
-			}
-			if !seen[prod] {
-				seen[prod] = true
-				out.Products = append(out.Products, prod)
-			}
+	out.Products = slices.Grow(out.Products, len(c.Products))
+	for _, p := range c.Products {
+		if !slices.Contains(market.Products, market.Product(p)) {
+			return out, &BadConstraintError{Param: "products", Msg: fmt.Sprintf("unknown product %q", p)}
 		}
-		sort.Slice(out.Products, func(i, j int) bool { return out.Products[i] < out.Products[j] })
+		out.Products = append(out.Products, market.Product(p))
 	}
+	slices.Sort(out.Products)
+	out.Products = slices.Compact(out.Products)
 
 	out.TypePattern = c.InstanceTypes
 	if strings.ContainsAny(c.InstanceTypes, "*?[") {
@@ -260,7 +222,6 @@ func (a *Advisor) Advise(c Constraints, from, to time.Time) []api.AdviseCandidat
 	if window <= 0 {
 		return []api.AdviseCandidate{}
 	}
-	a.odOnce.Do(func() { a.ods = make([]atomic.Uint64, len(a.cat.SpotMarkets())) })
 
 	top := stats.NewTopN(c.N, func(x, y *scored) bool { return before(x.score, x.interruption, x.id, y) })
 	// The query window and its last second (the live outage check), each
@@ -269,9 +230,9 @@ func (a *Advisor) Advise(c Constraints, from, to time.Time) []api.AdviseCandidat
 	var viewed, folded uint64
 	// An all-time best case is a row with no interruption, ordered among
 	// its peers by score and then ID alone: the order's own order.
-	admits := func(id market.SpotID, best float64) bool { return kept(top, best, 0, id) }
-	visit := func(v store.MarketView) {
-		if a.offer(v, c, all, last, float64(window), top) {
+	admits := func(id market.SpotID, k orderKey) bool { return kept(top, k.best, 0, id) }
+	visit := func(id market.SpotID, k orderKey, v store.MarketView) {
+		if a.offer(id, k.od, v, c, all, last, float64(window), top) {
 			folded++
 		}
 	}
@@ -318,10 +279,10 @@ func (a *Advisor) Advise(c Constraints, from, to time.Time) []api.AdviseCandidat
 }
 
 // offer applies the per-market filters (the region and product sets are
-// the scan's scope already), scores one market from its shard's folds
-// over all, span nanoseconds long, and pushes it to top if it is a
-// candidate; an outage overlapping last makes the row live. It reports
-// whether the market's folds ran.
+// the scan's scope already), scores the market id, whose on-demand price
+// is od, from its shard's folds over all, span nanoseconds long, and
+// pushes it to top if it is a candidate; an outage overlapping last makes
+// the row live. It reports whether the market's folds ran.
 //
 // Before each fold top is asked whether the market's best case could
 // still be kept: its score with the savings term read from the window's
@@ -334,13 +295,8 @@ func (a *Advisor) Advise(c Constraints, from, to time.Time) []api.AdviseCandidat
 // row top would refuse now too, and a refused Push changes nothing. (A
 // row whose mean is NaN ranks below no row at all: a full selection
 // refuses it whatever the bound.)
-func (a *Advisor) offer(v store.MarketView, c Constraints, all, last store.Window, span float64, top *stats.TopN[scored]) (folded bool) {
-	id := v.Market()
+func (a *Advisor) offer(id market.SpotID, od float64, v store.MarketView, c Constraints, all, last store.Window, span float64, top *stats.TopN[scored]) (folded bool) {
 	if !a.admissible(id.Type, c) {
-		return false
-	}
-	od := a.onDemand(v.Index(), id)
-	if od <= 0 {
 		return false
 	}
 	row := scored{id: id, od: od}
@@ -369,22 +325,23 @@ func (a *Advisor) offer(v store.MarketView, c Constraints, all, last store.Windo
 	return true
 }
 
-// bestOverAllTime is the order key of the market v: its best case with
-// the savings term read from its price floor over all time, which no
-// window's floor is below, so no window's best case — and no window's row
-// — scores above it. A market with no floor (a NaN price) keys +Inf, first;
-// one with no on-demand price is never a candidate and is left out.
-func (a *Advisor) bestOverAllTime(v store.MarketView) (float64, bool) {
-	od := a.onDemand(v.Index(), v.Market())
-	if od <= 0 {
-		return 0, false
+// bestOverAllTime is the order key of the market v: its on-demand price,
+// read from the catalog once per order build, and its best case with the
+// savings term read from its price floor over all time, which no window's
+// floor is below, so no window's best case — and no window's row — scores
+// above it. A market with no floor (a NaN price) has best case +Inf,
+// first; one with no on-demand price is never a candidate and is left out.
+func (a *Advisor) bestOverAllTime(v store.MarketView) (orderKey, bool) {
+	od, err := a.cat.SpotODPrice(v.Market())
+	if err != nil || od <= 0 {
+		return orderKey{}, false
 	}
 	floor, bounded := v.PriceFloor(store.AllTime)
 	if !bounded {
-		return math.Inf(1), true
+		return orderKey{math.Inf(1), od}, true
 	}
 	row := scored{od: od}
-	return row.bestCase(floor), true
+	return orderKey{row.bestCase(floor), od}, true
 }
 
 // bestCase is the row's score with the savings term read from the price

@@ -72,6 +72,35 @@ func TestNormalizeDefaultsAndAll(t *testing.T) {
 	if !reflect.DeepEqual(c.Regions, want) {
 		t.Errorf("regions = %v, want %v", c.Regions, want)
 	}
+	// Products collapse and sort the same way.
+	c, err = a.Normalize(api.AdviseConstraints{Products: []string{string(market.ProductWindows), string(market.ProductLinux), string(market.ProductWindows), string(market.ProductLinux)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantProducts := []market.Product{market.ProductLinux, market.ProductWindows}
+	if !reflect.DeepEqual(c.Products, wantProducts) {
+		t.Errorf("products = %v, want %v", c.Products, wantProducts)
+	}
+}
+
+// TestNormalizeNamesFirstUnknown requires a rejection to name the first
+// unknown entry in input order, not in sorted order, and "all" mixed with
+// regions to be an unknown region.
+func TestNormalizeNamesFirstUnknown(t *testing.T) {
+	a, _ := newAdvisor(t)
+	cases := []struct {
+		in   api.AdviseConstraints
+		want string
+	}{
+		{api.AdviseConstraints{Regions: []string{"us-east-1", "zz-mars-1", "aa-venus-1"}}, `advisor: bad constraint regions: unknown region "zz-mars-1"`},
+		{api.AdviseConstraints{Regions: []string{"us-east-1", "all"}}, `advisor: bad constraint regions: unknown region "all"`},
+		{api.AdviseConstraints{Products: []string{string(market.ProductLinux), "Plan9", "BeOS"}}, `advisor: bad constraint products: unknown product "Plan9"`},
+	}
+	for _, tc := range cases {
+		if _, err := a.Normalize(tc.in); err == nil || err.Error() != tc.want {
+			t.Errorf("Normalize(%+v) = %v, want %s", tc.in, err, tc.want)
+		}
+	}
 }
 
 func TestNormalizeRejections(t *testing.T) {

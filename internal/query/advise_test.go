@@ -255,6 +255,13 @@ func FuzzAdviseBody(f *testing.F) {
 		`{"maxInterruptionRate":1.5}`,
 		`{"regions":["us-east-1"],"instanceTypes":"c3.*","minVCPU":4,"window":"24h"}`,
 		`{"regions":["us-east-1"],"n":`,
+		// Duplicate, unsorted and "all"-mixed sets: Normalize sorts and
+		// dedupes the known ones and names the first unknown one.
+		`{"regions":["us-west-2","us-east-1","us-west-2","us-east-1"]}`,
+		`{"products":["Windows","Linux/UNIX","Windows"],"regions":["us-east-1","us-east-1"]}`,
+		`{"regions":["all","us-east-1"]}`,
+		`{"regions":["us-east-1","all"],"products":["Linux/UNIX","all"]}`,
+		`{"regions":["all"],"products":["SUSE Linux","Linux/UNIX","SUSE Linux"]}`,
 	} {
 		f.Add([]byte(seed))
 	}

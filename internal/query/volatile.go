@@ -80,12 +80,12 @@ func everCrossed(v store.MarketView) (store.CrossingStats, bool) {
 func (e *Engine) walkVolatile(region market.Region, product market.Product, w store.Window, admits func(VolatileMarket) bool, row func(VolatileMarket)) {
 	e.volatile.Walk(region, product, func(id market.SpotID, best store.CrossingStats) bool {
 		return admits(VolatileMarket{Market: id, Crossings: best.Crossings, MaxRatio: best.MaxRatio})
-	}, func(v store.MarketView) {
+	}, func(id market.SpotID, _ store.CrossingStats, v store.MarketView) {
 		cs := v.CrossingStats(w)
 		if cs.Crossings == 0 {
 			return
 		}
-		r := VolatileMarket{Market: v.Market(), Crossings: cs.Crossings, MaxRatio: cs.MaxRatio}
+		r := VolatileMarket{Market: id, Crossings: cs.Crossings, MaxRatio: cs.MaxRatio}
 		var held time.Duration
 		if r.Watches, held = v.RevocationStats(w); r.Watches > 0 {
 			r.MeanHeld = held / time.Duration(r.Watches)

@@ -55,16 +55,16 @@ func NewRankOrder[K any](db *Store, key func(MarketView) (K, bool), cmp func(a, 
 }
 
 // Walk asks admits about the scope's markets in order, each with its key,
-// and runs visit on each admitted one under its view, as ScanScope would,
-// until admits refuses one. Either dimension may be empty for "all"; a
-// scope with no records walks nothing. It returns how many markets it
-// viewed. visit must not block or append.
-func (o *RankOrder[K]) Walk(region market.Region, product market.Product, admits func(id market.SpotID, key K) bool, visit func(MarketView)) (viewed int) {
+// and runs visit on each admitted one with the same ID and key under its
+// view, as ScanScope would, until admits refuses one. Either dimension may
+// be empty for "all"; a scope with no records walks nothing. It returns how
+// many markets it viewed. visit must not block or append.
+func (o *RankOrder[K]) Walk(region market.Region, product market.Product, admits func(id market.SpotID, key K) bool, visit func(id market.SpotID, key K, v MarketView)) (viewed int) {
 	for _, e := range o.list(region, product) {
 		if !admits(e.id, e.key) {
 			break
 		}
-		e.sh.view(visit)
+		e.sh.view(func(v MarketView) { visit(e.id, e.key, v) })
 		viewed++
 	}
 	return viewed

@@ -11,7 +11,8 @@ import (
 
 // TestRankOrderWalksBestFirstAndRebuildsOnAppend keys markets by their
 // all-time crossings: the walk asks in key order, ties in market-ID order,
-// stops at the first refusal, and leaves out what the key refuses. The
+// visits each admitted market with the ID and key it asked about, stops at
+// the first refusal, and leaves out what the key refuses. The
 // order is built once per scope generation: a walk over an unchanged scope
 // reads no key, an append into the scope makes the next walk read every
 // key again, and an append outside it does not.
@@ -39,12 +40,16 @@ func TestRankOrderWalksBestFirstAndRebuildsOnAppend(t *testing.T) {
 	}, func(a, b int) int { return cmp.Compare(b, a) })
 
 	walk := func(stopAt int) (asked []market.SpotID, viewed int) {
-		viewed = o.Walk("us-east-1", market.ProductLinux, func(id market.SpotID, _ int) bool {
-			asked = append(asked, id)
+		var askedKey int
+		viewed = o.Walk("us-east-1", market.ProductLinux, func(id market.SpotID, key int) bool {
+			asked, askedKey = append(asked, id), key
 			return len(asked) != stopAt
-		}, func(v MarketView) {
-			if v.Market() != asked[len(asked)-1] {
-				t.Errorf("viewed %v after asking about %v", v.Market(), asked[len(asked)-1])
+		}, func(id market.SpotID, key int, v MarketView) {
+			if last := asked[len(asked)-1]; id != last || key != askedKey || v.Market() != last {
+				t.Errorf("visited %v (key %d, view of %v) after asking about %v (key %d)", id, key, v.Market(), last, askedKey)
+			}
+			if c := v.CrossingStats(AllTime).Crossings; key != c {
+				t.Errorf("visited %v with key %d; its view reads %d crossings", id, key, c)
 			}
 		})
 		return asked, viewed
@@ -78,14 +83,14 @@ func TestRankOrderKeepsNoEmptyScope(t *testing.T) {
 	s.AppendSpike(SpikeEvent{At: t0, Market: mktA, Ratio: 2})
 	o := NewRankOrder(s, func(v MarketView) (int, bool) { return 0, true }, cmp.Compare[int])
 	for _, sc := range []rollupScope{{"mars-1", ""}, {"", "BeOS"}, {"mars-1", "BeOS"}, {"us-east-1", "BeOS"}, {"eu-west-1", ""}} {
-		if n := o.Walk(sc.region, sc.product, func(market.SpotID, int) bool { return true }, func(MarketView) {}); n != 0 {
+		if n := o.Walk(sc.region, sc.product, func(market.SpotID, int) bool { return true }, func(market.SpotID, int, MarketView) {}); n != 0 {
 			t.Errorf("%+v: walk viewed %d markets", sc, n)
 		}
 	}
 	if len(o.scopes) != 0 {
 		t.Errorf("orders kept for %d scopes with no records", len(o.scopes))
 	}
-	if n := o.Walk("", "", func(market.SpotID, int) bool { return true }, func(MarketView) {}); n != 1 || len(o.scopes) != 1 {
+	if n := o.Walk("", "", func(market.SpotID, int) bool { return true }, func(market.SpotID, int, MarketView) {}); n != 1 || len(o.scopes) != 1 {
 		t.Errorf("the store's scope: viewed %d, %d orders kept; want 1 and 1", n, len(o.scopes))
 	}
 }

@@ -17,11 +17,6 @@ type MarketView struct{ sh *shard }
 // Market returns the viewed market.
 func (v MarketView) Market() market.SpotID { return v.sh.id() }
 
-// Index returns the viewed market's index in the store: dense from 0, given
-// on the market's first record and never changed, since a store drops no
-// market. A reader may key a table of per-market constants by it.
-func (v MarketView) Index() uint32 { return v.sh.idx }
-
 // Window is a closed query window [from, to] converted to stamps once, so
 // a scan hands every market's folds the same value instead of converting
 // the window per fold per market.

@@ -40,6 +40,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spotlight/pkg/api"
@@ -51,11 +52,11 @@ type Client struct {
 	base string
 	hc   *http.Client
 
-	// Conditional-request state (see EnableConditionalRequests): per-query
-	// remembered ETag + response body, and a counter of 304s served from
-	// it.
+	// Conditional-request state (see EnableConditionalRequests): the
+	// switch, read without the lock; per-query remembered ETag + response
+	// body, and a counter of 304s served from it.
+	revalidate  atomic.Bool
 	mu          sync.Mutex
-	revalidate  bool
 	cached      map[string]cachedResponse
 	notModified uint64
 }
@@ -86,15 +87,16 @@ func New(baseURL string, hc *http.Client) (*Client, error) {
 // 304 Not Modified. Polling an unchanged dashboard then costs the service
 // a generation check instead of a recomputation, and the wire an empty
 // response instead of a payload. Entries are keyed by the full request
-// (URL, and body for batches); the map grows with distinct queries, so
-// enable it for clients that poll a bounded query set.
+// (method, URL and body); the map grows with distinct queries, so enable
+// it for clients that poll a bounded query set. A client that never
+// enables it builds no key.
 func (c *Client) EnableConditionalRequests() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.revalidate = true
 	if c.cached == nil {
 		c.cached = make(map[string]cachedResponse)
 	}
+	c.revalidate.Store(true)
 }
 
 // NotModifiedCount reports how many responses were served from the
@@ -106,14 +108,10 @@ func (c *Client) NotModifiedCount() uint64 {
 	return c.notModified
 }
 
-// lookupCached returns the remembered response for key, if revalidation
-// is on and one exists.
+// lookupCached returns the remembered response for key, if one exists.
 func (c *Client) lookupCached(key string) (cachedResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.revalidate {
-		return cachedResponse{}, false
-	}
 	e, ok := c.cached[key]
 	return e, ok
 }
@@ -122,9 +120,6 @@ func (c *Client) lookupCached(key string) (cachedResponse, bool) {
 func (c *Client) storeCached(key, etag string, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.revalidate {
-		return
-	}
 	c.cached[key] = cachedResponse{etag: etag, body: body}
 }
 
@@ -143,10 +138,10 @@ func (c *Client) Batch(ctx context.Context, queries ...api.Query) (*api.BatchRes
 	}
 	req.Header.Set("Content-Type", "application/json")
 	var resp api.BatchResponse
-	// Conditional key: the batch body identifies the query set. On a 304
-	// the remembered response replays, including its earlier Now echo —
-	// the service guarantees the results are unchanged, not the clock.
-	if _, err := c.do(req, "POST /v2/query "+string(body), &resp); err != nil {
+	// The batch body identifies the query set in the conditional key. On a
+	// 304 the remembered response replays, including its earlier Now echo
+	// — the service guarantees the results are unchanged, not the clock.
+	if _, err := c.do(req, body, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != len(queries) {
@@ -171,7 +166,7 @@ func (c *Client) Promote(ctx context.Context, force bool) (*api.PromoteResponse,
 		return nil, err
 	}
 	var out api.PromoteResponse
-	if _, err := c.do(req, "", &out); err != nil {
+	if _, err := c.do(req, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -195,7 +190,7 @@ func (c *Client) Advise(ctx context.Context, areq api.AdviseRequest) (*api.Advis
 	}
 	req.Header.Set("Content-Type", "application/json")
 	var resp api.AdviseResponse
-	if _, err := c.do(req, "POST /v2/advise "+string(body), &resp); err != nil {
+	if _, err := c.do(req, body, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -379,21 +374,25 @@ func (c *Client) get(ctx context.Context, path string, params url.Values, out an
 	if err != nil {
 		return err
 	}
-	_, err = c.do(req, "GET "+u, out)
+	_, err = c.do(req, nil, out)
 	return err
 }
 
-// do executes the request, decoding either the payload or the service's
-// error envelope (returned as *api.Error), and reports the response's
-// ETag ("" when absent). key identifies the request in the conditional
-// cache ("" skips caching); when a remembered ETag revalidates (304),
-// the remembered body decodes instead and the held tag is returned.
-func (c *Client) do(req *http.Request, key string, out any) (string, error) {
+// do executes the request, whose body is reqBody (nil for none), decoding
+// either the payload or the service's error envelope (returned as
+// *api.Error), and reports the response's ETag ("" when absent). With
+// conditional requests on, the request's method, path, query and body key
+// it in the conditional cache, and a response with an ETag is remembered
+// under the key; when a remembered ETag revalidates (304), the remembered
+// body decodes instead and the held tag is returned.
+func (c *Client) do(req *http.Request, reqBody []byte, out any) (string, error) {
 	var (
+		key   string
 		prior cachedResponse
 		held  bool
 	)
-	if key != "" {
+	if c.revalidate.Load() {
+		key = req.Method + " " + req.URL.Path + "?" + req.URL.RawQuery + " " + string(reqBody)
 		prior, held = c.lookupCached(key)
 	}
 	if held {

@@ -3,7 +3,10 @@ package client
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -107,7 +110,29 @@ func TestBatchRoundtrip(t *testing.T) {
 // answered from the remembered body via a 304 — and a store append makes
 // the next call fetch fresh data again.
 func TestConditionalRequests(t *testing.T) {
-	c, db := testService(t)
+	db := store.New()
+	h := query.NewAPI(query.NewEngine(db, market.New()), func() time.Time { return t0.Add(24 * time.Hour) }).Handler()
+	var (
+		mu   sync.Mutex
+		sent []string // each request's If-None-Match, in arrival order
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		sent = append(sent, r.Header.Get(api.HeaderIfNoneMatch))
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	// lastSent is the If-None-Match of the latest request.
+	lastSent := func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return sent[len(sent)-1]
+	}
+	c, err := New(srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.EnableConditionalRequests()
 	ctx := context.Background()
 	db.AppendProbe(store.ProbeRecord{At: t0, Market: mktA, Kind: store.ProbeOnDemand, Rejected: true, Code: "x"})
@@ -142,7 +167,8 @@ func TestConditionalRequests(t *testing.T) {
 		t.Errorf("fresh unavailability = %v, want > %v", third.Unavailability, first.Unavailability)
 	}
 
-	// Batches revalidate the same way, keyed by the request body.
+	// Batches revalidate the same way, keyed by the request body: a
+	// repeated body sends its tag, a different body sends none.
 	q := api.Query{Kind: api.KindStable, Region: "us-east-1", N: 3, Window: w}
 	if _, err := c.Batch(ctx, q); err != nil {
 		t.Fatal(err)
@@ -152,6 +178,57 @@ func TestConditionalRequests(t *testing.T) {
 	}
 	if c.NotModifiedCount() != 2 {
 		t.Errorf("batch revalidation count = %d, want 2", c.NotModifiedCount())
+	}
+	q.N = 4
+	if _, err := c.Batch(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+	if tag := lastSent(); tag != "" || c.NotModifiedCount() != 2 {
+		t.Errorf("a different batch body sent If-None-Match %q (not-modified count %d, want 2)", tag, c.NotModifiedCount())
+	}
+
+	// So does advise: two different bodies never share a tag, a repeated
+	// one revalidates.
+	advise := func(n int) string {
+		t.Helper()
+		if _, err := c.Advise(ctx, api.AdviseRequest{AdviseConstraints: api.AdviseConstraints{N: n}, Window: w}); err != nil {
+			t.Fatal(err)
+		}
+		return lastSent()
+	}
+	if tag := advise(3); tag != "" {
+		t.Errorf("a first advise sent If-None-Match %q", tag)
+	}
+	if tag := advise(4); tag != "" || c.NotModifiedCount() != 2 {
+		t.Errorf("a different advise body sent If-None-Match %q (not-modified count %d, want 2)", tag, c.NotModifiedCount())
+	}
+	if tag := advise(3); tag == "" || c.NotModifiedCount() != 3 {
+		t.Errorf("a repeated advise sent If-None-Match %q (not-modified count %d, want 3)", tag, c.NotModifiedCount())
+	}
+
+	// A client that never enabled conditional requests sends no tag.
+	plain, err := New(srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	sent = sent[:0]
+	mu.Unlock()
+	for range 2 {
+		if _, err := plain.Unavailability(ctx, mktA.String(), "", w); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := plain.Batch(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := plain.Advise(ctx, api.AdviseRequest{Window: w}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(sent) != 6 || slices.ContainsFunc(sent, func(tag string) bool { return tag != "" }) || plain.NotModifiedCount() != 0 {
+		t.Errorf("a plain client sent If-None-Match %q and served %d 304s", sent, plain.NotModifiedCount())
 	}
 }
 
